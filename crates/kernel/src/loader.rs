@@ -106,15 +106,7 @@ where
     if len > 0 {
         let pages = len.div_ceil(PAGE_SIZE);
         m.map_fresh(space, data_base, pages)?;
-        for (i, b) in module.data.bytes.iter().enumerate() {
-            m.write_virt(
-                space,
-                ExecMode::Guest,
-                data_base + i as u64,
-                twin_isa::Width::Byte,
-                *b as u32,
-            )?;
-        }
+        m.write_bytes_virt(space, ExecMode::Guest, data_base, &module.data.bytes)?;
     }
     let data_symbols: BTreeMap<String, u64> = module
         .data

@@ -136,15 +136,7 @@ impl SkBuff {
         frame: &Frame,
     ) -> Result<(), Fault> {
         let data = self.data(m, s)?;
-        for (i, b) in frame.wire_prefix().iter().enumerate() {
-            m.write_virt(
-                s,
-                ExecMode::Guest,
-                data + i as u64,
-                twin_isa::Width::Byte,
-                *b as u32,
-            )?;
-        }
+        m.write_bytes_virt(s, ExecMode::Guest, data, &frame.wire_prefix())?;
         self.set_len(m, s, frame.len())
     }
 
@@ -157,9 +149,7 @@ impl SkBuff {
         let data = self.data(m, s)?;
         let len = self.len(m, s)?;
         let mut prefix = [0u8; 26];
-        for (i, b) in prefix.iter_mut().enumerate() {
-            *b = m.read_virt(s, ExecMode::Guest, data + i as u64, twin_isa::Width::Byte)? as u8;
-        }
+        m.read_bytes_virt(s, ExecMode::Guest, data, &mut prefix)?;
         Ok(Frame::from_wire_prefix(&prefix, len))
     }
 }

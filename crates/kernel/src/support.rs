@@ -5,7 +5,7 @@
 use crate::heap::Heap;
 use crate::skb::{offsets, SkBuff, SkbPool};
 use std::collections::BTreeMap;
-use twin_machine::{CostDomain, Cpu, ExecMode, Fault, Machine, SpaceId};
+use twin_machine::{CostDomain, Cpu, ExecMode, Fault, Machine, SpaceId, PAGE_SIZE};
 use twin_net::Frame;
 use twin_nic::MMIO_WINDOW;
 
@@ -422,10 +422,7 @@ impl Dom0Kernel {
                 m.meter.charge(c);
                 let vaddr = cpu.arg(m, 0)? as u64;
                 let t = m.translate(self.space, ExecMode::Guest, vaddr, false)?;
-                ret(
-                    cpu,
-                    (t.entry.pfn * twin_machine::PAGE_SIZE + t.offset) as u32,
-                );
+                ret(cpu, (t.entry.pfn * PAGE_SIZE + t.offset) as u32);
             }
             "dma_map_page" => {
                 let c = m.cost.dma_map;
@@ -482,19 +479,9 @@ impl Dom0Kernel {
                 m.meter.charge(c);
                 let skb = SkBuff(cpu.arg(m, 0)? as u64);
                 let data = skb.data(m, self.space)?;
-                let hi = m.read_virt(
-                    self.space,
-                    ExecMode::Guest,
-                    data + 12,
-                    twin_isa::Width::Byte,
-                )?;
-                let lo = m.read_virt(
-                    self.space,
-                    ExecMode::Guest,
-                    data + 13,
-                    twin_isa::Width::Byte,
-                )?;
-                let proto = (hi << 8) | lo;
+                let mut ethertype = [0u8; 2];
+                m.read_bytes_virt(self.space, ExecMode::Guest, data + 12, &mut ethertype)?;
+                let proto = u16::from_be_bytes(ethertype) as u32;
                 skb.set_protocol(m, self.space, proto)?;
                 ret(cpu, proto);
             }
@@ -599,13 +586,16 @@ impl Dom0Kernel {
                 if dst != 0 && n > 0 {
                     let cycles = m.cost.copy_cycles(n);
                     m.meter.charge(cycles);
-                    for i in 0..n {
-                        m.write_virt(
+                    // At most a page of the fill byte per call: `n` is
+                    // the driver's, so it sizes no buffer.
+                    let fill = [val as u8; PAGE_SIZE as usize];
+                    for done in (0..n).step_by(fill.len()) {
+                        let chunk = (n - done).min(PAGE_SIZE) as usize;
+                        m.write_bytes_virt(
                             self.space,
                             ExecMode::Guest,
-                            dst + i,
-                            twin_isa::Width::Byte,
-                            val,
+                            dst + done,
+                            &fill[..chunk],
                         )?;
                     }
                 }
@@ -615,6 +605,8 @@ impl Dom0Kernel {
                 let dst = cpu.arg(m, 0)? as u64;
                 let src = cpu.arg(m, 1)? as u64;
                 if dst != 0 && src != 0 {
+                    // A byte at a time: when the strings overlap, where
+                    // the copy stops depends on bytes it has just written.
                     for i in 0..64 {
                         let b = m.read_virt(
                             self.space,

@@ -319,7 +319,11 @@ impl VirtualClock {
 /// explicitly).
 #[derive(Clone, Debug, Default)]
 pub struct CycleMeter {
-    per_domain: BTreeMap<CostDomain, u64>,
+    /// Cycles per domain, indexed by `CostDomain as usize`.
+    per_domain: [u64; CostDomain::ALL.len()],
+    /// Which domains have been charged (even zero cycles) since the last
+    /// reset: only those appear in a [`CycleMeter::snapshot`].
+    charged: [bool; CostDomain::ALL.len()],
     stack: Vec<CostDomain>,
     events: BTreeMap<&'static str, u64>,
     insns: u64,
@@ -355,14 +359,14 @@ impl CycleMeter {
     /// clock by the same amount — charged work *is* elapsed time).
     #[inline]
     pub fn charge(&mut self, cycles: u64) {
-        let d = self.current_domain();
-        *self.per_domain.entry(d).or_insert(0) += cycles;
-        self.clock.advance(cycles);
+        self.charge_to(self.current_domain(), cycles);
     }
 
     /// Charges `cycles` to an explicit domain (bypassing the stack).
+    #[inline]
     pub fn charge_to(&mut self, d: CostDomain, cycles: u64) {
-        *self.per_domain.entry(d).or_insert(0) += cycles;
+        self.per_domain[d as usize] += cycles;
+        self.charged[d as usize] = true;
         self.clock.advance(cycles);
     }
 
@@ -413,17 +417,22 @@ impl CycleMeter {
 
     /// Cycles charged to a domain.
     pub fn cycles(&self, d: CostDomain) -> u64 {
-        self.per_domain.get(&d).copied().unwrap_or(0)
+        self.per_domain[d as usize]
     }
 
     /// Total cycles across all domains.
     pub fn total_cycles(&self) -> u64 {
-        self.per_domain.values().sum()
+        self.per_domain.iter().sum()
     }
 
-    /// Snapshot of per-domain totals.
+    /// Snapshot of per-domain totals: one entry per domain charged since
+    /// the last reset.
     pub fn snapshot(&self) -> BTreeMap<CostDomain, u64> {
-        self.per_domain.clone()
+        CostDomain::ALL
+            .into_iter()
+            .filter(|d| self.charged[*d as usize])
+            .map(|d| (d, self.cycles(d)))
+            .collect()
     }
 
     /// Difference of two snapshots, as `self_at_later - earlier`.
@@ -442,7 +451,8 @@ impl CycleMeter {
     /// measurement windows, so armed timers and moderation windows stay
     /// coherent.
     pub fn reset(&mut self) {
-        self.per_domain.clear();
+        self.per_domain = Default::default();
+        self.charged = Default::default();
         self.events.clear();
         self.insns = 0;
     }
@@ -503,6 +513,23 @@ mod tests {
         let d = m.delta_since(&snap);
         assert_eq!(d[&CostDomain::Driver], 50);
         assert_eq!(d[&CostDomain::Xen], 0);
+    }
+
+    #[test]
+    fn snapshot_lists_exactly_the_domains_charged_since_reset() {
+        let mut m = CycleMeter::new();
+        m.charge_to(CostDomain::Dom0, 9);
+        m.reset();
+        assert!(m.snapshot().is_empty());
+        m.charge_to(CostDomain::Xen, 7);
+        m.push_domain(CostDomain::Driver);
+        m.charge(0); // a zero-cycle charge still marks its domain
+        m.pop_domain();
+        let snap = m.snapshot();
+        assert_eq!(
+            snap.into_iter().collect::<Vec<_>>(),
+            vec![(CostDomain::Xen, 7), (CostDomain::Driver, 0)]
+        );
     }
 
     #[test]

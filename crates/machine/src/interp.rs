@@ -13,9 +13,10 @@
 //!   stub (paper §4.2).
 
 use crate::space::{PageKind, SpaceId};
-use crate::{Machine, EXTERN_BASE, PAGE_SIZE, RETURN_SENTINEL};
+use crate::{CodeImage, Machine, EXTERN_BASE, PAGE_SIZE, RETURN_SENTINEL};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 use twin_isa::{AluOp, Cond, Insn, MemRef, Operand, Reg, Rep, ShiftOp, StrOp, Target, UnOp, Width};
 
 /// Privilege mode of the executing CPU.
@@ -316,7 +317,7 @@ fn read_mem(
         PageKind::Ram => {
             let cost = m.cost.load;
             m.meter.charge(cost);
-            m.read_virt(cpu.space, cpu.mode, addr, w)
+            m.read_translated(cpu.space, cpu.mode, addr, w, &t)
         }
         PageKind::Mmio(dev) => {
             let cost = m.cost.mmio_read;
@@ -340,7 +341,7 @@ fn write_mem(
         PageKind::Ram => {
             let cost = m.cost.store;
             m.meter.charge(cost);
-            m.write_virt(cpu.space, cpu.mode, addr, w, val)
+            m.write_translated(cpu.space, cpu.mode, addr, w, val, &t)
         }
         PageKind::Mmio(dev) => {
             let cost = m.cost.mmio_write;
@@ -479,16 +480,19 @@ pub fn run(
     max_insns: u64,
 ) -> Result<StopReason, Fault> {
     let mut budget = max_insns;
+    // The image being executed, held across iterations: straight-line code
+    // and local branches fetch without searching the machine's image list.
+    let mut image: Option<Arc<CodeImage>> = None;
     loop {
         if cpu.pc == RETURN_SENTINEL {
             return Ok(StopReason::Returned);
         }
         if cpu.pc >= EXTERN_BASE && cpu.pc < RETURN_SENTINEL {
             // Extern trampoline: dispatch to the environment, then return.
-            let name = m
-                .extern_name(cpu.pc)
-                .ok_or(Fault::BadFetch { pc: cpu.pc })?
-                .to_string();
+            let name = Arc::clone(
+                m.extern_handle(cpu.pc)
+                    .ok_or(Fault::BadFetch { pc: cpu.pc })?,
+            );
             env.extern_call(&name, m, cpu)?;
             let ret = cpu.pop(m)?;
             cpu.pc = ret as u64;
@@ -499,14 +503,20 @@ pub fn run(
         }
         budget -= 1;
 
-        let insn = match m.image_at(cpu.pc).and_then(|img| img.fetch(cpu.pc)) {
-            Some(i) => i.clone(),
-            None => return Err(Fault::BadFetch { pc: cpu.pc }),
+        let insn = match image.as_ref().and_then(|img| img.fetch(cpu.pc)) {
+            Some(insn) => insn,
+            None => {
+                image = m.image_at(cpu.pc).cloned();
+                image
+                    .as_ref()
+                    .and_then(|img| img.fetch(cpu.pc))
+                    .ok_or(Fault::BadFetch { pc: cpu.pc })?
+            }
         };
         m.meter.count_insn();
         let next_pc = cpu.pc + twin_isa::INSN_SIZE;
 
-        match &insn {
+        match insn {
             Insn::Mov { w, dst, src } => {
                 let v = read_operand(m, cpu, env, src, *w)?;
                 let base = m.cost.mov_reg;

@@ -43,6 +43,8 @@ pub mod cost;
 pub mod image;
 pub mod interp;
 pub mod mem;
+#[cfg(test)]
+mod oracle;
 pub mod space;
 
 pub use cost::{CostDomain, CostParams, CycleMeter, VirtualClock};
@@ -51,6 +53,7 @@ pub use interp::{run, Cpu, Env, ExecMode, Fault, NullEnv, StopReason};
 pub use mem::{PhysMem, PAGE_SIZE};
 pub use space::{PageEntry, PageKind, PageTable, SpaceId};
 
+use std::sync::Arc;
 use twin_isa::Module;
 
 /// Base of the hypervisor-reserved virtual region, mapped into every
@@ -85,8 +88,10 @@ pub struct Machine {
     /// *reads* the clock and domain stack but never charges, so a traced
     /// run's cycle accounting is bit-identical to an untraced run's.
     pub trace: twin_trace::FlightRecorder,
-    images: Vec<CodeImage>,
-    extern_names: Vec<String>,
+    /// Shared handles, so the interpreter can hold the image (or extern
+    /// name) it is executing while the environment mutates the machine.
+    images: Vec<Arc<CodeImage>>,
+    extern_names: Vec<Arc<str>>,
 }
 
 impl Default for Machine {
@@ -167,10 +172,10 @@ impl Machine {
     /// Registers an extern symbol, returning its trampoline address.
     /// Calling this address transfers control to [`Env::extern_call`].
     pub fn register_extern(&mut self, name: &str) -> u64 {
-        if let Some(i) = self.extern_names.iter().position(|n| n == name) {
-            return EXTERN_BASE + 8 * i as u64;
+        if let Some(addr) = self.extern_addr(name) {
+            return addr;
         }
-        self.extern_names.push(name.to_string());
+        self.extern_names.push(name.into());
         EXTERN_BASE + 8 * (self.extern_names.len() - 1) as u64
     }
 
@@ -178,18 +183,20 @@ impl Machine {
     pub fn extern_addr(&self, name: &str) -> Option<u64> {
         self.extern_names
             .iter()
-            .position(|n| n == name)
+            .position(|n| &**n == name)
             .map(|i| EXTERN_BASE + 8 * i as u64)
     }
 
     /// Resolves a trampoline address back to the extern's name.
     pub fn extern_name(&self, addr: u64) -> Option<&str> {
+        self.extern_handle(addr).map(|n| &**n)
+    }
+
+    pub(crate) fn extern_handle(&self, addr: u64) -> Option<&Arc<str>> {
         if addr < EXTERN_BASE || (addr - EXTERN_BASE) % 8 != 0 {
             return None;
         }
-        self.extern_names
-            .get(((addr - EXTERN_BASE) / 8) as usize)
-            .map(String::as_str)
+        self.extern_names.get(((addr - EXTERN_BASE) / 8) as usize)
     }
 
     /// Loads a module's text at `code_base`, resolving local labels and
@@ -216,25 +223,24 @@ impl Machine {
     {
         // Register all declared externs up-front so their trampoline
         // addresses are stable, then link with full resolution.
-        let declared: Vec<String> = module.externs.iter().cloned().collect();
-        for name in &declared {
+        for name in &module.externs {
             // Caller-provided resolution wins; only register the rest.
             if resolve(name).is_none() {
                 self.register_extern(name);
             }
         }
-        let names = self.extern_names.clone();
         let image = image::link(module, code_base, |name| {
-            if let Some(a) = resolve(name) {
-                return Some(a);
-            }
-            names
-                .iter()
-                .position(|n| n == name)
-                .map(|i| EXTERN_BASE + 8 * i as u64)
+            resolve(name).or_else(|| self.extern_addr(name))
         })?;
+        debug_assert!(
+            self.images
+                .iter()
+                .all(|old| image.end() <= old.base || old.end() <= image.base),
+            "image `{}` overlaps a loaded image",
+            image.name
+        );
         let id = ImageId(self.images.len());
-        self.images.push(image);
+        self.images.push(Arc::new(image));
         Ok(id)
     }
 
@@ -247,8 +253,9 @@ impl Machine {
         &self.images[id.0]
     }
 
-    /// The image containing code address `pc`, if any.
-    pub fn image_at(&self, pc: u64) -> Option<&CodeImage> {
+    /// The image containing code address `pc`, if any, as the shared
+    /// handle the interpreter keeps while it executes inside it.
+    pub fn image_at(&self, pc: u64) -> Option<&Arc<CodeImage>> {
         self.images.iter().find(|img| img.contains(pc))
     }
 
@@ -337,14 +344,35 @@ impl Machine {
         addr: u64,
         width: twin_isa::Width,
     ) -> Result<u32, Fault> {
+        let t = self.translate(space, mode, addr, false)?;
+        self.read_translated(space, mode, addr, width, &t)
+    }
+
+    /// [`Machine::read_virt`] for a caller that already holds `t`, the
+    /// read translation of `addr`: an access inside one page costs no
+    /// second lookup.
+    pub(crate) fn read_translated(
+        &self,
+        space: SpaceId,
+        mode: ExecMode,
+        addr: u64,
+        width: twin_isa::Width,
+        t: &space::Translation,
+    ) -> Result<u32, Fault> {
+        if t.offset + width.bytes() <= PAGE_SIZE {
+            let paddr = ram_paddr(t, addr)?;
+            return Ok(match width {
+                twin_isa::Width::Byte => self.phys.read_u8(paddr) as u32,
+                twin_isa::Width::Word => self.phys.read_u16(paddr) as u32,
+                twin_isa::Width::Long => self.phys.read_u32(paddr),
+            });
+        }
+        // Page-straddling: a byte at a time, so which byte faults (and
+        // with which fault) does not depend on the access width.
         let mut val = 0u32;
         for i in 0..width.bytes() {
             let t = self.translate(space, mode, addr + i, false)?;
-            let pfn = match t.entry.kind {
-                PageKind::Ram => t.entry.pfn,
-                PageKind::Mmio(_) => return Err(Fault::MmioAccess { addr }),
-            };
-            let b = self.phys.read_u8(pfn * PAGE_SIZE + (addr + i) % PAGE_SIZE);
+            let b = self.phys.read_u8(ram_paddr(&t, addr)?);
             val |= (b as u32) << (8 * i);
         }
         Ok(val)
@@ -354,7 +382,9 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Propagates translation faults; see [`Machine::read_virt`].
+    /// Propagates translation faults; see [`Machine::read_virt`]. A
+    /// page-straddling store that faults on its second page has already
+    /// written the bytes that fell in the first.
     pub fn write_virt(
         &mut self,
         space: SpaceId,
@@ -363,16 +393,88 @@ impl Machine {
         width: twin_isa::Width,
         val: u32,
     ) -> Result<(), Fault> {
+        let t = self.translate(space, mode, addr, true)?;
+        self.write_translated(space, mode, addr, width, val, &t)
+    }
+
+    /// [`Machine::write_virt`] for a caller that already holds `t`, the
+    /// write translation of `addr`.
+    pub(crate) fn write_translated(
+        &mut self,
+        space: SpaceId,
+        mode: ExecMode,
+        addr: u64,
+        width: twin_isa::Width,
+        val: u32,
+        t: &space::Translation,
+    ) -> Result<(), Fault> {
+        if t.offset + width.bytes() <= PAGE_SIZE {
+            let paddr = ram_paddr(t, addr)?;
+            match width {
+                twin_isa::Width::Byte => self.phys.write_u8(paddr, val as u8),
+                twin_isa::Width::Word => self.phys.write_u16(paddr, val as u16),
+                twin_isa::Width::Long => self.phys.write_u32(paddr, val),
+            }
+            return Ok(());
+        }
+        // Page-straddling: see `read_translated`.
         for i in 0..width.bytes() {
             let t = self.translate(space, mode, addr + i, true)?;
-            let pfn = match t.entry.kind {
-                PageKind::Ram => t.entry.pfn,
-                PageKind::Mmio(_) => return Err(Fault::MmioAccess { addr }),
-            };
-            self.phys.write_u8(
-                pfn * PAGE_SIZE + (addr + i) % PAGE_SIZE,
-                (val >> (8 * i)) as u8,
-            );
+            self.phys
+                .write_u8(ram_paddr(&t, addr)?, (val >> (8 * i)) as u8);
+        }
+        Ok(())
+    }
+
+    /// Reads `buf.len()` bytes starting at a virtual address: one
+    /// translation per page touched, then a slice copy.
+    ///
+    /// # Errors
+    ///
+    /// The fault a byte-at-a-time [`Machine::read_virt`] loop would
+    /// report: the first byte of the first page that is unmapped,
+    /// protected or MMIO.
+    pub fn read_bytes_virt(
+        &self,
+        space: SpaceId,
+        mode: ExecMode,
+        addr: u64,
+        buf: &mut [u8],
+    ) -> Result<(), Fault> {
+        let mut done = 0;
+        while done < buf.len() {
+            let at = addr + done as u64;
+            let t = self.translate(space, mode, at, false)?;
+            let n = (buf.len() - done).min((PAGE_SIZE - t.offset) as usize);
+            buf[done..done + n].copy_from_slice(self.phys.read_bytes(ram_paddr(&t, at)?, n));
+            done += n;
+        }
+        Ok(())
+    }
+
+    /// Writes `data` starting at a virtual address: one translation per
+    /// page touched, then a slice copy.
+    ///
+    /// # Errors
+    ///
+    /// The fault a byte-at-a-time [`Machine::write_virt`] loop would
+    /// report; every page before the faulting one has been written, the
+    /// faulting page not at all.
+    pub fn write_bytes_virt(
+        &mut self,
+        space: SpaceId,
+        mode: ExecMode,
+        addr: u64,
+        data: &[u8],
+    ) -> Result<(), Fault> {
+        let mut done = 0;
+        while done < data.len() {
+            let at = addr + done as u64;
+            let t = self.translate(space, mode, at, true)?;
+            let n = (data.len() - done).min((PAGE_SIZE - t.offset) as usize);
+            self.phys
+                .write_bytes(ram_paddr(&t, at)?, &data[done..done + n]);
+            done += n;
         }
         Ok(())
     }
@@ -405,20 +507,54 @@ impl Machine {
     /// may live in different spaces. Used by the hypervisor's packet-copy
     /// path; charges nothing (callers charge copy cycles explicitly).
     ///
+    /// The copy runs forward (an overlapping destination ahead of the
+    /// source sees already-copied bytes, like a byte loop), in chunks
+    /// that end at the page boundaries of *both* sides.
+    ///
     /// # Errors
     ///
-    /// Propagates translation faults from either side.
+    /// Propagates translation faults from either side, the source's
+    /// first; the bytes before the faulting chunk have been copied.
     pub fn copy_virt(
         &mut self,
         src: (SpaceId, ExecMode, u64),
         dst: (SpaceId, ExecMode, u64),
         len: u64,
     ) -> Result<(), Fault> {
-        for i in 0..len {
-            let b = self.read_virt(src.0, src.1, src.2 + i, twin_isa::Width::Byte)?;
-            self.write_virt(dst.0, dst.1, dst.2 + i, twin_isa::Width::Byte, b)?;
+        let mut done = 0;
+        while done < len {
+            let (s_at, d_at) = (src.2 + done, dst.2 + done);
+            let st = self.translate(src.0, src.1, s_at, false)?;
+            let s_paddr = ram_paddr(&st, s_at)?;
+            let dt = self.translate(dst.0, dst.1, d_at, true)?;
+            let d_paddr = ram_paddr(&dt, d_at)?;
+            let mut n = (len - done)
+                .min(PAGE_SIZE - st.offset)
+                .min(PAGE_SIZE - dt.offset);
+            if s_paddr < d_paddr {
+                // A destination that overlaps the source from ahead must
+                // see the bytes this copy has already written: stop the
+                // chunk where the overlap starts.
+                n = n.min(d_paddr - s_paddr);
+            }
+            self.phys.copy_within(s_paddr, d_paddr, n as usize);
+            done += n;
         }
         Ok(())
+    }
+}
+
+/// Physical address `t` resolves to, `t` being the translation of a byte
+/// of an access that started at `addr`.
+///
+/// # Errors
+///
+/// [`Fault::MmioAccess`] at `addr` when the page is a device window.
+#[inline]
+fn ram_paddr(t: &space::Translation, addr: u64) -> Result<u64, Fault> {
+    match t.entry.kind {
+        PageKind::Ram => Ok(t.entry.pfn * PAGE_SIZE + t.offset),
+        PageKind::Mmio(_) => Err(Fault::MmioAccess { addr }),
     }
 }
 

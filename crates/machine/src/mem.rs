@@ -1,28 +1,36 @@
 //! Simulated physical memory with a frame allocator.
 
-use std::collections::BTreeSet;
-
 /// Page size in bytes (4 KiB, matching the paper's x86-32 target).
 pub const PAGE_SIZE: u64 = 4096;
 
 /// Simulated physical memory: a flat byte array divided into frames, plus a
-/// free-list allocator.
+/// free-frame bitmap.
 ///
 /// Frames are identified by physical frame number (`pfn`); byte `i` of
 /// frame `f` lives at physical address `f * PAGE_SIZE + i`.
 #[derive(Debug)]
 pub struct PhysMem {
     bytes: Vec<u8>,
-    free: BTreeSet<u64>,
+    /// One bit per frame, set while the frame is free.
+    free: Vec<u64>,
+    /// No word of `free` below this index has a bit set.
+    lowest_free_word: usize,
+    free_frames: usize,
     total_frames: usize,
 }
 
 impl PhysMem {
     /// Creates memory with `frames` frames, all free.
     pub fn new(frames: usize) -> PhysMem {
+        let mut free = vec![u64::MAX; frames.div_ceil(64)];
+        if frames % 64 != 0 {
+            *free.last_mut().expect("frames > 0") = (1 << (frames % 64)) - 1;
+        }
         PhysMem {
             bytes: vec![0; frames * PAGE_SIZE as usize],
-            free: (0..frames as u64).collect(),
+            free,
+            lowest_free_word: 0,
+            free_frames: frames,
             total_frames: frames,
         }
     }
@@ -34,14 +42,21 @@ impl PhysMem {
 
     /// Number of currently free frames.
     pub fn free_frames(&self) -> usize {
-        self.free.len()
+        self.free_frames
     }
 
     /// Allocates the lowest-numbered free frame, zeroing it.
     /// Returns `None` when memory is exhausted.
     pub fn alloc_frame(&mut self) -> Option<u64> {
-        let pfn = *self.free.iter().next()?;
-        self.free.remove(&pfn);
+        let word = self.lowest_free_word
+            + self.free[self.lowest_free_word..]
+                .iter()
+                .position(|w| *w != 0)?;
+        let bit = self.free[word].trailing_zeros();
+        self.free[word] &= !(1 << bit);
+        self.lowest_free_word = word;
+        self.free_frames -= 1;
+        let pfn = word as u64 * 64 + bit as u64;
         let start = (pfn * PAGE_SIZE) as usize;
         self.bytes[start..start + PAGE_SIZE as usize].fill(0);
         Some(pfn)
@@ -55,7 +70,14 @@ impl PhysMem {
     /// a bug in the simulator itself, not a modeled driver bug).
     pub fn free_frame(&mut self, pfn: u64) {
         assert!((pfn as usize) < self.total_frames, "pfn {pfn} out of range");
-        assert!(self.free.insert(pfn), "double free of pfn {pfn}");
+        let (word, bit) = ((pfn / 64) as usize, pfn % 64);
+        assert!(
+            self.free[word] & (1 << bit) == 0,
+            "double free of pfn {pfn}"
+        );
+        self.free[word] |= 1 << bit;
+        self.lowest_free_word = self.lowest_free_word.min(word);
+        self.free_frames += 1;
     }
 
     /// Reads one byte at a physical address.
@@ -78,7 +100,24 @@ impl PhysMem {
         self.bytes[paddr as usize] = val;
     }
 
+    /// Reads a little-endian u16 at a physical address.
+    #[inline]
+    pub fn read_u16(&self, paddr: u64) -> u16 {
+        u16::from_le_bytes(
+            self.bytes[paddr as usize..paddr as usize + 2]
+                .try_into()
+                .expect("2 bytes"),
+        )
+    }
+
+    /// Writes a little-endian u16 at a physical address.
+    #[inline]
+    pub fn write_u16(&mut self, paddr: u64, val: u16) {
+        self.bytes[paddr as usize..paddr as usize + 2].copy_from_slice(&val.to_le_bytes());
+    }
+
     /// Reads a little-endian u32 at a physical address.
+    #[inline]
     pub fn read_u32(&self, paddr: u64) -> u32 {
         u32::from_le_bytes(
             self.bytes[paddr as usize..paddr as usize + 4]
@@ -88,6 +127,7 @@ impl PhysMem {
     }
 
     /// Writes a little-endian u32 at a physical address.
+    #[inline]
     pub fn write_u32(&mut self, paddr: u64, val: u32) {
         self.bytes[paddr as usize..paddr as usize + 4].copy_from_slice(&val.to_le_bytes());
     }
@@ -100,6 +140,13 @@ impl PhysMem {
     /// Reads `len` bytes starting at `paddr`.
     pub fn read_bytes(&self, paddr: u64, len: usize) -> &[u8] {
         &self.bytes[paddr as usize..paddr as usize + len]
+    }
+
+    /// Copies `len` bytes from `src` to `dst`; the ranges may overlap
+    /// (the destination receives what the source held before the copy).
+    pub fn copy_within(&mut self, src: u64, dst: u64, len: usize) {
+        self.bytes
+            .copy_within(src as usize..src as usize + len, dst as usize);
     }
 }
 
@@ -125,6 +172,21 @@ mod tests {
         assert!(pm.alloc_frame().is_some());
         assert!(pm.alloc_frame().is_none());
         assert_eq!(pm.free_frames(), 0);
+    }
+
+    #[test]
+    fn allocation_order_is_lowest_free_frame_first() {
+        // 130 frames: two full bitmap words and a partial third.
+        let mut pm = PhysMem::new(130);
+        let all: Vec<u64> = std::iter::from_fn(|| pm.alloc_frame()).collect();
+        assert_eq!(all, (0..130).collect::<Vec<u64>>());
+        assert_eq!(pm.free_frames(), 0);
+        for pfn in [129, 64, 3, 70] {
+            pm.free_frame(pfn);
+        }
+        assert_eq!(pm.free_frames(), 4);
+        let again: Vec<u64> = std::iter::from_fn(|| pm.alloc_frame()).collect();
+        assert_eq!(again, vec![3, 64, 70, 129]);
     }
 
     #[test]

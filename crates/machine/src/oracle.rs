@@ -1,0 +1,253 @@
+//! Equivalence oracle for the virtual-memory accessors (test-only).
+//!
+//! [`Machine::read_virt`], [`Machine::write_virt`], [`Machine::copy_virt`]
+//! and the bulk helpers translate once per page and move bytes with slice
+//! operations. The reference here translates and moves one byte at a
+//! time, which is the definition of what they must do: the same value,
+//! the same [`Fault`], and the same memory afterwards — including the
+//! bytes a faulting access wrote before it faulted.
+
+use crate::{ExecMode, Fault, Machine, PageEntry, PageKind, SpaceId, HYPER_BASE, PAGE_SIZE};
+use proptest::prelude::*;
+use twin_isa::Width;
+
+fn oracle_read_u8(m: &Machine, at: (SpaceId, ExecMode, u64), i: u64) -> Result<u8, Fault> {
+    let (space, mode, addr) = at;
+    let t = m.translate(space, mode, addr + i, false)?;
+    match t.entry.kind {
+        PageKind::Ram => Ok(m.phys.read_u8(t.entry.pfn * PAGE_SIZE + t.offset)),
+        PageKind::Mmio(_) => Err(Fault::MmioAccess { addr }),
+    }
+}
+
+fn oracle_write_u8(
+    m: &mut Machine,
+    at: (SpaceId, ExecMode, u64),
+    i: u64,
+    val: u8,
+) -> Result<(), Fault> {
+    let (space, mode, addr) = at;
+    let t = m.translate(space, mode, addr + i, true)?;
+    match t.entry.kind {
+        PageKind::Ram => m.phys.write_u8(t.entry.pfn * PAGE_SIZE + t.offset, val),
+        PageKind::Mmio(_) => return Err(Fault::MmioAccess { addr }),
+    }
+    Ok(())
+}
+
+fn oracle_read(m: &Machine, at: (SpaceId, ExecMode, u64), w: Width) -> Result<u32, Fault> {
+    let mut val = 0;
+    for i in 0..w.bytes() {
+        val |= (oracle_read_u8(m, at, i)? as u32) << (8 * i);
+    }
+    Ok(val)
+}
+
+fn oracle_write(
+    m: &mut Machine,
+    at: (SpaceId, ExecMode, u64),
+    w: Width,
+    val: u32,
+) -> Result<(), Fault> {
+    for i in 0..w.bytes() {
+        oracle_write_u8(m, at, i, (val >> (8 * i)) as u8)?;
+    }
+    Ok(())
+}
+
+/// A bulk access is a loop of one-byte accesses, each its own access (so
+/// an MMIO fault names the byte, not the start of the buffer).
+fn oracle_copy(
+    m: &mut Machine,
+    src: (SpaceId, ExecMode, u64),
+    dst: (SpaceId, ExecMode, u64),
+    len: u64,
+) -> Result<(), Fault> {
+    for i in 0..len {
+        let b = oracle_read_u8(m, (src.0, src.1, src.2 + i), 0)?;
+        oracle_write_u8(m, (dst.0, dst.1, dst.2 + i), 0, b)?;
+    }
+    Ok(())
+}
+
+/// Page bases the generated accesses aim at, in the order [`world`] lays
+/// them out.
+const PAGES: [u64; 10] = [
+    0x2000_0000,            // read-write RAM
+    0x2000_1000,            // read-write RAM, contiguous with the first
+    0x2000_2000,            // read-only RAM
+    0x2000_3000,            // MMIO
+    0x2000_4000,            // unmapped
+    0x2000_5000,            // a second mapping of the first page's frame
+    0x203f_f000,            // last page of a 4 MiB region, next one unmapped
+    HYPER_BASE - PAGE_SIZE, // guest page below the hypervisor region
+    HYPER_BASE,             // hypervisor RAM; the page after it is unmapped
+    0xffff_f000,            // hypervisor RAM; the bytes after it are beyond 2³²
+];
+
+/// Two spaces over shared and private frames, every frame filled with a
+/// position-dependent pattern so a misplaced byte shows.
+fn world() -> (Machine, [SpaceId; 2]) {
+    let mut m = Machine::new();
+    let (a, b) = (m.new_space(), m.new_space());
+    m.map_fresh(a, PAGES[0], 2).unwrap();
+    let ro = m.phys.alloc_frame().unwrap();
+    m.space_mut(a).map(PAGES[2], PageEntry::ram(ro, false));
+    m.space_mut(a).map(PAGES[3], PageEntry::mmio(0, 0));
+    let alias = m.space(a).lookup(PAGES[0]).unwrap();
+    m.space_mut(a).map(PAGES[5], alias);
+    m.map_fresh(a, PAGES[6], 1).unwrap();
+    m.map_fresh(a, PAGES[7], 1).unwrap();
+    m.map_hyper_fresh(PAGES[8], 1).unwrap();
+    m.map_hyper_fresh(PAGES[9], 1).unwrap();
+    // The second space sees the first's second page where the first has
+    // its first, plus a private page.
+    let shared = m.space(a).lookup(PAGES[1]).unwrap();
+    m.space_mut(b).map(PAGES[0], shared);
+    m.map_fresh(b, PAGES[1], 1).unwrap();
+    let frames = (m.phys.total_frames() - m.phys.free_frames()) as u64;
+    for p in 0..frames * PAGE_SIZE {
+        m.phys.write_u8(p, (p ^ (p >> 8) ^ (p >> 12)) as u8);
+    }
+    (m, [a, b])
+}
+
+fn allocated(m: &Machine) -> &[u8] {
+    let frames = m.phys.total_frames() - m.phys.free_frames();
+    m.phys.read_bytes(0, frames * PAGE_SIZE as usize)
+}
+
+#[derive(Clone, Debug)]
+enum Op {
+    Read(Width),
+    Write(Width, u32),
+    ReadBytes(u64),
+    WriteBytes(u64),
+    /// Copy `len` bytes to the (space, mode, address) drawn second.
+    Copy(u64),
+}
+
+fn width() -> impl Strategy<Value = Width> {
+    prop_oneof![Just(Width::Byte), Just(Width::Word), Just(Width::Long)]
+}
+
+/// Lengths that stay inside a page, cross one boundary, or cross two.
+fn len() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..16, 0u64..PAGE_SIZE, PAGE_SIZE..3 * PAGE_SIZE]
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        width().prop_map(Op::Read),
+        (width(), any::<u32>()).prop_map(|(w, v)| Op::Write(w, v)),
+        len().prop_map(Op::ReadBytes),
+        len().prop_map(Op::WriteBytes),
+        len().prop_map(Op::Copy),
+    ]
+}
+
+/// (space index, hypervisor mode?, address): addresses cluster at the
+/// edges of the interesting pages.
+fn place() -> impl Strategy<Value = (usize, bool, u64)> {
+    let offset = prop_oneof![0u64..8, PAGE_SIZE - 8..PAGE_SIZE, 0u64..PAGE_SIZE];
+    (0usize..2, any::<bool>(), 0usize..PAGES.len(), offset)
+        .prop_map(|(space, hyper, page, off)| (space, hyper, PAGES[page] + off))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 400, ..ProptestConfig::default() })]
+
+    /// Every accessor agrees with the byte-at-a-time reference on the
+    /// result, the fault and every byte of memory, access after access on
+    /// the same pair of machines.
+    #[test]
+    fn accessors_match_the_byte_at_a_time_reference(
+        ops in prop::collection::vec((op(), place(), place()), 1..32),
+    ) {
+        let (mut fast, spaces) = world();
+        let (mut slow, _) = world();
+        for (op, at, to) in ops {
+            let resolve = |(space, hyper, addr): (usize, bool, u64)| {
+                let mode = if hyper { ExecMode::Hypervisor } else { ExecMode::Guest };
+                (spaces[space], mode, addr)
+            };
+            let (at, to) = (resolve(at), resolve(to));
+            let (space, mode, addr) = at;
+            match op {
+                Op::Read(w) => prop_assert_eq!(
+                    fast.read_virt(space, mode, addr, w),
+                    oracle_read(&slow, at, w)
+                ),
+                Op::Write(w, v) => prop_assert_eq!(
+                    fast.write_virt(space, mode, addr, w, v),
+                    oracle_write(&mut slow, at, w, v)
+                ),
+                Op::ReadBytes(n) => {
+                    let mut got = vec![0u8; n as usize];
+                    let want: Result<Vec<u8>, Fault> = (0..n)
+                        .map(|i| oracle_read_u8(&slow, (space, mode, addr + i), 0))
+                        .collect();
+                    prop_assert_eq!(
+                        fast.read_bytes_virt(space, mode, addr, &mut got).map(|()| got),
+                        want
+                    );
+                }
+                Op::WriteBytes(n) => {
+                    let data: Vec<u8> = (0..n).map(|i| (i * 31 + addr) as u8).collect();
+                    let want = data.iter().enumerate().try_for_each(|(i, b)| {
+                        oracle_write_u8(&mut slow, (space, mode, addr + i as u64), 0, *b)
+                    });
+                    prop_assert_eq!(fast.write_bytes_virt(space, mode, addr, &data), want);
+                }
+                Op::Copy(n) => prop_assert_eq!(
+                    fast.copy_virt(at, to, n),
+                    oracle_copy(&mut slow, at, to, n)
+                ),
+            }
+            prop_assert!(allocated(&fast) == allocated(&slow), "memory diverged");
+        }
+    }
+}
+
+#[test]
+fn copy_onto_an_overlap_ahead_repeats_the_leading_bytes() {
+    // The forward byte loop's signature: copying [0, 8) to [3, 11) smears
+    // the first three bytes over the destination.
+    let (mut m, [a, _]) = world();
+    let at = (a, ExecMode::Guest, PAGES[0]);
+    m.write_bytes_virt(a, ExecMode::Guest, PAGES[0], b"abcdefgh___")
+        .unwrap();
+    m.copy_virt(at, (a, ExecMode::Guest, PAGES[0] + 3), 8)
+        .unwrap();
+    let mut got = [0u8; 11];
+    m.read_bytes_virt(a, ExecMode::Guest, PAGES[0], &mut got)
+        .unwrap();
+    assert_eq!(&got, b"abcabcabcab");
+}
+
+#[test]
+fn addresses_beyond_the_32_bit_space_page_fault() {
+    let (m, [a, _]) = world();
+    for addr in [1 << 32, (1 << 32) + PAGES[0], 1 << 44, u64::MAX - 8] {
+        for write in [false, true] {
+            assert_eq!(
+                m.translate(a, ExecMode::Hypervisor, addr, write)
+                    .unwrap_err(),
+                Fault::PageFault { addr, write }
+            );
+        }
+        assert_eq!(
+            m.translate(a, ExecMode::Guest, addr, false).unwrap_err(),
+            Fault::ProtFault { addr },
+            "a guest is refused at the hypervisor boundary first"
+        );
+    }
+    // A load that starts on the last mapped page and runs past 2³².
+    assert_eq!(
+        m.read_virt(a, ExecMode::Hypervisor, 0xffff_fffe, Width::Long),
+        Err(Fault::PageFault {
+            addr: 1 << 32,
+            write: false
+        })
+    );
+}

@@ -2,7 +2,7 @@
 //! or MMIO regions.
 
 use crate::mem::PAGE_SIZE;
-use std::collections::HashMap;
+use std::fmt;
 
 /// Identifier of an address space (one per domain).
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -59,54 +59,115 @@ pub struct Translation {
     pub offset: u64,
 }
 
+/// Pages per second-level table (and second-level tables per
+/// [`PageTable`]): 1024 × 1024 pages of 4 KiB cover the 32-bit space.
+const FANOUT: usize = 1024;
+
+type Leaf = [Option<PageEntry>; FANOUT];
+
 /// A sparse page table: virtual page number → entry.
-#[derive(Clone, Debug, Default)]
+///
+/// A two-level radix over the 32-bit address space, like the x86-32
+/// tables the paper's target walks: the top ten bits of the page number
+/// pick a second-level table (allocated when its 4 MiB region is first
+/// mapped), the low ten the entry. Addresses at or above 2³² are
+/// outside every table: lookups miss and [`PageTable::map`] refuses them.
+#[derive(Clone)]
 pub struct PageTable {
-    entries: HashMap<u64, PageEntry>,
+    dirs: Box<[Option<Box<Leaf>>; FANOUT]>,
+    mapped: usize,
+}
+
+impl Default for PageTable {
+    fn default() -> PageTable {
+        PageTable::new()
+    }
+}
+
+impl fmt::Debug for PageTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// Splits `vaddr` into (second-level table index, entry index);
+/// `None` for addresses beyond the 32-bit space.
+#[inline]
+fn split(vaddr: u64) -> Option<(usize, usize)> {
+    let vpn = vaddr / PAGE_SIZE;
+    let dir = usize::try_from(vpn / FANOUT as u64).ok()?;
+    (dir < FANOUT).then_some((dir, (vpn % FANOUT as u64) as usize))
 }
 
 impl PageTable {
     /// Creates an empty table.
     pub fn new() -> PageTable {
-        PageTable::default()
+        PageTable {
+            dirs: Box::new(std::array::from_fn(|_| None)),
+            mapped: 0,
+        }
     }
 
     /// Maps the page containing `vaddr` (which is rounded down).
     /// Returns the previous entry, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vaddr` is at or above 2³²: the simulated machine is
+    /// 32-bit, and mapping addresses are chosen by the simulator's own
+    /// set-up code, never by driver code, so this is a harness bug.
     pub fn map(&mut self, vaddr: u64, entry: PageEntry) -> Option<PageEntry> {
-        self.entries.insert(vaddr / PAGE_SIZE, entry)
+        let (dir, idx) = split(vaddr)
+            .unwrap_or_else(|| panic!("mapping {vaddr:#x}: beyond the 32-bit address space"));
+        let leaf = self.dirs[dir].get_or_insert_with(|| Box::new([None; FANOUT]));
+        let prev = leaf[idx].replace(entry);
+        self.mapped += usize::from(prev.is_none());
+        prev
     }
 
     /// Removes the mapping for the page containing `vaddr`.
     pub fn unmap(&mut self, vaddr: u64) -> Option<PageEntry> {
-        self.entries.remove(&(vaddr / PAGE_SIZE))
+        let (dir, idx) = split(vaddr)?;
+        let prev = self.dirs[dir].as_mut()?[idx].take();
+        self.mapped -= usize::from(prev.is_some());
+        prev
     }
 
     /// Looks up the entry for the page containing `vaddr`.
+    #[inline]
     pub fn lookup(&self, vaddr: u64) -> Option<PageEntry> {
-        self.entries.get(&(vaddr / PAGE_SIZE)).copied()
+        let (dir, idx) = split(vaddr)?;
+        self.dirs[dir].as_ref()?[idx]
     }
 
     /// Whether the page containing `vaddr` is mapped.
     pub fn is_mapped(&self, vaddr: u64) -> bool {
-        self.entries.contains_key(&(vaddr / PAGE_SIZE))
+        self.lookup(vaddr).is_some()
     }
 
     /// Number of mapped pages.
     pub fn mapped_pages(&self) -> usize {
-        self.entries.len()
+        self.mapped
     }
 
     /// Iterates over `(virtual page base address, entry)` pairs in
-    /// unspecified order.
+    /// ascending address order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, PageEntry)> + '_ {
-        self.entries.iter().map(|(vpn, e)| (vpn * PAGE_SIZE, *e))
+        self.dirs.iter().enumerate().flat_map(|(dir, leaf)| {
+            leaf.iter().flat_map(move |leaf| {
+                leaf.iter().enumerate().filter_map(move |(idx, e)| {
+                    e.map(|e| ((dir * FANOUT + idx) as u64 * PAGE_SIZE, e))
+                })
+            })
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     #[test]
     fn map_lookup_unmap() {
@@ -149,5 +210,89 @@ mod tests {
         let mut bases: Vec<u64> = t.iter().map(|(b, _)| b).collect();
         bases.sort_unstable();
         assert_eq!(bases, vec![0x1000, 0x3000]);
+    }
+
+    #[test]
+    fn addresses_beyond_the_32_bit_space_are_never_mapped() {
+        let mut t = PageTable::new();
+        t.map(0xffff_f000, PageEntry::ram(1, true));
+        for vaddr in [1 << 32, (1 << 32) + 0xffff_f000, 1 << 52, u64::MAX] {
+            assert!(t.lookup(vaddr).is_none());
+            assert!(!t.is_mapped(vaddr));
+            assert!(t.unmap(vaddr).is_none());
+        }
+        assert_eq!(t.mapped_pages(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the 32-bit address space")]
+    fn mapping_beyond_the_32_bit_space_panics() {
+        PageTable::new().map(1 << 32, PageEntry::ram(1, true));
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        Map(u64, PageEntry),
+        Unmap(u64),
+        Lookup(u64),
+    }
+
+    /// Addresses over a few pages of a few 4 MiB regions (so entries
+    /// collide and second-level tables are shared), at any offset.
+    fn vaddr() -> impl Strategy<Value = u64> {
+        let region = prop_oneof![Just(0u64), Just(1), Just(0x80), Just(0x3c0), Just(0x3ff)];
+        let page = prop_oneof![0u64..3, 1021u64..1024];
+        (region, page, 0u64..PAGE_SIZE).prop_map(|(r, p, off)| ((r << 10 | p) << 12) + off)
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let entry = (0u64..4, any::<bool>(), any::<bool>()).prop_map(|(pfn, w, mmio)| {
+            if mmio {
+                PageEntry::mmio(pfn as u32, pfn)
+            } else {
+                PageEntry::ram(pfn, w)
+            }
+        });
+        // Lookups and unmaps also probe beyond the 32-bit space.
+        let probe = prop_oneof![vaddr(), vaddr(), vaddr().prop_map(|a| a + (1 << 32))];
+        prop_oneof![
+            (vaddr(), entry).prop_map(|(a, e)| Op::Map(a, e)),
+            probe.clone().prop_map(Op::Unmap),
+            probe.prop_map(Op::Lookup),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The radix table is a map from page number to entry: any
+        /// sequence of operations answers as a `HashMap` does.
+        #[test]
+        fn behaves_as_a_map_from_page_number_to_entry(
+            ops in prop::collection::vec(op(), 1..64),
+        ) {
+            let mut table = PageTable::new();
+            let mut model: HashMap<u64, PageEntry> = HashMap::new();
+            for op in ops {
+                match op {
+                    Op::Map(a, e) => {
+                        prop_assert_eq!(table.map(a, e), model.insert(a / PAGE_SIZE, e));
+                    }
+                    Op::Unmap(a) => {
+                        prop_assert_eq!(table.unmap(a), model.remove(&(a / PAGE_SIZE)));
+                    }
+                    Op::Lookup(a) => {
+                        let want = model.get(&(a / PAGE_SIZE)).copied();
+                        prop_assert_eq!(table.lookup(a), want);
+                        prop_assert_eq!(table.is_mapped(a), want.is_some());
+                    }
+                }
+                prop_assert_eq!(table.mapped_pages(), model.len());
+            }
+            let mut want: Vec<(u64, PageEntry)> =
+                model.into_iter().map(|(vpn, e)| (vpn * PAGE_SIZE, e)).collect();
+            want.sort_unstable_by_key(|(base, _)| *base);
+            prop_assert_eq!(table.iter().collect::<Vec<_>>(), want);
+        }
     }
 }

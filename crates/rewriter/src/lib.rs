@@ -95,16 +95,8 @@ mod tests {
     fn load_data(m: &mut Machine, dom0: SpaceId, module: &Module, code_base: u64) {
         let pages = (module.data.bytes.len() as u64).div_ceil(PAGE_SIZE).max(1);
         m.map_fresh(dom0, DOM0_DATA, pages + 4).unwrap();
-        for (i, b) in module.data.bytes.iter().enumerate() {
-            m.write_virt(
-                dom0,
-                ExecMode::Guest,
-                DOM0_DATA + i as u64,
-                Width::Byte,
-                *b as u32,
-            )
+        m.write_bytes_virt(dom0, ExecMode::Guest, DOM0_DATA, &module.data.bytes)
             .unwrap();
-        }
         for r in &module.data.relocs {
             let addr = if let Some(off) = module.data.symbols.get(&r.symbol) {
                 DOM0_DATA + off

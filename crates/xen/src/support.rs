@@ -540,9 +540,9 @@ impl HyperSupport {
                 svm.charge_fast_path(m);
                 let skb = SkBuff(cpu.arg(m, 0)? as u64);
                 let data = skb.data(m, dom0)?;
-                let hi = m.read_virt(dom0, ExecMode::Guest, data + 12, twin_isa::Width::Byte)?;
-                let lo = m.read_virt(dom0, ExecMode::Guest, data + 13, twin_isa::Width::Byte)?;
-                let proto = (hi << 8) | lo;
+                let mut ethertype = [0u8; 2];
+                m.read_bytes_virt(dom0, ExecMode::Guest, data + 12, &mut ethertype)?;
+                let proto = u16::from_be_bytes(ethertype) as u32;
                 skb.set_protocol(m, dom0, proto)?;
                 cpu.set_reg(Reg::Eax, proto);
             }

@@ -3,6 +3,7 @@
 //! behaviour, and the concurrent config-path/fast-path split.
 
 use twin_machine::{CostDomain, ExecMode};
+use twin_net::{EtherType, Frame, MacAddr, MTU};
 use twindrivers::kernel::e1000;
 use twindrivers::{Config, System, SystemOptions};
 
@@ -207,4 +208,44 @@ fn header_copy_threshold_scales_copy_cost() {
         a.transmit_one().unwrap();
     }
     assert_eq!(a.take_wire_frames()[0].len(), 1514);
+}
+
+/// Golden tripwire: the simulator is deterministic, so one burst of 32 in
+/// each direction pins every simulated number the interpreter, the cost
+/// model and the memory path feed. Work that only makes the simulator
+/// faster must leave all of these exactly where they are.
+#[test]
+fn simulated_numbers_of_one_burst_each_way_are_pinned() {
+    fn ledger(sys: &System) -> (u64, [u64; 4], u64) {
+        let m = &sys.machine.meter;
+        (
+            m.insns(),
+            CostDomain::ALL.map(|d| m.cycles(d)),
+            sys.machine.now_cycles(),
+        )
+    }
+
+    let mut sys = System::build(Config::TwinDrivers).unwrap();
+    assert_eq!(sys.transmit_burst(32).unwrap(), 32);
+    assert_eq!(
+        ledger(&sys),
+        (35_299, [91_601, 70_850, 68_140, 51_555], 282_146)
+    );
+
+    let mut sys = System::build(Config::TwinDrivers).unwrap();
+    let frames: Vec<Frame> = (0..32)
+        .map(|seq| Frame {
+            dst: MacAddr::for_guest(1),
+            src: twindrivers::peer_mac(),
+            ethertype: EtherType::Ipv4,
+            payload_len: MTU,
+            flow: 2,
+            seq,
+        })
+        .collect();
+    assert_eq!(sys.receive_burst(&frames).unwrap(), 32);
+    assert_eq!(
+        ledger(&sys),
+        (25_951, [91_601, 149_950, 158_144, 29_530], 429_225)
+    );
 }
