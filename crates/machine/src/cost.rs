@@ -388,10 +388,10 @@ impl CycleMeter {
         self.clock.advance(cycles);
     }
 
-    /// Counts one executed instruction (for dynamic instruction stats).
+    /// Counts `n` executed instructions (for dynamic instruction stats).
     #[inline]
-    pub fn count_insn(&mut self) {
-        self.insns += 1;
+    pub fn count_insns(&mut self, n: u64) {
+        self.insns += n;
     }
 
     /// Total executed instructions.

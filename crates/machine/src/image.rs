@@ -3,7 +3,10 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use twin_isa::{Insn, MemRef, Module, Operand, Target, INSN_SIZE};
+use twin_isa::{
+    AluOp, Cond, Insn, MemRef, Module, Operand, Reg, Rep, ShiftOp, StrOp, Target, UnOp, Width,
+    INSN_SIZE,
+};
 
 /// Identifier of a loaded code image.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -42,10 +45,125 @@ pub struct CodeImage {
     pub name: String,
     /// Base code address.
     pub base: u64,
-    /// Resolved instruction stream.
+    /// Resolved instruction stream: the linked listing, for diagnostics
+    /// and tests. The interpreter executes `ops`.
     pub insns: Vec<Insn>,
     /// Exported label name → absolute address.
     pub exports: BTreeMap<String, u64>,
+    /// `insns`, lowered one for one by [`link`].
+    ops: Vec<Op>,
+}
+
+/// A linked memory reference: `disp + base + index * scale` in wrapping
+/// 32-bit arithmetic.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct Mem {
+    pub(crate) base: Option<Reg>,
+    pub(crate) index: Option<Reg>,
+    pub(crate) scale: u8,
+    pub(crate) disp: u32,
+}
+
+/// A linked operand.
+#[derive(Copy, Clone, Debug)]
+pub(crate) enum Opnd {
+    Reg(Reg),
+    /// Truncated to the machine's 32 bits.
+    Imm(u32),
+    Mem(Mem),
+}
+
+/// A linked jump or call target.
+#[derive(Copy, Clone, Debug)]
+pub(crate) enum Tgt {
+    Abs(u64),
+    Reg(Reg),
+    Mem(Mem),
+}
+
+/// What the interpreter executes: an [`Insn`] after linking, with nothing
+/// left to resolve and nothing on the heap — small enough to stay in
+/// cache, `Copy`, and matched by reference. Variants and fields mirror
+/// [`Insn`]'s.
+#[derive(Copy, Clone, Debug)]
+pub(crate) enum Op {
+    Mov {
+        w: Width,
+        dst: Opnd,
+        src: Opnd,
+    },
+    Movzx {
+        w: Width,
+        dst: Reg,
+        src: Opnd,
+    },
+    Movsx {
+        w: Width,
+        dst: Reg,
+        src: Opnd,
+    },
+    Lea {
+        dst: Reg,
+        mem: Mem,
+    },
+    Alu {
+        op: AluOp,
+        w: Width,
+        dst: Opnd,
+        src: Opnd,
+    },
+    Shift {
+        op: ShiftOp,
+        dst: Opnd,
+        amount: Opnd,
+    },
+    Cmp {
+        w: Width,
+        src: Opnd,
+        dst: Opnd,
+    },
+    Test {
+        w: Width,
+        src: Opnd,
+        dst: Opnd,
+    },
+    Un {
+        op: UnOp,
+        w: Width,
+        dst: Opnd,
+    },
+    Imul {
+        dst: Reg,
+        src: Opnd,
+    },
+    Push {
+        src: Opnd,
+    },
+    Pop {
+        dst: Opnd,
+    },
+    Jmp {
+        target: Tgt,
+    },
+    Jcc {
+        cond: Cond,
+        target: Tgt,
+    },
+    Call {
+        target: Tgt,
+    },
+    Ret,
+    Str {
+        op: StrOp,
+        w: Width,
+        rep: Rep,
+    },
+    Cli,
+    Sti,
+    Nop,
+    Hlt,
+    Int3,
+    Ud2,
 }
 
 impl CodeImage {
@@ -62,6 +180,17 @@ impl CodeImage {
             return None;
         }
         self.insns.get(((pc - self.base) / INSN_SIZE) as usize)
+    }
+
+    /// The lowered instruction at code address `pc`; `None` exactly when
+    /// [`CodeImage::fetch`] is.
+    #[inline]
+    pub(crate) fn op_at(&self, pc: u64) -> Option<&Op> {
+        let offset = pc.wrapping_sub(self.base);
+        if offset % INSN_SIZE != 0 {
+            return None;
+        }
+        self.ops.get(usize::try_from(offset / INSN_SIZE).ok()?)
     }
 
     /// Address of an exported symbol.
@@ -102,8 +231,11 @@ where
     };
 
     let mut insns = Vec::with_capacity(module.text.len());
+    let mut ops = Vec::with_capacity(module.text.len());
     for insn in &module.text {
-        insns.push(resolve_insn(insn, &mut lookup)?);
+        let linked = resolve_insn(insn, &mut lookup)?;
+        ops.push(lower(&linked));
+        insns.push(linked);
     }
 
     let mut exports = BTreeMap::new();
@@ -116,7 +248,124 @@ where
         base: code_base,
         insns,
         exports,
+        ops,
     })
+}
+
+// Lowering is total over what `resolve_insn` returns: it has replaced
+// every symbol by an address or failed the link, so a symbol here is a
+// bug in this file, not in the module.
+
+fn lower_mem(m: &MemRef) -> Mem {
+    if let Some(sym) = &m.sym {
+        unreachable!("memory reference to `{sym}` survived linking");
+    }
+    Mem {
+        base: m.base,
+        index: m.index.map(|(r, _)| r),
+        scale: m.index.map_or(0, |(_, s)| s),
+        disp: m.disp as u32,
+    }
+}
+
+fn lower_operand(o: &Operand) -> Opnd {
+    match o {
+        Operand::Reg(r) => Opnd::Reg(*r),
+        Operand::Imm(v) => Opnd::Imm(*v as u32),
+        Operand::Sym(sym, _) => unreachable!("symbol operand `{sym}` survived linking"),
+        Operand::Mem(m) => Opnd::Mem(lower_mem(m)),
+    }
+}
+
+fn lower_target(t: &Target) -> Tgt {
+    match t {
+        Target::Abs(a) => Tgt::Abs(*a),
+        Target::Label(l) => unreachable!("label target `{l}` survived linking"),
+        Target::Reg(r) => Tgt::Reg(*r),
+        Target::Mem(m) => Tgt::Mem(lower_mem(m)),
+    }
+}
+
+fn lower(insn: &Insn) -> Op {
+    match insn {
+        Insn::Mov { w, dst, src } => Op::Mov {
+            w: *w,
+            dst: lower_operand(dst),
+            src: lower_operand(src),
+        },
+        Insn::Movzx { w, dst, src } => Op::Movzx {
+            w: *w,
+            dst: *dst,
+            src: lower_operand(src),
+        },
+        Insn::Movsx { w, dst, src } => Op::Movsx {
+            w: *w,
+            dst: *dst,
+            src: lower_operand(src),
+        },
+        Insn::Lea { dst, mem } => Op::Lea {
+            dst: *dst,
+            mem: lower_mem(mem),
+        },
+        Insn::Alu { op, w, dst, src } => Op::Alu {
+            op: *op,
+            w: *w,
+            dst: lower_operand(dst),
+            src: lower_operand(src),
+        },
+        Insn::Shift { op, dst, amount } => Op::Shift {
+            op: *op,
+            dst: lower_operand(dst),
+            amount: lower_operand(amount),
+        },
+        Insn::Cmp { w, src, dst } => Op::Cmp {
+            w: *w,
+            src: lower_operand(src),
+            dst: lower_operand(dst),
+        },
+        Insn::Test { w, src, dst } => Op::Test {
+            w: *w,
+            src: lower_operand(src),
+            dst: lower_operand(dst),
+        },
+        Insn::Un { op, w, dst } => Op::Un {
+            op: *op,
+            w: *w,
+            dst: lower_operand(dst),
+        },
+        Insn::Imul { dst, src } => Op::Imul {
+            dst: *dst,
+            src: lower_operand(src),
+        },
+        Insn::Push { src } => Op::Push {
+            src: lower_operand(src),
+        },
+        Insn::Pop { dst } => Op::Pop {
+            dst: lower_operand(dst),
+        },
+        Insn::Jmp { target } => Op::Jmp {
+            target: lower_target(target),
+        },
+        Insn::Jcc { cond, target } => Op::Jcc {
+            cond: *cond,
+            target: lower_target(target),
+        },
+        Insn::Call { target } => Op::Call {
+            target: lower_target(target),
+        },
+        Insn::Ret => Op::Ret,
+        Insn::Str { op, w, rep } => Op::Str {
+            op: *op,
+            w: *w,
+            rep: *rep,
+        },
+        Insn::Cli => Op::Cli,
+        Insn::Sti => Op::Sti,
+        Insn::Nop => Op::Nop,
+        Insn::Hlt => Op::Hlt,
+        Insn::Int3 => Op::Int3,
+        Insn::Ud2 => Op::Ud2,
+    }
 }
 
 fn resolve_mem<F>(m: &MemRef, lookup: &mut F) -> Result<MemRef, LinkError>
@@ -288,5 +537,45 @@ mod tests {
         assert!(img.fetch(0x100 + 1).is_none(), "unaligned fetch");
         assert!(matches!(img.fetch(0x100 + 2 * INSN_SIZE), Some(Insn::Ret)));
         assert_eq!(img.end(), 0x100 + 3 * INSN_SIZE);
+        // The lowered stream answers for exactly the same addresses.
+        for pc in 0xf8..0x100 + 4 * INSN_SIZE {
+            assert_eq!(img.op_at(pc).is_some(), img.fetch(pc).is_some(), "{pc:#x}");
+        }
+        assert!(matches!(img.op_at(0x100 + 2 * INSN_SIZE), Some(Op::Ret)));
+    }
+
+    #[test]
+    fn lowering_keeps_what_linking_resolved() {
+        let m = assemble(
+            "t",
+            ".text\nf:\n movl $table, %eax\n movl table+8(,%ecx,4), %edx\n jmp *-4(%ebx)\n call f\n",
+        )
+        .unwrap();
+        let img = link(&m, 0x1000, |s| (s == "table").then_some(0x2000_0000)).unwrap();
+        assert_eq!(img.ops.len(), img.insns.len());
+        assert!(std::mem::size_of::<Op>() <= 32, "an op is a few words");
+        match img.ops[..] {
+            [Op::Mov {
+                src: Opnd::Imm(0x2000_0000),
+                ..
+            }, Op::Mov {
+                src: Opnd::Mem(indexed),
+                ..
+            }, Op::Jmp {
+                target: Tgt::Mem(negative),
+            }, Op::Call {
+                target: Tgt::Abs(0x1000),
+            }] => {
+                assert_eq!(
+                    (indexed.base, indexed.index, indexed.scale, indexed.disp),
+                    (None, Some(Reg::Ecx), 4, 0x2000_0008)
+                );
+                assert_eq!(
+                    (negative.base, negative.index, negative.disp),
+                    (Some(Reg::Ebx), None, -4i32 as u32)
+                );
+            }
+            ref other => panic!("unexpected {other:?}"),
+        }
     }
 }

@@ -12,12 +12,13 @@
 //!   in dom0, natively in the hypervisor (paper §4.3), or as an upcall
 //!   stub (paper §4.2).
 
+use crate::image::{Mem, Op, Opnd, Tgt};
 use crate::space::{PageKind, SpaceId};
-use crate::{CodeImage, Machine, EXTERN_BASE, PAGE_SIZE, RETURN_SENTINEL};
+use crate::{Machine, EXTERN_BASE, PAGE_SIZE, RETURN_SENTINEL};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-use twin_isa::{AluOp, Cond, Insn, MemRef, Operand, Reg, Rep, ShiftOp, StrOp, Target, UnOp, Width};
+use twin_isa::{AluOp, Cond, Reg, Rep, ShiftOp, StrOp, UnOp, Width};
 
 /// Privilege mode of the executing CPU.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -293,102 +294,6 @@ impl Env for NullEnv {
     }
 }
 
-fn ea(cpu: &Cpu, mem: &MemRef) -> u64 {
-    debug_assert!(mem.sym.is_none(), "unlinked memory reference executed");
-    let mut a = mem.disp as u32;
-    if let Some(b) = mem.base {
-        a = a.wrapping_add(cpu.reg(b));
-    }
-    if let Some((i, s)) = mem.index {
-        a = a.wrapping_add(cpu.reg(i).wrapping_mul(s as u32));
-    }
-    a as u64
-}
-
-fn read_mem(
-    m: &mut Machine,
-    cpu: &mut Cpu,
-    env: &mut dyn Env,
-    addr: u64,
-    w: Width,
-) -> Result<u32, Fault> {
-    let t = m.translate(cpu.space, cpu.mode, addr, false)?;
-    match t.entry.kind {
-        PageKind::Ram => {
-            let cost = m.cost.load;
-            m.meter.charge(cost);
-            m.read_translated(cpu.space, cpu.mode, addr, w, &t)
-        }
-        PageKind::Mmio(dev) => {
-            let cost = m.cost.mmio_read;
-            m.meter.charge(cost);
-            m.meter.count_event("mmio_read");
-            env.mmio_read(m, dev, t.entry.pfn * PAGE_SIZE + t.offset, w)
-        }
-    }
-}
-
-fn write_mem(
-    m: &mut Machine,
-    cpu: &mut Cpu,
-    env: &mut dyn Env,
-    addr: u64,
-    w: Width,
-    val: u32,
-) -> Result<(), Fault> {
-    let t = m.translate(cpu.space, cpu.mode, addr, true)?;
-    match t.entry.kind {
-        PageKind::Ram => {
-            let cost = m.cost.store;
-            m.meter.charge(cost);
-            m.write_translated(cpu.space, cpu.mode, addr, w, val, &t)
-        }
-        PageKind::Mmio(dev) => {
-            let cost = m.cost.mmio_write;
-            m.meter.charge(cost);
-            m.meter.count_event("mmio_write");
-            env.mmio_write(m, dev, t.entry.pfn * PAGE_SIZE + t.offset, w, val)
-        }
-    }
-}
-
-fn read_operand(
-    m: &mut Machine,
-    cpu: &mut Cpu,
-    env: &mut dyn Env,
-    op: &Operand,
-    w: Width,
-) -> Result<u32, Fault> {
-    Ok(match op {
-        Operand::Reg(r) => cpu.reg(*r) & w.mask() as u32,
-        Operand::Imm(v) => (*v as u32) & w.mask() as u32,
-        Operand::Sym(s, _) => {
-            return Err(Fault::EnvFault(format!("unlinked symbol operand `{s}`")))
-        }
-        Operand::Mem(mem) => read_mem(m, cpu, env, ea(cpu, mem), w)? & w.mask() as u32,
-    })
-}
-
-fn write_operand(
-    m: &mut Machine,
-    cpu: &mut Cpu,
-    env: &mut dyn Env,
-    op: &Operand,
-    w: Width,
-    val: u32,
-) -> Result<(), Fault> {
-    match op {
-        Operand::Reg(r) => {
-            cpu.set_reg_w(*r, w, val);
-            Ok(())
-        }
-        Operand::Mem(mem) => write_mem(m, cpu, env, ea(cpu, mem), w, val),
-        other => Err(Fault::EnvFault(format!(
-            "write to non-lvalue operand `{other:?}`"
-        ))),
-    }
-}
-
 fn set_zs(flags: &mut Flags, val: u32, w: Width) {
     let m = w.mask() as u32;
     flags.zf = val & m == 0;
@@ -452,18 +357,465 @@ fn cond_true(flags: &Flags, c: Cond) -> bool {
     }
 }
 
-fn target_addr(
-    m: &mut Machine,
-    cpu: &mut Cpu,
-    env: &mut dyn Env,
-    t: &Target,
-) -> Result<u64, Fault> {
-    Ok(match t {
-        Target::Abs(a) => *a,
-        Target::Label(l) => return Err(Fault::EnvFault(format!("unlinked label target `{l}`"))),
-        Target::Reg(r) => cpu.reg(*r) as u64,
-        Target::Mem(mem) => read_mem(m, cpu, env, ea(cpu, mem), Width::Long)? as u64,
-    })
+/// One [`run`]: the machine, CPU and environment it was called with, plus
+/// the cycle charges and instruction count it has made and not yet handed
+/// to the [`crate::CycleMeter`].
+///
+/// Nobody can read the meter while the loop holds `&mut Machine`, so
+/// charges pile up here and [`Exec::flush`] delivers them at the three
+/// places someone else gets to look: before every [`Env`] callback, and
+/// when `run` returns or faults. The attribution domain cannot change in
+/// between either — only a callback can push or pop it.
+struct Exec<'a> {
+    m: &'a mut Machine,
+    cpu: &'a mut Cpu,
+    env: &'a mut dyn Env,
+    cycles: u64,
+    insns: u64,
+    /// Whether anything was charged since the last flush: a charge of
+    /// zero cycles still marks its domain as charged.
+    charged: bool,
+}
+
+impl Exec<'_> {
+    #[inline]
+    fn charge(&mut self, cycles: u64) {
+        self.cycles += cycles;
+        self.charged = true;
+    }
+
+    fn flush(&mut self) {
+        if self.charged {
+            self.m.meter.charge(self.cycles);
+        }
+        self.m.meter.count_insns(self.insns);
+        (self.cycles, self.insns, self.charged) = (0, 0, false);
+    }
+
+    #[inline]
+    fn ea(&self, mem: &Mem) -> u64 {
+        let mut a = mem.disp;
+        if let Some(b) = mem.base {
+            a = a.wrapping_add(self.cpu.reg(b));
+        }
+        if let Some(i) = mem.index {
+            a = a.wrapping_add(self.cpu.reg(i).wrapping_mul(mem.scale as u32));
+        }
+        a as u64
+    }
+
+    /// A load instruction's memory access: charged, RAM or MMIO.
+    #[inline]
+    fn load(&mut self, addr: u64, w: Width) -> Result<u32, Fault> {
+        if let Some(paddr) = self.m.cached_paddr(self.cpu, addr, w, false) {
+            self.charge(self.m.cost.load);
+            return Ok(self.m.phys.read_width(paddr, w));
+        }
+        self.load_walk(addr, w)
+    }
+
+    #[inline(never)]
+    fn load_walk(&mut self, addr: u64, w: Width) -> Result<u32, Fault> {
+        let (space, mode) = (self.cpu.space, self.cpu.mode);
+        let t = self.m.translate(space, mode, addr, false)?;
+        match t.entry.kind {
+            PageKind::Ram => {
+                self.charge(self.m.cost.load);
+                self.m.tlb.fill(addr, &t.entry);
+                self.m.read_translated(space, mode, addr, w, &t)
+            }
+            PageKind::Mmio(dev) => {
+                self.charge(self.m.cost.mmio_read);
+                self.m.meter.count_event("mmio_read");
+                self.flush();
+                let offset = t.entry.pfn * PAGE_SIZE + t.offset;
+                let val = self.env.mmio_read(self.m, dev, offset, w);
+                self.m.revalidate_tlb(self.cpu);
+                val
+            }
+        }
+    }
+
+    /// A store instruction's memory access: charged, RAM or MMIO.
+    #[inline]
+    fn store(&mut self, addr: u64, w: Width, val: u32) -> Result<(), Fault> {
+        if let Some(paddr) = self.m.cached_paddr(self.cpu, addr, w, true) {
+            self.charge(self.m.cost.store);
+            self.m.phys.write_width(paddr, w, val);
+            return Ok(());
+        }
+        self.store_walk(addr, w, val)
+    }
+
+    #[inline(never)]
+    fn store_walk(&mut self, addr: u64, w: Width, val: u32) -> Result<(), Fault> {
+        let (space, mode) = (self.cpu.space, self.cpu.mode);
+        let t = self.m.translate(space, mode, addr, true)?;
+        match t.entry.kind {
+            PageKind::Ram => {
+                self.charge(self.m.cost.store);
+                self.m.tlb.fill(addr, &t.entry);
+                self.m.write_translated(space, mode, addr, w, val, &t)
+            }
+            PageKind::Mmio(dev) => {
+                self.charge(self.m.cost.mmio_write);
+                self.m.meter.count_event("mmio_write");
+                self.flush();
+                let offset = t.entry.pfn * PAGE_SIZE + t.offset;
+                let done = self.env.mmio_write(self.m, dev, offset, w, val);
+                self.m.revalidate_tlb(self.cpu);
+                done
+            }
+        }
+    }
+
+    /// [`Cpu::push`] through the translation cache. Like it, charges
+    /// nothing (the instruction has) and moves `%esp` before it can fault.
+    #[inline]
+    fn push(&mut self, val: u32) -> Result<(), Fault> {
+        let esp = self.cpu.reg(Reg::Esp).wrapping_sub(4);
+        self.cpu.set_reg(Reg::Esp, esp);
+        let addr = esp as u64;
+        if let Some(paddr) = self.m.cached_paddr(self.cpu, addr, Width::Long, true) {
+            self.m.phys.write_u32(paddr, val);
+            return Ok(());
+        }
+        let (space, mode) = (self.cpu.space, self.cpu.mode);
+        let t = self.m.translate(space, mode, addr, true)?;
+        self.m.tlb.fill(addr, &t.entry);
+        self.m
+            .write_translated(space, mode, addr, Width::Long, val, &t)
+    }
+
+    /// [`Cpu::pop`] through the translation cache.
+    #[inline]
+    fn pop(&mut self) -> Result<u32, Fault> {
+        let esp = self.cpu.reg(Reg::Esp);
+        let addr = esp as u64;
+        let val = match self.m.cached_paddr(self.cpu, addr, Width::Long, false) {
+            Some(paddr) => self.m.phys.read_u32(paddr),
+            None => {
+                let (space, mode) = (self.cpu.space, self.cpu.mode);
+                let t = self.m.translate(space, mode, addr, false)?;
+                self.m.tlb.fill(addr, &t.entry);
+                self.m.read_translated(space, mode, addr, Width::Long, &t)?
+            }
+        };
+        self.cpu.set_reg(Reg::Esp, esp.wrapping_add(4));
+        Ok(val)
+    }
+
+    #[inline]
+    fn read(&mut self, o: &Opnd, w: Width) -> Result<u32, Fault> {
+        let val = match o {
+            Opnd::Reg(r) => self.cpu.reg(*r),
+            Opnd::Imm(v) => *v,
+            Opnd::Mem(mem) => self.load(self.ea(mem), w)?,
+        };
+        Ok(val & w.mask() as u32)
+    }
+
+    #[inline]
+    fn write(&mut self, o: &Opnd, w: Width, val: u32) -> Result<(), Fault> {
+        match o {
+            Opnd::Reg(r) => {
+                self.cpu.set_reg_w(*r, w, val);
+                Ok(())
+            }
+            Opnd::Mem(mem) => self.store(self.ea(mem), w, val),
+            Opnd::Imm(_) => Err(Fault::EnvFault(format!(
+                "write to non-lvalue operand `{o:?}`"
+            ))),
+        }
+    }
+
+    #[inline]
+    fn target(&mut self, t: &Tgt) -> Result<u64, Fault> {
+        Ok(match t {
+            Tgt::Abs(a) => *a,
+            Tgt::Reg(r) => self.cpu.reg(*r) as u64,
+            Tgt::Mem(mem) => self.load(self.ea(mem), Width::Long)? as u64,
+        })
+    }
+
+    /// The extern trampoline at `cpu.pc`: dispatch to the environment,
+    /// then return to the caller.
+    fn call_extern(&mut self) -> Result<(), Fault> {
+        let name = Arc::clone(
+            self.m
+                .extern_handle(self.cpu.pc)
+                .ok_or(Fault::BadFetch { pc: self.cpu.pc })?,
+        );
+        self.flush();
+        let done = self.env.extern_call(&name, self.m, self.cpu);
+        self.m.revalidate_tlb(self.cpu);
+        done?;
+        self.cpu.pc = self.pop()? as u64;
+        Ok(())
+    }
+
+    fn run(&mut self, max_insns: u64) -> Result<StopReason, Fault> {
+        let mut budget = max_insns;
+        loop {
+            // Where is `pc`? The sentinel, a trampoline, or code.
+            let pc = self.cpu.pc;
+            if pc == RETURN_SENTINEL {
+                return Ok(StopReason::Returned);
+            }
+            if (EXTERN_BASE..RETURN_SENTINEL).contains(&pc) {
+                self.call_extern()?;
+                continue;
+            }
+            if budget == 0 {
+                return Ok(StopReason::Budget);
+            }
+            // Held while `pc` stays inside it: straight-line code and
+            // local branches fetch by index, borrowing nothing from the
+            // machine.
+            let image = match self.m.image_at(pc) {
+                Some(image) if image.op_at(pc).is_some() => Arc::clone(image),
+                _ => return Err(Fault::BadFetch { pc }),
+            };
+            while let Some(op) = image.op_at(self.cpu.pc) {
+                if budget == 0 {
+                    return Ok(StopReason::Budget);
+                }
+                budget -= 1;
+                self.insns += 1;
+                if let Some(stop) = self.step(op)? {
+                    return Ok(stop);
+                }
+            }
+        }
+    }
+
+    /// Executes `op`, the instruction at `cpu.pc`. On a fault `cpu.pc`
+    /// still points at it.
+    #[inline]
+    fn step(&mut self, op: &Op) -> Result<Option<StopReason>, Fault> {
+        let next_pc = self.cpu.pc + twin_isa::INSN_SIZE;
+        match op {
+            Op::Mov { w, dst, src } => {
+                let v = self.read(src, *w)?;
+                self.charge(self.m.cost.mov_reg);
+                self.write(dst, *w, v)?;
+                self.cpu.pc = next_pc;
+            }
+            Op::Movzx { w, dst, src } => {
+                let v = self.read(src, *w)?;
+                self.charge(self.m.cost.mov_reg);
+                self.cpu.set_reg(*dst, v);
+                self.cpu.pc = next_pc;
+            }
+            Op::Movsx { w, dst, src } => {
+                let v = self.read(src, *w)?;
+                let bits = w.bytes() * 8;
+                let sext = ((v as i32) << (32 - bits)) >> (32 - bits);
+                self.charge(self.m.cost.mov_reg);
+                self.cpu.set_reg(*dst, sext as u32);
+                self.cpu.pc = next_pc;
+            }
+            Op::Lea { dst, mem } => {
+                let a = self.ea(mem);
+                self.charge(self.m.cost.mov_reg);
+                self.cpu.set_reg(*dst, a as u32);
+                self.cpu.pc = next_pc;
+            }
+            Op::Alu { op, w, dst, src } => {
+                let b = self.read(src, *w)?;
+                let a = self.read(dst, *w)?;
+                let r = alu(&mut self.cpu.flags, *op, a, b, *w);
+                self.charge(self.m.cost.alu);
+                self.write(dst, *w, r)?;
+                self.cpu.pc = next_pc;
+            }
+            Op::Shift { op, dst, amount } => {
+                let amt = self.read(amount, Width::Byte)? & 31;
+                let a = self.read(dst, Width::Long)?;
+                let flags = &mut self.cpu.flags;
+                let r = match op {
+                    ShiftOp::Shl => {
+                        flags.cf = amt > 0 && (a >> (32 - amt)) & 1 != 0;
+                        a.wrapping_shl(amt)
+                    }
+                    ShiftOp::Shr => {
+                        flags.cf = amt > 0 && (a >> (amt - 1)) & 1 != 0;
+                        a.wrapping_shr(amt)
+                    }
+                    ShiftOp::Sar => {
+                        flags.cf = amt > 0 && ((a as i32) >> (amt - 1)) & 1 != 0;
+                        ((a as i32).wrapping_shr(amt)) as u32
+                    }
+                };
+                flags.of = false;
+                set_zs(flags, r, Width::Long);
+                self.charge(self.m.cost.alu);
+                self.write(dst, Width::Long, r)?;
+                self.cpu.pc = next_pc;
+            }
+            Op::Cmp { w, src, dst } => {
+                let b = self.read(src, *w)?;
+                let a = self.read(dst, *w)?;
+                alu(&mut self.cpu.flags, AluOp::Sub, a, b, *w);
+                self.charge(self.m.cost.alu);
+                self.cpu.pc = next_pc;
+            }
+            Op::Test { w, src, dst } => {
+                let b = self.read(src, *w)?;
+                let a = self.read(dst, *w)?;
+                alu(&mut self.cpu.flags, AluOp::And, a, b, *w);
+                self.charge(self.m.cost.alu);
+                self.cpu.pc = next_pc;
+            }
+            Op::Un { op, w, dst } => {
+                let a = self.read(dst, *w)?;
+                let mask = w.mask() as u32;
+                let flags = &mut self.cpu.flags;
+                let r = match op {
+                    UnOp::Neg => {
+                        flags.cf = a != 0;
+                        (a.wrapping_neg()) & mask
+                    }
+                    UnOp::Not => !a & mask,
+                    UnOp::Inc => {
+                        let cf = flags.cf;
+                        let r = alu(flags, AluOp::Add, a, 1, *w);
+                        flags.cf = cf; // inc preserves CF like x86
+                        r
+                    }
+                    UnOp::Dec => {
+                        let cf = flags.cf;
+                        let r = alu(flags, AluOp::Sub, a, 1, *w);
+                        flags.cf = cf;
+                        r
+                    }
+                };
+                if matches!(op, UnOp::Neg | UnOp::Not) {
+                    set_zs(flags, r, *w);
+                }
+                self.charge(self.m.cost.alu);
+                self.write(dst, *w, r)?;
+                self.cpu.pc = next_pc;
+            }
+            Op::Imul { dst, src } => {
+                let b = self.read(src, Width::Long)?;
+                let r = self.cpu.reg(*dst).wrapping_mul(b);
+                set_zs(&mut self.cpu.flags, r, Width::Long);
+                self.charge(self.m.cost.mul);
+                self.cpu.set_reg(*dst, r);
+                self.cpu.pc = next_pc;
+            }
+            Op::Push { src } => {
+                let v = self.read(src, Width::Long)?;
+                self.charge(self.m.cost.store);
+                self.push(v)?;
+                self.cpu.pc = next_pc;
+            }
+            Op::Pop { dst } => {
+                self.charge(self.m.cost.load);
+                let v = self.pop()?;
+                self.write(dst, Width::Long, v)?;
+                self.cpu.pc = next_pc;
+            }
+            Op::Jmp { target } => {
+                let a = self.target(target)?;
+                self.charge(self.m.cost.branch_taken);
+                self.cpu.pc = a;
+            }
+            Op::Jcc { cond, target } => {
+                if cond_true(&self.cpu.flags, *cond) {
+                    let a = self.target(target)?;
+                    self.charge(self.m.cost.branch_taken);
+                    self.cpu.pc = a;
+                } else {
+                    self.charge(self.m.cost.branch_not_taken);
+                    self.cpu.pc = next_pc;
+                }
+            }
+            Op::Call { target } => {
+                let a = self.target(target)?;
+                self.charge(self.m.cost.call);
+                self.push(next_pc as u32)?;
+                self.cpu.pc = a;
+            }
+            Op::Ret => {
+                self.charge(self.m.cost.ret);
+                self.cpu.pc = self.pop()? as u64;
+            }
+            Op::Str { op, w, rep } => {
+                self.string(*op, *w, *rep)?;
+                self.cpu.pc = next_pc;
+            }
+            Op::Cli | Op::Sti => {
+                self.cpu.if_enabled = matches!(op, Op::Sti);
+                self.charge(self.m.cost.cli_sti);
+                self.cpu.pc = next_pc;
+            }
+            Op::Nop => {
+                self.charge(self.m.cost.alu);
+                self.cpu.pc = next_pc;
+            }
+            Op::Hlt => {
+                self.cpu.pc = next_pc;
+                return Ok(Some(StopReason::Halted));
+            }
+            Op::Int3 => return Err(Fault::Breakpoint),
+            Op::Ud2 => return Err(Fault::BadInstruction),
+        }
+        Ok(None)
+    }
+
+    fn string(&mut self, op: StrOp, w: Width, rep: Rep) -> Result<(), Fault> {
+        let step = w.bytes() as u32;
+        let mut count = match rep {
+            Rep::None => 1,
+            _ => self.cpu.reg(Reg::Ecx),
+        };
+        while count > 0 {
+            self.charge(self.m.cost.string_per_elem);
+            let (esi, edi) = (self.cpu.reg(Reg::Esi), self.cpu.reg(Reg::Edi));
+            let mut equal = true;
+            match op {
+                StrOp::Movs => {
+                    let v = self.load(esi as u64, w)?;
+                    self.store(edi as u64, w, v)?;
+                }
+                StrOp::Stos => self.store(edi as u64, w, self.cpu.reg(Reg::Eax))?,
+                StrOp::Lods => {
+                    let v = self.load(esi as u64, w)?;
+                    self.cpu.set_reg_w(Reg::Eax, w, v);
+                }
+                StrOp::Cmps => {
+                    let a = self.load(esi as u64, w)?;
+                    let b = self.load(edi as u64, w)?;
+                    alu(&mut self.cpu.flags, AluOp::Sub, a, b, w);
+                    equal = self.cpu.flags.zf;
+                }
+                StrOp::Scas => {
+                    let b = self.load(edi as u64, w)?;
+                    let a = self.cpu.reg(Reg::Eax) & w.mask() as u32;
+                    alu(&mut self.cpu.flags, AluOp::Sub, a, b, w);
+                    equal = self.cpu.flags.zf;
+                }
+            }
+            if op.reads_si() {
+                self.cpu.set_reg(Reg::Esi, esi.wrapping_add(step));
+            }
+            if op.uses_di() {
+                self.cpu.set_reg(Reg::Edi, edi.wrapping_add(step));
+            }
+            count -= 1;
+            if !matches!(rep, Rep::None) {
+                self.cpu.set_reg(Reg::Ecx, count);
+            }
+            match rep {
+                Rep::Repe if !equal => break,
+                Rep::Repne if equal => break,
+                _ => {}
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Runs the interpreter until the code returns to the sentinel, halts,
@@ -472,306 +824,25 @@ fn target_addr(
 /// # Errors
 ///
 /// Returns the [`Fault`] that stopped execution; `cpu.pc` points at the
-/// faulting instruction.
+/// faulting instruction, and the meter holds the charges made before it.
 pub fn run(
     m: &mut Machine,
     cpu: &mut Cpu,
     env: &mut dyn Env,
     max_insns: u64,
 ) -> Result<StopReason, Fault> {
-    let mut budget = max_insns;
-    // The image being executed, held across iterations: straight-line code
-    // and local branches fetch without searching the machine's image list.
-    let mut image: Option<Arc<CodeImage>> = None;
-    loop {
-        if cpu.pc == RETURN_SENTINEL {
-            return Ok(StopReason::Returned);
-        }
-        if cpu.pc >= EXTERN_BASE && cpu.pc < RETURN_SENTINEL {
-            // Extern trampoline: dispatch to the environment, then return.
-            let name = Arc::clone(
-                m.extern_handle(cpu.pc)
-                    .ok_or(Fault::BadFetch { pc: cpu.pc })?,
-            );
-            env.extern_call(&name, m, cpu)?;
-            let ret = cpu.pop(m)?;
-            cpu.pc = ret as u64;
-            continue;
-        }
-        if budget == 0 {
-            return Ok(StopReason::Budget);
-        }
-        budget -= 1;
-
-        let insn = match image.as_ref().and_then(|img| img.fetch(cpu.pc)) {
-            Some(insn) => insn,
-            None => {
-                image = m.image_at(cpu.pc).cloned();
-                image
-                    .as_ref()
-                    .and_then(|img| img.fetch(cpu.pc))
-                    .ok_or(Fault::BadFetch { pc: cpu.pc })?
-            }
-        };
-        m.meter.count_insn();
-        let next_pc = cpu.pc + twin_isa::INSN_SIZE;
-
-        match insn {
-            Insn::Mov { w, dst, src } => {
-                let v = read_operand(m, cpu, env, src, *w)?;
-                let base = m.cost.mov_reg;
-                m.meter.charge(base);
-                write_operand(m, cpu, env, dst, *w, v)?;
-                cpu.pc = next_pc;
-            }
-            Insn::Movzx { w, dst, src } => {
-                let v = read_operand(m, cpu, env, src, *w)?;
-                let base = m.cost.mov_reg;
-                m.meter.charge(base);
-                cpu.set_reg(*dst, v);
-                cpu.pc = next_pc;
-            }
-            Insn::Movsx { w, dst, src } => {
-                let v = read_operand(m, cpu, env, src, *w)?;
-                let bits = w.bytes() * 8;
-                let sext = ((v as i32) << (32 - bits)) >> (32 - bits);
-                let base = m.cost.mov_reg;
-                m.meter.charge(base);
-                cpu.set_reg(*dst, sext as u32);
-                cpu.pc = next_pc;
-            }
-            Insn::Lea { dst, mem } => {
-                let a = ea(cpu, mem);
-                let base = m.cost.mov_reg;
-                m.meter.charge(base);
-                cpu.set_reg(*dst, a as u32);
-                cpu.pc = next_pc;
-            }
-            Insn::Alu { op, w, dst, src } => {
-                let b = read_operand(m, cpu, env, src, *w)?;
-                let a = read_operand(m, cpu, env, dst, *w)?;
-                let r = alu(&mut cpu.flags, *op, a, b, *w);
-                let base = m.cost.alu;
-                m.meter.charge(base);
-                write_operand(m, cpu, env, dst, *w, r)?;
-                cpu.pc = next_pc;
-            }
-            Insn::Shift { op, dst, amount } => {
-                let amt = read_operand(m, cpu, env, amount, Width::Byte)? & 31;
-                let a = read_operand(m, cpu, env, dst, Width::Long)?;
-                let r = match op {
-                    ShiftOp::Shl => {
-                        cpu.flags.cf = amt > 0 && (a >> (32 - amt)) & 1 != 0;
-                        a.wrapping_shl(amt)
-                    }
-                    ShiftOp::Shr => {
-                        cpu.flags.cf = amt > 0 && (a >> (amt - 1)) & 1 != 0;
-                        a.wrapping_shr(amt)
-                    }
-                    ShiftOp::Sar => {
-                        cpu.flags.cf = amt > 0 && ((a as i32) >> (amt - 1)) & 1 != 0;
-                        ((a as i32).wrapping_shr(amt)) as u32
-                    }
-                };
-                cpu.flags.of = false;
-                set_zs(&mut cpu.flags, r, Width::Long);
-                let base = m.cost.alu;
-                m.meter.charge(base);
-                write_operand(m, cpu, env, dst, Width::Long, r)?;
-                cpu.pc = next_pc;
-            }
-            Insn::Cmp { w, src, dst } => {
-                let b = read_operand(m, cpu, env, src, *w)?;
-                let a = read_operand(m, cpu, env, dst, *w)?;
-                alu(&mut cpu.flags, AluOp::Sub, a, b, *w);
-                let base = m.cost.alu;
-                m.meter.charge(base);
-                cpu.pc = next_pc;
-            }
-            Insn::Test { w, src, dst } => {
-                let b = read_operand(m, cpu, env, src, *w)?;
-                let a = read_operand(m, cpu, env, dst, *w)?;
-                alu(&mut cpu.flags, AluOp::And, a, b, *w);
-                let base = m.cost.alu;
-                m.meter.charge(base);
-                cpu.pc = next_pc;
-            }
-            Insn::Un { op, w, dst } => {
-                let a = read_operand(m, cpu, env, dst, *w)?;
-                let mask = w.mask() as u32;
-                let r = match op {
-                    UnOp::Neg => {
-                        cpu.flags.cf = a != 0;
-                        (a.wrapping_neg()) & mask
-                    }
-                    UnOp::Not => !a & mask,
-                    UnOp::Inc => {
-                        let cf = cpu.flags.cf;
-                        let r = alu(&mut cpu.flags, AluOp::Add, a, 1, *w);
-                        cpu.flags.cf = cf; // inc preserves CF like x86
-                        r
-                    }
-                    UnOp::Dec => {
-                        let cf = cpu.flags.cf;
-                        let r = alu(&mut cpu.flags, AluOp::Sub, a, 1, *w);
-                        cpu.flags.cf = cf;
-                        r
-                    }
-                };
-                if matches!(op, UnOp::Neg | UnOp::Not) {
-                    set_zs(&mut cpu.flags, r, *w);
-                }
-                let base = m.cost.alu;
-                m.meter.charge(base);
-                write_operand(m, cpu, env, dst, *w, r)?;
-                cpu.pc = next_pc;
-            }
-            Insn::Imul { dst, src } => {
-                let b = read_operand(m, cpu, env, src, Width::Long)?;
-                let a = cpu.reg(*dst);
-                let r = a.wrapping_mul(b);
-                set_zs(&mut cpu.flags, r, Width::Long);
-                let base = m.cost.mul;
-                m.meter.charge(base);
-                cpu.set_reg(*dst, r);
-                cpu.pc = next_pc;
-            }
-            Insn::Push { src } => {
-                let v = read_operand(m, cpu, env, src, Width::Long)?;
-                let base = m.cost.store;
-                m.meter.charge(base);
-                cpu.push(m, v)?;
-                cpu.pc = next_pc;
-            }
-            Insn::Pop { dst } => {
-                let base = m.cost.load;
-                m.meter.charge(base);
-                let v = cpu.pop(m)?;
-                write_operand(m, cpu, env, dst, Width::Long, v)?;
-                cpu.pc = next_pc;
-            }
-            Insn::Jmp { target } => {
-                let a = target_addr(m, cpu, env, target)?;
-                let base = m.cost.branch_taken;
-                m.meter.charge(base);
-                cpu.pc = a;
-            }
-            Insn::Jcc { cond, target } => {
-                if cond_true(&cpu.flags, *cond) {
-                    let a = target_addr(m, cpu, env, target)?;
-                    let base = m.cost.branch_taken;
-                    m.meter.charge(base);
-                    cpu.pc = a;
-                } else {
-                    let base = m.cost.branch_not_taken;
-                    m.meter.charge(base);
-                    cpu.pc = next_pc;
-                }
-            }
-            Insn::Call { target } => {
-                let a = target_addr(m, cpu, env, target)?;
-                let base = m.cost.call;
-                m.meter.charge(base);
-                cpu.push(m, next_pc as u32)?;
-                cpu.pc = a;
-            }
-            Insn::Ret => {
-                let base = m.cost.ret;
-                m.meter.charge(base);
-                let a = cpu.pop(m)?;
-                cpu.pc = a as u64;
-            }
-            Insn::Str { op, w, rep } => {
-                exec_string(m, cpu, env, *op, *w, *rep)?;
-                cpu.pc = next_pc;
-            }
-            Insn::Cli => {
-                cpu.if_enabled = false;
-                let base = m.cost.cli_sti;
-                m.meter.charge(base);
-                cpu.pc = next_pc;
-            }
-            Insn::Sti => {
-                cpu.if_enabled = true;
-                let base = m.cost.cli_sti;
-                m.meter.charge(base);
-                cpu.pc = next_pc;
-            }
-            Insn::Nop => {
-                let base = m.cost.alu;
-                m.meter.charge(base);
-                cpu.pc = next_pc;
-            }
-            Insn::Hlt => {
-                cpu.pc = next_pc;
-                return Ok(StopReason::Halted);
-            }
-            Insn::Int3 => return Err(Fault::Breakpoint),
-            Insn::Ud2 => return Err(Fault::BadInstruction),
-        }
-    }
-}
-
-fn exec_string(
-    m: &mut Machine,
-    cpu: &mut Cpu,
-    env: &mut dyn Env,
-    op: StrOp,
-    w: Width,
-    rep: Rep,
-) -> Result<(), Fault> {
-    let step = w.bytes() as u32;
-    let mut count = match rep {
-        Rep::None => 1,
-        _ => cpu.reg(Reg::Ecx),
+    m.revalidate_tlb(cpu);
+    let mut exec = Exec {
+        m,
+        cpu,
+        env,
+        cycles: 0,
+        insns: 0,
+        charged: false,
     };
-    while count > 0 {
-        let per = m.cost.string_per_elem;
-        m.meter.charge(per);
-        let mut equal = true;
-        match op {
-            StrOp::Movs => {
-                let v = read_mem(m, cpu, env, cpu.reg(Reg::Esi) as u64, w)?;
-                write_mem(m, cpu, env, cpu.reg(Reg::Edi) as u64, w, v)?;
-                cpu.set_reg(Reg::Esi, cpu.reg(Reg::Esi).wrapping_add(step));
-                cpu.set_reg(Reg::Edi, cpu.reg(Reg::Edi).wrapping_add(step));
-            }
-            StrOp::Stos => {
-                write_mem(m, cpu, env, cpu.reg(Reg::Edi) as u64, w, cpu.reg(Reg::Eax))?;
-                cpu.set_reg(Reg::Edi, cpu.reg(Reg::Edi).wrapping_add(step));
-            }
-            StrOp::Lods => {
-                let v = read_mem(m, cpu, env, cpu.reg(Reg::Esi) as u64, w)?;
-                cpu.set_reg_w(Reg::Eax, w, v);
-                cpu.set_reg(Reg::Esi, cpu.reg(Reg::Esi).wrapping_add(step));
-            }
-            StrOp::Cmps => {
-                let a = read_mem(m, cpu, env, cpu.reg(Reg::Esi) as u64, w)?;
-                let b = read_mem(m, cpu, env, cpu.reg(Reg::Edi) as u64, w)?;
-                alu(&mut cpu.flags, AluOp::Sub, a, b, w);
-                equal = cpu.flags.zf;
-                cpu.set_reg(Reg::Esi, cpu.reg(Reg::Esi).wrapping_add(step));
-                cpu.set_reg(Reg::Edi, cpu.reg(Reg::Edi).wrapping_add(step));
-            }
-            StrOp::Scas => {
-                let b = read_mem(m, cpu, env, cpu.reg(Reg::Edi) as u64, w)?;
-                let a = cpu.reg(Reg::Eax) & w.mask() as u32;
-                alu(&mut cpu.flags, AluOp::Sub, a, b, w);
-                equal = cpu.flags.zf;
-                cpu.set_reg(Reg::Edi, cpu.reg(Reg::Edi).wrapping_add(step));
-            }
-        }
-        count -= 1;
-        if !matches!(rep, Rep::None) {
-            cpu.set_reg(Reg::Ecx, count);
-        }
-        match rep {
-            Rep::Repe if !equal => break,
-            Rep::Repne if equal => break,
-            _ => {}
-        }
-    }
-    Ok(())
+    let stopped = exec.run(max_insns);
+    exec.flush();
+    stopped
 }
 
 #[cfg(test)]
@@ -1247,5 +1318,515 @@ mod tests {
         let cycles = m.meter.cycles(crate::CostDomain::Driver);
         assert!(cycles > 300, "loop of 100 iterations charged {cycles}");
         assert!(m.meter.insns() > 300);
+    }
+
+    // ---- what batching the meter and lowering the ops must not change ----
+
+    use crate::{CostDomain, CostParams, PageEntry, HYPER_BASE};
+
+    /// An environment whose extern calls run `hook`, and whose one device
+    /// reads as 7 and records, at every callback, what the caller could
+    /// see of the meter: (clock, instructions, cycles of the current
+    /// domain, "mmio_read" + "mmio_write" events).
+    struct Spy<F> {
+        hook: F,
+        seen: Vec<(u64, u64, u64, u64)>,
+    }
+
+    impl<F: FnMut(&mut Machine, &mut Cpu)> Spy<F> {
+        fn new(hook: F) -> Self {
+            Spy {
+                hook,
+                seen: Vec::new(),
+            }
+        }
+
+        fn look(&mut self, m: &Machine) {
+            let events = m.meter.event("mmio_read") + m.meter.event("mmio_write");
+            let domain = m.meter.current_domain();
+            self.seen.push((
+                m.now_cycles(),
+                m.meter.insns(),
+                m.meter.cycles(domain),
+                events,
+            ));
+        }
+    }
+
+    impl<F: FnMut(&mut Machine, &mut Cpu)> Env for Spy<F> {
+        fn extern_call(&mut self, _: &str, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault> {
+            self.look(m);
+            (self.hook)(m, cpu);
+            Ok(())
+        }
+        fn mmio_read(&mut self, m: &mut Machine, _: u32, _: u64, _: Width) -> Result<u32, Fault> {
+            self.look(m);
+            Ok(7)
+        }
+        fn mmio_write(
+            &mut self,
+            m: &mut Machine,
+            _: u32,
+            _: u64,
+            _: Width,
+            _: u32,
+        ) -> Result<(), Fault> {
+            self.look(m);
+            Ok(())
+        }
+    }
+
+    const DATA: u64 = 0x2000_0000;
+    const STACK: u64 = 0x3000_0000;
+    const DEVICE: u64 = 0x2100_0000;
+
+    fn start(m: &mut Machine, cpu: &mut Cpu, entry: u64, args: &[u32]) {
+        cpu.set_stack(STACK + 4 * PAGE_SIZE);
+        cpu.push_call_frame(m, args).unwrap();
+        cpu.pc = entry;
+    }
+
+    #[test]
+    fn a_faulting_store_keeps_the_charges_made_before_it() {
+        let (mut m, mut cpu, f) = setup(
+            r#"
+            .text
+            .globl f
+        f:
+            movl 4(%esp), %ebx
+            addl %eax, (%ebx)
+            ret
+        "#,
+        );
+        let pfn = m.phys.alloc_frame().unwrap();
+        m.space_mut(cpu.space)
+            .map(DEVICE, PageEntry::ram(pfn, false));
+        m.meter.push_domain(CostDomain::Driver);
+        start(&mut m, &mut cpu, f, &[DEVICE as u32]);
+        let fault = run(&mut m, &mut cpu, &mut NullEnv, 100).unwrap_err();
+        assert_eq!(fault, Fault::ProtFault { addr: DEVICE });
+        assert_eq!(cpu.pc, f + twin_isa::INSN_SIZE, "pc stays on the addl");
+        // movl: load 4 + mov 1; addl: load 4 + alu 1, the store never
+        // charged.
+        assert_eq!(m.meter.cycles(CostDomain::Driver), 10);
+        assert_eq!(m.now_cycles(), 10);
+        assert_eq!(m.meter.insns(), 2);
+    }
+
+    #[test]
+    fn a_push_onto_the_guard_page_has_already_moved_esp() {
+        let (mut m, mut cpu, f) = setup(".text\n.globl f\nf:\n pushl %eax\n ret\n");
+        cpu.set_stack(STACK);
+        cpu.pc = f;
+        let fault = run(&mut m, &mut cpu, &mut NullEnv, 100).unwrap_err();
+        assert_eq!(
+            fault,
+            Fault::PageFault {
+                addr: STACK - 4,
+                write: true
+            }
+        );
+        assert_eq!(cpu.reg(Reg::Esp) as u64, STACK - 4);
+        assert_eq!(cpu.pc, f);
+        assert_eq!((m.meter.total_cycles(), m.meter.insns()), (4, 1));
+    }
+
+    #[test]
+    fn callbacks_see_the_meter_as_if_every_instruction_had_charged_it() {
+        let module = assemble(
+            "t",
+            r#"
+            .extern probe
+            .text
+            .globl f
+        f:
+            movl $5, %eax
+            pushl %eax
+            call probe
+            addl $4, %esp
+            movl 4(%esp), %ebx
+            movl (%ebx), %edx
+            movl %edx, 4(%ebx)
+            ret
+        "#,
+        )
+        .unwrap();
+        let mut m = Machine::new();
+        let space = m.new_space();
+        m.map_stack(space, STACK, 4).unwrap();
+        m.space_mut(space).map(DEVICE, PageEntry::mmio(0, 0));
+        let img = m.load_image(&module, 0x0800_0000, |_| None).unwrap();
+        let f = m.image(img).export("f").unwrap();
+        let mut cpu = Cpu::new(space, ExecMode::Guest);
+        start(&mut m, &mut cpu, f, &[DEVICE as u32]);
+
+        // The extern charges 100 cycles to another domain: what ran
+        // before it must already be on the driver's account.
+        let mut spy = Spy::new(|m: &mut Machine, _: &mut Cpu| {
+            m.meter.push_domain(CostDomain::Xen);
+            m.meter.charge(100);
+            m.meter.pop_domain();
+        });
+        m.meter.push_domain(CostDomain::Driver);
+        assert_eq!(
+            run(&mut m, &mut cpu, &mut spy, 100),
+            Ok(StopReason::Returned)
+        );
+        let c = CostParams::default();
+        let at_extern = c.mov_reg + c.store + c.call;
+        let at_read = at_extern + c.alu + (c.load + c.mov_reg) + c.mmio_read;
+        let at_write = at_read + c.mov_reg + c.mov_reg + c.mmio_write;
+        assert_eq!((at_extern, at_read, at_write), (9, 265, 367));
+        assert_eq!(
+            spy.seen,
+            vec![
+                (at_extern, 3, at_extern, 0),
+                (at_read + 100, 6, at_read, 1),
+                (at_write + 100, 7, at_write, 2),
+            ]
+        );
+        assert_eq!(m.meter.cycles(CostDomain::Driver), at_write + c.ret);
+        assert_eq!(m.meter.cycles(CostDomain::Xen), 100);
+        assert_eq!(m.now_cycles(), at_write + c.ret + 100);
+        assert_eq!(m.meter.insns(), 8);
+        assert_eq!(cpu.reg(Reg::Edx), 7);
+    }
+
+    #[test]
+    fn only_a_run_that_charges_marks_its_domain() {
+        // Entered at a trampoline: the extern runs, nothing is charged.
+        let (mut m, mut cpu, _) = setup(".text\n.globl f\nf:\n ret\n");
+        let tramp = m.register_extern("noop");
+        m.meter.push_domain(CostDomain::Driver);
+        start(&mut m, &mut cpu, tramp, &[]);
+        let mut spy = Spy::new(|_: &mut Machine, _: &mut Cpu| {});
+        assert_eq!(
+            run(&mut m, &mut cpu, &mut spy, 100),
+            Ok(StopReason::Returned)
+        );
+        assert_eq!(spy.seen.len(), 1);
+        assert!(m.meter.snapshot().is_empty());
+        assert_eq!(m.meter.insns(), 0);
+
+        // Instructions that execute and charge nothing.
+        for (src, stop) in [
+            ("hlt", Ok(StopReason::Halted)),
+            ("int3", Err(Fault::Breakpoint)),
+            ("ud2", Err(Fault::BadInstruction)),
+        ] {
+            let (mut m, mut cpu, f) = setup(&format!(".text\n.globl f\nf:\n {src}\n"));
+            m.meter.push_domain(CostDomain::Driver);
+            start(&mut m, &mut cpu, f, &[]);
+            assert_eq!(run(&mut m, &mut cpu, &mut NullEnv, 100), stop);
+            assert!(m.meter.snapshot().is_empty(), "{src}");
+            assert_eq!(m.meter.insns(), 1, "{src}");
+        }
+
+        // A charge of nothing is still a charge.
+        let (mut m, mut cpu, f) = setup(".text\n.globl f\nf:\n nop\n hlt\n");
+        m.cost.alu = 0;
+        m.meter.push_domain(CostDomain::Driver);
+        start(&mut m, &mut cpu, f, &[]);
+        run(&mut m, &mut cpu, &mut NullEnv, 100).unwrap();
+        assert_eq!(
+            m.meter.snapshot().into_iter().collect::<Vec<_>>(),
+            vec![(CostDomain::Driver, 0)]
+        );
+    }
+
+    #[test]
+    fn an_exhausted_budget_is_reported_before_a_bad_fetch() {
+        let (mut m, mut cpu, f) = setup(".text\n.globl f\nf:\n jmp *%eax\n");
+        let wild = 0x1234_5678;
+        cpu.pc = wild;
+        assert_eq!(
+            run(&mut m, &mut cpu, &mut NullEnv, 0),
+            Ok(StopReason::Budget)
+        );
+        assert_eq!(
+            run(&mut m, &mut cpu, &mut NullEnv, 1),
+            Err(Fault::BadFetch { pc: wild })
+        );
+        // The same when the run itself jumps out of every image, and for
+        // an address inside an image but between two instructions.
+        for target in [wild, f + 1] {
+            for (budget, stop) in [
+                (1, Ok(StopReason::Budget)),
+                (2, Err(Fault::BadFetch { pc: target })),
+            ] {
+                cpu.set_reg(Reg::Eax, target as u32);
+                cpu.pc = f;
+                assert_eq!(run(&mut m, &mut cpu, &mut NullEnv, budget), stop);
+                assert_eq!(cpu.pc, target);
+            }
+        }
+    }
+
+    #[test]
+    fn costs_are_read_when_the_code_runs() {
+        let (mut m, mut cpu, f) = setup(".text\n.globl f\nf:\n nop\n ret\n");
+        start(&mut m, &mut cpu, f, &[]);
+        run(&mut m, &mut cpu, &mut NullEnv, 100).unwrap();
+        assert_eq!(m.meter.total_cycles(), 1 + 4);
+        m.cost.alu = 7;
+        start(&mut m, &mut cpu, f, &[]);
+        run(&mut m, &mut cpu, &mut NullEnv, 100).unwrap();
+        assert_eq!(m.meter.total_cycles(), (1 + 4) + (7 + 4));
+    }
+
+    // ---- the translation cache against changes of the translation ----
+
+    /// Warms the cache on the page at the first argument (a load and a
+    /// store), applies `change`, then loads `(%ebx)` into `%eax` and
+    /// stores it to `4(%ebx)`. The change happens inside an extern call
+    /// between the two (`mid_run`), or between two runs. Returns how the
+    /// accesses after the change ended.
+    fn touch_change_touch(
+        m: &mut Machine,
+        cpu: &mut Cpu,
+        page: u64,
+        mid_run: bool,
+        mut change: impl FnMut(&mut Machine, &mut Cpu),
+    ) -> Result<StopReason, Fault> {
+        let module = assemble(
+            "t",
+            r#"
+            .extern change
+            .text
+            .globl warm
+        warm:
+            movl 4(%esp), %ebx
+            movl (%ebx), %eax
+            movl %eax, (%ebx)
+            call change
+            .globl touch
+        touch:
+            movl 4(%esp), %ebx
+            movl (%ebx), %eax
+            movl %eax, 4(%ebx)
+            ret
+        "#,
+        )
+        .unwrap();
+        let img = m.load_image(&module, 0x0800_0000, |_| None).unwrap();
+        let (warm, touch) = (
+            m.image(img).export("warm").unwrap(),
+            m.image(img).export("touch").unwrap(),
+        );
+        start(m, cpu, warm, &[page as u32]);
+        if mid_run {
+            return run(m, cpu, &mut Spy::new(change), 100);
+        }
+        let mut idle = Spy::new(|_: &mut Machine, _: &mut Cpu| {});
+        assert_eq!(run(m, cpu, &mut idle, 100), Ok(StopReason::Returned));
+        change(m, cpu);
+        start(m, cpu, touch, &[page as u32]);
+        run(m, cpu, &mut idle, 100)
+    }
+
+    /// A machine with a stack, a data page holding `0x1111_1111` and a
+    /// spare frame holding `0x2222_2222`; returns the spare's number.
+    fn cache_world() -> (Machine, Cpu, u64) {
+        let mut m = Machine::new();
+        let space = m.new_space();
+        m.map_stack(space, STACK, 4).unwrap();
+        m.map_fresh(space, DATA, 1).unwrap();
+        m.write_u32(space, ExecMode::Guest, DATA, 0x1111_1111)
+            .unwrap();
+        let spare = m.phys.alloc_frame().unwrap();
+        m.phys.write_u32(spare * PAGE_SIZE, 0x2222_2222);
+        (m, Cpu::new(space, ExecMode::Guest), spare)
+    }
+
+    #[test]
+    fn an_unmapped_page_faults_on_its_next_access() {
+        for mid_run in [true, false] {
+            let (mut m, mut cpu, _) = cache_world();
+            let stop = touch_change_touch(&mut m, &mut cpu, DATA, mid_run, |m, cpu| {
+                m.space_mut(cpu.space).unmap(DATA);
+            });
+            let fault = Fault::PageFault {
+                addr: DATA,
+                write: false,
+            };
+            assert_eq!(stop, Err(fault), "mid_run {mid_run}");
+        }
+    }
+
+    #[test]
+    fn a_remapped_page_is_read_and_written_in_its_new_frame() {
+        for mid_run in [true, false] {
+            let (mut m, mut cpu, spare) = cache_world();
+            let old = m.space(cpu.space).lookup(DATA).unwrap().pfn;
+            let mut old_word = 0;
+            let stop = touch_change_touch(&mut m, &mut cpu, DATA, mid_run, |m, cpu| {
+                old_word = m.phys.read_u32(old * PAGE_SIZE + 4);
+                m.space_mut(cpu.space)
+                    .map(DATA, PageEntry::ram(spare, true));
+            });
+            assert_eq!(stop, Ok(StopReason::Returned), "mid_run {mid_run}");
+            assert_eq!(cpu.reg(Reg::Eax), 0x2222_2222);
+            assert_eq!(m.phys.read_u32(spare * PAGE_SIZE + 4), 0x2222_2222);
+            assert_eq!(m.phys.read_u32(old * PAGE_SIZE + 4), old_word);
+        }
+    }
+
+    #[test]
+    fn a_page_made_read_only_still_loads_and_refuses_the_store() {
+        for mid_run in [true, false] {
+            let (mut m, mut cpu, _) = cache_world();
+            let stop = touch_change_touch(&mut m, &mut cpu, DATA, mid_run, |m, cpu| {
+                let pfn = m.space(cpu.space).lookup(DATA).unwrap().pfn;
+                m.space_mut(cpu.space).map(DATA, PageEntry::ram(pfn, false));
+            });
+            assert_eq!(
+                stop,
+                Err(Fault::ProtFault { addr: DATA + 4 }),
+                "mid_run {mid_run}"
+            );
+            assert_eq!(cpu.reg(Reg::Eax), 0x1111_1111, "the load went through");
+        }
+    }
+
+    #[test]
+    fn a_switch_of_space_or_mode_leaves_no_entry_behind() {
+        for mid_run in [true, false] {
+            // Another space: same stack frames, another frame at DATA.
+            let (mut m, mut cpu, spare) = cache_world();
+            let other = m.new_space();
+            for (base, entry) in m.space(cpu.space).iter().collect::<Vec<_>>() {
+                m.space_mut(other).map(base, entry);
+            }
+            m.space_mut(other).map(DATA, PageEntry::ram(spare, true));
+            let stop = touch_change_touch(&mut m, &mut cpu, DATA, mid_run, |_, cpu| {
+                cpu.space = other;
+            });
+            assert_eq!(stop, Ok(StopReason::Returned), "mid_run {mid_run}");
+            assert_eq!(cpu.reg(Reg::Eax), 0x2222_2222);
+
+            // Hypervisor mode dropped: the hypervisor page it had cached
+            // is out of reach again.
+            let (mut m, mut cpu, _) = cache_world();
+            m.map_hyper_fresh(HYPER_BASE, 1).unwrap();
+            cpu.mode = ExecMode::Hypervisor;
+            let stop = touch_change_touch(&mut m, &mut cpu, HYPER_BASE, mid_run, |_, cpu| {
+                cpu.mode = ExecMode::Guest;
+            });
+            assert_eq!(
+                stop,
+                Err(Fault::ProtFault { addr: HYPER_BASE }),
+                "mid_run {mid_run}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_access_to_a_device_page_reaches_the_device() {
+        let (mut m, mut cpu, f) = setup(
+            r#"
+            .text
+            .globl f
+        f:
+            movl 4(%esp), %ebx
+            movl $3, %ecx
+        top:
+            movl (%ebx), %eax
+            movl %eax, 8(%ebx)
+            movl %eax, (%esi)
+            decl %ecx
+            jne top
+            ret
+            .globl g
+        g:
+            pushl %eax
+            ret
+        "#,
+        );
+        m.space_mut(cpu.space).map(DEVICE, PageEntry::mmio(0, 0));
+        // RAM that shares the device page's cache slot must not make the
+        // device page look cached.
+        cpu.set_reg(Reg::Esi, DATA as u32);
+        start(&mut m, &mut cpu, f, &[DEVICE as u32]);
+        let mut spy = Spy::new(|_: &mut Machine, _: &mut Cpu| {});
+        assert_eq!(
+            run(&mut m, &mut cpu, &mut spy, 100),
+            Ok(StopReason::Returned)
+        );
+        assert_eq!(spy.seen.len(), 6);
+        assert_eq!(m.meter.event("mmio_read"), 3);
+        assert_eq!(m.meter.event("mmio_write"), 3);
+        assert_eq!(m.read_u32(cpu.space, cpu.mode, DATA).unwrap(), 7);
+
+        // A stack on a device page is a raw access, refused every time.
+        let g = m.image(crate::ImageId(0)).export("g").unwrap();
+        for _ in 0..2 {
+            cpu.set_stack(DEVICE + 8);
+            cpu.pc = g;
+            assert_eq!(
+                run(&mut m, &mut cpu, &mut spy, 100),
+                Err(Fault::MmioAccess { addr: DEVICE + 4 })
+            );
+        }
+    }
+
+    #[test]
+    fn an_access_across_a_page_end_is_made_a_byte_at_a_time() {
+        let (mut m, mut cpu, f) = setup(
+            r#"
+            .text
+            .globl f
+        f:
+            movl 4(%esp), %ebx
+            movl (%ebx), %eax
+            movl (%ebx), %eax
+            movl $0xaabbccdd, (%ebx)
+            ret
+        "#,
+        );
+        // Heap pages 0 and 1, both cached: the straddling load reads
+        // both, twice, and the straddling store lands in both.
+        let edge = DATA + PAGE_SIZE - 2;
+        let space = cpu.space;
+        m.write_u32(space, ExecMode::Guest, edge, 0x1234_5678)
+            .unwrap();
+        start(&mut m, &mut cpu, f, &[edge as u32]);
+        assert_eq!(
+            run(&mut m, &mut cpu, &mut NullEnv, 100),
+            Ok(StopReason::Returned)
+        );
+        assert_eq!(cpu.reg(Reg::Eax), 0x1234_5678);
+        assert_eq!(
+            m.read_u32(space, ExecMode::Guest, edge).unwrap(),
+            0xaabb_ccdd
+        );
+
+        // Second page gone: the load faults at its first byte.
+        m.space_mut(space).unmap(DATA + PAGE_SIZE);
+        start(&mut m, &mut cpu, f, &[edge as u32]);
+        assert_eq!(
+            run(&mut m, &mut cpu, &mut NullEnv, 100),
+            Err(Fault::PageFault {
+                addr: DATA + PAGE_SIZE,
+                write: false
+            })
+        );
+
+        // Second page read-only: loads pass, the store writes the two
+        // bytes of the first page and faults at the first of the second.
+        let pfn = m.phys.alloc_frame().unwrap();
+        m.space_mut(space)
+            .map(DATA + PAGE_SIZE, PageEntry::ram(pfn, false));
+        m.write_u32(space, ExecMode::Guest, edge - 2, 0).unwrap();
+        start(&mut m, &mut cpu, f, &[edge as u32]);
+        assert_eq!(
+            run(&mut m, &mut cpu, &mut NullEnv, 100),
+            Err(Fault::ProtFault {
+                addr: DATA + PAGE_SIZE
+            })
+        );
+        assert_eq!(
+            m.read_u32(space, ExecMode::Guest, edge - 2).unwrap(),
+            0xccdd_0000
+        );
     }
 }

@@ -39,6 +39,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod image;
 pub mod interp;
@@ -92,6 +94,9 @@ pub struct Machine {
     /// name) it is executing while the environment mutates the machine.
     images: Vec<Arc<CodeImage>>,
     extern_names: Vec<Arc<str>>,
+    /// The interpreter's translation cache; see [`space::Tlb`] and
+    /// [`Machine::revalidate_tlb`].
+    tlb: space::Tlb,
 }
 
 impl Default for Machine {
@@ -118,6 +123,7 @@ impl Machine {
             trace: twin_trace::FlightRecorder::new(),
             images: Vec::new(),
             extern_names: Vec::new(),
+            tlb: space::Tlb::new(),
         }
     }
 
@@ -330,6 +336,75 @@ impl Machine {
         })
     }
 
+    /// What a translation by `cpu` depends on besides the address.
+    fn tlb_key(&self, cpu: &Cpu) -> space::TlbKey {
+        // A space this machine does not have translates nothing (any
+        // access to it panics, as ever); 0 is no table's generation.
+        let space_gen = self
+            .spaces
+            .get(cpu.space.0)
+            .map_or(0, PageTable::generation);
+        (cpu.space, cpu.mode, space_gen, self.hyper.generation())
+    }
+
+    /// Makes the translation cache valid for `cpu`: entries survive only
+    /// if they were filled for the same space, in the same mode, from the
+    /// same contents of that space's table and of the hypervisor table.
+    ///
+    /// [`run`] calls this on entry and after every [`Env`] callback.
+    /// Those are the only points at which the space, the mode or a page
+    /// table can differ from what the cache was filled under: for the
+    /// rest of a run the interpreter holds `&mut Machine` and itself
+    /// neither maps nor switches.
+    pub(crate) fn revalidate_tlb(&mut self, cpu: &Cpu) {
+        self.tlb.revalidate(self.tlb_key(cpu));
+    }
+
+    /// Translation-cache lookup for the interpreter: the physical address
+    /// of a `width`-wide RAM access at `addr` by `cpu`, when the cache
+    /// can answer. `None` means "walk the page table" (and, on success,
+    /// [`space::Tlb::fill`]), never "fault".
+    #[inline]
+    pub(crate) fn cached_paddr(
+        &self,
+        cpu: &Cpu,
+        addr: u64,
+        width: twin_isa::Width,
+        write: bool,
+    ) -> Option<u64> {
+        let paddr = self.tlb.hit(addr, width.bytes(), write)?;
+        if cfg!(debug_assertions) {
+            self.check_tlb_hit(cpu, addr, write, paddr);
+        }
+        Some(paddr)
+    }
+
+    /// The law the translation cache lives under, checked on every hit
+    /// of every debug-build run: the cache was revalidated for this CPU,
+    /// and a hit is what the page-table walk says.
+    fn check_tlb_hit(&self, cpu: &Cpu, addr: u64, write: bool, paddr: u64) {
+        assert_eq!(
+            self.tlb.key(),
+            Some(self.tlb_key(cpu)),
+            "translation cache used without revalidation"
+        );
+        match self.translate(cpu.space, cpu.mode, addr, write) {
+            Ok(t) => {
+                assert_eq!(
+                    t.entry.kind,
+                    PageKind::Ram,
+                    "cached a device page: {addr:#x}"
+                );
+                assert_eq!(
+                    paddr,
+                    t.entry.pfn * PAGE_SIZE + t.offset,
+                    "stale cached frame for {addr:#x}"
+                );
+            }
+            Err(fault) => panic!("translation cache hit where the walk faults: {fault}"),
+        }
+    }
+
     /// Reads `width` bytes at a virtual address (no cycle charge; the
     /// interpreter charges separately). Values are zero-extended.
     ///
@@ -360,12 +435,7 @@ impl Machine {
         t: &space::Translation,
     ) -> Result<u32, Fault> {
         if t.offset + width.bytes() <= PAGE_SIZE {
-            let paddr = ram_paddr(t, addr)?;
-            return Ok(match width {
-                twin_isa::Width::Byte => self.phys.read_u8(paddr) as u32,
-                twin_isa::Width::Word => self.phys.read_u16(paddr) as u32,
-                twin_isa::Width::Long => self.phys.read_u32(paddr),
-            });
+            return Ok(self.phys.read_width(ram_paddr(t, addr)?, width));
         }
         // Page-straddling: a byte at a time, so which byte faults (and
         // with which fault) does not depend on the access width.
@@ -409,12 +479,7 @@ impl Machine {
         t: &space::Translation,
     ) -> Result<(), Fault> {
         if t.offset + width.bytes() <= PAGE_SIZE {
-            let paddr = ram_paddr(t, addr)?;
-            match width {
-                twin_isa::Width::Byte => self.phys.write_u8(paddr, val as u8),
-                twin_isa::Width::Word => self.phys.write_u16(paddr, val as u16),
-                twin_isa::Width::Long => self.phys.write_u32(paddr, val),
-            }
+            self.phys.write_width(ram_paddr(t, addr)?, width, val);
             return Ok(());
         }
         // Page-straddling: see `read_translated`.

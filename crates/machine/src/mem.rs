@@ -1,5 +1,7 @@
 //! Simulated physical memory with a frame allocator.
 
+use twin_isa::Width;
+
 /// Page size in bytes (4 KiB, matching the paper's x86-32 target).
 pub const PAGE_SIZE: u64 = 4096;
 
@@ -130,6 +132,28 @@ impl PhysMem {
     #[inline]
     pub fn write_u32(&mut self, paddr: u64, val: u32) {
         self.bytes[paddr as usize..paddr as usize + 4].copy_from_slice(&val.to_le_bytes());
+    }
+
+    /// Reads a zero-extended little-endian value of `width` at a physical
+    /// address.
+    #[inline]
+    pub fn read_width(&self, paddr: u64, width: Width) -> u32 {
+        match width {
+            Width::Byte => self.read_u8(paddr) as u32,
+            Width::Word => self.read_u16(paddr) as u32,
+            Width::Long => self.read_u32(paddr),
+        }
+    }
+
+    /// Writes the low `width` of `val`, little-endian, at a physical
+    /// address.
+    #[inline]
+    pub fn write_width(&mut self, paddr: u64, width: Width, val: u32) {
+        match width {
+            Width::Byte => self.write_u8(paddr, val as u8),
+            Width::Word => self.write_u16(paddr, val as u16),
+            Width::Long => self.write_u32(paddr, val),
+        }
     }
 
     /// Copies a byte slice into physical memory at `paddr`.

@@ -6,10 +6,18 @@
 //! time, which is the definition of what they must do: the same value,
 //! the same [`Fault`], and the same memory afterwards — including the
 //! bytes a faulting access wrote before it faulted.
+//!
+//! The interpreter's loads, stores, pushes and pops answer to the same
+//! reference, through the translation cache: some of the generated
+//! accesses are made by [`run`]ning an instruction, and page-table edits
+//! are drawn in between them.
 
-use crate::{ExecMode, Fault, Machine, PageEntry, PageKind, SpaceId, HYPER_BASE, PAGE_SIZE};
+use crate::{
+    run, Cpu, ExecMode, Fault, Machine, NullEnv, PageEntry, PageKind, SpaceId, StopReason,
+    HYPER_BASE, PAGE_SIZE,
+};
 use proptest::prelude::*;
-use twin_isa::Width;
+use twin_isa::{Reg, Width};
 
 fn oracle_read_u8(m: &Machine, at: (SpaceId, ExecMode, u64), i: u64) -> Result<u8, Fault> {
     let (space, mode, addr) = at;
@@ -85,6 +93,13 @@ const PAGES: [u64; 10] = [
     0xffff_f000,            // hypervisor RAM; the bytes after it are beyond 2³²
 ];
 
+/// A device window whose offsets are the virtual addresses themselves, so
+/// that [`NullEnv`], which refuses every device access with
+/// `MmioAccess { addr: offset }`, names the address the oracle names.
+fn mmio_at(page: u64) -> PageEntry {
+    PageEntry::mmio(0, page / PAGE_SIZE)
+}
+
 /// Two spaces over shared and private frames, every frame filled with a
 /// position-dependent pattern so a misplaced byte shows.
 fn world() -> (Machine, [SpaceId; 2]) {
@@ -93,7 +108,7 @@ fn world() -> (Machine, [SpaceId; 2]) {
     m.map_fresh(a, PAGES[0], 2).unwrap();
     let ro = m.phys.alloc_frame().unwrap();
     m.space_mut(a).map(PAGES[2], PageEntry::ram(ro, false));
-    m.space_mut(a).map(PAGES[3], PageEntry::mmio(0, 0));
+    m.space_mut(a).map(PAGES[3], mmio_at(PAGES[3]));
     let alias = m.space(a).lookup(PAGES[0]).unwrap();
     m.space_mut(a).map(PAGES[5], alias);
     m.map_fresh(a, PAGES[6], 1).unwrap();
@@ -125,6 +140,118 @@ enum Op {
     WriteBytes(u64),
     /// Copy `len` bytes to the (space, mode, address) drawn second.
     Copy(u64),
+    /// The five below execute one entry of [`CODE`].
+    Load(Width),
+    Store(Width, u32),
+    /// Add to memory: a load, then a store to the page the load cached.
+    Add(Width, u32),
+    Push(u32),
+    Pop,
+    /// Page-table edits, applied to the page of the address drawn first
+    /// (in its space's table, or the hypervisor's): map it to frame
+    /// `.0` modulo the frames in use, writable or not; make it a device
+    /// window; unmap it; make it read-only.
+    MapRam(u64, bool),
+    MapMmio,
+    Unmap,
+    Protect,
+}
+
+/// One entry per interpreted access; each stops at its `hlt`. Every
+/// access is made twice — the second time, if the first went through,
+/// out of the translation cache — with the effect of making it once.
+const CODE: &str = r#"
+    .text
+    .globl load_b
+load_b:
+    movzbl (%ebx), %eax
+    movzbl (%ebx), %eax
+    hlt
+    .globl load_w
+load_w:
+    movzwl (%ebx), %eax
+    movzwl (%ebx), %eax
+    hlt
+    .globl load_l
+load_l:
+    movl (%ebx), %eax
+    movl (%ebx), %eax
+    hlt
+    .globl store_b
+store_b:
+    movb %eax, (%ebx)
+    movb %eax, (%ebx)
+    hlt
+    .globl store_w
+store_w:
+    movw %eax, (%ebx)
+    movw %eax, (%ebx)
+    hlt
+    .globl store_l
+store_l:
+    movl %eax, (%ebx)
+    movl %eax, (%ebx)
+    hlt
+    .globl add_b
+add_b:
+    addb %eax, (%ebx)
+    hlt
+    .globl add_w
+add_w:
+    addw %eax, (%ebx)
+    hlt
+    .globl add_l
+add_l:
+    addl %eax, (%ebx)
+    hlt
+    .globl push
+push:
+    pushl %eax
+    addl $4, %esp
+    pushl %eax
+    hlt
+    .globl pop
+pop:
+    popl %eax
+    subl $4, %esp
+    popl %eax
+    hlt
+"#;
+
+/// Runs the instructions at `entry` with `%ebx` = `addr` and `%eax` =
+/// `val`, `%esp` placed so that a push writes at `addr` and a pop reads
+/// there; returns `%eax` afterwards.
+fn interpret(
+    m: &mut Machine,
+    entry: &str,
+    at: (SpaceId, ExecMode, u64),
+    val: u32,
+) -> Result<u32, Fault> {
+    let (space, mode, addr) = at;
+    let mut cpu = Cpu::new(space, mode);
+    cpu.set_reg(Reg::Eax, val);
+    cpu.set_reg(Reg::Ebx, addr as u32);
+    cpu.set_stack(if entry == "push" { addr + 4 } else { addr });
+    cpu.pc = m.image(crate::ImageId(0)).export(entry).expect(entry);
+    assert_eq!(run(m, &mut cpu, &mut NullEnv, 8)?, StopReason::Halted);
+    Ok(cpu.reg(Reg::Eax))
+}
+
+fn suffix(w: Width) -> &'static str {
+    match w {
+        Width::Byte => "b",
+        Width::Word => "w",
+        Width::Long => "l",
+    }
+}
+
+/// The table an edit of `addr`'s page goes to.
+fn table_of(m: &mut Machine, space: SpaceId, addr: u64) -> &mut crate::PageTable {
+    if addr >= HYPER_BASE {
+        &mut m.hyper
+    } else {
+        m.space_mut(space)
+    }
 }
 
 fn width() -> impl Strategy<Value = Width> {
@@ -143,6 +270,15 @@ fn op() -> impl Strategy<Value = Op> {
         len().prop_map(Op::ReadBytes),
         len().prop_map(Op::WriteBytes),
         len().prop_map(Op::Copy),
+        width().prop_map(Op::Load),
+        (width(), any::<u32>()).prop_map(|(w, v)| Op::Store(w, v)),
+        (width(), any::<u32>()).prop_map(|(w, v)| Op::Add(w, v)),
+        any::<u32>().prop_map(Op::Push),
+        Just(Op::Pop),
+        (0u64..64, any::<bool>()).prop_map(|(f, w)| Op::MapRam(f, w)),
+        Just(Op::MapMmio),
+        Just(Op::Unmap),
+        Just(Op::Protect),
     ]
 }
 
@@ -166,6 +302,9 @@ proptest! {
     ) {
         let (mut fast, spaces) = world();
         let (mut slow, _) = world();
+        let code = twin_isa::asm::assemble("accesses", CODE).unwrap();
+        fast.load_image(&code, 0x0800_0000, |_| None).unwrap();
+        let frames = (fast.phys.total_frames() - fast.phys.free_frames()) as u64;
         for (op, at, to) in ops {
             let resolve = |(space, hyper, addr): (usize, bool, u64)| {
                 let mode = if hyper { ExecMode::Hypervisor } else { ExecMode::Guest };
@@ -203,6 +342,49 @@ proptest! {
                     fast.copy_virt(at, to, n),
                     oracle_copy(&mut slow, at, to, n)
                 ),
+                Op::Load(w) => prop_assert_eq!(
+                    interpret(&mut fast, &format!("load_{}", suffix(w)), at, 0),
+                    oracle_read(&slow, at, w)
+                ),
+                Op::Store(w, v) => prop_assert_eq!(
+                    interpret(&mut fast, &format!("store_{}", suffix(w)), at, v).map(|_| ()),
+                    oracle_write(&mut slow, at, w, v)
+                ),
+                Op::Add(w, v) => prop_assert_eq!(
+                    interpret(&mut fast, &format!("add_{}", suffix(w)), at, v).map(|_| ()),
+                    oracle_read(&slow, at, w)
+                        .and_then(|old| oracle_write(&mut slow, at, w, old.wrapping_add(v)))
+                ),
+                Op::Push(v) => prop_assert_eq!(
+                    interpret(&mut fast, "push", at, v).map(|_| ()),
+                    oracle_write(&mut slow, at, Width::Long, v)
+                ),
+                Op::Pop => prop_assert_eq!(
+                    interpret(&mut fast, "pop", at, 0),
+                    oracle_read(&slow, at, Width::Long)
+                ),
+                Op::MapRam(..) | Op::MapMmio | Op::Unmap | Op::Protect => {
+                    for m in [&mut fast, &mut slow] {
+                        let table = table_of(m, space, addr);
+                        let entry = match op {
+                            Op::MapRam(frame, writable) => {
+                                Some(PageEntry::ram(frame % frames, writable))
+                            }
+                            Op::MapMmio => Some(mmio_at(addr)),
+                            Op::Protect => table.lookup(addr).map(|e| PageEntry {
+                                writable: false,
+                                ..e
+                            }),
+                            _ => {
+                                table.unmap(addr);
+                                None
+                            }
+                        };
+                        if let Some(entry) = entry {
+                            table.map(addr, entry);
+                        }
+                    }
+                }
             }
             prop_assert!(allocated(&fast) == allocated(&slow), "memory diverged");
         }

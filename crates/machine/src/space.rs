@@ -1,8 +1,10 @@
 //! Per-domain address spaces: page tables mapping virtual pages to frames
 //! or MMIO regions.
 
+use crate::interp::ExecMode;
 use crate::mem::PAGE_SIZE;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifier of an address space (one per domain).
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -76,6 +78,18 @@ type Leaf = [Option<PageEntry>; FANOUT];
 pub struct PageTable {
     dirs: Box<[Option<Box<Leaf>>; FANOUT]>,
     mapped: usize,
+    /// Stamp of this table's current contents; see
+    /// [`PageTable::generation`].
+    generation: u64,
+}
+
+/// A stamp no table state has carried before: tables are `Clone` and sit
+/// in public fields, so a per-table counter could repeat after one table
+/// is assigned over another. A statistic-style counter that publishes no
+/// other data, hence `Relaxed`.
+fn fresh_generation() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl Default for PageTable {
@@ -105,7 +119,17 @@ impl PageTable {
         PageTable {
             dirs: Box::new(std::array::from_fn(|_| None)),
             mapped: 0,
+            generation: fresh_generation(),
         }
+    }
+
+    /// Identifies this table's contents: [`PageTable::map`] and
+    /// [`PageTable::unmap`] replace it with a value no table — this one
+    /// earlier, a clone, any other — has ever carried, so two equal
+    /// generations mean identical mappings. The interpreter's translation
+    /// cache (`Tlb`) is keyed on it.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Maps the page containing `vaddr` (which is rounded down).
@@ -119,6 +143,7 @@ impl PageTable {
     pub fn map(&mut self, vaddr: u64, entry: PageEntry) -> Option<PageEntry> {
         let (dir, idx) = split(vaddr)
             .unwrap_or_else(|| panic!("mapping {vaddr:#x}: beyond the 32-bit address space"));
+        self.generation = fresh_generation();
         let leaf = self.dirs[dir].get_or_insert_with(|| Box::new([None; FANOUT]));
         let prev = leaf[idx].replace(entry);
         self.mapped += usize::from(prev.is_none());
@@ -129,6 +154,7 @@ impl PageTable {
     pub fn unmap(&mut self, vaddr: u64) -> Option<PageEntry> {
         let (dir, idx) = split(vaddr)?;
         let prev = self.dirs[dir].as_mut()?[idx].take();
+        self.generation = fresh_generation();
         self.mapped -= usize::from(prev.is_some());
         prev
     }
@@ -160,6 +186,112 @@ impl PageTable {
                 })
             })
         })
+    }
+}
+
+/// Entries in the translation cache (a power of two).
+const TLB_ENTRIES: usize = 64;
+
+/// What a [`Tlb`]'s entries were translated under: the CPU's space and
+/// mode, and the generations of the two tables a translation can walk.
+pub(crate) type TlbKey = (SpaceId, ExecMode, u64, u64);
+
+#[derive(Copy, Clone)]
+struct TlbEntry {
+    /// Virtual page number, or `u64::MAX` (no page) when empty.
+    vpn: u64,
+    /// Physical address of the frame's first byte.
+    pbase: u64,
+    writable: bool,
+}
+
+const TLB_EMPTY: TlbEntry = TlbEntry {
+    vpn: u64::MAX,
+    pbase: 0,
+    writable: false,
+};
+
+/// The interpreter's software translation cache — the simulator's own
+/// stlb (paper §5.1): a small direct-mapped table, virtual page →
+/// physical frame base + writable bit, in front of [`PageTable::lookup`].
+///
+/// It holds **RAM pages only** (every MMIO access must reach
+/// [`crate::Env`]) and only translations that succeeded under its current
+/// [`TlbKey`]; [`Tlb::revalidate`] empties it when the key changes. A hit
+/// therefore answers exactly as [`crate::Machine::translate`] would, which
+/// debug builds re-check on every hit.
+#[derive(Clone)]
+pub(crate) struct Tlb {
+    key: Option<TlbKey>,
+    entries: [TlbEntry; TLB_ENTRIES],
+}
+
+impl fmt::Debug for Tlb {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let live = self.entries.iter().filter(|e| e.vpn != u64::MAX).count();
+        write!(
+            f,
+            "Tlb {{ key: {:?}, live: {live}/{TLB_ENTRIES} }}",
+            self.key
+        )
+    }
+}
+
+impl Tlb {
+    pub(crate) fn new() -> Tlb {
+        Tlb {
+            key: None,
+            entries: [TLB_EMPTY; TLB_ENTRIES],
+        }
+    }
+
+    /// The key the current entries are valid for.
+    pub(crate) fn key(&self) -> Option<TlbKey> {
+        self.key
+    }
+
+    /// Keeps the entries if they were filled under `key`, drops them all
+    /// otherwise.
+    #[inline]
+    pub(crate) fn revalidate(&mut self, key: TlbKey) {
+        if self.key != Some(key) {
+            self.key = Some(key);
+            self.entries = [TLB_EMPTY; TLB_ENTRIES];
+        }
+    }
+
+    /// Folds the page number's higher bits into the index, so regions
+    /// laid out at round addresses (`0xf0200`, `0xf1000`: the hypervisor's
+    /// data and the stlb) do not all land on slot 0.
+    #[inline]
+    fn slot(vpn: u64) -> usize {
+        ((vpn ^ (vpn >> 6) ^ (vpn >> 12)) % TLB_ENTRIES as u64) as usize
+    }
+
+    /// Physical address of `addr` if its page is cached, the `len`-byte
+    /// access stays inside that page and, for a store, the page is
+    /// writable. `None` sends the access down the page-table walk, which
+    /// decides between a refill and a fault.
+    #[inline]
+    pub(crate) fn hit(&self, addr: u64, len: u64, write: bool) -> Option<u64> {
+        let (vpn, offset) = (addr / PAGE_SIZE, addr % PAGE_SIZE);
+        let e = &self.entries[Tlb::slot(vpn)];
+        (e.vpn == vpn && offset + len <= PAGE_SIZE && (e.writable || !write))
+            .then_some(e.pbase + offset)
+    }
+
+    /// Caches a successful translation of `addr` (RAM pages only; an MMIO
+    /// entry is ignored).
+    #[inline]
+    pub(crate) fn fill(&mut self, addr: u64, entry: &PageEntry) {
+        if entry.kind == PageKind::Ram {
+            let vpn = addr / PAGE_SIZE;
+            self.entries[Tlb::slot(vpn)] = TlbEntry {
+                vpn,
+                pbase: entry.pfn * PAGE_SIZE,
+                writable: entry.writable,
+            };
+        }
     }
 }
 
