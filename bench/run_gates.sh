@@ -35,6 +35,13 @@ while read -r bench baseline output; do
   cargo bench -p twin-bench --bench "$bench"
   if [ "$baseline" != "-" ] && [ "$gate" != "0" ]; then
     python3 bench/check_regression.py "$baseline" "$output" --tolerance "$tolerance"
+    # Information only — the tolerance gate above decides. A refactor
+    # that claims "baselines bit-exact" reads it off this line.
+    if cmp -s "$baseline" "$output"; then
+      echo "$bench: $output vs $baseline: bit-exact"
+    else
+      echo "$bench: $output vs $baseline: differs, within tolerance"
+    fi
   fi
 done <<EOF
 $manifest

@@ -22,6 +22,19 @@
 //! Xen dom0, baseline Xen guest, TwinDrivers guest) and [`measure`]
 //! converts per-packet cycle breakdowns into the paper's figures.
 //!
+//! ## How `System` is organised
+//!
+//! One struct, its `impl` split by pipeline stage under `src/system/`
+//! (build, sharding, driver calls and fault recovery, virtual timers,
+//! TX, RX, NAPI, demux flush and zero-copy, metrics, the measurement
+//! harness). State is per resource — one private `DevState` per NIC,
+//! one `GuestState` per domain id, each field at its neutral value
+//! when its feature is off — both receive entry points share one
+//! ring-landing pass, and every fast-path driver invocation goes
+//! through one call path. The repository README's section of the same
+//! name ("How `System` is organised") has the file table, what each
+//! state struct owns and the two policy arguments of the landing pass.
+//!
 //! ## The burst datapath
 //!
 //! On top of the paper's per-packet pipeline, the datapath is

@@ -1,0 +1,464 @@
+//! Running driver code: the two instances' call paths, the one path into
+//! the fast-path entry points ([`System::call_driver`]), and what happens
+//! when the hypervisor instance faults — teardown, quarantine, recovery.
+
+use super::{DriverOp, QuarantineEpisode, RecoveryReport, System, SystemError, World};
+use twin_kernel::{call_function, e1000, SkBuff};
+use twin_machine::{CostDomain, Cpu, Env, ExecMode, PAGE_SIZE};
+use twin_trace::{FlushCause, TraceEvent};
+use twin_xen::{DomId, UPCALL_STACK_BASE, UPCALL_STACK_PAGES};
+
+impl System {
+    /// Runs a function of the dom0/native driver instance.
+    pub(super) fn call_dom0(
+        &mut self,
+        entry: u64,
+        args: &[u32],
+        budget: u64,
+    ) -> Result<u32, SystemError> {
+        call_function(
+            &mut self.machine,
+            &mut self.world,
+            self.dom0,
+            ExecMode::Guest,
+            self.dom0_stack_top,
+            entry,
+            args,
+            budget,
+        )
+        .map_err(SystemError::Fault)
+    }
+
+    /// Runs a function of the hypervisor driver instance, from the guest
+    /// context, in hypervisor mode — no address-space switch, the core of
+    /// the paper's performance claim. `dev` is the device the call
+    /// drives: a fault is attributed to it, and in fault-recovery mode
+    /// ([`crate::SystemOptions::fault_recovery`]) a call toward a quarantined
+    /// device first runs [`System::recover_device`] so traffic resumes
+    /// transparently after the one errored invocation.
+    fn call_hyperdrv(
+        &mut self,
+        entry: u64,
+        args: &[u32],
+        budget: u64,
+        dev: u32,
+    ) -> Result<u32, SystemError> {
+        let hyp = self.hyperdrv.as_ref().expect("hypervisor driver");
+        if let Some(reason) = &hyp.aborted {
+            return Err(SystemError::DriverAborted(reason.clone()));
+        }
+        if hyp.is_quarantined(dev) {
+            // Live recovery: reset the device and fall through into the
+            // requested call on the rebuilt adapter slot.
+            self.recover_device(dev)?;
+        }
+        let hyp = self.hyperdrv.as_ref().unwrap();
+        let gid = self.guest.expect("guest");
+        let gspace = self.world.xen.as_ref().unwrap().domain(gid).space;
+        let stack_top = hyp.stack_top;
+        let r = call_function(
+            &mut self.machine,
+            &mut self.world,
+            gspace,
+            ExecMode::Hypervisor,
+            stack_top,
+            entry,
+            args,
+            budget,
+        );
+        match r {
+            Ok(v) => Ok(v),
+            Err(fault) => {
+                // SVM caught something (or the watchdog fired): the
+                // hypervisor itself survives (paper §4.5).
+                let reason = twin_xen::hyperdrv::abort_reason_for(&fault);
+                self.machine.meter.count_event("driver_abort");
+                if self.machine.trace.enabled() {
+                    self.machine.trace_event(TraceEvent::FaultDetected {
+                        dev,
+                        reason: reason.clone(),
+                    });
+                }
+                if self.opts.fault_recovery {
+                    // Quarantine the faulted device, not the image:
+                    // siblings keep serving through the shared driver.
+                    self.hyperdrv
+                        .as_mut()
+                        .unwrap()
+                        .quarantine_device(dev, reason.clone());
+                    self.machine.meter.count_event("quarantine_enter");
+                    self.machine
+                        .trace_event(TraceEvent::QuarantineEnter { dev });
+                    let at = self.machine.meter.now();
+                    let (replayed, dropped, revoked_doms, revoked_mappings) =
+                        self.fault_teardown(dev)?;
+                    self.machine.trace_event(TraceEvent::InflightAccounted {
+                        dev,
+                        replayed,
+                        dropped,
+                    });
+                    self.devs[dev as usize].quarantine = Some(QuarantineEpisode {
+                        reason: reason.clone(),
+                        at,
+                        replayed,
+                        dropped,
+                        revoked_doms,
+                        revoked_mappings,
+                    });
+                } else {
+                    // Sticky abort (the paper's §4.5 endpoint) — but
+                    // "safe" must not mean "leaks": every device's
+                    // grants, queued upcalls, poll latches and watchdogs
+                    // are torn down, with one aggregated accounting
+                    // event for the episode.
+                    self.hyperdrv.as_mut().unwrap().abort(reason.clone());
+                    let (mut replayed, mut dropped) = (0u32, 0u32);
+                    for d in 0..self.world.nics.len() as u32 {
+                        let (r, dr, _, _) = self.fault_teardown(d)?;
+                        replayed += r;
+                        dropped += dr;
+                    }
+                    self.machine.trace_event(TraceEvent::InflightAccounted {
+                        dev,
+                        replayed,
+                        dropped,
+                    });
+                }
+                Err(SystemError::DriverAborted(reason))
+            }
+        }
+    }
+
+    /// The one path into the e1000 fast-path entry points. Owns what
+    /// every call site used to repeat: the argument layout of each
+    /// entry, the `*_dev` variant (with the trailing device id selecting
+    /// the adapter slot) on multi-NIC systems, the instance — the
+    /// hypervisor instance where one exists, the dom0 / native one
+    /// elsewhere — and the [`CostDomain::Driver`] bracket around the
+    /// interpreted run.
+    pub(super) fn call_driver(&mut self, op: DriverOp, dev: u32) -> Result<u32, SystemError> {
+        let netdev = self.netdevs[dev as usize] as u32;
+        let (names, args, arity, budget) = match op {
+            DriverOp::XmitFrame(skb) => (
+                ["e1000_xmit_frame", "e1000_xmit_frame_dev"],
+                [skb.0 as u32, netdev, dev, 0],
+                2,
+                2_000_000,
+            ),
+            DriverOp::XmitBatch(n) => (
+                ["e1000_xmit_batch", "e1000_xmit_batch_dev"],
+                [self.tx_batch_buf as u32, n, netdev, dev],
+                3,
+                2_000_000 * u64::from(n),
+            ),
+            DriverOp::PollRxBatch => (
+                ["e1000_poll_rx_batch", "e1000_poll_rx_batch_dev"],
+                [netdev, dev, 0, 0],
+                1,
+                20_000_000,
+            ),
+            DriverOp::PollRxBudget(weight) => (
+                ["e1000_poll_rx_budget", "e1000_poll_rx_budget_dev"],
+                [netdev, weight, dev, 0],
+                2,
+                20_000_000,
+            ),
+            // The dom0 handler runs under the kernel's shorter
+            // interrupt budget.
+            DriverOp::Intr => (
+                ["e1000_intr", "e1000_intr_dev"],
+                [netdev, dev, 0, 0],
+                1,
+                if self.hyperdrv.is_some() {
+                    20_000_000
+                } else {
+                    10_000_000
+                },
+            ),
+        };
+        let multi = usize::from(self.world.nics.len() > 1);
+        let (name, args) = (names[multi], &args[..arity + multi]);
+        self.machine.meter.push_domain(CostDomain::Driver);
+        let r = match self.hyperdrv.as_ref() {
+            Some(hyp) => {
+                let entry = hyp.entry(name).expect("fast-path entry exported");
+                self.call_hyperdrv(entry, args, budget, dev)
+            }
+            None => {
+                let entry = self.driver.entry(name).expect("fast-path entry exported");
+                self.call_dom0(entry, args, budget)
+            }
+        };
+        self.machine.meter.pop_domain();
+        r
+    }
+
+    /// Tears down the state a faulted driver leaves behind for one
+    /// device: drains the deferred-upcall ring (replaying restorative
+    /// frees/unlocks natively, discarding the rest — counted), disarms
+    /// the flush-deadline, drops the device's in-flight frames, frees
+    /// its ring-held skbs back to their pools (pool conservation across
+    /// the reset), closes an open NAPI poll span, clears moderation
+    /// latches, revokes every cached zero-copy grant (the faulted
+    /// *image* touched all of them — the trust decision is per driver,
+    /// re-granted per device on recovery), and disarms the device's
+    /// watchdog so the wheel cannot fire a handler over the corrupted
+    /// adapter slot. Returns `(replayed, dropped, revoked_doms,
+    /// revoked_mappings)`.
+    fn fault_teardown(&mut self, dev: u32) -> Result<(u32, u32, Vec<u32>, usize), SystemError> {
+        let mut replayed = 0u32;
+        let mut dropped = 0u32;
+        // 1. The deferred-upcall ring: a queued free or unlock is state
+        // dom0 is owed regardless of which device queued it — replay
+        // those natively (charged as Xen cleanup work). Anything else is
+        // discarded and counted. `drain` also disarms the flush-deadline
+        // timer, so an idle system stops re-arming toward a dead ring.
+        let drained = self
+            .world
+            .hyper
+            .as_mut()
+            .map(|hs| hs.engine.drain())
+            .unwrap_or_default();
+        for q in &drained {
+            match q.routine.as_str() {
+                "dev_kfree_skb_any" | "dev_kfree_skb" | "kfree_skb" => {
+                    let skb = q.args.first().copied().unwrap_or(0);
+                    if skb != 0 {
+                        let m = &mut self.machine;
+                        m.meter.charge_to(CostDomain::Xen, m.cost.skb_alloc / 2);
+                        self.world
+                            .kernel
+                            .free_skb(&self.machine, SkBuff(u64::from(skb)))?;
+                    }
+                    replayed += 1;
+                    self.machine.meter.count_event("upcall_replayed");
+                }
+                "spin_unlock_irqrestore" => {
+                    let lock = q.args.first().copied().unwrap_or(0);
+                    if lock != 0 {
+                        let m = &mut self.machine;
+                        m.meter.charge_to(CostDomain::Xen, m.cost.spinlock);
+                        self.machine
+                            .write_u32(self.dom0, ExecMode::Guest, u64::from(lock), 0)?;
+                    }
+                    replayed += 1;
+                    self.machine.meter.count_event("upcall_replayed");
+                }
+                _ => {
+                    dropped += 1;
+                    self.machine.meter.count_event("upcall_discarded");
+                }
+            }
+        }
+        if let Some(hs) = self.world.hyper.as_mut() {
+            hs.engine.prune_stale_completions();
+        }
+        // 2. In-flight frames on this device: their delivery stamps will
+        // never match — bounded, counted loss.
+        let before = self.rx_inflight.len();
+        let flow_dev = &self.rx_flow_dev;
+        self.rx_inflight
+            .retain(|(flow, _), _| flow_dev.get(flow).copied().unwrap_or(0) != dev);
+        let lost = (before - self.rx_inflight.len()) as u32;
+        dropped += lost;
+        for _ in 0..lost {
+            self.machine.meter.count_event("inflight_lost");
+        }
+        // 3. Ring-held skbs: the reset re-probes the adapter slot and
+        // re-fills both rings, so buffers the old rings hold must go
+        // back to their pools first or every episode leaks a ring's
+        // worth of pool. `e1000_clean_tx` nulls entries it frees, so
+        // every non-null slot is live exactly once.
+        let slot = self
+            .driver
+            .data_symbol("adapter")
+            .map(|a| a + u64::from(dev) * e1000::ADAPTER_STRIDE);
+        if let Some(slot) = slot {
+            for &arr_off in &[e1000::adapter::TX_SKB, e1000::adapter::RX_SKB] {
+                let arr = self
+                    .machine
+                    .read_u32(self.dom0, ExecMode::Guest, slot + arr_off)?;
+                if arr == 0 {
+                    continue;
+                }
+                for i in 0..e1000::RING_SIZE {
+                    let p = u64::from(arr) + u64::from(i) * 4;
+                    let skb = self.machine.read_u32(self.dom0, ExecMode::Guest, p)?;
+                    if skb != 0 {
+                        self.machine.write_u32(self.dom0, ExecMode::Guest, p, 0)?;
+                        self.world
+                            .kernel
+                            .free_skb(&self.machine, SkBuff(u64::from(skb)))?;
+                    }
+                }
+            }
+        }
+        // 4. NAPI: close an open poll span (the residency metric and
+        // the chrome export both need the episode bounded); the IRQ
+        // stays masked until the reset's `e1000_open` re-enables `IMS`.
+        let state = &mut self.devs[dev as usize];
+        if let Some(entered) = state.poll_entered_at.take() {
+            state.poll_cycles += self.machine.meter.now().saturating_sub(entered);
+            self.machine.meter.count_event("napi_exit");
+            self.machine.trace_event(TraceEvent::NapiComplete { dev });
+        }
+        // 5. Moderation latches: a quarantined device owes no delivery.
+        state.gate_anchor = None;
+        self.moderated_pending.retain(|d| *d != dev);
+        // 6. Zero-copy grants: the faulted image cached mappings for
+        // every granted pool, so all of them outlive the trust decision
+        // unless revoked (each pays its `grant_unmap`). Recovery
+        // re-grants, reusing the still-mapped pool pages.
+        let revoked_doms: Vec<u32> = (0..self.guests.len() as u32)
+            .filter(|d| self.guests[*d as usize].zc_granted)
+            .collect();
+        let mut revoked_mappings = 0usize;
+        for d in &revoked_doms {
+            revoked_mappings += self.revoke_zero_copy_grants(DomId(*d));
+        }
+        // 7. The device's watchdog: its handler would run the dom0
+        // instance over the corrupted adapter slot at the next wheel
+        // service. Re-probe re-arms it via `mod_timer`.
+        if let Some(wd) = self.driver.entry("e1000_watchdog") {
+            self.world
+                .kernel
+                .timers
+                .disarm_where(|t| t.handler == wd && t.data == u64::from(dev));
+        }
+        Ok((replayed, dropped, revoked_doms, revoked_mappings))
+    }
+
+    /// Resets and resumes a quarantined device: re-runs `e1000_probe`
+    /// (adapter-slot reconstruction, `request_irq`, watchdog re-arm) and
+    /// `e1000_open` (ring reconstruction, `IMS` re-enable) through the
+    /// dom0 instance — charged, so recovery latency is real virtual
+    /// time — then re-grants the revoked zero-copy pools and releases
+    /// the quarantine. Called automatically by the next driver
+    /// invocation toward the device when
+    /// [`crate::SystemOptions::fault_recovery`] is set; callable directly for
+    /// eager recovery.
+    ///
+    /// # Errors
+    ///
+    /// [`SystemError::Build`] if the device is not quarantined;
+    /// propagates faults from the reset itself.
+    pub fn recover_device(&mut self, dev: u32) -> Result<RecoveryReport, SystemError> {
+        let state = self.devs.get_mut(dev as usize);
+        let Some(ep) = state.and_then(|d| d.quarantine.take()) else {
+            return Err(SystemError::Build(format!(
+                "device {dev} is not quarantined"
+            )));
+        };
+        let probe = self.driver.entry("e1000_probe").unwrap();
+        self.call_dom0(probe, &[dev], 50_000_000)?;
+        // `register_netdev` pushes: the re-probe's netdev is the newest.
+        let netdev = *self.world.kernel.registered_netdevs.last().unwrap();
+        self.netdevs[dev as usize] = netdev;
+        if dev == 0 {
+            self.netdev = netdev;
+        }
+        let open = self.driver.entry("e1000_open").unwrap();
+        self.call_dom0(open, &[netdev as u32], 200_000_000)?;
+        self.machine.meter.count_event("device_reset");
+        self.machine.trace_event(TraceEvent::DeviceReset { dev });
+        for d in &ep.revoked_doms {
+            self.grant_zero_copy_pool(DomId(*d))?;
+        }
+        self.hyperdrv
+            .as_mut()
+            .expect("quarantine implies a hypervisor driver")
+            .release_device(dev);
+        self.machine.meter.count_event("quarantine_exit");
+        self.machine.trace_event(TraceEvent::QuarantineExit { dev });
+        let report = RecoveryReport {
+            dev,
+            reason: ep.reason,
+            quarantined_at: ep.at,
+            recovered_at: self.machine.meter.now(),
+            replayed: ep.replayed,
+            dropped: ep.dropped,
+            revoked_mappings: ep.revoked_mappings,
+        };
+        self.recovery_log.push(report.clone());
+        Ok(report)
+    }
+
+    /// Devices currently quarantined (empty on fault-free runs and in
+    /// sticky-abort mode).
+    pub fn quarantined_devices(&self) -> Vec<u32> {
+        (0..self.devs.len() as u32)
+            .filter(|d| self.devs[*d as usize].quarantine.is_some())
+            .collect()
+    }
+
+    /// Arms the driver's fault-injection hook: writes `value` into the
+    /// driver's `fault_arm` data word (present only in sources built by
+    /// [`crate::measure::fault_injected_source`]). The next fast-path
+    /// invocation of the hypervisor instance *on behalf of device
+    /// `value - 1`* sees the match, disarms the word (one-shot) and
+    /// executes its fault body; invocations for other devices sail
+    /// past. Use [`crate::measure::FaultClass::arm_value`].
+    ///
+    /// # Errors
+    ///
+    /// [`SystemError::Build`] when the loaded driver has no `fault_arm`
+    /// hook (i.e. it was built from the stock source).
+    pub fn arm_driver_fault(&mut self, value: u32) -> Result<(), SystemError> {
+        let addr = self.driver.data_symbol("fault_arm").ok_or_else(|| {
+            SystemError::Build(
+                "driver has no fault_arm hook (build with fault_injected_source)".into(),
+            )
+        })?;
+        self.machine
+            .write_u32(self.dom0, ExecMode::Guest, addr, value)
+            .map_err(SystemError::Fault)
+    }
+
+    /// Completed fault → quarantine → recovery episodes, in order.
+    pub fn recovery_log(&self) -> &[RecoveryReport] {
+        &self.recovery_log
+    }
+
+    /// Calls a hypervisor support routine directly (the paravirtual glue
+    /// uses this for buffer management, so forced upcalls are exercised —
+    /// Figure 10).
+    pub(super) fn call_support(&mut self, name: &str, args: &[u32]) -> Result<u32, SystemError> {
+        let gid = self.guest.expect("guest");
+        let gspace = self.world.xen.as_ref().unwrap().domain(gid).space;
+        let mut cpu = Cpu::new(gspace, ExecMode::Hypervisor);
+        cpu.set_stack(UPCALL_STACK_BASE + UPCALL_STACK_PAGES * PAGE_SIZE);
+        cpu.push_call_frame(&mut self.machine, args)?;
+        self.world.extern_call(name, &mut self.machine, &mut cpu)?;
+        Ok(cpu.reg(twin_isa::Reg::Eax))
+    }
+
+    /// Drains the deferred-upcall ring in one switch-pair — the "natural
+    /// dom0 scheduling point" at the end of a burst pass. No-op in
+    /// synchronous mode or on an empty ring, so the default path is
+    /// untouched. Returns how many queued upcalls executed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates faults from the flushed routines.
+    pub fn flush_deferred_upcalls(&mut self) -> Result<usize, SystemError> {
+        self.flush_deferred_upcalls_as(FlushCause::BurstEnd)
+    }
+
+    /// [`System::flush_deferred_upcalls`] with an explicit cause for the
+    /// flight recorder (the cause is trace metadata only — every cause
+    /// drains the same way).
+    pub(super) fn flush_deferred_upcalls_as(
+        &mut self,
+        cause: FlushCause,
+    ) -> Result<usize, SystemError> {
+        let World {
+            kernel, xen, hyper, ..
+        } = &mut self.world;
+        if let (Some(hs), Some(xen)) = (hyper.as_mut(), xen.as_mut()) {
+            if hs.engine.deferred() && hs.engine.depth() > 0 {
+                return Ok(hs.flush_upcalls(&mut self.machine, kernel, xen, cause)?);
+            }
+        }
+        Ok(0)
+    }
+}

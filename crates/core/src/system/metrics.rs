@@ -1,0 +1,304 @@
+//! Reading a system: the unified metrics snapshot, drop and delivery
+//! counters, and the arrival-to-delivery latency samples.
+
+use super::{Config, System};
+use twin_machine::CostDomain;
+use twin_net::Frame;
+use twin_trace::MetricSet;
+use twin_xen::{DomId, DomainKind};
+
+impl System {
+    /// One unified snapshot of every stats source in the system — the
+    /// cycle meter (per-domain totals and named event counters), per-NIC
+    /// device stats, per-guest delivery/drop counters, upcall-engine and
+    /// grant counters, grant-cache stats, the flight recorder's own
+    /// recorded/dropped counts — as a flat [`MetricSet`]. Consumers take
+    /// two snapshots and [`MetricSet::delta_since`] them; all counters
+    /// are integers read from the same sources the scattered accessors
+    /// expose, so sweeps built on deltas are bit-exact with the old
+    /// per-struct bookkeeping.
+    pub fn metrics(&self) -> MetricSet {
+        let mut ms = MetricSet::new();
+        let meter = &self.machine.meter;
+        ms.set("clock.now_cycles", meter.now());
+        for d in CostDomain::ALL {
+            ms.set(format!("meter.cycles.{}", d.label()), meter.cycles(d));
+        }
+        for (name, v) in meter.events() {
+            ms.set(format!("event.{name}"), *v);
+        }
+        for (i, nic) in self.world.nics.iter().enumerate() {
+            let s = nic.stats();
+            ms.set(format!("nic{i}.tx_packets"), s.tx_packets);
+            ms.set(format!("nic{i}.rx_packets"), s.rx_packets);
+            ms.set(format!("nic{i}.tx_bytes"), s.tx_bytes);
+            ms.set(format!("nic{i}.rx_bytes"), s.rx_bytes);
+            ms.set(format!("nic{i}.rx_missed"), s.rx_missed);
+            ms.set(format!("nic{i}.rx_irqs"), s.rx_irqs);
+            ms.set(format!("nic{i}.tx_irqs"), s.tx_irqs);
+            ms.set(format!("nic{i}.irqs_delivered"), nic.irqs_delivered());
+            ms.set(format!("nic{i}.itr"), u64::from(nic.itr()));
+            ms.set(
+                format!("nic{i}.poll_cycles"),
+                self.poll_mode_cycles(i as u32),
+            );
+        }
+        if let Some(xen) = self.world.xen.as_ref() {
+            ms.set("xen.switches", xen.switches);
+            ms.set("xen.hypercalls", xen.hypercalls);
+            ms.set("xen.virqs_sent", xen.virqs_sent);
+            ms.set("xen.softirqs_coalesced", xen.softirqs_coalesced);
+            ms.set("grant.maps", xen.grants.maps);
+            ms.set("grant.unmaps", xen.grants.unmaps);
+            ms.set("grant.copies", xen.grants.copies);
+            for (dev, dg) in &xen.grants.per_device {
+                ms.set(format!("grant.dev{dev}.maps"), dg.maps);
+                ms.set(format!("grant.dev{dev}.unmaps"), dg.unmaps);
+                ms.set(format!("grant.dev{dev}.copies"), dg.copies);
+            }
+            for d in &xen.domains {
+                if d.kind != DomainKind::Guest {
+                    continue;
+                }
+                let g = d.id.0;
+                ms.set(format!("guest{g}.delivered"), d.rx_delivered.len() as u64);
+                ms.set(format!("guest{g}.queued"), d.rx_queue.len() as u64);
+                ms.set(format!("guest{g}.queue_drops"), d.rx_queue_drops);
+                ms.set(
+                    format!("guest{g}.early_drops"),
+                    self.rx_early_drops_for(d.id),
+                );
+            }
+        }
+        if let Some(hs) = self.world.hyper.as_ref() {
+            let s = hs.engine.stats;
+            ms.set("upcall.enqueued", s.enqueued);
+            ms.set("upcall.flushes", s.flushes);
+            ms.set("upcall.forced_flushes", s.forced_flushes);
+            ms.set("upcall.continuations", s.continuations);
+            ms.set("upcall.completions", s.completions);
+            ms.set("upcall.max_depth", s.max_depth as u64);
+            ms.set("upcall.executed", hs.upcalls);
+            ms.set("upcall.demux_misses", hs.demux_misses);
+            ms.record_samples("upcall_latency", hs.engine.latency_samples());
+        }
+        if let Some(cs) = self.grant_cache_stats() {
+            ms.set("grantcache.hits", cs.hits);
+            ms.set("grantcache.misses", cs.misses);
+            ms.set("grantcache.evictions", cs.evictions);
+            ms.set("grantcache.revoked", cs.revoked);
+        }
+        ms.set("trace.events_recorded", self.machine.trace.recorded());
+        ms.set("trace.events_dropped", self.machine.trace.dropped());
+        ms.set("fault.quarantined", self.quarantined_devices().len() as u64);
+        ms.set("fault.recoveries", self.recovery_log.len() as u64);
+        ms.set(
+            "fault.inflight_replayed",
+            self.recovery_log
+                .iter()
+                .map(|r| u64::from(r.replayed))
+                .sum(),
+        );
+        ms.set(
+            "fault.inflight_dropped",
+            self.recovery_log.iter().map(|r| u64::from(r.dropped)).sum(),
+        );
+        if let Some(s) = self.sched.as_ref() {
+            let now = meter.now();
+            let mut placements = 0u64;
+            let mut migrations = 0u64;
+            for g in s.guests() {
+                let st = s.stats(g, now).expect("registered vcpu");
+                ms.set(format!("sched.guest{g}.cpu"), u64::from(st.cpu));
+                ms.set(format!("sched.guest{g}.running"), u64::from(st.running));
+                ms.set(format!("sched.guest{g}.run_cycles"), st.run_cycles);
+                ms.set(format!("sched.guest{g}.wakes"), st.wakes);
+                ms.set(format!("sched.guest{g}.sleeps"), st.sleeps);
+                let (p, m) = self
+                    .guests
+                    .get(g as usize)
+                    .map_or((0, 0), |s| (s.placements, s.migrations));
+                ms.set(format!("sched.guest{g}.placements"), p);
+                ms.set(format!("sched.guest{g}.migrations"), m);
+                placements += p;
+                migrations += m;
+            }
+            // Flows placed for guests outside the vCPU set never happen
+            // (they take the FlowHash fallback), so the totals are the
+            // per-guest sums.
+            ms.set("sched.placements", placements);
+            ms.set("sched.migrations", migrations);
+        }
+        ms.record_samples("rx_latency", self.rx_latency.samples());
+        for (g, state) in self.guests.iter().enumerate() {
+            if !state.latency.is_empty() {
+                ms.record_samples(format!("rx_latency.guest{g}"), state.latency.samples());
+            }
+        }
+        ms
+    }
+
+    /// Writes `<label>.trace.json` (chrome://tracing) and
+    /// `<label>.metrics.json` (flat [`MetricSet`] dump) into the
+    /// directory named by the `TWIN_TRACE_OUT` environment variable.
+    /// A no-op when the variable is unset; never fatal.
+    pub fn export_trace(&self, label: &str) {
+        if let Some(dir) = twin_trace::export::trace_out_dir() {
+            twin_trace::export::write_trace_files(
+                &dir,
+                label,
+                &self.machine.trace,
+                &self.metrics(),
+            );
+        }
+    }
+
+    /// Frames early-dropped at the admission watermark for one guest.
+    pub fn rx_early_drops_for(&self, gid: DomId) -> u64 {
+        self.guests.get(gid.0 as usize).map_or(0, |g| g.early_drops)
+    }
+
+    /// Total frames early-dropped at the admission watermark.
+    pub fn rx_early_drops(&self) -> u64 {
+        self.guests.iter().map(|g| g.early_drops).sum()
+    }
+
+    /// Total frames dropped at demux queue caps across all guests (work
+    /// already sunk — the livelock waste the early drop exists to
+    /// avoid).
+    pub fn rx_queue_drops(&self) -> u64 {
+        self.world
+            .xen
+            .as_ref()
+            .map_or(0, |x| x.domains.iter().map(|d| d.rx_queue_drops).sum())
+    }
+
+    /// Frames dropped by NICs for want of a free RX descriptor.
+    pub fn rx_ring_drops(&self) -> u64 {
+        self.world.nics.iter().map(|n| n.stats().rx_missed).sum()
+    }
+
+    /// Frames fully delivered to one domain.
+    pub fn delivered_rx_for(&self, gid: DomId) -> usize {
+        self.world
+            .xen
+            .as_ref()
+            .map_or(0, |x| x.domain(gid).rx_delivered.len())
+    }
+
+    /// Frames fully delivered to the measured receive endpoint.
+    pub fn delivered_rx(&self) -> usize {
+        match self.config {
+            Config::NativeLinux | Config::XenDom0 => self.world.kernel.rx_delivered.len(),
+            Config::XenGuest | Config::TwinDrivers => {
+                let gid = self.guest.expect("guest");
+                self.world
+                    .xen
+                    .as_ref()
+                    .unwrap()
+                    .domain(gid)
+                    .rx_delivered
+                    .len()
+            }
+        }
+    }
+
+    /// Bounds the in-flight arrival-stamp map: frames that never reach a
+    /// delivery log (demux misses, colliding `(flow, seq)` keys) would
+    /// otherwise leak an entry forever. Genuine in-flight frames are
+    /// bounded by the RX rings, so anything beyond one ring's worth per
+    /// device is dead — evict oldest-first.
+    pub(super) fn prune_rx_inflight(&mut self) {
+        // With a demux queue cap the backlog legitimately extends past
+        // the rings: capped queues hold live frames too.
+        let cap = 128 * self.world.nics.len()
+            + self.opts.rx_queue_cap.unwrap_or(0)
+                * self.world.xen.as_ref().map_or(0, |x| x.domains.len());
+        while self.rx_inflight.len() > cap {
+            let oldest = self
+                .rx_inflight
+                .iter()
+                .min_by_key(|(_, stamp)| **stamp)
+                .map(|(k, _)| *k)
+                .expect("non-empty map");
+            self.rx_inflight.remove(&oldest);
+        }
+    }
+
+    /// Matches newly delivered frames against their arrival stamps and
+    /// records cycles-to-delivery samples (the latency side of the
+    /// moderation sweep). Pure bookkeeping — no cycles are charged.
+    pub(super) fn sample_rx_completions(&mut self) {
+        if self.rx_inflight.is_empty() {
+            return; // nothing tracked: skip the delivery-log scans
+        }
+        let now = self.machine.meter.now();
+        // One delivered-frame log per endpoint: every domain of a guest
+        // configuration, else the dom0 / native stack (endpoint 0).
+        let guest_path = matches!(self.config, Config::XenGuest | Config::TwinDrivers);
+        let logs: Vec<&Vec<Frame>> = match self.world.xen.as_ref() {
+            Some(xen) if guest_path => xen.domains.iter().map(|d| &d.rx_delivered).collect(),
+            _ => vec![&self.world.kernel.rx_delivered],
+        };
+        for (log, state) in logs.into_iter().zip(&mut self.guests) {
+            for f in log.iter().skip(state.sample_cursor) {
+                state.sample_cursor += 1;
+                if let Some(t) = self.rx_inflight.remove(&(f.flow, f.seq)) {
+                    let sample = now.saturating_sub(t);
+                    self.rx_latency.push(sample);
+                    if guest_path && self.guest_latency_tracked {
+                        state.latency.push(sample);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Cycles-from-arrival-to-delivery samples for frames completed in
+    /// the current measurement window (a bounded uniform reservoir; see
+    /// [`crate::measure::SampleReservoir`]).
+    pub fn rx_latency_samples(&self) -> &[u64] {
+        self.rx_latency.samples()
+    }
+
+    /// Cycles-to-completion samples for every upcall since the last
+    /// measurement reset (empty when no hypervisor support is present).
+    pub fn upcall_latency_samples(&self) -> &[u64] {
+        self.world
+            .hyper
+            .as_ref()
+            .map(|h| h.engine.latency_samples())
+            .unwrap_or(&[])
+    }
+
+    /// Resets the cycle meter and both latency windows together (the
+    /// start of every measurement interval). The virtual clock keeps
+    /// running — it is monotonic by design.
+    pub(crate) fn reset_measurement(&mut self) {
+        self.machine.meter.reset();
+        if let Some(h) = self.world.hyper.as_mut() {
+            h.engine.clear_latency();
+        }
+        self.rx_latency.clear();
+        for g in &mut self.guests {
+            g.latency.clear();
+        }
+    }
+
+    /// Enables per-guest arrival-to-delivery latency reservoirs
+    /// (TwinDrivers/XenGuest paths): after this, each delivered frame's
+    /// latency is also recorded against its destination domain — the
+    /// fairness side of the overload sweeps, where a victim guest's p99
+    /// must stay bounded while a neighbour floods.
+    pub fn track_guest_latency(&mut self) {
+        self.guest_latency_tracked = true;
+    }
+
+    /// Latency samples recorded for one domain (empty unless
+    /// [`System::track_guest_latency`] was enabled).
+    pub fn guest_rx_latency(&self, gid: DomId) -> &[u64] {
+        self.guests
+            .get(gid.0 as usize)
+            .map_or(&[], |g| g.latency.samples())
+    }
+}

@@ -629,3 +629,67 @@ fn arming_requires_a_fault_injected_driver() {
         other => panic!("expected a build error, got {other:?}"),
     }
 }
+
+/// Regression: the open-loop arrival used to land frames on a
+/// quarantined device *before* the recovery its ISR (or poll pass)
+/// triggered — the reset reconstructed the rings and wiped them, and
+/// because the teardown's in-flight sweep had already run, no counter
+/// saw them go. Both arrival entry points now recover first, as the
+/// closed loop always did. The whole run is open-loop, so every frame
+/// carries an arrival stamp and the conservation law has no blind term.
+#[test]
+fn open_loop_arrival_recovers_a_quarantined_device_before_landing_frames() {
+    for weight in [0usize, 8] {
+        let opts = SystemOptions {
+            driver_source: Some(fault_injected_source(FaultClass::WildWrite)),
+            num_nics: 1,
+            napi_weight: weight,
+            fault_recovery: true,
+            ..SystemOptions::default()
+        };
+        let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
+        let mut seq = 0u64;
+        let warm = frames_for(0, 1, 8, &mut seq);
+        assert_eq!(sys.receive_burst(&warm).unwrap(), 8);
+
+        // The aborted burst: the fault fires in the ISR reap (inside the
+        // arrival) or in the first poll pass (inside the service).
+        sys.arm_driver_fault(FaultClass::WildWrite.arm_value(0))
+            .unwrap();
+        let dead = frames_for(0, 1, 8, &mut seq);
+        let now = sys.now_cycles();
+        let arrived = sys.rx_open_loop_arrival(&dead, now);
+        let serviced = sys.rx_open_loop_service(now + 2_000_000);
+        assert!(
+            matches!(arrived, Err(SystemError::DriverAborted(_)))
+                != matches!(serviced, Err(SystemError::DriverAborted(_))),
+            "weight {weight}: exactly one call aborts: {arrived:?} / {serviced:?}"
+        );
+        assert_eq!(sys.quarantined_devices(), vec![0], "weight {weight}");
+
+        let live = frames_for(0, 1, 8, &mut seq);
+        let now = sys.now_cycles();
+        assert_eq!(sys.rx_open_loop_arrival(&live, now).unwrap(), 8);
+        sys.rx_open_loop_service(now + 2_000_000).unwrap();
+        assert_eq!(sys.recovery_log().len(), 1, "weight {weight}");
+        assert!(sys.quarantined_devices().is_empty());
+        assert_eq!(
+            sys.delivered_rx(),
+            16,
+            "weight {weight}: all 8 frames after the fault must be delivered"
+        );
+
+        let m = sys.metrics();
+        let offered = (warm.len() + dead.len() + live.len()) as u64;
+        assert_eq!(
+            offered,
+            sys.delivered_rx() as u64
+                + m.counter("nic0.rx_missed")
+                + m.counter("event.inflight_lost")
+                + sys.rx_queue_drops()
+                + sys.rx_early_drops(),
+            "weight {weight}: every offered frame is delivered or counted"
+        );
+        assert_eq!(m.counter("event.inflight_lost"), 8, "the aborted burst");
+    }
+}

@@ -249,3 +249,253 @@ fn simulated_numbers_of_one_burst_each_way_are_pinned() {
         (25_951, [91_601, 149_950, 158_144, 29_530], 429_225)
     );
 }
+
+/// What the two goldens below pin: instructions, the four domain totals,
+/// the virtual clock, the interrupt/NAPI/admission event counts, and a
+/// fingerprint of the sorted arrival-to-delivery latency samples
+/// (count, min, median, max, sum, FNV-1a over every sample).
+#[derive(Debug, PartialEq, Eq)]
+struct Golden {
+    insns: u64,
+    domains: [u64; 4],
+    now: u64,
+    /// `irq`, `irq_moderated`, `napi_enter`, `napi_exit`, `early_drop`.
+    events: [u64; 5],
+    /// `(len, min, median, max, sum, fnv1a)` of the sorted samples.
+    latency: (usize, u64, u64, u64, u64, u64),
+}
+
+fn golden(sys: &System) -> Golden {
+    let m = &sys.machine.meter;
+    let mut lat = sys.rx_latency_samples().to_vec();
+    lat.sort_unstable();
+    let fnv = lat.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, s| {
+        s.to_le_bytes()
+            .iter()
+            .fold(h, |h, b| (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3))
+    });
+    Golden {
+        insns: m.insns(),
+        domains: CostDomain::ALL.map(|d| m.cycles(d)),
+        now: sys.now_cycles(),
+        events: [
+            "irq",
+            "irq_moderated",
+            "napi_enter",
+            "napi_exit",
+            "early_drop",
+        ]
+        .map(|e| m.event(e)),
+        latency: (
+            lat.len(),
+            lat.first().copied().unwrap_or(0),
+            lat.get(lat.len() / 2).copied().unwrap_or(0),
+            lat.last().copied().unwrap_or(0),
+            lat.iter().sum(),
+            fnv,
+        ),
+    }
+}
+
+fn rx_frame(guest: u32, flow: u32, seq: u64) -> Frame {
+    Frame {
+        dst: MacAddr::for_guest(guest),
+        src: twindrivers::peer_mac(),
+        ethertype: EtherType::Ipv4,
+        payload_len: MTU,
+        flow,
+        seq,
+    }
+}
+
+/// Golden tripwire for the **open-loop** path, which the burst golden
+/// above never enters: the overload-controlled composition (4 NICs,
+/// flow hashing, NAPI weight 8, admission watermark 64, demux cap 128,
+/// flush quantum 8, a flooded guest and two weighted victims) under one
+/// fixed arrival schedule — quiet stretches, where every device re-arms
+/// between arrivals, and clusters of short gaps with oversized bursts,
+/// where rings stay masked and the watermark sheds load.
+#[test]
+fn simulated_numbers_of_one_open_loop_schedule_are_pinned() {
+    use twindrivers::ShardPolicy;
+    let opts = SystemOptions {
+        num_nics: 4,
+        shard: ShardPolicy::FlowHash,
+        rx_queue_cap: Some(128),
+        napi_weight: 8,
+        rx_backlog_watermark: Some(64),
+        rx_flush_quantum: 8,
+        guest_weights: vec![(2, 2), (3, 2)],
+        ..SystemOptions::default()
+    };
+    let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
+    for g in [2, 3] {
+        sys.add_guest(MacAddr::for_guest(g)).unwrap();
+    }
+    // Flood flows toward guest 1, two flows per victim: under FlowHash
+    // every NIC carries flood and victim traffic.
+    let flood = [203u32, 204, 205, 206, 207, 208, 209, 210];
+    let victims = [(2u32, [211u32, 212]), (3, [218, 213])];
+    let mut seq = 0u64;
+    let mut burst = |total: usize| -> Vec<Frame> {
+        let mut out = Vec::with_capacity(total);
+        for (g, flows) in victims {
+            for flow in flows {
+                out.push(rx_frame(g, flow, seq));
+                seq += 1;
+            }
+        }
+        while out.len() < total {
+            out.push(rx_frame(1, flood[(seq % 8) as usize], seq));
+            seq += 1;
+        }
+        out
+    };
+    // Closed-loop warm-up through the same composition.
+    for _ in 0..8 {
+        assert_eq!(sys.receive_burst(&burst(32)).unwrap(), 32);
+    }
+    let open = sys.now_cycles();
+    let mut at = 0u64;
+    let (mut offered, mut accepted) = (0usize, 0usize);
+    for i in 0..40u64 {
+        // Arrivals 16..28 are the overload cluster: 96-frame bursts
+        // 60 k cycles apart; the rest are 12..26 frames 450 k apart.
+        let (gap, size) = if (16..28).contains(&i) {
+            (60_000, 96)
+        } else {
+            (450_000, 12 + (i as usize * 7) % 15)
+        };
+        at += gap;
+        sys.rx_open_loop_service(open + at).unwrap();
+        let frames = burst(size);
+        offered += frames.len();
+        accepted += sys.rx_open_loop_arrival(&frames, open + at).unwrap();
+    }
+    sys.rx_open_loop_service(open + at + 10_000_000).unwrap();
+    let delivered: usize = [1, 2, 3]
+        .iter()
+        .map(|g| sys.delivered_rx_for(twindrivers::xen::DomId(*g)))
+        .sum();
+    // 336 frames shed at the watermark, 244 at full rings, none at the
+    // demux cap; every accepted frame is delivered (256 are warm-up).
+    assert_eq!((offered, accepted, delivered), (1_677, 1_097, 1_353));
+    assert_eq!((sys.rx_ring_drops(), sys.rx_queue_drops()), (244, 0));
+    assert_eq!(
+        golden(&sys),
+        Golden {
+            insns: 526_913,
+            domains: [367_037, 6_773_850, 6_912_521, 1_262_626],
+            now: 26_578_998,
+            events: [100, 0, 100, 100, 336],
+            latency: (
+                1_097,
+                143_592,
+                2_654_118,
+                5_773_658,
+                2_737_145_098,
+                12_487_979_035_393_701_681
+            ),
+        }
+    );
+}
+
+/// Golden tripwire for the **moderated closed-loop** path: 4 NICs with a
+/// 1500-unit `ITR` window take bursts faster than the window opens, so
+/// causes latch, the virtual moderation timer delivers them, and
+/// `drain_moderated` flushes the tail.
+#[test]
+fn simulated_numbers_of_one_moderated_run_are_pinned() {
+    use twindrivers::ShardPolicy;
+    let opts = SystemOptions {
+        num_nics: 4,
+        shard: ShardPolicy::FlowHash,
+        itr: 1500,
+        ..SystemOptions::default()
+    };
+    let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
+    let mut seq = 0u64;
+    let mut delivered = 0usize;
+    for round in 0..12u64 {
+        let frames: Vec<Frame> = (0..24)
+            .map(|_| {
+                let f = rx_frame(1, 203 + (seq % 8) as u32, seq);
+                seq += 1;
+                f
+            })
+            .collect();
+        delivered += sys.receive_burst(&frames).unwrap();
+        // Every third round idles past a window; the others arrive
+        // inside it.
+        sys.run_idle(if round % 3 == 2 { 1_500_000 } else { 90_000 })
+            .unwrap();
+    }
+    sys.drain_moderated().unwrap();
+    assert_eq!((delivered, sys.delivered_rx()), (288, 288));
+    assert_eq!(
+        golden(&sys),
+        Golden {
+            insns: 160_596,
+            domains: [366_517, 1_336_500, 1_428_096, 291_353],
+            now: 8_755_067,
+            events: [24, 40, 0, 0, 0],
+            latency: (
+                288,
+                257_848,
+                1_120_365,
+                1_310_544,
+                282_297_792,
+                5_125_422_443_548_425_493
+            ),
+        }
+    );
+}
+
+/// Every per-device and per-guest feature state exists from build time
+/// at its neutral value: a default system answers "off / zero / empty"
+/// for real ids and for ids that were never there, and a guest added
+/// later starts from the options the system was built with.
+#[test]
+fn default_systems_answer_neutral_state_for_every_id() {
+    use twindrivers::xen::DomId;
+    for config in Config::ALL {
+        let sys = System::build(config).unwrap();
+        assert!(!sys.itr_autotune(), "{config}");
+        assert!(sys.quarantined_devices().is_empty(), "{config}");
+        assert!(sys.grant_cache_stats().is_none(), "{config}");
+        for d in [0, 99] {
+            assert!(!sys.in_poll_mode(d), "{config} dev {d}");
+            assert_eq!(sys.poll_mode_cycles(d), 0, "{config} dev {d}");
+            assert!(sys.itr_tuner(d).is_none(), "{config} dev {d}");
+        }
+        for g in [DomId(0), DomId(1), DomId(99)] {
+            assert!(sys.guest_rx_latency(g).is_empty(), "{config} {g:?}");
+            assert_eq!(sys.rx_early_drops_for(g), 0, "{config} {g:?}");
+        }
+    }
+
+    let opts = SystemOptions {
+        rx_queue_cap: Some(40),
+        rx_flush_quantum: 4,
+        guest_weights: vec![(2, 3)],
+        ..SystemOptions::default()
+    };
+    let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
+    let g2 = sys.add_guest(MacAddr::for_guest(2)).unwrap();
+    assert_eq!(g2, DomId(2));
+    let xen = sys.world.xen.as_ref().unwrap();
+    assert_eq!(xen.domain(g2).rx_queue_cap, Some(40), "cap inherited");
+    // One contended flush round: quantum 4 × weight 3 for the late
+    // guest, quantum 4 × the default weight for the primary.
+    let frames: Vec<Frame> = (0..32)
+        .map(|seq| rx_frame(1 + (seq % 2) as u32, 40 + (seq % 2) as u32, seq))
+        .collect();
+    let now = sys.now_cycles();
+    assert_eq!(sys.rx_open_loop_arrival(&frames, now).unwrap(), 32);
+    assert_eq!(sys.flush_rx_round().unwrap(), 16);
+    assert_eq!(
+        sys.rx_flush_log,
+        vec![(0, DomId(1), 4), (0, g2, 12)],
+        "weight listed before the guest existed"
+    );
+}
