@@ -2,19 +2,21 @@
 # Matrix driver for the bench sweeps and their regression gates.
 #
 # One manifest line per sweep: `bench  baseline  output`. A `-` baseline
-# means the sweep runs ungated (it still enforces any acceptance checks
-# built into the bench itself). Adding a sweep to CI is adding a line.
+# means the sweep runs ungated. Either way the bench exits non-zero
+# (and `set -e` stops the run) when one of its own acceptance predicates
+# fails or its output file could not be written. Adding a sweep to CI is
+# adding a line.
 #
 # Environment:
 #   TWIN_BENCH_PACKETS    forwarded to the benches (unset = full budget)
-#   TWIN_BENCH_TOLERANCE  gate tolerance (default 0.10)
 #   TWIN_BENCH_GATE=0     run the sweeps but skip the baseline gates
 #                         (nightly full-budget runs: the committed
 #                         baselines are 64-packet numbers)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-tolerance="${TWIN_BENCH_TOLERANCE:-0.10}"
+# Allowed cycles/packet drift against a committed baseline.
+tolerance=0.10
 gate="${TWIN_BENCH_GATE:-1}"
 
 manifest="
@@ -32,6 +34,9 @@ affinity_sweep    bench/baseline_affinity.json  BENCH_affinity.json
 while read -r bench baseline output; do
   [ -n "$bench" ] || continue
   echo "==> $bench"
+  # The output is gitignored and survives between runs: remove it so the
+  # gate below can only ever read what this run wrote.
+  [ "$output" = "-" ] || rm -f "$output"
   cargo bench -p twin-bench --bench "$bench"
   if [ "$baseline" != "-" ] && [ "$gate" != "0" ]; then
     python3 bench/check_regression.py "$baseline" "$output" --tolerance "$tolerance"

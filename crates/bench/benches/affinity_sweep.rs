@@ -26,7 +26,8 @@
 //! **`BENCH_affinity.json`** (workspace root) so CI's bench-regression
 //! gate can track the trajectory against `bench/baseline_affinity.json`.
 
-use twin_bench::{banner, packets};
+use std::process::ExitCode;
+use twin_bench::{knee_gap, packets, point, Row, Sweep};
 use twindrivers::measure::{balanced_flow_set, measure_rx_affinity, AffinityPoint};
 use twindrivers::net::MacAddr;
 use twindrivers::system::DomId;
@@ -77,8 +78,7 @@ fn plan(duty: u32) -> (Traffic, Vcpus) {
     let mut vcpus = Vec::new();
     for (i, &flow) in flows.iter().enumerate() {
         let gid = DomId(i as u32 + 1);
-        let hash_dev = (flow.wrapping_mul(2_654_435_761) >> 16) % NICS as u32;
-        let cpu = (hash_dev + 1) % CPUS;
+        let cpu = (ShardPolicy::flow_hash_dev(flow, NICS as u32) + 1) % CPUS;
         let (run, sleep) = match duty {
             100 => (PHASE_CYCLES, 0),
             d => {
@@ -92,62 +92,43 @@ fn plan(duty: u32) -> (Traffic, Vcpus) {
     (traffic, vcpus)
 }
 
-/// Calibrates the arrival gap: the closed-loop amortized RX cost at
-/// the sweep burst, with headroom so the consumer keeps up even while
-/// paying cold refills — the sweep measures delivery cost, not
-/// overload goodput.
-fn knee_gap() -> u64 {
-    let mut sys = build(ShardPolicy::FlowHash);
-    let m = sys
-        .measure_rx_burst(BURST, packets())
-        .expect("knee calibration");
-    (BURST as f64 * m.breakdown.total() * 2.0) as u64
+fn row(p: &AffinityPoint) -> Row {
+    Row::new()
+        .str("config", Config::TwinDrivers.label())
+        .str("policy", p.policy)
+        .int("duty", p.duty_pct)
+        .int("nics", p.nics)
+        .int("burst", p.burst)
+        .f1("rx_cycles_per_packet", p.rx_cycles_per_packet)
+        .int("offered_frames", p.frames_offered)
+        .int("delivered", p.frames_delivered)
+        .int("cold_deliveries", p.cold_deliveries)
+        .int("placements", p.placements)
+        .int("migrations", p.migrations)
+        .int("wakes", p.wakes)
+        .int("early_drops", p.early_drops)
+        .int("queue_drops", p.queue_drops)
+        .int("ring_drops", p.ring_drops)
+        .int("reorders", p.reorders)
+        .int("victim_p99", p.victim_p99)
 }
 
-fn json_entry(p: &AffinityPoint) -> String {
-    format!(
-        concat!(
-            "    {{\"config\": \"{}\", \"policy\": \"{}\", \"duty\": {}, ",
-            "\"nics\": {}, \"burst\": {}, ",
-            "\"rx_cycles_per_packet\": {:.1}, ",
-            "\"offered_frames\": {}, \"delivered\": {}, ",
-            "\"cold_deliveries\": {}, \"placements\": {}, \"migrations\": {}, ",
-            "\"wakes\": {}, \"early_drops\": {}, \"queue_drops\": {}, ",
-            "\"ring_drops\": {}, \"reorders\": {}, \"victim_p99\": {}}}"
-        ),
-        Config::TwinDrivers.label(),
-        p.policy,
-        p.duty_pct,
-        p.nics,
-        p.burst,
-        p.rx_cycles_per_packet,
-        p.frames_offered,
-        p.frames_delivered,
-        p.cold_deliveries,
-        p.placements,
-        p.migrations,
-        p.wakes,
-        p.early_drops,
-        p.queue_drops,
-        p.ring_drops,
-        p.reorders,
-        p.victim_p99,
-    )
-}
-
-fn main() {
-    banner(
+fn main() -> ExitCode {
+    let pkts = packets();
+    let mut sweep = Sweep::new(
         "Scheduler-affinity sweep — cache-local NIC placement vs static flow hashing",
         "repo extension (\u{a7}4.4 demux + \u{a7}5 per-NIC guest pinning); acceptance: affinity >= 1.2x cycles/packet vs flow-hash at 50% duty, victim p99 <= 1.5x, zero drops/reorders",
-    );
-    let pkts = packets();
+    )
+    .writes("affinity", Row::new().int("packets", pkts));
     let bursts = (pkts / BURST as u64).max(10);
-    let gap = knee_gap();
+    // Twice the knee gap: headroom so the consumer keeps up even while
+    // paying cold refills — the sweep measures delivery cost, not
+    // overload goodput.
+    let gap = knee_gap(&mut build(ShardPolicy::FlowHash), BURST, 2.0);
     println!("  schedule: burst {BURST} every {gap} cycles (4 NICs, 4 CPUs, adversarial vCPU placement)\n");
 
-    let mut entries: Vec<String> = Vec::new();
     // (policy label, duty) → point, for the acceptance comparisons.
-    let mut pts: Vec<AffinityPoint> = Vec::new();
+    let mut pts: Vec<((&str, u32), AffinityPoint)> = Vec::new();
     for &duty in &DUTIES {
         for (policy, label) in [
             (ShardPolicy::FlowHash, "flowhash"),
@@ -159,78 +140,39 @@ fn main() {
                 measure_rx_affinity(&mut sys, &traffic, &vcpus, label, duty, BURST, bursts, gap)
                     .expect("affinity point");
             println!("    {}", p.row());
-            entries.push(json_entry(&p));
-            pts.push(p);
+            sweep.row(row(&p));
+            pts.push(((label, duty), p));
         }
         println!();
     }
 
-    let json = format!(
-        "{{\n  \"packets\": {},\n  \"entries\": [\n{}\n  ]\n}}\n",
-        pkts,
-        entries.join(",\n"),
-    );
-    // Anchor at the workspace root regardless of cargo's bench cwd.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_affinity.json");
-    match std::fs::write(out, &json) {
-        Ok(()) => println!(
-            "  wrote BENCH_affinity.json ({} sweep points)",
-            entries.len()
-        ),
-        Err(e) => eprintln!("  could not write {out}: {e}"),
-    }
-
-    let get = |policy: &str, duty: u32| -> &AffinityPoint {
-        pts.iter()
-            .find(|p| p.policy == policy && p.duty_pct == duty)
-            .expect("acceptance point measured")
-    };
-    let fh = get("flowhash", 50);
-    let af = get("affinity", 50);
+    let fh = point(&pts, &("flowhash", 50));
+    let af = point(&pts, &("affinity", 50));
     let ratio = fh.rx_cycles_per_packet / af.rx_cycles_per_packet.max(1e-9);
     let p99_ratio = af.victim_p99 as f64 / fh.victim_p99.max(1) as f64;
-    println!(
-        "  affinity vs flow-hash at 50% duty: {:.0} vs {:.0} cycles/packet = {ratio:.2}x (acceptance >= 1.2x)",
-        af.rx_cycles_per_packet, fh.rx_cycles_per_packet
+    sweep.require(
+        ratio >= 1.2,
+        format_args!(
+            "affinity vs flow-hash at 50% duty: {:.0} vs {:.0} cycles/packet = {ratio:.2}x (acceptance >= 1.2x)",
+            af.rx_cycles_per_packet, fh.rx_cycles_per_packet
+        ),
     );
-    println!(
-        "  affinity victim p99 at 50% duty: {} cyc = {p99_ratio:.2}x flow-hash {} (acceptance <= 1.5x)",
-        af.victim_p99, fh.victim_p99
+    sweep.require(
+        p99_ratio <= 1.5,
+        format_args!(
+            "affinity victim p99 at 50% duty: {} cyc = {p99_ratio:.2}x flow-hash {} (acceptance <= 1.5x)",
+            af.victim_p99, fh.victim_p99
+        ),
     );
-
-    let mut failed = false;
-    if ratio < 1.2 {
-        eprintln!("  ACCEPTANCE FAILED: affinity improvement {ratio:.2}x < 1.2x at 50% duty");
-        failed = true;
+    for (_, p) in &pts {
+        let drops = p.early_drops + p.queue_drops + p.ring_drops;
+        sweep.require(
+            drops == 0 && p.reorders == 0 && p.frames_delivered == p.frames_offered,
+            format_args!(
+                "{} duty {}%: {drops} drops, {} reorders, {} of {} delivered (acceptance: none, none, all)",
+                p.policy, p.duty_pct, p.reorders, p.frames_delivered, p.frames_offered
+            ),
+        );
     }
-    if p99_ratio > 1.5 {
-        eprintln!("  ACCEPTANCE FAILED: affinity victim p99 {p99_ratio:.2}x flow-hash > 1.5x");
-        failed = true;
-    }
-    for p in &pts {
-        if p.early_drops + p.queue_drops + p.ring_drops > 0 {
-            eprintln!(
-                "  ACCEPTANCE FAILED: drops at {} duty {}% ({}/{}/{})",
-                p.policy, p.duty_pct, p.early_drops, p.queue_drops, p.ring_drops
-            );
-            failed = true;
-        }
-        if p.reorders > 0 {
-            eprintln!(
-                "  ACCEPTANCE FAILED: {} reorders at {} duty {}%",
-                p.reorders, p.policy, p.duty_pct
-            );
-            failed = true;
-        }
-        if p.frames_delivered != p.frames_offered {
-            eprintln!(
-                "  ACCEPTANCE FAILED: {} duty {}% delivered {} of {} offered",
-                p.policy, p.duty_pct, p.frames_delivered, p.frames_offered
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    sweep.finish()
 }

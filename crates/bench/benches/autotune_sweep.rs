@@ -19,14 +19,15 @@
 //! sweep also reports, per static setting, the phases where that
 //! setting misses the front — the pareto-tracking contrast.
 //!
-//! Pacing shares `TWIN_BENCH_GAP_CYCLES` with the moderation sweep (the
-//! heavy-phase gap; lighter phases derive from it — see
-//! `LoadProfile::gaps`). Besides the table, the sweep writes
+//! The heavy-phase gap is the moderation sweep's
+//! (`twin_bench::DEFAULT_GAP_CYCLES`); lighter phases derive from it —
+//! see `LoadProfile::gaps`. Besides the table, the sweep writes
 //! **`BENCH_autotune.json`** (workspace root) gated in CI against
 //! `bench/baseline_autotune.json` (identity fields:
 //! profile/phase/nics/burst/mode/itr).
 
-use twin_bench::{banner, gap_cycles, packets};
+use std::process::ExitCode;
+use twin_bench::{packets, Row, Sweep, DEFAULT_GAP_CYCLES as GAP};
 use twindrivers::measure::{measure_rx_autotuned, AutotunedRx, LoadProfile};
 use twindrivers::nic::ITR_LADDER;
 use twindrivers::{Config, ShardPolicy, System, SystemOptions};
@@ -50,7 +51,7 @@ const P99_BUDGET: f64 = 2.0;
 /// Tracking tolerance vs the per-phase best static point, both metrics.
 const TRACK_TOLERANCE: f64 = 1.15;
 
-fn run(profile: LoadProfile, autotune: bool, itr: u32, pkts: u64, gap: u64) -> AutotunedRx {
+fn run(profile: LoadProfile, autotune: bool, itr: u32, pkts: u64) -> AutotunedRx {
     let opts = SystemOptions {
         num_nics: NICS,
         shard: ShardPolicy::FlowHash,
@@ -59,7 +60,7 @@ fn run(profile: LoadProfile, autotune: bool, itr: u32, pkts: u64, gap: u64) -> A
         ..SystemOptions::default()
     };
     let mut sys = System::build_with(Config::TwinDrivers, &opts).expect("build");
-    measure_rx_autotuned(&mut sys, BURST, profile, gap, SETTLE_PACKETS, pkts).expect("profile run")
+    measure_rx_autotuned(&mut sys, BURST, profile, GAP, SETTLE_PACKETS, pkts).expect("profile run")
 }
 
 /// Index of the phase's best static run: max interrupt reduction
@@ -92,77 +93,72 @@ fn tracks(run: &AutotunedRx, best: &AutotunedRx, phase: usize) -> bool {
         && a.latency.p99 as f64 <= TRACK_TOLERANCE * b.latency.p99.max(1) as f64
 }
 
-fn json_entries(r: &AutotunedRx, out: &mut Vec<String>) {
+/// Prints and files one row per phase; static runs carry their `itr`,
+/// auto-tuned ones do not (the tuner has no single setting).
+fn file(r: &AutotunedRx, sweep: &mut Sweep) {
+    let (mode, label) = match r.autotune {
+        true => ("autotune", "autotune        ".to_string()),
+        false => ("static", format!("static itr {:>5}", r.static_itr)),
+    };
     for (i, p) in r.phases.iter().enumerate() {
-        let itr_field = if r.autotune {
-            String::new()
-        } else {
-            format!("\"itr\": {}, ", r.static_itr)
-        };
-        out.push(format!(
-            concat!(
-                "    {{\"config\": \"domU-twin\", \"profile\": \"{}\", \"phase\": {}, ",
-                "\"nics\": {}, \"burst\": {}, \"mode\": \"{}\", {}\"gap_cycles\": {}, ",
-                "\"rx_cycles_per_packet\": {:.1}, \"irqs_per_packet\": {:.4}, ",
-                "\"p50_cycles\": {}, \"p99_cycles\": {}, \"itr_end\": {}, \"retunes\": {}}}"
-            ),
-            r.profile,
-            i,
-            r.nics,
-            r.burst,
-            if r.autotune { "autotune" } else { "static" },
-            itr_field,
-            p.gap_cycles,
-            p.breakdown.total(),
-            p.irqs_per_packet,
-            p.latency.p50,
-            p.latency.p99,
-            p.itr_end,
-            p.retunes,
-        ));
+        println!("    {label}   {}", p.row());
+        sweep.row(
+            Row::new()
+                .str("config", "domU-twin")
+                .str("profile", r.profile)
+                .int("phase", i)
+                .int("nics", r.nics)
+                .int("burst", r.burst)
+                .str("mode", mode)
+                .int_opt("itr", (!r.autotune).then_some(r.static_itr))
+                .int("gap_cycles", p.gap_cycles)
+                .f1("rx_cycles_per_packet", p.breakdown.total())
+                .f4("irqs_per_packet", p.irqs_per_packet)
+                .int("p50_cycles", p.latency.p50)
+                .int("p99_cycles", p.latency.p99)
+                .int("itr_end", p.itr_end)
+                .int("retunes", p.retunes),
+        );
     }
 }
 
-fn main() {
-    banner(
+fn main() -> ExitCode {
+    let pkts = packets().max(MIN_PACKETS);
+    let mut sweep = Sweep::new(
         "Autotune sweep — closed-loop ITR vs the static grid under shifting load",
         "repo extension (e1000_update_itr); acceptance: within 15% of per-phase best static on irqs/pkt AND p99",
-    );
-    let pkts = packets().max(MIN_PACKETS);
-    let gap = gap_cycles();
-    let mut entries: Vec<String> = Vec::new();
-    let mut all_phases_tracked = true;
+    )
+    .writes("autotune", Row::new().int("packets", pkts).int("gap_cycles", GAP));
     for profile in [LoadProfile::Step, LoadProfile::Ramp] {
-        println!("  domU-twin, {NICS} NICs, burst {BURST}, profile {profile} (heavy gap {gap}):");
+        println!("  domU-twin, {NICS} NICs, burst {BURST}, profile {profile} (heavy gap {GAP}):");
         // The static grid IS the tuner's ladder: "tracking the pareto
         // front" is evaluated against the exact rungs the tuner can
         // land on.
         let statics: Vec<AutotunedRx> = ITR_LADDER
             .iter()
-            .map(|&itr| run(profile, false, itr, pkts, gap))
+            .map(|&itr| run(profile, false, itr, pkts))
             .collect();
-        let auto = run(profile, true, 0, pkts, gap);
-        for s in &statics {
-            for p in &s.phases {
-                println!("    static itr {:>5}   {}", s.static_itr, p.row());
-            }
-        }
-        for p in &auto.phases {
-            println!("    autotune          {}", p.row());
+        let auto = run(profile, true, 0, pkts);
+        for r in statics.iter().chain([&auto]) {
+            file(r, &mut sweep);
         }
 
         // Per-phase pareto check.
         for phase in 0..auto.phases.len() {
             let b = best_static(&statics, phase);
             let ok = tracks(&auto, &statics[b], phase);
-            all_phases_tracked &= ok;
-            println!(
-                "    phase {phase} (gap {:>7}): best static itr {:>4} ({:.4} irqs/pkt, p99 {}) — autotune {}",
-                auto.phases[phase].gap_cycles,
-                statics[b].static_itr,
-                statics[b].phases[phase].irqs_per_packet,
-                statics[b].phases[phase].latency.p99,
-                if ok { "tracks (within 15%)" } else { "MISSES" },
+            // The pareto-tracking claim is this harness's acceptance
+            // (the regression gate only covers cycles/packet drift).
+            sweep.require(
+                ok,
+                format_args!(
+                    "  phase {phase} (gap {:>7}): best static itr {:>4} ({:.4} irqs/pkt, p99 {}) — autotune {}",
+                    auto.phases[phase].gap_cycles,
+                    statics[b].static_itr,
+                    statics[b].phases[phase].irqs_per_packet,
+                    statics[b].phases[phase].latency.p99,
+                    if ok { "tracks (within 15%)" } else { "MISSES" },
+                ),
             );
         }
         // The contrast: which static settings track every phase? A
@@ -183,35 +179,6 @@ fn main() {
             }
         );
         println!();
-        for s in &statics {
-            json_entries(s, &mut entries);
-        }
-        json_entries(&auto, &mut entries);
     }
-    println!(
-        "  acceptance: auto-tuner within 15% of per-phase best static everywhere: {}",
-        if all_phases_tracked { "yes" } else { "NO" }
-    );
-
-    let json = format!(
-        "{{\n  \"packets\": {},\n  \"gap_cycles\": {},\n  \"entries\": [\n{}\n  ]\n}}\n",
-        pkts,
-        gap,
-        entries.join(",\n"),
-    );
-    // Anchor at the workspace root regardless of cargo's bench cwd.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_autotune.json");
-    match std::fs::write(out, &json) {
-        Ok(()) => println!(
-            "  wrote BENCH_autotune.json ({} sweep points)",
-            entries.len()
-        ),
-        Err(e) => eprintln!("  could not write {out}: {e}"),
-    }
-    // Unlike the descriptive sweeps, the pareto-tracking claim is this
-    // harness's acceptance criterion: failing it fails the CI step
-    // (the regression gate only covers cycles/packet drift).
-    if !all_phases_tracked {
-        std::process::exit(1);
-    }
+    sweep.finish()
 }

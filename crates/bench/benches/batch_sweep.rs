@@ -9,49 +9,60 @@
 //! with ≥ 1.3× fewer amortized cycles/packet and ≥ 8× fewer
 //! interrupts/packet than burst 1.
 
-use twin_bench::{banner, packets};
-use twindrivers::{Config, System};
+use std::process::ExitCode;
+use twin_bench::{packets, Sweep};
+use twindrivers::measure::BurstMeasurement;
+use twindrivers::{Config, System, SystemError};
 
 const BURSTS: [usize; 4] = [1, 8, 32, 128];
 
-fn sweep(config: Config) {
-    println!("  {} transmit:", config.label());
-    let mut tx_base = 0.0;
-    for b in BURSTS {
-        let mut sys = System::build(config).expect("build");
-        let m = sys.measure_tx_burst(b, packets()).expect("tx sweep");
-        if b == 1 {
-            tx_base = m.breakdown.total();
-        }
+type Measure = fn(&mut System, usize, u64) -> Result<BurstMeasurement, SystemError>;
+
+/// One direction of one configuration across [`BURSTS`]; returns the
+/// burst-1 and burst-32 points.
+fn sweep_direction(config: Config, direction: &str, measure: Measure) -> [BurstMeasurement; 2] {
+    println!("  {} {direction}:", config.label());
+    let points: Vec<BurstMeasurement> = BURSTS
+        .iter()
+        .map(|&b| {
+            let mut sys = System::build(config).expect("build");
+            measure(&mut sys, b, packets()).expect("sweep point")
+        })
+        .collect();
+    for m in &points {
         println!(
             "    {}   speedup {:>5.2}x",
             m.row(),
-            tx_base / m.breakdown.total()
+            points[0].breakdown.total() / m.breakdown.total()
         );
     }
-    println!("  {} receive:", config.label());
-    let mut rx_base = 0.0;
-    for b in BURSTS {
-        let mut sys = System::build(config).expect("build");
-        let m = sys.measure_rx_burst(b, packets()).expect("rx sweep");
-        if b == 1 {
-            rx_base = m.breakdown.total();
-        }
-        println!(
-            "    {}   speedup {:>5.2}x",
-            m.row(),
-            rx_base / m.breakdown.total()
-        );
-    }
+    [points[0].clone(), points[2].clone()]
 }
 
-fn main() {
-    banner(
+fn main() -> ExitCode {
+    let mut sweep = Sweep::new(
         "Batch sweep — amortized cost vs burst size",
         "repo extension; acceptance: twin burst-32 ≥ 1.3x cycles, ≥ 8x irqs vs burst-1",
     );
     for config in Config::ALL {
-        sweep(config);
+        let tx = sweep_direction(config, "transmit", System::measure_tx_burst);
+        let rx = sweep_direction(config, "receive", System::measure_rx_burst);
         println!();
+        if config != Config::TwinDrivers {
+            continue;
+        }
+        for (direction, [b1, b32]) in [("transmit", &tx), ("receive", &rx)] {
+            let cycles = b1.breakdown.total() / b32.breakdown.total();
+            sweep.require(
+                cycles >= 1.3,
+                format_args!("twin {direction}: burst 32 is {cycles:.2}x cheaper per packet than burst 1 (acceptance >= 1.3x)"),
+            );
+        }
+        let irqs = rx[0].irqs_per_packet / rx[1].irqs_per_packet.max(1e-9);
+        sweep.require(
+            irqs >= 8.0,
+            format_args!("twin receive: burst 32 takes {irqs:.1}x fewer irqs/pkt than burst 1 (acceptance >= 8x)"),
+        );
     }
+    sweep.finish()
 }

@@ -37,7 +37,8 @@
 //! frame of the aborted burst, to ride the existing
 //! `*_cycles_per_packet` gate machinery).
 
-use twin_bench::{banner, packets};
+use std::process::ExitCode;
+use twin_bench::{packets, Row, Sweep};
 use twindrivers::measure::{fault_injected_source, measure_fault_recovery, FaultClass, FaultPoint};
 use twindrivers::{Config, ShardPolicy, System, SystemOptions, UpcallMode};
 
@@ -76,50 +77,42 @@ fn build(class: FaultClass, recovery: bool) -> System {
     System::build_with(Config::TwinDrivers, &opts).expect("build system")
 }
 
-fn json_entry(p: &FaultPoint) -> String {
-    format!(
-        concat!(
-            "    {{\"config\": \"{}\", \"profile\": \"{}\", \"mode\": \"ep{}\", ",
-            "\"nics\": {}, \"burst\": {}, ",
-            "\"recovery_cycles_per_packet\": {:.1}, \"recovery_cycles\": {}, ",
-            "\"replayed\": {}, \"dropped\": {}, \"lost_frames\": {}, ",
-            "\"revoked_mappings\": {}, \"pre_delivered\": {}, \"post_delivered\": {}, ",
-            "\"sibling_delivered\": {}, \"sibling_control\": {}, ",
-            "\"recovery_pct\": {:.1}, \"sibling_pct\": {:.1}}}"
-        ),
-        Config::TwinDrivers.label(),
-        p.class.label(),
-        p.episodes,
-        p.nics,
-        p.burst,
-        p.recovery_cycles as f64 / p.episodes.max(1) as f64 / BURST as f64,
-        p.recovery_cycles,
-        p.replayed,
-        p.dropped,
-        p.lost_frames,
-        p.revoked_mappings,
-        p.pre_delivered,
-        p.post_delivered,
-        p.sibling_delivered,
-        p.sibling_control,
-        p.recovery_frac() * 100.0,
-        p.sibling_frac() * 100.0,
-    )
+fn row(p: &FaultPoint) -> Row {
+    Row::new()
+        .str("config", Config::TwinDrivers.label())
+        .str("profile", p.class)
+        .str("mode", format_args!("ep{}", p.episodes))
+        .int("nics", p.nics)
+        .int("burst", p.burst)
+        .f1(
+            "recovery_cycles_per_packet",
+            p.recovery_cycles as f64 / p.episodes.max(1) as f64 / BURST as f64,
+        )
+        .int("recovery_cycles", p.recovery_cycles)
+        .int("replayed", p.replayed)
+        .int("dropped", p.dropped)
+        .int("lost_frames", p.lost_frames)
+        .int("revoked_mappings", p.revoked_mappings)
+        .int("pre_delivered", p.pre_delivered)
+        .int("post_delivered", p.post_delivered)
+        .int("sibling_delivered", p.sibling_delivered)
+        .int("sibling_control", p.sibling_control)
+        .f1("recovery_pct", p.recovery_frac() * 100.0)
+        .f1("sibling_pct", p.sibling_frac() * 100.0)
 }
 
-fn main() {
-    banner(
+fn main() -> ExitCode {
+    let pkts = packets();
+    let mut sweep = Sweep::new(
         "Fault sweep — driver quarantine + live recovery per fault class",
         "\u{a7}4.5 safety (SVM reject, wedged state, \u{a7}4.5.2 watchdog); acceptance: recovery >= 95% pre-fault goodput, siblings within 5% of unfaulted control, loss bounded per episode",
-    );
-    let pkts = packets();
+    )
+    .writes("fault", Row::new().int("packets", pkts).str("policy", "flow-hash"));
     // Window length per phase: enough rounds that one round's quantum
     // effects don't dominate the pre/post goodput comparison.
     let rounds = (pkts / (BURST * NICS) as u64).max(2);
     println!("  schedule: {rounds} rounds x {NICS} devices x burst {BURST} per window, faulting dev {DEV}\n");
 
-    let mut entries: Vec<String> = Vec::new();
-    let mut failed = false;
     for class in FaultClass::ALL {
         for &episodes in &EPISODE_SWEEP {
             let mut sys = build(class, true);
@@ -128,53 +121,25 @@ fn main() {
                 measure_fault_recovery(&mut sys, &mut control, DEV, class, rounds, BURST, episodes)
                     .expect("fault point");
             println!("    {}", p.row());
-            if p.recovery_frac() < 0.95 {
-                eprintln!(
-                    "  ACCEPTANCE FAILED: {class} ep{episodes}: post-recovery goodput {:.1}% of pre-fault < 95%",
-                    p.recovery_frac() * 100.0
-                );
-                failed = true;
-            }
-            if !(0.95..=1.05).contains(&p.sibling_frac()) {
-                eprintln!(
-                    "  ACCEPTANCE FAILED: {class} ep{episodes}: sibling goodput {:.1}% of unfaulted control outside 95..105%",
-                    p.sibling_frac() * 100.0
-                );
-                failed = true;
-            }
-            if p.lost_frames > episodes as u64 * BURST as u64 {
-                eprintln!(
-                    "  ACCEPTANCE FAILED: {class} ep{episodes}: wire loss {} > one burst per episode ({})",
+            let n = u64::from(episodes);
+            sweep.require(
+                p.recovery_frac() >= 0.95
+                    && (0.95..=1.05).contains(&p.sibling_frac())
+                    && p.lost_frames <= n * BURST as u64
+                    && p.dropped <= n * DROP_BOUND_PER_EPISODE,
+                format_args!(
+                    "{class} ep{episodes}: recovery {:.1}% (>= 95%), siblings {:.1}% (95..105%), lost {} (<= {}), discards {} (<= {})",
+                    p.recovery_frac() * 100.0,
+                    p.sibling_frac() * 100.0,
                     p.lost_frames,
-                    episodes as u64 * BURST as u64
-                );
-                failed = true;
-            }
-            if p.dropped > episodes as u64 * DROP_BOUND_PER_EPISODE {
-                eprintln!(
-                    "  ACCEPTANCE FAILED: {class} ep{episodes}: {} in-flight discards > bound {}",
+                    n * BURST as u64,
                     p.dropped,
-                    episodes as u64 * DROP_BOUND_PER_EPISODE
-                );
-                failed = true;
-            }
-            entries.push(json_entry(&p));
+                    n * DROP_BOUND_PER_EPISODE
+                ),
+            );
+            sweep.row(row(&p));
         }
         println!();
     }
-
-    let json = format!(
-        "{{\n  \"packets\": {},\n  \"policy\": \"flow-hash\",\n  \"entries\": [\n{}\n  ]\n}}\n",
-        pkts,
-        entries.join(",\n"),
-    );
-    // Anchor at the workspace root regardless of cargo's bench cwd.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fault.json");
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("  wrote BENCH_fault.json ({} sweep points)", entries.len()),
-        Err(e) => eprintln!("  could not write {out}: {e}"),
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    sweep.finish()
 }

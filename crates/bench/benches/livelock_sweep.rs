@@ -32,7 +32,8 @@
 //! **`BENCH_livelock.json`** (workspace root) so CI's bench-regression
 //! gate can track the trajectory against `bench/baseline_livelock.json`.
 
-use twin_bench::{banner, packets};
+use std::process::ExitCode;
+use twin_bench::{knee_gap, packets, point, Row, Sweep};
 use twindrivers::measure::{measure_rx_livelock, LivelockPoint, OverloadProfile};
 use twindrivers::net::MacAddr;
 use twindrivers::{Config, ShardPolicy, System, SystemOptions};
@@ -84,62 +85,44 @@ fn build(controlled: bool) -> System {
     sys
 }
 
-/// Calibrates the knee: the closed-loop amortized RX cost at the sweep
-/// burst sets the gap at which a 1.0× open-loop schedule just
-/// saturates the consumer.
-fn knee_gap() -> u64 {
-    let mut sys = build(false);
-    let m = sys
-        .measure_rx_burst(BURST, packets())
-        .expect("knee calibration");
-    (BURST as f64 * m.breakdown.total()) as u64
+fn row(mode: &str, p: &LivelockPoint) -> Row {
+    Row::new()
+        .str("config", Config::TwinDrivers.label())
+        .str("profile", p.profile)
+        .str("mode", mode)
+        .f1("offered", p.offered())
+        .str("guest", "all")
+        .int("nics", p.nics)
+        .int("burst", p.burst)
+        .f1("rx_cycles_per_packet", p.rx_cycles_per_packet)
+        .f1("goodput_mbps", p.goodput_mbps)
+        .int("offered_frames", p.frames_offered)
+        .int("delivered", p.frames_delivered)
+        .int("early_drops", p.early_drops)
+        .int("queue_drops", p.queue_drops)
+        .int("ring_drops", p.ring_drops)
+        .int("irqs", p.irqs)
+        .int("polls", p.polls)
+        .int("victim_delivered", p.victim_delivered)
+        .int("victim_p99", p.victim_p99)
 }
 
-fn json_entry(mode: &str, p: &LivelockPoint) -> String {
-    format!(
-        concat!(
-            "    {{\"config\": \"{}\", \"profile\": \"{}\", \"mode\": \"{}\", ",
-            "\"offered\": {:.1}, \"guest\": \"all\", \"nics\": {}, \"burst\": {}, ",
-            "\"rx_cycles_per_packet\": {:.1}, \"goodput_mbps\": {:.1}, ",
-            "\"offered_frames\": {}, \"delivered\": {}, ",
-            "\"early_drops\": {}, \"queue_drops\": {}, \"ring_drops\": {}, ",
-            "\"irqs\": {}, \"polls\": {}, ",
-            "\"victim_delivered\": {}, \"victim_p99\": {}}}"
-        ),
-        Config::TwinDrivers.label(),
-        p.profile.label(),
-        mode,
-        p.offered(),
-        p.nics,
-        p.burst,
-        p.rx_cycles_per_packet,
-        p.goodput_mbps,
-        p.frames_offered,
-        p.frames_delivered,
-        p.early_drops,
-        p.queue_drops,
-        p.ring_drops,
-        p.irqs,
-        p.polls,
-        p.victim_delivered,
-        p.victim_p99,
-    )
-}
-
-fn main() {
-    banner(
+fn main() -> ExitCode {
+    let pkts = packets();
+    let mut sweep = Sweep::new(
         "Receive-livelock sweep — NAPI-style overload control vs per-arrival interrupts",
         "repo extension (\u{a7}4.4 softirq discipline; Mogul & Ramakrishnan livelock); acceptance: controlled >= 70% knee goodput and victim p99 <= 3x unloaded at 10x, uncontrolled collapses",
-    );
-    let pkts = packets();
+    )
+    .writes("livelock", Row::new().int("packets", pkts).str("policy", "flow-hash"));
     // Enough bursts that the one-gap window edges don't dominate.
     let bursts = (pkts / BURST as u64).max(10);
-    let gap = knee_gap();
+    // The knee: a 1.0x open-loop schedule just saturates the
+    // uncontrolled consumer.
+    let gap = knee_gap(&mut build(false), BURST, 1.0);
     println!("  knee: burst {BURST} every {gap} cycles (4 NICs, flow-hash)\n");
 
-    let mut entries: Vec<String> = Vec::new();
-    // flood_one_guest acceptance points, per mode: offered_x10 → point.
-    let mut flood_pts: Vec<(bool, u32, f64, u64)> = Vec::new();
+    // flood_one_guest acceptance points: (controlled, offered_x10) → point.
+    let mut flood_pts: Vec<((bool, u32), LivelockPoint)> = Vec::new();
     for profile in [
         OverloadProfile::FloodOneGuest,
         OverloadProfile::FlowChurn,
@@ -161,76 +144,42 @@ fn main() {
                 let p = measure_rx_livelock(&mut sys, profile, x10, BURST, bursts, gap)
                     .expect("livelock point");
                 println!("    {mode} {}", p.row());
+                sweep.row(row(mode.trim_end(), &p));
                 if profile == OverloadProfile::FloodOneGuest {
-                    flood_pts.push((controlled, x10, p.goodput_mbps, p.victim_p99));
+                    flood_pts.push(((controlled, x10), p));
                 }
-                entries.push(json_entry(mode.trim_end(), &p));
             }
             println!();
         }
     }
 
-    let json = format!(
-        "{{\n  \"packets\": {},\n  \"policy\": \"flow-hash\",\n  \"entries\": [\n{}\n  ]\n}}\n",
-        pkts,
-        entries.join(",\n"),
-    );
-    // Anchor at the workspace root regardless of cargo's bench cwd.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_livelock.json");
-    match std::fs::write(out, &json) {
-        Ok(()) => println!(
-            "  wrote BENCH_livelock.json ({} sweep points)",
-            entries.len()
-        ),
-        Err(e) => eprintln!("  could not write {out}: {e}"),
-    }
-
-    let get = |controlled: bool, x10: u32| -> (f64, u64) {
-        flood_pts
-            .iter()
-            .find(|(c, x, _, _)| *c == controlled && *x == x10)
-            .map(|(_, _, g, p)| (*g, *p))
-            .expect("acceptance point measured")
-    };
-    let (ctl_knee, _) = get(true, 10);
-    let (ctl_10x, ctl_10x_p99) = get(true, 100);
-    let (_, ctl_unloaded_p99) = get(true, 5);
-    let (unc_knee, _) = get(false, 10);
-    let (unc_2x, _) = get(false, 20);
-    let (unc_4x, _) = get(false, 40);
-    let (unc_10x, _) = get(false, 100);
+    let at = |controlled: bool, x10: u32| point(&flood_pts, &(controlled, x10));
+    let (ctl_knee, ctl_10x) = (at(true, 10).goodput_mbps, at(true, 100).goodput_mbps);
+    let (ctl_unloaded_p99, ctl_10x_p99) = (at(true, 5).victim_p99, at(true, 100).victim_p99);
+    let [unc_knee, unc_2x, unc_4x, unc_10x] =
+        [10, 20, 40, 100].map(|x10| at(false, x10).goodput_mbps);
 
     let ctl_frac = ctl_10x / ctl_knee.max(1e-9);
     let p99_ratio = ctl_10x_p99 as f64 / ctl_unloaded_p99.max(1) as f64;
     let unc_frac = unc_10x / unc_knee.max(1e-9);
-    println!("  controlled goodput at 10x: {ctl_10x:.0} Mb/s = {:.0}% of knee {ctl_knee:.0} (acceptance >= 70%)", ctl_frac * 100.0);
-    println!("  controlled victim p99 at 10x: {ctl_10x_p99} cyc = {p99_ratio:.2}x unloaded {ctl_unloaded_p99} (acceptance <= 3x)");
-    println!("  uncontrolled goodput past knee: {unc_knee:.0} -> {unc_2x:.0} -> {unc_4x:.0} -> {unc_10x:.0} Mb/s ({:.0}% of knee at 10x; acceptance: monotone fall, < 70%)", unc_frac * 100.0);
-
-    let mut failed = false;
-    if ctl_frac < 0.70 {
-        eprintln!(
-            "  ACCEPTANCE FAILED: controlled 10x goodput {:.0}% of knee < 70%",
-            ctl_frac * 100.0
-        );
-        failed = true;
-    }
-    if p99_ratio > 3.0 {
-        eprintln!("  ACCEPTANCE FAILED: controlled victim p99 {p99_ratio:.2}x unloaded > 3x");
-        failed = true;
-    }
-    if !(unc_2x < unc_knee && unc_4x < unc_2x && unc_10x <= unc_4x) {
-        eprintln!("  ACCEPTANCE FAILED: uncontrolled goodput not monotonically falling past the knee ({unc_knee:.0} -> {unc_2x:.0} -> {unc_4x:.0} -> {unc_10x:.0})");
-        failed = true;
-    }
-    if unc_frac >= 0.70 {
-        eprintln!(
-            "  ACCEPTANCE FAILED: uncontrolled did not collapse ({:.0}% of knee at 10x)",
+    sweep.require(
+        ctl_frac >= 0.70,
+        format_args!("controlled goodput at 10x: {ctl_10x:.0} Mb/s = {:.0}% of knee {ctl_knee:.0} (acceptance >= 70%)", ctl_frac * 100.0),
+    );
+    sweep.require(
+        p99_ratio <= 3.0,
+        format_args!("controlled victim p99 at 10x: {ctl_10x_p99} cyc = {p99_ratio:.2}x unloaded {ctl_unloaded_p99} (acceptance <= 3x)"),
+    );
+    sweep.require(
+        unc_2x < unc_knee && unc_4x < unc_2x && unc_10x <= unc_4x,
+        format_args!("uncontrolled goodput past knee: {unc_knee:.0} -> {unc_2x:.0} -> {unc_4x:.0} -> {unc_10x:.0} Mb/s (acceptance: monotone fall)"),
+    );
+    sweep.require(
+        unc_frac < 0.70,
+        format_args!(
+            "uncontrolled goodput at 10x: {:.0}% of knee (acceptance: collapse below 70%)",
             unc_frac * 100.0
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+        ),
+    );
+    sweep.finish()
 }

@@ -8,13 +8,12 @@
 //! delivery until `ITR × 768` cycles have elapsed since its last
 //! delivered interrupt, latching the cause meanwhile (no delivery is
 //! ever lost). The arrival process offers bursts every
-//! [`twin_bench::gap_cycles`] of virtual time (`TWIN_BENCH_GAP_CYCLES`,
-//! shared with the autotune sweep) — by default slightly above the
-//! unmoderated path's per-interrupt service capacity at burst 32 on 4
-//! NICs, the receive-livelock regime
-//! interrupt moderation exists for: without moderation the backlog shows
-//! up as completion latency *and* maximal interrupt rate; with it, one
-//! interrupt reaps several bursts.
+//! [`twin_bench::DEFAULT_GAP_CYCLES`] of virtual time (shared with the
+//! autotune sweep's heavy phase) — slightly above the unmoderated path's
+//! per-interrupt service capacity at burst 32 on 4 NICs, the
+//! receive-livelock regime interrupt moderation exists for: without
+//! moderation the backlog shows up as completion latency *and* maximal
+//! interrupt rate; with it, one interrupt reaps several bursts.
 //!
 //! Acceptance (burst 32, 4 NICs): some ITR > 0 point cuts interrupts
 //! per packet ≥ 4× against ITR 0 while keeping p99 arrival-to-delivery
@@ -26,7 +25,8 @@
 //! can track the moderated receive path against
 //! `bench/baseline_itr.json` (identity fields: nics/burst/itr/mode).
 
-use twin_bench::{banner, gap_cycles, packets};
+use std::process::ExitCode;
+use twin_bench::{packets, Row, Sweep, DEFAULT_GAP_CYCLES as GAP};
 use twindrivers::measure::ModeratedRx;
 use twindrivers::{Config, ShardPolicy, System, SystemOptions};
 
@@ -43,7 +43,7 @@ const ITR_VALUES: [u32; 4] = [0, 500, 1000, 2000];
 /// rounds for steady state regardless of the CI smoke budget.
 const MIN_PACKETS: u64 = 384;
 
-fn measure(nics: usize, burst: usize, itr: u32, pkts: u64, gap: u64) -> ModeratedRx {
+fn measure(nics: usize, burst: usize, itr: u32, pkts: u64) -> ModeratedRx {
     let opts = SystemOptions {
         num_nics: nics,
         shard: ShardPolicy::FlowHash,
@@ -51,95 +51,71 @@ fn measure(nics: usize, burst: usize, itr: u32, pkts: u64, gap: u64) -> Moderate
         ..SystemOptions::default()
     };
     let mut sys = System::build_with(Config::TwinDrivers, &opts).expect("build");
-    sys.measure_rx_moderated(burst, pkts, gap)
+    sys.measure_rx_moderated(burst, pkts, GAP)
         .expect("sweep point")
 }
 
-fn json_entry(m: &ModeratedRx) -> String {
-    format!(
-        concat!(
-            "    {{\"config\": \"domU-twin\", \"nics\": {}, \"burst\": {}, \"itr\": {}, ",
-            "\"mode\": \"sync\", \"rx_cycles_per_packet\": {:.1}, \"irqs_per_packet\": {:.4}, ",
-            "\"p50_cycles\": {}, \"p99_cycles\": {}, \"rx_mbps\": {:.1}}}"
-        ),
-        m.nics,
-        m.burst,
-        m.itr,
-        m.breakdown.total(),
-        m.irqs_per_packet,
-        m.latency.p50,
-        m.latency.p99,
-        m.throughput().mbps,
-    )
+fn row(m: &ModeratedRx) -> Row {
+    Row::new()
+        .str("config", "domU-twin")
+        .int("nics", m.nics)
+        .int("burst", m.burst)
+        .int("itr", m.itr)
+        .str("mode", "sync")
+        .f1("rx_cycles_per_packet", m.breakdown.total())
+        .f4("irqs_per_packet", m.irqs_per_packet)
+        .int("p50_cycles", m.latency.p50)
+        .int("p99_cycles", m.latency.p99)
+        .f1("rx_mbps", m.throughput().mbps)
 }
 
-fn main() {
-    banner(
+fn main() -> ExitCode {
+    let pkts = packets().max(MIN_PACKETS);
+    let mut sweep = Sweep::new(
         "Moderation sweep — ITR x burst x NICs, paced arrivals",
         "repo extension (virtual-time engine); acceptance: >= 4x fewer irqs/pkt at <= 2x p99, burst 32 / 4 NICs",
-    );
-    let pkts = packets().max(MIN_PACKETS);
-    // Shared pacing knob (TWIN_BENCH_GAP_CYCLES) with the autotune
-    // sweep; the default reproduces bench/baseline_itr.json bit-exactly.
-    let gap = gap_cycles();
-    let mut entries: Vec<String> = Vec::new();
-    let mut accept: Option<(u32, f64, f64)> = None;
-    let mut monotone = true;
+    )
+    .writes("itr", Row::new().int("packets", pkts).int("gap_cycles", GAP));
+    // The acceptance row's points, in ITR order (ITR 0 first).
+    let mut headline: Vec<ModeratedRx> = Vec::new();
     for (nics, burst) in GRID {
-        println!("  domU-twin, {nics} NIC(s), burst {burst}, gap {gap} cycles:");
-        let mut base: Option<ModeratedRx> = None;
-        let mut prev_irqs = f64::INFINITY;
+        println!("  domU-twin, {nics} NIC(s), burst {burst}, gap {GAP} cycles:");
         for itr in ITR_VALUES {
-            let m = measure(nics, burst, itr, pkts, gap);
+            let m = measure(nics, burst, itr, pkts);
             println!("    {}", m.row());
+            sweep.row(row(&m));
             if (nics, burst) == (4, 32) {
-                if itr == 0 {
-                    prev_irqs = m.irqs_per_packet;
-                } else {
-                    // Allow the flat tail (equal rates), never a rise.
-                    monotone &= m.irqs_per_packet <= prev_irqs + 1e-9;
-                    prev_irqs = m.irqs_per_packet;
-                }
-                match (&base, itr) {
-                    (None, 0) => base = Some(m.clone()),
-                    (Some(b), _) if itr > 0 => {
-                        let irq_red = b.irqs_per_packet / m.irqs_per_packet.max(1e-9);
-                        let p99_ratio = m.latency.p99 as f64 / b.latency.p99.max(1) as f64;
-                        if irq_red >= 4.0 && p99_ratio <= 2.0 {
-                            let better = accept.map_or(true, |(_, r, _)| irq_red > r);
-                            if better {
-                                accept = Some((itr, irq_red, p99_ratio));
-                            }
-                        }
-                    }
-                    _ => {}
-                }
+                headline.push(m);
             }
-            entries.push(json_entry(&m));
         }
         println!();
     }
-    match accept {
-        Some((itr, irq_red, p99_ratio)) => println!(
-            "  acceptance point: itr {itr} cuts irqs/pkt {irq_red:.2}x at p99 ratio {p99_ratio:.2} (needs >= 4x at <= 2x)"
+    let base = &headline[0];
+    // (itr, irq reduction, p99 ratio) of the moderated points that meet
+    // both bounds; the acceptance point is the largest reduction.
+    let accept = headline[1..]
+        .iter()
+        .map(|m| {
+            let irq_red = base.irqs_per_packet / m.irqs_per_packet.max(1e-9);
+            let p99_ratio = m.latency.p99 as f64 / base.latency.p99.max(1) as f64;
+            (m.itr, irq_red, p99_ratio)
+        })
+        .filter(|&(_, irq_red, p99_ratio)| irq_red >= 4.0 && p99_ratio <= 2.0)
+        .reduce(|best, p| if p.1 > best.1 { p } else { best });
+    let claim = match accept {
+        Some((itr, irq_red, p99_ratio)) => format!(
+            "itr {itr} cuts irqs/pkt {irq_red:.2}x at p99 ratio {p99_ratio:.2} (acceptance >= 4x at <= 2x)"
         ),
-        None => println!("  acceptance FAILED: no ITR point reaches 4x fewer irqs/pkt within 2x p99"),
-    }
-    println!(
-        "  irqs/pkt monotone non-increasing along ITR at burst 32 / 4 NICs: {}",
-        if monotone { "yes" } else { "NO" }
+        None => "no ITR point cuts irqs/pkt >= 4x within 2x p99".to_string(),
+    };
+    sweep.require(accept.is_some(), claim);
+    // Allow the flat tail (equal rates), never a rise.
+    let monotone = headline
+        .windows(2)
+        .all(|w| w[1].irqs_per_packet <= w[0].irqs_per_packet + 1e-9);
+    sweep.require(
+        monotone,
+        "irqs/pkt non-increasing along ITR at burst 32 / 4 NICs",
     );
-
-    let json = format!(
-        "{{\n  \"packets\": {},\n  \"gap_cycles\": {},\n  \"entries\": [\n{}\n  ]\n}}\n",
-        pkts,
-        gap,
-        entries.join(",\n"),
-    );
-    // Anchor at the workspace root regardless of cargo's bench cwd.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_itr.json");
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("  wrote BENCH_itr.json ({} sweep points)", entries.len()),
-        Err(e) => eprintln!("  could not write {out}: {e}"),
-    }
+    sweep.finish()
 }

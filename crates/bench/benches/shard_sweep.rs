@@ -14,39 +14,25 @@
 //! and future PRs can track the perf trajectory against
 //! `bench/baseline.json`.
 
-use twin_bench::{banner, packets};
-use twindrivers::measure::{measure_aggregate_throughput, AggregateThroughput};
+use std::process::ExitCode;
+use twin_bench::{packets, Row, Sweep};
+use twindrivers::measure::measure_aggregate_throughput;
 use twindrivers::{Config, ShardPolicy, System};
 
 const NIC_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const BURSTS: [usize; 3] = [1, 8, 32];
 
-fn json_entry(config: Config, a: &AggregateThroughput) -> String {
-    format!(
-        concat!(
-            "    {{\"config\": \"{}\", \"nics\": {}, \"burst\": {}, ",
-            "\"tx_cycles_per_packet\": {:.1}, \"rx_cycles_per_packet\": {:.1}, ",
-            "\"tx_mbps\": {:.1}, \"rx_mbps\": {:.1}, \"aggregate_mbps\": {:.1}}}"
-        ),
-        config.label(),
-        a.nics,
-        a.burst,
-        a.tx_cycles_per_packet,
-        a.rx_cycles_per_packet,
-        a.tx.mbps,
-        a.rx.mbps,
-        a.aggregate_mbps(),
-    )
-}
-
-fn main() {
-    banner(
+fn main() -> ExitCode {
+    let pkts = packets();
+    let mut sweep = Sweep::new(
         "Shard sweep — aggregate RX+TX throughput vs NIC count",
         "repo extension (testbed §6.1); acceptance: ≥ 3x aggregate from 1 to 4 NICs at burst 32",
+    )
+    .writes(
+        "shard",
+        Row::new().int("packets", pkts).str("policy", "round-robin"),
     );
     let config = Config::TwinDrivers;
-    let pkts = packets();
-    let mut entries: Vec<String> = Vec::new();
     let mut base_agg32 = 0.0;
     let mut four_agg32 = 0.0;
     println!("  {} (round-robin burst sharding):", config.label());
@@ -62,22 +48,24 @@ fn main() {
             if burst == 32 && nics == 4 {
                 four_agg32 = a.aggregate_mbps();
             }
-            entries.push(json_entry(config, &a));
+            sweep.row(
+                Row::new()
+                    .str("config", config.label())
+                    .int("nics", a.nics)
+                    .int("burst", a.burst)
+                    .f1("tx_cycles_per_packet", a.tx_cycles_per_packet)
+                    .f1("rx_cycles_per_packet", a.rx_cycles_per_packet)
+                    .f1("tx_mbps", a.tx.mbps)
+                    .f1("rx_mbps", a.rx.mbps)
+                    .f1("aggregate_mbps", a.aggregate_mbps()),
+            );
         }
         println!();
     }
     let scaling = four_agg32 / base_agg32.max(1.0);
-    println!("  aggregate scaling 1 -> 4 NICs at burst 32: {scaling:.2}x (acceptance >= 3x)");
-
-    let json = format!(
-        "{{\n  \"packets\": {},\n  \"policy\": \"round-robin\",\n  \"entries\": [\n{}\n  ]\n}}\n",
-        pkts,
-        entries.join(",\n"),
+    sweep.require(
+        scaling >= 3.0,
+        format_args!("aggregate scaling 1 -> 4 NICs at burst 32: {scaling:.2}x (acceptance >= 3x)"),
     );
-    // Anchor at the workspace root regardless of cargo's bench cwd.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shard.json");
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("  wrote BENCH_shard.json ({} sweep points)", entries.len()),
-        Err(e) => eprintln!("  could not write {out}: {e}"),
-    }
+    sweep.finish()
 }

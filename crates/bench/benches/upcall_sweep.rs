@@ -12,7 +12,8 @@
 //! **`BENCH_upcall.json`** (workspace root) so CI's bench-regression
 //! gate can track both modes against `bench/baseline_upcall.json`.
 
-use twin_bench::{banner, packets};
+use std::process::ExitCode;
+use twin_bench::{packets, Row, Sweep};
 use twindrivers::measure::upcall_latency;
 use twindrivers::{throughput, Config, System, SystemOptions, UpcallMode, TESTBED_NICS};
 
@@ -52,24 +53,28 @@ fn measure(n: usize, mode: UpcallMode, pkts: u64) -> Point {
     }
 }
 
-fn json_entry(p: &Point) -> String {
-    format!(
-        concat!(
-            "    {{\"config\": \"domU-twin\", \"burst\": {}, \"upcalls\": {}, ",
-            "\"mode\": \"{}\", \"tx_cycles_per_packet\": {:.1}, \"tx_mbps\": {:.1}, ",
-            "\"p50_cycles\": {}, \"p99_cycles\": {}}}"
-        ),
-        BURST, p.upcalls, p.mode, p.cycles_per_packet, p.mbps, p.p50, p.p99,
-    )
+fn row(p: &Point) -> Row {
+    Row::new()
+        .str("config", "domU-twin")
+        .int("burst", BURST)
+        .int("upcalls", p.upcalls)
+        .str("mode", p.mode)
+        .f1("tx_cycles_per_packet", p.cycles_per_packet)
+        .f1("tx_mbps", p.mbps)
+        .int("p50_cycles", p.p50)
+        .int("p99_cycles", p.p99)
 }
 
-fn main() {
-    banner(
+fn main() -> ExitCode {
+    let pkts = packets();
+    let mut sweep = Sweep::new(
         "Upcall sweep — deferred vs synchronous upcalls at burst 32",
         "repo extension (Fig 10, §4.2); acceptance: >= 3x Mb/s at 4+ forced upcalls",
+    )
+    .writes(
+        "upcall",
+        Row::new().int("packets", pkts).int("burst", BURST),
     );
-    let pkts = packets();
-    let mut entries: Vec<String> = Vec::new();
     let mut worst_speedup_4plus = f64::INFINITY;
     println!(
         "  {:>7} {:>12} {:>12} {:>9} {:>12} {:>12} {:>9}",
@@ -86,23 +91,13 @@ fn main() {
             "  {:>7} {:>12.0} {:>12.0} {:>8.2}x {:>12} {:>12} {:>9}",
             n, sync.mbps, defer.mbps, speedup, defer.p50, defer.p99, defer.flushes
         );
-        entries.push(json_entry(&sync));
-        entries.push(json_entry(&defer));
+        sweep.row(row(&sync));
+        sweep.row(row(&defer));
     }
-    println!(
-        "\n  worst deferred/sync speedup at >= 4 upcalls: {worst_speedup_4plus:.2}x (acceptance >= 3x)"
+    println!();
+    sweep.require(
+        worst_speedup_4plus >= 3.0,
+        format_args!("worst deferred/sync speedup at >= 4 upcalls: {worst_speedup_4plus:.2}x (acceptance >= 3x)"),
     );
-
-    let json = format!(
-        "{{\n  \"packets\": {},\n  \"burst\": {},\n  \"entries\": [\n{}\n  ]\n}}\n",
-        pkts,
-        BURST,
-        entries.join(",\n"),
-    );
-    // Anchor at the workspace root regardless of cargo's bench cwd.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_upcall.json");
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("  wrote BENCH_upcall.json ({} sweep points)", entries.len()),
-        Err(e) => eprintln!("  could not write {out}: {e}"),
-    }
+    sweep.finish()
 }

@@ -156,10 +156,10 @@ pub mod system;
 pub use iommu::Iommu;
 pub use measure::{
     balanced_flow_set, fault_injected_source, measure_aggregate_throughput, measure_fault_recovery,
-    measure_rx_affinity, measure_rx_autotuned, measure_rx_livelock, percentile, throughput,
-    upcall_latency, AffinityPoint, AggregateThroughput, AutotunedRx, Breakdown, BurstMeasurement,
-    FaultClass, FaultPoint, LatencyStats, LivelockPoint, LoadProfile, ModeratedRx, OverloadProfile,
-    RxPhase, SampleReservoir, Throughput, CPU_HZ, TESTBED_NICS, VICTIM_FRAMES_PER_BURST,
+    measure_rx_affinity, measure_rx_autotuned, measure_rx_livelock, throughput, upcall_latency,
+    AffinityPoint, AggregateThroughput, AutotunedRx, Breakdown, BurstMeasurement, FaultClass,
+    FaultPoint, LatencyStats, LivelockPoint, LoadProfile, ModeratedRx, OverloadProfile, RxPhase,
+    Throughput, CPU_HZ, TESTBED_NICS, VICTIM_FRAMES_PER_BURST,
 };
 pub use system::{
     peer_mac, Config, RecoveryReport, SchedOptions, ShardPolicy, System, SystemError,

@@ -1,11 +1,20 @@
-//! Measurement primitives: per-packet cycle breakdowns, the
-//! cycles-to-throughput conversion used by every figure harness, and the
-//! multi-NIC aggregate-throughput sweep.
+//! Measurement: the paper's per-packet cycle breakdowns, the
+//! cycles-to-throughput conversion every figure uses, and the evaluation
+//! harnesses (`measure_*`) behind the figure benches and the gated
+//! sweeps.
+//!
+//! Every harness is the same skeleton — warm up, open a measurement
+//! `Window`, run a schedule, close the window, fill a point struct — so
+//! the skeleton exists once: `warm_rx_rings` / `warm_tx`, the `Window`,
+//! and `open_loop_schedule` for the harnesses whose arrivals do not wait
+//! for the consumer. The harnesses drive the pipeline through its entry
+//! points only; they read results and touch no pipeline state.
 
-use crate::system::{System, SystemError};
+use crate::system::{ShardPolicy, System, SystemError, MAX_BURST};
 use std::collections::BTreeMap;
 use twin_machine::{CostDomain, CycleMeter};
-use twin_net::{wire_bits, EtherType, Frame, MacAddr, MTU};
+use twin_net::{wire_bits, Frame, MacAddr, MTU};
+use twin_trace::{HistogramSummary, MetricSet};
 use twin_xen::{DomId, DomainKind, GrantStats};
 
 /// Modeled CPU frequency — the paper's 3.0 GHz Xeon.
@@ -111,17 +120,7 @@ impl LatencyStats {
     /// Computes nearest-rank percentiles over `samples` (any order).
     /// All-zero on an empty set.
     pub fn from_samples(samples: &[u64]) -> LatencyStats {
-        if samples.is_empty() {
-            return LatencyStats::default();
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable();
-        LatencyStats {
-            samples: sorted.len(),
-            p50: percentile(&sorted, 50.0),
-            p99: percentile(&sorted, 99.0),
-            max: *sorted.last().unwrap(),
-        }
+        HistogramSummary::from_samples(samples).into()
     }
 
     /// One report row.
@@ -133,18 +132,25 @@ impl LatencyStats {
     }
 }
 
+/// The registry's histogram summaries are the same nearest-rank
+/// statistics, so a window's latency is read straight off its delta.
+impl From<HistogramSummary> for LatencyStats {
+    fn from(h: HistogramSummary) -> LatencyStats {
+        LatencyStats {
+            samples: h.count as usize,
+            p50: h.p50,
+            p99: h.p99,
+            max: h.max,
+        }
+    }
+}
+
 /// Capacity of the receive-latency reservoir held by a `System`: far
 /// above any single measurement window's sample count (the sweeps
 /// measure hundreds of frames per point), so the committed sweeps and
 /// tests see exact percentiles, while an arbitrarily long paced run
 /// stays at a fixed memory footprint.
 pub const RX_LATENCY_RESERVOIR: usize = 65_536;
-
-/// The deterministic bounded reservoir and nearest-rank percentile now
-/// live in `twin_trace` (the metrics registry builds its histogram
-/// summaries from the same primitives); re-exported here so every
-/// existing consumer keeps its import path.
-pub use twin_trace::{percentile, SampleReservoir};
 
 /// Latency percentiles of every upcall completed in the current
 /// measurement window of `sys` (empty stats outside TwinDrivers or when
@@ -183,6 +189,378 @@ pub fn throughput(cpp: f64, nics: u32) -> Throughput {
             cpu_util: 1.0,
         }
     }
+}
+
+/// One measurement window. Opening resets the cycle meter and the
+/// latency reservoirs and snapshots the registry; closing reads
+/// everything a point struct needs — the per-packet [`Breakdown`], the
+/// registry change over the window, the latency percentiles — off the
+/// same two snapshots, so no harness keeps `*_before` locals.
+struct Window {
+    opened: MetricSet,
+}
+
+impl Window {
+    fn open(sys: &mut System) -> Window {
+        sys.reset_measurement();
+        Window {
+            opened: sys.metrics(),
+        }
+    }
+
+    fn close(self, sys: &System) -> Measured<'_> {
+        Measured {
+            meter: &sys.machine.meter,
+            delta: sys.metrics().delta_since(&self.opened),
+        }
+    }
+}
+
+/// What a closed [`Window`] saw.
+struct Measured<'a> {
+    meter: &'a CycleMeter,
+    /// Registry change over the window (histograms are the window's own:
+    /// the reservoirs were cleared when it opened).
+    delta: MetricSet,
+}
+
+impl Measured<'_> {
+    /// Charged cycles amortized over `packets`.
+    fn breakdown(&self, packets: u64) -> Breakdown {
+        Breakdown::from_meter(self.meter, packets)
+    }
+
+    /// Count of one named meter event over the window.
+    fn event(&self, name: &str) -> u64 {
+        self.meter.event(name)
+    }
+
+    fn per_packet(&self, event: &str, packets: u64) -> f64 {
+        self.event(event) as f64 / packets.max(1) as f64
+    }
+
+    fn burst(&self, burst: usize, packets: u64) -> BurstMeasurement {
+        BurstMeasurement {
+            burst,
+            breakdown: self.breakdown(packets),
+            irqs_per_packet: self.per_packet("irq", packets),
+            doorbells_per_packet: self.per_packet("doorbell", packets),
+        }
+    }
+
+    /// Arrival-to-delivery latency of the frames completed in the
+    /// window.
+    fn latency(&self) -> LatencyStats {
+        self.delta.histogram("rx_latency").into()
+    }
+
+    /// One guest's `guest{g}.{field}` counter change.
+    fn guest(&self, g: DomId, field: &str) -> u64 {
+        self.delta.counter(&format!("guest{}.{field}", g.0))
+    }
+
+    /// Sum of `{prefix}{n}.{field}` over every `n` (all guests' drops,
+    /// all NICs' missed frames).
+    fn total(&self, prefix: &str, field: &str) -> u64 {
+        indexed(&self.delta, prefix, field).map(|(_, v)| v).sum()
+    }
+
+    /// Worst per-guest p99 arrival-to-delivery latency among `guests`
+    /// (needs [`System::track_guest_latency`]).
+    fn worst_p99(&self, guests: impl Iterator<Item = DomId>) -> u64 {
+        guests
+            .map(|g| {
+                self.delta
+                    .histogram(&format!("rx_latency.guest{}", g.0))
+                    .p99
+            })
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// `(n, value)` of every counter named `{prefix}{n}.{field}`.
+fn indexed<'a>(
+    set: &'a MetricSet,
+    prefix: &'a str,
+    field: &'a str,
+) -> impl Iterator<Item = (u32, u64)> + 'a {
+    set.counters_with_prefix(prefix)
+        .filter_map(move |(key, v)| {
+            let (n, f) = key[prefix.len()..].split_once('.')?;
+            (f == field).then_some((n.parse().ok()?, v))
+        })
+}
+
+/// Closed-loop receive warm-up: more than one full RX-ring cycle (128
+/// descriptors) per NIC, because each ring's initial dom0-pool buffers
+/// are gradually replaced by hypervisor-reserved ones and steady state
+/// begins only after the swap completes.
+fn warm_rx_rings(sys: &mut System) -> Result<(), SystemError> {
+    for _ in 0..160 * sys.nic_count() {
+        sys.receive_one()?;
+    }
+    Ok(())
+}
+
+/// Transmit warm-up: fills the stlb and pools of every NIC (the
+/// round-robin rotation spreads the packets across all devices).
+fn warm_tx(sys: &mut System) -> Result<(), SystemError> {
+    for _ in 0..32 * sys.nic_count() {
+        sys.transmit_one()?;
+    }
+    sys.take_wire_frames();
+    Ok(())
+}
+
+/// The widest per-device `ITR` setting. The sweeps program a uniform
+/// value; with heterogeneous ones a point is labeled by the device that
+/// dominates the latency tail.
+fn widest_itr(sys: &System) -> u32 {
+    sys.world
+        .nics
+        .iter()
+        .map(twin_nic::Nic::itr)
+        .max()
+        .unwrap_or(0)
+}
+
+/// Source MAC of the open-loop harnesses' traffic.
+const OPEN_LOOP_SRC: MacAddr = MacAddr([0x02, 0, 0, 0, 0, 0xee]);
+
+/// First sequence number of the open-loop harnesses' traffic — clear of
+/// every closed-loop generator, so `(flow, seq)` keys stay unique.
+const OPEN_LOOP_SEQ0: u64 = 1_000_000;
+
+/// Runs one **open-loop** arrival schedule: `bursts` bursts land
+/// `gap_cycles` apart starting now, whether or not the consumer kept up.
+/// The consumer gets exactly the gap before each arrival
+/// ([`System::rx_open_loop_service`]); the arrival itself charges only
+/// what hardware forces at that instant
+/// ([`System::rx_open_loop_arrival`]). The last burst gets one more gap
+/// of service, then the schedule closes. Returns the frames offered.
+fn open_loop_schedule(
+    sys: &mut System,
+    bursts: u64,
+    gap_cycles: u64,
+    mut next_burst: impl FnMut() -> Vec<Frame>,
+) -> Result<u64, SystemError> {
+    let t0 = sys.now_cycles();
+    let mut offered = 0u64;
+    for i in 0..bursts {
+        let arrival = t0 + i * gap_cycles;
+        sys.rx_open_loop_service(arrival)?;
+        let frames = next_burst();
+        offered += frames.len() as u64;
+        sys.rx_open_loop_arrival(&frames, arrival)?;
+    }
+    sys.rx_open_loop_service(t0 + bursts * gap_cycles)?;
+    Ok(offered)
+}
+
+impl System {
+    /// Measures the per-packet cycle breakdown for `packets` transmits
+    /// along the exact per-packet path, after a warm-up that fills the
+    /// stlb and pools.
+    ///
+    /// # Errors
+    ///
+    /// Propagates per-packet errors.
+    pub fn measure_tx(&mut self, packets: u64) -> Result<Breakdown, SystemError> {
+        warm_tx(self)?;
+        let window = Window::open(self);
+        for _ in 0..packets {
+            self.transmit_one()?;
+        }
+        Ok(window.close(self).breakdown(packets))
+    }
+
+    /// Measures the per-packet cycle breakdown for `packets` receives,
+    /// after a warm-up of more than one full RX-ring cycle per NIC.
+    ///
+    /// # Errors
+    ///
+    /// Propagates per-packet errors.
+    pub fn measure_rx(&mut self, packets: u64) -> Result<Breakdown, SystemError> {
+        warm_rx_rings(self)?;
+        let window = Window::open(self);
+        for _ in 0..packets {
+            self.receive_one()?;
+        }
+        Ok(window.close(self).breakdown(packets))
+    }
+
+    /// Measures amortized transmit cost at a fixed burst size: at least
+    /// `packets` packets move in bursts of `burst`, and the breakdown
+    /// divides total cycles by the packets actually sent.
+    ///
+    /// # Errors
+    ///
+    /// Propagates per-burst errors; [`SystemError::Build`] if the ring
+    /// stops accepting packets entirely.
+    pub fn measure_tx_burst(
+        &mut self,
+        burst: usize,
+        packets: u64,
+    ) -> Result<BurstMeasurement, SystemError> {
+        let burst = burst.clamp(1, MAX_BURST);
+        warm_tx(self)?;
+        let window = Window::open(self);
+        let mut sent = 0u64;
+        while sent < packets {
+            let n = burst.min((packets - sent) as usize);
+            let accepted = self.transmit_burst(n)?;
+            if accepted == 0 {
+                return Err(SystemError::Build("transmit ring wedged".into()));
+            }
+            sent += accepted as u64;
+        }
+        Ok(window.close(self).burst(burst, sent))
+    }
+
+    /// Measures amortized receive cost at a fixed burst size (see
+    /// [`System::measure_tx_burst`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates per-burst errors.
+    pub fn measure_rx_burst(
+        &mut self,
+        burst: usize,
+        packets: u64,
+    ) -> Result<BurstMeasurement, SystemError> {
+        let burst = burst.clamp(1, MAX_BURST);
+        warm_rx_rings(self)?;
+        let window = Window::open(self);
+        let mut got = 0u64;
+        while got < packets {
+            let n = burst.min((packets - got) as usize);
+            let frames: Vec<Frame> = (0..n).map(|_| self.next_rx_frame()).collect();
+            got += self.receive_burst(&frames)? as u64;
+        }
+        Ok(window.close(self).burst(burst, got))
+    }
+
+    /// Measures the receive path under interrupt moderation with a
+    /// paced arrival process: bursts of `burst` frames are scheduled
+    /// `gap_cycles` of virtual time apart (wire pacing), frames are
+    /// stamped with their *scheduled* arrival, and the ITR timer decides
+    /// when each device's latched work is reaped; the window ends once
+    /// every moderated delivery has drained, so all injected frames
+    /// complete. Reports amortized cycles/packet, interrupts/packet and
+    /// arrival-to-delivery latency percentiles — the latency/throughput
+    /// trade-off the moderation sweep plots.
+    ///
+    /// With ITR 0 every burst is reaped on arrival (the PR 3 behaviour);
+    /// when the offered load outruns the unmoderated per-interrupt cost,
+    /// the backlog shows up as completion latency — the receive-livelock
+    /// regime interrupt moderation exists to fix.
+    ///
+    /// # Errors
+    ///
+    /// Propagates per-burst errors.
+    pub fn measure_rx_moderated(
+        &mut self,
+        burst: usize,
+        packets: u64,
+        gap_cycles: u64,
+    ) -> Result<ModeratedRx, SystemError> {
+        let burst = burst.clamp(1, MAX_BURST);
+        warm_rx_rings(self)?;
+        self.drain_moderated()?;
+        let window = Window::open(self);
+        let injected = paced_rx_inject(self, burst, packets, gap_cycles, &[])?;
+        self.drain_moderated()?;
+        let m = window.close(self);
+        Ok(ModeratedRx {
+            nics: self.nic_count() as u32,
+            burst,
+            itr: widest_itr(self),
+            gap_cycles,
+            packets: injected,
+            breakdown: m.breakdown(injected),
+            irqs_per_packet: m.per_packet("irq", injected),
+            moderated_irqs: m.event("irq_moderated"),
+            latency: m.latency(),
+        })
+    }
+}
+
+/// Paced closed-loop injection of `packets` frames in bursts of
+/// `burst`, scheduled `gap_cycles` apart starting now, each stamped with
+/// its scheduled wire-arrival time. No closing drain: the callers
+/// separate injection from draining so a phase's settle span flows
+/// straight into its measured span. A non-empty `flows` swaps the
+/// classic generator's flow ids for that set, round-robin by sequence
+/// number (which still comes from the shared counter, so `(flow, seq)`
+/// keys stay unique).
+fn paced_rx_inject(
+    sys: &mut System,
+    burst: usize,
+    packets: u64,
+    gap_cycles: u64,
+    flows: &[u32],
+) -> Result<u64, SystemError> {
+    let t0 = sys.now_cycles();
+    let mut injected = 0u64;
+    let mut round = 0u64;
+    while injected < packets {
+        let n = burst.min((packets - injected) as usize);
+        let target = t0 + round * gap_cycles;
+        let now = sys.now_cycles();
+        if now < target {
+            sys.run_idle(target - now)?;
+        }
+        let frames: Vec<Frame> = (0..n)
+            .map(|_| {
+                let mut f = sys.next_rx_frame();
+                if !flows.is_empty() {
+                    f.flow = flows[(f.seq % flows.len() as u64) as usize];
+                }
+                f
+            })
+            .collect();
+        injected += sys.receive_burst_arriving(&frames, Some(target))? as u64;
+        round += 1;
+    }
+    Ok(injected)
+}
+
+/// One phase of a shifting-load paced receive run: `settle_packets`
+/// frames paced at the new gap let a retuning system adapt (unmeasured —
+/// the per-phase analogue of every harness's warm-up), then the settle
+/// tail drains, the window opens, and `packets` frames are measured on a
+/// fresh schedule ending with its own drain — the regime
+/// [`System::measure_rx_moderated`] measures, so per-phase points are
+/// comparable with the static moderation sweep's. The drains are
+/// event-tight ([`System::drain_moderated_tight`]) so no artificial
+/// trailing idle leaks into a closed-loop tuner's load signal at the
+/// measure boundary. Traffic uses the device-balanced flow set
+/// ([`balanced_flow_set`], two flows per device).
+fn paced_rx_phase(
+    sys: &mut System,
+    burst: usize,
+    settle_packets: u64,
+    packets: u64,
+    gap_cycles: u64,
+) -> Result<RxPhase, SystemError> {
+    let burst = burst.clamp(1, MAX_BURST);
+    let flows = balanced_flow_set(sys.nic_count() as u32, 2);
+    paced_rx_inject(sys, burst, settle_packets, gap_cycles, &flows)?;
+    sys.drain_moderated_tight()?;
+    let window = Window::open(sys);
+    let measured = paced_rx_inject(sys, burst, packets, gap_cycles, &flows)?;
+    sys.drain_moderated_tight()?;
+    let m = window.close(sys);
+    Ok(RxPhase {
+        gap_cycles,
+        packets: measured,
+        breakdown: m.breakdown(measured),
+        irqs_per_packet: m.per_packet("irq", measured),
+        latency: m.latency(),
+        retunes: m.event("itr_retune"),
+        itr_end: widest_itr(sys),
+    })
 }
 
 /// One point of the multi-NIC shard sweep: amortized per-packet cost and
@@ -412,23 +790,14 @@ pub fn measure_rx_autotuned(
     settle_packets: u64,
     packets_per_phase: u64,
 ) -> Result<AutotunedRx, SystemError> {
-    let static_itr = sys
-        .world
-        .nics
-        .iter()
-        .map(twin_nic::Nic::itr)
-        .max()
-        .unwrap_or(0);
-    // Per-NIC steady state needs a full ring cycle of buffer swaps —
-    // the same warm-up as the moderated harness.
-    for _ in 0..160 * sys.nic_count() {
-        sys.receive_one()?;
-    }
+    let static_itr = widest_itr(sys);
+    warm_rx_rings(sys)?;
     sys.drain_moderated()?;
-    let mut phases = Vec::new();
-    for gap in profile.gaps(heavy_gap_cycles) {
-        phases.push(sys.paced_rx_phase(burst, settle_packets, packets_per_phase, gap)?);
-    }
+    let phases = profile
+        .gaps(heavy_gap_cycles)
+        .into_iter()
+        .map(|gap| paced_rx_phase(sys, burst, settle_packets, packets_per_phase, gap))
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(AutotunedRx {
         nics: sys.nic_count() as u32,
         burst,
@@ -561,14 +930,7 @@ fn overload_burst(
     let flood_frames = total.saturating_sub(victim_total);
     let mut out = Vec::with_capacity(victim_total + flood_frames);
     let mut push = |dst: MacAddr, flow: u32, seq: &mut u64| {
-        out.push(Frame {
-            dst,
-            src: MacAddr([0x02, 0, 0, 0, 0, 0xee]),
-            ethertype: EtherType::Ipv4,
-            payload_len: MTU,
-            flow,
-            seq: *seq,
-        });
+        out.push(Frame::data(dst, OPEN_LOOP_SRC, flow, *seq));
         *seq += 1;
     };
     // Victims first in the burst: under overload the tail of a burst is
@@ -624,77 +986,30 @@ pub fn measure_rx_livelock(
     gap_cycles: u64,
 ) -> Result<LivelockPoint, SystemError> {
     let flood_gid = sys.guest.expect("livelock harness needs a guest");
-    let (flood, victims) = {
-        let xen = sys.world.xen.as_ref().expect("livelock harness needs xen");
-        let mut flood = None;
-        let mut victims = Vec::new();
-        for d in &xen.domains {
-            if d.kind != DomainKind::Guest {
-                continue;
-            }
-            if d.id == flood_gid {
-                flood = Some((d.id, d.mac));
-            } else {
-                victims.push((d.id, d.mac));
-            }
-        }
-        (flood.expect("primary guest present"), victims)
-    };
+    let xen = sys.world.xen.as_ref().expect("livelock harness needs xen");
+    let guests = xen.domains.iter().filter(|d| d.kind == DomainKind::Guest);
+    let (flood, victims): (Vec<_>, Vec<_>) = guests
+        .map(|d| (d.id, d.mac))
+        .partition(|g| g.0 == flood_gid);
+    let flood = *flood.first().expect("primary guest present");
     sys.track_guest_latency();
-    // Closed-loop warm-up: fill every ring's buffer-swap cycle.
-    for _ in 0..160 * sys.nic_count() {
-        sys.receive_one()?;
-    }
+    warm_rx_rings(sys)?;
     sys.drain_moderated()?;
-    let delivered_before: u64 = std::iter::once(flood.0)
-        .chain(victims.iter().map(|v| v.0))
-        .map(|g| sys.delivered_rx_for(g) as u64)
-        .sum();
-    let victim_delivered_before: u64 = victims
-        .iter()
-        .map(|v| sys.delivered_rx_for(v.0) as u64)
-        .sum();
-    let early_before = sys.rx_early_drops();
-    let queue_before = sys.rx_queue_drops();
-    let ring_before = sys.rx_ring_drops();
-    sys.reset_measurement();
-    let mut seq = 1_000_000u64; // clear of every closed-loop generator
-    let t0 = sys.now_cycles();
-    let mut offered = 0u64;
-    for i in 0..bursts {
-        let arrival = t0 + i * gap_cycles;
-        // The consumer gets exactly the gap before this arrival.
-        sys.rx_open_loop_service(arrival)?;
-        let frames = overload_burst(profile, offered_x10, burst_base, flood, &victims, &mut seq);
-        offered += frames.len() as u64;
-        sys.rx_open_loop_arrival(&frames, arrival)?;
-    }
-    // The last burst gets exactly one gap of service, then the window
-    // closes. Backlog still queued (or stranded in a masked ring) at
-    // window close is NOT goodput — an open-loop source never stops, so
-    // frames the consumer couldn't deliver inside the schedule are lost
-    // throughput, not work in flight. Counting a tail drain would let a
-    // livelocked system launder its backlog into goodput.
-    let end_sched = t0 + bursts * gap_cycles;
-    sys.rx_open_loop_service(end_sched)?;
-    let delivered: u64 = std::iter::once(flood.0)
-        .chain(victims.iter().map(|v| v.0))
-        .map(|g| sys.delivered_rx_for(g) as u64)
-        .sum::<u64>()
-        - delivered_before;
-    let victim_delivered: u64 = victims
-        .iter()
-        .map(|v| sys.delivered_rx_for(v.0) as u64)
-        .sum::<u64>()
-        - victim_delivered_before;
+    let window = Window::open(sys);
+    let mut seq = OPEN_LOOP_SEQ0;
+    // The window closes with the schedule. Backlog still queued (or
+    // stranded in a masked ring) at that point is NOT goodput — an
+    // open-loop source never stops, so frames the consumer couldn't
+    // deliver inside the schedule are lost throughput, not work in
+    // flight. Counting a tail drain would let a livelocked system
+    // launder its backlog into goodput.
+    let offered = open_loop_schedule(sys, bursts, gap_cycles, || {
+        overload_burst(profile, offered_x10, burst_base, flood, &victims, &mut seq)
+    })?;
+    let m = window.close(sys);
+    let victim_delivered: u64 = victims.iter().map(|v| m.guest(v.0, "delivered")).sum();
+    let delivered = m.guest(flood.0, "delivered") + victim_delivered;
     let span = bursts * gap_cycles;
-    let goodput_mbps = delivered as f64 * wire_bits(MTU) as f64 / (span as f64 / CPU_HZ) / 1e6;
-    let breakdown = Breakdown::from_meter(&sys.machine.meter, delivered.max(1));
-    let victim_p99 = victims
-        .iter()
-        .map(|v| LatencyStats::from_samples(sys.guest_rx_latency(v.0)).p99)
-        .max()
-        .unwrap_or(0);
     // Flight-recorder export: a no-op unless TWIN_TRACE_OUT names a
     // directory (and empty unless the system was built with tracing).
     sys.export_trace(&format!("livelock_{}_{offered_x10}", profile.label()));
@@ -705,15 +1020,15 @@ pub fn measure_rx_livelock(
         offered_x10,
         frames_offered: offered,
         frames_delivered: delivered,
-        goodput_mbps,
-        rx_cycles_per_packet: breakdown.total(),
-        early_drops: sys.rx_early_drops() - early_before,
-        queue_drops: sys.rx_queue_drops() - queue_before,
-        ring_drops: sys.rx_ring_drops() - ring_before,
-        irqs: breakdown.events.get("irq").copied().unwrap_or(0),
-        polls: breakdown.events.get("napi_poll").copied().unwrap_or(0),
+        goodput_mbps: delivered as f64 * wire_bits(MTU) as f64 / (span as f64 / CPU_HZ) / 1e6,
+        rx_cycles_per_packet: m.breakdown(delivered.max(1)).total(),
+        early_drops: m.total("guest", "early_drops"),
+        queue_drops: m.total("guest", "queue_drops"),
+        ring_drops: m.total("nic", "rx_missed"),
+        irqs: m.event("irq"),
+        polls: m.event("napi_poll"),
         victim_delivered,
-        victim_p99,
+        victim_p99: m.worst_p99(victims.iter().map(|v| v.0)),
     })
 }
 
@@ -788,21 +1103,15 @@ impl AffinityPoint {
 /// delivered log — the order-preservation check the affinity
 /// acceptance gates on.
 fn rx_reorders(sys: &System) -> u64 {
-    let Some(xen) = sys.world.xen.as_ref() else {
-        return 0;
-    };
-    let mut reorders = 0u64;
-    for d in &xen.domains {
-        let mut last: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
-        for f in &d.rx_delivered {
-            if let Some(prev) = last.insert(f.flow, f.seq) {
-                if f.seq <= prev {
-                    reorders += 1;
-                }
-            }
-        }
-    }
-    reorders
+    let domains = sys.world.xen.iter().flat_map(|x| &x.domains);
+    domains
+        .map(|d| {
+            let mut last = BTreeMap::new();
+            let inverted =
+                |f: &&Frame| last.insert(f.flow, f.seq).is_some_and(|prev| f.seq <= prev);
+            d.rx_delivered.iter().filter(inverted).count() as u64
+        })
+        .sum()
 }
 
 /// Runs one **open-loop** scheduler-affinity point: `bursts` arrival
@@ -817,7 +1126,7 @@ fn rx_reorders(sys: &System) -> u64 {
 /// delivered packet is an apples-to-apples comparison and sleep
 /// deferral shows up in latency, not in lost goodput.
 ///
-/// The system must be built with [`SystemOptions::sched`] when `vcpus`
+/// The system must be built with [`crate::SystemOptions::sched`] when `vcpus`
 /// is non-empty. `policy` and `duty_pct` are reporting labels.
 ///
 /// # Errors
@@ -838,79 +1147,43 @@ pub fn measure_rx_affinity(
     // Closed-loop warm-up before any vCPU exists: every ring completes
     // its buffer-swap cycle with all guests running, identically for
     // every policy/duty combination.
-    for _ in 0..160 * sys.nic_count() {
-        sys.receive_one()?;
-    }
+    warm_rx_rings(sys)?;
     sys.drain_moderated()?;
     for &(gid, cpu, run, sleep) in vcpus {
         sys.sched_add_vcpu(gid, cpu, run, sleep)?;
     }
     sys.track_guest_latency();
-    let placements_before = sys.metrics().counter("sched.placements");
-    let migrations_before = sys.metrics().counter("sched.migrations");
-    let delivered_before: u64 = traffic
-        .iter()
-        .map(|t| sys.delivered_rx_for(t.0) as u64)
-        .sum();
-    let early_before = sys.rx_early_drops();
-    let queue_before = sys.rx_queue_drops();
-    let ring_before = sys.rx_ring_drops();
-    sys.reset_measurement();
-    let mut seq = 1_000_000u64; // clear of every closed-loop generator
-    let t0 = sys.now_cycles();
-    let mut offered = 0u64;
-    for i in 0..bursts {
-        let arrival = t0 + i * gap_cycles;
-        sys.rx_open_loop_service(arrival)?;
-        let frames: Vec<Frame> = (0..burst)
+    let window = Window::open(sys);
+    let mut seq = OPEN_LOOP_SEQ0;
+    let offered = open_loop_schedule(sys, bursts, gap_cycles, || {
+        (0..burst)
             .map(|j| {
                 let (_, mac, flow) = traffic[j % traffic.len()];
-                let f = Frame {
-                    dst: mac,
-                    src: MacAddr([0x02, 0, 0, 0, 0, 0xee]),
-                    ethertype: EtherType::Ipv4,
-                    payload_len: MTU,
-                    flow,
-                    seq,
-                };
                 seq += 1;
-                f
+                Frame::data(mac, OPEN_LOOP_SRC, flow, seq - 1)
             })
-            .collect();
-        offered += frames.len() as u64;
-        sys.rx_open_loop_arrival(&frames, arrival)?;
-    }
-    sys.rx_open_loop_service(t0 + bursts * gap_cycles)?;
+            .collect()
+    })?;
     // Drain the deferred backlog: sleeping guests' frames deliver at
     // their wakeup edges. Unlike the livelock sweep this tail counts —
     // the question is delivery cost, not overload goodput, and both
     // policies deliver the same frames.
-    let mut guard = 0u32;
-    while sys
-        .world
-        .xen
-        .as_ref()
-        .is_some_and(|x| x.domains.iter().any(|d| !d.rx_queue.is_empty()))
-    {
+    let backlogged = |sys: &System| {
+        let mut domains = sys.world.xen.iter().flat_map(|x| &x.domains);
+        domains.any(|d| !d.rx_queue.is_empty())
+    };
+    for _ in 0..10_000 {
+        if !backlogged(sys) {
+            break;
+        }
         let now = sys.now_cycles();
         sys.rx_open_loop_service(now + 100_000)?;
-        guard += 1;
-        if guard > 10_000 {
-            return Err(SystemError::Build("affinity drain did not converge".into()));
-        }
     }
-    let delivered: u64 = traffic
-        .iter()
-        .map(|t| sys.delivered_rx_for(t.0) as u64)
-        .sum::<u64>()
-        - delivered_before;
-    let breakdown = Breakdown::from_meter(&sys.machine.meter, delivered.max(1));
-    let victim_p99 = traffic
-        .iter()
-        .map(|t| LatencyStats::from_samples(sys.guest_rx_latency(t.0)).p99)
-        .max()
-        .unwrap_or(0);
-    let ms = sys.metrics();
+    if backlogged(sys) {
+        return Err(SystemError::Build("affinity drain did not converge".into()));
+    }
+    let m = window.close(sys);
+    let delivered: u64 = traffic.iter().map(|t| m.guest(t.0, "delivered")).sum();
     sys.export_trace(&format!("affinity_{policy}_{duty_pct}"));
     Ok(AffinityPoint {
         nics: sys.nic_count() as u32,
@@ -919,16 +1192,16 @@ pub fn measure_rx_affinity(
         duty_pct,
         frames_offered: offered,
         frames_delivered: delivered,
-        rx_cycles_per_packet: breakdown.total(),
-        cold_deliveries: breakdown.events.get("cold_delivery").copied().unwrap_or(0),
-        placements: ms.counter("sched.placements") - placements_before,
-        migrations: ms.counter("sched.migrations") - migrations_before,
-        wakes: breakdown.events.get("vcpu_run").copied().unwrap_or(0),
-        early_drops: sys.rx_early_drops() - early_before,
-        queue_drops: sys.rx_queue_drops() - queue_before,
-        ring_drops: sys.rx_ring_drops() - ring_before,
+        rx_cycles_per_packet: m.breakdown(delivered.max(1)).total(),
+        cold_deliveries: m.event("cold_delivery"),
+        placements: m.delta.counter("sched.placements"),
+        migrations: m.delta.counter("sched.migrations"),
+        wakes: m.event("vcpu_run"),
+        early_drops: m.total("guest", "early_drops"),
+        queue_drops: m.total("guest", "queue_drops"),
+        ring_drops: m.total("nic", "rx_missed"),
         reorders: rx_reorders(sys),
-        victim_p99,
+        victim_p99: m.worst_p99(traffic.iter().map(|t| t.0)),
     })
 }
 
@@ -956,15 +1229,11 @@ pub fn measure_aggregate_throughput(
     packets: u64,
 ) -> Result<AggregateThroughput, SystemError> {
     let nics = sys.nic_count() as u32;
-    // Everything this report derives — active links, grant traffic,
-    // early drops — now comes from [`System::metrics`] registry deltas
-    // rather than reaching into each stats struct. All counters are
-    // integers, so the deltas are bit-exact with the old per-struct
-    // bookkeeping.
-    let links = |d: &twin_trace::MetricSet, dir: &str| -> u32 {
-        (0..nics)
-            .filter(|i| d.counter(&format!("nic{i}.{dir}_packets")) > 0)
-            .count() as u32
+    // Active links, grant traffic and early drops all come from
+    // [`System::metrics`] registry deltas; the grant span deliberately
+    // includes both directions' warm-ups.
+    let links = |d: &MetricSet, field: &str| -> u32 {
+        indexed(d, "nic", field).filter(|&(_, n)| n > 0).count() as u32
     };
 
     let m0 = sys.metrics();
@@ -973,8 +1242,8 @@ pub fn measure_aggregate_throughput(
     let rx = sys.measure_rx_burst(burst, packets)?;
     let m2 = sys.metrics();
 
-    let tx_links = links(&m1.delta_since(&m0), "tx");
-    let rx_links = links(&m2.delta_since(&m1), "rx");
+    let tx_links = links(&m1.delta_since(&m0), "tx_packets");
+    let rx_links = links(&m2.delta_since(&m1), "rx_packets");
 
     let span = m2.delta_since(&m0);
     let mut grants = GrantStats {
@@ -983,32 +1252,20 @@ pub fn measure_aggregate_throughput(
         copies: span.counter("grant.copies"),
         ..GrantStats::default()
     };
-    for (key, n) in span.counters_with_prefix("grant.dev") {
-        let Some((dev, field)) = key["grant.dev".len()..].split_once('.') else {
-            continue;
-        };
-        let Ok(dev) = dev.parse::<u32>() else {
-            continue;
-        };
-        let slot = grants.per_device.entry(dev).or_default();
-        match field {
-            "maps" => slot.maps = n,
-            "unmaps" => slot.unmaps = n,
-            "copies" => slot.copies = n,
-            _ => {}
-        }
+    for (dev, n) in indexed(&span, "grant.dev", "maps") {
+        grants.per_device.entry(dev).or_default().maps = n;
+    }
+    for (dev, n) in indexed(&span, "grant.dev", "unmaps") {
+        grants.per_device.entry(dev).or_default().unmaps = n;
+    }
+    for (dev, n) in indexed(&span, "grant.dev", "copies") {
+        grants.per_device.entry(dev).or_default().copies = n;
     }
     grants
         .per_device
         .retain(|_, d| d.maps + d.unmaps + d.copies > 0);
-
-    let early_drops: BTreeMap<u32, u64> = span
-        .counters_with_prefix("guest")
-        .filter_map(|(key, n)| {
-            let (g, field) = key["guest".len()..].split_once('.')?;
-            (field == "early_drops" && n > 0).then(|| (g.parse::<u32>().ok(), n))
-        })
-        .filter_map(|(g, n)| Some((g?, n)))
+    let early_drops = indexed(&span, "guest", "early_drops")
+        .filter(|&(_, n)| n > 0)
         .collect();
 
     let tx_cpp = tx.breakdown.total();
@@ -1222,7 +1479,7 @@ pub fn balanced_flow_set(num_nics: u32, flows_per_nic: usize) -> Vec<u32> {
     let mut out = Vec::with_capacity(n as usize * flows_per_nic);
     let mut flow = System::BALANCED_FLOW_BASE;
     while out.len() < n as usize * flows_per_nic {
-        let dev = (flow.wrapping_mul(2_654_435_761) >> 16) % n;
+        let dev = ShardPolicy::flow_hash_dev(flow, n);
         if per_dev[dev as usize] < flows_per_nic {
             per_dev[dev as usize] += 1;
             out.push(flow);
@@ -1232,13 +1489,11 @@ pub fn balanced_flow_set(num_nics: u32, flows_per_nic: usize) -> Vec<u32> {
     out
 }
 
-/// Picks a flow id that [`ShardPolicy::FlowHash`] maps to `dev` (the
-/// same multiplicative hash, mirrored), distinct per `salt` so repeated
-/// windows can use fresh sequence spaces without colliding flows.
-fn flow_for_dev(dev: u32, nics: u32, salt: u32) -> u32 {
-    (0u32..)
-        .map(|i| 0x5000 + salt * 1009 + i)
-        .find(|f| (f.wrapping_mul(2_654_435_761) >> 16) % nics.max(1) == dev)
+/// The first flow id from `0x5000` up that [`ShardPolicy::FlowHash`]
+/// maps to `dev`.
+fn flow_for_dev(dev: u32, nics: u32) -> u32 {
+    (0x5000u32..)
+        .find(|&f| ShardPolicy::flow_hash_dev(f, nics) == dev)
         .expect("some flow hashes to every device")
 }
 
@@ -1272,73 +1527,67 @@ pub fn measure_fault_recovery(
 ) -> Result<FaultPoint, SystemError> {
     let nics = sys.nic_count() as u32;
     let mut seqs: Vec<u64> = vec![0; nics as usize];
-    let frames_for = |d: u32, burst: usize, seqs: &mut Vec<u64>| -> Vec<Frame> {
-        let flow = flow_for_dev(d, nics, 0);
+    let mut frames_for = |d: u32| -> Vec<Frame> {
+        let flow = flow_for_dev(d, nics);
+        let seq = &mut seqs[d as usize];
         (0..burst)
             .map(|_| {
-                let seq = seqs[d as usize];
-                seqs[d as usize] += 1;
-                Frame {
-                    dst: MacAddr::for_guest(1),
-                    src: MacAddr([0x02, 0, 0, 0, 0, 0xfa]),
-                    ethertype: EtherType::Ipv4,
-                    payload_len: MTU,
+                *seq += 1;
+                Frame::data(
+                    MacAddr::for_guest(1),
+                    MacAddr([0x02, 0, 0, 0, 0, 0xfa]),
                     flow,
-                    seq,
-                }
+                    *seq - 1,
+                )
             })
             .collect()
+    };
+    // One round: a burst per device, identical on both systems. An
+    // armed round arms the one-shot payload just before the target's
+    // burst — it fires on the target's next invocation only, sibling
+    // invocations sail past it — and returns the frames that died with
+    // the aborted invocation (the whole burst: the bounded per-episode
+    // loss). The control runs the same schedule and is never armed.
+    let mut round = |sys: &mut System, control: &mut System, armed: bool| {
+        let mut lost = 0u64;
+        for d in 0..nics {
+            let frames = frames_for(d);
+            control.receive_burst(&frames)?;
+            if !(armed && d == dev) {
+                sys.receive_burst(&frames)?;
+                continue;
+            }
+            sys.arm_driver_fault(class.arm_value(dev))?;
+            match sys.receive_burst(&frames) {
+                Err(SystemError::DriverAborted(_)) => lost += frames.len() as u64,
+                Ok(_) => {
+                    return Err(SystemError::Build(format!(
+                        "armed {class} fault never triggered on dev {dev}"
+                    )))
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(lost)
     };
     // Closed-loop warm-up: fill every ring's buffer-swap cycle on both
     // systems so the measured windows see steady state.
     for _ in 0..4 {
-        for d in 0..nics {
-            let frames = frames_for(d, burst, &mut seqs);
-            sys.receive_burst(&frames)?;
-            control.receive_burst(&frames)?;
-        }
+        round(sys, control, false)?;
     }
-
     let m0f = sys.metrics();
     for _ in 0..rounds {
-        for d in 0..nics {
-            let frames = frames_for(d, burst, &mut seqs);
-            sys.receive_burst(&frames)?;
-            control.receive_burst(&frames)?;
-        }
+        round(sys, control, false)?;
     }
     let (m1f, m1c) = (sys.metrics(), control.metrics());
 
-    // Fault episodes: arm, run one round (the target burst dies inside
-    // the driver — whole burst counted lost, the bounded per-episode
-    // loss), then one recovery round (the target's next invocation
-    // finds the device quarantined, resets it, and serves). The control
-    // runs the identical schedule unarmed.
+    // Fault episodes: one armed round, then one recovery round (the
+    // target's next invocation finds the device quarantined, resets it,
+    // and serves).
     let mut lost = 0u64;
     for _ in 0..episodes {
-        for round in 0..2 {
-            for d in 0..nics {
-                let frames = frames_for(d, burst, &mut seqs);
-                control.receive_burst(&frames)?;
-                if round == 0 && d == dev {
-                    // Device-conditional arming: the one-shot payload
-                    // fires on the target's next invocation only;
-                    // sibling invocations sail past it.
-                    sys.arm_driver_fault(class.arm_value(dev))?;
-                    match sys.receive_burst(&frames) {
-                        Err(SystemError::DriverAborted(_)) => lost += frames.len() as u64,
-                        Ok(_) => {
-                            return Err(SystemError::Build(format!(
-                                "armed {class} fault never triggered on dev {dev}"
-                            )))
-                        }
-                        Err(e) => return Err(e),
-                    }
-                } else {
-                    sys.receive_burst(&frames)?;
-                }
-            }
-        }
+        lost += round(sys, control, true)?;
+        round(sys, control, false)?;
     }
     let m2f = sys.metrics();
     if sys.recovery_log().len() != episodes as usize {
@@ -1349,27 +1598,18 @@ pub fn measure_fault_recovery(
     }
 
     for _ in 0..rounds {
-        for d in 0..nics {
-            let frames = frames_for(d, burst, &mut seqs);
-            sys.receive_burst(&frames)?;
-            control.receive_burst(&frames)?;
-        }
+        round(sys, control, false)?;
     }
     let (m3f, m3c) = (sys.metrics(), control.metrics());
 
-    let rx = |d: &twin_trace::MetricSet, i: u32| d.counter(&format!("nic{i}.rx_packets"));
-    let siblings = |hi: &twin_trace::MetricSet, lo: &twin_trace::MetricSet| -> u64 {
+    let rx = |d: &MetricSet, i: u32| d.counter(&format!("nic{i}.rx_packets"));
+    let siblings = |hi: &MetricSet, lo: &MetricSet| -> u64 {
         let delta = hi.delta_since(lo);
         (0..nics).filter(|i| *i != dev).map(|i| rx(&delta, i)).sum()
     };
     let fault_span = m3f.delta_since(&m0f);
-    let recovery_cycles = {
-        let log = sys.recovery_log();
-        log.iter()
-            .map(|r| r.recovered_at - r.quarantined_at)
-            .sum::<u64>()
-            / log.len().max(1) as u64
-    };
+    let log = sys.recovery_log();
+    let downtime: u64 = log.iter().map(|r| r.recovered_at - r.quarantined_at).sum();
     // Flight-recorder export: a no-op unless TWIN_TRACE_OUT names a
     // directory (and empty unless the system was built with tracing).
     sys.export_trace(&format!("fault_{}", class.label()));
@@ -1379,14 +1619,10 @@ pub fn measure_fault_recovery(
         dev,
         burst,
         episodes,
-        recovery_cycles,
+        recovery_cycles: downtime / log.len().max(1) as u64,
         replayed: fault_span.counter("fault.inflight_replayed"),
         dropped: fault_span.counter("fault.inflight_dropped"),
-        revoked_mappings: sys
-            .recovery_log()
-            .iter()
-            .map(|r| r.revoked_mappings as u64)
-            .sum(),
+        revoked_mappings: log.iter().map(|r| r.revoked_mappings as u64).sum(),
         pre_delivered: rx(&m1f.delta_since(&m0f), dev),
         post_delivered: rx(&m3f.delta_since(&m2f), dev),
         sibling_delivered: siblings(&m3f, &m1f),
@@ -1423,19 +1659,6 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_nearest_rank() {
-        let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&sorted, 50.0), 50);
-        assert_eq!(percentile(&sorted, 99.0), 99);
-        assert_eq!(percentile(&sorted, 100.0), 100);
-        assert_eq!(percentile(&sorted, 0.0), 1);
-        assert_eq!(percentile(&[], 50.0), 0);
-        let one = [42u64];
-        assert_eq!(percentile(&one, 50.0), 42);
-        assert_eq!(percentile(&one, 99.0), 42);
-    }
-
-    #[test]
     fn latency_stats_from_unsorted_samples() {
         let s = LatencyStats::from_samples(&[500, 100, 900, 300, 700]);
         assert_eq!(s.samples, 5);
@@ -1447,59 +1670,6 @@ mod tests {
         let row = s.row();
         assert!(row.contains("p50"));
         assert!(row.contains("p99"));
-    }
-
-    #[test]
-    fn reservoir_exact_below_capacity_bounded_above() {
-        let mut r = SampleReservoir::new(8);
-        for v in 0..8u64 {
-            r.push(v);
-        }
-        // Below capacity: every sample retained in order — percentiles
-        // are exact.
-        assert_eq!(r.samples(), &[0, 1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(r.seen(), 8);
-        for v in 8..10_000u64 {
-            r.push(v);
-        }
-        // Above: bounded at capacity, still a subset of what was pushed.
-        assert_eq!(r.len(), 8);
-        assert_eq!(r.seen(), 10_000);
-        assert!(r.samples().iter().all(|&v| v < 10_000));
-        // Determinism: an identical run holds identical samples.
-        let mut r2 = SampleReservoir::new(8);
-        for v in 0..10_000u64 {
-            r2.push(v);
-        }
-        assert_eq!(r.samples(), r2.samples());
-        r.clear();
-        assert!(r.is_empty());
-        assert_eq!(r.seen(), 0);
-    }
-
-    #[test]
-    fn reservoir_spreads_over_the_whole_stream() {
-        // A uniform reservoir over a long stream must keep samples from
-        // early, middle and late thirds — a head-only or tail-only cap
-        // would skew the percentiles a long paced run reports.
-        let n = 300_000u64;
-        let mut r = SampleReservoir::new(1024);
-        for v in 0..n {
-            r.push(v);
-        }
-        let third = |lo: u64, hi: u64| r.samples().iter().filter(|&&v| v >= lo && v < hi).count();
-        let (a, b, c) = (
-            third(0, n / 3),
-            third(n / 3, 2 * n / 3),
-            third(2 * n / 3, n),
-        );
-        assert_eq!(a + b + c, 1024);
-        for (name, k) in [("early", a), ("middle", b), ("late", c)] {
-            assert!(
-                (170..=512).contains(&k),
-                "{name} third holds {k} of 1024 samples"
-            );
-        }
     }
 
     #[test]
@@ -1524,5 +1694,68 @@ mod tests {
         let row = b.row("test");
         assert!(row.contains("Xen"));
         assert!(row.contains("e1000"));
+    }
+
+    #[test]
+    fn window_deltas_equal_the_accessor_differences_around_it() {
+        // A short open-loop overload on the livelock sweep's two builds:
+        // the uncontrolled one drops at the queue caps and in the rings,
+        // the controlled one at the admission watermark and in the
+        // rings. Whatever the registry delta says must be what the
+        // scattered accessors say, read before and after.
+        let mut seen = [0u64; 5];
+        for controlled in [false, true] {
+            let opts = crate::SystemOptions {
+                num_nics: 4,
+                shard: ShardPolicy::FlowHash,
+                rx_queue_cap: Some(128),
+                napi_weight: if controlled { 8 } else { 0 },
+                rx_backlog_watermark: controlled.then_some(64),
+                rx_flush_quantum: 8,
+                ..Default::default()
+            };
+            let mut sys = System::build_with(crate::Config::TwinDrivers, &opts).unwrap();
+            let flood = (sys.guest.unwrap(), MacAddr::for_guest(1));
+            let victim = (
+                sys.add_guest(MacAddr::for_guest(2)).unwrap(),
+                MacAddr::for_guest(2),
+            );
+            warm_rx_rings(&mut sys).unwrap();
+            let read = |sys: &System| {
+                [
+                    sys.rx_early_drops(),
+                    sys.rx_queue_drops(),
+                    sys.rx_ring_drops(),
+                    sys.delivered_rx_for(flood.0) as u64,
+                    sys.delivered_rx_for(victim.0) as u64,
+                ]
+            };
+            let before = read(&sys);
+            let window = Window::open(&mut sys);
+            let mut seq = OPEN_LOOP_SEQ0;
+            let profile = OverloadProfile::FloodOneGuest;
+            let burst = || overload_burst(profile, 100, 32, flood, &[victim], &mut seq);
+            assert_eq!(
+                open_loop_schedule(&mut sys, 6, 338_182, burst).unwrap(),
+                6 * 320
+            );
+            let m = window.close(&sys);
+            let diff: Vec<u64> = read(&sys).iter().zip(before).map(|(a, b)| a - b).collect();
+            assert_eq!(
+                diff,
+                [
+                    m.total("guest", "early_drops"),
+                    m.total("guest", "queue_drops"),
+                    m.total("nic", "rx_missed"),
+                    m.guest(flood.0, "delivered"),
+                    m.guest(victim.0, "delivered"),
+                ]
+            );
+            assert_eq!(m.event("early_drop"), diff[0]);
+            seen.iter_mut()
+                .zip(&diff)
+                .for_each(|(total, d)| *total += d);
+        }
+        assert!(seen.iter().all(|&n| n > 0), "every count moved: {seen:?}");
     }
 }

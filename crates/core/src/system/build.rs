@@ -190,7 +190,7 @@ impl System {
             rr_next: 0,
             moderated_pending: Vec::new(),
             rx_inflight: BTreeMap::new(),
-            rx_latency: crate::measure::SampleReservoir::new(crate::measure::RX_LATENCY_RESERVOIR),
+            rx_latency: twin_trace::SampleReservoir::new(crate::measure::RX_LATENCY_RESERVOIR),
             guest_latency_tracked: false,
             grant_cache: None,
             rx_flow_dev: BTreeMap::new(),

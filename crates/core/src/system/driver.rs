@@ -47,7 +47,7 @@ impl System {
         if let Some(reason) = &hyp.aborted {
             return Err(SystemError::DriverAborted(reason.clone()));
         }
-        if hyp.is_quarantined(dev) {
+        if self.devs[dev as usize].quarantine.is_some() {
             // Live recovery: reset the device and fall through into the
             // requested call on the rebuilt adapter slot.
             self.recover_device(dev)?;
@@ -82,10 +82,6 @@ impl System {
                 if self.opts.fault_recovery {
                     // Quarantine the faulted device, not the image:
                     // siblings keep serving through the shared driver.
-                    self.hyperdrv
-                        .as_mut()
-                        .unwrap()
-                        .quarantine_device(dev, reason.clone());
                     self.machine.meter.count_event("quarantine_enter");
                     self.machine
                         .trace_event(TraceEvent::QuarantineEnter { dev });
@@ -364,10 +360,6 @@ impl System {
         for d in &ep.revoked_doms {
             self.grant_zero_copy_pool(DomId(*d))?;
         }
-        self.hyperdrv
-            .as_mut()
-            .expect("quarantine implies a hypervisor driver")
-            .release_device(dev);
         self.machine.meter.count_event("quarantine_exit");
         self.machine.trace_event(TraceEvent::QuarantineExit { dev });
         let report = RecoveryReport {

@@ -256,7 +256,7 @@ impl System {
 
     /// Cycles-from-arrival-to-delivery samples for frames completed in
     /// the current measurement window (a bounded uniform reservoir; see
-    /// [`crate::measure::SampleReservoir`]).
+    /// [`twin_trace::SampleReservoir`]).
     pub fn rx_latency_samples(&self) -> &[u64] {
         self.rx_latency.samples()
     }

@@ -18,7 +18,7 @@
 //!
 //! This file holds the types; `impl System` is split by pipeline stage
 //! across the sibling files (`build`, `shard`, `driver`, `timers`, `tx`,
-//! `rx`, `napi`, `flush`, `metrics`, `harness`) — the README's "How
+//! `rx`, `napi`, `flush`, `metrics`) — the README's "How
 //! `System` is organised" is the map.
 
 use crate::iommu::Iommu;
@@ -112,6 +112,16 @@ pub enum ShardPolicy {
 impl Default for ShardPolicy {
     fn default() -> ShardPolicy {
         ShardPolicy::Static(0)
+    }
+}
+
+impl ShardPolicy {
+    /// The device [`ShardPolicy::FlowHash`] places `flow` on among
+    /// `nics` devices (a zero count reads as one): a multiplicative hash
+    /// of the flow id, so a flow's device depends on nothing but its id
+    /// and the device count.
+    pub fn flow_hash_dev(flow: u32, nics: u32) -> u32 {
+        (flow.wrapping_mul(2_654_435_761) >> 16) % nics.max(1)
     }
 }
 
@@ -396,7 +406,7 @@ struct GuestState {
     /// Arrival-to-delivery samples of this domain's frames, filled only
     /// after [`System::track_guest_latency`] — the well-behaved-guest
     /// p99 the livelock acceptance is about.
-    latency: crate::measure::SampleReservoir,
+    latency: twin_trace::SampleReservoir,
     /// Cursor into this endpoint's delivered-frame log.
     sample_cursor: usize,
     /// Whether the guest's zero-copy pool is granted: the build grants
@@ -423,7 +433,7 @@ impl GuestState {
             weight: weight.map_or(1, |(_, w)| (*w).max(1)),
             deficit: 0,
             early_drops: 0,
-            latency: crate::measure::SampleReservoir::new(crate::measure::RX_LATENCY_RESERVOIR),
+            latency: twin_trace::SampleReservoir::new(crate::measure::RX_LATENCY_RESERVOIR),
             sample_cursor: 0,
             zc_granted: false,
             affinity_moved_at: 0,
@@ -646,7 +656,7 @@ pub struct System {
     /// a bounded reservoir, so arbitrarily long paced runs keep a fixed
     /// footprint while every committed sweep stays exact (it holds far
     /// fewer samples than [`crate::measure::RX_LATENCY_RESERVOIR`]).
-    rx_latency: crate::measure::SampleReservoir,
+    rx_latency: twin_trace::SampleReservoir,
     /// Whether deliveries also feed the per-guest reservoirs
     /// ([`System::track_guest_latency`]).
     guest_latency_tracked: bool,
@@ -732,7 +742,6 @@ enum DriverOp {
 mod build;
 mod driver;
 mod flush;
-mod harness;
 mod metrics;
 mod napi;
 mod rx;

@@ -20,7 +20,7 @@ impl System {
     /// flows per device at four NICs.)
     pub const BALANCED_FLOW_BASE: u32 = 203;
 
-    pub(super) fn next_rx_frame(&mut self) -> Frame {
+    pub(crate) fn next_rx_frame(&mut self) -> Frame {
         let dst = match self.config {
             Config::XenGuest | Config::TwinDrivers => MacAddr::for_guest(1),
             _ => MacAddr::for_guest(0),
@@ -86,7 +86,7 @@ impl System {
     /// time, so an overloaded system's processing backlog shows up as
     /// completion latency exactly like a real receive queue. `None`
     /// stamps at the moment of delivery (the default path).
-    pub(super) fn receive_burst_arriving(
+    pub(crate) fn receive_burst_arriving(
         &mut self,
         frames: &[Frame],
         arrival: Option<u64>,

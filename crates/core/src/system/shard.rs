@@ -23,21 +23,14 @@ impl System {
                 self.rr_next = (self.rr_next + 1) % n;
                 vec![(dev, frames)]
             }
-            ShardPolicy::FlowHash => {
+            policy @ (ShardPolicy::FlowHash | ShardPolicy::Affinity) => {
                 let mut groups: Vec<(u32, Vec<Frame>)> = Vec::new();
                 for f in frames {
-                    let dev = (f.flow.wrapping_mul(2_654_435_761) >> 16) % n;
-                    match groups.iter_mut().find(|(d, _)| *d == dev) {
-                        Some((_, v)) => v.push(f),
-                        None => groups.push((dev, vec![f])),
-                    }
-                }
-                groups
-            }
-            ShardPolicy::Affinity => {
-                let mut groups: Vec<(u32, Vec<Frame>)> = Vec::new();
-                for f in frames {
-                    let dev = self.affinity_dev(&f, n);
+                    let dev = if policy == ShardPolicy::Affinity {
+                        self.affinity_dev(&f, n)
+                    } else {
+                        ShardPolicy::flow_hash_dev(f.flow, n)
+                    };
                     match groups.iter_mut().find(|(d, _)| *d == dev) {
                         Some((_, v)) => v.push(f),
                         None => groups.push((dev, vec![f])),
@@ -61,8 +54,7 @@ impl System {
     /// drained — frames still queued there would overtake the migrated
     /// ones and break per-flow order.
     fn affinity_dev(&mut self, f: &Frame, n: u32) -> u32 {
-        let hash16 = f.flow.wrapping_mul(2_654_435_761) >> 16;
-        let hash_dev = hash16 % n;
+        let hash_dev = ShardPolicy::flow_hash_dev(f.flow, n);
         if self.sched.is_none() {
             return hash_dev;
         }
@@ -88,7 +80,7 @@ impl System {
         } else {
             // Spread a guest's flows across its local NICs by the same
             // hash the oblivious policy uses.
-            local[hash16 as usize % local.len()]
+            local[ShardPolicy::flow_hash_dev(f.flow, local.len() as u32) as usize]
         };
         let hysteresis = sched.options().affinity_hysteresis;
         match self.affinity_flow_dev.get(&f.flow).copied() {

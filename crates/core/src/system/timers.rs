@@ -335,4 +335,56 @@ impl System {
         }
         self.service_virtual_timers(true)
     }
+
+    /// Lets every closed moderation window open and every latched cause
+    /// deliver: idles one full window (plus margin) at a time until no
+    /// device holds back a delivery.
+    ///
+    /// # Errors
+    ///
+    /// Propagates faults from the deliveries.
+    pub fn drain_moderated(&mut self) -> Result<(), SystemError> {
+        let horizon = self
+            .world
+            .nics
+            .iter()
+            .map(twin_nic::Nic::itr_cycles)
+            .max()
+            .unwrap_or(0);
+        let mut rounds = 0;
+        loop {
+            self.run_idle(horizon + 1)?;
+            if self.moderated_pending.is_empty() || rounds >= 8 {
+                break;
+            }
+            rounds += 1;
+        }
+        Ok(())
+    }
+
+    /// Event-driven moderated drain: idles exactly to each gated
+    /// device's window-open instant until nothing is latched, with no
+    /// trailing idle once the last cause delivers. Deliveries happen at
+    /// the same virtual instants [`System::drain_moderated`] would
+    /// produce; only the artificial idle *after* the tail differs —
+    /// which is what keeps a closed-loop tuner's idle signal honest
+    /// across the autotune harness's phase boundaries.
+    pub(crate) fn drain_moderated_tight(&mut self) -> Result<(), SystemError> {
+        let mut rounds = 0;
+        while !self.moderated_pending.is_empty() && rounds < 64 {
+            let now = self.machine.meter.now();
+            let due = self
+                .moderated_pending
+                .iter()
+                .filter_map(|&d| self.world.nics[d as usize].irq_ready_at())
+                .min();
+            let step = match due {
+                Some(t) if t > now => t - now,
+                _ => 1,
+            };
+            self.run_idle(step)?;
+            rounds += 1;
+        }
+        Ok(())
+    }
 }

@@ -939,6 +939,37 @@ mod tests {
         };
         assert_eq!(run(), run());
         assert_eq!(run().len(), 16);
+        // Bounded at capacity, every offer counted, and still a subset
+        // of what was pushed.
+        assert!(run().iter().all(|&v| v < 1000));
+        let mut r = SampleReservoir::new(16);
+        (0..1000u64).for_each(|v| r.push(v));
+        assert_eq!((r.len(), r.seen()), (16, 1000));
+    }
+
+    #[test]
+    fn reservoir_spreads_over_the_whole_stream() {
+        // A uniform reservoir over a long stream must keep samples from
+        // early, middle and late thirds — a head-only or tail-only cap
+        // would skew the percentiles a long paced run reports.
+        let n = 300_000u64;
+        let mut r = SampleReservoir::new(1024);
+        for v in 0..n {
+            r.push(v);
+        }
+        let third = |lo: u64, hi: u64| r.samples().iter().filter(|&&v| v >= lo && v < hi).count();
+        let (a, b, c) = (
+            third(0, n / 3),
+            third(n / 3, 2 * n / 3),
+            third(2 * n / 3, n),
+        );
+        assert_eq!(a + b + c, 1024);
+        for (name, k) in [("early", a), ("middle", b), ("late", c)] {
+            assert!(
+                (170..=512).contains(&k),
+                "{name} third holds {k} of 1024 samples"
+            );
+        }
     }
 
     #[test]
@@ -949,5 +980,8 @@ mod tests {
         assert_eq!(percentile(&sorted, 100.0), 100);
         assert_eq!(percentile(&sorted, 0.0), 1);
         assert_eq!(percentile(&[], 50.0), 0);
+        let one = [42u64];
+        assert_eq!(percentile(&one, 50.0), 42);
+        assert_eq!(percentile(&one, 99.0), 42);
     }
 }

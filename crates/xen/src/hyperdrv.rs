@@ -69,10 +69,6 @@ pub struct HypervisorDriver {
     pub aborted: Option<String>,
     /// Number of instructions.
     pub text_len: usize,
-    /// Per-device quarantine: devices whose fault was contained to their
-    /// adapter slot (fault-recovery mode) instead of killing the shared
-    /// image. Maps device id → the abort reason that triggered it.
-    pub quarantined: BTreeMap<u32, String>,
 }
 
 impl HypervisorDriver {
@@ -99,30 +95,6 @@ impl HypervisorDriver {
     /// Whether the driver is dead.
     pub fn is_aborted(&self) -> bool {
         self.aborted.is_some()
-    }
-
-    /// Quarantines one device: the shared image stays live for its
-    /// siblings, but calls driving `dev` are refused until
-    /// [`HypervisorDriver::release_device`]. First reason wins, like
-    /// [`HypervisorDriver::abort`].
-    pub fn quarantine_device(&mut self, dev: u32, reason: impl Into<String>) {
-        self.quarantined.entry(dev).or_insert_with(|| reason.into());
-    }
-
-    /// Whether `dev` is quarantined.
-    pub fn is_quarantined(&self, dev: u32) -> bool {
-        self.quarantined.contains_key(&dev)
-    }
-
-    /// The abort reason that quarantined `dev`, if any.
-    pub fn quarantined_reason(&self, dev: u32) -> Option<&str> {
-        self.quarantined.get(&dev).map(String::as_str)
-    }
-
-    /// Releases `dev` from quarantine after recovery; returns the
-    /// recorded reason.
-    pub fn release_device(&mut self, dev: u32) -> Option<String> {
-        self.quarantined.remove(&dev)
     }
 }
 
@@ -170,7 +142,6 @@ pub fn load_hypervisor_driver(
         stack_top: HYP_STACK_BASE + HYP_STACK_PAGES * PAGE_SIZE,
         aborted: None,
         text_len,
-        quarantined: BTreeMap::new(),
     })
 }
 
@@ -238,27 +209,5 @@ mod tests {
         hyp.abort("svm: bad access");
         hyp.abort("second");
         assert_eq!(hyp.aborted.as_deref(), Some("svm: bad access"));
-    }
-
-    #[test]
-    fn quarantine_is_per_device_and_releasable() {
-        let module = assemble("d", ".text\n.globl f\nf:\n ret\n").unwrap();
-        let rw = rewrite(&module, &RewriteOptions::default()).unwrap();
-        let mut m = Machine::new();
-        let dom0 = m.new_space();
-        let vm = load_driver(&mut m, dom0, &rw.module, 0x0800_0000, 0x2800_0000, |n| {
-            (n == twin_svm::STLB_SYMBOL).then_some(0x2900_0000)
-        })
-        .unwrap();
-        let mut hyp =
-            load_hypervisor_driver(&mut m, &rw.module, &vm, twin_svm::STLB_HYPER_BASE).unwrap();
-        hyp.quarantine_device(2, "illegal store");
-        hyp.quarantine_device(2, "second");
-        assert!(hyp.is_quarantined(2));
-        assert!(!hyp.is_quarantined(0));
-        assert!(!hyp.is_aborted()); // siblings keep serving
-        assert_eq!(hyp.quarantined_reason(2), Some("illegal store"));
-        assert_eq!(hyp.release_device(2).as_deref(), Some("illegal store"));
-        assert!(!hyp.is_quarantined(2));
     }
 }

@@ -285,3 +285,58 @@ fn poll_budget_weights_toward_running_guests() {
         "a sleeping guest's device must take more, smaller polls: {polls:?}"
     );
 }
+
+/// Golden pin for the open-loop affinity harness, captured on the
+/// parent of the evaluation-harness rewrite: the affinity sweep's
+/// 50 %-duty `Affinity` build (four guests, one hash-balanced flow
+/// each, every vCPU pinned one CPU away from its flow's hash-chosen
+/// NIC), ten bursts at the 64-packet budget's gap. Every field of the
+/// point is pinned.
+#[test]
+fn affinity_harness_point_is_pinned() {
+    use twindrivers::measure::{balanced_flow_set, measure_rx_affinity, AffinityPoint};
+    let mut sys = build(ShardPolicy::Affinity, Some(sched_opts()));
+    for g in 2..=4u32 {
+        sys.add_guest(MacAddr::for_guest(g)).unwrap();
+    }
+    let mut traffic = Vec::new();
+    let mut vcpus = Vec::new();
+    for (i, &flow) in balanced_flow_set(NICS as u32, 1).iter().enumerate() {
+        let gid = DomId(i as u32 + 1);
+        traffic.push((gid, MacAddr::for_guest(gid.0), flow));
+        vcpus.push((gid, (hash_dev(flow) + 1) % CPUS, 300_000, 300_000));
+    }
+    let p =
+        measure_rx_affinity(&mut sys, &traffic, &vcpus, "affinity", 50, 32, 10, 673_664).unwrap();
+    // Destructured so a new field cannot go unpinned.
+    let AffinityPoint {
+        nics,
+        burst,
+        policy,
+        duty_pct,
+        frames_offered,
+        frames_delivered,
+        rx_cycles_per_packet,
+        cold_deliveries,
+        placements,
+        migrations,
+        wakes,
+        early_drops,
+        queue_drops,
+        ring_drops,
+        reorders,
+        victim_p99,
+    } = p;
+    assert_eq!((nics, burst, policy, duty_pct), (4, 32, "affinity", 50));
+    assert_eq!((frames_offered, frames_delivered), (320, 320));
+    assert_eq!(rx_cycles_per_packet, 10968.1);
+    assert_eq!(
+        (cold_deliveries, placements, migrations, wakes),
+        (0, 4, 0, 44)
+    );
+    assert_eq!(
+        (early_drops, queue_drops, ring_drops, reorders),
+        (0, 0, 0, 0)
+    );
+    assert_eq!(victim_p99, 1_485_632);
+}

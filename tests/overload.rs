@@ -316,3 +316,60 @@ fn off_knob_runtime_is_cycle_identical_to_defaults() {
         "off knobs must be structurally free"
     );
 }
+
+/// Golden pin for the open-loop livelock harness, captured on the
+/// parent of the evaluation-harness rewrite: the livelock sweep's
+/// controlled build at 10× `flood_one_guest`, ten bursts at the
+/// 64-packet budget's knee gap. Every field of the point is pinned.
+#[test]
+fn livelock_harness_point_is_pinned() {
+    use twindrivers::measure::{measure_rx_livelock, LivelockPoint, OverloadProfile};
+    let opts = SystemOptions {
+        num_nics: 4,
+        shard: ShardPolicy::FlowHash,
+        rx_queue_cap: Some(128),
+        napi_weight: 8,
+        rx_backlog_watermark: Some(64),
+        rx_flush_quantum: 8,
+        guest_weights: vec![(2, 2), (3, 2)],
+        ..SystemOptions::default()
+    };
+    let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
+    sys.add_guest(MacAddr::for_guest(2)).unwrap();
+    sys.add_guest(MacAddr::for_guest(3)).unwrap();
+    let p = measure_rx_livelock(
+        &mut sys,
+        OverloadProfile::FloodOneGuest,
+        100,
+        32,
+        10,
+        338_182,
+    )
+    .unwrap();
+    // Destructured so a new field cannot go unpinned.
+    let LivelockPoint {
+        nics,
+        burst,
+        profile,
+        offered_x10,
+        frames_offered,
+        frames_delivered,
+        goodput_mbps,
+        rx_cycles_per_packet,
+        early_drops,
+        queue_drops,
+        ring_drops,
+        irqs,
+        polls,
+        victim_delivered,
+        victim_p99,
+    } = p;
+    assert_eq!((nics, burst, offered_x10), (4, 32, 100));
+    assert_eq!(profile, OverloadProfile::FloodOneGuest);
+    assert_eq!((frames_offered, frames_delivered), (3200, 296));
+    assert_eq!(goodput_mbps, 3230.7905210803647);
+    assert_eq!(rx_cycles_per_packet, 11498.381756756755);
+    assert_eq!((early_drops, queue_drops, ring_drops), (2480, 0, 313));
+    assert_eq!((irqs, polls), (11, 47));
+    assert_eq!((victim_delivered, victim_p99), (80, 278_110));
+}
