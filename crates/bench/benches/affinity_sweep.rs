@@ -139,8 +139,11 @@ fn main() -> ExitCode {
             let p =
                 measure_rx_affinity(&mut sys, &traffic, &vcpus, label, duty, BURST, bursts, gap)
                     .expect("affinity point");
-            println!("    {}", p.row());
             sweep.row(row(&p));
+            if (policy, duty) == (ShardPolicy::Affinity, 50) {
+                let kinds = ["affinity_place", "vcpu_run"];
+                sweep.require_traced("affinity 50% duty", &sys.machine.trace, &kinds);
+            }
             pts.push(((label, duty), p));
         }
         println!();

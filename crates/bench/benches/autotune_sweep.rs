@@ -23,8 +23,7 @@
 //! (`twin_bench::DEFAULT_GAP_CYCLES`); lighter phases derive from it —
 //! see `LoadProfile::gaps`. Besides the table, the sweep writes
 //! **`BENCH_autotune.json`** (workspace root) gated in CI against
-//! `bench/baseline_autotune.json` (identity fields:
-//! profile/phase/nics/burst/mode/itr).
+//! `bench/baseline_autotune.json`.
 
 use std::process::ExitCode;
 use twin_bench::{packets, Row, Sweep, DEFAULT_GAP_CYCLES as GAP};
@@ -93,15 +92,11 @@ fn tracks(run: &AutotunedRx, best: &AutotunedRx, phase: usize) -> bool {
         && a.latency.p99 as f64 <= TRACK_TOLERANCE * b.latency.p99.max(1) as f64
 }
 
-/// Prints and files one row per phase; static runs carry their `itr`,
-/// auto-tuned ones do not (the tuner has no single setting).
+/// Files one row per phase; static runs carry their `itr`, auto-tuned
+/// ones do not (the tuner has no single setting).
 fn file(r: &AutotunedRx, sweep: &mut Sweep) {
-    let (mode, label) = match r.autotune {
-        true => ("autotune", "autotune        ".to_string()),
-        false => ("static", format!("static itr {:>5}", r.static_itr)),
-    };
+    let mode = if r.autotune { "autotune" } else { "static" };
     for (i, p) in r.phases.iter().enumerate() {
-        println!("    {label}   {}", p.row());
         sweep.row(
             Row::new()
                 .str("config", "domU-twin")

@@ -10,7 +10,7 @@
 //! interrupts/packet than burst 1.
 
 use std::process::ExitCode;
-use twin_bench::{packets, Sweep};
+use twin_bench::{packets, Row, Sweep};
 use twindrivers::measure::BurstMeasurement;
 use twindrivers::{Config, System, SystemError};
 
@@ -20,8 +20,12 @@ type Measure = fn(&mut System, usize, u64) -> Result<BurstMeasurement, SystemErr
 
 /// One direction of one configuration across [`BURSTS`]; returns the
 /// burst-1 and burst-32 points.
-fn sweep_direction(config: Config, direction: &str, measure: Measure) -> [BurstMeasurement; 2] {
-    println!("  {} {direction}:", config.label());
+fn sweep_direction(
+    sweep: &mut Sweep,
+    config: Config,
+    direction: &str,
+    measure: Measure,
+) -> [BurstMeasurement; 2] {
     let points: Vec<BurstMeasurement> = BURSTS
         .iter()
         .map(|&b| {
@@ -30,10 +34,15 @@ fn sweep_direction(config: Config, direction: &str, measure: Measure) -> [BurstM
         })
         .collect();
     for m in &points {
-        println!(
-            "    {}   speedup {:>5.2}x",
-            m.row(),
-            points[0].breakdown.total() / m.breakdown.total()
+        sweep.row(
+            Row::new()
+                .str("config", config.label())
+                .str("direction", direction)
+                .int("burst", m.burst)
+                .f1("cycles_per_packet", m.breakdown.total())
+                .f4("irqs_per_packet", m.irqs_per_packet)
+                .f4("doorbells_per_packet", m.doorbells_per_packet)
+                .f4("speedup", points[0].breakdown.total() / m.breakdown.total()),
         );
     }
     [points[0].clone(), points[2].clone()]
@@ -45,8 +54,8 @@ fn main() -> ExitCode {
         "repo extension; acceptance: twin burst-32 ≥ 1.3x cycles, ≥ 8x irqs vs burst-1",
     );
     for config in Config::ALL {
-        let tx = sweep_direction(config, "transmit", System::measure_tx_burst);
-        let rx = sweep_direction(config, "receive", System::measure_rx_burst);
+        let tx = sweep_direction(&mut sweep, config, "transmit", System::measure_tx_burst);
+        let rx = sweep_direction(&mut sweep, config, "receive", System::measure_rx_burst);
         println!();
         if config != Config::TwinDrivers {
             continue;

@@ -14,7 +14,8 @@
 //! Everything derives from registry deltas (`nic{i}.rx_packets`,
 //! `fault.*`) and the recovery log; with `TWIN_TRACE_OUT` set, each
 //! class additionally exports a chrome trace whose quarantine→recovery
-//! episode renders as an `X` span (CI gates on its presence).
+//! episode renders as an `X` span, and the sweep requires the episode's
+//! events in the recorder.
 //!
 //! Both systems run the *same* sabotaged driver source
 //! ([`fault_injected_source`] — the dormant arm-check costs a few
@@ -58,6 +59,14 @@ const EPISODE_SWEEP: [u32; 2] = [1, 3];
 /// ring's worth of frames attributed to the dead device plus one
 /// upcall ring of queued entries.
 const DROP_BOUND_PER_EPISODE: u64 = 256;
+/// Flight-recorder event kinds every episode must leave, detection to
+/// reset (checked when `TWIN_TRACE_OUT` turns the recorder on).
+const EPISODE_EVENTS: [&str; 4] = [
+    "fault_detected",
+    "quarantine_enter",
+    "device_reset",
+    "inflight_accounted",
+];
 
 fn build(class: FaultClass, recovery: bool) -> System {
     let opts = SystemOptions {
@@ -120,7 +129,7 @@ fn main() -> ExitCode {
             let p =
                 measure_fault_recovery(&mut sys, &mut control, DEV, class, rounds, BURST, episodes)
                     .expect("fault point");
-            println!("    {}", p.row());
+            sweep.row(row(&p));
             let n = u64::from(episodes);
             sweep.require(
                 p.recovery_frac() >= 0.95
@@ -137,7 +146,11 @@ fn main() -> ExitCode {
                     n * DROP_BOUND_PER_EPISODE
                 ),
             );
-            sweep.row(row(&p));
+            sweep.require_traced(
+                format_args!("{class} ep{episodes}"),
+                &sys.machine.trace,
+                &EPISODE_EVENTS,
+            );
         }
         println!();
     }

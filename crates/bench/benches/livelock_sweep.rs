@@ -135,7 +135,7 @@ fn main() -> ExitCode {
         };
         for &controlled in &[false, true] {
             let mode = if controlled {
-                "controlled  "
+                "controlled"
             } else {
                 "uncontrolled"
             };
@@ -143,8 +143,13 @@ fn main() -> ExitCode {
                 let mut sys = build(controlled);
                 let p = measure_rx_livelock(&mut sys, profile, x10, BURST, bursts, gap)
                     .expect("livelock point");
-                println!("    {mode} {}", p.row());
-                sweep.row(row(mode.trim_end(), &p));
+                sweep.row(row(mode, &p));
+                if (profile, controlled, x10) == (OverloadProfile::FloodOneGuest, true, 100) {
+                    // The controls must be visible at work, not only in
+                    // the goodput they buy.
+                    let kinds = ["napi_enter", "early_drop"];
+                    sweep.require_traced("controlled 10x", &sys.machine.trace, &kinds);
+                }
                 if profile == OverloadProfile::FloodOneGuest {
                     flood_pts.push(((controlled, x10), p));
                 }

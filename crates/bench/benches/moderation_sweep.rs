@@ -23,7 +23,7 @@
 //! Besides the human-readable table, the sweep writes
 //! **`BENCH_itr.json`** (workspace root) so CI's bench-regression gate
 //! can track the moderated receive path against
-//! `bench/baseline_itr.json` (identity fields: nics/burst/itr/mode).
+//! `bench/baseline_itr.json`.
 
 use std::process::ExitCode;
 use twin_bench::{packets, Row, Sweep, DEFAULT_GAP_CYCLES as GAP};
@@ -82,7 +82,6 @@ fn main() -> ExitCode {
         println!("  domU-twin, {nics} NIC(s), burst {burst}, gap {GAP} cycles:");
         for itr in ITR_VALUES {
             let m = measure(nics, burst, itr, pkts);
-            println!("    {}", m.row());
             sweep.row(row(&m));
             if (nics, burst) == (4, 32) {
                 headline.push(m);

@@ -12,7 +12,7 @@
 //! Besides the human-readable table, the sweep writes
 //! **`BENCH_shard.json`** (workspace root) so CI's bench-regression gate
 //! and future PRs can track the perf trajectory against
-//! `bench/baseline.json`.
+//! `bench/baseline_shard.json`.
 
 use std::process::ExitCode;
 use twin_bench::{packets, Row, Sweep};
@@ -41,7 +41,6 @@ fn main() -> ExitCode {
             let mut sys = System::build_sharded(config, nics, ShardPolicy::RoundRobin)
                 .expect("build sharded system");
             let a = measure_aggregate_throughput(&mut sys, burst, pkts).expect("sweep point");
-            println!("    {}", a.row());
             if burst == 32 && nics == 1 {
                 base_agg32 = a.aggregate_mbps();
             }

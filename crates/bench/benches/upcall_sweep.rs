@@ -27,7 +27,6 @@ struct Point {
     mbps: f64,
     p50: u64,
     p99: u64,
-    flushes: u64,
 }
 
 fn measure(n: usize, mode: UpcallMode, pkts: u64) -> Point {
@@ -49,7 +48,6 @@ fn measure(n: usize, mode: UpcallMode, pkts: u64) -> Point {
         mbps: throughput(b.breakdown.total(), TESTBED_NICS).mbps,
         p50: lat.p50,
         p99: lat.p99,
-        flushes: sys.machine.meter.event("upcall_flush"),
     }
 }
 
@@ -76,10 +74,6 @@ fn main() -> ExitCode {
         Row::new().int("packets", pkts).int("burst", BURST),
     );
     let mut worst_speedup_4plus = f64::INFINITY;
-    println!(
-        "  {:>7} {:>12} {:>12} {:>9} {:>12} {:>12} {:>9}",
-        "upcalls", "sync Mb/s", "defer Mb/s", "speedup", "p50 cyc", "p99 cyc", "flushes"
-    );
     for n in UPCALL_COUNTS {
         let sync = measure(n, UpcallMode::Sync, pkts);
         let defer = measure(n, UpcallMode::Deferred, pkts);
@@ -87,10 +81,6 @@ fn main() -> ExitCode {
         if n >= 4 {
             worst_speedup_4plus = worst_speedup_4plus.min(speedup);
         }
-        println!(
-            "  {:>7} {:>12.0} {:>12.0} {:>8.2}x {:>12} {:>12} {:>9}",
-            n, sync.mbps, defer.mbps, speedup, defer.p50, defer.p99, defer.flushes
-        );
         sweep.row(row(&sync));
         sweep.row(row(&defer));
     }

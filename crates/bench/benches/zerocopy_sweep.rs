@@ -62,8 +62,6 @@ fn main() -> ExitCode {
                 sys.take_wire_frames();
                 sys.measure_rx_burst(burst, pkts).expect("prime rx");
                 let a = measure_aggregate_throughput(&mut sys, burst, pkts).expect("sweep point");
-                let mode = if zero_copy { "zero-copy" } else { "copy     " };
-                println!("    {mode} {}", a.row());
                 if nics == 4 && burst == 32 {
                     if zero_copy {
                         on_rx32 = a.rx_cycles_per_packet;

@@ -5,12 +5,15 @@
 //! or table reports, side by side with the paper's published values —
 //! `cargo bench -p twin-bench` regenerates the entire evaluation
 //! section. The sweeps (`*_sweep.rs`) additionally go through [`Sweep`]:
-//! one emitter for the banner, the `BENCH_<name>.json` output, the
-//! acceptance predicates and the exit status.
+//! one emitter for the banner, the table, the `BENCH_<name>.json`
+//! output, the acceptance predicates, the gate against the committed
+//! `bench/baseline_<name>.json` and the exit status.
 
+use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use twindrivers::trace::FlightRecorder;
 use twindrivers::System;
 
 /// Paper values for Figure 5 (transmit throughput, Mb/s):
@@ -90,12 +93,28 @@ pub fn row(label: &str, measured: f64, paper: f64, unit: &str) -> String {
     )
 }
 
-/// Number of packets per measurement in the figure harnesses.
+/// Number of packets per measurement in the figure harnesses:
+/// `TWIN_BENCH_PACKETS`, 300 when unset. A value that is not a positive
+/// integer ends the bench — a typo must not run the default budget
+/// against baselines recorded at another.
 pub fn packets() -> u64 {
-    std::env::var("TWIN_BENCH_PACKETS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(300)
+    let set = std::env::var_os("TWIN_BENCH_PACKETS");
+    let set = set.as_deref().map(|s| s.to_string_lossy());
+    packet_budget(set.as_deref()).unwrap_or_else(|why| {
+        eprintln!("{why}");
+        std::process::exit(2)
+    })
+}
+
+fn packet_budget(set: Option<&str>) -> Result<u64, String> {
+    match set.map(str::parse) {
+        None => Ok(300),
+        Some(Ok(n)) if n > 0 => Ok(n),
+        Some(_) => Err(format!(
+            "TWIN_BENCH_PACKETS={} is not a positive integer",
+            set.unwrap_or_default()
+        )),
+    }
 }
 
 /// Scheduled inter-burst arrival gap of the paced receive harnesses
@@ -122,11 +141,19 @@ pub fn point<'a, K: PartialEq, P>(points: &'a [(K, P)], key: &K) -> &'a P {
     &found.expect("acceptance point measured").1
 }
 
-/// An ordered list of typed JSON fields: one entry of a sweep's output,
-/// or its header. Each constructor fixes the rendering, so a baseline
-/// regenerates byte for byte.
-#[derive(Clone, Debug, Default)]
-pub struct Row(Vec<(&'static str, String)>);
+/// Suffix of the fields the baseline gate compares; the fields before
+/// the first of them are the point's identity.
+const GATED: &str = "_cycles_per_packet";
+
+/// Allowed rise of a gated field over its committed baseline.
+const TOLERANCE: f64 = 0.10;
+
+/// An ordered list of typed fields — the one description of a sweep
+/// point (or of a sweep's header): its stdout table line, its JSON
+/// entry and its key in the baseline gate. Each constructor fixes the
+/// rendering, so a baseline regenerates byte for byte.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Row(Vec<(String, String)>);
 
 impl Row {
     /// An empty row.
@@ -134,24 +161,24 @@ impl Row {
         Row::default()
     }
 
-    fn field(mut self, key: &'static str, rendered: String) -> Row {
-        self.0.push((key, rendered));
+    fn field(mut self, key: &str, rendered: String) -> Row {
+        self.0.push((key.to_string(), rendered));
         self
     }
 
     /// A quoted string (labels: no character needs escaping).
-    pub fn str(self, key: &'static str, v: impl Display) -> Row {
+    pub fn str(self, key: &str, v: impl Display) -> Row {
         self.field(key, format!("\"{v}\""))
     }
 
     /// An unsigned integer (of any width).
-    pub fn int(self, key: &'static str, v: impl TryInto<u64>) -> Row {
+    pub fn int(self, key: &str, v: impl TryInto<u64>) -> Row {
         let v = v.try_into().ok().expect("sweep integers are unsigned");
         self.field(key, v.to_string())
     }
 
     /// An unsigned integer that is present only for some rows.
-    pub fn int_opt(self, key: &'static str, v: Option<impl TryInto<u64>>) -> Row {
+    pub fn int_opt(self, key: &str, v: Option<impl TryInto<u64>>) -> Row {
         match v {
             Some(v) => self.int(key, v),
             None => self,
@@ -159,36 +186,167 @@ impl Row {
     }
 
     /// A float with one decimal (cycles/packet, Mb/s, percentages).
-    pub fn f1(self, key: &'static str, v: f64) -> Row {
+    pub fn f1(self, key: &str, v: f64) -> Row {
         self.field(key, format!("{v:.1}"))
     }
 
     /// A float with four decimals (per-packet rates).
-    pub fn f4(self, key: &'static str, v: f64) -> Row {
+    pub fn f4(self, key: &str, v: f64) -> Row {
         self.field(key, format!("{v:.4}"))
     }
 
     /// `true` / `false`.
-    pub fn flag(self, key: &'static str, v: bool) -> Row {
+    pub fn flag(self, key: &str, v: bool) -> Row {
         self.field(key, v.to_string())
     }
 
+    /// The JSON fields, `"key": value`.
     fn fields(&self) -> impl Iterator<Item = String> + '_ {
         self.0.iter().map(|(k, v)| format!("\"{k}\": {v}"))
     }
+
+    /// The table line: the same fields as `key value`, labels unquoted.
+    fn line(&self) -> String {
+        let cells = self
+            .0
+            .iter()
+            .map(|(k, v)| format!("{k} {}", v.trim_matches('"')));
+        cells.collect::<Vec<_>>().join("  ")
+    }
+
+    /// Reads rendered JSON fields back, picking each field's constructor
+    /// from the shape of its value — a reader of this emitter's own
+    /// output (the committed baselines), not of JSON at large.
+    fn parse(fields: &str) -> Result<Row, String> {
+        fields.split(", ").try_fold(Row::new(), |row, field| {
+            let (key, v) = field
+                .split_once(": ")
+                .ok_or_else(|| format!("`{field}` is not `\"key\": value`"))?;
+            let key = key.trim_matches('"');
+            let float = || v.parse::<f64>().map_err(|e| format!("{field}: {e}"));
+            let int = || v.parse::<u64>().map_err(|e| format!("{field}: {e}"));
+            Ok(match (v, v.split_once('.').map(|(_, frac)| frac.len())) {
+                ("true" | "false", _) => row.flag(key, v == "true"),
+                _ if v.starts_with('"') => row.str(key, v.trim_matches('"')),
+                (_, Some(1)) => row.f1(key, float()?),
+                (_, Some(4)) => row.f4(key, float()?),
+                (_, None) => row.int(key, int()?),
+                (_, Some(n)) => return Err(format!("{field}: {n} decimals")),
+            })
+        })
+    }
+
+    fn get(&self, key: &str) -> Option<&str> {
+        let found = self.0.iter().find(|(k, _)| k == key);
+        found.map(|(_, v)| v.as_str())
+    }
+
+    /// The point's identity in the baseline gate: every field before the
+    /// first gated one. `None` for a row that has no gated field.
+    fn key(&self) -> Option<String> {
+        let gated_at = self.0.iter().position(|(k, _)| k.ends_with(GATED))?;
+        Some(Row(self.0[..gated_at].to_vec()).line())
+    }
 }
 
-/// One sweep run: the banner, the machine-readable output and the
-/// acceptance verdict. A sweep names itself and its header fields, files
-/// a [`Row`] per measured point, states its acceptance with
-/// [`Sweep::require`], and returns [`Sweep::finish`] from `main` — a
-/// failed predicate or an output file that could not be written is a
-/// non-zero exit, so CI and `bench/run_gates.sh` never gate a stale or
-/// rejected result.
+/// Reads a document [`Sweep::render`] wrote back into its header and
+/// entries.
+fn parse(text: &str) -> Result<(Row, Vec<Row>), String> {
+    let lines: Vec<&str> = text.lines().collect();
+    let entries_at = lines.iter().position(|l| *l == "  \"entries\": [");
+    let entries_at = entries_at.ok_or("no \"entries\" array")?;
+    fn unframe<'a>(l: &&'a str) -> &'a str {
+        l.trim().trim_end_matches(',')
+    }
+    let header: Vec<&str> = lines[..entries_at].iter().skip(1).map(unframe).collect();
+    let entries = lines[entries_at + 1..].iter().map(unframe);
+    let entries = entries
+        .map_while(|l| l.strip_prefix('{'))
+        .map(|l| Row::parse(l.trim_end_matches('}')))
+        .collect::<Result<_, _>>()?;
+    Ok((Row::parse(&header.join(", "))?, entries))
+}
+
+/// The rows by identity key. A row without a key, or two rows sharing
+/// one, would leave a point nobody gates.
+fn keyed<'a>(rows: &'a [Row], whose: &str) -> Result<BTreeMap<String, &'a Row>, String> {
+    let mut out = BTreeMap::new();
+    for row in rows {
+        let key = row.key();
+        let key = key.ok_or_else(|| format!("{whose} `{}` has no *{GATED} field", row.line()))?;
+        if out.insert(key.clone(), row).is_some() {
+            return Err(format!("{whose} has two points `{key}`"));
+        }
+    }
+    Ok(out)
+}
+
+/// Gates a rendered run against its committed baseline and returns the
+/// verdict line. The two must describe the same sweep (equal headers —
+/// except that a baseline recorded at another packet budget does not
+/// apply, and says so) and the same points, one to one; then no gated
+/// field of any point may rise more than [`TOLERANCE`].
+fn gate(baseline: &str, run: &str) -> Result<String, String> {
+    let (base_header, base) = parse(baseline).map_err(|e| format!("baseline: {e}"))?;
+    let (header, rows) = parse(run)?;
+    let sans_budget = |h: &Row| Row(h.0.iter().filter(|f| f.0 != "packets").cloned().collect());
+    if sans_budget(&base_header) != sans_budget(&header) {
+        let (theirs, ours) = (base_header.line(), header.line());
+        return Err(format!(
+            "baseline header is `{theirs}`, the run's is `{ours}`"
+        ));
+    }
+    if base_header.get("packets") != header.get("packets") {
+        let n = base_header.get("packets").unwrap_or("?");
+        return Ok(format!("SKIPPED: baseline is a {n}-packet run"));
+    }
+    let (base, rows) = (keyed(&base, "baseline")?, keyed(&rows, "the run")?);
+    let mut failures = Vec::new();
+    for (key, b) in &base {
+        let Some(r) = rows.get(key) else {
+            failures.push(format!("`{key}` is in the baseline but was not measured"));
+            continue;
+        };
+        for (field, _) in b.0.iter().filter(|(k, _)| k.ends_with(GATED)) {
+            let number = |row: &Row, whose: &str| {
+                let n = row.get(field).and_then(|v| v.parse::<f64>().ok());
+                n.ok_or_else(|| format!("{whose} `{key}` has no numeric {field}"))
+            };
+            let (old, new) = (number(b, "baseline")?, number(r, "the run's")?);
+            if new > old * (1.0 + TOLERANCE) {
+                failures.push(format!(
+                    "`{key}` {field} rose {old:.1} -> {new:.1} (limit +10%)"
+                ));
+            }
+        }
+    }
+    for key in rows.keys().filter(|k| !base.contains_key(*k)) {
+        failures.push(format!("`{key}` was measured but is not in the baseline"));
+    }
+    if !failures.is_empty() {
+        return Err(failures.join("; "));
+    }
+    let verdict = match baseline == run {
+        true => "bit-exact",
+        false => "differs, within tolerance",
+    };
+    Ok(verdict.to_string())
+}
+
+/// One sweep run: the banner, the table, the machine-readable output,
+/// the acceptance verdict and the baseline gate. A sweep names itself and
+/// its header fields, files a [`Row`] per measured point, states its
+/// acceptance with [`Sweep::require`], and returns [`Sweep::finish`] from
+/// `main` — a failed predicate, an output file that could not be
+/// written or a point that drifted from (or is unknown to) the committed
+/// baseline is a non-zero exit.
 #[derive(Debug)]
 pub struct Sweep {
-    /// Output path and the header fields that lead the file.
-    out: Option<(PathBuf, Row)>,
+    /// The `<name>` of `BENCH_<name>.json` and
+    /// `bench/baseline_<name>.json`, and the header fields that lead both.
+    out: Option<(String, Row)>,
+    /// The directory both paths are relative to.
+    root: PathBuf,
     rows: Vec<Row>,
     failed: bool,
 }
@@ -199,21 +357,24 @@ impl Sweep {
         banner(title, paper_ref);
         Sweep {
             out: None,
+            // The workspace root, wherever cargo runs the bench from.
+            root: concat!(env!("CARGO_MANIFEST_DIR"), "/../..").into(),
             rows: Vec::new(),
             failed: false,
         }
     }
 
-    /// Makes the sweep write `BENCH_<name>.json` at the workspace root
-    /// (wherever cargo runs the bench from), led by the `header` fields.
+    /// Makes the sweep write `BENCH_<name>.json` at the workspace root,
+    /// led by the `header` fields, and gate it against the committed
+    /// `bench/baseline_<name>.json`.
     pub fn writes(mut self, name: &str, header: Row) -> Sweep {
-        let out = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
-        self.out = Some((out.into(), header));
+        self.out = Some((name.to_string(), header));
         self
     }
 
-    /// Files one measured point.
+    /// Files one measured point and prints it as the table line.
     pub fn row(&mut self, row: Row) {
+        println!("    {}", row.line());
         self.rows.push(row);
     }
 
@@ -226,6 +387,25 @@ impl Sweep {
             eprintln!("  ACCEPTANCE FAILED: {claim}");
             self.failed = true;
         }
+    }
+
+    /// Requires that the flight recorder of the system that measured
+    /// `point` holds at least one event of each of `kinds`. States
+    /// nothing about a recorder that is off (`TWIN_TRACE_OUT` unset).
+    pub fn require_traced(&mut self, point: impl Display, trace: &FlightRecorder, kinds: &[&str]) {
+        if !trace.enabled() {
+            return;
+        }
+        let counts = trace.counts_by_kind();
+        let count = |kind: &&str| counts.get(kind).copied().unwrap_or(0);
+        let census: Vec<String> = kinds.iter().map(|k| format!("{k} {}", count(k))).collect();
+        self.require(
+            kinds.iter().all(|k| count(k) > 0),
+            format_args!(
+                "{point} trace: {} (acceptance: each > 0)",
+                census.join(", ")
+            ),
+        );
     }
 
     fn render(&self, header: &Row) -> String {
@@ -241,20 +421,34 @@ impl Sweep {
         )
     }
 
-    /// Writes the output file and reports whether the run passed.
+    /// Writes the output file, gates it against its baseline and reports
+    /// whether the run passed.
     fn passed(mut self) -> bool {
-        if let Some((out, header)) = self.out.take() {
-            let file = out.file_name().unwrap_or_default().to_string_lossy();
-            match std::fs::write(&out, self.render(&header)) {
+        if let Some((name, header)) = self.out.take() {
+            let file = format!("BENCH_{name}.json");
+            let baseline = format!("bench/baseline_{name}.json");
+            let run = self.render(&header);
+            match std::fs::write(self.root.join(&file), &run) {
                 Ok(()) => println!("  wrote {file} ({} sweep points)", self.rows.len()),
                 Err(e) => self.require(false, format_args!("{file} could not be written: {e}")),
+            }
+            let committed = std::fs::read_to_string(self.root.join(&baseline));
+            match committed
+                .map_err(|e| e.to_string())
+                .and_then(|b| gate(&b, &run))
+            {
+                Ok(verdict) => println!("  {file} vs {baseline}: {verdict}"),
+                Err(why) => {
+                    self.require(false, format_args!("{file} vs {baseline}: {why}"));
+                    eprintln!("  (if the run is right, refresh it: cp {file} {baseline})");
+                }
             }
         }
         !self.failed
     }
 
-    /// Ends the sweep: writes the output file and returns the process
-    /// exit status.
+    /// Ends the sweep: writes and gates the output file and returns the
+    /// process exit status.
     pub fn finish(self) -> ExitCode {
         ExitCode::from(u8::from(!self.passed()))
     }
@@ -263,6 +457,7 @@ impl Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twindrivers::trace::TraceEvent;
 
     #[test]
     fn reference_tables_consistent() {
@@ -278,32 +473,29 @@ mod tests {
         assert!(r.contains("1.07"));
     }
 
-    /// A committed baseline (`""` = the shard sweep's): together the
-    /// complete spec of the emitter's output format.
-    fn baseline(suffix: &str) -> String {
+    #[test]
+    fn a_mistyped_packet_budget_is_an_error_not_the_default() {
+        assert_eq!(packet_budget(None), Ok(300));
+        assert_eq!(packet_budget(Some("64")), Ok(64));
+        for typo in ["64x", "", "0", "-3", "6.4"] {
+            let why = packet_budget(Some(typo)).unwrap_err();
+            assert!(why.contains("TWIN_BENCH_PACKETS"), "{why}");
+        }
+    }
+
+    /// The eight gated sweeps, by the name they pass to `writes`.
+    const SWEEPS: [&str; 8] = [
+        "shard", "upcall", "itr", "autotune", "zerocopy", "livelock", "fault", "affinity",
+    ];
+
+    /// A committed baseline: together the complete spec of the emitter's
+    /// output format.
+    fn baseline(name: &str) -> String {
         let path = format!(
-            "{}/../../bench/baseline{suffix}.json",
+            "{}/../../bench/baseline_{name}.json",
             env!("CARGO_MANIFEST_DIR")
         );
         std::fs::read_to_string(path).expect("committed baseline")
-    }
-
-    /// Rebuilds a [`Row`] from its rendered fields, picking each field's
-    /// constructor from the shape of the value.
-    fn reparse(fields: &str) -> Row {
-        fields.split(", ").fold(Row::new(), |row, field| {
-            let (key, v) = field.split_once(": ").expect("\"key\": value");
-            let key: &'static str = Box::leak(key.trim_matches('"').into());
-            let decimals = v.split_once('.').map(|(_, frac)| frac.len());
-            match (v, decimals) {
-                ("true" | "false", _) => row.flag(key, v == "true"),
-                (_, _) if v.starts_with('"') => row.str(key, v.trim_matches('"')),
-                (_, Some(1)) => row.f1(key, v.parse().unwrap()),
-                (_, Some(4)) => row.f4(key, v.parse().unwrap()),
-                (_, None) => row.int(key, v.parse::<u64>().unwrap()),
-                (_, Some(n)) => panic!("{n} decimals in {field}"),
-            }
-        })
     }
 
     fn quiet() -> Sweep {
@@ -312,30 +504,25 @@ mod tests {
 
     #[test]
     fn every_baseline_is_reproduced_byte_for_byte() {
-        let sweeps = [
-            "",
-            "_upcall",
-            "_itr",
-            "_autotune",
-            "_zerocopy",
-            "_livelock",
-            "_fault",
-            "_affinity",
-        ];
-        for text in sweeps.map(baseline) {
-            let lines: Vec<&str> = text.lines().collect();
-            let entries_at = lines
-                .iter()
-                .position(|l| *l == "  \"entries\": [")
-                .expect("entries array");
-            let unframe = |l: &&str| l.trim().trim_end_matches(',').to_string();
-            let header: Vec<String> = lines[1..entries_at].iter().map(unframe).collect();
+        for text in SWEEPS.map(baseline) {
+            let (header, rows) = parse(&text).unwrap();
             let mut sweep = quiet();
-            for entry in lines[entries_at + 1..lines.len() - 2].iter().map(unframe) {
-                sweep.row(reparse(&entry[1..entry.len() - 1]));
-            }
-            assert_eq!(sweep.render(&reparse(&header.join(", "))), text);
+            rows.into_iter().for_each(|r| sweep.row(r));
+            assert_eq!(sweep.render(&header), text);
         }
+    }
+
+    #[test]
+    fn every_baseline_point_has_a_unique_key() {
+        for name in SWEEPS {
+            let (_, rows) = parse(&baseline(name)).unwrap();
+            assert_eq!(keyed(&rows, name).unwrap().len(), rows.len());
+        }
+        // The optional field is part of the identity where it is present.
+        let (_, rows) = parse(&baseline("autotune")).unwrap();
+        let key = |row: Option<&Row>| row.and_then(Row::key).unwrap();
+        assert!(key(rows.first()).ends_with("mode static  itr 0  gap_cycles 900000"));
+        assert!(key(rows.last()).ends_with("mode autotune  gap_cycles 150000"));
     }
 
     #[test]
@@ -348,7 +535,7 @@ mod tests {
         };
         assert_eq!(fields(Some(500)), "\"itr\": 500, \"burst\": 32");
         assert_eq!(fields(None), "\"burst\": 32");
-        let autotune = baseline("_autotune");
+        let autotune = baseline("autotune");
         assert!(autotune.contains("\"mode\": \"static\", \"itr\": 0, \"gap_cycles\""));
         assert!(autotune.contains("\"mode\": \"autotune\", \"gap_cycles\""));
     }
@@ -365,23 +552,105 @@ mod tests {
     }
 
     #[test]
+    fn a_required_event_kind_must_be_in_the_recorder() {
+        let mut trace = FlightRecorder::new();
+        let traced = |trace: &FlightRecorder| {
+            let mut sweep = quiet();
+            sweep.require_traced("10x", trace, &["early_drop"]);
+            sweep.passed()
+        };
+        assert!(traced(&trace), "a recorder that is off claims nothing");
+        trace.set_enabled(true);
+        assert!(!traced(&trace), "an empty recorder lacks the kind");
+        trace.record(7, "Xen", TraceEvent::EarlyDrop { guest: 1 });
+        assert!(traced(&trace));
+    }
+
+    /// A rendered run of one sweep point per `(burst, rx cycles/packet)`.
+    fn run(packets: u64, policy: &str, points: &[(u32, f64)]) -> String {
+        let mut sweep = quiet();
+        for &(burst, cpp) in points {
+            let id = Row::new().str("config", "domU-twin").int("burst", burst);
+            sweep.row(id.f1("rx_cycles_per_packet", cpp).int("irqs", 20u32));
+        }
+        sweep.render(&Row::new().int("packets", packets).str("policy", policy))
+    }
+
+    #[test]
+    fn the_gate_allows_ten_percent_and_names_the_point_that_rose_more() {
+        let base = run(64, "flow-hash", &[(8, 1000.0), (32, 500.0)]);
+        assert_eq!(gate(&base, &base).unwrap(), "bit-exact");
+        let drifted = |cpp| gate(&base, &run(64, "flow-hash", &[(8, 1000.0), (32, cpp)]));
+        assert_eq!(drifted(540.0).unwrap(), "differs, within tolerance");
+        assert_eq!(drifted(300.0).unwrap(), "differs, within tolerance");
+        let why = drifted(560.0).unwrap_err();
+        assert!(
+            why.contains("`config domU-twin  burst 32` rx_cycles_per_packet rose 500.0 -> 560.0")
+        );
+        assert!(!why.contains("burst 8"), "{why}");
+        // A zero baseline has no headroom and nothing to divide by.
+        let zero = run(64, "flow-hash", &[(8, 0.0)]);
+        assert_eq!(gate(&zero, &zero).unwrap(), "bit-exact");
+        assert!(gate(&zero, &run(64, "flow-hash", &[(8, 5.0)])).is_err());
+    }
+
+    #[test]
+    fn the_gate_matches_points_one_to_one() {
+        let two = run(64, "flow-hash", &[(8, 1000.0), (32, 500.0)]);
+        let one = run(64, "flow-hash", &[(8, 1000.0)]);
+        let unknown = gate(&one, &two).unwrap_err();
+        assert!(unknown.contains("burst 32` was measured but is not in the baseline"));
+        let missing = gate(&two, &one).unwrap_err();
+        assert!(missing.contains("burst 32` is in the baseline but was not measured"));
+        let twice = run(64, "flow-hash", &[(8, 1000.0), (8, 900.0)]);
+        assert!(gate(&one, &twice).unwrap_err().contains("two points"));
+    }
+
+    #[test]
+    fn a_malformed_baseline_is_an_error_not_a_pass() {
+        let good = run(64, "flow-hash", &[(8, 1000.0)]);
+        let no_entries = gate("{\n  \"packets\": 64,\n}\n", &good).unwrap_err();
+        assert!(no_entries.contains("no \"entries\" array"), "{no_entries}");
+        let not_a_number = good.replace("1000.0", "\"fast\"");
+        let why = gate(&not_a_number, &good).unwrap_err();
+        assert!(why.contains("no numeric rx_cycles_per_packet"), "{why}");
+        let ungated = good.replace("rx_cycles_per_packet", "rx_mbps");
+        assert!(gate(&ungated, &good)
+            .unwrap_err()
+            .contains("has no *_cycles_per_packet"));
+    }
+
+    #[test]
+    fn only_a_different_packet_budget_skips_the_gate() {
+        let base = run(64, "flow-hash", &[(8, 1000.0)]);
+        let full = gate(&base, &run(300, "flow-hash", &[(8, 2000.0)])).unwrap();
+        assert_eq!(full, "SKIPPED: baseline is a 64-packet run");
+        let other = gate(&base, &run(64, "round-robin", &[(8, 1000.0)])).unwrap_err();
+        assert!(other.contains("baseline header is `packets 64  policy flow-hash`"));
+        assert!(gate(&base, &run(300, "round-robin", &[(8, 1000.0)])).is_err());
+    }
+
+    #[test]
     fn an_unwritable_output_fails_the_sweep() {
         let dir = std::env::temp_dir().join(format!("twin-bench-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let to = |path: PathBuf| {
-            let mut sweep = quiet();
-            sweep.out = Some((path, Row::new().int("packets", 64u64)));
+        std::fs::create_dir_all(dir.join("bench")).unwrap();
+        let under = |root: PathBuf| {
+            let mut sweep = quiet().writes("x", Row::new().int("packets", 64u64));
+            sweep.root = root;
             sweep.row(Row::new().f1("rx_cycles_per_packet", 10402.04));
             sweep
         };
-        // A path whose parent is missing cannot be written: that is a
-        // failure, not a message and exit 0.
-        assert!(!to(dir.join("missing").join("BENCH_x.json")).passed());
-        // A writable path holds exactly the rendered document.
-        let out = dir.join("BENCH_x.json");
-        assert!(to(out.clone()).passed());
-        let written = std::fs::read_to_string(&out).unwrap();
+        // A path whose parent is missing cannot be written, and has no
+        // baseline: that is a failure, not a message and exit 0.
+        assert!(!under(dir.join("missing")).passed());
+        // A run nothing gates is a failure too.
+        assert!(!under(dir.clone()).passed());
+        // A writable path holds exactly the rendered document, which is
+        // what the baseline beside it is compared with.
+        let written = std::fs::read_to_string(dir.join("BENCH_x.json")).unwrap();
         assert!(written.ends_with("{\"rx_cycles_per_packet\": 10402.0}\n  ]\n}\n"));
+        std::fs::write(dir.join("bench/baseline_x.json"), &written).unwrap();
+        assert!(under(dir.clone()).passed());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

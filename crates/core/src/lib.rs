@@ -144,7 +144,7 @@
 //! println!("transmit: {:.0} Mb/s at {:.0}% CPU", t.mbps, t.cpu_util * 100.0);
 //! // Amortized cost at burst 32 (one doorbell/interrupt per burst):
 //! let b = sys.measure_tx_burst(32, 256)?;
-//! println!("{}", b.row());
+//! println!("{}", b.breakdown.row("burst 32"));
 //! # Ok(())
 //! # }
 //! ```

@@ -87,19 +87,6 @@ pub struct BurstMeasurement {
     pub doorbells_per_packet: f64,
 }
 
-impl BurstMeasurement {
-    /// One sweep-table row.
-    pub fn row(&self) -> String {
-        format!(
-            "burst {:>4}  cycles/pkt {:>8.0}   irqs/pkt {:>6.3}   doorbells/pkt {:>6.3}",
-            self.burst,
-            self.breakdown.total(),
-            self.irqs_per_packet,
-            self.doorbells_per_packet,
-        )
-    }
-}
-
 /// Latency percentiles over a set of cycles-to-completion samples —
 /// the groundwork adaptive interrupt moderation needs, and the metric
 /// that keeps upcall deferral honest: throughput may rise only while the
@@ -595,20 +582,6 @@ impl AggregateThroughput {
     pub fn aggregate_mbps(&self) -> f64 {
         self.tx.mbps + self.rx.mbps
     }
-
-    /// One sweep-table row.
-    pub fn row(&self) -> String {
-        format!(
-            "nics {:>2}  burst {:>4}  tx {:>6.0} Mb/s ({:>6.0} cyc/pkt)  rx {:>6.0} Mb/s ({:>6.0} cyc/pkt)  aggregate {:>7.0} Mb/s",
-            self.nics,
-            self.burst,
-            self.tx.mbps,
-            self.tx_cycles_per_packet,
-            self.rx.mbps,
-            self.rx_cycles_per_packet,
-            self.aggregate_mbps(),
-        )
-    }
 }
 
 /// One point of the interrupt-moderation sweep: amortized receive cost,
@@ -648,20 +621,6 @@ impl ModeratedRx {
     pub fn throughput(&self) -> Throughput {
         throughput(self.breakdown.total(), self.nics)
     }
-
-    /// One sweep-table row.
-    pub fn row(&self) -> String {
-        format!(
-            "nics {:>2}  burst {:>4}  itr {:>6}  cyc/pkt {:>7.0}  irqs/pkt {:>6.3}  p50 {:>9}  p99 {:>9}",
-            self.nics,
-            self.burst,
-            self.itr,
-            self.breakdown.total(),
-            self.irqs_per_packet,
-            self.latency.p50,
-            self.latency.p99,
-        )
-    }
 }
 
 /// A multi-phase offered-load profile for the auto-tune harness: each
@@ -679,14 +638,6 @@ pub enum LoadProfile {
 }
 
 impl LoadProfile {
-    /// The JSON/label name.
-    pub fn label(self) -> &'static str {
-        match self {
-            LoadProfile::Step => "step",
-            LoadProfile::Ramp => "ramp",
-        }
-    }
-
     /// Per-phase inter-burst gaps, derived from the heavy (final) gap so
     /// the moderation and autotune benches share one pacing knob: the
     /// light phase offers 6× sparser arrivals (underloaded — windows
@@ -699,9 +650,13 @@ impl LoadProfile {
     }
 }
 
+/// The JSON/label name.
 impl std::fmt::Display for LoadProfile {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
+        f.write_str(match self {
+            LoadProfile::Step => "step",
+            LoadProfile::Ramp => "ramp",
+        })
     }
 }
 
@@ -728,22 +683,6 @@ pub struct RxPhase {
     /// Widest per-device `ITR` at phase end — where the tuner (or the
     /// static setting) sits when the phase closes.
     pub itr_end: u32,
-}
-
-impl RxPhase {
-    /// One phase-table row.
-    pub fn row(&self) -> String {
-        format!(
-            "gap {:>8}  cyc/pkt {:>7.0}  irqs/pkt {:>6.4}  p50 {:>9}  p99 {:>9}  itr@end {:>5}  retunes {:>3}",
-            self.gap_cycles,
-            self.breakdown.total(),
-            self.irqs_per_packet,
-            self.latency.p50,
-            self.latency.p99,
-            self.itr_end,
-            self.retunes,
-        )
-    }
 }
 
 /// Result of running one system through a shifting-load profile: the
@@ -828,20 +767,14 @@ pub enum OverloadProfile {
     ElephantMice,
 }
 
-impl OverloadProfile {
-    /// The JSON/label name.
-    pub fn label(self) -> &'static str {
-        match self {
+/// The JSON/label name.
+impl std::fmt::Display for OverloadProfile {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
             OverloadProfile::FloodOneGuest => "flood_one_guest",
             OverloadProfile::FlowChurn => "flow_churn",
             OverloadProfile::ElephantMice => "elephant_mice",
-        }
-    }
-}
-
-impl std::fmt::Display for OverloadProfile {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
+        })
     }
 }
 
@@ -893,23 +826,6 @@ impl LivelockPoint {
     /// Offered load as a multiple of the knee (1.0 = knee).
     pub fn offered(&self) -> f64 {
         f64::from(self.offered_x10) / 10.0
-    }
-
-    /// One sweep-table row.
-    pub fn row(&self) -> String {
-        format!(
-            "{:>15}  offered {:>5.1}x  goodput {:>7.0} Mb/s  cyc/pkt {:>8.0}  early {:>6}  queue {:>6}  ring {:>6}  irqs {:>6}  polls {:>5}  victim p99 {:>9}",
-            self.profile.label(),
-            self.offered(),
-            self.goodput_mbps,
-            self.rx_cycles_per_packet,
-            self.early_drops,
-            self.queue_drops,
-            self.ring_drops,
-            self.irqs,
-            self.polls,
-            self.victim_p99,
-        )
     }
 }
 
@@ -1012,7 +928,7 @@ pub fn measure_rx_livelock(
     let span = bursts * gap_cycles;
     // Flight-recorder export: a no-op unless TWIN_TRACE_OUT names a
     // directory (and empty unless the system was built with tracing).
-    sys.export_trace(&format!("livelock_{}_{offered_x10}", profile.label()));
+    sys.export_trace(&format!("livelock_{profile}_{offered_x10}"));
     Ok(LivelockPoint {
         nics: sys.nic_count() as u32,
         burst: burst_base,
@@ -1076,27 +992,6 @@ pub struct AffinityPoint {
     /// Worst p99 arrival-to-delivery latency across the scheduled
     /// guests, in cycles (includes sleep deferral by construction).
     pub victim_p99: u64,
-}
-
-impl AffinityPoint {
-    /// One sweep-table row.
-    pub fn row(&self) -> String {
-        format!(
-            "{:>9}  duty {:>3}%  cyc/pkt {:>8.0}  cold {:>6}  placements {:>4}  migrations {:>4}  wakes {:>5}  drops {:>2}/{:>2}/{:>2}  reorders {:>2}  p99 {:>9}",
-            self.policy,
-            self.duty_pct,
-            self.rx_cycles_per_packet,
-            self.cold_deliveries,
-            self.placements,
-            self.migrations,
-            self.wakes,
-            self.early_drops,
-            self.queue_drops,
-            self.ring_drops,
-            self.reorders,
-            self.victim_p99,
-        )
-    }
 }
 
 /// Counts per-(guest, flow) sequence inversions in every guest's
@@ -1309,15 +1204,6 @@ impl FaultClass {
         FaultClass::InfiniteLoop,
     ];
 
-    /// Table/JSON label.
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultClass::WildWrite => "wild_write",
-            FaultClass::WedgedRing => "wedged_ring",
-            FaultClass::InfiniteLoop => "infinite_loop",
-        }
-    }
-
     /// The value [`System::arm_driver_fault`] writes into the driver's
     /// `fault_arm` word to fault device `dev`: the payload compares it
     /// against the active adapter slot's index + 1, so only an
@@ -1328,9 +1214,14 @@ impl FaultClass {
     }
 }
 
+/// The table/JSON label.
 impl std::fmt::Display for FaultClass {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
+        f.write_str(match self {
+            FaultClass::WildWrite => "wild_write",
+            FaultClass::WedgedRing => "wedged_ring",
+            FaultClass::InfiniteLoop => "infinite_loop",
+        })
     }
 }
 
@@ -1443,24 +1334,6 @@ impl FaultPoint {
     /// (acceptance: within 5% of 1.0 — zero cross-NIC blast radius).
     pub fn sibling_frac(&self) -> f64 {
         self.sibling_delivered as f64 / self.sibling_control.max(1) as f64
-    }
-
-    /// One sweep-table row.
-    pub fn row(&self) -> String {
-        format!(
-            "{:>13}  episodes {:>2}  recovery {:>9} cyc   dev{} {:>4}->{:<4} ({:>5.1}%)   siblings {:>6.1}%   replayed {:>3}  dropped {:>3}  lost {:>3}",
-            self.class.label(),
-            self.episodes,
-            self.recovery_cycles,
-            self.dev,
-            self.pre_delivered,
-            self.post_delivered,
-            self.recovery_frac() * 100.0,
-            self.sibling_frac() * 100.0,
-            self.replayed,
-            self.dropped,
-            self.lost_frames,
-        )
     }
 }
 
@@ -1612,7 +1485,7 @@ pub fn measure_fault_recovery(
     let downtime: u64 = log.iter().map(|r| r.recovered_at - r.quarantined_at).sum();
     // Flight-recorder export: a no-op unless TWIN_TRACE_OUT names a
     // directory (and empty unless the system was built with tracing).
-    sys.export_trace(&format!("fault_{}", class.label()));
+    sys.export_trace(&format!("fault_{class}"));
     Ok(FaultPoint {
         class,
         nics,
@@ -1679,7 +1552,7 @@ mod tests {
             LoadProfile::Ramp.gaps(150_000),
             vec![900_000, 450_000, 150_000]
         );
-        assert_eq!(LoadProfile::Step.label(), "step");
+        assert_eq!(LoadProfile::Step.to_string(), "step");
         assert_eq!(LoadProfile::Ramp.to_string(), "ramp");
     }
 

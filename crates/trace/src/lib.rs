@@ -285,8 +285,9 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// Stable kind label — the event-counts key used by
-    /// `bench/trace_summary.py` and the exporters.
+    /// Stable kind label — the key of
+    /// [`FlightRecorder::counts_by_kind`] (which the sweeps' trace
+    /// requirements read) and of the exporters.
     pub fn kind(&self) -> &'static str {
         match self {
             TraceEvent::IrqDelivered { .. } => "irq_delivered",

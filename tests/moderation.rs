@@ -10,8 +10,11 @@ use twindrivers::{
 
 /// One committed shard-baseline point: `(nics, burst, tx_cpp, rx_cpp)`.
 fn parse_shard_baseline() -> (u64, Vec<(usize, usize, f64, f64)>) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/baseline.json");
-    let text = std::fs::read_to_string(path).expect("bench/baseline.json");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../bench/baseline_shard.json"
+    );
+    let text = std::fs::read_to_string(path).expect("bench/baseline_shard.json");
     let field = |line: &str, name: &str| -> f64 {
         let key = format!("\"{name}\": ");
         let i = line
