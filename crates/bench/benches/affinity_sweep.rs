@@ -116,10 +116,11 @@ fn row(p: &AffinityPoint) -> Row {
 fn main() -> ExitCode {
     let pkts = packets();
     let mut sweep = Sweep::new(
+        "affinity",
+        Row::new().int("packets", pkts),
         "Scheduler-affinity sweep — cache-local NIC placement vs static flow hashing",
         "repo extension (\u{a7}4.4 demux + \u{a7}5 per-NIC guest pinning); acceptance: affinity >= 1.2x cycles/packet vs flow-hash at 50% duty, victim p99 <= 1.5x, zero drops/reorders",
-    )
-    .writes("affinity", Row::new().int("packets", pkts));
+    );
     let bursts = (pkts / BURST as u64).max(10);
     // Twice the knee gap: headroom so the consumer keeps up even while
     // paying cold refills — the sweep measures delivery cost, not

@@ -120,10 +120,11 @@ fn file(r: &AutotunedRx, sweep: &mut Sweep) {
 fn main() -> ExitCode {
     let pkts = packets().max(MIN_PACKETS);
     let mut sweep = Sweep::new(
+        "autotune",
+        Row::new().int("packets", pkts).int("gap_cycles", GAP),
         "Autotune sweep — closed-loop ITR vs the static grid under shifting load",
         "repo extension (e1000_update_itr); acceptance: within 15% of per-phase best static on irqs/pkt AND p99",
-    )
-    .writes("autotune", Row::new().int("packets", pkts).int("gap_cycles", GAP));
+    );
     for profile in [LoadProfile::Step, LoadProfile::Ramp] {
         println!("  domU-twin, {NICS} NICs, burst {BURST}, profile {profile} (heavy gap {GAP}):");
         // The static grid IS the tuner's ladder: "tracking the pareto

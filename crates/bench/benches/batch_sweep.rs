@@ -39,7 +39,7 @@ fn sweep_direction(
                 .str("config", config.label())
                 .str("direction", direction)
                 .int("burst", m.burst)
-                .f1("cycles_per_packet", m.breakdown.total())
+                .f1("amortized_cycles_per_packet", m.breakdown.total())
                 .f4("irqs_per_packet", m.irqs_per_packet)
                 .f4("doorbells_per_packet", m.doorbells_per_packet)
                 .f4("speedup", points[0].breakdown.total() / m.breakdown.total()),
@@ -50,6 +50,8 @@ fn sweep_direction(
 
 fn main() -> ExitCode {
     let mut sweep = Sweep::new(
+        "batch",
+        Row::new().int("packets", packets()),
         "Batch sweep — amortized cost vs burst size",
         "repo extension; acceptance: twin burst-32 ≥ 1.3x cycles, ≥ 8x irqs vs burst-1",
     );

@@ -113,10 +113,11 @@ fn row(p: &FaultPoint) -> Row {
 fn main() -> ExitCode {
     let pkts = packets();
     let mut sweep = Sweep::new(
+        "fault",
+        Row::new().int("packets", pkts).str("policy", "flow-hash"),
         "Fault sweep — driver quarantine + live recovery per fault class",
         "\u{a7}4.5 safety (SVM reject, wedged state, \u{a7}4.5.2 watchdog); acceptance: recovery >= 95% pre-fault goodput, siblings within 5% of unfaulted control, loss bounded per episode",
-    )
-    .writes("fault", Row::new().int("packets", pkts).str("policy", "flow-hash"));
+    );
     // Window length per phase: enough rounds that one round's quantum
     // effects don't dominate the pre/post goodput comparison.
     let rounds = (pkts / (BURST * NICS) as u64).max(2);

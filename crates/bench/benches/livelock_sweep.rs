@@ -110,10 +110,11 @@ fn row(mode: &str, p: &LivelockPoint) -> Row {
 fn main() -> ExitCode {
     let pkts = packets();
     let mut sweep = Sweep::new(
+        "livelock",
+        Row::new().int("packets", pkts).str("policy", "flow-hash"),
         "Receive-livelock sweep — NAPI-style overload control vs per-arrival interrupts",
         "repo extension (\u{a7}4.4 softirq discipline; Mogul & Ramakrishnan livelock); acceptance: controlled >= 70% knee goodput and victim p99 <= 3x unloaded at 10x, uncontrolled collapses",
-    )
-    .writes("livelock", Row::new().int("packets", pkts).str("policy", "flow-hash"));
+    );
     // Enough bursts that the one-gap window edges don't dominate.
     let bursts = (pkts / BURST as u64).max(10);
     // The knee: a 1.0x open-loop schedule just saturates the

@@ -72,10 +72,11 @@ fn row(m: &ModeratedRx) -> Row {
 fn main() -> ExitCode {
     let pkts = packets().max(MIN_PACKETS);
     let mut sweep = Sweep::new(
+        "itr",
+        Row::new().int("packets", pkts).int("gap_cycles", GAP),
         "Moderation sweep — ITR x burst x NICs, paced arrivals",
         "repo extension (virtual-time engine); acceptance: >= 4x fewer irqs/pkt at <= 2x p99, burst 32 / 4 NICs",
-    )
-    .writes("itr", Row::new().int("packets", pkts).int("gap_cycles", GAP));
+    );
     // The acceptance row's points, in ITR order (ITR 0 first).
     let mut headline: Vec<ModeratedRx> = Vec::new();
     for (nics, burst) in GRID {

@@ -25,12 +25,10 @@ const BURSTS: [usize; 3] = [1, 8, 32];
 fn main() -> ExitCode {
     let pkts = packets();
     let mut sweep = Sweep::new(
-        "Shard sweep — aggregate RX+TX throughput vs NIC count",
-        "repo extension (testbed §6.1); acceptance: ≥ 3x aggregate from 1 to 4 NICs at burst 32",
-    )
-    .writes(
         "shard",
         Row::new().int("packets", pkts).str("policy", "round-robin"),
+        "Shard sweep — aggregate RX+TX throughput vs NIC count",
+        "repo extension (testbed §6.1); acceptance: ≥ 3x aggregate from 1 to 4 NICs at burst 32",
     );
     let config = Config::TwinDrivers;
     let mut base_agg32 = 0.0;

@@ -66,12 +66,10 @@ fn row(p: &Point) -> Row {
 fn main() -> ExitCode {
     let pkts = packets();
     let mut sweep = Sweep::new(
-        "Upcall sweep — deferred vs synchronous upcalls at burst 32",
-        "repo extension (Fig 10, §4.2); acceptance: >= 3x Mb/s at 4+ forced upcalls",
-    )
-    .writes(
         "upcall",
         Row::new().int("packets", pkts).int("burst", BURST),
+        "Upcall sweep — deferred vs synchronous upcalls at burst 32",
+        "repo extension (Fig 10, §4.2); acceptance: >= 3x Mb/s at 4+ forced upcalls",
     );
     let mut worst_speedup_4plus = f64::INFINITY;
     for n in UPCALL_COUNTS {

@@ -44,10 +44,11 @@ fn build(nics: usize, zero_copy: bool) -> System {
 fn main() -> ExitCode {
     let pkts = packets();
     let mut sweep = Sweep::new(
+        "zerocopy",
+        Row::new().int("packets", pkts).str("policy", "flow-hash"),
         "Zero-copy sweep — grant-mapped pools vs per-packet grant copy",
         "repo extension (I/O channel §2); acceptance: >= 1.3x RX cycles/pkt at 4 NICs burst 32, warm maps/pkt <= 0.05",
-    )
-    .writes("zerocopy", Row::new().int("packets", pkts).str("policy", "flow-hash"));
+    );
     let mut off_rx32 = 0.0_f64;
     let mut on_rx32 = 0.0_f64;
     let mut warm_maps_per_pkt = f64::NAN;

@@ -1,13 +1,12 @@
-//! Shared helpers and paper reference values for the per-figure bench
-//! harnesses in `benches/`.
+//! The sweep emitter behind the nine `benches/*_sweep.rs` files, and what
+//! they share with the `twindrivers-repro` CLI (which regenerates the
+//! paper's figures; nothing here does): the packet budget, the banner,
+//! and the paper's published values the CLI prints beside its own.
 //!
-//! Each figure harness prints the same rows/series the paper's figure
-//! or table reports, side by side with the paper's published values —
-//! `cargo bench -p twin-bench` regenerates the entire evaluation
-//! section. The sweeps (`*_sweep.rs`) additionally go through [`Sweep`]:
-//! one emitter for the banner, the table, the `BENCH_<name>.json`
-//! output, the acceptance predicates, the gate against the committed
-//! `bench/baseline_<name>.json` and the exit status.
+//! A sweep goes through [`Sweep`]: one emitter for the banner, the
+//! table, the `BENCH_<name>.json` output, the acceptance predicates, the
+//! gate against the committed `bench/baseline_<name>.json` and the exit
+//! status. A measured point is described once, as a [`Row`].
 
 use std::collections::BTreeMap;
 use std::fmt::Display;
@@ -76,13 +75,10 @@ pub const PAPER_TABLE1: [(&str, &str); 10] = [
 /// Paper §6.5: lines of commented C for the ten hypervisor routines.
 pub const PAPER_EFFORT_LOC: usize = 851;
 
-/// Prints the standard harness banner.
-pub fn banner(title: &str, paper_ref: &str) {
-    println!();
-    println!("================================================================");
-    println!("  {title}");
-    println!("  paper reference: {paper_ref}");
-    println!("================================================================");
+/// The banner that opens a sweep's or a figure's output.
+pub fn banner(title: &str, paper_ref: &str) -> String {
+    let rule = "================================================================";
+    format!("\n{rule}\n  {title}\n  paper reference: {paper_ref}\n{rule}\n")
 }
 
 /// Formats a measured-vs-paper row.
@@ -93,10 +89,10 @@ pub fn row(label: &str, measured: f64, paper: f64, unit: &str) -> String {
     )
 }
 
-/// Number of packets per measurement in the figure harnesses:
-/// `TWIN_BENCH_PACKETS`, 300 when unset. A value that is not a positive
-/// integer ends the bench — a typo must not run the default budget
-/// against baselines recorded at another.
+/// Number of packets per measurement, in the sweeps and in the CLI's
+/// figures: `TWIN_BENCH_PACKETS`, 300 when unset. A value that is not a
+/// positive integer ends the process — a typo must not run the default
+/// budget against baselines recorded at another.
 pub fn packets() -> u64 {
     let set = std::env::var_os("TWIN_BENCH_PACKETS");
     let set = set.as_deref().map(|s| s.to_string_lossy());
@@ -342,9 +338,10 @@ fn gate(baseline: &str, run: &str) -> Result<String, String> {
 /// baseline is a non-zero exit.
 #[derive(Debug)]
 pub struct Sweep {
-    /// The `<name>` of `BENCH_<name>.json` and
-    /// `bench/baseline_<name>.json`, and the header fields that lead both.
-    out: Option<(String, Row)>,
+    /// The `<name>` of `BENCH_<name>.json` and `bench/baseline_<name>.json`.
+    name: String,
+    /// The fields that lead both files.
+    header: Row,
     /// The directory both paths are relative to.
     root: PathBuf,
     rows: Vec<Row>,
@@ -352,24 +349,20 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// Starts a sweep (prints its banner) that only checks acceptance.
-    pub fn new(title: &str, paper_ref: &str) -> Sweep {
-        banner(title, paper_ref);
+    /// Starts a sweep (prints its banner) that will write
+    /// `BENCH_<name>.json` at the workspace root, led by the `header`
+    /// fields, and gate it against the committed
+    /// `bench/baseline_<name>.json`.
+    pub fn new(name: &str, header: Row, title: &str, paper_ref: &str) -> Sweep {
+        print!("{}", banner(title, paper_ref));
         Sweep {
-            out: None,
+            name: name.to_string(),
+            header,
             // The workspace root, wherever cargo runs the bench from.
             root: concat!(env!("CARGO_MANIFEST_DIR"), "/../..").into(),
             rows: Vec::new(),
             failed: false,
         }
-    }
-
-    /// Makes the sweep write `BENCH_<name>.json` at the workspace root,
-    /// led by the `header` fields, and gate it against the committed
-    /// `bench/baseline_<name>.json`.
-    pub fn writes(mut self, name: &str, header: Row) -> Sweep {
-        self.out = Some((name.to_string(), header));
-        self
     }
 
     /// Files one measured point and prints it as the table line.
@@ -408,8 +401,8 @@ impl Sweep {
         );
     }
 
-    fn render(&self, header: &Row) -> String {
-        let header: String = header.fields().map(|f| format!("  {f},\n")).collect();
+    fn render(&self) -> String {
+        let header: String = self.header.fields().map(|f| format!("  {f},\n")).collect();
         let entries: Vec<String> = self
             .rows
             .iter()
@@ -424,24 +417,22 @@ impl Sweep {
     /// Writes the output file, gates it against its baseline and reports
     /// whether the run passed.
     fn passed(mut self) -> bool {
-        if let Some((name, header)) = self.out.take() {
-            let file = format!("BENCH_{name}.json");
-            let baseline = format!("bench/baseline_{name}.json");
-            let run = self.render(&header);
-            match std::fs::write(self.root.join(&file), &run) {
-                Ok(()) => println!("  wrote {file} ({} sweep points)", self.rows.len()),
-                Err(e) => self.require(false, format_args!("{file} could not be written: {e}")),
-            }
-            let committed = std::fs::read_to_string(self.root.join(&baseline));
-            match committed
-                .map_err(|e| e.to_string())
-                .and_then(|b| gate(&b, &run))
-            {
-                Ok(verdict) => println!("  {file} vs {baseline}: {verdict}"),
-                Err(why) => {
-                    self.require(false, format_args!("{file} vs {baseline}: {why}"));
-                    eprintln!("  (if the run is right, refresh it: cp {file} {baseline})");
-                }
+        let file = format!("BENCH_{}.json", self.name);
+        let baseline = format!("bench/baseline_{}.json", self.name);
+        let run = self.render();
+        match std::fs::write(self.root.join(&file), &run) {
+            Ok(()) => println!("  wrote {file} ({} sweep points)", self.rows.len()),
+            Err(e) => self.require(false, format_args!("{file} could not be written: {e}")),
+        }
+        let committed = std::fs::read_to_string(self.root.join(&baseline));
+        match committed
+            .map_err(|e| e.to_string())
+            .and_then(|b| gate(&b, &run))
+        {
+            Ok(verdict) => println!("  {file} vs {baseline}: {verdict}"),
+            Err(why) => {
+                self.require(false, format_args!("{file} vs {baseline}: {why}"));
+                eprintln!("  (if the run is right, refresh it: cp {file} {baseline})");
             }
         }
         !self.failed
@@ -483,9 +474,9 @@ mod tests {
         }
     }
 
-    /// The eight gated sweeps, by the name they pass to `writes`.
-    const SWEEPS: [&str; 8] = [
-        "shard", "upcall", "itr", "autotune", "zerocopy", "livelock", "fault", "affinity",
+    /// The nine sweeps, by the name they pass to [`Sweep::new`].
+    const SWEEPS: [&str; 9] = [
+        "batch", "shard", "upcall", "itr", "autotune", "zerocopy", "livelock", "fault", "affinity",
     ];
 
     /// A committed baseline: together the complete spec of the emitter's
@@ -498,17 +489,19 @@ mod tests {
         std::fs::read_to_string(path).expect("committed baseline")
     }
 
-    fn quiet() -> Sweep {
-        Sweep::new("emitter test", "none")
+    /// A sweep named `x` under `header` (nothing is written before
+    /// `passed`).
+    fn quiet(header: Row) -> Sweep {
+        Sweep::new("x", header, "emitter test", "none")
     }
 
     #[test]
     fn every_baseline_is_reproduced_byte_for_byte() {
         for text in SWEEPS.map(baseline) {
             let (header, rows) = parse(&text).unwrap();
-            let mut sweep = quiet();
+            let mut sweep = quiet(header);
             rows.into_iter().for_each(|r| sweep.row(r));
-            assert_eq!(sweep.render(&header), text);
+            assert_eq!(sweep.render(), text);
         }
     }
 
@@ -542,22 +535,21 @@ mod tests {
 
     #[test]
     fn a_failed_predicate_fails_the_sweep() {
-        let mut sweep = quiet();
+        let mut sweep = quiet(Row::new());
         sweep.require(true, "holds");
-        assert!(sweep.passed());
-        let mut sweep = quiet();
+        assert!(!sweep.failed);
         sweep.require(false, "does not hold");
         sweep.require(true, "a later pass does not clear it");
-        assert!(!sweep.passed());
+        assert!(sweep.failed);
     }
 
     #[test]
     fn a_required_event_kind_must_be_in_the_recorder() {
         let mut trace = FlightRecorder::new();
         let traced = |trace: &FlightRecorder| {
-            let mut sweep = quiet();
+            let mut sweep = quiet(Row::new());
             sweep.require_traced("10x", trace, &["early_drop"]);
-            sweep.passed()
+            !sweep.failed
         };
         assert!(traced(&trace), "a recorder that is off claims nothing");
         trace.set_enabled(true);
@@ -568,12 +560,12 @@ mod tests {
 
     /// A rendered run of one sweep point per `(burst, rx cycles/packet)`.
     fn run(packets: u64, policy: &str, points: &[(u32, f64)]) -> String {
-        let mut sweep = quiet();
+        let mut sweep = quiet(Row::new().int("packets", packets).str("policy", policy));
         for &(burst, cpp) in points {
             let id = Row::new().str("config", "domU-twin").int("burst", burst);
             sweep.row(id.f1("rx_cycles_per_packet", cpp).int("irqs", 20u32));
         }
-        sweep.render(&Row::new().int("packets", packets).str("policy", policy))
+        sweep.render()
     }
 
     #[test]
@@ -635,7 +627,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("twin-bench-{}", std::process::id()));
         std::fs::create_dir_all(dir.join("bench")).unwrap();
         let under = |root: PathBuf| {
-            let mut sweep = quiet().writes("x", Row::new().int("packets", 64u64));
+            let mut sweep = quiet(Row::new().int("packets", 64u64));
             sweep.root = root;
             sweep.row(Row::new().f1("rx_cycles_per_packet", 10402.04));
             sweep

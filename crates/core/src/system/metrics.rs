@@ -1,7 +1,7 @@
 //! Reading a system: the unified metrics snapshot, drop and delivery
 //! counters, and the arrival-to-delivery latency samples.
 
-use super::{Config, System};
+use super::System;
 use twin_machine::CostDomain;
 use twin_net::Frame;
 use twin_trace::MetricSet;
@@ -188,18 +188,9 @@ impl System {
 
     /// Frames fully delivered to the measured receive endpoint.
     pub fn delivered_rx(&self) -> usize {
-        match self.config {
-            Config::NativeLinux | Config::XenDom0 => self.world.kernel.rx_delivered.len(),
-            Config::XenGuest | Config::TwinDrivers => {
-                let gid = self.guest.expect("guest");
-                self.world
-                    .xen
-                    .as_ref()
-                    .unwrap()
-                    .domain(gid)
-                    .rx_delivered
-                    .len()
-            }
+        match self.guest {
+            Some(gid) => self.delivered_rx_for(gid),
+            None => self.world.kernel.rx_delivered.len(),
         }
     }
 
@@ -235,7 +226,7 @@ impl System {
         let now = self.machine.meter.now();
         // One delivered-frame log per endpoint: every domain of a guest
         // configuration, else the dom0 / native stack (endpoint 0).
-        let guest_path = matches!(self.config, Config::XenGuest | Config::TwinDrivers);
+        let guest_path = self.guest.is_some();
         let logs: Vec<&Vec<Frame>> = match self.world.xen.as_ref() {
             Some(xen) if guest_path => xen.domains.iter().map(|d| &d.rx_delivered).collect(),
             _ => vec![&self.world.kernel.rx_delivered],

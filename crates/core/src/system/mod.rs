@@ -32,7 +32,7 @@ use twin_nic::{ItrTuner, Nic};
 use twin_rewriter::{RewriteOptions, RewriteStats};
 pub use twin_sched::SchedOptions;
 use twin_sched::VcpuSched;
-use twin_svm::{Svm, CALL_XLAT_SYMBOL, SLOW_PATH_SYMBOL};
+use twin_svm::Svm;
 pub use twin_xen::{DomId, UpcallMode};
 use twin_xen::{GrantCache, HyperSupport, HypervisorDriver, Xen};
 
@@ -537,31 +537,14 @@ impl Env for World {
         }
         // Guest mode: dom0 context. The VM instance of a rewritten driver
         // resolves the SVM helpers to the identity table (paper §5.1.2).
-        match name {
-            SLOW_PATH_SYMBOL => {
-                let svm = self
-                    .svm_vm
-                    .as_mut()
-                    .ok_or_else(|| Fault::UnknownExtern(name.to_string()))?;
-                let addr = cpu.arg(m, 0)? as u64;
-                svm.slow_path(m, addr)?;
-                Ok(())
+        if let Some(svm) = self.svm_vm.as_mut() {
+            if let Some(r) = twin_xen::svm_helper(name, m, cpu, svm, false) {
+                return r;
             }
-            CALL_XLAT_SYMBOL => {
-                let svm = self
-                    .svm_vm
-                    .as_mut()
-                    .ok_or_else(|| Fault::UnknownExtern(name.to_string()))?;
-                let t = cpu.arg(m, 0)? as u64;
-                let x = svm.translate_call(m, t)?;
-                cpu.set_reg(twin_isa::Reg::Eax, x as u32);
-                Ok(())
-            }
-            twin_rewriter::STACK_CHECK_SYMBOL => Ok(()),
-            _ => match self.kernel.handle_extern(name, m, cpu) {
-                Some(r) => r,
-                None => Err(Fault::UnknownExtern(name.to_string())),
-            },
+        }
+        match self.kernel.handle_extern(name, m, cpu) {
+            Some(r) => r,
+            None => Err(Fault::UnknownExtern(name.to_string())),
         }
     }
 

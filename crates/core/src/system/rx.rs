@@ -21,12 +21,8 @@ impl System {
     pub const BALANCED_FLOW_BASE: u32 = 203;
 
     pub(crate) fn next_rx_frame(&mut self) -> Frame {
-        let dst = match self.config {
-            Config::XenGuest | Config::TwinDrivers => MacAddr::for_guest(1),
-            _ => MacAddr::for_guest(0),
-        };
         let f = Frame {
-            dst,
+            dst: self.endpoint_mac(),
             src: peer_mac(),
             ethertype: EtherType::Ipv4,
             payload_len: MTU,
@@ -123,7 +119,7 @@ impl System {
             } else if pass_devs.is_empty() {
                 false
             } else {
-                self.rx_pass(&pass_devs)?;
+                self.rx_pass(&pass_devs, true)?;
                 true
             };
             if progressed {
@@ -243,7 +239,7 @@ impl System {
                     OnIrq::IsrReap => {
                         self.take_irqs(&[dev])?;
                         if self.opts.napi_weight == 0 {
-                            self.rx_isr_reap(dev)?;
+                            self.rx_pass(&[dev], false)?;
                         }
                     }
                 }
@@ -437,38 +433,29 @@ impl System {
 
     /// Runs the configuration's receive software path for one hardware
     /// pass covering `devs` (each with a freshly filled RX ring): per-NIC
-    /// interrupt dispatch and descriptor reap, then a single demux flush
-    /// with one virtual interrupt per destination guest per quantum
-    /// round.
-    pub(super) fn rx_pass(&mut self, devs: &[u32]) -> Result<(), SystemError> {
+    /// interrupt dispatch and descriptor reap, then — with `flush` — a
+    /// single demux flush with one virtual interrupt per destination
+    /// guest per quantum round. Without it this is the per-arrival ISR
+    /// of the open-loop harness: TwinDrivers only demux-queues, and the
+    /// consumer (the flush) runs when the CPU gets a gap; the other
+    /// paths deliver inline either way, as their stack runs in interrupt
+    /// context anyway.
+    pub(super) fn rx_pass(&mut self, devs: &[u32], flush: bool) -> Result<(), SystemError> {
         match self.config {
-            Config::NativeLinux => {
+            Config::NativeLinux | Config::XenDom0 => {
                 for &dev in devs {
-                    self.rx_dom0_style(false, dev)?;
-                }
-            }
-            Config::XenDom0 => {
-                for &dev in devs {
-                    self.rx_dom0_style(true, dev)?;
+                    self.rx_dom0_style(self.config == Config::XenDom0, dev)?;
                 }
             }
             Config::XenGuest => self.rx_baseline_guest(devs)?,
-            Config::TwinDrivers => self.rx_twin(devs)?,
+            Config::TwinDrivers => {
+                self.rx_twin_reap(devs)?;
+                if flush {
+                    self.flush_guest_rx_queues()?;
+                }
+            }
         }
         Ok(())
-    }
-
-    /// The configuration's per-arrival ISR reap — interrupt dispatch and
-    /// descriptor reap without the consumer-side flush (TwinDrivers
-    /// demux-queues frames; the dom0-style paths deliver inline, as
-    /// their stack runs in interrupt context anyway).
-    fn rx_isr_reap(&mut self, dev: u32) -> Result<(), SystemError> {
-        match self.config {
-            Config::NativeLinux => self.rx_dom0_style(false, dev),
-            Config::XenDom0 => self.rx_dom0_style(true, dev),
-            Config::XenGuest => self.rx_baseline_guest(&[dev]),
-            Config::TwinDrivers => self.rx_twin_reap(&[dev]),
-        }
     }
 
     /// Polled receive (NAPI-style): reaps every filled RX descriptor
@@ -553,15 +540,8 @@ impl System {
         Ok(())
     }
 
-    fn rx_twin(&mut self, devs: &[u32]) -> Result<(), SystemError> {
-        self.rx_twin_reap(devs)?;
-        self.flush_guest_rx_queues()
-    }
-
-    /// The interrupt half of [`System::rx_twin`]: per-NIC dispatch and
-    /// descriptor reap into the per-guest queues, without the demux
-    /// flush — so the open-loop harness can model a per-arrival ISR
-    /// whose consumer (the flush) runs only when the CPU gets a gap.
+    /// The interrupt half of the TwinDrivers receive pass: per-NIC
+    /// dispatch and descriptor reap into the per-guest queues.
     fn rx_twin_reap(&mut self, devs: &[u32]) -> Result<(), SystemError> {
         // The hypervisor takes each NIC's interrupt directly and runs the
         // hypervisor driver's handler in softirq context (paper §4.4) —

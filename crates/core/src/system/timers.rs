@@ -207,7 +207,7 @@ impl System {
                         }
                     }
                 } else {
-                    self.rx_pass(&ready)?;
+                    self.rx_pass(&ready, true)?;
                 }
                 self.flush_deferred_upcalls()?;
                 self.sample_rx_completions();

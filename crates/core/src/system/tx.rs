@@ -16,14 +16,18 @@ impl System {
     /// bookkeeping only; costs and single-NIC behaviour are unchanged).
     pub(super) const GEN_FLOWS: u64 = 8;
 
+    /// MAC of the measured endpoint — the source of generated transmit
+    /// traffic and the destination of generated receive traffic: the
+    /// guest on the guest configurations (`guest` is `Some` exactly
+    /// there), else dom0 / the native stack.
+    pub(super) fn endpoint_mac(&self) -> MacAddr {
+        MacAddr::for_guest(self.guest.map_or(0, |gid| gid.0))
+    }
+
     fn next_tx_frame(&mut self) -> Frame {
-        let src = match self.config {
-            Config::XenGuest | Config::TwinDrivers => MacAddr::for_guest(1),
-            _ => MacAddr::for_guest(0),
-        };
         let f = Frame {
             dst: peer_mac(),
-            src,
+            src: self.endpoint_mac(),
             ethertype: EtherType::Ipv4,
             payload_len: MTU,
             flow: 1 + (self.seq % Self::GEN_FLOWS) as u32,

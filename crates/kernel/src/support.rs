@@ -908,20 +908,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_phases() {
-        let mut t = Trace::new();
-        t.enabled = true;
-        t.phase = "init".into();
-        t.record("kmalloc");
-        t.phase = "fastpath".into();
-        t.record("netif_rx");
-        t.record("kmalloc"); // also on fast path now
-        assert_eq!(t.names_in_phase("fastpath").len(), 2);
-        assert_eq!(t.all_names().len(), 2);
-        assert!(t.names_in_phase("init").contains("kmalloc"));
-    }
-
-    #[test]
     fn timers_fire_in_order() {
         let mut m = Machine::new();
         let s = m.new_space();

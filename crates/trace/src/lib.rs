@@ -354,9 +354,6 @@ pub struct FlightRecorder {
     ring: VecDeque<TraceRecord>,
     next_seq: u64,
     dropped: u64,
-    /// Table 1 summary maintained across ring eviction: distinct
-    /// routine → phases observed, fed by [`TraceEvent::KernelCall`].
-    call_phases: BTreeMap<String, BTreeSet<String>>,
 }
 
 impl Default for FlightRecorder {
@@ -382,7 +379,6 @@ impl FlightRecorder {
             ring: VecDeque::new(),
             next_seq: 0,
             dropped: 0,
-            call_phases: BTreeMap::new(),
         }
     }
 
@@ -416,12 +412,6 @@ impl FlightRecorder {
     pub fn record(&mut self, at: u64, domain: &'static str, event: TraceEvent) {
         if !self.enabled {
             return;
-        }
-        if let TraceEvent::KernelCall { routine, phase } = &event {
-            self.call_phases
-                .entry(routine.clone())
-                .or_default()
-                .insert(phase.clone());
         }
         if self.ring.len() >= self.capacity {
             self.ring.pop_front();
@@ -471,28 +461,11 @@ impl FlightRecorder {
         out
     }
 
-    /// Distinct routines observed in `phase` via
-    /// [`TraceEvent::KernelCall`] — the Table 1 query. Survives ring
-    /// eviction (the summary is maintained outside the ring).
-    pub fn names_in_phase(&self, phase: &str) -> BTreeSet<String> {
-        self.call_phases
-            .iter()
-            .filter(|(_, phases)| phases.contains(phase))
-            .map(|(n, _)| n.clone())
-            .collect()
-    }
-
-    /// All distinct routines observed via [`TraceEvent::KernelCall`].
-    pub fn all_call_names(&self) -> BTreeSet<String> {
-        self.call_phases.keys().cloned().collect()
-    }
-
-    /// Drops every held record and the call-phase summary; `seq` and the
-    /// dropped counter keep counting (clearing is a measurement
-    /// boundary, not a replay point).
+    /// Drops every held record; `seq` and the dropped counter keep
+    /// counting (clearing is a measurement boundary, not a replay
+    /// point).
     pub fn clear(&mut self) {
         self.ring.clear();
-        self.call_phases.clear();
     }
 }
 
@@ -814,29 +787,6 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert_eq!(r.dropped(), 5);
         assert_eq!(r.records().next().unwrap().seq, 5);
-    }
-
-    #[test]
-    fn kernel_call_summary_survives_eviction() {
-        let mut r = FlightRecorder::with_capacity(2);
-        r.set_enabled(true);
-        r.record(
-            1,
-            "dom0",
-            TraceEvent::KernelCall {
-                routine: "netif_rx".into(),
-                phase: "fastpath".into(),
-            },
-        );
-        for i in 0..5u64 {
-            r.record(2 + i, "Xen", ev(0));
-        }
-        assert!(
-            !r.records().any(|x| x.event.kind() == "kernel_call"),
-            "the record itself was evicted"
-        );
-        assert!(r.names_in_phase("fastpath").contains("netif_rx"));
-        assert_eq!(r.all_call_names().len(), 1);
     }
 
     #[test]

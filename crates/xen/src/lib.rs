@@ -34,7 +34,7 @@ pub use hyperdrv::{
     load_hypervisor_driver, HypervisorDriver, HYP_CODE_BASE, HYP_STACK_BASE, HYP_STACK_PAGES,
     UPCALL_RING_BASE, UPCALL_RING_PAGES, UPCALL_RING_SLOTS, UPCALL_STACK_BASE, UPCALL_STACK_PAGES,
 };
-pub use support::{HyperSupport, UPCALL_PORT};
+pub use support::{svm_helper, HyperSupport, UPCALL_PORT};
 pub use upcall::{
     Completion, QueuedUpcall, UpcallEngine, UpcallMode, UpcallStats, UPCALL_COMPLETION_PORT,
 };

@@ -31,6 +31,42 @@ use twin_machine::{CostDomain, Cpu, ExecMode, Fault, Machine, PAGE_SIZE};
 use twin_svm::{Svm, CALL_XLAT_SYMBOL, SLOW_PATH_SYMBOL};
 use twin_trace::{FlushCause, TraceEvent};
 
+/// Handles a call to one of the three SVM helpers the rewriter emits
+/// against `svm`, the calling driver instance's table (paper §5.1.2: the
+/// VM instance resolves them to the identity table, the hypervisor
+/// instance to the hypervisor's). Returns `None` if `name` is not an SVM
+/// helper. The stack window (§4.5.1) is enforced only with
+/// `stack_checked` — the hypervisor instance; the VM instance's check is
+/// a no-op.
+pub fn svm_helper(
+    name: &str,
+    m: &mut Machine,
+    cpu: &mut Cpu,
+    svm: &mut Svm,
+    stack_checked: bool,
+) -> Option<Result<(), Fault>> {
+    let arg = |cpu: &Cpu, m: &Machine| cpu.arg(m, 0).map(u64::from);
+    Some(match name {
+        SLOW_PATH_SYMBOL => arg(cpu, m).and_then(|addr| svm.slow_path(m, addr).map(drop)),
+        CALL_XLAT_SYMBOL => arg(cpu, m)
+            .and_then(|target| svm.translate_call(m, target))
+            .map(|x| cpu.set_reg(twin_isa::Reg::Eax, x as u32)),
+        twin_rewriter::STACK_CHECK_SYMBOL if stack_checked => arg(cpu, m).and_then(|addr| {
+            let esp = cpu.reg(twin_isa::Reg::Esp) as u64;
+            // Accept accesses within one stack extent of esp.
+            let (lo, hi) = (esp.saturating_sub(4096 * 2), esp + 4096 * 2);
+            match (lo..hi).contains(&addr) {
+                true => Ok(()),
+                false => Err(Fault::EnvFault(format!(
+                    "stack check: access at {addr:#x} outside stack window"
+                ))),
+            }
+        }),
+        twin_rewriter::STACK_CHECK_SYMBOL => Ok(()),
+        _ => return None,
+    })
+}
+
 /// Event-channel port used for upcall requests.
 pub const UPCALL_PORT: u32 = 31;
 
@@ -84,43 +120,9 @@ impl HyperSupport {
         xen: &mut Xen,
         svm: &mut Svm,
     ) -> Option<Result<(), Fault>> {
-        match name {
-            SLOW_PATH_SYMBOL => {
-                let r = (|| {
-                    let addr = cpu.arg(m, 0)? as u64;
-                    svm.slow_path(m, addr)?;
-                    Ok(())
-                })();
-                return Some(r);
-            }
-            CALL_XLAT_SYMBOL => {
-                let r = (|| {
-                    let t = cpu.arg(m, 0)? as u64;
-                    let x = svm.translate_call(m, t)?;
-                    cpu.set_reg(twin_isa::Reg::Eax, x as u32);
-                    Ok(())
-                })();
-                return Some(r);
-            }
-            twin_rewriter::STACK_CHECK_SYMBOL => {
-                let r = (|| {
-                    let addr = cpu.arg(m, 0)? as u64;
-                    let esp = cpu.reg(twin_isa::Reg::Esp) as u64;
-                    // Accept accesses within one stack extent of esp.
-                    let lo = esp.saturating_sub(4096 * 2);
-                    let hi = esp + 4096 * 2;
-                    if addr < lo || addr >= hi {
-                        return Err(Fault::EnvFault(format!(
-                            "stack check: access at {addr:#x} outside stack window"
-                        )));
-                    }
-                    Ok(())
-                })();
-                return Some(r);
-            }
-            _ => {}
+        if let Some(r) = svm_helper(name, m, cpu, svm, true) {
+            return Some(r);
         }
-
         let is_fastpath = TABLE1_FASTPATH.contains(&name);
         let force_upcall = self.upcall_routines.contains(name);
         if is_fastpath && !force_upcall {

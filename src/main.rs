@@ -1,4 +1,5 @@
-//! `twindrivers-repro` — command-line front end for the reproduction.
+//! `twindrivers-repro` — the one front end that regenerates the paper's
+//! evaluation; each artefact is a function of [`figures`].
 //!
 //! ```text
 //! twindrivers-repro netperf [tx|rx]     figures 5/6
@@ -6,151 +7,33 @@
 //! twindrivers-repro webserver           figure 9
 //! twindrivers-repro upcalls             figure 10
 //! twindrivers-repro table1              table 1
+//! twindrivers-repro effort              §6.5 line counts
+//! twindrivers-repro ablations           design-choice costs
 //! twindrivers-repro rewrite             rewriter statistics
 //! twindrivers-repro all                 everything above
 //! ```
+//!
+//! `TWIN_BENCH_PACKETS` sets the packets per measurement (default 300).
 
-use std::env;
 use std::process::ExitCode;
-use twin_workloads::{run_netperf, run_webserver, Direction};
-use twindrivers::{throughput, Config, System, SystemOptions, TESTBED_NICS};
-
-const PACKETS: u64 = 300;
-
-fn netperf(dir: Direction) -> Result<(), Box<dyn std::error::Error>> {
-    println!("netperf {} (5 x 1GbE):", dir.label());
-    for config in Config::ALL {
-        let r = run_netperf(config, dir, PACKETS)?;
-        println!("{}", r.row());
-    }
-    Ok(())
-}
-
-fn breakdown(dir: Direction) -> Result<(), Box<dyn std::error::Error>> {
-    println!("cycles/packet breakdown, {} (single NIC):", dir.label());
-    for config in Config::ALL {
-        let mut sys = System::build(config)?;
-        let b = match dir {
-            Direction::Transmit => sys.measure_tx(PACKETS)?,
-            Direction::Receive => sys.measure_rx(PACKETS)?,
-        };
-        println!("{}", b.row(config.label()));
-    }
-    Ok(())
-}
-
-fn webserver() -> Result<(), Box<dyn std::error::Error>> {
-    println!("web server workload (SPECweb99 static set):");
-    let rates: Vec<f64> = (1..=16).map(|i| i as f64 * 1000.0).collect();
-    for config in [
-        Config::NativeLinux,
-        Config::XenDom0,
-        Config::TwinDrivers,
-        Config::XenGuest,
-    ] {
-        let (model, _pts) = run_webserver(config, &rates, 150)?;
-        println!(
-            "  {:>10}: peak {:>5.0} Mb/s at {:>6.0} reqs/s",
-            model.config.label(),
-            model.peak_mbps(),
-            model.capacity()
-        );
-    }
-    Ok(())
-}
-
-fn upcalls() -> Result<(), Box<dyn std::error::Error>> {
-    println!("transmit throughput vs upcalls per driver invocation:");
-    for n in 0..=9usize {
-        let opts = SystemOptions {
-            upcall_count: n,
-            ..SystemOptions::default()
-        };
-        let mut sys = System::build_with(Config::TwinDrivers, &opts)?;
-        let b = sys.measure_tx(PACKETS)?;
-        let t = throughput(b.total(), TESTBED_NICS);
-        println!(
-            "  {n} upcalls: {:>5.0} Mb/s ({:.0} cycles/packet)",
-            t.mbps,
-            b.total()
-        );
-    }
-    Ok(())
-}
-
-fn table1() -> Result<(), Box<dyn std::error::Error>> {
-    let mut sys = System::build(Config::TwinDrivers)?;
-    sys.world.kernel.trace.enabled = true;
-    sys.world.kernel.trace.phase = "fastpath".into();
-    for _ in 0..64 {
-        sys.transmit_one()?;
-        sys.receive_one()?;
-    }
-    let fast = sys.world.kernel.trace.names_in_phase("fastpath");
-    println!("support routines on the error-free TX/RX fast path:");
-    for name in &fast {
-        println!("  {name}");
-    }
-    println!("  ({} routines; paper Table 1 lists 10)", fast.len());
-    Ok(())
-}
-
-fn rewrite_stats() -> Result<(), Box<dyn std::error::Error>> {
-    let sys = System::build(Config::TwinDrivers)?;
-    let s = sys.rewrite_stats.expect("stats");
-    println!("binary rewriting of the e1000 driver:");
-    println!(
-        "  instructions : {} -> {} ({:.2}x)",
-        s.insns_before,
-        s.insns_after,
-        s.expansion_factor()
-    );
-    println!(
-        "  memory sites : {} ({:.0}% of instructions)",
-        s.mem_sites,
-        s.mem_fraction() * 100.0
-    );
-    println!("  string sites : {}", s.string_sites);
-    println!("  indirect     : {}", s.indirect_sites);
-    println!("  spill sites  : {}", s.spill_sites);
-    Ok(())
-}
-
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: twindrivers-repro <netperf|breakdown> [tx|rx] | <webserver|upcalls|table1|rewrite|all>"
-    );
-    ExitCode::FAILURE
-}
+use twindrivers_repro::figures;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let dir = |s: Option<&String>| match s.map(String::as_str) {
-        Some("rx") => Direction::Receive,
-        _ => Direction::Transmit,
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let Some(named) = figures::resolve(&args) else {
+        eprintln!("{}", figures::USAGE);
+        return ExitCode::FAILURE;
     };
-    let result = match args.first().map(String::as_str) {
-        Some("netperf") => netperf(dir(args.get(1))),
-        Some("breakdown") => breakdown(dir(args.get(1))),
-        Some("webserver") => webserver(),
-        Some("upcalls") => upcalls(),
-        Some("table1") => table1(),
-        Some("rewrite") => rewrite_stats(),
-        Some("all") => netperf(Direction::Transmit)
-            .and_then(|()| netperf(Direction::Receive))
-            .and_then(|()| breakdown(Direction::Transmit))
-            .and_then(|()| breakdown(Direction::Receive))
-            .and_then(|()| webserver())
-            .and_then(|()| upcalls())
-            .and_then(|()| table1())
-            .and_then(|()| rewrite_stats()),
-        _ => return usage(),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
+    let packets = twin_bench::packets();
+    for (.., figure) in named {
+        match figure(packets) {
+            Ok(text) => print!("{text}"),
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
         }
     }
+    ExitCode::SUCCESS
 }
