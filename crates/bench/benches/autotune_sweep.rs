@@ -5,7 +5,7 @@
 //! load, wide `ITR` windows buy ~6× fewer interrupts/packet at ~1.9×
 //! p99, while at light load any window only adds latency. No single
 //! static setting is right on both sides — the pareto front moves with
-//! the load. The auto-tuner (`SystemOptions::itr_autotune`, modeled on
+//! the load. The auto-tuner (`Itr::Auto`, modeled on
 //! Linux's `e1000_update_itr` state machine) retunes each device one
 //! ladder rung per interval window from its observed traffic, so it
 //! should land near the *per-phase* best static point on every phase of
@@ -29,7 +29,7 @@ use std::process::ExitCode;
 use twin_bench::{packets, Row, Sweep, DEFAULT_GAP_CYCLES as GAP};
 use twindrivers::measure::{measure_rx_autotuned, AutotunedRx, LoadProfile};
 use twindrivers::nic::ITR_LADDER;
-use twindrivers::{Config, ShardPolicy, System, SystemOptions};
+use twindrivers::{Config, Itr, ShardPolicy, System, SystemOptions};
 
 /// The acceptance grid: the moderation sweep's headline row.
 const NICS: usize = 4;
@@ -50,12 +50,11 @@ const P99_BUDGET: f64 = 2.0;
 /// Tracking tolerance vs the per-phase best static point, both metrics.
 const TRACK_TOLERANCE: f64 = 1.15;
 
-fn run(profile: LoadProfile, autotune: bool, itr: u32, pkts: u64) -> AutotunedRx {
+fn run(profile: LoadProfile, itr: Itr, pkts: u64) -> AutotunedRx {
     let opts = SystemOptions {
         num_nics: NICS,
         shard: ShardPolicy::FlowHash,
         itr,
-        itr_autotune: autotune,
         ..SystemOptions::default()
     };
     let mut sys = System::build_with(Config::TwinDrivers, &opts).expect("build");
@@ -132,9 +131,9 @@ fn main() -> ExitCode {
         // land on.
         let statics: Vec<AutotunedRx> = ITR_LADDER
             .iter()
-            .map(|&itr| run(profile, false, itr, pkts))
+            .map(|&itr| run(profile, Itr::Fixed(itr), pkts))
             .collect();
-        let auto = run(profile, true, 0, pkts);
+        let auto = run(profile, Itr::Auto, pkts);
         for r in statics.iter().chain([&auto]) {
             file(r, &mut sweep);
         }

@@ -28,7 +28,7 @@
 use std::process::ExitCode;
 use twin_bench::{packets, Row, Sweep, DEFAULT_GAP_CYCLES as GAP};
 use twindrivers::measure::ModeratedRx;
-use twindrivers::{Config, ShardPolicy, System, SystemOptions};
+use twindrivers::{Config, Itr, ShardPolicy, System, SystemOptions};
 
 /// `(nics, burst)` grid rows; the acceptance row is (4, 32).
 const GRID: [(usize, usize); 3] = [(1, 32), (4, 8), (4, 32)];
@@ -47,7 +47,7 @@ fn measure(nics: usize, burst: usize, itr: u32, pkts: u64) -> ModeratedRx {
     let opts = SystemOptions {
         num_nics: nics,
         shard: ShardPolicy::FlowHash,
-        itr,
+        itr: Itr::Fixed(itr),
         ..SystemOptions::default()
     };
     let mut sys = System::build_with(Config::TwinDrivers, &opts).expect("build");

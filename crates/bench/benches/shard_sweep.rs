@@ -17,7 +17,7 @@
 use std::process::ExitCode;
 use twin_bench::{packets, Row, Sweep};
 use twindrivers::measure::measure_aggregate_throughput;
-use twindrivers::{Config, ShardPolicy, System};
+use twindrivers::{Config, ShardPolicy, System, SystemOptions};
 
 const NIC_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const BURSTS: [usize; 3] = [1, 8, 32];
@@ -36,8 +36,12 @@ fn main() -> ExitCode {
     println!("  {} (round-robin burst sharding):", config.label());
     for nics in NIC_COUNTS {
         for burst in BURSTS {
-            let mut sys = System::build_sharded(config, nics, ShardPolicy::RoundRobin)
-                .expect("build sharded system");
+            let opts = SystemOptions {
+                num_nics: nics,
+                shard: ShardPolicy::RoundRobin,
+                ..SystemOptions::default()
+            };
+            let mut sys = System::build_with(config, &opts).expect("build sharded system");
             let a = measure_aggregate_throughput(&mut sys, burst, pkts).expect("sweep point");
             if burst == 32 && nics == 1 {
                 base_agg32 = a.aggregate_mbps();

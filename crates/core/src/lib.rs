@@ -21,13 +21,18 @@
 //! [`System`] assembles the four measured configurations (native Linux,
 //! Xen dom0, baseline Xen guest, TwinDrivers guest) and [`measure`]
 //! converts per-packet cycle breakdowns into the paper's figures.
+//! [`System::build_with`] validates its [`SystemOptions`] — a knob the
+//! configuration cannot honour is an error — and then reads as the
+//! paper's §3.1 list: the machine with dom0 and its NICs, the VM
+//! instance, the primary guest, the hypervisor instance, the zero-copy
+//! pool.
 //!
 //! ## How `System` is organised
 //!
 //! One struct, its `impl` split by pipeline stage under `src/system/`
-//! (build, sharding, driver calls and fault recovery, virtual timers,
-//! TX, RX, NAPI, demux flush and zero-copy, metrics, the measurement
-//! harness). State is per resource — one private `DevState` per NIC,
+//! (validation and the five build steps, sharding, driver calls and
+//! fault recovery, virtual timers, TX, RX, NAPI, demux flush and
+//! zero-copy, metrics). State is per resource — one private `DevState` per NIC,
 //! one `GuestState` per domain id, each field at its neutral value
 //! when its feature is off — both receive entry points share one
 //! ring-landing pass, and every fast-path driver invocation goes
@@ -47,8 +52,8 @@
 //!   one `TDT` doorbell drains the whole TX tail in one pass;
 //! * the e1000 driver exposes burst entry points — `e1000_xmit_batch`
 //!   (one lock, N descriptor fills, one doorbell) and
-//!   `e1000_poll_rx_batch` (NAPI-style reap, no `ICR` read) — next to
-//!   the classic per-packet `e1000_xmit_frame`/`e1000_intr`;
+//!   `e1000_poll_rx_budget` (NAPI-style budgeted reap, no `ICR` read) —
+//!   next to the classic per-packet `e1000_xmit_frame`/`e1000_intr`;
 //! * the hypervisor coalesces duplicate driver softirqs and invokes the
 //!   hypervisor driver instance **once per burst**, so a burst costs one
 //!   hypercall, one driver invocation and one doorbell;
@@ -122,7 +127,8 @@
 //! [`twin_kernel::CYCLES_PER_JIFFY`] conversion); each NIC models the
 //! real e1000 `ITR` register — IRQ *delivery* is suppressed until the
 //! throttling window opens while the cause stays latched
-//! ([`SystemOptions::itr`], [`System::set_itr`]; delay, never drop);
+//! ([`Itr::Fixed`], [`System::set_itr`]; delay, never drop; [`Itr::Auto`]
+//! retunes it per device from observed traffic);
 //! and [`SystemOptions::upcall_flush_deadline_cycles`] arms a
 //! deadline-driven upcall flush so an idle system's deferred upcalls
 //! complete in bounded time (serviced flush-before-IRQ against the
@@ -162,7 +168,7 @@ pub use measure::{
     Throughput, CPU_HZ, TESTBED_NICS, VICTIM_FRAMES_PER_BURST,
 };
 pub use system::{
-    peer_mac, Config, RecoveryReport, SchedOptions, ShardPolicy, System, SystemError,
+    peer_mac, Config, Itr, RecoveryReport, SchedOptions, ShardPolicy, System, SystemError,
     SystemOptions, UpcallMode, World, MAX_BURST,
 };
 
@@ -410,9 +416,12 @@ mod tests {
 
     #[test]
     fn polled_rx_matches_interrupt_rx() {
-        let mut sys = System::build(Config::TwinDrivers).unwrap();
-        // Fill descriptors without running the interrupt path.
-        let frames: Vec<_> = (0..10)
+        let opts = SystemOptions {
+            napi_weight: 16,
+            ..SystemOptions::default()
+        };
+        let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
+        let frames: Vec<_> = (0..11)
             .map(|i| twin_net::Frame {
                 dst: twin_net::MacAddr::for_guest(1),
                 src: peer_mac(),
@@ -422,12 +431,21 @@ mod tests {
                 seq: i,
             })
             .collect();
-        let accepted = sys.world.nics[0].deliver_batch(&mut sys.machine.phys, &frames);
-        assert_eq!(accepted, 10);
-        let reaped = sys.poll_rx_batch().unwrap();
-        assert_eq!(reaped, 10, "polled path reaps the whole burst");
-        assert_eq!(sys.delivered_rx(), 10);
-        assert_eq!(sys.machine.meter.event("irq"), 0, "no interrupt dispatched");
+        // The first arrival's interrupt acks and masks the device; the
+        // next ten frames fill descriptors without the interrupt path.
+        let now = sys.now_cycles();
+        assert_eq!(sys.rx_open_loop_arrival(&frames[..1], now).unwrap(), 1);
+        assert!(sys.in_poll_mode(0));
+        let irqs = sys.machine.meter.event("irq");
+        assert_eq!(sys.rx_open_loop_arrival(&frames[1..], now).unwrap(), 10);
+        sys.rx_open_loop_service(now + 1_000_000).unwrap();
+        assert_eq!(sys.delivered_rx(), 11, "polled path reaps the whole burst");
+        assert_eq!(sys.machine.meter.event("napi_poll"), 1);
+        assert_eq!(
+            sys.machine.meter.event("irq"),
+            irqs,
+            "no interrupt dispatched"
+        );
     }
 
     #[test]

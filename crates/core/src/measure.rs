@@ -708,7 +708,7 @@ pub struct AutotunedRx {
 /// Runs `sys` through `profile` — paced arrival bursts whose gap shifts
 /// at each phase boundary — and reports per-phase steady-state points
 /// (see [`RxPhase`]). Works identically for a static-`ITR` system and
-/// an auto-tuning one ([`crate::SystemOptions::itr_autotune`]), which is
+/// an auto-tuning one ([`crate::Itr::Auto`]), which is
 /// what makes the sweep's comparison apples-to-apples: same warm-up,
 /// same pacing, same settle spans, same drift accounting.
 ///

@@ -29,6 +29,20 @@ impl System {
         .map_err(SystemError::Fault)
     }
 
+    /// Brings `dev` up through the dom0 instance: `e1000_probe` (adapter
+    /// slot, `request_irq`, watchdog arm) then `e1000_open` (rings, `IMS`)
+    /// — charged like any driver run. Returns the net_device the probe
+    /// registered.
+    pub(super) fn probe_and_open(&mut self, dev: u32) -> Result<u64, SystemError> {
+        let probe = self.driver.entry("e1000_probe").unwrap();
+        self.call_dom0(probe, &[dev], 50_000_000)?;
+        // `register_netdev` pushes: this probe's netdev is the newest.
+        let netdev = *self.world.kernel.registered_netdevs.last().unwrap();
+        let open = self.driver.entry("e1000_open").unwrap();
+        self.call_dom0(open, &[netdev as u32], 200_000_000)?;
+        Ok(netdev)
+    }
+
     /// Runs a function of the hypervisor driver instance, from the guest
     /// context, in hypervisor mode — no address-space switch, the core of
     /// the paper's performance claim. `dev` is the device the call
@@ -146,12 +160,6 @@ impl System {
                 [self.tx_batch_buf as u32, n, netdev, dev],
                 3,
                 2_000_000 * u64::from(n),
-            ),
-            DriverOp::PollRxBatch => (
-                ["e1000_poll_rx_batch", "e1000_poll_rx_batch_dev"],
-                [netdev, dev, 0, 0],
-                1,
-                20_000_000,
             ),
             DriverOp::PollRxBudget(weight) => (
                 ["e1000_poll_rx_budget", "e1000_poll_rx_budget_dev"],
@@ -345,16 +353,7 @@ impl System {
                 "device {dev} is not quarantined"
             )));
         };
-        let probe = self.driver.entry("e1000_probe").unwrap();
-        self.call_dom0(probe, &[dev], 50_000_000)?;
-        // `register_netdev` pushes: the re-probe's netdev is the newest.
-        let netdev = *self.world.kernel.registered_netdevs.last().unwrap();
-        self.netdevs[dev as usize] = netdev;
-        if dev == 0 {
-            self.netdev = netdev;
-        }
-        let open = self.driver.entry("e1000_open").unwrap();
-        self.call_dom0(open, &[netdev as u32], 200_000_000)?;
+        self.netdevs[dev as usize] = self.probe_and_open(dev)?;
         self.machine.meter.count_event("device_reset");
         self.machine.trace_event(TraceEvent::DeviceReset { dev });
         for d in &ep.revoked_doms {

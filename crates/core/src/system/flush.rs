@@ -2,7 +2,7 @@
 //! the baseline path's I/O-channel forward, and the zero-copy pool slots
 //! both land frames in.
 
-use super::{System, SystemError, ZcOccupancy, ZC_POOL_BASE, ZC_SLOT_BYTES};
+use super::{System, SystemError, ZcOccupancy, ZC_POOL_BASE, ZC_POOL_FRAMES, ZC_SLOT_BYTES};
 use twin_machine::{CostDomain, ExecMode, PAGE_SIZE};
 use twin_net::Frame;
 use twin_trace::TraceEvent;
@@ -269,7 +269,7 @@ impl System {
             .ok_or_else(|| SystemError::Build("no hypervisor in this configuration".into()))?
             .domain(gid)
             .space;
-        let pages = self.opts.zero_copy_pool_frames as u64;
+        let pages = ZC_POOL_FRAMES as u64;
         // Re-granting after a revocation reuses the pool pages already
         // mapped in the guest; only a first grant allocates.
         if self
@@ -362,7 +362,7 @@ impl System {
             .guests
             .get(dom.0 as usize)
             .is_some_and(|g| g.zc_granted);
-        if !granted || len > ZC_SLOT_BYTES || *slot >= self.opts.zero_copy_pool_frames {
+        if !granted || len > ZC_SLOT_BYTES || *slot >= ZC_POOL_FRAMES {
             let m = &mut self.machine;
             m.meter.charge_to(CostDomain::Xen, m.cost.copy_fallback);
             m.meter.count_event("copy_fallback");

@@ -17,9 +17,10 @@
 //! the paper's four categories.
 //!
 //! This file holds the types; `impl System` is split by pipeline stage
-//! across the sibling files (`build`, `shard`, `driver`, `timers`, `tx`,
-//! `rx`, `napi`, `flush`, `metrics`) — the README's "How
-//! `System` is organised" is the map.
+//! across the sibling files (`build` — option validation and the five
+//! §3.1 build steps —, `shard`, `driver`, `timers`, `tx`, `rx`, `napi`,
+//! `flush`, `metrics`) — the README's "How `System` is organised" is
+//! the map.
 
 use crate::iommu::Iommu;
 use std::collections::BTreeMap;
@@ -55,8 +56,13 @@ pub const IDENTITY_STLB_BASE: u64 = 0x2f00_0000;
 pub const GUEST_HEAP_BASE: u64 = 0x4000_0000;
 
 /// Guest VA where a zero-copy buffer pool is mapped (one region per
-/// granted guest, [`SystemOptions::zero_copy_pool_frames`] pages).
+/// granted guest, [`ZC_POOL_FRAMES`] pages).
 pub const ZC_POOL_BASE: u64 = 0x5000_0000;
+
+/// Pool slots granted per guest in zero-copy mode, per flow direction: a
+/// flow that lands more frames than this in one flush pass overflows its
+/// slice of the pool and the excess falls back to copies.
+pub const ZC_POOL_FRAMES: usize = 64;
 
 /// Bytes one zero-copy pool slot holds (the e1000's 2 KiB RX buffer
 /// size); frames longer than this cannot land in a slot and take the
@@ -164,7 +170,28 @@ impl fmt::Display for Config {
     }
 }
 
-/// Options for building a [`System`].
+/// Interrupt moderation of every NIC ([`SystemOptions::itr`]).
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Itr {
+    /// The interval programmed into every NIC's `ITR` register at build
+    /// time, in [`twin_nic::ITR_UNIT_CYCLES`]-cycle units (the real
+    /// part's 256 ns granularity). `Fixed(0)` — the default — disables
+    /// moderation and is cycle-exact with the unmoderated path.
+    /// Per-device values can be set later with [`System::set_itr`].
+    Fixed(u32),
+    /// Closed-loop per-device auto-tuning ([`twin_nic::ItrTuner`],
+    /// modeled on Linux's `e1000_update_itr` state machine), starting
+    /// unmoderated: every [`twin_nic::AUTOTUNE_WINDOW_CYCLES`] of virtual
+    /// time each device's receive counters are classified into a latency
+    /// regime and the `ITR` register is stepped one
+    /// [`twin_nic::ITR_LADDER`] rung toward that regime's target, through
+    /// the same MMIO path [`System::set_itr`] uses.
+    Auto,
+}
+
+/// Options for building a [`System`]. Every field is an axis a sweep, a
+/// figure or a benchmark workload varies (`tests/options.rs` pins the
+/// list); a value only one caller ever sets is a constant instead.
 #[derive(Clone, Debug)]
 pub struct SystemOptions {
     /// Rewriter configuration (TwinDrivers only).
@@ -175,11 +202,9 @@ pub struct SystemOptions {
     /// Bytes of the guest packet copied into the dom0 sk_buff header on
     /// transmit (paper §5.3 uses "up to the first 96 bytes").
     pub header_copy_bytes: u32,
-    /// Enable the IOMMU extension (paper §4.5 proposes it as the fix for
-    /// DMA attacks; not in the paper's implementation).
+    /// Enable the IOMMU extension (TwinDrivers only; paper §4.5 proposes
+    /// it as the fix for DMA attacks; not in the paper's implementation).
     pub iommu: bool,
-    /// sk_buff pool sizes.
-    pub pool_size: usize,
     /// Alternative driver assembly source (fault-injection experiments);
     /// `None` uses the stock e1000 driver.
     pub driver_source: Option<String>,
@@ -204,17 +229,9 @@ pub struct SystemOptions {
     /// the ring in one switch-pair at the end of each burst pass (or on
     /// queue-full/high-water), amortizing the two switches per *flush*.
     pub upcall_mode: UpcallMode,
-    /// Deferred-upcall ring capacity in entries (clamped to the mapped
-    /// ring: 1..=[`twin_xen::UPCALL_RING_SLOTS`]). Enqueueing at
-    /// capacity forces a flush first.
-    pub upcall_queue_capacity: usize,
-    /// Interrupt-moderation interval programmed into every NIC's `ITR`
-    /// register at build time, in [`twin_nic::ITR_UNIT_CYCLES`]-cycle
-    /// units (the real part's 256 ns granularity). 0 — the default —
-    /// disables moderation and is cycle-exact with the unmoderated
-    /// path. Per-device values can be set later with
-    /// [`System::set_itr`].
-    pub itr: u32,
+    /// Interrupt moderation: a fixed `ITR` interval or the closed-loop
+    /// tuner.
+    pub itr: Itr,
     /// Deadline-driven upcall flush (deferred mode only): the first
     /// enqueue into an empty ring arms a virtual timer this many cycles
     /// ahead, so an idle system's queued upcalls complete within the
@@ -222,16 +239,6 @@ pub struct SystemOptions {
     /// (the default) disables the timer and is cycle-exact with the
     /// PR 3 path.
     pub upcall_flush_deadline_cycles: Option<u64>,
-    /// Closed-loop per-device `ITR` auto-tuning
-    /// ([`twin_nic::ItrTuner`], modeled on Linux's `e1000_update_itr`
-    /// state machine): every [`twin_nic::AUTOTUNE_WINDOW_CYCLES`] of
-    /// virtual time each device's receive counters are classified into
-    /// a latency regime and the `ITR` register is stepped one
-    /// [`twin_nic::ITR_LADDER`] rung toward that regime's target,
-    /// through the same MMIO path [`System::set_itr`] uses. `false`
-    /// (the default) leaves whatever [`SystemOptions::itr`] programmed
-    /// untouched and is cycle-exact with the static path.
-    pub itr_autotune: bool,
     /// Zero-copy grant-mapped datapath (guest configurations): RX/TX
     /// buffer pools are granted once, mapped on first touch through the
     /// [`twin_xen::GrantCache`] and recycled via an index ring, so the
@@ -242,11 +249,6 @@ pub struct SystemOptions {
     /// fallback. `false` (the default) is cycle-exact with the copy
     /// path.
     pub zero_copy: bool,
-    /// Pool slots granted per guest in zero-copy mode, per flow
-    /// direction: a flow that lands more frames than this in one flush
-    /// pass overflows its slice of the pool and the excess falls back
-    /// to copies (clamped to 1..=[`MAX_BURST`]).
-    pub zero_copy_pool_frames: usize,
     /// NAPI-style interrupt→poll mode switching (TwinDrivers only): the
     /// poll weight — the real `e1000_clean` budget — in frames per poll
     /// pass. When non-zero, an RX interrupt acks the cause, masks the
@@ -318,18 +320,14 @@ impl Default for SystemOptions {
             upcall_count: 0,
             header_copy_bytes: 96,
             iommu: false,
-            pool_size: 1024,
             driver_source: None,
             num_nics: 1,
             shard: ShardPolicy::default(),
             rx_flush_quantum: 64,
             upcall_mode: UpcallMode::Sync,
-            upcall_queue_capacity: 128,
-            itr: 0,
+            itr: Itr::Fixed(0),
             upcall_flush_deadline_cycles: None,
-            itr_autotune: false,
             zero_copy: false,
-            zero_copy_pool_frames: 64,
             napi_weight: 0,
             guest_weights: Vec::new(),
             rx_backlog_watermark: None,
@@ -374,8 +372,8 @@ struct DevState {
     /// Poll-mode residency over completed episodes, in virtual cycles;
     /// [`System::poll_mode_cycles`] adds the in-progress episode.
     poll_cycles: u64,
-    /// Closed-loop `ITR` tuner ([`SystemOptions::itr_autotune`]; `None`
-    /// leaves the static knob untouched).
+    /// Closed-loop `ITR` tuner ([`Itr::Auto`]; `None` leaves the fixed
+    /// interval untouched).
     tuner: Option<ItrTuner>,
     /// Gated-wait anchor `(rx_packets, cycles)` captured when the
     /// device's latched cause starts waiting on its moderation window
@@ -601,8 +599,6 @@ pub struct System {
     pub hyperdrv: Option<HypervisorDriver>,
     /// Rewrite statistics (TwinDrivers only).
     pub rewrite_stats: Option<RewriteStats>,
-    /// net_device pointer of NIC 0 (the single-NIC fast path).
-    pub netdev: u64,
     /// net_device pointers, one per NIC in device order.
     pub netdevs: Vec<u64>,
     /// The measured guest (guest configurations).
@@ -612,9 +608,9 @@ pub struct System {
     /// observable behaviour (a starved guest would only appear in late
     /// rounds).
     pub rx_flush_log: Vec<(usize, DomId, usize)>,
-    /// The options the system was built from, validated: every clamp is
-    /// applied once in [`System::build_with`], so readers take the
-    /// fields as they are.
+    /// The options the system was built from, validated: every clamp and
+    /// configuration requirement is applied once at the top of
+    /// [`System::build_with`], so readers take the fields as they are.
     opts: SystemOptions,
     /// Per-NIC state, one per device in device order.
     devs: Vec<DevState>,
@@ -713,9 +709,6 @@ enum DriverOp {
     XmitFrame(SkBuff),
     /// `e1000_xmit_batch`: the first `n` pointers of the burst array.
     XmitBatch(u32),
-    /// `e1000_poll_rx_batch`: reap every filled descriptor, no `ICR`
-    /// read.
-    PollRxBatch,
     /// `e1000_poll_rx_budget`: reap at most this many descriptors.
     PollRxBudget(u32),
     /// `e1000_intr`: the interrupt handler.

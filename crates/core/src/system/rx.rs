@@ -3,7 +3,7 @@
 //! open-loop arrival entry points built on it, and each configuration's
 //! interrupt dispatch and descriptor reap.
 
-use super::{peer_mac, Config, DriverOp, OnIrq, Overrun, System, SystemError};
+use super::{peer_mac, Config, DriverOp, Itr, OnIrq, Overrun, System, SystemError};
 use twin_machine::CostDomain;
 use twin_net::{EtherType, Frame, MacAddr, MTU};
 use twin_trace::{FlushCause, TraceEvent};
@@ -180,7 +180,7 @@ impl System {
         // measurement) or an armed time knob. The default path
         // allocates nothing.
         let track = arrival.is_some()
-            || self.opts.itr_autotune
+            || self.opts.itr == Itr::Auto
             || self.world.nics.iter().any(|n| n.itr() != 0)
             || self
                 .world
@@ -456,44 +456,6 @@ impl System {
             }
         }
         Ok(())
-    }
-
-    /// Polled receive (NAPI-style): reaps every filled RX descriptor
-    /// through `e1000_poll_rx_batch` on the configuration's driver
-    /// instance — no interrupt dispatch, no `ICR` read — then flushes
-    /// per-guest queues. Returns the number of frames reaped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates faults; [`SystemError::DriverAborted`] if the
-    /// hypervisor driver is dead.
-    pub fn poll_rx_batch(&mut self) -> Result<usize, SystemError> {
-        // The polled path bypasses interrupts entirely, but due virtual
-        // timers (deadline flush) still run first.
-        self.service_virtual_timers(false)?;
-        self.world.kernel.begin_stack_burst();
-        let mut reaped = 0usize;
-        for dev in 0..self.world.nics.len() as u32 {
-            reaped += self.call_driver(DriverOp::PollRxBatch, dev)? as usize;
-        }
-        // End of the polled pass: a natural dom0 scheduling point.
-        self.flush_deferred_upcalls()?;
-        match self.config {
-            // Hypervisor demux queued frames per guest: flush them.
-            Config::TwinDrivers => self.flush_guest_rx_queues()?,
-            // Bridge mode queued frames toward the backend: push them
-            // through the I/O channel (the poll runs in dom0, so no
-            // domain switches around it).
-            Config::XenGuest => self.forward_bridged_frames()?,
-            _ => {}
-        }
-        // NAPI semantics: the polled reap consumed every device's
-        // latched work (without an ICR read), so no moderated delivery
-        // is owed — otherwise the window opening would dispatch a
-        // spurious interrupt pass over empty rings.
-        self.moderated_pending.clear();
-        self.sample_rx_completions();
-        Ok(reaped)
     }
 
     fn dispatch_dom0_irq(&mut self, dev: u32) -> Result<(), SystemError> {

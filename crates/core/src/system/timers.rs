@@ -1,7 +1,7 @@
 //! Virtual time: the `ITR` moderation knob and its tuners, the scheduler
 //! edges, and the one service point where every due virtual timer fires.
 
-use super::{System, SystemError};
+use super::{Itr, System, SystemError};
 use twin_machine::{CostDomain, Env};
 use twin_nic::{ItrTuner, AUTOTUNE_WINDOW_CYCLES};
 use twin_trace::{FlushCause, TraceEvent};
@@ -34,7 +34,7 @@ impl System {
 
     /// Whether closed-loop `ITR` auto-tuning is active.
     pub fn itr_autotune(&self) -> bool {
-        self.opts.itr_autotune
+        self.opts.itr == Itr::Auto
     }
 
     /// A device's auto-tuner (`None` when auto-tuning is off) —

@@ -6,7 +6,7 @@
 
 use twin_nic::{AUTOTUNE_WINDOW_CYCLES, IDLE_DECAY_GRACE_WINDOWS};
 use twindrivers::measure::{measure_rx_autotuned, LoadProfile};
-use twindrivers::{peer_mac, Config, ShardPolicy, System, SystemOptions};
+use twindrivers::{peer_mac, Config, Itr, ShardPolicy, System, SystemOptions};
 
 /// Parses `bench/baseline_itr.json` into
 /// `(packets, gap, [(nics, burst, itr, cpp, irqs_per_pkt, p50, p99)])`.
@@ -70,7 +70,7 @@ fn autotune_off_is_cycle_exact_with_the_itr_baseline() {
         let opts = SystemOptions {
             num_nics: nics,
             shard: ShardPolicy::FlowHash,
-            itr,
+            itr: Itr::Fixed(itr),
             ..SystemOptions::default()
         };
         let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
@@ -97,7 +97,7 @@ fn tuner_converges_under_sustained_load_and_decays_after_sustained_idle() {
     let opts = SystemOptions {
         num_nics: 4,
         shard: ShardPolicy::FlowHash,
-        itr_autotune: true,
+        itr: Itr::Auto,
         ..SystemOptions::default()
     };
     let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
@@ -157,7 +157,7 @@ fn autotune_tracks_the_step_profile_regimes() {
     let opts = SystemOptions {
         num_nics: 4,
         shard: ShardPolicy::FlowHash,
-        itr_autotune: true,
+        itr: Itr::Auto,
         ..SystemOptions::default()
     };
     let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();

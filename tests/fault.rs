@@ -102,7 +102,7 @@ fn wild_write_into_the_hypervisor_is_rejected_and_dom0_survives() {
     // faulted *hypervisor* instance is dead, not the driver domain.
     let stats_entry = sys.driver.entry("e1000_get_stats").unwrap();
     let dom0 = sys.world.kernel.space;
-    let netdev = sys.netdev as u32;
+    let netdev = sys.netdevs[0] as u32;
     twindrivers::kernel::call_function(
         &mut sys.machine,
         &mut sys.world,

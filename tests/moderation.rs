@@ -5,7 +5,8 @@
 use twin_net::{EtherType, Frame, MacAddr, MTU};
 use twindrivers::measure::upcall_latency;
 use twindrivers::{
-    measure_aggregate_throughput, peer_mac, Config, ShardPolicy, System, SystemOptions, UpcallMode,
+    measure_aggregate_throughput, peer_mac, Config, Itr, ShardPolicy, System, SystemOptions,
+    UpcallMode,
 };
 
 /// One committed shard-baseline point: `(nics, burst, tx_cpp, rx_cpp)`.
@@ -55,8 +56,12 @@ fn itr_zero_no_deadline_is_cycle_exact_with_the_shard_baseline() {
     assert_eq!(packets, 64, "baseline was generated at 64 packets/point");
     assert_eq!(points.len(), 12, "full shard baseline");
     for (nics, burst, tx_cpp, rx_cpp) in points {
-        let mut sys =
-            System::build_sharded(Config::TwinDrivers, nics, ShardPolicy::RoundRobin).unwrap();
+        let opts = SystemOptions {
+            num_nics: nics,
+            shard: ShardPolicy::RoundRobin,
+            ..SystemOptions::default()
+        };
+        let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
         let a = measure_aggregate_throughput(&mut sys, burst, packets).unwrap();
         // The baseline stores one decimal place; anything beyond rounding
         // error is a real cycle deviation.
@@ -84,7 +89,7 @@ fn moderation_latches_pending_work_and_never_drops_or_reorders() {
     let opts = SystemOptions {
         num_nics: 4,
         shard: ShardPolicy::FlowHash,
-        itr: 1500, // 1.152M-cycle windows: most bursts land inside one
+        itr: Itr::Fixed(1500), // 1.152M-cycle windows: most bursts land inside one
         ..SystemOptions::default()
     };
     let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
@@ -160,7 +165,7 @@ fn moderation_acceptance_point_at_burst32_on_four_nics() {
         let opts = SystemOptions {
             num_nics: 4,
             shard: ShardPolicy::FlowHash,
-            itr,
+            itr: Itr::Fixed(itr),
             ..SystemOptions::default()
         };
         let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
@@ -254,7 +259,7 @@ fn deadline_flush_runs_before_a_simultaneously_due_moderated_irq() {
         upcall_mode: UpcallMode::Deferred,
         upcall_count: 9,
         upcall_flush_deadline_cycles: Some(DEADLINE),
-        itr: 500, // 384k-cycle windows
+        itr: Itr::Fixed(500), // 384k-cycle windows
         ..SystemOptions::default()
     };
     let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();

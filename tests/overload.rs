@@ -4,7 +4,7 @@
 //! and cycle-identity of the off-knob defaults.
 
 use twin_net::{EtherType, Frame, MacAddr, MTU};
-use twindrivers::{peer_mac, Config, ShardPolicy, System, SystemOptions};
+use twindrivers::{peer_mac, Config, Itr, ShardPolicy, System, SystemOptions};
 
 fn mk(dst: MacAddr, flow: u32, seq: u64) -> Frame {
     Frame {
@@ -28,7 +28,7 @@ fn poll_mode_takes_precedence_over_the_moderation_latch() {
     // gated-wait bookkeeping) composes with a fresh poll-mode entry.
     let opts = SystemOptions {
         num_nics: 1,
-        itr: 1500, // 1.152M-cycle windows
+        itr: Itr::Fixed(1500), // 1.152M-cycle windows
         napi_weight: 8,
         ..SystemOptions::default()
     };
@@ -120,7 +120,7 @@ fn mode_switches_under_churn_never_drop_or_reorder() {
     let opts = SystemOptions {
         num_nics: 4,
         shard: ShardPolicy::FlowHash,
-        itr: 1500,
+        itr: Itr::Fixed(1500),
         napi_weight: 4,
         ..SystemOptions::default()
     };

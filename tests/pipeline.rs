@@ -5,7 +5,7 @@
 use twin_machine::{CostDomain, ExecMode};
 use twin_net::{EtherType, Frame, MacAddr, MTU};
 use twindrivers::kernel::e1000;
-use twindrivers::{Config, System, SystemOptions};
+use twindrivers::{Config, Itr, System, SystemOptions};
 
 #[test]
 fn all_four_systems_move_packets() {
@@ -51,7 +51,7 @@ fn both_instances_share_one_copy_of_driver_data() {
 
     // And the VM instance reads them through its own entry point.
     let get_stats = sys.driver.entry("e1000_get_stats").unwrap();
-    let netdev = sys.netdev as u32;
+    let netdev = sys.netdevs[0] as u32;
     let stats_ptr = twindrivers::kernel::call_function(
         &mut sys.machine,
         &mut sys.world,
@@ -410,7 +410,7 @@ fn simulated_numbers_of_one_moderated_run_are_pinned() {
     let opts = SystemOptions {
         num_nics: 4,
         shard: ShardPolicy::FlowHash,
-        itr: 1500,
+        itr: Itr::Fixed(1500),
         ..SystemOptions::default()
     };
     let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();

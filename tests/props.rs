@@ -359,10 +359,14 @@ proptest! {
         nics in 2usize..5,
     ) {
         use twin_net::{EtherType, Frame, MacAddr, MTU};
-        use twindrivers::{peer_mac, Config, ShardPolicy, System};
+        use twindrivers::{peer_mac, Config, ShardPolicy, System, SystemOptions};
 
-        let mut sys =
-            System::build_sharded(Config::TwinDrivers, nics, ShardPolicy::FlowHash).unwrap();
+        let opts = SystemOptions {
+            num_nics: nics,
+            shard: ShardPolicy::FlowHash,
+            ..SystemOptions::default()
+        };
+        let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
         let g1 = sys.guest.unwrap();
         let mac2 = MacAddr::for_guest(2);
         let mac3 = MacAddr::for_guest(3);
@@ -430,14 +434,16 @@ proptest! {
     /// The zero-copy datapath's core invariant: under any interleaving
     /// of TX/RX bursts across 4 FlowHash-sharded NICs and three guests
     /// (one of them never granted a pool, so the copy fallback runs in
-    /// the same pass as warm hits), zero-copy mode produces exactly the
+    /// the same pass as warm hits) — with, in some cases, one granted
+    /// flow bursting past its pool slice so the exhaustion fallback runs
+    /// mid-burst too —, zero-copy mode produces exactly the
     /// copy mode's traffic — same wire frames, same per-guest frame
     /// sets with every (guest, flow) subsequence in order, same pool
     /// state. The grant cache may only move cycles, never frames.
     #[test]
     fn zero_copy_equivalent_to_copy_across_shards(
         sizes in prop::collection::vec(1usize..21, 1..6),
-        pool in prop_oneof![Just(1usize), Just(4), Just(64)],
+        hot in prop_oneof![Just(0usize), 65usize..twindrivers::MAX_BURST + 1],
     ) {
         use twin_net::{EtherType, Frame, MacAddr, MTU};
         use twindrivers::{peer_mac, Config, ShardPolicy, System, SystemOptions};
@@ -449,8 +455,6 @@ proptest! {
                     num_nics: 4,
                     shard: ShardPolicy::FlowHash,
                     zero_copy,
-                    // Tiny pools force the exhaustion fallback mid-burst.
-                    zero_copy_pool_frames: pool,
                     ..SystemOptions::default()
                 },
             )
@@ -470,14 +474,22 @@ proptest! {
         }
         let macs = [MacAddr::for_guest(1), mac2, mac3];
 
+        let mut to_ungranted = 0u64;
         for sys in [&mut copy, &mut zc] {
             let mut seqs = [0u64; 6];
+            to_ungranted = 0;
             for (k, s) in sizes.iter().enumerate() {
                 prop_assert_eq!(sys.transmit_burst(*s).unwrap(), *s);
-                let frames: Vec<Frame> = (0..*s as u32)
+                // The first burst opens with `hot` frames of flow 50
+                // (guest 1, granted): more than its pool slice holds, so
+                // the tail bounces while the flows behind it hit warm
+                // slots in the same pass.
+                let lead = if k == 0 { hot as u32 } else { 0 };
+                let frames: Vec<Frame> = (0..lead + *s as u32)
                     .map(|i| {
-                        let flow = ((k as u32) + i) % 6;
+                        let flow = if i < lead { 0 } else { ((k as u32) + i - lead) % 6 };
                         let guest = (flow % 3) as usize;
+                        to_ungranted += u64::from(guest == 2);
                         let f = Frame {
                             dst: macs[guest],
                             src: peer_mac(),
@@ -523,9 +535,12 @@ proptest! {
         prop_assert_eq!(copy.world.hyper.as_ref().unwrap().demux_misses, 0);
         prop_assert_eq!(zc.world.hyper.as_ref().unwrap().demux_misses, 0);
         // The zero-copy run actually exercised the cache (and, with a
-        // tiny pool, the fallback) — cycles moved, traffic did not.
+        // hot flow, the exhaustion fallback toward a granted guest) —
+        // cycles moved, traffic did not.
         let stats = zc.grant_cache_stats().unwrap();
         prop_assert!(stats.hits + stats.misses > 0, "cache engaged");
+        let exhausted = zc.machine.meter.event("copy_fallback") - to_ungranted;
+        prop_assert_eq!(exhausted > 0, hot > 0, "{} exhaustion fallbacks", exhausted);
     }
 
     /// The deferred-upcall engine's core invariant: under any
@@ -790,24 +805,24 @@ proptest! {
     ) {
         use twin_net::{EtherType, Frame, MacAddr, MTU};
         use twindrivers::{
-            peer_mac, Config, ShardPolicy, System, SystemOptions,
+            peer_mac, Config, Itr, ShardPolicy, System, SystemOptions,
         };
 
-        let build = |autotune: bool| {
+        let build = |itr: Itr| {
             System::build_with(
                 Config::TwinDrivers,
                 &SystemOptions {
                     num_nics: 4,
                     shard: ShardPolicy::FlowHash,
                     upcall_count: upcalls,
-                    itr_autotune: autotune,
+                    itr,
                     ..SystemOptions::default()
                 },
             )
             .unwrap()
         };
-        let mut reference = build(false);
-        let mut tuned = build(true);
+        let mut reference = build(Itr::Fixed(0));
+        let mut tuned = build(Itr::Auto);
 
         let mac2 = MacAddr::for_guest(2);
         let mac3 = MacAddr::for_guest(3);

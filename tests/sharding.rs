@@ -18,6 +18,15 @@ use twindrivers::{
     measure_aggregate_throughput, peer_mac, Config, ShardPolicy, System, SystemOptions,
 };
 
+fn sharded_system(config: Config, nics: usize, shard: ShardPolicy) -> System {
+    let opts = SystemOptions {
+        num_nics: nics,
+        shard,
+        ..SystemOptions::default()
+    };
+    System::build_with(config, &opts).unwrap()
+}
+
 fn rx_frame(dst: MacAddr, flow: u32, seq: u64) -> Frame {
     Frame {
         dst,
@@ -41,7 +50,7 @@ fn sharding_over_one_nic_is_cycle_exact_with_the_burst_path() {
     ] {
         for config in [Config::TwinDrivers, Config::NativeLinux] {
             let mut plain = System::build(config).unwrap();
-            let mut sharded = System::build_sharded(config, 1, policy).unwrap();
+            let mut sharded = sharded_system(config, 1, policy);
             for _ in 0..4 {
                 assert_eq!(plain.transmit_burst(12).unwrap(), 12);
                 assert_eq!(sharded.transmit_burst(12).unwrap(), 12);
@@ -74,7 +83,7 @@ fn sharding_over_one_nic_is_cycle_exact_with_the_burst_path() {
 
 #[test]
 fn flowhash_preserves_per_guest_flow_order_across_four_nics() {
-    let mut sys = System::build_sharded(Config::TwinDrivers, 4, ShardPolicy::FlowHash).unwrap();
+    let mut sys = sharded_system(Config::TwinDrivers, 4, ShardPolicy::FlowHash);
     let g1 = sys.guest.unwrap();
     let mac2 = MacAddr::for_guest(2);
     let mac3 = MacAddr::for_guest(3);
@@ -132,7 +141,7 @@ fn flowhash_preserves_per_guest_flow_order_across_four_nics() {
 
 #[test]
 fn roundrobin_spreads_bursts_across_all_nics() {
-    let mut sys = System::build_sharded(Config::TwinDrivers, 4, ShardPolicy::RoundRobin).unwrap();
+    let mut sys = sharded_system(Config::TwinDrivers, 4, ShardPolicy::RoundRobin);
     // Eight bursts rotate over four devices: two bursts each.
     for _ in 0..8 {
         assert_eq!(sys.transmit_burst(16).unwrap(), 16);
@@ -161,7 +170,7 @@ fn roundrobin_spreads_bursts_across_all_nics() {
 
 #[test]
 fn receive_shards_round_robin_with_per_device_interrupts() {
-    let mut sys = System::build_sharded(Config::TwinDrivers, 4, ShardPolicy::RoundRobin).unwrap();
+    let mut sys = sharded_system(Config::TwinDrivers, 4, ShardPolicy::RoundRobin);
     sys.machine.meter.reset();
     // Four bursts land on four different NICs, one coalesced interrupt
     // each; all reach the single guest in order within each burst.
@@ -183,9 +192,9 @@ fn receive_shards_round_robin_with_per_device_interrupts() {
 fn aggregate_throughput_scales_3x_from_one_to_four_nics_at_burst_32() {
     // The acceptance criterion: aggregate RX+TX throughput at burst 32
     // must scale at least 3× going from one NIC to four.
-    let mut one = System::build_sharded(Config::TwinDrivers, 1, ShardPolicy::RoundRobin).unwrap();
+    let mut one = sharded_system(Config::TwinDrivers, 1, ShardPolicy::RoundRobin);
     let a1 = measure_aggregate_throughput(&mut one, 32, 96).unwrap();
-    let mut four = System::build_sharded(Config::TwinDrivers, 4, ShardPolicy::RoundRobin).unwrap();
+    let mut four = sharded_system(Config::TwinDrivers, 4, ShardPolicy::RoundRobin);
     let a4 = measure_aggregate_throughput(&mut four, 32, 96).unwrap();
     let scaling = a4.aggregate_mbps() / a1.aggregate_mbps();
     assert!(
@@ -279,7 +288,7 @@ fn flowhash_spreads_generated_transmit_traffic() {
     // The internal traffic generator cycles over several flows (the
     // paper's netperf runs multiple streams), so FlowHash genuinely
     // spreads transmit bursts instead of pinning everything to one NIC.
-    let mut sys = System::build_sharded(Config::TwinDrivers, 4, ShardPolicy::FlowHash).unwrap();
+    let mut sys = sharded_system(Config::TwinDrivers, 4, ShardPolicy::FlowHash);
     assert_eq!(sys.transmit_burst(64).unwrap(), 64);
     for dev in 0..4 {
         assert!(
@@ -308,7 +317,7 @@ fn flowhash_spreads_generated_transmit_traffic() {
 fn aggregate_throughput_counts_only_active_links() {
     // Static(0) on a 4-NIC system drives one gigabit link; the
     // aggregate must be capped by that link, not by idle hardware.
-    let mut sys = System::build_sharded(Config::TwinDrivers, 4, ShardPolicy::Static(0)).unwrap();
+    let mut sys = sharded_system(Config::TwinDrivers, 4, ShardPolicy::Static(0));
     let a = measure_aggregate_throughput(&mut sys, 32, 96).unwrap();
     assert_eq!(a.tx.mbps, 1000.0, "one active TX link");
     assert_eq!(a.rx.mbps, 1000.0, "one active RX link");
@@ -317,7 +326,7 @@ fn aggregate_throughput_counts_only_active_links() {
 
 #[test]
 fn static_policy_pins_every_burst_to_the_chosen_nic() {
-    let mut sys = System::build_sharded(Config::NativeLinux, 4, ShardPolicy::Static(2)).unwrap();
+    let mut sys = sharded_system(Config::NativeLinux, 4, ShardPolicy::Static(2));
     assert_eq!(sys.transmit_burst(40).unwrap(), 40);
     for dev in 0..4 {
         let expect = if dev == 2 { 40 } else { 0 };

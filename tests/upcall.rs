@@ -148,13 +148,8 @@ fn completions_of_the_same_routine_stay_fifo() {
 
 #[test]
 fn queue_overflow_forces_a_flush_and_loses_nothing() {
-    let opts = SystemOptions {
-        upcall_count: 9,
-        upcall_mode: UpcallMode::Deferred,
-        upcall_queue_capacity: 8,
-        ..SystemOptions::default()
-    };
-    let mut sys = System::build_with(Config::TwinDrivers, &opts).expect("build");
+    let mut sys = build(UpcallMode::Deferred, 9);
+    sys.world.hyper.as_mut().unwrap().engine.set_capacity(8);
     // A burst of 32 queues far more than 8 deferred calls (frees, maps,
     // unmaps, unlock), so the tiny ring must force intermediate flushes
     // — and still deliver every frame.
@@ -213,9 +208,16 @@ fn deferral_keeps_tail_latency_bounded_and_measured() {
 
 #[test]
 fn polled_rx_flushes_deferred_upcalls() {
-    let mut sys = build(UpcallMode::Deferred, 9);
-    // Fill descriptors without the interrupt path, then poll: the reap
-    // queues unmaps/frees/allocs and the polled pass must flush them.
+    let opts = SystemOptions {
+        upcall_count: 9,
+        upcall_mode: UpcallMode::Deferred,
+        napi_weight: 16,
+        ..SystemOptions::default()
+    };
+    let mut sys = System::build_with(Config::TwinDrivers, &opts).expect("build");
+    // The arrival's interrupt only acks and masks; the consumer's
+    // budgeted poll pass reaps, the reap queues unmaps/frees/allocs, and
+    // the end of the polled pass must flush them.
     let frames: Vec<_> = (0..8)
         .map(|i| twin_net::Frame {
             dst: twin_net::MacAddr::for_guest(1),
@@ -226,11 +228,11 @@ fn polled_rx_flushes_deferred_upcalls() {
             seq: i,
         })
         .collect();
-    assert_eq!(
-        sys.world.nics[0].deliver_batch(&mut sys.machine.phys, &frames),
-        8
-    );
-    assert_eq!(sys.poll_rx_batch().unwrap(), 8);
+    let now = sys.now_cycles();
+    assert_eq!(sys.rx_open_loop_arrival(&frames, now).unwrap(), 8);
+    assert_eq!(sys.delivered_rx(), 0, "nothing reaped at the interrupt");
+    sys.rx_open_loop_service(now + 1_000_000).unwrap();
+    assert_eq!(sys.machine.meter.event("napi_poll"), 1, "one polled pass");
     assert_eq!(sys.delivered_rx(), 8);
     let hs = sys.world.hyper.as_ref().unwrap();
     assert_eq!(hs.engine.depth(), 0, "polled pass drained the ring");

@@ -5,6 +5,7 @@
 //! sweep attributes grant work per device.
 
 use twin_net::{EtherType, Frame, MacAddr, MTU};
+use twindrivers::system::ZC_POOL_FRAMES;
 use twindrivers::{
     measure_aggregate_throughput, peer_mac, Config, ShardPolicy, System, SystemOptions,
 };
@@ -163,20 +164,23 @@ fn ungranted_guest_falls_back_to_copies_until_granted() {
 
 #[test]
 fn exhausted_pool_slice_falls_back() {
-    // A one-frame pool: the first frame of a flow in a flush lands
-    // zero-copy, everything behind it in the same pass bounces.
-    let opts = SystemOptions {
-        zero_copy_pool_frames: 1,
-        ..zc_opts(1, true)
-    };
-    let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
+    // One flow lands six frames more than its pool slice in one flush
+    // pass: every slot maps once, everything behind the last slot
+    // bounces.
+    let mut sys = System::build_with(Config::TwinDrivers, &zc_opts(1, true)).unwrap();
     let mac1 = MacAddr::for_guest(1);
-    let burst: Vec<Frame> = (0..6).map(|s| frame_to(mac1, 41, s)).collect();
-    assert_eq!(sys.receive_burst(&burst).unwrap(), 6);
-    assert_eq!(sys.machine.meter.event("pin_page"), 1, "slot 0 maps once");
+    let burst: Vec<Frame> = (0..ZC_POOL_FRAMES as u64 + 6)
+        .map(|s| frame_to(mac1, 41, s))
+        .collect();
+    assert_eq!(sys.receive_burst(&burst).unwrap(), burst.len());
+    assert_eq!(
+        sys.machine.meter.event("pin_page"),
+        ZC_POOL_FRAMES as u64,
+        "each slot maps once"
+    );
     assert_eq!(
         sys.machine.meter.event("copy_fallback"),
-        5,
+        6,
         "slots past the pool bounce"
     );
 }
