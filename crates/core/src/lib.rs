@@ -102,10 +102,11 @@
 //! to dom0 at two domain switches per call (paper §4.2, Figure 10).
 //! With [`SystemOptions::upcall_mode`] set to
 //! [`UpcallMode::Deferred`], eligible calls are instead queued in the
-//! ring at [`twin_xen::UPCALL_RING_BASE`] — per the
-//! [`twin_kernel::TABLE1_DEFER_POLICY`] class: fire-and-forget
-//! side effects defer outright, inline-consumed results suspend the
-//! burst via a continuation — and dom0 drains the whole ring in **one**
+//! ring at [`twin_xen::UPCALL_RING_BASE`] — per the routine's
+//! [`twin_kernel::DeferClass`] in [`twin_kernel::ROUTINES`]:
+//! fire-and-forget side effects defer outright, DMA mappings continue
+//! on a locally computed result, other inline-consumed results suspend
+//! the burst via a continuation — and dom0 drains the whole ring in **one**
 //! switch-pair at the end of each burst pass (or on queue-full /
 //! high-water kick), posting completions back through the event
 //! channel. At burst 32 with four or more routines forced onto the

@@ -1239,7 +1239,7 @@ const FAULT_SITES: [&str; 5] = [
 
 /// Builds a driver source with a **device-conditional, one-shot**
 /// fault of the given class injected into every hot-path entry
-/// ([`FAULT_SITES`]): each invocation loads the `fault_arm` data word,
+/// (`FAULT_SITES`): each invocation loads the `fault_arm` data word,
 /// skips ahead when it is zero or names a different device (the word
 /// holds faulted-device-index + 1, compared against the active
 /// `cur_adapter` slot), and otherwise disarms it (the store persists

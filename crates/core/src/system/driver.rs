@@ -3,8 +3,8 @@
 //! when the hypervisor instance faults — teardown, quarantine, recovery.
 
 use super::{DriverOp, QuarantineEpisode, RecoveryReport, System, SystemError, World};
-use twin_kernel::{call_function, e1000, SkBuff};
-use twin_machine::{CostDomain, Cpu, Env, ExecMode, PAGE_SIZE};
+use twin_kernel::{call_function, e1000, RoutineId, SkBuff};
+use twin_machine::{CostDomain, Cpu, ExecMode, SpaceId, PAGE_SIZE};
 use twin_trace::{FlushCause, TraceEvent};
 use twin_xen::{DomId, UPCALL_STACK_BASE, UPCALL_STACK_PAGES};
 
@@ -212,9 +212,10 @@ impl System {
     fn fault_teardown(&mut self, dev: u32) -> Result<(u32, u32, Vec<u32>, usize), SystemError> {
         let mut replayed = 0u32;
         let mut dropped = 0u32;
-        // 1. The deferred-upcall ring: a queued free or unlock is state
-        // dom0 is owed regardless of which device queued it — replay
-        // those natively (charged as Xen cleanup work). Anything else is
+        // 1. The deferred-upcall ring: a queued free or unlock — a
+        // routine some native body must flush first — is state dom0 is
+        // owed regardless of which device queued it: replay its body
+        // natively (charged as Xen cleanup work). Anything else is
         // discarded and counted. `drain` also disarms the flush-deadline
         // timer, so an idle system stops re-arming toward a dead ring.
         let drained = self
@@ -224,35 +225,21 @@ impl System {
             .map(|hs| hs.engine.drain())
             .unwrap_or_default();
         for q in &drained {
-            match q.routine.as_str() {
-                "dev_kfree_skb_any" | "dev_kfree_skb" | "kfree_skb" => {
-                    let skb = q.args.first().copied().unwrap_or(0);
-                    if skb != 0 {
-                        let m = &mut self.machine;
-                        m.meter.charge_to(CostDomain::Xen, m.cost.skb_alloc / 2);
-                        self.world
-                            .kernel
-                            .free_skb(&self.machine, SkBuff(u64::from(skb)))?;
-                    }
-                    replayed += 1;
-                    self.machine.meter.count_event("upcall_replayed");
-                }
-                "spin_unlock_irqrestore" => {
-                    let lock = q.args.first().copied().unwrap_or(0);
-                    if lock != 0 {
-                        let m = &mut self.machine;
-                        m.meter.charge_to(CostDomain::Xen, m.cost.spinlock);
-                        self.machine
-                            .write_u32(self.dom0, ExecMode::Guest, u64::from(lock), 0)?;
-                    }
-                    replayed += 1;
-                    self.machine.meter.count_event("upcall_replayed");
-                }
-                _ => {
-                    dropped += 1;
-                    self.machine.meter.count_event("upcall_discarded");
-                }
+            if !q.routine.is_flush_first() {
+                dropped += 1;
+                self.machine.meter.count_event("upcall_discarded");
+                continue;
             }
+            let mut cpu = self.upcall_frame(self.dom0, &q.args)?;
+            self.machine.meter.push_domain(CostDomain::Xen);
+            let r = self
+                .world
+                .kernel
+                .routine(q.routine, &mut self.machine, &mut cpu);
+            self.machine.meter.pop_domain();
+            r?;
+            replayed += 1;
+            self.machine.meter.count_event("upcall_replayed");
         }
         if let Some(hs) = self.world.hyper.as_mut() {
             hs.engine.prune_stale_completions();
@@ -410,16 +397,22 @@ impl System {
         &self.recovery_log
     }
 
+    /// A hypervisor-mode call frame for `args` on the upcall stack.
+    fn upcall_frame(&mut self, space: SpaceId, args: &[u32]) -> Result<Cpu, SystemError> {
+        let mut cpu = Cpu::new(space, ExecMode::Hypervisor);
+        cpu.set_stack(UPCALL_STACK_BASE + UPCALL_STACK_PAGES * PAGE_SIZE);
+        cpu.push_call_frame(&mut self.machine, args)?;
+        Ok(cpu)
+    }
+
     /// Calls a hypervisor support routine directly (the paravirtual glue
     /// uses this for buffer management, so forced upcalls are exercised —
     /// Figure 10).
-    pub(super) fn call_support(&mut self, name: &str, args: &[u32]) -> Result<u32, SystemError> {
+    pub(super) fn call_support(&mut self, id: RoutineId, args: &[u32]) -> Result<u32, SystemError> {
         let gid = self.guest.expect("guest");
         let gspace = self.world.xen.as_ref().unwrap().domain(gid).space;
-        let mut cpu = Cpu::new(gspace, ExecMode::Hypervisor);
-        cpu.set_stack(UPCALL_STACK_BASE + UPCALL_STACK_PAGES * PAGE_SIZE);
-        cpu.push_call_frame(&mut self.machine, args)?;
-        self.world.extern_call(name, &mut self.machine, &mut cpu)?;
+        let mut cpu = self.upcall_frame(gspace, args)?;
+        self.world.call_routine(id, &mut self.machine, &mut cpu)?;
         Ok(cpu.reg(twin_isa::Reg::Eax))
     }
 

@@ -98,7 +98,7 @@ impl System {
 
     /// One standalone DRR flush round — the open-loop consumer's unit
     /// of work between arrivals. Unlike the rounds inside
-    /// [`System::flush_guest_rx_queues`], each standalone round is its
+    /// `System::flush_guest_rx_queues`, each standalone round is its
     /// own scheduling pass: the first frame per guest pays the full
     /// wakeup cost again. Returns the frames delivered this round.
     ///

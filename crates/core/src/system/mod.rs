@@ -26,7 +26,7 @@ use crate::iommu::Iommu;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use twin_kernel::{Dom0Kernel, LoadedDriver, SkBuff};
+use twin_kernel::{Dom0Kernel, LoadedDriver, RoutineId, SkBuff};
 use twin_machine::{Cpu, Env, ExecMode, Fault, Machine, SpaceId};
 use twin_net::MacAddr;
 use twin_nic::{ItrTuner, Nic};
@@ -519,29 +519,44 @@ pub struct World {
     pub iommu: Option<Iommu>,
 }
 
+impl World {
+    /// Runs support routine `id` for the instance `cpu` is executing:
+    /// the hypervisor instance's calls go to [`HyperSupport`] (native
+    /// Table 1 bodies, upcall stubs for the rest), dom0's to the kernel.
+    pub(super) fn call_routine(
+        &mut self,
+        id: RoutineId,
+        m: &mut Machine,
+        cpu: &mut Cpu,
+    ) -> Result<(), Fault> {
+        if cpu.mode != ExecMode::Hypervisor {
+            return self.kernel.handle_extern(id, m, cpu);
+        }
+        match (&mut self.hyper, &mut self.xen, &mut self.svm_hyp) {
+            (Some(hyper), Some(xen), Some(svm)) => {
+                hyper.handle_extern(id, m, cpu, &mut self.kernel, xen, svm)
+            }
+            _ => Err(Fault::UnknownExtern(id.name().to_string())),
+        }
+    }
+}
+
 impl Env for World {
+    /// Resolves the name once, in the loader's order (paper §5.2): the
+    /// SVM helpers of the calling instance's table — the VM instance of
+    /// a rewritten driver resolves them to the identity table (§5.1.2),
+    /// with no stack window — then the support routines.
     fn extern_call(&mut self, name: &str, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault> {
-        if cpu.mode == ExecMode::Hypervisor {
-            if let (Some(hyper), Some(xen), Some(svm)) = (
-                self.hyper.as_mut(),
-                self.xen.as_mut(),
-                self.svm_hyp.as_mut(),
-            ) {
-                if let Some(r) = hyper.handle_extern(name, m, cpu, &mut self.kernel, xen, svm) {
-                    return r;
-                }
-            }
-            return Err(Fault::UnknownExtern(name.to_string()));
+        let hyp = cpu.mode == ExecMode::Hypervisor;
+        let svm = match hyp {
+            true => self.svm_hyp.as_mut(),
+            false => self.svm_vm.as_mut(),
+        };
+        if let Some(r) = svm.and_then(|svm| twin_xen::svm_helper(name, m, cpu, svm, hyp)) {
+            return r;
         }
-        // Guest mode: dom0 context. The VM instance of a rewritten driver
-        // resolves the SVM helpers to the identity table (paper §5.1.2).
-        if let Some(svm) = self.svm_vm.as_mut() {
-            if let Some(r) = twin_xen::svm_helper(name, m, cpu, svm, false) {
-                return r;
-            }
-        }
-        match self.kernel.handle_extern(name, m, cpu) {
-            Some(r) => r,
+        match RoutineId::lookup(name) {
+            Some(id) => self.call_routine(id, m, cpu),
             None => Err(Fault::UnknownExtern(name.to_string())),
         }
     }

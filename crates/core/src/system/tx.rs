@@ -2,7 +2,7 @@
 //! driver → wire, burst-wise, for each of the four configurations.
 
 use super::{peer_mac, Config, DriverOp, System, SystemError, World, ZcOccupancy, MAX_BURST};
-use twin_kernel::{Dom0Kernel, SkBuff};
+use twin_kernel::{Dom0Kernel, RoutineId, SkBuff};
 use twin_machine::{CostDomain, ExecMode, Machine};
 use twin_net::{EtherType, Frame, MacAddr, MTU};
 use twin_trace::FlushCause;
@@ -280,7 +280,7 @@ impl System {
         let (Some(hs), Some(xen)) = (hyper.as_mut(), xen.as_mut()) else {
             return Ok(None);
         };
-        if !hs.engine.deferred() || !hs.upcall_routines.contains("netdev_alloc_skb") {
+        if !hs.engine.deferred() || !hs.is_forced(RoutineId::NETDEV_ALLOC_SKB) {
             return Ok(None);
         }
         // One suspension per ring's worth of requests: completions are
@@ -317,7 +317,7 @@ impl System {
             let m = &mut self.machine;
             m.meter.charge_to(CostDomain::Xen, m.cost.twin_glue_tx);
             pending.push(hs.enqueue_upcall(
-                "netdev_alloc_skb",
+                RoutineId::NETDEV_ALLOC_SKB,
                 vec![netdev, 2048],
                 m,
                 kernel,
@@ -358,7 +358,7 @@ impl System {
                 None => {
                     let m = &mut self.machine;
                     m.meter.charge_to(CostDomain::Xen, m.cost.twin_glue_tx);
-                    self.call_support("netdev_alloc_skb", &[netdev, 2048])
+                    self.call_support(RoutineId::NETDEV_ALLOC_SKB, &[netdev, 2048])
                 }
             };
             let skb = match raw {

@@ -46,6 +46,8 @@
 //! each NIC's periodic link check runs against its own slot no matter
 //! what the fast path selected last.
 
+use crate::routines::{Usage, ROUTINES};
+
 /// Number of descriptors per ring (one 4 KiB page of 16-byte descriptors
 /// would be 256; we use 128 and a 2 KiB ring, still page-contiguous).
 pub const RING_SIZE: u32 = 128;
@@ -113,25 +115,15 @@ pub mod adapter {
     pub const RX_REAPED: u64 = 120;
 }
 
-/// Returns the driver's assembly source.
+/// Returns the driver's assembly source. The `.extern` block and
+/// `e1000_sw_init` are generated from [`ROUTINES`]: every routine the
+/// driver imports is declared, and every one it has no structured call
+/// for is probed once.
 pub fn source() -> String {
-    let fast_externs = "\
-    .extern netdev_alloc_skb
-    .extern dev_kfree_skb_any
-    .extern netif_rx
-    .extern dma_map_single
-    .extern dma_map_page
-    .extern dma_unmap_single
-    .extern dma_unmap_page
-    .extern spin_trylock
-    .extern spin_unlock_irqrestore
-    .extern eth_type_trans
-";
-    let init_externs: String = INIT_SUPPORT_ROUTINES
+    let imported = ROUTINES
         .iter()
-        .map(|n| format!("    .extern {n}\n"))
-        .collect();
-
+        .filter(|r| !matches!(r.usage, Usage::Dom0Only));
+    let externs: Vec<String> = imported.map(|r| format!(".extern {}\n", r.name)).collect();
     // A config-path function that exercises the long tail of kernel
     // support routines once each (the real driver touches ~97 routines
     // across its init / config / error paths).
@@ -143,136 +135,15 @@ e1000_sw_init:
     movl %esp, %ebp
 ",
     );
-    for n in INIT_SUPPORT_ROUTINES {
-        // Skip the ones called with real arguments elsewhere.
-        if CALLED_WITH_ARGS.contains(n) {
-            continue;
-        }
+    for r in ROUTINES.iter().filter(|r| matches!(r.usage, Usage::Probed)) {
+        let n = r.name;
         sw_init.push_str(&format!("    pushl $0\n    call {n}\n    addl $4, %esp\n"));
     }
     sw_init.push_str("    popl %ebp\n    ret\n");
 
-    format!("{fast_externs}{init_externs}{CODE}{sw_init}{DATA}")
+    // The block's first line is flush left (the pinned text has it so).
+    format!("{}{CODE}{sw_init}{DATA}", externs.join("    "))
 }
-
-/// Support routines referenced by the init/config/error paths.
-pub const INIT_SUPPORT_ROUTINES: &[&str] = &[
-    "pci_enable_device",
-    "pci_disable_device",
-    "pci_set_master",
-    "pci_request_regions",
-    "pci_release_regions",
-    "pci_read_config_dword",
-    "pci_write_config_dword",
-    "pci_read_config_word",
-    "pci_write_config_word",
-    "pci_set_drvdata",
-    "pci_get_drvdata",
-    "pci_enable_msi",
-    "pci_disable_msi",
-    "ioremap",
-    "iounmap",
-    "request_region",
-    "release_region",
-    "alloc_etherdev",
-    "free_netdev",
-    "register_netdev",
-    "unregister_netdev",
-    "netdev_priv",
-    "netif_start_queue",
-    "netif_stop_queue",
-    "netif_wake_queue",
-    "netif_queue_stopped",
-    "netif_carrier_on",
-    "netif_carrier_off",
-    "netif_carrier_ok",
-    "netif_device_attach",
-    "netif_device_detach",
-    "request_irq",
-    "free_irq",
-    "synchronize_irq",
-    "disable_irq",
-    "enable_irq",
-    "kmalloc",
-    "kfree",
-    "vmalloc",
-    "vfree",
-    "dma_alloc_coherent",
-    "dma_free_coherent",
-    "dma_sync_single_for_cpu",
-    "dma_sync_single_for_device",
-    "spin_lock_init",
-    "spin_lock_irqsave",
-    "mutex_lock",
-    "mutex_unlock",
-    "init_timer",
-    "mod_timer",
-    "del_timer",
-    "del_timer_sync",
-    "round_jiffies",
-    "msleep",
-    "mdelay",
-    "udelay",
-    "schedule_work",
-    "cancel_work_sync",
-    "flush_scheduled_work",
-    "printk",
-    "memcpy",
-    "memset",
-    "memcmp",
-    "strcpy",
-    "strlen",
-    "snprintf",
-    "capable",
-    "copy_to_user",
-    "copy_from_user",
-    "mii_ethtool_gset",
-    "mii_ethtool_sset",
-    "mii_link_ok",
-    "mii_check_link",
-    "generic_mii_ioctl",
-    "crc32",
-    "set_bit",
-    "clear_bit",
-    "test_bit",
-    "skb_reserve",
-    "skb_put",
-    "skb_push",
-    "skb_pull",
-    "dev_alloc_skb",
-    "ethtool_op_get_link",
-    "random32",
-    "jiffies_read",
-    "cpu_to_le32",
-    "le32_to_cpu",
-];
-
-/// Routines that the structured driver code calls with meaningful
-/// arguments (so `e1000_sw_init` does not double-call them blindly).
-const CALLED_WITH_ARGS: &[&str] = &[
-    "pci_enable_device",
-    "pci_set_master",
-    "pci_request_regions",
-    "pci_read_config_dword",
-    "ioremap",
-    "alloc_etherdev",
-    "dma_alloc_coherent",
-    "kmalloc",
-    "spin_lock_init",
-    "init_timer",
-    "mod_timer",
-    "del_timer",
-    "request_irq",
-    "register_netdev",
-    "netif_carrier_on",
-    "netif_carrier_ok",
-    "netif_start_queue",
-    "netif_stop_queue",
-    "printk",
-    "mii_ethtool_gset",
-    "mii_link_ok",
-    "memset",
-];
 
 const CODE: &str = r#"
     .text
@@ -1481,6 +1352,21 @@ mod tests {
         assert!(m.data.symbols.contains_key("adapter"));
         // Function-pointer tables are relocated data.
         assert!(m.data.relocs.iter().any(|r| r.symbol == "e1000_xmit_frame"));
+    }
+
+    /// Captured on the commit before the `.extern` block and
+    /// `e1000_sw_init` were generated from `ROUTINES`: the emitted text
+    /// must not move (row order and `Usage` decide it).
+    #[test]
+    fn source_is_pinned_byte_for_byte() {
+        let src = source();
+        let fnv1a = src.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(src.len(), 37_915);
+        assert_eq!(fnv1a, 0xd808_2dfe_ffd4_058c, "{fnv1a:#x}");
+        assert_eq!(src.matches(".extern ").count(), 98);
+        assert_eq!(assemble("e1000", &src).unwrap().text.len(), 1_073);
     }
 
     #[test]

@@ -6,9 +6,15 @@
 //!
 //! * [`e1000`] — the network driver itself, written in twin-isa assembly
 //!   (the input to the rewriter);
+//! * [`routines::ROUTINES`] — the driver↔kernel interface as one table:
+//!   a row per support routine (name, how the driver source uses it,
+//!   and the hypervisor's Table 1 columns), indexed by
+//!   [`routines::RoutineId`]; the driver's `.extern` block, both
+//!   dispatchers and the Figure 10 knob are derived from it;
 //! * [`support::Dom0Kernel`] — the driver support API (sk_buffs, DMA
 //!   mapping, spinlocks, timers, `netif_rx`, and the ~90-routine long
-//!   tail), implemented natively and dispatched through extern
+//!   tail): one native body per routine
+//!   ([`support::Dom0Kernel::routine`]), dispatched through extern
 //!   trampolines;
 //! * [`heap`] / [`skb`] — the dom0 kernel heap and packet buffers,
 //!   including the hypervisor-reserved pool of paper §4.3;
@@ -22,16 +28,16 @@
 pub mod e1000;
 pub mod heap;
 pub mod loader;
+pub mod routines;
 pub mod skb;
 pub mod support;
 
 pub use heap::Heap;
 pub use loader::{load_driver, LoadError, LoadedDriver};
+pub use routines::{DeferClass, FastPath, Routine, RoutineId, Usage, ROUTINES};
 pub use skb::{SkBuff, SkbPool, SKB_HDR_SIZE};
 pub use support::{
-    defer_policy, DeferClass, Dom0Kernel, RxMode, Timer, TimerWheel, Trace, CYCLES_PER_JIFFY,
-    KNOWN_ROUTINES, MMIO_BASE, TABLE1_DEFER_POLICY, TABLE1_FASTPATH, UPCALL_CONFLICTS,
-    UPCALL_MAX_ARGS, WHEEL_SLOTS,
+    Dom0Kernel, RxMode, Timer, TimerWheel, Trace, CYCLES_PER_JIFFY, MMIO_BASE, WHEEL_SLOTS,
 };
 
 use twin_machine::{run, Cpu, Env, ExecMode, Fault, Machine, SpaceId, StopReason};
@@ -94,8 +100,8 @@ mod tests {
 
     impl Env for NativeWorld {
         fn extern_call(&mut self, name: &str, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault> {
-            match self.kernel.handle_extern(name, m, cpu) {
-                Some(r) => r,
+            match RoutineId::lookup(name) {
+                Some(id) => self.kernel.handle_extern(id, m, cpu),
                 None => Err(Fault::UnknownExtern(name.to_string())),
             }
         }
@@ -519,7 +525,7 @@ mod tests {
         // dma_map_page/dma_unmap_page only appear for fragmented skbs.
         for n in &fast {
             assert!(
-                TABLE1_FASTPATH.contains(&n.as_str()),
+                RoutineId::lookup(n).is_some_and(|id| id.fast_path().is_some()),
                 "unexpected fast-path routine {n}"
             );
         }

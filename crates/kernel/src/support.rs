@@ -3,6 +3,7 @@
 //! trace used to regenerate Table 1.
 
 use crate::heap::Heap;
+use crate::routines::RoutineId;
 use crate::skb::{offsets, SkBuff, SkbPool};
 use std::collections::BTreeMap;
 use twin_machine::{CostDomain, Cpu, ExecMode, Fault, Machine, SpaceId, PAGE_SIZE};
@@ -341,38 +342,44 @@ impl Dom0Kernel {
         self.timers.expire(now)
     }
 
-    /// Handles a support-routine call from driver code. Returns `None`
-    /// when `name` is not a dom0 kernel routine (letting the caller try
-    /// other dispatchers, e.g. hypervisor stubs).
-    ///
-    /// Cycle charges land in [`CostDomain::Dom0`] — support routines are
-    /// kernel code, not driver code, matching the paper's attribution.
+    /// Handles a support-routine call from driver code, in dom0: records
+    /// it for Table 1 and charges the body to [`CostDomain::Dom0`] —
+    /// support routines are kernel code, not driver code, matching the
+    /// paper's attribution.
     pub fn handle_extern(
         &mut self,
-        name: &str,
+        id: RoutineId,
         m: &mut Machine,
         cpu: &mut Cpu,
-    ) -> Option<Result<(), Fault>> {
-        if !KNOWN_ROUTINES.contains(&name) {
-            return None;
-        }
-        self.trace.record(name);
+    ) -> Result<(), Fault> {
+        self.record_call(id, m);
+        m.meter.push_domain(CostDomain::Dom0);
+        let r = self.routine(id, m, cpu);
+        m.meter.pop_domain();
+        r
+    }
+
+    /// Records a support-routine call in the Table 1 trace and the
+    /// machine's flight recorder.
+    pub fn record_call(&mut self, id: RoutineId, m: &mut Machine) {
+        self.trace.record(id.name());
         if m.trace.enabled() {
             m.trace_event(twin_trace::TraceEvent::KernelCall {
-                routine: name.to_string(),
+                routine: id.name().to_string(),
                 phase: self.trace.phase.clone(),
             });
         }
-        m.meter.push_domain(CostDomain::Dom0);
-        let r = self.dispatch(name, m, cpu);
-        m.meter.pop_domain();
-        Some(r)
     }
 
-    fn dispatch(&mut self, name: &str, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault> {
+    /// The body of a support routine — the one place each is written —
+    /// charged to the *current* cost domain: dom0 runs it under
+    /// [`CostDomain::Dom0`] ([`Dom0Kernel::handle_extern`]); the
+    /// hypervisor runs the Table 1 bodies it shares with dom0, and its
+    /// teardown replay, under [`CostDomain::Xen`].
+    pub fn routine(&mut self, id: RoutineId, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault> {
         use twin_isa::Reg;
         let ret = |cpu: &mut Cpu, v: u32| cpu.set_reg(Reg::Eax, v);
-        match name {
+        match id.name() {
             "netdev_alloc_skb" | "dev_alloc_skb" => {
                 let c = m.cost.skb_alloc;
                 m.meter.charge(c);
@@ -673,239 +680,9 @@ impl Dom0Kernel {
     }
 }
 
-/// Every support routine the dom0 kernel model implements (the driver's
-/// import surface). The first ten are the paper's Table 1 fast-path set.
-pub const KNOWN_ROUTINES: &[&str] = &[
-    // Table 1 (fast path).
-    "netdev_alloc_skb",
-    "dev_kfree_skb_any",
-    "netif_rx",
-    "dma_map_single",
-    "dma_map_page",
-    "dma_unmap_single",
-    "dma_unmap_page",
-    "spin_trylock",
-    "spin_unlock_irqrestore",
-    "eth_type_trans",
-    // Everything else.
-    "dev_kfree_skb",
-    "kfree_skb",
-    "dev_alloc_skb",
-    "pci_enable_device",
-    "pci_disable_device",
-    "pci_set_master",
-    "pci_request_regions",
-    "pci_release_regions",
-    "pci_read_config_dword",
-    "pci_write_config_dword",
-    "pci_read_config_word",
-    "pci_write_config_word",
-    "pci_set_drvdata",
-    "pci_get_drvdata",
-    "pci_enable_msi",
-    "pci_disable_msi",
-    "ioremap",
-    "iounmap",
-    "request_region",
-    "release_region",
-    "alloc_etherdev",
-    "free_netdev",
-    "register_netdev",
-    "unregister_netdev",
-    "netdev_priv",
-    "netif_start_queue",
-    "netif_stop_queue",
-    "netif_wake_queue",
-    "netif_queue_stopped",
-    "netif_carrier_on",
-    "netif_carrier_off",
-    "netif_carrier_ok",
-    "netif_device_attach",
-    "netif_device_detach",
-    "request_irq",
-    "free_irq",
-    "synchronize_irq",
-    "disable_irq",
-    "enable_irq",
-    "kmalloc",
-    "kfree",
-    "vmalloc",
-    "vfree",
-    "dma_alloc_coherent",
-    "dma_free_coherent",
-    "dma_sync_single_for_cpu",
-    "dma_sync_single_for_device",
-    "spin_lock_init",
-    "spin_lock_irqsave",
-    "mutex_lock",
-    "mutex_unlock",
-    "init_timer",
-    "mod_timer",
-    "del_timer",
-    "del_timer_sync",
-    "round_jiffies",
-    "msleep",
-    "mdelay",
-    "udelay",
-    "schedule_work",
-    "cancel_work_sync",
-    "flush_scheduled_work",
-    "printk",
-    "memcpy",
-    "memset",
-    "memcmp",
-    "strcpy",
-    "strlen",
-    "snprintf",
-    "capable",
-    "copy_to_user",
-    "copy_from_user",
-    "mii_ethtool_gset",
-    "mii_ethtool_sset",
-    "mii_link_ok",
-    "mii_check_link",
-    "generic_mii_ioctl",
-    "crc32",
-    "set_bit",
-    "clear_bit",
-    "test_bit",
-    "skb_reserve",
-    "skb_put",
-    "skb_push",
-    "skb_pull",
-    "ethtool_op_get_link",
-    "random32",
-    "jiffies_read",
-    "cpu_to_le32",
-    "le32_to_cpu",
-];
-
-/// The paper's Table 1: routines called during error-free execution of
-/// the transmit and receive paths of the e1000 driver.
-pub const TABLE1_FASTPATH: &[&str] = &[
-    "netdev_alloc_skb",
-    "dev_kfree_skb_any",
-    "netif_rx",
-    "dma_map_single",
-    "dma_map_page",
-    "dma_unmap_single",
-    "dma_unmap_page",
-    "spin_trylock",
-    "spin_unlock_irqrestore",
-    "eth_type_trans",
-];
-
-/// How a support routine on the upcall path may execute when the
-/// deferred-upcall engine is active (it is never consulted in synchronous
-/// mode, which stays the paper's §4.2 path).
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum DeferClass {
-    /// Always a synchronous upcall: two domain switches per call. The
-    /// default for the long tail of control-path routines, where latency
-    /// does not matter and correctness review does.
-    Sync,
-    /// The caller never consumes the result inline (frees, unmaps,
-    /// unlocks), or the hypervisor can compute a provisional result
-    /// locally (DMA mapping is a deterministic page translation the
-    /// hypervisor already performs for the stlb): enqueue into the
-    /// deferred ring and continue; dom0 executes the call — and posts the
-    /// completion — at the next flush.
-    Deferred,
-    /// The result is consumed inline and only dom0 can produce it
-    /// (allocation from dom0's free list, delivery into dom0's stack):
-    /// suspend the burst via a continuation — the whole ring drains in
-    /// one switch-pair, FIFO, with this call last, and the caller resumes
-    /// with the routine's dom0 return value.
-    Continuation,
-}
-
-/// Deferral policy and argument arity for each Table 1 routine, in
-/// Table 1 order — the knob that decides, per routine, whether forcing it
-/// onto the upcall path costs two switches per *call* (`Sync`), per
-/// *flush* (`Deferred`), or per *suspension* (`Continuation`).
-pub const TABLE1_DEFER_POLICY: &[(&str, DeferClass, usize)] = &[
-    ("netdev_alloc_skb", DeferClass::Continuation, 2),
-    ("dev_kfree_skb_any", DeferClass::Deferred, 1),
-    ("netif_rx", DeferClass::Continuation, 1),
-    ("dma_map_single", DeferClass::Deferred, 2),
-    ("dma_map_page", DeferClass::Deferred, 2),
-    ("dma_unmap_single", DeferClass::Deferred, 2),
-    ("dma_unmap_page", DeferClass::Deferred, 2),
-    ("spin_trylock", DeferClass::Continuation, 1),
-    ("spin_unlock_irqrestore", DeferClass::Deferred, 2),
-    ("eth_type_trans", DeferClass::Continuation, 2),
-];
-
-/// Maximum stack arguments a deferred ring entry saves (the widest
-/// Table 1 routine takes two; the long tail is conservatively given
-/// four).
-pub const UPCALL_MAX_ARGS: usize = 4;
-
-/// Looks up the deferral policy `(class, arity)` for a routine. Routines
-/// outside Table 1 stay [`DeferClass::Sync`].
-pub fn defer_policy(name: &str) -> (DeferClass, usize) {
-    TABLE1_DEFER_POLICY
-        .iter()
-        .find(|(n, _, _)| *n == name)
-        .map(|(_, c, a)| (*c, *a))
-        .unwrap_or((DeferClass::Sync, UPCALL_MAX_ARGS))
-}
-
-/// Native fast-path routines that must observe the effects of any queued
-/// deferred upcalls before running (pool state for allocation, the shared
-/// lock word for `spin_trylock`): the engine flushes first when the ring
-/// holds a conflicting entry. Each pair is
-/// `(native routine, conflicting queued routines)`. Only Table 1
-/// routines can execute natively; long-tail routines reach dom0 as
-/// `Sync`-class upcalls, which drain the ring outright before running.
-pub const UPCALL_CONFLICTS: &[(&str, &[&str])] = &[
-    (
-        "netdev_alloc_skb",
-        &["dev_kfree_skb_any", "dev_kfree_skb", "kfree_skb"],
-    ),
-    ("spin_trylock", &["spin_unlock_irqrestore"]),
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn known_routines_cover_fastpath_and_are_large() {
-        for f in TABLE1_FASTPATH {
-            assert!(KNOWN_ROUTINES.contains(f), "{f} missing");
-        }
-        assert!(KNOWN_ROUTINES.len() >= 95, "{}", KNOWN_ROUTINES.len());
-    }
-
-    #[test]
-    fn defer_policy_covers_table1_in_order() {
-        assert_eq!(TABLE1_DEFER_POLICY.len(), TABLE1_FASTPATH.len());
-        for ((name, _, arity), fast) in TABLE1_DEFER_POLICY.iter().zip(TABLE1_FASTPATH) {
-            assert_eq!(name, fast, "policy table must follow Table 1 order");
-            assert!(*arity <= UPCALL_MAX_ARGS);
-        }
-        // Result-consuming routines must not be fire-and-forget.
-        assert_eq!(defer_policy("netdev_alloc_skb").0, DeferClass::Continuation);
-        assert_eq!(defer_policy("spin_trylock").0, DeferClass::Continuation);
-        assert_eq!(defer_policy("dev_kfree_skb_any").0, DeferClass::Deferred);
-        // The long tail stays synchronous.
-        assert_eq!(defer_policy("kmalloc").0, DeferClass::Sync);
-        assert_eq!(defer_policy("no_such_routine").0, DeferClass::Sync);
-    }
-
-    #[test]
-    fn upcall_conflicts_reference_native_capable_routines() {
-        for (native, queued) in UPCALL_CONFLICTS {
-            // The barrier guards *native* execution, which only Table 1
-            // routines can reach; everything else drains the ring as a
-            // Sync-class upcall instead.
-            assert!(TABLE1_FASTPATH.contains(native), "{native}");
-            for q in *queued {
-                assert!(KNOWN_ROUTINES.contains(q), "{q}");
-            }
-        }
-    }
 
     #[test]
     fn timers_fire_in_order() {

@@ -89,7 +89,7 @@ pub struct CostParams {
     pub mmio_write: u64,
     /// Address-space/domain switch, including the TLB and cache refill tax
     /// the paper identifies as the dominant overhead of the hosted model
-    /// (§2, citing [12]).
+    /// (§2, citing \[12\]).
     pub domain_switch: u64,
     /// Cold-delivery refill: the extra sTLB/cache warm-up paid when a
     /// frame is delivered by a NIC softirq running on a different

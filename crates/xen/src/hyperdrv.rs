@@ -46,7 +46,10 @@ pub const UPCALL_RING_BASE: u64 = HYPER_BASE + 0x0098_0000;
 pub const UPCALL_RING_PAGES: u64 = 2;
 
 /// Bytes per ring slot: routine id, arity, four saved arguments,
-/// continuation id (lo, hi) — eight 32-bit words.
+/// continuation id (lo, hi) — eight 32-bit words. The routine id is the
+/// [`twin_kernel::RoutineId`] index, so only a routine dom0 implements
+/// can be written; the slot is the entry's memory image and nothing
+/// reads it back (the engine keeps the entries it executes).
 pub const UPCALL_RING_SLOT_BYTES: u64 = 32;
 
 /// Number of ring slots (the hard ceiling on the engine's capacity).

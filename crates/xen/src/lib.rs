@@ -7,8 +7,9 @@
 //! * [`grant::GrantCache`] — the map-once/recycle grant table behind the
 //!   zero-copy datapath: pool pages mapped on first touch, LRU-evicted
 //!   at capacity, revocable per domain (the quarantine seam);
-//! * [`support::HyperSupport`] — the ten hypervisor implementations of
-//!   the fast-path support routines (paper §4.3, Table 1) and the
+//! * [`support::HyperSupport`] — hypervisor execution of the ten
+//!   fast-path support routines (paper §4.3, Table 1: the
+//!   `FastPath` rows of `twin_kernel::ROUTINES`) and the
 //!   **upcall** mechanism that forwards everything else to dom0 (§4.2),
 //!   including the Figure 10 knob that forces fast-path routines onto
 //!   the upcall path;

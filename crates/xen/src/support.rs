@@ -1,22 +1,27 @@
 //! Hypervisor-side support routines (paper §4.3) and the upcall
 //! mechanism (paper §4.2).
 //!
-//! The hypervisor implements only the ten fast-path routines of Table 1;
-//! everything else the driver calls is forwarded to dom0 through a
-//! synchronous upcall: save parameters, switch to the upcall stack,
-//! (domain-switch to dom0 if running in a guest context), deliver a
-//! synchronous virtual interrupt, run the dom0 routine, return via a
+//! The hypervisor implements only the ten fast-path routines of Table 1
+//! (the [`twin_kernel::Usage::FastPath`] rows of
+//! [`twin_kernel::ROUTINES`]): two differ from dom0's — allocation from
+//! the reserved pool, `netif_rx`'s MAC demux — and are written here; the
+//! other eight are dom0's bodies ([`Dom0Kernel::routine`]) charged to
+//! the hypervisor. Everything else the driver calls is forwarded to dom0
+//! through a synchronous upcall: save parameters, switch to the upcall
+//! stack, (domain-switch to dom0 if running in a guest context), deliver
+//! a synchronous virtual interrupt, run the dom0 routine, return via a
 //! hypercall, switch back. For Figure 10, any subset of the fast-path
 //! routines can be *forced* onto the upcall path.
 //!
 //! In **deferred mode** ([`crate::upcall::UpcallMode::Deferred`]) the
-//! upcall stub consults [`twin_kernel::TABLE1_DEFER_POLICY`] instead of
-//! switching immediately: `Deferred`-class calls are saved into the
-//! request ring at [`crate::hyperdrv::UPCALL_RING_BASE`] and continue
-//! with a locally computed provisional result; `Continuation`-class calls
-//! enqueue themselves, suspend the burst, and [`HyperSupport::flush_upcalls`]
-//! drains the whole ring in one switch-pair, posting every return value
-//! back through the completion event channel.
+//! upcall stub consults the row's [`twin_kernel::DeferClass`] instead of
+//! switching immediately: `Deferred`- and `Provisional`-class calls are
+//! saved into the request ring at [`crate::hyperdrv::UPCALL_RING_BASE`]
+//! and continue (with 0, or a locally computed provisional result);
+//! `Continuation`-class calls enqueue themselves, suspend the burst, and
+//! [`HyperSupport::flush_upcalls`] drains the whole ring in one
+//! switch-pair, posting every return value back through the completion
+//! event channel.
 
 use crate::domain::DomId;
 use crate::hyperdrv::{
@@ -25,8 +30,7 @@ use crate::hyperdrv::{
 };
 use crate::upcall::{UpcallEngine, UpcallMode, UPCALL_COMPLETION_PORT};
 use crate::xen::{Softirq, Xen};
-use std::collections::BTreeSet;
-use twin_kernel::{DeferClass, Dom0Kernel, SkBuff, KNOWN_ROUTINES, TABLE1_FASTPATH};
+use twin_kernel::{DeferClass, Dom0Kernel, FastPath, RoutineId, SkBuff, Usage, ROUTINES};
 use twin_machine::{CostDomain, Cpu, ExecMode, Fault, Machine, PAGE_SIZE};
 use twin_svm::{Svm, CALL_XLAT_SYMBOL, SLOW_PATH_SYMBOL};
 use twin_trace::{FlushCause, TraceEvent};
@@ -74,8 +78,9 @@ pub const UPCALL_PORT: u32 = 31;
 /// deferred-upcall engine, and counters.
 #[derive(Debug, Default)]
 pub struct HyperSupport {
-    /// Fast-path routines forced onto the upcall path (Figure 10 sweep).
-    pub upcall_routines: BTreeSet<String>,
+    /// Table 1 rows forced onto the upcall path (Figure 10 sweep): bit
+    /// `i` is [`twin_kernel::ROUTINES`]`[i]`.
+    forced: u16,
     /// Upcalls executed in dom0 (synchronously or at a flush).
     pub upcalls: u64,
     /// Frames dropped because no guest matched the destination MAC.
@@ -96,79 +101,66 @@ impl HyperSupport {
     /// excluding `netif_rx`, which the paper always keeps native) onto
     /// the upcall path — the Figure 10 X axis.
     pub fn set_upcall_count(&mut self, n: usize) {
-        self.upcall_routines = TABLE1_FASTPATH
-            .iter()
-            .filter(|r| **r != "netif_rx")
-            .take(n)
-            .map(|s| s.to_string())
-            .collect();
+        let table1 = ROUTINES.iter().enumerate();
+        let forcible =
+            table1.filter(|(_, r)| matches!(r.usage, Usage::FastPath(_)) && r.name != "netif_rx");
+        self.forced = forcible.take(n).fold(0, |bits, (i, _)| bits | 1 << i);
     }
 
-    /// Handles an extern call made by the *hypervisor* driver instance.
-    /// Returns `None` if the name is not an SVM helper, a fast-path
-    /// routine, or a known dom0 routine (i.e. truly unknown).
-    ///
-    /// Dispatch order matches the paper's loader resolution (§5.2):
-    /// SVM helpers → hypervisor implementations → upcall stubs.
+    /// Forces one Table 1 routine onto the upcall path (no effect on a
+    /// long-tail routine: those always upcall).
+    pub fn force_upcall(&mut self, id: RoutineId) {
+        if id.fast_path().is_some() {
+            self.forced |= 1 << id.index();
+        }
+    }
+
+    /// True when `id` is a Table 1 routine forced onto the upcall path.
+    pub fn is_forced(&self, id: RoutineId) -> bool {
+        id.fast_path().is_some() && self.forced & (1 << id.index()) != 0
+    }
+
+    /// Handles a support-routine call made by the *hypervisor* driver
+    /// instance, after the SVM helpers ([`svm_helper`]) — the paper's
+    /// loader resolution order (§5.2): hypervisor implementations, then
+    /// upcall stubs for everything else dom0 implements.
     #[allow(clippy::too_many_arguments)]
     pub fn handle_extern(
         &mut self,
-        name: &str,
+        id: RoutineId,
         m: &mut Machine,
         cpu: &mut Cpu,
         kernel: &mut Dom0Kernel,
         xen: &mut Xen,
         svm: &mut Svm,
-    ) -> Option<Result<(), Fault>> {
-        if let Some(r) = svm_helper(name, m, cpu, svm, true) {
-            return Some(r);
-        }
-        let is_fastpath = TABLE1_FASTPATH.contains(&name);
-        let force_upcall = self.upcall_routines.contains(name);
-        if is_fastpath && !force_upcall {
-            // Deferred entries must be visible before a native routine
-            // that reads the state they mutate (pool free lists, the
-            // shared lock word) — flush first on a conflict.
-            if self.engine.deferred() {
-                if let Some((_, queued)) = twin_kernel::UPCALL_CONFLICTS
-                    .iter()
-                    .find(|(n, _)| *n == name)
-                {
-                    if self.engine.has_queued_any(queued) {
-                        if let Err(e) = self.flush_upcalls(m, kernel, xen, FlushCause::Conflict) {
-                            return Some(Err(e));
-                        }
-                    }
+    ) -> Result<(), Fault> {
+        match (id.fast_path(), self.engine.mode) {
+            (Some(fp), _) if !self.is_forced(id) => {
+                // Deferred entries must be visible before a native
+                // routine that reads the state they mutate (pool free
+                // lists, the shared lock word) — flush first on a
+                // conflict.
+                if self.engine.deferred() && self.engine.has_queued_any(fp.flush_first) {
+                    self.flush_upcalls(m, kernel, xen, FlushCause::Conflict)?;
                 }
+                kernel.record_call(id, m);
+                m.meter.push_domain(CostDomain::Xen);
+                let r = self.native_impl(id, fp, m, cpu, kernel, xen, svm);
+                m.meter.pop_domain();
+                r
             }
-            kernel.trace.record(name);
-            if m.trace.enabled() {
-                m.trace_event(TraceEvent::KernelCall {
-                    routine: name.to_string(),
-                    phase: kernel.trace.phase.clone(),
-                });
-            }
-            m.meter.push_domain(CostDomain::Xen);
-            let r = self.native_impl(name, m, cpu, kernel, xen, svm);
-            m.meter.pop_domain();
-            return Some(r);
+            // Upcall stub: any other routine dom0 implements (including
+            // forced fast-path routines) is forwarded — synchronously, or
+            // via the deferred ring per the routine's policy class.
+            (_, UpcallMode::Sync) => self.upcall(id, m, cpu, kernel, xen),
+            (_, UpcallMode::Deferred) => self.upcall_deferred(id, m, cpu, kernel, xen),
         }
-        // Upcall stub: any routine dom0 implements (including forced
-        // fast-path routines) is forwarded — synchronously, or via the
-        // deferred ring per the routine's policy class.
-        if KNOWN_ROUTINES.contains(&name) {
-            return Some(match self.engine.mode {
-                UpcallMode::Sync => self.upcall(name, m, cpu, kernel, xen),
-                UpcallMode::Deferred => self.upcall_deferred(name, m, cpu, kernel, xen),
-            });
-        }
-        None
     }
 
     /// The upcall path (paper §4.2).
     fn upcall(
         &mut self,
-        name: &str,
+        id: RoutineId,
         m: &mut Machine,
         cpu: &mut Cpu,
         kernel: &mut Dom0Kernel,
@@ -192,10 +184,7 @@ impl HyperSupport {
         // The dom0 handler recovers parameters and invokes the support
         // routine; heap and registers are identical by construction, and
         // the stack parameters are read through the same cpu state.
-        match kernel.handle_extern(name, m, cpu) {
-            Some(r) => r?,
-            None => return Err(Fault::UnknownExtern(name.to_string())),
-        }
+        kernel.handle_extern(id, m, cpu)?;
         // Return to the stub via hypercall, then back to the guest.
         xen.hypercall(m);
         xen.switch_to(m, back);
@@ -208,32 +197,42 @@ impl HyperSupport {
     /// immediate switch-pair.
     fn upcall_deferred(
         &mut self,
-        name: &str,
+        id: RoutineId,
         m: &mut Machine,
         cpu: &mut Cpu,
         kernel: &mut Dom0Kernel,
         xen: &mut Xen,
     ) -> Result<(), Fault> {
-        let (class, arity) = twin_kernel::defer_policy(name);
-        match class {
-            DeferClass::Sync => {
-                // A synchronous upcall is itself a dom0 transition:
-                // drain the ring first so queued entries (frees,
-                // unlocks) execute before it in program order — dom0
-                // must not observe the sync call ahead of older work.
-                self.flush_upcalls(m, kernel, xen, FlushCause::SyncOrder)?;
-                self.upcall(name, m, cpu, kernel, xen)
-            }
+        let Some(fp) = id.fast_path() else {
+            // The long tail stays a synchronous upcall, which is itself
+            // a dom0 transition: drain the ring first so queued entries
+            // (frees, unlocks) execute before it in program order — dom0
+            // must not observe the sync call ahead of older work.
+            self.flush_upcalls(m, kernel, xen, FlushCause::SyncOrder)?;
+            return self.upcall(id, m, cpu, kernel, xen);
+        };
+        // The "save parameters" half of the stub.
+        let args = (0..fp.arity as u32)
+            .map(|i| cpu.arg(m, i))
+            .collect::<Result<Vec<u32>, Fault>>()?;
+        match fp.defer {
             DeferClass::Deferred => {
-                let args = read_args(m, cpu, arity)?;
-                let provisional = self.local_result(name, m, kernel, &args)?;
-                self.enqueue_upcall(name, args, m, kernel, xen)?;
-                cpu.set_reg(twin_isa::Reg::Eax, provisional);
-                Ok(())
+                self.enqueue_upcall(id, args, m, kernel, xen)?;
+                cpu.set_reg(twin_isa::Reg::Eax, 0);
+            }
+            DeferClass::Provisional => {
+                // The hypervisor computes the result without switching
+                // (the body leaves it in `%eax`); dom0's flush execution
+                // recomputes it and the completion carries the
+                // identical value.
+                m.meter.push_domain(CostDomain::Xen);
+                let r = kernel.routine(id, m, cpu);
+                m.meter.pop_domain();
+                r?;
+                self.enqueue_upcall(id, args, m, kernel, xen)?;
             }
             DeferClass::Continuation => {
-                let args = read_args(m, cpu, arity)?;
-                let cont_id = self.enqueue_upcall(name, args, m, kernel, xen)?;
+                let cont_id = self.enqueue_upcall(id, args, m, kernel, xen)?;
                 // Suspend the burst: drain the ring FIFO (this call
                 // last) in one switch-pair, then resume with the dom0
                 // return value its completion carries.
@@ -245,39 +244,9 @@ impl HyperSupport {
                     .take_completion(cont_id)
                     .expect("flush posts the suspending call's completion");
                 cpu.set_reg(twin_isa::Reg::Eax, done.ret);
-                Ok(())
             }
         }
-    }
-
-    /// Provisional result for a `Deferred`-class routine, computed by the
-    /// hypervisor without switching: DMA mapping is the same
-    /// deterministic page translation the stlb performs (dom0's flush
-    /// execution recomputes it and the completion carries the identical
-    /// value); frees, unmaps and unlocks return 0 like their dom0
-    /// implementations.
-    fn local_result(
-        &mut self,
-        name: &str,
-        m: &mut Machine,
-        kernel: &Dom0Kernel,
-        args: &[u32],
-    ) -> Result<u32, Fault> {
-        match name {
-            "dma_map_single" => {
-                let c = m.cost.dma_map;
-                m.meter.charge_to(CostDomain::Xen, c);
-                let vaddr = args.first().copied().unwrap_or(0) as u64;
-                let t = m.translate(kernel.space, ExecMode::Guest, vaddr, false)?;
-                Ok((t.entry.pfn * PAGE_SIZE + t.offset) as u32)
-            }
-            "dma_map_page" => {
-                let c = m.cost.dma_map;
-                m.meter.charge_to(CostDomain::Xen, c);
-                Ok(args.first().copied().unwrap_or(0))
-            }
-            _ => Ok(0),
-        }
+        Ok(())
     }
 
     /// Saves one upcall into the request ring: flushes first if the ring
@@ -286,7 +255,7 @@ impl HyperSupport {
     /// Returns the continuation id.
     pub fn enqueue_upcall(
         &mut self,
-        name: &str,
+        id: RoutineId,
         args: Vec<u32>,
         m: &mut Machine,
         kernel: &mut Dom0Kernel,
@@ -301,38 +270,31 @@ impl HyperSupport {
         m.meter.charge_to(CostDomain::Xen, c);
         m.meter.count_event("upcall_enqueue");
         let arg = |i: usize| args.get(i).copied().unwrap_or(0);
-        let routine_id = KNOWN_ROUTINES
-            .iter()
-            .position(|r| *r == name)
-            .unwrap_or(usize::MAX) as u32;
-        let words = [
-            routine_id,
+        // The slot (layout: `UPCALL_RING_SLOT_BYTES`); the routine word
+        // is the `RoutineId`, a `ROUTINES` row by construction.
+        let mut words = [
+            id.index() as u32,
             args.len() as u32,
             arg(0),
             arg(1),
             arg(2),
             arg(3),
-            0, // cont id lo, patched below
-            0, // cont id hi
+            0,
+            0,
         ];
         let cycles = m.meter.now();
-        let cont_id = self.engine.enqueue(name, args, cycles);
+        let cont_id = self.engine.enqueue_id(id, args, cycles);
+        (words[6], words[7]) = (cont_id as u32, (cont_id >> 32) as u32);
         if m.trace.enabled() {
             m.trace_event(TraceEvent::UpcallEnqueue {
-                routine: name.to_string(),
+                routine: id.name().to_string(),
                 cont_id,
             });
         }
-        // Persist the slot: (routine id, arity, args[0..4], cont id).
         let entry = self.engine.stats.enqueued.wrapping_sub(1);
         let slot = UPCALL_RING_BASE + (entry % UPCALL_RING_SLOTS) * UPCALL_RING_SLOT_BYTES;
         for (i, w) in words.iter().enumerate() {
-            let v = match i {
-                6 => cont_id as u32,
-                7 => (cont_id >> 32) as u32,
-                _ => *w,
-            };
-            m.write_u32(kernel.space, ExecMode::Hypervisor, slot + 4 * i as u64, v)?;
+            m.write_u32(kernel.space, ExecMode::Hypervisor, slot + 4 * i as u64, *w)?;
         }
         if self.engine.past_high_water() {
             xen.raise_softirq(Softirq::UpcallFlush);
@@ -350,8 +312,9 @@ impl HyperSupport {
     /// # Errors
     ///
     /// Returns the first routine fault; the switch back to the
-    /// interrupted context still happens, later completions for that
-    /// flush are not posted (the driver will be aborted by its caller).
+    /// interrupted context still happens, and the entries behind the
+    /// faulting one stay queued, in order (the driver will be aborted by
+    /// its caller, whose teardown replays what dom0 is owed).
     pub fn flush_upcalls(
         &mut self,
         m: &mut Machine,
@@ -359,7 +322,8 @@ impl HyperSupport {
         xen: &mut Xen,
         cause: FlushCause,
     ) -> Result<usize, Fault> {
-        if self.engine.depth() == 0 {
+        let n = self.engine.depth();
+        if n == 0 {
             return Ok(0);
         }
         // Records from earlier flushes were consumed by their waiters
@@ -373,8 +337,6 @@ impl HyperSupport {
         xen.switch_to(m, DomId::DOM0);
         xen.send_virq(m, DomId::DOM0, UPCALL_PORT);
         xen.domain_mut(DomId::DOM0).pending_virqs.pop();
-        let entries = self.engine.drain();
-        let n = entries.len();
         if m.trace.enabled() {
             m.trace_event(TraceEvent::UpcallFlush {
                 cause,
@@ -382,38 +344,32 @@ impl HyperSupport {
             });
         }
         let stack_top = UPCALL_STACK_BASE + UPCALL_STACK_PAGES * PAGE_SIZE;
-        let mut first_err: Option<Fault> = None;
-        for entry in &entries {
-            if first_err.is_some() {
-                break;
-            }
+        let mut result = Ok(n);
+        while let Some(entry) = self.engine.pop_front() {
             let c = m.cost.upcall_dispatch;
             m.meter.charge_to(CostDomain::Dom0, c);
             // Rebuild the saved call frame on the upcall stack and run
             // the routine in dom0.
             let mut cpu = Cpu::new(kernel.space, ExecMode::Hypervisor);
             cpu.set_stack(stack_top);
-            let r = cpu.push_call_frame(m, &entry.args).and_then(|()| {
-                match kernel.handle_extern(&entry.routine, m, &mut cpu) {
-                    Some(r) => r.map(|()| cpu.reg(twin_isa::Reg::Eax)),
-                    None => Err(Fault::UnknownExtern(entry.routine.clone())),
-                }
-            });
-            match r {
-                Ok(ret) => {
-                    self.upcalls += 1;
-                    m.meter.count_event("upcall_exec");
-                    let c = m.cost.upcall_complete;
-                    m.meter.charge_to(CostDomain::Xen, c);
-                    self.engine.complete(entry, ret, m.meter.now());
-                    if m.trace.enabled() {
-                        m.trace_event(TraceEvent::UpcallCompletion {
-                            routine: entry.routine.clone(),
-                            cont_id: entry.cont_id,
-                        });
-                    }
-                }
-                Err(e) => first_err = Some(e),
+            let r = cpu
+                .push_call_frame(m, &entry.args)
+                .and_then(|()| kernel.handle_extern(entry.routine, m, &mut cpu));
+            if let Err(e) = r {
+                result = Err(e);
+                break;
+            }
+            self.upcalls += 1;
+            m.meter.count_event("upcall_exec");
+            let c = m.cost.upcall_complete;
+            m.meter.charge_to(CostDomain::Xen, c);
+            self.engine
+                .complete(&entry, cpu.reg(twin_isa::Reg::Eax), m.meter.now());
+            if m.trace.enabled() {
+                m.trace_event(TraceEvent::UpcallCompletion {
+                    routine: entry.routine.name().to_string(),
+                    cont_id: entry.cont_id,
+                });
             }
         }
         xen.hypercall(m);
@@ -423,18 +379,22 @@ impl HyperSupport {
         // stub's upcall event above).
         xen.send_virq(m, back, UPCALL_COMPLETION_PORT);
         xen.domain_mut(back).drain_virqs(UPCALL_COMPLETION_PORT);
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(n),
-        }
+        result
     }
 
-    /// Hypervisor-native implementations of the Table 1 routines.
-    /// These use the stlb explicitly for driver-data access (modeled by
-    /// charging the fast-path lookup) and the dom0-reserved buffer pool.
+    /// Hypervisor-native execution of a Table 1 routine: the stlb lookup
+    /// for driver-data access is explicit (modeled by charging the
+    /// fast-path lookup where the row says the body touches driver
+    /// data). Allocation and `netif_rx` genuinely differ from dom0's;
+    /// the rest are dom0's bodies, run here under the caller's
+    /// [`CostDomain::Xen`] — they operate on the shared heap, pools and
+    /// lock words in dom0 memory, which is why synchronization between
+    /// the two instances just works (paper §4.4).
+    #[allow(clippy::too_many_arguments)]
     fn native_impl(
         &mut self,
-        name: &str,
+        id: RoutineId,
+        fp: &FastPath,
         m: &mut Machine,
         cpu: &mut Cpu,
         kernel: &mut Dom0Kernel,
@@ -443,22 +403,14 @@ impl HyperSupport {
     ) -> Result<(), Fault> {
         use twin_isa::Reg;
         let dom0 = kernel.space;
-        match name {
+        match id.name() {
             "netdev_alloc_skb" => {
+                // From the dom0-reserved buffer pool (paper §4.3).
                 let c = m.cost.skb_alloc;
                 m.meter.charge(c);
                 svm.charge_fast_path(m);
                 let skb = kernel.hyper_pool.as_mut().and_then(|p| p.alloc(m, dom0));
                 cpu.set_reg(Reg::Eax, skb.map(|s| s.0 as u32).unwrap_or(0));
-            }
-            "dev_kfree_skb_any" => {
-                let c = m.cost.skb_alloc / 2;
-                m.meter.charge(c);
-                let skb = SkBuff(cpu.arg(m, 0)? as u64);
-                if skb.0 != 0 {
-                    kernel.free_skb(m, skb)?;
-                }
-                cpu.set_reg(Reg::Eax, 0);
             }
             "netif_rx" => {
                 // The hypervisor's receive path: demultiplex on the
@@ -488,78 +440,15 @@ impl HyperSupport {
                 }
                 cpu.set_reg(Reg::Eax, 0);
             }
-            "dma_map_single" => {
-                let c = m.cost.dma_map;
-                m.meter.charge(c);
-                let vaddr = cpu.arg(m, 0)? as u64;
-                let t = m.translate(dom0, ExecMode::Guest, vaddr, false)?;
-                cpu.set_reg(
-                    Reg::Eax,
-                    (t.entry.pfn * twin_machine::PAGE_SIZE + t.offset) as u32,
-                );
-            }
-            "dma_map_page" => {
-                // Returns the correct guest machine page address (paper
-                // §5.3 and footnote 4).
-                let c = m.cost.dma_map;
-                m.meter.charge(c);
-                let addr = cpu.arg(m, 0)?;
-                cpu.set_reg(Reg::Eax, addr);
-            }
-            "dma_unmap_single" | "dma_unmap_page" => {
-                let c = m.cost.dma_map;
-                m.meter.charge(c);
-                cpu.set_reg(Reg::Eax, 0);
-            }
-            "spin_trylock" => {
-                // Operates on the shared lock word in dom0 memory
-                // (paper §4.4 — synchronization just works because the
-                // atomic variables are shared).
-                let c = m.cost.spinlock;
-                m.meter.charge(c);
-                svm.charge_fast_path(m);
-                let addr = cpu.arg(m, 0)? as u64;
-                let v = m.read_u32(dom0, ExecMode::Guest, addr)?;
-                if v == 0 {
-                    m.write_u32(dom0, ExecMode::Guest, addr, 1)?;
-                    cpu.set_reg(Reg::Eax, 1);
-                } else {
-                    cpu.set_reg(Reg::Eax, 0);
+            _ => {
+                if fp.touches_driver_data {
+                    svm.charge_fast_path(m);
                 }
-            }
-            "spin_unlock_irqrestore" => {
-                let c = m.cost.spinlock;
-                m.meter.charge(c);
-                let addr = cpu.arg(m, 0)? as u64;
-                if addr != 0 {
-                    m.write_u32(dom0, ExecMode::Guest, addr, 0)?;
-                }
-                cpu.set_reg(Reg::Eax, 0);
-            }
-            "eth_type_trans" => {
-                let c = m.cost.eth_type_trans;
-                m.meter.charge(c);
-                svm.charge_fast_path(m);
-                let skb = SkBuff(cpu.arg(m, 0)? as u64);
-                let data = skb.data(m, dom0)?;
-                let mut ethertype = [0u8; 2];
-                m.read_bytes_virt(dom0, ExecMode::Guest, data + 12, &mut ethertype)?;
-                let proto = u16::from_be_bytes(ethertype) as u32;
-                skb.set_protocol(m, dom0, proto)?;
-                cpu.set_reg(Reg::Eax, proto);
-            }
-            other => {
-                return Err(Fault::UnknownExtern(other.to_string()));
+                kernel.routine(id, m, cpu)?;
             }
         }
         Ok(())
     }
-}
-
-/// Reads the first `arity` cdecl stack arguments of the current frame
-/// (the "save parameters" half of the deferred stub).
-fn read_args(m: &Machine, cpu: &Cpu, arity: usize) -> Result<Vec<u32>, Fault> {
-    (0..arity as u32).map(|i| cpu.arg(m, i)).collect()
 }
 
 #[cfg(test)]
@@ -575,6 +464,10 @@ mod tests {
         let xen = Xen::new(dom0);
         let svm = Svm::new_hypervisor(&mut m, dom0, 0, (0, u64::MAX)).unwrap();
         (m, kernel, xen, svm, HyperSupport::new())
+    }
+
+    fn id(name: &str) -> RoutineId {
+        RoutineId::lookup(name).unwrap()
     }
 
     /// Calls a support routine with stack-passed args, like driver code.
@@ -593,10 +486,9 @@ mod tests {
         let mut cpu = Cpu::new(kernel.space, ExecMode::Hypervisor);
         cpu.set_stack(stack + 2 * 4096);
         cpu.push_call_frame(m, args)?;
-        match hs.handle_extern(name, m, &mut cpu, kernel, xen, svm) {
-            Some(r) => r.map(|()| cpu.reg(twin_isa::Reg::Eax)),
-            None => Err(Fault::UnknownExtern(name.to_string())),
-        }
+        let id = RoutineId::lookup(name).ok_or(Fault::UnknownExtern(name.to_string()))?;
+        hs.handle_extern(id, m, &mut cpu, kernel, xen, svm)?;
+        Ok(cpu.reg(twin_isa::Reg::Eax))
     }
 
     #[test]
@@ -691,7 +583,7 @@ mod tests {
         let before = m.meter.cycles(CostDomain::Xen);
         let switches_before = xen.switches;
         hs.set_upcall_count(9);
-        assert!(hs.upcall_routines.contains("spin_trylock"));
+        assert!(hs.is_forced(id("spin_trylock")));
         // spin_trylock now routes via upcall.
         let lock = 0x3e00_0000;
         m.map_fresh(kernel.space, lock, 1).unwrap();
@@ -741,8 +633,9 @@ mod tests {
     fn netif_rx_never_upcalls() {
         let (_m, _kernel, _xen, _svm, mut hs) = setup();
         hs.set_upcall_count(9);
-        assert!(!hs.upcall_routines.contains("netif_rx"));
-        assert_eq!(hs.upcall_routines.len(), 9);
+        assert!(!hs.is_forced(id("netif_rx")));
+        assert_eq!(hs.forced.count_ones(), 9, "{:#b}", hs.forced);
+        assert_eq!(hs.forced, 0b11_1111_1011, "Table 1 rows only");
     }
 
     #[test]
@@ -795,7 +688,7 @@ mod tests {
     #[test]
     fn deferred_free_queues_until_flush() {
         let (mut m, mut kernel, mut xen, mut svm, mut hs) = setup_deferred();
-        hs.upcall_routines.insert("dev_kfree_skb_any".into());
+        hs.force_upcall(id("dev_kfree_skb_any"));
         let gspace = m.new_space();
         let gid = xen.add_guest(gspace, MacAddr::for_guest(1));
         xen.switch_to(&mut m, gid);
@@ -838,7 +731,7 @@ mod tests {
     #[test]
     fn deferred_dma_map_returns_translation_immediately() {
         let (mut m, mut kernel, mut xen, mut svm, mut hs) = setup_deferred();
-        hs.upcall_routines.insert("dma_map_single".into());
+        hs.force_upcall(id("dma_map_single"));
         let vaddr = 0x3d00_0000u64;
         m.map_fresh(kernel.space, vaddr, 1).unwrap();
         let switches_before = xen.switches;
@@ -915,7 +808,7 @@ mod tests {
         let (mut m, mut kernel, mut xen, mut svm, mut hs) = setup_deferred();
         // Manually force only the unlock — set_upcall_count can never
         // produce this split, but the policy is user-settable.
-        hs.upcall_routines.insert("spin_unlock_irqrestore".into());
+        hs.force_upcall(id("spin_unlock_irqrestore"));
         let lock = 0x3e00_0000u64;
         m.map_fresh(kernel.space, lock, 1).unwrap();
         m.write_u32(kernel.space, ExecMode::Guest, lock, 1).unwrap();
@@ -955,7 +848,7 @@ mod tests {
     #[test]
     fn sync_class_upcall_drains_queued_work_first() {
         let (mut m, mut kernel, mut xen, mut svm, mut hs) = setup_deferred();
-        hs.upcall_routines.insert("dev_kfree_skb_any".into());
+        hs.force_upcall(id("dev_kfree_skb_any"));
         // Queue a free, then make a long-tail (Sync-class) upcall: dom0
         // must see the free before it — program order is preserved even
         // for routines outside the policy table.
@@ -994,7 +887,7 @@ mod tests {
     fn full_ring_forces_flush_and_high_water_raises_softirq() {
         let (mut m, mut kernel, mut xen, mut svm, mut hs) = setup_deferred();
         hs.engine.set_capacity(4);
-        hs.upcall_routines.insert("dma_unmap_single".into());
+        hs.force_upcall(id("dma_unmap_single"));
         for i in 0..6u32 {
             call(
                 &mut hs,
@@ -1020,6 +913,34 @@ mod tests {
         for id in 1..=4u64 {
             assert!(hs.engine.take_completion(id).is_some(), "cont {id}");
         }
+    }
+
+    #[test]
+    fn a_faulting_flush_leaves_the_unexecuted_tail_queued() {
+        let (mut m, mut kernel, mut xen, _svm, mut hs) = setup_deferred();
+        let skb = kernel.pool.alloc(&mut m, kernel.space).unwrap();
+        let before = kernel.pool.available();
+        // A free of an unmapped pointer, then a free dom0 is really owed.
+        for ptr in [0x7777_0000, skb.0 as u32] {
+            hs.enqueue_upcall(
+                id("dev_kfree_skb_any"),
+                vec![ptr],
+                &mut m,
+                &mut kernel,
+                &mut xen,
+            )
+            .unwrap();
+        }
+        let e = hs
+            .flush_upcalls(&mut m, &mut kernel, &mut xen, FlushCause::BurstEnd)
+            .unwrap_err();
+        assert!(matches!(e, Fault::PageFault { .. }), "{e:?}");
+        assert_eq!(kernel.pool.available(), before, "the good free has not run");
+        // ... and is still there for teardown to replay, not dropped with
+        // the entry that faulted.
+        let tail = hs.engine.drain();
+        assert_eq!(tail.len(), 1);
+        assert_eq!(tail[0].args, [skb.0 as u32]);
     }
 
     #[test]

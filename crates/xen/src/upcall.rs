@@ -20,13 +20,15 @@
 //! continuation**: the ring drains FIFO with the suspending call last,
 //! and the caller resumes with that routine's dom0 return value, which is
 //! posted back — like every completion — through the event channel. The
-//! per-routine choice lives in [`twin_kernel::TABLE1_DEFER_POLICY`].
+//! per-routine choice is the [`twin_kernel::DeferClass`] column of
+//! [`twin_kernel::ROUTINES`].
 //!
 //! The engine is pure bookkeeping: costs, domain switches and the actual
 //! dom0 execution are driven by [`crate::support::HyperSupport`], which
 //! owns an engine instance.
 
-use twin_kernel::UPCALL_MAX_ARGS;
+use std::collections::VecDeque;
+use twin_kernel::RoutineId;
 
 /// Event-channel port on which batched completions are posted back to the
 /// interrupted context ([`crate::support::UPCALL_PORT`] carries the
@@ -50,8 +52,8 @@ pub enum UpcallMode {
 /// continuation id its completion will carry.
 #[derive(Clone, Debug)]
 pub struct QueuedUpcall {
-    /// Support routine name.
-    pub routine: String,
+    /// The support routine.
+    pub routine: RoutineId,
     /// Saved stack arguments (cdecl order).
     pub args: Vec<u32>,
     /// Continuation id; completions are matched on it.
@@ -67,7 +69,7 @@ pub struct Completion {
     /// Continuation id of the request this completes.
     pub cont_id: u64,
     /// Routine that ran.
-    pub routine: String,
+    pub routine: RoutineId,
     /// dom0 return value.
     pub ret: u32,
 }
@@ -99,7 +101,7 @@ pub struct UpcallEngine {
     /// Counters.
     pub stats: UpcallStats,
     capacity: usize,
-    queue: Vec<QueuedUpcall>,
+    queue: VecDeque<QueuedUpcall>,
     completions: Vec<Completion>,
     next_cont_id: u64,
     /// Deadline-driven flush configuration: when set, the first enqueue
@@ -133,7 +135,7 @@ impl UpcallEngine {
             mode: UpcallMode::Sync,
             stats: UpcallStats::default(),
             capacity: UpcallEngine::DEFAULT_CAPACITY,
-            queue: Vec::new(),
+            queue: VecDeque::new(),
             completions: Vec::new(),
             next_cont_id: 1,
             deadline_cycles: None,
@@ -206,8 +208,25 @@ impl UpcallEngine {
     /// Appends a request and returns its continuation id. The caller
     /// (support layer) is responsible for flushing first when
     /// [`UpcallEngine::is_full`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `routine` is not a [`twin_kernel::ROUTINES`] row: only
+    /// routines dom0 implements can be queued for it.
     pub fn enqueue(&mut self, routine: &str, args: Vec<u32>, now_cycles: u64) -> u64 {
-        debug_assert!(args.len() <= UPCALL_MAX_ARGS);
+        let id = RoutineId::lookup(routine).expect("enqueue: not a dom0 support routine");
+        self.enqueue_id(id, args, now_cycles)
+    }
+
+    /// [`UpcallEngine::enqueue`] for a caller that already resolved the
+    /// name (every extern crossing has).
+    pub(crate) fn enqueue_id(
+        &mut self,
+        routine: RoutineId,
+        args: Vec<u32>,
+        now_cycles: u64,
+    ) -> u64 {
+        debug_assert!(args.len() <= 4, "a ring slot saves four arguments");
         if self.queue.is_empty() {
             // First enqueue into an empty ring: arm the flush deadline so
             // queued work completes in bounded time even if no burst-pass
@@ -216,8 +235,8 @@ impl UpcallEngine {
         }
         let cont_id = self.next_cont_id;
         self.next_cont_id += 1;
-        self.queue.push(QueuedUpcall {
-            routine: routine.to_string(),
+        self.queue.push_back(QueuedUpcall {
+            routine,
             args,
             cont_id,
             enqueued_cycles: now_cycles,
@@ -227,19 +246,30 @@ impl UpcallEngine {
         cont_id
     }
 
-    /// Drains the ring FIFO for a flush; disarms any pending flush
-    /// deadline (the flush satisfies it, whoever triggered it).
+    /// Drains the ring FIFO; disarms any pending flush deadline (nothing
+    /// is left for it to bound).
     pub fn drain(&mut self) -> Vec<QueuedUpcall> {
         self.flush_due_at = None;
-        std::mem::take(&mut self.queue)
+        std::mem::take(&mut self.queue).into()
+    }
+
+    /// Takes the oldest queued upcall for execution. A flush pops entry by
+    /// entry, so one that stops at a routine fault leaves the unexecuted
+    /// tail queued, in order, for teardown to replay or count; emptying
+    /// the ring disarms the flush deadline (the flush satisfied it,
+    /// whoever triggered it).
+    pub(crate) fn pop_front(&mut self) -> Option<QueuedUpcall> {
+        let entry = self.queue.pop_front();
+        if self.queue.is_empty() {
+            self.flush_due_at = None;
+        }
+        entry
     }
 
     /// True when any queued routine is in `names` (the conflict check for
-    /// native fast-path execution).
+    /// native fast-path execution; most routines wait for none).
     pub fn has_queued_any(&self, names: &[&str]) -> bool {
-        self.queue
-            .iter()
-            .any(|q| names.contains(&q.routine.as_str()))
+        !names.is_empty() && self.queue.iter().any(|q| names.contains(&q.routine.name()))
     }
 
     /// Records the completion of a flushed entry and its
@@ -247,7 +277,7 @@ impl UpcallEngine {
     pub fn complete(&mut self, entry: &QueuedUpcall, ret: u32, now_cycles: u64) {
         self.completions.push(Completion {
             cont_id: entry.cont_id,
-            routine: entry.routine.clone(),
+            routine: entry.routine,
             ret,
         });
         self.stats.completions += 1;

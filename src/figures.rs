@@ -10,7 +10,7 @@ use twin_bench::{
     banner, row, PAPER_EFFORT_LOC, PAPER_FIG10_ENDPOINTS, PAPER_FIG5, PAPER_FIG6,
     PAPER_FIG7_TOTALS, PAPER_FIG8_TOTALS, PAPER_FIG9_PEAKS, PAPER_TABLE1,
 };
-use twin_kernel::{KNOWN_ROUTINES, TABLE1_FASTPATH};
+use twin_kernel::{RoutineId, Usage, ROUTINES};
 use twin_machine::CostDomain;
 use twin_rewriter::RewriteOptions;
 use twin_workloads::{run_netperf, run_webserver, Direction, FileSet};
@@ -202,8 +202,8 @@ pub fn table1(packets: u64) -> Rendered {
         };
         writeln!(out, "  {name:<24} {desc:<40} [{seen}]")?;
     }
-    let listed = |n: &&String| PAPER_TABLE1.iter().any(|(p, _)| p == n);
-    let extra: Vec<&String> = fast.iter().filter(|n| !listed(n)).collect();
+    let table1 = |n: &&String| RoutineId::lookup(n).is_some_and(|id| id.fast_path().is_some());
+    let extra: Vec<&String> = fast.iter().filter(|n| !table1(n)).collect();
     writeln!(out, "\n  fast-path routines measured : {}", fast.len())?;
     writeln!(out, "  unexpected fast-path entries: {extra:?}")?;
     let total = referenced.count();
@@ -217,18 +217,28 @@ pub fn table1(packets: u64) -> Rendered {
 /// §6.5, engineering effort: the paper implemented the ten fast-path
 /// routines in 851 lines of commented C. Counts the equivalent here —
 /// the hypervisor support module under `root` — against the full dom0
-/// support surface the upcall mechanism lets the hypervisor *not*
-/// reimplement.
+/// support surface (the routine table and the bodies) the upcall
+/// mechanism lets the hypervisor *not* reimplement.
 pub fn effort(root: &Path) -> Rendered {
-    let loc = |file: &str| {
-        let path = root.join(file);
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        Ok::<_, String>(text.lines().filter(|l| !l.trim().is_empty()).count())
+    let loc = |files: &[&str]| {
+        let mut lines = 0;
+        for file in files {
+            let path = root.join(file);
+            let text =
+                std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+            // Product code only: up to the file's test module.
+            let product = text.lines().take_while(|l| l.trim() != "#[cfg(test)]");
+            lines += product.filter(|l| !l.trim().is_empty()).count();
+        }
+        Ok::<_, String>(lines)
     };
-    let hyper = loc("crates/xen/src/support.rs")?;
-    let dom0 = loc("crates/kernel/src/support.rs")?;
-    let (native, known) = (TABLE1_FASTPATH.len(), KNOWN_ROUTINES.len());
+    let hyper = loc(&["crates/xen/src/support.rs"])?;
+    let dom0 = loc(&[
+        "crates/kernel/src/routines.rs",
+        "crates/kernel/src/support.rs",
+    ])?;
+    let fast = |r: &&twin_kernel::Routine| matches!(r.usage, Usage::FastPath(_));
+    let (native, known) = (ROUTINES.iter().filter(fast).count(), ROUTINES.len());
     let (upcalled, share) = (known - native, 100.0 * native as f64 / known as f64);
     let mut out = banner(
         "§6.5 — Engineering effort",
@@ -365,6 +375,7 @@ pub fn resolve(args: &[&str]) -> Option<Vec<&'static Figure>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twin_kernel::DeferClass;
 
     #[test]
     fn the_name_table_resolves_every_documented_subcommand() {
@@ -420,6 +431,59 @@ mod tests {
                 _ => {}
             }
         }
+    }
+
+    #[test]
+    fn effort_counts_product_lines_not_the_test_module() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/effort-fixture");
+        let file = "//! Doc.\n\nfn body() {}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n";
+        for (dir, name) in [
+            ("xen", "support"),
+            ("kernel", "support"),
+            ("kernel", "routines"),
+        ] {
+            let dir = root.join("crates").join(dir).join("src");
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(name).with_extension("rs"), file).unwrap();
+        }
+        let text = effort(&root).unwrap();
+        assert!(text.contains("upcalls):     2 LoC"), "{text}");
+        assert!(text.contains("surface              :     4 LoC"), "{text}");
+    }
+
+    /// The interface list is consistent with itself and with the paper.
+    #[test]
+    fn the_routine_table_is_table1_first_unique_and_closed() {
+        assert!(ROUTINES.len() >= 95, "{}", ROUTINES.len());
+        for (i, r) in ROUTINES.iter().enumerate() {
+            let id = RoutineId::lookup(r.name).unwrap();
+            assert_eq!((id.index(), id.name()), (i, r.name), "unique, round-trips");
+            // The first ten rows, and only they, are Table 1 in paper order.
+            let paper = PAPER_TABLE1.get(i).map(|(name, _)| *name);
+            assert_eq!(id.fast_path().map(|_| r.name), paper, "row {i}");
+            // A native body waits only for queued work dom0 is owed:
+            // fire-and-forget Table 1 rows, or frees the driver never
+            // imports.
+            for name in id.fast_path().map_or(&[][..], |fp| fp.flush_first) {
+                let queued = RoutineId::lookup(name).unwrap();
+                assert!(queued.is_flush_first());
+                match ROUTINES[queued.index()].usage {
+                    Usage::FastPath(fp) => assert_eq!(fp.defer, DeferClass::Deferred, "{name}"),
+                    Usage::Dom0Only => assert!(name.contains("kfree_skb"), "{name}"),
+                    _ => panic!("{} must not wait for long-tail {name}", r.name),
+                }
+            }
+            if let Some(fp) = id.fast_path() {
+                assert!(fp.arity <= 4, "a ring slot saves four arguments");
+            }
+        }
+        assert_eq!(RoutineId::NETDEV_ALLOC_SKB.name(), "netdev_alloc_skb");
+        assert!(RoutineId::lookup("no_such_routine").is_none());
+        // Result-consuming routines must not be fire-and-forget.
+        let class = |n| RoutineId::lookup(n).unwrap().fast_path().map(|fp| fp.defer);
+        assert_eq!(class("spin_trylock"), Some(DeferClass::Continuation));
+        assert_eq!(class("dma_map_single"), Some(DeferClass::Provisional));
+        assert_eq!(class("kmalloc"), None, "the long tail stays synchronous");
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! [`fault_injected_source`]: arm it for a device, and exactly one
 //! driver invocation on behalf of that device executes the fault body.
 
+use twin_kernel::RoutineId;
 use twin_net::{EtherType, Frame, MacAddr, MTU};
 use twindrivers::kernel::e1000;
 use twindrivers::measure::{fault_injected_source, measure_fault_recovery, FaultClass};
@@ -267,7 +268,7 @@ fn abort_drains_the_upcall_ring_and_disarms_the_flush_deadline() {
         let hs = hyper.as_mut().unwrap();
         let xen = xen.as_mut().unwrap();
         hs.enqueue_upcall(
-            "dev_kfree_skb_any",
+            RoutineId::lookup("dev_kfree_skb_any").unwrap(),
             vec![skb.0 as u32],
             &mut sys.machine,
             kernel,
@@ -275,7 +276,7 @@ fn abort_drains_the_upcall_ring_and_disarms_the_flush_deadline() {
         )
         .unwrap();
         hs.enqueue_upcall(
-            "dma_unmap_single",
+            RoutineId::lookup("dma_unmap_single").unwrap(),
             vec![0x1234, 64],
             &mut sys.machine,
             kernel,
@@ -313,6 +314,68 @@ fn abort_drains_the_upcall_ring_and_disarms_the_flush_deadline() {
     let engine = &sys.world.hyper.as_ref().unwrap().engine;
     assert_eq!(engine.stats.flushes, flushes);
     assert_eq!(engine.depth(), 0);
+}
+
+/// Regression: a flush used to drain the whole ring up front and stop
+/// at the first routine fault, so every entry queued behind the
+/// faulting one was neither executed nor left for teardown — a queued
+/// free leaked its skb. The flush now pops entry by entry; teardown
+/// finds the tail and replays what dom0 is owed.
+#[test]
+fn a_free_queued_behind_a_faulting_upcall_is_replayed_not_leaked() {
+    let opts = SystemOptions {
+        upcall_mode: UpcallMode::Deferred,
+        upcall_count: 9,
+        fault_recovery: true,
+        ..SystemOptions::default()
+    };
+    let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
+    let mut seq = 0u64;
+    let round = |sys: &mut System, seq: &mut u64| {
+        let f = frames_for(0, 1, 8, seq);
+        assert_eq!(sys.receive_burst(&f).unwrap(), 8);
+    };
+    for _ in 0..3 {
+        round(&mut sys, &mut seq);
+    }
+    let pool_base = sys.world.kernel.pool.available();
+
+    // A free of a pointer dom0 cannot read, then one it is really owed.
+    let space = sys.world.kernel.space;
+    let skb = sys
+        .world
+        .kernel
+        .pool
+        .alloc(&mut sys.machine, space)
+        .expect("pool has skbs");
+    {
+        let twindrivers::system::World {
+            kernel, xen, hyper, ..
+        } = &mut sys.world;
+        let (hs, xen) = (hyper.as_mut().unwrap(), xen.as_mut().unwrap());
+        let free = RoutineId::lookup("dev_kfree_skb_any").unwrap();
+        for ptr in [0x7777_0000, skb.0 as u32] {
+            hs.enqueue_upcall(free, vec![ptr], &mut sys.machine, kernel, xen)
+                .unwrap();
+        }
+    }
+    // The pass's first forced result-consuming call suspends on a flush;
+    // its first entry page-faults in dom0 and the driver is aborted with
+    // the good free (and the suspending call) still queued.
+    let f = frames_for(0, 1, 8, &mut seq);
+    abort_reason(sys.receive_burst(&f));
+    assert_eq!(sys.machine.meter.event("upcall_replayed"), 1);
+    assert!(sys.machine.meter.event("upcall_discarded") >= 1);
+    assert_eq!(sys.world.hyper.as_ref().unwrap().engine.depth(), 0);
+
+    sys.recover_device(0).unwrap();
+    round(&mut sys, &mut seq);
+    round(&mut sys, &mut seq);
+    assert_eq!(
+        sys.world.kernel.pool.available(),
+        pool_base,
+        "the skb queued for freeing behind the faulting entry leaked"
+    );
 }
 
 /// Regression: every quarantine → reset episode used to leak a ring's

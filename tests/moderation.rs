@@ -2,6 +2,7 @@
 //! delivery, no regression when off, the latency/throughput acceptance
 //! point) and the deadline-driven upcall flush on an idle system.
 
+use twin_kernel::RoutineId;
 use twin_net::{EtherType, Frame, MacAddr, MTU};
 use twindrivers::measure::upcall_latency;
 use twindrivers::{
@@ -215,7 +216,7 @@ fn idle_deadline_bounds_upcall_completion_latency() {
         let xen = xen.as_mut().unwrap();
         for i in 0..4u32 {
             hs.enqueue_upcall(
-                "dma_unmap_single",
+                RoutineId::lookup("dma_unmap_single").unwrap(),
                 vec![0x1000 * i, 64],
                 &mut sys.machine,
                 kernel,
@@ -289,7 +290,7 @@ fn deadline_flush_runs_before_a_simultaneously_due_moderated_irq() {
         hs.engine.clear_latency();
         let xen = xen.as_mut().unwrap();
         hs.enqueue_upcall(
-            "dma_unmap_single",
+            RoutineId::lookup("dma_unmap_single").unwrap(),
             vec![0x40, 64],
             &mut sys.machine,
             kernel,

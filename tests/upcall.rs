@@ -3,6 +3,7 @@
 //! headline amortization (two switches per *flush* instead of per
 //! *call*).
 
+use twin_kernel::RoutineId;
 use twindrivers::measure::upcall_latency;
 use twindrivers::{throughput, Config, System, SystemOptions, UpcallMode, TESTBED_NICS};
 
@@ -117,7 +118,7 @@ fn completions_of_the_same_routine_stay_fifo() {
         let ids: Vec<u64> = (0..5u32)
             .map(|i| {
                 hs.enqueue_upcall(
-                    "dma_unmap_single",
+                    RoutineId::lookup("dma_unmap_single").unwrap(),
                     vec![0x1000 + i, 64],
                     &mut sys.machine,
                     kernel,
@@ -141,7 +142,7 @@ fn completions_of_the_same_routine_stay_fifo() {
     };
     assert!(ids.windows(2).all(|w| w[0] < w[1]), "monotonic cont ids");
     for (i, c) in completions.iter().enumerate() {
-        assert_eq!(c.routine, "dma_unmap_single");
+        assert_eq!(c.routine.name(), "dma_unmap_single");
         assert_eq!(c.cont_id, ids[i], "completion order matches enqueue");
     }
 }
