@@ -9,7 +9,7 @@
 //! flow and one pinned vCPU that is deliberately placed on a
 //! *different* CPU than the flow's hash-chosen NIC softirq. Under
 //! `ShardPolicy::FlowHash` every delivery pays the cold sTLB/cache
-//! refill (`CostParams::cold_delivery_refill`); under
+//! refill (`Term::ColdDeliveryRefill`); under
 //! `ShardPolicy::Affinity` the demux re-places each flow on a NIC
 //! local to the guest's vCPU, so every delivery is warm. Duty cycles
 //! below 100% additionally exercise the DRR sleep-skip: sleeping

@@ -22,6 +22,7 @@
 
 use std::process::ExitCode;
 use twin_bench::{packets, Row, Sweep};
+use twindrivers::machine::Event;
 use twindrivers::measure::measure_aggregate_throughput;
 use twindrivers::{Config, ShardPolicy, System, SystemOptions};
 
@@ -70,8 +71,8 @@ fn main() -> ExitCode {
                         // acceptance counts residual grant map/unmap
                         // traffic per packet.
                         let w = sys.measure_rx_burst(burst, pkts).expect("warm rx window");
-                        let maps = w.breakdown.events.get("grant_map").copied().unwrap_or(0)
-                            + w.breakdown.events.get("grant_unmap").copied().unwrap_or(0);
+                        let maps = w.breakdown.event(Event::GrantMap)
+                            + w.breakdown.event(Event::GrantUnmap);
                         warm_maps_per_pkt = maps as f64 / w.breakdown.packets.max(1) as f64;
                     } else {
                         off_rx32 = a.rx_cycles_per_packet;

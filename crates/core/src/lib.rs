@@ -189,7 +189,7 @@ pub use twin_xen as xen;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twin_machine::CostDomain;
+    use twin_machine::{CostDomain, Event};
 
     #[test]
     fn native_linux_transmits_and_receives() {
@@ -215,7 +215,7 @@ mod tests {
         // Full-size frames reassembled from header + guest fragment.
         assert_eq!(frames[0].len(), 1514);
         // No domain switches on the transmit path.
-        assert_eq!(sys.machine.meter.event("domain_switch"), 0);
+        assert_eq!(sys.machine.meter.event(Event::DomainSwitch), 0);
         assert!(sys.machine.meter.insns() > 0);
     }
 
@@ -226,8 +226,8 @@ mod tests {
             sys.receive_one().unwrap();
         }
         assert_eq!(sys.delivered_rx(), 20);
-        assert_eq!(sys.machine.meter.event("domain_switch"), 0);
-        assert_eq!(sys.machine.meter.event("demux_miss"), 0);
+        assert_eq!(sys.machine.meter.event(Event::DomainSwitch), 0);
+        assert_eq!(sys.machine.meter.event(Event::DemuxMiss), 0);
     }
 
     #[test]
@@ -238,10 +238,10 @@ mod tests {
         }
         assert_eq!(sys.take_wire_frames().len(), 10);
         assert!(
-            sys.machine.meter.event("domain_switch") >= 20,
+            sys.machine.meter.event(Event::DomainSwitch) >= 20,
             "two per packet"
         );
-        assert!(sys.machine.meter.event("grant_map") >= 10);
+        assert!(sys.machine.meter.event(Event::GrantMap) >= 10);
         for _ in 0..10 {
             sys.receive_one().unwrap();
         }
@@ -347,7 +347,7 @@ mod tests {
             b9.total(),
             b0.total()
         );
-        assert!(slow.machine.meter.event("upcall") > 0);
+        assert!(slow.machine.meter.event(Event::Upcall) > 0);
     }
 
     #[test]
@@ -437,13 +437,13 @@ mod tests {
         let now = sys.now_cycles();
         assert_eq!(sys.rx_open_loop_arrival(&frames[..1], now).unwrap(), 1);
         assert!(sys.in_poll_mode(0));
-        let irqs = sys.machine.meter.event("irq");
+        let irqs = sys.machine.meter.event(Event::Irq);
         assert_eq!(sys.rx_open_loop_arrival(&frames[1..], now).unwrap(), 10);
         sys.rx_open_loop_service(now + 1_000_000).unwrap();
         assert_eq!(sys.delivered_rx(), 11, "polled path reaps the whole burst");
-        assert_eq!(sys.machine.meter.event("napi_poll"), 1);
+        assert_eq!(sys.machine.meter.event(Event::NapiPoll), 1);
         assert_eq!(
-            sys.machine.meter.event("irq"),
+            sys.machine.meter.event(Event::Irq),
             irqs,
             "no interrupt dispatched"
         );

@@ -12,7 +12,7 @@
 
 use crate::system::{ShardPolicy, System, SystemError, MAX_BURST};
 use std::collections::BTreeMap;
-use twin_machine::{CostDomain, CycleMeter};
+use twin_machine::{CostDomain, CycleMeter, Event};
 use twin_net::{wire_bits, Frame, MacAddr, MTU};
 use twin_trace::{HistogramSummary, MetricSet};
 use twin_xen::{DomId, DomainKind, GrantStats};
@@ -31,8 +31,8 @@ pub struct Breakdown {
     pub per_domain: BTreeMap<CostDomain, f64>,
     /// Packets measured.
     pub packets: u64,
-    /// Selected event counts (total, not per packet).
-    pub events: BTreeMap<&'static str, u64>,
+    /// Counts of the events seen (total, not per packet).
+    pub events: BTreeMap<Event, u64>,
 }
 
 impl Breakdown {
@@ -45,13 +45,18 @@ impl Breakdown {
         Breakdown {
             per_domain,
             packets,
-            events: meter.events().clone(),
+            events: meter.events().collect(),
         }
     }
 
     /// Cycles per packet for one category.
     pub fn cycles(&self, d: CostDomain) -> f64 {
         self.per_domain.get(&d).copied().unwrap_or(0.0)
+    }
+
+    /// Count of one event (0 when it was not seen).
+    pub fn event(&self, e: Event) -> u64 {
+        self.events.get(&e).copied().unwrap_or(0)
     }
 
     /// Total cycles per packet.
@@ -217,12 +222,12 @@ impl Measured<'_> {
         Breakdown::from_meter(self.meter, packets)
     }
 
-    /// Count of one named meter event over the window.
-    fn event(&self, name: &str) -> u64 {
-        self.meter.event(name)
+    /// Count of one meter event over the window.
+    fn event(&self, e: Event) -> u64 {
+        self.meter.event(e)
     }
 
-    fn per_packet(&self, event: &str, packets: u64) -> f64 {
+    fn per_packet(&self, event: Event, packets: u64) -> f64 {
         self.event(event) as f64 / packets.max(1) as f64
     }
 
@@ -230,8 +235,8 @@ impl Measured<'_> {
         BurstMeasurement {
             burst,
             breakdown: self.breakdown(packets),
-            irqs_per_packet: self.per_packet("irq", packets),
-            doorbells_per_packet: self.per_packet("doorbell", packets),
+            irqs_per_packet: self.per_packet(Event::Irq, packets),
+            doorbells_per_packet: self.per_packet(Event::Doorbell, packets),
         }
     }
 
@@ -466,8 +471,8 @@ impl System {
             gap_cycles,
             packets: injected,
             breakdown: m.breakdown(injected),
-            irqs_per_packet: m.per_packet("irq", injected),
-            moderated_irqs: m.event("irq_moderated"),
+            irqs_per_packet: m.per_packet(Event::Irq, injected),
+            moderated_irqs: m.event(Event::IrqModerated),
             latency: m.latency(),
         })
     }
@@ -543,9 +548,9 @@ fn paced_rx_phase(
         gap_cycles,
         packets: measured,
         breakdown: m.breakdown(measured),
-        irqs_per_packet: m.per_packet("irq", measured),
+        irqs_per_packet: m.per_packet(Event::Irq, measured),
         latency: m.latency(),
-        retunes: m.event("itr_retune"),
+        retunes: m.event(Event::ItrRetune),
         itr_end: widest_itr(sys),
     })
 }
@@ -941,8 +946,8 @@ pub fn measure_rx_livelock(
         early_drops: m.total("guest", "early_drops"),
         queue_drops: m.total("guest", "queue_drops"),
         ring_drops: m.total("nic", "rx_missed"),
-        irqs: m.event("irq"),
-        polls: m.event("napi_poll"),
+        irqs: m.event(Event::Irq),
+        polls: m.event(Event::NapiPoll),
         victim_delivered,
         victim_p99: m.worst_p99(victims.iter().map(|v| v.0)),
     })
@@ -1088,10 +1093,10 @@ pub fn measure_rx_affinity(
         frames_offered: offered,
         frames_delivered: delivered,
         rx_cycles_per_packet: m.breakdown(delivered.max(1)).total(),
-        cold_deliveries: m.event("cold_delivery"),
+        cold_deliveries: m.event(Event::ColdDelivery),
         placements: m.delta.counter("sched.placements"),
         migrations: m.delta.counter("sched.migrations"),
-        wakes: m.event("vcpu_run"),
+        wakes: m.event(Event::VcpuRun),
         early_drops: m.total("guest", "early_drops"),
         queue_drops: m.total("guest", "queue_drops"),
         ring_drops: m.total("nic", "rx_missed"),
@@ -1507,6 +1512,7 @@ pub fn measure_fault_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twin_machine::Term;
 
     #[test]
     fn cpu_bound_vs_link_bound() {
@@ -1558,10 +1564,12 @@ mod tests {
 
     #[test]
     fn breakdown_row_mentions_categories() {
-        let mut m = CycleMeter::new();
-        m.charge_to(CostDomain::Xen, 500);
-        m.charge_to(CostDomain::Driver, 100);
-        let b = Breakdown::from_meter(&m, 10);
+        let mut m = twin_machine::Machine::new();
+        for t in [Term::PinPage, Term::MmioWrite] {
+            m.pay_to(CostDomain::Xen, t); // 400 + 100
+        }
+        m.pay_to(CostDomain::Driver, Term::MmioWrite);
+        let b = Breakdown::from_meter(&m.meter, 10);
         assert_eq!(b.cycles(CostDomain::Xen), 50.0);
         assert_eq!(b.total(), 60.0);
         let row = b.row("test");
@@ -1624,7 +1632,7 @@ mod tests {
                     m.guest(victim.0, "delivered"),
                 ]
             );
-            assert_eq!(m.event("early_drop"), diff[0]);
+            assert_eq!(m.event(Event::EarlyDrop), diff[0]);
             seen.iter_mut()
                 .zip(&diff)
                 .for_each(|(total, d)| *total += d);

@@ -4,7 +4,7 @@
 
 use super::{DriverOp, QuarantineEpisode, RecoveryReport, System, SystemError, World};
 use twin_kernel::{call_function, e1000, RoutineId, SkBuff};
-use twin_machine::{CostDomain, Cpu, ExecMode, SpaceId, PAGE_SIZE};
+use twin_machine::{CostDomain, Cpu, Event, ExecMode, SpaceId, PAGE_SIZE};
 use twin_trace::{FlushCause, TraceEvent};
 use twin_xen::{DomId, UPCALL_STACK_BASE, UPCALL_STACK_PAGES};
 
@@ -86,7 +86,7 @@ impl System {
                 // SVM caught something (or the watchdog fired): the
                 // hypervisor itself survives (paper §4.5).
                 let reason = twin_xen::hyperdrv::abort_reason_for(&fault);
-                self.machine.meter.count_event("driver_abort");
+                self.machine.meter.count_event(Event::DriverAbort);
                 if self.machine.trace.enabled() {
                     self.machine.trace_event(TraceEvent::FaultDetected {
                         dev,
@@ -96,7 +96,7 @@ impl System {
                 if self.opts.fault_recovery {
                     // Quarantine the faulted device, not the image:
                     // siblings keep serving through the shared driver.
-                    self.machine.meter.count_event("quarantine_enter");
+                    self.machine.meter.count_event(Event::QuarantineEnter);
                     self.machine
                         .trace_event(TraceEvent::QuarantineEnter { dev });
                     let at = self.machine.meter.now();
@@ -227,7 +227,7 @@ impl System {
         for q in &drained {
             if !q.routine.is_flush_first() {
                 dropped += 1;
-                self.machine.meter.count_event("upcall_discarded");
+                self.machine.meter.count_event(Event::UpcallDiscarded);
                 continue;
             }
             let mut cpu = self.upcall_frame(self.dom0, &q.args)?;
@@ -239,7 +239,7 @@ impl System {
             self.machine.meter.pop_domain();
             r?;
             replayed += 1;
-            self.machine.meter.count_event("upcall_replayed");
+            self.machine.meter.count_event(Event::UpcallReplayed);
         }
         if let Some(hs) = self.world.hyper.as_mut() {
             hs.engine.prune_stale_completions();
@@ -249,11 +249,11 @@ impl System {
         let before = self.rx_inflight.len();
         let flow_dev = &self.rx_flow_dev;
         self.rx_inflight
-            .retain(|(flow, _), _| flow_dev.get(flow).copied().unwrap_or(0) != dev);
+            .retain(|(flow, _), _| flow_dev.get(flow).map_or(0, |e| e.0) != dev);
         let lost = (before - self.rx_inflight.len()) as u32;
         dropped += lost;
         for _ in 0..lost {
-            self.machine.meter.count_event("inflight_lost");
+            self.machine.meter.count_event(Event::InflightLost);
         }
         // 3. Ring-held skbs: the reset re-probes the adapter slot and
         // re-fills both rings, so buffers the old rings hold must go
@@ -290,7 +290,7 @@ impl System {
         let state = &mut self.devs[dev as usize];
         if let Some(entered) = state.poll_entered_at.take() {
             state.poll_cycles += self.machine.meter.now().saturating_sub(entered);
-            self.machine.meter.count_event("napi_exit");
+            self.machine.meter.count_event(Event::NapiExit);
             self.machine.trace_event(TraceEvent::NapiComplete { dev });
         }
         // 5. Moderation latches: a quarantined device owes no delivery.
@@ -341,12 +341,12 @@ impl System {
             )));
         };
         self.netdevs[dev as usize] = self.probe_and_open(dev)?;
-        self.machine.meter.count_event("device_reset");
+        self.machine.meter.count_event(Event::DeviceReset);
         self.machine.trace_event(TraceEvent::DeviceReset { dev });
         for d in &ep.revoked_doms {
             self.grant_zero_copy_pool(DomId(*d))?;
         }
-        self.machine.meter.count_event("quarantine_exit");
+        self.machine.meter.count_event(Event::QuarantineExit);
         self.machine.trace_event(TraceEvent::QuarantineExit { dev });
         let report = RecoveryReport {
             dev,

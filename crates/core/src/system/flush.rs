@@ -3,10 +3,20 @@
 //! both land frames in.
 
 use super::{System, SystemError, ZcOccupancy, ZC_POOL_BASE, ZC_POOL_FRAMES, ZC_SLOT_BYTES};
-use twin_machine::{CostDomain, ExecMode, PAGE_SIZE};
+use twin_machine::{CostDomain, Event, ExecMode, Term, PAGE_SIZE};
 use twin_net::Frame;
 use twin_trace::TraceEvent;
 use twin_xen::{DomId, GrantAccess};
+
+/// Receive-stack cost of one delivered frame: the first of a wakeup pays
+/// the full per-wakeup price, the rest the batched marginal.
+fn rx_stack_term(first_of_wakeup: bool) -> Term {
+    if first_of_wakeup {
+        Term::TcpRxPerPacket
+    } else {
+        Term::TcpRxBatchMarginal
+    }
+}
 
 impl System {
     /// Pushes frames the bridge queued toward the backend through the
@@ -20,39 +30,24 @@ impl System {
         let batched = !frames.is_empty();
         let mut zc_occ = ZcOccupancy::new();
         for (i, f) in frames.into_iter().enumerate() {
-            let dev = self.rx_flow_dev.get(&f.flow).copied().unwrap_or(0);
-            {
-                let m = &mut self.machine;
-                m.meter
-                    .charge_to(CostDomain::Dom0, m.cost.netfront_per_packet);
-                m.meter.charge_to(CostDomain::Dom0, m.cost.backend_rx_extra);
-            }
+            let dev = self.flow_dev(f.flow);
+            self.machine
+                .pay_to(CostDomain::Dom0, Term::NetfrontPerPacket);
+            self.machine.pay_to(CostDomain::Dom0, Term::BackendRxExtra);
             // Zero-copy: the frame lands straight in the guest's granted
             // RX pool — a warm pool page costs one cached grant access
             // instead of a grant-copy bracketed by map/unmap.
             if !self.zc_access(&mut zc_occ, gid, f.flow, false, f.len(), dev) {
-                {
-                    let m = &mut self.machine;
-                    // Grant-copy of the packet into guest memory.
-                    let c = m.cost.copy_cycles(f.len() as u64);
-                    m.meter.charge_to(CostDomain::Dom0, c);
-                }
+                // Grant-copy of the packet into guest memory.
+                self.machine.pay_copy(CostDomain::Dom0, f.len() as u64);
                 let xen = self.world.xen.as_mut().unwrap();
                 xen.grant_map_dev(&mut self.machine, dev);
                 xen.grant_unmap_dev(&mut self.machine, dev);
                 xen.note_grant_copy(Some(dev));
             }
-            {
-                let m = &mut self.machine;
-                m.meter
-                    .charge_to(CostDomain::DomU, m.cost.netfront_per_packet);
-                let stack = if i == 0 {
-                    m.cost.tcp_rx_per_packet
-                } else {
-                    m.cost.tcp_rx_batch_marginal
-                };
-                m.meter.charge_to(CostDomain::DomU, stack);
-            }
+            self.machine
+                .pay_to(CostDomain::DomU, Term::NetfrontPerPacket);
+            self.machine.pay_to(CostDomain::DomU, rx_stack_term(i == 0));
             let xen = self.world.xen.as_mut().unwrap();
             xen.domain_mut(gid).rx_delivered.push(f);
         }
@@ -182,7 +177,7 @@ impl System {
                 woken.push(g);
             }
             for (i, f) in frames.into_iter().enumerate() {
-                let dev = self.rx_flow_dev.get(&f.flow).copied().unwrap_or(0);
+                let dev = self.flow_dev(f.flow);
                 // Warm vs cold delivery: with the scheduler model on, a
                 // frame serviced by a softirq CPU other than the one the
                 // owning guest's vCPU occupies finds none of the guest's
@@ -194,38 +189,23 @@ impl System {
                     None => false,
                 };
                 if cold {
-                    let m = &mut self.machine;
-                    m.meter
-                        .charge_to(CostDomain::Xen, m.cost.cold_delivery_refill);
-                    m.meter.count_event("cold_delivery");
+                    self.machine
+                        .pay_to(CostDomain::Xen, Term::ColdDeliveryRefill);
+                    self.machine.meter.count_event(Event::ColdDelivery);
                 }
                 // Zero-copy: the twin driver posted a pool page for
                 // this slot, so delivery is a cached grant access
                 // instead of a copy into the guest.
                 if !self.zc_access(zc_occ, g, f.flow, false, f.len(), dev) {
-                    {
-                        let m = &mut self.machine;
-                        let c = m.cost.copy_cycles(f.len() as u64);
-                        m.meter.charge_to(CostDomain::Xen, c);
-                    }
+                    self.machine.pay_copy(CostDomain::Xen, f.len() as u64);
                     if let Some(xen) = self.world.xen.as_mut() {
                         xen.note_grant_copy(Some(dev));
                     }
                 }
-                {
-                    let m = &mut self.machine;
-                    m.meter.charge_to(CostDomain::Xen, m.cost.twin_glue_rx);
-                }
-                {
-                    let m = &mut self.machine;
-                    m.meter.charge_to(CostDomain::DomU, m.cost.pv_driver_guest);
-                    let stack = if i == 0 && first_wake {
-                        m.cost.tcp_rx_per_packet
-                    } else {
-                        m.cost.tcp_rx_batch_marginal
-                    };
-                    m.meter.charge_to(CostDomain::DomU, stack);
-                }
+                self.machine.pay_to(CostDomain::Xen, Term::TwinGlueRx);
+                self.machine.pay_to(CostDomain::DomU, Term::PvDriverGuest);
+                self.machine
+                    .pay_to(CostDomain::DomU, rx_stack_term(i == 0 && first_wake));
                 let xen = self.world.xen.as_mut().unwrap();
                 xen.domain_mut(g).rx_delivered.push(f);
             }
@@ -363,9 +343,8 @@ impl System {
             .get(dom.0 as usize)
             .is_some_and(|g| g.zc_granted);
         if !granted || len > ZC_SLOT_BYTES || *slot >= ZC_POOL_FRAMES {
-            let m = &mut self.machine;
-            m.meter.charge_to(CostDomain::Xen, m.cost.copy_fallback);
-            m.meter.count_event("copy_fallback");
+            self.machine.pay_to(CostDomain::Xen, Term::CopyFallback);
+            self.machine.meter.count_event(Event::CopyFallback);
             return false;
         }
         let page = (u64::from(tx) << 48) | (u64::from(flow) << 16) | *slot as u64;
@@ -377,9 +356,8 @@ impl System {
             .access(dom.0, page);
         match access {
             GrantAccess::Hit => {
-                let m = &mut self.machine;
-                m.meter.charge_to(CostDomain::Xen, m.cost.grant_cache_hit);
-                m.meter.count_event("grant_cache_hit");
+                self.machine.pay_to(CostDomain::Xen, Term::GrantCacheHit);
+                self.machine.meter.count_event(Event::GrantCacheHit);
                 self.machine
                     .trace_event(TraceEvent::GrantCacheHit { dom: dom.0, page });
             }
@@ -389,9 +367,8 @@ impl System {
                     .as_mut()
                     .expect("zero-copy implies a hypervisor")
                     .grant_map_dev(&mut self.machine, dev);
-                let m = &mut self.machine;
-                m.meter.charge_to(CostDomain::Xen, m.cost.pin_page);
-                m.meter.count_event("pin_page");
+                self.machine.pay_to(CostDomain::Xen, Term::PinPage);
+                self.machine.meter.count_event(Event::PinPage);
                 self.machine
                     .trace_event(TraceEvent::GrantCacheMiss { dom: dom.0, page });
                 if let Some((edom, epage)) = evicted {
@@ -400,7 +377,7 @@ impl System {
                         .as_mut()
                         .unwrap()
                         .grant_unmap(&mut self.machine);
-                    self.machine.meter.count_event("grant_cache_evict");
+                    self.machine.meter.count_event(Event::GrantCacheEvict);
                     self.machine.trace_event(TraceEvent::GrantCacheEvict {
                         dom: edom,
                         page: epage,

@@ -24,8 +24,8 @@ impl System {
         for d in CostDomain::ALL {
             ms.set(format!("meter.cycles.{}", d.label()), meter.cycles(d));
         }
-        for (name, v) in meter.events() {
-            ms.set(format!("event.{name}"), *v);
+        for (e, n) in meter.events() {
+            ms.set(format!("event.{}", e.name()), n);
         }
         for (i, nic) in self.world.nics.iter().enumerate() {
             let s = nic.stats();

@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use twin_kernel::{Dom0Kernel, LoadedDriver, RoutineId, SkBuff};
-use twin_machine::{Cpu, Env, ExecMode, Fault, Machine, SpaceId};
+use twin_machine::{Cpu, Env, Event, ExecMode, Fault, Machine, SpaceId};
 use twin_net::MacAddr;
 use twin_nic::{ItrTuner, Nic};
 use twin_rewriter::{RewriteOptions, RewriteStats};
@@ -272,7 +272,7 @@ pub struct SystemOptions {
     /// backlog reaches this bound, further frames toward it are dropped
     /// at RX-descriptor refill time — *before* the ring, the reap and
     /// the demux spend anything on them — for a compare and a counter
-    /// bump ([`twin_machine::CostParams::early_drop`]). `None` (the
+    /// bump ([`twin_machine::Term::EarlyDrop`]). `None` (the
     /// default) admits everything, bit-exact with the prior path.
     pub rx_backlog_watermark: Option<usize>,
     /// Bound on each guest's demux queue ([`twin_xen::Domain`]
@@ -305,7 +305,7 @@ pub struct SystemOptions {
     /// map. When set, placement ([`ShardPolicy::Affinity`]), NAPI poll
     /// budgets, DRR flush grants and ITR idle accounting all follow the
     /// scheduler, and deliveries pay
-    /// [`twin_machine::CostParams::cold_delivery_refill`] when they run
+    /// [`twin_machine::Term::ColdDeliveryRefill`] when they run
     /// far from the owning guest's vCPU. vCPUs are registered at run
     /// time with [`System::sched_add_vcpu`]. `None` (the default)
     /// compiles the machinery out of every decision and is bit-exact
@@ -582,7 +582,7 @@ impl Env for World {
         if offset == twin_nic::regs::TDT {
             // The posted doorbell write: one per driver kick, however
             // many descriptors the tail move covers (the burst metric).
-            m.meter.count_event("doorbell");
+            m.meter.count_event(Event::Doorbell);
             if let Some(iommu) = &mut self.iommu {
                 iommu.check_tx_ring(m, &mut self.nics[dev as usize], val)?;
             }
@@ -657,10 +657,13 @@ pub struct System {
     /// Live grant mappings of the zero-copy pools (`None` when the mode
     /// is off — the copy path allocates nothing).
     grant_cache: Option<GrantCache>,
-    /// Which NIC last carried each RX flow (recorded where the wire
-    /// side shards, read where grant work loses the device) — pure
-    /// bookkeeping behind the per-device grant attribution.
-    rx_flow_dev: BTreeMap<u32, u32>,
+    /// Which NIC last carried each RX flow, with that NIC's
+    /// accepted-frame count at the time (recorded where the wire side
+    /// shards, read where grant work loses the device). It decides the
+    /// per-device grant attribution and, with the scheduler model on,
+    /// the cold-delivery charge — so an entry outlives every frame it
+    /// describes (`System::forget_idle_flows`).
+    rx_flow_dev: BTreeMap<u32, (u32, u64)>,
     /// Completed recovery reports in episode order — pure bookkeeping
     /// (never charged), the fault sweep's latency source.
     recovery_log: Vec<RecoveryReport>,

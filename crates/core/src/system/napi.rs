@@ -3,7 +3,7 @@
 //! passes, re-arm on a drained ring.
 
 use super::{DriverOp, System, SystemError};
-use twin_machine::{CostDomain, Env};
+use twin_machine::{CostDomain, Env, Event, Term};
 use twin_trace::{FlushCause, TraceEvent};
 use twin_xen::Softirq;
 
@@ -41,11 +41,8 @@ impl System {
         if self.devs[dev as usize].poll_entered_at.is_some() {
             return Ok(());
         }
-        {
-            let m = &mut self.machine;
-            m.meter.count_event("irq");
-            m.meter.charge_to(CostDomain::Xen, m.cost.irq_dispatch);
-        }
+        self.machine.meter.count_event(Event::Irq);
+        self.machine.pay_to(CostDomain::Xen, Term::IrqDispatch);
         self.machine.trace_event(TraceEvent::IrqDelivered { dev });
         // Ack: read-to-clear consumes the latched cause.
         let _ = self.world.nics[dev as usize].mmio_read(twin_nic::regs::ICR);
@@ -57,11 +54,8 @@ impl System {
             twin_isa::Width::Long,
             twin_nic::intr::RXT0,
         )?;
-        {
-            let m = &mut self.machine;
-            m.meter.charge_to(CostDomain::Xen, m.cost.napi_switch);
-            m.meter.count_event("napi_enter");
-        }
+        self.machine.pay_to(CostDomain::Xen, Term::NapiSwitch);
+        self.machine.meter.count_event(Event::NapiEnter);
         self.devs[dev as usize].poll_entered_at = Some(self.machine.meter.now());
         self.machine.trace_event(TraceEvent::NapiEnter { dev });
         self.moderated_pending.retain(|d| *d != dev);
@@ -83,11 +77,8 @@ impl System {
             twin_isa::Width::Long,
             twin_nic::intr::RXT0,
         )?;
-        {
-            let m = &mut self.machine;
-            m.meter.charge_to(CostDomain::Xen, m.cost.napi_switch);
-            m.meter.count_event("napi_exit");
-        }
+        self.machine.pay_to(CostDomain::Xen, Term::NapiSwitch);
+        self.machine.meter.count_event(Event::NapiExit);
         let state = &mut self.devs[dev as usize];
         if let Some(entered) = state.poll_entered_at.take() {
             state.poll_cycles += self.machine.meter.now().saturating_sub(entered);
@@ -123,12 +114,8 @@ impl System {
                 }
             }
         }
-        {
-            let m = &mut self.machine;
-            m.meter
-                .charge_to(CostDomain::Xen, m.cost.napi_poll_dispatch);
-            m.meter.count_event("napi_poll");
-        }
+        self.machine.pay_to(CostDomain::Xen, Term::NapiPollDispatch);
+        self.machine.meter.count_event(Event::NapiPoll);
         self.world.kernel.begin_stack_burst();
         let reaped = self.call_driver(DriverOp::PollRxBudget(weight), dev)? as usize;
         self.machine.trace_event(TraceEvent::NapiPoll {

@@ -4,7 +4,8 @@
 //! interrupt dispatch and descriptor reap.
 
 use super::{peer_mac, Config, DriverOp, Itr, OnIrq, Overrun, System, SystemError};
-use twin_machine::CostDomain;
+use std::collections::BTreeSet;
+use twin_machine::{CostDomain, Event, Term};
 use twin_net::{EtherType, Frame, MacAddr, MTU};
 use twin_trace::{FlushCause, TraceEvent};
 use twin_xen::{DomId, DomainKind, Softirq};
@@ -187,6 +188,7 @@ impl System {
                 .hyper
                 .as_ref()
                 .is_some_and(|h| h.engine.flush_deadline().is_some());
+        self.forget_idle_flows();
         let mut accepted_total = 0;
         let mut pass_devs: Vec<u32> = Vec::new();
         let mut gated_wedged: Vec<u32> = Vec::new();
@@ -220,13 +222,11 @@ impl System {
             }
             // Flow→device attribution for grant accounting: the demux
             // flush no longer knows which NIC carried a frame, so
-            // remember it here (bookkeeping only; the map is bounded by
-            // the live flow set).
-            if self.rx_flow_dev.len() > 8192 {
-                self.rx_flow_dev.clear();
-            }
+            // remember it here, with the device's accepted-frame count
+            // (what `forget_idle_flows` ages the entry by).
+            let landed = self.world.nics[dev as usize].stats().rx_packets;
             for f in &pending[..accepted] {
-                self.rx_flow_dev.insert(f.flow, dev);
+                self.rx_flow_dev.insert(f.flow, (dev, landed));
             }
             pending.drain(..accepted);
             let now = self.machine.meter.now();
@@ -256,7 +256,7 @@ impl System {
                     let arrived = self.world.nics[dev as usize].stats().rx_packets;
                     state.gate_anchor = Some((arrived, now));
                 }
-                self.machine.meter.count_event("irq_moderated");
+                self.machine.meter.count_event(Event::IrqModerated);
             }
         }
         if pass_devs.is_empty() && !gated_wedged.is_empty() {
@@ -265,11 +265,46 @@ impl System {
             // moderation can delay frames but never drop them.
             for dev in &gated_wedged {
                 self.moderated_pending.retain(|d| d != dev);
-                self.machine.meter.count_event("irq_moderation_override");
+                self.machine.meter.count_event(Event::IrqModerationOverride);
             }
             pass_devs = gated_wedged;
         }
         Ok((accepted_total, pass_devs))
+    }
+
+    /// The NIC that last carried `flow` (0 for a flow never seen).
+    pub(super) fn flow_dev(&self, flow: u32) -> u32 {
+        self.rx_flow_dev.get(&flow).map_or(0, |(dev, _)| *dev)
+    }
+
+    /// Bounds the flow→device map by the live flow set: past 8 192
+    /// flows it forgets those with no frame left between landing and
+    /// delivery — none among the last ring's worth their device
+    /// accepted, none in a demux queue, none awaiting a latency sample.
+    /// A frame's device is therefore known until it is delivered,
+    /// however many flows exist.
+    fn forget_idle_flows(&mut self) {
+        if self.rx_flow_dev.len() <= 8192 {
+            return;
+        }
+        let queued: BTreeSet<u32> = self
+            .world
+            .xen
+            .iter()
+            .flat_map(|x| &x.domains)
+            .flat_map(|d| &d.rx_queue)
+            .map(|f| f.flow)
+            .collect();
+        let (nics, inflight) = (&self.world.nics, &self.rx_inflight);
+        self.rx_flow_dev.retain(|flow, (dev, landed)| {
+            let nic = &nics[*dev as usize];
+            nic.stats().rx_packets - *landed < u64::from(nic.rx_ring_len())
+                || queued.contains(flow)
+                || inflight
+                    .range((*flow, 0)..=(*flow, u64::MAX))
+                    .next()
+                    .is_some()
+        });
     }
 
     /// Delivers the interrupts of `devs` at this instant: each device's
@@ -422,9 +457,8 @@ impl System {
         for (gid, n) in dropped {
             self.guests[gid as usize].early_drops += n;
             for _ in 0..n {
-                let m = &mut self.machine;
-                m.meter.charge_to(CostDomain::Xen, m.cost.early_drop);
-                m.meter.count_event("early_drop");
+                self.machine.pay_to(CostDomain::Xen, Term::EarlyDrop);
+                self.machine.meter.count_event(Event::EarlyDrop);
                 self.machine
                     .trace_event(TraceEvent::EarlyDrop { guest: gid });
             }
@@ -464,9 +498,8 @@ impl System {
         // full wakeup cost, the rest of the burst the GRO marginal.
         self.world.kernel.begin_stack_burst();
         self.machine.trace_event(TraceEvent::IrqDelivered { dev });
-        let m = &mut self.machine;
-        m.meter.count_event("irq");
-        m.meter.charge_to(CostDomain::Dom0, m.cost.irq_dispatch);
+        self.machine.meter.count_event(Event::Irq);
+        self.machine.pay_to(CostDomain::Dom0, Term::IrqDispatch);
         // Each NIC asserts its own IRQ line, for which probe registered
         // `e1000_intr` (`request_irq(dev, …)`).
         self.call_driver(DriverOp::Intr, dev).map(|_| ())
@@ -477,9 +510,8 @@ impl System {
             let xen = self.world.xen.as_mut().expect("xen");
             // Xen routes the physical interrupt to dom0 as an event.
             xen.send_virq(&mut self.machine, DomId::DOM0, 3);
-            let m = &mut self.machine;
-            m.meter
-                .charge_to(CostDomain::Xen, m.cost.paravirt_tax_per_packet);
+            self.machine
+                .pay_to(CostDomain::Xen, Term::ParavirtTaxPerPacket);
         }
         self.dispatch_dom0_irq(dev)
     }
@@ -511,11 +543,8 @@ impl System {
         // own softirq source (duplicates coalesce per device), and one
         // softirq pass reaps every descriptor each NIC filled.
         for &dev in devs {
-            {
-                let m = &mut self.machine;
-                m.meter.count_event("irq");
-                m.meter.charge_to(CostDomain::Xen, m.cost.irq_dispatch);
-            }
+            self.machine.meter.count_event(Event::Irq);
+            self.machine.pay_to(CostDomain::Xen, Term::IrqDispatch);
             self.machine.trace_event(TraceEvent::IrqDelivered { dev });
             let xen = self.world.xen.as_mut().expect("xen");
             xen.raise_softirq(Softirq::DriverIrq { nic: dev });

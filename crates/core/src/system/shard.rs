@@ -2,6 +2,7 @@
 //! leave through ([`ShardPolicy`]).
 
 use super::{ShardPolicy, System};
+use twin_machine::Event;
 use twin_net::Frame;
 use twin_trace::TraceEvent;
 use twin_xen::DomainKind;
@@ -87,7 +88,7 @@ impl System {
             None => {
                 self.affinity_flow_dev.insert(f.flow, target);
                 self.guests[g as usize].placements += 1;
-                self.machine.meter.count_event("affinity_place");
+                self.machine.meter.count_event(Event::AffinityPlace);
                 self.machine.trace_event(TraceEvent::AffinityPlace {
                     guest: g,
                     flow: f.flow,
@@ -104,7 +105,7 @@ impl System {
                     self.affinity_flow_dev.insert(f.flow, target);
                     self.guests[g as usize].affinity_moved_at = now;
                     self.guests[g as usize].migrations += 1;
-                    self.machine.meter.count_event("affinity_migrate");
+                    self.machine.meter.count_event(Event::AffinityMigrate);
                     self.machine.trace_event(TraceEvent::AffinityMigrate {
                         guest: g,
                         flow: f.flow,

@@ -2,7 +2,7 @@
 //! edges, and the one service point where every due virtual timer fires.
 
 use super::{Itr, System, SystemError};
-use twin_machine::{CostDomain, Env};
+use twin_machine::{CostDomain, Env, Event, Term};
 use twin_nic::{ItrTuner, AUTOTUNE_WINDOW_CYCLES};
 use twin_trace::{FlushCause, TraceEvent};
 
@@ -94,9 +94,8 @@ impl System {
             let old = self.world.nics[dev].itr();
             if let Some(itr) = tuner.service(now, &self.world.nics[dev]) {
                 let class = tuner.class();
-                let m = &mut self.machine;
-                m.meter.charge_to(CostDomain::Driver, m.cost.itr_retune);
-                m.meter.count_event("itr_retune");
+                self.machine.pay_to(CostDomain::Driver, Term::ItrRetune);
+                self.machine.meter.count_event(Event::ItrRetune);
                 self.set_itr(dev as u32, itr)?;
                 if self.machine.trace.enabled() {
                     let regime = match class {
@@ -130,9 +129,9 @@ impl System {
         for tr in &transitions {
             woke |= tr.now_running;
             self.machine.meter.count_event(if tr.now_running {
-                "vcpu_run"
+                Event::VcpuRun
             } else {
-                "vcpu_sleep"
+                Event::VcpuSleep
             });
             if self.machine.trace.enabled() {
                 let cpu = self

@@ -3,10 +3,20 @@
 
 use super::{peer_mac, Config, DriverOp, System, SystemError, World, ZcOccupancy, MAX_BURST};
 use twin_kernel::{Dom0Kernel, RoutineId, SkBuff};
-use twin_machine::{CostDomain, ExecMode, Machine};
+use twin_machine::{CostDomain, Event, ExecMode, Machine, Term};
 use twin_net::{EtherType, Frame, MacAddr, MTU};
 use twin_trace::FlushCause;
 use twin_xen::{DomId, HyperSupport, Xen};
+
+/// Stack cost of the `i`-th packet of a transmit burst: the first pays
+/// the full per-wakeup price, the rest the batched marginal.
+fn tx_stack_term(i: usize) -> Term {
+    if i == 0 {
+        Term::TcpTxPerPacket
+    } else {
+        Term::TcpTxBatchMarginal
+    }
+}
 
 impl System {
     /// Flows the internal traffic generators cycle over: the paper's
@@ -102,16 +112,6 @@ impl System {
         Ok(())
     }
 
-    /// Stack cost of the `i`-th packet of a transmit burst: the first
-    /// pays the full per-wakeup price, the rest the batched marginal.
-    fn tx_stack_cost(&self, i: usize) -> u64 {
-        if i == 0 {
-            self.machine.cost.tcp_tx_per_packet
-        } else {
-            self.machine.cost.tcp_tx_batch_marginal
-        }
-    }
-
     /// Hands a prepared burst of sk_buffs to the driver. Each driver
     /// invocation is one lock acquisition and one doorbell; when the
     /// ring cannot hold the whole burst (fragmented packets take two
@@ -168,17 +168,13 @@ impl System {
     ) -> Result<usize, SystemError> {
         let mut skbs = Vec::with_capacity(frames.len());
         for (i, frame) in frames.iter().enumerate() {
-            {
-                // Socket + TCP/IP transmit processing.
-                let c = self.tx_stack_cost(i);
-                let m = &mut self.machine;
-                m.meter.charge_to(CostDomain::Dom0, c);
-                m.meter.charge_to(CostDomain::Dom0, m.cost.skb_alloc);
-                if on_xen {
-                    // Paravirtualisation tax (pte maintenance, event checks).
-                    m.meter
-                        .charge_to(CostDomain::Xen, m.cost.paravirt_tax_per_packet);
-                }
+            // Socket + TCP/IP transmit processing.
+            self.machine.pay_to(CostDomain::Dom0, tx_stack_term(i));
+            self.machine.pay_to(CostDomain::Dom0, Term::SkbAlloc);
+            if on_xen {
+                // Paravirtualisation tax (pte maintenance, event checks).
+                self.machine
+                    .pay_to(CostDomain::Xen, Term::ParavirtTaxPerPacket);
             }
             let skb = match self.world.kernel.pool.alloc(&mut self.machine, self.dom0) {
                 Some(skb) => skb,
@@ -204,11 +200,9 @@ impl System {
         let gid = self.guest.expect("guest");
         for i in 0..frames.len() {
             // Guest stack + netfront request production.
-            let c = self.tx_stack_cost(i);
-            let m = &mut self.machine;
-            m.meter.charge_to(CostDomain::DomU, c);
-            m.meter
-                .charge_to(CostDomain::DomU, m.cost.netfront_per_packet);
+            self.machine.pay_to(CostDomain::DomU, tx_stack_term(i));
+            self.machine
+                .pay_to(CostDomain::DomU, Term::NetfrontPerPacket);
         }
         let xen = self.world.xen.as_mut().expect("xen");
         // One notify + one switch into the driver domain per burst.
@@ -229,13 +223,12 @@ impl System {
                 let xen = self.world.xen.as_mut().unwrap();
                 xen.grant_map_dev(&mut self.machine, dev);
             }
-            {
-                let m = &mut self.machine;
-                m.meter
-                    .charge_to(CostDomain::Dom0, m.cost.netfront_per_packet);
-                m.meter
-                    .charge_to(CostDomain::Dom0, m.cost.bridge_per_packet);
-                m.meter.charge_to(CostDomain::Dom0, m.cost.backend_tx_extra);
+            for t in [
+                Term::NetfrontPerPacket,
+                Term::BridgePerPacket,
+                Term::BackendTxExtra,
+            ] {
+                self.machine.pay_to(CostDomain::Dom0, t);
             }
             let skb = match self.world.kernel.pool.alloc(&mut self.machine, self.dom0) {
                 Some(skb) => skb,
@@ -297,7 +290,7 @@ impl System {
             ptrs: &mut Vec<u32>,
         ) -> Result<(), SystemError> {
             hs.engine.stats.continuations += 1;
-            machine.meter.count_event("upcall_continuation");
+            machine.meter.count_event(Event::UpcallContinuation);
             hs.flush_upcalls(machine, kernel, xen, FlushCause::Continuation)?;
             for id in pending.drain(..) {
                 let done = hs
@@ -315,7 +308,7 @@ impl System {
                 resume(hs, kernel, xen, &mut self.machine, &mut pending, &mut ptrs)?;
             }
             let m = &mut self.machine;
-            m.meter.charge_to(CostDomain::Xen, m.cost.twin_glue_tx);
+            m.pay_to(CostDomain::Xen, Term::TwinGlueTx);
             pending.push(hs.enqueue_upcall(
                 RoutineId::NETDEV_ALLOC_SKB,
                 vec![netdev, 2048],
@@ -337,11 +330,9 @@ impl System {
         let gid = self.guest.expect("guest");
         let mut zc_occ = ZcOccupancy::new();
         for i in 0..frames.len() {
-            let c = self.tx_stack_cost(i);
-            let m = &mut self.machine;
             // Guest stack + paravirtual driver.
-            m.meter.charge_to(CostDomain::DomU, c);
-            m.meter.charge_to(CostDomain::DomU, m.cost.pv_driver_guest);
+            self.machine.pay_to(CostDomain::DomU, tx_stack_term(i));
+            self.machine.pay_to(CostDomain::DomU, Term::PvDriverGuest);
         }
         let xen = self.world.xen.as_mut().expect("xen");
         xen.hypercall(&mut self.machine);
@@ -356,8 +347,7 @@ impl System {
             let raw = match &batched {
                 Some(ptrs) => Ok(ptrs[fi]),
                 None => {
-                    let m = &mut self.machine;
-                    m.meter.charge_to(CostDomain::Xen, m.cost.twin_glue_tx);
+                    self.machine.pay_to(CostDomain::Xen, Term::TwinGlueTx);
                     self.call_support(RoutineId::NETDEV_ALLOC_SKB, &[netdev, 2048])
                 }
             };
@@ -381,11 +371,8 @@ impl System {
             // page, so even the header copy collapses to the cached
             // grant access; fallback frames bounce through the copy.
             if !self.zc_access(&mut zc_occ, gid, frame.flow, true, frame.len(), dev) {
-                {
-                    let m = &mut self.machine;
-                    let c = m.cost.copy_cycles(header_copy as u64);
-                    m.meter.charge_to(CostDomain::Xen, c);
-                }
+                self.machine
+                    .pay_copy(CostDomain::Xen, u64::from(header_copy));
                 if let Some(xen) = self.world.xen.as_mut() {
                     xen.note_grant_copy(Some(dev));
                 }

@@ -144,7 +144,7 @@ where
         data_base,
         data_symbols,
         entries,
-        text_len: m.image(image).insns.len(),
+        text_len: m.image(image).len(),
     })
 }
 

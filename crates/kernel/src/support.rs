@@ -6,7 +6,7 @@ use crate::heap::Heap;
 use crate::routines::RoutineId;
 use crate::skb::{offsets, SkBuff, SkbPool};
 use std::collections::BTreeMap;
-use twin_machine::{CostDomain, Cpu, ExecMode, Fault, Machine, SpaceId, PAGE_SIZE};
+use twin_machine::{CostDomain, Cpu, ExecMode, Fault, Machine, SpaceId, Term, PAGE_SIZE};
 use twin_net::Frame;
 use twin_nic::MMIO_WINDOW;
 
@@ -301,9 +301,9 @@ impl Dom0Kernel {
 
     /// Marks the start of one coalesced receive burst: the next
     /// `netif_rx` pays the full per-wakeup stack cost
-    /// ([`twin_machine::CostParams::tcp_rx_per_packet`]); packets after
-    /// it in the same burst pay only the GRO/NAPI-style marginal cost
-    /// (`tcp_rx_batch_marginal`). The interrupt dispatcher calls this
+    /// ([`Term::TcpRxPerPacket`]); packets after it in the same burst pay
+    /// only the GRO/NAPI-style marginal cost
+    /// ([`Term::TcpRxBatchMarginal`]). The interrupt dispatcher calls this
     /// once per hardware interrupt, so per-packet delivery (a burst of
     /// one) is costed exactly as before.
     pub fn begin_stack_burst(&mut self) {
@@ -381,8 +381,7 @@ impl Dom0Kernel {
         let ret = |cpu: &mut Cpu, v: u32| cpu.set_reg(Reg::Eax, v);
         match id.name() {
             "netdev_alloc_skb" | "dev_alloc_skb" => {
-                let c = m.cost.skb_alloc;
-                m.meter.charge(c);
+                m.pay(Term::SkbAlloc);
                 // `e1000_sw_init` probes every init routine with null
                 // args; a null netdev is that capability probe, not a
                 // real allocation — handing out an skb here leaks one
@@ -396,8 +395,7 @@ impl Dom0Kernel {
                 }
             }
             "dev_kfree_skb_any" | "dev_kfree_skb" | "kfree_skb" => {
-                let c = m.cost.skb_alloc / 2;
-                m.meter.charge(c);
+                m.pay(Term::SkbFree);
                 let skb = SkBuff(cpu.arg(m, 0)? as u64);
                 if skb.0 != 0 {
                     self.free_skb(m, skb)?;
@@ -405,16 +403,15 @@ impl Dom0Kernel {
                 ret(cpu, 0);
             }
             "netif_rx" => {
-                let c = match self.rx_mode {
+                m.pay(match self.rx_mode {
                     // Bridging is a per-packet lookup either way; the
                     // local stack amortises its per-wakeup work across a
                     // coalesced burst.
-                    RxMode::Bridge => m.cost.bridge_per_packet,
-                    RxMode::LocalStack if self.stack_burst == 0 => m.cost.tcp_rx_per_packet,
-                    RxMode::LocalStack => m.cost.tcp_rx_batch_marginal,
-                };
+                    RxMode::Bridge => Term::BridgePerPacket,
+                    RxMode::LocalStack if self.stack_burst == 0 => Term::TcpRxPerPacket,
+                    RxMode::LocalStack => Term::TcpRxBatchMarginal,
+                });
                 self.stack_burst += 1;
-                m.meter.charge(c);
                 let skb = SkBuff(cpu.arg(m, 0)? as u64);
                 if skb.0 != 0 {
                     if let Some(f) = skb.parse_frame(m, self.space)? {
@@ -425,28 +422,24 @@ impl Dom0Kernel {
                 ret(cpu, 0);
             }
             "dma_map_single" => {
-                let c = m.cost.dma_map;
-                m.meter.charge(c);
+                m.pay(Term::DmaMap);
                 let vaddr = cpu.arg(m, 0)? as u64;
                 let t = m.translate(self.space, ExecMode::Guest, vaddr, false)?;
                 ret(cpu, (t.entry.pfn * PAGE_SIZE + t.offset) as u32);
             }
             "dma_map_page" => {
-                let c = m.cost.dma_map;
-                m.meter.charge(c);
+                m.pay(Term::DmaMap);
                 // The argument is already a machine address (guest page
                 // chained by the hypervisor, or a prior mapping).
                 let addr = cpu.arg(m, 0)?;
                 ret(cpu, addr);
             }
             "dma_unmap_single" | "dma_unmap_page" => {
-                let c = m.cost.dma_map;
-                m.meter.charge(c);
+                m.pay(Term::DmaMap);
                 ret(cpu, 0);
             }
             "spin_trylock" => {
-                let c = m.cost.spinlock;
-                m.meter.charge(c);
+                m.pay(Term::Spinlock);
                 let addr = cpu.arg(m, 0)? as u64;
                 let v = m.read_u32(self.space, ExecMode::Guest, addr)?;
                 if v == 0 {
@@ -457,8 +450,8 @@ impl Dom0Kernel {
                 }
             }
             "spin_lock_irqsave" => {
-                let c = m.cost.spinlock + m.cost.cli_sti;
-                m.meter.charge(c);
+                m.pay(Term::Spinlock);
+                m.pay(Term::CliSti);
                 let addr = cpu.arg(m, 0)? as u64;
                 if addr != 0 {
                     m.write_u32(self.space, ExecMode::Guest, addr, 1)?;
@@ -466,8 +459,7 @@ impl Dom0Kernel {
                 ret(cpu, 0);
             }
             "spin_unlock_irqrestore" => {
-                let c = m.cost.spinlock;
-                m.meter.charge(c);
+                m.pay(Term::Spinlock);
                 let addr = cpu.arg(m, 0)? as u64;
                 if addr != 0 {
                     m.write_u32(self.space, ExecMode::Guest, addr, 0)?;
@@ -482,8 +474,7 @@ impl Dom0Kernel {
                 ret(cpu, 0);
             }
             "eth_type_trans" => {
-                let c = m.cost.eth_type_trans;
-                m.meter.charge(c);
+                m.pay(Term::EthTypeTrans);
                 let skb = SkBuff(cpu.arg(m, 0)? as u64);
                 let data = skb.data(m, self.space)?;
                 let mut ethertype = [0u8; 2];
@@ -568,7 +559,7 @@ impl Dom0Kernel {
             }
             "printk" => {
                 self.printk_count += 1;
-                m.meter.charge(120);
+                m.pay(Term::Printk);
                 ret(cpu, 0);
             }
             "memcpy" => {
@@ -576,8 +567,7 @@ impl Dom0Kernel {
                 let src = cpu.arg(m, 1)? as u64;
                 let n = cpu.arg(m, 2)? as u64;
                 if dst != 0 && src != 0 && n > 0 {
-                    let cycles = m.cost.copy_cycles(n);
-                    m.meter.charge(cycles);
+                    m.pay_copy(m.meter.current_domain(), n);
                     m.copy_virt(
                         (self.space, ExecMode::Guest, src),
                         (self.space, ExecMode::Guest, dst),
@@ -591,8 +581,7 @@ impl Dom0Kernel {
                 let val = cpu.arg(m, 1)?;
                 let n = cpu.arg(m, 2)? as u64;
                 if dst != 0 && n > 0 {
-                    let cycles = m.cost.copy_cycles(n);
-                    m.meter.charge(cycles);
+                    m.pay_copy(m.meter.current_domain(), n);
                     // At most a page of the fill byte per call: `n` is
                     // the driver's, so it sizes no buffer.
                     let fill = [val as u8; PAGE_SIZE as usize];
@@ -662,17 +651,17 @@ impl Dom0Kernel {
                 ret(cpu, v);
             }
             "mii_link_ok" | "netif_carrier_ok" | "capable" | "ethtool_op_get_link" => {
-                m.meter.charge(40);
+                m.pay(Term::LinkQuery);
                 ret(cpu, 1);
             }
             "crc32" => {
                 let v = cpu.arg(m, 0)?;
-                m.meter.charge(60);
+                m.pay(Term::Crc32);
                 ret(cpu, v.wrapping_mul(2654435761));
             }
             // The remaining long tail: bookkeeping-only kernel services.
             _ => {
-                m.meter.charge(35);
+                m.pay(Term::SupportDefault);
                 ret(cpu, 0);
             }
         }

@@ -4,15 +4,21 @@
 //! (Fig. 7/8): the dom0 kernel, the guest kernel, the Xen hypervisor, and
 //! the e1000 driver. [`CycleMeter`] reproduces that attribution with an
 //! explicit domain stack: whoever is conceptually running pushes its
-//! [`CostDomain`]; every charge lands in the top-of-stack category.
+//! [`CostDomain`]; every payment lands in the top-of-stack category.
 //!
-//! [`CostParams`] holds all tunable constants. Calibration targets and the
-//! rationale for each value are documented in `EXPERIMENTS.md`; the tests
-//! in the workspace only assert *shape* (orderings, ratios), never exact
-//! constants, so the model stays falsifiable.
+//! The model itself is one closed table, [`Term`]: a row per operation
+//! that costs cycles, carrying its stable name, its cycles and — as the
+//! row's doc comment — the rationale for the value. [`CostParams`] is
+//! that table's value column, read-only outside this crate, and a cycle
+//! is charged by naming its row ([`crate::Machine::pay`]): outside
+//! `twin-machine`, a charge that names no `Term` does not compile. The
+//! tests in the workspace assert *shape* (orderings, ratios); the exact
+//! values are pinned once, in this file's
+//! `the_term_table_is_closed_and_pinned`.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Index;
 
 /// Attribution category for cycle charges (the four bars of Fig. 7/8).
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -54,230 +60,350 @@ impl fmt::Display for CostDomain {
     }
 }
 
-/// Cost constants, in CPU cycles at the modeled 3.0 GHz (the paper's Xeon).
-///
-/// Instruction-class costs are charged by the interpreter; the rest are
-/// charged by the kernel/hypervisor models when they perform the modeled
-/// operation.
-#[derive(Clone, Debug)]
-pub struct CostParams {
+/// Declares a closed table as a field-less enum: one row per variant
+/// with its stable name, plus `ALL`, `COUNT` and `name()`.
+macro_rules! closed_table {
+    ($(#[$meta:meta])* $E:ident { $($(#[$doc:meta])* $V:ident: $name:literal,)* }) => {
+        $(#[$meta])*
+        #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+        pub enum $E {
+            $($(#[$doc])* $V,)*
+        }
+
+        impl $E {
+            /// Number of rows.
+            pub const COUNT: usize = [$($name,)*].len();
+            /// Every row, in table order.
+            pub const ALL: [$E; $E::COUNT] = [$($E::$V,)*];
+
+            /// The row's stable name: what metric keys, exports and
+            /// baselines spell.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($E::$V => $name,)*
+                }
+            }
+        }
+    };
+}
+
+/// The [`Term`] table: `Variant: "name" = cycles`, the rationale as the
+/// row's doc comment.
+macro_rules! terms {
+    ($($(#[$doc:meta])* $V:ident: $name:literal = $cycles:literal,)*) => {
+        closed_table! {
+            /// One row of the cost model: an operation that costs CPU
+            /// cycles at the modeled 3.0 GHz (the paper's Xeon).
+            ///
+            /// Instruction-class rows are paid by the interpreter; the
+            /// rest by the kernel/hypervisor models when they perform the
+            /// modeled operation.
+            Term { $($(#[$doc])* $V: $name,)* }
+        }
+
+        impl Default for CostParams {
+            fn default() -> CostParams {
+                CostParams([$($cycles,)*])
+            }
+        }
+    };
+}
+
+terms! {
     /// Simple ALU op (reg/reg or reg/imm).
-    pub alu: u64,
+    Alu: "alu" = 1,
     /// Register-to-register or immediate move / `lea`.
-    pub mov_reg: u64,
+    MovReg: "mov_reg" = 1,
     /// Memory load (cache-warm average; includes address generation).
-    pub load: u64,
+    Load: "load" = 4,
     /// Memory store.
-    pub store: u64,
+    Store: "store" = 4,
     /// `imul`.
-    pub mul: u64,
+    Mul: "mul" = 4,
     /// Not-taken conditional branch.
-    pub branch_not_taken: u64,
+    BranchNotTaken: "branch_not_taken" = 1,
     /// Taken branch / unconditional jump.
-    pub branch_taken: u64,
+    BranchTaken: "branch_taken" = 2,
     /// `call` (direct or indirect), excluding the stack store.
-    pub call: u64,
+    Call: "call" = 4,
     /// `ret`, excluding the stack load.
-    pub ret: u64,
+    Ret: "ret" = 4,
     /// Per-element cost of string instructions beyond the load/store.
-    pub string_per_elem: u64,
+    StringPerElem: "string_per_elem" = 1,
     /// `cli`/`sti` (virtualised interrupt-flag ops).
-    pub cli_sti: u64,
+    CliSti: "cli_sti" = 8,
     /// MMIO register read (uncached PCI read — expensive, like a real NIC).
-    pub mmio_read: u64,
+    MmioRead: "mmio_read" = 250,
     /// MMIO register write (posted PCI write).
-    pub mmio_write: u64,
+    MmioWrite: "mmio_write" = 100,
     /// Address-space/domain switch, including the TLB and cache refill tax
     /// the paper identifies as the dominant overhead of the hosted model
     /// (§2, citing \[12\]).
-    pub domain_switch: u64,
+    DomainSwitch: "domain_switch" = 2800,
     /// Cold-delivery refill: the extra sTLB/cache warm-up paid when a
     /// frame is delivered by a NIC softirq running on a different
     /// physical CPU than the owning guest's vCPU (or while the guest
     /// sleeps), so none of the guest's receive path is resident. The
-    /// cache-local slice of the same refill tax `domain_switch` models;
-    /// charged only when the scheduler model is enabled.
-    pub cold_delivery_refill: u64,
+    /// cache-local slice of the same refill tax [`Term::DomainSwitch`]
+    /// models; paid only when the scheduler model is enabled.
+    ColdDeliveryRefill: "cold_delivery_refill" = 3400,
     /// Hypercall entry/exit (guest → hypervisor → guest, no space switch).
-    pub hypercall: u64,
+    Hypercall: "hypercall" = 700,
     /// Delivering a virtual interrupt/event to a domain.
-    pub virq_deliver: u64,
+    VirqDeliver: "virq_deliver" = 450,
     /// Grant-table map of one page (baseline Xen I/O channel).
-    pub grant_map: u64,
+    GrantMap: "grant_map" = 1050,
     /// Grant-table unmap of one page.
-    pub grant_unmap: u64,
+    GrantUnmap: "grant_unmap" = 950,
     /// Hit on an already-established grant mapping (zero-copy mode):
     /// validating the cached entry and bumping its recycle index — no
     /// hypercall, no page-table work.
-    pub grant_cache_hit: u64,
+    GrantCacheHit: "grant_cache_hit" = 90,
     /// Pinning one pool page through the IOMMU allowlist at map time
     /// (page-table walk, allowlist insert, flush of the stale IOTLB
     /// entry). Paid once per pool page, never per packet.
-    pub pin_page: u64,
+    PinPage: "pin_page" = 400,
     /// Fixed dispatch overhead of taking the copy fallback in zero-copy
     /// mode (detecting the misaligned/exhausted/not-granted buffer and
     /// routing the frame to the bounce path), on top of the copy itself.
-    pub copy_fallback: u64,
+    CopyFallback: "copy_fallback" = 120,
     /// Software bridge lookup + forwarding decision in dom0.
-    pub bridge_per_packet: u64,
-    /// Fixed cost of a memory copy (function call, setup).
-    pub copy_base: u64,
+    BridgePerPacket: "bridge_per_packet" = 580,
+    /// Fixed cost of a memory copy (function call, setup); paid through
+    /// [`crate::Machine::pay_copy`].
+    CopyBase: "copy_base" = 60,
     /// Per-byte cost of guest-visible packet copies (cache-cold), in
     /// 1/100 cycle units (235 = 2.35 cycles/byte; Fig. 8 discussion:
-    /// 3525 cycles to copy a 1500-byte packet).
-    pub copy_per_byte_x100: u64,
+    /// 3525 cycles to copy a 1500-byte packet). A rate, not a charge:
+    /// paid only through [`crate::Machine::pay_copy`].
+    CopyPerByteX100: "copy_per_byte_x100" = 235,
     /// Per-packet TCP/IP transmit-side stack cost (socket, TCP, IP, queue).
-    pub tcp_tx_per_packet: u64,
+    TcpTxPerPacket: "tcp_tx_per_packet" = 3950,
     /// Per-packet TCP/IP receive-side stack cost (softirq, TCP, socket).
-    pub tcp_rx_per_packet: u64,
+    TcpRxPerPacket: "tcp_rx_per_packet" = 8650,
     /// Additional paravirtualisation tax per packet for a kernel running
     /// on Xen rather than bare metal (pte updates, event checks).
-    pub paravirt_tax_per_packet: u64,
+    ParavirtTaxPerPacket: "paravirt_tax_per_packet" = 1150,
     /// netfront/netback per-packet processing (requests, responses, skb
-    /// juggling) on the baseline Xen guest path — charged on each side.
-    pub netfront_per_packet: u64,
-    /// Upcall stack-switch bookkeeping (beyond domain switches and virq).
-    pub upcall_overhead: u64,
+    /// juggling) on the baseline Xen guest path — paid on each side.
+    NetfrontPerPacket: "netfront_per_packet" = 1750,
+    /// Upcall stack-switch bookkeeping beyond the two domain switches and
+    /// the virq/hypercall pair; the full guest-context upcall then costs
+    /// ~12.7k cycles, matching the first-bar drop of Fig 10.
+    UpcallOverhead: "upcall_overhead" = 5950,
     /// Saving one deferred upcall into the request ring (routine id,
     /// parameters, continuation id — no domain switch).
-    pub upcall_enqueue: u64,
+    UpcallEnqueue: "upcall_enqueue" = 140,
     /// Fixed cost of draining the deferred-upcall ring once: switching to
     /// the upcall stack, walking the ring, posting the batched completion
-    /// event (the two domain switches, virq and hypercall are charged by
+    /// event (the two domain switches, virq and hypercall are paid by
     /// the hypervisor as usual — per *flush*, not per call).
-    pub upcall_flush_overhead: u64,
+    UpcallFlushOverhead: "upcall_flush_overhead" = 1450,
     /// Per-entry dom0 dispatch during a flush (decode the ring entry,
     /// rebuild the call frame), beyond the routine's own cost.
-    pub upcall_dispatch: u64,
+    UpcallDispatch: "upcall_dispatch" = 170,
     /// Posting one completion record (continuation id, return value) back
     /// through the event channel.
-    pub upcall_complete: u64,
+    UpcallComplete: "upcall_complete" = 90,
     /// Interrupt dispatch cost (vector to handler).
-    pub irq_dispatch: u64,
+    IrqDispatch: "irq_dispatch" = 350,
     /// One ITR auto-tune retune: evaluating the `e1000_update_itr`-style
     /// state machine over the window counters plus the posted MMIO write
-    /// that reprograms the throttling register. Charged only when the
+    /// that reprograms the throttling register. Paid only when the
     /// register actually changes (window evaluations that keep the value
     /// are below the model's resolution).
-    pub itr_retune: u64,
+    ItrRetune: "itr_retune" = 220,
     /// One NAPI mode transition (interrupt→poll or poll→interrupt): the
     /// posted `IMC`/`IMS` mask write plus the poll-list bookkeeping the
-    /// real `__napi_schedule`/`napi_complete` pair does. Charged at each
+    /// real `__napi_schedule`/`napi_complete` pair does. Paid at each
     /// switch, never per packet.
-    pub napi_switch: u64,
+    NapiSwitch: "napi_switch" = 180,
     /// Dispatching one budgeted poll pass from softirq context: no
-    /// vector, no `ICR` read — cheaper than [`CostParams::irq_dispatch`]
+    /// vector, no `ICR` read — cheaper than [`Term::IrqDispatch`]
     /// because the device is masked and the softirq was already raised.
-    pub napi_poll_dispatch: u64,
+    NapiPollDispatch: "napi_poll_dispatch" = 260,
     /// Dropping one frame at RX-descriptor refill time because its
     /// destination guest's backlog is over the admission watermark: a
     /// queue-length compare and a counter bump, paid *before* any reap,
     /// demux or copy work — the whole point of early drop.
-    pub early_drop: u64,
-    /// Allocating/freeing an sk_buff in the kernel model.
-    pub skb_alloc: u64,
+    EarlyDrop: "early_drop" = 40,
+    /// Allocating an sk_buff in the kernel model.
+    SkbAlloc: "skb_alloc" = 180,
     /// DMA map/unmap bookkeeping in the kernel model.
-    pub dma_map: u64,
+    DmaMap: "dma_map" = 120,
     /// Spinlock acquire/release pair (uncontended).
-    pub spinlock: u64,
+    Spinlock: "spinlock" = 40,
     /// `eth_type_trans` header inspection.
-    pub eth_type_trans: u64,
+    EthTypeTrans: "eth_type_trans" = 60,
     /// Additional dom0 backend processing per transmitted packet on the
     /// baseline Xen guest path (request consumption, response production,
     /// skb bookkeeping — the paper's "expensive bridging and grant table
     /// operations in the driver domain", §2).
-    pub backend_tx_extra: u64,
+    BackendTxExtra: "backend_tx_extra" = 3600,
     /// Additional dom0 backend processing per received packet on the
     /// baseline path (the RX side is heavier: flipping/copying decisions,
     /// response ring maintenance, fragment bookkeeping).
-    pub backend_rx_extra: u64,
+    BackendRxExtra: "backend_rx_extra" = 7200,
     /// Hypervisor glue per transmitted packet on the TwinDrivers path:
     /// hypercall argument handling, acquiring the dom0 skb, chaining the
     /// guest page fragment (paper §5.3).
-    pub twin_glue_tx: u64,
+    TwinGlueTx: "twin_glue_tx" = 1400,
     /// Hypervisor glue per received packet on the TwinDrivers path:
     /// scheduling the softirq, guest queue management.
-    pub twin_glue_rx: u64,
+    TwinGlueRx: "twin_glue_rx" = 600,
     /// Guest-side paravirtual driver cost per packet (TwinDrivers path).
-    pub pv_driver_guest: u64,
+    PvDriverGuest: "pv_driver_guest" = 250,
     /// Transmit-stack cost for the second and later packets of one burst
     /// handed to the stack together (TSO/GSO-style aggregation: socket
     /// wakeups, queue-discipline entry and route lookups amortise across
     /// the burst; the first packet of a burst still pays
-    /// [`CostParams::tcp_tx_per_packet`]).
-    pub tcp_tx_batch_marginal: u64,
+    /// [`Term::TcpTxPerPacket`]).
+    TcpTxBatchMarginal: "tcp_tx_batch_marginal" = 1900,
     /// Receive-stack cost for the second and later packets of one burst
     /// delivered from a single coalesced interrupt (GRO/NAPI-style
     /// aggregation: softirq entry, per-wakeup scheduling and socket
     /// bookkeeping amortise; the first packet still pays
-    /// [`CostParams::tcp_rx_per_packet`]).
-    pub tcp_rx_batch_marginal: u64,
+    /// [`Term::TcpRxPerPacket`]).
+    TcpRxBatchMarginal: "tcp_rx_batch_marginal" = 4300,
+    /// The out-of-line stlb miss handler itself (paper §4.1), before any
+    /// page it has to map.
+    StlbSlowPath: "stlb_slow_path" = 45,
+    /// One `stlb_call` lookup translating an indirect-call target from
+    /// the VM driver's code to the hypervisor driver's (paper §5.1.2).
+    CallXlat: "call_xlat" = 8,
+    /// The hypervisor's `netif_rx`: demultiplexing on the destination MAC
+    /// and queueing to the guest (paper §5.3).
+    NetifRxDemux: "netif_rx_demux" = 220,
+    /// `printk`: formatting into the log ring.
+    Printk: "printk" = 120,
+    /// A link-state or capability query (`mii_link_ok`,
+    /// `netif_carrier_ok`, `capable`, `ethtool_op_get_link`).
+    LinkQuery: "link_query" = 40,
+    /// `crc32` over a multicast address.
+    Crc32: "crc32" = 60,
+    /// The long tail of bookkeeping-only kernel services with no body of
+    /// their own in the model.
+    SupportDefault: "support_default" = 35,
+    /// Freeing an sk_buff: half an allocation ([`Term::SkbAlloc`]).
+    SkbFree: "skb_free" = 90,
 }
 
-impl Default for CostParams {
-    fn default() -> CostParams {
-        CostParams {
-            alu: 1,
-            mov_reg: 1,
-            load: 4,
-            store: 4,
-            mul: 4,
-            branch_not_taken: 1,
-            branch_taken: 2,
-            call: 4,
-            ret: 4,
-            string_per_elem: 1,
-            cli_sti: 8,
-            mmio_read: 250,
-            mmio_write: 100,
-            domain_switch: 2800,
-            cold_delivery_refill: 3400,
-            hypercall: 700,
-            virq_deliver: 450,
-            grant_map: 1050,
-            grant_unmap: 950,
-            grant_cache_hit: 90,
-            pin_page: 400,
-            copy_fallback: 120,
-            bridge_per_packet: 580,
-            copy_base: 60,
-            copy_per_byte_x100: 235,
-            tcp_tx_per_packet: 3950,
-            tcp_rx_per_packet: 8650,
-            paravirt_tax_per_packet: 1150,
-            netfront_per_packet: 1750,
-            // Upcall stub bookkeeping beyond the two domain switches and
-            // the virq/hypercall pair; the full guest-context upcall then
-            // costs ~12.7k cycles, matching the first-bar drop of Fig 10.
-            upcall_overhead: 5950,
-            upcall_enqueue: 140,
-            upcall_flush_overhead: 1450,
-            upcall_dispatch: 170,
-            upcall_complete: 90,
-            irq_dispatch: 350,
-            itr_retune: 220,
-            napi_switch: 180,
-            napi_poll_dispatch: 260,
-            early_drop: 40,
-            skb_alloc: 180,
-            dma_map: 120,
-            spinlock: 40,
-            eth_type_trans: 60,
-            backend_tx_extra: 3600,
-            backend_rx_extra: 7200,
-            twin_glue_tx: 1400,
-            twin_glue_rx: 600,
-            pv_driver_guest: 250,
-            tcp_tx_batch_marginal: 1900,
-            tcp_rx_batch_marginal: 4300,
-        }
+/// The [`Term`] table's cycle column, indexed by row
+/// (`m.cost[Term::Alu]`). There is one set of values — the table's — and
+/// nothing outside this crate can change it.
+#[derive(Clone, Debug)]
+pub struct CostParams([u64; Term::COUNT]);
+
+impl Index<Term> for CostParams {
+    type Output = u64;
+
+    #[inline]
+    fn index(&self, t: Term) -> &u64 {
+        &self.0[t as usize]
     }
 }
 
 impl CostParams {
-    /// Cycles to copy `bytes` bytes (base + per-byte).
-    pub fn copy_cycles(&self, bytes: u64) -> u64 {
-        self.copy_base + (bytes * self.copy_per_byte_x100) / 100
+    /// Overrides one row, for the tests that show a cost is read when
+    /// the operation runs.
+    #[cfg(test)]
+    pub(crate) fn set(&mut self, t: Term, cycles: u64) {
+        self.0[t as usize] = cycles;
+    }
+}
+
+closed_table! {
+    /// A named occurrence the meter counts
+    /// ([`CycleMeter::count_event`]): how often, never how long.
+    Event {
+        /// A flow followed its guest's vCPU to another NIC.
+        AffinityMigrate: "affinity_migrate",
+        /// A flow was first placed on a NIC by the affinity policy.
+        AffinityPlace: "affinity_place",
+        /// A frame delivered from a softirq CPU other than the guest's vCPU.
+        ColdDelivery: "cold_delivery",
+        /// A zero-copy frame took the copy path.
+        CopyFallback: "copy_fallback",
+        /// A received frame matched no guest MAC.
+        DemuxMiss: "demux_miss",
+        /// A quarantined device was re-probed.
+        DeviceReset: "device_reset",
+        /// An address-space switch.
+        DomainSwitch: "domain_switch",
+        /// A posted `TDT` tail write: one per driver kick.
+        Doorbell: "doorbell",
+        /// The hypervisor aborted the driver on a fault.
+        DriverAbort: "driver_abort",
+        /// A frame dropped at the admission watermark.
+        EarlyDrop: "early_drop",
+        /// A cached grant mapping evicted to make room.
+        GrantCacheEvict: "grant_cache_evict",
+        /// A zero-copy access found its mapping cached.
+        GrantCacheHit: "grant_cache_hit",
+        /// A grant-table map.
+        GrantMap: "grant_map",
+        /// A grant-table unmap.
+        GrantUnmap: "grant_unmap",
+        /// A hypercall entry/exit.
+        Hypercall: "hypercall",
+        /// An in-flight frame lost with its device's rings.
+        InflightLost: "inflight_lost",
+        /// A device interrupt delivered to software.
+        Irq: "irq",
+        /// An arrival latched behind a closed `ITR` window.
+        IrqModerated: "irq_moderated",
+        /// A wedged ring forced delivery despite the window.
+        IrqModerationOverride: "irq_moderation_override",
+        /// The ITR tuner reprogrammed the throttling register.
+        ItrRetune: "itr_retune",
+        /// An MMIO register read.
+        MmioRead: "mmio_read",
+        /// An MMIO register write.
+        MmioWrite: "mmio_write",
+        /// A device switched from interrupt to poll mode.
+        NapiEnter: "napi_enter",
+        /// A device switched from poll back to interrupt mode.
+        NapiExit: "napi_exit",
+        /// One budgeted poll pass over one device.
+        NapiPoll: "napi_poll",
+        /// A pool page pinned through the IOMMU allowlist.
+        PinPage: "pin_page",
+        /// A faulted device was quarantined.
+        QuarantineEnter: "quarantine_enter",
+        /// A recovered device left quarantine.
+        QuarantineExit: "quarantine_exit",
+        /// A frame dropped at a guest's demux queue cap.
+        RxQueueDrop: "rx_queue_drop",
+        /// An indirect-call target translated through `stlb_call`.
+        StlbCallXlat: "stlb_call_xlat",
+        /// An stlb entry evicted by a colliding page.
+        StlbCollision: "stlb_collision",
+        /// An stlb fast-path miss.
+        StlbMiss: "stlb_miss",
+        /// A dom0 page mapped into the SVM window.
+        SvmPageMapped: "svm_page_mapped",
+        /// A synchronous upcall into dom0.
+        Upcall: "upcall",
+        /// A deferred upcall's result awaited through its continuation.
+        UpcallContinuation: "upcall_continuation",
+        /// A queued upcall dropped at fault teardown.
+        UpcallDiscarded: "upcall_discarded",
+        /// An upcall saved into the deferred ring.
+        UpcallEnqueue: "upcall_enqueue",
+        /// A deferred upcall executed in dom0 during a flush.
+        UpcallExec: "upcall_exec",
+        /// One drain of the deferred-upcall ring.
+        UpcallFlush: "upcall_flush",
+        /// A drain forced by a full ring.
+        UpcallForcedFlush: "upcall_forced_flush",
+        /// A queued free/unlock replayed at fault teardown.
+        UpcallReplayed: "upcall_replayed",
+        /// A guest vCPU was scheduled in.
+        VcpuRun: "vcpu_run",
+        /// A guest vCPU was descheduled.
+        VcpuSleep: "vcpu_sleep",
+        /// A virtual interrupt delivered to a domain.
+        Virq: "virq",
     }
 }
 
@@ -312,12 +438,14 @@ impl VirtualClock {
     }
 }
 
-/// Cycle accounting with domain attribution and named event counters.
+/// Cycle accounting with domain attribution and [`Event`] counters.
 ///
 /// The attribution stack starts empty; charges made with no pushed domain
 /// land in [`CostDomain::Dom0`] (a charge must go somewhere — tests push
-/// explicitly).
-#[derive(Clone, Debug, Default)]
+/// explicitly). Cycles arrive through [`crate::Machine::pay`] and its two
+/// siblings only: the raw-number methods below are private to this crate,
+/// their one caller the interpreter's per-crossing flush.
+#[derive(Clone, Debug)]
 pub struct CycleMeter {
     /// Cycles per domain, indexed by `CostDomain as usize`.
     per_domain: [u64; CostDomain::ALL.len()],
@@ -325,9 +453,23 @@ pub struct CycleMeter {
     /// reset: only those appear in a [`CycleMeter::snapshot`].
     charged: [bool; CostDomain::ALL.len()],
     stack: Vec<CostDomain>,
-    events: BTreeMap<&'static str, u64>,
+    /// Occurrences per event, indexed by `Event as usize`.
+    events: [u64; Event::COUNT],
     insns: u64,
     clock: VirtualClock,
+}
+
+impl Default for CycleMeter {
+    fn default() -> CycleMeter {
+        CycleMeter {
+            per_domain: Default::default(),
+            charged: Default::default(),
+            stack: Vec::new(),
+            events: [0; Event::COUNT],
+            insns: 0,
+            clock: VirtualClock::default(),
+        }
+    }
 }
 
 impl CycleMeter {
@@ -358,13 +500,13 @@ impl CycleMeter {
     /// Charges `cycles` to the current domain (and advances the virtual
     /// clock by the same amount — charged work *is* elapsed time).
     #[inline]
-    pub fn charge(&mut self, cycles: u64) {
+    pub(crate) fn charge(&mut self, cycles: u64) {
         self.charge_to(self.current_domain(), cycles);
     }
 
     /// Charges `cycles` to an explicit domain (bypassing the stack).
     #[inline]
-    pub fn charge_to(&mut self, d: CostDomain, cycles: u64) {
+    pub(crate) fn charge_to(&mut self, d: CostDomain, cycles: u64) {
         self.per_domain[d as usize] += cycles;
         self.charged[d as usize] = true;
         self.clock.advance(cycles);
@@ -399,20 +541,21 @@ impl CycleMeter {
         self.insns
     }
 
-    /// Increments a named event counter (e.g. `"domain_switch"`,
-    /// `"stlb_miss"`, `"upcall"`).
-    pub fn count_event(&mut self, name: &'static str) {
-        *self.events.entry(name).or_insert(0) += 1;
+    /// Counts one occurrence of `e`.
+    #[inline]
+    pub fn count_event(&mut self, e: Event) {
+        self.events[e as usize] += 1;
     }
 
-    /// Value of a named event counter.
-    pub fn event(&self, name: &str) -> u64 {
-        self.events.get(name).copied().unwrap_or(0)
+    /// Occurrences of `e` since the last reset.
+    pub fn event(&self, e: Event) -> u64 {
+        self.events[e as usize]
     }
 
-    /// All event counters.
-    pub fn events(&self) -> &BTreeMap<&'static str, u64> {
-        &self.events
+    /// The events counted since the last reset, with their counts.
+    pub fn events(&self) -> impl Iterator<Item = (Event, u64)> {
+        let counted = Event::ALL.into_iter().zip(self.events);
+        counted.filter(|(_, n)| *n > 0)
     }
 
     /// Cycles charged to a domain.
@@ -453,7 +596,7 @@ impl CycleMeter {
     pub fn reset(&mut self) {
         self.per_domain = Default::default();
         self.charged = Default::default();
-        self.events.clear();
+        self.events = [0; Event::COUNT];
         self.insns = 0;
     }
 }
@@ -461,27 +604,113 @@ impl CycleMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Machine;
+
+    #[test]
+    fn the_term_table_is_closed_and_pinned() {
+        const PINNED: [(&str, u64); 58] = [
+            ("alu", 1),
+            ("mov_reg", 1),
+            ("load", 4),
+            ("store", 4),
+            ("mul", 4),
+            ("branch_not_taken", 1),
+            ("branch_taken", 2),
+            ("call", 4),
+            ("ret", 4),
+            ("string_per_elem", 1),
+            ("cli_sti", 8),
+            ("mmio_read", 250),
+            ("mmio_write", 100),
+            ("domain_switch", 2800),
+            ("cold_delivery_refill", 3400),
+            ("hypercall", 700),
+            ("virq_deliver", 450),
+            ("grant_map", 1050),
+            ("grant_unmap", 950),
+            ("grant_cache_hit", 90),
+            ("pin_page", 400),
+            ("copy_fallback", 120),
+            ("bridge_per_packet", 580),
+            ("copy_base", 60),
+            ("copy_per_byte_x100", 235),
+            ("tcp_tx_per_packet", 3950),
+            ("tcp_rx_per_packet", 8650),
+            ("paravirt_tax_per_packet", 1150),
+            ("netfront_per_packet", 1750),
+            ("upcall_overhead", 5950),
+            ("upcall_enqueue", 140),
+            ("upcall_flush_overhead", 1450),
+            ("upcall_dispatch", 170),
+            ("upcall_complete", 90),
+            ("irq_dispatch", 350),
+            ("itr_retune", 220),
+            ("napi_switch", 180),
+            ("napi_poll_dispatch", 260),
+            ("early_drop", 40),
+            ("skb_alloc", 180),
+            ("dma_map", 120),
+            ("spinlock", 40),
+            ("eth_type_trans", 60),
+            ("backend_tx_extra", 3600),
+            ("backend_rx_extra", 7200),
+            ("twin_glue_tx", 1400),
+            ("twin_glue_rx", 600),
+            ("pv_driver_guest", 250),
+            ("tcp_tx_batch_marginal", 1900),
+            ("tcp_rx_batch_marginal", 4300),
+            // The eight that were literals at their charge sites.
+            ("stlb_slow_path", 45),
+            ("call_xlat", 8),
+            ("netif_rx_demux", 220),
+            ("printk", 120),
+            ("link_query", 40),
+            ("crc32", 60),
+            ("support_default", 35),
+            ("skb_free", 90),
+        ];
+        assert_eq!(Term::COUNT, 58);
+        assert_eq!(Term::ALL.len(), Term::COUNT);
+        let cost = CostParams::default();
+        let table = Term::ALL.map(|t| (t.name(), cost[t]));
+        assert_eq!(table, PINNED);
+        for (i, t) in Term::ALL.into_iter().enumerate() {
+            assert_eq!(t as usize, i, "{} is row {i}", t.name());
+            let same_name = Term::ALL.iter().filter(|u| u.name() == t.name()).count();
+            assert_eq!(same_name, 1, "{} names one row", t.name());
+        }
+    }
+
+    #[test]
+    fn the_event_table_is_closed() {
+        assert_eq!(Event::ALL.len(), Event::COUNT);
+        for (i, e) in Event::ALL.into_iter().enumerate() {
+            assert_eq!(e as usize, i);
+            let same_name = Event::ALL.iter().filter(|u| u.name() == e.name()).count();
+            assert_eq!(same_name, 1, "{} names one row", e.name());
+        }
+    }
 
     #[test]
     fn attribution_follows_stack() {
-        let mut m = CycleMeter::new();
-        m.push_domain(CostDomain::DomU);
-        m.charge(10);
-        m.push_domain(CostDomain::Xen);
-        m.charge(5);
-        m.pop_domain();
-        m.charge(1);
-        m.pop_domain();
-        assert_eq!(m.cycles(CostDomain::DomU), 11);
-        assert_eq!(m.cycles(CostDomain::Xen), 5);
-        assert_eq!(m.total_cycles(), 16);
+        let mut m = Machine::new();
+        m.meter.push_domain(CostDomain::DomU);
+        m.pay(Term::Spinlock);
+        m.meter.push_domain(CostDomain::Xen);
+        m.pay(Term::CliSti);
+        m.meter.pop_domain();
+        m.pay(Term::Alu);
+        m.meter.pop_domain();
+        assert_eq!(m.meter.cycles(CostDomain::DomU), 41);
+        assert_eq!(m.meter.cycles(CostDomain::Xen), 8);
+        assert_eq!(m.meter.total_cycles(), 49);
     }
 
     #[test]
     fn default_domain_is_dom0() {
-        let mut m = CycleMeter::new();
-        m.charge(3);
-        assert_eq!(m.cycles(CostDomain::Dom0), 3);
+        let mut m = Machine::new();
+        m.pay(Term::Load);
+        assert_eq!(m.meter.cycles(CostDomain::Dom0), 4);
     }
 
     #[test]
@@ -494,68 +723,73 @@ mod tests {
     #[test]
     fn events_and_reset() {
         let mut m = CycleMeter::new();
-        m.count_event("stlb_miss");
-        m.count_event("stlb_miss");
-        assert_eq!(m.event("stlb_miss"), 2);
-        assert_eq!(m.event("nonexistent"), 0);
+        m.count_event(Event::StlbMiss);
+        m.count_event(Event::StlbMiss);
+        assert_eq!(m.event(Event::StlbMiss), 2);
+        assert_eq!(m.event(Event::StlbCollision), 0);
+        assert_eq!(m.events().collect::<Vec<_>>(), [(Event::StlbMiss, 2)]);
         m.reset();
-        assert_eq!(m.event("stlb_miss"), 0);
+        assert_eq!(m.event(Event::StlbMiss), 0);
+        assert_eq!(m.events().count(), 0);
         assert_eq!(m.total_cycles(), 0);
     }
 
     #[test]
     fn snapshot_delta() {
-        let mut m = CycleMeter::new();
-        m.push_domain(CostDomain::Driver);
-        m.charge(100);
-        let snap = m.snapshot();
-        m.charge(50);
-        let d = m.delta_since(&snap);
-        assert_eq!(d[&CostDomain::Driver], 50);
+        let mut m = Machine::new();
+        m.meter.push_domain(CostDomain::Driver);
+        m.pay(Term::MmioWrite);
+        let snap = m.meter.snapshot();
+        m.pay(Term::Crc32);
+        let d = m.meter.delta_since(&snap);
+        assert_eq!(d[&CostDomain::Driver], 60);
         assert_eq!(d[&CostDomain::Xen], 0);
     }
 
     #[test]
     fn snapshot_lists_exactly_the_domains_charged_since_reset() {
-        let mut m = CycleMeter::new();
-        m.charge_to(CostDomain::Dom0, 9);
-        m.reset();
-        assert!(m.snapshot().is_empty());
-        m.charge_to(CostDomain::Xen, 7);
-        m.push_domain(CostDomain::Driver);
-        m.charge(0); // a zero-cycle charge still marks its domain
-        m.pop_domain();
-        let snap = m.snapshot();
+        let mut m = Machine::new();
+        m.pay_to(CostDomain::Dom0, Term::Ret);
+        m.meter.reset();
+        assert!(m.meter.snapshot().is_empty());
+        m.pay_to(CostDomain::Xen, Term::CliSti);
+        m.cost.set(Term::Alu, 0);
+        m.meter.push_domain(CostDomain::Driver);
+        m.pay(Term::Alu); // a zero-cycle payment still marks its domain
+        m.meter.pop_domain();
+        let snap = m.meter.snapshot();
         assert_eq!(
             snap.into_iter().collect::<Vec<_>>(),
-            vec![(CostDomain::Xen, 7), (CostDomain::Driver, 0)]
+            vec![(CostDomain::Xen, 8), (CostDomain::Driver, 0)]
         );
     }
 
     #[test]
     fn virtual_clock_tracks_all_charges_and_survives_reset() {
-        let mut m = CycleMeter::new();
-        assert_eq!(m.now(), 0);
-        m.push_domain(CostDomain::Driver);
-        m.charge(100);
-        m.pop_domain();
-        m.charge_to(CostDomain::Xen, 40);
-        assert_eq!(m.now(), 140, "every charge advances the clock");
-        m.advance_idle(1000);
-        assert_eq!(m.now(), 1140);
-        assert_eq!(m.total_cycles(), 140, "idle time charges nothing");
-        m.reset();
-        assert_eq!(m.total_cycles(), 0);
-        assert_eq!(m.now(), 1140, "the clock is monotonic across resets");
-        m.charge(5);
-        assert_eq!(m.now(), 1145);
+        let mut m = Machine::new();
+        assert_eq!(m.meter.now(), 0);
+        m.meter.push_domain(CostDomain::Driver);
+        m.pay(Term::MmioWrite);
+        m.meter.pop_domain();
+        m.pay_to(CostDomain::Xen, Term::Spinlock);
+        assert_eq!(m.meter.now(), 140, "every payment advances the clock");
+        m.meter.advance_idle(1000);
+        assert_eq!(m.meter.now(), 1140);
+        assert_eq!(m.meter.total_cycles(), 140, "idle time charges nothing");
+        m.meter.reset();
+        assert_eq!(m.meter.total_cycles(), 0);
+        assert_eq!(m.meter.now(), 1140, "the clock is monotonic across resets");
+        m.pay(Term::MovReg);
+        assert_eq!(m.meter.now(), 1141);
     }
 
     #[test]
     fn copy_cycles_matches_paper_scale() {
-        let c = CostParams::default();
         // Paper: ~3525 cycles to copy a 1500-byte packet (Fig. 8 text).
-        let cycles = c.copy_cycles(1500);
+        let mut m = Machine::new();
+        m.pay_copy(CostDomain::Xen, 1500);
+        let cycles = m.meter.cycles(CostDomain::Xen);
+        assert_eq!(cycles, 60 + 1500 * 235 / 100);
         assert!((3000..4200).contains(&cycles), "copy of 1500B = {cycles}");
     }
 }

@@ -34,7 +34,8 @@ impl fmt::Display for LinkError {
 impl Error for LinkError {}
 
 /// A fully linked code image: instructions with all symbols resolved to
-/// absolute addresses, placed at `base`.
+/// absolute addresses and lowered to what the interpreter executes,
+/// placed at `base`.
 ///
 /// Instruction `i` occupies addresses `[base + i*INSN_SIZE, base +
 /// (i+1)*INSN_SIZE)`. Exports map global label names to their absolute
@@ -45,12 +46,9 @@ pub struct CodeImage {
     pub name: String,
     /// Base code address.
     pub base: u64,
-    /// Resolved instruction stream: the linked listing, for diagnostics
-    /// and tests. The interpreter executes `ops`.
-    pub insns: Vec<Insn>,
     /// Exported label name → absolute address.
     pub exports: BTreeMap<String, u64>,
-    /// `insns`, lowered one for one by [`link`].
+    /// The module's text, linked and lowered one for one by [`link`].
     ops: Vec<Op>,
 }
 
@@ -169,21 +167,17 @@ pub(crate) enum Op {
 impl CodeImage {
     /// Whether `pc` falls inside this image.
     pub fn contains(&self, pc: u64) -> bool {
-        pc >= self.base && pc < self.base + self.insns.len() as u64 * INSN_SIZE
+        pc >= self.base && pc < self.end()
     }
 
-    /// The instruction at code address `pc`.
-    ///
-    /// Returns `None` if `pc` is outside the image or unaligned.
-    pub fn fetch(&self, pc: u64) -> Option<&Insn> {
-        if !self.contains(pc) || (pc - self.base) % INSN_SIZE != 0 {
-            return None;
-        }
-        self.insns.get(((pc - self.base) / INSN_SIZE) as usize)
+    /// Number of instructions.
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> usize {
+        self.ops.len()
     }
 
-    /// The lowered instruction at code address `pc`; `None` exactly when
-    /// [`CodeImage::fetch`] is.
+    /// The instruction at code address `pc`; `None` if `pc` is outside
+    /// the image or unaligned.
     #[inline]
     pub(crate) fn op_at(&self, pc: u64) -> Option<&Op> {
         let offset = pc.wrapping_sub(self.base);
@@ -200,7 +194,7 @@ impl CodeImage {
 
     /// End address (exclusive).
     pub fn end(&self) -> u64 {
-        self.base + self.insns.len() as u64 * INSN_SIZE
+        self.base + self.ops.len() as u64 * INSN_SIZE
     }
 }
 
@@ -230,13 +224,11 @@ where
             })
     };
 
-    let mut insns = Vec::with_capacity(module.text.len());
-    let mut ops = Vec::with_capacity(module.text.len());
-    for insn in &module.text {
-        let linked = resolve_insn(insn, &mut lookup)?;
-        ops.push(lower(&linked));
-        insns.push(linked);
-    }
+    let ops = module
+        .text
+        .iter()
+        .map(|insn| lower(insn, &mut lookup))
+        .collect::<Result<_, _>>()?;
 
     let mut exports = BTreeMap::new();
     for (name, idx) in &module.labels {
@@ -246,112 +238,114 @@ where
     Ok(CodeImage {
         name: module.name.clone(),
         base: code_base,
-        insns,
         exports,
         ops,
     })
 }
 
-// Lowering is total over what `resolve_insn` returns: it has replaced
-// every symbol by an address or failed the link, so a symbol here is a
-// bug in this file, not in the module.
+/// What `lower` resolves a symbol through: the module's labels first,
+/// then the caller's resolver.
+type Lookup<'a> = dyn FnMut(&str) -> Result<u64, LinkError> + 'a;
 
-fn lower_mem(m: &MemRef) -> Mem {
-    if let Some(sym) = &m.sym {
-        unreachable!("memory reference to `{sym}` survived linking");
-    }
-    Mem {
+fn lower_mem(m: &MemRef, lookup: &mut Lookup) -> Result<Mem, LinkError> {
+    let disp = match &m.sym {
+        Some(sym) => m.disp.wrapping_add(lookup(sym)? as i64),
+        None => m.disp,
+    };
+    Ok(Mem {
         base: m.base,
         index: m.index.map(|(r, _)| r),
         scale: m.index.map_or(0, |(_, s)| s),
-        disp: m.disp as u32,
-    }
+        disp: disp as u32,
+    })
 }
 
-fn lower_operand(o: &Operand) -> Opnd {
-    match o {
+fn lower_operand(o: &Operand, lookup: &mut Lookup) -> Result<Opnd, LinkError> {
+    Ok(match o {
         Operand::Reg(r) => Opnd::Reg(*r),
         Operand::Imm(v) => Opnd::Imm(*v as u32),
-        Operand::Sym(sym, _) => unreachable!("symbol operand `{sym}` survived linking"),
-        Operand::Mem(m) => Opnd::Mem(lower_mem(m)),
-    }
+        Operand::Sym(name, off) => Opnd::Imm((lookup(name)? as i64 + off) as u32),
+        Operand::Mem(m) => Opnd::Mem(lower_mem(m, lookup)?),
+    })
 }
 
-fn lower_target(t: &Target) -> Tgt {
-    match t {
+fn lower_target(t: &Target, lookup: &mut Lookup) -> Result<Tgt, LinkError> {
+    Ok(match t {
         Target::Abs(a) => Tgt::Abs(*a),
-        Target::Label(l) => unreachable!("label target `{l}` survived linking"),
+        Target::Label(name) => Tgt::Abs(lookup(name)?),
         Target::Reg(r) => Tgt::Reg(*r),
-        Target::Mem(m) => Tgt::Mem(lower_mem(m)),
-    }
+        Target::Mem(m) => Tgt::Mem(lower_mem(m, lookup)?),
+    })
 }
 
-fn lower(insn: &Insn) -> Op {
-    match insn {
+/// Links and lowers one instruction: every symbol becomes an address or
+/// the link fails.
+fn lower(insn: &Insn, lookup: &mut Lookup) -> Result<Op, LinkError> {
+    Ok(match insn {
         Insn::Mov { w, dst, src } => Op::Mov {
             w: *w,
-            dst: lower_operand(dst),
-            src: lower_operand(src),
+            dst: lower_operand(dst, lookup)?,
+            src: lower_operand(src, lookup)?,
         },
         Insn::Movzx { w, dst, src } => Op::Movzx {
             w: *w,
             dst: *dst,
-            src: lower_operand(src),
+            src: lower_operand(src, lookup)?,
         },
         Insn::Movsx { w, dst, src } => Op::Movsx {
             w: *w,
             dst: *dst,
-            src: lower_operand(src),
+            src: lower_operand(src, lookup)?,
         },
         Insn::Lea { dst, mem } => Op::Lea {
             dst: *dst,
-            mem: lower_mem(mem),
+            mem: lower_mem(mem, lookup)?,
         },
         Insn::Alu { op, w, dst, src } => Op::Alu {
             op: *op,
             w: *w,
-            dst: lower_operand(dst),
-            src: lower_operand(src),
+            dst: lower_operand(dst, lookup)?,
+            src: lower_operand(src, lookup)?,
         },
         Insn::Shift { op, dst, amount } => Op::Shift {
             op: *op,
-            dst: lower_operand(dst),
-            amount: lower_operand(amount),
+            dst: lower_operand(dst, lookup)?,
+            amount: lower_operand(amount, lookup)?,
         },
         Insn::Cmp { w, src, dst } => Op::Cmp {
             w: *w,
-            src: lower_operand(src),
-            dst: lower_operand(dst),
+            src: lower_operand(src, lookup)?,
+            dst: lower_operand(dst, lookup)?,
         },
         Insn::Test { w, src, dst } => Op::Test {
             w: *w,
-            src: lower_operand(src),
-            dst: lower_operand(dst),
+            src: lower_operand(src, lookup)?,
+            dst: lower_operand(dst, lookup)?,
         },
         Insn::Un { op, w, dst } => Op::Un {
             op: *op,
             w: *w,
-            dst: lower_operand(dst),
+            dst: lower_operand(dst, lookup)?,
         },
         Insn::Imul { dst, src } => Op::Imul {
             dst: *dst,
-            src: lower_operand(src),
+            src: lower_operand(src, lookup)?,
         },
         Insn::Push { src } => Op::Push {
-            src: lower_operand(src),
+            src: lower_operand(src, lookup)?,
         },
         Insn::Pop { dst } => Op::Pop {
-            dst: lower_operand(dst),
+            dst: lower_operand(dst, lookup)?,
         },
         Insn::Jmp { target } => Op::Jmp {
-            target: lower_target(target),
+            target: lower_target(target, lookup)?,
         },
         Insn::Jcc { cond, target } => Op::Jcc {
             cond: *cond,
-            target: lower_target(target),
+            target: lower_target(target, lookup)?,
         },
         Insn::Call { target } => Op::Call {
-            target: lower_target(target),
+            target: lower_target(target, lookup)?,
         },
         Insn::Ret => Op::Ret,
         Insn::Str { op, w, rep } => Op::Str {
@@ -365,114 +359,6 @@ fn lower(insn: &Insn) -> Op {
         Insn::Hlt => Op::Hlt,
         Insn::Int3 => Op::Int3,
         Insn::Ud2 => Op::Ud2,
-    }
-}
-
-fn resolve_mem<F>(m: &MemRef, lookup: &mut F) -> Result<MemRef, LinkError>
-where
-    F: FnMut(&str) -> Result<u64, LinkError>,
-{
-    let mut out = m.clone();
-    if let Some(sym) = out.sym.take() {
-        let addr = lookup(&sym)?;
-        out.disp = out.disp.wrapping_add(addr as i64);
-    }
-    Ok(out)
-}
-
-fn resolve_operand<F>(o: &Operand, lookup: &mut F) -> Result<Operand, LinkError>
-where
-    F: FnMut(&str) -> Result<u64, LinkError>,
-{
-    Ok(match o {
-        Operand::Sym(name, off) => Operand::Imm(lookup(name)? as i64 + off),
-        Operand::Mem(m) => Operand::Mem(resolve_mem(m, lookup)?),
-        other => other.clone(),
-    })
-}
-
-fn resolve_target<F>(t: &Target, lookup: &mut F) -> Result<Target, LinkError>
-where
-    F: FnMut(&str) -> Result<u64, LinkError>,
-{
-    Ok(match t {
-        Target::Label(name) => Target::Abs(lookup(name)?),
-        Target::Mem(m) => Target::Mem(resolve_mem(m, lookup)?),
-        other => other.clone(),
-    })
-}
-
-fn resolve_insn<F>(insn: &Insn, lookup: &mut F) -> Result<Insn, LinkError>
-where
-    F: FnMut(&str) -> Result<u64, LinkError>,
-{
-    Ok(match insn {
-        Insn::Mov { w, dst, src } => Insn::Mov {
-            w: *w,
-            dst: resolve_operand(dst, lookup)?,
-            src: resolve_operand(src, lookup)?,
-        },
-        Insn::Movzx { w, dst, src } => Insn::Movzx {
-            w: *w,
-            dst: *dst,
-            src: resolve_operand(src, lookup)?,
-        },
-        Insn::Movsx { w, dst, src } => Insn::Movsx {
-            w: *w,
-            dst: *dst,
-            src: resolve_operand(src, lookup)?,
-        },
-        Insn::Lea { dst, mem } => Insn::Lea {
-            dst: *dst,
-            mem: resolve_mem(mem, lookup)?,
-        },
-        Insn::Alu { op, w, dst, src } => Insn::Alu {
-            op: *op,
-            w: *w,
-            dst: resolve_operand(dst, lookup)?,
-            src: resolve_operand(src, lookup)?,
-        },
-        Insn::Shift { op, dst, amount } => Insn::Shift {
-            op: *op,
-            dst: resolve_operand(dst, lookup)?,
-            amount: resolve_operand(amount, lookup)?,
-        },
-        Insn::Cmp { w, src, dst } => Insn::Cmp {
-            w: *w,
-            src: resolve_operand(src, lookup)?,
-            dst: resolve_operand(dst, lookup)?,
-        },
-        Insn::Test { w, src, dst } => Insn::Test {
-            w: *w,
-            src: resolve_operand(src, lookup)?,
-            dst: resolve_operand(dst, lookup)?,
-        },
-        Insn::Un { op, w, dst } => Insn::Un {
-            op: *op,
-            w: *w,
-            dst: resolve_operand(dst, lookup)?,
-        },
-        Insn::Imul { dst, src } => Insn::Imul {
-            dst: *dst,
-            src: resolve_operand(src, lookup)?,
-        },
-        Insn::Push { src } => Insn::Push {
-            src: resolve_operand(src, lookup)?,
-        },
-        Insn::Pop { dst } => Insn::Pop {
-            dst: resolve_operand(dst, lookup)?,
-        },
-        Insn::Jmp { target } => Insn::Jmp {
-            target: resolve_target(target, lookup)?,
-        },
-        Insn::Jcc { cond, target } => Insn::Jcc {
-            cond: *cond,
-            target: resolve_target(target, lookup)?,
-        },
-        Insn::Call { target } => Insn::Call {
-            target: resolve_target(target, lookup)?,
-        },
-        other => other.clone(),
     })
 }
 
@@ -501,19 +387,16 @@ mod tests {
         assert_eq!(img.export("f"), Some(0x1000));
         assert_eq!(img.export("g"), Some(0x1000 + 3 * INSN_SIZE));
         // movl counter -> absolute disp
-        match &img.insns[0] {
-            Insn::Mov {
-                src: Operand::Mem(mem),
+        match &img.ops[0] {
+            Op::Mov {
+                src: Opnd::Mem(mem),
                 ..
-            } => {
-                assert_eq!(mem.disp, 0x2000_0000);
-                assert!(mem.sym.is_none());
-            }
+            } => assert_eq!((mem.base, mem.index, mem.disp), (None, None, 0x2000_0000)),
             other => panic!("unexpected {other:?}"),
         }
-        match &img.insns[1] {
-            Insn::Call {
-                target: Target::Abs(a),
+        match &img.ops[1] {
+            Op::Call {
+                target: Tgt::Abs(a),
             } => assert_eq!(*a, 0x1000 + 3 * INSN_SIZE),
             other => panic!("unexpected {other:?}"),
         }
@@ -534,14 +417,15 @@ mod tests {
         assert!(img.contains(0x100));
         assert!(img.contains(0x100 + 2 * INSN_SIZE));
         assert!(!img.contains(0x100 + 3 * INSN_SIZE));
-        assert!(img.fetch(0x100 + 1).is_none(), "unaligned fetch");
-        assert!(matches!(img.fetch(0x100 + 2 * INSN_SIZE), Some(Insn::Ret)));
-        assert_eq!(img.end(), 0x100 + 3 * INSN_SIZE);
-        // The lowered stream answers for exactly the same addresses.
-        for pc in 0xf8..0x100 + 4 * INSN_SIZE {
-            assert_eq!(img.op_at(pc).is_some(), img.fetch(pc).is_some(), "{pc:#x}");
-        }
+        assert!(img.op_at(0x100 + 1).is_none(), "unaligned fetch");
         assert!(matches!(img.op_at(0x100 + 2 * INSN_SIZE), Some(Op::Ret)));
+        assert_eq!((img.len(), img.end()), (3, 0x100 + 3 * INSN_SIZE));
+        // An address has an instruction exactly when it is inside the
+        // image and aligned.
+        for pc in 0xf8..0x100 + 4 * INSN_SIZE {
+            let aligned_inside = img.contains(pc) && (pc - 0x100) % INSN_SIZE == 0;
+            assert_eq!(img.op_at(pc).is_some(), aligned_inside, "{pc:#x}");
+        }
     }
 
     #[test]
@@ -552,7 +436,7 @@ mod tests {
         )
         .unwrap();
         let img = link(&m, 0x1000, |s| (s == "table").then_some(0x2000_0000)).unwrap();
-        assert_eq!(img.ops.len(), img.insns.len());
+        assert_eq!(img.len(), m.text.len());
         assert!(std::mem::size_of::<Op>() <= 32, "an op is a few words");
         match img.ops[..] {
             [Op::Mov {

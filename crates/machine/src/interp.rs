@@ -14,7 +14,7 @@
 
 use crate::image::{Mem, Op, Opnd, Tgt};
 use crate::space::{PageKind, SpaceId};
-use crate::{Machine, EXTERN_BASE, PAGE_SIZE, RETURN_SENTINEL};
+use crate::{Event, Machine, Term, EXTERN_BASE, PAGE_SIZE, RETURN_SENTINEL};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -379,8 +379,8 @@ struct Exec<'a> {
 
 impl Exec<'_> {
     #[inline]
-    fn charge(&mut self, cycles: u64) {
-        self.cycles += cycles;
+    fn pay(&mut self, t: Term) {
+        self.cycles += self.m.cost[t];
         self.charged = true;
     }
 
@@ -408,7 +408,7 @@ impl Exec<'_> {
     #[inline]
     fn load(&mut self, addr: u64, w: Width) -> Result<u32, Fault> {
         if let Some(paddr) = self.m.cached_paddr(self.cpu, addr, w, false) {
-            self.charge(self.m.cost.load);
+            self.pay(Term::Load);
             return Ok(self.m.phys.read_width(paddr, w));
         }
         self.load_walk(addr, w)
@@ -420,13 +420,13 @@ impl Exec<'_> {
         let t = self.m.translate(space, mode, addr, false)?;
         match t.entry.kind {
             PageKind::Ram => {
-                self.charge(self.m.cost.load);
+                self.pay(Term::Load);
                 self.m.tlb.fill(addr, &t.entry);
                 self.m.read_translated(space, mode, addr, w, &t)
             }
             PageKind::Mmio(dev) => {
-                self.charge(self.m.cost.mmio_read);
-                self.m.meter.count_event("mmio_read");
+                self.pay(Term::MmioRead);
+                self.m.meter.count_event(Event::MmioRead);
                 self.flush();
                 let offset = t.entry.pfn * PAGE_SIZE + t.offset;
                 let val = self.env.mmio_read(self.m, dev, offset, w);
@@ -440,7 +440,7 @@ impl Exec<'_> {
     #[inline]
     fn store(&mut self, addr: u64, w: Width, val: u32) -> Result<(), Fault> {
         if let Some(paddr) = self.m.cached_paddr(self.cpu, addr, w, true) {
-            self.charge(self.m.cost.store);
+            self.pay(Term::Store);
             self.m.phys.write_width(paddr, w, val);
             return Ok(());
         }
@@ -453,13 +453,13 @@ impl Exec<'_> {
         let t = self.m.translate(space, mode, addr, true)?;
         match t.entry.kind {
             PageKind::Ram => {
-                self.charge(self.m.cost.store);
+                self.pay(Term::Store);
                 self.m.tlb.fill(addr, &t.entry);
                 self.m.write_translated(space, mode, addr, w, val, &t)
             }
             PageKind::Mmio(dev) => {
-                self.charge(self.m.cost.mmio_write);
-                self.m.meter.count_event("mmio_write");
+                self.pay(Term::MmioWrite);
+                self.m.meter.count_event(Event::MmioWrite);
                 self.flush();
                 let offset = t.entry.pfn * PAGE_SIZE + t.offset;
                 let done = self.env.mmio_write(self.m, dev, offset, w, val);
@@ -597,13 +597,13 @@ impl Exec<'_> {
         match op {
             Op::Mov { w, dst, src } => {
                 let v = self.read(src, *w)?;
-                self.charge(self.m.cost.mov_reg);
+                self.pay(Term::MovReg);
                 self.write(dst, *w, v)?;
                 self.cpu.pc = next_pc;
             }
             Op::Movzx { w, dst, src } => {
                 let v = self.read(src, *w)?;
-                self.charge(self.m.cost.mov_reg);
+                self.pay(Term::MovReg);
                 self.cpu.set_reg(*dst, v);
                 self.cpu.pc = next_pc;
             }
@@ -611,13 +611,13 @@ impl Exec<'_> {
                 let v = self.read(src, *w)?;
                 let bits = w.bytes() * 8;
                 let sext = ((v as i32) << (32 - bits)) >> (32 - bits);
-                self.charge(self.m.cost.mov_reg);
+                self.pay(Term::MovReg);
                 self.cpu.set_reg(*dst, sext as u32);
                 self.cpu.pc = next_pc;
             }
             Op::Lea { dst, mem } => {
                 let a = self.ea(mem);
-                self.charge(self.m.cost.mov_reg);
+                self.pay(Term::MovReg);
                 self.cpu.set_reg(*dst, a as u32);
                 self.cpu.pc = next_pc;
             }
@@ -625,7 +625,7 @@ impl Exec<'_> {
                 let b = self.read(src, *w)?;
                 let a = self.read(dst, *w)?;
                 let r = alu(&mut self.cpu.flags, *op, a, b, *w);
-                self.charge(self.m.cost.alu);
+                self.pay(Term::Alu);
                 self.write(dst, *w, r)?;
                 self.cpu.pc = next_pc;
             }
@@ -649,7 +649,7 @@ impl Exec<'_> {
                 };
                 flags.of = false;
                 set_zs(flags, r, Width::Long);
-                self.charge(self.m.cost.alu);
+                self.pay(Term::Alu);
                 self.write(dst, Width::Long, r)?;
                 self.cpu.pc = next_pc;
             }
@@ -657,14 +657,14 @@ impl Exec<'_> {
                 let b = self.read(src, *w)?;
                 let a = self.read(dst, *w)?;
                 alu(&mut self.cpu.flags, AluOp::Sub, a, b, *w);
-                self.charge(self.m.cost.alu);
+                self.pay(Term::Alu);
                 self.cpu.pc = next_pc;
             }
             Op::Test { w, src, dst } => {
                 let b = self.read(src, *w)?;
                 let a = self.read(dst, *w)?;
                 alu(&mut self.cpu.flags, AluOp::And, a, b, *w);
-                self.charge(self.m.cost.alu);
+                self.pay(Term::Alu);
                 self.cpu.pc = next_pc;
             }
             Op::Un { op, w, dst } => {
@@ -693,7 +693,7 @@ impl Exec<'_> {
                 if matches!(op, UnOp::Neg | UnOp::Not) {
                     set_zs(flags, r, *w);
                 }
-                self.charge(self.m.cost.alu);
+                self.pay(Term::Alu);
                 self.write(dst, *w, r)?;
                 self.cpu.pc = next_pc;
             }
@@ -701,45 +701,45 @@ impl Exec<'_> {
                 let b = self.read(src, Width::Long)?;
                 let r = self.cpu.reg(*dst).wrapping_mul(b);
                 set_zs(&mut self.cpu.flags, r, Width::Long);
-                self.charge(self.m.cost.mul);
+                self.pay(Term::Mul);
                 self.cpu.set_reg(*dst, r);
                 self.cpu.pc = next_pc;
             }
             Op::Push { src } => {
                 let v = self.read(src, Width::Long)?;
-                self.charge(self.m.cost.store);
+                self.pay(Term::Store);
                 self.push(v)?;
                 self.cpu.pc = next_pc;
             }
             Op::Pop { dst } => {
-                self.charge(self.m.cost.load);
+                self.pay(Term::Load);
                 let v = self.pop()?;
                 self.write(dst, Width::Long, v)?;
                 self.cpu.pc = next_pc;
             }
             Op::Jmp { target } => {
                 let a = self.target(target)?;
-                self.charge(self.m.cost.branch_taken);
+                self.pay(Term::BranchTaken);
                 self.cpu.pc = a;
             }
             Op::Jcc { cond, target } => {
                 if cond_true(&self.cpu.flags, *cond) {
                     let a = self.target(target)?;
-                    self.charge(self.m.cost.branch_taken);
+                    self.pay(Term::BranchTaken);
                     self.cpu.pc = a;
                 } else {
-                    self.charge(self.m.cost.branch_not_taken);
+                    self.pay(Term::BranchNotTaken);
                     self.cpu.pc = next_pc;
                 }
             }
             Op::Call { target } => {
                 let a = self.target(target)?;
-                self.charge(self.m.cost.call);
+                self.pay(Term::Call);
                 self.push(next_pc as u32)?;
                 self.cpu.pc = a;
             }
             Op::Ret => {
-                self.charge(self.m.cost.ret);
+                self.pay(Term::Ret);
                 self.cpu.pc = self.pop()? as u64;
             }
             Op::Str { op, w, rep } => {
@@ -748,11 +748,11 @@ impl Exec<'_> {
             }
             Op::Cli | Op::Sti => {
                 self.cpu.if_enabled = matches!(op, Op::Sti);
-                self.charge(self.m.cost.cli_sti);
+                self.pay(Term::CliSti);
                 self.cpu.pc = next_pc;
             }
             Op::Nop => {
-                self.charge(self.m.cost.alu);
+                self.pay(Term::Alu);
                 self.cpu.pc = next_pc;
             }
             Op::Hlt => {
@@ -772,7 +772,7 @@ impl Exec<'_> {
             _ => self.cpu.reg(Reg::Ecx),
         };
         while count > 0 {
-            self.charge(self.m.cost.string_per_elem);
+            self.pay(Term::StringPerElem);
             let (esi, edi) = (self.cpu.reg(Reg::Esi), self.cpu.reg(Reg::Edi));
             let mut equal = true;
             match op {
@@ -1322,7 +1322,7 @@ mod tests {
 
     // ---- what batching the meter and lowering the ops must not change ----
 
-    use crate::{CostDomain, CostParams, PageEntry, HYPER_BASE};
+    use crate::{CostDomain, CostParams, PageEntry, Term, HYPER_BASE};
 
     /// An environment whose extern calls run `hook`, and whose one device
     /// reads as 7 and records, at every callback, what the caller could
@@ -1342,7 +1342,7 @@ mod tests {
         }
 
         fn look(&mut self, m: &Machine) {
-            let events = m.meter.event("mmio_read") + m.meter.event("mmio_write");
+            let events = m.meter.event(Event::MmioRead) + m.meter.event(Event::MmioWrite);
             let domain = m.meter.current_domain();
             self.seen.push((
                 m.now_cycles(),
@@ -1460,11 +1460,11 @@ mod tests {
         let mut cpu = Cpu::new(space, ExecMode::Guest);
         start(&mut m, &mut cpu, f, &[DEVICE as u32]);
 
-        // The extern charges 100 cycles to another domain: what ran
+        // The extern pays 100 cycles to another domain: what ran
         // before it must already be on the driver's account.
         let mut spy = Spy::new(|m: &mut Machine, _: &mut Cpu| {
             m.meter.push_domain(CostDomain::Xen);
-            m.meter.charge(100);
+            m.pay(Term::MmioWrite);
             m.meter.pop_domain();
         });
         m.meter.push_domain(CostDomain::Driver);
@@ -1473,9 +1473,10 @@ mod tests {
             Ok(StopReason::Returned)
         );
         let c = CostParams::default();
-        let at_extern = c.mov_reg + c.store + c.call;
-        let at_read = at_extern + c.alu + (c.load + c.mov_reg) + c.mmio_read;
-        let at_write = at_read + c.mov_reg + c.mov_reg + c.mmio_write;
+        let at_extern = c[Term::MovReg] + c[Term::Store] + c[Term::Call];
+        let at_read =
+            at_extern + c[Term::Alu] + (c[Term::Load] + c[Term::MovReg]) + c[Term::MmioRead];
+        let at_write = at_read + c[Term::MovReg] + c[Term::MovReg] + c[Term::MmioWrite];
         assert_eq!((at_extern, at_read, at_write), (9, 265, 367));
         assert_eq!(
             spy.seen,
@@ -1485,9 +1486,9 @@ mod tests {
                 (at_write + 100, 7, at_write, 2),
             ]
         );
-        assert_eq!(m.meter.cycles(CostDomain::Driver), at_write + c.ret);
+        assert_eq!(m.meter.cycles(CostDomain::Driver), at_write + c[Term::Ret]);
         assert_eq!(m.meter.cycles(CostDomain::Xen), 100);
-        assert_eq!(m.now_cycles(), at_write + c.ret + 100);
+        assert_eq!(m.now_cycles(), at_write + c[Term::Ret] + 100);
         assert_eq!(m.meter.insns(), 8);
         assert_eq!(cpu.reg(Reg::Edx), 7);
     }
@@ -1524,7 +1525,7 @@ mod tests {
 
         // A charge of nothing is still a charge.
         let (mut m, mut cpu, f) = setup(".text\n.globl f\nf:\n nop\n hlt\n");
-        m.cost.alu = 0;
+        m.cost.set(Term::Alu, 0);
         m.meter.push_domain(CostDomain::Driver);
         start(&mut m, &mut cpu, f, &[]);
         run(&mut m, &mut cpu, &mut NullEnv, 100).unwrap();
@@ -1568,7 +1569,7 @@ mod tests {
         start(&mut m, &mut cpu, f, &[]);
         run(&mut m, &mut cpu, &mut NullEnv, 100).unwrap();
         assert_eq!(m.meter.total_cycles(), 1 + 4);
-        m.cost.alu = 7;
+        m.cost.set(Term::Alu, 7);
         start(&mut m, &mut cpu, f, &[]);
         run(&mut m, &mut cpu, &mut NullEnv, 100).unwrap();
         assert_eq!(m.meter.total_cycles(), (1 + 4) + (7 + 4));
@@ -1753,8 +1754,8 @@ mod tests {
             Ok(StopReason::Returned)
         );
         assert_eq!(spy.seen.len(), 6);
-        assert_eq!(m.meter.event("mmio_read"), 3);
-        assert_eq!(m.meter.event("mmio_write"), 3);
+        assert_eq!(m.meter.event(Event::MmioRead), 3);
+        assert_eq!(m.meter.event(Event::MmioWrite), 3);
         assert_eq!(m.read_u32(cpu.space, cpu.mode, DATA).unwrap(), 7);
 
         // A stack on a device page is a raw access, refused every time.

@@ -10,8 +10,8 @@
 //! Figures 7/8). [`CycleMeter`] implements exactly that attribution: an
 //! explicit stack of [`CostDomain`]s, charged by the interpreter for every
 //! instruction and by the hypervisor/kernel models for every modeled
-//! operation (domain switch, hypercall, grant op, copy, …) with constants
-//! from [`CostParams`].
+//! operation (domain switch, hypercall, grant op, copy, …) — each a row
+//! of the [`Term`] table, paid by name through [`Machine::pay`].
 //!
 //! Driver code runs *for real*: the interpreter in [`interp`] steps the ISA
 //! instruction by instruction, so the 2–3× slowdown of the SVM-rewritten
@@ -49,7 +49,7 @@ pub mod mem;
 mod oracle;
 pub mod space;
 
-pub use cost::{CostDomain, CostParams, CycleMeter, VirtualClock};
+pub use cost::{CostDomain, CostParams, CycleMeter, Event, Term, VirtualClock};
 pub use image::{CodeImage, ImageId, LinkError};
 pub use interp::{run, Cpu, Env, ExecMode, Fault, NullEnv, StopReason};
 pub use mem::{PhysMem, PAGE_SIZE};
@@ -83,7 +83,7 @@ pub struct Machine {
     pub hyper: PageTable,
     /// Cycle accounting.
     pub meter: CycleMeter,
-    /// Cost constants.
+    /// The [`Term`] table's cycles.
     pub cost: CostParams,
     /// Flight recorder (disabled by default). Recording is pure
     /// bookkeeping outside the charged path: [`Machine::trace_event`]
@@ -106,25 +106,41 @@ impl Default for Machine {
 }
 
 impl Machine {
-    /// Creates a machine with default cost parameters and 256 MiB of
-    /// simulated physical memory.
+    /// Creates a machine with 256 MiB of simulated physical memory.
     pub fn new() -> Machine {
-        Machine::with_cost(CostParams::default())
-    }
-
-    /// Creates a machine with explicit cost parameters.
-    pub fn with_cost(cost: CostParams) -> Machine {
         Machine {
             phys: PhysMem::new(256 * 1024 * 1024 / PAGE_SIZE as usize),
             spaces: Vec::new(),
             hyper: PageTable::new(),
             meter: CycleMeter::new(),
-            cost,
+            cost: CostParams::default(),
             trace: twin_trace::FlightRecorder::new(),
             images: Vec::new(),
             extern_names: Vec::new(),
             tlb: space::Tlb::new(),
         }
+    }
+
+    /// Pays one [`Term`] to the current attribution domain. With
+    /// [`Machine::pay_to`] and [`Machine::pay_copy`] this is every way
+    /// to charge a cycle from outside this crate.
+    #[inline]
+    pub fn pay(&mut self, t: Term) {
+        self.meter.charge(self.cost[t]);
+    }
+
+    /// Pays one [`Term`] to an explicit domain (bypassing the stack).
+    #[inline]
+    pub fn pay_to(&mut self, d: CostDomain, t: Term) {
+        self.meter.charge_to(d, self.cost[t]);
+    }
+
+    /// Pays a copy of `bytes` bytes to `d` — the one payment that scales:
+    /// [`Term::CopyBase`] + `bytes` × [`Term::CopyPerByteX100`] / 100.
+    pub fn pay_copy(&mut self, d: CostDomain, bytes: u64) {
+        let per_byte = bytes * self.cost[Term::CopyPerByteX100] / 100;
+        self.meter
+            .charge_to(d, self.cost[Term::CopyBase] + per_byte);
     }
 
     /// Current virtual time in cycles (monotonic; advanced by every cost

@@ -35,7 +35,9 @@
 //! turns into a driver abort.
 
 use std::collections::HashMap;
-use twin_machine::{CostDomain, ExecMode, Fault, Machine, SpaceId, HYPER_BASE, PAGE_SIZE};
+use twin_machine::{
+    CostDomain, Event, ExecMode, Fault, Machine, SpaceId, Term, HYPER_BASE, PAGE_SIZE,
+};
 
 /// Number of stlb entries (paper §4.1: "an stlb hashtable with 4096
 /// entries, mapping up to 16MB of dom0 virtual memory").
@@ -275,10 +277,8 @@ impl Svm {
         if self.recent_misses.len() < 4096 {
             self.recent_misses.push(vaddr);
         }
-        m.meter.count_event("stlb_miss");
-        // Modeled cost of the out-of-line handler itself.
-        let slow_cycles = 45;
-        m.meter.charge(slow_cycles);
+        m.meter.count_event(Event::StlbMiss);
+        m.pay(Term::StlbSlowPath);
 
         let page = vaddr & !(PAGE_SIZE - 1);
         let mapped_page = if self.identity {
@@ -293,7 +293,7 @@ impl Svm {
             // Hash-chain hit: the page is mapped, the stlb entry was
             // evicted by a colliding page.
             self.stats.collisions += 1;
-            m.meter.count_event("stlb_collision");
+            m.meter.count_event(Event::StlbCollision);
             *mp
         } else {
             self.map_page(m, page)?
@@ -337,7 +337,7 @@ impl Svm {
         // driver's register accesses still reach the device model.
         m.hyper.map(win_addr, t.entry);
         self.stats.pages_mapped += 1;
-        m.meter.count_event("svm_page_mapped");
+        m.meter.count_event(Event::SvmPageMapped);
 
         // Map the next dom0 page too (unaligned accesses may straddle,
         // paper footnote 2). If it isn't mapped in dom0, leave the second
@@ -386,9 +386,8 @@ impl Svm {
     /// hypervisor driver's code — a control-flow violation.
     pub fn translate_call(&mut self, m: &mut Machine, vm_target: u64) -> Result<u64, Fault> {
         self.stats.call_translations += 1;
-        m.meter.count_event("stlb_call_xlat");
-        let xlat_cycles = 8;
-        m.meter.charge(xlat_cycles);
+        m.meter.count_event(Event::StlbCallXlat);
+        m.pay(Term::CallXlat);
         if let Some(t) = self.call_xlat.get(&vm_target) {
             return Ok(*t);
         }
@@ -428,8 +427,11 @@ impl Svm {
     /// routines that model an stlb lookup without executing rewritten
     /// code (the 10-instruction Figure 4 sequence).
     pub fn charge_fast_path(&self, m: &mut Machine) {
-        let cycles = 2 * m.cost.load + 6 * m.cost.alu + m.cost.branch_not_taken;
-        m.meter.charge_to(CostDomain::Driver, cycles);
+        for (n, class) in [(2, Term::Load), (6, Term::Alu), (1, Term::BranchNotTaken)] {
+            for _ in 0..n {
+                m.pay_to(CostDomain::Driver, class);
+            }
+        }
     }
 }
 

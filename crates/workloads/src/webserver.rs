@@ -167,8 +167,7 @@ mod tests {
         // Paper: "more than factor of 2" over domU. The per-packet model
         // yields ~1.5x here because it does not capture baseline Xen's
         // connection-rate collapse under load (the paper notes domU
-        // "could not sustain high connection rates"); documented in
-        // EXPERIMENTS.md.
+        // "could not sustain high connection rates").
         assert!(
             twin.peak_mbps() / domu.peak_mbps() > 1.4,
             "twin {:.0} vs domU {:.0}",

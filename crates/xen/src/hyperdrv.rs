@@ -137,7 +137,7 @@ pub fn load_hypervisor_driver(
         })
         .map_err(LoadError::Link)?;
     let entries = m.image(image).exports.clone();
-    let text_len = m.image(image).insns.len();
+    let text_len = m.image(image).len();
     Ok(HypervisorDriver {
         image,
         code_base: HYP_CODE_BASE,

@@ -31,7 +31,7 @@ use crate::hyperdrv::{
 use crate::upcall::{UpcallEngine, UpcallMode, UPCALL_COMPLETION_PORT};
 use crate::xen::{Softirq, Xen};
 use twin_kernel::{DeferClass, Dom0Kernel, FastPath, RoutineId, SkBuff, Usage, ROUTINES};
-use twin_machine::{CostDomain, Cpu, ExecMode, Fault, Machine, PAGE_SIZE};
+use twin_machine::{CostDomain, Cpu, Event, ExecMode, Fault, Machine, Term, PAGE_SIZE};
 use twin_svm::{Svm, CALL_XLAT_SYMBOL, SLOW_PATH_SYMBOL};
 use twin_trace::{FlushCause, TraceEvent};
 
@@ -167,14 +167,13 @@ impl HyperSupport {
         xen: &mut Xen,
     ) -> Result<(), Fault> {
         self.upcalls += 1;
-        m.meter.count_event("upcall");
+        m.meter.count_event(Event::Upcall);
         // Latency accounting keys on the monotonic virtual clock (not the
         // resettable per-domain totals), so samples spanning a
         // measurement-window reset stay well-defined.
         let cycles_before = m.meter.now();
         // Stub: save parameters, switch to the upcall stack.
-        let c = m.cost.upcall_overhead;
-        m.meter.charge_to(CostDomain::Xen, c);
+        m.pay_to(CostDomain::Xen, Term::UpcallOverhead);
         let back = xen.current;
         // Synchronous switch to dom0 if invoked from a guest context.
         xen.switch_to(m, DomId::DOM0);
@@ -237,7 +236,7 @@ impl HyperSupport {
                 // last) in one switch-pair, then resume with the dom0
                 // return value its completion carries.
                 self.engine.stats.continuations += 1;
-                m.meter.count_event("upcall_continuation");
+                m.meter.count_event(Event::UpcallContinuation);
                 self.flush_upcalls(m, kernel, xen, FlushCause::Continuation)?;
                 let done = self
                     .engine
@@ -263,12 +262,11 @@ impl HyperSupport {
     ) -> Result<u64, Fault> {
         if self.engine.is_full() {
             self.engine.stats.forced_flushes += 1;
-            m.meter.count_event("upcall_forced_flush");
+            m.meter.count_event(Event::UpcallForcedFlush);
             self.flush_upcalls(m, kernel, xen, FlushCause::RingFull)?;
         }
-        let c = m.cost.upcall_enqueue;
-        m.meter.charge_to(CostDomain::Xen, c);
-        m.meter.count_event("upcall_enqueue");
+        m.pay_to(CostDomain::Xen, Term::UpcallEnqueue);
+        m.meter.count_event(Event::UpcallEnqueue);
         let arg = |i: usize| args.get(i).copied().unwrap_or(0);
         // The slot (layout: `UPCALL_RING_SLOT_BYTES`); the routine word
         // is the `RoutineId`, a `ROUTINES` row by construction.
@@ -330,9 +328,8 @@ impl HyperSupport {
         // already (or never had one) — keep the store bounded.
         self.engine.prune_stale_completions();
         self.engine.stats.flushes += 1;
-        m.meter.count_event("upcall_flush");
-        let c = m.cost.upcall_flush_overhead;
-        m.meter.charge_to(CostDomain::Xen, c);
+        m.meter.count_event(Event::UpcallFlush);
+        m.pay_to(CostDomain::Xen, Term::UpcallFlushOverhead);
         let back = xen.current;
         xen.switch_to(m, DomId::DOM0);
         xen.send_virq(m, DomId::DOM0, UPCALL_PORT);
@@ -346,8 +343,7 @@ impl HyperSupport {
         let stack_top = UPCALL_STACK_BASE + UPCALL_STACK_PAGES * PAGE_SIZE;
         let mut result = Ok(n);
         while let Some(entry) = self.engine.pop_front() {
-            let c = m.cost.upcall_dispatch;
-            m.meter.charge_to(CostDomain::Dom0, c);
+            m.pay_to(CostDomain::Dom0, Term::UpcallDispatch);
             // Rebuild the saved call frame on the upcall stack and run
             // the routine in dom0.
             let mut cpu = Cpu::new(kernel.space, ExecMode::Hypervisor);
@@ -360,9 +356,8 @@ impl HyperSupport {
                 break;
             }
             self.upcalls += 1;
-            m.meter.count_event("upcall_exec");
-            let c = m.cost.upcall_complete;
-            m.meter.charge_to(CostDomain::Xen, c);
+            m.meter.count_event(Event::UpcallExec);
+            m.pay_to(CostDomain::Xen, Term::UpcallComplete);
             self.engine
                 .complete(&entry, cpu.reg(twin_isa::Reg::Eax), m.meter.now());
             if m.trace.enabled() {
@@ -406,8 +401,7 @@ impl HyperSupport {
         match id.name() {
             "netdev_alloc_skb" => {
                 // From the dom0-reserved buffer pool (paper §4.3).
-                let c = m.cost.skb_alloc;
-                m.meter.charge(c);
+                m.pay(Term::SkbAlloc);
                 svm.charge_fast_path(m);
                 let skb = kernel.hyper_pool.as_mut().and_then(|p| p.alloc(m, dom0));
                 cpu.set_reg(Reg::Eax, skb.map(|s| s.0 as u32).unwrap_or(0));
@@ -415,8 +409,7 @@ impl HyperSupport {
             "netif_rx" => {
                 // The hypervisor's receive path: demultiplex on the
                 // destination MAC and queue to the guest (paper §5.3).
-                let demux_cycles = 220;
-                m.meter.charge(demux_cycles);
+                m.pay(Term::NetifRxDemux);
                 svm.charge_fast_path(m);
                 let skb = SkBuff(cpu.arg(m, 0)? as u64);
                 if skb.0 != 0 {
@@ -424,7 +417,7 @@ impl HyperSupport {
                         match xen.guest_by_mac(frame.dst) {
                             Some(gid) => {
                                 if !xen.domain_mut(gid).queue_rx(frame) {
-                                    m.meter.count_event("rx_queue_drop");
+                                    m.meter.count_event(Event::RxQueueDrop);
                                     if m.trace.enabled() {
                                         m.trace_event(TraceEvent::QueueCapDrop { guest: gid.0 });
                                     }
@@ -432,7 +425,7 @@ impl HyperSupport {
                             }
                             None => {
                                 self.demux_misses += 1;
-                                m.meter.count_event("demux_miss");
+                                m.meter.count_event(Event::DemuxMiss);
                             }
                         }
                     }
@@ -603,7 +596,7 @@ mod tests {
         assert_eq!(xen.current, gid, "restored to the guest");
         let delta = m.meter.cycles(CostDomain::Xen) - before;
         assert!(
-            delta >= 2 * m.cost.domain_switch + m.cost.upcall_overhead,
+            delta >= 2 * m.cost[Term::DomainSwitch] + m.cost[Term::UpcallOverhead],
             "upcall cost {delta}"
         );
     }
@@ -710,7 +703,7 @@ mod tests {
         assert_eq!(xen.switches, switches_before, "no switch on enqueue");
         assert_eq!(kernel.pool.available(), before);
         assert_eq!(hs.engine.depth(), 1);
-        assert_eq!(m.meter.event("upcall_enqueue"), 1);
+        assert_eq!(m.meter.event(Event::UpcallEnqueue), 1);
         // The flush executes it in one switch-pair and posts completion.
         let n = hs
             .flush_upcalls(&mut m, &mut kernel, &mut xen, FlushCause::BurstEnd)
@@ -719,8 +712,8 @@ mod tests {
         assert_eq!(xen.switches, switches_before + 2, "one pair per flush");
         assert_eq!(kernel.pool.available(), before + 1, "free ran in dom0");
         assert_eq!(hs.upcalls, 1);
-        assert_eq!(m.meter.event("upcall_flush"), 1);
-        assert_eq!(m.meter.event("upcall_exec"), 1);
+        assert_eq!(m.meter.event(Event::UpcallFlush), 1);
+        assert_eq!(m.meter.event(Event::UpcallExec), 1);
         // The batched completion event went back through the event
         // channel (request to dom0 + completion to the guest) and the
         // resumed instance acknowledged it — nothing left pending.
@@ -795,8 +788,8 @@ mod tests {
         .unwrap();
         assert_ne!(r, 0, "resumed with dom0's return value");
         assert_eq!(xen.switches, switches_before + 2, "one pair for both");
-        assert_eq!(m.meter.event("upcall_continuation"), 1);
-        assert_eq!(m.meter.event("upcall_flush"), 1);
+        assert_eq!(m.meter.event(Event::UpcallContinuation), 1);
+        assert_eq!(m.meter.event(Event::UpcallFlush), 1);
         // Free ran before the alloc: net pool change is -1 + 1 = 0.
         assert_eq!(kernel.pool.available(), before);
         assert_eq!(hs.engine.depth(), 0);
@@ -841,7 +834,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r, 1, "native trylock sees the flushed unlock");
-        assert_eq!(m.meter.event("upcall_flush"), 1);
+        assert_eq!(m.meter.event(Event::UpcallFlush), 1);
         assert_eq!(hs.engine.depth(), 0);
     }
 
@@ -878,8 +871,12 @@ mod tests {
         assert_ne!(r, 0, "sync upcall served by dom0");
         assert_eq!(hs.engine.depth(), 0, "ring drained before the sync call");
         assert_eq!(kernel.pool.available(), before + 1, "free ran first");
-        assert_eq!(m.meter.event("upcall_flush"), 1);
-        assert_eq!(m.meter.event("upcall"), 1, "the kmalloc itself was sync");
+        assert_eq!(m.meter.event(Event::UpcallFlush), 1);
+        assert_eq!(
+            m.meter.event(Event::Upcall),
+            1,
+            "the kmalloc itself was sync"
+        );
         assert_eq!(hs.upcalls, 2, "one flushed entry + one sync upcall");
     }
 
@@ -907,7 +904,7 @@ mod tests {
             xen.softirqs.contains(&crate::xen::Softirq::UpcallFlush),
             "high-water kick scheduled"
         );
-        assert_eq!(m.meter.event("upcall_forced_flush"), 1);
+        assert_eq!(m.meter.event(Event::UpcallForcedFlush), 1);
         // Completions for the flushed four are all posted, FIFO ids.
         assert_eq!(hs.engine.pending_completions(), 4);
         for id in 1..=4u64 {

@@ -4,7 +4,7 @@
 
 use crate::domain::{DomId, Domain, DomainKind};
 use std::collections::BTreeMap;
-use twin_machine::{CostDomain, Machine, SpaceId};
+use twin_machine::{CostDomain, Event, Machine, SpaceId, Term};
 use twin_net::MacAddr;
 
 /// Grant-table activity attributed to one NIC (the device whose traffic
@@ -178,35 +178,31 @@ impl Xen {
         if to == self.current {
             return;
         }
-        let c = m.cost.domain_switch;
-        m.meter.charge_to(CostDomain::Xen, c);
-        m.meter.count_event("domain_switch");
+        m.pay_to(CostDomain::Xen, Term::DomainSwitch);
+        m.meter.count_event(Event::DomainSwitch);
         self.switches += 1;
         self.current = to;
     }
 
     /// Charges one hypercall entry/exit.
     pub fn hypercall(&mut self, m: &mut Machine) {
-        let c = m.cost.hypercall;
-        m.meter.charge_to(CostDomain::Xen, c);
-        m.meter.count_event("hypercall");
+        m.pay_to(CostDomain::Xen, Term::Hypercall);
+        m.meter.count_event(Event::Hypercall);
         self.hypercalls += 1;
     }
 
     /// Delivers a virtual interrupt (event) to a domain.
     pub fn send_virq(&mut self, m: &mut Machine, to: DomId, port: u32) {
-        let c = m.cost.virq_deliver;
-        m.meter.charge_to(CostDomain::Xen, c);
-        m.meter.count_event("virq");
+        m.pay_to(CostDomain::Xen, Term::VirqDeliver);
+        m.meter.count_event(Event::Virq);
         self.virqs_sent += 1;
         self.domain_mut(to).pending_virqs.push(port);
     }
 
     /// Maps one granted page (baseline I/O-channel path).
     pub fn grant_map(&mut self, m: &mut Machine) {
-        let c = m.cost.grant_map;
-        m.meter.charge_to(CostDomain::Xen, c);
-        m.meter.count_event("grant_map");
+        m.pay_to(CostDomain::Xen, Term::GrantMap);
+        m.meter.count_event(Event::GrantMap);
         self.grants.maps += 1;
     }
 
@@ -219,9 +215,8 @@ impl Xen {
 
     /// Unmaps one granted page.
     pub fn grant_unmap(&mut self, m: &mut Machine) {
-        let c = m.cost.grant_unmap;
-        m.meter.charge_to(CostDomain::Xen, c);
-        m.meter.count_event("grant_unmap");
+        m.pay_to(CostDomain::Xen, Term::GrantUnmap);
+        m.meter.count_event(Event::GrantUnmap);
         self.grants.unmaps += 1;
     }
 
@@ -284,7 +279,7 @@ mod tests {
         xen.switch_to(&mut m, gid);
         xen.switch_to(&mut m, gid); // no-op
         assert_eq!(xen.switches, 1);
-        assert_eq!(m.meter.cycles(CostDomain::Xen), m.cost.domain_switch);
+        assert_eq!(m.meter.cycles(CostDomain::Xen), m.cost[Term::DomainSwitch]);
         xen.switch_to(&mut m, DomId::DOM0);
         assert_eq!(xen.switches, 2);
     }
@@ -308,7 +303,7 @@ mod tests {
         let (mut m, mut xen) = mk();
         xen.send_virq(&mut m, DomId::DOM0, 3);
         assert_eq!(xen.domain(DomId::DOM0).pending_virqs, vec![3]);
-        assert_eq!(m.meter.event("virq"), 1);
+        assert_eq!(m.meter.event(Event::Virq), 1);
     }
 
     #[test]
@@ -371,7 +366,9 @@ mod tests {
                 ..GrantStats::default()
             }
         );
-        assert!(m.meter.cycles(CostDomain::Xen) >= m.cost.grant_map + m.cost.grant_unmap);
+        assert!(
+            m.meter.cycles(CostDomain::Xen) >= m.cost[Term::GrantMap] + m.cost[Term::GrantUnmap]
+        );
     }
 
     #[test]
@@ -398,8 +395,8 @@ mod tests {
         assert_eq!(xen.grants.device(7), DevGrantStats::default());
         // Device-attributed ops charge and count exactly like the plain
         // ones: three maps and one unmap worth of Xen cycles.
-        assert_eq!(m.meter.event("grant_map"), 3);
-        assert_eq!(m.meter.event("grant_unmap"), 1);
+        assert_eq!(m.meter.event(Event::GrantMap), 3);
+        assert_eq!(m.meter.event(Event::GrantUnmap), 1);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! receive path reproduces `bench/baseline_itr.json` to the decimal.
 
 use twin_nic::{AUTOTUNE_WINDOW_CYCLES, IDLE_DECAY_GRACE_WINDOWS};
+use twindrivers::machine::Event;
 use twindrivers::measure::{measure_rx_autotuned, LoadProfile};
 use twindrivers::{peer_mac, Config, Itr, ShardPolicy, System, SystemOptions};
 
@@ -88,7 +89,7 @@ fn autotune_off_is_cycle_exact_with_the_itr_baseline() {
         );
         assert_eq!(m.latency.p50, p50, "itr {itr}: p50");
         assert_eq!(m.latency.p99, p99, "itr {itr}: p99");
-        assert_eq!(sys.machine.meter.event("itr_retune"), 0);
+        assert_eq!(sys.machine.meter.event(Event::ItrRetune), 0);
     }
 }
 
@@ -120,7 +121,7 @@ fn tuner_converges_under_sustained_load_and_decays_after_sustained_idle() {
         let t = sys.itr_tuner(dev).unwrap();
         assert!(t.windows > 0 && t.retunes >= 3, "device {dev} tuner ran");
     }
-    assert!(sys.machine.meter.event("itr_retune") >= 12);
+    assert!(sys.machine.meter.event(Event::ItrRetune) >= 12);
     sys.drain_moderated().unwrap();
     // Short idle (within the grace): frozen.
     sys.run_idle(2 * AUTOTUNE_WINDOW_CYCLES).unwrap();

@@ -9,7 +9,7 @@
 //! * **amortization** — bigger bursts strictly reduce notifications
 //!   (doorbells, interrupts, virqs) without changing what's delivered.
 
-use twin_machine::CostDomain;
+use twin_machine::{CostDomain, Event};
 use twin_net::{EtherType, Frame, MacAddr, MTU};
 use twindrivers::{peer_mac, Config, System};
 
@@ -129,7 +129,7 @@ fn rx_bursts_larger_than_the_ring_split_and_complete() {
         .collect();
     assert_eq!(sys.receive_burst(&frames).unwrap(), 200);
     assert_eq!(sys.delivered_rx(), 200);
-    let irqs = sys.machine.meter.event("irq");
+    let irqs = sys.machine.meter.event(Event::Irq);
     assert!(
         (2..=3).contains(&irqs),
         "split burst coalesces into a handful of interrupts, got {irqs}"
@@ -145,8 +145,8 @@ fn bigger_bursts_mean_fewer_notifications_same_delivery() {
     }
     assert_eq!(large.transmit_burst(32).unwrap(), 32);
     assert_eq!(small.take_wire_frames(), large.take_wire_frames());
-    let db_small = small.machine.meter.event("doorbell");
-    let db_large = large.machine.meter.event("doorbell");
+    let db_small = small.machine.meter.event(Event::Doorbell);
+    let db_large = large.machine.meter.event(Event::Doorbell);
     assert!(db_small >= 8, "one doorbell per burst of 4 (+warmless)");
     assert!(
         db_large < db_small,

@@ -17,6 +17,7 @@
 use twin_kernel::RoutineId;
 use twin_net::{EtherType, Frame, MacAddr, MTU};
 use twindrivers::kernel::e1000;
+use twindrivers::machine::Event;
 use twindrivers::measure::{fault_injected_source, measure_fault_recovery, FaultClass};
 use twindrivers::{peer_mac, Config, ShardPolicy, System, SystemError, SystemOptions, UpcallMode};
 
@@ -300,8 +301,8 @@ fn abort_drains_the_upcall_ring_and_disarms_the_flush_deadline() {
 
     // Drained, accounted, disarmed — and the queued free executed, so
     // the skb is back (ring teardown returns more on top).
-    assert!(sys.machine.meter.event("upcall_replayed") >= 1);
-    assert!(sys.machine.meter.event("upcall_discarded") >= 1);
+    assert!(sys.machine.meter.event(Event::UpcallReplayed) >= 1);
+    assert!(sys.machine.meter.event(Event::UpcallDiscarded) >= 1);
     let engine = &sys.world.hyper.as_ref().unwrap().engine;
     assert_eq!(engine.depth(), 0, "no upcall may stay queued past abort");
     assert!(engine.flush_due_at().is_none(), "deadline must be disarmed");
@@ -364,8 +365,8 @@ fn a_free_queued_behind_a_faulting_upcall_is_replayed_not_leaked() {
     // the good free (and the suspending call) still queued.
     let f = frames_for(0, 1, 8, &mut seq);
     abort_reason(sys.receive_burst(&f));
-    assert_eq!(sys.machine.meter.event("upcall_replayed"), 1);
-    assert!(sys.machine.meter.event("upcall_discarded") >= 1);
+    assert_eq!(sys.machine.meter.event(Event::UpcallReplayed), 1);
+    assert!(sys.machine.meter.event(Event::UpcallDiscarded) >= 1);
     assert_eq!(sys.world.hyper.as_ref().unwrap().engine.depth(), 0);
 
     sys.recover_device(0).unwrap();
@@ -465,7 +466,7 @@ fn abort_closes_the_napi_poll_span_and_recovery_rearms_the_irq() {
 
     // Span closed at the abort: mode off, residency frozen.
     assert!(!sys.in_poll_mode(0), "teardown must exit poll mode");
-    assert!(sys.machine.meter.event("napi_exit") >= 1);
+    assert!(sys.machine.meter.event(Event::NapiExit) >= 1);
     let frozen = sys.poll_mode_cycles(0);
     sys.run_idle(100_000).unwrap();
     assert_eq!(
@@ -531,10 +532,10 @@ fn fault_episodes_emit_typed_trace_events() {
     ] {
         assert_eq!(kinds.get(kind), Some(&1), "missing or duplicated {kind}");
     }
-    assert_eq!(sys.machine.meter.event("driver_abort"), 1);
-    assert_eq!(sys.machine.meter.event("quarantine_enter"), 1);
-    assert_eq!(sys.machine.meter.event("quarantine_exit"), 1);
-    assert_eq!(sys.machine.meter.event("device_reset"), 1);
+    assert_eq!(sys.machine.meter.event(Event::DriverAbort), 1);
+    assert_eq!(sys.machine.meter.event(Event::QuarantineEnter), 1);
+    assert_eq!(sys.machine.meter.event(Event::QuarantineExit), 1);
+    assert_eq!(sys.machine.meter.event(Event::DeviceReset), 1);
 
     // Sticky mode: detect and account, but never a quarantine bracket
     // (the whole image is dead, not one device).

@@ -4,6 +4,7 @@
 
 use twin_kernel::RoutineId;
 use twin_net::{EtherType, Frame, MacAddr, MTU};
+use twindrivers::machine::Event;
 use twindrivers::measure::upcall_latency;
 use twindrivers::{
     measure_aggregate_throughput, peer_mac, Config, Itr, ShardPolicy, System, SystemOptions,
@@ -76,8 +77,8 @@ fn itr_zero_no_deadline_is_cycle_exact_with_the_shard_baseline() {
             "nics {nics} burst {burst}: rx {:.1} vs baseline {rx_cpp:.1}",
             a.rx_cycles_per_packet
         );
-        assert_eq!(sys.machine.meter.event("irq_moderated"), 0);
-        assert_eq!(sys.machine.meter.event("upcall_flush"), 0);
+        assert_eq!(sys.machine.meter.event(Event::IrqModerated), 0);
+        assert_eq!(sys.machine.meter.event(Event::UpcallFlush), 0);
     }
 }
 
@@ -126,7 +127,7 @@ fn moderation_latches_pending_work_and_never_drops_or_reorders() {
         sys.run_idle(60_000).unwrap();
     }
     assert!(
-        sys.machine.meter.event("irq_moderated") > 0,
+        sys.machine.meter.event(Event::IrqModerated) > 0,
         "the windows actually gated deliveries"
     );
     // Open every window and deliver the latched tail.
@@ -279,7 +280,7 @@ fn deadline_flush_runs_before_a_simultaneously_due_moderated_irq() {
     // would be unmistakable in the marker's latency.
     let latched: Vec<Frame> = (2..18).map(mk).collect();
     sys.receive_burst(&latched).unwrap();
-    assert!(sys.machine.meter.event("irq_moderated") > 0);
+    assert!(sys.machine.meter.event(Event::IrqModerated) > 0);
     // Arm the deadline with a marker upcall, then jump time past BOTH
     // events in one step so a single service call sees them together.
     {

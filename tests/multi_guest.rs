@@ -3,6 +3,7 @@
 //! address, and queues the packet to the appropriate guest domain."
 
 use twin_net::{EtherType, Frame, MacAddr, MTU};
+use twindrivers::machine::Event;
 use twindrivers::{peer_mac, Config, System};
 
 fn frame_for(dst: MacAddr, seq: u64) -> Frame {
@@ -47,7 +48,7 @@ fn frames_reach_the_right_guest() {
     // The unknown destination was dropped and counted.
     assert_eq!(sys.world.hyper.as_ref().unwrap().demux_misses, 1);
     // Still zero domain switches: demux happens in the hypervisor.
-    assert_eq!(sys.machine.meter.event("domain_switch"), 0);
+    assert_eq!(sys.machine.meter.event(Event::DomainSwitch), 0);
 }
 
 #[test]
@@ -86,9 +87,17 @@ fn batch_demux_fans_out_to_guests_in_one_pass() {
         .collect();
     assert_eq!(sys.receive_burst(&frames).unwrap(), 12);
 
-    assert_eq!(sys.machine.meter.event("irq"), 1, "one coalesced interrupt");
-    assert_eq!(sys.machine.meter.event("virq"), 3, "one virq per guest");
-    assert_eq!(sys.machine.meter.event("domain_switch"), 0);
+    assert_eq!(
+        sys.machine.meter.event(Event::Irq),
+        1,
+        "one coalesced interrupt"
+    );
+    assert_eq!(
+        sys.machine.meter.event(Event::Virq),
+        3,
+        "one virq per guest"
+    );
+    assert_eq!(sys.machine.meter.event(Event::DomainSwitch), 0);
     let xen = sys.world.xen.as_ref().unwrap();
     for (g, mac) in [(g1, MacAddr::for_guest(1)), (g2, mac2), (g3, mac3)] {
         let delivered = &xen.domain(g).rx_delivered;

@@ -4,6 +4,7 @@
 //! and cycle-identity of the off-knob defaults.
 
 use twin_net::{EtherType, Frame, MacAddr, MTU};
+use twindrivers::machine::Event;
 use twindrivers::{peer_mac, Config, Itr, ShardPolicy, System, SystemOptions};
 
 fn mk(dst: MacAddr, flow: u32, seq: u64) -> Frame {
@@ -42,7 +43,7 @@ fn poll_mode_takes_precedence_over_the_moderation_latch() {
     sys.rx_open_loop_arrival(&a, now).unwrap();
     assert!(sys.in_poll_mode(0), "first irq enters poll mode");
     assert!(sys.world.nics[0].rx_irq_masked(), "IMC masked the device");
-    assert_eq!(sys.machine.meter.event("napi_enter"), 1);
+    assert_eq!(sys.machine.meter.event(Event::NapiEnter), 1);
 
     // Arrival 2, window closed: poll mode wins over the latch — the
     // frames land in the masked ring and nothing is moderated.
@@ -50,7 +51,7 @@ fn poll_mode_takes_precedence_over_the_moderation_latch() {
     let now = sys.now_cycles();
     sys.rx_open_loop_arrival(&b, now).unwrap();
     assert_eq!(
-        sys.machine.meter.event("irq_moderated"),
+        sys.machine.meter.event(Event::IrqModerated),
         0,
         "the latch must not engage while the device is polled"
     );
@@ -61,22 +62,22 @@ fn poll_mode_takes_precedence_over_the_moderation_latch() {
     assert_eq!(sys.delivered_rx(), 8);
     assert!(!sys.in_poll_mode(0), "drained below weight re-arms");
     assert!(!sys.world.nics[0].rx_irq_masked());
-    assert_eq!(sys.machine.meter.event("napi_exit"), 1);
+    assert_eq!(sys.machine.meter.event(Event::NapiExit), 1);
 
     // Arrival 3, still inside the ITR window, poll mode off: now the
     // moderation latch governs again.
     let c: Vec<Frame> = (8..12).map(|s| mk(mac, 9, s)).collect();
     let now = sys.now_cycles();
     sys.rx_open_loop_arrival(&c, now).unwrap();
-    assert!(sys.machine.meter.event("irq_moderated") >= 1);
+    assert!(sys.machine.meter.event(Event::IrqModerated) >= 1);
     assert_eq!(sys.delivered_rx(), 8, "latched, not delivered");
 
     // The window opens: the moderated delivery is an ack-and-mask on a
     // NAPI system — a second poll-mode episode, then everything is out.
     sys.drain_moderated().unwrap();
     assert_eq!(sys.delivered_rx(), 12);
-    assert_eq!(sys.machine.meter.event("napi_enter"), 2);
-    assert_eq!(sys.machine.meter.event("napi_exit"), 2);
+    assert_eq!(sys.machine.meter.event(Event::NapiEnter), 2);
+    assert_eq!(sys.machine.meter.event(Event::NapiExit), 2);
     assert!(!sys.in_poll_mode(0));
 
     // Nothing lost, nothing reordered across the four mode switches.
@@ -149,7 +150,7 @@ fn mode_switches_under_churn_never_drop_or_reorder() {
         sys.run_idle(60_000).unwrap();
     }
     assert!(
-        sys.machine.meter.event("napi_enter") > 0,
+        sys.machine.meter.event(Event::NapiEnter) > 0,
         "poll mode was actually exercised"
     );
     sys.drain_moderated().unwrap();
@@ -238,7 +239,7 @@ fn early_drop_bounds_admission_and_is_accounted_per_guest() {
     sys.rx_open_loop_arrival(&frames, now).unwrap();
     assert_eq!(sys.rx_early_drops(), 24);
     assert_eq!(sys.rx_early_drops_for(g1), 24);
-    assert_eq!(sys.machine.meter.event("early_drop"), 24);
+    assert_eq!(sys.machine.meter.event(Event::EarlyDrop), 24);
     let until = sys.now_cycles() + 1_000_000;
     sys.rx_open_loop_service(until).unwrap();
     assert_eq!(sys.delivered_rx(), 16, "admitted frames all arrive");

@@ -2,7 +2,7 @@
 //! crates: derivation, dual instances over shared data, fast-path
 //! behaviour, and the concurrent config-path/fast-path split.
 
-use twin_machine::{CostDomain, ExecMode};
+use twin_machine::{CostDomain, Event, ExecMode};
 use twin_net::{EtherType, Frame, MacAddr, MTU};
 use twindrivers::kernel::e1000;
 use twindrivers::{Config, Itr, System, SystemOptions};
@@ -122,11 +122,11 @@ fn twin_fast_path_makes_no_upcalls_by_default() {
         sys.receive_one().unwrap();
     }
     assert_eq!(
-        sys.machine.meter.event("upcall"),
+        sys.machine.meter.event(Event::Upcall),
         0,
         "all ten fast-path routines are implemented in the hypervisor"
     );
-    assert_eq!(sys.machine.meter.event("domain_switch"), 0);
+    assert_eq!(sys.machine.meter.event(Event::DomainSwitch), 0);
 }
 
 #[test]
@@ -140,9 +140,9 @@ fn forced_upcalls_reach_dom0_and_still_work() {
         sys.transmit_one().unwrap();
     }
     assert_eq!(sys.take_wire_frames().len(), 5, "upcalled path is correct");
-    assert!(sys.machine.meter.event("upcall") >= 5);
+    assert!(sys.machine.meter.event(Event::Upcall) >= 5);
     assert!(
-        sys.machine.meter.event("domain_switch") >= 10,
+        sys.machine.meter.event(Event::DomainSwitch) >= 10,
         "each guest-context upcall switches to dom0 and back"
     );
 }
@@ -279,11 +279,11 @@ fn golden(sys: &System) -> Golden {
         domains: CostDomain::ALL.map(|d| m.cycles(d)),
         now: sys.now_cycles(),
         events: [
-            "irq",
-            "irq_moderated",
-            "napi_enter",
-            "napi_exit",
-            "early_drop",
+            Event::Irq,
+            Event::IrqModerated,
+            Event::NapiEnter,
+            Event::NapiExit,
+            Event::EarlyDrop,
         ]
         .map(|e| m.event(e)),
         latency: (

@@ -13,7 +13,8 @@ use twin_isa::asm::assemble;
 use twin_isa::Module;
 use twin_kernel::load_driver;
 use twin_machine::{
-    run, Cpu, Env, ExecMode, Fault, Machine, NullEnv, SpaceId, StopReason, HYPER_BASE, PAGE_SIZE,
+    run, Cpu, Env, Event, ExecMode, Fault, Machine, NullEnv, SpaceId, StopReason, HYPER_BASE,
+    PAGE_SIZE,
 };
 use twin_rewriter::{rewrite, RewriteOptions};
 use twin_svm::{Svm, CALL_XLAT_SYMBOL, SLOW_PATH_SYMBOL};
@@ -539,7 +540,7 @@ proptest! {
         // cycles moved, traffic did not.
         let stats = zc.grant_cache_stats().unwrap();
         prop_assert!(stats.hits + stats.misses > 0, "cache engaged");
-        let exhausted = zc.machine.meter.event("copy_fallback") - to_ungranted;
+        let exhausted = zc.machine.meter.event(Event::CopyFallback) - to_ungranted;
         prop_assert_eq!(exhausted > 0, hot > 0, "{} exhaustion fallbacks", exhausted);
     }
 
@@ -1018,8 +1019,8 @@ proptest! {
             untraced.machine.meter.snapshot()
         );
         prop_assert_eq!(
-            traced.machine.meter.events(),
-            untraced.machine.meter.events()
+            traced.machine.meter.events().collect::<Vec<_>>(),
+            untraced.machine.meter.events().collect::<Vec<_>>()
         );
         // Bit-exact traffic and shared state.
         prop_assert_eq!(traced.take_wire_frames(), untraced.take_wire_frames());

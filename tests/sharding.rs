@@ -12,7 +12,7 @@
 //! * **fairness** — the per-guest flush quantum bounds how long a
 //!   flooding guest can delay other guests' virtual interrupts.
 
-use twin_machine::CostDomain;
+use twin_machine::{CostDomain, Event};
 use twin_net::{EtherType, Frame, MacAddr, MTU};
 use twindrivers::{
     measure_aggregate_throughput, peer_mac, Config, ShardPolicy, System, SystemOptions,
@@ -136,7 +136,7 @@ fn flowhash_preserves_per_guest_flow_order_across_four_nics() {
     }
     assert_eq!(total, 6 * 24, "every frame delivered exactly once");
     assert_eq!(sys.world.hyper.as_ref().unwrap().demux_misses, 0);
-    assert_eq!(sys.machine.meter.event("domain_switch"), 0);
+    assert_eq!(sys.machine.meter.event(Event::DomainSwitch), 0);
 }
 
 #[test]
@@ -181,7 +181,11 @@ fn receive_shards_round_robin_with_per_device_interrupts() {
         assert_eq!(sys.receive_burst(&frames).unwrap(), 8);
     }
     assert_eq!(sys.delivered_rx(), 32);
-    assert_eq!(sys.machine.meter.event("irq"), 4, "one irq per NIC burst");
+    assert_eq!(
+        sys.machine.meter.event(Event::Irq),
+        4,
+        "one irq per NIC burst"
+    );
     for dev in 0..4 {
         assert_eq!(sys.world.nics[dev].stats().rx_packets, 8, "device {dev}");
         assert_eq!(sys.world.nics[dev].stats().rx_irqs, 1, "device {dev}");
@@ -277,7 +281,11 @@ fn default_quantum_leaves_single_burst_flushes_untouched() {
         frames.push(rx_frame(mac, 3, i));
     }
     assert_eq!(sys.receive_burst(&frames).unwrap(), 12);
-    assert_eq!(sys.machine.meter.event("virq"), 2, "one virq per guest");
+    assert_eq!(
+        sys.machine.meter.event(Event::Virq),
+        2,
+        "one virq per guest"
+    );
     assert!(sys.rx_flush_log.iter().all(|(round, _, _)| *round == 0));
     let xen = sys.world.xen.as_ref().unwrap();
     assert_eq!(xen.domain(g2).rx_delivered.len(), 6);
@@ -342,4 +350,28 @@ fn static_policy_pins_every_burst_to_the_chosen_nic() {
     assert_eq!(sys.receive_burst(&frames).unwrap(), 10);
     assert_eq!(sys.world.nics[2].stats().rx_packets, 10);
     assert_eq!(sys.delivered_rx(), 10);
+}
+
+#[test]
+fn per_device_attribution_survives_more_flows_than_the_map_holds() {
+    // 80 bursts of 128 flows never seen before: 10 240 flows, past the
+    // 8 192 the flow→device map holds. Every frame is copied into the
+    // guest once, so each NIC's grant copies must equal the frames it
+    // carried — after every burst, however many flows came before.
+    let mut sys = sharded_system(Config::TwinDrivers, 4, ShardPolicy::FlowHash);
+    let mac = MacAddr::for_guest(1);
+    for burst in 0..80u32 {
+        let frames: Vec<Frame> = (0..128)
+            .map(|i| rx_frame(mac, 1000 + burst * 128 + i, u64::from(i)))
+            .collect();
+        assert_eq!(sys.receive_burst(&frames).unwrap(), 128);
+        let ms = sys.metrics();
+        for dev in 0..4 {
+            assert_eq!(
+                ms.counter(&format!("grant.dev{dev}.copies")),
+                ms.counter(&format!("nic{dev}.rx_packets")),
+                "burst {burst}: NIC {dev}'s copies are filed under it"
+            );
+        }
+    }
 }

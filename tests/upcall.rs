@@ -4,6 +4,7 @@
 //! *call*).
 
 use twin_kernel::RoutineId;
+use twindrivers::machine::{Event, Term};
 use twindrivers::measure::upcall_latency;
 use twindrivers::{throughput, Config, System, SystemOptions, UpcallMode, TESTBED_NICS};
 
@@ -26,8 +27,8 @@ fn sync_is_the_default_and_deferred_idles_without_forced_upcalls() {
     let mut defer = build(UpcallMode::Deferred, 0);
     let bd = defer.measure_tx(40).expect("deferred measure");
     assert_eq!(bs.per_domain, bd.per_domain, "cycle-exact with engine off");
-    assert_eq!(defer.machine.meter.event("upcall_flush"), 0);
-    assert_eq!(defer.machine.meter.event("upcall_enqueue"), 0);
+    assert_eq!(defer.machine.meter.event(Event::UpcallFlush), 0);
+    assert_eq!(defer.machine.meter.event(Event::UpcallEnqueue), 0);
     let hs = defer.world.hyper.as_ref().unwrap();
     assert_eq!(hs.engine.stats.enqueued, 0);
     // And the default options really are sync mode.
@@ -89,13 +90,13 @@ fn deferred_amortizes_switches_per_flush_not_per_call() {
     );
     // The mechanism behind the number: switches collapse from two per
     // upcall to two per flush.
-    let sync_switches = sync.machine.meter.event("domain_switch");
-    let defer_switches = defer.machine.meter.event("domain_switch");
+    let sync_switches = sync.machine.meter.event(Event::DomainSwitch);
+    let defer_switches = defer.machine.meter.event(Event::DomainSwitch);
     assert!(
         defer_switches * 4 < sync_switches,
         "switches {defer_switches} vs {sync_switches}"
     );
-    assert!(defer.machine.meter.event("upcall_flush") > 0);
+    assert!(defer.machine.meter.event(Event::UpcallFlush) > 0);
 }
 
 #[test]
@@ -181,7 +182,7 @@ fn deferral_keeps_tail_latency_bounded_and_measured() {
     assert!(ls.samples > 0);
     let m = &sync.machine;
     assert!(
-        ls.p50 >= 2 * m.cost.domain_switch,
+        ls.p50 >= 2 * m.cost[Term::DomainSwitch],
         "sync upcalls pay their switches ({} cyc)",
         ls.p50
     );
@@ -233,7 +234,11 @@ fn polled_rx_flushes_deferred_upcalls() {
     assert_eq!(sys.rx_open_loop_arrival(&frames, now).unwrap(), 8);
     assert_eq!(sys.delivered_rx(), 0, "nothing reaped at the interrupt");
     sys.rx_open_loop_service(now + 1_000_000).unwrap();
-    assert_eq!(sys.machine.meter.event("napi_poll"), 1, "one polled pass");
+    assert_eq!(
+        sys.machine.meter.event(Event::NapiPoll),
+        1,
+        "one polled pass"
+    );
     assert_eq!(sys.delivered_rx(), 8);
     let hs = sys.world.hyper.as_ref().unwrap();
     assert_eq!(hs.engine.depth(), 0, "polled pass drained the ring");

@@ -5,6 +5,7 @@
 //! sweep attributes grant work per device.
 
 use twin_net::{EtherType, Frame, MacAddr, MTU};
+use twindrivers::machine::Event;
 use twindrivers::system::ZC_POOL_FRAMES;
 use twindrivers::{
     measure_aggregate_throughput, peer_mac, Config, ShardPolicy, System, SystemOptions,
@@ -97,8 +98,8 @@ fn zero_copy_off_is_cycle_exact_with_the_shard_baseline() {
             a.rx_cycles_per_packet
         );
         assert!(sys.grant_cache_stats().is_none(), "no cache when off");
-        assert_eq!(sys.machine.meter.event("grant_cache_hit"), 0);
-        assert_eq!(sys.machine.meter.event("copy_fallback"), 0);
+        assert_eq!(sys.machine.meter.event(Event::GrantCacheHit), 0);
+        assert_eq!(sys.machine.meter.event(Event::CopyFallback), 0);
     }
 }
 
@@ -111,16 +112,11 @@ fn warm_pool_pays_no_per_packet_grant_traffic_and_beats_copy_mode() {
     let mut on = System::build_with(Config::TwinDrivers, &zc_opts(4, true)).unwrap();
     on.measure_rx_burst(32, 64).unwrap();
     let w = on.measure_rx_burst(32, 64).unwrap();
-    assert_eq!(w.breakdown.events.get("grant_map"), None, "warm: no maps");
-    assert_eq!(w.breakdown.events.get("grant_unmap"), None);
-    assert_eq!(w.breakdown.events.get("copy_fallback"), None);
+    assert_eq!(w.breakdown.event(Event::GrantMap), 0, "warm: no maps");
+    assert_eq!(w.breakdown.event(Event::GrantUnmap), 0);
+    assert_eq!(w.breakdown.event(Event::CopyFallback), 0);
     assert!(
-        w.breakdown
-            .events
-            .get("grant_cache_hit")
-            .copied()
-            .unwrap_or(0)
-            >= 64,
+        w.breakdown.event(Event::GrantCacheHit) >= 64,
         "every measured packet lands through the cache"
     );
     let stats = on.grant_cache_stats().unwrap();
@@ -145,7 +141,7 @@ fn ungranted_guest_falls_back_to_copies_until_granted() {
     for seq in 0..8 {
         sys.receive_frame(&frame_to(mac2, 40, seq)).unwrap();
     }
-    let fallbacks = sys.machine.meter.event("copy_fallback");
+    let fallbacks = sys.machine.meter.event(Event::CopyFallback);
     assert_eq!(fallbacks, 8, "every frame to the ungranted guest bounces");
 
     // Granting the pool stops the fallbacks: first touch maps, the rest
@@ -155,11 +151,11 @@ fn ungranted_guest_falls_back_to_copies_until_granted() {
         sys.receive_frame(&frame_to(mac2, 40, seq)).unwrap();
     }
     assert_eq!(
-        sys.machine.meter.event("copy_fallback"),
+        sys.machine.meter.event(Event::CopyFallback),
         fallbacks,
         "granted guest takes the zero-copy path"
     );
-    assert!(sys.machine.meter.event("grant_cache_hit") > 0);
+    assert!(sys.machine.meter.event(Event::GrantCacheHit) > 0);
 }
 
 #[test]
@@ -174,12 +170,12 @@ fn exhausted_pool_slice_falls_back() {
         .collect();
     assert_eq!(sys.receive_burst(&burst).unwrap(), burst.len());
     assert_eq!(
-        sys.machine.meter.event("pin_page"),
+        sys.machine.meter.event(Event::PinPage),
         ZC_POOL_FRAMES as u64,
         "each slot maps once"
     );
     assert_eq!(
-        sys.machine.meter.event("copy_fallback"),
+        sys.machine.meter.event(Event::CopyFallback),
         6,
         "slots past the pool bounce"
     );
@@ -194,23 +190,23 @@ fn revocation_quarantines_cached_grants() {
         sys.receive_frame(&frame_to(mac1, 42, seq)).unwrap();
     }
     assert!(sys.grant_cache_stats().unwrap().misses > 0, "pool warmed");
-    let unmaps_before = sys.machine.meter.event("grant_unmap");
+    let unmaps_before = sys.machine.meter.event(Event::GrantUnmap);
     let revoked = sys.revoke_zero_copy_grants(gid);
     assert!(revoked > 0, "live mappings were torn down");
     assert_eq!(sys.grant_cache_stats().unwrap().revoked as usize, revoked);
     assert_eq!(
-        sys.machine.meter.event("grant_unmap") - unmaps_before,
+        sys.machine.meter.event(Event::GrantUnmap) - unmaps_before,
         revoked as u64,
         "each revoked mapping owes one unmap"
     );
     // The quarantined guest bounces through copies until re-granted.
     sys.receive_frame(&frame_to(mac1, 42, 4)).unwrap();
-    assert!(sys.machine.meter.event("copy_fallback") > 0);
+    assert!(sys.machine.meter.event(Event::CopyFallback) > 0);
     sys.grant_zero_copy_pool(gid).unwrap();
-    let fallbacks = sys.machine.meter.event("copy_fallback");
+    let fallbacks = sys.machine.meter.event(Event::CopyFallback);
     sys.receive_frame(&frame_to(mac1, 42, 5)).unwrap();
     assert_eq!(
-        sys.machine.meter.event("copy_fallback"),
+        sys.machine.meter.event(Event::CopyFallback),
         fallbacks,
         "re-granting restores the zero-copy path"
     );
