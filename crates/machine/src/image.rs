@@ -54,7 +54,7 @@ pub struct CodeImage {
 
 /// A linked memory reference: `disp + base + index * scale` in wrapping
 /// 32-bit arithmetic.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub(crate) struct Mem {
     pub(crate) base: Option<Reg>,
     pub(crate) index: Option<Reg>,
@@ -63,7 +63,7 @@ pub(crate) struct Mem {
 }
 
 /// A linked operand.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub(crate) enum Opnd {
     Reg(Reg),
     /// Truncated to the machine's 32 bits.
@@ -72,7 +72,7 @@ pub(crate) enum Opnd {
 }
 
 /// A linked jump or call target.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub(crate) enum Tgt {
     Abs(u64),
     Reg(Reg),
@@ -82,9 +82,21 @@ pub(crate) enum Tgt {
 /// What the interpreter executes: an [`Insn`] after linking, with nothing
 /// left to resolve and nothing on the heap — small enough to stay in
 /// cache, `Copy`, and matched by reference. Variants and fields mirror
-/// [`Insn`]'s.
-#[derive(Copy, Clone, Debug)]
+/// [`Insn`]'s, except [`Op::SvmXlate`], which only [`link`] creates.
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub(crate) enum Op {
+    /// The head `lea mem, s1` of an SVM translation (see [`fuse`]): on a
+    /// hit the interpreter runs the nine-instruction template in one
+    /// dispatch, otherwise this is the `lea` and nothing more. The eight
+    /// ops after it stay as lowered.
+    SvmXlate {
+        mem: Mem,
+        out: Reg,
+        s1: Reg,
+        s2: Reg,
+        /// Address of the stlb's first tag word; the xor words are 4 on.
+        stlb: u32,
+    },
     Mov {
         w: Width,
         dst: Opnd,
@@ -176,6 +188,16 @@ impl CodeImage {
         self.ops.len()
     }
 
+    /// Number of SVM translations (the rewriter's Figure 4 fast path)
+    /// [`link`] recognised in this image; the interpreter runs each one's
+    /// hit path in a single dispatch.
+    pub fn fused_sites(&self) -> usize {
+        self.ops
+            .iter()
+            .filter(|op| matches!(op, Op::SvmXlate { .. }))
+            .count()
+    }
+
     /// The instruction at code address `pc`; `None` if `pc` is outside
     /// the image or unaligned.
     #[inline]
@@ -200,12 +222,29 @@ impl CodeImage {
 
 /// Links `module` at `code_base`: local labels become absolute code
 /// addresses; all other symbols (data symbols, externs, cross-module
-/// references) are resolved through `resolve`.
+/// references) are resolved through `resolve`. The head of every SVM
+/// translation in the text becomes the fused op the crate docs describe
+/// ([`CodeImage::fused_sites`] counts them).
 ///
 /// # Errors
 ///
 /// Returns [`LinkError`] naming the first unresolvable symbol.
-pub fn link<F>(module: &Module, code_base: u64, mut resolve: F) -> Result<CodeImage, LinkError>
+pub fn link<F>(module: &Module, code_base: u64, resolve: F) -> Result<CodeImage, LinkError>
+where
+    F: FnMut(&str) -> Option<u64>,
+{
+    let mut image = link_plain(module, code_base, resolve)?;
+    fuse(&mut image.ops);
+    Ok(image)
+}
+
+/// [`link`] without the recogniser: every op is its instruction, lowered.
+/// What the tests run the fused image against.
+pub(crate) fn link_plain<F>(
+    module: &Module,
+    code_base: u64,
+    mut resolve: F,
+) -> Result<CodeImage, LinkError>
 where
     F: FnMut(&str) -> Option<u64>,
 {
@@ -240,6 +279,122 @@ where
         base: code_base,
         exports,
         ops,
+    })
+}
+
+/// Instructions in the SVM translation template.
+pub(crate) const SVM_XLATE_LEN: usize = 9;
+/// The template's constants: the page of an address, the bits of it that
+/// pick the stlb entry, and the shift that leaves that entry's offset in
+/// the table (8 bytes an entry).
+pub(crate) const SVM_PAGE_MASK: u32 = 0xffff_f000;
+pub(crate) const SVM_ENTRY_MASK: u32 = 0x00ff_f000;
+pub(crate) const SVM_ENTRY_SHIFT: u32 = 9;
+
+/// Replaces the head of every SVM translation in `ops` — the paper's
+/// Figure 4 fast path, which the rewriter emits for each memory reference
+/// of a driver — by [`Op::SvmXlate`]:
+///
+/// ```text
+/// retry: lea   mem, s1             ; the untranslated address
+///        mov   s1, out
+///        and   $0xfffff000, s1
+///        mov   s1, s2              ; its page
+///        and   $0x00fff000, s1
+///        shr   $9, s1              ; its stlb entry's offset
+///        cmp   D(,s1,1), s2        ; tag == page?
+///        jne   slow
+///        xor   D+4(,s1,1), out     ; page -> mapped page
+/// ```
+///
+/// The match is on shape alone — three distinct registers, these masks
+/// and this shift, two absolute words 4 apart indexed by `s1` — and only
+/// the `lea` changes: the eight ops after it stay, so a branch into the
+/// middle, the slow path's `jmp retry` and every code address mean what
+/// they did.
+fn fuse(ops: &mut [Op]) {
+    for i in 0..ops.len().saturating_sub(SVM_XLATE_LEN - 1) {
+        if let Some(head) = svm_xlate(&ops[i..i + SVM_XLATE_LEN]) {
+            ops[i] = head;
+        }
+    }
+}
+
+/// The fused head of `window` if it is the template [`fuse`] shows:
+/// the registers, the `lea`'s operand, the stlb's address and the branch
+/// target are the window's own, everything else must be the template's.
+fn svm_xlate(window: &[Op]) -> Option<Op> {
+    use Opnd::{Imm, Reg as R};
+    const L: Width = Width::Long;
+    let (
+        Op::Lea { dst: s1, mem },
+        Op::Mov { dst: R(out), .. },
+        Op::Mov { dst: R(s2), .. },
+        Op::Cmp {
+            src: Opnd::Mem(Mem { disp: stlb, .. }),
+            ..
+        },
+        Op::Jcc { target, .. },
+    ) = (window[0], window[1], window[3], window[6], window[7])
+    else {
+        return None;
+    };
+    let and = |mask| Op::Alu {
+        op: AluOp::And,
+        w: L,
+        dst: R(s1),
+        src: Imm(mask),
+    };
+    let word = |at: u32| {
+        Opnd::Mem(Mem {
+            base: None,
+            index: Some(s1),
+            scale: 1,
+            disp: stlb.wrapping_add(at),
+        })
+    };
+    let template = [
+        Op::Lea { dst: s1, mem },
+        Op::Mov {
+            w: L,
+            dst: R(out),
+            src: R(s1),
+        },
+        and(SVM_PAGE_MASK),
+        Op::Mov {
+            w: L,
+            dst: R(s2),
+            src: R(s1),
+        },
+        and(SVM_ENTRY_MASK),
+        Op::Shift {
+            op: ShiftOp::Shr,
+            dst: R(s1),
+            amount: Imm(SVM_ENTRY_SHIFT),
+        },
+        Op::Cmp {
+            w: L,
+            src: word(0),
+            dst: R(s2),
+        },
+        Op::Jcc {
+            cond: Cond::Ne,
+            target,
+        },
+        Op::Alu {
+            op: AluOp::Xor,
+            w: L,
+            dst: R(out),
+            src: word(4),
+        },
+    ];
+    let distinct = s1 != s2 && s1 != out && s2 != out;
+    (distinct && window == template).then_some(Op::SvmXlate {
+        mem,
+        out,
+        s1,
+        s2,
+        stlb,
     })
 }
 

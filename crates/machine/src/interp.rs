@@ -12,7 +12,9 @@
 //!   in dom0, natively in the hypervisor (paper §4.3), or as an upcall
 //!   stub (paper §4.2).
 
-use crate::image::{Mem, Op, Opnd, Tgt};
+use crate::image::{
+    Mem, Op, Opnd, Tgt, SVM_ENTRY_MASK, SVM_ENTRY_SHIFT, SVM_PAGE_MASK, SVM_XLATE_LEN,
+};
 use crate::space::{PageKind, SpaceId};
 use crate::{Event, Machine, Term, EXTERN_BASE, PAGE_SIZE, RETURN_SENTINEL};
 use std::error::Error;
@@ -357,6 +359,13 @@ fn cond_true(flags: &Flags, c: Cond) -> bool {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Fused hits made on this thread. By design nothing a run leaves
+    /// behind tells a hit from a fallback; this lets a test tell.
+    pub(crate) static FUSED_HITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// One [`run`]: the machine, CPU and environment it was called with, plus
 /// the cycle charges and instruction count it has made and not yet handed
 /// to the [`crate::CycleMeter`].
@@ -366,10 +375,20 @@ fn cond_true(flags: &Flags, c: Cond) -> bool {
 /// places someone else gets to look: before every [`Env`] callback, and
 /// when `run` returns or faults. The attribution domain cannot change in
 /// between either — only a callback can push or pop it.
+///
+/// One op stands for more than one instruction: [`Op::SvmXlate`], the
+/// head of an SVM translation (the crate docs give the template and why
+/// its tail is left in place). [`Exec::svm_xlate_hit`] runs all nine
+/// instructions of the hit path in that one dispatch iff the budget —
+/// kept here so the op can see it — covers nine, both stlb words come
+/// out of the translation cache, and the tag matches; if not, the head
+/// is its `lea` and the ops after it run one by one.
 struct Exec<'a> {
     m: &'a mut Machine,
     cpu: &'a mut Cpu,
     env: &'a mut dyn Env,
+    /// Instructions this run may still execute.
+    budget: u64,
     cycles: u64,
     insns: u64,
     /// Whether anything was charged since the last flush: a charge of
@@ -554,8 +573,7 @@ impl Exec<'_> {
         Ok(())
     }
 
-    fn run(&mut self, max_insns: u64) -> Result<StopReason, Fault> {
-        let mut budget = max_insns;
+    fn run(&mut self) -> Result<StopReason, Fault> {
         loop {
             // Where is `pc`? The sentinel, a trampoline, or code.
             let pc = self.cpu.pc;
@@ -566,7 +584,7 @@ impl Exec<'_> {
                 self.call_extern()?;
                 continue;
             }
-            if budget == 0 {
+            if self.budget == 0 {
                 return Ok(StopReason::Budget);
             }
             // Held while `pc` stays inside it: straight-line code and
@@ -577,10 +595,10 @@ impl Exec<'_> {
                 _ => return Err(Fault::BadFetch { pc }),
             };
             while let Some(op) = image.op_at(self.cpu.pc) {
-                if budget == 0 {
+                if self.budget == 0 {
                     return Ok(StopReason::Budget);
                 }
-                budget -= 1;
+                self.budget -= 1;
                 self.insns += 1;
                 if let Some(stop) = self.step(op)? {
                     return Ok(stop);
@@ -620,6 +638,20 @@ impl Exec<'_> {
                 self.pay(Term::MovReg);
                 self.cpu.set_reg(*dst, a as u32);
                 self.cpu.pc = next_pc;
+            }
+            Op::SvmXlate {
+                mem,
+                out,
+                s1,
+                s2,
+                stlb,
+            } => {
+                let a = self.ea(mem) as u32;
+                if !self.svm_xlate_hit(a, *out, *s1, *s2, *stlb) {
+                    self.pay(Term::MovReg);
+                    self.cpu.set_reg(*s1, a);
+                    self.cpu.pc = next_pc;
+                }
             }
             Op::Alu { op, w, dst, src } => {
                 let b = self.read(src, *w)?;
@@ -765,6 +797,55 @@ impl Exec<'_> {
         Ok(None)
     }
 
+    /// The whole SVM translation of address `a` (the template at
+    /// [`Op::SvmXlate`]) as the instruction at `cpu.pc`, if it is a hit:
+    /// the budget covers all nine instructions, both words of `a`'s stlb
+    /// entry are in the translation cache, and the entry's tag is `a`'s
+    /// page. Leaves the registers, the flags (the closing `xor`'s), the
+    /// charges and `pc` as the nine plain ops would.
+    ///
+    /// Anything else returns `false` with nothing changed: the caller
+    /// executes the `lea`, and the plain ops after it take the slow path,
+    /// walk the page table, fault or run out of budget where they always
+    /// did.
+    #[inline]
+    fn svm_xlate_hit(&mut self, a: u32, out: Reg, s1: Reg, s2: Reg, stlb: u32) -> bool {
+        // The run loop has counted the `lea`.
+        const REST: u64 = SVM_XLATE_LEN as u64 - 1;
+        if self.budget < REST {
+            return false;
+        }
+        let page = a & SVM_PAGE_MASK;
+        let entry = (a & SVM_ENTRY_MASK) >> SVM_ENTRY_SHIFT;
+        let word = |m: &Machine, cpu: &Cpu, at: u32| {
+            let addr = stlb.wrapping_add(at).wrapping_add(entry) as u64;
+            let paddr = m.cached_paddr(cpu, addr, Width::Long, false)?;
+            Some(m.phys.read_u32(paddr))
+        };
+        let (Some(tag), Some(xor)) = (word(self.m, self.cpu, 0), word(self.m, self.cpu, 4)) else {
+            return false;
+        };
+        if tag != page {
+            return false;
+        }
+        self.cpu.set_reg(s1, entry);
+        self.cpu.set_reg(s2, page);
+        let translated = alu(&mut self.cpu.flags, AluOp::Xor, a, xor, Width::Long);
+        self.cpu.set_reg(out, translated);
+        let cost = &self.m.cost;
+        self.cycles += 3 * cost[Term::MovReg]
+            + 5 * cost[Term::Alu]
+            + 2 * cost[Term::Load]
+            + cost[Term::BranchNotTaken];
+        self.charged = true;
+        self.budget -= REST;
+        self.insns += REST;
+        self.cpu.pc += SVM_XLATE_LEN as u64 * twin_isa::INSN_SIZE;
+        #[cfg(test)]
+        FUSED_HITS.with(|hits| hits.set(hits.get() + 1));
+        true
+    }
+
     fn string(&mut self, op: StrOp, w: Width, rep: Rep) -> Result<(), Fault> {
         let step = w.bytes() as u32;
         let mut count = match rep {
@@ -836,11 +917,12 @@ pub fn run(
         m,
         cpu,
         env,
+        budget: max_insns,
         cycles: 0,
         insns: 0,
         charged: false,
     };
-    let stopped = exec.run(max_insns);
+    let stopped = exec.run();
     exec.flush();
     stopped
 }

@@ -18,6 +18,38 @@
 //! driver (paper §6.2) emerges from the rewritten instruction stream rather
 //! than from a fudge factor.
 //!
+//! ## One dispatch per SVM translation
+//!
+//! The rewriter turns every memory reference of a driver into one fixed
+//! nine-instruction sequence (paper §5.1, Figure 4: `lea; mov; and; mov;
+//! and; shr; cmp stlb; jne slow; xor stlb+4`), and that template is most
+//! of what a rewritten driver executes (63 % of the instructions of a
+//! transmit burst). [`image::link`] recognises it by shape alone — nine
+//! consecutive ops, three distinct registers, the two masks and the
+//! shift, two absolute words 4 apart indexed by the first register; this
+//! crate learns no symbol name and does not depend on the rewriter — and
+//! replaces **only the head `lea`** by a fused op
+//! ([`CodeImage::fused_sites`] counts them). The eight ops after it stay
+//! exactly as lowered, so a branch into the middle of a template, the
+//! slow path's `jmp retry`, [`CodeImage::len`] and every code address
+//! mean what they did, and an image still has one linked representation.
+//!
+//! At the head, the interpreter runs the whole hit path in one dispatch
+//! when three things hold: at least nine instructions of budget remain;
+//! both words of the stlb entry answer from the translation cache (so a
+//! debug build re-walks the page table on every fused hit, as on every
+//! other cached access); and the entry's tag is the address's page. It
+//! then leaves the three registers, the flags (the closing `xor`'s),
+//! `pc`, the instruction count and the charges — `3·MovReg + 5·Alu +
+//! 2·Load + BranchNotTaken`, read from [`Machine::cost`] at that moment —
+//! as the nine ops would have. In every other case (stlb miss,
+//! translation-cache miss, stlb page unmapped or a device's, budget
+//! about to run out) the head is the `lea` and nothing more, and the
+//! plain ops after it take the slow path, walk, fault or stop where they
+//! always did. No simulated number can tell a fused run from a plain
+//! one; the test-only `fusion` module runs both links of the same code
+//! side by side to hold the interpreter to that.
+//!
 //! ```
 //! use twin_isa::asm::assemble;
 //! use twin_machine::{Machine, Cpu, ExecMode, NullEnv, run, StopReason};
@@ -42,6 +74,8 @@
 #![forbid(unsafe_code)]
 
 pub mod cost;
+#[cfg(test)]
+mod fusion;
 pub mod image;
 pub mod interp;
 pub mod mem;

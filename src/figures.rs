@@ -315,10 +315,12 @@ pub fn rewrite(_packets: u64) -> Rendered {
         "roughly 25% of a network driver's instructions reference memory (§4.1); \
          Fig. 7: rewritten 2218 vs native 960 cycles/packet",
     );
+    let hyperdrv = sys.hyperdrv.as_ref().expect("TwinDrivers loads it");
     write!(
         out,
         "  instructions : {} -> {} ({:.2}x)\n  memory sites : {} ({:.0}% of instructions)\n\
-         \x20 string sites : {}\n  indirect     : {}\n  spill sites  : {}\n",
+         \x20 string sites : {}\n  indirect     : {}\n  spill sites  : {}\n\
+         \x20 fused sites  : {} (Fig. 4 translations the interpreter runs in one dispatch)\n",
         s.insns_before,
         s.insns_after,
         s.expansion_factor(),
@@ -326,7 +328,8 @@ pub fn rewrite(_packets: u64) -> Rendered {
         s.mem_fraction() * 100.0,
         s.string_sites,
         s.indirect_sites,
-        s.spill_sites
+        s.spill_sites,
+        sys.machine.image(hyperdrv.image).fused_sites()
     )?;
     Ok(out)
 }

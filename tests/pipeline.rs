@@ -24,6 +24,34 @@ fn all_four_systems_move_packets() {
     }
 }
 
+/// The contract between `twin_rewriter`'s `emit_fastpath` and
+/// `twin_machine`'s link-time recogniser, which share no code: every
+/// Figure 4 translation the rewriter emits — one `.Lsvm_retry_*` label
+/// each, whether for a plain memory site, a string loop or an indirect
+/// call — is an op sequence the linker fuses, in both instances of the
+/// rewritten binary. An edit to the emitter that turns fusion off fails
+/// here, not just in `host_ns_per_pkt`.
+#[test]
+fn every_translation_the_rewriter_emits_is_one_the_linker_fuses() {
+    let sys = System::build(Config::TwinDrivers).unwrap();
+    let hyp = sys.machine.image(sys.hyperdrv.as_ref().unwrap().image);
+    let vm = sys.machine.image(sys.driver.image);
+    let emitted = hyp
+        .exports
+        .keys()
+        .filter(|label| label.starts_with(".Lsvm_retry_"))
+        .count();
+    let stats = sys.rewrite_stats.unwrap();
+    assert!(emitted >= stats.mem_sites + stats.string_sites + stats.indirect_sites);
+    assert_eq!((hyp.fused_sites(), vm.fused_sites()), (emitted, emitted));
+
+    // The original driver has no translation to fuse.
+    for config in [Config::XenGuest, Config::XenDom0, Config::NativeLinux] {
+        let sys = System::build(config).unwrap();
+        assert_eq!(sys.machine.image(sys.driver.image).fused_sites(), 0);
+    }
+}
+
 #[test]
 fn both_instances_share_one_copy_of_driver_data() {
     // The hypervisor instance transmits; the *VM instance's* adapter

@@ -169,22 +169,38 @@ impl Env for SvmEnv {
     }
 }
 
-fn run_native(module: &Module) -> (u32, Vec<u8>) {
+/// Calls `f` `calls` times natively in dom0: the last return value and
+/// the buffer.
+fn run_native(module: &Module, calls: usize) -> (u32, Vec<u8>) {
     let mut m = Machine::new();
     let dom0 = m.new_space();
     m.map_stack(dom0, DOM0_STACK, 8).unwrap();
     let d = load_driver(&mut m, dom0, module, VM_CODE, DATA, |_| None).unwrap();
     let mut cpu = Cpu::new(dom0, ExecMode::Guest);
-    cpu.set_stack(DOM0_STACK + 8 * PAGE_SIZE);
-    cpu.push_call_frame(&mut m, &[]).unwrap();
-    cpu.pc = d.entry("f").unwrap();
-    let stop = run(&mut m, &mut cpu, &mut NullEnv, 50_000_000).unwrap();
-    assert_eq!(stop, StopReason::Returned);
+    for _ in 0..calls {
+        cpu.set_stack(DOM0_STACK + 8 * PAGE_SIZE);
+        cpu.push_call_frame(&mut m, &[]).unwrap();
+        cpu.pc = d.entry("f").unwrap();
+        let stop = run(&mut m, &mut cpu, &mut NullEnv, 50_000_000).unwrap();
+        assert_eq!(stop, StopReason::Returned);
+    }
     (cpu.reg(twin_isa::Reg::Eax), dump(&m, dom0))
 }
 
-fn run_twin(module: &Module, opts: &RewriteOptions) -> (u32, Vec<u8>) {
-    let out = rewrite(module, opts).unwrap();
+/// What [`run_twin`] leaves behind.
+struct Twin {
+    ret: u32,
+    data: Vec<u8>,
+    stlb_misses: u64,
+    /// Translations the linker fused in the hypervisor image.
+    fused_sites: usize,
+}
+
+/// Calls `f` of a rewritten module `calls` times in the hypervisor, from
+/// a foreign address space, emptying the stlb between calls: every call
+/// after the first misses on its first touch of each page, takes the
+/// slow path and retries.
+fn run_twin(rewritten: &Module, calls: usize) -> Twin {
     let mut m = Machine::new();
     let dom0 = m.new_space();
     let domu = m.new_space();
@@ -193,16 +209,16 @@ fn run_twin(module: &Module, opts: &RewriteOptions) -> (u32, Vec<u8>) {
     let stlb = svm.placement().base;
     // Load data once in dom0 (relocs point at the VM image), then link
     // the hypervisor image at constant offset.
-    let vm = load_driver(&mut m, dom0, &out.module, VM_CODE, DATA, |n| {
+    let vm = load_driver(&mut m, dom0, rewritten, VM_CODE, DATA, |n| {
         (n == twin_svm::STLB_SYMBOL).then_some(stlb)
     })
     .unwrap();
     svm.set_code_mapping(
         (HYP_CODE - VM_CODE) as i64,
-        (HYP_CODE, HYP_CODE + (out.module.text.len() as u64) * 4),
+        (HYP_CODE, HYP_CODE + (rewritten.text.len() as u64) * 4),
     );
     let img = m
-        .load_image(&out.module, HYP_CODE, |n| {
+        .load_image(rewritten, HYP_CODE, |n| {
             if n == twin_svm::STLB_SYMBOL {
                 Some(stlb)
             } else {
@@ -212,13 +228,52 @@ fn run_twin(module: &Module, opts: &RewriteOptions) -> (u32, Vec<u8>) {
         .unwrap();
     let entry = m.image(img).export("f").unwrap();
     let mut cpu = Cpu::new(domu, ExecMode::Hypervisor);
-    cpu.set_stack(HYP_STACK + 8 * PAGE_SIZE);
-    cpu.push_call_frame(&mut m, &[]).unwrap();
-    cpu.pc = entry;
     let mut env = SvmEnv { svm };
-    let stop = run(&mut m, &mut cpu, &mut env, 100_000_000).unwrap();
-    assert_eq!(stop, StopReason::Returned);
-    (cpu.reg(twin_isa::Reg::Eax), dump(&m, dom0))
+    for call in 0..calls {
+        if call > 0 {
+            env.svm.clear_table(&mut m).unwrap();
+        }
+        cpu.set_stack(HYP_STACK + 8 * PAGE_SIZE);
+        cpu.push_call_frame(&mut m, &[]).unwrap();
+        cpu.pc = entry;
+        let stop = run(&mut m, &mut cpu, &mut env, 100_000_000).unwrap();
+        assert_eq!(stop, StopReason::Returned);
+    }
+    Twin {
+        ret: cpu.reg(twin_isa::Reg::Eax),
+        data: dump(&m, dom0),
+        stlb_misses: m.meter.event(Event::StlbMiss),
+        fused_sites: m.image(img).fused_sites(),
+    }
+}
+
+/// `rewritten` with a `nop` after the head of every translation: the
+/// same program, in which the linker finds no Figure 4 template to fuse
+/// — the interpreter runs it op by op, as it ran everything before the
+/// fused op existed.
+fn unfused(rewritten: &Module) -> Module {
+    let heads: std::collections::BTreeSet<usize> = rewritten
+        .labels
+        .iter()
+        .filter(|(label, _)| label.starts_with(".Lsvm_retry_"))
+        .map(|(_, at)| *at)
+        .collect();
+    let mut out = rewritten.clone();
+    out.text.clear();
+    // Old instruction index -> new.
+    let mut moved = Vec::with_capacity(rewritten.text.len() + 1);
+    for (i, insn) in rewritten.text.iter().enumerate() {
+        moved.push(out.text.len());
+        out.text.push(insn.clone());
+        if heads.contains(&i) {
+            out.text.push(twin_isa::Insn::Nop);
+        }
+    }
+    moved.push(out.text.len());
+    for at in out.labels.values_mut() {
+        *at = moved[*at];
+    }
+    out
 }
 
 fn dump(m: &Machine, space: SpaceId) -> Vec<u8> {
@@ -242,10 +297,32 @@ proptest! {
     fn rewritten_program_equivalent_to_original(ops in prop::collection::vec(op_strategy(), 1..24)) {
         let src = program(&ops);
         let module = assemble("p", &src).unwrap();
-        let (r0, d0) = run_native(&module);
-        let (r1, d1) = run_twin(&module, &RewriteOptions::default());
-        prop_assert_eq!(r0, r1, "return values differ");
-        prop_assert_eq!(d0, d1, "data section diverged");
+        let (r0, d0) = run_native(&module, 1);
+        let twin = run_twin(&rewrite(&module, &RewriteOptions::default()).unwrap().module, 1);
+        prop_assert_eq!(r0, twin.ret, "return values differ");
+        prop_assert_eq!(d0, twin.data, "data section diverged");
+    }
+
+    /// The same claim across every arm of the Figure 4 template, which
+    /// the interpreter runs fused on a hit (`twin_machine` crate docs)
+    /// and op by op otherwise: three calls with the stlb emptied in
+    /// between cross hit, miss, slow path and retry. The result is the
+    /// original's, and the un-fused link of the same binary agrees on it
+    /// and on the number of misses.
+    #[test]
+    fn rewritten_program_equivalent_when_stlb_entries_are_evicted(ops in prop::collection::vec(op_strategy(), 1..16)) {
+        let src = program(&ops);
+        let module = assemble("p", &src).unwrap();
+        let (r0, d0) = run_native(&module, 3);
+        let rewritten = rewrite(&module, &RewriteOptions::default()).unwrap().module;
+        let fused = run_twin(&rewritten, 3);
+        let plain = run_twin(&unfused(&rewritten), 3);
+        prop_assert!(fused.fused_sites > 0);
+        prop_assert_eq!(plain.fused_sites, 0);
+        prop_assert_eq!((r0, &d0), (fused.ret, &fused.data));
+        prop_assert_eq!((r0, &d0), (plain.ret, &plain.data));
+        prop_assert!(fused.stlb_misses > 3, "each call misses");
+        prop_assert_eq!(fused.stlb_misses, plain.stlb_misses);
     }
 
     /// Same property with liveness disabled (all sites spill).
@@ -253,11 +330,11 @@ proptest! {
     fn rewritten_program_equivalent_without_liveness(ops in prop::collection::vec(op_strategy(), 1..12)) {
         let src = program(&ops);
         let module = assemble("p", &src).unwrap();
-        let (r0, d0) = run_native(&module);
+        let (r0, d0) = run_native(&module, 1);
         let opts = RewriteOptions { liveness: false, ..RewriteOptions::default() };
-        let (r1, d1) = run_twin(&module, &opts);
-        prop_assert_eq!(r0, r1);
-        prop_assert_eq!(d0, d1);
+        let twin = run_twin(&rewrite(&module, &opts).unwrap().module, 1);
+        prop_assert_eq!(r0, twin.ret);
+        prop_assert_eq!(d0, twin.data);
     }
 
     /// Assembler round-trip: render(assemble(p)) reassembles identically.

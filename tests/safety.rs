@@ -2,8 +2,9 @@
 //! malicious drivers, watchdog timeouts, stack protection, privileged
 //! instruction scanning, and the IOMMU extension.
 
-use twin_machine::ExecMode;
+use twin_machine::{CostDomain, Event, ExecMode};
 use twindrivers::kernel::e1000;
+use twindrivers::net::{Frame, MacAddr};
 use twindrivers::{Config, System, SystemError, SystemOptions};
 
 fn sabotage(marker: &str, payload: &str) -> String {
@@ -185,4 +186,87 @@ fn iommu_blocks_rogue_dma() {
         .unwrap_err();
     assert!(matches!(err, twin_machine::Fault::EnvFault(_)));
     assert_eq!(sys.world.iommu.as_ref().unwrap().blocked, 1);
+}
+
+/// What [`evict_and_drive`] observed: the frames on the wire and at the
+/// guest, and the driver-side ledger.
+struct Driven {
+    wire: Vec<Frame>,
+    delivered: Vec<Frame>,
+    stlb_misses: u64,
+    insns: u64,
+    driver_cycles: u64,
+}
+
+/// Six rounds of an 8-packet transmit burst and an 8-frame receive
+/// burst. With `evict`, the hypervisor instance's stlb is emptied before
+/// every odd round: that round's first touch of each page takes the
+/// Fig. 4 `jne slow`, `__svm_slow` refills the entry and `jmp retry`
+/// re-enters the fast path; the even rounds hit throughout.
+fn evict_and_drive(config: Config, evict: bool) -> Driven {
+    let mut sys = System::build(config).unwrap();
+    let mut wire = Vec::new();
+    for round in 0..6u64 {
+        if evict && round % 2 == 1 {
+            let svm = sys.world.svm_hyp.as_ref().expect("hypervisor instance");
+            svm.clear_table(&mut sys.machine).unwrap();
+        }
+        assert_eq!(sys.transmit_burst(8).unwrap(), 8);
+        wire.extend(sys.take_wire_frames());
+        let frames: Vec<Frame> = (0..8)
+            .map(|i| {
+                Frame::data(
+                    MacAddr::for_guest(1),
+                    twindrivers::peer_mac(),
+                    7,
+                    round * 8 + i,
+                )
+            })
+            .collect();
+        assert_eq!(sys.receive_burst(&frames).unwrap(), 8);
+    }
+    let xen = sys.world.xen.as_ref().expect("a guest configuration");
+    let m = &sys.machine.meter;
+    Driven {
+        wire,
+        delivered: xen.domain(twindrivers::xen::DomId(1)).rx_delivered.clone(),
+        stlb_misses: m.event(Event::StlbMiss),
+        insns: m.insns(),
+        driver_cycles: m.cycles(CostDomain::Driver),
+    }
+}
+
+/// Rewritten ≡ original across every arm of the Fig. 4 template. The
+/// interpreter runs the template's hit path as one fused op
+/// (`twin_machine` crate docs) and falls back to the plain ops on a
+/// miss, so an evicting run crosses fused hit, fallback to the slow
+/// path, and retry. The frames must be the original driver's, and the
+/// ledger must be what the plain, un-fused link charged — the pins
+/// below were captured on the commit before the fused op existed.
+#[test]
+fn evicted_stlb_entries_change_the_ledger_by_the_slow_path_alone() {
+    let original = evict_and_drive(Config::XenGuest, false);
+    let warm = evict_and_drive(Config::TwinDrivers, false);
+    let evicting = evict_and_drive(Config::TwinDrivers, true);
+    assert_eq!(original.wire.len(), 48);
+    assert_eq!(original.delivered.len(), 48);
+    for twin in [&warm, &evicting] {
+        assert_eq!(twin.wire, original.wire);
+        assert_eq!(twin.delivered, original.delivered);
+    }
+    assert_eq!(original.stlb_misses, 0, "the original driver has no stlb");
+    assert_eq!(
+        (warm.stlb_misses, warm.insns, warm.driver_cycles),
+        (248, 73_723, 150_492)
+    );
+    assert_eq!(
+        (evicting.stlb_misses, evicting.insns, evicting.driver_cycles),
+        (296, 74_299, 153_804)
+    );
+    // A miss runs the template up to its `jne` (8 instructions), then
+    // `push; call; add; jmp retry` — 12 more than the hit it becomes.
+    assert_eq!(
+        evicting.insns - warm.insns,
+        12 * (evicting.stlb_misses - warm.stlb_misses)
+    );
 }
