@@ -30,11 +30,11 @@ use std::process::ExitCode;
 use twin_bench::{knee_gap, packets, point, Row, Sweep};
 use twindrivers::measure::{balanced_flow_set, measure_rx_affinity, AffinityPoint};
 use twindrivers::net::MacAddr;
+use twindrivers::sched::CPUS;
 use twindrivers::system::DomId;
-use twindrivers::{Config, SchedOptions, ShardPolicy, System, SystemOptions};
+use twindrivers::{Config, ShardPolicy, System, SystemOptions};
 
 const NICS: usize = 4;
-const CPUS: u32 = 4;
 const BURST: usize = 32;
 /// Scheduler period halves, in cycles: at 50% duty a vCPU runs
 /// 300k cycles then sleeps 300k. Long against the arrival gap (tens of
@@ -47,10 +47,7 @@ fn build(policy: ShardPolicy) -> System {
     let opts = SystemOptions {
         num_nics: NICS,
         shard: policy,
-        sched: Some(SchedOptions {
-            num_cpus: CPUS,
-            ..SchedOptions::default()
-        }),
+        sched: true,
         // Pure interrupt-driven reap, no caps, no watermark: every
         // arrival is reaped immediately, so a drop-free run is the
         // only correct outcome and any drop fails the acceptance.
@@ -104,7 +101,6 @@ fn row(p: &AffinityPoint) -> Row {
         .int("delivered", p.frames_delivered)
         .int("cold_deliveries", p.cold_deliveries)
         .int("placements", p.placements)
-        .int("migrations", p.migrations)
         .int("wakes", p.wakes)
         .int("early_drops", p.early_drops)
         .int("queue_drops", p.queue_drops)

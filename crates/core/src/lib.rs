@@ -123,9 +123,9 @@
 //! a monotonic cycle counter advanced by the cost accounting itself
 //! (charged work *is* elapsed time; [`System::run_idle`] advances it
 //! without charging, firing due virtual timers event-driven along the
-//! way). Kernel timers live in a cycles-keyed
-//! [`twin_kernel::TimerWheel`] (O(due) expiry,
-//! [`twin_kernel::CYCLES_PER_JIFFY`] conversion); each NIC models the
+//! way). Kernel timers live in a [`twin_kernel::TimerQueue`] ordered by
+//! expiry cycle, then arm order ([`twin_kernel::CYCLES_PER_JIFFY`]
+//! converts `mod_timer` deltas); each NIC models the
 //! real e1000 `ITR` register — IRQ *delivery* is suppressed until the
 //! throttling window opens while the cause stays latched
 //! ([`Itr::Fixed`], [`System::set_itr`]; delay, never drop; [`Itr::Auto`]
@@ -169,8 +169,8 @@ pub use measure::{
     Throughput, CPU_HZ, TESTBED_NICS, VICTIM_FRAMES_PER_BURST,
 };
 pub use system::{
-    peer_mac, Config, Itr, RecoveryReport, SchedOptions, ShardPolicy, System, SystemError,
-    SystemOptions, UpcallMode, World, MAX_BURST,
+    peer_mac, Config, Itr, RecoveryReport, ShardPolicy, System, SystemError, SystemOptions,
+    UpcallMode, World, MAX_BURST,
 };
 
 // Re-export the substrate crates so downstream users (workloads, benches,

@@ -954,8 +954,8 @@ pub fn measure_rx_livelock(
 }
 
 /// One point of the scheduler-affinity sweep: cycles/packet, cold
-/// deliveries, migration accounting and per-guest tail latency for one
-/// shard policy at one run/sleep duty cycle.
+/// deliveries, placements and per-guest tail latency for one shard
+/// policy at one run/sleep duty cycle.
 #[derive(Clone, Debug)]
 pub struct AffinityPoint {
     /// NICs driven concurrently.
@@ -979,9 +979,6 @@ pub struct AffinityPoint {
     pub cold_deliveries: u64,
     /// Affinity flow placements over the run (0 under FlowHash).
     pub placements: u64,
-    /// Affinity flow migrations following the scheduler (0 with pinned
-    /// vCPUs).
-    pub migrations: u64,
     /// vCPU wakeups observed during the measured span.
     pub wakes: u64,
     /// Admission-watermark drops (must be 0 — the harness runs uncapped).
@@ -991,8 +988,7 @@ pub struct AffinityPoint {
     /// RX-descriptor drops (must be 0).
     pub ring_drops: u64,
     /// Per-(guest, flow) sequence inversions in the delivered logs
-    /// (must be 0 — order is preserved across sleep deferral and
-    /// migration alike).
+    /// (must be 0 — order is preserved across sleep deferral).
     pub reorders: u64,
     /// Worst p99 arrival-to-delivery latency across the scheduled
     /// guests, in cycles (includes sleep deferral by construction).
@@ -1095,7 +1091,6 @@ pub fn measure_rx_affinity(
         rx_cycles_per_packet: m.breakdown(delivered.max(1)).total(),
         cold_deliveries: m.event(Event::ColdDelivery),
         placements: m.delta.counter("sched.placements"),
-        migrations: m.delta.counter("sched.migrations"),
         wakes: m.event(Event::VcpuRun),
         early_drops: m.total("guest", "early_drops"),
         queue_drops: m.total("guest", "queue_drops"),

@@ -53,7 +53,7 @@ fn validate(config: Config, opts: &SystemOptions) -> Result<SystemOptions, Syste
         (deadline, "upcall_flush_deadline_cycles", twin),
         (opts.napi_weight > 0, "napi_weight", twin),
         (opts.fault_recovery, "fault_recovery", twin),
-        (opts.sched.is_some(), "sched", twin),
+        (opts.sched, "sched", twin),
         (opts.zero_copy, "zero_copy", guest),
     ] {
         if on && !honoured {
@@ -187,7 +187,7 @@ impl System {
             grant_cache: None,
             rx_flow_dev: BTreeMap::new(),
             recovery_log: Vec::new(),
-            sched: opts.sched.clone().map(VcpuSched::new),
+            sched: opts.sched.then(VcpuSched::default),
             affinity_flow_dev: BTreeMap::new(),
             dom0,
             dom0_stack_top: twin_kernel::DOM0_STACK_BASE
@@ -332,14 +332,16 @@ impl System {
         Ok(gid)
     }
 
-    /// Registers a vCPU for `guest` on physical CPU `cpu` with a
-    /// periodic `run_cycles`-on / `sleep_cycles`-off schedule starting
-    /// now. Requires [`SystemOptions::sched`]; guests without a vCPU
-    /// stay always-running.
+    /// Registers a vCPU for `guest`, pinned to physical CPU `cpu` for
+    /// the rest of the run, with a periodic `run_cycles`-on /
+    /// `sleep_cycles`-off schedule starting now. Requires
+    /// [`SystemOptions::sched`]; guests without a vCPU stay
+    /// always-running.
     ///
     /// # Errors
     ///
-    /// [`SystemError::Build`] when the scheduler model is off.
+    /// [`SystemError::Build`] when the scheduler model is off or the
+    /// guest already has a vCPU.
     pub fn sched_add_vcpu(
         &mut self,
         guest: DomId,
@@ -352,7 +354,12 @@ impl System {
             .sched
             .as_mut()
             .ok_or_else(|| SystemError::Build("sched model is not enabled".into()))?;
-        sched.add_vcpu(guest.0, cpu, run_cycles, sleep_cycles, now);
+        if !sched.add_vcpu(guest.0, cpu, run_cycles, sleep_cycles, now) {
+            return Err(SystemError::Build(format!(
+                "guest {} already has a vCPU",
+                guest.0
+            )));
+        }
         Ok(())
     }
 

@@ -106,7 +106,6 @@ impl System {
         if let Some(s) = self.sched.as_ref() {
             let now = meter.now();
             let mut placements = 0u64;
-            let mut migrations = 0u64;
             for g in s.guests() {
                 let st = s.stats(g, now).expect("registered vcpu");
                 ms.set(format!("sched.guest{g}.cpu"), u64::from(st.cpu));
@@ -114,20 +113,14 @@ impl System {
                 ms.set(format!("sched.guest{g}.run_cycles"), st.run_cycles);
                 ms.set(format!("sched.guest{g}.wakes"), st.wakes);
                 ms.set(format!("sched.guest{g}.sleeps"), st.sleeps);
-                let (p, m) = self
-                    .guests
-                    .get(g as usize)
-                    .map_or((0, 0), |s| (s.placements, s.migrations));
+                let p = self.guests.get(g as usize).map_or(0, |s| s.placements);
                 ms.set(format!("sched.guest{g}.placements"), p);
-                ms.set(format!("sched.guest{g}.migrations"), m);
                 placements += p;
-                migrations += m;
             }
             // Flows placed for guests outside the vCPU set never happen
             // (they take the FlowHash fallback), so the totals are the
             // per-guest sums.
             ms.set("sched.placements", placements);
-            ms.set("sched.migrations", migrations);
         }
         ms.record_samples("rx_latency", self.rx_latency.samples());
         for (g, state) in self.guests.iter().enumerate() {

@@ -31,7 +31,6 @@ use twin_machine::{Cpu, Env, Event, ExecMode, Fault, Machine, SpaceId};
 use twin_net::MacAddr;
 use twin_nic::{ItrTuner, Nic};
 use twin_rewriter::{RewriteOptions, RewriteStats};
-pub use twin_sched::SchedOptions;
 use twin_sched::VcpuSched;
 use twin_svm::Svm;
 pub use twin_xen::{DomId, UpcallMode};
@@ -108,10 +107,8 @@ pub enum ShardPolicy {
     /// cache-warm. Flows of guests with no vCPU — and every flow when
     /// the scheduler model is off — fall back to the exact
     /// [`ShardPolicy::FlowHash`] placement, making this policy
-    /// FlowHash-equivalent whenever the scheduler is disabled. When the
-    /// scheduler later moves a guest, its flows follow, bounded by the
-    /// configured hysteresis and deferred until the old device's ring
-    /// is drained so per-flow order is preserved across the migration.
+    /// FlowHash-equivalent whenever the scheduler is disabled. vCPUs
+    /// never move, so a flow's placement is permanent.
     Affinity,
 }
 
@@ -300,17 +297,17 @@ pub struct SystemOptions {
     /// bit-exact with every prior baseline on fault-free runs.
     pub fault_recovery: bool,
     /// vCPU scheduler model ([`twin_sched::VcpuSched`], TwinDrivers
-    /// only): per-guest run/sleep schedules on the virtual clock, a run
-    /// queue per physical CPU and a static CPU↔NIC-softirq topology
-    /// map. When set, placement ([`ShardPolicy::Affinity`]), NAPI poll
-    /// budgets, DRR flush grants and ITR idle accounting all follow the
-    /// scheduler, and deliveries pay
-    /// [`twin_machine::Term::ColdDeliveryRefill`] when they run
-    /// far from the owning guest's vCPU. vCPUs are registered at run
-    /// time with [`System::sched_add_vcpu`]. `None` (the default)
-    /// compiles the machinery out of every decision and is bit-exact
-    /// with every prior baseline.
-    pub sched: Option<SchedOptions>,
+    /// only): per-guest run/sleep schedules on the virtual clock, each
+    /// vCPU pinned to one of [`twin_sched::CPUS`] CPUs, and a static
+    /// CPU↔NIC-softirq topology map. When set, placement
+    /// ([`ShardPolicy::Affinity`]), NAPI poll budgets, DRR flush grants
+    /// and ITR idle accounting all follow the scheduler, and deliveries
+    /// pay [`twin_machine::Term::ColdDeliveryRefill`] when they run far
+    /// from the owning guest's vCPU. vCPUs are registered at run time
+    /// with [`System::sched_add_vcpu`]. `false` (the default) takes the
+    /// machinery out of every decision and is bit-exact with every
+    /// prior baseline.
+    pub sched: bool,
 }
 
 impl Default for SystemOptions {
@@ -334,7 +331,7 @@ impl Default for SystemOptions {
             rx_queue_cap: None,
             tracing: false,
             fault_recovery: false,
-            sched: None,
+            sched: false,
         }
     }
 }
@@ -412,14 +409,8 @@ struct GuestState {
     /// [`System::grant_zero_copy_pool`]. Frames toward an ungranted
     /// domain take the copy fallback.
     zc_granted: bool,
-    /// Virtual-clock stamp of the guest's last flow migration — the
-    /// hysteresis clock bounding how often placements may follow the
-    /// scheduler.
-    affinity_moved_at: u64,
     /// [`ShardPolicy::Affinity`] placements, for the `sched.*` metrics.
     placements: u64,
-    /// [`ShardPolicy::Affinity`] migrations, for the `sched.*` metrics.
-    migrations: u64,
 }
 
 impl GuestState {
@@ -434,9 +425,7 @@ impl GuestState {
             latency: twin_trace::SampleReservoir::new(crate::measure::RX_LATENCY_RESERVOIR),
             sample_cursor: 0,
             zc_granted: false,
-            affinity_moved_at: 0,
             placements: 0,
-            migrations: 0,
         }
     }
 }
@@ -667,11 +656,11 @@ pub struct System {
     /// Completed recovery reports in episode order — pure bookkeeping
     /// (never charged), the fault sweep's latency source.
     recovery_log: Vec<RecoveryReport>,
-    /// vCPU scheduler model ([`SystemOptions::sched`]; `None` — the
-    /// default — leaves every decision on the scheduler-oblivious
+    /// vCPU scheduler model (built when [`SystemOptions::sched`] is
+    /// set; `None` leaves every decision on the scheduler-oblivious
     /// path).
     sched: Option<VcpuSched>,
-    /// Sticky [`ShardPolicy::Affinity`] placements: flow → device.
+    /// Permanent [`ShardPolicy::Affinity`] placements: flow → device.
     /// Populated only with the scheduler on; FlowHash fallback flows
     /// are never recorded.
     affinity_flow_dev: BTreeMap<u32, u32>,

@@ -48,17 +48,14 @@ impl System {
     /// model is off, the frame is not guest-bound, or the guest has no
     /// registered vCPU — take the exact [`ShardPolicy::FlowHash`]
     /// placement, so the policy is FlowHash-equivalent whenever the
-    /// scheduler is disabled. Scheduled flows stick to a NIC whose
-    /// softirq CPU matches the guest's vCPU; when the scheduler has
-    /// moved the guest, the flow follows only after the configured
-    /// hysteresis interval *and* once the old device's RX ring is
-    /// drained — frames still queued there would overtake the migrated
-    /// ones and break per-flow order.
+    /// scheduler is disabled. A scheduled flow is placed once, on a NIC
+    /// whose softirq CPU matches the guest's vCPU, and stays there:
+    /// vCPUs never move.
     fn affinity_dev(&mut self, f: &Frame, n: u32) -> u32 {
         let hash_dev = ShardPolicy::flow_hash_dev(f.flow, n);
-        if self.sched.is_none() {
+        let Some(sched) = self.sched.as_ref() else {
             return hash_dev;
-        }
+        };
         // Only guest-bound RX frames are steered: delivery locality is
         // a receive-side property (NIC softirq CPU vs the owning
         // guest's vCPU). TX and non-guest frames keep the oblivious
@@ -71,52 +68,28 @@ impl System {
         }) else {
             return hash_dev;
         };
-        let sched = self.sched.as_ref().expect("checked above");
         let Some(cpu) = sched.cpu_of(g) else {
             return hash_dev;
         };
+        if let Some(&dev) = self.affinity_flow_dev.get(&f.flow) {
+            return dev;
+        }
         let local: Vec<u32> = (0..n).filter(|&d| sched.nic_cpu(d) == cpu).collect();
-        let target = if local.is_empty() {
+        let dev = if local.is_empty() {
             hash_dev
         } else {
             // Spread a guest's flows across its local NICs by the same
             // hash the oblivious policy uses.
             local[ShardPolicy::flow_hash_dev(f.flow, local.len() as u32) as usize]
         };
-        let hysteresis = sched.options().affinity_hysteresis;
-        match self.affinity_flow_dev.get(&f.flow).copied() {
-            None => {
-                self.affinity_flow_dev.insert(f.flow, target);
-                self.guests[g as usize].placements += 1;
-                self.machine.meter.count_event(Event::AffinityPlace);
-                self.machine.trace_event(TraceEvent::AffinityPlace {
-                    guest: g,
-                    flow: f.flow,
-                    dev: target,
-                });
-                target
-            }
-            Some(cur) if cur == target => cur,
-            Some(cur) => {
-                let now = self.machine.meter.now();
-                let moved_at = self.guests[g as usize].affinity_moved_at;
-                let old_ring_drained = self.world.nics[cur as usize].rx_pending() == 0;
-                if now.saturating_sub(moved_at) >= hysteresis && old_ring_drained {
-                    self.affinity_flow_dev.insert(f.flow, target);
-                    self.guests[g as usize].affinity_moved_at = now;
-                    self.guests[g as usize].migrations += 1;
-                    self.machine.meter.count_event(Event::AffinityMigrate);
-                    self.machine.trace_event(TraceEvent::AffinityMigrate {
-                        guest: g,
-                        flow: f.flow,
-                        from_dev: cur,
-                        to_dev: target,
-                    });
-                    target
-                } else {
-                    cur
-                }
-            }
-        }
+        self.affinity_flow_dev.insert(f.flow, dev);
+        self.guests[g as usize].placements += 1;
+        self.machine.meter.count_event(Event::AffinityPlace);
+        self.machine.trace_event(TraceEvent::AffinityPlace {
+            guest: g,
+            flow: f.flow,
+            dev,
+        });
+        dev
     }
 }

@@ -36,9 +36,7 @@ pub use heap::Heap;
 pub use loader::{load_driver, LoadError, LoadedDriver};
 pub use routines::{DeferClass, FastPath, Routine, RoutineId, Usage, ROUTINES};
 pub use skb::{SkBuff, SkbPool, SKB_HDR_SIZE};
-pub use support::{
-    Dom0Kernel, RxMode, Timer, TimerWheel, Trace, CYCLES_PER_JIFFY, MMIO_BASE, WHEEL_SLOTS,
-};
+pub use support::{Dom0Kernel, RxMode, Timer, TimerQueue, Trace, CYCLES_PER_JIFFY, MMIO_BASE};
 
 use twin_machine::{run, Cpu, Env, ExecMode, Fault, Machine, SpaceId, StopReason};
 

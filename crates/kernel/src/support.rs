@@ -33,9 +33,6 @@ pub use twin_trace::CallTrace as Trace;
 /// the driver always used while the clock underneath is cycle-accurate.
 pub const CYCLES_PER_JIFFY: u64 = 30_000;
 
-/// Timer-wheel slot count (one revolution = `WHEEL_SLOTS` jiffies).
-pub const WHEEL_SLOTS: usize = 64;
-
 /// One pending kernel timer.
 #[derive(Copy, Clone, Debug)]
 pub struct Timer {
@@ -50,175 +47,62 @@ pub struct Timer {
     pub data: u64,
 }
 
-impl Timer {
-    /// The jiffy this timer expires in.
-    fn jiffy(&self) -> u64 {
-        self.expires_at / CYCLES_PER_JIFFY
-    }
+/// The armed timers, ordered by `(expires_at, arm sequence)`: expiry pops
+/// the due prefix, so timers with one expiry fire in the order they were
+/// armed. Sized for the traffic it has — `mod_timer` replaces by
+/// `(handler, data)` and the e1000 arms only its per-NIC watchdog, so
+/// dom0 never holds more than [`crate::e1000::MAX_NICS`] timers, and the
+/// vCPU model arms one edge per vCPU.
+#[derive(Clone, Debug, Default)]
+pub struct TimerQueue {
+    queue: BTreeMap<(u64, u64), Timer>,
+    /// Timers armed so far: the tie-break that keeps arm order.
+    armed: u64,
 }
 
-/// A single-level timer wheel keyed on virtual cycles, with a far list
-/// for timers beyond one revolution. Expiry is a bucket pop — cost is
-/// O(due) plus the slots the cursor walks — instead of the old
-/// drain-everything-and-reinsert scan, which touched every armed timer on
-/// every poll (the coarse-tick hazard: 1 000 armed watchdogs made every
-/// idle poll O(1 000)).
-#[derive(Clone, Debug)]
-pub struct TimerWheel {
-    /// Near timers, bucketed by `jiffy % WHEEL_SLOTS`.
-    slots: Vec<Vec<Timer>>,
-    /// Timers more than one revolution ahead; cascaded in as the cursor
-    /// wraps.
-    far: Vec<Timer>,
-    /// The next jiffy the wheel will process: every timer expiring in an
-    /// earlier jiffy has already been popped.
-    cursor: u64,
-    len: usize,
-    /// Timers examined or moved by wheel operations — the observable cost
-    /// metric the O(due) regression test asserts on.
-    pub touched: u64,
-}
-
-impl Default for TimerWheel {
-    fn default() -> TimerWheel {
-        TimerWheel::new()
-    }
-}
-
-impl TimerWheel {
-    /// Creates an empty wheel at jiffy 0.
-    pub fn new() -> TimerWheel {
-        TimerWheel {
-            slots: vec![Vec::new(); WHEEL_SLOTS],
-            far: Vec::new(),
-            cursor: 0,
-            len: 0,
-            touched: 0,
-        }
+impl TimerQueue {
+    /// Creates an empty queue.
+    pub fn new() -> TimerQueue {
+        TimerQueue::default()
     }
 
     /// Armed timers.
     pub fn len(&self) -> usize {
-        self.len
+        self.queue.len()
     }
 
     /// True when no timer is armed.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.queue.is_empty()
     }
 
-    /// Arms a timer. A timer already in the past lands in the cursor's
-    /// own bucket and fires on the next expiry pass.
+    /// Arms a timer behind every armed timer with the same expiry. A
+    /// timer already in the past fires on the next [`TimerQueue::expire`].
     pub fn arm(&mut self, t: Timer) {
-        self.touched += 1;
-        self.len += 1;
-        let j = t.jiffy().max(self.cursor);
-        if j - self.cursor < WHEEL_SLOTS as u64 {
-            self.slots[(j % WHEEL_SLOTS as u64) as usize].push(t);
-        } else {
-            self.far.push(t);
-        }
+        self.queue.insert((t.expires_at, self.armed), t);
+        self.armed += 1;
     }
 
     /// Removes every timer matching `pred`; returns how many were
-    /// removed. (The O(armed) cost is fine here: disarm is a control-path
-    /// operation, unlike the per-poll expiry.)
+    /// removed.
     pub fn disarm_where<F: Fn(&Timer) -> bool>(&mut self, pred: F) -> usize {
-        let before = self.len;
-        for slot in &mut self.slots {
-            slot.retain(|t| !pred(t));
-        }
-        self.far.retain(|t| !pred(t));
-        self.len = self.slots.iter().map(Vec::len).sum::<usize>() + self.far.len();
-        before - self.len
+        let before = self.queue.len();
+        self.queue.retain(|_, t| !pred(t));
+        before - self.queue.len()
     }
 
-    /// Iterates every armed timer (test observability).
-    pub fn iter(&self) -> impl Iterator<Item = &Timer> {
-        self.slots.iter().flatten().chain(self.far.iter())
-    }
-
-    /// The earliest armed expiry, in cycles (O(armed); used to arm the
-    /// idle-step scheduler, not on the datapath).
+    /// The earliest armed expiry, in cycles.
     pub fn next_due(&self) -> Option<u64> {
-        self.iter().map(|t| t.expires_at).min()
+        self.queue.first_key_value().map(|((at, _), _)| *at)
     }
 
-    /// Moves far-list timers that are now within one revolution of the
-    /// cursor into their buckets.
-    fn cascade(&mut self) {
-        let cursor = self.cursor;
-        let mut moved = Vec::new();
-        self.far.retain(|t| {
-            if t.jiffy().max(cursor) - cursor < WHEEL_SLOTS as u64 {
-                moved.push(*t);
-                false
-            } else {
-                true
-            }
-        });
-        self.touched += self.far.len() as u64 + moved.len() as u64;
-        for t in moved {
-            self.slots[(t.jiffy().max(cursor) % WHEEL_SLOTS as u64) as usize].push(t);
-        }
-    }
-
-    /// Pops every timer with `expires_at <= now`, in expiry order within
-    /// a bucket walk. Advances the cursor past fully elapsed jiffies; the
-    /// current (partial) jiffy is partitioned cycle-accurately and
-    /// revisited, so a timer expiring later in the same jiffy is never
-    /// early or a revolution late.
+    /// Pops every timer with `expires_at <= now`, by expiry, then arm
+    /// order.
     pub fn expire(&mut self, now: u64) -> Vec<Timer> {
         let mut due = Vec::new();
-        if self.len == 0 {
-            self.cursor = self.cursor.max(now / CYCLES_PER_JIFFY);
-            return due;
+        while let Some(t) = self.queue.first_entry().filter(|e| e.key().0 <= now) {
+            due.push(t.remove());
         }
-        let target = now / CYCLES_PER_JIFFY;
-        while self.cursor < target {
-            // Fully elapsed jiffy: everything bucketed for it is due;
-            // same-residue timers from later revolutions stay.
-            let slot = (self.cursor % WHEEL_SLOTS as u64) as usize;
-            if !self.slots[slot].is_empty() {
-                let entries = std::mem::take(&mut self.slots[slot]);
-                self.touched += entries.len() as u64;
-                for t in entries {
-                    if t.expires_at <= now {
-                        due.push(t);
-                    } else {
-                        self.slots[slot].push(t);
-                    }
-                }
-            }
-            self.cursor += 1;
-            if self.cursor % WHEEL_SLOTS as u64 == 0 && !self.far.is_empty() {
-                self.cascade();
-            }
-            // Large jumps: one full revolution visits every bucket, so
-            // anything older is already handled — skip ahead.
-            if target - self.cursor >= WHEEL_SLOTS as u64
-                && self.slots.iter().all(Vec::is_empty)
-                && self.far.is_empty()
-            {
-                self.cursor = target;
-            }
-        }
-        // The partial current jiffy: cycle-accurate partition, cursor
-        // stays so the bucket is revisited until the jiffy elapses.
-        let slot = (target % WHEEL_SLOTS as u64) as usize;
-        if !self.slots[slot].is_empty() {
-            let entries = std::mem::take(&mut self.slots[slot]);
-            self.touched += entries.len() as u64;
-            for t in entries {
-                if t.expires_at <= now {
-                    due.push(t);
-                } else {
-                    self.slots[slot].push(t);
-                }
-            }
-        }
-        self.len -= due.len();
-        due.sort_by_key(|t| t.expires_at);
         due
     }
 }
@@ -254,7 +138,7 @@ pub struct Dom0Kernel {
     pub irq_handlers: BTreeMap<u32, u64>,
     /// Pending timers, keyed on virtual cycles (`mod_timer` deltas are
     /// jiffies, converted via [`CYCLES_PER_JIFFY`]).
-    pub timers: TimerWheel,
+    pub timers: TimerQueue,
     /// Call trace for Table 1.
     pub trace: Trace,
     /// Destination of `netif_rx` packets.
@@ -288,7 +172,7 @@ impl Dom0Kernel {
             hyper_pool: None,
             rx_delivered: Vec::new(),
             irq_handlers: BTreeMap::new(),
-            timers: TimerWheel::new(),
+            timers: TimerQueue::new(),
             trace: Trace::new(),
             rx_mode: RxMode::LocalStack,
             printk_count: 0,
@@ -335,9 +219,8 @@ impl Dom0Kernel {
         Ok(())
     }
 
-    /// Timers due at virtual time `now` (cycles); pops them from the
-    /// wheel in O(due), leaving unexpired timers untouched in their
-    /// buckets.
+    /// Timers due at virtual time `now` (cycles), popped from the queue
+    /// by expiry, then arm order.
     pub fn take_due_timers(&mut self, now: u64) -> Vec<Timer> {
         self.timers.expire(now)
     }
@@ -705,48 +588,38 @@ mod tests {
 
     #[test]
     fn wheel_partitions_due_timers_at_wheel_boundaries() {
-        // Timers straddling a revolution boundary (jiffy WHEEL_SLOTS - 1
-        // vs WHEEL_SLOTS) and sharing a bucket residue across revolutions
-        // (jiffy 2 vs jiffy 2 + WHEEL_SLOTS) must partition exactly.
-        let w = WHEEL_SLOTS as u64;
-        let mut wheel = TimerWheel::new();
-        wheel.arm(t(0x1, (w - 1) * CYCLES_PER_JIFFY, 0));
-        wheel.arm(t(0x2, w * CYCLES_PER_JIFFY, 0));
-        wheel.arm(t(0x3, 2 * CYCLES_PER_JIFFY, 0));
-        wheel.arm(t(0x4, (2 + w) * CYCLES_PER_JIFFY, 0)); // same residue, next rev
-        assert_eq!(wheel.len(), 4);
-
-        let due = wheel.expire(3 * CYCLES_PER_JIFFY);
-        assert_eq!(due.len(), 1, "only the first-revolution residue fires");
-        assert_eq!(due[0].handler, 0x3);
-
-        let due = wheel.expire((w - 1) * CYCLES_PER_JIFFY);
-        assert_eq!(due.len(), 1);
-        assert_eq!(due[0].handler, 0x1);
-
-        let due = wheel.expire(w * CYCLES_PER_JIFFY);
-        assert_eq!(due.len(), 1, "boundary jiffy fires alone");
-        assert_eq!(due[0].handler, 0x2);
-
-        let due = wheel.expire((2 + w) * CYCLES_PER_JIFFY);
-        assert_eq!(due.len(), 1, "second-revolution residue fires a rev later");
-        assert_eq!(due[0].handler, 0x4);
-        assert!(wheel.is_empty());
+        // Adjacent jiffies (63, 64) and jiffies 64 apart (2, 66): each
+        // timer fires exactly at its own expiry, alone.
+        let w = 64;
+        let mut q = TimerQueue::new();
+        q.arm(t(0x1, (w - 1) * CYCLES_PER_JIFFY, 0));
+        q.arm(t(0x2, w * CYCLES_PER_JIFFY, 0));
+        q.arm(t(0x3, 2 * CYCLES_PER_JIFFY, 0));
+        q.arm(t(0x4, (2 + w) * CYCLES_PER_JIFFY, 0));
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.next_due(), Some(2 * CYCLES_PER_JIFFY));
+        for (now, handler) in [(3, 0x3), (w - 1, 0x1), (w, 0x2), (2 + w, 0x4)] {
+            let due = q.expire(now * CYCLES_PER_JIFFY);
+            assert_eq!(due.len(), 1, "jiffy {now} fires alone");
+            assert_eq!(due[0].handler, handler);
+        }
+        assert!(q.is_empty());
+        assert_eq!(q.next_due(), None);
     }
 
     #[test]
     fn wheel_is_cycle_accurate_within_a_jiffy() {
         // Two timers in the same jiffy, different cycles: expiry between
-        // them fires only the earlier one, and the later one still fires
-        // in the same jiffy (never a revolution late).
-        let mut wheel = TimerWheel::new();
+        // them fires only the earlier one.
+        let mut q = TimerQueue::new();
         let base = 7 * CYCLES_PER_JIFFY;
-        wheel.arm(t(0xa, base + 100, 0));
-        wheel.arm(t(0xb, base + 900, 0));
-        let due = wheel.expire(base + 500);
+        q.arm(t(0xa, base + 100, 0));
+        q.arm(t(0xb, base + 900, 0));
+        let due = q.expire(base + 500);
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].handler, 0xa);
-        let due = wheel.expire(base + 900);
+        assert_eq!(q.next_due(), Some(base + 900));
+        let due = q.expire(base + 900);
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].handler, 0xb);
     }
@@ -756,9 +629,9 @@ mod tests {
         // The watchdog pattern: the handler re-arms itself (same handler,
         // same data) while its expiry pass is being consumed — the
         // re-armed timer fires on the *next* interval, exactly once.
-        let mut wheel = TimerWheel::new();
-        wheel.arm(t(0x100, 100 * CYCLES_PER_JIFFY, 3));
-        let due = wheel.expire(100 * CYCLES_PER_JIFFY);
+        let mut q = TimerQueue::new();
+        q.arm(t(0x100, 100 * CYCLES_PER_JIFFY, 3));
+        let due = q.expire(100 * CYCLES_PER_JIFFY);
         assert_eq!(due.len(), 1);
         // "Inside the handler": re-arm relative to the fire time.
         let again = Timer {
@@ -766,63 +639,80 @@ mod tests {
             expires_at: due[0].expires_at + 100 * CYCLES_PER_JIFFY,
             data: due[0].data,
         };
-        wheel.disarm_where(|x| x.handler == again.handler && x.data == again.data);
-        wheel.arm(again);
-        assert!(wheel.expire(150 * CYCLES_PER_JIFFY).is_empty());
-        let due = wheel.expire(200 * CYCLES_PER_JIFFY);
+        assert_eq!(
+            q.disarm_where(|x| x.handler == again.handler && x.data == again.data),
+            0
+        );
+        q.arm(again);
+        assert!(q.expire(150 * CYCLES_PER_JIFFY).is_empty());
+        let due = q.expire(200 * CYCLES_PER_JIFFY);
         assert_eq!(due.len(), 1, "re-armed timer fires once");
         assert_eq!(due[0].data, 3, "the data cookie survives the round trip");
-        assert!(wheel.is_empty());
+        assert!(q.is_empty());
     }
 
     #[test]
     fn wheel_keeps_per_device_data_cookies_distinct() {
         // PR 2's contract: one watchdog per NIC — same handler, distinct
         // `data` cookies — must coexist, and re-arming one must not
-        // disturb the other (the cycles-keyed rewrite preserves this).
-        let mut wheel = TimerWheel::new();
-        wheel.arm(t(0x100, 100 * CYCLES_PER_JIFFY, 0));
-        wheel.arm(t(0x100, 100 * CYCLES_PER_JIFFY, 1));
-        assert_eq!(wheel.len(), 2);
+        // disturb the other.
+        let mut q = TimerQueue::new();
+        q.arm(t(0x100, 100 * CYCLES_PER_JIFFY, 0));
+        q.arm(t(0x100, 100 * CYCLES_PER_JIFFY, 1));
+        assert_eq!(q.len(), 2);
         // Re-arm device 0 only (mod_timer replacement semantics).
-        wheel.disarm_where(|x| x.handler == 0x100 && x.data == 0);
-        wheel.arm(t(0x100, 300 * CYCLES_PER_JIFFY, 0));
-        let due = wheel.expire(100 * CYCLES_PER_JIFFY);
+        assert_eq!(q.disarm_where(|x| x.handler == 0x100 && x.data == 0), 1);
+        q.arm(t(0x100, 300 * CYCLES_PER_JIFFY, 0));
+        let due = q.expire(100 * CYCLES_PER_JIFFY);
         assert_eq!(due.len(), 1, "only device 1's watchdog is due");
         assert_eq!(due[0].data, 1);
-        let due = wheel.expire(300 * CYCLES_PER_JIFFY);
+        let due = q.expire(300 * CYCLES_PER_JIFFY);
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].data, 0);
     }
 
     #[test]
     fn wheel_expiry_is_o_due_with_a_thousand_armed_timers() {
-        // The coarse-tick hazard this wheel fixes: the old
-        // `take_due_timers` drained *all* timers and re-inserted the
-        // unexpired ones on every poll — 1 000 armed timers made 50 idle
-        // polls touch 50 000 entries. The wheel's expiry only touches
-        // due timers (plus one far-list cascade per revolution).
-        let mut wheel = TimerWheel::new();
+        // A thousand armed timers, far in the future: idle expiries
+        // return nothing and lose nothing, and the final expiry comes
+        // out in order.
+        let mut q = TimerQueue::new();
         for i in 0..1_000u64 {
-            // All far in the future, spread across many revolutions.
-            wheel.arm(t(0x100 + i, (10_000 + i * 7) * CYCLES_PER_JIFFY, i));
+            q.arm(t(0x100 + i, (10_000 + (i * 7) % 100) * CYCLES_PER_JIFFY, i));
         }
-        let after_arm = wheel.touched;
-        assert_eq!(after_arm, 1_000, "arming touches each timer once");
-        // 50 idle polls, one jiffy apart, nothing due.
         for j in 1..=50u64 {
-            assert!(wheel.expire(j * CYCLES_PER_JIFFY).is_empty());
+            assert!(q.expire(j * CYCLES_PER_JIFFY).is_empty());
         }
-        let polled = wheel.touched - after_arm;
-        assert!(
-            polled <= 2_000,
-            "idle polls touched {polled} timers (old cost: 50 x 1000 = 50000)"
-        );
-        assert_eq!(wheel.len(), 1_000, "nothing lost");
-        // And everything still fires when its time comes.
-        let due = wheel.expire(20_000 * CYCLES_PER_JIFFY);
+        assert_eq!(q.len(), 1_000, "nothing lost");
+        let due = q.expire(20_000 * CYCLES_PER_JIFFY);
         assert_eq!(due.len(), 1_000);
-        assert!(due.windows(2).all(|w| w[0].expires_at <= w[1].expires_at));
-        assert!(wheel.is_empty());
+        let keys: Vec<(u64, u64)> = due.iter().map(|t| (t.expires_at, t.data)).collect();
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "by expiry, then arm order"
+        );
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn ties_fire_in_arm_order_a_rearm_goes_behind_and_the_past_fires_next() {
+        let at = 100 * CYCLES_PER_JIFFY;
+        let mut q = TimerQueue::new();
+        for dev in 0..4 {
+            q.arm(t(0x100, at, dev));
+        }
+        // `mod_timer` on device 1 to the same expiry: disarm, then arm —
+        // it now fires behind its peers.
+        assert_eq!(q.disarm_where(|x| x.handler == 0x100 && x.data == 1), 1);
+        q.arm(t(0x100, at, 1));
+        // Armed in the past: due at the very next expiry, ahead of the
+        // later ones.
+        q.arm(t(0x200, 0, 9));
+        assert_eq!(q.next_due(), Some(0));
+        let due = q.expire(1);
+        assert_eq!(due.iter().map(|t| t.data).collect::<Vec<_>>(), [9]);
+        let due = q.expire(at);
+        assert_eq!(due.iter().map(|t| t.data).collect::<Vec<_>>(), [0, 2, 3, 1]);
+        assert!(q.is_empty());
     }
 }

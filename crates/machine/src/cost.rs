@@ -316,8 +316,6 @@ closed_table! {
     /// A named occurrence the meter counts
     /// ([`CycleMeter::count_event`]): how often, never how long.
     Event {
-        /// A flow followed its guest's vCPU to another NIC.
-        AffinityMigrate: "affinity_migrate",
         /// A flow was first placed on a NIC by the affinity policy.
         AffinityPlace: "affinity_place",
         /// A frame delivered from a softirq CPU other than the guest's vCPU.

@@ -1,9 +1,8 @@
 //! # twin-net — networking substrate
 //!
-//! Ethernet frames, MAC addresses, checksums and simple TCP-stream flow
-//! models used by the NIC model, the kernel network stack model and the
-//! workload generators (netperf-like streaming, paper §6.2; web traffic,
-//! §6.3).
+//! Ethernet frames and MAC addresses used by the NIC model, the kernel
+//! network stack model and the workload generators (netperf-like
+//! streaming, paper §6.2; web traffic, §6.3).
 //!
 //! Frames carry their 14-byte Ethernet header as real bytes (so the
 //! hypervisor's receive demultiplexing by destination MAC — paper §5.3 —
@@ -206,84 +205,6 @@ impl Frame {
     }
 }
 
-/// RFC 1071 Internet checksum over a byte slice.
-pub fn internet_checksum(data: &[u8]) -> u16 {
-    let mut sum = 0u32;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u16::from_be_bytes([c[0], c[1]]) as u32;
-    }
-    if let [last] = chunks.remainder() {
-        sum += (*last as u32) << 8;
-    }
-    while sum >> 16 != 0 {
-        sum = (sum & 0xffff) + (sum >> 16);
-    }
-    !(sum as u16)
-}
-
-/// A unidirectional TCP-stream model, netperf style: emits back-to-back
-/// MTU-sized data frames; the reverse direction produces one ACK frame per
-/// `ack_every` data frames (delayed-ACK behaviour).
-#[derive(Clone, Debug)]
-pub struct TcpStream {
-    /// Flow id.
-    pub flow: u32,
-    /// Sender MAC.
-    pub src: MacAddr,
-    /// Receiver MAC.
-    pub dst: MacAddr,
-    next_seq: u64,
-    acks_owed: u32,
-    /// Data frames per ACK (Linux delayed ACK default: 2).
-    pub ack_every: u32,
-}
-
-impl TcpStream {
-    /// Creates a stream between two endpoints.
-    pub fn new(flow: u32, src: MacAddr, dst: MacAddr) -> TcpStream {
-        TcpStream {
-            flow,
-            src,
-            dst,
-            next_seq: 0,
-            acks_owed: 0,
-            ack_every: 2,
-        }
-    }
-
-    /// Next full-size data frame.
-    pub fn next_data(&mut self) -> Frame {
-        let f = Frame::data(self.dst, self.src, self.flow, self.next_seq);
-        self.next_seq += 1;
-        f
-    }
-
-    /// Registers receipt of one data frame; returns an ACK frame when the
-    /// delayed-ACK counter fires.
-    pub fn on_data_received(&mut self) -> Option<Frame> {
-        self.acks_owed += 1;
-        if self.acks_owed >= self.ack_every {
-            self.acks_owed = 0;
-            Some(Frame {
-                dst: self.src,
-                src: self.dst,
-                ethertype: EtherType::Ipv4,
-                payload_len: 52, // TCP/IP headers + options, no data
-                flow: self.flow,
-                seq: self.next_seq,
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Number of data frames emitted so far.
-    pub fn sent(&self) -> u64 {
-        self.next_seq
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,30 +244,6 @@ mod tests {
         assert_eq!(EtherType::Ipv4.value(), 0x0800);
         assert_eq!(EtherType::from_value(0x0806), EtherType::Arp);
         assert_eq!(EtherType::from_value(0x1234), EtherType::Other(0x1234));
-    }
-
-    #[test]
-    fn checksum_known_vector() {
-        let data = [0x45u8, 0x00, 0x00, 0x3c, 0x1c, 0x46, 0x40, 0x00, 0x40, 0x06];
-        let c = internet_checksum(&data);
-        let mut with = data.to_vec();
-        with.extend_from_slice(&c.to_be_bytes());
-        assert_eq!(internet_checksum(&with), 0);
-        let _ = internet_checksum(&[1, 2, 3]);
-    }
-
-    #[test]
-    fn tcp_stream_acks() {
-        let mut s = TcpStream::new(1, MacAddr::for_guest(1), MacAddr::for_guest(2));
-        let d0 = s.next_data();
-        let d1 = s.next_data();
-        assert_eq!(d0.seq, 0);
-        assert_eq!(d1.seq, 1);
-        assert_eq!(s.sent(), 2);
-        assert!(s.on_data_received().is_none());
-        let ack = s.on_data_received().expect("delayed ack fires");
-        assert_eq!(ack.dst, s.src, "ack flows back to the sender");
-        assert_eq!(ack.payload_len, 52);
     }
 
     #[test]

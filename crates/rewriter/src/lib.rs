@@ -386,12 +386,6 @@ mod tests {
         let module = assemble("t", ".text\nf:\n hlt\n ret\n").unwrap();
         let e = rewrite(&module, &RewriteOptions::default()).unwrap_err();
         assert!(matches!(e, RewriteError::Privileged { index: 0, .. }));
-        // Disabled scan accepts it.
-        let opts = RewriteOptions {
-            scan_privileged: false,
-            ..RewriteOptions::default()
-        };
-        assert!(rewrite(&module, &opts).is_ok());
     }
 
     #[test]

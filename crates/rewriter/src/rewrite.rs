@@ -36,10 +36,6 @@ pub struct RewriteOptions {
     /// (XFI-like extension the paper proposes in §4.5.1 but does not
     /// implement).
     pub stack_checks: bool,
-    /// Reject privileged instructions at rewrite time (paper §4.5.2:
-    /// "detected and prevented by static inspection of the driver code
-    /// during binary translation").
-    pub scan_privileged: bool,
 }
 
 impl Default for RewriteOptions {
@@ -47,7 +43,6 @@ impl Default for RewriteOptions {
         RewriteOptions {
             liveness: true,
             stack_checks: false,
-            scan_privileged: true,
         }
     }
 }
@@ -106,8 +101,9 @@ pub enum RewriteError {
         /// Instruction index in the input module.
         index: usize,
     },
-    /// A privileged instruction was found with
-    /// [`RewriteOptions::scan_privileged`] enabled.
+    /// A privileged instruction was found. The scan always runs (paper
+    /// §4.5.2: "detected and prevented by static inspection of the
+    /// driver code during binary translation").
     Privileged {
         /// Instruction index in the input module.
         index: usize,
@@ -411,7 +407,7 @@ pub fn rewrite(module: &Module, opts: &RewriteOptions) -> Result<RewriteOutput, 
         index_map[i] = em.text.len();
         let live_out = liveness.live_out(i);
 
-        if opts.scan_privileged && matches!(insn, Insn::Hlt) {
+        if matches!(insn, Insn::Hlt) {
             return Err(RewriteError::Privileged {
                 index: i,
                 insn: insn.to_string(),

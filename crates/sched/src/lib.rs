@@ -8,15 +8,13 @@
 //! deterministic guest scheduler on the same virtual cycle counter as
 //! everything else.
 //!
-//! * Each guest gets one vCPU with a periodic run/sleep schedule whose
-//!   transitions are armed as [`TimerWheel`] virtual timers — the same
-//!   wheel type the dom0 kernel uses, so expiry is cycle-accurate and
-//!   O(due).
-//! * A run queue per physical CPU answers "is anything hot on this
-//!   CPU?" for poll-budget weighting.
-//! * A static CPU ↔ NIC-softirq topology map (default `dev % num_cpus`,
-//!   overridable per device) tells placement which NIC is *local* to a
-//!   guest's vCPU.
+//! * Each guest gets one vCPU, pinned to one of [`CPUS`] physical CPUs
+//!   for the whole run (the paper pins one netperf guest per NIC and
+//!   never migrates, §5), with a periodic run/sleep schedule whose
+//!   transitions are armed as [`TimerQueue`] virtual timers — the queue
+//!   the dom0 kernel uses, so expiry is cycle-accurate.
+//! * A static CPU ↔ NIC-softirq topology map (`dev % CPUS`) tells
+//!   placement which NIC is *local* to a guest's vCPU.
 //!
 //! The model is deliberately open-loop: schedules are fixed duty cycles,
 //! not load-driven, so every experiment is reproducible and the system
@@ -26,35 +24,11 @@
 
 use std::collections::BTreeMap;
 
-use twin_kernel::{Timer, TimerWheel};
+use twin_kernel::{Timer, TimerQueue};
 
-/// Build-time configuration for the scheduler model.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SchedOptions {
-    /// Number of physical CPUs (run queues). NIC softirqs default to
-    /// CPU `dev % num_cpus`.
-    pub num_cpus: u32,
-    /// After this many wakeups a vCPU is moved to the next CPU
-    /// (`(cpu + 1) % num_cpus`), modelling the hypervisor scheduler
-    /// rebalancing a guest. `0` pins every vCPU for the whole run.
-    pub migrate_period: u32,
-    /// Minimum virtual cycles between flow migrations for one guest —
-    /// the hysteresis bound the affinity shard policy honours so a
-    /// ping-ponging scheduler cannot thrash placements.
-    pub affinity_hysteresis: u64,
-}
-
-impl Default for SchedOptions {
-    fn default() -> SchedOptions {
-        SchedOptions {
-            num_cpus: 4,
-            migrate_period: 0,
-            // ~ 6-7 jiffies: long enough that one rebalance settles
-            // before the next migration is allowed.
-            affinity_hysteresis: 200_000,
-        }
-    }
-}
+/// Physical CPUs the model has; device `dev`'s softirq runs on CPU
+/// `dev % CPUS`.
+pub const CPUS: u32 = 4;
 
 /// One guest's modelled vCPU.
 #[derive(Clone, Debug)]
@@ -84,9 +58,6 @@ pub struct Transition {
     pub at: u64,
     /// `true` when the vCPU just woke, `false` when it went to sleep.
     pub now_running: bool,
-    /// Set when this wakeup also moved the vCPU to a new physical CPU
-    /// (`migrate_period` elapsed).
-    pub migrated_to: Option<u32>,
 }
 
 /// Point-in-time view of one vCPU, for metrics export.
@@ -100,49 +71,37 @@ pub struct VcpuStats {
     pub sleeps: u64,
 }
 
-/// The scheduler model: vCPUs, their transition timers, per-CPU run
-/// queues and the NIC-softirq topology map.
-#[derive(Clone, Debug)]
+/// The scheduler model: vCPUs and their transition timers.
+#[derive(Clone, Debug, Default)]
 pub struct VcpuSched {
-    opts: SchedOptions,
     vcpus: BTreeMap<u32, Vcpu>,
-    /// Run/sleep transitions, armed as virtual timers. `data` carries
-    /// the guest id; `handler` is unused (this wheel never dispatches
-    /// into ISA code).
-    timers: TimerWheel,
-    /// Guests currently running, per physical CPU.
-    runq: Vec<Vec<u32>>,
-    /// Per-device softirq CPU overrides; absent devices use
-    /// `dev % num_cpus`.
-    nic_cpu_override: BTreeMap<u32, u32>,
+    /// Run/sleep transitions, one per vCPU with a non-degenerate
+    /// schedule. `data` carries the guest id; `handler` is unused (this
+    /// queue never dispatches into ISA code).
+    timers: TimerQueue,
 }
 
 impl VcpuSched {
-    pub fn new(opts: SchedOptions) -> VcpuSched {
-        let cpus = opts.num_cpus.max(1) as usize;
-        VcpuSched {
-            opts,
-            vcpus: BTreeMap::new(),
-            timers: TimerWheel::new(),
-            runq: vec![Vec::new(); cpus],
-            nic_cpu_override: BTreeMap::new(),
-        }
-    }
-
-    pub fn options(&self) -> &SchedOptions {
-        &self.opts
-    }
-
-    /// Registers a vCPU for `guest` on `cpu` with a periodic
+    /// Registers a vCPU for `guest` on CPU `cpu % CPUS` with a periodic
     /// `run_cycles`-on / `sleep_cycles`-off schedule starting (running)
     /// at `now`. A zero `sleep_cycles` means the vCPU never sleeps; a
     /// zero `run_cycles` (with non-zero sleep) means it never runs.
-    /// Either degenerate schedule arms no timer.
-    pub fn add_vcpu(&mut self, guest: u32, cpu: u32, run_cycles: u64, sleep_cycles: u64, now: u64) {
-        let cpu = cpu % self.opts.num_cpus.max(1);
+    /// Either degenerate schedule arms no timer. Returns `false`, and
+    /// changes nothing, when `guest` already has a vCPU.
+    pub fn add_vcpu(
+        &mut self,
+        guest: u32,
+        cpu: u32,
+        run_cycles: u64,
+        sleep_cycles: u64,
+        now: u64,
+    ) -> bool {
+        if self.vcpus.contains_key(&guest) {
+            return false;
+        }
         let running = sleep_cycles == 0 || run_cycles > 0;
         let vcpu = Vcpu {
-            cpu,
+            cpu: cpu % CPUS,
             running,
             run_cycles,
             sleep_cycles,
@@ -151,9 +110,6 @@ impl VcpuSched {
             wakes: u64::from(running),
             sleeps: u64::from(!running),
         };
-        if running {
-            self.runq[cpu as usize].push(guest);
-        }
         if run_cycles > 0 && sleep_cycles > 0 {
             self.timers.arm(Timer {
                 handler: 0,
@@ -162,6 +118,7 @@ impl VcpuSched {
             });
         }
         self.vcpus.insert(guest, vcpu);
+        true
     }
 
     /// Expires every transition due at `now` and applies it, keeping
@@ -180,24 +137,14 @@ impl VcpuSched {
                 let Some(v) = self.vcpus.get_mut(&guest) else {
                     continue;
                 };
-                let mut migrated_to = None;
                 if v.running {
                     // Run interval over: account it and go to sleep.
                     v.run_accum += t.expires_at.saturating_sub(v.state_since);
-                    v.running = false;
                     v.sleeps += 1;
-                    self.runq[v.cpu as usize].retain(|&g| g != guest);
                 } else {
-                    v.running = true;
                     v.wakes += 1;
-                    if self.opts.migrate_period > 0
-                        && v.wakes % u64::from(self.opts.migrate_period) == 0
-                    {
-                        v.cpu = (v.cpu + 1) % self.opts.num_cpus.max(1);
-                        migrated_to = Some(v.cpu);
-                    }
-                    self.runq[v.cpu as usize].push(guest);
                 }
+                v.running = !v.running;
                 v.state_since = t.expires_at;
                 let next = if v.running {
                     v.run_cycles
@@ -213,49 +160,25 @@ impl VcpuSched {
                     guest,
                     at: t.expires_at,
                     now_running: v.running,
-                    migrated_to,
                 });
             }
         }
     }
 
-    /// Whether `guest`'s vCPU is currently on a run queue. Guests with
-    /// no registered vCPU are always running — the model is opt-in.
+    /// Whether `guest`'s vCPU is running. Guests with no registered
+    /// vCPU are always running — the model is opt-in.
     pub fn is_running(&self, guest: u32) -> bool {
         self.vcpus.get(&guest).map_or(true, |v| v.running)
     }
 
-    /// The physical CPU `guest`'s vCPU currently occupies.
+    /// The physical CPU `guest`'s vCPU is pinned to.
     pub fn cpu_of(&self, guest: u32) -> Option<u32> {
         self.vcpus.get(&guest).map(|v| v.cpu)
     }
 
-    /// The physical CPU that runs device `dev`'s softirq (the static
-    /// topology map; default `dev % num_cpus`).
+    /// The physical CPU that runs device `dev`'s softirq.
     pub fn nic_cpu(&self, dev: u32) -> u32 {
-        self.nic_cpu_override
-            .get(&dev)
-            .copied()
-            .unwrap_or(dev % self.opts.num_cpus.max(1))
-    }
-
-    /// Overrides the softirq CPU for one device.
-    pub fn set_nic_cpu(&mut self, dev: u32, cpu: u32) {
-        self.nic_cpu_override
-            .insert(dev, cpu % self.opts.num_cpus.max(1));
-    }
-
-    /// When the (sleeping) guest next wakes; `None` when it is running
-    /// or has no armed transition.
-    pub fn next_wakeup(&self, guest: u32) -> Option<u64> {
-        if self.is_running(guest) {
-            return None;
-        }
-        self.timers
-            .iter()
-            .filter(|t| t.data == u64::from(guest))
-            .map(|t| t.expires_at)
-            .min()
+        dev % CPUS
     }
 
     /// Earliest armed transition across every vCPU — joined into the
@@ -267,11 +190,11 @@ impl VcpuSched {
 
     /// True when some vCPU on `cpu` is running.
     pub fn cpu_has_running(&self, cpu: u32) -> bool {
-        self.runq.get(cpu as usize).is_some_and(|q| !q.is_empty())
+        self.vcpus.values().any(|v| v.cpu == cpu && v.running)
     }
 
-    /// True when any CPU hosts a registered vCPU (used to decide
-    /// whether an empty run queue means "idle CPU" or "no model").
+    /// True when `cpu` hosts a registered vCPU (used to decide whether
+    /// no running vCPU there means "idle CPU" or "no model").
     pub fn cpu_has_vcpus(&self, cpu: u32) -> bool {
         self.vcpus.values().any(|v| v.cpu == cpu)
     }
@@ -303,8 +226,8 @@ mod tests {
     use super::*;
 
     fn sched(run: u64, sleep: u64) -> VcpuSched {
-        let mut s = VcpuSched::new(SchedOptions::default());
-        s.add_vcpu(7, 1, run, sleep, 0);
+        let mut s = VcpuSched::default();
+        assert!(s.add_vcpu(7, 1, run, sleep, 0));
         s
     }
 
@@ -340,42 +263,33 @@ mod tests {
         assert!(!s.cpu_has_running(0));
         s.advance(10_000);
         assert!(!s.cpu_has_running(1));
-        assert_eq!(s.next_wakeup(7), Some(20_000));
+        assert!(s.cpu_has_vcpus(1));
+        assert_eq!(s.next_event(), Some(20_000));
         assert!(s.is_running(99)); // no vCPU registered
         assert_eq!(s.cpu_of(99), None);
     }
 
     #[test]
-    fn migrate_period_rotates_cpu_on_wakeup() {
-        let mut s = VcpuSched::new(SchedOptions {
-            migrate_period: 2,
-            ..SchedOptions::default()
-        });
-        s.add_vcpu(3, 0, 1_000, 1_000, 0);
-        // wakes: initial=1; wake at 2k -> wakes=2 -> migrate to cpu 1.
-        let ts = s.advance(2_000);
-        let wake = ts.iter().find(|t| t.now_running).unwrap();
-        assert_eq!(wake.migrated_to, Some(1));
-        assert_eq!(s.cpu_of(3), Some(1));
-        assert!(s.cpu_has_running(1));
-    }
-
-    #[test]
     fn topology_defaults_and_overrides() {
-        let mut s = VcpuSched::new(SchedOptions::default());
+        // The map is `dev % CPUS`; a vCPU's CPU is taken modulo `CPUS`
+        // too.
+        let mut s = VcpuSched::default();
         assert_eq!(s.nic_cpu(5), 1);
-        s.set_nic_cpu(5, 3);
-        assert_eq!(s.nic_cpu(5), 3);
+        assert!(s.add_vcpu(1, 6, 1_000, 0, 0));
+        assert_eq!(s.cpu_of(1), Some(2));
     }
 
     #[test]
     fn degenerate_schedules_arm_no_timer() {
-        let mut s = VcpuSched::new(SchedOptions::default());
-        s.add_vcpu(1, 0, 5_000, 0, 0); // never sleeps
-        s.add_vcpu(2, 0, 0, 5_000, 0); // never runs
+        let mut s = VcpuSched::default();
+        assert!(s.add_vcpu(1, 0, 5_000, 0, 0)); // never sleeps
+        assert!(s.add_vcpu(2, 0, 0, 5_000, 0)); // never runs
         assert!(s.is_running(1));
         assert!(!s.is_running(2));
         assert_eq!(s.next_event(), None);
         assert!(s.advance(1_000_000).is_empty());
+        // A second registration is refused and arms nothing.
+        assert!(!s.add_vcpu(2, 1, 1_000, 1_000, 0));
+        assert_eq!((s.cpu_of(2), s.next_event()), (Some(0), None));
     }
 }

@@ -85,8 +85,7 @@ fn event_tid(ev: &TraceEvent) -> u64 {
         | TraceEvent::GrantCacheRevoke { dom, .. } => 1000 + *dom as u64,
         TraceEvent::VcpuRun { guest, .. }
         | TraceEvent::VcpuSleep { guest, .. }
-        | TraceEvent::AffinityPlace { guest, .. }
-        | TraceEvent::AffinityMigrate { guest, .. } => 1000 + *guest as u64,
+        | TraceEvent::AffinityPlace { guest, .. } => 1000 + *guest as u64,
         TraceEvent::UpcallEnqueue { .. }
         | TraceEvent::UpcallFlush { .. }
         | TraceEvent::UpcallCompletion { .. }
@@ -170,14 +169,6 @@ fn event_args(ev: &TraceEvent) -> String {
         TraceEvent::AffinityPlace { guest, flow, dev } => {
             format!("{{\"guest\": {guest}, \"flow\": {flow}, \"dev\": {dev}}}")
         }
-        TraceEvent::AffinityMigrate {
-            guest,
-            flow,
-            from_dev,
-            to_dev,
-        } => format!(
-            "{{\"guest\": {guest}, \"flow\": {flow}, \"from_dev\": {from_dev}, \"to_dev\": {to_dev}}}"
-        ),
     }
 }
 

@@ -270,18 +270,6 @@ pub enum TraceEvent {
         /// Device the flow was pinned to.
         dev: u32,
     },
-    /// The scheduler moved a guest and (after hysteresis, with the old
-    /// ring drained) its flow followed to the now-local NIC.
-    AffinityMigrate {
-        /// Owning guest.
-        guest: u32,
-        /// Migrated flow id.
-        flow: u32,
-        /// Device the flow left.
-        from_dev: u32,
-        /// Device the flow now lands on.
-        to_dev: u32,
-    },
 }
 
 impl TraceEvent {
@@ -317,7 +305,6 @@ impl TraceEvent {
             TraceEvent::VcpuRun { .. } => "vcpu_run",
             TraceEvent::VcpuSleep { .. } => "vcpu_sleep",
             TraceEvent::AffinityPlace { .. } => "affinity_place",
-            TraceEvent::AffinityMigrate { .. } => "affinity_migrate",
         }
     }
 }

@@ -23,7 +23,7 @@
 use twindrivers::net::{wire_bits, EtherType, Frame, MacAddr, MTU};
 use twindrivers::system::DomId;
 use twindrivers::trace::MetricSet;
-use twindrivers::{Config, SchedOptions, ShardPolicy, System, SystemOptions, CPU_HZ};
+use twindrivers::{Config, ShardPolicy, System, SystemOptions, CPU_HZ};
 
 const NICS: usize = 4;
 const BURST: usize = 32;
@@ -40,10 +40,7 @@ fn build() -> Result<System, Box<dyn std::error::Error>> {
     let opts = SystemOptions {
         num_nics: NICS,
         shard: ShardPolicy::Affinity,
-        sched: Some(SchedOptions {
-            num_cpus: NICS as u32,
-            ..SchedOptions::default()
-        }),
+        sched: true,
         rx_queue_cap: Some(QUEUE_CAP),
         napi_weight: NAPI_WEIGHT,
         rx_backlog_watermark: Some(WATERMARK),
@@ -57,7 +54,7 @@ fn build() -> Result<System, Box<dyn std::error::Error>> {
     sys.add_guest(MacAddr::for_guest(3))?;
     // The flood guest's vCPU never sleeps; the victims run partial duty
     // cycles, so the scheduler columns show deferral and placement at
-    // work (run%, placements, migrations).
+    // work (run%, placements).
     sys.sched_add_vcpu(DomId(1), 0, 1_000_000, 0)?;
     sys.sched_add_vcpu(DomId(2), 1, 400_000, 200_000)?;
     sys.sched_add_vcpu(DomId(3), 2, 300_000, 300_000)?;
@@ -122,20 +119,19 @@ fn render_interval(n: usize, d: &MetricSet) {
         );
     }
     println!(
-        "  {:<6} {:>10} {:>9} {:>11} {:>11} {:>6} {:>7} {:>5}",
-        "guest", "goodput", "delivered", "early_drops", "queue_drops", "run%", "placed", "migr"
+        "  {:<6} {:>10} {:>9} {:>11} {:>11} {:>6} {:>7}",
+        "guest", "goodput", "delivered", "early_drops", "queue_drops", "run%", "placed"
     );
     for g in ids_with_prefix(d, "guest") {
         let delivered = d.counter(&format!("guest{g}.delivered"));
         let mbps = delivered as f64 * wire_bits(MTU) as f64 / (span as f64 / CPU_HZ) / 1e6;
         let run = d.counter(&format!("sched.guest{g}.run_cycles"));
         println!(
-            "  dom{g:<3} {mbps:>6.0} Mb/s {delivered:>9} {:>11} {:>11} {:>5.0}% {:>7} {:>5}",
+            "  dom{g:<3} {mbps:>6.0} Mb/s {delivered:>9} {:>11} {:>11} {:>5.0}% {:>7}",
             d.counter(&format!("guest{g}.early_drops")),
             d.counter(&format!("guest{g}.queue_drops")),
             run as f64 / span.max(1) as f64 * 100.0,
             d.counter(&format!("sched.guest{g}.placements")),
-            d.counter(&format!("sched.guest{g}.migrations")),
         );
     }
     let (hits, misses) = (d.counter("grantcache.hits"), d.counter("grantcache.misses"));

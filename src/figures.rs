@@ -273,7 +273,6 @@ pub fn ablations(packets: u64) -> Rendered {
         rewrite: RewriteOptions {
             liveness,
             stack_checks,
-            ..RewriteOptions::default()
         },
         ..SystemOptions::default()
     };

@@ -9,9 +9,9 @@
 //!   guest one CPU away from its flow's hash-chosen NIC), `Affinity`
 //!   eliminates the cold-delivery refill entirely while `FlowHash`
 //!   pays it on every frame;
-//! * **migration order** — when vCPUs migrate across CPUs, flows
-//!   follow (hysteresis- and drain-gated) without ever reordering a
-//!   (guest, flow) sequence;
+//! * **one vCPU per guest** — a vCPU is pinned for the whole run, so a
+//!   flow's placement is permanent and a second registration is a build
+//!   error;
 //! * **sleep deferral** — a sleeping guest's frames are queued, not
 //!   delivered, and flush at the wakeup edge the scheduler predicted;
 //! * **poll-budget weighting** — a NAPI poll pass spends its budget on
@@ -21,11 +21,11 @@
 use twindrivers::machine::Event;
 use twindrivers::measure::Breakdown;
 use twindrivers::net::{EtherType, Frame, MacAddr, MTU};
+use twindrivers::sched::CPUS;
 use twindrivers::system::DomId;
-use twindrivers::{peer_mac, Config, SchedOptions, ShardPolicy, System, SystemOptions};
+use twindrivers::{peer_mac, Config, ShardPolicy, System, SystemError, SystemOptions};
 
 const NICS: usize = 4;
-const CPUS: u32 = 4;
 
 fn rx_frame(dst: MacAddr, flow: u32, seq: u64) -> Frame {
     Frame {
@@ -47,7 +47,7 @@ fn flow_for(dev: u32, base: u32) -> u32 {
     (base..).find(|&f| hash_dev(f) == dev).unwrap()
 }
 
-fn build(shard: ShardPolicy, sched: Option<SchedOptions>) -> System {
+fn build(shard: ShardPolicy, sched: bool) -> System {
     System::build_with(
         Config::TwinDrivers,
         &SystemOptions {
@@ -60,20 +60,13 @@ fn build(shard: ShardPolicy, sched: Option<SchedOptions>) -> System {
     .unwrap()
 }
 
-fn sched_opts() -> SchedOptions {
-    SchedOptions {
-        num_cpus: CPUS,
-        ..SchedOptions::default()
-    }
-}
-
 /// With the scheduler model off, `Affinity` *is* `FlowHash`: identical
 /// placement and identical charged cycles on identical traffic — the
 /// default-off guarantee behind every committed bit-exact baseline.
 #[test]
 fn affinity_without_sched_is_cycle_exact_flowhash() {
-    let mut fh = build(ShardPolicy::FlowHash, None);
-    let mut af = build(ShardPolicy::Affinity, None);
+    let mut fh = build(ShardPolicy::FlowHash, false);
+    let mut af = build(ShardPolicy::Affinity, false);
     let mac2 = MacAddr::for_guest(2);
     for sys in [&mut fh, &mut af] {
         sys.add_guest(mac2).unwrap();
@@ -116,7 +109,7 @@ fn sched_requires_twindrivers_config() {
         Config::XenGuest,
         &SystemOptions {
             num_nics: NICS,
-            sched: Some(sched_opts()),
+            sched: true,
             ..SystemOptions::default()
         },
     );
@@ -137,7 +130,7 @@ fn placement_follows_vcpu_and_eliminates_cold_refills() {
     let mut cold_cycles = 0;
     let mut warm_cycles = 0;
     for (shard, expect_cold) in [(ShardPolicy::FlowHash, 24), (ShardPolicy::Affinity, 0)] {
-        let mut sys = build(shard, Some(sched_opts()));
+        let mut sys = build(shard, true);
         sys.sched_add_vcpu(DomId(1), cpu, 1_000_000, 0).unwrap();
         assert_eq!(sys.receive_burst(&frames).unwrap(), frames.len());
         let b = Breakdown::from_meter(&sys.machine.meter, 1);
@@ -161,58 +154,34 @@ fn placement_follows_vcpu_and_eliminates_cold_refills() {
     );
 }
 
-/// vCPU migration drags flows along (hysteresis- and ring-drain-gated)
-/// and never reorders a flow: every frame still arrives, in sequence.
+/// A guest has one vCPU for the whole run: registering a second is a
+/// build error, and the first keeps its CPU and its one armed edge.
 #[test]
-fn migration_preserves_per_flow_order() {
-    let mut sys = build(
-        ShardPolicy::Affinity,
-        Some(SchedOptions {
-            num_cpus: CPUS,
-            migrate_period: 1,
-            affinity_hysteresis: 0,
-        }),
-    );
-    let flow = flow_for(0, 700);
-    sys.sched_add_vcpu(DomId(1), 0, 100_000, 100_000).unwrap();
-    let mut seq = 0u64;
-    for _ in 0..12 {
-        let frames: Vec<Frame> = (0..8)
-            .map(|_| {
-                let f = rx_frame(MacAddr::for_guest(1), flow, seq);
-                seq += 1;
-                f
-            })
-            .collect();
-        assert_eq!(sys.receive_burst(&frames).unwrap(), frames.len());
-        // Cross at least one run/sleep period so the vCPU wakes on a
-        // new CPU and the flow must follow it.
-        sys.run_idle(250_000).unwrap();
+fn reregistering_a_guests_vcpu_is_a_build_error() {
+    let mut sys = build(ShardPolicy::Affinity, true);
+    sys.sched_add_vcpu(DomId(1), 0, 1_000, 1_000).unwrap();
+    match sys.sched_add_vcpu(DomId(1), 1, 1_000, 1_000) {
+        Err(SystemError::Build(why)) => assert_eq!(why, "guest 1 already has a vCPU"),
+        other => panic!("re-registration must be refused: {other:?}"),
     }
-    let ms = sys.metrics();
-    assert!(
-        ms.counter("sched.migrations") >= 1,
-        "the migrating vCPU must drag its flow at least once"
-    );
-    assert_eq!(sys.delivered_rx_for(DomId(1)), seq as usize);
-    let xen = sys.world.xen.as_ref().unwrap();
-    let seqs: Vec<u64> = xen.domains[1]
-        .rx_delivered
+    let now = sys.now_cycles();
+    let mut sched = sys.sched().unwrap().clone();
+    assert_eq!(sched.cpu_of(1), Some(0));
+    assert!(!sched.cpu_has_vcpus(1), "nothing was placed on CPU 1");
+    let edges: Vec<bool> = sched
+        .advance(now + 1_000)
         .iter()
-        .filter(|f| f.flow == flow)
-        .map(|f| f.seq)
+        .map(|t| t.now_running)
         .collect();
-    assert!(
-        seqs.windows(2).all(|w| w[0] < w[1]),
-        "migration reordered the flow: {seqs:?}"
-    );
+    assert_eq!(edges, [false], "one edge, and the guest sleeps after it");
+    assert!(!sched.cpu_has_running(0));
 }
 
 /// A sleeping guest's frames park in its queue and flush exactly at
 /// the wakeup edge the scheduler predicted — deferred, never dropped.
 #[test]
 fn sleeping_guest_defers_until_wakeup() {
-    let mut sys = build(ShardPolicy::Affinity, Some(sched_opts()));
+    let mut sys = build(ShardPolicy::Affinity, true);
     // Runs 100k cycles, then sleeps 2M: plenty of room to land a burst
     // mid-sleep without the burst's own charges crossing the edge.
     sys.sched_add_vcpu(DomId(1), 0, 100_000, 2_000_000).unwrap();
@@ -232,7 +201,7 @@ fn sleeping_guest_defers_until_wakeup() {
     );
     let queued = sys.world.xen.as_ref().unwrap().domains[1].rx_queue.len();
     assert_eq!(queued, frames.len(), "deferred frames parked in the queue");
-    let wake = sys.sched().unwrap().next_wakeup(1).expect("wakeup armed");
+    let wake = sys.sched().unwrap().next_event().expect("wakeup armed");
     let now = sys.machine.meter.now();
     assert!(wake > now, "wakeup is in the future");
     sys.run_idle(wake - now + 50_000).unwrap();
@@ -260,7 +229,7 @@ fn poll_budget_weights_toward_running_guests() {
                 num_nics: NICS,
                 shard: ShardPolicy::FlowHash,
                 napi_weight: 8,
-                sched: Some(sched_opts()),
+                sched: true,
                 ..SystemOptions::default()
             },
         )
@@ -296,7 +265,7 @@ fn poll_budget_weights_toward_running_guests() {
 #[test]
 fn affinity_harness_point_is_pinned() {
     use twindrivers::measure::{balanced_flow_set, measure_rx_affinity, AffinityPoint};
-    let mut sys = build(ShardPolicy::Affinity, Some(sched_opts()));
+    let mut sys = build(ShardPolicy::Affinity, true);
     for g in 2..=4u32 {
         sys.add_guest(MacAddr::for_guest(g)).unwrap();
     }
@@ -320,7 +289,6 @@ fn affinity_harness_point_is_pinned() {
         rx_cycles_per_packet,
         cold_deliveries,
         placements,
-        migrations,
         wakes,
         early_drops,
         queue_drops,
@@ -331,10 +299,7 @@ fn affinity_harness_point_is_pinned() {
     assert_eq!((nics, burst, policy, duty_pct), (4, 32, "affinity", 50));
     assert_eq!((frames_offered, frames_delivered), (320, 320));
     assert_eq!(rx_cycles_per_packet, 10968.1);
-    assert_eq!(
-        (cold_deliveries, placements, migrations, wakes),
-        (0, 4, 0, 44)
-    );
+    assert_eq!((cold_deliveries, placements, wakes), (0, 4, 44));
     assert_eq!(
         (early_drops, queue_drops, ring_drops, reorders),
         (0, 0, 0, 0)

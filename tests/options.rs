@@ -34,9 +34,7 @@
 //! The second half pins what the build does with a knob the
 //! configuration cannot honour: an error, never a silent no-op.
 
-use twindrivers::{
-    Config, Itr, SchedOptions, ShardPolicy, System, SystemError, SystemOptions, UpcallMode,
-};
+use twindrivers::{Config, Itr, ShardPolicy, System, SystemError, SystemOptions, UpcallMode};
 
 #[test]
 fn the_field_list_is_nineteen_and_the_defaults_are_the_paper_path() {
@@ -71,8 +69,8 @@ fn the_field_list_is_nineteen_and_the_defaults_are_the_paper_path() {
     // The rest of the unextended path.
     assert_eq!((upcall_count, header_copy_bytes, num_nics), (0, 96, 1));
     assert_eq!((shard, rx_flush_quantum), (ShardPolicy::Static(0), 64));
-    assert!(!iommu && !tracing && !fault_recovery);
-    assert!(driver_source.is_none() && sched.is_none() && guest_weights.is_empty());
+    assert!(!iommu && !tracing && !fault_recovery && !sched);
+    assert!(driver_source.is_none() && guest_weights.is_empty());
     assert!(upcall_flush_deadline_cycles.is_none());
     assert!(rx_backlog_watermark.is_none() && rx_queue_cap.is_none());
 }
@@ -91,7 +89,7 @@ fn a_knob_the_configuration_cannot_honour_is_a_build_error() {
             SystemOptions { upcall_flush_deadline_cycles: Some(300_000), ..d() }),
         ("napi_weight", twin, SystemOptions { napi_weight: 16, ..d() }),
         ("fault_recovery", twin, SystemOptions { fault_recovery: true, ..d() }),
-        ("sched", twin, SystemOptions { sched: Some(SchedOptions::default()), ..d() }),
+        ("sched", twin, SystemOptions { sched: true, ..d() }),
         ("zero_copy", guests, SystemOptions { zero_copy: true, ..d() }),
     ];
     for config in Config::ALL {

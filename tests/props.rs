@@ -1263,8 +1263,8 @@ proptest! {
     /// under an arbitrary vCPU run/sleep schedule is functionally
     /// identical to `ShardPolicy::FlowHash` under the *same* schedule —
     /// same TX wire frames, same per-(guest, flow) delivery sequences
-    /// (in arrival order, never reordered by placement, migration or
-    /// sleep deferral), same buffer-pool state once the deferred
+    /// (in arrival order, never reordered by placement or sleep
+    /// deferral), same buffer-pool state once the deferred
     /// backlog drains. Affinity may only move cycles, never traffic.
     #[test]
     fn affinity_equivalent_to_flowhash_under_random_schedules(
@@ -1277,9 +1277,7 @@ proptest! {
     ) {
         use twin_net::{EtherType, Frame, MacAddr, MTU};
         use twindrivers::system::DomId;
-        use twindrivers::{
-            peer_mac, Config, SchedOptions, ShardPolicy, System, SystemOptions,
-        };
+        use twindrivers::{peer_mac, Config, ShardPolicy, System, SystemOptions};
 
         let build = |shard: ShardPolicy| {
             System::build_with(
@@ -1287,10 +1285,7 @@ proptest! {
                 &SystemOptions {
                     num_nics: 4,
                     shard,
-                    sched: Some(SchedOptions {
-                        num_cpus: 4,
-                        ..SchedOptions::default()
-                    }),
+                    sched: true,
                     ..SystemOptions::default()
                 },
             )
