@@ -107,6 +107,7 @@ fn boot_dom0(config: Config, num_nics: usize) -> Result<(Machine, World, SpaceId
         svm_vm: None,
         svm_hyp: None,
         iommu: None,
+        crossings: Vec::new(),
     };
     Ok((machine, world, dom0))
 }

@@ -27,10 +27,10 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use twin_kernel::{Dom0Kernel, LoadedDriver, RoutineId, SkBuff};
-use twin_machine::{Cpu, Env, Event, ExecMode, Fault, Machine, SpaceId};
+use twin_machine::{Cpu, Env, Event, ExecMode, ExternId, Fault, Machine, SpaceId};
 use twin_net::MacAddr;
 use twin_nic::{ItrTuner, Nic};
-use twin_rewriter::{RewriteOptions, RewriteStats};
+use twin_rewriter::{RewriteOptions, RewriteStats, SvmHelper};
 use twin_sched::VcpuSched;
 use twin_svm::Svm;
 pub use twin_xen::{DomId, UpcallMode};
@@ -506,9 +506,42 @@ pub struct World {
     pub svm_hyp: Option<Svm>,
     /// Optional IOMMU (extension).
     pub iommu: Option<Iommu>,
+    /// What each extern of the machine resolved to, indexed by
+    /// [`twin_machine::ExternId`]: filled the first time the trampoline is
+    /// called, so a crossing after that is an index.
+    crossings: Vec<Option<Crossing>>,
+}
+
+/// What a driver→kernel crossing goes to, resolved once from the extern's
+/// name in the loader's order (paper §5.2): an SVM helper of the calling
+/// instance's table, else a support routine.
+#[derive(Copy, Clone, Debug)]
+enum Crossing {
+    Svm(SvmHelper),
+    Routine(RoutineId),
+    /// Neither: the call faults.
+    Unknown,
 }
 
 impl World {
+    /// What extern `id` of `m` resolves to, resolving it on first use.
+    fn crossing(&mut self, id: ExternId, m: &Machine) -> Crossing {
+        if let Some(Some(resolved)) = self.crossings.get(id.0) {
+            return *resolved;
+        }
+        let name = m.extern_name(id).unwrap_or_default();
+        let resolved = match (SvmHelper::lookup(name), RoutineId::lookup(name)) {
+            (Some(helper), _) => Crossing::Svm(helper),
+            (None, Some(routine)) => Crossing::Routine(routine),
+            (None, None) => Crossing::Unknown,
+        };
+        if self.crossings.len() <= id.0 {
+            self.crossings.resize(id.0 + 1, None);
+        }
+        self.crossings[id.0] = Some(resolved);
+        resolved
+    }
+
     /// Runs support routine `id` for the instance `cpu` is executing:
     /// the hypervisor instance's calls go to [`HyperSupport`] (native
     /// Table 1 bodies, upcall stubs for the rest), dom0's to the kernel.
@@ -531,22 +564,26 @@ impl World {
 }
 
 impl Env for World {
-    /// Resolves the name once, in the loader's order (paper §5.2): the
-    /// SVM helpers of the calling instance's table — the VM instance of
-    /// a rewritten driver resolves them to the identity table (§5.1.2),
-    /// with no stack window — then the support routines.
-    fn extern_call(&mut self, name: &str, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault> {
+    /// An SVM helper runs against the calling instance's table — the VM
+    /// instance of a rewritten driver resolves the helpers to the
+    /// identity table (§5.1.2), with no stack window; a support routine
+    /// runs for the calling instance as `call_routine` says.
+    fn extern_call(&mut self, id: ExternId, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault> {
         let hyp = cpu.mode == ExecMode::Hypervisor;
+        let helper = match self.crossing(id, m) {
+            Crossing::Routine(routine) => return self.call_routine(routine, m, cpu),
+            Crossing::Svm(helper) => Some(helper),
+            Crossing::Unknown => None,
+        };
         let svm = match hyp {
             true => self.svm_hyp.as_mut(),
             false => self.svm_vm.as_mut(),
         };
-        if let Some(r) = svm.and_then(|svm| twin_xen::svm_helper(name, m, cpu, svm, hyp)) {
-            return r;
-        }
-        match RoutineId::lookup(name) {
-            Some(id) => self.call_routine(id, m, cpu),
-            None => Err(Fault::UnknownExtern(name.to_string())),
+        match (helper, svm) {
+            (Some(helper), Some(svm)) => twin_xen::svm_helper(helper, m, cpu, svm, hyp),
+            _ => Err(Fault::UnknownExtern(
+                m.extern_name(id).unwrap_or_default().to_string(),
+            )),
         }
     }
 

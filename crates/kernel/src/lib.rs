@@ -86,7 +86,7 @@ mod tests {
     use crate::skb::SkBuff;
     use twin_isa::asm::assemble;
     use twin_isa::Width;
-    use twin_machine::{PageEntry, PAGE_SIZE};
+    use twin_machine::{ExternId, PageEntry, PAGE_SIZE};
     use twin_net::{Frame, MacAddr};
     use twin_nic::{Nic, MMIO_WINDOW};
 
@@ -97,9 +97,15 @@ mod tests {
     }
 
     impl Env for NativeWorld {
-        fn extern_call(&mut self, name: &str, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault> {
+        fn extern_call(
+            &mut self,
+            id: ExternId,
+            m: &mut Machine,
+            cpu: &mut Cpu,
+        ) -> Result<(), Fault> {
+            let name = m.extern_name(id).unwrap_or_default();
             match RoutineId::lookup(name) {
-                Some(id) => self.kernel.handle_extern(id, m, cpu),
+                Some(routine) => self.kernel.handle_extern(routine, m, cpu),
                 None => Err(Fault::UnknownExtern(name.to_string())),
             }
         }

@@ -1,16 +1,20 @@
-//! The fused SVM translation against the nine plain ops (test-only).
+//! What `link` makes of a text against what `link_plain` makes of it
+//! (test-only).
 //!
-//! [`crate::image::link`] turns the head of every SVM translation into
-//! one op whose hit path the interpreter runs in a single dispatch
-//! (see [`crate::interp`]). Nothing may tell the two apart: every test
-//! here runs the same code on two machines, one linked by `link` and one
-//! by [`link_plain`], and compares everything a caller can observe.
+//! [`crate::image::link`] turns the head of every SVM translation, and
+//! the first push of every spill frame around one, into an op whose hit
+//! path the interpreter runs in a single dispatch, and every hot generic
+//! form left into a shape-specific op (see [`crate::interp`]). Nothing
+//! may tell the two links apart: every test here runs the same code on
+//! two machines, one linked by `link` and one by [`link_plain`], and
+//! compares everything a caller can observe.
 
-use crate::image::link_plain;
-use crate::interp::{Flags, FUSED_HITS};
+use crate::image::{link_plain, Op};
+use crate::interp::{Flags, FRAME_HITS, FUSED_HITS};
+use crate::space::Tlb;
 use crate::{
-    run, CostDomain, Cpu, Env, ExecMode, Fault, Machine, NullEnv, PageEntry, StopReason, Term,
-    PAGE_SIZE,
+    run, CostDomain, Cpu, Env, ExecMode, ExternId, Fault, ImageId, Machine, NullEnv, PageEntry,
+    StopReason, Term, PAGE_SIZE,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -104,6 +108,11 @@ fn fused_hits() -> u64 {
     FUSED_HITS.with(|hits| hits.replace(0))
 }
 
+/// Fused spill-frame hits on this thread since the last call.
+fn frame_hits() -> u64 {
+    FRAME_HITS.with(|hits| hits.replace(0))
+}
+
 fn memory(m: &Machine) -> &[u8] {
     let frames = m.phys.total_frames() - m.phys.free_frames();
     m.phys.read_bytes(0, frames * PAGE_SIZE as usize)
@@ -191,6 +200,103 @@ fn anything_but_the_template_is_left_as_it_was_lowered() {
     assert_eq!(fused_sites("f:\n leal (%esi), %eax\n"), 0);
 }
 
+/// [`template`] of `mem` after pushes of `pushes` and before pops of
+/// `pops`, `inside` between its `xor` and the pops: how the rewriter
+/// brackets a translation by spills where liveness leaves fewer than
+/// three free registers — with the access inside when `out` itself is
+/// spilled.
+fn bracketed(mem: &str, regs: [Reg; 3], pushes: &[Reg], pops: &[Reg], inside: &str) -> String {
+    let each = |op: &str, regs: &[Reg]| -> String {
+        regs.iter()
+            .map(|r| format!(" {op} %{}\n", r.name()))
+            .collect()
+    };
+    format!(
+        "{}{}{inside}{}",
+        each("pushl", pushes),
+        template(mem, regs),
+        each("popl", pops)
+    )
+}
+
+/// A spill frame of `spills` (push order) around a translation of `mem`.
+fn framed(mem: &str, regs: [Reg; 3], spills: &[Reg]) -> String {
+    let pops: Vec<Reg> = spills.iter().rev().copied().collect();
+    bracketed(mem, regs, spills, &pops, "")
+}
+
+/// Where `link` put spill frames in `src`: each one's op index and how
+/// many registers it spills.
+fn frames_in(src: &str) -> Vec<(usize, usize)> {
+    let module = assemble("t", &format!("{src}\nslow:\n hlt\n")).unwrap();
+    let image = crate::image::link(&module, CODE, |s| (s == "stlb").then_some(STLB)).unwrap();
+    let frames: Vec<(usize, usize)> = image
+        .ops
+        .iter()
+        .enumerate()
+        .filter_map(|(i, op)| match op {
+            Op::SvmFrame { k, .. } => Some((i, usize::from(*k))),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(image.fused_frames(), frames.len());
+    frames
+}
+
+#[test]
+fn a_spill_frame_is_fused_at_its_first_push_whatever_its_size_and_order() {
+    let [s1, s2, out] = REGS;
+    for spills in [
+        &[s1][..],
+        &[s2],
+        &[out],
+        &[s1, s2],
+        &[s2, s1],
+        &[out, s1],
+        &[s1, s2, out],
+        &[out, s2, s1],
+    ] {
+        let src = framed("8(%esi,%ecx,4)", REGS, spills);
+        assert_eq!(frames_in(&src), [(0, spills.len())], "{spills:?}");
+        assert_eq!(fused_sites(&src), 1, "the translation stays fused");
+    }
+    let two = format!(
+        " movl %ecx, %esi\n{}{}",
+        framed("(%esi)", REGS, &[s1]),
+        framed("(%edi)", REGS, &[s2, out])
+    );
+    assert_eq!(frames_in(&two), [(1, 1), (12, 2)]);
+}
+
+#[test]
+fn a_frame_is_what_pairs_up_around_the_translation_and_no_more() {
+    let [s1, s2, out] = REGS;
+    let ecx = Reg::Ecx;
+    for (pushes, pops, inside, want) in [
+        // Pairs count innermost first, as far as they go.
+        (&[ecx, s1][..], &[s1, ecx][..], "", &[(1, 1)][..]),
+        (&[s1, s1], &[s1, s1], "", &[(1, 1)]),
+        (&[s2, s1, s2], &[s2, s1, s2], "", &[(1, 2)]),
+        // Popped in push order, or not popped.
+        (&[s1, s2], &[s1, s2], "", &[]),
+        (&[s1], &[], "", &[]),
+        // `out` spilled: the access sits inside the frame.
+        (&[s1, out], &[out, s1], " movl %ecx, (%edx)\n", &[]),
+    ] {
+        let src = bracketed("(%ecx)", REGS, pushes, pops, inside);
+        assert_eq!(frames_in(&src), want, "{pushes:?} / {pops:?} / {inside:?}");
+        assert_eq!(fused_sites(&src), 1);
+    }
+    // `%esp` in the frame, as the operand's base or as a register of the
+    // template: the translation alone is fused.
+    for src in [
+        framed("4(%esp)", REGS, &[s1]),
+        framed("(%esi)", [s1, Reg::Esp, out], &[s1]),
+    ] {
+        assert_eq!((frames_in(&src), fused_sites(&src)), (vec![], 1), "{src}");
+    }
+}
+
 // ---- entry anywhere but the head ----
 
 /// A translation of `(%esi)` entered at `f`, its fourth instruction
@@ -237,8 +343,8 @@ struct SlowPath {
 }
 
 impl Env for SlowPath {
-    fn extern_call(&mut self, name: &str, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault> {
-        assert_eq!(name, "__svm_slow");
+    fn extern_call(&mut self, id: ExternId, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault> {
+        assert_eq!(m.extern_name(id), Some("__svm_slow"));
         self.calls += 1;
         let page = cpu.arg(m, 0)? & 0xffff_f000;
         fill(m, cpu, STLB, page, page, 0x5000_0000);
@@ -323,7 +429,64 @@ fn the_fused_hit_charges_what_the_cost_table_says_when_it_runs() {
     );
 }
 
-// ---- the property ----
+#[test]
+fn a_spill_frame_hit_writes_its_slots_restores_its_registers_and_charges_both() {
+    let [s1, s2, out] = REGS;
+    let src = format!(
+        ".text\n.globl f\nf:\n{} hlt\nslow:\n hlt\n",
+        framed("(%esi)", REGS, &[s2, s1])
+    );
+    let top = STACK + 2 * PAGE_SIZE - 0x100;
+    let seen = both(&src, STLB).map(|(mut m, mut cpu)| {
+        fill(&mut m, &cpu, STLB, 0x0123_4000, 0x0123_4000, 0x7000_0000);
+        let mut totals = Vec::new();
+        // Cold, warm, then warm under other prices.
+        for (store, load, v) in [(4, 4, 0xa0), (4, 4, 0xa1), (2, 11, 0xa2)] {
+            m.cost.set(Term::Store, store);
+            m.cost.set(Term::Load, load);
+            cpu.set_stack(top);
+            for (r, v) in [(Reg::Esi, 0x0123_4567), (s1, v), (s2, v << 8), (out, 0xc3)] {
+                cpu.set_reg(r, v);
+            }
+            cpu.pc = entry(&m, "f");
+            assert_eq!(
+                run(&mut m, &mut cpu, &mut NullEnv, 100),
+                Ok(StopReason::Halted)
+            );
+            totals.push(m.meter.total_cycles());
+        }
+        let slot = |at: u64| m.read_u32(cpu.space, cpu.mode, at).unwrap();
+        let slots = [slot(top - 4), slot(top - 8)];
+        (
+            observe(&m, &cpu),
+            totals,
+            slots,
+            [frame_hits(), fused_hits()],
+        )
+    });
+    let [fused, plain] = seen;
+    assert_eq!(fused.0, plain.0);
+    assert_eq!((fused.1.clone(), fused.2), (plain.1, plain.2));
+    assert_eq!((fused.3, plain.3), ([2, 0], [0, 0]), "the warm runs, whole");
+    assert_eq!(fused.2, [0xa200, 0xa2], "the last run's, pushed in order");
+    let regs = fused.0.regs;
+    assert_eq!(
+        [s1, s2, out, Reg::Esp].map(|r| regs[r.index()]),
+        [0xa2, 0xa200, 0x7123_4567, top as u32]
+    );
+    let per_run = |store: u64, load: u64| 2 * store + (3 + 5 + 2 * load + 1) + 2 * load;
+    assert_eq!(
+        fused.1,
+        [
+            per_run(4, 4),
+            2 * per_run(4, 4),
+            2 * per_run(4, 4) + per_run(2, 11)
+        ]
+    );
+    assert_eq!(fused.0.insns, 3 * (2 + 9 + 2 + 1));
+}
+
+// ---- the properties of the fused ops ----
 
 /// Pages the translated addresses fall on: two that share an stlb entry,
 /// the table's first and last entries, and one whose entry lies on the
@@ -342,34 +505,97 @@ const TARGETS: [u32; 5] = [
 const TABLES: [u64; 4] = [STLB, STLB + 4, STLB + 0xffc, STLB + 0xffe];
 
 /// A page whose translation shares the interpreter's translation-cache
-/// slot with stlb page `i`'s (`space::Tlb::slot`).
-fn rival_of(i: u64) -> u64 {
-    ((STLB / PAGE_SIZE + i) ^ 0x41) * PAGE_SIZE
+/// slot with `page`'s, away from everything else the tests map.
+fn rival_of(page: u64) -> u64 {
+    let slot = Tlb::slot(page / PAGE_SIZE);
+    let vpn = (0x4_0000..).find(|vpn| Tlb::slot(*vpn) == slot);
+    vpn.expect("every slot has pages") * PAGE_SIZE
+}
+
+/// A page the tests edit: one of the stlb's, or one of the stack's two.
+#[derive(Copy, Clone, Debug)]
+enum Page {
+    Stlb(u64),
+    Stack(u64),
+}
+
+impl Page {
+    fn all() -> impl Iterator<Item = Page> {
+        (0..STLB_PAGES)
+            .map(Page::Stlb)
+            .chain((0..2).map(Page::Stack))
+    }
+
+    fn addr(self) -> u64 {
+        match self {
+            Page::Stlb(i) => STLB + i * PAGE_SIZE,
+            Page::Stack(i) => STACK + i * PAGE_SIZE,
+        }
+    }
+}
+
+/// Where `%esp` stands when a spill frame starts.
+#[derive(Copy, Clone, Debug)]
+enum StackAt {
+    /// Well inside the stack's upper page.
+    Inside,
+    /// `.0` words above the stack's base: the lower slots fall on the
+    /// unmapped guard page below it.
+    NearGuard(u32),
+    /// So that the first slot straddles the stack's two pages.
+    Straddling,
+    /// `.0` words above the stlb entry the run translates through: the
+    /// pushes write the words the `cmp` and the `xor` then read.
+    OnTheEntry(u32),
 }
 
 #[derive(Clone, Debug)]
 enum Step {
     /// Translate an address `.1` bytes into `TARGETS[.0]`, once at every
-    /// budget 0..=12 (all the ways the nine instructions can be cut
-    /// short, and a few more); the other registers and the flags are
-    /// drawn from `.2`.
-    Run(usize, u32, u64),
+    /// budget from 0 to a little past the whole sequence (all the ways
+    /// it can be cut short, and a few more); the other registers and the
+    /// flags are drawn from `.2`, `%esp` — in a frame — from `.3`.
+    Run(usize, u32, u64, StackAt),
     /// Write `TARGETS[.0]`'s entry: its own tag or (`.1`) its rival's.
     Fill(usize, bool, u32),
-    /// Page-table edits of stlb page `.0`.
-    Unmap(u64),
-    Remap(u64),
-    MapMmio(u64),
-    /// Push stlb page `.0` out of the translation cache.
-    Evict(u64),
+    /// Page-table edits: unmap; map the page's own frame back; make it
+    /// a device's.
+    Unmap(Page),
+    Remap(Page),
+    MapMmio(Page),
+    /// Map the page's own frame back read-only, then load a word of it
+    /// and of every target's stlb entry: from then on the page is cached
+    /// read-only and a frame whose slots are on it finds everything else
+    /// it needs in the cache.
+    Protect(Page),
+    /// Push the page out of the translation cache.
+    Evict(Page),
+}
+
+fn page() -> impl Strategy<Value = Page> {
+    prop_oneof![
+        (0u64..STLB_PAGES).prop_map(Page::Stlb),
+        (0u64..STLB_PAGES).prop_map(Page::Stlb),
+        (0u64..2).prop_map(Page::Stack),
+    ]
+}
+
+fn stack_at() -> impl Strategy<Value = StackAt> + Clone {
+    prop_oneof![
+        Just(StackAt::Inside),
+        Just(StackAt::Inside),
+        Just(StackAt::Inside),
+        (0u32..4).prop_map(StackAt::NearGuard),
+        Just(StackAt::Straddling),
+        (0u32..4).prop_map(StackAt::OnTheEntry),
+    ]
 }
 
 fn step() -> impl Strategy<Value = Step> {
     let target = 0usize..TARGETS.len();
-    let page = 0u64..STLB_PAGES;
     let offset = prop_oneof![0u32..8, 0xff8u32..0x1000, 0u32..0x1000];
-    let run =
-        (target.clone(), offset, any::<u64>()).prop_map(|(t, off, seed)| Step::Run(t, off, seed));
+    let run = (target.clone(), offset, any::<u64>(), stack_at())
+        .prop_map(|(t, off, seed, at)| Step::Run(t, off, seed, at));
     let fill =
         (target, 0u8..4, any::<u32>()).prop_map(|(t, wrong, x)| Step::Fill(t, wrong == 0, x));
     // Mostly translations over a table that mostly holds them, as in a
@@ -383,12 +609,13 @@ fn step() -> impl Strategy<Value = Step> {
         run,
         fill.clone(),
         fill,
-        page.clone().prop_map(Step::Unmap),
-        page.clone().prop_map(Step::Remap),
-        page.clone().prop_map(Step::Remap),
-        page.clone().prop_map(Step::MapMmio),
-        page.clone().prop_map(Step::Evict),
-        page.prop_map(Step::Evict),
+        page().prop_map(Step::Unmap),
+        page().prop_map(Step::Remap),
+        page().prop_map(Step::Remap),
+        page().prop_map(Step::MapMmio),
+        (0u64..2).prop_map(|i| Step::Protect(Page::Stack(i))),
+        page().prop_map(Step::Evict),
+        page().prop_map(Step::Evict),
     ]
 }
 
@@ -406,6 +633,224 @@ fn shape() -> impl Strategy<Value = ((usize, usize, u8), [Reg; 3])> {
     ((0usize..9, 0usize..9, scale), regs)
 }
 
+/// Every register and flag drawn from `seed`.
+fn seed_cpu(cpu: &mut Cpu, seed: u64) {
+    let mut bits = seed;
+    for r in Reg::ALL {
+        bits = bits.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(1);
+        cpu.set_reg(r, (bits >> 32) as u32);
+    }
+    cpu.flags = Flags {
+        zf: seed & 1 != 0,
+        sf: seed & 2 != 0,
+        cf: seed & 4 != 0,
+        of: seed & 8 != 0,
+    };
+}
+
+/// One translation as a property draws it: the `lea`'s operand, the
+/// template's registers, the registers spilled around it (push order;
+/// none for a bare translation) and where the table lies.
+struct Site {
+    base: Option<Reg>,
+    index: Option<Reg>,
+    scale: u8,
+    disp: u32,
+    regs: [Reg; 3],
+    spills: Vec<Reg>,
+    table: u64,
+}
+
+impl Site {
+    fn new(
+        ((base, index, scale), regs): ((usize, usize, u8), [Reg; 3]),
+        spills: Vec<Reg>,
+        disp: u32,
+        table: usize,
+    ) -> Site {
+        // In a frame, an operand naming `%esp` would leave the frame
+        // unfused.
+        let usable = |r: &Reg| spills.is_empty() || *r != Reg::Esp;
+        let reg = |i: usize| Reg::ALL.get(i).copied().filter(usable);
+        let (base, index) = (reg(base), reg(index));
+        // An absolute operand names one of the targets.
+        let disp = match base.or(index) {
+            Some(_) => disp,
+            None => TARGETS[disp as usize % TARGETS.len()] + (disp >> 20),
+        };
+        Site {
+            base,
+            index,
+            scale,
+            disp,
+            regs,
+            spills,
+            table: TABLES[table],
+        }
+    }
+
+    fn source(&self) -> String {
+        let (disp, scale) = (self.disp, self.scale);
+        let operand = match (self.base, self.index) {
+            (None, None) => format!("{disp}"),
+            (Some(b), None) => format!("{disp}(%{})", b.name()),
+            (None, Some(i)) => format!("{disp}(,%{},{scale})", i.name()),
+            (Some(b), Some(i)) => format!("{disp}(%{},%{},{scale})", b.name(), i.name()),
+        };
+        format!(
+            ".text\n.globl f\nf:\n{} hlt\nslow:\n hlt\n.globl evict\nevict:\n movl (%ebx), %eax\n hlt\n",
+            framed(&operand, self.regs, &self.spills)
+        )
+    }
+
+    /// Instructions from the first push to the last pop.
+    fn len(&self) -> u64 {
+        (2 * self.spills.len() + 9) as u64
+    }
+
+    /// Seeds every register and flag from `seed`, stands `%esp` where
+    /// `at` says (in a frame), then aims the operand's first register at
+    /// `want`.
+    fn prepare(&self, cpu: &mut Cpu, seed: u64, at: StackAt, want: u32) {
+        seed_cpu(cpu, seed);
+        if !self.spills.is_empty() {
+            let entry = self.table + u64::from((want & 0x00ff_f000) >> 9);
+            let esp = match at {
+                StackAt::Inside => STACK + PAGE_SIZE + 0x800,
+                StackAt::NearGuard(words) => STACK + 4 * u64::from(words),
+                StackAt::Straddling => STACK + PAGE_SIZE + 2,
+                StackAt::OnTheEntry(words) => entry + 4 * u64::from(words),
+            };
+            cpu.set_stack(esp);
+        }
+        let Some(aim) = self.base.or(self.index) else {
+            return;
+        };
+        // The address is disp + k·aim + rest.
+        let (mut k, mut rest) = (0, self.disp);
+        for (r, weight) in [(self.base, 1), (self.index, u32::from(self.scale))] {
+            match r {
+                Some(r) if r == aim => k += weight,
+                Some(r) => rest = rest.wrapping_add(cpu.reg(r).wrapping_mul(weight)),
+                None => {}
+            }
+        }
+        cpu.set_reg(aim, want.wrapping_sub(rest) / k);
+    }
+}
+
+/// Runs `site` again and again on a fused and a plain machine while the
+/// stlb's contents, the stlb's and the stack's mappings and the
+/// translation cache change under it, and asserts after every step that
+/// the two agree on the CPU, the memory, every outcome and the meter —
+/// at every budget. `prices` go to the terms the sequence charges.
+fn fused_and_plain_agree(site: &Site, prices: &[u64], steps: &[Step]) {
+    let mut worlds = both(&site.source(), site.table);
+    let frames = usize::from(!site.spills.is_empty());
+    assert_eq!(worlds[0].0.image(ImageId(0)).fused_frames(), frames);
+    let own: Vec<(u64, u64)> = Page::all()
+        .map(|p| {
+            let (m, cpu) = &worlds[0];
+            (p.addr(), m.space(cpu.space).lookup(p.addr()).unwrap().pfn)
+        })
+        .collect();
+    let terms = [
+        Term::MovReg,
+        Term::Alu,
+        Term::Load,
+        Term::Store,
+        Term::BranchTaken,
+        Term::BranchNotTaken,
+    ];
+    for (m, cpu) in &mut worlds {
+        for &(addr, _) in &own {
+            m.map_fresh(cpu.space, rival_of(addr), 1).unwrap();
+        }
+        for (term, price) in terms.into_iter().zip(prices) {
+            m.cost.set(term, *price);
+        }
+        m.meter.push_domain(CostDomain::Driver);
+        for page in TARGETS {
+            fill(m, cpu, site.table, page, page, page.rotate_left(7));
+        }
+    }
+    let last = site.len() + 3;
+    for step in steps {
+        let mut outcomes = Vec::new();
+        for (m, cpu) in &mut worlds {
+            match *step {
+                Step::Run(target, offset, seed, at) => {
+                    for budget in 0..=last {
+                        // Values that differ run to run: a slot a run
+                        // failed to write shows.
+                        let seed = seed ^ (budget << 32);
+                        site.prepare(cpu, seed, at, TARGETS[target] + offset);
+                        cpu.pc = entry(m, "f");
+                        // Low budgets first or last: over a cold or a
+                        // warm translation cache.
+                        let budget = if seed & 16 != 0 {
+                            budget
+                        } else {
+                            last - budget
+                        };
+                        let stopped = run(m, cpu, &mut NullEnv, budget);
+                        outcomes.push((stopped, observe(m, cpu)));
+                    }
+                }
+                Step::Fill(target, wrong, xor) => {
+                    let page = TARGETS[target];
+                    let tag = if wrong { page ^ 0x0800_0000 } else { page };
+                    fill(m, cpu, site.table, page, tag, xor);
+                }
+                Step::Unmap(p) => {
+                    m.space_mut(cpu.space).unmap(p.addr());
+                }
+                Step::Remap(p) | Step::Protect(p) => {
+                    let (_, pfn) = own.iter().find(|(addr, _)| *addr == p.addr()).unwrap();
+                    let writable = matches!(step, Step::Remap(_));
+                    m.space_mut(cpu.space)
+                        .map(p.addr(), PageEntry::ram(*pfn, writable));
+                }
+                Step::MapMmio(p) => {
+                    m.space_mut(cpu.space).map(p.addr(), PageEntry::mmio(0, 0));
+                }
+                Step::Evict(_) => {}
+            }
+            // Loads through the cache: of a rival to evict a page, of a
+            // protected page and the stlb entries to warm them.
+            let loads = match *step {
+                Step::Evict(p) => vec![rival_of(p.addr())],
+                Step::Protect(p) => [p.addr() + 0x800]
+                    .into_iter()
+                    .chain(TARGETS.map(|t| site.table + u64::from((t & 0x00ff_f000) >> 9)))
+                    .collect(),
+                _ => Vec::new(),
+            };
+            for at in loads {
+                cpu.set_reg(Reg::Ebx, at as u32);
+                cpu.pc = entry(m, "evict");
+                outcomes.push((run(m, cpu, &mut NullEnv, 2), observe(m, cpu)));
+            }
+        }
+        let (fused, plain) = outcomes.split_at(outcomes.len() / 2);
+        assert_eq!(fused, plain, "{step:?}");
+        assert!(
+            memory(&worlds[0].0) == memory(&worlds[1].0),
+            "memory diverged at {step:?}"
+        );
+    }
+}
+
+/// The six orders of (s1, s2, out).
+const ORDERS: [[usize; 3]; 6] = [
+    [0, 1, 2],
+    [0, 2, 1],
+    [1, 0, 2],
+    [1, 2, 0],
+    [2, 0, 1],
+    [2, 1, 0],
+];
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
 
@@ -418,122 +863,189 @@ proptest! {
         shape in shape(),
         disp in any::<u32>(),
         table in 0usize..TABLES.len(),
-        prices in (0u64..9, 0u64..9, 0u64..9, 0u64..9),
+        prices in prop::collection::vec(0u64..9, 6..7),
         steps in prop::collection::vec(step(), 1..40),
     ) {
-        let ((base, index, scale), regs) = shape;
-        let reg = |i: usize| Reg::ALL.get(i).copied();
-        let (base, index) = (reg(base), reg(index));
-        // An absolute operand names one of the targets.
-        let disp = match base.or(index) {
-            Some(_) => disp,
-            None => TARGETS[disp as usize % TARGETS.len()] + (disp >> 20),
-        };
-        let operand = match (base, index) {
-            (None, None) => format!("{disp}"),
-            (Some(b), None) => format!("{disp}(%{})", b.name()),
-            (None, Some(i)) => format!("{disp}(,%{},{scale})", i.name()),
-            (Some(b), Some(i)) => format!("{disp}(%{},%{},{scale})", b.name(), i.name()),
-        };
-        let src = format!(
-            ".text\n.globl f\nf:\n{}\n hlt\nslow:\n hlt\n.globl evict\nevict:\n movl (%ebx), %eax\n hlt\n",
-            template(&operand, regs)
-        );
-        let table = TABLES[table];
-        let mut worlds = both(&src, table);
-        let frames: Vec<u64> = (0..STLB_PAGES)
-            .map(|i| worlds[0].0.space(worlds[0].1.space).lookup(STLB + i * PAGE_SIZE).unwrap().pfn)
-            .collect();
-        for (m, cpu) in &mut worlds {
-            for i in 0..STLB_PAGES {
-                m.map_fresh(cpu.space, rival_of(i), 1).unwrap();
-            }
-            for (term, price) in [
-                (Term::MovReg, prices.0),
-                (Term::Alu, prices.1),
-                (Term::Load, prices.2),
-                (Term::BranchNotTaken, prices.3),
-            ] {
-                m.cost.set(term, price);
+        fused_and_plain_agree(&Site::new(shape, Vec::new(), disp, table), &prices, &steps);
+    }
+
+    /// The same inside a spill frame of one to three of the template's
+    /// registers, in any order, with the frame's stack slots inside the
+    /// stack, against its guard page, across its two pages, on the
+    /// translation's own stlb entry, uncached, read-only, unmapped or on
+    /// a device's page — at every budget from 0 to past the last pop.
+    #[test]
+    fn the_fused_spill_frame_is_its_plain_ops(
+        shape in shape(),
+        spilled in (1usize..4, 0usize..ORDERS.len()),
+        disp in any::<u32>(),
+        table in 0usize..TABLES.len(),
+        prices in prop::collection::vec(0u64..9, 6..7),
+        steps in prop::collection::vec(step(), 1..30),
+    ) {
+        let (operand, mut regs) = shape;
+        // A frame with `%esp` among its registers is left unfused.
+        if let Some(esp) = regs.iter().position(|r| *r == Reg::Esp) {
+            regs[esp] = *[Reg::Ebp, Reg::Esi, Reg::Edi].iter().find(|r| !regs.contains(r)).unwrap();
+        }
+        let (k, order) = spilled;
+        let spills = ORDERS[order][..k].iter().map(|i| regs[*i]).collect();
+        fused_and_plain_agree(&Site::new((operand, regs), spills, disp, table), &prices, &steps);
+    }
+}
+
+// ---- the quickened ops ----
+
+/// Where the quickened ops' memory operands reach, from `%ebp`: two
+/// pages of RAM in a row, then a read-only page, a device's page and an
+/// unmapped one.
+const DATA: u64 = 0x2400_0000;
+
+/// Displacements from `%ebp` onto each of those pages, at their edges
+/// and across them.
+const DISPS: [u32; 10] = [
+    0, 8, 0xffe, 0xffc, 0x1ffe, 0x2004, 0x2ffe, 0x3008, 0x3ffe, 0x4000,
+];
+
+/// A device whose registers read as a word of their offset and which
+/// logs every write.
+#[derive(Default)]
+struct Device {
+    writes: Vec<(u64, Width, u32)>,
+}
+
+impl Env for Device {
+    fn extern_call(&mut self, id: ExternId, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault> {
+        NullEnv.extern_call(id, m, cpu)
+    }
+    fn mmio_read(&mut self, _: &mut Machine, _: u32, offset: u64, w: Width) -> Result<u32, Fault> {
+        Ok((offset as u32).wrapping_mul(0x9e37_79b9) & w.mask() as u32)
+    }
+    fn mmio_write(
+        &mut self,
+        _: &mut Machine,
+        _: u32,
+        offset: u64,
+        w: Width,
+        val: u32,
+    ) -> Result<(), Fault> {
+        self.writes.push((offset, w, val));
+        Ok(())
+    }
+}
+
+const GPRS: [Reg; 6] = [Reg::Eax, Reg::Ecx, Reg::Edx, Reg::Ebx, Reg::Esi, Reg::Edi];
+
+/// Instruction `i` of a drawn program of `n`: one of the sixteen
+/// quickened shapes (kinds 0..16) or a cold form that stays generic.
+/// A jump goes two instructions on; `sub` is a bare `ret`.
+fn quick_line((kind, a, b, x): (usize, usize, usize, u32), i: usize, n: usize) -> String {
+    const ALU: [&str; 5] = ["addl", "subl", "andl", "orl", "xorl"];
+    const SHIFT: [&str; 3] = ["shll", "shrl", "sarl"];
+    const UNARY: [&str; 4] = ["negl", "notl", "incl", "decl"];
+    const JCC: [&str; 6] = ["je", "jne", "jl", "jge", "jb", "ja"];
+    let (a, b) = (GPRS[a].name(), GPRS[b].name());
+    let disp = DISPS[(x >> 8) as usize % DISPS.len()];
+    let mem = match x % 4 {
+        0 => format!("{}", DATA as u32 + disp),
+        1 => format!("{disp}(,%ebp,1)"),
+        _ => format!("{disp}(%ebp)"),
+    };
+    let imm = x as i32 >> 4;
+    let next = (i + 2).min(n + 1);
+    let alu = ALU[x as usize % ALU.len()];
+    match kind {
+        0 => format!("pushl %{a}"),
+        1 => format!("pushl {mem}"),
+        2 => format!("popl %{a}"),
+        3 => format!("movl %{a}, %{b}"),
+        4 => format!("movl {mem}, %{a}"),
+        5 => format!("movl %{a}, {mem}"),
+        6 => format!("movl ${imm}, {mem}"),
+        7 => format!("{alu} ${imm}, %{a}"),
+        8 => format!("{alu} %{a}, %{b}"),
+        9 => format!("{alu} {mem}, %{a}"),
+        10 => format!("{} ${}, %{a}", SHIFT[x as usize % 3], x % 40),
+        11 => format!("cmpl ${imm}, %{a}"),
+        12 => format!("{} %{a}", UNARY[x as usize % 4]),
+        13 => format!("jmp l{next}"),
+        14 => format!("{} l{next}", JCC[x as usize % JCC.len()]),
+        15 => "call sub".to_string(),
+        16 => format!("movb %{a}, {mem}"),
+        17 => format!("movw {mem}, %{a}"),
+        18 => format!("{alu} %{a}, {mem}"),
+        19 => format!("movl ${imm}, %{a}"),
+        20 => format!("cmpl %{a}, %{b}"),
+        21 => format!("pushl ${imm}"),
+        _ => format!("popl {mem}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 400, ..ProptestConfig::default() })]
+
+    /// A short program of quickened shapes and cold forms, its memory
+    /// operands on RAM, read-only, device and unmapped pages and across
+    /// their edges, run at every budget on a machine linked by `link` and
+    /// one linked by `link_plain`: the two never differ in the CPU, the
+    /// memory, the device's writes, the outcome — the fault included —
+    /// or the meter.
+    #[test]
+    fn the_quickened_ops_are_their_generic_arms(
+        insns in prop::collection::vec((0usize..23, 0usize..6, 0usize..6, any::<u32>()), 1..8),
+        seeds in prop::collection::vec(any::<u64>(), 1..4),
+        prices in prop::collection::vec(0u64..9, 10..11),
+    ) {
+        let n = insns.len();
+        let mut src = String::from(".text\n.globl f\nf:\n");
+        for (i, insn) in insns.iter().enumerate() {
+            src += &format!("l{i}:\n {}\n", quick_line(*insn, i, n));
+        }
+        src += &format!("l{n}:\n hlt\nl{}:\n hlt\nsub:\n ret\n", n + 1);
+        let terms = [
+            Term::MovReg,
+            Term::Alu,
+            Term::Load,
+            Term::Store,
+            Term::BranchTaken,
+            Term::BranchNotTaken,
+            Term::Call,
+            Term::Ret,
+            Term::MmioRead,
+            Term::MmioWrite,
+        ];
+        let mut worlds = both(&src, STLB).map(|(mut m, cpu)| {
+            m.map_fresh(cpu.space, DATA, 2).unwrap();
+            let ro = m.phys.alloc_frame().unwrap();
+            m.space_mut(cpu.space).map(DATA + 2 * PAGE_SIZE, PageEntry::ram(ro, false));
+            m.space_mut(cpu.space).map(DATA + 3 * PAGE_SIZE, PageEntry::mmio(0, 0));
+            for (term, price) in terms.into_iter().zip(&prices) {
+                m.cost.set(term, *price);
             }
             m.meter.push_domain(CostDomain::Driver);
-            for page in TARGETS {
-                fill(m, cpu, table, page, page, page.rotate_left(7));
+            (m, cpu, Device::default())
+        });
+        let frames = worlds[0].0.phys.total_frames() - worlds[0].0.phys.free_frames();
+        for (m, _, _) in &mut worlds {
+            for p in 0..frames as u64 * PAGE_SIZE {
+                m.phys.write_u8(p, (p ^ (p >> 7)) as u8);
             }
         }
-        for step in steps {
+        for seed in seeds {
             let mut outcomes = Vec::new();
-            for (m, cpu) in &mut worlds {
-                let stlb_page = |i: u64| STLB + i * PAGE_SIZE;
-                match step {
-                    Step::Run(target, offset, seed) => {
-                        for budget in 0..=12 {
-                            // Every register and flag from the seed, then
-                            // the operand's first register aimed at the
-                            // target.
-                            let mut bits = seed;
-                            for r in Reg::ALL {
-                                bits = bits.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(1);
-                                cpu.set_reg(r, (bits >> 32) as u32);
-                            }
-                            cpu.flags = Flags {
-                                zf: seed & 1 != 0,
-                                sf: seed & 2 != 0,
-                                cf: seed & 4 != 0,
-                                of: seed & 8 != 0,
-                            };
-                            let want = TARGETS[target] + offset;
-                            if let Some(aim) = base.or(index) {
-                                // The address is disp + k·aim + rest.
-                                let (mut k, mut rest) = (0, disp);
-                                for (r, weight) in [(base, 1), (index, u32::from(scale))] {
-                                    match r {
-                                        Some(r) if r == aim => k += weight,
-                                        Some(r) => {
-                                            rest = rest.wrapping_add(cpu.reg(r).wrapping_mul(weight));
-                                        }
-                                        None => {}
-                                    }
-                                }
-                                cpu.set_reg(aim, want.wrapping_sub(rest) / k);
-                            }
-                            cpu.pc = entry(m, "f");
-                            // Low budgets first or last: over a cold or
-                            // a warm translation cache.
-                            let budget = if seed & 16 != 0 { budget } else { 12 - budget };
-                            let stopped = run(m, cpu, &mut NullEnv, budget);
-                            outcomes.push((stopped, observe(m, cpu)));
-                        }
-                    }
-                    Step::Fill(target, wrong, xor) => {
-                        let page = TARGETS[target];
-                        let tag = if wrong { page ^ 0x0800_0000 } else { page };
-                        fill(m, cpu, table, page, tag, xor);
-                    }
-                    Step::Unmap(i) => {
-                        m.space_mut(cpu.space).unmap(stlb_page(i));
-                    }
-                    Step::Remap(i) => {
-                        let frame = PageEntry::ram(frames[i as usize], true);
-                        m.space_mut(cpu.space).map(stlb_page(i), frame);
-                    }
-                    Step::MapMmio(i) => {
-                        m.space_mut(cpu.space).map(stlb_page(i), PageEntry::mmio(0, i));
-                    }
-                    Step::Evict(i) => {
-                        cpu.set_reg(Reg::Ebx, rival_of(i) as u32);
-                        cpu.pc = entry(m, "evict");
-                        outcomes.push((run(m, cpu, &mut NullEnv, 2), observe(m, cpu)));
-                    }
+            for (m, cpu, device) in &mut worlds {
+                for budget in 0..=n as u64 + 3 {
+                    seed_cpu(cpu, seed ^ budget);
+                    cpu.set_reg(Reg::Ebp, DATA as u32);
+                    cpu.set_stack(STACK + PAGE_SIZE);
+                    cpu.pc = entry(m, "f");
+                    outcomes.push((run(m, cpu, device, budget), observe(m, cpu)));
                 }
             }
             let (fused, plain) = outcomes.split_at(outcomes.len() / 2);
-            prop_assert_eq!(fused, plain, "{:?}", step);
-            prop_assert!(
-                memory(&worlds[0].0) == memory(&worlds[1].0),
-                "memory diverged at {:?}",
-                step
-            );
+            prop_assert_eq!(fused, plain, "{}", src);
+            prop_assert_eq!(&worlds[0].2.writes, &worlds[1].2.writes);
+            prop_assert!(memory(&worlds[0].0) == memory(&worlds[1].0), "memory diverged\n{}", src);
         }
     }
 }

@@ -49,7 +49,7 @@ pub struct CodeImage {
     /// Exported label name → absolute address.
     pub exports: BTreeMap<String, u64>,
     /// The module's text, linked and lowered one for one by [`link`].
-    ops: Vec<Op>,
+    pub(crate) ops: Vec<Op>,
 }
 
 /// A linked memory reference: `disp + base + index * scale` in wrapping
@@ -79,24 +79,113 @@ pub(crate) enum Tgt {
     Mem(Mem),
 }
 
+/// One SVM translation as [`fuse`] found it: the `lea`'s operand, the
+/// three registers and where the stlb lies.
+#[derive(Copy, Clone, PartialEq, Debug)]
+pub(crate) struct Xlate {
+    pub(crate) mem: Mem,
+    pub(crate) out: Reg,
+    pub(crate) s1: Reg,
+    pub(crate) s2: Reg,
+    /// Address of the stlb's first tag word; the xor words are 4 on.
+    pub(crate) stlb: u32,
+}
+
 /// What the interpreter executes: an [`Insn`] after linking, with nothing
 /// left to resolve and nothing on the heap — small enough to stay in
-/// cache, `Copy`, and matched by reference. Variants and fields mirror
-/// [`Insn`]'s, except [`Op::SvmXlate`], which only [`link`] creates.
+/// cache, `Copy`, and matched by reference. The generic variants mirror
+/// [`Insn`]'s; [`link`] alone creates the rest: the two fused ops of
+/// [`fuse`], and the shape-specific ops of [`quicken`], each of which is
+/// one generic variant with its operand shapes and width decided.
 #[derive(Copy, Clone, PartialEq, Debug)]
 pub(crate) enum Op {
     /// The head `lea mem, s1` of an SVM translation (see [`fuse`]): on a
     /// hit the interpreter runs the nine-instruction template in one
     /// dispatch, otherwise this is the `lea` and nothing more. The eight
     /// ops after it stay as lowered.
-    SvmXlate {
-        mem: Mem,
-        out: Reg,
-        s1: Reg,
-        s2: Reg,
-        /// Address of the stlb's first tag word; the xor words are 4 on.
-        stlb: u32,
+    SvmXlate(Xlate),
+    /// The first `push` of a spill frame around an SVM translation (see
+    /// [`fuse`]): on a hit the interpreter runs the pushes, the template
+    /// and the pops in one dispatch, otherwise this is the `push` of
+    /// `spills[0]` and nothing more. Every op after it stays as it was.
+    SvmFrame {
+        x: Xlate,
+        /// The spilled registers in push order; the first `k` count.
+        spills: [Reg; 3],
+        k: u8,
     },
+    // Quickened forms: each is the generic op named in its doc, with
+    // `Width::Long` where the generic op has a width.
+    /// `Push` of a register.
+    PushReg(Reg),
+    /// `Push` of a memory word.
+    PushMem(Mem),
+    /// `Pop` into a register.
+    PopReg(Reg),
+    /// `Mov` register ← register.
+    MovRegReg {
+        dst: Reg,
+        src: Reg,
+    },
+    /// `Mov` register ← memory.
+    MovRegMem {
+        dst: Reg,
+        src: Mem,
+    },
+    /// `Mov` memory ← register.
+    MovMemReg {
+        dst: Mem,
+        src: Reg,
+    },
+    /// `Mov` memory ← immediate.
+    MovMemImm {
+        dst: Mem,
+        imm: u32,
+    },
+    /// `Alu` register, immediate.
+    AluRegImm {
+        op: AluOp,
+        dst: Reg,
+        imm: u32,
+    },
+    /// `Alu` register, register.
+    AluRegReg {
+        op: AluOp,
+        dst: Reg,
+        src: Reg,
+    },
+    /// `Alu` register, memory.
+    AluRegMem {
+        op: AluOp,
+        dst: Reg,
+        src: Mem,
+    },
+    /// `Shift` of a register by an immediate, already taken modulo 32
+    /// as the generic op takes it.
+    ShiftRegImm {
+        op: ShiftOp,
+        dst: Reg,
+        amount: u32,
+    },
+    /// `Cmp` of a register against an immediate.
+    CmpRegImm {
+        dst: Reg,
+        imm: u32,
+    },
+    /// `Un` on a register.
+    UnReg {
+        op: UnOp,
+        dst: Reg,
+    },
+    /// `Jmp` to an absolute target.
+    JmpAbs(u64),
+    /// `Jcc` to an absolute target.
+    JccAbs {
+        cond: Cond,
+        target: u64,
+    },
+    /// `Call` of an absolute target.
+    CallAbs(u64),
     Mov {
         w: Width,
         dst: Opnd,
@@ -194,7 +283,17 @@ impl CodeImage {
     pub fn fused_sites(&self) -> usize {
         self.ops
             .iter()
-            .filter(|op| matches!(op, Op::SvmXlate { .. }))
+            .filter(|op| matches!(op, Op::SvmXlate(_)))
+            .count()
+    }
+
+    /// Number of register-spill frames around an SVM translation [`link`]
+    /// recognised in this image; the interpreter runs each one's hit path,
+    /// pushes and pops included, in a single dispatch.
+    pub fn fused_frames(&self) -> usize {
+        self.ops
+            .iter()
+            .filter(|op| matches!(op, Op::SvmFrame { .. }))
             .count()
     }
 
@@ -223,8 +322,11 @@ impl CodeImage {
 /// Links `module` at `code_base`: local labels become absolute code
 /// addresses; all other symbols (data symbols, externs, cross-module
 /// references) are resolved through `resolve`. The head of every SVM
-/// translation in the text becomes the fused op the crate docs describe
-/// ([`CodeImage::fused_sites`] counts them).
+/// translation in the text, and the first push of every spill frame
+/// around one, becomes a fused op the crate docs describe
+/// ([`CodeImage::fused_sites`] and [`CodeImage::fused_frames`] count
+/// them); then every hot generic form left becomes its shape-specific op
+/// (the crate docs' "quickening").
 ///
 /// # Errors
 ///
@@ -235,11 +337,15 @@ where
 {
     let mut image = link_plain(module, code_base, resolve)?;
     fuse(&mut image.ops);
+    for op in &mut image.ops {
+        *op = quicken(*op);
+    }
     Ok(image)
 }
 
-/// [`link`] without the recogniser: every op is its instruction, lowered.
-/// What the tests run the fused image against.
+/// [`link`] without the recogniser and without quickening: every op is
+/// its instruction, lowered to the generic variant. What the tests run
+/// the linked image against.
 pub(crate) fn link_plain<F>(
     module: &Module,
     code_base: u64,
@@ -312,18 +418,73 @@ pub(crate) const SVM_ENTRY_SHIFT: u32 = 9;
 /// the `lea` changes: the eight ops after it stay, so a branch into the
 /// middle, the slow path's `jmp retry` and every code address mean what
 /// they did.
+///
+/// Where liveness left fewer than three free registers, the rewriter
+/// brackets the template by spills, and the first `push` of the frame
+/// becomes [`Op::SvmFrame`]:
+///
+/// ```text
+///        push  r1 … push rk        ; k ≤ 3 distinct registers of {out, s1, s2}
+/// retry: <the template>
+///        pop   rk … pop r1         ; right after the xor, in reverse
+/// ```
+///
+/// `k` is the largest for which the pushes and pops pair up, and no
+/// register of the frame, its `lea` operand included, is `%esp`. A frame
+/// whose `out` is spilled has its access inside the frame, so its pops
+/// do not follow the `xor` and it is left alone. Again every op after
+/// the replaced one stays as it was.
 fn fuse(ops: &mut [Op]) {
     for i in 0..ops.len().saturating_sub(SVM_XLATE_LEN - 1) {
-        if let Some(head) = svm_xlate(&ops[i..i + SVM_XLATE_LEN]) {
-            ops[i] = head;
+        let Some(x) = svm_xlate(&ops[i..i + SVM_XLATE_LEN]) else {
+            continue;
+        };
+        ops[i] = Op::SvmXlate(x);
+        if let Some((at, frame)) = spill_frame(ops, i, x) {
+            ops[at] = frame;
         }
     }
 }
 
-/// The fused head of `window` if it is the template [`fuse`] shows:
+/// The spill frame around translation `x`, whose head is `ops[head]`, if
+/// there is one: where its first push is, and the op that replaces it.
+fn spill_frame(ops: &[Op], head: usize, x: Xlate) -> Option<(usize, Op)> {
+    let regs = [x.out, x.s1, x.s2];
+    let esp = Some(Reg::Esp);
+    if regs.contains(&Reg::Esp) || x.mem.base == esp || x.mem.index == esp {
+        return None;
+    }
+    // Pairs innermost first: the push right before the head with the pop
+    // right after the xor, and so on out. Unused slots stay `%esp`.
+    let (mut spills, mut k) = ([Reg::Esp; 3], 0);
+    while k < 3 {
+        let pair = (
+            head.checked_sub(k + 1).map(|at| ops[at]),
+            ops.get(head + SVM_XLATE_LEN + k),
+        );
+        match pair {
+            (Some(Op::Push { src: Opnd::Reg(r) }), Some(Op::Pop { dst: Opnd::Reg(p) }))
+                if r == *p && regs.contains(&r) && !spills.contains(&r) =>
+            {
+                spills[k] = r;
+                k += 1;
+            }
+            _ => break,
+        }
+    }
+    spills[..k].reverse();
+    let frame = Op::SvmFrame {
+        x,
+        spills,
+        k: k as u8,
+    };
+    (k > 0).then_some((head - k, frame))
+}
+
+/// The translation `window` holds if it is the template [`fuse`] shows:
 /// the registers, the `lea`'s operand, the stlb's address and the branch
 /// target are the window's own, everything else must be the template's.
-fn svm_xlate(window: &[Op]) -> Option<Op> {
+fn svm_xlate(window: &[Op]) -> Option<Xlate> {
     use Opnd::{Imm, Reg as R};
     const L: Width = Width::Long;
     let (
@@ -389,13 +550,76 @@ fn svm_xlate(window: &[Op]) -> Option<Op> {
         },
     ];
     let distinct = s1 != s2 && s1 != out && s2 != out;
-    (distinct && window == template).then_some(Op::SvmXlate {
+    (distinct && window == template).then_some(Xlate {
         mem,
         out,
         s1,
         s2,
         stlb,
     })
+}
+
+/// The shape-specific op for `op` if it is one of the hot generic forms,
+/// `op` itself otherwise. Each quickened op decides at link time what its
+/// generic arm decides every time it runs — which operand is a register,
+/// memory or an immediate, and that the width is `Long` — and nothing
+/// else: [`crate::interp`] gives it the same reads, charges, writes and
+/// faults, in the same order.
+fn quicken(op: Op) -> Op {
+    use Opnd::{Imm, Mem as M, Reg as R};
+    const L: Width = Width::Long;
+    match op {
+        Op::Push { src: R(r) } => Op::PushReg(r),
+        Op::Push { src: M(m) } => Op::PushMem(m),
+        Op::Pop { dst: R(r) } => Op::PopReg(r),
+        Op::Mov { w: L, dst, src } => match (dst, src) {
+            (R(dst), R(src)) => Op::MovRegReg { dst, src },
+            (R(dst), M(src)) => Op::MovRegMem { dst, src },
+            (M(dst), R(src)) => Op::MovMemReg { dst, src },
+            (M(dst), Imm(imm)) => Op::MovMemImm { dst, imm },
+            _ => op,
+        },
+        Op::Alu {
+            op: alu,
+            w: L,
+            dst: R(dst),
+            src,
+        } => match src {
+            Imm(imm) => Op::AluRegImm { op: alu, dst, imm },
+            R(src) => Op::AluRegReg { op: alu, dst, src },
+            M(src) => Op::AluRegMem { op: alu, dst, src },
+        },
+        Op::Shift {
+            op: shift,
+            dst: R(dst),
+            amount: Imm(amount),
+        } => Op::ShiftRegImm {
+            op: shift,
+            dst,
+            amount: amount & 31,
+        },
+        Op::Cmp {
+            w: L,
+            src: Imm(imm),
+            dst: R(dst),
+        } => Op::CmpRegImm { dst, imm },
+        Op::Un {
+            op: un,
+            w: L,
+            dst: R(dst),
+        } => Op::UnReg { op: un, dst },
+        Op::Jmp {
+            target: Tgt::Abs(a),
+        } => Op::JmpAbs(a),
+        Op::Jcc {
+            cond,
+            target: Tgt::Abs(target),
+        } => Op::JccAbs { cond, target },
+        Op::Call {
+            target: Tgt::Abs(a),
+        } => Op::CallAbs(a),
+        _ => op,
+    }
 }
 
 /// What `lower` resolves a symbol through: the module's labels first,
@@ -538,7 +762,7 @@ mod tests {
         "#,
         )
         .unwrap();
-        let img = link(&m, 0x1000, |s| (s == "counter").then_some(0x2000_0000)).unwrap();
+        let img = link_plain(&m, 0x1000, |s| (s == "counter").then_some(0x2000_0000)).unwrap();
         assert_eq!(img.export("f"), Some(0x1000));
         assert_eq!(img.export("g"), Some(0x1000 + 3 * INSN_SIZE));
         // movl counter -> absolute disp
@@ -584,13 +808,69 @@ mod tests {
     }
 
     #[test]
+    fn link_quickens_the_hot_long_forms_and_only_those() {
+        let hot = [
+            ("pushl %eax", "PushReg"),
+            ("pushl 4(%ebx)", "PushMem"),
+            ("popl %ecx", "PopReg"),
+            ("movl %eax, %ebx", "MovRegReg"),
+            ("movl 8(%eax), %ebx", "MovRegMem"),
+            ("movl %eax, (%ebx,%ecx,4)", "MovMemReg"),
+            ("movl $7, (%ebx)", "MovMemImm"),
+            ("addl $-1, %eax", "AluRegImm"),
+            ("xorl %eax, %ecx", "AluRegReg"),
+            ("andl (%ebx), %ecx", "AluRegMem"),
+            ("shrl $35, %eax", "ShiftRegImm"),
+            ("cmpl $2, %eax", "CmpRegImm"),
+            ("negl %edx", "UnReg"),
+            ("jmp f", "JmpAbs"),
+            ("jne f", "JccAbs"),
+            ("call f", "CallAbs"),
+        ];
+        let cold = [
+            "movb %eax, (%ebx)",
+            "movw (%ebx), %eax",
+            "movl $1, %eax",
+            "addl %eax, (%ebx)",
+            "addb $1, %eax",
+            "cmpl %eax, %ebx",
+            "incw %eax",
+            "pushl $5",
+            "popl (%ebx)",
+            "jmp *%eax",
+            "call *(%ebx)",
+        ];
+        let src = hot
+            .iter()
+            .map(|(insn, _)| *insn)
+            .chain(cold)
+            .fold(String::from(".text\nf:\n"), |src, insn| {
+                src + " " + insn + "\n"
+            });
+        let m = assemble("t", &src).unwrap();
+        let quick = link(&m, 0x1000, |_| None).unwrap();
+        let plain = link_plain(&m, 0x1000, |_| None).unwrap();
+        for (i, (_, name)) in hot.iter().enumerate() {
+            assert!(
+                format!("{:?}", quick.ops[i]).starts_with(name),
+                "{i}: {name}"
+            );
+        }
+        assert_eq!(quick.ops[hot.len()..], plain.ops[hot.len()..]);
+        assert!(
+            matches!(quick.ops[10], Op::ShiftRegImm { amount: 3, .. }),
+            "the amount is taken modulo 32 at link time"
+        );
+    }
+
+    #[test]
     fn lowering_keeps_what_linking_resolved() {
         let m = assemble(
             "t",
             ".text\nf:\n movl $table, %eax\n movl table+8(,%ecx,4), %edx\n jmp *-4(%ebx)\n call f\n",
         )
         .unwrap();
-        let img = link(&m, 0x1000, |s| (s == "table").then_some(0x2000_0000)).unwrap();
+        let img = link_plain(&m, 0x1000, |s| (s == "table").then_some(0x2000_0000)).unwrap();
         assert_eq!(img.len(), m.text.len());
         assert!(std::mem::size_of::<Op>() <= 32, "an op is a few words");
         match img.ops[..] {

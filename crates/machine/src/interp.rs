@@ -7,20 +7,22 @@
 //!   [`StopReason::Returned`] — native code (kernel model, hypervisor)
 //!   calls ISA functions by pushing a frame and running to that sentinel;
 //! * calling an *extern trampoline* address dispatches to
-//!   [`Env::extern_call`] — this is how driver code calls support routines
+//!   [`Env::extern_call`] with the extern's [`ExternId`], an index the
+//!   environment resolves once — this is how driver code calls support routines
 //!   (`netdev_alloc_skb`, …), which the environment may implement natively
 //!   in dom0, natively in the hypervisor (paper §4.3), or as an upcall
 //!   stub (paper §4.2).
 
 use crate::image::{
-    Mem, Op, Opnd, Tgt, SVM_ENTRY_MASK, SVM_ENTRY_SHIFT, SVM_PAGE_MASK, SVM_XLATE_LEN,
+    CodeImage, Mem, Op, Opnd, Tgt, Xlate, SVM_ENTRY_MASK, SVM_ENTRY_SHIFT, SVM_PAGE_MASK,
+    SVM_XLATE_LEN,
 };
 use crate::space::{PageKind, SpaceId};
-use crate::{Event, Machine, Term, EXTERN_BASE, PAGE_SIZE, RETURN_SENTINEL};
+use crate::{Event, ExternId, Machine, Term, EXTERN_BASE, PAGE_SIZE, RETURN_SENTINEL};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-use twin_isa::{AluOp, Cond, Reg, Rep, ShiftOp, StrOp, UnOp, Width};
+use twin_isa::{AluOp, Cond, Reg, Rep, ShiftOp, StrOp, UnOp, Width, INSN_SIZE};
 
 /// Privilege mode of the executing CPU.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -234,14 +236,16 @@ impl Cpu {
 /// Implemented by the kernel model (dom0 support routines), the hypervisor
 /// (support routines, upcall stubs, SVM slow path) and by tests.
 pub trait Env {
-    /// Called when ISA code calls an extern trampoline. The callee's
+    /// Called when ISA code calls the trampoline of extern `id`
+    /// ([`Machine::extern_name`] has the symbol it was registered under;
+    /// an environment resolves that once, not per call). The callee's
     /// return value goes in `%eax`; the run loop performs the `ret`.
     ///
     /// # Errors
     ///
     /// May fault (e.g. unknown extern, or a support routine detecting an
     /// invalid argument).
-    fn extern_call(&mut self, name: &str, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault>;
+    fn extern_call(&mut self, id: ExternId, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault>;
 
     /// MMIO load from device `dev` at byte `offset` of its window.
     ///
@@ -272,8 +276,10 @@ pub trait Env {
 pub struct NullEnv;
 
 impl Env for NullEnv {
-    fn extern_call(&mut self, name: &str, _m: &mut Machine, _cpu: &mut Cpu) -> Result<(), Fault> {
-        Err(Fault::UnknownExtern(name.to_string()))
+    fn extern_call(&mut self, id: ExternId, m: &mut Machine, _cpu: &mut Cpu) -> Result<(), Fault> {
+        Err(Fault::UnknownExtern(
+            m.extern_name(id).unwrap_or_default().to_string(),
+        ))
     }
     fn mmio_read(
         &mut self,
@@ -342,6 +348,56 @@ fn alu(flags: &mut Flags, op: AluOp, a: u32, b: u32, w: Width) -> u32 {
     res
 }
 
+/// `a` shifted by `amt` (already taken modulo 32), with the flags a
+/// `shift` leaves.
+fn shift(flags: &mut Flags, op: ShiftOp, a: u32, amt: u32) -> u32 {
+    let r = match op {
+        ShiftOp::Shl => {
+            flags.cf = amt > 0 && (a >> (32 - amt)) & 1 != 0;
+            a.wrapping_shl(amt)
+        }
+        ShiftOp::Shr => {
+            flags.cf = amt > 0 && (a >> (amt - 1)) & 1 != 0;
+            a.wrapping_shr(amt)
+        }
+        ShiftOp::Sar => {
+            flags.cf = amt > 0 && ((a as i32) >> (amt - 1)) & 1 != 0;
+            ((a as i32).wrapping_shr(amt)) as u32
+        }
+    };
+    flags.of = false;
+    set_zs(flags, r, Width::Long);
+    r
+}
+
+/// `op` applied to `a` (already masked to `w`), with the flags it leaves.
+fn unary(flags: &mut Flags, op: UnOp, a: u32, w: Width) -> u32 {
+    let mask = w.mask() as u32;
+    let r = match op {
+        UnOp::Neg => {
+            flags.cf = a != 0;
+            (a.wrapping_neg()) & mask
+        }
+        UnOp::Not => !a & mask,
+        UnOp::Inc => {
+            let cf = flags.cf;
+            let r = alu(flags, AluOp::Add, a, 1, w);
+            flags.cf = cf; // inc preserves CF like x86
+            r
+        }
+        UnOp::Dec => {
+            let cf = flags.cf;
+            let r = alu(flags, AluOp::Sub, a, 1, w);
+            flags.cf = cf;
+            r
+        }
+    };
+    if matches!(op, UnOp::Neg | UnOp::Not) {
+        set_zs(flags, r, w);
+    }
+    r
+}
+
 fn cond_true(flags: &Flags, c: Cond) -> bool {
     match c {
         Cond::E => flags.zf,
@@ -361,9 +417,23 @@ fn cond_true(flags: &Flags, c: Cond) -> bool {
 
 #[cfg(test)]
 thread_local! {
-    /// Fused hits made on this thread. By design nothing a run leaves
-    /// behind tells a hit from a fallback; this lets a test tell.
+    /// Fused translation hits and fused spill-frame hits made on this
+    /// thread. By design nothing a run leaves behind tells a hit from a
+    /// fallback; this lets a test tell.
     pub(crate) static FUSED_HITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    pub(crate) static FRAME_HITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// What a translation's hit path read from the stlb entry of its
+/// address: the entry's offset in the table, the address's page (the
+/// tag it matched), the xor word, and where the entry lies in physical
+/// memory.
+#[derive(Copy, Clone)]
+struct StlbHit {
+    entry: u32,
+    page: u32,
+    xor: u32,
+    paddr: u64,
 }
 
 /// One [`run`]: the machine, CPU and environment it was called with, plus
@@ -374,23 +444,29 @@ thread_local! {
 /// charges pile up here and [`Exec::flush`] delivers them at the three
 /// places someone else gets to look: before every [`Env`] callback, and
 /// when `run` returns or faults. The attribution domain cannot change in
-/// between either — only a callback can push or pop it.
+/// between either — only a callback can push or pop it. The instruction
+/// count is not kept at all: every instruction takes one from the
+/// budget, so the count since the last flush is what the budget has lost
+/// since.
 ///
-/// One op stands for more than one instruction: [`Op::SvmXlate`], the
-/// head of an SVM translation (the crate docs give the template and why
-/// its tail is left in place). [`Exec::svm_xlate_hit`] runs all nine
-/// instructions of the hit path in that one dispatch iff the budget —
-/// kept here so the op can see it — covers nine, both stlb words come
-/// out of the translation cache, and the tag matches; if not, the head
-/// is its `lea` and the ops after it run one by one.
+/// Two ops stand for more than one instruction (the crate docs give the
+/// templates and why their tails are left in place): [`Op::SvmXlate`],
+/// the head of an SVM translation, and [`Op::SvmFrame`], the first push
+/// of a spill frame around one. [`Exec::svm_xlate_hit`] and
+/// [`Exec::svm_frame_hit`] run every instruction of the hit path in that
+/// one dispatch iff the budget — kept here so the op can see it — covers
+/// them all, every word they touch answers from the translation cache,
+/// and the tag matches; if not, the op is its first instruction and the
+/// ops after it run as they are.
 struct Exec<'a> {
     m: &'a mut Machine,
     cpu: &'a mut Cpu,
     env: &'a mut dyn Env,
     /// Instructions this run may still execute.
     budget: u64,
+    /// `budget` at the last flush.
+    flushed_budget: u64,
     cycles: u64,
-    insns: u64,
     /// Whether anything was charged since the last flush: a charge of
     /// zero cycles still marks its domain as charged.
     charged: bool,
@@ -407,8 +483,8 @@ impl Exec<'_> {
         if self.charged {
             self.m.meter.charge(self.cycles);
         }
-        self.m.meter.count_insns(self.insns);
-        (self.cycles, self.insns, self.charged) = (0, 0, false);
+        self.m.meter.count_insns(self.flushed_budget - self.budget);
+        (self.cycles, self.flushed_budget, self.charged) = (0, self.budget, false);
     }
 
     #[inline]
@@ -426,7 +502,7 @@ impl Exec<'_> {
     /// A load instruction's memory access: charged, RAM or MMIO.
     #[inline]
     fn load(&mut self, addr: u64, w: Width) -> Result<u32, Fault> {
-        if let Some(paddr) = self.m.cached_paddr(self.cpu, addr, w, false) {
+        if let Some(paddr) = self.m.cached_paddr(self.cpu, addr, w.bytes(), false) {
             self.pay(Term::Load);
             return Ok(self.m.phys.read_width(paddr, w));
         }
@@ -458,7 +534,7 @@ impl Exec<'_> {
     /// A store instruction's memory access: charged, RAM or MMIO.
     #[inline]
     fn store(&mut self, addr: u64, w: Width, val: u32) -> Result<(), Fault> {
-        if let Some(paddr) = self.m.cached_paddr(self.cpu, addr, w, true) {
+        if let Some(paddr) = self.m.cached_paddr(self.cpu, addr, w.bytes(), true) {
             self.pay(Term::Store);
             self.m.phys.write_width(paddr, w, val);
             return Ok(());
@@ -495,7 +571,7 @@ impl Exec<'_> {
         let esp = self.cpu.reg(Reg::Esp).wrapping_sub(4);
         self.cpu.set_reg(Reg::Esp, esp);
         let addr = esp as u64;
-        if let Some(paddr) = self.m.cached_paddr(self.cpu, addr, Width::Long, true) {
+        if let Some(paddr) = self.m.cached_paddr(self.cpu, addr, 4, true) {
             self.m.phys.write_u32(paddr, val);
             return Ok(());
         }
@@ -511,7 +587,7 @@ impl Exec<'_> {
     fn pop(&mut self) -> Result<u32, Fault> {
         let esp = self.cpu.reg(Reg::Esp);
         let addr = esp as u64;
-        let val = match self.m.cached_paddr(self.cpu, addr, Width::Long, false) {
+        let val = match self.m.cached_paddr(self.cpu, addr, 4, false) {
             Some(paddr) => self.m.phys.read_u32(paddr),
             None => {
                 let (space, mode) = (self.cpu.space, self.cpu.mode);
@@ -560,13 +636,10 @@ impl Exec<'_> {
     /// The extern trampoline at `cpu.pc`: dispatch to the environment,
     /// then return to the caller.
     fn call_extern(&mut self) -> Result<(), Fault> {
-        let name = Arc::clone(
-            self.m
-                .extern_handle(self.cpu.pc)
-                .ok_or(Fault::BadFetch { pc: self.cpu.pc })?,
-        );
+        let pc = self.cpu.pc;
+        let id = self.m.extern_at(pc).ok_or(Fault::BadFetch { pc })?;
         self.flush();
-        let done = self.env.extern_call(&name, self.m, self.cpu);
+        let done = self.env.extern_call(id, self.m, self.cpu);
         self.m.revalidate_tlb(self.cpu);
         done?;
         self.cpu.pc = self.pop()? as u64;
@@ -574,6 +647,11 @@ impl Exec<'_> {
     }
 
     fn run(&mut self) -> Result<StopReason, Fault> {
+        // The image `pc` was last in. Held while `pc` stays inside it —
+        // straight-line code and local branches fetch by index, borrowing
+        // nothing from the machine — and kept across a call to an extern,
+        // which returns into it.
+        let mut held: Option<Arc<CodeImage>> = None;
         loop {
             // Where is `pc`? The sentinel, a trampoline, or code.
             let pc = self.cpu.pc;
@@ -587,23 +665,23 @@ impl Exec<'_> {
             if self.budget == 0 {
                 return Ok(StopReason::Budget);
             }
-            // Held while `pc` stays inside it: straight-line code and
-            // local branches fetch by index, borrowing nothing from the
-            // machine.
-            let image = match self.m.image_at(pc) {
-                Some(image) if image.op_at(pc).is_some() => Arc::clone(image),
-                _ => return Err(Fault::BadFetch { pc }),
+            let image = match held.take() {
+                Some(image) if image.op_at(pc).is_some() => image,
+                _ => match self.m.image_at(pc) {
+                    Some(image) if image.op_at(pc).is_some() => Arc::clone(image),
+                    _ => return Err(Fault::BadFetch { pc }),
+                },
             };
             while let Some(op) = image.op_at(self.cpu.pc) {
                 if self.budget == 0 {
                     return Ok(StopReason::Budget);
                 }
                 self.budget -= 1;
-                self.insns += 1;
                 if let Some(stop) = self.step(op)? {
                     return Ok(stop);
                 }
             }
+            held = Some(image);
         }
     }
 
@@ -639,20 +717,132 @@ impl Exec<'_> {
                 self.cpu.set_reg(*dst, a as u32);
                 self.cpu.pc = next_pc;
             }
-            Op::SvmXlate {
-                mem,
-                out,
-                s1,
-                s2,
-                stlb,
-            } => {
-                let a = self.ea(mem) as u32;
-                if !self.svm_xlate_hit(a, *out, *s1, *s2, *stlb) {
+            // A fused op that does not hit is its first instruction: the
+            // `lea`, the `push`. Spelled out here rather than as a guarded
+            // arm falling through to that instruction's arm, which costs
+            // the hot dispatch a second match.
+            Op::SvmXlate(x) => {
+                let a = self.ea(&x.mem) as u32;
+                if !self.svm_xlate_hit(x, a) {
                     self.pay(Term::MovReg);
-                    self.cpu.set_reg(*s1, a);
+                    self.cpu.set_reg(x.s1, a);
                     self.cpu.pc = next_pc;
                 }
             }
+            Op::SvmFrame { x, spills, k } => {
+                let spills = &spills[..usize::from(*k)];
+                if !self.svm_frame_hit(x, spills) {
+                    let v = self.cpu.reg(spills[0]);
+                    self.pay(Term::Store);
+                    self.push(v)?;
+                    self.cpu.pc = next_pc;
+                }
+            }
+            // The quickened ops: each is its generic arm below, with the
+            // operand shapes and the width `Long` decided at link time.
+            Op::PushReg(r) => {
+                let v = self.cpu.reg(*r);
+                self.pay(Term::Store);
+                self.push(v)?;
+                self.cpu.pc = next_pc;
+            }
+            Op::PushMem(mem) => {
+                let v = self.load(self.ea(mem), Width::Long)?;
+                self.pay(Term::Store);
+                self.push(v)?;
+                self.cpu.pc = next_pc;
+            }
+            Op::PopReg(r) => {
+                self.pay(Term::Load);
+                let v = self.pop()?;
+                self.cpu.set_reg(*r, v);
+                self.cpu.pc = next_pc;
+            }
+            Op::MovRegReg { dst, src } => {
+                let v = self.cpu.reg(*src);
+                self.pay(Term::MovReg);
+                self.cpu.set_reg(*dst, v);
+                self.cpu.pc = next_pc;
+            }
+            Op::MovRegMem { dst, src } => {
+                let v = self.load(self.ea(src), Width::Long)?;
+                self.pay(Term::MovReg);
+                self.cpu.set_reg(*dst, v);
+                self.cpu.pc = next_pc;
+            }
+            Op::MovMemReg { dst, src } => {
+                let v = self.cpu.reg(*src);
+                self.pay(Term::MovReg);
+                self.store(self.ea(dst), Width::Long, v)?;
+                self.cpu.pc = next_pc;
+            }
+            Op::MovMemImm { dst, imm } => {
+                self.pay(Term::MovReg);
+                self.store(self.ea(dst), Width::Long, *imm)?;
+                self.cpu.pc = next_pc;
+            }
+            Op::AluRegImm { op, dst, imm } => {
+                let a = self.cpu.reg(*dst);
+                let r = alu(&mut self.cpu.flags, *op, a, *imm, Width::Long);
+                self.pay(Term::Alu);
+                self.cpu.set_reg(*dst, r);
+                self.cpu.pc = next_pc;
+            }
+            Op::AluRegReg { op, dst, src } => {
+                let b = self.cpu.reg(*src);
+                let a = self.cpu.reg(*dst);
+                let r = alu(&mut self.cpu.flags, *op, a, b, Width::Long);
+                self.pay(Term::Alu);
+                self.cpu.set_reg(*dst, r);
+                self.cpu.pc = next_pc;
+            }
+            Op::AluRegMem { op, dst, src } => {
+                let b = self.load(self.ea(src), Width::Long)?;
+                let a = self.cpu.reg(*dst);
+                let r = alu(&mut self.cpu.flags, *op, a, b, Width::Long);
+                self.pay(Term::Alu);
+                self.cpu.set_reg(*dst, r);
+                self.cpu.pc = next_pc;
+            }
+            Op::ShiftRegImm { op, dst, amount } => {
+                let a = self.cpu.reg(*dst);
+                let r = shift(&mut self.cpu.flags, *op, a, *amount);
+                self.pay(Term::Alu);
+                self.cpu.set_reg(*dst, r);
+                self.cpu.pc = next_pc;
+            }
+            Op::CmpRegImm { dst, imm } => {
+                let a = self.cpu.reg(*dst);
+                alu(&mut self.cpu.flags, AluOp::Sub, a, *imm, Width::Long);
+                self.pay(Term::Alu);
+                self.cpu.pc = next_pc;
+            }
+            Op::UnReg { op, dst } => {
+                let a = self.cpu.reg(*dst);
+                let r = unary(&mut self.cpu.flags, *op, a, Width::Long);
+                self.pay(Term::Alu);
+                self.cpu.set_reg(*dst, r);
+                self.cpu.pc = next_pc;
+            }
+            Op::JmpAbs(a) => {
+                self.pay(Term::BranchTaken);
+                self.cpu.pc = *a;
+            }
+            Op::JccAbs { cond, target } => {
+                if cond_true(&self.cpu.flags, *cond) {
+                    self.pay(Term::BranchTaken);
+                    self.cpu.pc = *target;
+                } else {
+                    self.pay(Term::BranchNotTaken);
+                    self.cpu.pc = next_pc;
+                }
+            }
+            Op::CallAbs(a) => {
+                self.pay(Term::Call);
+                self.push(next_pc as u32)?;
+                self.cpu.pc = *a;
+            }
+            // The generic ops.
             Op::Alu { op, w, dst, src } => {
                 let b = self.read(src, *w)?;
                 let a = self.read(dst, *w)?;
@@ -664,23 +854,7 @@ impl Exec<'_> {
             Op::Shift { op, dst, amount } => {
                 let amt = self.read(amount, Width::Byte)? & 31;
                 let a = self.read(dst, Width::Long)?;
-                let flags = &mut self.cpu.flags;
-                let r = match op {
-                    ShiftOp::Shl => {
-                        flags.cf = amt > 0 && (a >> (32 - amt)) & 1 != 0;
-                        a.wrapping_shl(amt)
-                    }
-                    ShiftOp::Shr => {
-                        flags.cf = amt > 0 && (a >> (amt - 1)) & 1 != 0;
-                        a.wrapping_shr(amt)
-                    }
-                    ShiftOp::Sar => {
-                        flags.cf = amt > 0 && ((a as i32) >> (amt - 1)) & 1 != 0;
-                        ((a as i32).wrapping_shr(amt)) as u32
-                    }
-                };
-                flags.of = false;
-                set_zs(flags, r, Width::Long);
+                let r = shift(&mut self.cpu.flags, *op, a, amt);
                 self.pay(Term::Alu);
                 self.write(dst, Width::Long, r)?;
                 self.cpu.pc = next_pc;
@@ -701,30 +875,7 @@ impl Exec<'_> {
             }
             Op::Un { op, w, dst } => {
                 let a = self.read(dst, *w)?;
-                let mask = w.mask() as u32;
-                let flags = &mut self.cpu.flags;
-                let r = match op {
-                    UnOp::Neg => {
-                        flags.cf = a != 0;
-                        (a.wrapping_neg()) & mask
-                    }
-                    UnOp::Not => !a & mask,
-                    UnOp::Inc => {
-                        let cf = flags.cf;
-                        let r = alu(flags, AluOp::Add, a, 1, *w);
-                        flags.cf = cf; // inc preserves CF like x86
-                        r
-                    }
-                    UnOp::Dec => {
-                        let cf = flags.cf;
-                        let r = alu(flags, AluOp::Sub, a, 1, *w);
-                        flags.cf = cf;
-                        r
-                    }
-                };
-                if matches!(op, UnOp::Neg | UnOp::Not) {
-                    set_zs(flags, r, *w);
-                }
+                let r = unary(&mut self.cpu.flags, *op, a, *w);
                 self.pay(Term::Alu);
                 self.write(dst, *w, r)?;
                 self.cpu.pc = next_pc;
@@ -797,52 +948,125 @@ impl Exec<'_> {
         Ok(None)
     }
 
-    /// The whole SVM translation of address `a` (the template at
-    /// [`Op::SvmXlate`]) as the instruction at `cpu.pc`, if it is a hit:
-    /// the budget covers all nine instructions, both words of `a`'s stlb
-    /// entry are in the translation cache, and the entry's tag is `a`'s
-    /// page. Leaves the registers, the flags (the closing `xor`'s), the
-    /// charges and `pc` as the nine plain ops would.
-    ///
-    /// Anything else returns `false` with nothing changed: the caller
-    /// executes the `lea`, and the plain ops after it take the slow path,
-    /// walk the page table, fault or run out of budget where they always
-    /// did.
+    /// The stlb entry of address `a` in the table at `stlb`, if it
+    /// answers the template's `cmp` and `xor`: both its words come out of
+    /// the translation cache in one probe, and its tag is `a`'s page.
     #[inline]
-    fn svm_xlate_hit(&mut self, a: u32, out: Reg, s1: Reg, s2: Reg, stlb: u32) -> bool {
-        // The run loop has counted the `lea`.
-        const REST: u64 = SVM_XLATE_LEN as u64 - 1;
-        if self.budget < REST {
-            return false;
-        }
+    fn stlb_hit(&self, a: u32, stlb: u32) -> Option<StlbHit> {
         let page = a & SVM_PAGE_MASK;
         let entry = (a & SVM_ENTRY_MASK) >> SVM_ENTRY_SHIFT;
-        let word = |m: &Machine, cpu: &Cpu, at: u32| {
-            let addr = stlb.wrapping_add(at).wrapping_add(entry) as u64;
-            let paddr = m.cached_paddr(cpu, addr, Width::Long, false)?;
-            Some(m.phys.read_u32(paddr))
-        };
-        let (Some(tag), Some(xor)) = (word(self.m, self.cpu, 0), word(self.m, self.cpu, 4)) else {
-            return false;
-        };
-        if tag != page {
-            return false;
-        }
-        self.cpu.set_reg(s1, entry);
-        self.cpu.set_reg(s2, page);
-        let translated = alu(&mut self.cpu.flags, AluOp::Xor, a, xor, Width::Long);
-        self.cpu.set_reg(out, translated);
+        let addr = stlb.wrapping_add(entry) as u64;
+        let paddr = self.m.cached_paddr(self.cpu, addr, 8, false)?;
+        (self.m.phys.read_u32(paddr) == page).then(|| StlbHit {
+            entry,
+            page,
+            xor: self.m.phys.read_u32(paddr + 4),
+            paddr,
+        })
+    }
+
+    /// What the nine ops of translation `x` of address `a` leave on a hit
+    /// — the three registers, the closing `xor`'s flags — and what they
+    /// charge, read from the cost table now.
+    #[inline]
+    fn svm_xlate_commit(&mut self, x: &Xlate, a: u32, hit: StlbHit) {
+        self.cpu.set_reg(x.s1, hit.entry);
+        self.cpu.set_reg(x.s2, hit.page);
+        let translated = alu(&mut self.cpu.flags, AluOp::Xor, a, hit.xor, Width::Long);
+        self.cpu.set_reg(x.out, translated);
         let cost = &self.m.cost;
         self.cycles += 3 * cost[Term::MovReg]
             + 5 * cost[Term::Alu]
             + 2 * cost[Term::Load]
             + cost[Term::BranchNotTaken];
         self.charged = true;
+    }
+
+    /// The whole SVM translation `x` of address `a` (the template at
+    /// [`Op::SvmXlate`]) as the instruction at `cpu.pc`, if it is a hit:
+    /// the budget covers all nine instructions and [`Exec::stlb_hit`]
+    /// answers. Leaves the registers, the flags, the charges and `pc` as
+    /// the nine plain ops would.
+    ///
+    /// Anything else returns `false` with nothing changed: the caller
+    /// executes the `lea`, and the plain ops after it take the slow path,
+    /// walk the page table, fault or run out of budget where they always
+    /// did.
+    #[inline]
+    fn svm_xlate_hit(&mut self, x: &Xlate, a: u32) -> bool {
+        // The run loop has counted the `lea`.
+        const REST: u64 = SVM_XLATE_LEN as u64 - 1;
+        if self.budget < REST {
+            return false;
+        }
+        let Some(hit) = self.stlb_hit(a, x.stlb) else {
+            return false;
+        };
+        self.svm_xlate_commit(x, a, hit);
         self.budget -= REST;
-        self.insns += REST;
-        self.cpu.pc += SVM_XLATE_LEN as u64 * twin_isa::INSN_SIZE;
+        self.cpu.pc += SVM_XLATE_LEN as u64 * INSN_SIZE;
         #[cfg(test)]
         FUSED_HITS.with(|hits| hits.set(hits.get() + 1));
+        true
+    }
+
+    /// The whole spill frame at [`Op::SvmFrame`] — `push` of each of
+    /// `spills`, translation `x`, `pop` of each in reverse — as the
+    /// instruction at `cpu.pc`, if it is a hit: the budget covers all
+    /// `2k + 9` instructions, every stack slot the pushes write answers
+    /// from the translation cache as writable, [`Exec::stlb_hit`] answers,
+    /// and no slot shares a byte of physical memory with the stlb entry
+    /// (the plain `cmp` and `xor` would read what the pushes wrote).
+    /// Writes the slots, leaves the spilled registers as the pops leave
+    /// them — as they were — and the rest as [`Exec::svm_xlate_hit`]
+    /// does, charges `k·Store + k·Load` on top, and moves `pc` past the
+    /// last pop.
+    ///
+    /// Anything else returns `false` with nothing changed: the caller
+    /// executes the first `push`.
+    #[inline]
+    fn svm_frame_hit(&mut self, x: &Xlate, spills: &[Reg]) -> bool {
+        let k = spills.len();
+        // The run loop has counted the first `push`.
+        let rest = (2 * k + SVM_XLATE_LEN - 1) as u64;
+        if self.budget < rest {
+            return false;
+        }
+        let esp = self.cpu.reg(Reg::Esp);
+        let mut slots = [(0u64, 0u32); 3];
+        for (i, (slot, r)) in slots.iter_mut().zip(spills).enumerate() {
+            let addr = esp.wrapping_sub(4 * (i as u32 + 1)) as u64;
+            let Some(paddr) = self.m.cached_paddr(self.cpu, addr, 4, true) else {
+                return false;
+            };
+            *slot = (paddr, self.cpu.reg(*r));
+        }
+        let slots = &slots[..k];
+        // The recogniser keeps `%esp` out of the operand: the pushes
+        // before the `lea` do not move its address.
+        let a = self.ea(&x.mem) as u32;
+        let Some(hit) = self.stlb_hit(a, x.stlb) else {
+            return false;
+        };
+        if slots
+            .iter()
+            .any(|&(paddr, _)| paddr < hit.paddr + 8 && hit.paddr < paddr + 4)
+        {
+            return false;
+        }
+        for &(paddr, v) in slots {
+            self.m.phys.write_u32(paddr, v);
+        }
+        self.svm_xlate_commit(x, a, hit);
+        for (r, &(_, v)) in spills.iter().zip(slots) {
+            self.cpu.set_reg(*r, v);
+        }
+        let cost = &self.m.cost;
+        self.cycles += k as u64 * (cost[Term::Store] + cost[Term::Load]);
+        self.budget -= rest;
+        self.cpu.pc += (2 * k + SVM_XLATE_LEN) as u64 * INSN_SIZE;
+        #[cfg(test)]
+        FRAME_HITS.with(|hits| hits.set(hits.get() + 1));
         true
     }
 
@@ -918,8 +1142,8 @@ pub fn run(
         cpu,
         env,
         budget: max_insns,
+        flushed_budget: max_insns,
         cycles: 0,
-        insns: 0,
         charged: false,
     };
     let stopped = exec.run();
@@ -1136,11 +1360,11 @@ mod tests {
         impl Env for AddEnv {
             fn extern_call(
                 &mut self,
-                name: &str,
+                id: ExternId,
                 m: &mut Machine,
                 cpu: &mut Cpu,
             ) -> Result<(), Fault> {
-                assert_eq!(name, "add2");
+                assert_eq!(m.extern_name(id), Some("add2"));
                 let a = cpu.arg(m, 0)?;
                 let b = cpu.arg(m, 1)?;
                 cpu.set_reg(Reg::Eax, a + b);
@@ -1436,7 +1660,12 @@ mod tests {
     }
 
     impl<F: FnMut(&mut Machine, &mut Cpu)> Env for Spy<F> {
-        fn extern_call(&mut self, _: &str, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault> {
+        fn extern_call(
+            &mut self,
+            _: ExternId,
+            m: &mut Machine,
+            cpu: &mut Cpu,
+        ) -> Result<(), Fault> {
             self.look(m);
             (self.hook)(m, cpu);
             Ok(())

@@ -36,19 +36,41 @@
 //!
 //! At the head, the interpreter runs the whole hit path in one dispatch
 //! when three things hold: at least nine instructions of budget remain;
-//! both words of the stlb entry answer from the translation cache (so a
-//! debug build re-walks the page table on every fused hit, as on every
-//! other cached access); and the entry's tag is the address's page. It
-//! then leaves the three registers, the flags (the closing `xor`'s),
-//! `pc`, the instruction count and the charges — `3·MovReg + 5·Alu +
-//! 2·Load + BranchNotTaken`, read from [`Machine::cost`] at that moment —
-//! as the nine ops would have. In every other case (stlb miss,
-//! translation-cache miss, stlb page unmapped or a device's, budget
-//! about to run out) the head is the `lea` and nothing more, and the
-//! plain ops after it take the slow path, walk, fault or stop where they
-//! always did. No simulated number can tell a fused run from a plain
-//! one; the test-only `fusion` module runs both links of the same code
-//! side by side to hold the interpreter to that.
+//! the stlb entry answers from the translation cache, both its words in
+//! one probe (so a debug build re-walks the page table on every fused
+//! hit, as on every other cached access); and the entry's tag is the
+//! address's page. It then leaves the three registers, the flags (the
+//! closing `xor`'s), `pc`, the instruction count and the charges —
+//! `3·MovReg + 5·Alu + 2·Load + BranchNotTaken`, read from
+//! [`Machine::cost`] at that moment — as the nine ops would have. In
+//! every other case (stlb miss, translation-cache miss, stlb page
+//! unmapped or a device's, budget about to run out) the head is the
+//! `lea` and nothing more, and the plain ops after it take the slow
+//! path, walk, fault or stop where they always did.
+//!
+//! Where the rewriter had to spill registers around a translation
+//! (`push r1 … push rk; <template>; pop rk … pop r1`, the pushed
+//! registers distinct and among the template's three, the pops right
+//! after the `xor`), `link` also replaces the frame's **first `push`**
+//! ([`CodeImage::fused_frames`] counts them), and the interpreter runs
+//! the `2k + 9` instructions in one dispatch when the budget covers them,
+//! every stack slot answers from the translation cache as writable, the
+//! translation hits, and no slot overlaps the stlb entry; otherwise that
+//! op is its `push`.
+//!
+//! No simulated number can tell a fused run from a plain one; the
+//! test-only `fusion` module runs both links of the same code side by
+//! side to hold the interpreter to that.
+//!
+//! ## Quickening
+//!
+//! After fusion, `link` lowers each hot generic form — `Long` `mov`,
+//! `alu`, `shift`, `cmp` and unary ops, `push` and `pop`, by operand shape,
+//! and branches and calls to absolute targets — to an op whose operand
+//! shapes are decided at link time; each makes its generic arm's reads,
+//! charges, writes and faults in the same order. The reference for all of
+//! it is the link without fusion or quickening, which `fusion` compares
+//! against shape by shape, faults and page-straddling accesses included.
 //!
 //! ```
 //! use twin_isa::asm::assemble;
@@ -104,6 +126,11 @@ pub const RETURN_SENTINEL: u64 = 0xFFFF_FFF0;
 /// resolved extern symbol gets a unique address `EXTERN_BASE + 8*id`.
 pub const EXTERN_BASE: u64 = 0xEE00_0000;
 
+/// Identifier of a registered extern: its trampoline is at
+/// `EXTERN_BASE + 8 * id.0`. What [`Env::extern_call`] is called with.
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+pub struct ExternId(pub usize);
+
 /// The complete simulated machine: physical memory, address spaces, the
 /// shared hypervisor region, loaded code images, extern trampolines and the
 /// cycle meter.
@@ -124,10 +151,11 @@ pub struct Machine {
     /// *reads* the clock and domain stack but never charges, so a traced
     /// run's cycle accounting is bit-identical to an untraced run's.
     pub trace: twin_trace::FlightRecorder,
-    /// Shared handles, so the interpreter can hold the image (or extern
-    /// name) it is executing while the environment mutates the machine.
+    /// Shared handles, so the interpreter can hold the image it is
+    /// executing while the environment mutates the machine.
     images: Vec<Arc<CodeImage>>,
-    extern_names: Vec<Arc<str>>,
+    /// Extern symbols, indexed by [`ExternId`].
+    extern_names: Vec<Box<str>>,
     /// The interpreter's translation cache; see [`space::Tlb`] and
     /// [`Machine::revalidate_tlb`].
     tlb: space::Tlb,
@@ -243,16 +271,16 @@ impl Machine {
             .map(|i| EXTERN_BASE + 8 * i as u64)
     }
 
-    /// Resolves a trampoline address back to the extern's name.
-    pub fn extern_name(&self, addr: u64) -> Option<&str> {
-        self.extern_handle(addr).map(|n| &**n)
+    /// The extern whose trampoline is at `addr`, if one is.
+    pub fn extern_at(&self, addr: u64) -> Option<ExternId> {
+        let offset = addr.checked_sub(EXTERN_BASE)?;
+        let id = usize::try_from(offset / 8).ok()?;
+        (offset % 8 == 0 && id < self.extern_names.len()).then_some(ExternId(id))
     }
 
-    pub(crate) fn extern_handle(&self, addr: u64) -> Option<&Arc<str>> {
-        if addr < EXTERN_BASE || (addr - EXTERN_BASE) % 8 != 0 {
-            return None;
-        }
-        self.extern_names.get(((addr - EXTERN_BASE) / 8) as usize)
+    /// The symbol extern `id` was registered under.
+    pub fn extern_name(&self, id: ExternId) -> Option<&str> {
+        self.extern_names.get(id.0).map(|n| &**n)
     }
 
     /// Loads a module's text at `code_base`, resolving local labels and
@@ -411,18 +439,12 @@ impl Machine {
     }
 
     /// Translation-cache lookup for the interpreter: the physical address
-    /// of a `width`-wide RAM access at `addr` by `cpu`, when the cache
-    /// can answer. `None` means "walk the page table" (and, on success,
+    /// of a `len`-byte RAM access at `addr` by `cpu`, when the cache can
+    /// answer. `None` means "walk the page table" (and, on success,
     /// [`space::Tlb::fill`]), never "fault".
     #[inline]
-    pub(crate) fn cached_paddr(
-        &self,
-        cpu: &Cpu,
-        addr: u64,
-        width: twin_isa::Width,
-        write: bool,
-    ) -> Option<u64> {
-        let paddr = self.tlb.hit(addr, width.bytes(), write)?;
+    pub(crate) fn cached_paddr(&self, cpu: &Cpu, addr: u64, len: u64, write: bool) -> Option<u64> {
+        let paddr = self.tlb.hit(addr, len, write)?;
         if cfg!(debug_assertions) {
             self.check_tlb_hit(cpu, addr, write, paddr);
         }
@@ -734,10 +756,15 @@ mod tests {
         let a1 = m.register_extern("netif_rx");
         let a2 = m.register_extern("netif_rx");
         assert_eq!(a1, a2);
-        assert_eq!(m.extern_name(a1), Some("netif_rx"));
+        let id = m.extern_at(a1).unwrap();
+        assert_eq!(m.extern_name(id), Some("netif_rx"));
         assert_eq!(m.extern_addr("netif_rx"), Some(a1));
         let b = m.register_extern("netdev_alloc_skb");
         assert_ne!(a1, b);
+        // Only the trampolines themselves are externs.
+        for addr in [a1 + 4, b + 8, EXTERN_BASE - 8] {
+            assert_eq!(m.extern_at(addr), None, "{addr:#x}");
+        }
     }
 
     #[test]

@@ -189,8 +189,11 @@ impl PageTable {
     }
 }
 
-/// Entries in the translation cache (a power of two).
-const TLB_ENTRIES: usize = 64;
+/// Entries in the translation cache: `2^TLB_INDEX_BITS`. A rewritten
+/// driver's burst touches a few dozen pages (stack, driver data, skbs,
+/// rings, the stlb); this many leaves a conflict miss rare.
+const TLB_INDEX_BITS: u32 = 8;
+const TLB_ENTRIES: usize = 1 << TLB_INDEX_BITS;
 
 /// What a [`Tlb`]'s entries were translated under: the CPU's space and
 /// mode, and the generations of the two tables a translation can walk.
@@ -260,12 +263,14 @@ impl Tlb {
         }
     }
 
-    /// Folds the page number's higher bits into the index, so regions
-    /// laid out at round addresses (`0xf0200`, `0xf1000`: the hypervisor's
-    /// data and the stlb) do not all land on slot 0.
+    /// The slot of page `vpn`: the top bits of a multiplicative
+    /// (Fibonacci) hash, in which every bit of the page number moves the
+    /// index — regions laid out at round addresses (`0xf0200…`: the
+    /// hypervisor's data, `0xf1000…`: the stlb) spread over the table
+    /// instead of sharing the slots their low bits pick.
     #[inline]
-    fn slot(vpn: u64) -> usize {
-        ((vpn ^ (vpn >> 6) ^ (vpn >> 12)) % TLB_ENTRIES as u64) as usize
+    pub(crate) fn slot(vpn: u64) -> usize {
+        (vpn.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - TLB_INDEX_BITS)) as usize
     }
 
     /// Physical address of `addr` if its page is cached, the `len`-byte
@@ -360,6 +365,25 @@ mod tests {
     #[should_panic(expected = "beyond the 32-bit address space")]
     fn mapping_beyond_the_32_bit_space_panics() {
         PageTable::new().map(1 << 32, PageEntry::ram(1, true));
+    }
+
+    /// Pages of the hypervisor's data (`0xf0200…`) and of the stlb
+    /// (`0xf1000…`) that an index folding high bits into the low ones put
+    /// in one slot, evicting each other on every packet.
+    #[test]
+    fn round_numbered_hypervisor_regions_get_slots_of_their_own() {
+        for (data, stlb) in [(0xf0200, 0xf1048), (0xf0207, 0xf100e)] {
+            assert_ne!(Tlb::slot(data), Tlb::slot(stlb), "{data:#x} / {stlb:#x}");
+        }
+        // Both stay cached side by side.
+        let mut tlb = Tlb::new();
+        let (a, b) = (0xf020_0000, 0xf104_8000);
+        tlb.fill(a, &PageEntry::ram(1, true));
+        tlb.fill(b, &PageEntry::ram(2, false));
+        assert_eq!(tlb.hit(a + 8, 4, true), Some(PAGE_SIZE + 8));
+        assert_eq!(tlb.hit(b + 8, 8, false), Some(2 * PAGE_SIZE + 8));
+        assert_eq!(tlb.hit(b + 8, 4, true), None, "read-only");
+        assert_eq!(tlb.hit(b + PAGE_SIZE - 4, 8, false), None, "straddles");
     }
 
     #[derive(Clone, Debug)]

@@ -33,7 +33,8 @@ mod rewrite;
 
 pub use liveness::Liveness;
 pub use rewrite::{
-    rewrite, RewriteError, RewriteOptions, RewriteOutput, RewriteStats, STACK_CHECK_SYMBOL,
+    rewrite, RewriteError, RewriteOptions, RewriteOutput, RewriteStats, SvmHelper,
+    STACK_CHECK_SYMBOL,
 };
 
 #[cfg(test)]
@@ -43,7 +44,8 @@ mod tests {
     use twin_isa::Width;
     use twin_isa::{Insn, Module, Reg, INSN_SIZE};
     use twin_machine::{
-        run, Cpu, Env, ExecMode, Fault, Machine, SpaceId, StopReason, HYPER_BASE, PAGE_SIZE,
+        run, Cpu, Env, ExecMode, ExternId, Fault, Machine, SpaceId, StopReason, HYPER_BASE,
+        PAGE_SIZE,
     };
     use twin_svm::{Svm, CALL_XLAT_SYMBOL, SLOW_PATH_SYMBOL, STLB_SYMBOL};
 
@@ -53,8 +55,13 @@ mod tests {
     }
 
     impl Env for SvmEnv {
-        fn extern_call(&mut self, name: &str, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault> {
-            match name {
+        fn extern_call(
+            &mut self,
+            id: ExternId,
+            m: &mut Machine,
+            cpu: &mut Cpu,
+        ) -> Result<(), Fault> {
+            match m.extern_name(id).unwrap_or_default() {
                 SLOW_PATH_SYMBOL => {
                     let addr = cpu.arg(m, 0)? as u64;
                     self.svm.slow_path(m, addr)?;

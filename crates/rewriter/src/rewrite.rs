@@ -25,6 +25,29 @@ use twin_svm::{CALL_XLAT_SYMBOL, SLOW_PATH_SYMBOL, STLB_SYMBOL};
 /// validate variable-offset stack accesses at runtime.
 pub const STACK_CHECK_SYMBOL: &str = "__svm_stack_check";
 
+/// The SVM helpers a rewritten driver calls: one extern each.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum SvmHelper {
+    /// [`SLOW_PATH_SYMBOL`]: fill the stlb entry of an address (§5.1).
+    SlowPath,
+    /// [`CALL_XLAT_SYMBOL`]: translate an indirect call's target (§5.1.2).
+    CallXlat,
+    /// [`STACK_CHECK_SYMBOL`]: check a stack access (§4.5.1).
+    StackCheck,
+}
+
+impl SvmHelper {
+    /// The helper an extern symbol names, if it names one.
+    pub fn lookup(name: &str) -> Option<SvmHelper> {
+        match name {
+            SLOW_PATH_SYMBOL => Some(SvmHelper::SlowPath),
+            CALL_XLAT_SYMBOL => Some(SvmHelper::CallXlat),
+            STACK_CHECK_SYMBOL => Some(SvmHelper::StackCheck),
+            _ => None,
+        }
+    }
+}
+
 /// Options controlling the rewrite.
 #[derive(Clone, Debug)]
 pub struct RewriteOptions {

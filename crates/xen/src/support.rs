@@ -32,30 +32,31 @@ use crate::upcall::{UpcallEngine, UpcallMode, UPCALL_COMPLETION_PORT};
 use crate::xen::{Softirq, Xen};
 use twin_kernel::{DeferClass, Dom0Kernel, FastPath, RoutineId, SkBuff, Usage, ROUTINES};
 use twin_machine::{CostDomain, Cpu, Event, ExecMode, Fault, Machine, Term, PAGE_SIZE};
-use twin_svm::{Svm, CALL_XLAT_SYMBOL, SLOW_PATH_SYMBOL};
+use twin_rewriter::SvmHelper;
+use twin_svm::Svm;
 use twin_trace::{FlushCause, TraceEvent};
 
-/// Handles a call to one of the three SVM helpers the rewriter emits
-/// against `svm`, the calling driver instance's table (paper §5.1.2: the
-/// VM instance resolves them to the identity table, the hypervisor
-/// instance to the hypervisor's). Returns `None` if `name` is not an SVM
-/// helper. The stack window (§4.5.1) is enforced only with
-/// `stack_checked` — the hypervisor instance; the VM instance's check is
-/// a no-op.
+/// Runs one of the three SVM helpers the rewriter emits calls to against
+/// `svm`, the calling driver instance's table (paper §5.1.2: the VM
+/// instance resolves them to the identity table, the hypervisor instance
+/// to the hypervisor's). The caller resolved the extern's name to
+/// `helper` once, when it was first called. The stack window (§4.5.1) is
+/// enforced only with `stack_checked` — the hypervisor instance; the VM
+/// instance's check is a no-op.
 pub fn svm_helper(
-    name: &str,
+    helper: SvmHelper,
     m: &mut Machine,
     cpu: &mut Cpu,
     svm: &mut Svm,
     stack_checked: bool,
-) -> Option<Result<(), Fault>> {
+) -> Result<(), Fault> {
     let arg = |cpu: &Cpu, m: &Machine| cpu.arg(m, 0).map(u64::from);
-    Some(match name {
-        SLOW_PATH_SYMBOL => arg(cpu, m).and_then(|addr| svm.slow_path(m, addr).map(drop)),
-        CALL_XLAT_SYMBOL => arg(cpu, m)
+    match helper {
+        SvmHelper::SlowPath => arg(cpu, m).and_then(|addr| svm.slow_path(m, addr).map(drop)),
+        SvmHelper::CallXlat => arg(cpu, m)
             .and_then(|target| svm.translate_call(m, target))
             .map(|x| cpu.set_reg(twin_isa::Reg::Eax, x as u32)),
-        twin_rewriter::STACK_CHECK_SYMBOL if stack_checked => arg(cpu, m).and_then(|addr| {
+        SvmHelper::StackCheck if stack_checked => arg(cpu, m).and_then(|addr| {
             let esp = cpu.reg(twin_isa::Reg::Esp) as u64;
             // Accept accesses within one stack extent of esp.
             let (lo, hi) = (esp.saturating_sub(4096 * 2), esp + 4096 * 2);
@@ -66,9 +67,8 @@ pub fn svm_helper(
                 ))),
             }
         }),
-        twin_rewriter::STACK_CHECK_SYMBOL => Ok(()),
-        _ => return None,
-    })
+        SvmHelper::StackCheck => Ok(()),
+    }
 }
 
 /// Event-channel port used for upcall requests.

@@ -319,7 +319,8 @@ pub fn rewrite(_packets: u64) -> Rendered {
         out,
         "  instructions : {} -> {} ({:.2}x)\n  memory sites : {} ({:.0}% of instructions)\n\
          \x20 string sites : {}\n  indirect     : {}\n  spill sites  : {}\n\
-         \x20 fused sites  : {} (Fig. 4 translations the interpreter runs in one dispatch)\n",
+         \x20 fused sites  : {} (Fig. 4 translations the interpreter runs in one dispatch)\n\
+         \x20 fused spills : {} (spill frames run in the same dispatch as their translation)\n",
         s.insns_before,
         s.insns_after,
         s.expansion_factor(),
@@ -328,7 +329,8 @@ pub fn rewrite(_packets: u64) -> Rendered {
         s.string_sites,
         s.indirect_sites,
         s.spill_sites,
-        sys.machine.image(hyperdrv.image).fused_sites()
+        sys.machine.image(hyperdrv.image).fused_sites(),
+        sys.machine.image(hyperdrv.image).fused_frames()
     )?;
     Ok(out)
 }

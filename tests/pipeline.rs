@@ -44,11 +44,16 @@ fn every_translation_the_rewriter_emits_is_one_the_linker_fuses() {
     let stats = sys.rewrite_stats.unwrap();
     assert!(emitted >= stats.mem_sites + stats.string_sites + stats.indirect_sites);
     assert_eq!((hyp.fused_sites(), vm.fused_sites()), (emitted, emitted));
+    // Spill frames around a translation: every spill site but the two
+    // whose `out` is spilled, which keep their access inside the frame.
+    assert_eq!(stats.spill_sites, 93);
+    assert_eq!((hyp.fused_frames(), vm.fused_frames()), (91, 91));
 
     // The original driver has no translation to fuse.
     for config in [Config::XenGuest, Config::XenDom0, Config::NativeLinux] {
         let sys = System::build(config).unwrap();
-        assert_eq!(sys.machine.image(sys.driver.image).fused_sites(), 0);
+        let image = sys.machine.image(sys.driver.image);
+        assert_eq!((image.fused_sites(), image.fused_frames()), (0, 0));
     }
 }
 

@@ -13,8 +13,8 @@ use twin_isa::asm::assemble;
 use twin_isa::Module;
 use twin_kernel::load_driver;
 use twin_machine::{
-    run, Cpu, Env, Event, ExecMode, Fault, Machine, NullEnv, SpaceId, StopReason, HYPER_BASE,
-    PAGE_SIZE,
+    run, Cpu, Env, Event, ExecMode, ExternId, Fault, Machine, NullEnv, SpaceId, StopReason,
+    HYPER_BASE, PAGE_SIZE,
 };
 use twin_rewriter::{rewrite, RewriteOptions};
 use twin_svm::{Svm, CALL_XLAT_SYMBOL, SLOW_PATH_SYMBOL};
@@ -132,8 +132,8 @@ struct SvmEnv {
 }
 
 impl Env for SvmEnv {
-    fn extern_call(&mut self, name: &str, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault> {
-        match name {
+    fn extern_call(&mut self, id: ExternId, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault> {
+        match m.extern_name(id).unwrap_or_default() {
             SLOW_PATH_SYMBOL => {
                 let a = cpu.arg(m, 0)? as u64;
                 self.svm.slow_path(m, a)?;
