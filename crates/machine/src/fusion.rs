@@ -12,6 +12,7 @@
 use crate::image::{link_plain, Op};
 use crate::interp::{Flags, FRAME_HITS, FUSED_HITS};
 use crate::space::Tlb;
+use crate::stlb::{self, ENTRY_MASK, PAGE_MASK, SHIFT, XOR_WORD};
 use crate::{
     run, CostDomain, Cpu, Env, ExecMode, ExternId, Fault, ImageId, Machine, NullEnv, PageEntry,
     StopReason, Term, PAGE_SIZE,
@@ -19,32 +20,27 @@ use crate::{
 use proptest::prelude::*;
 use std::sync::Arc;
 use twin_isa::asm::assemble;
-use twin_isa::{Reg, Width};
+use twin_isa::{Insn, MemRef, Reg, Target, Width};
 
 const CODE: u64 = 0x0800_0000;
 const STACK: u64 = 0x3000_0000;
-/// The stlb's pages: 4096 entries of 8 bytes, and one page more for a
-/// table that starts a few bytes in.
+/// The stlb's pages: the table's, and one page more for a table that
+/// starts a few bytes in.
 const STLB: u64 = 0x2000_0000;
-const STLB_PAGES: u64 = 9;
+const STLB_PAGES: u64 = stlb::ENTRIES * stlb::ENTRY_SIZE / PAGE_SIZE + 1;
 
-/// The template as the rewriter emits it (`twin_rewriter`'s
-/// `emit_fastpath`), translating the address `mem` names.
+/// [`stlb::template`] as the rewriter emits it, as text: translating the
+/// address `mem` names through the table `stlb`, missing to `slow`.
 fn template(mem: &str, [s1, s2, out]: [Reg; 3]) -> String {
-    let (s1, s2, out) = (s1.name(), s2.name(), out.name());
-    format!(
-        r#"
-        leal {mem}, %{s1}
-        movl %{s1}, %{out}
-        andl $0xfffff000, %{s1}
-        movl %{s1}, %{s2}
-        andl $0x00fff000, %{s1}
-        shrl $9, %{s1}
-        cmpl stlb(,%{s1},1), %{s2}
-        jne slow
-        xorl stlb+4(,%{s1},1), %{out}
-    "#
-    )
+    let lea = assemble("t", &format!(".text\n leal {mem}, %eax\n")).unwrap();
+    let Insn::Lea { mem, .. } = &lea.text[0] else {
+        unreachable!("assembled a lea")
+    };
+    let slow = Target::Label("slow".into());
+    stlb::template(mem.clone(), out, s1, s2, MemRef::sym("stlb", 0), slow)
+        .iter()
+        .map(|insn| format!(" {insn}\n"))
+        .collect()
 }
 
 /// A machine with `src` loaded at [`CODE`], linked by [`crate::image::link`]
@@ -124,10 +120,10 @@ fn entry(m: &Machine, label: &str) -> u64 {
 
 /// Writes the stlb entry of `page` in the table at `table`.
 fn fill(m: &mut Machine, cpu: &Cpu, table: u64, page: u32, tag: u32, xor: u32) {
-    let e = table + u64::from((page & 0x00ff_f000) >> 9);
+    let e = table + u64::from(stlb::entry_offset(page));
     // An entry on an unmapped page stays unwritten.
     let _ = m.write_u32(cpu.space, cpu.mode, e, tag);
-    let _ = m.write_u32(cpu.space, cpu.mode, e + 4, xor);
+    let _ = m.write_u32(cpu.space, cpu.mode, e + XOR_WORD, xor);
 }
 
 // ---- what the recogniser takes and what it leaves alone ----
@@ -164,29 +160,37 @@ fn the_template_is_fused_whatever_its_operand_and_registers() {
 #[test]
 fn anything_but_the_template_is_left_as_it_was_lowered() {
     let good = template("(%esi)", REGS);
+    let (page, shift) = (format!("${PAGE_MASK}"), format!("shrl ${SHIFT}"));
+    let xor = format!("stlb+{XOR_WORD}(");
     for (from, to) in [
         // Another mask, shift, condition, operation or width.
-        ("$0xfffff000", "$0xffffe000"),
-        ("$0x00fff000", "$0x000ff000"),
-        ("shrl $9", "shrl $8"),
-        ("shrl $9", "shll $9"),
-        ("jne slow", "je slow"),
-        ("xorl", "addl"),
-        ("cmpl", "cmpw"),
-        ("andl $0xfffff000", "orl $0xfffff000"),
-        // The two words not 4 apart, scaled, or based.
-        ("stlb+4(", "stlb+8("),
-        ("stlb+4(", "stlb("),
-        ("stlb(,%eax,1)", "stlb(,%eax,2)"),
-        ("stlb+4(,%eax,1)", "stlb+4(%eax)"),
+        (page.clone(), format!("${}", PAGE_MASK << 1)),
+        (
+            format!("${ENTRY_MASK}"),
+            format!("${}", (ENTRY_MASK >> 1) & ENTRY_MASK),
+        ),
+        (shift.clone(), format!("shrl ${}", SHIFT - 1)),
+        (shift.clone(), format!("shll ${SHIFT}")),
+        ("jne slow".into(), "je slow".into()),
+        ("xorl".into(), "addl".into()),
+        ("cmpl".into(), "cmpw".into()),
+        (format!("andl {page}"), format!("orl {page}")),
+        // The xor word elsewhere; the words scaled, or based.
+        (xor.clone(), format!("stlb+{}(", 2 * XOR_WORD)),
+        (xor.clone(), "stlb(".into()),
+        ("stlb(,%eax,1)".into(), "stlb(,%eax,2)".into()),
+        (format!("{xor},%eax,1)"), format!("{xor}%eax)")),
         // An op of the nine missing, moved or doubled.
-        ("movl %eax, %ebx", "nop"),
-        ("shrl $9, %eax", "shrl $9, %eax\n nop"),
+        ("movl %eax, %ebx".into(), "nop".into()),
+        (format!("{shift}, %eax"), format!("{shift}, %eax\n nop")),
         // The tag compared the other way round.
-        ("cmpl stlb(,%eax,1), %ebx", "cmpl %ebx, stlb(,%eax,1)"),
+        (
+            "cmpl stlb(,%eax,1), %ebx".into(),
+            "cmpl %ebx, stlb(,%eax,1)".into(),
+        ),
     ] {
-        assert!(good.contains(from), "{from}");
-        assert_eq!(fused_sites(&good.replace(from, to)), 0, "{from} -> {to}");
+        assert!(good.contains(&from), "{from}");
+        assert_eq!(fused_sites(&good.replace(&from, &to)), 0, "{from} -> {to}");
     }
     // Registers that alias.
     for regs in [
@@ -332,7 +336,7 @@ fn a_jump_into_the_template_runs_the_ops_that_were_left_in_place() {
         let regs = seen[0].regs;
         assert_eq!(regs[Reg::Edx.index()], 0xf123_4567, "{prologue}");
         assert_eq!(regs[Reg::Ebx.index()], PAGE);
-        assert_eq!(regs[Reg::Eax.index()], (PAGE & 0x00ff_f000) >> 9);
+        assert_eq!(regs[Reg::Eax.index()], stlb::entry_offset(PAGE));
     }
 }
 
@@ -346,7 +350,7 @@ impl Env for SlowPath {
     fn extern_call(&mut self, id: ExternId, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault> {
         assert_eq!(m.extern_name(id), Some("__svm_slow"));
         self.calls += 1;
-        let page = cpu.arg(m, 0)? & 0xffff_f000;
+        let page = cpu.arg(m, 0)? & PAGE_MASK;
         fill(m, cpu, STLB, page, page, 0x5000_0000);
         m.pay(Term::StlbSlowPath);
         Ok(())
@@ -495,7 +499,7 @@ const TARGETS: [u32; 5] = [
     0x0123_4000,
     0x0923_4000,
     0x7700_0000,
-    0x00ff_f000,
+    ((stlb::ENTRIES - 1) * PAGE_SIZE) as u32,
     0xc020_0000,
 ];
 
@@ -705,7 +709,7 @@ impl Site {
 
     /// Instructions from the first push to the last pop.
     fn len(&self) -> u64 {
-        (2 * self.spills.len() + 9) as u64
+        (2 * self.spills.len() + stlb::TEMPLATE_LEN) as u64
     }
 
     /// Seeds every register and flag from `seed`, stands `%esp` where
@@ -714,7 +718,7 @@ impl Site {
     fn prepare(&self, cpu: &mut Cpu, seed: u64, at: StackAt, want: u32) {
         seed_cpu(cpu, seed);
         if !self.spills.is_empty() {
-            let entry = self.table + u64::from((want & 0x00ff_f000) >> 9);
+            let entry = self.table + u64::from(stlb::entry_offset(want));
             let esp = match at {
                 StackAt::Inside => STACK + PAGE_SIZE + 0x800,
                 StackAt::NearGuard(words) => STACK + 4 * u64::from(words),
@@ -822,7 +826,7 @@ fn fused_and_plain_agree(site: &Site, prices: &[u64], steps: &[Step]) {
                 Step::Evict(p) => vec![rival_of(p.addr())],
                 Step::Protect(p) => [p.addr() + 0x800]
                     .into_iter()
-                    .chain(TARGETS.map(|t| site.table + u64::from((t & 0x00ff_f000) >> 9)))
+                    .chain(TARGETS.map(|t| site.table + u64::from(stlb::entry_offset(t))))
                     .collect(),
                 _ => Vec::new(),
             };

@@ -1,5 +1,6 @@
 //! Loaded code images and symbol resolution (linking).
 
+use crate::stlb::{self, TEMPLATE_LEN};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -388,36 +389,11 @@ where
     })
 }
 
-/// Instructions in the SVM translation template.
-pub(crate) const SVM_XLATE_LEN: usize = 9;
-/// The template's constants: the page of an address, the bits of it that
-/// pick the stlb entry, and the shift that leaves that entry's offset in
-/// the table (8 bytes an entry).
-pub(crate) const SVM_PAGE_MASK: u32 = 0xffff_f000;
-pub(crate) const SVM_ENTRY_MASK: u32 = 0x00ff_f000;
-pub(crate) const SVM_ENTRY_SHIFT: u32 = 9;
-
-/// Replaces the head of every SVM translation in `ops` — the paper's
-/// Figure 4 fast path, which the rewriter emits for each memory reference
-/// of a driver — by [`Op::SvmXlate`]:
-///
-/// ```text
-/// retry: lea   mem, s1             ; the untranslated address
-///        mov   s1, out
-///        and   $0xfffff000, s1
-///        mov   s1, s2              ; its page
-///        and   $0x00fff000, s1
-///        shr   $9, s1              ; its stlb entry's offset
-///        cmp   D(,s1,1), s2        ; tag == page?
-///        jne   slow
-///        xor   D+4(,s1,1), out     ; page -> mapped page
-/// ```
-///
-/// The match is on shape alone — three distinct registers, these masks
-/// and this shift, two absolute words 4 apart indexed by `s1` — and only
-/// the `lea` changes: the eight ops after it stay, so a branch into the
-/// middle, the slow path's `jmp retry` and every code address mean what
-/// they did.
+/// Replaces the head of every SVM translation in `ops` — the lowering of
+/// [`stlb::template`], which the rewriter emits for each memory reference
+/// of a driver — by [`Op::SvmXlate`]. Only the `lea` changes: the eight
+/// ops after it stay, so a branch into the middle, the slow path's `jmp
+/// retry` and every code address mean what they did.
 ///
 /// Where liveness left fewer than three free registers, the rewriter
 /// brackets the template by spills, and the first `push` of the frame
@@ -435,8 +411,8 @@ pub(crate) const SVM_ENTRY_SHIFT: u32 = 9;
 /// do not follow the `xor` and it is left alone. Again every op after
 /// the replaced one stays as it was.
 fn fuse(ops: &mut [Op]) {
-    for i in 0..ops.len().saturating_sub(SVM_XLATE_LEN - 1) {
-        let Some(x) = svm_xlate(&ops[i..i + SVM_XLATE_LEN]) else {
+    for i in 0..ops.len().saturating_sub(TEMPLATE_LEN - 1) {
+        let Some(x) = svm_xlate(&ops[i..i + TEMPLATE_LEN]) else {
             continue;
         };
         ops[i] = Op::SvmXlate(x);
@@ -460,7 +436,7 @@ fn spill_frame(ops: &[Op], head: usize, x: Xlate) -> Option<(usize, Op)> {
     while k < 3 {
         let pair = (
             head.checked_sub(k + 1).map(|at| ops[at]),
-            ops.get(head + SVM_XLATE_LEN + k),
+            ops.get(head + TEMPLATE_LEN + k),
         );
         match pair {
             (Some(Op::Push { src: Opnd::Reg(r) }), Some(Op::Pop { dst: Opnd::Reg(p) }))
@@ -481,12 +457,11 @@ fn spill_frame(ops: &[Op], head: usize, x: Xlate) -> Option<(usize, Op)> {
     (k > 0).then_some((head - k, frame))
 }
 
-/// The translation `window` holds if it is the template [`fuse`] shows:
-/// the registers, the `lea`'s operand, the stlb's address and the branch
-/// target are the window's own, everything else must be the template's.
+/// The translation `window` holds if it is one: [`stlb::template`] of the
+/// window's own three distinct registers, `lea` operand, stlb address and
+/// branch target, lowered, is the window.
 fn svm_xlate(window: &[Op]) -> Option<Xlate> {
-    use Opnd::{Imm, Reg as R};
-    const L: Width = Width::Long;
+    use Opnd::Reg as R;
     let (
         Op::Lea { dst: s1, mem },
         Op::Mov { dst: R(out), .. },
@@ -495,62 +470,35 @@ fn svm_xlate(window: &[Op]) -> Option<Xlate> {
             src: Opnd::Mem(Mem { disp: stlb, .. }),
             ..
         },
-        Op::Jcc { target, .. },
+        Op::Jcc {
+            target: Tgt::Abs(slow),
+            ..
+        },
     ) = (window[0], window[1], window[3], window[6], window[7])
     else {
         return None;
     };
-    let and = |mask| Op::Alu {
-        op: AluOp::And,
-        w: L,
-        dst: R(s1),
-        src: Imm(mask),
+    let addr = MemRef {
+        base: mem.base,
+        index: mem.index.map(|r| (r, mem.scale)),
+        disp: mem.disp.into(),
+        sym: None,
     };
-    let word = |at: u32| {
-        Opnd::Mem(Mem {
-            base: None,
-            index: Some(s1),
-            scale: 1,
-            disp: stlb.wrapping_add(at),
+    let table = MemRef::abs(stlb.into());
+    let template = stlb::template(addr, out, s1, s2, table, Target::Abs(slow));
+    // Every operand is absolute: nothing is looked up.
+    let absolute = &mut |symbol: &str| -> Result<u64, LinkError> {
+        Err(LinkError {
+            symbol: symbol.into(),
+            module: String::new(),
         })
     };
-    let template = [
-        Op::Lea { dst: s1, mem },
-        Op::Mov {
-            w: L,
-            dst: R(out),
-            src: R(s1),
-        },
-        and(SVM_PAGE_MASK),
-        Op::Mov {
-            w: L,
-            dst: R(s2),
-            src: R(s1),
-        },
-        and(SVM_ENTRY_MASK),
-        Op::Shift {
-            op: ShiftOp::Shr,
-            dst: R(s1),
-            amount: Imm(SVM_ENTRY_SHIFT),
-        },
-        Op::Cmp {
-            w: L,
-            src: word(0),
-            dst: R(s2),
-        },
-        Op::Jcc {
-            cond: Cond::Ne,
-            target,
-        },
-        Op::Alu {
-            op: AluOp::Xor,
-            w: L,
-            dst: R(out),
-            src: word(4),
-        },
-    ];
     let distinct = s1 != s2 && s1 != out && s2 != out;
-    (distinct && window == template).then_some(Xlate {
+    let same = window
+        .iter()
+        .zip(&template)
+        .all(|(op, insn)| lower(insn, absolute).is_ok_and(|lowered| lowered == *op));
+    (distinct && same).then_some(Xlate {
         mem,
         out,
         s1,

@@ -13,11 +13,9 @@
 //!   in dom0, natively in the hypervisor (paper §4.3), or as an upcall
 //!   stub (paper §4.2).
 
-use crate::image::{
-    CodeImage, Mem, Op, Opnd, Tgt, Xlate, SVM_ENTRY_MASK, SVM_ENTRY_SHIFT, SVM_PAGE_MASK,
-    SVM_XLATE_LEN,
-};
+use crate::image::{CodeImage, Mem, Op, Opnd, Tgt, Xlate};
 use crate::space::{PageKind, SpaceId};
+use crate::stlb::{self, TEMPLATE_LEN};
 use crate::{Event, ExternId, Machine, Term, EXTERN_BASE, PAGE_SIZE, RETURN_SENTINEL};
 use std::error::Error;
 use std::fmt;
@@ -948,19 +946,21 @@ impl Exec<'_> {
         Ok(None)
     }
 
-    /// The stlb entry of address `a` in the table at `stlb`, if it
+    /// The stlb entry of address `a` in the table at `table`, if it
     /// answers the template's `cmp` and `xor`: both its words come out of
     /// the translation cache in one probe, and its tag is `a`'s page.
     #[inline]
-    fn stlb_hit(&self, a: u32, stlb: u32) -> Option<StlbHit> {
-        let page = a & SVM_PAGE_MASK;
-        let entry = (a & SVM_ENTRY_MASK) >> SVM_ENTRY_SHIFT;
-        let addr = stlb.wrapping_add(entry) as u64;
-        let paddr = self.m.cached_paddr(self.cpu, addr, 8, false)?;
+    fn stlb_hit(&self, a: u32, table: u32) -> Option<StlbHit> {
+        let page = a & stlb::PAGE_MASK;
+        let entry = stlb::entry_offset(a);
+        let addr = table.wrapping_add(entry) as u64;
+        let paddr = self
+            .m
+            .cached_paddr(self.cpu, addr, stlb::ENTRY_SIZE, false)?;
         (self.m.phys.read_u32(paddr) == page).then(|| StlbHit {
             entry,
             page,
-            xor: self.m.phys.read_u32(paddr + 4),
+            xor: self.m.phys.read_u32(paddr + stlb::XOR_WORD),
             paddr,
         })
     }
@@ -995,7 +995,7 @@ impl Exec<'_> {
     #[inline]
     fn svm_xlate_hit(&mut self, x: &Xlate, a: u32) -> bool {
         // The run loop has counted the `lea`.
-        const REST: u64 = SVM_XLATE_LEN as u64 - 1;
+        const REST: u64 = TEMPLATE_LEN as u64 - 1;
         if self.budget < REST {
             return false;
         }
@@ -1004,7 +1004,7 @@ impl Exec<'_> {
         };
         self.svm_xlate_commit(x, a, hit);
         self.budget -= REST;
-        self.cpu.pc += SVM_XLATE_LEN as u64 * INSN_SIZE;
+        self.cpu.pc += TEMPLATE_LEN as u64 * INSN_SIZE;
         #[cfg(test)]
         FUSED_HITS.with(|hits| hits.set(hits.get() + 1));
         true
@@ -1028,7 +1028,7 @@ impl Exec<'_> {
     fn svm_frame_hit(&mut self, x: &Xlate, spills: &[Reg]) -> bool {
         let k = spills.len();
         // The run loop has counted the first `push`.
-        let rest = (2 * k + SVM_XLATE_LEN - 1) as u64;
+        let rest = (2 * k + TEMPLATE_LEN - 1) as u64;
         if self.budget < rest {
             return false;
         }
@@ -1050,7 +1050,7 @@ impl Exec<'_> {
         };
         if slots
             .iter()
-            .any(|&(paddr, _)| paddr < hit.paddr + 8 && hit.paddr < paddr + 4)
+            .any(|&(paddr, _)| paddr < hit.paddr + stlb::ENTRY_SIZE && hit.paddr < paddr + 4)
         {
             return false;
         }
@@ -1064,7 +1064,7 @@ impl Exec<'_> {
         let cost = &self.m.cost;
         self.cycles += k as u64 * (cost[Term::Store] + cost[Term::Load]);
         self.budget -= rest;
-        self.cpu.pc += (2 * k + SVM_XLATE_LEN) as u64 * INSN_SIZE;
+        self.cpu.pc += (2 * k + TEMPLATE_LEN) as u64 * INSN_SIZE;
         #[cfg(test)]
         FRAME_HITS.with(|hits| hits.set(hits.get() + 1));
         true

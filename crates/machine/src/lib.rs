@@ -20,15 +20,14 @@
 //!
 //! ## One dispatch per SVM translation
 //!
-//! The rewriter turns every memory reference of a driver into one fixed
-//! nine-instruction sequence (paper §5.1, Figure 4: `lea; mov; and; mov;
-//! and; shr; cmp stlb; jne slow; xor stlb+4`), and that template is most
-//! of what a rewritten driver executes (63 % of the instructions of a
-//! transmit burst). [`image::link`] recognises it by shape alone — nine
-//! consecutive ops, three distinct registers, the two masks and the
-//! shift, two absolute words 4 apart indexed by the first register; this
-//! crate learns no symbol name and does not depend on the rewriter — and
-//! replaces **only the head `lea`** by a fused op
+//! The rewriter turns every memory reference of a driver into the
+//! nine-instruction [`stlb::template`] (paper §5.1, Figure 4), and that
+//! template is most of what a rewritten driver executes (63 % of the
+//! instructions of a transmit burst). [`image::link`] recognises it: nine
+//! consecutive ops that are the lowering of [`stlb::template`] built from
+//! their own three distinct registers, `lea` operand, table address and
+//! branch target (this crate learns no symbol name). It replaces **only
+//! the head `lea`** by a fused op
 //! ([`CodeImage::fused_sites`] counts them). The eight ops after it stay
 //! exactly as lowered, so a branch into the middle of a template, the
 //! slow path's `jmp retry`, [`CodeImage::len`] and every code address
@@ -104,6 +103,7 @@ pub mod mem;
 #[cfg(test)]
 mod oracle;
 pub mod space;
+pub mod stlb;
 
 pub use cost::{CostDomain, CostParams, CycleMeter, Event, Term, VirtualClock};
 pub use image::{CodeImage, ImageId, LinkError};

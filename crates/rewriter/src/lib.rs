@@ -5,7 +5,7 @@
 //! derives the hypervisor driver module, in which
 //!
 //! * every non-stack memory reference runs through the SVM fast path
-//!   (Figure 4 of the paper — see [`twin_svm`] for the table layout),
+//!   (Figure 4 of the paper, [`twin_machine::stlb::template`]),
 //! * string instructions become page-chunked loops (§5.1.1),
 //! * indirect calls are translated through `__svm_call_xlat` (§5.1.2),
 //!
@@ -22,7 +22,8 @@
 //! let vm = assemble("drv", ".text\n.globl f\nf:\n movl (%ebx), %eax\n ret\n")?;
 //! let out = rewrite(&vm, &RewriteOptions::default())?;
 //! assert_eq!(out.stats.mem_sites, 1);
-//! // One memory instruction becomes the ten-instruction fast path.
+//! // One memory instruction becomes the nine-instruction fast path and
+//! // the access through it.
 //! assert!(out.stats.insns_after > vm.text.len() + 8);
 //! # Ok(())
 //! # }

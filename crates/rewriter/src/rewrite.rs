@@ -19,6 +19,7 @@ use twin_isa::{
     AluOp, Cond, Insn, MemRef, Module, Operand, Reg, RegSet, Rep, ShiftOp, StrOp, Target, UnOp,
     Width,
 };
+use twin_machine::{stlb, PAGE_SIZE};
 use twin_svm::{CALL_XLAT_SYMBOL, SLOW_PATH_SYMBOL, STLB_SYMBOL};
 
 /// Extern called by the stack-protection extension (paper §4.5.1) to
@@ -70,8 +71,8 @@ impl Default for RewriteOptions {
     }
 }
 
-/// Statistics from one rewrite run (reported by the `rewriter_inspect`
-/// example and the engineering-effort bench).
+/// Statistics from one rewrite run (reported by `twindrivers-repro
+/// rewrite`).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct RewriteStats {
     /// Instructions in the input module.
@@ -191,15 +192,6 @@ impl Emitter {
     }
 }
 
-fn stlb_ref(idx_reg: Reg, off: i64) -> MemRef {
-    MemRef {
-        base: None,
-        index: Some((idx_reg, 1)),
-        disp: off,
-        sym: Some(STLB_SYMBOL.to_string()),
-    }
-}
-
 fn mov(dst: Reg, src: Operand) -> Insn {
     Insn::Mov {
         w: Width::Long,
@@ -226,50 +218,18 @@ fn alu_rr(op: AluOp, dst: Reg, src: Reg) -> Insn {
     }
 }
 
-/// Where the address being translated comes from.
-enum AddrExpr {
-    Mem(MemRef),
-    Reg(Reg),
-}
-
-/// Emits the Figure 4 fast path. Leaves the translated address in `out`;
-/// `s1`/`s2` are scratch. The slow path is deferred to the end of the
-/// module and jumps back to the retry label.
-fn emit_fastpath(em: &mut Emitter, addr: AddrExpr, s1: Reg, s2: Reg, out: Reg) {
+/// Emits the Figure 4 fast path, [`stlb::template`], at a fresh retry
+/// label: translates the address `addr` names into `out`; `s1`/`s2` are
+/// scratch. The slow path is deferred to the end of the module and jumps
+/// back to the retry label.
+fn emit_fastpath(em: &mut Emitter, addr: MemRef, out: Reg, s1: Reg, s2: Reg) {
     let retry = em.fresh("retry");
     let slow = em.fresh("slow");
     em.label_here(retry.clone());
-    match addr {
-        AddrExpr::Mem(mem) => em.emit(Insn::Lea { dst: s1, mem }),
-        AddrExpr::Reg(r) => em.emit(Insn::Lea {
-            dst: s1,
-            mem: MemRef::base_disp(r, 0),
-        }),
-    }
-    em.emit(mov(out, Operand::Reg(s1)));
-    em.emit(alu_ri(AluOp::And, s1, 0xffff_f000));
-    em.emit(mov(s2, Operand::Reg(s1)));
-    em.emit(alu_ri(AluOp::And, s1, 0x00ff_f000));
-    em.emit(Insn::Shift {
-        op: ShiftOp::Shr,
-        dst: Operand::Reg(s1),
-        amount: Operand::Imm(9),
-    });
-    em.emit(Insn::Cmp {
-        w: Width::Long,
-        src: Operand::Mem(stlb_ref(s1, 0)),
-        dst: Operand::Reg(s2),
-    });
-    em.emit(Insn::Jcc {
-        cond: Cond::Ne,
-        target: Target::Label(slow.clone()),
-    });
-    em.emit(Insn::Alu {
-        op: AluOp::Xor,
-        w: Width::Long,
-        dst: Operand::Reg(out),
-        src: Operand::Mem(stlb_ref(s1, 4)),
-    });
+    let table = MemRef::sym(STLB_SYMBOL, 0);
+    let miss = Target::Label(slow.clone());
+    em.text
+        .extend(stlb::template(addr, out, s1, s2, table, miss));
     // Deferred slow path: push the untranslated address (still in `out`),
     // let the handler fill the stlb, retry.
     em.deferred.push((
@@ -464,7 +424,7 @@ pub fn rewrite(module: &Module, opts: &RewriteOptions) -> Result<RewriteOutput, 
             Insn::Call { target } | Insn::Jmp { target } if target.is_indirect() => {
                 stats.indirect_sites += 1;
                 let is_call = matches!(insn, Insn::Call { .. });
-                emit_indirect(&mut em, target, is_call, live_out, &mut stats);
+                emit_indirect(&mut em, target, is_call, &mut stats);
             }
             _ if insn.needs_svm() => {
                 let mems: Vec<&MemRef> = insn
@@ -496,7 +456,7 @@ pub fn rewrite(module: &Module, opts: &RewriteOptions) -> Result<RewriteOutput, 
                         });
                     }
                     let [out, s1, s2] = sc.regs;
-                    emit_fastpath(&mut em, AddrExpr::Mem(mem), s1, s2, out);
+                    emit_fastpath(&mut em, mem, out, s1, s2);
                     if !sc.out_spilled() {
                         // Restore spills before the access: mandatory for
                         // push/pop, harmless otherwise (`out` is dead).
@@ -572,7 +532,7 @@ fn emit_stack_op_all_spilled(em: &mut Emitter, insn: &Insn, mem: &MemRef, sc: &S
         });
     }
     let depth = 4 * sc.spills.len() as i64;
-    emit_fastpath(em, AddrExpr::Mem(mem.clone()), s1, s2, out);
+    emit_fastpath(em, mem.clone(), out, s1, s2);
     if is_push {
         em.emit(mov(out, Operand::Mem(MemRef::base_disp(out, 0))));
         em.emit(Insn::Mov {
@@ -638,13 +598,7 @@ fn emit_stack_check(
     }
 }
 
-fn emit_indirect(
-    em: &mut Emitter,
-    target: &Target,
-    is_call: bool,
-    live_out: RegSet,
-    stats: &mut RewriteStats,
-) {
+fn emit_indirect(em: &mut Emitter, target: &Target, is_call: bool, stats: &mut RewriteStats) {
     // Calling convention: %eax/%ecx/%edx are caller-saved, so they are
     // free at a call site (the original call clobbered them anyway).
     match target {
@@ -661,13 +615,12 @@ fn emit_indirect(
             } else {
                 stats.mem_sites += 1;
                 // Translate the pointer location via SVM, then load it.
-                emit_fastpath(em, AddrExpr::Mem(m.clone()), Reg::Ecx, Reg::Edx, Reg::Eax);
+                emit_fastpath(em, m.clone(), Reg::Eax, Reg::Ecx, Reg::Edx);
                 em.emit(mov(Reg::Eax, Operand::Mem(MemRef::base_disp(Reg::Eax, 0))));
             }
         }
         _ => unreachable!("direct targets are not rewritten"),
     }
-    let _ = live_out;
     em.emit(Insn::Push {
         src: Operand::Reg(Reg::Eax),
     });
@@ -691,6 +644,26 @@ fn log2_bytes(w: Width) -> u32 {
         Width::Byte => 0,
         Width::Word => 1,
         Width::Long => 2,
+    }
+}
+
+/// `dst` = the `1 << k`-byte elements from `ptr` to the end of its page:
+/// `((ptr | page offset bits) + 1 - ptr) >> k`.
+fn emit_to_page_end(em: &mut Emitter, dst: Reg, ptr: Reg, k: u32) {
+    em.emit(mov(dst, Operand::Reg(ptr)));
+    em.emit(alu_ri(AluOp::Or, dst, PAGE_SIZE as i64 - 1));
+    em.emit(Insn::Un {
+        op: UnOp::Inc,
+        w: Width::Long,
+        dst: Operand::Reg(dst),
+    });
+    em.emit(alu_rr(AluOp::Sub, dst, ptr));
+    if k > 0 {
+        em.emit(Insn::Shift {
+            op: ShiftOp::Shr,
+            dst: Operand::Reg(dst),
+            amount: Operand::Imm(k as i64),
+        });
     }
 }
 
@@ -728,38 +701,8 @@ fn emit_movs_loop(em: &mut Emitter, w: Width, rep: Rep) {
         cond: Cond::E,
         target: Target::Label(done.clone()),
     });
-    // eax = elements to end of esi's page.
-    em.emit(mov(Reg::Eax, Operand::Reg(Reg::Esi)));
-    em.emit(alu_ri(AluOp::Or, Reg::Eax, 0xfff));
-    em.emit(Insn::Un {
-        op: UnOp::Inc,
-        w: Width::Long,
-        dst: Operand::Reg(Reg::Eax),
-    });
-    em.emit(alu_rr(AluOp::Sub, Reg::Eax, Reg::Esi));
-    if k > 0 {
-        em.emit(Insn::Shift {
-            op: ShiftOp::Shr,
-            dst: Operand::Reg(Reg::Eax),
-            amount: Operand::Imm(k as i64),
-        });
-    }
-    // ebx = elements to end of edi's page.
-    em.emit(mov(Reg::Ebx, Operand::Reg(Reg::Edi)));
-    em.emit(alu_ri(AluOp::Or, Reg::Ebx, 0xfff));
-    em.emit(Insn::Un {
-        op: UnOp::Inc,
-        w: Width::Long,
-        dst: Operand::Reg(Reg::Ebx),
-    });
-    em.emit(alu_rr(AluOp::Sub, Reg::Ebx, Reg::Edi));
-    if k > 0 {
-        em.emit(Insn::Shift {
-            op: ShiftOp::Shr,
-            dst: Operand::Reg(Reg::Ebx),
-            amount: Operand::Imm(k as i64),
-        });
-    }
+    emit_to_page_end(em, Reg::Eax, Reg::Esi, k);
+    emit_to_page_end(em, Reg::Ebx, Reg::Edi, k);
     // edx = max(1, min(ecx, eax, ebx)).
     em.emit(mov(Reg::Edx, Operand::Reg(Reg::Ecx)));
     em.emit(Insn::Cmp {
@@ -801,8 +744,9 @@ fn emit_movs_loop(em: &mut Emitter, w: Width, rep: Rep) {
             src: Operand::Reg(r),
         });
     }
-    emit_fastpath(em, AddrExpr::Reg(Reg::Esi), Reg::Eax, Reg::Ebx, Reg::Esi);
-    emit_fastpath(em, AddrExpr::Reg(Reg::Edi), Reg::Eax, Reg::Ebx, Reg::Edi);
+    for r in [Reg::Esi, Reg::Edi] {
+        emit_fastpath(em, MemRef::base_disp(r, 0), r, Reg::Eax, Reg::Ebx);
+    }
     em.emit(mov(Reg::Ecx, Operand::Reg(Reg::Edx)));
     em.emit(Insn::Str {
         op: StrOp::Movs,
@@ -873,22 +817,7 @@ fn emit_stos_loop(em: &mut Emitter, w: Width, rep: Rep) {
         cond: Cond::E,
         target: Target::Label(done.clone()),
     });
-    // ebx = elements to end of edi's page.
-    em.emit(mov(Reg::Ebx, Operand::Reg(Reg::Edi)));
-    em.emit(alu_ri(AluOp::Or, Reg::Ebx, 0xfff));
-    em.emit(Insn::Un {
-        op: UnOp::Inc,
-        w: Width::Long,
-        dst: Operand::Reg(Reg::Ebx),
-    });
-    em.emit(alu_rr(AluOp::Sub, Reg::Ebx, Reg::Edi));
-    if k > 0 {
-        em.emit(Insn::Shift {
-            op: ShiftOp::Shr,
-            dst: Operand::Reg(Reg::Ebx),
-            amount: Operand::Imm(k as i64),
-        });
-    }
+    emit_to_page_end(em, Reg::Ebx, Reg::Edi, k);
     // esi = max(1, min(ecx, ebx)) — chunk size.
     em.emit(mov(Reg::Esi, Operand::Reg(Reg::Ecx)));
     em.emit(Insn::Cmp {
@@ -919,7 +848,8 @@ fn emit_stos_loop(em: &mut Emitter, w: Width, rep: Rep) {
     em.emit(Insn::Push {
         src: Operand::Reg(Reg::Ecx),
     });
-    emit_fastpath(em, AddrExpr::Reg(Reg::Edi), Reg::Ebx, Reg::Edx, Reg::Edi);
+    let edi = MemRef::base_disp(Reg::Edi, 0);
+    emit_fastpath(em, edi, Reg::Edi, Reg::Ebx, Reg::Edx);
     em.emit(mov(Reg::Ecx, Operand::Reg(Reg::Esi)));
     em.emit(Insn::Str {
         op: StrOp::Stos,
@@ -997,11 +927,10 @@ fn emit_element_loop(em: &mut Emitter, op: StrOp, w: Width, rep: Rep) {
             src: Operand::Reg(Reg::Edi),
         });
     }
-    if uses_si {
-        emit_fastpath(em, AddrExpr::Reg(Reg::Esi), Reg::Ebx, Reg::Edx, Reg::Esi);
-    }
-    if uses_di {
-        emit_fastpath(em, AddrExpr::Reg(Reg::Edi), Reg::Ebx, Reg::Edx, Reg::Edi);
+    for (r, used) in [(Reg::Esi, uses_si), (Reg::Edi, uses_di)] {
+        if used {
+            emit_fastpath(em, MemRef::base_disp(r, 0), r, Reg::Ebx, Reg::Edx);
+        }
     }
     em.emit(Insn::Str {
         op,

@@ -5,27 +5,13 @@
 //! dom0's address space *from any guest context*, while catching invalid
 //! accesses (anything outside dom0's space) and aborting the driver.
 //!
-//! The `stlb` is a real table in simulated memory — 4096 entries of 8
-//! bytes, indexed by bits 12..24 of the virtual address — because the
-//! rewritten driver code produced by `twin-rewriter` performs the lookup
-//! with ordinary loads, exactly like the paper's Figure 4:
-//!
-//! ```text
-//! leal  mem, %r1          ; effective address
-//! movl  %r1, %r2
-//! andl  $0xfffff000, %r1  ; page address (tag)
-//! movl  %r1, %r3
-//! andl  $0x00fff000, %r1  ; hash index bits
-//! shrl  $9, %r1           ; ... times 8 bytes per entry
-//! cmpl  stlb(%r1), %r3    ; tag check
-//! jne   .slow             ; miss -> __svm_slow, then retry
-//! xorl  stlb+4(%r1), %r2  ; entry word 2 = tag XOR mapped-page
-//! movl  (%r2), %dst       ; the access, through the mapped address
-//! ```
-//!
-//! Entry word 2 stores `tag XOR mapped_page`, so a single `xor` of the
-//! *full* virtual address yields the mapped address with the page offset
-//! preserved — this is why the paper's fast path is only ten instructions.
+//! The `stlb` is a real table in simulated memory, because the rewritten
+//! driver code produced by `twin-rewriter` performs the lookup with
+//! ordinary loads, exactly like the paper's Figure 4. Its geometry and
+//! that sequence are [`twin_machine::stlb`]: [`stlb::template`] is the
+//! nine-op fast path before every access, and [`stlb::entry_offset`] is
+//! where an address's entry lies, for the code that fills the table here
+//! as for the code that probes it.
 //!
 //! The slow path ([`Svm::slow_path`]) performs the hash-chain lookup,
 //! first-touch permission check, and page mapping: each miss maps **two
@@ -36,18 +22,11 @@
 
 use std::collections::HashMap;
 use twin_machine::{
-    CostDomain, Event, ExecMode, Fault, Machine, SpaceId, Term, HYPER_BASE, PAGE_SIZE,
+    stlb, CostDomain, Event, ExecMode, Fault, Machine, SpaceId, Term, HYPER_BASE, PAGE_SIZE,
 };
 
-/// Number of stlb entries (paper §4.1: "an stlb hashtable with 4096
-/// entries, mapping up to 16MB of dom0 virtual memory").
-pub const STLB_ENTRIES: u64 = 4096;
-
-/// Bytes per stlb entry: tag word + xor word.
-pub const STLB_ENTRY_SIZE: u64 = 8;
-
 /// Total table size in bytes.
-pub const STLB_SIZE: u64 = STLB_ENTRIES * STLB_ENTRY_SIZE;
+pub const STLB_SIZE: u64 = stlb::ENTRIES * stlb::ENTRY_SIZE;
 
 /// Tag value marking an empty entry. Never page-aligned, so it can never
 /// match a real page tag.
@@ -60,7 +39,7 @@ pub const STLB_HYPER_BASE: u64 = HYPER_BASE + 0x0020_0000;
 pub const WINDOW_HYPER_BASE: u64 = HYPER_BASE + 0x0100_0000;
 
 /// Window capacity in pages (16 MiB).
-pub const WINDOW_PAGES: u64 = STLB_ENTRIES;
+pub const WINDOW_PAGES: u64 = stlb::ENTRIES;
 
 /// Symbol name the rewriter emits for the table.
 pub const STLB_SYMBOL: &str = "stlb";
@@ -230,9 +209,11 @@ impl Svm {
         &self.recent_misses
     }
 
-    /// stlb index for a virtual address: bits 12..24.
+    /// stlb index for a virtual address: its page number modulo
+    /// [`stlb::ENTRIES`] (bits 12..24). [`stlb::entry_offset`] is that
+    /// entry's byte offset, as the rewritten code computes it.
     pub fn index_of(vaddr: u64) -> u64 {
-        (vaddr >> 12) & (STLB_ENTRIES - 1)
+        (vaddr / PAGE_SIZE) % stlb::ENTRIES
     }
 
     /// Resets every entry to the empty tag.
@@ -241,10 +222,10 @@ impl Svm {
     ///
     /// Fails if the table memory is not mapped.
     pub fn clear_table(&self, m: &mut Machine) -> Result<(), Fault> {
-        for i in 0..STLB_ENTRIES {
-            let e = self.table.base + i * STLB_ENTRY_SIZE;
+        for i in 0..stlb::ENTRIES {
+            let e = self.table.base + i * stlb::ENTRY_SIZE;
             m.write_u32(self.table.space, self.table.mode, e, STLB_EMPTY_TAG)?;
-            m.write_u32(self.table.space, self.table.mode, e + 4, 0)?;
+            m.write_u32(self.table.space, self.table.mode, e + stlb::XOR_WORD, 0)?;
         }
         Ok(())
     }
@@ -356,13 +337,12 @@ impl Svm {
 
     /// Writes the stlb entry for `page` (evicting any collision).
     fn fill_entry(&self, m: &mut Machine, page: u64, mapped_page: u64) -> Result<(), Fault> {
-        let idx = Svm::index_of(page);
-        let e = self.table.base + idx * STLB_ENTRY_SIZE;
+        let e = self.table.base + u64::from(stlb::entry_offset(page as u32));
         m.write_u32(self.table.space, self.table.mode, e, page as u32)?;
         m.write_u32(
             self.table.space,
             self.table.mode,
-            e + 4,
+            e + stlb::XOR_WORD,
             (page ^ mapped_page) as u32,
         )?;
         Ok(())
@@ -423,9 +403,14 @@ impl Svm {
         Ok(mapped | (vaddr & (PAGE_SIZE - 1)))
     }
 
-    /// Charges the cycle cost of the *fast path* hit for native support
-    /// routines that model an stlb lookup without executing rewritten
-    /// code (the 10-instruction Figure 4 sequence).
+    /// Charges a fast-path hit for a native support routine that models
+    /// an stlb lookup without running rewritten code: the nine ops of
+    /// [`stlb::template`] as `6·Alu + 2·Load + BranchNotTaken`, 15 cycles
+    /// at default prices — one `Alu` per register op, a `Load` alone for
+    /// the `cmp` and the `xor`. Interpreted, the same nine ops cost
+    /// `3·MovReg + 5·Alu + 2·Load + BranchNotTaken`, 17 cycles, because
+    /// the `cmp` and the `xor` also pay their ALU half. The charge stays
+    /// as it is: every TwinDrivers figure includes it.
     pub fn charge_fast_path(&self, m: &mut Machine) {
         for (n, class) in [(2, Term::Load), (6, Term::Alu), (1, Term::BranchNotTaken)] {
             for _ in 0..n {
@@ -449,10 +434,10 @@ mod tests {
 
     fn read_entry(m: &Machine, svm: &Svm, vaddr: u64) -> (u32, u32) {
         let p = svm.placement();
-        let e = p.base + Svm::index_of(vaddr) * STLB_ENTRY_SIZE;
+        let e = p.base + Svm::index_of(vaddr) * stlb::ENTRY_SIZE;
         (
             m.read_u32(p.space, p.mode, e).unwrap(),
-            m.read_u32(p.space, p.mode, e + 4).unwrap(),
+            m.read_u32(p.space, p.mode, e + stlb::XOR_WORD).unwrap(),
         )
     }
 
@@ -515,7 +500,7 @@ mod tests {
         let (mut m, dom0, mut svm) = setup();
         // Two dom0 pages 16 MiB apart share an stlb index.
         let a = 0x2000_0000u64;
-        let b = a + STLB_ENTRIES * PAGE_SIZE;
+        let b = a + stlb::ENTRIES * PAGE_SIZE;
         m.map_fresh(dom0, b, 1).unwrap();
         assert_eq!(Svm::index_of(a), Svm::index_of(b));
         let ma = svm.slow_path(&mut m, a).unwrap();
@@ -536,14 +521,7 @@ mod tests {
         let mut svm = Svm::new_identity(&mut m, dom0, 0x2800_0000).unwrap();
         let t = svm.slow_path(&mut m, 0x2000_0abc).unwrap();
         assert_eq!(t, 0x2000_0abc);
-        let (tag, xorw) = {
-            let p = svm.placement();
-            let e = p.base + Svm::index_of(0x2000_0abc) * STLB_ENTRY_SIZE;
-            (
-                m.read_u32(p.space, p.mode, e).unwrap(),
-                m.read_u32(p.space, p.mode, e + 4).unwrap(),
-            )
-        };
+        let (tag, xorw) = read_entry(&m, &svm, 0x2000_0abc);
         assert_eq!(tag, 0x2000_0000);
         assert_eq!(xorw, 0, "identity mapping xors to zero");
         // Invalid addresses still rejected in identity mode.
@@ -591,7 +569,36 @@ mod tests {
     fn index_uses_bits_12_to_24() {
         assert_eq!(Svm::index_of(0x0000_0000), 0);
         assert_eq!(Svm::index_of(0x0000_1000), 1);
-        assert_eq!(Svm::index_of(0x00ff_f000), 0xfff);
+        assert_eq!(Svm::index_of(0x00ff_fabc), 0xfff);
         assert_eq!(Svm::index_of(0x0100_0000), 0, "wraps at 16 MiB");
+    }
+
+    #[test]
+    fn the_modeled_hit_is_two_cycles_under_the_interpreted_one() {
+        use twin_isa::{Insn, MemRef, Module, Reg, Target};
+        use twin_machine::{run, Cpu, NullEnv, StopReason};
+        let (mut m, dom0, mut svm) = setup();
+        svm.slow_path(&mut m, 0x2000_0abc).unwrap();
+        // The template once, hitting the entry just filled, then `hlt`.
+        let (addr, table) = (MemRef::base_disp(Reg::Esi, 0), MemRef::abs(STLB_HYPER_BASE));
+        let [out, s1, s2] = [Reg::Eax, Reg::Ebx, Reg::Edx];
+        let mut module = Module::new("t");
+        module.text = stlb::template(addr, out, s1, s2, table, Target::Label("slow".into())).into();
+        module.text.push(Insn::Hlt);
+        module.labels.insert("slow".into(), stlb::TEMPLATE_LEN);
+        let image = m.load_image(&module, 0x0800_0000, |_| None).unwrap();
+        let mut cpu = Cpu::new(dom0, ExecMode::Hypervisor);
+        cpu.set_reg(Reg::Esi, 0x2000_0abc);
+        cpu.pc = m.image(image).base;
+        let (cycles, insns) = (m.meter.total_cycles(), m.meter.insns());
+        assert_eq!(
+            run(&mut m, &mut cpu, &mut NullEnv, 20),
+            Ok(StopReason::Halted)
+        );
+        assert_eq!(m.meter.insns() - insns, 10, "a hit: all nine, then `hlt`");
+        let interpreted = m.meter.total_cycles() - cycles;
+        let cycles = m.meter.total_cycles();
+        svm.charge_fast_path(&mut m);
+        assert_eq!((m.meter.total_cycles() - cycles, interpreted), (15, 17));
     }
 }

@@ -10,8 +10,8 @@ use twin_bench::{
     banner, row, PAPER_EFFORT_LOC, PAPER_FIG10_ENDPOINTS, PAPER_FIG5, PAPER_FIG6,
     PAPER_FIG7_TOTALS, PAPER_FIG8_TOTALS, PAPER_FIG9_PEAKS, PAPER_TABLE1,
 };
-use twin_kernel::{RoutineId, Usage, ROUTINES};
-use twin_machine::{CostDomain, Event};
+use twin_kernel::{e1000, RoutineId, Usage, ROUTINES};
+use twin_machine::{stlb, CostDomain, Event};
 use twin_rewriter::RewriteOptions;
 use twin_workloads::{run_netperf, run_webserver, Direction, FileSet};
 use twindrivers::{throughput, Config, System, SystemOptions, UpcallMode, TESTBED_NICS};
@@ -190,7 +190,7 @@ pub fn table1(packets: u64) -> Rendered {
         sys.receive_one()?;
     }
     let fast = sys.world.kernel.trace.names_in_phase("fastpath");
-    let module = twin_isa::asm::assemble("e1000", &twin_kernel::e1000::source())?;
+    let module = twin_isa::asm::assemble("e1000", &e1000::source())?;
     let referenced = module.undefined_symbols();
     let referenced = referenced.iter().filter(|s| !s.starts_with("__svm"));
     writeln!(out, "  {:<24} Description", "Routine name")?;
@@ -305,7 +305,8 @@ pub fn ablations(packets: u64) -> Rendered {
 }
 
 /// What binary rewriting does to the e1000 driver (§5.1): static counts,
-/// beside the run-time price Figure 7 puts on them.
+/// beside the run-time price Figure 7 puts on them, and the first Figure
+/// 4 translation of the rewritten text.
 pub fn rewrite(_packets: u64) -> Rendered {
     let sys = System::build(Config::TwinDrivers)?;
     let s = sys.rewrite_stats.expect("TwinDrivers rewrites its driver");
@@ -332,6 +333,13 @@ pub fn rewrite(_packets: u64) -> Rendered {
         sys.machine.image(hyperdrv.image).fused_sites(),
         sys.machine.image(hyperdrv.image).fused_frames()
     )?;
+    let vm = twin_isa::asm::assemble("e1000", &e1000::source())?;
+    let twin = twin_rewriter::rewrite(&vm, &RewriteOptions::default())?.module;
+    let at = twin.labels[".Lsvm_retry_0"];
+    writeln!(out, "\n  Fig. 4 at .Lsvm_retry_0:")?;
+    for insn in &twin.text[at..at + stlb::TEMPLATE_LEN] {
+        writeln!(out, "    {insn}")?;
+    }
     Ok(out)
 }
 

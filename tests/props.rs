@@ -13,7 +13,7 @@ use twin_isa::asm::assemble;
 use twin_isa::Module;
 use twin_kernel::load_driver;
 use twin_machine::{
-    run, Cpu, Env, Event, ExecMode, ExternId, Fault, Machine, NullEnv, SpaceId, StopReason,
+    run, stlb, Cpu, Env, Event, ExecMode, ExternId, Fault, Machine, NullEnv, SpaceId, StopReason,
     HYPER_BASE, PAGE_SIZE,
 };
 use twin_rewriter::{rewrite, RewriteOptions};
@@ -362,13 +362,15 @@ proptest! {
     }
 
     /// stlb index covers exactly bits 12..24 and offsets are preserved
-    /// by translation.
+    /// by translation; the entry the table fill writes is the one the
+    /// rewritten code probes.
     #[test]
     fn stlb_index_properties(addr in 0u64..0xE000_0000) {
         let idx = Svm::index_of(addr);
-        prop_assert!(idx < twin_svm::STLB_ENTRIES);
+        prop_assert!(idx < stlb::ENTRIES);
         prop_assert_eq!(idx, Svm::index_of(addr & !0xfff));
-        prop_assert_eq!(idx, (addr >> 12) % twin_svm::STLB_ENTRIES);
+        prop_assert_eq!(idx, (addr >> 12) % stlb::ENTRIES);
+        prop_assert_eq!(u64::from(stlb::entry_offset(addr as u32)), idx * stlb::ENTRY_SIZE);
     }
 }
 
