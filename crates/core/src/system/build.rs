@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use twin_isa::asm::assemble;
 use twin_isa::Module;
 use twin_kernel::{e1000, load_driver, Dom0Kernel, LoadedDriver, RxMode, MMIO_BASE};
-use twin_machine::{ExecMode, Machine, PageEntry, SpaceId, PAGE_SIZE};
+use twin_machine::{ExecMode, IntMap, Machine, PageEntry, SpaceId, PAGE_SIZE};
 use twin_net::MacAddr;
 use twin_nic::{ItrTuner, Nic, AUTOTUNE_WINDOW_CYCLES, MMIO_WINDOW};
 use twin_rewriter::{rewrite, RewriteStats};
@@ -182,11 +182,11 @@ impl System {
             guests: vec![GuestState::new(&opts, 0)],
             rr_next: 0,
             moderated_pending: Vec::new(),
-            rx_inflight: BTreeMap::new(),
+            rx_inflight: IntMap::default(),
             rx_latency: twin_trace::SampleReservoir::new(crate::measure::RX_LATENCY_RESERVOIR),
             guest_latency_tracked: false,
             grant_cache: None,
-            rx_flow_dev: BTreeMap::new(),
+            rx_flow_dev: IntMap::default(),
             recovery_log: Vec::new(),
             sched: opts.sched.then(VcpuSched::default),
             affinity_flow_dev: BTreeMap::new(),
@@ -196,6 +196,7 @@ impl System {
             guest_tx_frag: 0,
             seq: 0,
             tx_batch_buf: 0,
+            fast_entries: [0; 4],
             opts,
         };
         sys.machine.trace.set_enabled(sys.opts.tracing);
@@ -206,6 +207,7 @@ impl System {
         if config == Config::TwinDrivers {
             sys.load_hypervisor_instance(&module)?;
         }
+        sys.resolve_fast_entries()?;
         if config == Config::XenGuest {
             // Baseline guest path: dom0 bridges instead of consuming
             // locally.

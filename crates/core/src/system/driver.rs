@@ -139,6 +139,29 @@ impl System {
         }
     }
 
+    /// Resolves every [`DriverOp`] kind's entry point in the instance
+    /// [`System::call_driver`] runs — the hypervisor one where it
+    /// exists — choosing the `*_dev` variant when the system drives more
+    /// than one NIC.
+    ///
+    /// # Errors
+    ///
+    /// [`SystemError::Build`] when the driver exports no such entry.
+    pub(super) fn resolve_fast_entries(&mut self) -> Result<(), SystemError> {
+        let multi = usize::from(self.world.nics.len() > 1);
+        for (slot, names) in self.fast_entries.iter_mut().zip(DriverOp::ENTRIES) {
+            let name = names[multi];
+            let entry = match self.hyperdrv.as_ref() {
+                Some(hyp) => hyp.entry(name),
+                None => self.driver.entry(name),
+            };
+            *slot = entry.ok_or_else(|| {
+                SystemError::Build(format!("the driver exports no fast-path `{name}`"))
+            })?;
+        }
+        Ok(())
+    }
+
     /// The one path into the e1000 fast-path entry points. Owns what
     /// every call site used to repeat: the argument layout of each
     /// entry, the `*_dev` variant (with the trailing device id selecting
@@ -148,29 +171,17 @@ impl System {
     /// interpreted run.
     pub(super) fn call_driver(&mut self, op: DriverOp, dev: u32) -> Result<u32, SystemError> {
         let netdev = self.netdevs[dev as usize] as u32;
-        let (names, args, arity, budget) = match op {
-            DriverOp::XmitFrame(skb) => (
-                ["e1000_xmit_frame", "e1000_xmit_frame_dev"],
-                [skb.0 as u32, netdev, dev, 0],
-                2,
-                2_000_000,
-            ),
+        let (args, arity, budget) = match op {
+            DriverOp::XmitFrame(skb) => ([skb.0 as u32, netdev, dev, 0], 2, 2_000_000),
             DriverOp::XmitBatch(n) => (
-                ["e1000_xmit_batch", "e1000_xmit_batch_dev"],
                 [self.tx_batch_buf as u32, n, netdev, dev],
                 3,
                 2_000_000 * u64::from(n),
             ),
-            DriverOp::PollRxBudget(weight) => (
-                ["e1000_poll_rx_budget", "e1000_poll_rx_budget_dev"],
-                [netdev, weight, dev, 0],
-                2,
-                20_000_000,
-            ),
+            DriverOp::PollRxBudget(weight) => ([netdev, weight, dev, 0], 2, 20_000_000),
             // The dom0 handler runs under the kernel's shorter
             // interrupt budget.
             DriverOp::Intr => (
-                ["e1000_intr", "e1000_intr_dev"],
                 [netdev, dev, 0, 0],
                 1,
                 if self.hyperdrv.is_some() {
@@ -181,17 +192,11 @@ impl System {
             ),
         };
         let multi = usize::from(self.world.nics.len() > 1);
-        let (name, args) = (names[multi], &args[..arity + multi]);
+        let (entry, args) = (self.fast_entries[op.kind()], &args[..arity + multi]);
         self.machine.meter.push_domain(CostDomain::Driver);
-        let r = match self.hyperdrv.as_ref() {
-            Some(hyp) => {
-                let entry = hyp.entry(name).expect("fast-path entry exported");
-                self.call_hyperdrv(entry, args, budget, dev)
-            }
-            None => {
-                let entry = self.driver.entry(name).expect("fast-path entry exported");
-                self.call_dom0(entry, args, budget)
-            }
+        let r = match self.hyperdrv {
+            Some(_) => self.call_hyperdrv(entry, args, budget, dev),
+            None => self.call_dom0(entry, args, budget),
         };
         self.machine.meter.pop_domain();
         r

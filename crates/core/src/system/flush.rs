@@ -28,7 +28,7 @@ impl System {
         let gid = self.guest.expect("guest");
         let frames: Vec<Frame> = self.world.kernel.rx_delivered.drain(..).collect();
         let batched = !frames.is_empty();
-        let mut zc_occ = ZcOccupancy::new();
+        let mut zc_occ = ZcOccupancy::default();
         for (i, f) in frames.into_iter().enumerate() {
             let dev = self.flow_dev(f.flow);
             self.machine
@@ -83,7 +83,7 @@ impl System {
         // Zero-copy pool occupancy per (guest, flow) across the whole
         // flush: each landed frame takes the next slot of its flow's
         // index ring, and the ring recycles when the flush completes.
-        let mut zc_occ = ZcOccupancy::new();
+        let mut zc_occ = ZcOccupancy::default();
         let mut round = 0usize;
         while self.flush_rx_round_with(round, &mut woken, &mut zc_occ)? > 0 {
             round += 1;
@@ -103,7 +103,7 @@ impl System {
     pub fn flush_rx_round(&mut self) -> Result<usize, SystemError> {
         self.rx_flush_log.clear();
         let mut woken: Vec<DomId> = Vec::new();
-        let mut zc_occ = ZcOccupancy::new();
+        let mut zc_occ = ZcOccupancy::default();
         self.flush_rx_round_with(0, &mut woken, &mut zc_occ)
     }
 
@@ -114,26 +114,21 @@ impl System {
         zc_occ: &mut ZcOccupancy,
     ) -> Result<usize, SystemError> {
         let quantum = self.opts.rx_flush_quantum as u64;
-        let guest_ids: Vec<DomId> = self
-            .world
-            .xen
-            .as_ref()
-            .unwrap()
-            .domains
-            .iter()
-            .filter(|d| !d.rx_queue.is_empty())
+        let mut flushed = 0usize;
+        // Serving a guest changes no other guest's queue and no vCPU, so
+        // deciding who is served as the round reaches each domain is
+        // deciding it at the start of the round.
+        for idx in 0..self.world.xen.as_ref().unwrap().domains.len() {
+            let d = &self.world.xen.as_ref().unwrap().domains[idx];
             // Sleeping guests' quanta are skipped: their deficit does
             // not grow, no virq is raised, and the frames stay queued
             // until the wakeup edge releases them (bounded by the
             // scheduler's wakeup timer, which idle stepping lands on).
-            .filter(|d| self.sched.as_ref().map_or(true, |s| s.is_running(d.id.0)))
-            .map(|d| d.id)
-            .collect();
-        if guest_ids.is_empty() {
-            return Ok(0);
-        }
-        let mut flushed = 0usize;
-        for g in guest_ids {
+            let running = self.sched.as_ref().map_or(true, |s| s.is_running(d.id.0));
+            if d.rx_queue.is_empty() || !running {
+                continue;
+            }
+            let (g, queued) = (d.id, d.rx_queue.len());
             // Deficit round-robin: the deficit grows by the guest's
             // weighted quantum each round it has backlog, the guest is
             // served up to it, and it resets when the queue drains.
@@ -143,41 +138,32 @@ impl System {
                 .saturating_add(quantum * u64::from(state.weight));
             let deficit_at_serve = state.deficit;
             let budget = usize::try_from(deficit_at_serve).unwrap_or(usize::MAX);
-            let frames: Vec<Frame> = {
-                let xen = self.world.xen.as_mut().unwrap();
-                let queue = &mut xen.domain_mut(g).rx_queue;
-                let take = queue.len().min(budget);
-                queue.drain(..take).collect()
-            };
-            let emptied = self
-                .world
-                .xen
-                .as_ref()
-                .unwrap()
-                .domain(g)
-                .rx_queue
-                .is_empty();
-            let state = &mut self.guests[g.0 as usize];
-            state.deficit = if emptied {
+            let take = queued.min(budget);
+            state.deficit = if take == queued {
                 0
             } else {
-                state.deficit.saturating_sub(frames.len() as u64)
+                state.deficit.saturating_sub(take as u64)
             };
-            flushed += frames.len();
+            flushed += take;
             self.machine.trace_event(TraceEvent::DrrGrant {
                 guest: g.0,
                 deficit: deficit_at_serve,
-                granted: frames.len() as u32,
+                granted: take as u32,
             });
             let xen = self.world.xen.as_mut().unwrap();
             xen.send_virq(&mut self.machine, g, 4);
-            self.rx_flush_log.push((round, g, frames.len()));
+            self.rx_flush_log.push((round, g, take));
             let first_wake = !woken.contains(&g);
             if first_wake {
                 woken.push(g);
             }
-            for (i, f) in frames.into_iter().enumerate() {
-                let dev = self.flow_dev(f.flow);
+            // Each frame's charges in queue order, then the granted
+            // prefix moves to the delivered log in one piece: nothing in
+            // between reads either queue.
+            for i in 0..take {
+                let f = &self.world.xen.as_ref().unwrap().domain(g).rx_queue[i];
+                let (flow, len) = (f.flow, f.len());
+                let dev = self.flow_dev(flow);
                 // Warm vs cold delivery: with the scheduler model on, a
                 // frame serviced by a softirq CPU other than the one the
                 // owning guest's vCPU occupies finds none of the guest's
@@ -196,8 +182,8 @@ impl System {
                 // Zero-copy: the twin driver posted a pool page for
                 // this slot, so delivery is a cached grant access
                 // instead of a copy into the guest.
-                if !self.zc_access(zc_occ, g, f.flow, false, f.len(), dev) {
-                    self.machine.pay_copy(CostDomain::Xen, f.len() as u64);
+                if !self.zc_access(zc_occ, g, flow, false, len, dev) {
+                    self.machine.pay_copy(CostDomain::Xen, u64::from(len));
                     if let Some(xen) = self.world.xen.as_mut() {
                         xen.note_grant_copy(Some(dev));
                     }
@@ -206,9 +192,9 @@ impl System {
                 self.machine.pay_to(CostDomain::DomU, Term::PvDriverGuest);
                 self.machine
                     .pay_to(CostDomain::DomU, rx_stack_term(i == 0 && first_wake));
-                let xen = self.world.xen.as_mut().unwrap();
-                xen.domain_mut(g).rx_delivered.push(f);
             }
+            let d = self.world.xen.as_mut().unwrap().domain_mut(g);
+            d.rx_delivered.extend(d.rx_queue.drain(..take));
         }
         Ok(flushed)
     }

@@ -1,7 +1,7 @@
 //! Reading a system: the unified metrics snapshot, drop and delivery
 //! counters, and the arrival-to-delivery latency samples.
 
-use super::System;
+use super::{GuestState, System};
 use twin_machine::CostDomain;
 use twin_net::Frame;
 use twin_trace::MetricSet;
@@ -191,7 +191,9 @@ impl System {
     /// delivery log (demux misses, colliding `(flow, seq)` keys) would
     /// otherwise leak an entry forever. Genuine in-flight frames are
     /// bounded by the RX rings, so anything beyond one ring's worth per
-    /// device is dead — evict oldest-first.
+    /// device is dead — evict oldest-first, and among frames that arrived
+    /// together the smallest `(flow, seq)` first, whatever order the map
+    /// iterates in.
     pub(super) fn prune_rx_inflight(&mut self) {
         // With a demux queue cap the backlog legitimately extends past
         // the rings: capped queues hold live frames too.
@@ -202,7 +204,7 @@ impl System {
             let oldest = self
                 .rx_inflight
                 .iter()
-                .min_by_key(|(_, stamp)| **stamp)
+                .min_by_key(|(key, stamp)| (**stamp, **key))
                 .map(|(k, _)| *k)
                 .expect("non-empty map");
             self.rx_inflight.remove(&oldest);
@@ -217,22 +219,32 @@ impl System {
             return; // nothing tracked: skip the delivery-log scans
         }
         let now = self.machine.meter.now();
-        // One delivered-frame log per endpoint: every domain of a guest
-        // configuration, else the dom0 / native stack (endpoint 0).
         let guest_path = self.guest.is_some();
-        let logs: Vec<&Vec<Frame>> = match self.world.xen.as_ref() {
-            Some(xen) if guest_path => xen.domains.iter().map(|d| &d.rx_delivered).collect(),
-            _ => vec![&self.world.kernel.rx_delivered],
-        };
-        for (log, state) in logs.into_iter().zip(&mut self.guests) {
-            for f in log.iter().skip(state.sample_cursor) {
-                state.sample_cursor += 1;
-                if let Some(t) = self.rx_inflight.remove(&(f.flow, f.seq)) {
+        let per_guest = guest_path && self.guest_latency_tracked;
+        let (inflight, all) = (&mut self.rx_inflight, &mut self.rx_latency);
+        let mut sample = |log: &[Frame], state: &mut GuestState| {
+            for f in &log[state.sample_cursor.min(log.len())..] {
+                if let Some(t) = inflight.remove(&(f.flow, f.seq)) {
                     let sample = now.saturating_sub(t);
-                    self.rx_latency.push(sample);
-                    if guest_path && self.guest_latency_tracked {
+                    all.push(sample);
+                    if per_guest {
                         state.latency.push(sample);
                     }
+                }
+            }
+            state.sample_cursor = state.sample_cursor.max(log.len());
+        };
+        // One delivered-frame log per endpoint: every domain of a guest
+        // configuration, else the dom0 / native stack (endpoint 0).
+        match self.world.xen.as_ref() {
+            Some(xen) if guest_path => {
+                for (d, state) in xen.domains.iter().zip(&mut self.guests) {
+                    sample(&d.rx_delivered, state);
+                }
+            }
+            _ => {
+                if let Some(state) = self.guests.first_mut() {
+                    sample(&self.world.kernel.rx_delivered, state);
                 }
             }
         }
@@ -284,5 +296,37 @@ impl System {
         self.guests
             .get(gid.0 as usize)
             .map_or(&[], |g| g.latency.samples())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{peer_mac, Config, System};
+    use twin_net::{Frame, MacAddr};
+
+    /// Frames toward a MAC no guest owns die at the demux, so their
+    /// arrival stamps stay until the prune evicts them. Three bursts that
+    /// arrive at one instant, each on flows below the last: past the cap
+    /// (one ring's worth), the smallest `(flow, seq)` keys go — not the
+    /// first landed, and not whichever the map happens to iterate first.
+    #[test]
+    fn among_frames_that_arrived_together_the_prune_evicts_the_smallest_keys() {
+        let mut sys = System::build(Config::TwinDrivers).unwrap();
+        let at = sys.now_cycles();
+        let nobody = MacAddr::for_guest(77);
+        for base in [300, 200, 100] {
+            let burst: Vec<Frame> = (0..64)
+                .map(|i| Frame::data(nobody, peer_mac(), base + i, u64::from(i)))
+                .collect();
+            assert_eq!(sys.rx_open_loop_arrival(&burst, at).unwrap(), 64);
+        }
+        let mut left: Vec<(u32, u64)> = sys.rx_inflight.keys().copied().collect();
+        left.sort_unstable();
+        let kept: Vec<(u32, u64)> = (200..264)
+            .chain(300..364)
+            .map(|flow| (flow, u64::from(flow % 100)))
+            .collect();
+        assert_eq!(left, kept);
+        assert!(sys.rx_inflight.values().all(|stamp| *stamp == at));
     }
 }

@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use twin_kernel::{Dom0Kernel, LoadedDriver, RoutineId, SkBuff};
-use twin_machine::{Cpu, Env, Event, ExecMode, ExternId, Fault, Machine, SpaceId};
+use twin_machine::{Cpu, Env, Event, ExecMode, ExternId, Fault, IntMap, Machine, SpaceId};
 use twin_net::MacAddr;
 use twin_nic::{ItrTuner, Nic};
 use twin_rewriter::{RewriteOptions, RewriteStats, SvmHelper};
@@ -669,8 +669,11 @@ pub struct System {
     moderated_pending: Vec<u32>,
     /// Arrival stamp (virtual cycles) per in-flight received frame,
     /// keyed by `(flow, seq)`; matched off by
-    /// [`System::sample_rx_completions`].
-    rx_inflight: BTreeMap<(u32, u64), u64>,
+    /// [`System::sample_rx_completions`]. Hashed: one insert and one
+    /// remove per received frame, and the one place order matters —
+    /// which entry [`System::prune_rx_inflight`] evicts — orders by
+    /// `(stamp, key)` itself.
+    rx_inflight: IntMap<(u32, u64), u64>,
     /// Cycles-to-delivery samples for frames completed in the current
     /// measurement window (the latency side of the moderation sweep) —
     /// a bounded reservoir, so arbitrarily long paced runs keep a fixed
@@ -689,7 +692,7 @@ pub struct System {
     /// per-device grant attribution and, with the scheduler model on,
     /// the cold-delivery charge — so an entry outlives every frame it
     /// describes (`System::forget_idle_flows`).
-    rx_flow_dev: BTreeMap<u32, (u32, u64)>,
+    rx_flow_dev: IntMap<u32, (u32, u64)>,
     /// Completed recovery reports in episode order — pure bookkeeping
     /// (never charged), the fault sweep's latency source.
     recovery_log: Vec<RecoveryReport>,
@@ -709,6 +712,10 @@ pub struct System {
     /// `e1000_xmit_batch` (both driver instances read it — it lives in
     /// dom0 memory like all driver data).
     tx_batch_buf: u64,
+    /// Address of each [`DriverOp`] kind's entry point in the instance
+    /// [`System::call_driver`] runs — the `*_dev` variant on multi-NIC
+    /// systems — resolved once, when the system is built.
+    fast_entries: [u64; 4],
 }
 
 /// What an arrival does about frames that found no free RX descriptor —
@@ -743,7 +750,7 @@ enum OnIrq {
 
 /// Zero-copy pool occupancy per `(domain, flow)` across one pass: each
 /// landed frame takes the next slot of its flow's index ring.
-type ZcOccupancy = BTreeMap<(u32, u32), usize>;
+type ZcOccupancy = IntMap<(u32, u32), usize>;
 
 /// The e1000 fast-path entry points [`System::call_driver`] can invoke,
 /// with the arguments that vary per call.
@@ -757,6 +764,27 @@ enum DriverOp {
     PollRxBudget(u32),
     /// `e1000_intr`: the interrupt handler.
     Intr,
+}
+
+impl DriverOp {
+    /// Each kind's entry point, on one NIC and as the `*_dev` variant
+    /// that takes a trailing device id, indexed by [`DriverOp::kind`].
+    const ENTRIES: [[&'static str; 2]; 4] = [
+        ["e1000_xmit_frame", "e1000_xmit_frame_dev"],
+        ["e1000_xmit_batch", "e1000_xmit_batch_dev"],
+        ["e1000_poll_rx_budget", "e1000_poll_rx_budget_dev"],
+        ["e1000_intr", "e1000_intr_dev"],
+    ];
+
+    /// The row of [`DriverOp::ENTRIES`] and of `System::fast_entries`.
+    fn kind(self) -> usize {
+        match self {
+            DriverOp::XmitFrame(_) => 0,
+            DriverOp::XmitBatch(_) => 1,
+            DriverOp::PollRxBudget(_) => 2,
+            DriverOp::Intr => 3,
+        }
+    }
 }
 
 mod build;

@@ -4,8 +4,7 @@
 //! interrupt dispatch and descriptor reap.
 
 use super::{peer_mac, Config, DriverOp, Itr, OnIrq, Overrun, System, SystemError};
-use std::collections::BTreeSet;
-use twin_machine::{CostDomain, Event, Term};
+use twin_machine::{CostDomain, Event, IntSet, Term};
 use twin_net::{EtherType, Frame, MacAddr, MTU};
 use twin_trace::{FlushCause, TraceEvent};
 use twin_xen::{DomId, DomainKind, Softirq};
@@ -287,23 +286,21 @@ impl System {
         if self.rx_flow_dev.len() <= 8192 {
             return;
         }
-        let queued: BTreeSet<u32> = self
+        // Flows with a frame queued for a guest or awaiting its latency
+        // sample: built here only, past the bound.
+        let live: IntSet<u32> = self
             .world
             .xen
             .iter()
             .flat_map(|x| &x.domains)
             .flat_map(|d| &d.rx_queue)
             .map(|f| f.flow)
+            .chain(self.rx_inflight.keys().map(|(flow, _)| *flow))
             .collect();
-        let (nics, inflight) = (&self.world.nics, &self.rx_inflight);
+        let nics = &self.world.nics;
         self.rx_flow_dev.retain(|flow, (dev, landed)| {
             let nic = &nics[*dev as usize];
-            nic.stats().rx_packets - *landed < u64::from(nic.rx_ring_len())
-                || queued.contains(flow)
-                || inflight
-                    .range((*flow, 0)..=(*flow, u64::MAX))
-                    .next()
-                    .is_some()
+            nic.stats().rx_packets - *landed < u64::from(nic.rx_ring_len()) || live.contains(flow)
         });
     }
 

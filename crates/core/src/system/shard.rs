@@ -25,8 +25,11 @@ impl System {
                 vec![(dev, frames)]
             }
             policy @ (ShardPolicy::FlowHash | ShardPolicy::Affinity) => {
-                let mut groups: Vec<(u32, Vec<Frame>)> = Vec::new();
-                for f in frames {
+                // Every group is allocated once, big enough for whatever
+                // of the burst is left when it opens.
+                let mut groups: Vec<(u32, Vec<Frame>)> = Vec::with_capacity(n as usize);
+                let total = frames.len();
+                for (i, f) in frames.into_iter().enumerate() {
                     let dev = if policy == ShardPolicy::Affinity {
                         self.affinity_dev(&f, n)
                     } else {
@@ -34,7 +37,11 @@ impl System {
                     };
                     match groups.iter_mut().find(|(d, _)| *d == dev) {
                         Some((_, v)) => v.push(f),
-                        None => groups.push((dev, vec![f])),
+                        None => {
+                            let mut group = Vec::with_capacity(total - i);
+                            group.push(f);
+                            groups.push((dev, group));
+                        }
                     }
                 }
                 groups

@@ -213,7 +213,7 @@ impl System {
         // In zero-copy mode the guest's TX pool is already mapped: a
         // cache hit replaces the per-packet map (and the unmap below);
         // fallback frames keep the baseline map/unmap pair.
-        let mut zc_occ = ZcOccupancy::new();
+        let mut zc_occ = ZcOccupancy::default();
         let mut zc_landed = 0usize;
         let mut skbs = Vec::with_capacity(frames.len());
         for frame in frames {
@@ -328,7 +328,7 @@ impl System {
     /// invocation/doorbell.
     fn tx_twin(&mut self, frames: &[Frame], dev: u32) -> Result<usize, SystemError> {
         let gid = self.guest.expect("guest");
-        let mut zc_occ = ZcOccupancy::new();
+        let mut zc_occ = ZcOccupancy::default();
         for i in 0..frames.len() {
             // Guest stack + paravirtual driver.
             self.machine.pay_to(CostDomain::DomU, tx_stack_term(i));

@@ -86,13 +86,35 @@ pub struct RoutineId(u8);
 
 impl RoutineId {
     /// The one routine the paravirtual transmit glue calls by hand.
-    pub const NETDEV_ALLOC_SKB: RoutineId = RoutineId(0);
+    pub const NETDEV_ALLOC_SKB: RoutineId = RoutineId::named("netdev_alloc_skb");
+
+    /// The receive hand-off: the hypervisor's body demultiplexes where
+    /// dom0's delivers, and the Figure 10 knob never forces it.
+    pub const NETIF_RX: RoutineId = RoutineId::named("netif_rx");
 
     /// Resolves an extern name; `None` for a routine dom0 does not
     /// implement.
     pub fn lookup(name: &str) -> Option<RoutineId> {
         let i = ROUTINES.iter().position(|r| r.name == name)?;
         Some(RoutineId(i as u8))
+    }
+
+    /// The row named `name`, for a body to dispatch on: bound to a
+    /// `const`, it is resolved when the crate compiles, and a name
+    /// [`ROUTINES`] does not have fails the build.
+    ///
+    /// # Panics
+    ///
+    /// When no row is named `name` (at compile time, in a `const`).
+    pub const fn named(name: &str) -> RoutineId {
+        let mut i = 0;
+        while i < ROUTINES.len() {
+            if str_eq(ROUTINES[i].name, name) {
+                return RoutineId(i as u8);
+            }
+            i += 1;
+        }
+        panic!("not a ROUTINES row")
     }
 
     /// The row's position in [`ROUTINES`]; the ten Table 1 rows are
@@ -122,6 +144,22 @@ impl RoutineId {
             |r| matches!(&r.usage, Usage::FastPath(fp) if fp.flush_first.contains(&self.name())),
         )
     }
+}
+
+/// `a == b`, in a `const fn`.
+const fn str_eq(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
 }
 
 const fn fast(

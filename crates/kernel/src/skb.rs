@@ -148,7 +148,7 @@ impl SkBuff {
     ) -> Result<Option<Frame>, Fault> {
         let data = self.data(m, s)?;
         let len = self.len(m, s)?;
-        let mut prefix = [0u8; 26];
+        let mut prefix = [0u8; twin_net::WIRE_PREFIX_LEN];
         m.read_bytes_virt(s, ExecMode::Guest, data, &mut prefix)?;
         Ok(Frame::from_wire_prefix(&prefix, len))
     }

@@ -107,6 +107,53 @@ impl TimerQueue {
     }
 }
 
+// The rows `Dom0Kernel::routine` has a body for, resolved by name when
+// the crate compiles (`RoutineId::named`): a crossing dispatches on the
+// row's index, and a name `ROUTINES` lacks does not build.
+const DEV_ALLOC_SKB: RoutineId = RoutineId::named("dev_alloc_skb");
+const DEV_KFREE_SKB_ANY: RoutineId = RoutineId::named("dev_kfree_skb_any");
+const DEV_KFREE_SKB: RoutineId = RoutineId::named("dev_kfree_skb");
+const KFREE_SKB: RoutineId = RoutineId::named("kfree_skb");
+const DMA_MAP_SINGLE: RoutineId = RoutineId::named("dma_map_single");
+const DMA_MAP_PAGE: RoutineId = RoutineId::named("dma_map_page");
+const DMA_UNMAP_SINGLE: RoutineId = RoutineId::named("dma_unmap_single");
+const DMA_UNMAP_PAGE: RoutineId = RoutineId::named("dma_unmap_page");
+const SPIN_TRYLOCK: RoutineId = RoutineId::named("spin_trylock");
+const SPIN_LOCK_IRQSAVE: RoutineId = RoutineId::named("spin_lock_irqsave");
+const SPIN_UNLOCK_IRQRESTORE: RoutineId = RoutineId::named("spin_unlock_irqrestore");
+const SPIN_LOCK_INIT: RoutineId = RoutineId::named("spin_lock_init");
+const ETH_TYPE_TRANS: RoutineId = RoutineId::named("eth_type_trans");
+const KMALLOC: RoutineId = RoutineId::named("kmalloc");
+const VMALLOC: RoutineId = RoutineId::named("vmalloc");
+const KFREE: RoutineId = RoutineId::named("kfree");
+const VFREE: RoutineId = RoutineId::named("vfree");
+const DMA_ALLOC_COHERENT: RoutineId = RoutineId::named("dma_alloc_coherent");
+const IOREMAP: RoutineId = RoutineId::named("ioremap");
+const ALLOC_ETHERDEV: RoutineId = RoutineId::named("alloc_etherdev");
+const REGISTER_NETDEV: RoutineId = RoutineId::named("register_netdev");
+const REQUEST_IRQ: RoutineId = RoutineId::named("request_irq");
+const MOD_TIMER: RoutineId = RoutineId::named("mod_timer");
+const DEL_TIMER: RoutineId = RoutineId::named("del_timer");
+const DEL_TIMER_SYNC: RoutineId = RoutineId::named("del_timer_sync");
+const NETIF_START_QUEUE: RoutineId = RoutineId::named("netif_start_queue");
+const NETIF_WAKE_QUEUE: RoutineId = RoutineId::named("netif_wake_queue");
+const NETIF_STOP_QUEUE: RoutineId = RoutineId::named("netif_stop_queue");
+const NETIF_QUEUE_STOPPED: RoutineId = RoutineId::named("netif_queue_stopped");
+const PRINTK: RoutineId = RoutineId::named("printk");
+const MEMCPY: RoutineId = RoutineId::named("memcpy");
+const MEMSET: RoutineId = RoutineId::named("memset");
+const STRCPY: RoutineId = RoutineId::named("strcpy");
+const SKB_RESERVE: RoutineId = RoutineId::named("skb_reserve");
+const SKB_PUT: RoutineId = RoutineId::named("skb_put");
+const JIFFIES_READ: RoutineId = RoutineId::named("jiffies_read");
+const CPU_TO_LE32: RoutineId = RoutineId::named("cpu_to_le32");
+const LE32_TO_CPU: RoutineId = RoutineId::named("le32_to_cpu");
+const MII_LINK_OK: RoutineId = RoutineId::named("mii_link_ok");
+const NETIF_CARRIER_OK: RoutineId = RoutineId::named("netif_carrier_ok");
+const CAPABLE: RoutineId = RoutineId::named("capable");
+const ETHTOOL_OP_GET_LINK: RoutineId = RoutineId::named("ethtool_op_get_link");
+const CRC32: RoutineId = RoutineId::named("crc32");
+
 /// What dom0 does with packets the driver hands to `netif_rx`.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum RxMode {
@@ -262,8 +309,8 @@ impl Dom0Kernel {
     pub fn routine(&mut self, id: RoutineId, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault> {
         use twin_isa::Reg;
         let ret = |cpu: &mut Cpu, v: u32| cpu.set_reg(Reg::Eax, v);
-        match id.name() {
-            "netdev_alloc_skb" | "dev_alloc_skb" => {
+        match id {
+            RoutineId::NETDEV_ALLOC_SKB | DEV_ALLOC_SKB => {
                 m.pay(Term::SkbAlloc);
                 // `e1000_sw_init` probes every init routine with null
                 // args; a null netdev is that capability probe, not a
@@ -277,7 +324,7 @@ impl Dom0Kernel {
                     ret(cpu, skb.map(|s| s.0 as u32).unwrap_or(0));
                 }
             }
-            "dev_kfree_skb_any" | "dev_kfree_skb" | "kfree_skb" => {
+            DEV_KFREE_SKB_ANY | DEV_KFREE_SKB | KFREE_SKB => {
                 m.pay(Term::SkbFree);
                 let skb = SkBuff(cpu.arg(m, 0)? as u64);
                 if skb.0 != 0 {
@@ -285,7 +332,7 @@ impl Dom0Kernel {
                 }
                 ret(cpu, 0);
             }
-            "netif_rx" => {
+            RoutineId::NETIF_RX => {
                 m.pay(match self.rx_mode {
                     // Bridging is a per-packet lookup either way; the
                     // local stack amortises its per-wakeup work across a
@@ -304,24 +351,24 @@ impl Dom0Kernel {
                 }
                 ret(cpu, 0);
             }
-            "dma_map_single" => {
+            DMA_MAP_SINGLE => {
                 m.pay(Term::DmaMap);
                 let vaddr = cpu.arg(m, 0)? as u64;
                 let t = m.translate(self.space, ExecMode::Guest, vaddr, false)?;
                 ret(cpu, (t.entry.pfn * PAGE_SIZE + t.offset) as u32);
             }
-            "dma_map_page" => {
+            DMA_MAP_PAGE => {
                 m.pay(Term::DmaMap);
                 // The argument is already a machine address (guest page
                 // chained by the hypervisor, or a prior mapping).
                 let addr = cpu.arg(m, 0)?;
                 ret(cpu, addr);
             }
-            "dma_unmap_single" | "dma_unmap_page" => {
+            DMA_UNMAP_SINGLE | DMA_UNMAP_PAGE => {
                 m.pay(Term::DmaMap);
                 ret(cpu, 0);
             }
-            "spin_trylock" => {
+            SPIN_TRYLOCK => {
                 m.pay(Term::Spinlock);
                 let addr = cpu.arg(m, 0)? as u64;
                 let v = m.read_u32(self.space, ExecMode::Guest, addr)?;
@@ -332,7 +379,7 @@ impl Dom0Kernel {
                     ret(cpu, 0);
                 }
             }
-            "spin_lock_irqsave" => {
+            SPIN_LOCK_IRQSAVE => {
                 m.pay(Term::Spinlock);
                 m.pay(Term::CliSti);
                 let addr = cpu.arg(m, 0)? as u64;
@@ -341,7 +388,7 @@ impl Dom0Kernel {
                 }
                 ret(cpu, 0);
             }
-            "spin_unlock_irqrestore" => {
+            SPIN_UNLOCK_IRQRESTORE => {
                 m.pay(Term::Spinlock);
                 let addr = cpu.arg(m, 0)? as u64;
                 if addr != 0 {
@@ -349,14 +396,14 @@ impl Dom0Kernel {
                 }
                 ret(cpu, 0);
             }
-            "spin_lock_init" => {
+            SPIN_LOCK_INIT => {
                 let addr = cpu.arg(m, 0)? as u64;
                 if addr != 0 {
                     m.write_u32(self.space, ExecMode::Guest, addr, 0)?;
                 }
                 ret(cpu, 0);
             }
-            "eth_type_trans" => {
+            ETH_TYPE_TRANS => {
                 m.pay(Term::EthTypeTrans);
                 let skb = SkBuff(cpu.arg(m, 0)? as u64);
                 let data = skb.data(m, self.space)?;
@@ -366,20 +413,20 @@ impl Dom0Kernel {
                 skb.set_protocol(m, self.space, proto)?;
                 ret(cpu, proto);
             }
-            "kmalloc" | "vmalloc" => {
+            KMALLOC | VMALLOC => {
                 let size = cpu.arg(m, 0)? as u64;
                 let addr = self.heap.kmalloc(m, size.max(1))?;
                 self.alloc_sizes.insert(addr, size.max(1));
                 ret(cpu, addr as u32);
             }
-            "kfree" | "vfree" => {
+            KFREE | VFREE => {
                 let addr = cpu.arg(m, 0)? as u64;
                 if let Some(size) = self.alloc_sizes.remove(&addr) {
                     self.heap.kfree(addr, size);
                 }
                 ret(cpu, 0);
             }
-            "dma_alloc_coherent" => {
+            DMA_ALLOC_COHERENT => {
                 let size = cpu.arg(m, 0)? as u64;
                 let out = cpu.arg(m, 1)? as u64;
                 let (vaddr, machine) = self.heap.dma_alloc_coherent(m, size)?;
@@ -388,27 +435,27 @@ impl Dom0Kernel {
                 }
                 ret(cpu, vaddr as u32);
             }
-            "ioremap" => {
+            IOREMAP => {
                 let dev = cpu.arg(m, 0)?;
                 ret(cpu, (MMIO_BASE + dev as u64 * MMIO_WINDOW) as u32);
             }
-            "alloc_etherdev" => {
+            ALLOC_ETHERDEV => {
                 let addr = self.heap.kmalloc(m, 256)?;
                 self.alloc_sizes.insert(addr, 256);
                 ret(cpu, addr as u32);
             }
-            "register_netdev" => {
+            REGISTER_NETDEV => {
                 let dev = cpu.arg(m, 0)? as u64;
                 self.registered_netdevs.push(dev);
                 ret(cpu, 0);
             }
-            "request_irq" => {
+            REQUEST_IRQ => {
                 let irq = cpu.arg(m, 0)?;
                 let handler = cpu.arg(m, 1)? as u64;
                 self.irq_handlers.insert(irq, handler);
                 ret(cpu, 0);
             }
-            "mod_timer" => {
+            MOD_TIMER => {
                 let delta = cpu.arg(m, 0)? as u64;
                 let handler = cpu.arg(m, 1)? as u64;
                 let data = cpu.arg(m, 2)? as u64;
@@ -424,28 +471,28 @@ impl Dom0Kernel {
                 });
                 ret(cpu, 0);
             }
-            "del_timer" | "del_timer_sync" => {
+            DEL_TIMER | DEL_TIMER_SYNC => {
                 let handler = cpu.arg(m, 0)? as u64;
                 self.timers.disarm_where(|t| t.handler == handler);
                 ret(cpu, 0);
             }
-            "netif_start_queue" | "netif_wake_queue" => {
+            NETIF_START_QUEUE | NETIF_WAKE_QUEUE => {
                 self.queue_stopped = false;
                 ret(cpu, 0);
             }
-            "netif_stop_queue" => {
+            NETIF_STOP_QUEUE => {
                 self.queue_stopped = true;
                 ret(cpu, 0);
             }
-            "netif_queue_stopped" => {
+            NETIF_QUEUE_STOPPED => {
                 ret(cpu, u32::from(self.queue_stopped));
             }
-            "printk" => {
+            PRINTK => {
                 self.printk_count += 1;
                 m.pay(Term::Printk);
                 ret(cpu, 0);
             }
-            "memcpy" => {
+            MEMCPY => {
                 let dst = cpu.arg(m, 0)? as u64;
                 let src = cpu.arg(m, 1)? as u64;
                 let n = cpu.arg(m, 2)? as u64;
@@ -459,7 +506,7 @@ impl Dom0Kernel {
                 }
                 ret(cpu, dst as u32);
             }
-            "memset" => {
+            MEMSET => {
                 let dst = cpu.arg(m, 0)? as u64;
                 let val = cpu.arg(m, 1)?;
                 let n = cpu.arg(m, 2)? as u64;
@@ -480,7 +527,7 @@ impl Dom0Kernel {
                 }
                 ret(cpu, dst as u32);
             }
-            "strcpy" => {
+            STRCPY => {
                 let dst = cpu.arg(m, 0)? as u64;
                 let src = cpu.arg(m, 1)? as u64;
                 if dst != 0 && src != 0 {
@@ -507,7 +554,7 @@ impl Dom0Kernel {
                 }
                 ret(cpu, dst as u32);
             }
-            "skb_reserve" => {
+            SKB_RESERVE => {
                 let skb = SkBuff(cpu.arg(m, 0)? as u64);
                 let n = cpu.arg(m, 1)?;
                 if skb.0 != 0 {
@@ -516,7 +563,7 @@ impl Dom0Kernel {
                 }
                 ret(cpu, 0);
             }
-            "skb_put" => {
+            SKB_PUT => {
                 let skb = SkBuff(cpu.arg(m, 0)? as u64);
                 let n = cpu.arg(m, 1)?;
                 if skb.0 != 0 {
@@ -528,16 +575,16 @@ impl Dom0Kernel {
                     ret(cpu, 0);
                 }
             }
-            "jiffies_read" => ret(cpu, (m.meter.now() / CYCLES_PER_JIFFY) as u32),
-            "cpu_to_le32" | "le32_to_cpu" => {
+            JIFFIES_READ => ret(cpu, (m.meter.now() / CYCLES_PER_JIFFY) as u32),
+            CPU_TO_LE32 | LE32_TO_CPU => {
                 let v = cpu.arg(m, 0)?;
                 ret(cpu, v);
             }
-            "mii_link_ok" | "netif_carrier_ok" | "capable" | "ethtool_op_get_link" => {
+            MII_LINK_OK | NETIF_CARRIER_OK | CAPABLE | ETHTOOL_OP_GET_LINK => {
                 m.pay(Term::LinkQuery);
                 ret(cpu, 1);
             }
-            "crc32" => {
+            CRC32 => {
                 let v = cpu.arg(m, 0)?;
                 m.pay(Term::Crc32);
                 ret(cpu, v.wrapping_mul(2654435761));

@@ -219,13 +219,20 @@ impl Cpu {
 
     /// Reads argument `i` (0-based) of the current cdecl frame, assuming
     /// `pc` is at the function entry (return address on top of stack).
+    /// Inside an [`Env::extern_call`] the slot is usually in the
+    /// translation cache the run left behind; the read takes it from
+    /// there when the cache is valid for this CPU, and walks the page
+    /// table otherwise.
     ///
     /// # Errors
     ///
     /// Faults if the stack read fails.
     pub fn arg(&self, m: &Machine, i: u32) -> Result<u32, Fault> {
-        let esp = self.reg(Reg::Esp) as u64;
-        m.read_u32(self.space, self.mode, esp + 4 + 4 * i as u64)
+        let addr = self.reg(Reg::Esp) as u64 + 4 + 4 * i as u64;
+        match m.keyed_paddr(self, addr, 4, false) {
+            Some(paddr) => Ok(m.phys.read_u32(paddr)),
+            None => m.read_u32(self.space, self.mode, addr),
+        }
     }
 }
 

@@ -97,6 +97,7 @@
 pub mod cost;
 #[cfg(test)]
 mod fusion;
+pub mod hash;
 pub mod image;
 pub mod interp;
 pub mod mem;
@@ -106,6 +107,7 @@ pub mod space;
 pub mod stlb;
 
 pub use cost::{CostDomain, CostParams, CycleMeter, Event, Term, VirtualClock};
+pub use hash::{IntMap, IntSet};
 pub use image::{CodeImage, ImageId, LinkError};
 pub use interp::{run, Cpu, Env, ExecMode, Fault, NullEnv, StopReason};
 pub use mem::{PhysMem, PAGE_SIZE};
@@ -449,6 +451,20 @@ impl Machine {
             self.check_tlb_hit(cpu, addr, write, paddr);
         }
         Some(paddr)
+    }
+
+    /// [`Machine::cached_paddr`] for code outside [`run`], which cannot
+    /// know whether the cache was revalidated for `cpu`: it answers only
+    /// when the cache's key is `cpu`'s key now. That holds inside every
+    /// [`Env::extern_call`] until the callback maps, unmaps or switches
+    /// `cpu` to another space or mode; then this is `None` and the caller
+    /// walks.
+    #[inline]
+    pub(crate) fn keyed_paddr(&self, cpu: &Cpu, addr: u64, len: u64, write: bool) -> Option<u64> {
+        if self.tlb.key() != Some(self.tlb_key(cpu)) {
+            return None;
+        }
+        self.cached_paddr(cpu, addr, len, write)
     }
 
     /// The law the translation cache lives under, checked on every hit

@@ -10,11 +10,12 @@
 //! The interpreter's loads, stores, pushes and pops answer to the same
 //! reference, through the translation cache: some of the generated
 //! accesses are made by [`run`]ning an instruction, and page-table edits
-//! are drawn in between them.
+//! are drawn in between them. So does [`Cpu::arg`], which reads through
+//! the cache when it is the CPU's, inside an [`Env`] callback and out.
 
 use crate::{
-    run, Cpu, ExecMode, Fault, Machine, NullEnv, PageEntry, PageKind, SpaceId, StopReason,
-    HYPER_BASE, PAGE_SIZE,
+    run, Cpu, Env, ExecMode, ExternId, Fault, Machine, NullEnv, PageEntry, PageKind, SpaceId,
+    StopReason, HYPER_BASE, PAGE_SIZE,
 };
 use proptest::prelude::*;
 use twin_isa::{Reg, Width};
@@ -254,6 +255,29 @@ fn table_of(m: &mut Machine, space: SpaceId, addr: u64) -> &mut crate::PageTable
     }
 }
 
+/// Applies page-table edit `op` (one of [`Op::MapRam`], [`Op::MapMmio`],
+/// [`Op::Unmap`], [`Op::Protect`]) to the page of `at.1`, in `at.0`'s
+/// table or the hypervisor's; `frames` bounds the frame `MapRam` picks.
+fn edit(m: &mut Machine, at: (SpaceId, u64), op: &Op, frames: u64) {
+    let (space, addr) = at;
+    let table = table_of(m, space, addr);
+    let entry = match *op {
+        Op::MapRam(frame, writable) => Some(PageEntry::ram(frame % frames, writable)),
+        Op::MapMmio => Some(mmio_at(addr)),
+        Op::Protect => table.lookup(addr).map(|e| PageEntry {
+            writable: false,
+            ..e
+        }),
+        _ => {
+            table.unmap(addr);
+            None
+        }
+    };
+    if let Some(entry) = entry {
+        table.map(addr, entry);
+    }
+}
+
 fn width() -> impl Strategy<Value = Width> {
     prop_oneof![Just(Width::Byte), Just(Width::Word), Just(Width::Long)]
 }
@@ -365,24 +389,7 @@ proptest! {
                 ),
                 Op::MapRam(..) | Op::MapMmio | Op::Unmap | Op::Protect => {
                     for m in [&mut fast, &mut slow] {
-                        let table = table_of(m, space, addr);
-                        let entry = match op {
-                            Op::MapRam(frame, writable) => {
-                                Some(PageEntry::ram(frame % frames, writable))
-                            }
-                            Op::MapMmio => Some(mmio_at(addr)),
-                            Op::Protect => table.lookup(addr).map(|e| PageEntry {
-                                writable: false,
-                                ..e
-                            }),
-                            _ => {
-                                table.unmap(addr);
-                                None
-                            }
-                        };
-                        if let Some(entry) = entry {
-                            table.map(addr, entry);
-                        }
+                        edit(m, (space, addr), &op, frames);
                     }
                 }
             }
@@ -431,5 +438,208 @@ fn addresses_beyond_the_32_bit_space_page_fault() {
             addr: 1 << 32,
             write: false
         })
+    );
+}
+
+/// `f` calls the extern `probe` with `%esp` wherever the test put it, so
+/// inside the callback argument `i` is the word at that address + 4·i.
+const ARG_CODE: &str = ".extern probe\n.text\n.globl f\nf:\n call probe\n hlt\n";
+
+/// Arguments a probe reads: from a slot on a page's last word, the next
+/// two are on the following page.
+const ARGS: u32 = 3;
+
+/// One argument read: what [`Cpu::arg`] returned, what the
+/// byte-at-a-time walk reads there, and whether the translation cache
+/// could answer (its key is the CPU's and it holds the slot's page).
+type ArgRead = (Result<u32, Fault>, Result<u32, Fault>, bool);
+
+fn arg_reads(m: &Machine, cpu: &Cpu) -> Vec<ArgRead> {
+    let esp = u64::from(cpu.reg(Reg::Esp));
+    (0..ARGS)
+        .map(|i| {
+            let addr = esp + 4 + 4 * u64::from(i);
+            let cached = m.tlb.key() == Some(m.tlb_key(cpu)) && m.tlb.hit(addr, 4, false).is_some();
+            let walk = oracle_read(m, (cpu.space, cpu.mode, addr), Width::Long);
+            (cpu.arg(m, i), walk, cached)
+        })
+        .collect()
+}
+
+/// `probe`: reads every argument, then makes its page-table edit, if it
+/// has one, from inside the callback and reads them all again.
+struct ArgProbe {
+    edit: Option<(Op, SpaceId, u64)>,
+    frames: u64,
+    reads: Vec<ArgRead>,
+}
+
+impl Env for ArgProbe {
+    fn extern_call(&mut self, id: ExternId, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault> {
+        assert_eq!(m.extern_name(id), Some("probe"));
+        self.reads.extend(arg_reads(m, cpu));
+        if let Some((op, space, addr)) = &self.edit {
+            edit(m, (*space, *addr), op, self.frames);
+            self.reads.extend(arg_reads(m, cpu));
+        }
+        Ok(())
+    }
+    fn mmio_read(&mut self, m: &mut Machine, dev: u32, a: u64, w: Width) -> Result<u32, Fault> {
+        NullEnv.mmio_read(m, dev, a, w)
+    }
+    fn mmio_write(
+        &mut self,
+        m: &mut Machine,
+        dev: u32,
+        a: u64,
+        w: Width,
+        v: u32,
+    ) -> Result<(), Fault> {
+        NullEnv.mmio_write(m, dev, a, w, v)
+    }
+}
+
+/// [`world`] with [`ARG_CODE`] loaded; also returns the frames in use.
+fn arg_world() -> (Machine, [SpaceId; 2], u64) {
+    let (mut m, spaces) = world();
+    let code = twin_isa::asm::assemble("args", ARG_CODE).unwrap();
+    m.load_image(&code, 0x0800_0000, |_| None).unwrap();
+    let frames = (m.phys.total_frames() - m.phys.free_frames()) as u64;
+    (m, spaces, frames)
+}
+
+/// Runs `f` with the first argument slot of the callback at `at`; the
+/// reads the probe made (none when the `call` faults on its push).
+fn call_probe(
+    m: &mut Machine,
+    at: (SpaceId, ExecMode, u64),
+    edit: Option<(Op, SpaceId, u64)>,
+    frames: u64,
+) -> Vec<ArgRead> {
+    let (space, mode, addr) = at;
+    let mut cpu = Cpu::new(space, mode);
+    cpu.set_stack(addr);
+    cpu.pc = m.image(crate::ImageId(0)).export("f").unwrap();
+    let mut probe = ArgProbe {
+        edit,
+        frames,
+        reads: Vec::new(),
+    };
+    // The pop after an edit of the stack page may fault: only the reads
+    // are under test.
+    let _ = run(m, &mut cpu, &mut probe, 4);
+    probe.reads
+}
+
+/// A CPU outside any run whose first argument slot is at `at`.
+fn cpu_at(at: (SpaceId, ExecMode, u64)) -> Cpu {
+    let mut cpu = Cpu::new(at.0, at.1);
+    cpu.set_stack(at.2 - 4);
+    cpu
+}
+
+#[derive(Clone, Debug)]
+enum ArgStep {
+    /// Run `f`; the callback reads, makes the edit (to the page drawn
+    /// second, in that place's space) if any, and reads again.
+    Call(Option<Op>),
+    /// Read outside any run, with whatever the cache holds.
+    Direct,
+    /// Edit the page drawn second outside any run.
+    Edit(Op),
+}
+
+fn page_edit() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0u64..64, any::<bool>()).prop_map(|(f, w)| Op::MapRam(f, w)),
+        Just(Op::MapMmio),
+        Just(Op::Unmap),
+        Just(Op::Protect),
+    ]
+}
+
+fn arg_step() -> impl Strategy<Value = ArgStep> {
+    prop_oneof![
+        (any::<bool>(), page_edit()).prop_map(|(e, op)| ArgStep::Call(e.then_some(op))),
+        Just(ArgStep::Direct),
+        page_edit().prop_map(ArgStep::Edit),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 400, ..ProptestConfig::default() })]
+
+    /// [`Cpu::arg`] reads what the walk reads, whatever the translation
+    /// cache holds: warm from the run around the callback, filled under
+    /// another space, mode or table generation, invalidated by a map or
+    /// an unmap made inside the callback, and for slots on the last word
+    /// of a page and on unmapped, read-only, device and hypervisor pages.
+    #[test]
+    fn an_argument_read_is_the_walks_read(
+        steps in prop::collection::vec((arg_step(), place(), place()), 1..32),
+    ) {
+        let (mut m, spaces, frames) = arg_world();
+        let resolve = |(space, hyper, addr): (usize, bool, u64)| {
+            let mode = if hyper { ExecMode::Hypervisor } else { ExecMode::Guest };
+            (spaces[space], mode, addr)
+        };
+        for (step, at, to) in steps {
+            let (at, to) = (resolve(at), resolve(to));
+            let reads = match step {
+                ArgStep::Call(op) => call_probe(&mut m, at, op.map(|op| (op, to.0, to.2)), frames),
+                ArgStep::Direct => arg_reads(&m, &cpu_at(at)),
+                ArgStep::Edit(op) => {
+                    edit(&mut m, (to.0, to.2), &op, frames);
+                    Vec::new()
+                }
+            };
+            for (got, walk, _) in reads {
+                prop_assert_eq!(got, walk);
+            }
+        }
+    }
+}
+
+/// Each case the property draws, made once on purpose, with whether the
+/// cache answered.
+#[test]
+fn the_cached_argument_read_is_taken_exactly_when_the_cache_is_the_cpus() {
+    let (mut m, [a, b], frames) = arg_world();
+    let slot = (a, ExecMode::Guest, PAGES[0] + 0x100);
+    let cached = |reads: &[ArgRead]| -> Vec<bool> {
+        for (got, walk, _) in reads {
+            assert_eq!(got, walk);
+        }
+        reads.iter().map(|r| r.2).collect()
+    };
+    // Warm: the `call` just pushed its return address on the slot's page.
+    assert_eq!(cached(&call_probe(&mut m, slot, None, frames)), [true; 3]);
+    // Outside the run, the same CPU still finds the cache its own ...
+    assert_eq!(cached(&arg_reads(&m, &cpu_at(slot))), [true; 3]);
+    // ... another space or mode does not.
+    for (space, mode) in [(b, ExecMode::Guest), (a, ExecMode::Hypervisor)] {
+        let reads = arg_reads(&m, &cpu_at((space, mode, slot.2)));
+        assert_eq!(cached(&reads), [false; 3]);
+    }
+    // A table edit outside the run: a new generation, so a walk.
+    edit(&mut m, (a, PAGES[6]), &Op::Unmap, frames);
+    assert_eq!(cached(&arg_reads(&m, &cpu_at(slot))), [false; 3]);
+    // A map inside the callback: cached before it, walked after it,
+    // reading the page's new frame.
+    let remap = Some((Op::MapRam(1, true), a, PAGES[0]));
+    let reads = call_probe(&mut m, slot, remap, frames);
+    assert_eq!(cached(&reads), [true, true, true, false, false, false]);
+    assert_ne!(reads[0].0, reads[3].0, "the slot's page moved to frame 1");
+    // An edit of another space from inside the callback leaves the
+    // cache the CPU's.
+    let elsewhere = Some((Op::Unmap, b, PAGES[1]));
+    let reads = call_probe(&mut m, slot, elsewhere, frames);
+    assert_eq!(cached(&reads), [true; 6]);
+    // The last word of a page: cached; the next two words are on the
+    // following page, which nothing has touched yet in this key.
+    let last = (a, ExecMode::Guest, PAGES[1] - 4);
+    assert_eq!(
+        cached(&call_probe(&mut m, last, None, frames)),
+        [true, false, false]
     );
 }

@@ -180,21 +180,27 @@ impl Frame {
 /// immediately after the Ethernet header in simulated packet buffers.
 pub const META_LEN: u32 = 12;
 
+/// Bytes of a frame materialised in simulated memory: the Ethernet
+/// header, then [`META_LEN`] bookkeeping bytes.
+pub const WIRE_PREFIX_LEN: usize = (ETH_HEADER_LEN + META_LEN) as usize;
+
 impl Frame {
     /// Serialises the wire prefix actually materialised in simulated
     /// memory: 14 header bytes followed by [`META_LEN`] bookkeeping bytes
     /// (flow id, sequence number). The rest of the payload is length-only.
-    pub fn wire_prefix(&self) -> Vec<u8> {
-        let mut v = self.header_bytes().to_vec();
-        v.extend_from_slice(&self.flow.to_le_bytes());
-        v.extend_from_slice(&self.seq.to_le_bytes());
-        v
+    pub fn wire_prefix(&self) -> [u8; WIRE_PREFIX_LEN] {
+        let h = ETH_HEADER_LEN as usize;
+        let mut p = [0u8; WIRE_PREFIX_LEN];
+        p[..h].copy_from_slice(&self.header_bytes());
+        p[h..h + 4].copy_from_slice(&self.flow.to_le_bytes());
+        p[h + 4..].copy_from_slice(&self.seq.to_le_bytes());
+        p
     }
 
     /// Parses a wire prefix written by [`Frame::wire_prefix`].
     /// `total_len` is header + payload.
     pub fn from_wire_prefix(bytes: &[u8], total_len: u32) -> Option<Frame> {
-        if bytes.len() < (ETH_HEADER_LEN + META_LEN) as usize || total_len < ETH_HEADER_LEN {
+        if bytes.len() < WIRE_PREFIX_LEN || total_len < ETH_HEADER_LEN {
             return None;
         }
         let mut f = Frame::from_header_bytes(bytes, total_len - ETH_HEADER_LEN)?;

@@ -18,7 +18,7 @@
 //! e1000s report as missed-packet events).
 
 use twin_machine::{PhysMem, PAGE_SIZE};
-use twin_net::{Frame, MacAddr, ETH_HEADER_LEN, META_LEN};
+use twin_net::{Frame, MacAddr, ETH_HEADER_LEN, WIRE_PREFIX_LEN};
 
 /// Register offsets within the MMIO window (real e1000 layout).
 pub mod regs {
@@ -795,7 +795,7 @@ impl Nic {
             match &mut self.tx_partial {
                 None => {
                     // First descriptor of a packet: parse the wire prefix.
-                    let prefix = phys.read_bytes(buf, (ETH_HEADER_LEN + META_LEN) as usize);
+                    let prefix = phys.read_bytes(buf, WIRE_PREFIX_LEN);
                     if let Some(f) = Frame::from_wire_prefix(prefix, len.max(ETH_HEADER_LEN)) {
                         self.tx_partial = Some((f, len));
                     } else {
@@ -860,8 +860,7 @@ impl Nic {
             }
             let daddr = self.rdbal as u64 + self.rdh as u64 * DESC_SIZE;
             let buf = phys.read_u32(daddr) as u64;
-            let prefix = frame.wire_prefix();
-            phys.write_bytes(buf, &prefix);
+            phys.write_bytes(buf, &frame.wire_prefix());
             let total = frame.len();
             phys.write_u32(daddr + 8, total & 0xffff);
             phys.write_u8(daddr + 12, stat::DD | stat::EOP);
@@ -1050,11 +1049,8 @@ mod tests {
         assert_eq!(phys.read_u8(0x2000 + 12), stat::DD | stat::EOP);
         assert_eq!(phys.read_u32(0x2000 + 8), f.len());
         // Buffer contains the header (demux by MAC reads this).
-        let got = Frame::from_wire_prefix(
-            phys.read_bytes(0x20000, (ETH_HEADER_LEN + META_LEN) as usize),
-            f.len(),
-        )
-        .unwrap();
+        let got =
+            Frame::from_wire_prefix(phys.read_bytes(0x20000, WIRE_PREFIX_LEN), f.len()).unwrap();
         assert_eq!(got.dst, nic.mac());
         assert_eq!(got.seq, 42);
         // Replenish: software moves RDT forward; delivery works again.
@@ -1177,7 +1173,7 @@ mod tests {
             let daddr = 0x2000 + i * DESC_SIZE;
             assert_eq!(phys.read_u8(daddr + 12), stat::DD | stat::EOP);
             let got = Frame::from_wire_prefix(
-                phys.read_bytes(0x20000 + i * 0x1000, (ETH_HEADER_LEN + META_LEN) as usize),
+                phys.read_bytes(0x20000 + i * 0x1000, WIRE_PREFIX_LEN),
                 frames[i as usize].len(),
             )
             .unwrap();

@@ -14,7 +14,7 @@
 //! `grant_unmap` on an eviction) so every cost stays attributed at the
 //! site that incurs it.
 
-use std::collections::BTreeMap;
+use twin_machine::IntMap;
 
 /// Hit/miss/eviction counters of a [`GrantCache`].
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -49,8 +49,10 @@ pub enum GrantAccess {
 #[derive(Debug, Clone)]
 pub struct GrantCache {
     capacity: usize,
-    /// page key → last-touch stamp (monotonic access counter).
-    entries: BTreeMap<(u32, u64), u64>,
+    /// page key → last-touch stamp (monotonic access counter). Hashed:
+    /// no result depends on its order, since stamps are unique and the
+    /// LRU victim is the entry with the smallest.
+    entries: IntMap<(u32, u64), u64>,
     tick: u64,
     /// Counters.
     pub stats: GrantCacheStats,
@@ -61,7 +63,7 @@ impl GrantCache {
     pub fn new(capacity: usize) -> GrantCache {
         GrantCache {
             capacity: capacity.max(1),
-            entries: BTreeMap::new(),
+            entries: IntMap::default(),
             tick: 0,
             stats: GrantCacheStats::default(),
         }
@@ -116,17 +118,11 @@ impl GrantCache {
     /// stale mapping outlives the trust decision. Each revoked mapping
     /// owes one `grant_unmap`, charged by the caller.
     pub fn revoke_domain(&mut self, dom: u32) -> usize {
-        let victims: Vec<(u32, u64)> = self
-            .entries
-            .keys()
-            .filter(|(d, _)| *d == dom)
-            .copied()
-            .collect();
-        for k in &victims {
-            self.entries.remove(k);
-        }
-        self.stats.revoked += victims.len() as u64;
-        victims.len()
+        let before = self.entries.len();
+        self.entries.retain(|(d, _), _| *d != dom);
+        let revoked = before - self.entries.len();
+        self.stats.revoked += revoked as u64;
+        revoked
     }
 }
 

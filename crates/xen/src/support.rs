@@ -398,15 +398,15 @@ impl HyperSupport {
     ) -> Result<(), Fault> {
         use twin_isa::Reg;
         let dom0 = kernel.space;
-        match id.name() {
-            "netdev_alloc_skb" => {
+        match id {
+            RoutineId::NETDEV_ALLOC_SKB => {
                 // From the dom0-reserved buffer pool (paper §4.3).
                 m.pay(Term::SkbAlloc);
                 svm.charge_fast_path(m);
                 let skb = kernel.hyper_pool.as_mut().and_then(|p| p.alloc(m, dom0));
                 cpu.set_reg(Reg::Eax, skb.map(|s| s.0 as u32).unwrap_or(0));
             }
-            "netif_rx" => {
+            RoutineId::NETIF_RX => {
                 // The hypervisor's receive path: demultiplex on the
                 // destination MAC and queue to the guest (paper §5.3).
                 m.pay(Term::NetifRxDemux);
