@@ -11,11 +11,16 @@
 # pairs and B first in even ones, `seconds` per workload (the contract's
 # `run_seconds` when omitted), into target/ab/A.jsonl and B.jsonl. Prints
 # `host_ns_per_pkt` pair by pair with how many pairs B won, then `bench
-# compare A.jsonl B.jsonl`.
+# compare A.jsonl B.jsonl`. Last, one short traced run per side (`--trace
+# 1 --seconds 2`, into target/ab/{A,B}.traced.jsonl) reports the
+# per-layer metrics.
 #
 # Exits non-zero if a run reports `"correct": false`, if any simulated
 # metric (`sim_*`, `delivered_frac`, `paper_err_frac`) differs between or
-# within the two sides, or if `bench compare` finds a regression. Host
+# within the two sides, if any simulated per-layer metric of the traced
+# runs differs (every one but the host-time names: those that begin with
+# `host.` or contain `_ns`, `_us`, `_ms` or `overhead_frac`), or if
+# `bench compare` finds a regression. Host
 # time on a shared machine is noisy, which is why this is a tool for a
 # change's evidence and not a CI gate. Needs bash, git and cargo.
 set -euo pipefail
@@ -52,8 +57,12 @@ for pair in $(seq "$pairs"); do
     if ((pair % 2)); then run A; run B; else run B; run A; fi
 done
 
+for side in A B; do
+    "$out/bench-$side" run --trace 1 --seconds 2 --out "$out/$side.traced.jsonl" >/dev/null
+done
+
 status=0
-if grep -q '"correct": false' "$out/A.jsonl" "$out/B.jsonl"; then
+if grep -q '"correct": false' "$out"/{A,B}.jsonl "$out"/{A,B}.traced.jsonl; then
     echo "FAIL: a run reported \"correct\": false"
     status=1
 fi
@@ -70,6 +79,20 @@ simulated() {
 if [[ "$(simulated A)" != "$(simulated B)" ]]; then
     echo "FAIL: simulated metrics differ between A and B"
     diff <(simulated A) <(simulated B) || true
+    status=1
+fi
+# One line per (workload, simulated per-layer metrics) of a traced run.
+layers() {
+    while IFS= read -r line; do
+        grep -o '"workload": "[^"]*"' <<<"$line" | tr '\n' ' '
+        grep -oE '"[A-Za-z0-9_.-]+": \{"value": [^,}]*' <<<"$line" |
+            grep -vE '^"host\.|_ns|_us|_ms|overhead_frac' | tr '\n' ' '
+        echo
+    done <"$out/$1.traced.jsonl"
+}
+if [[ "$(layers A)" != "$(layers B)" ]]; then
+    echo "FAIL: simulated per-layer metrics differ between A and B"
+    diff <(layers A | tr ' ' '\n') <(layers B | tr ' ' '\n') || true
     status=1
 fi
 workloads=$(simulated A | grep -o '"workload": "[^"]*"' | sort | uniq -c)

@@ -87,9 +87,9 @@ fn main() -> ExitCode {
                         .f1("tx_cycles_per_packet", a.tx_cycles_per_packet)
                         .f1("rx_cycles_per_packet", a.rx_cycles_per_packet)
                         .f1("aggregate_mbps", a.aggregate_mbps())
-                        .int("grant_maps", a.grants.maps)
-                        .int("grant_unmaps", a.grants.unmaps)
-                        .int("grant_copies", a.grants.copies),
+                        .int("grant_maps", a.span.counter("event.grant_map"))
+                        .int("grant_unmaps", a.span.counter("event.grant_unmap"))
+                        .int("grant_copies", a.span.counter("grant.copies")),
                 );
             }
         }

@@ -12,10 +12,10 @@
 
 use crate::system::{ShardPolicy, System, SystemError, MAX_BURST};
 use std::collections::BTreeMap;
-use twin_machine::{CostDomain, CycleMeter, Event};
+use twin_machine::{CostDomain, Event};
 use twin_net::{wire_bits, Frame, MacAddr, MTU};
 use twin_trace::{HistogramSummary, MetricSet};
-use twin_xen::{DomId, DomainKind, GrantStats};
+use twin_xen::{DomId, DomainKind};
 
 /// Modeled CPU frequency — the paper's 3.0 GHz Xeon.
 pub const CPU_HZ: f64 = 3.0e9;
@@ -36,19 +36,6 @@ pub struct Breakdown {
 }
 
 impl Breakdown {
-    /// Builds a breakdown from meter deltas over `packets` packets.
-    pub fn from_meter(meter: &CycleMeter, packets: u64) -> Breakdown {
-        let mut per_domain = BTreeMap::new();
-        for d in CostDomain::ALL {
-            per_domain.insert(d, meter.cycles(d) as f64 / packets.max(1) as f64);
-        }
-        Breakdown {
-            per_domain,
-            packets,
-            events: meter.events().collect(),
-        }
-    }
-
     /// Cycles per packet for one category.
     pub fn cycles(&self, d: CostDomain) -> f64 {
         self.per_domain.get(&d).copied().unwrap_or(0.0)
@@ -183,11 +170,12 @@ pub fn throughput(cpp: f64, nics: u32) -> Throughput {
     }
 }
 
-/// One measurement window. Opening resets the cycle meter and the
-/// latency reservoirs and snapshots the registry; closing reads
-/// everything a point struct needs — the per-packet [`Breakdown`], the
-/// registry change over the window, the latency percentiles — off the
-/// same two snapshots, so no harness keeps `*_before` locals.
+/// One measurement window. Opening clears the latency reservoirs (a
+/// histogram cannot be differenced) and snapshots the registry; closing
+/// takes the registry's change since. Every counter is monotone, so that
+/// one delta is everything a point struct needs — the per-packet
+/// [`Breakdown`], the event rates, the drops, the latency percentiles —
+/// and no harness keeps `*_before` locals.
 struct Window {
     opened: MetricSet,
 }
@@ -200,31 +188,36 @@ impl Window {
         }
     }
 
-    fn close(self, sys: &System) -> Measured<'_> {
+    fn close(self, sys: &System) -> Measured {
         Measured {
-            meter: &sys.machine.meter,
             delta: sys.metrics().delta_since(&self.opened),
         }
     }
 }
 
 /// What a closed [`Window`] saw.
-struct Measured<'a> {
-    meter: &'a CycleMeter,
+struct Measured {
     /// Registry change over the window (histograms are the window's own:
     /// the reservoirs were cleared when it opened).
     delta: MetricSet,
 }
 
-impl Measured<'_> {
-    /// Charged cycles amortized over `packets`.
+impl Measured {
+    /// Charged cycles amortized over `packets`, with the events counted.
     fn breakdown(&self, packets: u64) -> Breakdown {
-        Breakdown::from_meter(self.meter, packets)
+        let cycles = |d: CostDomain| self.delta.counter(&format!("meter.cycles.{}", d.label()));
+        let per_domain = CostDomain::ALL.map(|d| (d, cycles(d) as f64 / packets.max(1) as f64));
+        let events = Event::ALL.map(|e| (e, self.event(e)));
+        Breakdown {
+            per_domain: per_domain.into(),
+            packets,
+            events: events.into_iter().filter(|&(_, n)| n > 0).collect(),
+        }
     }
 
     /// Count of one meter event over the window.
     fn event(&self, e: Event) -> u64 {
-        self.meter.event(e)
+        self.delta.counter(&format!("event.{}", e.name()))
     }
 
     fn per_packet(&self, event: Event, packets: u64) -> f64 {
@@ -572,10 +565,11 @@ pub struct AggregateThroughput {
     pub tx: Throughput,
     /// Receive throughput over the `nics` links.
     pub rx: Throughput,
-    /// Grant-table traffic (maps/unmaps/copies, with per-NIC
-    /// attribution) over the whole measurement including warm-up —
-    /// empty for configurations without a hypervisor.
-    pub grants: GrantStats,
+    /// Registry change over the whole measurement, both directions and
+    /// their warm-ups: grant-table traffic (`event.grant_{map,unmap}`,
+    /// `grant.copies`, per NIC `grant.dev{n}.*`), packets per NIC and the
+    /// rest of [`System::metrics`].
+    pub span: MetricSet,
     /// Per-guest frames shed at the admission watermark over the
     /// measurement (guest id → drops); empty with overload control off.
     pub early_drops: BTreeMap<u32, u64>,
@@ -1124,9 +1118,8 @@ pub fn measure_aggregate_throughput(
     packets: u64,
 ) -> Result<AggregateThroughput, SystemError> {
     let nics = sys.nic_count() as u32;
-    // Active links, grant traffic and early drops all come from
-    // [`System::metrics`] registry deltas; the grant span deliberately
-    // includes both directions' warm-ups.
+    // Active links and the span come from [`System::metrics`] registry
+    // deltas; the span deliberately includes both directions' warm-ups.
     let links = |d: &MetricSet, field: &str| -> u32 {
         indexed(d, "nic", field).filter(|&(_, n)| n > 0).count() as u32
     };
@@ -1141,24 +1134,6 @@ pub fn measure_aggregate_throughput(
     let rx_links = links(&m2.delta_since(&m1), "rx_packets");
 
     let span = m2.delta_since(&m0);
-    let mut grants = GrantStats {
-        maps: span.counter("grant.maps"),
-        unmaps: span.counter("grant.unmaps"),
-        copies: span.counter("grant.copies"),
-        ..GrantStats::default()
-    };
-    for (dev, n) in indexed(&span, "grant.dev", "maps") {
-        grants.per_device.entry(dev).or_default().maps = n;
-    }
-    for (dev, n) in indexed(&span, "grant.dev", "unmaps") {
-        grants.per_device.entry(dev).or_default().unmaps = n;
-    }
-    for (dev, n) in indexed(&span, "grant.dev", "copies") {
-        grants.per_device.entry(dev).or_default().copies = n;
-    }
-    grants
-        .per_device
-        .retain(|_, d| d.maps + d.unmaps + d.copies > 0);
     let early_drops = indexed(&span, "guest", "early_drops")
         .filter(|&(_, n)| n > 0)
         .collect();
@@ -1172,7 +1147,7 @@ pub fn measure_aggregate_throughput(
         rx_cycles_per_packet: rx_cpp,
         tx: throughput(tx_cpp, tx_links.max(1)),
         rx: throughput(rx_cpp, rx_links.max(1)),
-        grants,
+        span,
         early_drops,
     })
 }
@@ -1507,7 +1482,6 @@ pub fn measure_fault_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twin_machine::Term;
 
     #[test]
     fn cpu_bound_vs_link_bound() {
@@ -1559,14 +1533,14 @@ mod tests {
 
     #[test]
     fn breakdown_row_mentions_categories() {
-        let mut m = twin_machine::Machine::new();
-        for t in [Term::PinPage, Term::MmioWrite] {
-            m.pay_to(CostDomain::Xen, t); // 400 + 100
-        }
-        m.pay_to(CostDomain::Driver, Term::MmioWrite);
-        let b = Breakdown::from_meter(&m.meter, 10);
+        let mut delta = MetricSet::new();
+        delta.set("meter.cycles.Xen", 500);
+        delta.set("meter.cycles.e1000", 100);
+        delta.set("event.irq", 3);
+        let b = Measured { delta }.breakdown(10);
         assert_eq!(b.cycles(CostDomain::Xen), 50.0);
         assert_eq!(b.total(), 60.0);
+        assert_eq!(b.events, BTreeMap::from([(Event::Irq, 3)]));
         let row = b.row("test");
         assert!(row.contains("Xen"));
         assert!(row.contains("e1000"));

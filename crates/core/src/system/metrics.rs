@@ -2,7 +2,7 @@
 //! counters, and the arrival-to-delivery latency samples.
 
 use super::{GuestState, System};
-use twin_machine::CostDomain;
+use twin_machine::{CostDomain, Event};
 use twin_net::Frame;
 use twin_trace::MetricSet;
 use twin_xen::{DomId, DomainKind};
@@ -10,13 +10,16 @@ use twin_xen::{DomId, DomainKind};
 impl System {
     /// One unified snapshot of every stats source in the system — the
     /// cycle meter (per-domain totals and named event counters), per-NIC
-    /// device stats, per-guest delivery/drop counters, upcall-engine and
-    /// grant counters, grant-cache stats, the flight recorder's own
-    /// recorded/dropped counts — as a flat [`MetricSet`]. Consumers take
-    /// two snapshots and [`MetricSet::delta_since`] them; all counters
-    /// are integers read from the same sources the scattered accessors
-    /// expose, so sweeps built on deltas are bit-exact with the old
-    /// per-struct bookkeeping.
+    /// device stats, per-guest delivery/drop counters, the grant and
+    /// upcall statistics no meter row counts, the flight recorder's own
+    /// recorded/dropped counts — as a flat [`MetricSet`].
+    ///
+    /// Every counter is monotone: nothing in the system resets one, so a
+    /// measurement window is the [`MetricSet::delta_since`] of two
+    /// snapshots. The exceptions are gauges of current state:
+    /// `guest{g}.queued`, `nic{i}.itr`, `fault.quarantined` and
+    /// `sched.guest{g}.{cpu,running}`. The histograms hold the samples
+    /// since the last window opened.
     pub fn metrics(&self) -> MetricSet {
         let mut ms = MetricSet::new();
         let meter = &self.machine.meter;
@@ -24,8 +27,8 @@ impl System {
         for d in CostDomain::ALL {
             ms.set(format!("meter.cycles.{}", d.label()), meter.cycles(d));
         }
-        for (e, n) in meter.events() {
-            ms.set(format!("event.{}", e.name()), n);
+        for e in Event::ALL {
+            ms.set(format!("event.{}", e.name()), meter.event(e));
         }
         for (i, nic) in self.world.nics.iter().enumerate() {
             let s = nic.stats();
@@ -43,13 +46,34 @@ impl System {
                 self.poll_mode_cycles(i as u32),
             );
         }
+        // The names `benchmark/README.md` says the benchmark reads, each
+        // the sum of the meter rows that count its occurrences, published
+        // where the layer the name belongs to exists.
+        let (xen, hyper, cache) = (
+            self.world.xen.is_some(),
+            self.world.hyper.is_some(),
+            self.grant_cache.is_some(),
+        );
+        for (name, present, rows) in [
+            ("xen.switches", xen, &[Event::DomainSwitch][..]),
+            ("xen.hypercalls", xen, &[Event::Hypercall]),
+            ("xen.virqs_sent", xen, &[Event::Virq]),
+            ("grant.maps", xen, &[Event::GrantMap]),
+            ("grantcache.hits", cache, &[Event::GrantCacheHit]),
+            ("grantcache.misses", cache, &[Event::PinPage]),
+            (
+                "upcall.executed",
+                hyper,
+                &[Event::Upcall, Event::UpcallExec],
+            ),
+            ("upcall.flushes", hyper, &[Event::UpcallFlush]),
+        ] {
+            if present {
+                ms.set(name, rows.iter().map(|&e| meter.event(e)).sum());
+            }
+        }
         if let Some(xen) = self.world.xen.as_ref() {
-            ms.set("xen.switches", xen.switches);
-            ms.set("xen.hypercalls", xen.hypercalls);
-            ms.set("xen.virqs_sent", xen.virqs_sent);
             ms.set("xen.softirqs_coalesced", xen.softirqs_coalesced);
-            ms.set("grant.maps", xen.grants.maps);
-            ms.set("grant.unmaps", xen.grants.unmaps);
             ms.set("grant.copies", xen.grants.copies);
             for (dev, dg) in &xen.grants.per_device {
                 ms.set(format!("grant.dev{dev}.maps"), dg.maps);
@@ -71,21 +95,10 @@ impl System {
             }
         }
         if let Some(hs) = self.world.hyper.as_ref() {
-            let s = hs.engine.stats;
-            ms.set("upcall.enqueued", s.enqueued);
-            ms.set("upcall.flushes", s.flushes);
-            ms.set("upcall.forced_flushes", s.forced_flushes);
-            ms.set("upcall.continuations", s.continuations);
-            ms.set("upcall.completions", s.completions);
-            ms.set("upcall.max_depth", s.max_depth as u64);
-            ms.set("upcall.executed", hs.upcalls);
-            ms.set("upcall.demux_misses", hs.demux_misses);
+            ms.set("upcall.max_depth", hs.engine.stats.max_depth as u64);
             ms.record_samples("upcall_latency", hs.engine.latency_samples());
         }
         if let Some(cs) = self.grant_cache_stats() {
-            ms.set("grantcache.hits", cs.hits);
-            ms.set("grantcache.misses", cs.misses);
-            ms.set("grantcache.evictions", cs.evictions);
             ms.set("grantcache.revoked", cs.revoked);
         }
         ms.set("trace.events_recorded", self.machine.trace.recorded());
@@ -197,7 +210,13 @@ impl System {
     pub(super) fn prune_rx_inflight(&mut self) {
         // With a demux queue cap the backlog legitimately extends past
         // the rings: capped queues hold live frames too.
-        let cap = 128 * self.world.nics.len()
+        let rings: usize = self
+            .world
+            .nics
+            .iter()
+            .map(|n| n.rx_ring_len() as usize)
+            .sum();
+        let cap = rings
             + self.opts.rx_queue_cap.unwrap_or(0)
                 * self.world.xen.as_ref().map_or(0, |x| x.domains.len());
         while self.rx_inflight.len() > cap {
@@ -257,8 +276,10 @@ impl System {
         self.rx_latency.samples()
     }
 
-    /// Cycles-to-completion samples for every upcall since the last
-    /// measurement reset (empty when no hypervisor support is present).
+    /// Cycles-to-completion samples for every upcall completed in the
+    /// current measurement window — a `measure_*` harness clears them
+    /// when its window opens (empty when no hypervisor support is
+    /// present).
     pub fn upcall_latency_samples(&self) -> &[u64] {
         self.world
             .hyper
@@ -267,11 +288,12 @@ impl System {
             .unwrap_or(&[])
     }
 
-    /// Resets the cycle meter and both latency windows together (the
-    /// start of every measurement interval). The virtual clock keeps
-    /// running — it is monotonic by design.
+    /// Clears the latency reservoirs at the start of a measurement
+    /// window: a histogram cannot be differenced the way the counters
+    /// are, so the window's samples are the only ones it holds. Nothing
+    /// else is reset — every counter, the cycle meter's included, is
+    /// monotone.
     pub(crate) fn reset_measurement(&mut self) {
-        self.machine.meter.reset();
         if let Some(h) = self.world.hyper.as_mut() {
             h.engine.clear_latency();
         }

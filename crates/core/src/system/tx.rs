@@ -289,7 +289,6 @@ impl System {
             pending: &mut Vec<u64>,
             ptrs: &mut Vec<u32>,
         ) -> Result<(), SystemError> {
-            hs.engine.stats.continuations += 1;
             machine.meter.count_event(Event::UpcallContinuation);
             hs.flush_upcalls(machine, kernel, xen, FlushCause::Continuation)?;
             for id in pending.drain(..) {

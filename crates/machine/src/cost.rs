@@ -16,7 +16,6 @@
 //! values are pinned once, in this file's
 //! `the_term_table_is_closed_and_pinned`.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Index;
 
@@ -412,13 +411,12 @@ closed_table! {
 /// time-driven feature (kernel timers, interrupt moderation, upcall-flush
 /// deadlines) keys on.
 ///
-/// Unlike the per-domain totals, the clock is **never reset**: it
-/// survives [`CycleMeter::reset`] so timers armed before a measurement
-/// window still fire at the right instant inside it. Idle time (a system
-/// waiting for the wire, a harness modeling inter-arrival gaps) advances
-/// the clock *without* charging any domain via
-/// [`CycleMeter::advance_idle`], so per-packet cycle breakdowns are
-/// untouched by waiting.
+/// Like every counter of the [`CycleMeter`] that holds it, the clock only
+/// moves forward, so timers armed before a measurement window fire at the
+/// right instant inside it. Idle time (a system waiting for the wire, a
+/// harness modeling inter-arrival gaps) advances the clock *without*
+/// charging any domain via [`CycleMeter::advance_idle`], so per-packet
+/// cycle breakdowns are untouched by waiting.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct VirtualClock {
     now: u64,
@@ -438,6 +436,10 @@ impl VirtualClock {
 
 /// Cycle accounting with domain attribution and [`Event`] counters.
 ///
+/// Every counter is monotone, like the clock: nothing resets it. A
+/// measurement window is the difference of two readings (in `twin-core`,
+/// two `System::metrics()` snapshots), never a zeroed meter.
+///
 /// The attribution stack starts empty; charges made with no pushed domain
 /// land in [`CostDomain::Dom0`] (a charge must go somewhere — tests push
 /// explicitly). Cycles arrive through [`crate::Machine::pay`] and its two
@@ -447,9 +449,6 @@ impl VirtualClock {
 pub struct CycleMeter {
     /// Cycles per domain, indexed by `CostDomain as usize`.
     per_domain: [u64; CostDomain::ALL.len()],
-    /// Which domains have been charged (even zero cycles) since the last
-    /// reset: only those appear in a [`CycleMeter::snapshot`].
-    charged: [bool; CostDomain::ALL.len()],
     stack: Vec<CostDomain>,
     /// Occurrences per event, indexed by `Event as usize`.
     events: [u64; Event::COUNT],
@@ -461,7 +460,6 @@ impl Default for CycleMeter {
     fn default() -> CycleMeter {
         CycleMeter {
             per_domain: Default::default(),
-            charged: Default::default(),
             stack: Vec::new(),
             events: [0; Event::COUNT],
             insns: 0,
@@ -506,7 +504,6 @@ impl CycleMeter {
     #[inline]
     pub(crate) fn charge_to(&mut self, d: CostDomain, cycles: u64) {
         self.per_domain[d as usize] += cycles;
-        self.charged[d as usize] = true;
         self.clock.advance(cycles);
     }
 
@@ -545,12 +542,13 @@ impl CycleMeter {
         self.events[e as usize] += 1;
     }
 
-    /// Occurrences of `e` since the last reset.
+    /// Occurrences of `e` since the machine was built.
     pub fn event(&self, e: Event) -> u64 {
         self.events[e as usize]
     }
 
-    /// The events counted since the last reset, with their counts.
+    /// The events counted so far, with their counts (rows never counted
+    /// are left out).
     pub fn events(&self) -> impl Iterator<Item = (Event, u64)> {
         let counted = Event::ALL.into_iter().zip(self.events);
         counted.filter(|(_, n)| *n > 0)
@@ -564,38 +562,6 @@ impl CycleMeter {
     /// Total cycles across all domains.
     pub fn total_cycles(&self) -> u64 {
         self.per_domain.iter().sum()
-    }
-
-    /// Snapshot of per-domain totals: one entry per domain charged since
-    /// the last reset.
-    pub fn snapshot(&self) -> BTreeMap<CostDomain, u64> {
-        CostDomain::ALL
-            .into_iter()
-            .filter(|d| self.charged[*d as usize])
-            .map(|d| (d, self.cycles(d)))
-            .collect()
-    }
-
-    /// Difference of two snapshots, as `self_at_later - earlier`.
-    pub fn delta_since(&self, earlier: &BTreeMap<CostDomain, u64>) -> BTreeMap<CostDomain, u64> {
-        let mut out = BTreeMap::new();
-        for d in CostDomain::ALL {
-            let now = self.cycles(d);
-            let then = earlier.get(&d).copied().unwrap_or(0);
-            out.insert(d, now - then);
-        }
-        out
-    }
-
-    /// Resets all counters (keeps the attribution stack). The virtual
-    /// clock is deliberately **not** reset — time is monotonic across
-    /// measurement windows, so armed timers and moderation windows stay
-    /// coherent.
-    pub fn reset(&mut self) {
-        self.per_domain = Default::default();
-        self.charged = Default::default();
-        self.events = [0; Event::COUNT];
-        self.insns = 0;
     }
 }
 
@@ -719,51 +685,18 @@ mod tests {
     }
 
     #[test]
-    fn events_and_reset() {
+    fn events_are_counted_per_row() {
         let mut m = CycleMeter::new();
+        assert_eq!(m.events().count(), 0);
         m.count_event(Event::StlbMiss);
         m.count_event(Event::StlbMiss);
         assert_eq!(m.event(Event::StlbMiss), 2);
         assert_eq!(m.event(Event::StlbCollision), 0);
         assert_eq!(m.events().collect::<Vec<_>>(), [(Event::StlbMiss, 2)]);
-        m.reset();
-        assert_eq!(m.event(Event::StlbMiss), 0);
-        assert_eq!(m.events().count(), 0);
-        assert_eq!(m.total_cycles(), 0);
     }
 
     #[test]
-    fn snapshot_delta() {
-        let mut m = Machine::new();
-        m.meter.push_domain(CostDomain::Driver);
-        m.pay(Term::MmioWrite);
-        let snap = m.meter.snapshot();
-        m.pay(Term::Crc32);
-        let d = m.meter.delta_since(&snap);
-        assert_eq!(d[&CostDomain::Driver], 60);
-        assert_eq!(d[&CostDomain::Xen], 0);
-    }
-
-    #[test]
-    fn snapshot_lists_exactly_the_domains_charged_since_reset() {
-        let mut m = Machine::new();
-        m.pay_to(CostDomain::Dom0, Term::Ret);
-        m.meter.reset();
-        assert!(m.meter.snapshot().is_empty());
-        m.pay_to(CostDomain::Xen, Term::CliSti);
-        m.cost.set(Term::Alu, 0);
-        m.meter.push_domain(CostDomain::Driver);
-        m.pay(Term::Alu); // a zero-cycle payment still marks its domain
-        m.meter.pop_domain();
-        let snap = m.meter.snapshot();
-        assert_eq!(
-            snap.into_iter().collect::<Vec<_>>(),
-            vec![(CostDomain::Xen, 8), (CostDomain::Driver, 0)]
-        );
-    }
-
-    #[test]
-    fn virtual_clock_tracks_all_charges_and_survives_reset() {
+    fn virtual_clock_tracks_all_charges_and_idle_time() {
         let mut m = Machine::new();
         assert_eq!(m.meter.now(), 0);
         m.meter.push_domain(CostDomain::Driver);
@@ -774,11 +707,9 @@ mod tests {
         m.meter.advance_idle(1000);
         assert_eq!(m.meter.now(), 1140);
         assert_eq!(m.meter.total_cycles(), 140, "idle time charges nothing");
-        m.meter.reset();
-        assert_eq!(m.meter.total_cycles(), 0);
-        assert_eq!(m.meter.now(), 1140, "the clock is monotonic across resets");
         m.pay(Term::MovReg);
         assert_eq!(m.meter.now(), 1141);
+        assert_eq!(m.meter.total_cycles(), 141);
     }
 
     #[test]

@@ -472,24 +472,18 @@ struct Exec<'a> {
     /// `budget` at the last flush.
     flushed_budget: u64,
     cycles: u64,
-    /// Whether anything was charged since the last flush: a charge of
-    /// zero cycles still marks its domain as charged.
-    charged: bool,
 }
 
 impl Exec<'_> {
     #[inline]
     fn pay(&mut self, t: Term) {
         self.cycles += self.m.cost[t];
-        self.charged = true;
     }
 
     fn flush(&mut self) {
-        if self.charged {
-            self.m.meter.charge(self.cycles);
-        }
+        self.m.meter.charge(self.cycles);
         self.m.meter.count_insns(self.flushed_budget - self.budget);
-        (self.cycles, self.flushed_budget, self.charged) = (0, self.budget, false);
+        (self.cycles, self.flushed_budget) = (0, self.budget);
     }
 
     #[inline]
@@ -986,7 +980,6 @@ impl Exec<'_> {
             + 5 * cost[Term::Alu]
             + 2 * cost[Term::Load]
             + cost[Term::BranchNotTaken];
-        self.charged = true;
     }
 
     /// The whole SVM translation `x` of address `a` (the template at
@@ -1151,7 +1144,6 @@ pub fn run(
         budget: max_insns,
         flushed_budget: max_insns,
         cycles: 0,
-        charged: false,
     };
     let stopped = exec.run();
     exec.flush();
@@ -1824,7 +1816,7 @@ mod tests {
             Ok(StopReason::Returned)
         );
         assert_eq!(spy.seen.len(), 1);
-        assert!(m.meter.snapshot().is_empty());
+        assert_eq!(m.meter.total_cycles(), 0);
         assert_eq!(m.meter.insns(), 0);
 
         // Instructions that execute and charge nothing.
@@ -1837,20 +1829,18 @@ mod tests {
             m.meter.push_domain(CostDomain::Driver);
             start(&mut m, &mut cpu, f, &[]);
             assert_eq!(run(&mut m, &mut cpu, &mut NullEnv, 100), stop);
-            assert!(m.meter.snapshot().is_empty(), "{src}");
+            assert_eq!(m.meter.total_cycles(), 0, "{src}");
             assert_eq!(m.meter.insns(), 1, "{src}");
         }
 
-        // A charge of nothing is still a charge.
+        // One that charges lands on the domain on top of the stack alone.
         let (mut m, mut cpu, f) = setup(".text\n.globl f\nf:\n nop\n hlt\n");
-        m.cost.set(Term::Alu, 0);
         m.meter.push_domain(CostDomain::Driver);
         start(&mut m, &mut cpu, f, &[]);
         run(&mut m, &mut cpu, &mut NullEnv, 100).unwrap();
-        assert_eq!(
-            m.meter.snapshot().into_iter().collect::<Vec<_>>(),
-            vec![(CostDomain::Driver, 0)]
-        );
+        let alu = m.cost[Term::Alu];
+        assert_eq!(m.meter.cycles(CostDomain::Driver), alu);
+        assert_eq!(m.meter.total_cycles(), alu);
     }
 
     #[test]

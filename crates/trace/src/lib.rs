@@ -618,10 +618,10 @@ impl HistogramSummary {
 
 /// The unified metrics registry: one flat, sorted namespace of counters
 /// plus histogram summaries, with a snapshot/delta API. `System::metrics`
-/// gathers every scattered stats struct (`NicStats`, `UpcallStats`,
-/// `GrantStats`, `GrantCacheStats`, per-guest drop counters, the cycle
-/// meter, the recorder's own drop counter) into one of these; consumers
-/// take two snapshots and subtract.
+/// gathers the cycle meter, `NicStats`, the grant and upcall statistics,
+/// per-guest drop counters and the recorder's own drop counter into one
+/// of these. Its counters are monotone, so consumers take two snapshots
+/// and subtract.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricSet {
     counters: BTreeMap<String, u64>,

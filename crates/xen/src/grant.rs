@@ -5,27 +5,21 @@
 //! a pool of RX/TX buffer pages **once**; the twin driver maps each page
 //! on first touch and keeps the mapping alive, recycling it through an
 //! index ring. [`GrantCache`] is that mapping table: keyed by
-//! `(domain, pool page)`, LRU-evicted at capacity, with hit/miss/eviction
-//! statistics so the cost model (and the sweeps) can see the per-packet
-//! map cost amortize to zero once the pool is warm.
+//! `(domain, pool page)`, LRU-evicted at capacity.
 //!
-//! The cache is pure bookkeeping — the caller charges cycles
-//! (`grant_cache_hit` on a hit, `grant_map` + `pin_page` on a miss,
-//! `grant_unmap` on an eviction) so every cost stays attributed at the
-//! site that incurs it.
+//! The cache is pure bookkeeping — the caller charges cycles and counts
+//! the meter rows (`grant_cache_hit` on a hit, `grant_map` + `pin_page`
+//! on a miss, `grant_unmap` and `grant_cache_evict` on an eviction), so
+//! every cost stays attributed at the site that incurs it and the sweeps
+//! see the per-packet map cost amortize to zero once the pool is warm.
 
 use twin_machine::IntMap;
 
-/// Hit/miss/eviction counters of a [`GrantCache`].
+/// Counters of a [`GrantCache`] no meter row counts (hits, misses and
+/// evictions are the caller's `GrantCacheHit`, `PinPage` and
+/// `GrantCacheEvict` rows).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct GrantCacheStats {
-    /// Lookups that found a live mapping (no hypercall).
-    pub hits: u64,
-    /// Lookups that established a new mapping (one `grant_map`, paid
-    /// once per pool page).
-    pub misses: u64,
-    /// Mappings torn down to make room at capacity (one `grant_unmap`).
-    pub evictions: u64,
     /// Mappings revoked by [`GrantCache::revoke_domain`] (the
     /// fault-isolation / quarantine path).
     pub revoked: u64,
@@ -92,10 +86,8 @@ impl GrantCache {
         self.tick += 1;
         if let Some(stamp) = self.entries.get_mut(&(dom, page)) {
             *stamp = self.tick;
-            self.stats.hits += 1;
             return GrantAccess::Hit;
         }
-        self.stats.misses += 1;
         let mut evicted = None;
         if self.entries.len() >= self.capacity {
             let victim = self
@@ -105,7 +97,6 @@ impl GrantCache {
                 .map(|(k, _)| *k)
                 .expect("cache at capacity is non-empty");
             self.entries.remove(&victim);
-            self.stats.evictions += 1;
             evicted = Some(victim);
         }
         self.entries.insert((dom, page), self.tick);
@@ -136,8 +127,6 @@ mod tests {
         assert_eq!(c.access(1, 100), GrantAccess::Miss { evicted: None });
         assert_eq!(c.access(1, 100), GrantAccess::Hit);
         assert_eq!(c.access(1, 100), GrantAccess::Hit);
-        assert_eq!(c.stats.misses, 1);
-        assert_eq!(c.stats.hits, 2);
         assert_eq!(c.len(), 1);
     }
 
@@ -167,7 +156,7 @@ mod tests {
             },
             "the least-recently-used entry goes"
         );
-        assert_eq!(c.stats.evictions, 1);
+        assert_eq!(c.len(), 2);
         assert!(c.contains(1, 10) && c.contains(1, 30) && !c.contains(1, 20));
         // The evicted page faults back in on next touch.
         assert!(matches!(c.access(1, 20), GrantAccess::Miss { .. }));

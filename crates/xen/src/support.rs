@@ -74,17 +74,16 @@ pub fn svm_helper(
 /// Event-channel port used for upcall requests.
 pub const UPCALL_PORT: u32 = 31;
 
-/// Hypervisor support state: which routines are forced to upcall, the
-/// deferred-upcall engine, and counters.
+/// Hypervisor support state: which routines are forced to upcall and
+/// the deferred-upcall engine. What it does is counted on the meter:
+/// upcalls executed in dom0 are the `Upcall` (synchronous) plus
+/// `UpcallExec` (at a flush) rows, frames no guest's MAC matched the
+/// `DemuxMiss` row.
 #[derive(Debug, Default)]
 pub struct HyperSupport {
     /// Table 1 rows forced onto the upcall path (Figure 10 sweep): bit
     /// `i` is [`twin_kernel::ROUTINES`]`[i]`.
     forced: u16,
-    /// Upcalls executed in dom0 (synchronously or at a flush).
-    pub upcalls: u64,
-    /// Frames dropped because no guest matched the destination MAC.
-    pub demux_misses: u64,
     /// The deferred-upcall engine (ring, completions, continuation ids).
     pub engine: UpcallEngine,
 }
@@ -166,11 +165,9 @@ impl HyperSupport {
         kernel: &mut Dom0Kernel,
         xen: &mut Xen,
     ) -> Result<(), Fault> {
-        self.upcalls += 1;
         m.meter.count_event(Event::Upcall);
-        // Latency accounting keys on the monotonic virtual clock (not the
-        // resettable per-domain totals), so samples spanning a
-        // measurement-window reset stay well-defined.
+        // Latency accounting keys on the virtual clock, not on a domain's
+        // total: the upcall charges several domains.
         let cycles_before = m.meter.now();
         // Stub: save parameters, switch to the upcall stack.
         m.pay_to(CostDomain::Xen, Term::UpcallOverhead);
@@ -235,7 +232,6 @@ impl HyperSupport {
                 // Suspend the burst: drain the ring FIFO (this call
                 // last) in one switch-pair, then resume with the dom0
                 // return value its completion carries.
-                self.engine.stats.continuations += 1;
                 m.meter.count_event(Event::UpcallContinuation);
                 self.flush_upcalls(m, kernel, xen, FlushCause::Continuation)?;
                 let done = self
@@ -261,7 +257,6 @@ impl HyperSupport {
         xen: &mut Xen,
     ) -> Result<u64, Fault> {
         if self.engine.is_full() {
-            self.engine.stats.forced_flushes += 1;
             m.meter.count_event(Event::UpcallForcedFlush);
             self.flush_upcalls(m, kernel, xen, FlushCause::RingFull)?;
         }
@@ -289,7 +284,7 @@ impl HyperSupport {
                 cont_id,
             });
         }
-        let entry = self.engine.stats.enqueued.wrapping_sub(1);
+        let entry = cont_id - 1;
         let slot = UPCALL_RING_BASE + (entry % UPCALL_RING_SLOTS) * UPCALL_RING_SLOT_BYTES;
         for (i, w) in words.iter().enumerate() {
             m.write_u32(kernel.space, ExecMode::Hypervisor, slot + 4 * i as u64, *w)?;
@@ -327,7 +322,6 @@ impl HyperSupport {
         // Records from earlier flushes were consumed by their waiters
         // already (or never had one) — keep the store bounded.
         self.engine.prune_stale_completions();
-        self.engine.stats.flushes += 1;
         m.meter.count_event(Event::UpcallFlush);
         m.pay_to(CostDomain::Xen, Term::UpcallFlushOverhead);
         let back = xen.current;
@@ -355,7 +349,6 @@ impl HyperSupport {
                 result = Err(e);
                 break;
             }
-            self.upcalls += 1;
             m.meter.count_event(Event::UpcallExec);
             m.pay_to(CostDomain::Xen, Term::UpcallComplete);
             self.engine
@@ -423,10 +416,7 @@ impl HyperSupport {
                                     }
                                 }
                             }
-                            None => {
-                                self.demux_misses += 1;
-                                m.meter.count_event(Event::DemuxMiss);
-                            }
+                            None => m.meter.count_event(Event::DemuxMiss),
                         }
                     }
                     kernel.free_skb(m, skb)?;
@@ -457,6 +447,11 @@ mod tests {
         let xen = Xen::new(dom0);
         let svm = Svm::new_hypervisor(&mut m, dom0, 0, (0, u64::MAX)).unwrap();
         (m, kernel, xen, svm, HyperSupport::new())
+    }
+
+    /// Upcalls executed in dom0, synchronously or at a flush.
+    fn upcalls(m: &Machine) -> u64 {
+        m.meter.event(Event::Upcall) + m.meter.event(Event::UpcallExec)
     }
 
     fn id(name: &str) -> RoutineId {
@@ -564,7 +559,7 @@ mod tests {
             &[skb.0 as u32],
         )
         .unwrap();
-        assert_eq!(hs.demux_misses, 1);
+        assert_eq!(m.meter.event(Event::DemuxMiss), 1);
     }
 
     #[test]
@@ -574,7 +569,7 @@ mod tests {
         let gid = xen.add_guest(gspace, MacAddr::for_guest(1));
         xen.switch_to(&mut m, gid);
         let before = m.meter.cycles(CostDomain::Xen);
-        let switches_before = xen.switches;
+        let switches_before = m.meter.event(Event::DomainSwitch);
         hs.set_upcall_count(9);
         assert!(hs.is_forced(id("spin_trylock")));
         // spin_trylock now routes via upcall.
@@ -591,8 +586,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r, 1, "lock acquired through the upcall");
-        assert_eq!(hs.upcalls, 1);
-        assert_eq!(xen.switches, switches_before + 2, "to dom0 and back");
+        assert_eq!(upcalls(&m), 1);
+        assert_eq!(
+            m.meter.event(Event::DomainSwitch),
+            switches_before + 2,
+            "to dom0 and back"
+        );
         assert_eq!(xen.current, gid, "restored to the guest");
         let delta = m.meter.cycles(CostDomain::Xen) - before;
         assert!(
@@ -605,7 +604,7 @@ mod tests {
     fn upcall_from_dom0_context_skips_switches() {
         let (mut m, mut kernel, mut xen, mut svm, mut hs) = setup();
         hs.set_upcall_count(9);
-        let before = xen.switches;
+        let before = m.meter.event(Event::DomainSwitch);
         let lock = 0x3e00_0000;
         m.map_fresh(kernel.space, lock, 1).unwrap();
         call(
@@ -618,8 +617,12 @@ mod tests {
             &[lock as u32],
         )
         .unwrap();
-        assert_eq!(xen.switches, before, "already in dom0: no switches");
-        assert_eq!(hs.upcalls, 1);
+        assert_eq!(
+            m.meter.event(Event::DomainSwitch),
+            before,
+            "already in dom0: no switches"
+        );
+        assert_eq!(upcalls(&m), 1);
     }
 
     #[test]
@@ -647,7 +650,7 @@ mod tests {
         )
         .unwrap();
         assert_ne!(r, 0, "allocation served by dom0 through the upcall");
-        assert_eq!(hs.upcalls, 1);
+        assert_eq!(upcalls(&m), 1);
     }
 
     #[test]
@@ -685,8 +688,8 @@ mod tests {
         let gspace = m.new_space();
         let gid = xen.add_guest(gspace, MacAddr::for_guest(1));
         xen.switch_to(&mut m, gid);
-        let switches_before = xen.switches;
-        let virqs_before = xen.virqs_sent;
+        let switches_before = m.meter.event(Event::DomainSwitch);
+        let virqs_before = m.meter.event(Event::Virq);
         let skb = kernel.pool.alloc(&mut m, kernel.space).unwrap();
         let before = kernel.pool.available();
         call(
@@ -700,7 +703,11 @@ mod tests {
         )
         .unwrap();
         // Queued, not executed: no switches, pool unchanged.
-        assert_eq!(xen.switches, switches_before, "no switch on enqueue");
+        assert_eq!(
+            m.meter.event(Event::DomainSwitch),
+            switches_before,
+            "no switch on enqueue"
+        );
         assert_eq!(kernel.pool.available(), before);
         assert_eq!(hs.engine.depth(), 1);
         assert_eq!(m.meter.event(Event::UpcallEnqueue), 1);
@@ -709,15 +716,19 @@ mod tests {
             .flush_upcalls(&mut m, &mut kernel, &mut xen, FlushCause::BurstEnd)
             .unwrap();
         assert_eq!(n, 1);
-        assert_eq!(xen.switches, switches_before + 2, "one pair per flush");
+        assert_eq!(
+            m.meter.event(Event::DomainSwitch),
+            switches_before + 2,
+            "one pair per flush"
+        );
         assert_eq!(kernel.pool.available(), before + 1, "free ran in dom0");
-        assert_eq!(hs.upcalls, 1);
+        assert_eq!(upcalls(&m), 1);
         assert_eq!(m.meter.event(Event::UpcallFlush), 1);
         assert_eq!(m.meter.event(Event::UpcallExec), 1);
         // The batched completion event went back through the event
         // channel (request to dom0 + completion to the guest) and the
         // resumed instance acknowledged it — nothing left pending.
-        assert_eq!(xen.virqs_sent, virqs_before + 2);
+        assert_eq!(m.meter.event(Event::Virq), virqs_before + 2);
         assert!(xen.domain(gid).pending_virqs.is_empty());
     }
 
@@ -727,7 +738,7 @@ mod tests {
         hs.force_upcall(id("dma_map_single"));
         let vaddr = 0x3d00_0000u64;
         m.map_fresh(kernel.space, vaddr, 1).unwrap();
-        let switches_before = xen.switches;
+        let switches_before = m.meter.event(Event::DomainSwitch);
         let r = call(
             &mut hs,
             "dma_map_single",
@@ -738,7 +749,11 @@ mod tests {
             &[vaddr as u32, 2048],
         )
         .unwrap();
-        assert_eq!(xen.switches, switches_before, "provisional, no switch");
+        assert_eq!(
+            m.meter.event(Event::DomainSwitch),
+            switches_before,
+            "provisional, no switch"
+        );
         let t = m
             .translate(kernel.space, ExecMode::Guest, vaddr, false)
             .unwrap();
@@ -758,7 +773,7 @@ mod tests {
         let gspace = m.new_space();
         let gid = xen.add_guest(gspace, MacAddr::for_guest(1));
         xen.switch_to(&mut m, gid);
-        let switches_before = xen.switches;
+        let switches_before = m.meter.event(Event::DomainSwitch);
         // Queue a free, then suspend on an allocation: both must run in
         // the same single switch-pair, free first (FIFO).
         let skb = kernel.pool.alloc(&mut m, kernel.space).unwrap();
@@ -787,7 +802,11 @@ mod tests {
         )
         .unwrap();
         assert_ne!(r, 0, "resumed with dom0's return value");
-        assert_eq!(xen.switches, switches_before + 2, "one pair for both");
+        assert_eq!(
+            m.meter.event(Event::DomainSwitch),
+            switches_before + 2,
+            "one pair for both"
+        );
         assert_eq!(m.meter.event(Event::UpcallContinuation), 1);
         assert_eq!(m.meter.event(Event::UpcallFlush), 1);
         // Free ran before the alloc: net pool change is -1 + 1 = 0.
@@ -877,7 +896,7 @@ mod tests {
             1,
             "the kmalloc itself was sync"
         );
-        assert_eq!(hs.upcalls, 2, "one flushed entry + one sync upcall");
+        assert_eq!(upcalls(&m), 2, "one flushed entry + one sync upcall");
     }
 
     #[test]
@@ -897,14 +916,17 @@ mod tests {
             )
             .unwrap();
         }
-        assert_eq!(hs.engine.stats.forced_flushes, 1, "5th enqueue flushed");
-        assert_eq!(hs.engine.stats.flushes, 1);
+        assert_eq!(m.meter.event(Event::UpcallFlush), 1);
         assert_eq!(hs.engine.depth(), 2);
         assert!(
             xen.softirqs.contains(&crate::xen::Softirq::UpcallFlush),
             "high-water kick scheduled"
         );
-        assert_eq!(m.meter.event(Event::UpcallForcedFlush), 1);
+        assert_eq!(
+            m.meter.event(Event::UpcallForcedFlush),
+            1,
+            "5th enqueue flushed"
+        );
         // Completions for the flushed four are all posted, FIFO ids.
         assert_eq!(hs.engine.pending_completions(), 4);
         for id in 1..=4u64 {

@@ -58,7 +58,7 @@ pub struct QueuedUpcall {
     pub args: Vec<u32>,
     /// Continuation id; completions are matched on it.
     pub cont_id: u64,
-    /// `CycleMeter::total_cycles()` at enqueue time (latency accounting).
+    /// Virtual time (`CycleMeter::now`) at enqueue (latency accounting).
     pub enqueued_cycles: u64,
 }
 
@@ -74,19 +74,12 @@ pub struct Completion {
     pub ret: u32,
 }
 
-/// Engine counters.
+/// Engine statistics no meter row counts. Enqueues, flushes, forced
+/// flushes, continuations and completions are the meter's
+/// `Event::Upcall*` rows, counted where [`crate::support::HyperSupport`]
+/// does the work.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct UpcallStats {
-    /// Upcalls enqueued into the ring.
-    pub enqueued: u64,
-    /// Flushes performed (each is one switch-pair).
-    pub flushes: u64,
-    /// Flushes forced by the ring filling up.
-    pub forced_flushes: u64,
-    /// Burst suspensions (continuation-class calls).
-    pub continuations: u64,
-    /// Completions posted.
-    pub completions: u64,
     /// Deepest the ring has been.
     pub max_depth: usize,
 }
@@ -98,7 +91,7 @@ pub struct UpcallStats {
 pub struct UpcallEngine {
     /// Execution mode.
     pub mode: UpcallMode,
-    /// Counters.
+    /// Statistics.
     pub stats: UpcallStats,
     capacity: usize,
     queue: VecDeque<QueuedUpcall>,
@@ -233,6 +226,8 @@ impl UpcallEngine {
             // flush point ever arrives (idle system).
             self.flush_due_at = self.deadline_cycles.map(|d| now_cycles + d);
         }
+        // Issued once per enqueue from 1, so `cont_id - 1` numbers the
+        // enqueues (the request ring's slot).
         let cont_id = self.next_cont_id;
         self.next_cont_id += 1;
         self.queue.push_back(QueuedUpcall {
@@ -241,7 +236,6 @@ impl UpcallEngine {
             cont_id,
             enqueued_cycles: now_cycles,
         });
-        self.stats.enqueued += 1;
         self.stats.max_depth = self.stats.max_depth.max(self.queue.len());
         cont_id
     }
@@ -280,7 +274,6 @@ impl UpcallEngine {
             routine: entry.routine,
             ret,
         });
-        self.stats.completions += 1;
         self.latency
             .push(now_cycles.saturating_sub(entry.enqueued_cycles));
     }
@@ -316,8 +309,8 @@ impl UpcallEngine {
         &self.latency
     }
 
-    /// Clears the latency samples (measurement windows reset alongside
-    /// the cycle meter).
+    /// Clears the latency samples. A histogram cannot be differenced, so
+    /// a measurement window clears it when it opens.
     pub fn clear_latency(&mut self) {
         self.latency.clear();
     }
@@ -334,7 +327,6 @@ mod tests {
         let b = e.enqueue("dev_kfree_skb_any", vec![2], 20);
         assert!(b > a);
         assert_eq!(e.depth(), 2);
-        assert_eq!(e.stats.enqueued, 2);
         let drained = e.drain();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].cont_id, a, "FIFO");
@@ -383,8 +375,7 @@ mod tests {
         e.prune_stale_completions();
         assert_eq!(e.pending_completions(), 0);
         assert!(e.take_completion(a).is_none());
-        // Stats and latency history survive pruning.
-        assert_eq!(e.stats.completions, 1);
+        // Latency history survives pruning.
         assert_eq!(e.latency_samples().len(), 1);
     }
 

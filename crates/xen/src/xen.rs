@@ -21,21 +21,19 @@ pub struct DevGrantStats {
     pub copies: u64,
 }
 
-/// Grant-table statistics: totals plus a per-device breakdown for
-/// operations whose causing NIC is known.
+/// Grant-table statistics no meter row counts: the per-device breakdown
+/// of operations whose causing NIC is known, and the copies. The total
+/// maps and unmaps are the meter's [`Event::GrantMap`] and
+/// [`Event::GrantUnmap`] rows.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GrantStats {
-    /// Pages mapped.
-    pub maps: u64,
-    /// Pages unmapped.
-    pub unmaps: u64,
     /// Packet-sized grant copies (counted by the datapaths that perform
     /// them; pure bookkeeping — the copy cycles are charged at the copy
     /// site).
     pub copies: u64,
     /// Per-NIC breakdown, keyed by device id. Operations with no
-    /// attributable device (none on the current datapaths) appear only
-    /// in the totals.
+    /// attributable device (the revocation and eviction unmaps) appear
+    /// only in the totals.
     pub per_device: BTreeMap<u32, DevGrantStats>,
 }
 
@@ -43,30 +41,6 @@ impl GrantStats {
     /// This device's breakdown (zeroes when it never caused a grant op).
     pub fn device(&self, dev: u32) -> DevGrantStats {
         self.per_device.get(&dev).copied().unwrap_or_default()
-    }
-
-    /// Activity since an `earlier` snapshot, as `self - earlier`
-    /// (totals and per-device alike) — measurement windows take deltas,
-    /// the counters themselves are monotonic.
-    pub fn delta_since(&self, earlier: &GrantStats) -> GrantStats {
-        let mut per_device = BTreeMap::new();
-        for (&dev, d) in &self.per_device {
-            let e = earlier.device(dev);
-            per_device.insert(
-                dev,
-                DevGrantStats {
-                    maps: d.maps - e.maps,
-                    unmaps: d.unmaps - e.unmaps,
-                    copies: d.copies - e.copies,
-                },
-            );
-        }
-        GrantStats {
-            maps: self.maps - earlier.maps,
-            unmaps: self.unmaps - earlier.unmaps,
-            copies: self.copies - earlier.copies,
-            per_device,
-        }
     }
 }
 
@@ -108,12 +82,6 @@ pub struct Xen {
     pub softirqs: Vec<Softirq>,
     /// Softirq raises coalesced into already-pending work.
     pub softirqs_coalesced: u64,
-    /// Total domain switches performed.
-    pub switches: u64,
-    /// Total hypercalls serviced.
-    pub hypercalls: u64,
-    /// Total virtual interrupts delivered.
-    pub virqs_sent: u64,
 }
 
 impl Xen {
@@ -130,9 +98,6 @@ impl Xen {
             grants: GrantStats::default(),
             softirqs: Vec::new(),
             softirqs_coalesced: 0,
-            switches: 0,
-            hypercalls: 0,
-            virqs_sent: 0,
         }
     }
 
@@ -180,7 +145,6 @@ impl Xen {
         }
         m.pay_to(CostDomain::Xen, Term::DomainSwitch);
         m.meter.count_event(Event::DomainSwitch);
-        self.switches += 1;
         self.current = to;
     }
 
@@ -188,14 +152,12 @@ impl Xen {
     pub fn hypercall(&mut self, m: &mut Machine) {
         m.pay_to(CostDomain::Xen, Term::Hypercall);
         m.meter.count_event(Event::Hypercall);
-        self.hypercalls += 1;
     }
 
     /// Delivers a virtual interrupt (event) to a domain.
     pub fn send_virq(&mut self, m: &mut Machine, to: DomId, port: u32) {
         m.pay_to(CostDomain::Xen, Term::VirqDeliver);
         m.meter.count_event(Event::Virq);
-        self.virqs_sent += 1;
         self.domain_mut(to).pending_virqs.push(port);
     }
 
@@ -203,7 +165,6 @@ impl Xen {
     pub fn grant_map(&mut self, m: &mut Machine) {
         m.pay_to(CostDomain::Xen, Term::GrantMap);
         m.meter.count_event(Event::GrantMap);
-        self.grants.maps += 1;
     }
 
     /// [`Xen::grant_map`] with the causing NIC known: identical charge
@@ -217,7 +178,6 @@ impl Xen {
     pub fn grant_unmap(&mut self, m: &mut Machine) {
         m.pay_to(CostDomain::Xen, Term::GrantUnmap);
         m.meter.count_event(Event::GrantUnmap);
-        self.grants.unmaps += 1;
     }
 
     /// [`Xen::grant_unmap`] with the causing NIC known.
@@ -278,10 +238,10 @@ mod tests {
         let gid = xen.add_guest(g, MacAddr::for_guest(1));
         xen.switch_to(&mut m, gid);
         xen.switch_to(&mut m, gid); // no-op
-        assert_eq!(xen.switches, 1);
+        assert_eq!(m.meter.event(Event::DomainSwitch), 1);
         assert_eq!(m.meter.cycles(CostDomain::Xen), m.cost[Term::DomainSwitch]);
         xen.switch_to(&mut m, DomId::DOM0);
-        assert_eq!(xen.switches, 2);
+        assert_eq!(m.meter.event(Event::DomainSwitch), 2);
     }
 
     #[test]
@@ -358,14 +318,9 @@ mod tests {
         let (mut m, mut xen) = mk();
         xen.grant_map(&mut m);
         xen.grant_unmap(&mut m);
-        assert_eq!(
-            xen.grants,
-            GrantStats {
-                maps: 1,
-                unmaps: 1,
-                ..GrantStats::default()
-            }
-        );
+        assert_eq!(m.meter.event(Event::GrantMap), 1);
+        assert_eq!(m.meter.event(Event::GrantUnmap), 1);
+        assert_eq!(xen.grants, GrantStats::default(), "no device, no copy");
         assert!(
             m.meter.cycles(CostDomain::Xen) >= m.cost[Term::GrantMap] + m.cost[Term::GrantUnmap]
         );
@@ -380,9 +335,7 @@ mod tests {
         xen.grant_map(&mut m); // no attributable device
         xen.note_grant_copy(Some(2));
         xen.note_grant_copy(None);
-        assert_eq!(xen.grants.maps, 3, "totals cover attributed and not");
-        assert_eq!(xen.grants.unmaps, 1);
-        assert_eq!(xen.grants.copies, 2);
+        assert_eq!(xen.grants.copies, 2, "the total covers attributed and not");
         assert_eq!(
             xen.grants.device(2),
             DevGrantStats {
@@ -394,22 +347,8 @@ mod tests {
         assert_eq!(xen.grants.device(0).maps, 1);
         assert_eq!(xen.grants.device(7), DevGrantStats::default());
         // Device-attributed ops charge and count exactly like the plain
-        // ones: three maps and one unmap worth of Xen cycles.
+        // ones: the rows total attributed and not.
         assert_eq!(m.meter.event(Event::GrantMap), 3);
         assert_eq!(m.meter.event(Event::GrantUnmap), 1);
-    }
-
-    #[test]
-    fn grant_stats_delta() {
-        let (mut m, mut xen) = mk();
-        xen.grant_map_dev(&mut m, 1);
-        let snap = xen.grants.clone();
-        xen.grant_map_dev(&mut m, 1);
-        xen.grant_unmap_dev(&mut m, 1);
-        xen.note_grant_copy(Some(3));
-        let d = xen.grants.delta_since(&snap);
-        assert_eq!((d.maps, d.unmaps, d.copies), (1, 1, 1));
-        assert_eq!(d.device(1).maps, 1);
-        assert_eq!(d.device(3).copies, 1);
     }
 }

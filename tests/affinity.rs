@@ -19,7 +19,6 @@
 //!   device takes strictly more (smaller) polls for the same backlog.
 
 use twindrivers::machine::Event;
-use twindrivers::measure::Breakdown;
 use twindrivers::net::{EtherType, Frame, MacAddr, MTU};
 use twindrivers::sched::CPUS;
 use twindrivers::system::DomId;
@@ -133,8 +132,7 @@ fn placement_follows_vcpu_and_eliminates_cold_refills() {
         let mut sys = build(shard, true);
         sys.sched_add_vcpu(DomId(1), cpu, 1_000_000, 0).unwrap();
         assert_eq!(sys.receive_burst(&frames).unwrap(), frames.len());
-        let b = Breakdown::from_meter(&sys.machine.meter, 1);
-        let cold = b.event(Event::ColdDelivery);
+        let cold = sys.machine.meter.event(Event::ColdDelivery);
         assert_eq!(cold, expect_cold, "{shard:?} cold deliveries");
         assert_eq!(sys.delivered_rx_for(DomId(1)), frames.len());
         if shard == ShardPolicy::Affinity {
@@ -247,8 +245,7 @@ fn poll_budget_weights_toward_running_guests() {
             .collect();
         assert_eq!(sys.receive_burst(&frames).unwrap(), frames.len());
         sys.run_idle(500_000).unwrap();
-        let b = Breakdown::from_meter(&sys.machine.meter, 1);
-        polls.push(b.event(Event::NapiPoll));
+        polls.push(sys.machine.meter.event(Event::NapiPoll));
     }
     assert!(
         polls[1] > polls[0],

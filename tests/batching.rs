@@ -152,8 +152,8 @@ fn bigger_bursts_mean_fewer_notifications_same_delivery() {
         db_large < db_small,
         "32-burst ({db_large} doorbells) must beat 8x4 ({db_small})"
     );
-    let hc_small = small.world.xen.as_ref().unwrap().hypercalls;
-    let hc_large = large.world.xen.as_ref().unwrap().hypercalls;
+    let hc_small = small.machine.meter.event(Event::Hypercall);
+    let hc_large = large.machine.meter.event(Event::Hypercall);
     assert!(hc_large < hc_small, "one hypercall per burst");
 }
 

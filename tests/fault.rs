@@ -198,9 +198,9 @@ fn abort_revokes_zero_copy_grants_with_balanced_unmaps() {
             assert_eq!(sys.receive_burst(&f).unwrap(), 8);
         }
     }
-    let warm = sys.grant_cache_stats().unwrap();
-    assert!(warm.hits > 0, "cache must be warm before the fault");
-    assert_eq!(warm.revoked, 0);
+    let hits = sys.machine.meter.event(Event::GrantCacheHit);
+    assert!(hits > 0, "cache must be warm before the fault");
+    assert_eq!(sys.grant_cache_stats().unwrap().revoked, 0);
 
     let m0 = sys.metrics();
     sys.arm_driver_fault(FaultClass::WildWrite.arm_value(0))
@@ -212,7 +212,7 @@ fn abort_revokes_zero_copy_grants_with_balanced_unmaps() {
     let revoked = delta.counter("grantcache.revoked");
     assert!(revoked > 0, "abort must revoke the cached grants");
     assert_eq!(
-        delta.counter("grant.unmaps"),
+        delta.counter("event.grant_unmap"),
         revoked,
         "every revoked mapping owes exactly one grant_unmap"
     );
@@ -310,11 +310,10 @@ fn abort_drains_the_upcall_ring_and_disarms_the_flush_deadline() {
 
     // An idle epoch spanning several deadline windows must not try to
     // flush toward the dead ring.
-    let flushes = sys.world.hyper.as_ref().unwrap().engine.stats.flushes;
+    let flushes = sys.machine.meter.event(Event::UpcallFlush);
     sys.run_idle(3 * deadline).unwrap();
-    let engine = &sys.world.hyper.as_ref().unwrap().engine;
-    assert_eq!(engine.stats.flushes, flushes);
-    assert_eq!(engine.depth(), 0);
+    assert_eq!(sys.machine.meter.event(Event::UpcallFlush), flushes);
+    assert_eq!(sys.world.hyper.as_ref().unwrap().engine.depth(), 0);
 }
 
 /// Regression: a flush used to drain the whole ring up front and stop

@@ -227,12 +227,12 @@ fn idle_deadline_bounds_upcall_completion_latency() {
         }
         assert!(hs.engine.flush_due_at().is_some(), "deadline armed");
     }
-    let flushes_before = sys.world.hyper.as_ref().unwrap().engine.stats.flushes;
+    let flushes_before = sys.machine.meter.event(Event::UpcallFlush);
     // No traffic, no burst-pass flush points: only the deadline fires.
     sys.run_idle(4 * DEADLINE).unwrap();
     let hs = sys.world.hyper.as_ref().unwrap();
     assert_eq!(hs.engine.depth(), 0, "deadline drained the ring");
-    assert!(hs.engine.stats.flushes > flushes_before);
+    assert!(sys.machine.meter.event(Event::UpcallFlush) > flushes_before);
     assert!(hs.engine.flush_due_at().is_none(), "disarmed after flush");
     let lat = upcall_latency(&sys);
     assert_eq!(lat.samples, 4);

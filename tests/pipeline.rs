@@ -25,8 +25,8 @@ fn all_four_systems_move_packets() {
 }
 
 /// The contract between `twin_rewriter`'s `emit_fastpath` and
-/// `twin_machine`'s link-time recogniser, which share no code: every
-/// Figure 4 translation the rewriter emits — one `.Lsvm_retry_*` label
+/// `twin_machine`'s link-time recogniser, which both build on the one
+/// `twin_machine::stlb::template`: every Figure 4 translation the rewriter emits — one `.Lsvm_retry_*` label
 /// each, whether for a plain memory site, a string loop or an indirect
 /// call — is an op sequence the linker fuses, in both instances of the
 /// rewritten binary. An edit to the emitter that turns fusion off fails

@@ -13,8 +13,8 @@ use twin_isa::asm::assemble;
 use twin_isa::Module;
 use twin_kernel::load_driver;
 use twin_machine::{
-    run, stlb, Cpu, Env, Event, ExecMode, ExternId, Fault, Machine, NullEnv, SpaceId, StopReason,
-    HYPER_BASE, PAGE_SIZE,
+    run, stlb, CostDomain, Cpu, Env, Event, ExecMode, ExternId, Fault, Machine, NullEnv, SpaceId,
+    StopReason, HYPER_BASE, PAGE_SIZE,
 };
 use twin_rewriter::{rewrite, RewriteOptions};
 use twin_svm::{Svm, CALL_XLAT_SYMBOL, SLOW_PATH_SYMBOL};
@@ -501,7 +501,7 @@ proptest! {
                 prop_assert!(s.windows(2).all(|w| w[0] < w[1]), "flow {} reordered", flow);
             }
         }
-        prop_assert_eq!(sys.world.hyper.as_ref().unwrap().demux_misses, 0);
+        prop_assert_eq!(sys.machine.meter.event(Event::DemuxMiss), 0);
     }
 }
 
@@ -612,13 +612,13 @@ proptest! {
             copy.world.kernel.hyper_pool.as_ref().unwrap().available(),
             zc.world.kernel.hyper_pool.as_ref().unwrap().available()
         );
-        prop_assert_eq!(copy.world.hyper.as_ref().unwrap().demux_misses, 0);
-        prop_assert_eq!(zc.world.hyper.as_ref().unwrap().demux_misses, 0);
+        prop_assert_eq!(copy.machine.meter.event(Event::DemuxMiss), 0);
+        prop_assert_eq!(zc.machine.meter.event(Event::DemuxMiss), 0);
         // The zero-copy run actually exercised the cache (and, with a
         // hot flow, the exhaustion fallback toward a granted guest) —
         // cycles moved, traffic did not.
-        let stats = zc.grant_cache_stats().unwrap();
-        prop_assert!(stats.hits + stats.misses > 0, "cache engaged");
+        let accesses = zc.machine.meter.event(Event::GrantCacheHit) + zc.machine.meter.event(Event::PinPage);
+        prop_assert!(accesses > 0, "cache engaged");
         let exhausted = zc.machine.meter.event(Event::CopyFallback) - to_ungranted;
         prop_assert_eq!(exhausted > 0, hot > 0, "{} exhaustion fallbacks", exhausted);
     }
@@ -693,12 +693,12 @@ proptest! {
             defer.world.kernel.hyper_pool.as_ref().unwrap().available()
         );
         prop_assert_eq!(
-            sync.world.hyper.as_ref().unwrap().demux_misses,
-            defer.world.hyper.as_ref().unwrap().demux_misses
+            sync.machine.meter.event(Event::DemuxMiss),
+            defer.machine.meter.event(Event::DemuxMiss)
         );
         // The deferred run really deferred (and drained its ring).
+        prop_assert!(defer.machine.meter.event(Event::UpcallFlush) > 0, "engine engaged");
         let engine = &defer.world.hyper.as_ref().unwrap().engine;
-        prop_assert!(engine.stats.flushes > 0, "engine engaged");
         prop_assert_eq!(engine.depth(), 0, "ring drained at pass end");
     }
 }
@@ -866,8 +866,8 @@ proptest! {
             0u64,
             "moderation never drops"
         );
-        prop_assert_eq!(reference.world.hyper.as_ref().unwrap().demux_misses, 0);
-        prop_assert_eq!(moderated.world.hyper.as_ref().unwrap().demux_misses, 0);
+        prop_assert_eq!(reference.machine.meter.event(Event::DemuxMiss), 0);
+        prop_assert_eq!(moderated.machine.meter.event(Event::DemuxMiss), 0);
     }
 
     /// The auto-tuner's core invariant: a closed-loop retuned system
@@ -1007,8 +1007,8 @@ proptest! {
             0u64,
             "a moving ITR still delays, never drops"
         );
-        prop_assert_eq!(reference.world.hyper.as_ref().unwrap().demux_misses, 0);
-        prop_assert_eq!(tuned.world.hyper.as_ref().unwrap().demux_misses, 0);
+        prop_assert_eq!(reference.machine.meter.event(Event::DemuxMiss), 0);
+        prop_assert_eq!(tuned.machine.meter.event(Event::DemuxMiss), 0);
     }
 
     /// The flight recorder's core invariant: tracing is *observation
@@ -1093,10 +1093,9 @@ proptest! {
 
         // Bit-exact accounting.
         prop_assert_eq!(traced.machine.meter.now(), untraced.machine.meter.now());
-        prop_assert_eq!(
-            traced.machine.meter.snapshot(),
-            untraced.machine.meter.snapshot()
-        );
+        for d in CostDomain::ALL {
+            prop_assert_eq!(traced.machine.meter.cycles(d), untraced.machine.meter.cycles(d));
+        }
         prop_assert_eq!(
             traced.machine.meter.events().collect::<Vec<_>>(),
             untraced.machine.meter.events().collect::<Vec<_>>()
@@ -1251,7 +1250,7 @@ proptest! {
             steady,
             "episode leaked skbs"
         );
-        prop_assert_eq!(sys.world.hyper.as_ref().unwrap().demux_misses, 0);
+        prop_assert_eq!(sys.machine.meter.event(Event::DemuxMiss), 0);
     }
 }
 
@@ -1394,7 +1393,7 @@ proptest! {
             fh.world.kernel.hyper_pool.as_ref().unwrap().available(),
             af.world.kernel.hyper_pool.as_ref().unwrap().available()
         );
-        prop_assert_eq!(fh.world.hyper.as_ref().unwrap().demux_misses, 0);
-        prop_assert_eq!(af.world.hyper.as_ref().unwrap().demux_misses, 0);
+        prop_assert_eq!(fh.machine.meter.event(Event::DemuxMiss), 0);
+        prop_assert_eq!(af.machine.meter.event(Event::DemuxMiss), 0);
     }
 }

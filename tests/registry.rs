@@ -1,0 +1,166 @@
+//! The metrics registry as a contract: every counter is monotone — no
+//! call rewinds one, a measurement harness included — and the keys the
+//! benchmark reads by name (`benchmark/README.md`, "Registry keys read by
+//! name") are published, each alias equal to the meter rows it sums.
+
+use twin_net::{Frame, MacAddr};
+use twin_trace::MetricSet;
+use twindrivers::{peer_mac, Config, Itr, ShardPolicy, System, SystemOptions, UpcallMode};
+
+/// Every layer whose counters the registry publishes, on at once: four
+/// NICs, zero-copy, deferred upcalls with a flush deadline (nine routines
+/// forced onto them, so the ring really fills and drains), NAPI, the
+/// `ITR` auto-tuner, the flight recorder and a second guest.
+fn composed() -> System {
+    let opts = SystemOptions {
+        num_nics: 4,
+        shard: ShardPolicy::FlowHash,
+        zero_copy: true,
+        upcall_mode: UpcallMode::Deferred,
+        upcall_count: 9,
+        upcall_flush_deadline_cycles: Some(300_000),
+        napi_weight: 16,
+        itr: Itr::Auto,
+        tracing: true,
+        ..SystemOptions::default()
+    };
+    let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
+    sys.add_guest(MacAddr::for_guest(2)).unwrap();
+    sys
+}
+
+/// A receive burst across both guests and a MAC nobody owns (a demux
+/// miss), on flows that spread over the four NICs.
+fn burst(round: u64) -> Vec<Frame> {
+    (0..32u64)
+        .map(|i| {
+            let dst = match i % 8 {
+                0 => MacAddr::for_guest(77),
+                1 | 2 => MacAddr::for_guest(2),
+                _ => MacAddr::for_guest(1),
+            };
+            Frame::data(dst, peer_mac(), (i % 11) as u32, 500_000 + round * 32 + i)
+        })
+        .collect()
+}
+
+/// Counters that report current state rather than count occurrences:
+/// these alone may fall between two snapshots.
+fn is_gauge(key: &str) -> bool {
+    let family = |prefix: &str, suffix: &str| key.starts_with(prefix) && key.ends_with(suffix);
+    family("guest", ".queued") || family("nic", ".itr") || key == "fault.quarantined"
+}
+
+/// Every non-gauge counter of `earlier` is still published in `later`,
+/// at a value no smaller.
+fn assert_monotone(earlier: &MetricSet, later: &MetricSet, step: &str) {
+    for (key, before) in earlier.counters().filter(|(k, _)| !is_gauge(k)) {
+        let after = later.counter(key);
+        assert!(after >= before, "{step} rewound {key}: {before} -> {after}");
+    }
+}
+
+#[test]
+fn no_call_rewinds_a_counter() {
+    let mut sys = composed();
+    let mut last = sys.metrics();
+    let mut step = |sys: &mut System, name: &str| {
+        let now = sys.metrics();
+        assert_monotone(&last, &now, name);
+        last = now;
+    };
+    for round in 0..3u64 {
+        sys.transmit_burst(32).unwrap();
+        sys.take_wire_frames();
+        step(&mut sys, "transmit_burst");
+        sys.receive_burst(&burst(round)).unwrap();
+        step(&mut sys, "receive_burst");
+        sys.run_idle(400_000).unwrap();
+        step(&mut sys, "run_idle");
+        sys.measure_tx_burst(32, 64).unwrap();
+        sys.take_wire_frames();
+        step(&mut sys, "measure_tx_burst");
+        sys.measure_rx_burst(32, 64).unwrap();
+        step(&mut sys, "measure_rx_burst");
+    }
+}
+
+/// The registry keys `benchmark/README.md` says the benchmark reads by
+/// name. For a `nic{i}` or `guest{g}` family one present member is
+/// enough.
+const READ_BY_NAME: [&str; 31] = [
+    "meter.cycles.dom0",
+    "meter.cycles.domU",
+    "meter.cycles.Xen",
+    "meter.cycles.e1000",
+    "event.irq",
+    "event.doorbell",
+    "event.irq_moderated",
+    "event.mmio_read",
+    "event.mmio_write",
+    "event.napi_poll",
+    "event.copy_fallback",
+    "event.stlb_miss",
+    "event.stlb_call_xlat",
+    "xen.switches",
+    "xen.hypercalls",
+    "xen.virqs_sent",
+    "grant.copies",
+    "grant.maps",
+    "grantcache.hits",
+    "grantcache.misses",
+    "upcall.executed",
+    "upcall.flushes",
+    "nic{}.rx_packets",
+    "nic{}.tx_packets",
+    "nic{}.rx_missed",
+    "nic{}.poll_cycles",
+    "guest{}.early_drops",
+    "guest{}.queue_drops",
+    "guest{}.queued",
+    "trace.events_recorded",
+    "trace.events_dropped",
+];
+
+#[test]
+fn every_key_the_benchmark_reads_is_published_and_each_alias_is_its_rows() {
+    let mut sys = composed();
+    for round in 0..4u64 {
+        sys.transmit_burst(32).unwrap();
+        sys.take_wire_frames();
+        sys.receive_burst(&burst(round)).unwrap();
+        sys.run_idle(400_000).unwrap();
+    }
+    let ms = sys.metrics();
+    for key in READ_BY_NAME {
+        let published = match key.split_once("{}") {
+            Some((family, field)) => (0..8).any(|n| {
+                ms.counters()
+                    .any(|(k, _)| k == format!("{family}{n}{field}"))
+            }),
+            None => ms.counters().any(|(k, _)| k == key),
+        };
+        assert!(published, "{key} is not published");
+    }
+    assert!(ms.histograms().any(|(k, _)| k == "upcall_latency"));
+
+    let rows = |names: &[&str]| -> u64 {
+        names
+            .iter()
+            .map(|n| ms.counter(&format!("event.{n}")))
+            .sum()
+    };
+    for (alias, of) in [
+        ("xen.switches", &["domain_switch"][..]),
+        ("xen.hypercalls", &["hypercall"]),
+        ("xen.virqs_sent", &["virq"]),
+        ("grant.maps", &["grant_map"]),
+        ("grantcache.hits", &["grant_cache_hit"]),
+        ("grantcache.misses", &["pin_page"]),
+        ("upcall.executed", &["upcall", "upcall_exec"]),
+        ("upcall.flushes", &["upcall_flush"]),
+    ] {
+        assert!(ms.counter(alias) > 0, "{alias} moved");
+        assert_eq!(ms.counter(alias), rows(of), "{alias} is {of:?}");
+    }
+}

@@ -135,7 +135,7 @@ fn flowhash_preserves_per_guest_flow_order_across_four_nics() {
         }
     }
     assert_eq!(total, 6 * 24, "every frame delivered exactly once");
-    assert_eq!(sys.world.hyper.as_ref().unwrap().demux_misses, 0);
+    assert_eq!(sys.machine.meter.event(Event::DemuxMiss), 0);
     assert_eq!(sys.machine.meter.event(Event::DomainSwitch), 0);
 }
 
@@ -171,7 +171,7 @@ fn roundrobin_spreads_bursts_across_all_nics() {
 #[test]
 fn receive_shards_round_robin_with_per_device_interrupts() {
     let mut sys = sharded_system(Config::TwinDrivers, 4, ShardPolicy::RoundRobin);
-    sys.machine.meter.reset();
+    let irqs = sys.machine.meter.event(Event::Irq);
     // Four bursts land on four different NICs, one coalesced interrupt
     // each; all reach the single guest in order within each burst.
     for b in 0..4u64 {
@@ -182,7 +182,7 @@ fn receive_shards_round_robin_with_per_device_interrupts() {
     }
     assert_eq!(sys.delivered_rx(), 32);
     assert_eq!(
-        sys.machine.meter.event(Event::Irq),
+        sys.machine.meter.event(Event::Irq) - irqs,
         4,
         "one irq per NIC burst"
     );
@@ -270,7 +270,7 @@ fn default_quantum_leaves_single_burst_flushes_untouched() {
     let mut sys = System::build(Config::TwinDrivers).unwrap();
     let mac2 = MacAddr::for_guest(2);
     let g2 = sys.add_guest(mac2).unwrap();
-    sys.machine.meter.reset();
+    let virqs = sys.machine.meter.event(Event::Virq);
     let mut frames = Vec::new();
     for i in 0..12u64 {
         let mac = if i % 2 == 0 {
@@ -282,7 +282,7 @@ fn default_quantum_leaves_single_burst_flushes_untouched() {
     }
     assert_eq!(sys.receive_burst(&frames).unwrap(), 12);
     assert_eq!(
-        sys.machine.meter.event(Event::Virq),
+        sys.machine.meter.event(Event::Virq) - virqs,
         2,
         "one virq per guest"
     );

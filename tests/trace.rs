@@ -5,6 +5,7 @@
 //! registry, and the chrome exporter emits the episodes and instants
 //! the sweep harness relies on.
 
+use twin_machine::CostDomain;
 use twin_net::{EtherType, Frame, MacAddr, MTU};
 use twin_trace::export::chrome_trace_json;
 use twin_trace::{FlightRecorder, TraceEvent};
@@ -104,7 +105,9 @@ fn tracing_charges_zero_cycles() {
     assert_eq!(off.machine.trace.len(), 0, "untraced run records nothing");
     assert_eq!(d_on, d_off);
     assert_eq!(on.machine.meter.now(), off.machine.meter.now());
-    assert_eq!(on.machine.meter.snapshot(), off.machine.meter.snapshot());
+    for d in CostDomain::ALL {
+        assert_eq!(on.machine.meter.cycles(d), off.machine.meter.cycles(d));
+    }
     assert!(on.machine.meter.events().eq(off.machine.meter.events()));
     for (na, nb) in on.world.nics.iter().zip(off.world.nics.iter()) {
         assert_eq!(na.stats(), nb.stats());

@@ -29,8 +29,6 @@ fn sync_is_the_default_and_deferred_idles_without_forced_upcalls() {
     assert_eq!(bs.per_domain, bd.per_domain, "cycle-exact with engine off");
     assert_eq!(defer.machine.meter.event(Event::UpcallFlush), 0);
     assert_eq!(defer.machine.meter.event(Event::UpcallEnqueue), 0);
-    let hs = defer.world.hyper.as_ref().unwrap();
-    assert_eq!(hs.engine.stats.enqueued, 0);
     // And the default options really are sync mode.
     assert_eq!(SystemOptions::default().upcall_mode, UpcallMode::Sync);
 }
@@ -69,9 +67,8 @@ fn deferred_traffic_is_equivalent_to_sync_at_full_forcing() {
     );
     // The deferred run actually deferred: flushes happened, and the ring
     // is empty at the end of every pass.
-    let hs = defer.world.hyper.as_ref().unwrap();
-    assert!(hs.engine.stats.flushes > 0);
-    assert_eq!(hs.engine.depth(), 0);
+    assert!(defer.machine.meter.event(Event::UpcallFlush) > 0);
+    assert_eq!(defer.world.hyper.as_ref().unwrap().engine.depth(), 0);
 }
 
 #[test]
@@ -105,8 +102,7 @@ fn completions_of_the_same_routine_stay_fifo() {
     // Drive a burst so the driver's own frees/unmaps queue and flush.
     assert_eq!(sys.transmit_burst(16).unwrap(), 16);
     assert_eq!(sys.transmit_burst(16).unwrap(), 16);
-    let hs = sys.world.hyper.as_ref().unwrap();
-    assert!(hs.engine.stats.completions > 0);
+    assert!(sys.machine.meter.event(Event::UpcallExec) > 0);
     // Enqueue several calls of one routine directly and flush once:
     // completions must come back in enqueue order (FIFO), matched by
     // monotonically increasing continuation ids.
@@ -157,18 +153,20 @@ fn queue_overflow_forces_a_flush_and_loses_nothing() {
     // — and still deliver every frame.
     assert_eq!(sys.transmit_burst(32).unwrap(), 32);
     assert_eq!(sys.take_wire_frames().len(), 32);
-    let hs = sys.world.hyper.as_ref().unwrap();
+    let meter = &sys.machine.meter;
     assert!(
-        hs.engine.stats.forced_flushes > 0,
+        meter.event(Event::UpcallForcedFlush) > 0,
         "capacity 8 must overflow on a 32-burst"
     );
+    let hs = sys.world.hyper.as_ref().unwrap();
     assert!(
         hs.engine.stats.max_depth <= 8,
         "ring never exceeds capacity"
     );
     assert_eq!(hs.engine.depth(), 0, "end-of-pass flush drains the rest");
     assert_eq!(
-        hs.engine.stats.completions, hs.engine.stats.enqueued,
+        meter.event(Event::UpcallExec),
+        meter.event(Event::UpcallEnqueue),
         "every queued upcall completed"
     );
 }
@@ -242,5 +240,5 @@ fn polled_rx_flushes_deferred_upcalls() {
     assert_eq!(sys.delivered_rx(), 8);
     let hs = sys.world.hyper.as_ref().unwrap();
     assert_eq!(hs.engine.depth(), 0, "polled pass drained the ring");
-    assert!(hs.engine.stats.flushes > 0);
+    assert!(sys.machine.meter.event(Event::UpcallFlush) > 0);
 }

@@ -119,9 +119,16 @@ fn warm_pool_pays_no_per_packet_grant_traffic_and_beats_copy_mode() {
         w.breakdown.event(Event::GrantCacheHit) >= 64,
         "every measured packet lands through the cache"
     );
-    let stats = on.grant_cache_stats().unwrap();
-    assert!(stats.misses > 0, "the priming pass faulted the pool in");
-    assert_eq!(stats.evictions, 0, "pool fits the cache");
+    let meter = &on.machine.meter;
+    assert!(
+        meter.event(Event::PinPage) > 0,
+        "the priming pass faulted the pool in"
+    );
+    assert_eq!(
+        meter.event(Event::GrantCacheEvict),
+        0,
+        "pool fits the cache"
+    );
 
     let mut off = System::build_with(Config::TwinDrivers, &zc_opts(4, false)).unwrap();
     off.measure_rx_burst(32, 64).unwrap();
@@ -189,7 +196,7 @@ fn revocation_quarantines_cached_grants() {
     for seq in 0..4 {
         sys.receive_frame(&frame_to(mac1, 42, seq)).unwrap();
     }
-    assert!(sys.grant_cache_stats().unwrap().misses > 0, "pool warmed");
+    assert!(sys.machine.meter.event(Event::PinPage) > 0, "pool warmed");
     let unmaps_before = sys.machine.meter.event(Event::GrantUnmap);
     let revoked = sys.revoke_zero_copy_grants(gid);
     assert!(revoked > 0, "live mappings were torn down");
@@ -218,11 +225,18 @@ fn aggregate_throughput_attributes_grant_work_per_device() {
     // sweep's stats break them down per NIC.
     let mut sys = System::build_with(Config::TwinDrivers, &zc_opts(4, false)).unwrap();
     let a = measure_aggregate_throughput(&mut sys, 8, 64).unwrap();
-    assert!(a.grants.copies > 0, "copy mode grant-copies every packet");
-    let per_dev: u64 = a.grants.per_device.values().map(|d| d.copies).sum();
-    assert_eq!(per_dev, a.grants.copies, "per-device copies sum to total");
+    let copies = a.span.counter("grant.copies");
+    assert!(copies > 0, "copy mode grant-copies every packet");
+    let per_dev: Vec<u64> = (0..4)
+        .map(|dev| a.span.counter(&format!("grant.dev{dev}.copies")))
+        .collect();
+    assert_eq!(
+        per_dev.iter().sum::<u64>(),
+        copies,
+        "per-device copies sum to total"
+    );
     assert!(
-        a.grants.per_device.len() >= 2,
+        per_dev.iter().filter(|&&n| n > 0).count() >= 2,
         "flow-hash sharding spreads grant work over the NICs"
     );
 
@@ -230,9 +244,13 @@ fn aggregate_throughput_attributes_grant_work_per_device() {
     // attributed to the single device.
     let mut xg = System::build(Config::XenGuest).unwrap();
     let a = measure_aggregate_throughput(&mut xg, 8, 64).unwrap();
-    assert!(a.grants.maps > 0 && a.grants.unmaps > 0);
-    assert_eq!(a.grants.device(0).maps, a.grants.maps);
-    assert_eq!(a.grants.device(0).unmaps, a.grants.unmaps);
+    let (maps, unmaps) = (
+        a.span.counter("grant.maps"),
+        a.span.counter("event.grant_unmap"),
+    );
+    assert!(maps > 0 && unmaps > 0);
+    assert_eq!(a.span.counter("grant.dev0.maps"), maps);
+    assert_eq!(a.span.counter("grant.dev0.unmaps"), unmaps);
 }
 
 #[test]
