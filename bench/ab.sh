@@ -3,13 +3,15 @@
 # `benchmark/`): A is the benchmark built at a git revision, B the one
 # built from the working tree.
 #
-#   bench/ab.sh [rev=HEAD~1] [seconds] [pairs=10]
+#   bench/ab.sh [rev=HEAD~1] [seconds] [pairs=10] [workload]
 #
 # Checks `rev` out under target/ab/ (a clone sharing this repository's
 # objects, removed afterwards), builds both binaries there, each in its
-# own target directory, then runs `pairs` pairs of every workload, A first in odd
-# pairs and B first in even ones, `seconds` per workload (the contract's
-# `run_seconds` when omitted), into target/ab/A.jsonl and B.jsonl. Prints
+# own target directory, then runs `pairs` pairs of every workload (of
+# `workload` alone when it is given), A first in odd pairs and B first in
+# even ones, `seconds` per workload (the contract's `run_seconds` when
+# omitted; an empty string omits it too), into target/ab/A.jsonl and
+# B.jsonl. Prints
 # `host_ns_per_pkt` pair by pair with how many pairs B won, then `bench
 # compare A.jsonl B.jsonl`. Last, one short traced run per side (`--trace
 # 1 --seconds 2`, into target/ab/{A,B}.traced.jsonl) reports the
@@ -29,6 +31,7 @@ root=$PWD
 rev=${1:-HEAD~1}
 seconds=${2:-}
 pairs=${3:-10}
+workload=${4:-}
 out=$root/target/ab
 sha=$(git rev-parse --verify "$rev^{commit}")
 
@@ -50,7 +53,8 @@ build A "$tree"
 build B "$root"
 
 run() { # side
-    "$out/bench-$1" run --trace 0 ${seconds:+--seconds "$seconds"} --out "$out/$1.jsonl" >/dev/null
+    "$out/bench-$1" run --trace 0 ${seconds:+--seconds "$seconds"} \
+        ${workload:+--workload "$workload"} --out "$out/$1.jsonl" >/dev/null
 }
 for pair in $(seq "$pairs"); do
     echo "pair $pair/$pairs"
@@ -58,7 +62,8 @@ for pair in $(seq "$pairs"); do
 done
 
 for side in A B; do
-    "$out/bench-$side" run --trace 1 --seconds 2 --out "$out/$side.traced.jsonl" >/dev/null
+    "$out/bench-$side" run --trace 1 --seconds 2 ${workload:+--workload "$workload"} \
+        --out "$out/$side.traced.jsonl" >/dev/null
 done
 
 status=0

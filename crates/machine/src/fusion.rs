@@ -209,7 +209,13 @@ fn anything_but_the_template_is_left_as_it_was_lowered() {
 /// brackets a translation by spills where liveness leaves fewer than
 /// three free registers — with the access inside when `out` itself is
 /// spilled.
-fn bracketed(mem: &str, regs: [Reg; 3], pushes: &[Reg], pops: &[Reg], inside: &str) -> String {
+pub(crate) fn bracketed(
+    mem: &str,
+    regs: [Reg; 3],
+    pushes: &[Reg],
+    pops: &[Reg],
+    inside: &str,
+) -> String {
     let each = |op: &str, regs: &[Reg]| -> String {
         regs.iter()
             .map(|r| format!(" {op} %{}\n", r.name()))

@@ -178,15 +178,18 @@ pub(crate) enum Op {
         op: UnOp,
         dst: Reg,
     },
-    /// `Jmp` to an absolute target.
-    JmpAbs(u64),
-    /// `Jcc` to an absolute target.
-    JccAbs {
+    /// `Jmp` to an absolute target inside the image, held as the index
+    /// of its op.
+    JmpLocal(u32),
+    /// `Jcc` to an absolute target inside the image, held as the index
+    /// of its op.
+    JccLocal {
         cond: Cond,
-        target: u64,
+        target: u32,
     },
-    /// `Call` of an absolute target.
-    CallAbs(u64),
+    /// `Call` of an absolute target inside the image, held as the index
+    /// of its op.
+    CallLocal(u32),
     Mov {
         w: Width,
         dst: Opnd,
@@ -298,15 +301,18 @@ impl CodeImage {
             .count()
     }
 
-    /// The instruction at code address `pc`; `None` if `pc` is outside
-    /// the image or unaligned.
+    /// The index of the instruction at code address `pc`; `None` if `pc`
+    /// is outside the image or unaligned.
     #[inline]
-    pub(crate) fn op_at(&self, pc: u64) -> Option<&Op> {
-        let offset = pc.wrapping_sub(self.base);
-        if offset % INSN_SIZE != 0 {
-            return None;
-        }
-        self.ops.get(usize::try_from(offset / INSN_SIZE).ok()?)
+    pub(crate) fn index(&self, pc: u64) -> Option<usize> {
+        op_index(self.base, self.ops.len(), pc)
+    }
+
+    /// The code address of instruction `i`; for `i` = [`CodeImage::len`],
+    /// the address right after the last one.
+    #[inline]
+    pub(crate) fn addr(&self, i: usize) -> u64 {
+        self.base + i as u64 * INSN_SIZE
     }
 
     /// Address of an exported symbol.
@@ -327,7 +333,8 @@ impl CodeImage {
 /// around one, becomes a fused op the crate docs describe
 /// ([`CodeImage::fused_sites`] and [`CodeImage::fused_frames`] count
 /// them); then every hot generic form left becomes its shape-specific op
-/// (the crate docs' "quickening").
+/// (the crate docs' "quickening"), a branch or call into the image
+/// holding its target as an op index.
 ///
 /// # Errors
 ///
@@ -338,10 +345,24 @@ where
 {
     let mut image = link_plain(module, code_base, resolve)?;
     fuse(&mut image.ops);
+    let (base, len) = (image.base, image.ops.len());
+    let local = |a: u64| op_index(base, len, a).and_then(|i| u32::try_from(i).ok());
     for op in &mut image.ops {
-        *op = quicken(*op);
+        *op = quicken(*op, local);
     }
     Ok(image)
+}
+
+/// The index of the instruction at `pc` in `len` instructions placed at
+/// `base`, if `pc` is one's address.
+fn op_index(base: u64, len: usize, pc: u64) -> Option<usize> {
+    let offset = pc.wrapping_sub(base);
+    if offset % INSN_SIZE != 0 {
+        return None;
+    }
+    usize::try_from(offset / INSN_SIZE)
+        .ok()
+        .filter(|&i| i < len)
 }
 
 /// [`link`] without the recogniser and without quickening: every op is
@@ -512,8 +533,10 @@ fn svm_xlate(window: &[Op]) -> Option<Xlate> {
 /// generic arm decides every time it runs — which operand is a register,
 /// memory or an immediate, and that the width is `Long` — and nothing
 /// else: [`crate::interp`] gives it the same reads, charges, writes and
-/// faults, in the same order.
-fn quicken(op: Op) -> Op {
+/// faults, in the same order. A branch or call is quickened only when
+/// `local` gives its target's op index; one that leaves the image stays
+/// generic.
+fn quicken(op: Op, local: impl Fn(u64) -> Option<u32>) -> Op {
     use Opnd::{Imm, Mem as M, Reg as R};
     const L: Width = Width::Long;
     match op {
@@ -558,14 +581,14 @@ fn quicken(op: Op) -> Op {
         } => Op::UnReg { op: un, dst },
         Op::Jmp {
             target: Tgt::Abs(a),
-        } => Op::JmpAbs(a),
+        } => local(a).map_or(op, Op::JmpLocal),
         Op::Jcc {
             cond,
-            target: Tgt::Abs(target),
-        } => Op::JccAbs { cond, target },
+            target: Tgt::Abs(a),
+        } => local(a).map_or(op, |target| Op::JccLocal { cond, target }),
         Op::Call {
             target: Tgt::Abs(a),
-        } => Op::CallAbs(a),
+        } => local(a).map_or(op, Op::CallLocal),
         _ => op,
     }
 }
@@ -744,14 +767,18 @@ mod tests {
         assert!(img.contains(0x100));
         assert!(img.contains(0x100 + 2 * INSN_SIZE));
         assert!(!img.contains(0x100 + 3 * INSN_SIZE));
-        assert!(img.op_at(0x100 + 1).is_none(), "unaligned fetch");
-        assert!(matches!(img.op_at(0x100 + 2 * INSN_SIZE), Some(Op::Ret)));
-        assert_eq!((img.len(), img.end()), (3, 0x100 + 3 * INSN_SIZE));
+        assert!(img.index(0x100 + 1).is_none(), "unaligned fetch");
+        assert_eq!(img.index(0x100 + 2 * INSN_SIZE), Some(2));
+        assert!(matches!(img.ops[2], Op::Ret));
+        assert_eq!((img.len(), img.end()), (3, img.addr(3)));
         // An address has an instruction exactly when it is inside the
-        // image and aligned.
+        // image and aligned, and that instruction's address is it.
         for pc in 0xf8..0x100 + 4 * INSN_SIZE {
             let aligned_inside = img.contains(pc) && (pc - 0x100) % INSN_SIZE == 0;
-            assert_eq!(img.op_at(pc).is_some(), aligned_inside, "{pc:#x}");
+            assert_eq!(img.index(pc).is_some(), aligned_inside, "{pc:#x}");
+            if let Some(i) = img.index(pc) {
+                assert_eq!(img.addr(i), pc);
+            }
         }
     }
 
@@ -771,9 +798,9 @@ mod tests {
             ("shrl $35, %eax", "ShiftRegImm"),
             ("cmpl $2, %eax", "CmpRegImm"),
             ("negl %edx", "UnReg"),
-            ("jmp f", "JmpAbs"),
-            ("jne f", "JccAbs"),
-            ("call f", "CallAbs"),
+            ("jmp f", "JmpLocal(0)"),
+            ("jne f", "JccLocal { cond: Ne, target: 0 }"),
+            ("call f", "CallLocal(0)"),
         ];
         let cold = [
             "movb %eax, (%ebx)",
@@ -787,6 +814,10 @@ mod tests {
             "popl (%ebx)",
             "jmp *%eax",
             "call *(%ebx)",
+            // Branches and calls that leave the image.
+            "jmp ext",
+            "je ext",
+            "call ext",
         ];
         let src = hot
             .iter()
@@ -796,8 +827,9 @@ mod tests {
                 src + " " + insn + "\n"
             });
         let m = assemble("t", &src).unwrap();
-        let quick = link(&m, 0x1000, |_| None).unwrap();
-        let plain = link_plain(&m, 0x1000, |_| None).unwrap();
+        let ext = |s: &str| (s == "ext").then_some(0x1000 + INSN_SIZE * 100);
+        let quick = link(&m, 0x1000, ext).unwrap();
+        let plain = link_plain(&m, 0x1000, ext).unwrap();
         for (i, (_, name)) in hot.iter().enumerate() {
             assert!(
                 format!("{:?}", quick.ops[i]).starts_with(name),
@@ -820,7 +852,7 @@ mod tests {
         .unwrap();
         let img = link_plain(&m, 0x1000, |s| (s == "table").then_some(0x2000_0000)).unwrap();
         assert_eq!(img.len(), m.text.len());
-        assert!(std::mem::size_of::<Op>() <= 32, "an op is a few words");
+        assert!(std::mem::size_of::<Op>() <= 24, "an op is three words");
         match img.ops[..] {
             [Op::Mov {
                 src: Opnd::Imm(0x2000_0000),

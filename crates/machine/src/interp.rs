@@ -20,7 +20,7 @@ use crate::{Event, ExternId, Machine, Term, EXTERN_BASE, PAGE_SIZE, RETURN_SENTI
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-use twin_isa::{AluOp, Cond, Reg, Rep, ShiftOp, StrOp, UnOp, Width, INSN_SIZE};
+use twin_isa::{AluOp, Cond, Reg, Rep, ShiftOp, StrOp, UnOp, Width};
 
 /// Privilege mode of the executing CPU.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -454,24 +454,48 @@ struct StlbHit {
 /// budget, so the count since the last flush is what the budget has lost
 /// since.
 ///
+/// Inside an image, [`Exec::run`] keeps the program counter as the index
+/// of the next op and the budget as a count of its own, both in locals,
+/// and hands them out only where someone can look. It writes `cpu.pc`
+/// back on a fault (the faulting op's address), a stop, budget
+/// exhaustion, and every transfer the index cannot follow — `ret`, an
+/// indirect or out-of-image target (an extern trampoline is one),
+/// running off the image's end. The budget goes to every flush — before
+/// an [`Env`] callback, an MMIO access's included, and when the run ends;
+/// that is why the memory accesses that may reach a device take the live
+/// budget.
+///
 /// Two ops stand for more than one instruction (the crate docs give the
 /// templates and why their tails are left in place): [`Op::SvmXlate`],
 /// the head of an SVM translation, and [`Op::SvmFrame`], the first push
 /// of a spill frame around one. [`Exec::svm_xlate_hit`] and
 /// [`Exec::svm_frame_hit`] run every instruction of the hit path in that
-/// one dispatch iff the budget — kept here so the op can see it — covers
-/// them all, every word they touch answers from the translation cache,
-/// and the tag matches; if not, the op is its first instruction and the
-/// ops after it run as they are.
+/// one dispatch iff the budget covers them all, every word they touch
+/// answers from the translation cache, and the tag matches; if not, the
+/// op is its first instruction and the ops after it run as they are.
 struct Exec<'a> {
     m: &'a mut Machine,
     cpu: &'a mut Cpu,
     env: &'a mut dyn Env,
-    /// Instructions this run may still execute.
-    budget: u64,
-    /// `budget` at the last flush.
+    /// The budget — instructions this run may still execute — at the
+    /// last flush.
     flushed_budget: u64,
     cycles: u64,
+}
+
+/// Where control goes after an op: what [`Exec::step`] tells the loop,
+/// which holds the op's index.
+enum Flow {
+    /// The next op.
+    Next,
+    /// `n` ops on: a fused op that ran its `n` instructions.
+    Skip(usize),
+    /// Op `i` of the same image: a branch or call `link` resolved.
+    Local(usize),
+    /// Code address `pc`, wherever it is.
+    Far(u64),
+    /// Stop after this op.
+    Halt,
 }
 
 impl Exec<'_> {
@@ -480,10 +504,12 @@ impl Exec<'_> {
         self.cycles += self.m.cost[t];
     }
 
-    fn flush(&mut self) {
+    /// Hands the charges made since the last flush to the meter, and the
+    /// instructions run since: what the budget, `budget` now, has lost.
+    fn flush(&mut self, budget: u64) {
         self.m.meter.charge(self.cycles);
-        self.m.meter.count_insns(self.flushed_budget - self.budget);
-        (self.cycles, self.flushed_budget) = (0, self.budget);
+        self.m.meter.count_insns(self.flushed_budget - budget);
+        (self.cycles, self.flushed_budget) = (0, budget);
     }
 
     #[inline]
@@ -498,18 +524,19 @@ impl Exec<'_> {
         a as u64
     }
 
-    /// A load instruction's memory access: charged, RAM or MMIO.
+    /// A load instruction's memory access: charged, RAM or MMIO. `budget`
+    /// is the run's, flushed before a device read.
     #[inline]
-    fn load(&mut self, addr: u64, w: Width) -> Result<u32, Fault> {
+    fn load(&mut self, addr: u64, w: Width, budget: u64) -> Result<u32, Fault> {
         if let Some(paddr) = self.m.cached_paddr(self.cpu, addr, w.bytes(), false) {
             self.pay(Term::Load);
             return Ok(self.m.phys.read_width(paddr, w));
         }
-        self.load_walk(addr, w)
+        self.load_walk(addr, w, budget)
     }
 
     #[inline(never)]
-    fn load_walk(&mut self, addr: u64, w: Width) -> Result<u32, Fault> {
+    fn load_walk(&mut self, addr: u64, w: Width, budget: u64) -> Result<u32, Fault> {
         let (space, mode) = (self.cpu.space, self.cpu.mode);
         let t = self.m.translate(space, mode, addr, false)?;
         match t.entry.kind {
@@ -521,7 +548,7 @@ impl Exec<'_> {
             PageKind::Mmio(dev) => {
                 self.pay(Term::MmioRead);
                 self.m.meter.count_event(Event::MmioRead);
-                self.flush();
+                self.flush(budget);
                 let offset = t.entry.pfn * PAGE_SIZE + t.offset;
                 let val = self.env.mmio_read(self.m, dev, offset, w);
                 self.m.revalidate_tlb(self.cpu);
@@ -530,19 +557,20 @@ impl Exec<'_> {
         }
     }
 
-    /// A store instruction's memory access: charged, RAM or MMIO.
+    /// A store instruction's memory access: charged, RAM or MMIO. `budget`
+    /// is the run's, flushed before a device write.
     #[inline]
-    fn store(&mut self, addr: u64, w: Width, val: u32) -> Result<(), Fault> {
+    fn store(&mut self, addr: u64, w: Width, val: u32, budget: u64) -> Result<(), Fault> {
         if let Some(paddr) = self.m.cached_paddr(self.cpu, addr, w.bytes(), true) {
             self.pay(Term::Store);
             self.m.phys.write_width(paddr, w, val);
             return Ok(());
         }
-        self.store_walk(addr, w, val)
+        self.store_walk(addr, w, val, budget)
     }
 
     #[inline(never)]
-    fn store_walk(&mut self, addr: u64, w: Width, val: u32) -> Result<(), Fault> {
+    fn store_walk(&mut self, addr: u64, w: Width, val: u32, budget: u64) -> Result<(), Fault> {
         let (space, mode) = (self.cpu.space, self.cpu.mode);
         let t = self.m.translate(space, mode, addr, true)?;
         match t.entry.kind {
@@ -554,7 +582,7 @@ impl Exec<'_> {
             PageKind::Mmio(dev) => {
                 self.pay(Term::MmioWrite);
                 self.m.meter.count_event(Event::MmioWrite);
-                self.flush();
+                self.flush(budget);
                 let offset = t.entry.pfn * PAGE_SIZE + t.offset;
                 let done = self.env.mmio_write(self.m, dev, offset, w, val);
                 self.m.revalidate_tlb(self.cpu);
@@ -574,6 +602,11 @@ impl Exec<'_> {
             self.m.phys.write_u32(paddr, val);
             return Ok(());
         }
+        self.push_walk(addr, val)
+    }
+
+    #[inline(never)]
+    fn push_walk(&mut self, addr: u64, val: u32) -> Result<(), Fault> {
         let (space, mode) = (self.cpu.space, self.cpu.mode);
         let t = self.m.translate(space, mode, addr, true)?;
         self.m.tlb.fill(addr, &t.entry);
@@ -588,35 +621,38 @@ impl Exec<'_> {
         let addr = esp as u64;
         let val = match self.m.cached_paddr(self.cpu, addr, 4, false) {
             Some(paddr) => self.m.phys.read_u32(paddr),
-            None => {
-                let (space, mode) = (self.cpu.space, self.cpu.mode);
-                let t = self.m.translate(space, mode, addr, false)?;
-                self.m.tlb.fill(addr, &t.entry);
-                self.m.read_translated(space, mode, addr, Width::Long, &t)?
-            }
+            None => self.pop_walk(addr)?,
         };
         self.cpu.set_reg(Reg::Esp, esp.wrapping_add(4));
         Ok(val)
     }
 
+    #[inline(never)]
+    fn pop_walk(&mut self, addr: u64) -> Result<u32, Fault> {
+        let (space, mode) = (self.cpu.space, self.cpu.mode);
+        let t = self.m.translate(space, mode, addr, false)?;
+        self.m.tlb.fill(addr, &t.entry);
+        self.m.read_translated(space, mode, addr, Width::Long, &t)
+    }
+
     #[inline]
-    fn read(&mut self, o: &Opnd, w: Width) -> Result<u32, Fault> {
+    fn read(&mut self, o: &Opnd, w: Width, budget: u64) -> Result<u32, Fault> {
         let val = match o {
             Opnd::Reg(r) => self.cpu.reg(*r),
             Opnd::Imm(v) => *v,
-            Opnd::Mem(mem) => self.load(self.ea(mem), w)?,
+            Opnd::Mem(mem) => self.load(self.ea(mem), w, budget)?,
         };
         Ok(val & w.mask() as u32)
     }
 
     #[inline]
-    fn write(&mut self, o: &Opnd, w: Width, val: u32) -> Result<(), Fault> {
+    fn write(&mut self, o: &Opnd, w: Width, val: u32, budget: u64) -> Result<(), Fault> {
         match o {
             Opnd::Reg(r) => {
                 self.cpu.set_reg_w(*r, w, val);
                 Ok(())
             }
-            Opnd::Mem(mem) => self.store(self.ea(mem), w, val),
+            Opnd::Mem(mem) => self.store(self.ea(mem), w, val, budget),
             Opnd::Imm(_) => Err(Fault::EnvFault(format!(
                 "write to non-lvalue operand `{o:?}`"
             ))),
@@ -624,20 +660,20 @@ impl Exec<'_> {
     }
 
     #[inline]
-    fn target(&mut self, t: &Tgt) -> Result<u64, Fault> {
+    fn target(&mut self, t: &Tgt, budget: u64) -> Result<u64, Fault> {
         Ok(match t {
             Tgt::Abs(a) => *a,
             Tgt::Reg(r) => self.cpu.reg(*r) as u64,
-            Tgt::Mem(mem) => self.load(self.ea(mem), Width::Long)? as u64,
+            Tgt::Mem(mem) => self.load(self.ea(mem), Width::Long, budget)? as u64,
         })
     }
 
     /// The extern trampoline at `cpu.pc`: dispatch to the environment,
-    /// then return to the caller.
-    fn call_extern(&mut self) -> Result<(), Fault> {
+    /// then return to the caller. `budget` is the run's, flushed first.
+    fn call_extern(&mut self, budget: u64) -> Result<(), Fault> {
         let pc = self.cpu.pc;
         let id = self.m.extern_at(pc).ok_or(Fault::BadFetch { pc })?;
-        self.flush();
+        self.flush(budget);
         let done = self.env.extern_call(id, self.m, self.cpu);
         self.m.revalidate_tlb(self.cpu);
         done?;
@@ -645,76 +681,106 @@ impl Exec<'_> {
         Ok(())
     }
 
+    /// The run loop. Kept out of line: `bench/profile.sh` counts the
+    /// interpreter's dispatch by this function's name.
+    #[inline(never)]
     fn run(&mut self) -> Result<StopReason, Fault> {
+        let mut budget = self.flushed_budget;
         // The image `pc` was last in. Held while `pc` stays inside it —
         // straight-line code and local branches fetch by index, borrowing
         // nothing from the machine — and kept across a call to an extern,
         // which returns into it.
         let mut held: Option<Arc<CodeImage>> = None;
-        loop {
+        let stopped = 'run: loop {
             // Where is `pc`? The sentinel, a trampoline, or code.
             let pc = self.cpu.pc;
             if pc == RETURN_SENTINEL {
-                return Ok(StopReason::Returned);
+                break Ok(StopReason::Returned);
             }
             if (EXTERN_BASE..RETURN_SENTINEL).contains(&pc) {
-                self.call_extern()?;
-                continue;
+                match self.call_extern(budget) {
+                    Ok(()) => continue,
+                    Err(fault) => break Err(fault),
+                }
             }
-            if self.budget == 0 {
-                return Ok(StopReason::Budget);
+            if budget == 0 {
+                break Ok(StopReason::Budget);
             }
             let image = match held.take() {
-                Some(image) if image.op_at(pc).is_some() => image,
+                Some(image) if image.contains(pc) => image,
                 _ => match self.m.image_at(pc) {
-                    Some(image) if image.op_at(pc).is_some() => Arc::clone(image),
-                    _ => return Err(Fault::BadFetch { pc }),
+                    Some(image) => Arc::clone(image),
+                    None => break Err(Fault::BadFetch { pc }),
                 },
             };
-            while let Some(op) = image.op_at(self.cpu.pc) {
-                if self.budget == 0 {
-                    return Ok(StopReason::Budget);
+            let Some(mut at) = image.index(pc) else {
+                break Err(Fault::BadFetch { pc });
+            };
+            // Inside the image `at` stands for `pc`: a sequential op, a
+            // fused hit and a branch `link` resolved move it, and nothing
+            // turns an address into an index until control leaves.
+            while let Some(op) = image.ops.get(at) {
+                if budget == 0 {
+                    self.cpu.pc = image.addr(at);
+                    break 'run Ok(StopReason::Budget);
                 }
-                self.budget -= 1;
-                if let Some(stop) = self.step(op)? {
-                    return Ok(stop);
+                budget -= 1;
+                match self.step(op, &image, at, budget) {
+                    Ok(Flow::Next) => at += 1,
+                    Ok(Flow::Skip(n)) => {
+                        at += n;
+                        budget -= n as u64 - 1;
+                    }
+                    Ok(Flow::Local(to)) => at = to,
+                    Ok(Flow::Far(to)) => {
+                        self.cpu.pc = to;
+                        held = Some(image);
+                        continue 'run;
+                    }
+                    Ok(Flow::Halt) => {
+                        self.cpu.pc = image.addr(at + 1);
+                        break 'run Ok(StopReason::Halted);
+                    }
+                    Err(fault) => {
+                        self.cpu.pc = image.addr(at);
+                        break 'run Err(fault);
+                    }
                 }
             }
-            held = Some(image);
-        }
+            // Ran off the end of the image.
+            self.cpu.pc = image.addr(at);
+        };
+        self.flush(budget);
+        stopped
     }
 
-    /// Executes `op`, the instruction at `cpu.pc`. On a fault `cpu.pc`
-    /// still points at it.
+    /// Executes `op`, instruction `at` of `image`, with `budget`
+    /// instructions left after it, and says where control goes next. On
+    /// a fault the loop leaves `cpu.pc` on it.
     #[inline]
-    fn step(&mut self, op: &Op) -> Result<Option<StopReason>, Fault> {
-        let next_pc = self.cpu.pc + twin_isa::INSN_SIZE;
+    fn step(&mut self, op: &Op, image: &CodeImage, at: usize, budget: u64) -> Result<Flow, Fault> {
         match op {
             Op::Mov { w, dst, src } => {
-                let v = self.read(src, *w)?;
+                let v = self.read(src, *w, budget)?;
                 self.pay(Term::MovReg);
-                self.write(dst, *w, v)?;
-                self.cpu.pc = next_pc;
+                self.write(dst, *w, v, budget)?;
             }
             Op::Movzx { w, dst, src } => {
-                let v = self.read(src, *w)?;
+                let v = self.read(src, *w, budget)?;
                 self.pay(Term::MovReg);
                 self.cpu.set_reg(*dst, v);
-                self.cpu.pc = next_pc;
             }
             Op::Movsx { w, dst, src } => {
-                let v = self.read(src, *w)?;
+                let v = self.read(src, *w, budget)?;
                 let bits = w.bytes() * 8;
                 let sext = ((v as i32) << (32 - bits)) >> (32 - bits);
                 self.pay(Term::MovReg);
                 self.cpu.set_reg(*dst, sext as u32);
-                self.cpu.pc = next_pc;
             }
             Op::Lea { dst, mem } => {
                 let a = self.ea(mem);
                 self.pay(Term::MovReg);
                 self.cpu.set_reg(*dst, a as u32);
-                self.cpu.pc = next_pc;
             }
             // A fused op that does not hit is its first instruction: the
             // `lea`, the `push`. Spelled out here rather than as a guarded
@@ -722,20 +788,20 @@ impl Exec<'_> {
             // the hot dispatch a second match.
             Op::SvmXlate(x) => {
                 let a = self.ea(&x.mem) as u32;
-                if !self.svm_xlate_hit(x, a) {
-                    self.pay(Term::MovReg);
-                    self.cpu.set_reg(x.s1, a);
-                    self.cpu.pc = next_pc;
+                if self.svm_xlate_hit(x, a, budget) {
+                    return Ok(Flow::Skip(TEMPLATE_LEN));
                 }
+                self.pay(Term::MovReg);
+                self.cpu.set_reg(x.s1, a);
             }
             Op::SvmFrame { x, spills, k } => {
                 let spills = &spills[..usize::from(*k)];
-                if !self.svm_frame_hit(x, spills) {
-                    let v = self.cpu.reg(spills[0]);
-                    self.pay(Term::Store);
-                    self.push(v)?;
-                    self.cpu.pc = next_pc;
+                if self.svm_frame_hit(x, spills, budget) {
+                    return Ok(Flow::Skip(2 * spills.len() + TEMPLATE_LEN));
                 }
+                let v = self.cpu.reg(spills[0]);
+                self.pay(Term::Store);
+                self.push(v)?;
             }
             // The quickened ops: each is its generic arm below, with the
             // operand shapes and the width `Long` decided at link time.
@@ -743,49 +809,41 @@ impl Exec<'_> {
                 let v = self.cpu.reg(*r);
                 self.pay(Term::Store);
                 self.push(v)?;
-                self.cpu.pc = next_pc;
             }
             Op::PushMem(mem) => {
-                let v = self.load(self.ea(mem), Width::Long)?;
+                let v = self.load(self.ea(mem), Width::Long, budget)?;
                 self.pay(Term::Store);
                 self.push(v)?;
-                self.cpu.pc = next_pc;
             }
             Op::PopReg(r) => {
                 self.pay(Term::Load);
                 let v = self.pop()?;
                 self.cpu.set_reg(*r, v);
-                self.cpu.pc = next_pc;
             }
             Op::MovRegReg { dst, src } => {
                 let v = self.cpu.reg(*src);
                 self.pay(Term::MovReg);
                 self.cpu.set_reg(*dst, v);
-                self.cpu.pc = next_pc;
             }
             Op::MovRegMem { dst, src } => {
-                let v = self.load(self.ea(src), Width::Long)?;
+                let v = self.load(self.ea(src), Width::Long, budget)?;
                 self.pay(Term::MovReg);
                 self.cpu.set_reg(*dst, v);
-                self.cpu.pc = next_pc;
             }
             Op::MovMemReg { dst, src } => {
                 let v = self.cpu.reg(*src);
                 self.pay(Term::MovReg);
-                self.store(self.ea(dst), Width::Long, v)?;
-                self.cpu.pc = next_pc;
+                self.store(self.ea(dst), Width::Long, v, budget)?;
             }
             Op::MovMemImm { dst, imm } => {
                 self.pay(Term::MovReg);
-                self.store(self.ea(dst), Width::Long, *imm)?;
-                self.cpu.pc = next_pc;
+                self.store(self.ea(dst), Width::Long, *imm, budget)?;
             }
             Op::AluRegImm { op, dst, imm } => {
                 let a = self.cpu.reg(*dst);
                 let r = alu(&mut self.cpu.flags, *op, a, *imm, Width::Long);
                 self.pay(Term::Alu);
                 self.cpu.set_reg(*dst, r);
-                self.cpu.pc = next_pc;
             }
             Op::AluRegReg { op, dst, src } => {
                 let b = self.cpu.reg(*src);
@@ -793,158 +851,131 @@ impl Exec<'_> {
                 let r = alu(&mut self.cpu.flags, *op, a, b, Width::Long);
                 self.pay(Term::Alu);
                 self.cpu.set_reg(*dst, r);
-                self.cpu.pc = next_pc;
             }
             Op::AluRegMem { op, dst, src } => {
-                let b = self.load(self.ea(src), Width::Long)?;
+                let b = self.load(self.ea(src), Width::Long, budget)?;
                 let a = self.cpu.reg(*dst);
                 let r = alu(&mut self.cpu.flags, *op, a, b, Width::Long);
                 self.pay(Term::Alu);
                 self.cpu.set_reg(*dst, r);
-                self.cpu.pc = next_pc;
             }
             Op::ShiftRegImm { op, dst, amount } => {
                 let a = self.cpu.reg(*dst);
                 let r = shift(&mut self.cpu.flags, *op, a, *amount);
                 self.pay(Term::Alu);
                 self.cpu.set_reg(*dst, r);
-                self.cpu.pc = next_pc;
             }
             Op::CmpRegImm { dst, imm } => {
                 let a = self.cpu.reg(*dst);
                 alu(&mut self.cpu.flags, AluOp::Sub, a, *imm, Width::Long);
                 self.pay(Term::Alu);
-                self.cpu.pc = next_pc;
             }
             Op::UnReg { op, dst } => {
                 let a = self.cpu.reg(*dst);
                 let r = unary(&mut self.cpu.flags, *op, a, Width::Long);
                 self.pay(Term::Alu);
                 self.cpu.set_reg(*dst, r);
-                self.cpu.pc = next_pc;
             }
-            Op::JmpAbs(a) => {
+            Op::JmpLocal(to) => {
                 self.pay(Term::BranchTaken);
-                self.cpu.pc = *a;
+                return Ok(Flow::Local(*to as usize));
             }
-            Op::JccAbs { cond, target } => {
+            Op::JccLocal { cond, target } => {
                 if cond_true(&self.cpu.flags, *cond) {
                     self.pay(Term::BranchTaken);
-                    self.cpu.pc = *target;
-                } else {
-                    self.pay(Term::BranchNotTaken);
-                    self.cpu.pc = next_pc;
+                    return Ok(Flow::Local(*target as usize));
                 }
+                self.pay(Term::BranchNotTaken);
             }
-            Op::CallAbs(a) => {
+            Op::CallLocal(to) => {
                 self.pay(Term::Call);
-                self.push(next_pc as u32)?;
-                self.cpu.pc = *a;
+                self.push(image.addr(at + 1) as u32)?;
+                return Ok(Flow::Local(*to as usize));
             }
             // The generic ops.
             Op::Alu { op, w, dst, src } => {
-                let b = self.read(src, *w)?;
-                let a = self.read(dst, *w)?;
+                let b = self.read(src, *w, budget)?;
+                let a = self.read(dst, *w, budget)?;
                 let r = alu(&mut self.cpu.flags, *op, a, b, *w);
                 self.pay(Term::Alu);
-                self.write(dst, *w, r)?;
-                self.cpu.pc = next_pc;
+                self.write(dst, *w, r, budget)?;
             }
             Op::Shift { op, dst, amount } => {
-                let amt = self.read(amount, Width::Byte)? & 31;
-                let a = self.read(dst, Width::Long)?;
+                let amt = self.read(amount, Width::Byte, budget)? & 31;
+                let a = self.read(dst, Width::Long, budget)?;
                 let r = shift(&mut self.cpu.flags, *op, a, amt);
                 self.pay(Term::Alu);
-                self.write(dst, Width::Long, r)?;
-                self.cpu.pc = next_pc;
+                self.write(dst, Width::Long, r, budget)?;
             }
             Op::Cmp { w, src, dst } => {
-                let b = self.read(src, *w)?;
-                let a = self.read(dst, *w)?;
+                let b = self.read(src, *w, budget)?;
+                let a = self.read(dst, *w, budget)?;
                 alu(&mut self.cpu.flags, AluOp::Sub, a, b, *w);
                 self.pay(Term::Alu);
-                self.cpu.pc = next_pc;
             }
             Op::Test { w, src, dst } => {
-                let b = self.read(src, *w)?;
-                let a = self.read(dst, *w)?;
+                let b = self.read(src, *w, budget)?;
+                let a = self.read(dst, *w, budget)?;
                 alu(&mut self.cpu.flags, AluOp::And, a, b, *w);
                 self.pay(Term::Alu);
-                self.cpu.pc = next_pc;
             }
             Op::Un { op, w, dst } => {
-                let a = self.read(dst, *w)?;
+                let a = self.read(dst, *w, budget)?;
                 let r = unary(&mut self.cpu.flags, *op, a, *w);
                 self.pay(Term::Alu);
-                self.write(dst, *w, r)?;
-                self.cpu.pc = next_pc;
+                self.write(dst, *w, r, budget)?;
             }
             Op::Imul { dst, src } => {
-                let b = self.read(src, Width::Long)?;
+                let b = self.read(src, Width::Long, budget)?;
                 let r = self.cpu.reg(*dst).wrapping_mul(b);
                 set_zs(&mut self.cpu.flags, r, Width::Long);
                 self.pay(Term::Mul);
                 self.cpu.set_reg(*dst, r);
-                self.cpu.pc = next_pc;
             }
             Op::Push { src } => {
-                let v = self.read(src, Width::Long)?;
+                let v = self.read(src, Width::Long, budget)?;
                 self.pay(Term::Store);
                 self.push(v)?;
-                self.cpu.pc = next_pc;
             }
             Op::Pop { dst } => {
                 self.pay(Term::Load);
                 let v = self.pop()?;
-                self.write(dst, Width::Long, v)?;
-                self.cpu.pc = next_pc;
+                self.write(dst, Width::Long, v, budget)?;
             }
             Op::Jmp { target } => {
-                let a = self.target(target)?;
+                let a = self.target(target, budget)?;
                 self.pay(Term::BranchTaken);
-                self.cpu.pc = a;
+                return Ok(Flow::Far(a));
             }
             Op::Jcc { cond, target } => {
                 if cond_true(&self.cpu.flags, *cond) {
-                    let a = self.target(target)?;
+                    let a = self.target(target, budget)?;
                     self.pay(Term::BranchTaken);
-                    self.cpu.pc = a;
-                } else {
-                    self.pay(Term::BranchNotTaken);
-                    self.cpu.pc = next_pc;
+                    return Ok(Flow::Far(a));
                 }
+                self.pay(Term::BranchNotTaken);
             }
             Op::Call { target } => {
-                let a = self.target(target)?;
+                let a = self.target(target, budget)?;
                 self.pay(Term::Call);
-                self.push(next_pc as u32)?;
-                self.cpu.pc = a;
+                self.push(image.addr(at + 1) as u32)?;
+                return Ok(Flow::Far(a));
             }
             Op::Ret => {
                 self.pay(Term::Ret);
-                self.cpu.pc = self.pop()? as u64;
+                return Ok(Flow::Far(self.pop()? as u64));
             }
-            Op::Str { op, w, rep } => {
-                self.string(*op, *w, *rep)?;
-                self.cpu.pc = next_pc;
-            }
+            Op::Str { op, w, rep } => self.string(*op, *w, *rep, budget)?,
             Op::Cli | Op::Sti => {
                 self.cpu.if_enabled = matches!(op, Op::Sti);
                 self.pay(Term::CliSti);
-                self.cpu.pc = next_pc;
             }
-            Op::Nop => {
-                self.pay(Term::Alu);
-                self.cpu.pc = next_pc;
-            }
-            Op::Hlt => {
-                self.cpu.pc = next_pc;
-                return Ok(Some(StopReason::Halted));
-            }
+            Op::Nop => self.pay(Term::Alu),
+            Op::Hlt => return Ok(Flow::Halt),
             Op::Int3 => return Err(Fault::Breakpoint),
             Op::Ud2 => return Err(Fault::BadInstruction),
         }
-        Ok(None)
+        Ok(Flow::Next)
     }
 
     /// The stlb entry of address `a` in the table at `table`, if it
@@ -983,28 +1014,25 @@ impl Exec<'_> {
     }
 
     /// The whole SVM translation `x` of address `a` (the template at
-    /// [`Op::SvmXlate`]) as the instruction at `cpu.pc`, if it is a hit:
-    /// the budget covers all nine instructions and [`Exec::stlb_hit`]
-    /// answers. Leaves the registers, the flags, the charges and `pc` as
-    /// the nine plain ops would.
+    /// [`Op::SvmXlate`]) as the instruction being run, if it is a hit:
+    /// `budget`, what is left after the `lea`, covers the other eight
+    /// instructions and [`Exec::stlb_hit`] answers. Leaves the registers,
+    /// the flags and the charges as the nine plain ops would; the caller
+    /// moves past them and counts them.
     ///
     /// Anything else returns `false` with nothing changed: the caller
     /// executes the `lea`, and the plain ops after it take the slow path,
     /// walk the page table, fault or run out of budget where they always
     /// did.
     #[inline]
-    fn svm_xlate_hit(&mut self, x: &Xlate, a: u32) -> bool {
-        // The run loop has counted the `lea`.
-        const REST: u64 = TEMPLATE_LEN as u64 - 1;
-        if self.budget < REST {
+    fn svm_xlate_hit(&mut self, x: &Xlate, a: u32, budget: u64) -> bool {
+        if budget < TEMPLATE_LEN as u64 - 1 {
             return false;
         }
         let Some(hit) = self.stlb_hit(a, x.stlb) else {
             return false;
         };
         self.svm_xlate_commit(x, a, hit);
-        self.budget -= REST;
-        self.cpu.pc += TEMPLATE_LEN as u64 * INSN_SIZE;
         #[cfg(test)]
         FUSED_HITS.with(|hits| hits.set(hits.get() + 1));
         true
@@ -1012,24 +1040,22 @@ impl Exec<'_> {
 
     /// The whole spill frame at [`Op::SvmFrame`] — `push` of each of
     /// `spills`, translation `x`, `pop` of each in reverse — as the
-    /// instruction at `cpu.pc`, if it is a hit: the budget covers all
-    /// `2k + 9` instructions, every stack slot the pushes write answers
-    /// from the translation cache as writable, [`Exec::stlb_hit`] answers,
-    /// and no slot shares a byte of physical memory with the stlb entry
-    /// (the plain `cmp` and `xor` would read what the pushes wrote).
-    /// Writes the slots, leaves the spilled registers as the pops leave
-    /// them — as they were — and the rest as [`Exec::svm_xlate_hit`]
-    /// does, charges `k·Store + k·Load` on top, and moves `pc` past the
-    /// last pop.
+    /// instruction being run, if it is a hit: `budget`, what is left
+    /// after the first `push`, covers the other `2k + 8` instructions,
+    /// every stack slot the pushes write answers from the translation
+    /// cache as writable, [`Exec::stlb_hit`] answers, and no slot shares
+    /// a byte of physical memory with the stlb entry (the plain `cmp` and
+    /// `xor` would read what the pushes wrote). Writes the slots, leaves
+    /// the spilled registers as the pops leave them — as they were — and
+    /// the rest as [`Exec::svm_xlate_hit`] does, and charges `k·Store +
+    /// k·Load` on top; the caller moves past the last pop.
     ///
     /// Anything else returns `false` with nothing changed: the caller
     /// executes the first `push`.
     #[inline]
-    fn svm_frame_hit(&mut self, x: &Xlate, spills: &[Reg]) -> bool {
+    fn svm_frame_hit(&mut self, x: &Xlate, spills: &[Reg], budget: u64) -> bool {
         let k = spills.len();
-        // The run loop has counted the first `push`.
-        let rest = (2 * k + TEMPLATE_LEN - 1) as u64;
-        if self.budget < rest {
+        if budget < (2 * k + TEMPLATE_LEN - 1) as u64 {
             return false;
         }
         let esp = self.cpu.reg(Reg::Esp);
@@ -1063,14 +1089,12 @@ impl Exec<'_> {
         }
         let cost = &self.m.cost;
         self.cycles += k as u64 * (cost[Term::Store] + cost[Term::Load]);
-        self.budget -= rest;
-        self.cpu.pc += (2 * k + TEMPLATE_LEN) as u64 * INSN_SIZE;
         #[cfg(test)]
         FRAME_HITS.with(|hits| hits.set(hits.get() + 1));
         true
     }
 
-    fn string(&mut self, op: StrOp, w: Width, rep: Rep) -> Result<(), Fault> {
+    fn string(&mut self, op: StrOp, w: Width, rep: Rep, budget: u64) -> Result<(), Fault> {
         let step = w.bytes() as u32;
         let mut count = match rep {
             Rep::None => 1,
@@ -1082,22 +1106,22 @@ impl Exec<'_> {
             let mut equal = true;
             match op {
                 StrOp::Movs => {
-                    let v = self.load(esi as u64, w)?;
-                    self.store(edi as u64, w, v)?;
+                    let v = self.load(esi as u64, w, budget)?;
+                    self.store(edi as u64, w, v, budget)?;
                 }
-                StrOp::Stos => self.store(edi as u64, w, self.cpu.reg(Reg::Eax))?,
+                StrOp::Stos => self.store(edi as u64, w, self.cpu.reg(Reg::Eax), budget)?,
                 StrOp::Lods => {
-                    let v = self.load(esi as u64, w)?;
+                    let v = self.load(esi as u64, w, budget)?;
                     self.cpu.set_reg_w(Reg::Eax, w, v);
                 }
                 StrOp::Cmps => {
-                    let a = self.load(esi as u64, w)?;
-                    let b = self.load(edi as u64, w)?;
+                    let a = self.load(esi as u64, w, budget)?;
+                    let b = self.load(edi as u64, w, budget)?;
                     alu(&mut self.cpu.flags, AluOp::Sub, a, b, w);
                     equal = self.cpu.flags.zf;
                 }
                 StrOp::Scas => {
-                    let b = self.load(edi as u64, w)?;
+                    let b = self.load(edi as u64, w, budget)?;
                     let a = self.cpu.reg(Reg::Eax) & w.mask() as u32;
                     alu(&mut self.cpu.flags, AluOp::Sub, a, b, w);
                     equal = self.cpu.flags.zf;
@@ -1137,17 +1161,14 @@ pub fn run(
     max_insns: u64,
 ) -> Result<StopReason, Fault> {
     m.revalidate_tlb(cpu);
-    let mut exec = Exec {
+    Exec {
         m,
         cpu,
         env,
-        budget: max_insns,
         flushed_budget: max_insns,
         cycles: 0,
-    };
-    let stopped = exec.run();
-    exec.flush();
-    stopped
+    }
+    .run()
 }
 
 #[cfg(test)]

@@ -65,11 +65,29 @@
 //!
 //! After fusion, `link` lowers each hot generic form — `Long` `mov`,
 //! `alu`, `shift`, `cmp` and unary ops, `push` and `pop`, by operand shape,
-//! and branches and calls to absolute targets — to an op whose operand
-//! shapes are decided at link time; each makes its generic arm's reads,
-//! charges, writes and faults in the same order. The reference for all of
-//! it is the link without fusion or quickening, which `fusion` compares
-//! against shape by shape, faults and page-straddling accesses included.
+//! and branches and calls to absolute targets inside the image — to an op
+//! whose operand shapes are decided at link time; each makes its generic
+//! arm's reads, charges, writes and faults in the same order. The
+//! reference for all of it is the link without fusion or quickening,
+//! which `fusion` compares against shape by shape, faults and
+//! page-straddling accesses included.
+//!
+//! ## Dispatch by index
+//!
+//! Inside an image the run loop holds the program counter as the index
+//! of the next op and the budget as a count of its own, both in locals.
+//! A sequential op advances the index, a fused hit skips the ops it ran,
+//! and a quickened branch or call holds its target as an op index, so an
+//! address becomes an index again only at a dynamic transfer: `ret`, an
+//! indirect or out-of-image target, a trampoline, or running off the
+//! image's end. `cpu.pc` is written back where someone can look: on a
+//! fault (`pc` on the faulting op, its earlier charges kept), a stop,
+//! budget exhaustion and a transfer out of the loop, an extern call among
+//! them (a device callback is not handed the CPU). The budget goes to
+//! every flush of the meter, ahead of each [`Env`] callback and at the
+//! end, so the instruction count derived from it stays exact. The
+//! test-only `oracle` module holds one run of budget `n` to `n` runs of
+//! budget 1.
 //!
 //! ```
 //! use twin_isa::asm::assemble;

@@ -12,10 +12,15 @@
 //! accesses are made by [`run`]ning an instruction, and page-table edits
 //! are drawn in between them. So does [`Cpu::arg`], which reads through
 //! the cache when it is the CPU's, inside an [`Env`] callback and out.
+//!
+//! The run loop itself answers to single steps: one [`run`] with budget
+//! `n`, which keeps `pc` and the budget in locals and writes them back
+//! only where someone can look, leaves what `n` runs of one instruction
+//! leave, at every stop.
 
 use crate::{
-    run, Cpu, Env, ExecMode, ExternId, Fault, Machine, NullEnv, PageEntry, PageKind, SpaceId,
-    StopReason, HYPER_BASE, PAGE_SIZE,
+    run, stlb, CostDomain, Cpu, Env, Event, ExecMode, ExternId, Fault, Machine, NullEnv, PageEntry,
+    PageKind, SpaceId, StopReason, Term, HYPER_BASE, PAGE_SIZE,
 };
 use proptest::prelude::*;
 use twin_isa::{Reg, Width};
@@ -642,4 +647,245 @@ fn the_cached_argument_read_is_taken_exactly_when_the_cache_is_the_cpus() {
         cached(&call_probe(&mut m, last, None, frames)),
         [true, false, false]
     );
+}
+
+// ---- a run of n instructions is n runs of one ----
+
+/// Where [`step_code`]'s stack, stlb and second image lie; the data it
+/// touches is [`world`]'s.
+const STEP_STACK: u64 = 0x3000_0000;
+const STEP_STLB: u64 = 0x2100_0000;
+const STEP_OTHER: u64 = 0x0900_0000;
+
+/// The second image: a function that returns, and one that goes back by
+/// an indirect jump to its return address.
+const STEP_OTHER_CODE: &str =
+    ".text\n.globl other\nother:\n incl %eax\n ret\n.globl away\naway:\n popl %ecx\n jmp *%ecx\n";
+
+/// Pages the translation's address falls on: two with stlb entries of
+/// their own, and one whose entry holds the first's tag.
+const XLATED: [u32; 3] = [0x0123_4000, 0x7700_0000, 0x0923_4000];
+
+/// `f`: a push, a spill frame around an SVM translation of `(%esi)`
+/// (which `link` fuses), a load, a read-modify-write and a store through
+/// `%edi`, an extern call, a call into the second image and a call
+/// through a register that comes back by an indirect jump, an indirect
+/// jump inside the image, and the `ret`; a missed translation's slow path
+/// calls the extern too.
+fn step_code() -> String {
+    let regs = [Reg::Eax, Reg::Ebx, Reg::Edx];
+    let frame = crate::fusion::bracketed("(%esi)", regs, &[Reg::Eax], &[Reg::Eax], "resume:\n");
+    format!(
+        ".extern probe\n.text\n.globl f\nf:\n pushl %ecx\n{frame} movl (%edi), %ecx\n\
+         addl %ecx, 4(%edi)\n movl %eax, 8(%edi)\n call probe\n call other\n movl $away, %ecx\n call *%ecx\n\
+         movl $done, %ecx\n jmp *%ecx\n ud2\ndone:\n popl %ecx\n ret\n\
+         slow:\n pushl %edx\n call probe\n addl $4, %esp\n jmp resume\n"
+    )
+}
+
+/// [`world`] with a stack, an stlb holding entries for the first two of
+/// [`XLATED`], the second image and `f` loaded; charges go to the
+/// driver.
+fn step_world() -> (Machine, Cpu) {
+    let (mut m, [a, _]) = world();
+    m.map_stack(a, STEP_STACK, 2).unwrap();
+    let table_pages = stlb::ENTRIES * stlb::ENTRY_SIZE / PAGE_SIZE;
+    m.map_fresh(a, STEP_STLB, table_pages).unwrap();
+    for page in &XLATED[..2] {
+        let entry = STEP_STLB + u64::from(stlb::entry_offset(*page));
+        m.write_u32(a, ExecMode::Guest, entry, *page).unwrap();
+        let xor = page.rotate_left(7);
+        m.write_u32(a, ExecMode::Guest, entry + stlb::XOR_WORD, xor)
+            .unwrap();
+    }
+    let other = twin_isa::asm::assemble("other", STEP_OTHER_CODE).unwrap();
+    let other = m.load_image(&other, STEP_OTHER, |_| None).unwrap();
+    let exports = m.image(other).exports.clone();
+    let main = twin_isa::asm::assemble("main", &step_code()).unwrap();
+    let resolve = |s: &str| match s {
+        "stlb" => Some(STEP_STLB),
+        _ => exports.get(s).copied(),
+    };
+    let main = m.load_image(&main, 0x0800_0000, resolve).unwrap();
+    assert_eq!(m.image(main).fused_frames(), 1);
+    m.meter.push_domain(CostDomain::Driver);
+    (m, Cpu::new(a, ExecMode::Guest))
+}
+
+/// Enters `f` afresh with `%esp`, `%esi` and `%edi` as given and the
+/// return sentinel pushed.
+fn step_start(m: &mut Machine, cpu: &mut Cpu, (esp, esi, edi): (u64, u32, u64)) {
+    *cpu = Cpu::new(cpu.space, cpu.mode);
+    cpu.set_reg(Reg::Esi, esi);
+    cpu.set_reg(Reg::Edi, edi as u32);
+    cpu.set_stack(esp);
+    cpu.push_call_frame(m, &[]).unwrap();
+    cpu.pc = m.image(crate::ImageId(1)).export("f").unwrap();
+}
+
+/// Where `%esp` starts: a few words above the guard page, so that a push
+/// of `f` faults; two bytes into the upper stack page, so that the slots
+/// straddle the two; or well inside.
+fn step_stack() -> impl Strategy<Value = u64> {
+    let inside = STEP_STACK + 2 * PAGE_SIZE - 0x100;
+    prop_oneof![
+        (1u64..12).prop_map(|words| STEP_STACK + 4 * words),
+        Just(STEP_STACK + PAGE_SIZE + 2),
+        Just(inside),
+        Just(inside),
+    ]
+}
+
+/// `probe` and a device, each logging what it could see at every
+/// callback: where (the trampoline's address, or the device offset), a
+/// value (`%eax`, or the word written), the clock, the instruction count
+/// and every domain's cycles.
+#[derive(Default)]
+struct Witness {
+    log: Vec<(u64, u32, u64, u64, Vec<u64>)>,
+}
+
+impl Witness {
+    fn look(&mut self, m: &Machine, at: u64, val: u32) {
+        let cycles = CostDomain::ALL.iter().map(|d| m.meter.cycles(*d)).collect();
+        self.log
+            .push((at, val, m.now_cycles(), m.meter.insns(), cycles));
+    }
+}
+
+impl Env for Witness {
+    /// `probe` pays a hypercall to Xen and scrambles `%eax`.
+    fn extern_call(&mut self, _: ExternId, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault> {
+        self.look(m, cpu.pc, cpu.reg(Reg::Eax));
+        m.pay_to(CostDomain::Xen, Term::Hypercall);
+        cpu.set_reg(Reg::Eax, cpu.reg(Reg::Eax).rotate_left(5) ^ 0x5a5a);
+        Ok(())
+    }
+    fn mmio_read(&mut self, m: &mut Machine, _: u32, offset: u64, w: Width) -> Result<u32, Fault> {
+        self.look(m, offset, 0);
+        Ok((offset as u32).wrapping_mul(0x9e37_79b9) & w.mask() as u32)
+    }
+    fn mmio_write(
+        &mut self,
+        m: &mut Machine,
+        _: u32,
+        offset: u64,
+        _: Width,
+        val: u32,
+    ) -> Result<(), Fault> {
+        self.look(m, offset, val);
+        Ok(())
+    }
+}
+
+/// What a stop leaves that a caller can look at, memory aside.
+#[derive(PartialEq, Debug)]
+struct Stopped {
+    regs: [u32; 8],
+    flags: crate::interp::Flags,
+    pc: u64,
+    insns: u64,
+    cycles: Vec<u64>,
+    now: u64,
+    events: Vec<u64>,
+}
+
+fn stopped(m: &Machine, cpu: &Cpu) -> Stopped {
+    Stopped {
+        regs: Reg::ALL.map(|r| cpu.reg(r)),
+        flags: cpu.flags,
+        pc: cpu.pc,
+        insns: m.meter.insns(),
+        cycles: CostDomain::ALL.iter().map(|d| m.meter.cycles(*d)).collect(),
+        now: m.now_cycles(),
+        events: Event::ALL.iter().map(|e| m.meter.event(*e)).collect(),
+    }
+}
+
+/// `n` runs of budget 1, or fewer if one stops otherwise: how the last
+/// ended.
+fn single_steps(
+    m: &mut Machine,
+    cpu: &mut Cpu,
+    env: &mut Witness,
+    n: u64,
+) -> Result<StopReason, Fault> {
+    for _ in 1..n {
+        let stop = run(m, cpu, env, 1);
+        if stop != Ok(StopReason::Budget) {
+            return stop;
+        }
+    }
+    run(m, cpu, env, 1)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
+
+    /// One [`run`] with budget `n` ends where `n` runs with budget 1 end:
+    /// the same outcome, registers (`%esp` among them), flags, `pc`,
+    /// memory, per-domain cycles, clock, instruction count and meter
+    /// events, and the same sights at every callback, stop after stop.
+    /// [`step_code`]'s pushes and stores fault on the guard page and on
+    /// read-only, unmapped and hypervisor pages or reach a device
+    /// mid-run; it calls an extern, leaves its image by `call`, `ret` and
+    /// indirect jumps, and runs a fused spill frame that a budget can end
+    /// inside (runs of budget 1 never fuse it).
+    #[test]
+    fn a_run_of_n_instructions_is_n_runs_of_one(
+        episodes in prop::collection::vec(
+            (
+                (step_stack(), 0usize..XLATED.len(), 0u32..0x1000),
+                place(),
+                prop::collection::vec(1u64..48, 1..8),
+            ),
+            1..6,
+        ),
+    ) {
+        let [(mut whole, mut cpu_w), (mut steps, mut cpu_s)] = [step_world(), step_world()];
+        let (mut env_w, mut env_s) = (Witness::default(), Witness::default());
+        for ((esp, page, offset), (_, _, edi), budgets) in episodes {
+            let regs = (esp, XLATED[page] + offset, edi);
+            let mut ended = true;
+            for n in budgets {
+                if ended {
+                    step_start(&mut whole, &mut cpu_w, regs);
+                    step_start(&mut steps, &mut cpu_s, regs);
+                }
+                let got = run(&mut whole, &mut cpu_w, &mut env_w, n);
+                let want = single_steps(&mut steps, &mut cpu_s, &mut env_s, n);
+                prop_assert_eq!(&got, &want, "budget {}", n);
+                prop_assert_eq!(stopped(&whole, &cpu_w), stopped(&steps, &cpu_s));
+                prop_assert_eq!(&env_w.log, &env_s.log);
+                prop_assert!(allocated(&whole) == allocated(&steps), "memory diverged");
+                ended = got != Ok(StopReason::Budget);
+            }
+        }
+    }
+}
+
+/// The property's program, run whole: the frame fuses once the cache is
+/// warm, the translation hits, and every callback is where it should be.
+#[test]
+fn the_stepped_program_runs_whole_and_fuses_its_frame() {
+    let (mut m, mut cpu) = step_world();
+    let mut env = Witness::default();
+    let inside = STEP_STACK + 2 * PAGE_SIZE - 0x100;
+    let frames = || crate::interp::FRAME_HITS.with(|hits| hits.replace(0));
+    frames();
+    for _ in 0..2 {
+        step_start(&mut m, &mut cpu, (inside, XLATED[0] + 8, PAGES[3] + 8));
+        assert_eq!(
+            run(&mut m, &mut cpu, &mut env, 100),
+            Ok(StopReason::Returned)
+        );
+    }
+    assert_eq!(frames(), 1, "the warm run");
+    // Per run: the `movl`'s device read, the `addl`'s read and write,
+    // the store, then `probe`.
+    let probe = m.extern_addr("probe").unwrap();
+    let wheres: Vec<u64> = env.log.iter().map(|sight| sight.0).collect();
+    let (word, next, last) = (PAGES[3] + 8, PAGES[3] + 12, PAGES[3] + 16);
+    assert_eq!(wheres, [word, next, next, last, probe].repeat(2));
+    assert_eq!(cpu.reg(Reg::Esp) as u64, inside);
 }
