@@ -86,27 +86,17 @@ impl System {
                 // SVM caught something (or the watchdog fired): the
                 // hypervisor itself survives (paper §4.5).
                 let reason = twin_xen::hyperdrv::abort_reason_for(&fault);
-                self.machine.meter.count_event(Event::DriverAbort);
-                if self.machine.trace.enabled() {
-                    self.machine.trace_event(TraceEvent::FaultDetected {
-                        dev,
-                        reason: reason.clone(),
-                    });
-                }
-                if self.opts.fault_recovery {
+                self.machine.note(TraceEvent::FaultDetected {
+                    dev,
+                    reason: reason.clone(),
+                });
+                let (replayed, dropped) = if self.opts.fault_recovery {
                     // Quarantine the faulted device, not the image:
                     // siblings keep serving through the shared driver.
-                    self.machine.meter.count_event(Event::QuarantineEnter);
-                    self.machine
-                        .trace_event(TraceEvent::QuarantineEnter { dev });
+                    self.machine.note(TraceEvent::QuarantineEnter { dev });
                     let at = self.machine.meter.now();
                     let (replayed, dropped, revoked_doms, revoked_mappings) =
                         self.fault_teardown(dev)?;
-                    self.machine.trace_event(TraceEvent::InflightAccounted {
-                        dev,
-                        replayed,
-                        dropped,
-                    });
                     self.devs[dev as usize].quarantine = Some(QuarantineEpisode {
                         reason: reason.clone(),
                         at,
@@ -115,6 +105,7 @@ impl System {
                         revoked_doms,
                         revoked_mappings,
                     });
+                    (replayed, dropped)
                 } else {
                     // Sticky abort (the paper's §4.5 endpoint) — but
                     // "safe" must not mean "leaks": every device's
@@ -128,12 +119,13 @@ impl System {
                         replayed += r;
                         dropped += dr;
                     }
-                    self.machine.trace_event(TraceEvent::InflightAccounted {
-                        dev,
-                        replayed,
-                        dropped,
-                    });
-                }
+                    (replayed, dropped)
+                };
+                self.machine.note(TraceEvent::InflightAccounted {
+                    dev,
+                    replayed,
+                    dropped,
+                });
                 Err(SystemError::DriverAborted(reason))
             }
         }
@@ -295,8 +287,7 @@ impl System {
         let state = &mut self.devs[dev as usize];
         if let Some(entered) = state.poll_entered_at.take() {
             state.poll_cycles += self.machine.meter.now().saturating_sub(entered);
-            self.machine.meter.count_event(Event::NapiExit);
-            self.machine.trace_event(TraceEvent::NapiComplete { dev });
+            self.machine.note(TraceEvent::NapiComplete { dev });
         }
         // 5. Moderation latches: a quarantined device owes no delivery.
         state.gate_anchor = None;
@@ -346,13 +337,11 @@ impl System {
             )));
         };
         self.netdevs[dev as usize] = self.probe_and_open(dev)?;
-        self.machine.meter.count_event(Event::DeviceReset);
-        self.machine.trace_event(TraceEvent::DeviceReset { dev });
+        self.machine.note(TraceEvent::DeviceReset { dev });
         for d in &ep.revoked_doms {
             self.grant_zero_copy_pool(DomId(*d))?;
         }
-        self.machine.meter.count_event(Event::QuarantineExit);
-        self.machine.trace_event(TraceEvent::QuarantineExit { dev });
+        self.machine.note(TraceEvent::QuarantineExit { dev });
         let report = RecoveryReport {
             dev,
             reason: ep.reason,

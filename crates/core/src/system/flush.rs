@@ -145,7 +145,7 @@ impl System {
                 state.deficit.saturating_sub(take as u64)
             };
             flushed += take;
-            self.machine.trace_event(TraceEvent::DrrGrant {
+            self.machine.note(TraceEvent::DrrGrant {
                 guest: g.0,
                 deficit: deficit_at_serve,
                 granted: take as u32,
@@ -290,7 +290,7 @@ impl System {
                 .expect("zero-copy implies a hypervisor")
                 .grant_unmap(&mut self.machine);
         }
-        self.machine.trace_event(TraceEvent::GrantCacheRevoke {
+        self.machine.note(TraceEvent::GrantCacheRevoke {
             dom: gid.0,
             count: n as u32,
         });
@@ -343,9 +343,8 @@ impl System {
         match access {
             GrantAccess::Hit => {
                 self.machine.pay_to(CostDomain::Xen, Term::GrantCacheHit);
-                self.machine.meter.count_event(Event::GrantCacheHit);
                 self.machine
-                    .trace_event(TraceEvent::GrantCacheHit { dom: dom.0, page });
+                    .note(TraceEvent::GrantCacheHit { dom: dom.0, page });
             }
             GrantAccess::Miss { evicted } => {
                 self.world
@@ -354,17 +353,15 @@ impl System {
                     .expect("zero-copy implies a hypervisor")
                     .grant_map_dev(&mut self.machine, dev);
                 self.machine.pay_to(CostDomain::Xen, Term::PinPage);
-                self.machine.meter.count_event(Event::PinPage);
                 self.machine
-                    .trace_event(TraceEvent::GrantCacheMiss { dom: dom.0, page });
+                    .note(TraceEvent::GrantCacheMiss { dom: dom.0, page });
                 if let Some((edom, epage)) = evicted {
                     self.world
                         .xen
                         .as_mut()
                         .unwrap()
                         .grant_unmap(&mut self.machine);
-                    self.machine.meter.count_event(Event::GrantCacheEvict);
-                    self.machine.trace_event(TraceEvent::GrantCacheEvict {
+                    self.machine.note(TraceEvent::GrantCacheEvict {
                         dom: edom,
                         page: epage,
                     });

@@ -3,7 +3,7 @@
 //! passes, re-arm on a drained ring.
 
 use super::{DriverOp, System, SystemError};
-use twin_machine::{CostDomain, Env, Event, Term};
+use twin_machine::{CostDomain, Env, Term};
 use twin_trace::{FlushCause, TraceEvent};
 use twin_xen::Softirq;
 
@@ -41,9 +41,8 @@ impl System {
         if self.devs[dev as usize].poll_entered_at.is_some() {
             return Ok(());
         }
-        self.machine.meter.count_event(Event::Irq);
         self.machine.pay_to(CostDomain::Xen, Term::IrqDispatch);
-        self.machine.trace_event(TraceEvent::IrqDelivered { dev });
+        self.machine.note(TraceEvent::IrqDelivered { dev });
         // Ack: read-to-clear consumes the latched cause.
         let _ = self.world.nics[dev as usize].mmio_read(twin_nic::regs::ICR);
         Env::mmio_write(
@@ -55,9 +54,8 @@ impl System {
             twin_nic::intr::RXT0,
         )?;
         self.machine.pay_to(CostDomain::Xen, Term::NapiSwitch);
-        self.machine.meter.count_event(Event::NapiEnter);
         self.devs[dev as usize].poll_entered_at = Some(self.machine.meter.now());
-        self.machine.trace_event(TraceEvent::NapiEnter { dev });
+        self.machine.note(TraceEvent::NapiEnter { dev });
         self.moderated_pending.retain(|d| *d != dev);
         Ok(())
     }
@@ -78,12 +76,11 @@ impl System {
             twin_nic::intr::RXT0,
         )?;
         self.machine.pay_to(CostDomain::Xen, Term::NapiSwitch);
-        self.machine.meter.count_event(Event::NapiExit);
         let state = &mut self.devs[dev as usize];
         if let Some(entered) = state.poll_entered_at.take() {
             state.poll_cycles += self.machine.meter.now().saturating_sub(entered);
         }
-        self.machine.trace_event(TraceEvent::NapiComplete { dev });
+        self.machine.note(TraceEvent::NapiComplete { dev });
         Ok(())
     }
 
@@ -94,20 +91,21 @@ impl System {
     /// polled devices. Returns frames reaped.
     fn napi_poll_dev_reap(&mut self, dev: u32) -> Result<usize, SystemError> {
         let weight = self.napi_budget_for(dev) as u32;
-        self.machine.trace_event(TraceEvent::SoftirqDispatch {
-            kind: "napi_poll",
+        let poll = Softirq::NapiPoll { nic: dev };
+        self.machine.note(TraceEvent::SoftirqDispatch {
+            kind: poll.label(),
             dev,
         });
         {
             let xen = self.world.xen.as_mut().expect("napi implies xen");
-            xen.raise_softirq(Softirq::NapiPoll { nic: dev });
+            xen.raise_softirq(poll);
             // Drain the pending set so the poll is accounted as softirq
             // work; UpcallFlush kicks ride along as usual.
             let work = xen.take_runnable_softirqs();
             for w in work {
                 if let Softirq::UpcallFlush = w {
-                    self.machine.trace_event(TraceEvent::SoftirqDispatch {
-                        kind: "upcall_flush",
+                    self.machine.note(TraceEvent::SoftirqDispatch {
+                        kind: w.label(),
                         dev: 0,
                     });
                     self.flush_deferred_upcalls_as(FlushCause::HighWater)?;
@@ -115,14 +113,14 @@ impl System {
             }
         }
         self.machine.pay_to(CostDomain::Xen, Term::NapiPollDispatch);
-        self.machine.meter.count_event(Event::NapiPoll);
         self.world.kernel.begin_stack_burst();
-        let reaped = self.call_driver(DriverOp::PollRxBudget(weight), dev)? as usize;
-        self.machine.trace_event(TraceEvent::NapiPoll {
+        // Noted on both outcomes: an aborted pass is still a pass.
+        let reaped = self.call_driver(DriverOp::PollRxBudget(weight), dev);
+        self.machine.note(TraceEvent::NapiPoll {
             dev,
-            reaped: reaped as u32,
+            reaped: *reaped.as_ref().unwrap_or(&0),
         });
-        Ok(reaped)
+        Ok(reaped? as usize)
     }
 
     /// One poll pass over every device currently in poll mode: reap each

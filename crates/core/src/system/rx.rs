@@ -245,7 +245,7 @@ impl System {
             } else {
                 if !self.moderated_pending.contains(&dev) {
                     self.moderated_pending.push(dev);
-                    self.machine.trace_event(TraceEvent::IrqMasked { dev });
+                    self.machine.note(TraceEvent::IrqMasked { dev });
                 }
                 // Anchor the gated wait (tuned devices only): the
                 // just-latched batch is excluded, so the anchor measures
@@ -455,9 +455,7 @@ impl System {
             self.guests[gid as usize].early_drops += n;
             for _ in 0..n {
                 self.machine.pay_to(CostDomain::Xen, Term::EarlyDrop);
-                self.machine.meter.count_event(Event::EarlyDrop);
-                self.machine
-                    .trace_event(TraceEvent::EarlyDrop { guest: gid });
+                self.machine.note(TraceEvent::EarlyDrop { guest: gid });
             }
         }
     }
@@ -494,8 +492,7 @@ impl System {
         // the first packet the handler pushes into the stack pays the
         // full wakeup cost, the rest of the burst the GRO marginal.
         self.world.kernel.begin_stack_burst();
-        self.machine.trace_event(TraceEvent::IrqDelivered { dev });
-        self.machine.meter.count_event(Event::Irq);
+        self.machine.note(TraceEvent::IrqDelivered { dev });
         self.machine.pay_to(CostDomain::Dom0, Term::IrqDispatch);
         // Each NIC asserts its own IRQ line, for which probe registered
         // `e1000_intr` (`request_irq(dev, …)`).
@@ -540,9 +537,8 @@ impl System {
         // own softirq source (duplicates coalesce per device), and one
         // softirq pass reaps every descriptor each NIC filled.
         for &dev in devs {
-            self.machine.meter.count_event(Event::Irq);
             self.machine.pay_to(CostDomain::Xen, Term::IrqDispatch);
-            self.machine.trace_event(TraceEvent::IrqDelivered { dev });
+            self.machine.note(TraceEvent::IrqDelivered { dev });
             let xen = self.world.xen.as_mut().expect("xen");
             xen.raise_softirq(Softirq::DriverIrq { nic: dev });
         }
@@ -553,19 +549,17 @@ impl System {
                 // flight reaps through the same handler: the ICR read
                 // inside it consumes whatever cause is latched.
                 Softirq::DriverIrq { nic } | Softirq::NapiPoll { nic } => {
-                    let kind = match w {
-                        Softirq::DriverIrq { .. } => "driver_irq",
-                        _ => "napi_poll",
-                    };
-                    self.machine
-                        .trace_event(TraceEvent::SoftirqDispatch { kind, dev: nic });
+                    self.machine.note(TraceEvent::SoftirqDispatch {
+                        kind: w.label(),
+                        dev: nic,
+                    });
                     nic
                 }
                 // The high-water kick: drain the deferred-upcall ring if
                 // no burst-pass flush got there first.
                 Softirq::UpcallFlush => {
-                    self.machine.trace_event(TraceEvent::SoftirqDispatch {
-                        kind: "upcall_flush",
+                    self.machine.note(TraceEvent::SoftirqDispatch {
+                        kind: w.label(),
                         dev: 0,
                     });
                     self.flush_deferred_upcalls_as(FlushCause::HighWater)?;

@@ -2,7 +2,6 @@
 //! leave through ([`ShardPolicy`]).
 
 use super::{ShardPolicy, System};
-use twin_machine::Event;
 use twin_net::Frame;
 use twin_trace::TraceEvent;
 use twin_xen::DomainKind;
@@ -91,8 +90,7 @@ impl System {
         };
         self.affinity_flow_dev.insert(f.flow, dev);
         self.guests[g as usize].placements += 1;
-        self.machine.meter.count_event(Event::AffinityPlace);
-        self.machine.trace_event(TraceEvent::AffinityPlace {
+        self.machine.note(TraceEvent::AffinityPlace {
             guest: g,
             flow: f.flow,
             dev,

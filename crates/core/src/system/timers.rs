@@ -2,7 +2,7 @@
 //! edges, and the one service point where every due virtual timer fires.
 
 use super::{Itr, System, SystemError};
-use twin_machine::{CostDomain, Env, Event, Term};
+use twin_machine::{CostDomain, Env, Term};
 use twin_nic::{ItrTuner, AUTOTUNE_WINDOW_CYCLES};
 use twin_trace::{FlushCause, TraceEvent};
 
@@ -95,21 +95,13 @@ impl System {
             if let Some(itr) = tuner.service(now, &self.world.nics[dev]) {
                 let class = tuner.class();
                 self.machine.pay_to(CostDomain::Driver, Term::ItrRetune);
-                self.machine.meter.count_event(Event::ItrRetune);
                 self.set_itr(dev as u32, itr)?;
-                if self.machine.trace.enabled() {
-                    let regime = match class {
-                        twin_nic::LatencyClass::LowestLatency => "lowest_latency",
-                        twin_nic::LatencyClass::LowLatency => "low_latency",
-                        twin_nic::LatencyClass::BulkLatency => "bulk_latency",
-                    };
-                    self.machine.trace_event(TraceEvent::ItrRetune {
-                        dev: dev as u32,
-                        old,
-                        new: itr,
-                        regime,
-                    });
-                }
+                self.machine.note(TraceEvent::ItrRetune {
+                    dev: dev as u32,
+                    old,
+                    new: itr,
+                    regime: class.label(),
+                });
             }
         }
         Ok(())
@@ -128,29 +120,17 @@ impl System {
         let mut woke = false;
         for tr in &transitions {
             woke |= tr.now_running;
-            self.machine.meter.count_event(if tr.now_running {
-                Event::VcpuRun
+            let guest = tr.guest;
+            let cpu = self
+                .sched
+                .as_ref()
+                .and_then(|s| s.cpu_of(guest))
+                .unwrap_or(0);
+            self.machine.note(if tr.now_running {
+                TraceEvent::VcpuRun { guest, cpu }
             } else {
-                Event::VcpuSleep
+                TraceEvent::VcpuSleep { guest, cpu }
             });
-            if self.machine.trace.enabled() {
-                let cpu = self
-                    .sched
-                    .as_ref()
-                    .and_then(|s| s.cpu_of(tr.guest))
-                    .unwrap_or(0);
-                self.machine.trace_event(if tr.now_running {
-                    TraceEvent::VcpuRun {
-                        guest: tr.guest,
-                        cpu,
-                    }
-                } else {
-                    TraceEvent::VcpuSleep {
-                        guest: tr.guest,
-                        cpu,
-                    }
-                });
-            }
         }
         woke
     }
@@ -235,8 +215,7 @@ impl System {
             let now = self.machine.meter.now();
             let due = self.world.kernel.take_due_timers(now);
             for t in due {
-                self.machine
-                    .trace_event(TraceEvent::TimerFire { data: t.data });
+                self.machine.note(TraceEvent::TimerFire { data: t.data });
                 self.machine.meter.push_domain(CostDomain::Driver);
                 let r = self.call_dom0(t.handler, &[t.data as u32], 5_000_000);
                 self.machine.meter.pop_domain();

@@ -3,9 +3,8 @@
 
 use super::{peer_mac, Config, DriverOp, System, SystemError, World, ZcOccupancy, MAX_BURST};
 use twin_kernel::{Dom0Kernel, RoutineId, SkBuff};
-use twin_machine::{CostDomain, Event, ExecMode, Machine, Term};
+use twin_machine::{CostDomain, ExecMode, Machine, Term};
 use twin_net::{EtherType, Frame, MacAddr, MTU};
-use twin_trace::FlushCause;
 use twin_xen::{DomId, HyperSupport, Xen};
 
 /// Stack cost of the `i`-th packet of a transmit burst: the first pays
@@ -289,8 +288,7 @@ impl System {
             pending: &mut Vec<u64>,
             ptrs: &mut Vec<u32>,
         ) -> Result<(), SystemError> {
-            machine.meter.count_event(Event::UpcallContinuation);
-            hs.flush_upcalls(machine, kernel, xen, FlushCause::Continuation)?;
+            hs.resume_continuation(machine, kernel, xen)?;
             for id in pending.drain(..) {
                 let done = hs
                     .engine

@@ -490,7 +490,7 @@ mod tests {
     fn fastpath_trace_matches_table1() {
         let mut s = bring_up();
         s.world.kernel.trace.enabled = true;
-        s.world.kernel.trace.phase = "fastpath".into();
+        s.world.kernel.trace.phase = "fastpath";
         let xmit = s.driver.entry("e1000_xmit_frame").unwrap();
         let f = Frame::data(MacAddr::for_guest(7), MacAddr::for_guest(0), 1, 0);
         for _ in 0..2 {
@@ -540,7 +540,7 @@ mod tests {
     fn fragmented_skb_uses_two_descriptors_and_map_page() {
         let mut s = bring_up();
         s.world.kernel.trace.enabled = true;
-        s.world.kernel.trace.phase = "fastpath".into();
+        s.world.kernel.trace.phase = "fastpath";
         let xmit = s.driver.entry("e1000_xmit_frame").unwrap();
         let skb = s.world.kernel.pool.alloc(&mut s.m, s.dom0).unwrap();
         // Header-only linear part (96 bytes) + a page fragment, exactly
@@ -598,7 +598,7 @@ mod tests {
     fn config_paths_touch_many_more_routines_than_fastpath() {
         let mut s = bring_up();
         s.world.kernel.trace.enabled = true;
-        s.world.kernel.trace.phase = "config".into();
+        s.world.kernel.trace.phase = "config";
         let swinit = s.driver.entry("e1000_sw_init").unwrap();
         call_function(
             &mut s.m,

@@ -21,10 +21,9 @@ pub const MMIO_BASE: u64 = 0xE02A_0000;
 /// Records which support routines the driver calls in which phase; the
 /// Table 1 harness compares the `fastpath` set against the paper's ten.
 ///
-/// This is `twin_trace::CallTrace` — the bespoke kernel-local mechanism
-/// was consolidated onto the unified tracing crate. Sites that `record`
-/// a call also emit a typed [`twin_trace::TraceEvent::KernelCall`] into
-/// the machine's flight recorder.
+/// This is `twin_trace::CallTrace`. [`Dom0Kernel::record_call`] records
+/// a call here and notes a typed [`twin_trace::TraceEvent::KernelCall`]
+/// into the machine's flight recorder.
 pub use twin_trace::CallTrace as Trace;
 
 /// Virtual cycles per kernel jiffy: the `mod_timer`/`jiffies_read` unit.
@@ -293,12 +292,10 @@ impl Dom0Kernel {
     /// machine's flight recorder.
     pub fn record_call(&mut self, id: RoutineId, m: &mut Machine) {
         self.trace.record(id.name());
-        if m.trace.enabled() {
-            m.trace_event(twin_trace::TraceEvent::KernelCall {
-                routine: id.name().to_string(),
-                phase: self.trace.phase.clone(),
-            });
-        }
+        m.note(twin_trace::TraceEvent::KernelCall {
+            routine: id.name(),
+            phase: self.trace.phase,
+        });
     }
 
     /// The body of a support routine — the one place each is written —

@@ -15,9 +15,14 @@
 //! tests in the workspace assert *shape* (orderings, ratios); the exact
 //! values are pinned once, in this file's
 //! `the_term_table_is_closed_and_pinned`.
+//!
+//! Occurrences are the second table, [`Event`], and [`row`] pairs it
+//! with the flight recorder's `TraceEvent` kinds, so a count and its
+//! trace record are one vocabulary.
 
 use std::fmt;
 use std::ops::Index;
+use twin_trace::TraceEvent;
 
 /// Attribution category for cycle charges (the four bars of Fig. 7/8).
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -312,8 +317,10 @@ impl CostParams {
 }
 
 closed_table! {
-    /// A named occurrence the meter counts
-    /// ([`CycleMeter::count_event`]): how often, never how long.
+    /// A named occurrence the meter counts: how often, never how long.
+    /// An occurrence with a flight-recorder event is counted by
+    /// [`crate::Machine::note`] through [`row`]; one with no payload by
+    /// [`CycleMeter::count_event`].
     Event {
         /// A flow was first placed on a NIC by the affinity policy.
         AffinityPlace: "affinity_place",
@@ -402,6 +409,46 @@ closed_table! {
         /// A virtual interrupt delivered to a domain.
         Virq: "virq",
     }
+}
+
+/// The [`Event`] row a flight-recorder event counts: the one pairing of
+/// the two vocabularies. [`crate::Machine::note`] counts this row and
+/// records the event, so for a recorder that neither overflowed nor was
+/// cleared, each paired kind's trace count equals its row's count. The
+/// kinds mapped to `None` are trace-only: their occurrence is no row of
+/// its own, or has no payload-free meaning as one.
+#[inline]
+pub fn row(e: &TraceEvent) -> Option<Event> {
+    use TraceEvent as T;
+    Some(match e {
+        T::IrqDelivered { .. } => Event::Irq,
+        T::NapiEnter { .. } => Event::NapiEnter,
+        T::NapiPoll { .. } => Event::NapiPoll,
+        T::NapiComplete { .. } => Event::NapiExit,
+        T::ItrRetune { .. } => Event::ItrRetune,
+        T::EarlyDrop { .. } => Event::EarlyDrop,
+        T::QueueCapDrop { .. } => Event::RxQueueDrop,
+        T::UpcallEnqueue { .. } => Event::UpcallEnqueue,
+        T::UpcallFlush { .. } => Event::UpcallFlush,
+        T::UpcallCompletion { .. } => Event::UpcallExec,
+        T::GrantCacheHit { .. } => Event::GrantCacheHit,
+        T::GrantCacheMiss { .. } => Event::PinPage,
+        T::GrantCacheEvict { .. } => Event::GrantCacheEvict,
+        T::FaultDetected { .. } => Event::DriverAbort,
+        T::QuarantineEnter { .. } => Event::QuarantineEnter,
+        T::QuarantineExit { .. } => Event::QuarantineExit,
+        T::DeviceReset { .. } => Event::DeviceReset,
+        T::VcpuRun { .. } => Event::VcpuRun,
+        T::VcpuSleep { .. } => Event::VcpuSleep,
+        T::AffinityPlace { .. } => Event::AffinityPlace,
+        T::IrqMasked { .. }
+        | T::DrrGrant { .. }
+        | T::GrantCacheRevoke { .. }
+        | T::TimerFire { .. }
+        | T::SoftirqDispatch { .. }
+        | T::KernelCall { .. }
+        | T::InflightAccounted { .. } => return None,
+    })
 }
 
 /// The virtual clock: a monotonic cycle counter advanced by the cost

@@ -13,6 +13,13 @@
 //! operation (domain switch, hypercall, grant op, copy, …) — each a row
 //! of the [`Term`] table, paid by name through [`Machine::pay`].
 //!
+//! Occurrences are counted, never timed: each is an [`Event`] row of the
+//! meter. One that the flight recorder also shows is a single
+//! [`Machine::note`] of its `TraceEvent`, which counts the row
+//! [`cost::row`] pairs with it and records the event when tracing is
+//! on, so the recorder's per-kind counts and the meter's rows cannot
+//! drift apart.
+//!
 //! Driver code runs *for real*: the interpreter in [`interp`] steps the ISA
 //! instruction by instruction, so the 2–3× slowdown of the SVM-rewritten
 //! driver (paper §6.2) emerges from the rewritten instruction stream rather
@@ -167,7 +174,7 @@ pub struct Machine {
     /// The [`Term`] table's cycles.
     pub cost: CostParams,
     /// Flight recorder (disabled by default). Recording is pure
-    /// bookkeeping outside the charged path: [`Machine::trace_event`]
+    /// bookkeeping outside the charged path: [`Machine::note`]
     /// *reads* the clock and domain stack but never charges, so a traced
     /// run's cycle accounting is bit-identical to an untraced run's.
     pub trace: twin_trace::FlightRecorder,
@@ -232,11 +239,19 @@ impl Machine {
         self.meter.now()
     }
 
-    /// Records a flight-recorder event stamped with the current virtual
-    /// clock and cost domain. A branch-and-return while tracing is
-    /// disabled; never charges a cycle either way.
-    #[inline]
-    pub fn trace_event(&mut self, event: twin_trace::TraceEvent) {
+    /// Notes one occurrence: counts the event's [`Event`] row, if
+    /// [`cost::row`] pairs it with one, and records the event stamped
+    /// with the current virtual clock and cost domain when tracing is on.
+    /// This is the one way an occurrence reaches the recorder; a row
+    /// with no payload is [`CycleMeter::count_event`] alone. Never
+    /// charges a cycle, and with tracing off it is the count and a
+    /// branch: always inlined, so the row is chosen where the event is
+    /// built.
+    #[inline(always)]
+    pub fn note(&mut self, event: twin_trace::TraceEvent) {
+        if let Some(e) = cost::row(&event) {
+            self.meter.count_event(e);
+        }
         if self.trace.enabled() {
             self.trace
                 .record(self.meter.now(), self.meter.current_domain().label(), event);
@@ -733,6 +748,31 @@ fn ram_paddr(t: &space::Translation, addr: u64) -> Result<u64, Fault> {
 mod tests {
     use super::*;
     use twin_isa::Width;
+    use twin_trace::TraceEvent;
+
+    #[test]
+    fn a_note_counts_its_row_and_records_only_while_tracing() {
+        let mut m = Machine::new();
+        m.note(TraceEvent::IrqDelivered { dev: 1 });
+        m.note(TraceEvent::TimerFire { data: 7 });
+        assert_eq!(m.meter.event(Event::Irq), 1);
+        assert_eq!(
+            m.meter.events().count(),
+            1,
+            "a trace-only kind counts nothing"
+        );
+        assert!(m.trace.is_empty());
+        m.trace.set_enabled(true);
+        m.pay_to(CostDomain::Xen, Term::Hypercall);
+        m.meter.push_domain(CostDomain::Driver);
+        m.note(TraceEvent::IrqDelivered { dev: 2 });
+        m.meter.pop_domain();
+        assert_eq!(m.meter.event(Event::Irq), 2);
+        assert_eq!(m.meter.now(), 700, "noting charges nothing");
+        let r = m.trace.records().next().unwrap();
+        assert_eq!((r.at, r.domain), (700, "e1000"));
+        assert_eq!(r.event, TraceEvent::IrqDelivered { dev: 2 });
+    }
 
     #[test]
     fn map_and_access() {

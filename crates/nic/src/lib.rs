@@ -198,6 +198,15 @@ pub enum LatencyClass {
 }
 
 impl LatencyClass {
+    /// Stable label used in trace exports.
+    pub fn label(self) -> &'static str {
+        match self {
+            LatencyClass::LowestLatency => "lowest_latency",
+            LatencyClass::LowLatency => "low_latency",
+            LatencyClass::BulkLatency => "bulk_latency",
+        }
+    }
+
     /// The ladder point this regime steers toward.
     pub fn target_itr(self) -> u32 {
         match self {

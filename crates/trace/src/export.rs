@@ -120,15 +120,12 @@ fn event_args(ev: &TraceEvent) -> String {
         TraceEvent::EarlyDrop { guest } | TraceEvent::QueueCapDrop { guest } => {
             format!("{{\"guest\": {guest}}}")
         }
-        TraceEvent::UpcallEnqueue { routine, cont_id } => format!(
-            "{{\"routine\": \"{}\", \"cont_id\": {cont_id}}}",
-            escape_json(routine)
-        ),
         TraceEvent::UpcallFlush { cause, drained } => format!(
             "{{\"cause\": \"{}\", \"drained\": {drained}}}",
             cause.label()
         ),
-        TraceEvent::UpcallCompletion { routine, cont_id } => format!(
+        TraceEvent::UpcallEnqueue { routine, cont_id }
+        | TraceEvent::UpcallCompletion { routine, cont_id } => format!(
             "{{\"routine\": \"{}\", \"cont_id\": {cont_id}}}",
             escape_json(routine)
         ),

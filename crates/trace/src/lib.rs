@@ -20,10 +20,17 @@
 //!   domain × device, instant events for drops/retunes) and a flat JSON
 //!   metrics dump, written when the `TWIN_TRACE_OUT` environment variable
 //!   names an output directory.
-//! * [`CallTrace`] — the Table 1 call-name trace (formerly a bespoke
-//!   mechanism in `twin-kernel`), now a typed event class: sites that
-//!   record a call also emit [`TraceEvent::KernelCall`] into the unified
-//!   stream.
+//! * [`CallTrace`] — the Table 1 call-name trace: which routines the
+//!   driver calls in which harness phase. The site that records a call
+//!   also notes [`TraceEvent::KernelCall`] into the unified stream; the
+//!   routine and the phase are `&'static str` labels, so building the
+//!   event allocates nothing whether or not the recorder is on.
+//!
+//! This crate cannot name the meter's counters. Which [`TraceEvent`]
+//! kinds are occurrences the meter counts, and under which row, is
+//! stated once, next to those rows: `twin_machine::cost::row`. A site
+//! emits an event through `twin_machine::Machine::note`, which counts
+//! the row and records the event in one call.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -137,7 +144,7 @@ pub enum TraceEvent {
     /// A dom0 call was saved into the deferred-upcall ring.
     UpcallEnqueue {
         /// Support-routine name.
-        routine: String,
+        routine: &'static str,
         /// Continuation id the completion will carry.
         cont_id: u64,
     },
@@ -151,7 +158,7 @@ pub enum TraceEvent {
     /// One flushed entry completed; its return value was posted back.
     UpcallCompletion {
         /// Support-routine name.
-        routine: String,
+        routine: &'static str,
         /// Continuation id matched by the waiter.
         cont_id: u64,
     },
@@ -201,9 +208,9 @@ pub enum TraceEvent {
     /// consolidated from the old `twin_kernel::Trace`).
     KernelCall {
         /// Support-routine name.
-        routine: String,
+        routine: &'static str,
         /// Harness phase label (`init` / `config` / `fastpath`).
-        phase: String,
+        phase: &'static str,
     },
     /// SVM (or the execution watchdog) caught the hypervisor driver
     /// faulting while it drove `dev` — the moment the trust decision
@@ -457,24 +464,23 @@ impl FlightRecorder {
 }
 
 /// The Table 1 call-name trace: which support routines the driver calls
-/// in which harness phase. Formerly `twin_kernel::Trace`; it lives here
-/// so call tracing and the flight recorder are one mechanism — sites
-/// that `record` a call also emit [`TraceEvent::KernelCall`] into the
-/// recorder.
+/// in which harness phase. It lives beside the flight recorder so call
+/// tracing is one mechanism — the site that `record`s a call also notes
+/// [`TraceEvent::KernelCall`] with the same routine and phase.
 #[derive(Clone, Debug, Default)]
 pub struct CallTrace {
     /// Current phase label (`"init"`, `"config"`, `"fastpath"`).
-    pub phase: String,
+    pub phase: &'static str,
     /// Whether recording is enabled.
     pub enabled: bool,
-    calls: BTreeMap<String, BTreeSet<String>>,
+    calls: BTreeMap<String, BTreeSet<&'static str>>,
 }
 
 impl CallTrace {
     /// Creates a disabled trace in phase `"init"`.
     pub fn new() -> CallTrace {
         CallTrace {
-            phase: "init".to_string(),
+            phase: "init",
             enabled: false,
             calls: BTreeMap::new(),
         }
@@ -486,7 +492,7 @@ impl CallTrace {
             self.calls
                 .entry(name.to_string())
                 .or_default()
-                .insert(self.phase.clone());
+                .insert(self.phase);
         }
     }
 
@@ -494,7 +500,7 @@ impl CallTrace {
     pub fn names_in_phase(&self, phase: &str) -> BTreeSet<String> {
         self.calls
             .iter()
-            .filter(|(_, phases)| phases.contains(phase))
+            .filter(|(_, phases)| phases.contains(&phase))
             .map(|(n, _)| n.clone())
             .collect()
     }
@@ -792,9 +798,9 @@ mod tests {
     fn call_trace_phases() {
         let mut t = CallTrace::new();
         t.enabled = true;
-        t.phase = "init".into();
+        t.phase = "init";
         t.record("kmalloc");
-        t.phase = "fastpath".into();
+        t.phase = "fastpath";
         t.record("netif_rx");
         t.record("kmalloc");
         assert_eq!(t.names_in_phase("fastpath").len(), 2);

@@ -232,8 +232,7 @@ impl HyperSupport {
                 // Suspend the burst: drain the ring FIFO (this call
                 // last) in one switch-pair, then resume with the dom0
                 // return value its completion carries.
-                m.meter.count_event(Event::UpcallContinuation);
-                self.flush_upcalls(m, kernel, xen, FlushCause::Continuation)?;
+                self.resume_continuation(m, kernel, xen)?;
                 let done = self
                     .engine
                     .take_completion(cont_id)
@@ -261,7 +260,6 @@ impl HyperSupport {
             self.flush_upcalls(m, kernel, xen, FlushCause::RingFull)?;
         }
         m.pay_to(CostDomain::Xen, Term::UpcallEnqueue);
-        m.meter.count_event(Event::UpcallEnqueue);
         let arg = |i: usize| args.get(i).copied().unwrap_or(0);
         // The slot (layout: `UPCALL_RING_SLOT_BYTES`); the routine word
         // is the `RoutineId`, a `ROUTINES` row by construction.
@@ -278,12 +276,10 @@ impl HyperSupport {
         let cycles = m.meter.now();
         let cont_id = self.engine.enqueue_id(id, args, cycles);
         (words[6], words[7]) = (cont_id as u32, (cont_id >> 32) as u32);
-        if m.trace.enabled() {
-            m.trace_event(TraceEvent::UpcallEnqueue {
-                routine: id.name().to_string(),
-                cont_id,
-            });
-        }
+        m.note(TraceEvent::UpcallEnqueue {
+            routine: id.name(),
+            cont_id,
+        });
         let entry = cont_id - 1;
         let slot = UPCALL_RING_BASE + (entry % UPCALL_RING_SLOTS) * UPCALL_RING_SLOT_BYTES;
         for (i, w) in words.iter().enumerate() {
@@ -293,6 +289,19 @@ impl HyperSupport {
             xen.raise_softirq(Softirq::UpcallFlush);
         }
         Ok(cont_id)
+    }
+
+    /// Suspends a burst on a continuation: counts the suspension and
+    /// drains the ring FIFO, so the suspending calls' completions carry
+    /// dom0's return values when the burst resumes.
+    pub fn resume_continuation(
+        &mut self,
+        m: &mut Machine,
+        kernel: &mut Dom0Kernel,
+        xen: &mut Xen,
+    ) -> Result<usize, Fault> {
+        m.meter.count_event(Event::UpcallContinuation);
+        self.flush_upcalls(m, kernel, xen, FlushCause::Continuation)
     }
 
     /// Drains the deferred-upcall ring in **one** switch-pair: switch to
@@ -322,18 +331,15 @@ impl HyperSupport {
         // Records from earlier flushes were consumed by their waiters
         // already (or never had one) — keep the store bounded.
         self.engine.prune_stale_completions();
-        m.meter.count_event(Event::UpcallFlush);
         m.pay_to(CostDomain::Xen, Term::UpcallFlushOverhead);
         let back = xen.current;
         xen.switch_to(m, DomId::DOM0);
         xen.send_virq(m, DomId::DOM0, UPCALL_PORT);
         xen.domain_mut(DomId::DOM0).pending_virqs.pop();
-        if m.trace.enabled() {
-            m.trace_event(TraceEvent::UpcallFlush {
-                cause,
-                drained: n as u32,
-            });
-        }
+        m.note(TraceEvent::UpcallFlush {
+            cause,
+            drained: n as u32,
+        });
         let stack_top = UPCALL_STACK_BASE + UPCALL_STACK_PAGES * PAGE_SIZE;
         let mut result = Ok(n);
         while let Some(entry) = self.engine.pop_front() {
@@ -349,16 +355,13 @@ impl HyperSupport {
                 result = Err(e);
                 break;
             }
-            m.meter.count_event(Event::UpcallExec);
             m.pay_to(CostDomain::Xen, Term::UpcallComplete);
             self.engine
                 .complete(&entry, cpu.reg(twin_isa::Reg::Eax), m.meter.now());
-            if m.trace.enabled() {
-                m.trace_event(TraceEvent::UpcallCompletion {
-                    routine: entry.routine.name().to_string(),
-                    cont_id: entry.cont_id,
-                });
-            }
+            m.note(TraceEvent::UpcallCompletion {
+                routine: entry.routine.name(),
+                cont_id: entry.cont_id,
+            });
         }
         xen.hypercall(m);
         xen.switch_to(m, back);
@@ -410,10 +413,7 @@ impl HyperSupport {
                         match xen.guest_by_mac(frame.dst) {
                             Some(gid) => {
                                 if !xen.domain_mut(gid).queue_rx(frame) {
-                                    m.meter.count_event(Event::RxQueueDrop);
-                                    if m.trace.enabled() {
-                                        m.trace_event(TraceEvent::QueueCapDrop { guest: gid.0 });
-                                    }
+                                    m.note(TraceEvent::QueueCapDrop { guest: gid.0 });
                                 }
                             }
                             None => m.meter.count_event(Event::DemuxMiss),

@@ -69,6 +69,17 @@ pub enum Softirq {
     },
 }
 
+impl Softirq {
+    /// Stable label used in trace exports.
+    pub fn label(self) -> &'static str {
+        match self {
+            Softirq::DriverIrq { .. } => "driver_irq",
+            Softirq::UpcallFlush => "upcall_flush",
+            Softirq::NapiPoll { .. } => "napi_poll",
+        }
+    }
+}
+
 /// The Xen-like hypervisor state machine.
 #[derive(Debug)]
 pub struct Xen {

@@ -184,7 +184,7 @@ pub fn table1(packets: u64) -> Rendered {
     );
     let mut sys = System::build(Config::TwinDrivers)?;
     sys.world.kernel.trace.enabled = true;
-    sys.world.kernel.trace.phase = "fastpath".into();
+    sys.world.kernel.trace.phase = "fastpath";
     for _ in 0..packets {
         sys.transmit_one()?;
         sys.receive_one()?;

@@ -3,14 +3,20 @@
 //! untraced run — identical runs produce identical event streams, ring
 //! overflow keeps the stream well-formed and is surfaced in the
 //! registry, and the chrome exporter emits the episodes and instants
-//! the sweep harness relies on.
+//! the sweep harness relies on. Counts and trace are one vocabulary:
+//! each kind `twin_machine::cost::row` pairs with an `Event` row was
+//! recorded exactly as often as the meter counted that row.
 
-use twin_machine::CostDomain;
+use std::collections::{BTreeMap, BTreeSet};
+use twin_machine::{cost, CostDomain, Event};
 use twin_net::{EtherType, Frame, MacAddr, MTU};
 use twin_trace::export::chrome_trace_json;
 use twin_trace::{FlightRecorder, TraceEvent};
 use twin_xen::DomId;
-use twindrivers::{peer_mac, Config, ShardPolicy, System, SystemOptions};
+use twindrivers::measure::{fault_injected_source, FaultClass};
+use twindrivers::{
+    peer_mac, Config, Itr, ShardPolicy, System, SystemError, SystemOptions, UpcallMode,
+};
 
 fn mk(dst: MacAddr, flow: u32, seq: u64) -> Frame {
     Frame {
@@ -206,4 +212,201 @@ fn recorder_capacity_shrink_is_safe_mid_stream() {
     let first = rec.records().next().unwrap().clone();
     assert_eq!(first.event, TraceEvent::TimerFire { data: 5 });
     assert_eq!(rec.dropped(), 5);
+}
+
+/// The one-vocabulary law over one run: the recorder neither overflowed
+/// nor was cleared, and every recorded kind the pairing table gives a
+/// row was recorded exactly as often as the meter counted that row.
+/// Returns the rows reached, by kind.
+fn assert_one_vocabulary(sys: &System, scenario: &str) -> BTreeMap<&'static str, Event> {
+    let rec = &sys.machine.trace;
+    assert_eq!(rec.dropped(), 0, "{scenario}: the ring overflowed");
+    assert_eq!(
+        rec.len() as u64,
+        rec.recorded(),
+        "{scenario}: the ring was cleared"
+    );
+    let rows: BTreeMap<&'static str, Event> = rec
+        .records()
+        .filter_map(|r| Some((r.event.kind(), cost::row(&r.event)?)))
+        .collect();
+    let kinds = rec.counts_by_kind();
+    for (kind, e) in &rows {
+        let (traced, counted) = (kinds[kind], sys.machine.meter.event(*e));
+        assert_eq!(
+            traced,
+            counted,
+            "{scenario}: {kind} trace {traced} != {} event {counted}",
+            e.name()
+        );
+    }
+    rows
+}
+
+/// `tests/registry.rs`'s composition: four NICs, zero-copy, deferred
+/// upcalls with a flush deadline, NAPI and the ITR auto-tuner, driven
+/// both ways and idled past the deadline.
+fn composed_run() -> System {
+    let opts = SystemOptions {
+        num_nics: 4,
+        shard: ShardPolicy::FlowHash,
+        zero_copy: true,
+        upcall_mode: UpcallMode::Deferred,
+        upcall_count: 9,
+        upcall_flush_deadline_cycles: Some(300_000),
+        napi_weight: 16,
+        itr: Itr::Auto,
+        tracing: true,
+        ..SystemOptions::default()
+    };
+    let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
+    sys.add_guest(MacAddr::for_guest(2)).unwrap();
+    for round in 0..4u64 {
+        sys.transmit_burst(32).unwrap();
+        sys.take_wire_frames();
+        let frames: Vec<Frame> = (0..32u64)
+            .map(|i| {
+                mk(
+                    MacAddr::for_guest(1 + (i % 2) as u32),
+                    (i % 11) as u32,
+                    round * 32 + i,
+                )
+            })
+            .collect();
+        sys.receive_burst(&frames).unwrap();
+        sys.run_idle(400_000).unwrap();
+    }
+    sys
+}
+
+/// Zero-copy receive on more flows than the grant cache holds pool
+/// pages for, so its LRU evicts.
+fn churn_run() -> System {
+    let opts = SystemOptions {
+        zero_copy: true,
+        tracing: true,
+        ..SystemOptions::default()
+    };
+    let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
+    for flow in 0..140u32 {
+        let frames: Vec<Frame> = (0..32u64)
+            .map(|s| mk(MacAddr::for_guest(1), flow, u64::from(flow) * 32 + s))
+            .collect();
+        sys.receive_burst(&frames).unwrap();
+    }
+    sys
+}
+
+/// The scheduler model with the affinity shard policy: a guest whose
+/// vCPU runs and sleeps while its flow is placed.
+fn affinity_run() -> System {
+    let opts = SystemOptions {
+        num_nics: 4,
+        shard: ShardPolicy::Affinity,
+        sched: true,
+        tracing: true,
+        ..SystemOptions::default()
+    };
+    let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
+    sys.sched_add_vcpu(DomId(1), 1, 100_000, 200_000).unwrap();
+    for round in 0..4u64 {
+        let frames: Vec<Frame> = (0..8)
+            .map(|s| mk(MacAddr::for_guest(1), 900, round * 8 + s))
+            .collect();
+        sys.receive_burst(&frames).unwrap();
+        sys.run_idle(150_000).unwrap();
+    }
+    sys
+}
+
+/// `tests/fault.rs`'s `abort_closes_the_napi_poll_span_and_recovery_rearms_the_irq`,
+/// traced: a wild write aborts a NAPI poll pass, and the next burst
+/// recovers the device.
+fn aborted_poll_run() -> System {
+    let opts = SystemOptions {
+        driver_source: Some(fault_injected_source(FaultClass::WildWrite)),
+        num_nics: 1,
+        napi_weight: 8,
+        fault_recovery: true,
+        tracing: true,
+        ..SystemOptions::default()
+    };
+    let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
+    let frames = |from: u64, n: u64| -> Vec<Frame> {
+        (from..from + n)
+            .map(|s| mk(MacAddr::for_guest(1), 7, s))
+            .collect()
+    };
+    let now = sys.now_cycles();
+    sys.rx_open_loop_arrival(&frames(0, 4), now).unwrap();
+    assert!(sys.in_poll_mode(0), "first irq enters poll mode");
+    sys.arm_driver_fault(FaultClass::WildWrite.arm_value(0))
+        .unwrap();
+    let until = sys.now_cycles() + 600_000;
+    match sys.rx_open_loop_service(until) {
+        Err(SystemError::DriverAborted(_)) => {}
+        other => panic!("expected abort inside the poll pass, got {other:?}"),
+    }
+    assert_eq!(sys.receive_burst(&frames(4, 8)).unwrap(), 8);
+    assert_eq!(sys.recovery_log().len(), 1);
+    sys
+}
+
+/// An open-loop flood, interrupt-driven, with the watermark above the
+/// queue cap: each arrival is reaped into the queue and flushed only at
+/// service, so the flood both sheds at admission and overflows its demux
+/// queue.
+fn overload_run() -> System {
+    let opts = SystemOptions {
+        napi_weight: 0,
+        rx_backlog_watermark: Some(72),
+        ..overload_opts(true)
+    };
+    let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
+    sys.add_guest(MacAddr::for_guest(2)).unwrap();
+    drive(&mut sys);
+    sys
+}
+
+/// Regression: an aborted NAPI poll pass was counted before the driver
+/// call and traced only if the call returned, so each abort left
+/// `napi_poll` one trace record short of its count.
+#[test]
+fn an_aborted_poll_pass_is_counted_and_traced_once() {
+    let sys = aborted_poll_run();
+    let rows = assert_one_vocabulary(&sys, "aborted poll");
+    assert_eq!(rows.get("napi_poll"), Some(&Event::NapiPoll));
+    // The pass is noted after the abort's accounting, having reaped
+    // nothing.
+    let events: Vec<&TraceEvent> = sys.machine.trace.records().map(|r| &r.event).collect();
+    let accounted = events
+        .iter()
+        .position(|e| matches!(e, TraceEvent::InflightAccounted { .. }))
+        .expect("the abort is accounted");
+    assert_eq!(
+        events[accounted + 1],
+        &TraceEvent::NapiPoll { dev: 0, reaped: 0 }
+    );
+}
+
+/// The law over five scenarios that together reach every paired row,
+/// each onto a row of its own.
+#[test]
+fn every_paired_kind_is_recorded_as_often_as_its_row_is_counted() {
+    let mut reached = BTreeMap::new();
+    for (scenario, run) in [
+        ("composed", composed_run as fn() -> System),
+        ("churn", churn_run),
+        ("overload", overload_run),
+        ("affinity", affinity_run),
+        ("aborted poll", aborted_poll_run),
+    ] {
+        reached.extend(assert_one_vocabulary(&run(), scenario));
+    }
+    let rows: BTreeSet<Event> = reached.values().copied().collect();
+    assert_eq!(
+        (reached.len(), rows.len()),
+        (20, 20),
+        "every pair reached, onto distinct rows: {reached:?}"
+    );
 }
