@@ -25,7 +25,9 @@
 //! configuration cannot honour is an error — and then reads as the
 //! paper's §3.1 list: the machine with dom0 and its NICs, the VM
 //! instance, the primary guest, the hypervisor instance, the zero-copy
-//! pool.
+//! pool. [`System::outcome`] captures what a run did as an [`Outcome`],
+//! and [`Outcome::check`] is the one law every "knob on ≡ knob off"
+//! claim is checked against.
 //!
 //! ## How `System` is organised
 //!
@@ -158,6 +160,7 @@
 
 pub mod iommu;
 pub mod measure;
+pub mod outcome;
 pub mod system;
 
 pub use iommu::Iommu;
@@ -168,6 +171,7 @@ pub use measure::{
     FaultPoint, LatencyStats, LivelockPoint, LoadProfile, ModeratedRx, OverloadProfile, RxPhase,
     Throughput, CPU_HZ, TESTBED_NICS, VICTIM_FRAMES_PER_BURST,
 };
+pub use outcome::{Law, Outcome};
 pub use system::{
     peer_mac, Config, Itr, RecoveryReport, ShardPolicy, System, SystemError, SystemOptions,
     UpcallMode, World, MAX_BURST,

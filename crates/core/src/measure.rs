@@ -10,6 +10,7 @@
 //! for the consumer. The harnesses drive the pipeline through its entry
 //! points only; they read results and touch no pipeline state.
 
+use crate::outcome::endpoints;
 use crate::system::{ShardPolicy, System, SystemError, MAX_BURST};
 use std::collections::BTreeMap;
 use twin_machine::{CostDomain, Event};
@@ -265,7 +266,7 @@ impl Measured {
 }
 
 /// `(n, value)` of every counter named `{prefix}{n}.{field}`.
-fn indexed<'a>(
+pub(crate) fn indexed<'a>(
     set: &'a MetricSet,
     prefix: &'a str,
     field: &'a str,
@@ -989,21 +990,6 @@ pub struct AffinityPoint {
     pub victim_p99: u64,
 }
 
-/// Counts per-(guest, flow) sequence inversions in every guest's
-/// delivered log — the order-preservation check the affinity
-/// acceptance gates on.
-fn rx_reorders(sys: &System) -> u64 {
-    let domains = sys.world.xen.iter().flat_map(|x| &x.domains);
-    domains
-        .map(|d| {
-            let mut last = BTreeMap::new();
-            let inverted =
-                |f: &&Frame| last.insert(f.flow, f.seq).is_some_and(|prev| f.seq <= prev);
-            d.rx_delivered.iter().filter(inverted).count() as u64
-        })
-        .sum()
-}
-
 /// Runs one **open-loop** scheduler-affinity point: `bursts` arrival
 /// bursts land on a fixed `gap_cycles` schedule, each spread evenly
 /// (round-robin) across the `traffic` guests on their fixed flows;
@@ -1058,10 +1044,7 @@ pub fn measure_rx_affinity(
     // their wakeup edges. Unlike the livelock sweep this tail counts —
     // the question is delivery cost, not overload goodput, and both
     // policies deliver the same frames.
-    let backlogged = |sys: &System| {
-        let mut domains = sys.world.xen.iter().flat_map(|x| &x.domains);
-        domains.any(|d| !d.rx_queue.is_empty())
-    };
+    let backlogged = |sys: &System| endpoints(&sys.world, sys.guest).any(|e| e.2 > 0);
     for _ in 0..10_000 {
         if !backlogged(sys) {
             break;
@@ -1089,7 +1072,7 @@ pub fn measure_rx_affinity(
         early_drops: m.total("guest", "early_drops"),
         queue_drops: m.total("guest", "queue_drops"),
         ring_drops: m.total("nic", "rx_missed"),
-        reorders: rx_reorders(sys),
+        reorders: sys.outcome().reorders(),
         victim_p99: m.worst_p99(traffic.iter().map(|t| t.0)),
     })
 }

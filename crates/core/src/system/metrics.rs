@@ -2,6 +2,7 @@
 //! counters, and the arrival-to-delivery latency samples.
 
 use super::{GuestState, System};
+use crate::outcome::endpoints;
 use twin_machine::{CostDomain, Event};
 use twin_net::Frame;
 use twin_trace::MetricSet;
@@ -184,20 +185,16 @@ impl System {
         self.world.nics.iter().map(|n| n.stats().rx_missed).sum()
     }
 
-    /// Frames fully delivered to one domain.
+    /// Frames fully delivered to one receive endpoint (0 for an id that
+    /// is none; see [`crate::Outcome`] for what the endpoints are).
     pub fn delivered_rx_for(&self, gid: DomId) -> usize {
-        self.world
-            .xen
-            .as_ref()
-            .map_or(0, |x| x.domain(gid).rx_delivered.len())
+        let mut endpoints = endpoints(&self.world, self.guest);
+        endpoints.find(|e| e.0 == gid).map_or(0, |e| e.1.len())
     }
 
     /// Frames fully delivered to the measured receive endpoint.
     pub fn delivered_rx(&self) -> usize {
-        match self.guest {
-            Some(gid) => self.delivered_rx_for(gid),
-            None => self.world.kernel.rx_delivered.len(),
-        }
+        self.delivered_rx_for(self.guest.unwrap_or(DomId(0)))
     }
 
     /// Bounds the in-flight arrival-stamp map: frames that never reach a
@@ -253,18 +250,9 @@ impl System {
             }
             state.sample_cursor = state.sample_cursor.max(log.len());
         };
-        // One delivered-frame log per endpoint: every domain of a guest
-        // configuration, else the dom0 / native stack (endpoint 0).
-        match self.world.xen.as_ref() {
-            Some(xen) if guest_path => {
-                for (d, state) in xen.domains.iter().zip(&mut self.guests) {
-                    sample(&d.rx_delivered, state);
-                }
-            }
-            _ => {
-                if let Some(state) = self.guests.first_mut() {
-                    sample(&self.world.kernel.rx_delivered, state);
-                }
+        for (id, log, _) in endpoints(&self.world, self.guest) {
+            if let Some(state) = self.guests.get_mut(id.0 as usize) {
+                sample(log, state);
             }
         }
     }

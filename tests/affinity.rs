@@ -19,26 +19,19 @@
 //!   device takes strictly more (smaller) polls for the same backlog.
 
 use twindrivers::machine::Event;
-use twindrivers::net::{EtherType, Frame, MacAddr, MTU};
+use twindrivers::net::{Frame, MacAddr};
 use twindrivers::sched::CPUS;
 use twindrivers::system::DomId;
-use twindrivers::{peer_mac, Config, ShardPolicy, System, SystemError, SystemOptions};
+use twindrivers::{peer_mac, Config, Law, ShardPolicy, System, SystemError, SystemOptions};
 
 const NICS: usize = 4;
 
 fn rx_frame(dst: MacAddr, flow: u32, seq: u64) -> Frame {
-    Frame {
-        dst,
-        src: peer_mac(),
-        ethertype: EtherType::Ipv4,
-        payload_len: MTU,
-        flow,
-        seq,
-    }
+    Frame::data(dst, peer_mac(), flow, seq)
 }
 
 fn hash_dev(flow: u32) -> u32 {
-    (flow.wrapping_mul(2_654_435_761) >> 16) % NICS as u32
+    ShardPolicy::flow_hash_dev(flow, NICS as u32)
 }
 
 /// A flow whose hash lands on `dev`, scanning up from `base`.
@@ -59,9 +52,9 @@ fn build(shard: ShardPolicy, sched: bool) -> System {
     .unwrap()
 }
 
-/// With the scheduler model off, `Affinity` *is* `FlowHash`: identical
-/// placement and identical charged cycles on identical traffic — the
-/// default-off guarantee behind every committed bit-exact baseline.
+/// With the scheduler model off, `Affinity` *is* `FlowHash`: the two
+/// runs are `Law::BitExact` on identical traffic — the default-off
+/// guarantee behind every committed bit-exact baseline.
 #[test]
 fn affinity_without_sched_is_cycle_exact_flowhash() {
     let mut fh = build(ShardPolicy::FlowHash, false);
@@ -84,20 +77,8 @@ fn affinity_without_sched_is_cycle_exact_flowhash() {
             assert_eq!(sys.receive_burst(&frames).unwrap(), frames.len());
         }
     }
-    assert_eq!(
-        fh.machine.meter.now(),
-        af.machine.meter.now(),
-        "affinity with no scheduler must charge exactly flow-hash cycles"
-    );
-    assert_eq!(fh.take_wire_frames(), af.take_wire_frames());
-    let fxen = fh.world.xen.as_ref().unwrap();
-    let axen = af.world.xen.as_ref().unwrap();
-    for g in 1..3usize {
-        assert_eq!(
-            fxen.domains[g].rx_delivered, axen.domains[g].rx_delivered,
-            "guest {g} deliveries"
-        );
-    }
+    let verdict = fh.outcome().check(&af.outcome(), Law::BitExact);
+    verdict.expect("affinity with no scheduler must be flow-hash, cycle for cycle");
 }
 
 /// The scheduler model is a TwinDrivers-configuration feature; the
@@ -197,8 +178,8 @@ fn sleeping_guest_defers_until_wakeup() {
         0,
         "frames for a sleeping guest must defer, not deliver"
     );
-    let queued = sys.world.xen.as_ref().unwrap().domains[1].rx_queue.len();
-    assert_eq!(queued, frames.len(), "deferred frames parked in the queue");
+    let parked = sys.outcome().backlog();
+    assert_eq!(parked, frames.len(), "deferred frames parked in the queue");
     let wake = sys.sched().unwrap().next_event().expect("wakeup armed");
     let now = sys.machine.meter.now();
     assert!(wake > now, "wakeup is in the future");
@@ -208,9 +189,7 @@ fn sleeping_guest_defers_until_wakeup() {
         frames.len(),
         "the wakeup edge flushes the deferred backlog"
     );
-    assert!(sys.world.xen.as_ref().unwrap().domains[1]
-        .rx_queue
-        .is_empty());
+    assert_eq!(sys.outcome().backlog(), 0);
 }
 
 /// NAPI budgets follow the scheduler: the same ring backlog takes

@@ -136,16 +136,10 @@ fn tuner_converges_under_sustained_load_and_decays_after_sustained_idle() {
 }
 
 fn rx_frame(seq: &mut u64) -> twin_net::Frame {
-    use twin_net::{EtherType, Frame, MacAddr, MTU};
+    use twin_net::{Frame, MacAddr};
     *seq += 1;
-    Frame {
-        dst: MacAddr::for_guest(1),
-        src: peer_mac(),
-        ethertype: EtherType::Ipv4,
-        payload_len: MTU,
-        flow: 1 + (*seq % 8) as u32,
-        seq: *seq,
-    }
+    let flow = 1 + (*seq % 8) as u32;
+    Frame::data(MacAddr::for_guest(1), peer_mac(), flow, *seq)
 }
 
 #[test]

@@ -9,19 +9,13 @@
 //! * **amortization** — bigger bursts strictly reduce notifications
 //!   (doorbells, interrupts, virqs) without changing what's delivered.
 
-use twin_machine::{CostDomain, Event};
-use twin_net::{EtherType, Frame, MacAddr, MTU};
-use twindrivers::{peer_mac, Config, System};
+use twin_machine::Event;
+use twin_net::{Frame, MacAddr};
+use twindrivers::system::DomId;
+use twindrivers::{peer_mac, Config, Law, System};
 
 fn rx_frame(dst: MacAddr, seq: u64) -> Frame {
-    Frame {
-        dst,
-        src: peer_mac(),
-        ethertype: EtherType::Ipv4,
-        payload_len: MTU,
-        flow: 2,
-        seq,
-    }
+    Frame::data(dst, peer_mac(), 2, seq)
 }
 
 fn guest_mac(config: Config) -> MacAddr {
@@ -40,18 +34,8 @@ fn burst_of_one_costs_exactly_the_per_packet_path() {
             singles.transmit_one().unwrap();
             assert_eq!(bursts.transmit_burst(1).unwrap(), 1);
         }
-        assert_eq!(
-            singles.take_wire_frames(),
-            bursts.take_wire_frames(),
-            "{config}: identical wire traffic"
-        );
-        for d in CostDomain::ALL {
-            assert_eq!(
-                singles.machine.meter.cycles(d),
-                bursts.machine.meter.cycles(d),
-                "{config}: {d} cycles diverge between per-packet and burst-of-1"
-            );
-        }
+        let tx = singles.outcome().check(&bursts.outcome(), Law::BitExact);
+        tx.unwrap_or_else(|e| panic!("{config}: transmit burst-of-1 diverges: {e}"));
         // Receive side.
         let mut singles = System::build(config).unwrap();
         let mut bursts = System::build(config).unwrap();
@@ -62,13 +46,8 @@ fn burst_of_one_costs_exactly_the_per_packet_path() {
         }
         assert_eq!(singles.delivered_rx(), 20, "{config}");
         assert_eq!(bursts.delivered_rx(), 20, "{config}");
-        for d in CostDomain::ALL {
-            assert_eq!(
-                singles.machine.meter.cycles(d),
-                bursts.machine.meter.cycles(d),
-                "{config}: rx {d} cycles diverge"
-            );
-        }
+        let rx = singles.outcome().check(&bursts.outcome(), Law::BitExact);
+        rx.unwrap_or_else(|e| panic!("{config}: receive burst-of-1 diverges: {e}"));
     }
 }
 
@@ -94,27 +73,9 @@ fn rx_burst_delivers_all_frames_in_order() {
         let frames: Vec<Frame> = (0..24).map(|i| rx_frame(mac, i)).collect();
         assert_eq!(sys.receive_burst(&frames).unwrap(), 24, "{config}");
         assert_eq!(sys.delivered_rx(), 24, "{config}");
-        let delivered: Vec<u64> = match config {
-            Config::NativeLinux | Config::XenDom0 => sys
-                .world
-                .kernel
-                .rx_delivered
-                .iter()
-                .map(|f| f.seq)
-                .collect(),
-            _ => {
-                let gid = sys.guest.unwrap();
-                sys.world
-                    .xen
-                    .as_ref()
-                    .unwrap()
-                    .domain(gid)
-                    .rx_delivered
-                    .iter()
-                    .map(|f| f.seq)
-                    .collect()
-            }
-        };
+        let endpoint = sys.guest.unwrap_or(DomId(0));
+        let o = sys.outcome();
+        let delivered: Vec<u64> = o.delivered(endpoint).iter().map(|f| f.seq).collect();
         assert_eq!(delivered, (0..24).collect::<Vec<u64>>(), "{config}");
     }
 }
@@ -173,7 +134,7 @@ fn pool_exhaustion_mid_burst_does_not_leak_skbs() {
     // and per-packet transmit keeps working afterwards.
     let mut sys = System::build(Config::NativeLinux).unwrap();
     let space = sys.world.kernel.space;
-    let held: Vec<_> = (32..sys.world.kernel.pool.available())
+    let held: Vec<_> = (32..sys.outcome().dom0_free)
         .map(|_| {
             sys.world
                 .kernel
@@ -182,12 +143,12 @@ fn pool_exhaustion_mid_burst_does_not_leak_skbs() {
                 .unwrap()
         })
         .collect();
-    assert_eq!(sys.world.kernel.pool.available(), 32);
+    assert_eq!(sys.outcome().dom0_free, 32);
     assert!(
         sys.transmit_burst(64).is_err(),
         "pool can't cover the burst"
     );
-    assert_eq!(sys.world.kernel.pool.available(), 32, "nothing leaked");
+    assert_eq!(sys.outcome().dom0_free, 32, "nothing leaked");
     for skb in held {
         sys.world.kernel.pool.free(skb);
     }

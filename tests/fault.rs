@@ -15,11 +15,13 @@
 //! driver invocation on behalf of that device executes the fault body.
 
 use twin_kernel::RoutineId;
-use twin_net::{EtherType, Frame, MacAddr, MTU};
+use twin_net::{Frame, MacAddr};
 use twindrivers::kernel::e1000;
 use twindrivers::machine::Event;
 use twindrivers::measure::{fault_injected_source, measure_fault_recovery, FaultClass};
-use twindrivers::{peer_mac, Config, ShardPolicy, System, SystemError, SystemOptions, UpcallMode};
+use twindrivers::{
+    peer_mac, Config, Outcome, ShardPolicy, System, SystemError, SystemOptions, UpcallMode,
+};
 
 /// Injects a payload right after a label of the stock driver source —
 /// the free-form sibling of [`fault_injected_source`] for faults the
@@ -28,30 +30,18 @@ fn sabotage(marker: &str, payload: &str) -> String {
     e1000::source().replace(marker, &format!("{marker}\n{payload}"))
 }
 
-/// A flow id that [`ShardPolicy::FlowHash`] maps to `dev` (mirror of
-/// the hypervisor's multiplicative hash).
+/// A flow id that [`ShardPolicy::FlowHash`] maps to `dev`.
 fn flow_for(dev: u32, nics: u32) -> u32 {
-    (0u32..)
-        .map(|i| 0x7000 + i)
-        .find(|f| (f.wrapping_mul(2_654_435_761) >> 16) % nics == dev)
+    (0x7000u32..)
+        .find(|&f| ShardPolicy::flow_hash_dev(f, nics) == dev)
         .expect("some flow hashes to every device")
 }
 
 /// `burst` in-order frames on `dev`'s flow, continuing from `*seq`.
 fn frames_for(dev: u32, nics: u32, burst: usize, seq: &mut u64) -> Vec<Frame> {
-    (0..burst)
-        .map(|_| {
-            let f = Frame {
-                dst: MacAddr::for_guest(1),
-                src: peer_mac(),
-                ethertype: EtherType::Ipv4,
-                payload_len: MTU,
-                flow: flow_for(dev, nics),
-                seq: *seq,
-            };
-            *seq += 1;
-            f
-        })
+    *seq += burst as u64;
+    (*seq - burst as u64..*seq)
+        .map(|s| Frame::data(MacAddr::for_guest(1), peer_mac(), flow_for(dev, nics), s))
         .collect()
 }
 
@@ -251,7 +241,7 @@ fn abort_drains_the_upcall_ring_and_disarms_the_flush_deadline() {
     }
     // Steady state: every pass flushed its own ring.
     assert_eq!(sys.world.hyper.as_ref().unwrap().engine.depth(), 0);
-    let pool_base = sys.world.kernel.pool.available();
+    let pool_base = sys.outcome().dom0_free;
 
     // Queue a free the driver owes dom0 (an skb leaves the pool) and a
     // non-restorative unmap, arming the flush deadline.
@@ -288,7 +278,7 @@ fn abort_drains_the_upcall_ring_and_disarms_the_flush_deadline() {
     let engine = &sys.world.hyper.as_ref().unwrap().engine;
     assert_eq!(engine.depth(), 2);
     assert!(engine.flush_due_at().is_some(), "deadline armed on enqueue");
-    assert_eq!(sys.world.kernel.pool.available(), pool_base - 1);
+    assert_eq!(sys.outcome().dom0_free, pool_base - 1);
 
     // The armed pass: device 1's fault body sits at the handler entry,
     // so the abort lands with the two queued entries still in the ring
@@ -306,7 +296,7 @@ fn abort_drains_the_upcall_ring_and_disarms_the_flush_deadline() {
     let engine = &sys.world.hyper.as_ref().unwrap().engine;
     assert_eq!(engine.depth(), 0, "no upcall may stay queued past abort");
     assert!(engine.flush_due_at().is_none(), "deadline must be disarmed");
-    assert!(sys.world.kernel.pool.available() >= pool_base);
+    assert!(sys.outcome().dom0_free >= pool_base);
 
     // An idle epoch spanning several deadline windows must not try to
     // flush toward the dead ring.
@@ -338,7 +328,7 @@ fn a_free_queued_behind_a_faulting_upcall_is_replayed_not_leaked() {
     for _ in 0..3 {
         round(&mut sys, &mut seq);
     }
-    let pool_base = sys.world.kernel.pool.available();
+    let pool_base = sys.outcome().dom0_free;
 
     // A free of a pointer dom0 cannot read, then one it is really owed.
     let space = sys.world.kernel.space;
@@ -372,7 +362,7 @@ fn a_free_queued_behind_a_faulting_upcall_is_replayed_not_leaked() {
     round(&mut sys, &mut seq);
     round(&mut sys, &mut seq);
     assert_eq!(
-        sys.world.kernel.pool.available(),
+        sys.outcome().dom0_free,
         pool_base,
         "the skb queued for freeing behind the faulting entry leaked"
     );
@@ -407,13 +397,11 @@ fn recovery_conserves_skb_pools_across_episodes() {
     for _ in 0..3 {
         round(&mut sys, &mut seq);
     }
-    let occupancy = |sys: &System| {
-        (
-            sys.world.kernel.pool.available(),
-            sys.world.kernel.hyper_pool.as_ref().unwrap().available(),
-        )
+    let occupancy = |sys: &mut System| {
+        let o = sys.outcome();
+        (o.dom0_free, o.hyper_free)
     };
-    let baseline = occupancy(&sys);
+    let baseline = occupancy(&mut sys);
 
     for episode in 0..3u32 {
         sys.arm_driver_fault(FaultClass::WildWrite.arm_value(1))
@@ -424,7 +412,7 @@ fn recovery_conserves_skb_pools_across_episodes() {
         round(&mut sys, &mut seq);
         round(&mut sys, &mut seq);
         assert_eq!(
-            occupancy(&sys),
+            occupancy(&mut sys),
             baseline,
             "episode {episode} changed pool occupancy: a reset leaks skbs"
         );
@@ -599,45 +587,26 @@ fn recovery_preserves_sibling_traffic_bit_exact() {
     assert!(sys.quarantined_devices().is_empty());
 
     let gid = sys.guest.unwrap();
-    let faulted = sys
-        .world
-        .xen
-        .as_ref()
-        .unwrap()
-        .domain(gid)
-        .rx_delivered
-        .clone();
-    let gid_c = control.guest.unwrap();
-    let unfaulted = control
-        .world
-        .xen
-        .as_ref()
-        .unwrap()
-        .domain(gid_c)
-        .rx_delivered
-        .clone();
+    let (faulted, unfaulted) = (sys.outcome(), control.outcome());
+    let flow_frames = |o: &Outcome, d: u32| -> Vec<Frame> {
+        let flow = flow_for(d, nics);
+        let log = o.delivered(gid).iter();
+        log.filter(|f| f.flow == flow).cloned().collect()
+    };
     // Siblings: the exact same frames in the exact same per-flow order.
     for d in (0..nics).filter(|d| *d != dev) {
-        let flow = flow_for(d, nics);
-        let got: Vec<&Frame> = faulted.iter().filter(|f| f.flow == flow).collect();
-        let want: Vec<&Frame> = unfaulted.iter().filter(|f| f.flow == flow).collect();
+        let (got, want) = (flow_frames(&faulted, d), flow_frames(&unfaulted, d));
         assert_eq!(got, want, "sibling dev{d} traffic diverged");
     }
     // The faulted device: the control sequence minus exactly the armed
     // burst — bounded, accounted loss, nothing more.
-    let flow = flow_for(dev, nics);
-    let got: Vec<u64> = faulted
-        .iter()
-        .filter(|f| f.flow == flow)
-        .map(|f| f.seq)
-        .collect();
-    let want: Vec<u64> = unfaulted
-        .iter()
-        .filter(|f| f.flow == flow)
-        .map(|f| f.seq)
-        .filter(|s| !lost_range.contains(s))
-        .collect();
-    assert_eq!(got, want, "faulted dev must lose the armed burst exactly");
+    let mut want = flow_frames(&unfaulted, dev);
+    want.retain(|f| !lost_range.contains(&f.seq));
+    assert_eq!(
+        flow_frames(&faulted, dev),
+        want,
+        "faulted dev must lose the armed burst exactly"
+    );
 }
 
 /// The sweep harness itself, at test scale: full recovery, zero blast

@@ -3,7 +3,7 @@
 //! point) and the deadline-driven upcall flush on an idle system.
 
 use twin_kernel::RoutineId;
-use twin_net::{EtherType, Frame, MacAddr, MTU};
+use twin_net::{Frame, MacAddr};
 use twindrivers::machine::Event;
 use twindrivers::measure::upcall_latency;
 use twindrivers::{
@@ -110,14 +110,7 @@ fn moderation_latches_pending_work_and_never_drops_or_reorders() {
                 let flow = (round + i) % 6;
                 let guest = (flow % 3) as usize;
                 injected[guest] += 1;
-                let f = Frame {
-                    dst: macs[guest],
-                    src: peer_mac(),
-                    ethertype: EtherType::Ipv4,
-                    payload_len: MTU,
-                    flow: 20 + flow,
-                    seq: seqs[flow as usize],
-                };
+                let f = Frame::data(macs[guest], peer_mac(), 20 + flow, seqs[flow as usize]);
                 seqs[flow as usize] += 1;
                 f
             })
@@ -133,28 +126,23 @@ fn moderation_latches_pending_work_and_never_drops_or_reorders() {
     // Open every window and deliver the latched tail.
     sys.drain_moderated().unwrap();
 
-    let missed: u64 = sys.world.nics.iter().map(|n| n.stats().rx_missed).sum();
-    assert_eq!(missed, 0, "moderation must delay, never drop");
-    let xen = sys.world.xen.as_ref().unwrap();
+    let o = sys.outcome();
+    assert_eq!(
+        o.total("nic", "rx_missed"),
+        0,
+        "moderation must delay, never drop"
+    );
     for (gi, (g, mac)) in [(g1, macs[0]), (g2, mac2), (g3, mac3)]
         .into_iter()
         .enumerate()
     {
-        let delivered = &xen.domain(g).rx_delivered;
-        assert_eq!(delivered.len(), injected[gi], "guest {gi} count");
-        assert!(delivered.iter().all(|f| f.dst == mac), "cross-delivery");
-        for flow in 20..26u32 {
-            let s: Vec<u64> = delivered
-                .iter()
-                .filter(|f| f.flow == flow)
-                .map(|f| f.seq)
-                .collect();
-            assert!(
-                s.windows(2).all(|w| w[0] < w[1]),
-                "flow {flow} reordered: {s:?}"
-            );
-        }
+        assert_eq!(o.delivered(g).len(), injected[gi], "guest {gi} count");
+        assert!(
+            o.delivered(g).iter().all(|f| f.dst == mac),
+            "cross-delivery"
+        );
     }
+    assert_eq!(o.reorders(), 0, "a (guest, flow) subsequence reordered");
 }
 
 #[test]
@@ -266,14 +254,7 @@ fn deadline_flush_runs_before_a_simultaneously_due_moderated_irq() {
     };
     let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
     // First burst anchors device 0's moderation window…
-    let mk = |seq: u64| Frame {
-        dst: MacAddr::for_guest(1),
-        src: peer_mac(),
-        ethertype: EtherType::Ipv4,
-        payload_len: MTU,
-        flow: 5,
-        seq,
-    };
+    let mk = |seq: u64| Frame::data(MacAddr::for_guest(1), peer_mac(), 5, seq);
     sys.receive_burst(&[mk(0), mk(1)]).unwrap();
     // …and a 16-frame burst latches behind it: reaping it costs
     // hundreds of thousands of cycles, so running it ahead of the flush

@@ -2,19 +2,13 @@
 //! demultiplexes the received packets based on the destination MAC
 //! address, and queues the packet to the appropriate guest domain."
 
-use twin_net::{EtherType, Frame, MacAddr, MTU};
+use twin_net::{Frame, MacAddr};
 use twindrivers::machine::Event;
+use twindrivers::system::DomId;
 use twindrivers::{peer_mac, Config, System};
 
 fn frame_for(dst: MacAddr, seq: u64) -> Frame {
-    Frame {
-        dst,
-        src: peer_mac(),
-        ethertype: EtherType::Ipv4,
-        payload_len: MTU,
-        flow: 9,
-        seq,
-    }
+    Frame::data(dst, peer_mac(), 9, seq)
 }
 
 #[test]
@@ -38,13 +32,13 @@ fn frames_reach_the_right_guest() {
     sys.receive_frame(&frame_for(MacAddr::for_guest(77), 99))
         .unwrap();
 
-    let xen = sys.world.xen.as_ref().unwrap();
-    assert_eq!(xen.domain(g1).rx_delivered.len(), 4);
-    assert_eq!(xen.domain(g2).rx_delivered.len(), 4);
-    assert_eq!(xen.domain(g3).rx_delivered.len(), 4);
+    let o = sys.outcome();
+    for g in [g1, g2, g3] {
+        assert_eq!(o.delivered(g).len(), 4);
+    }
     // Sequence numbers landed with the right owner.
-    assert!(xen.domain(g2).rx_delivered.iter().all(|f| f.seq % 3 == 1));
-    assert!(xen.domain(g3).rx_delivered.iter().all(|f| f.dst == mac3));
+    assert!(o.delivered(g2).iter().all(|f| f.seq % 3 == 1));
+    assert!(o.delivered(g3).iter().all(|f| f.dst == mac3));
     // The unknown destination was dropped and counted.
     assert_eq!(sys.machine.meter.event(Event::DemuxMiss), 1);
     // Still zero domain switches: demux happens in the hypervisor.
@@ -92,9 +86,9 @@ fn batch_demux_fans_out_to_guests_in_one_pass() {
     let after = [Event::Irq, Event::Virq, Event::DomainSwitch].map(|e| meter.event(e));
     // One coalesced interrupt, one virq per guest, no domain switch.
     assert_eq!(after, [before[0] + 1, before[1] + 3, before[2]]);
-    let xen = sys.world.xen.as_ref().unwrap();
+    let o = sys.outcome();
     for (g, mac) in [(g1, MacAddr::for_guest(1)), (g2, mac2), (g3, mac3)] {
-        let delivered = &xen.domain(g).rx_delivered;
+        let delivered = o.delivered(g);
         assert_eq!(delivered.len(), 4);
         assert!(delivered.iter().all(|f| f.dst == mac));
         // Order within each guest preserved.
@@ -114,6 +108,17 @@ fn guests_transmit_interleaved_with_demuxed_receive() {
         sys.receive_frame(&frame_for(mac2, i)).unwrap();
     }
     assert_eq!(sys.take_wire_frames().len(), 10);
-    let xen = sys.world.xen.as_ref().unwrap();
-    assert_eq!(xen.domain(g2).rx_delivered.len(), 10);
+    assert_eq!(sys.delivered_rx_for(g2), 10);
+}
+
+#[test]
+fn an_unknown_domain_has_delivered_nothing() {
+    // Like its siblings `rx_early_drops_for` and `guest_rx_latency`, the
+    // per-domain delivery count reads 0 for an id that is no endpoint.
+    let mut sys = System::build(Config::TwinDrivers).unwrap();
+    sys.receive_frame(&frame_for(MacAddr::for_guest(1), 0))
+        .unwrap();
+    assert_eq!(sys.delivered_rx_for(DomId(9)), 0);
+    assert_eq!(sys.rx_early_drops_for(DomId(9)), 0);
+    assert_eq!(sys.delivered_rx_for(DomId(1)), 1);
 }

@@ -3,19 +3,12 @@
 //! mode switches, DRR weight proportionality, early drop at admission,
 //! and cycle-identity of the off-knob defaults.
 
-use twin_net::{EtherType, Frame, MacAddr, MTU};
+use twin_net::{Frame, MacAddr};
 use twindrivers::machine::Event;
 use twindrivers::{peer_mac, Config, Itr, ShardPolicy, System, SystemOptions};
 
 fn mk(dst: MacAddr, flow: u32, seq: u64) -> Frame {
-    Frame {
-        dst,
-        src: peer_mac(),
-        ethertype: EtherType::Ipv4,
-        payload_len: MTU,
-        flow,
-        seq,
-    }
+    Frame::data(dst, peer_mac(), flow, seq)
 }
 
 #[test]
@@ -81,9 +74,9 @@ fn poll_mode_takes_precedence_over_the_moderation_latch() {
     assert!(!sys.in_poll_mode(0));
 
     // Nothing lost, nothing reordered across the four mode switches.
-    assert_eq!(sys.world.nics[0].stats().rx_missed, 0);
-    let delivered = &sys.world.xen.as_ref().unwrap().domain(g1).rx_delivered;
-    let seqs: Vec<u64> = delivered.iter().map(|f| f.seq).collect();
+    let o = sys.outcome();
+    assert_eq!(o.total("nic", "rx_missed"), 0);
+    let seqs: Vec<u64> = o.delivered(g1).iter().map(|f| f.seq).collect();
     assert_eq!(seqs, (0..12).collect::<Vec<u64>>());
 }
 
@@ -106,8 +99,7 @@ fn napi_absorbs_a_burst_larger_than_the_ring_without_loss() {
     // matters here is that every frame ultimately lands, in order.)
     assert_eq!(sys.receive_burst(&frames).unwrap(), 150);
     assert_eq!(sys.delivered_rx(), 150);
-    let delivered = &sys.world.xen.as_ref().unwrap().domain(g1).rx_delivered;
-    let seqs: Vec<u64> = delivered.iter().map(|f| f.seq).collect();
+    let seqs: Vec<u64> = sys.outcome().delivered(g1).iter().map(|f| f.seq).collect();
     assert_eq!(seqs, (0..150).collect::<Vec<u64>>());
 }
 
@@ -155,29 +147,24 @@ fn mode_switches_under_churn_never_drop_or_reorder() {
     );
     sys.drain_moderated().unwrap();
 
-    let missed: u64 = sys.world.nics.iter().map(|n| n.stats().rx_missed).sum();
-    assert_eq!(missed, 0, "overload control must not drop here");
+    let o = sys.outcome();
+    assert_eq!(
+        o.total("nic", "rx_missed"),
+        0,
+        "overload control must not drop here"
+    );
     assert_eq!(sys.rx_queue_drops(), 0);
-    let xen = sys.world.xen.as_ref().unwrap();
     for (gi, (g, mac)) in [(g1, macs[0]), (g2, mac2), (g3, mac3)]
         .into_iter()
         .enumerate()
     {
-        let delivered = &xen.domain(g).rx_delivered;
-        assert_eq!(delivered.len(), injected[gi], "guest {gi} count");
-        assert!(delivered.iter().all(|f| f.dst == mac), "cross-delivery");
-        for flow in 20..26u32 {
-            let s: Vec<u64> = delivered
-                .iter()
-                .filter(|f| f.flow == flow)
-                .map(|f| f.seq)
-                .collect();
-            assert!(
-                s.windows(2).all(|w| w[0] < w[1]),
-                "flow {flow} reordered: {s:?}"
-            );
-        }
+        assert_eq!(o.delivered(g).len(), injected[gi], "guest {gi} count");
+        assert!(
+            o.delivered(g).iter().all(|f| f.dst == mac),
+            "cross-delivery"
+        );
     }
+    assert_eq!(o.reorders(), 0, "a (guest, flow) subsequence reordered");
 }
 
 #[test]
@@ -244,9 +231,7 @@ fn early_drop_bounds_admission_and_is_accounted_per_guest() {
     sys.rx_open_loop_service(until).unwrap();
     assert_eq!(sys.delivered_rx(), 16, "admitted frames all arrive");
     // The survivors kept their order.
-    let delivered = &sys.world.xen.as_ref().unwrap().domain(g1).rx_delivered;
-    let seqs: Vec<u64> = delivered.iter().map(|f| f.seq).collect();
-    assert!(seqs.windows(2).all(|w| w[0] < w[1]));
+    assert_eq!(sys.outcome().reorders(), 0);
 }
 
 #[test]

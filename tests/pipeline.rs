@@ -3,7 +3,7 @@
 //! behaviour, and the concurrent config-path/fast-path split.
 
 use twin_machine::{CostDomain, Event, ExecMode};
-use twin_net::{EtherType, Frame, MacAddr, MTU};
+use twin_net::{Frame, MacAddr};
 use twindrivers::kernel::e1000;
 use twindrivers::{Config, Itr, System, SystemOptions};
 
@@ -266,16 +266,7 @@ fn simulated_numbers_of_one_burst_each_way_are_pinned() {
     );
 
     let mut sys = System::build(Config::TwinDrivers).unwrap();
-    let frames: Vec<Frame> = (0..32)
-        .map(|seq| Frame {
-            dst: MacAddr::for_guest(1),
-            src: twindrivers::peer_mac(),
-            ethertype: EtherType::Ipv4,
-            payload_len: MTU,
-            flow: 2,
-            seq,
-        })
-        .collect();
+    let frames: Vec<Frame> = (0..32).map(|seq| rx_frame(1, 2, seq)).collect();
     assert_eq!(sys.receive_burst(&frames).unwrap(), 32);
     assert_eq!(
         ledger(&sys),
@@ -331,14 +322,12 @@ fn golden(sys: &System) -> Golden {
 }
 
 fn rx_frame(guest: u32, flow: u32, seq: u64) -> Frame {
-    Frame {
-        dst: MacAddr::for_guest(guest),
-        src: twindrivers::peer_mac(),
-        ethertype: EtherType::Ipv4,
-        payload_len: MTU,
+    Frame::data(
+        MacAddr::for_guest(guest),
+        twindrivers::peer_mac(),
         flow,
         seq,
-    }
+    )
 }
 
 /// Golden tripwire for the **open-loop** path, which the burst golden

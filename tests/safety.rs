@@ -225,11 +225,11 @@ fn evict_and_drive(config: Config, evict: bool) -> Driven {
             .collect();
         assert_eq!(sys.receive_burst(&frames).unwrap(), 8);
     }
-    let xen = sys.world.xen.as_ref().expect("a guest configuration");
+    let delivered = sys.outcome().delivered(twindrivers::xen::DomId(1)).to_vec();
     let m = &sys.machine.meter;
     Driven {
         wire,
-        delivered: xen.domain(twindrivers::xen::DomId(1)).rx_delivered.clone(),
+        delivered,
         stlb_misses: m.event(Event::StlbMiss),
         insns: m.insns(),
         driver_cycles: m.cycles(CostDomain::Driver),

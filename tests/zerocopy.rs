@@ -4,7 +4,7 @@
 //! copy path, revocation quarantines cached grants, and the aggregate
 //! sweep attributes grant work per device.
 
-use twin_net::{EtherType, Frame, MacAddr, MTU};
+use twin_net::{Frame, MacAddr};
 use twindrivers::machine::Event;
 use twindrivers::system::ZC_POOL_FRAMES;
 use twindrivers::{
@@ -21,14 +21,7 @@ fn zc_opts(nics: usize, zero_copy: bool) -> SystemOptions {
 }
 
 fn frame_to(mac: MacAddr, flow: u32, seq: u64) -> Frame {
-    Frame {
-        dst: mac,
-        src: peer_mac(),
-        ethertype: EtherType::Ipv4,
-        payload_len: MTU,
-        flow,
-        seq,
-    }
+    Frame::data(mac, peer_mac(), flow, seq)
 }
 
 /// One committed shard-baseline point: `(nics, burst, tx_cpp, rx_cpp)`.
