@@ -10,7 +10,7 @@
 //! for the consumer. The harnesses drive the pipeline through its entry
 //! points only; they read results and touch no pipeline state.
 
-use crate::outcome::endpoints;
+use crate::outcome::{endpoints, reorders};
 use crate::system::{ShardPolicy, System, SystemError, MAX_BURST};
 use std::collections::BTreeMap;
 use twin_machine::{CostDomain, Event};
@@ -245,12 +245,6 @@ impl Measured {
         self.delta.counter(&format!("guest{}.{field}", g.0))
     }
 
-    /// Sum of `{prefix}{n}.{field}` over every `n` (all guests' drops,
-    /// all NICs' missed frames).
-    fn total(&self, prefix: &str, field: &str) -> u64 {
-        indexed(&self.delta, prefix, field).map(|(_, v)| v).sum()
-    }
-
     /// Worst per-guest p99 arrival-to-delivery latency among `guests`
     /// (needs [`System::track_guest_latency`]).
     fn worst_p99(&self, guests: impl Iterator<Item = DomId>) -> u64 {
@@ -265,8 +259,14 @@ impl Measured {
     }
 }
 
+/// Sum of `set`'s `{prefix}{n}.{field}` over every `n` (all guests'
+/// drops, all NICs' missed frames).
+pub(crate) fn total(set: &MetricSet, prefix: &str, field: &str) -> u64 {
+    indexed(set, prefix, field).map(|(_, v)| v).sum()
+}
+
 /// `(n, value)` of every counter named `{prefix}{n}.{field}`.
-pub(crate) fn indexed<'a>(
+fn indexed<'a>(
     set: &'a MetricSet,
     prefix: &'a str,
     field: &'a str,
@@ -938,9 +938,9 @@ pub fn measure_rx_livelock(
         frames_delivered: delivered,
         goodput_mbps: delivered as f64 * wire_bits(MTU) as f64 / (span as f64 / CPU_HZ) / 1e6,
         rx_cycles_per_packet: m.breakdown(delivered.max(1)).total(),
-        early_drops: m.total("guest", "early_drops"),
-        queue_drops: m.total("guest", "queue_drops"),
-        ring_drops: m.total("nic", "rx_missed"),
+        early_drops: total(&m.delta, "guest", "early_drops"),
+        queue_drops: total(&m.delta, "guest", "queue_drops"),
+        ring_drops: total(&m.delta, "nic", "rx_missed"),
         irqs: m.event(Event::Irq),
         polls: m.event(Event::NapiPoll),
         victim_delivered,
@@ -1044,15 +1044,14 @@ pub fn measure_rx_affinity(
     // their wakeup edges. Unlike the livelock sweep this tail counts —
     // the question is delivery cost, not overload goodput, and both
     // policies deliver the same frames.
-    let backlogged = |sys: &System| endpoints(&sys.world, sys.guest).any(|e| e.2 > 0);
     for _ in 0..10_000 {
-        if !backlogged(sys) {
+        if sys.rx_backlog() == 0 {
             break;
         }
         let now = sys.now_cycles();
         sys.rx_open_loop_service(now + 100_000)?;
     }
-    if backlogged(sys) {
+    if sys.rx_backlog() > 0 {
         return Err(SystemError::Build("affinity drain did not converge".into()));
     }
     let m = window.close(sys);
@@ -1069,10 +1068,10 @@ pub fn measure_rx_affinity(
         cold_deliveries: m.event(Event::ColdDelivery),
         placements: m.delta.counter("sched.placements"),
         wakes: m.event(Event::VcpuRun),
-        early_drops: m.total("guest", "early_drops"),
-        queue_drops: m.total("guest", "queue_drops"),
-        ring_drops: m.total("nic", "rx_missed"),
-        reorders: sys.outcome().reorders(),
+        early_drops: total(&m.delta, "guest", "early_drops"),
+        queue_drops: total(&m.delta, "guest", "queue_drops"),
+        ring_drops: total(&m.delta, "nic", "rx_missed"),
+        reorders: reorders(endpoints(&sys.world, sys.guest).map(|e| e.1)),
         victim_p99: m.worst_p99(traffic.iter().map(|t| t.0)),
     })
 }
@@ -1577,9 +1576,9 @@ mod tests {
             assert_eq!(
                 diff,
                 [
-                    m.total("guest", "early_drops"),
-                    m.total("guest", "queue_drops"),
-                    m.total("nic", "rx_missed"),
+                    total(&m.delta, "guest", "early_drops"),
+                    total(&m.delta, "guest", "queue_drops"),
+                    total(&m.delta, "nic", "rx_missed"),
                     m.guest(flood.0, "delivered"),
                     m.guest(victim.0, "delivered"),
                 ]

@@ -10,7 +10,7 @@
 //! registry — and [`Outcome::check`] states the claim once, at three
 //! strengths ([`Law`]).
 
-use crate::measure::indexed;
+use crate::measure;
 use crate::system::{System, World};
 use std::collections::BTreeMap;
 use twin_machine::Event;
@@ -41,19 +41,27 @@ impl Endpoint {
     /// The first delivery of a flow whose seq is not above the flow's
     /// previous one, named.
     fn inversion(&self) -> Option<String> {
-        let mut flows = self.flows().into_iter();
+        let mut flows = flows(&self.delivered).into_iter();
         let (flow, (a, b)) = flows.find_map(|(f, s)| Some((f, inversions(&s).next()?)))?;
         Some(format!("{} flow {flow}: seq {b} after {a}", self.name()))
     }
+}
 
-    /// Each flow's seqs, in delivery order.
-    fn flows(&self) -> BTreeMap<u32, Vec<u64>> {
-        let mut flows = BTreeMap::<u32, Vec<u64>>::new();
-        for f in &self.delivered {
-            flows.entry(f.flow).or_default().push(f.seq);
-        }
-        flows
+/// Each flow's seqs in `log`, in delivery order.
+fn flows(log: &[Frame]) -> BTreeMap<u32, Vec<u64>> {
+    let mut flows = BTreeMap::<u32, Vec<u64>>::new();
+    for f in log {
+        flows.entry(f.flow).or_default().push(f.seq);
     }
+    flows
+}
+
+/// Per-(endpoint, flow) sequence inversions across delivery logs:
+/// deliveries whose seq is not above the previous one of the same flow
+/// in the same log.
+pub(crate) fn reorders<'a>(logs: impl Iterator<Item = &'a [Frame]>) -> u64 {
+    let seqs = logs.flat_map(|log| flows(log).into_values());
+    seqs.map(|s| inversions(&s).count() as u64).sum()
 }
 
 /// How much of two [`Outcome`]s must agree. Each law includes the ones
@@ -92,13 +100,12 @@ impl Outcome {
     /// Frames delivered to endpoint `id`, in order (empty for an id that
     /// is no endpoint).
     pub fn delivered(&self, id: DomId) -> &[Frame] {
-        self.endpoints
-            .iter()
-            .find(|e| e.id == id)
-            .map_or(&[], |e| &e.delivered)
+        let endpoint = self.endpoints.iter().find(|e| e.id == id);
+        endpoint.map_or(&[], |e| &e.delivered)
     }
 
-    /// Frames queued toward every endpoint and not yet delivered.
+    /// Frames queued toward every endpoint and not yet delivered (what
+    /// [`System::rx_backlog`] read at capture).
     pub fn backlog(&self) -> usize {
         self.endpoints.iter().map(|e| e.queued).sum()
     }
@@ -111,8 +118,7 @@ impl Outcome {
     /// Per-(endpoint, flow) sequence inversions: deliveries whose seq is
     /// not above the previous one of the same flow at the same endpoint.
     pub fn reorders(&self) -> u64 {
-        let flows = self.endpoints.iter().flat_map(|e| e.flows().into_values());
-        flows.map(|s| inversions(&s).count() as u64).sum()
+        reorders(self.endpoints.iter().map(|e| e.delivered.as_slice()))
     }
 
     /// The registry's count of meter row `e`.
@@ -123,7 +129,7 @@ impl Outcome {
     /// Sum of the registry's `{prefix}{n}.{field}` over every `n` (all
     /// NICs' `rx_missed`, all guests' `queue_drops`).
     pub fn total(&self, prefix: &str, field: &str) -> u64 {
-        indexed(&self.metrics, prefix, field).map(|(_, v)| v).sum()
+        measure::total(&self.metrics, prefix, field)
     }
 
     /// Checks that `other` agrees with `self` under `law`; the error
@@ -150,7 +156,7 @@ impl Outcome {
                 Some(format!("{side}: {inversion}"))
             }),
             pairs().find_map(|(a, b)| {
-                let (fa, fb) = (a.flows(), b.flows());
+                let (fa, fb) = (flows(&a.delivered), flows(&b.delivered));
                 let (f, x, y) = first_key_diff(&fa, &fb)?;
                 Some(format!("{} flow {f}: seqs {x:?} vs {y:?}", a.name()))
             }),
@@ -225,17 +231,21 @@ impl System {
             delivered: log.to_vec(),
             queued,
         });
-        let endpoints = endpoints.collect();
         let k = &self.world.kernel;
-        let hyper_free = k.hyper_pool.as_ref().map_or(0, |p| p.available());
-        let dom0_free = k.pool.available();
         Outcome {
+            endpoints: endpoints.collect(),
+            dom0_free: k.pool.available(),
+            hyper_free: k.hyper_pool.as_ref().map_or(0, |p| p.available()),
             metrics: self.metrics(),
             wire: self.take_wire_frames(),
-            endpoints,
-            dom0_free,
-            hyper_free,
         }
+    }
+
+    /// Frames demuxed toward every receive endpoint and not yet
+    /// delivered. Reads only: unlike [`System::outcome`] it leaves the
+    /// wire alone, so a run can poll it while draining.
+    pub fn rx_backlog(&self) -> usize {
+        endpoints(&self.world, self.guest).map(|e| e.2).sum()
     }
 }
 

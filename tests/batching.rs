@@ -134,7 +134,11 @@ fn pool_exhaustion_mid_burst_does_not_leak_skbs() {
     // and per-packet transmit keeps working afterwards.
     let mut sys = System::build(Config::NativeLinux).unwrap();
     let space = sys.world.kernel.space;
-    let held: Vec<_> = (32..sys.outcome().dom0_free)
+    // Every capture below finds an empty wire, so the final count covers
+    // every frame since build, as a single drain at the end would.
+    let o = sys.outcome();
+    assert!(o.wire.is_empty(), "build transmits nothing");
+    let held: Vec<_> = (32..o.dom0_free)
         .map(|_| {
             sys.world
                 .kernel
@@ -143,12 +147,15 @@ fn pool_exhaustion_mid_burst_does_not_leak_skbs() {
                 .unwrap()
         })
         .collect();
-    assert_eq!(sys.outcome().dom0_free, 32);
+    let o = sys.outcome();
+    assert_eq!((o.dom0_free, o.wire.len()), (32, 0));
     assert!(
         sys.transmit_burst(64).is_err(),
         "pool can't cover the burst"
     );
-    assert_eq!(sys.outcome().dom0_free, 32, "nothing leaked");
+    let o = sys.outcome();
+    assert_eq!(o.dom0_free, 32, "nothing leaked");
+    assert!(o.wire.is_empty(), "a failed burst puts nothing on the wire");
     for skb in held {
         sys.world.kernel.pool.free(skb);
     }

@@ -806,9 +806,8 @@ proptest! {
             // and sleep phases alike.
             drive(&mut sys, &sizes, 50, 0, |sys, k| sys.run_idle(idles[k % idles.len()]).unwrap());
             // Drain the deferred backlog past the last sleep phase.
-            let backlog = |sys: &System| sys.metrics().counters().any(|(k, v)| k.ends_with(".queued") && v > 0);
             for _ in 0..64 {
-                if !backlog(&sys) {
+                if sys.rx_backlog() == 0 {
                     break;
                 }
                 sys.run_idle(500_000).unwrap();
