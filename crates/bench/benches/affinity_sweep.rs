@@ -47,7 +47,6 @@ fn build(policy: ShardPolicy) -> System {
     let opts = SystemOptions {
         num_nics: NICS,
         shard: policy,
-        sched: true,
         // Pure interrupt-driven reap, no caps, no watermark: every
         // arrival is reaped immediately, so a drop-free run is the
         // only correct outcome and any drop fails the acceptance.

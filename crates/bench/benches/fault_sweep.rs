@@ -68,7 +68,7 @@ const EPISODE_EVENTS: [&str; 4] = [
     "inflight_accounted",
 ];
 
-fn build(class: FaultClass, recovery: bool) -> System {
+fn build(class: FaultClass, traced: bool) -> System {
     let opts = SystemOptions {
         driver_source: Some(fault_injected_source(class)),
         num_nics: NICS,
@@ -77,10 +77,9 @@ fn build(class: FaultClass, recovery: bool) -> System {
         napi_weight: NAPI_WEIGHT,
         upcall_mode: UpcallMode::Deferred,
         upcall_flush_deadline_cycles: Some(FLUSH_DEADLINE),
-        fault_recovery: recovery,
         // Flight recorder: free when off, zero cycles charged when on —
         // the sweep numbers are bit-identical either way.
-        tracing: recovery && std::env::var_os("TWIN_TRACE_OUT").is_some(),
+        tracing: traced && std::env::var_os("TWIN_TRACE_OUT").is_some(),
         ..SystemOptions::default()
     };
     System::build_with(Config::TwinDrivers, &opts).expect("build system")

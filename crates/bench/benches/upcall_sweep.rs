@@ -14,7 +14,6 @@
 
 use std::process::ExitCode;
 use twin_bench::{packets, Row, Sweep};
-use twindrivers::measure::upcall_latency;
 use twindrivers::{throughput, Config, System, SystemOptions, UpcallMode, TESTBED_NICS};
 
 const UPCALL_COUNTS: [usize; 6] = [0, 1, 2, 4, 6, 9];
@@ -37,7 +36,7 @@ fn measure(n: usize, mode: UpcallMode, pkts: u64) -> Point {
     };
     let mut sys = System::build_with(Config::TwinDrivers, &opts).expect("build");
     let b = sys.measure_tx_burst(BURST, pkts).expect("sweep point");
-    let lat = upcall_latency(&sys);
+    let lat = sys.metrics().histogram("upcall_latency");
     Point {
         upcalls: n,
         mode: match mode {

@@ -237,6 +237,11 @@ impl Row {
         found.map(|(_, v)| v.as_str())
     }
 
+    /// Field `key` as a number (`None` when absent or not numeric).
+    pub fn num(&self, key: &str) -> Option<f64> {
+        self.get(key).and_then(|v| v.parse().ok())
+    }
+
     /// The point's identity in the baseline gate: every field before the
     /// first gated one. `None` for a row that has no gated field.
     fn key(&self) -> Option<String> {
@@ -261,6 +266,25 @@ fn parse(text: &str) -> Result<(Row, Vec<Row>), String> {
         .map(|l| Row::parse(l.trim_end_matches('}')))
         .collect::<Result<_, _>>()?;
     Ok((Row::parse(&header.join(", "))?, entries))
+}
+
+/// The committed `bench/baseline_<name>.json`, as written.
+fn baseline_text(name: &str) -> String {
+    let path = format!(
+        "{}/../../bench/baseline_{name}.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// The committed `bench/baseline_<name>.json` read back into its header
+/// and entries — the one reader of a baseline outside the gate.
+///
+/// # Panics
+///
+/// When the file is missing or is not this emitter's output.
+pub fn baseline(name: &str) -> (Row, Vec<Row>) {
+    parse(&baseline_text(name)).unwrap_or_else(|e| panic!("baseline_{name}.json: {e}"))
 }
 
 /// The rows by identity key. A row without a key, or two rows sharing
@@ -305,7 +329,7 @@ fn gate(baseline: &str, run: &str) -> Result<String, String> {
         };
         for (field, _) in b.0.iter().filter(|(k, _)| k.ends_with(GATED)) {
             let number = |row: &Row, whose: &str| {
-                let n = row.get(field).and_then(|v| v.parse::<f64>().ok());
+                let n = row.num(field);
                 n.ok_or_else(|| format!("{whose} `{key}` has no numeric {field}"))
             };
             let (old, new) = (number(b, "baseline")?, number(r, "the run's")?);
@@ -479,26 +503,19 @@ mod tests {
         "batch", "shard", "upcall", "itr", "autotune", "zerocopy", "livelock", "fault", "affinity",
     ];
 
-    /// A committed baseline: together the complete spec of the emitter's
-    /// output format.
-    fn baseline(name: &str) -> String {
-        let path = format!(
-            "{}/../../bench/baseline_{name}.json",
-            env!("CARGO_MANIFEST_DIR")
-        );
-        std::fs::read_to_string(path).expect("committed baseline")
-    }
-
     /// A sweep named `x` under `header` (nothing is written before
     /// `passed`).
     fn quiet(header: Row) -> Sweep {
         Sweep::new("x", header, "emitter test", "none")
     }
 
+    /// The committed baselines are together the complete spec of the
+    /// emitter's output format.
     #[test]
     fn every_baseline_is_reproduced_byte_for_byte() {
-        for text in SWEEPS.map(baseline) {
-            let (header, rows) = parse(&text).unwrap();
+        for name in SWEEPS {
+            let (header, rows) = baseline(name);
+            let text = baseline_text(name);
             let mut sweep = quiet(header);
             rows.into_iter().for_each(|r| sweep.row(r));
             assert_eq!(sweep.render(), text);
@@ -508,11 +525,11 @@ mod tests {
     #[test]
     fn every_baseline_point_has_a_unique_key() {
         for name in SWEEPS {
-            let (_, rows) = parse(&baseline(name)).unwrap();
+            let (_, rows) = baseline(name);
             assert_eq!(keyed(&rows, name).unwrap().len(), rows.len());
         }
         // The optional field is part of the identity where it is present.
-        let (_, rows) = parse(&baseline("autotune")).unwrap();
+        let (_, rows) = baseline("autotune");
         let key = |row: Option<&Row>| row.and_then(Row::key).unwrap();
         assert!(key(rows.first()).ends_with("mode static  itr 0  gap_cycles 900000"));
         assert!(key(rows.last()).ends_with("mode autotune  gap_cycles 150000"));
@@ -528,7 +545,7 @@ mod tests {
         };
         assert_eq!(fields(Some(500)), "\"itr\": 500, \"burst\": 32");
         assert_eq!(fields(None), "\"burst\": 32");
-        let autotune = baseline("autotune");
+        let autotune = baseline_text("autotune");
         assert!(autotune.contains("\"mode\": \"static\", \"itr\": 0, \"gap_cycles\""));
         assert!(autotune.contains("\"mode\": \"autotune\", \"gap_cycles\""));
     }

@@ -114,8 +114,9 @@
 //! channel. At burst 32 with four or more routines forced onto the
 //! upcall path this sustains ≥ 3× the synchronous throughput, while
 //! [`UpcallMode::Sync`] (the default) stays cycle-exact with the PR 2
-//! path; [`measure::upcall_latency`] reports p50/p99
-//! cycles-to-completion so the latency cost of deferral stays visible
+//! path; the registry's `upcall_latency` histogram ([`System::metrics`])
+//! reports p50/p99 cycles-to-completion so the latency cost of deferral
+//! stays visible
 //! (`cargo bench -p twin-bench --bench upcall_sweep` emits
 //! `BENCH_upcall.json`).
 //!
@@ -166,10 +167,10 @@ pub mod system;
 pub use iommu::Iommu;
 pub use measure::{
     balanced_flow_set, fault_injected_source, measure_aggregate_throughput, measure_fault_recovery,
-    measure_rx_affinity, measure_rx_autotuned, measure_rx_livelock, throughput, upcall_latency,
-    AffinityPoint, AggregateThroughput, AutotunedRx, Breakdown, BurstMeasurement, FaultClass,
-    FaultPoint, LatencyStats, LivelockPoint, LoadProfile, ModeratedRx, OverloadProfile, RxPhase,
-    Throughput, CPU_HZ, TESTBED_NICS, VICTIM_FRAMES_PER_BURST,
+    measure_rx_affinity, measure_rx_autotuned, measure_rx_livelock, throughput, AffinityPoint,
+    AggregateThroughput, AutotunedRx, Breakdown, BurstMeasurement, FaultClass, FaultPoint,
+    LivelockPoint, LoadProfile, ModeratedRx, OverloadProfile, RxPhase, Throughput, CPU_HZ,
+    TESTBED_NICS, VICTIM_FRAMES_PER_BURST,
 };
 pub use outcome::{Law, Outcome};
 pub use system::{

@@ -80,64 +80,12 @@ pub struct BurstMeasurement {
     pub doorbells_per_packet: f64,
 }
 
-/// Latency percentiles over a set of cycles-to-completion samples —
-/// the groundwork adaptive interrupt moderation needs, and the metric
-/// that keeps upcall deferral honest: throughput may rise only while the
-/// tail stays bounded.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct LatencyStats {
-    /// Number of samples.
-    pub samples: usize,
-    /// Median cycles-to-completion.
-    pub p50: u64,
-    /// 99th-percentile cycles-to-completion.
-    pub p99: u64,
-    /// Worst observed.
-    pub max: u64,
-}
-
-impl LatencyStats {
-    /// Computes nearest-rank percentiles over `samples` (any order).
-    /// All-zero on an empty set.
-    pub fn from_samples(samples: &[u64]) -> LatencyStats {
-        HistogramSummary::from_samples(samples).into()
-    }
-
-    /// One report row.
-    pub fn row(&self) -> String {
-        format!(
-            "upcall latency  p50 {:>8} cyc   p99 {:>8} cyc   max {:>8} cyc   ({} samples)",
-            self.p50, self.p99, self.max, self.samples
-        )
-    }
-}
-
-/// The registry's histogram summaries are the same nearest-rank
-/// statistics, so a window's latency is read straight off its delta.
-impl From<HistogramSummary> for LatencyStats {
-    fn from(h: HistogramSummary) -> LatencyStats {
-        LatencyStats {
-            samples: h.count as usize,
-            p50: h.p50,
-            p99: h.p99,
-            max: h.max,
-        }
-    }
-}
-
 /// Capacity of the receive-latency reservoir held by a `System`: far
 /// above any single measurement window's sample count (the sweeps
 /// measure hundreds of frames per point), so the committed sweeps and
 /// tests see exact percentiles, while an arbitrarily long paced run
 /// stays at a fixed memory footprint.
 pub const RX_LATENCY_RESERVOIR: usize = 65_536;
-
-/// Latency percentiles of every upcall completed in the current
-/// measurement window of `sys` (empty stats outside TwinDrivers or when
-/// no upcalls ran).
-pub fn upcall_latency(sys: &System) -> LatencyStats {
-    LatencyStats::from_samples(sys.upcall_latency_samples())
-}
 
 /// Result of converting a per-packet cost into netperf-style throughput.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -236,8 +184,8 @@ impl Measured {
 
     /// Arrival-to-delivery latency of the frames completed in the
     /// window.
-    fn latency(&self) -> LatencyStats {
-        self.delta.histogram("rx_latency").into()
+    fn latency(&self) -> HistogramSummary {
+        self.delta.histogram("rx_latency")
     }
 
     /// One guest's `guest{g}.{field}` counter change.
@@ -346,34 +294,24 @@ fn open_loop_schedule(
 
 impl System {
     /// Measures the per-packet cycle breakdown for `packets` transmits
-    /// along the exact per-packet path, after a warm-up that fills the
-    /// stlb and pools.
+    /// along the exact per-packet path — [`System::measure_tx_burst`] at
+    /// burst 1, since [`System::transmit_one`] is a burst of one.
     ///
     /// # Errors
     ///
     /// Propagates per-packet errors.
     pub fn measure_tx(&mut self, packets: u64) -> Result<Breakdown, SystemError> {
-        warm_tx(self)?;
-        let window = Window::open(self);
-        for _ in 0..packets {
-            self.transmit_one()?;
-        }
-        Ok(window.close(self).breakdown(packets))
+        Ok(self.measure_tx_burst(1, packets)?.breakdown)
     }
 
-    /// Measures the per-packet cycle breakdown for `packets` receives,
-    /// after a warm-up of more than one full RX-ring cycle per NIC.
+    /// Measures the per-packet cycle breakdown for `packets` receives —
+    /// [`System::measure_rx_burst`] at burst 1.
     ///
     /// # Errors
     ///
     /// Propagates per-packet errors.
     pub fn measure_rx(&mut self, packets: u64) -> Result<Breakdown, SystemError> {
-        warm_rx_rings(self)?;
-        let window = Window::open(self);
-        for _ in 0..packets {
-            self.receive_one()?;
-        }
-        Ok(window.close(self).breakdown(packets))
+        Ok(self.measure_rx_burst(1, packets)?.breakdown)
     }
 
     /// Measures amortized transmit cost at a fixed burst size: at least
@@ -612,7 +550,7 @@ pub struct ModeratedRx {
     pub moderated_irqs: u64,
     /// Arrival-to-delivery latency percentiles — the side moderation
     /// spends.
-    pub latency: LatencyStats,
+    pub latency: HistogramSummary,
 }
 
 impl ModeratedRx {
@@ -676,7 +614,7 @@ pub struct RxPhase {
     /// Hardware interrupts dispatched per measured packet.
     pub irqs_per_packet: f64,
     /// Arrival-to-delivery latency percentiles over the measured span.
-    pub latency: LatencyStats,
+    pub latency: HistogramSummary,
     /// `ITR` retunes the auto-tuner performed in the measured span
     /// (0 for static runs).
     pub retunes: u64,
@@ -1002,8 +940,8 @@ pub struct AffinityPoint {
 /// delivered packet is an apples-to-apples comparison and sleep
 /// deferral shows up in latency, not in lost goodput.
 ///
-/// The system must be built with [`crate::SystemOptions::sched`] when `vcpus`
-/// is non-empty. `policy` and `duty_pct` are reporting labels.
+/// The system must be a TwinDrivers one when `vcpus` is non-empty.
+/// `policy` and `duty_pct` are reporting labels.
 ///
 /// # Errors
 ///
@@ -1085,7 +1023,7 @@ pub fn measure_rx_affinity(
 ///
 /// The link ceiling per direction counts only NICs that **actually
 /// carried traffic** during that direction's run: a 4-NIC system under
-/// `ShardPolicy::Static(0)` is capped at one gigabit link, not four —
+/// `ShardPolicy::Static` is capped at one gigabit link, not four —
 /// idle hardware adds no capacity.
 ///
 /// A single NIC at burst 1 is the degenerate case and reproduces the
@@ -1319,10 +1257,10 @@ pub fn balanced_flow_set(num_nics: u32, flows_per_nic: usize) -> Vec<u32> {
     out
 }
 
-/// The first flow id from `0x5000` up that [`ShardPolicy::FlowHash`]
-/// maps to `dev`.
-fn flow_for_dev(dev: u32, nics: u32) -> u32 {
-    (0x5000u32..)
+/// The first flow id from `from` up that [`ShardPolicy::FlowHash`] maps
+/// to `dev` among `nics` devices.
+pub fn flow_for_dev(dev: u32, nics: u32, from: u32) -> u32 {
+    (from..)
         .find(|&f| ShardPolicy::flow_hash_dev(f, nics) == dev)
         .expect("some flow hashes to every device")
 }
@@ -1332,7 +1270,7 @@ fn flow_for_dev(dev: u32, nics: u32) -> u32 {
 /// `episodes` times against device `dev`) and `control` (same sabotaged
 /// source, never armed — see [`fault_injected_source`] for why the
 /// control cannot be the stock driver). Both systems must be built with
-/// [`ShardPolicy::FlowHash`] and `sys` with `fault_recovery: true`.
+/// [`ShardPolicy::FlowHash`].
 ///
 /// Schedule: warm-up, a `rounds`-round pre-fault window, `episodes` ×
 /// (one faulted round + one recovery round), then a `rounds`-round
@@ -1358,7 +1296,7 @@ pub fn measure_fault_recovery(
     let nics = sys.nic_count() as u32;
     let mut seqs: Vec<u64> = vec![0; nics as usize];
     let mut frames_for = |d: u32| -> Vec<Frame> {
-        let flow = flow_for_dev(d, nics);
+        let flow = flow_for_dev(d, nics, 0x5000);
         let seq = &mut seqs[d as usize];
         (0..burst)
             .map(|_| {
@@ -1490,16 +1428,14 @@ mod tests {
 
     #[test]
     fn latency_stats_from_unsorted_samples() {
-        let s = LatencyStats::from_samples(&[500, 100, 900, 300, 700]);
-        assert_eq!(s.samples, 5);
+        let s = HistogramSummary::from_samples(&[500, 100, 900, 300, 700]);
+        assert_eq!(s.count, 5);
         assert_eq!(s.p50, 500);
         assert_eq!(s.p99, 900);
         assert_eq!(s.max, 900);
         assert!(s.p50 <= s.p99);
-        assert_eq!(LatencyStats::from_samples(&[]), LatencyStats::default());
-        let row = s.row();
-        assert!(row.contains("p50"));
-        assert!(row.contains("p99"));
+        let empty = HistogramSummary::from_samples(&[]);
+        assert_eq!(empty, HistogramSummary::default());
     }
 
     #[test]
@@ -1533,8 +1469,8 @@ mod tests {
         // A short open-loop overload on the livelock sweep's two builds:
         // the uncontrolled one drops at the queue caps and in the rings,
         // the controlled one at the admission watermark and in the
-        // rings. Whatever the registry delta says must be what the
-        // scattered accessors say, read before and after.
+        // rings. The meter's early-drop row is the sum of the per-guest
+        // keys, and every count moves on one of the two builds.
         let mut seen = [0u64; 5];
         for controlled in [false, true] {
             let opts = crate::SystemOptions {
@@ -1553,16 +1489,6 @@ mod tests {
                 MacAddr::for_guest(2),
             );
             warm_rx_rings(&mut sys).unwrap();
-            let read = |sys: &System| {
-                [
-                    sys.rx_early_drops(),
-                    sys.rx_queue_drops(),
-                    sys.rx_ring_drops(),
-                    sys.delivered_rx_for(flood.0) as u64,
-                    sys.delivered_rx_for(victim.0) as u64,
-                ]
-            };
-            let before = read(&sys);
             let window = Window::open(&mut sys);
             let mut seq = OPEN_LOOP_SEQ0;
             let profile = OverloadProfile::FloodOneGuest;
@@ -1572,20 +1498,16 @@ mod tests {
                 6 * 320
             );
             let m = window.close(&sys);
-            let diff: Vec<u64> = read(&sys).iter().zip(before).map(|(a, b)| a - b).collect();
-            assert_eq!(
-                diff,
-                [
-                    total(&m.delta, "guest", "early_drops"),
-                    total(&m.delta, "guest", "queue_drops"),
-                    total(&m.delta, "nic", "rx_missed"),
-                    m.guest(flood.0, "delivered"),
-                    m.guest(victim.0, "delivered"),
-                ]
-            );
-            assert_eq!(m.event(Event::EarlyDrop), diff[0]);
+            let counts = [
+                total(&m.delta, "guest", "early_drops"),
+                total(&m.delta, "guest", "queue_drops"),
+                total(&m.delta, "nic", "rx_missed"),
+                m.guest(flood.0, "delivered"),
+                m.guest(victim.0, "delivered"),
+            ];
+            assert_eq!(m.event(Event::EarlyDrop), counts[0]);
             seen.iter_mut()
-                .zip(&diff)
+                .zip(&counts)
                 .for_each(|(total, d)| *total += d);
         }
         assert!(seen.iter().all(|&n| n > 0), "every count moved: {seen:?}");

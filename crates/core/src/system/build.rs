@@ -36,9 +36,9 @@ fn validate(config: Config, opts: &SystemOptions) -> Result<SystemOptions, Syste
     opts.num_nics = opts.num_nics.clamp(1, e1000::MAX_NICS);
     opts.header_copy_bytes = opts.header_copy_bytes.clamp(26, 1024);
     opts.rx_flush_quantum = opts.rx_flush_quantum.max(1);
-    // The upcall engine, NAPI polling, quarantine, the IOMMU hook-up and
-    // the scheduler model all act on the hypervisor driver and its demux
-    // — only TwinDrivers has them; the zero-copy pools belong to a guest.
+    // The upcall engine, NAPI polling and the IOMMU hook-up all act on
+    // the hypervisor driver and its demux — only TwinDrivers has them;
+    // the zero-copy pools belong to a guest.
     let twin = (config == Config::TwinDrivers, "the TwinDrivers");
     let guest = (
         matches!(config, Config::XenGuest | Config::TwinDrivers),
@@ -52,8 +52,6 @@ fn validate(config: Config, opts: &SystemOptions) -> Result<SystemOptions, Syste
         (deferred, "upcall_mode", twin),
         (deadline, "upcall_flush_deadline_cycles", twin),
         (opts.napi_weight > 0, "napi_weight", twin),
-        (opts.fault_recovery, "fault_recovery", twin),
-        (opts.sched, "sched", twin),
         (opts.zero_copy, "zero_copy", guest),
     ] {
         if on && !honoured {
@@ -188,7 +186,7 @@ impl System {
             grant_cache: None,
             rx_flow_dev: IntMap::default(),
             recovery_log: Vec::new(),
-            sched: opts.sched.then(VcpuSched::default),
+            sched: None,
             affinity_flow_dev: BTreeMap::new(),
             dom0,
             dom0_stack_top: twin_kernel::DOM0_STACK_BASE
@@ -337,14 +335,20 @@ impl System {
 
     /// Registers a vCPU for `guest`, pinned to physical CPU `cpu` for
     /// the rest of the run, with a periodic `run_cycles`-on /
-    /// `sleep_cycles`-off schedule starting now. Requires
-    /// [`SystemOptions::sched`]; guests without a vCPU stay
-    /// always-running.
+    /// `sleep_cycles`-off schedule starting now. The first registration
+    /// builds the vCPU scheduler model ([`twin_sched::VcpuSched`]); from
+    /// then on placement ([`crate::ShardPolicy::Affinity`]), NAPI poll budgets,
+    /// DRR flush grants and ITR idle accounting follow it, and a
+    /// delivery far from the owning guest's vCPU pays
+    /// [`twin_machine::Term::ColdDeliveryRefill`]. Guests without a vCPU
+    /// stay always-running, so a system with none behaves as if the
+    /// model did not exist.
     ///
     /// # Errors
     ///
-    /// [`SystemError::Build`] when the scheduler model is off or the
-    /// guest already has a vCPU.
+    /// [`SystemError::Build`] off the TwinDrivers configuration (the
+    /// model steers the hypervisor driver's demux) or when the guest
+    /// already has a vCPU.
     pub fn sched_add_vcpu(
         &mut self,
         guest: DomId,
@@ -352,11 +356,13 @@ impl System {
         run_cycles: u64,
         sleep_cycles: u64,
     ) -> Result<(), SystemError> {
+        if self.config != Config::TwinDrivers {
+            return Err(SystemError::Build(
+                "sched_add_vcpu requires the TwinDrivers configuration".into(),
+            ));
+        }
         let now = self.machine.meter.now();
-        let sched = self
-            .sched
-            .as_mut()
-            .ok_or_else(|| SystemError::Build("sched model is not enabled".into()))?;
+        let sched = self.sched.get_or_insert_with(VcpuSched::default);
         if !sched.add_vcpu(guest.0, cpu, run_cycles, sleep_cycles, now) {
             return Err(SystemError::Build(format!(
                 "guest {} already has a vCPU",
@@ -366,7 +372,8 @@ impl System {
         Ok(())
     }
 
-    /// The scheduler model, when enabled (test/tool observability).
+    /// The scheduler model, once a vCPU is registered (test/tool
+    /// observability).
     pub fn sched(&self) -> Option<&VcpuSched> {
         self.sched.as_ref()
     }

@@ -46,9 +46,8 @@ impl System {
     /// Runs a function of the hypervisor driver instance, from the guest
     /// context, in hypervisor mode — no address-space switch, the core of
     /// the paper's performance claim. `dev` is the device the call
-    /// drives: a fault is attributed to it, and in fault-recovery mode
-    /// ([`crate::SystemOptions::fault_recovery`]) a call toward a quarantined
-    /// device first runs [`System::recover_device`] so traffic resumes
+    /// drives: a fault quarantines it, and a call toward a quarantined
+    /// device first runs [`System::recover_device`], so traffic resumes
     /// transparently after the one errored invocation.
     fn call_hyperdrv(
         &mut self,
@@ -57,16 +56,12 @@ impl System {
         budget: u64,
         dev: u32,
     ) -> Result<u32, SystemError> {
-        let hyp = self.hyperdrv.as_ref().expect("hypervisor driver");
-        if let Some(reason) = &hyp.aborted {
-            return Err(SystemError::DriverAborted(reason.clone()));
-        }
         if self.devs[dev as usize].quarantine.is_some() {
             // Live recovery: reset the device and fall through into the
             // requested call on the rebuilt adapter slot.
             self.recover_device(dev)?;
         }
-        let hyp = self.hyperdrv.as_ref().unwrap();
+        let hyp = self.hyperdrv.as_ref().expect("hypervisor driver");
         let gid = self.guest.expect("guest");
         let gspace = self.world.xen.as_ref().unwrap().domain(gid).space;
         let stack_top = hyp.stack_top;
@@ -80,55 +75,36 @@ impl System {
             args,
             budget,
         );
-        match r {
-            Ok(v) => Ok(v),
-            Err(fault) => {
-                // SVM caught something (or the watchdog fired): the
-                // hypervisor itself survives (paper §4.5).
-                let reason = twin_xen::hyperdrv::abort_reason_for(&fault);
-                self.machine.note(TraceEvent::FaultDetected {
-                    dev,
-                    reason: reason.clone(),
-                });
-                let (replayed, dropped) = if self.opts.fault_recovery {
-                    // Quarantine the faulted device, not the image:
-                    // siblings keep serving through the shared driver.
-                    self.machine.note(TraceEvent::QuarantineEnter { dev });
-                    let at = self.machine.meter.now();
-                    let (replayed, dropped, revoked_doms, revoked_mappings) =
-                        self.fault_teardown(dev)?;
-                    self.devs[dev as usize].quarantine = Some(QuarantineEpisode {
-                        reason: reason.clone(),
-                        at,
-                        replayed,
-                        dropped,
-                        revoked_doms,
-                        revoked_mappings,
-                    });
-                    (replayed, dropped)
-                } else {
-                    // Sticky abort (the paper's §4.5 endpoint) — but
-                    // "safe" must not mean "leaks": every device's
-                    // grants, queued upcalls, poll latches and watchdogs
-                    // are torn down, with one aggregated accounting
-                    // event for the episode.
-                    self.hyperdrv.as_mut().unwrap().abort(reason.clone());
-                    let (mut replayed, mut dropped) = (0u32, 0u32);
-                    for d in 0..self.world.nics.len() as u32 {
-                        let (r, dr, _, _) = self.fault_teardown(d)?;
-                        replayed += r;
-                        dropped += dr;
-                    }
-                    (replayed, dropped)
-                };
-                self.machine.note(TraceEvent::InflightAccounted {
-                    dev,
-                    replayed,
-                    dropped,
-                });
-                Err(SystemError::DriverAborted(reason))
-            }
-        }
+        let fault = match r {
+            Ok(v) => return Ok(v),
+            Err(fault) => fault,
+        };
+        // SVM caught something (or the watchdog fired): the hypervisor
+        // itself survives (paper §4.5), and so does the shared image —
+        // only the faulted device is quarantined, so siblings keep
+        // serving through it.
+        let reason = twin_xen::hyperdrv::abort_reason_for(&fault);
+        self.machine.note(TraceEvent::FaultDetected {
+            dev,
+            reason: reason.clone(),
+        });
+        self.machine.note(TraceEvent::QuarantineEnter { dev });
+        let at = self.machine.meter.now();
+        let (replayed, dropped, revoked_doms, revoked_mappings) = self.fault_teardown(dev)?;
+        self.devs[dev as usize].quarantine = Some(QuarantineEpisode {
+            reason: reason.clone(),
+            at,
+            replayed,
+            dropped,
+            revoked_doms,
+            revoked_mappings,
+        });
+        self.machine.note(TraceEvent::InflightAccounted {
+            dev,
+            replayed,
+            dropped,
+        });
+        Err(SystemError::DriverAborted(reason))
     }
 
     /// Resolves every [`DriverOp`] kind's entry point in the instance
@@ -320,10 +296,11 @@ impl System {
     /// `e1000_open` (ring reconstruction, `IMS` re-enable) through the
     /// dom0 instance — charged, so recovery latency is real virtual
     /// time — then re-grants the revoked zero-copy pools and releases
-    /// the quarantine. Called automatically by the next driver
-    /// invocation toward the device when
-    /// [`crate::SystemOptions::fault_recovery`] is set; callable directly for
-    /// eager recovery.
+    /// the quarantine. The reset is dom0's work (paper §3.1: the VM
+    /// driver initialises the NIC in dom0), so it is charged to dom0
+    /// whichever path noticed the quarantine. Called automatically by
+    /// the next driver invocation or arrival toward the device;
+    /// callable directly for eager recovery.
     ///
     /// # Errors
     ///
@@ -336,12 +313,10 @@ impl System {
                 "device {dev} is not quarantined"
             )));
         };
-        self.netdevs[dev as usize] = self.probe_and_open(dev)?;
-        self.machine.note(TraceEvent::DeviceReset { dev });
-        for d in &ep.revoked_doms {
-            self.grant_zero_copy_pool(DomId(*d))?;
-        }
-        self.machine.note(TraceEvent::QuarantineExit { dev });
+        self.machine.meter.push_domain(CostDomain::Dom0);
+        let reset = self.reset_device(dev, &ep.revoked_doms);
+        self.machine.meter.pop_domain();
+        reset?;
         let report = RecoveryReport {
             dev,
             reason: ep.reason,
@@ -355,8 +330,19 @@ impl System {
         Ok(report)
     }
 
-    /// Devices currently quarantined (empty on fault-free runs and in
-    /// sticky-abort mode).
+    /// The dom0 half of [`System::recover_device`]: probe and open
+    /// `dev` again, then re-grant the pools of `revoked_doms`.
+    fn reset_device(&mut self, dev: u32, revoked_doms: &[u32]) -> Result<(), SystemError> {
+        self.netdevs[dev as usize] = self.probe_and_open(dev)?;
+        self.machine.note(TraceEvent::DeviceReset { dev });
+        for d in revoked_doms {
+            self.grant_zero_copy_pool(DomId(*d))?;
+        }
+        self.machine.note(TraceEvent::QuarantineExit { dev });
+        Ok(())
+    }
+
+    /// Devices currently quarantined (empty on fault-free runs).
     pub fn quarantined_devices(&self) -> Vec<u32> {
         (0..self.devs.len() as u32)
             .filter(|d| self.devs[*d as usize].quarantine.is_some())

@@ -204,11 +204,6 @@ impl System {
         self.opts.zero_copy
     }
 
-    /// Grant-cache counters (`None` when zero-copy mode is off).
-    pub fn grant_cache_stats(&self) -> Option<twin_xen::GrantCacheStats> {
-        self.grant_cache.as_ref().map(|c| c.stats)
-    }
-
     /// Grants a guest's zero-copy buffer pool: maps the pool region in
     /// the guest's space and pre-pins its frames through the IOMMU
     /// allowlist (one coalesced range per run of consecutive pfns, so

@@ -1,5 +1,5 @@
-//! Reading a system: the unified metrics snapshot, drop and delivery
-//! counters, and the arrival-to-delivery latency samples.
+//! Reading a system: the unified metrics snapshot, delivery counts, and
+//! the arrival-to-delivery latency samples.
 
 use super::{GuestState, System};
 use crate::outcome::endpoints;
@@ -89,18 +89,16 @@ impl System {
                 ms.set(format!("guest{g}.delivered"), d.rx_delivered.len() as u64);
                 ms.set(format!("guest{g}.queued"), d.rx_queue.len() as u64);
                 ms.set(format!("guest{g}.queue_drops"), d.rx_queue_drops);
-                ms.set(
-                    format!("guest{g}.early_drops"),
-                    self.rx_early_drops_for(d.id),
-                );
+                let early = self.guests.get(g as usize).map_or(0, |s| s.early_drops);
+                ms.set(format!("guest{g}.early_drops"), early);
             }
         }
         if let Some(hs) = self.world.hyper.as_ref() {
             ms.set("upcall.max_depth", hs.engine.stats.max_depth as u64);
             ms.record_samples("upcall_latency", hs.engine.latency_samples());
         }
-        if let Some(cs) = self.grant_cache_stats() {
-            ms.set("grantcache.revoked", cs.revoked);
+        if let Some(cache) = self.grant_cache.as_ref() {
+            ms.set("grantcache.revoked", cache.stats.revoked);
         }
         ms.set("trace.events_recorded", self.machine.trace.recorded());
         ms.set("trace.events_dropped", self.machine.trace.dropped());
@@ -158,31 +156,6 @@ impl System {
                 &self.metrics(),
             );
         }
-    }
-
-    /// Frames early-dropped at the admission watermark for one guest.
-    pub fn rx_early_drops_for(&self, gid: DomId) -> u64 {
-        self.guests.get(gid.0 as usize).map_or(0, |g| g.early_drops)
-    }
-
-    /// Total frames early-dropped at the admission watermark.
-    pub fn rx_early_drops(&self) -> u64 {
-        self.guests.iter().map(|g| g.early_drops).sum()
-    }
-
-    /// Total frames dropped at demux queue caps across all guests (work
-    /// already sunk — the livelock waste the early drop exists to
-    /// avoid).
-    pub fn rx_queue_drops(&self) -> u64 {
-        self.world
-            .xen
-            .as_ref()
-            .map_or(0, |x| x.domains.iter().map(|d| d.rx_queue_drops).sum())
-    }
-
-    /// Frames dropped by NICs for want of a free RX descriptor.
-    pub fn rx_ring_drops(&self) -> u64 {
-        self.world.nics.iter().map(|n| n.stats().rx_missed).sum()
     }
 
     /// Frames fully delivered to one receive endpoint (0 for an id that
@@ -262,18 +235,6 @@ impl System {
     /// [`twin_trace::SampleReservoir`]).
     pub fn rx_latency_samples(&self) -> &[u64] {
         self.rx_latency.samples()
-    }
-
-    /// Cycles-to-completion samples for every upcall completed in the
-    /// current measurement window — a `measure_*` harness clears them
-    /// when its window opens (empty when no hypervisor support is
-    /// present).
-    pub fn upcall_latency_samples(&self) -> &[u64] {
-        self.world
-            .hyper
-            .as_ref()
-            .map(|h| h.engine.latency_samples())
-            .unwrap_or(&[])
     }
 
     /// Clears the latency reservoirs at the start of a measurement

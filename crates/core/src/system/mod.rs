@@ -90,11 +90,12 @@ pub fn peer_mac() -> MacAddr {
 /// steering), which preserves per-flow frame order by construction. With
 /// a single NIC every policy degenerates to the exact PR 1 burst path on
 /// NIC 0.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum ShardPolicy {
-    /// All traffic on one fixed NIC (clamped to the last device). The
-    /// default, and the single-NIC degenerate case.
-    Static(u32),
+    /// All traffic on NIC 0. The default, and the single-NIC degenerate
+    /// case.
+    #[default]
+    Static,
     /// Successive bursts rotate across NICs round-robin (bonding mode
     /// balance-rr at burst granularity; keeps whole-burst amortization).
     RoundRobin,
@@ -103,19 +104,12 @@ pub enum ShardPolicy {
     FlowHash,
     /// Scheduler-aware placement: a guest's flows land on the NIC whose
     /// softirq CPU matches the guest's vCPU (per the
-    /// [`SystemOptions::sched`] topology map), so deliveries stay
-    /// cache-warm. Flows of guests with no vCPU — and every flow when
-    /// the scheduler model is off — fall back to the exact
-    /// [`ShardPolicy::FlowHash`] placement, making this policy
-    /// FlowHash-equivalent whenever the scheduler is disabled. vCPUs
-    /// never move, so a flow's placement is permanent.
+    /// [`twin_sched::VcpuSched`] topology map), so deliveries stay
+    /// cache-warm. Flows of guests with no vCPU — every flow until
+    /// [`System::sched_add_vcpu`] registers one — fall back to the exact
+    /// [`ShardPolicy::FlowHash`] placement. vCPUs never move, so a
+    /// flow's placement is permanent.
     Affinity,
-}
-
-impl Default for ShardPolicy {
-    fn default() -> ShardPolicy {
-        ShardPolicy::Static(0)
-    }
 }
 
 impl ShardPolicy {
@@ -285,29 +279,6 @@ pub struct SystemOptions {
     /// whether the event ring fills. `false` (the default) records
     /// nothing.
     pub tracing: bool,
-    /// Driver fault quarantine + live recovery (TwinDrivers only): when
-    /// a hypervisor-driver call faults (SVM illegal access, wedged-ring
-    /// dereference, or execution-watchdog budget exhaustion), quarantine
-    /// the faulted *device* instead of sticky-aborting the shared image
-    /// — tear down its leaked state (cached grants, queued deferred
-    /// upcalls, NAPI/moderation latches, ring skbs, watchdog timer) with
-    /// bounded in-flight accounting, then reset and resume it on the
-    /// next call while sibling NICs keep serving. `false` (the default)
-    /// keeps the paper's §4.5 sticky abort (now leak-free) and is
-    /// bit-exact with every prior baseline on fault-free runs.
-    pub fault_recovery: bool,
-    /// vCPU scheduler model ([`twin_sched::VcpuSched`], TwinDrivers
-    /// only): per-guest run/sleep schedules on the virtual clock, each
-    /// vCPU pinned to one of [`twin_sched::CPUS`] CPUs, and a static
-    /// CPU↔NIC-softirq topology map. When set, placement
-    /// ([`ShardPolicy::Affinity`]), NAPI poll budgets, DRR flush grants
-    /// and ITR idle accounting all follow the scheduler, and deliveries
-    /// pay [`twin_machine::Term::ColdDeliveryRefill`] when they run far
-    /// from the owning guest's vCPU. vCPUs are registered at run time
-    /// with [`System::sched_add_vcpu`]. `false` (the default) takes the
-    /// machinery out of every decision and is bit-exact with every
-    /// prior baseline.
-    pub sched: bool,
 }
 
 impl Default for SystemOptions {
@@ -330,8 +301,6 @@ impl Default for SystemOptions {
             rx_backlog_watermark: None,
             rx_queue_cap: None,
             tracing: false,
-            fault_recovery: false,
-            sched: false,
         }
     }
 }
@@ -367,7 +336,8 @@ struct DevState {
     /// (always, when [`SystemOptions::napi_weight`] is 0).
     poll_entered_at: Option<u64>,
     /// Poll-mode residency over completed episodes, in virtual cycles;
-    /// [`System::poll_mode_cycles`] adds the in-progress episode.
+    /// `nic{i}.poll_cycles` in [`System::metrics`] adds the in-progress
+    /// episode.
     poll_cycles: u64,
     /// Closed-loop `ITR` tuner ([`Itr::Auto`]; `None` leaves the fixed
     /// interval untouched).
@@ -380,8 +350,7 @@ struct DevState {
     /// load-idleness; the wait of a backlogged one is not). Pure
     /// bookkeeping, no cycles.
     gate_anchor: Option<(u64, u64)>,
-    /// The episode between fault detection and recovery
-    /// ([`SystemOptions::fault_recovery`]).
+    /// The episode between fault detection and recovery.
     quarantine: Option<QuarantineEpisode>,
 }
 
@@ -458,8 +427,9 @@ pub struct RecoveryReport {
 pub enum SystemError {
     /// Machine fault (outside the hypervisor driver).
     Fault(Fault),
-    /// The hypervisor driver was aborted (SVM caught an illegal access,
-    /// watchdog fired, …). The hypervisor itself keeps running.
+    /// A hypervisor-driver invocation was aborted (SVM caught an illegal
+    /// access, watchdog fired, …). The hypervisor itself keeps running;
+    /// the faulted device is quarantined and reset at its next use.
     DriverAborted(String),
     /// Driver assembly/rewriting/loading failed.
     Build(String),
@@ -696,12 +666,12 @@ pub struct System {
     /// Completed recovery reports in episode order — pure bookkeeping
     /// (never charged), the fault sweep's latency source.
     recovery_log: Vec<RecoveryReport>,
-    /// vCPU scheduler model (built when [`SystemOptions::sched`] is
-    /// set; `None` leaves every decision on the scheduler-oblivious
-    /// path).
+    /// vCPU scheduler model (built by the first
+    /// [`System::sched_add_vcpu`]; `None` leaves every decision on the
+    /// scheduler-oblivious path, as a model with no vCPU would).
     sched: Option<VcpuSched>,
     /// Permanent [`ShardPolicy::Affinity`] placements: flow → device.
-    /// Populated only with the scheduler on; FlowHash fallback flows
+    /// Populated only for guests with a vCPU; FlowHash fallback flows
     /// are never recorded.
     affinity_flow_dev: BTreeMap<u32, u32>,
     dom0: SpaceId,

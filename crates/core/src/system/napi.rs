@@ -17,11 +17,11 @@ impl System {
             .is_some_and(|d| d.poll_entered_at.is_some())
     }
 
-    /// Virtual cycles `dev` has spent in NAPI poll mode: completed
-    /// enter→complete episodes plus the in-progress one (measured to
-    /// now). Always 0 when NAPI is off. Pure bookkeeping — maintained
-    /// without charging.
-    pub fn poll_mode_cycles(&self, dev: u32) -> u64 {
+    /// Virtual cycles `dev` has spent in NAPI poll mode (the
+    /// `nic{i}.poll_cycles` key): completed enter→complete episodes plus
+    /// the in-progress one (measured to now). Always 0 when NAPI is off.
+    /// Pure bookkeeping — maintained without charging.
+    pub(super) fn poll_mode_cycles(&self, dev: u32) -> u64 {
         let Some(d) = self.devs.get(dev as usize) else {
             return 0;
         };

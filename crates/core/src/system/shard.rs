@@ -17,7 +17,7 @@ impl System {
             return vec![(0, frames)];
         }
         match self.opts.shard {
-            ShardPolicy::Static(dev) => vec![(dev.min(n - 1), frames)],
+            ShardPolicy::Static => vec![(0, frames)],
             ShardPolicy::RoundRobin => {
                 let dev = self.rr_next % n;
                 self.rr_next = (self.rr_next + 1) % n;
@@ -50,13 +50,12 @@ impl System {
 
     /// Device choice for one frame under [`ShardPolicy::Affinity`].
     ///
-    /// Flows that cannot be tied to a scheduled vCPU — the scheduler
-    /// model is off, the frame is not guest-bound, or the guest has no
-    /// registered vCPU — take the exact [`ShardPolicy::FlowHash`]
-    /// placement, so the policy is FlowHash-equivalent whenever the
-    /// scheduler is disabled. A scheduled flow is placed once, on a NIC
-    /// whose softirq CPU matches the guest's vCPU, and stays there:
-    /// vCPUs never move.
+    /// Flows that cannot be tied to a scheduled vCPU — the frame is not
+    /// guest-bound, or the guest has no registered vCPU — take the exact
+    /// [`ShardPolicy::FlowHash`] placement, so the policy is
+    /// FlowHash-equivalent until a vCPU is registered. A scheduled flow
+    /// is placed once, on a NIC whose softirq CPU matches the guest's
+    /// vCPU, and stays there: vCPUs never move.
     fn affinity_dev(&mut self, f: &Frame, n: u32) -> u32 {
         let hash_dev = ShardPolicy::flow_hash_dev(f.flow, n);
         let Some(sched) = self.sched.as_ref() else {

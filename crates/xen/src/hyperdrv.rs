@@ -55,9 +55,7 @@ pub const UPCALL_RING_SLOT_BYTES: u64 = 32;
 /// Number of ring slots (the hard ceiling on the engine's capacity).
 pub const UPCALL_RING_SLOTS: u64 = UPCALL_RING_PAGES * PAGE_SIZE / UPCALL_RING_SLOT_BYTES;
 
-/// The hypervisor driver instance: image, entry points, stack, and abort
-/// state (a driver that makes an illegal access is aborted and stays
-/// aborted until reloaded).
+/// The hypervisor driver instance: image, entry points and stack.
 #[derive(Debug)]
 pub struct HypervisorDriver {
     /// Loaded image id.
@@ -68,8 +66,6 @@ pub struct HypervisorDriver {
     pub entries: BTreeMap<String, u64>,
     /// Top of the driver's hypervisor stack.
     pub stack_top: u64,
-    /// Abort reason, if the driver has been killed.
-    pub aborted: Option<String>,
     /// Number of instructions.
     pub text_len: usize,
 }
@@ -86,18 +82,6 @@ impl HypervisorDriver {
             self.code_base,
             self.code_base + self.text_len as u64 * INSN_SIZE,
         )
-    }
-
-    /// Marks the driver aborted (illegal access detected by SVM).
-    pub fn abort(&mut self, reason: impl Into<String>) {
-        if self.aborted.is_none() {
-            self.aborted = Some(reason.into());
-        }
-    }
-
-    /// Whether the driver is dead.
-    pub fn is_aborted(&self) -> bool {
-        self.aborted.is_some()
     }
 }
 
@@ -143,13 +127,11 @@ pub fn load_hypervisor_driver(
         code_base: HYP_CODE_BASE,
         entries,
         stack_top: HYP_STACK_BASE + HYP_STACK_PAGES * PAGE_SIZE,
-        aborted: None,
         text_len,
     })
 }
 
-/// Guard against misuse: ensure a fault aborts the driver and reports a
-/// readable reason.
+/// The readable reason a faulted invocation is aborted with.
 pub fn abort_reason_for(fault: &Fault) -> String {
     match fault {
         Fault::EnvFault(msg) => msg.clone(),
@@ -194,23 +176,5 @@ mod tests {
         // The hypervisor image's data reference points at dom0's counter.
         let (lo, hi) = hyp.code_range();
         assert!(lo < hi);
-        assert!(!hyp.is_aborted());
-    }
-
-    #[test]
-    fn abort_is_sticky() {
-        let module = assemble("d", ".text\n.globl f\nf:\n ret\n").unwrap();
-        let rw = rewrite(&module, &RewriteOptions::default()).unwrap();
-        let mut m = Machine::new();
-        let dom0 = m.new_space();
-        let vm = load_driver(&mut m, dom0, &rw.module, 0x0800_0000, 0x2800_0000, |n| {
-            (n == twin_svm::STLB_SYMBOL).then_some(0x2900_0000)
-        })
-        .unwrap();
-        let mut hyp =
-            load_hypervisor_driver(&mut m, &rw.module, &vm, twin_svm::STLB_HYPER_BASE).unwrap();
-        hyp.abort("svm: bad access");
-        hyp.abort("second");
-        assert_eq!(hyp.aborted.as_deref(), Some("svm: bad access"));
     }
 }

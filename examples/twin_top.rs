@@ -40,7 +40,6 @@ fn build() -> Result<System, Box<dyn std::error::Error>> {
     let opts = SystemOptions {
         num_nics: NICS,
         shard: ShardPolicy::Affinity,
-        sched: true,
         rx_queue_cap: Some(QUEUE_CAP),
         napi_weight: NAPI_WEIGHT,
         rx_backlog_watermark: Some(WATERMARK),

@@ -19,6 +19,7 @@
 //!   device takes strictly more (smaller) polls for the same backlog.
 
 use twindrivers::machine::Event;
+use twindrivers::measure::flow_for_dev;
 use twindrivers::net::{Frame, MacAddr};
 use twindrivers::sched::CPUS;
 use twindrivers::system::DomId;
@@ -36,29 +37,25 @@ fn hash_dev(flow: u32) -> u32 {
 
 /// A flow whose hash lands on `dev`, scanning up from `base`.
 fn flow_for(dev: u32, base: u32) -> u32 {
-    (base..).find(|&f| hash_dev(f) == dev).unwrap()
+    flow_for_dev(dev, NICS as u32, base)
 }
 
-fn build(shard: ShardPolicy, sched: bool) -> System {
-    System::build_with(
-        Config::TwinDrivers,
-        &SystemOptions {
-            num_nics: NICS,
-            shard,
-            sched,
-            ..SystemOptions::default()
-        },
-    )
-    .unwrap()
+fn build(shard: ShardPolicy) -> System {
+    let opts = SystemOptions {
+        num_nics: NICS,
+        shard,
+        ..SystemOptions::default()
+    };
+    System::build_with(Config::TwinDrivers, &opts).unwrap()
 }
 
-/// With the scheduler model off, `Affinity` *is* `FlowHash`: the two
-/// runs are `Law::BitExact` on identical traffic — the default-off
-/// guarantee behind every committed bit-exact baseline.
+/// With no vCPU registered, `Affinity` *is* `FlowHash`: the two runs
+/// are `Law::BitExact` on identical traffic — the default-off guarantee
+/// behind every committed bit-exact baseline.
 #[test]
 fn affinity_without_sched_is_cycle_exact_flowhash() {
-    let mut fh = build(ShardPolicy::FlowHash, false);
-    let mut af = build(ShardPolicy::Affinity, false);
+    let mut fh = build(ShardPolicy::FlowHash);
+    let mut af = build(ShardPolicy::Affinity);
     let mac2 = MacAddr::for_guest(2);
     for sys in [&mut fh, &mut af] {
         sys.add_guest(mac2).unwrap();
@@ -82,18 +79,13 @@ fn affinity_without_sched_is_cycle_exact_flowhash() {
 }
 
 /// The scheduler model is a TwinDrivers-configuration feature; the
-/// unoptimised configurations must refuse it loudly.
+/// unoptimised configurations must refuse a vCPU loudly.
 #[test]
 fn sched_requires_twindrivers_config() {
-    let err = System::build_with(
-        Config::XenGuest,
-        &SystemOptions {
-            num_nics: NICS,
-            sched: true,
-            ..SystemOptions::default()
-        },
-    );
-    assert!(err.is_err(), "sched on domU must fail to build");
+    let mut sys = System::build(Config::XenGuest).unwrap();
+    let err = sys.sched_add_vcpu(DomId(1), 0, 1_000_000, 0);
+    assert!(matches!(err, Err(SystemError::Build(_))), "{err:?}");
+    assert!(sys.sched().is_none());
 }
 
 /// Adversarial pinning (each guest one CPU away from its flow's
@@ -110,7 +102,7 @@ fn placement_follows_vcpu_and_eliminates_cold_refills() {
     let mut cold_cycles = 0;
     let mut warm_cycles = 0;
     for (shard, expect_cold) in [(ShardPolicy::FlowHash, 24), (ShardPolicy::Affinity, 0)] {
-        let mut sys = build(shard, true);
+        let mut sys = build(shard);
         sys.sched_add_vcpu(DomId(1), cpu, 1_000_000, 0).unwrap();
         assert_eq!(sys.receive_burst(&frames).unwrap(), frames.len());
         let cold = sys.machine.meter.event(Event::ColdDelivery);
@@ -137,7 +129,7 @@ fn placement_follows_vcpu_and_eliminates_cold_refills() {
 /// build error, and the first keeps its CPU and its one armed edge.
 #[test]
 fn reregistering_a_guests_vcpu_is_a_build_error() {
-    let mut sys = build(ShardPolicy::Affinity, true);
+    let mut sys = build(ShardPolicy::Affinity);
     sys.sched_add_vcpu(DomId(1), 0, 1_000, 1_000).unwrap();
     match sys.sched_add_vcpu(DomId(1), 1, 1_000, 1_000) {
         Err(SystemError::Build(why)) => assert_eq!(why, "guest 1 already has a vCPU"),
@@ -160,7 +152,7 @@ fn reregistering_a_guests_vcpu_is_a_build_error() {
 /// the wakeup edge the scheduler predicted — deferred, never dropped.
 #[test]
 fn sleeping_guest_defers_until_wakeup() {
-    let mut sys = build(ShardPolicy::Affinity, true);
+    let mut sys = build(ShardPolicy::Affinity);
     // Runs 100k cycles, then sleeps 2M: plenty of room to land a burst
     // mid-sleep without the burst's own charges crossing the edge.
     sys.sched_add_vcpu(DomId(1), 0, 100_000, 2_000_000).unwrap();
@@ -206,7 +198,6 @@ fn poll_budget_weights_toward_running_guests() {
                 num_nics: NICS,
                 shard: ShardPolicy::FlowHash,
                 napi_weight: 8,
-                sched: true,
                 ..SystemOptions::default()
             },
         )
@@ -241,7 +232,7 @@ fn poll_budget_weights_toward_running_guests() {
 #[test]
 fn affinity_harness_point_is_pinned() {
     use twindrivers::measure::{balanced_flow_set, measure_rx_affinity, AffinityPoint};
-    let mut sys = build(ShardPolicy::Affinity, true);
+    let mut sys = build(ShardPolicy::Affinity);
     for g in 2..=4u32 {
         sys.add_guest(MacAddr::for_guest(g)).unwrap();
     }

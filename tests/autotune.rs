@@ -9,48 +9,6 @@ use twindrivers::machine::Event;
 use twindrivers::measure::{measure_rx_autotuned, LoadProfile};
 use twindrivers::{peer_mac, Config, Itr, ShardPolicy, System, SystemOptions};
 
-/// Parses `bench/baseline_itr.json` into
-/// `(packets, gap, [(nics, burst, itr, cpp, irqs_per_pkt, p50, p99)])`.
-#[allow(clippy::type_complexity)]
-fn parse_itr_baseline() -> (u64, u64, Vec<(usize, usize, u32, f64, f64, u64, u64)>) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/baseline_itr.json");
-    let text = std::fs::read_to_string(path).expect("bench/baseline_itr.json");
-    let field = |line: &str, name: &str| -> f64 {
-        let key = format!("\"{name}\": ");
-        let i = line
-            .find(&key)
-            .unwrap_or_else(|| panic!("{name} in {line}"))
-            + key.len();
-        let rest = &line[i..];
-        let end = rest.find([',', '}']).expect("field terminator");
-        rest[..end].trim().parse().expect("numeric field")
-    };
-    let mut packets = 0u64;
-    let mut gap = 0u64;
-    let mut points = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.starts_with("\"packets\"") {
-            packets = field(&format!("{{{line}"), "packets") as u64;
-        }
-        if line.starts_with("\"gap_cycles\"") {
-            gap = field(&format!("{{{line}"), "gap_cycles") as u64;
-        }
-        if line.starts_with('{') && line.contains("\"itr\"") {
-            points.push((
-                field(line, "nics") as usize,
-                field(line, "burst") as usize,
-                field(line, "itr") as u32,
-                field(line, "rx_cycles_per_packet"),
-                field(line, "irqs_per_packet"),
-                field(line, "p50_cycles") as u64,
-                field(line, "p99_cycles") as u64,
-            ));
-        }
-    }
-    (packets, gap, points)
-}
-
 #[test]
 fn autotune_off_is_cycle_exact_with_the_itr_baseline() {
     // The tuner machinery (per-pass service hooks, the tuner-window
@@ -60,14 +18,25 @@ fn autotune_off_is_cycle_exact_with_the_itr_baseline() {
     // reproduces the committed baseline to the decimal, percentiles
     // included (which also pins the bounded latency reservoir to the
     // exact-percentile regime).
-    let (packets, gap, points) = parse_itr_baseline();
+    let (header, points) = twin_bench::baseline("itr");
+    let header = |key| header.num(key).unwrap() as u64;
+    let (packets, gap) = (header("packets"), header("gap_cycles"));
     assert_eq!(packets, 384, "baseline was generated at 384 packets");
     let rows: Vec<_> = points
         .iter()
-        .filter(|(n, b, itr, ..)| *n == 4 && *b == 32 && (*itr == 0 || *itr == 2000))
+        .filter(|p| p.num("nics") == Some(4.0) && p.num("burst") == Some(32.0))
+        .filter(|p| [Some(0.0), Some(2000.0)].contains(&p.num("itr")))
         .collect();
     assert_eq!(rows.len(), 2, "both acceptance-row endpoints present");
-    for &(nics, burst, itr, cpp, irqs, p50, p99) in rows {
+    for p in rows {
+        let num = |key| p.num(key).unwrap_or_else(|| panic!("{key} in {p:?}"));
+        let (nics, burst, itr) = (
+            num("nics") as usize,
+            num("burst") as usize,
+            num("itr") as u32,
+        );
+        let (cpp, irqs) = (num("rx_cycles_per_packet"), num("irqs_per_packet"));
+        let (p50, p99) = (num("p50_cycles") as u64, num("p99_cycles") as u64);
         let opts = SystemOptions {
             num_nics: nics,
             shard: ShardPolicy::FlowHash,

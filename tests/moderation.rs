@@ -5,47 +5,10 @@
 use twin_kernel::RoutineId;
 use twin_net::{Frame, MacAddr};
 use twindrivers::machine::Event;
-use twindrivers::measure::upcall_latency;
 use twindrivers::{
     measure_aggregate_throughput, peer_mac, Config, Itr, ShardPolicy, System, SystemOptions,
     UpcallMode,
 };
-
-/// One committed shard-baseline point: `(nics, burst, tx_cpp, rx_cpp)`.
-fn parse_shard_baseline() -> (u64, Vec<(usize, usize, f64, f64)>) {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../bench/baseline_shard.json"
-    );
-    let text = std::fs::read_to_string(path).expect("bench/baseline_shard.json");
-    let field = |line: &str, name: &str| -> f64 {
-        let key = format!("\"{name}\": ");
-        let i = line
-            .find(&key)
-            .unwrap_or_else(|| panic!("{name} in {line}"))
-            + key.len();
-        let rest = &line[i..];
-        let end = rest.find([',', '}']).expect("field terminator");
-        rest[..end].trim().parse().expect("numeric field")
-    };
-    let mut packets = 0u64;
-    let mut points = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.starts_with("\"packets\"") {
-            packets = field(&format!("{{{line}"), "packets") as u64;
-        }
-        if line.starts_with('{') && line.contains("\"nics\"") {
-            points.push((
-                field(line, "nics") as usize,
-                field(line, "burst") as usize,
-                field(line, "tx_cycles_per_packet"),
-                field(line, "rx_cycles_per_packet"),
-            ));
-        }
-    }
-    (packets, points)
-}
 
 #[test]
 fn itr_zero_no_deadline_is_cycle_exact_with_the_shard_baseline() {
@@ -54,10 +17,14 @@ fn itr_zero_no_deadline_is_cycle_exact_with_the_shard_baseline() {
     // to the decimal with the clock, the timer wheel, the moderation
     // hooks and the deadline checks all in place (ITR 0, no deadline —
     // the defaults).
-    let (packets, points) = parse_shard_baseline();
+    let (header, points) = twin_bench::baseline("shard");
+    let packets = header.num("packets").unwrap() as u64;
     assert_eq!(packets, 64, "baseline was generated at 64 packets/point");
     assert_eq!(points.len(), 12, "full shard baseline");
-    for (nics, burst, tx_cpp, rx_cpp) in points {
+    for p in points {
+        let num = |key| p.num(key).unwrap_or_else(|| panic!("{key} in {p:?}"));
+        let (nics, burst) = (num("nics") as usize, num("burst") as usize);
+        let (tx_cpp, rx_cpp) = (num("tx_cycles_per_packet"), num("rx_cycles_per_packet"));
         let opts = SystemOptions {
             num_nics: nics,
             shard: ShardPolicy::RoundRobin,
@@ -222,8 +189,8 @@ fn idle_deadline_bounds_upcall_completion_latency() {
     assert_eq!(hs.engine.depth(), 0, "deadline drained the ring");
     assert!(sys.machine.meter.event(Event::UpcallFlush) > flushes_before);
     assert!(hs.engine.flush_due_at().is_none(), "disarmed after flush");
-    let lat = upcall_latency(&sys);
-    assert_eq!(lat.samples, 4);
+    let lat = sys.metrics().histogram("upcall_latency");
+    assert_eq!(lat.count, 4);
     // Flush work for 4 entries: flush overhead + two switches + virq +
     // hypercall + per-entry dispatch/routine/complete — well under 20k.
     assert!(
@@ -286,7 +253,7 @@ fn deadline_flush_runs_before_a_simultaneously_due_moderated_irq() {
     // The marker completed; its latency is the idle jump plus flush
     // work only. Had the receive pass run first, its reap and demux
     // cycles (hundreds of thousands for 16 frames) would sit in front.
-    let lat = sys.upcall_latency_samples()[0];
+    let lat = sys.world.hyper.as_ref().unwrap().engine.latency_samples()[0];
     assert!(
         lat <= horizon + 20_000,
         "marker latency {lat} includes more than flush work (horizon {horizon})"

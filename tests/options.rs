@@ -28,8 +28,6 @@
 //! | `rx_backlog_watermark` | `livelock_sweep`; benchmark `paced_multi`, `overload_4x` |
 //! | `rx_queue_cap` | `livelock_sweep`; benchmark `paced_multi`, `overload_4x` |
 //! | `tracing` | `livelock_sweep`, `fault_sweep`, `affinity_sweep` (`TWIN_TRACE_OUT`); benchmark recorder-overhead pass |
-//! | `fault_recovery` | `fault_sweep` (sticky abort vs quarantine) |
-//! | `sched` | `affinity_sweep` |
 //!
 //! The second half pins what the build does with a knob the
 //! configuration cannot honour: an error, never a silent no-op.
@@ -37,7 +35,7 @@
 use twindrivers::{Config, Itr, ShardPolicy, System, SystemError, SystemOptions, UpcallMode};
 
 #[test]
-fn the_field_list_is_nineteen_and_the_defaults_are_the_paper_path() {
+fn the_field_list_is_seventeen_and_the_defaults_are_the_paper_path() {
     // No `..`: a new field is a compile error until it is listed above.
     let SystemOptions {
         rewrite: _,
@@ -57,8 +55,6 @@ fn the_field_list_is_nineteen_and_the_defaults_are_the_paper_path() {
         rx_backlog_watermark,
         rx_queue_cap,
         tracing,
-        fault_recovery,
-        sched,
     } = SystemOptions::default();
     // What the benchmark's `paper_b1` (the paper's four configurations,
     // one NIC, one packet in flight) depends on.
@@ -68,8 +64,8 @@ fn the_field_list_is_nineteen_and_the_defaults_are_the_paper_path() {
     assert!(!zero_copy);
     // The rest of the unextended path.
     assert_eq!((upcall_count, header_copy_bytes, num_nics), (0, 96, 1));
-    assert_eq!((shard, rx_flush_quantum), (ShardPolicy::Static(0), 64));
-    assert!(!iommu && !tracing && !fault_recovery && !sched);
+    assert_eq!((shard, rx_flush_quantum), (ShardPolicy::Static, 64));
+    assert!(!iommu && !tracing);
     assert!(driver_source.is_none() && guest_weights.is_empty());
     assert!(upcall_flush_deadline_cycles.is_none());
     assert!(rx_backlog_watermark.is_none() && rx_queue_cap.is_none());
@@ -81,15 +77,13 @@ fn a_knob_the_configuration_cannot_honour_is_a_build_error() {
     let guests = [Config::XenGuest, Config::TwinDrivers].as_slice();
     let d = SystemOptions::default;
     #[rustfmt::skip]
-    let knobs: [(&str, &[Config], SystemOptions); 8] = [
+    let knobs: [(&str, &[Config], SystemOptions); 6] = [
         ("upcall_count", twin, SystemOptions { upcall_count: 4, ..d() }),
         ("iommu", twin, SystemOptions { iommu: true, ..d() }),
         ("upcall_mode", twin, SystemOptions { upcall_mode: UpcallMode::Deferred, ..d() }),
         ("upcall_flush_deadline_cycles", twin,
             SystemOptions { upcall_flush_deadline_cycles: Some(300_000), ..d() }),
         ("napi_weight", twin, SystemOptions { napi_weight: 16, ..d() }),
-        ("fault_recovery", twin, SystemOptions { fault_recovery: true, ..d() }),
-        ("sched", twin, SystemOptions { sched: true, ..d() }),
         ("zero_copy", guests, SystemOptions { zero_copy: true, ..d() }),
     ];
     for config in Config::ALL {
@@ -99,7 +93,8 @@ fn a_knob_the_configuration_cannot_honour_is_a_build_error() {
                 Ok(sys) => {
                     assert!(honoured_by.contains(&config), "{config}: {knob} built");
                     assert_eq!(sys.world.iommu.is_some(), opts.iommu, "{config}");
-                    assert_eq!(sys.grant_cache_stats().is_some(), opts.zero_copy);
+                    let cache = sys.metrics().counters_with_prefix("grantcache.").count();
+                    assert_eq!(cache > 0, opts.zero_copy, "{config}");
                 }
                 Err(SystemError::Build(why)) => {
                     assert!(!honoured_by.contains(&config), "{config}: {why}");

@@ -153,7 +153,7 @@ fn mode_switches_under_churn_never_drop_or_reorder() {
         0,
         "overload control must not drop here"
     );
-    assert_eq!(sys.rx_queue_drops(), 0);
+    assert_eq!(o.total("guest", "queue_drops"), 0);
     for (gi, (g, mac)) in [(g1, macs[0]), (g2, mac2), (g3, mac3)]
         .into_iter()
         .enumerate()
@@ -224,8 +224,8 @@ fn early_drop_bounds_admission_and_is_accounted_per_guest() {
     let frames: Vec<Frame> = (0..40).map(|s| mk(MacAddr::for_guest(1), 7, s)).collect();
     let now = sys.now_cycles();
     sys.rx_open_loop_arrival(&frames, now).unwrap();
-    assert_eq!(sys.rx_early_drops(), 24);
-    assert_eq!(sys.rx_early_drops_for(g1), 24);
+    let early = sys.metrics().counter(&format!("guest{}.early_drops", g1.0));
+    assert_eq!(early, 24);
     assert_eq!(sys.machine.meter.event(Event::EarlyDrop), 24);
     let until = sys.now_cycles() + 1_000_000;
     sys.rx_open_loop_service(until).unwrap();

@@ -402,7 +402,9 @@ fn simulated_numbers_of_one_open_loop_schedule_are_pinned() {
     // 336 frames shed at the watermark, 244 at full rings, none at the
     // demux cap; every accepted frame is delivered (256 are warm-up).
     assert_eq!((offered, accepted, delivered), (1_677, 1_097, 1_353));
-    assert_eq!((sys.rx_ring_drops(), sys.rx_queue_drops()), (244, 0));
+    let o = sys.outcome();
+    let drops = (o.total("nic", "rx_missed"), o.total("guest", "queue_drops"));
+    assert_eq!(drops, (244, 0));
     assert_eq!(
         golden(&sys),
         Golden {
@@ -484,15 +486,16 @@ fn default_systems_answer_neutral_state_for_every_id() {
         let sys = System::build(config).unwrap();
         assert!(!sys.itr_autotune(), "{config}");
         assert!(sys.quarantined_devices().is_empty(), "{config}");
-        assert!(sys.grant_cache_stats().is_none(), "{config}");
+        let ms = sys.metrics();
+        let cache = ms.counters_with_prefix("grantcache.").count();
+        assert_eq!(cache, 0, "{config}");
+        assert_eq!(ms.counter("nic0.poll_cycles"), 0, "{config}");
         for d in [0, 99] {
             assert!(!sys.in_poll_mode(d), "{config} dev {d}");
-            assert_eq!(sys.poll_mode_cycles(d), 0, "{config} dev {d}");
             assert!(sys.itr_tuner(d).is_none(), "{config} dev {d}");
         }
         for g in [DomId(0), DomId(1), DomId(99)] {
             assert!(sys.guest_rx_latency(g).is_empty(), "{config} {g:?}");
-            assert_eq!(sys.rx_early_drops_for(g), 0, "{config} {g:?}");
         }
     }
 

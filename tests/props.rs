@@ -693,24 +693,21 @@ proptest! {
         fault_round in 1usize..4,
         burst in 4usize..13,
     ) {
-        use twindrivers::measure::{fault_injected_source, FaultClass};
+        use twindrivers::measure::{fault_injected_source, flow_for_dev, FaultClass};
         use twindrivers::SystemError;
 
         let nics = 3u32;
         let class = FaultClass::ALL[class_i];
-        let [mut sys, mut control] = [true, false].map(|fault_recovery| {
+        let [mut sys, mut control] = [(); 2].map(|()| {
             three_guests(&SystemOptions {
                 driver_source: Some(fault_injected_source(class)),
                 num_nics: nics as usize,
                 zero_copy: true,
-                fault_recovery,
                 ..four_nics()
             })
         });
         // One flow per device.
-        let flow_for = |d: u32| -> u32 {
-            (0x7100u32..).find(|&f| ShardPolicy::flow_hash_dev(f, nics) == d).unwrap()
-        };
+        let flow_for = |d: u32| flow_for_dev(d, nics, 0x7100);
         let mut seq = 0u64;
         let mut frames_for = |d: u32| -> Vec<Frame> {
             seq += burst as u64;
@@ -794,7 +791,7 @@ proptest! {
         idles in prop::collection::vec(0u64..300_000, 1..6),
     ) {
         let [fh, af] = [ShardPolicy::FlowHash, ShardPolicy::Affinity].map(|shard| {
-            let mut sys = three_guests(&SystemOptions { shard, sched: true, ..four_nics() });
+            let mut sys = three_guests(&SystemOptions { shard, ..four_nics() });
             // Identical registration instants: the phase-locked edges
             // land at the same absolute cycle in both systems, even
             // though their clocks drift apart later (cold refills are

@@ -83,7 +83,7 @@ fn abort_is_sticky_and_dom0_survives() {
 "#,
     );
     assert!(sys.transmit_one().is_err());
-    assert!(sys.transmit_one().is_err(), "driver stays aborted");
+    assert!(sys.transmit_one().is_err(), "the reset image faults again");
     // dom0's own packet path (the VM instance in dom0) keeps working:
     // run a config op through the VM instance.
     let dom0 = sys.world.kernel.space;

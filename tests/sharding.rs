@@ -36,7 +36,7 @@ fn sharding_over_one_nic_is_cycle_exact_with_the_burst_path() {
     // A 1-NIC sharded system is the degenerate case: bit-exact with the
     // default build, for every policy and both directions.
     for policy in [
-        ShardPolicy::Static(0),
+        ShardPolicy::Static,
         ShardPolicy::RoundRobin,
         ShardPolicy::FlowHash,
     ] {
@@ -291,9 +291,9 @@ fn flowhash_spreads_generated_transmit_traffic() {
 
 #[test]
 fn aggregate_throughput_counts_only_active_links() {
-    // Static(0) on a 4-NIC system drives one gigabit link; the
-    // aggregate must be capped by that link, not by idle hardware.
-    let mut sys = sharded_system(Config::TwinDrivers, 4, ShardPolicy::Static(0));
+    // Static on a 4-NIC system drives one gigabit link; the aggregate
+    // must be capped by that link, not by idle hardware.
+    let mut sys = sharded_system(Config::TwinDrivers, 4, ShardPolicy::Static);
     let a = measure_aggregate_throughput(&mut sys, 32, 96).unwrap();
     assert_eq!(a.tx.mbps, 1000.0, "one active TX link");
     assert_eq!(a.rx.mbps, 1000.0, "one active RX link");
@@ -302,10 +302,10 @@ fn aggregate_throughput_counts_only_active_links() {
 
 #[test]
 fn static_policy_pins_every_burst_to_the_chosen_nic() {
-    let mut sys = sharded_system(Config::NativeLinux, 4, ShardPolicy::Static(2));
+    let mut sys = sharded_system(Config::NativeLinux, 4, ShardPolicy::Static);
     assert_eq!(sys.transmit_burst(40).unwrap(), 40);
     for dev in 0..4 {
-        let expect = if dev == 2 { 40 } else { 0 };
+        let expect = if dev == 0 { 40 } else { 0 };
         assert_eq!(
             sys.world.nics[dev].stats().tx_packets,
             expect,
@@ -316,7 +316,7 @@ fn static_policy_pins_every_burst_to_the_chosen_nic() {
         .map(|i| rx_frame(MacAddr::for_guest(0), 2, i))
         .collect();
     assert_eq!(sys.receive_burst(&frames).unwrap(), 10);
-    assert_eq!(sys.world.nics[2].stats().rx_packets, 10);
+    assert_eq!(sys.world.nics[0].stats().rx_packets, 10);
     assert_eq!(sys.delivered_rx(), 10);
 }
 

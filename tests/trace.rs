@@ -163,7 +163,7 @@ fn registry_deltas_reconstruct_a_measurement_window() {
     );
     let delivered = d.counter("guest1.delivered") + d.counter("guest2.delivered");
     let early = d.counter("guest1.early_drops") + d.counter("guest2.early_drops");
-    assert_eq!(early, sys.rx_early_drops());
+    assert_eq!(early, sys.machine.meter.event(Event::EarlyDrop));
     let rx_total: u64 = (0..2)
         .map(|i| d.counter(&format!("nic{i}.rx_packets")))
         .sum();
@@ -280,7 +280,6 @@ fn affinity_run() -> System {
     let opts = SystemOptions {
         num_nics: 4,
         shard: ShardPolicy::Affinity,
-        sched: true,
         tracing: true,
         ..SystemOptions::default()
     };
@@ -304,7 +303,6 @@ fn aborted_poll_run() -> System {
         driver_source: Some(fault_injected_source(FaultClass::WildWrite)),
         num_nics: 1,
         napi_weight: 8,
-        fault_recovery: true,
         tracing: true,
         ..SystemOptions::default()
     };

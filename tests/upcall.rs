@@ -5,7 +5,6 @@
 
 use twin_kernel::RoutineId;
 use twindrivers::machine::{Event, Term};
-use twindrivers::measure::upcall_latency;
 use twindrivers::{throughput, Config, Law, System, SystemOptions, UpcallMode, TESTBED_NICS};
 
 fn build(mode: UpcallMode, upcalls: usize) -> System {
@@ -164,8 +163,8 @@ fn deferral_keeps_tail_latency_bounded_and_measured() {
     // Sync latency: every upcall completes within its own switch-pair.
     let mut sync = build(UpcallMode::Sync, 4);
     sync.measure_tx_burst(32, 64).expect("sync");
-    let ls = upcall_latency(&sync);
-    assert!(ls.samples > 0);
+    let ls = sync.metrics().histogram("upcall_latency");
+    assert!(ls.count > 0);
     let m = &sync.machine;
     assert!(
         ls.p50 >= 2 * m.cost[Term::DomainSwitch],
@@ -176,8 +175,8 @@ fn deferral_keeps_tail_latency_bounded_and_measured() {
     // stay bounded by roughly one burst pass of work, not diverge.
     let mut defer = build(UpcallMode::Deferred, 4);
     defer.measure_tx_burst(32, 64).expect("deferred");
-    let ld = upcall_latency(&defer);
-    assert!(ld.samples > 0);
+    let ld = defer.metrics().histogram("upcall_latency");
+    assert!(ld.count > 0);
     assert!(ld.p50 <= ld.p99 && ld.p99 <= ld.max);
     assert!(
         ld.p99 > ls.p99,

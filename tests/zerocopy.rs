@@ -90,7 +90,8 @@ fn zero_copy_off_is_cycle_exact_with_the_shard_baseline() {
             "nics {nics} burst {burst}: rx {:.1} vs baseline {rx_cpp:.1}",
             a.rx_cycles_per_packet
         );
-        assert!(sys.grant_cache_stats().is_none(), "no cache when off");
+        let cache = sys.metrics().counters_with_prefix("grantcache.").count();
+        assert_eq!(cache, 0, "no cache when off");
         assert_eq!(sys.machine.meter.event(Event::GrantCacheHit), 0);
         assert_eq!(sys.machine.meter.event(Event::CopyFallback), 0);
     }
@@ -193,7 +194,8 @@ fn revocation_quarantines_cached_grants() {
     let unmaps_before = sys.machine.meter.event(Event::GrantUnmap);
     let revoked = sys.revoke_zero_copy_grants(gid);
     assert!(revoked > 0, "live mappings were torn down");
-    assert_eq!(sys.grant_cache_stats().unwrap().revoked as usize, revoked);
+    let counted = sys.metrics().counter("grantcache.revoked");
+    assert_eq!(counted as usize, revoked);
     assert_eq!(
         sys.machine.meter.event(Event::GrantUnmap) - unmaps_before,
         revoked as u64,
