@@ -18,6 +18,19 @@ use std::collections::{BTreeMap, BTreeSet};
 use twin_machine::{Fault, Machine, SpaceId, PAGE_SIZE};
 use twin_nic::{regs, Nic, DESC_SIZE};
 
+/// The maximal runs of consecutive pfns in `pfns`, in order, as
+/// `(start, count)`.
+pub(crate) fn runs(pfns: &[u64]) -> Vec<(u64, u64)> {
+    let mut out: Vec<(u64, u64)> = Vec::new();
+    for &pfn in pfns {
+        match out.last_mut() {
+            Some((start, n)) if *start + *n == pfn => *n += 1,
+            _ => out.push((pfn, 1)),
+        }
+    }
+    out
+}
+
 /// A simple IOMMU: machine frames the NIC is allowed to DMA to/from.
 #[derive(Debug, Default)]
 pub struct Iommu {
@@ -52,14 +65,14 @@ impl Iommu {
         let mut start = start_pfn;
         let mut end = start_pfn + count;
         // Absorb every existing range that touches [start, end).
-        let touching: Vec<u64> = self
+        let touching: Vec<(u64, u64)> = self
             .ranges
             .range(..=end)
             .filter(|(_, &e)| e >= start)
-            .map(|(&s, _)| s)
+            .map(|(&s, &e)| (s, e))
             .collect();
-        for s in touching {
-            let e = self.ranges.remove(&s).expect("key just enumerated");
+        for (s, e) in touching {
+            self.ranges.remove(&s);
             start = start.min(s);
             end = end.max(e);
         }
@@ -89,15 +102,8 @@ impl Iommu {
             .collect();
         pfns.sort_unstable();
         pfns.dedup();
-        let mut i = 0;
-        while i < pfns.len() {
-            let start = pfns[i];
-            let mut j = i + 1;
-            while j < pfns.len() && pfns[j] == pfns[j - 1] + 1 {
-                j += 1;
-            }
-            self.allow_frame_range(start, (j - i) as u64);
-            i = j;
+        for (start, count) in runs(&pfns) {
+            self.allow_frame_range(start, count);
         }
     }
 

@@ -839,8 +839,9 @@ pub fn measure_rx_livelock(
     bursts: u64,
     gap_cycles: u64,
 ) -> Result<LivelockPoint, SystemError> {
-    let flood_gid = sys.guest.expect("livelock harness needs a guest");
-    let xen = sys.world.xen.as_ref().expect("livelock harness needs xen");
+    let no_guest = || SystemError::Build("the livelock harness needs a guest".into());
+    let flood_gid = sys.guest().ok_or_else(no_guest)?;
+    let xen = sys.world.xen_mut()?;
     let guests = xen.domains.iter().filter(|d| d.kind == DomainKind::Guest);
     let (flood, victims): (Vec<_>, Vec<_>) = guests
         .map(|d| (d.id, d.mac))
@@ -1009,7 +1010,7 @@ pub fn measure_rx_affinity(
         early_drops: total(&m.delta, "guest", "early_drops"),
         queue_drops: total(&m.delta, "guest", "queue_drops"),
         ring_drops: total(&m.delta, "nic", "rx_missed"),
-        reorders: reorders(endpoints(&sys.world, sys.guest).map(|e| e.1)),
+        reorders: reorders(endpoints(&sys.world, sys.guest()).map(|e| e.1)),
         victim_p99: m.worst_p99(traffic.iter().map(|t| t.0)),
     })
 }
@@ -1483,7 +1484,7 @@ mod tests {
                 ..Default::default()
             };
             let mut sys = System::build_with(crate::Config::TwinDrivers, &opts).unwrap();
-            let flood = (sys.guest.unwrap(), MacAddr::for_guest(1));
+            let flood = (sys.guest().unwrap(), MacAddr::for_guest(1));
             let victim = (
                 sys.add_guest(MacAddr::for_guest(2)).unwrap(),
                 MacAddr::for_guest(2),

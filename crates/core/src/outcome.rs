@@ -226,7 +226,7 @@ impl System {
     /// Captures what the run did so far as an [`Outcome`]. Charges
     /// nothing; drains the wire as [`System::take_wire_frames`] does.
     pub fn outcome(&mut self) -> Outcome {
-        let endpoints = endpoints(&self.world, self.guest).map(|(id, log, queued)| Endpoint {
+        let endpoints = endpoints(&self.world, self.guest()).map(|(id, log, queued)| Endpoint {
             id,
             delivered: log.to_vec(),
             queued,
@@ -245,7 +245,7 @@ impl System {
     /// delivered. Reads only: unlike [`System::outcome`] it leaves the
     /// wire alone, so a run can poll it while draining.
     pub fn rx_backlog(&self) -> usize {
-        endpoints(&self.world, self.guest).map(|e| e.2).sum()
+        endpoints(&self.world, self.guest()).map(|e| e.2).sum()
     }
 }
 

@@ -6,9 +6,9 @@
 //! domains and vCPUs added to a built system.
 
 use super::{
-    Config, DevState, GuestState, Itr, System, SystemError, SystemOptions, UpcallMode, World,
-    DRIVER_DATA_BASE, GUEST_HEAP_BASE, IDENTITY_STLB_BASE, MAX_BURST, VM_CODE_BASE,
-    ZC_CACHE_CAPACITY,
+    Config, Datapath, DevState, Endpoint, GuestState, Itr, System, SystemError, SystemOptions,
+    UpcallMode, World, DRIVER_DATA_BASE, GUEST_HEAP_BASE, IDENTITY_STLB_BASE, MAX_BURST,
+    VM_CODE_BASE, ZC_CACHE_CAPACITY,
 };
 use crate::iommu::Iommu;
 use std::collections::BTreeMap;
@@ -21,7 +21,9 @@ use twin_nic::{ItrTuner, Nic, AUTOTUNE_WINDOW_CYCLES, MMIO_WINDOW};
 use twin_rewriter::{rewrite, RewriteStats};
 use twin_sched::VcpuSched;
 use twin_svm::Svm;
-use twin_xen::{load_hypervisor_driver, DomId, GrantCache, HyperSupport, Xen, HYP_CODE_BASE};
+use twin_xen::{
+    load_hypervisor_driver, DomId, GrantCache, HyperSupport, HypervisorDriver, Xen, HYP_CODE_BASE,
+};
 
 /// sk_buffs in dom0's pool on a one-NIC system; every extra NIC adds 256
 /// (it posts 127 RX buffers at open), so multi-NIC systems keep the same
@@ -113,22 +115,23 @@ fn boot_dom0(config: Config, num_nics: usize) -> Result<(Machine, World, SpaceId
 /// Step 2, first half: the driver module — the original for the
 /// baselines, rewritten for TwinDrivers (the same rewritten binary
 /// serves both instances, paper §5.1.2) — loaded into dom0, behind an
-/// identity SVM when rewritten. Returns the module for step 4.
+/// identity SVM when rewritten. Returns the module for step 4 and the
+/// rewrite statistics (all zero for a module loaded as assembled).
 fn load_vm_instance(
     config: Config,
     opts: &SystemOptions,
     machine: &mut Machine,
     world: &mut World,
     dom0: SpaceId,
-) -> Result<(Module, LoadedDriver, Option<RewriteStats>), SystemError> {
+) -> Result<(Module, LoadedDriver, RewriteStats), SystemError> {
     let build_err = |e: &dyn std::fmt::Display| SystemError::Build(e.to_string());
     let source = opts.driver_source.clone().unwrap_or_else(e1000::source);
     let mut module = assemble("e1000", &source).map_err(|e| build_err(&e))?;
-    let mut rewrite_stats = None;
+    let mut rewrite_stats = RewriteStats::default();
     if config == Config::TwinDrivers {
         let out = rewrite(&module, &opts.rewrite).map_err(|e| build_err(&e))?;
         module = out.module;
-        rewrite_stats = Some(out.stats);
+        rewrite_stats = out.stats;
         world.svm_vm = Some(Svm::new_identity(machine, dom0, IDENTITY_STLB_BASE)?);
     }
     let identity_base = world.svm_vm.as_ref().map(|s| s.placement().base);
@@ -154,6 +157,40 @@ impl System {
         self.world.nics.len()
     }
 
+    /// Which configuration this is.
+    pub fn config(&self) -> Config {
+        match self.datapath {
+            Datapath::Native => Config::NativeLinux,
+            Datapath::Dom0 => Config::XenDom0,
+            Datapath::Guest(_) => Config::XenGuest,
+            Datapath::Twin { .. } => Config::TwinDrivers,
+        }
+    }
+
+    /// The measured guest (guest configurations).
+    pub fn guest(&self) -> Option<DomId> {
+        match self.datapath {
+            Datapath::Guest(ep) | Datapath::Twin { endpoint: ep, .. } => Some(ep.gid),
+            Datapath::Native | Datapath::Dom0 => None,
+        }
+    }
+
+    /// The derived hypervisor driver (TwinDrivers only).
+    pub fn hyperdrv(&self) -> Option<&HypervisorDriver> {
+        match &self.datapath {
+            Datapath::Twin { hyperdrv, .. } => Some(hyperdrv),
+            _ => None,
+        }
+    }
+
+    /// Rewrite statistics (TwinDrivers only).
+    pub fn rewrite_stats(&self) -> Option<RewriteStats> {
+        match self.datapath {
+            Datapath::Twin { stats, .. } => Some(stats),
+            _ => None,
+        }
+    }
+
     /// Builds a system with explicit options: validation, then the
     /// paper's §3.1 steps in order.
     ///
@@ -164,17 +201,15 @@ impl System {
     pub fn build_with(config: Config, opts: &SystemOptions) -> Result<System, SystemError> {
         let opts = validate(config, opts)?;
         let (mut machine, mut world, dom0) = boot_dom0(config, opts.num_nics)?;
-        let (module, driver, rewrite_stats) =
+        let (module, driver, stats) =
             load_vm_instance(config, &opts, &mut machine, &mut world, dom0)?;
         let mut sys = System {
             machine,
             world,
-            config,
             driver,
-            hyperdrv: None,
-            rewrite_stats,
             netdevs: Vec::new(),
-            guest: None,
+            // Assigned below, once steps 3 and 4 have made its parts.
+            datapath: Datapath::Native,
             rx_flush_log: Vec::new(),
             devs: (0..opts.num_nics).map(|_| DevState::default()).collect(),
             guests: vec![GuestState::new(&opts, 0)],
@@ -191,7 +226,6 @@ impl System {
             dom0,
             dom0_stack_top: twin_kernel::DOM0_STACK_BASE
                 + twin_kernel::DOM0_STACK_PAGES * PAGE_SIZE,
-            guest_tx_frag: 0,
             seq: 0,
             tx_batch_buf: 0,
             fast_entries: [0; 4],
@@ -199,12 +233,20 @@ impl System {
         };
         sys.machine.trace.set_enabled(sys.opts.tracing);
         sys.init_vm_instance()?;
-        if matches!(config, Config::XenGuest | Config::TwinDrivers) {
-            sys.guest = Some(sys.add_primary_guest()?);
-        }
-        if config == Config::TwinDrivers {
-            sys.load_hypervisor_instance(&module)?;
-        }
+        sys.datapath = match config {
+            Config::NativeLinux => Datapath::Native,
+            Config::XenDom0 => Datapath::Dom0,
+            Config::XenGuest => Datapath::Guest(sys.add_primary_guest()?),
+            Config::TwinDrivers => {
+                let endpoint = sys.add_primary_guest()?;
+                let hyperdrv = sys.load_hypervisor_instance(&module, endpoint)?;
+                Datapath::Twin {
+                    endpoint,
+                    hyperdrv,
+                    stats,
+                }
+            }
+        };
         sys.resolve_fast_entries()?;
         if config == Config::XenGuest {
             // Baseline guest path: dom0 bridges instead of consuming
@@ -217,8 +259,9 @@ impl System {
             // pre-pinned up front. Entirely absent when the knob is off —
             // the copy path allocates and charges nothing.
             sys.grant_cache = Some(GrantCache::new(ZC_CACHE_CAPACITY));
-            let gid = sys.guest.expect("validated: a guest configuration");
-            sys.grant_zero_copy_pool(gid)?;
+            if let Some(gid) = sys.guest() {
+                sys.grant_zero_copy_pool(gid)?;
+            }
         }
         Ok(sys)
     }
@@ -263,24 +306,30 @@ impl System {
 
     /// Step 3: the measured guest. The workload runs in it, so that is
     /// who is on the CPU between packets.
-    fn add_primary_guest(&mut self) -> Result<DomId, SystemError> {
+    fn add_primary_guest(&mut self) -> Result<Endpoint, SystemError> {
         let gid = self.add_guest(MacAddr::for_guest(1))?;
-        let xen = self.world.xen.as_mut().expect("xen present");
+        let xen = self.world.xen_mut()?;
         xen.current = gid;
-        // The first guest payload page's machine address is what the TX
-        // glue chains as an sk_buff fragment (paper §5.3).
         let gspace = xen.domain(gid).space;
         let t = self
             .machine
             .translate(gspace, ExecMode::Guest, GUEST_HEAP_BASE, false)?;
-        self.guest_tx_frag = t.entry.pfn * PAGE_SIZE;
-        Ok(gid)
+        Ok(Endpoint {
+            gid,
+            gspace,
+            tx_frag: t.entry.pfn * PAGE_SIZE,
+        })
     }
 
     /// Step 4: derive and load the hypervisor instance from the module
     /// the VM instance runs — reserved pool, hypervisor SVM, the loaded
-    /// image, the support routines with the upcall engine, the IOMMU.
-    fn load_hypervisor_instance(&mut self, module: &Module) -> Result<(), SystemError> {
+    /// image, the support routines with the upcall engine, the IOMMU
+    /// over dom0's and the guest's frames.
+    fn load_hypervisor_instance(
+        &mut self,
+        module: &Module,
+        guest: Endpoint,
+    ) -> Result<HypervisorDriver, SystemError> {
         // The reserved pool backs RX replenishment for every NIC in
         // steady state (each swaps in ~128 buffers), so it scales with
         // the device count; one NIC keeps the paper's 512.
@@ -299,17 +348,13 @@ impl System {
         hs.engine
             .set_flush_deadline(self.opts.upcall_flush_deadline_cycles);
         self.world.hyper = Some(hs);
-        self.hyperdrv = Some(hyp);
         if self.opts.iommu {
             let mut iommu = Iommu::new();
             iommu.allow_space_frames(&self.machine, self.dom0);
-            if let Some(gid) = self.guest {
-                let gspace = self.world.xen.as_ref().unwrap().domain(gid).space;
-                iommu.allow_space_frames(&self.machine, gspace);
-            }
+            iommu.allow_space_frames(&self.machine, guest.gspace);
             self.world.iommu = Some(iommu);
         }
-        Ok(())
+        Ok(hyp)
     }
 
     /// Adds another guest domain (TwinDrivers configuration) with its own
@@ -321,11 +366,7 @@ impl System {
     /// Fails if guest memory cannot be mapped.
     pub fn add_guest(&mut self, mac: MacAddr) -> Result<DomId, SystemError> {
         let gspace = self.machine.new_space();
-        let xen = self
-            .world
-            .xen
-            .as_mut()
-            .ok_or_else(|| SystemError::Build("no hypervisor in this configuration".into()))?;
+        let xen = self.world.xen_mut()?;
         let gid = xen.add_guest(gspace, mac);
         xen.domain_mut(gid).rx_queue_cap = self.opts.rx_queue_cap;
         self.guests.push(GuestState::new(&self.opts, gid.0));
@@ -356,7 +397,7 @@ impl System {
         run_cycles: u64,
         sleep_cycles: u64,
     ) -> Result<(), SystemError> {
-        if self.config != Config::TwinDrivers {
+        if !matches!(self.datapath, Datapath::Twin { .. }) {
             return Err(SystemError::Build(
                 "sched_add_vcpu requires the TwinDrivers configuration".into(),
             ));

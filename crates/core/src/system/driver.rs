@@ -2,7 +2,7 @@
 //! the fast-path entry points ([`System::call_driver`]), and what happens
 //! when the hypervisor instance faults — teardown, quarantine, recovery.
 
-use super::{DriverOp, QuarantineEpisode, RecoveryReport, System, SystemError, World};
+use super::{Datapath, DriverOp, QuarantineEpisode, RecoveryReport, System, SystemError, World};
 use twin_kernel::{call_function, e1000, RoutineId, SkBuff};
 use twin_machine::{CostDomain, Cpu, Event, ExecMode, SpaceId, PAGE_SIZE};
 use twin_trace::{FlushCause, TraceEvent};
@@ -33,12 +33,24 @@ impl System {
     /// slot, `request_irq`, watchdog arm) then `e1000_open` (rings, `IMS`)
     /// — charged like any driver run. Returns the net_device the probe
     /// registered.
+    ///
+    /// # Errors
+    ///
+    /// [`SystemError::Build`] when the driver exports no such entry or
+    /// the probe registers no net_device.
     pub(super) fn probe_and_open(&mut self, dev: u32) -> Result<u64, SystemError> {
-        let probe = self.driver.entry("e1000_probe").unwrap();
+        let entry = |name: &str| {
+            self.driver
+                .entry(name)
+                .ok_or_else(|| SystemError::Build(format!("the driver exports no `{name}`")))
+        };
+        let (probe, open) = (entry("e1000_probe")?, entry("e1000_open")?);
         self.call_dom0(probe, &[dev], 50_000_000)?;
         // `register_netdev` pushes: this probe's netdev is the newest.
-        let netdev = *self.world.kernel.registered_netdevs.last().unwrap();
-        let open = self.driver.entry("e1000_open").unwrap();
+        let netdev =
+            *self.world.kernel.registered_netdevs.last().ok_or_else(|| {
+                SystemError::Build("`e1000_probe` registered no net_device".into())
+            })?;
         self.call_dom0(open, &[netdev as u32], 200_000_000)?;
         Ok(netdev)
     }
@@ -48,9 +60,12 @@ impl System {
     /// the paper's performance claim. `dev` is the device the call
     /// drives: a fault quarantines it, and a call toward a quarantined
     /// device first runs [`System::recover_device`], so traffic resumes
-    /// transparently after the one errored invocation.
+    /// transparently after the one errored invocation. `gspace` is the
+    /// guest context the call runs from, `stack_top` the instance's
+    /// hypervisor stack.
     fn call_hyperdrv(
         &mut self,
+        (gspace, stack_top): (SpaceId, u64),
         entry: u64,
         args: &[u32],
         budget: u64,
@@ -61,10 +76,6 @@ impl System {
             // requested call on the rebuilt adapter slot.
             self.recover_device(dev)?;
         }
-        let hyp = self.hyperdrv.as_ref().expect("hypervisor driver");
-        let gid = self.guest.expect("guest");
-        let gspace = self.world.xen.as_ref().unwrap().domain(gid).space;
-        let stack_top = hyp.stack_top;
         let r = call_function(
             &mut self.machine,
             &mut self.world,
@@ -119,9 +130,9 @@ impl System {
         let multi = usize::from(self.world.nics.len() > 1);
         for (slot, names) in self.fast_entries.iter_mut().zip(DriverOp::ENTRIES) {
             let name = names[multi];
-            let entry = match self.hyperdrv.as_ref() {
-                Some(hyp) => hyp.entry(name),
-                None => self.driver.entry(name),
+            let entry = match &self.datapath {
+                Datapath::Twin { hyperdrv, .. } => hyperdrv.entry(name),
+                _ => self.driver.entry(name),
             };
             *slot = entry.ok_or_else(|| {
                 SystemError::Build(format!("the driver exports no fast-path `{name}`"))
@@ -139,6 +150,17 @@ impl System {
     /// interpreted run.
     pub(super) fn call_driver(&mut self, op: DriverOp, dev: u32) -> Result<u32, SystemError> {
         let netdev = self.netdevs[dev as usize] as u32;
+        let hosted = match &self.datapath {
+            Datapath::Twin {
+                endpoint: ep,
+                hyperdrv: hd,
+                ..
+            } => Some((ep.gspace, hd.stack_top)),
+            _ => None,
+        };
+        // The dom0 handler runs under the kernel's shorter interrupt
+        // budget.
+        let intr_budget = hosted.map_or(10_000_000, |_| 20_000_000);
         let (args, arity, budget) = match op {
             DriverOp::XmitFrame(skb) => ([skb.0 as u32, netdev, dev, 0], 2, 2_000_000),
             DriverOp::XmitBatch(n) => (
@@ -147,23 +169,13 @@ impl System {
                 2_000_000 * u64::from(n),
             ),
             DriverOp::PollRxBudget(weight) => ([netdev, weight, dev, 0], 2, 20_000_000),
-            // The dom0 handler runs under the kernel's shorter
-            // interrupt budget.
-            DriverOp::Intr => (
-                [netdev, dev, 0, 0],
-                1,
-                if self.hyperdrv.is_some() {
-                    20_000_000
-                } else {
-                    10_000_000
-                },
-            ),
+            DriverOp::Intr => ([netdev, dev, 0, 0], 1, intr_budget),
         };
         let multi = usize::from(self.world.nics.len() > 1);
         let (entry, args) = (self.fast_entries[op.kind()], &args[..arity + multi]);
         self.machine.meter.push_domain(CostDomain::Driver);
-        let r = match self.hyperdrv {
-            Some(_) => self.call_hyperdrv(entry, args, budget, dev),
+        let r = match hosted {
+            Some(at) => self.call_hyperdrv(at, entry, args, budget, dev),
             None => self.call_dom0(entry, args, budget),
         };
         self.machine.meter.pop_domain();
@@ -277,7 +289,7 @@ impl System {
             .collect();
         let mut revoked_mappings = 0usize;
         for d in &revoked_doms {
-            revoked_mappings += self.revoke_zero_copy_grants(DomId(*d));
+            revoked_mappings += self.revoke_zero_copy_grants(DomId(*d))?;
         }
         // 7. The device's watchdog: its handler would run the dom0
         // instance over the corrupted adapter slot at the next wheel
@@ -385,12 +397,15 @@ impl System {
         Ok(cpu)
     }
 
-    /// Calls a hypervisor support routine directly (the paravirtual glue
-    /// uses this for buffer management, so forced upcalls are exercised —
-    /// Figure 10).
-    pub(super) fn call_support(&mut self, id: RoutineId, args: &[u32]) -> Result<u32, SystemError> {
-        let gid = self.guest.expect("guest");
-        let gspace = self.world.xen.as_ref().unwrap().domain(gid).space;
+    /// Calls a hypervisor support routine directly from guest context
+    /// `gspace` (the paravirtual glue uses this for buffer management, so
+    /// forced upcalls are exercised — Figure 10).
+    pub(super) fn call_support(
+        &mut self,
+        gspace: SpaceId,
+        id: RoutineId,
+        args: &[u32],
+    ) -> Result<u32, SystemError> {
         let mut cpu = self.upcall_frame(gspace, args)?;
         self.world.call_routine(id, &mut self.machine, &mut cpu)?;
         Ok(cpu.reg(twin_isa::Reg::Eax))

@@ -3,6 +3,7 @@
 //! both land frames in.
 
 use super::{System, SystemError, ZcOccupancy, ZC_POOL_BASE, ZC_POOL_FRAMES, ZC_SLOT_BYTES};
+use crate::iommu::runs;
 use twin_machine::{CostDomain, Event, ExecMode, Term, PAGE_SIZE};
 use twin_net::Frame;
 use twin_trace::TraceEvent;
@@ -20,12 +21,11 @@ fn rx_stack_term(first_of_wakeup: bool) -> Term {
 
 impl System {
     /// Pushes frames the bridge queued toward the backend through the
-    /// I/O channel into the guest (baseline path, running in dom0):
+    /// I/O channel into guest `gid` (baseline path, running in dom0):
     /// grants and copies stay per-packet, the guest is notified once for
     /// the whole batch, and its stack pays the full wakeup cost only for
     /// the first frame.
-    pub(super) fn forward_bridged_frames(&mut self) -> Result<(), SystemError> {
-        let gid = self.guest.expect("guest");
+    pub(super) fn forward_bridged_frames(&mut self, gid: DomId) -> Result<(), SystemError> {
         let frames: Vec<Frame> = self.world.kernel.rx_delivered.drain(..).collect();
         let batched = !frames.is_empty();
         let mut zc_occ = ZcOccupancy::default();
@@ -37,10 +37,10 @@ impl System {
             // Zero-copy: the frame lands straight in the guest's granted
             // RX pool — a warm pool page costs one cached grant access
             // instead of a grant-copy bracketed by map/unmap.
-            if !self.zc_access(&mut zc_occ, gid, f.flow, false, f.len(), dev) {
+            if !self.zc_access(&mut zc_occ, gid, f.flow, false, f.len(), dev)? {
                 // Grant-copy of the packet into guest memory.
                 self.machine.pay_copy(CostDomain::Dom0, f.len() as u64);
-                let xen = self.world.xen.as_mut().unwrap();
+                let xen = self.world.xen_mut()?;
                 xen.grant_map_dev(&mut self.machine, dev);
                 xen.grant_unmap_dev(&mut self.machine, dev);
                 xen.note_grant_copy(Some(dev));
@@ -48,12 +48,10 @@ impl System {
             self.machine
                 .pay_to(CostDomain::DomU, Term::NetfrontPerPacket);
             self.machine.pay_to(CostDomain::DomU, rx_stack_term(i == 0));
-            let xen = self.world.xen.as_mut().unwrap();
-            xen.domain_mut(gid).rx_delivered.push(f);
+            self.world.xen_mut()?.domain_mut(gid).rx_delivered.push(f);
         }
         if batched {
-            let xen = self.world.xen.as_mut().unwrap();
-            xen.send_virq(&mut self.machine, gid, 4);
+            self.world.xen_mut()?.send_virq(&mut self.machine, gid, 4);
         }
         Ok(())
     }
@@ -118,8 +116,8 @@ impl System {
         // Serving a guest changes no other guest's queue and no vCPU, so
         // deciding who is served as the round reaches each domain is
         // deciding it at the start of the round.
-        for idx in 0..self.world.xen.as_ref().unwrap().domains.len() {
-            let d = &self.world.xen.as_ref().unwrap().domains[idx];
+        for idx in 0..self.world.xen_mut()?.domains.len() {
+            let d = &self.world.xen_mut()?.domains[idx];
             // Sleeping guests' quanta are skipped: their deficit does
             // not grow, no virq is raised, and the frames stay queued
             // until the wakeup edge releases them (bounded by the
@@ -150,8 +148,7 @@ impl System {
                 deficit: deficit_at_serve,
                 granted: take as u32,
             });
-            let xen = self.world.xen.as_mut().unwrap();
-            xen.send_virq(&mut self.machine, g, 4);
+            self.world.xen_mut()?.send_virq(&mut self.machine, g, 4);
             self.rx_flush_log.push((round, g, take));
             let first_wake = !woken.contains(&g);
             if first_wake {
@@ -161,7 +158,7 @@ impl System {
             // prefix moves to the delivered log in one piece: nothing in
             // between reads either queue.
             for i in 0..take {
-                let f = &self.world.xen.as_ref().unwrap().domain(g).rx_queue[i];
+                let f = &self.world.xen_mut()?.domain(g).rx_queue[i];
                 let (flow, len) = (f.flow, f.len());
                 let dev = self.flow_dev(flow);
                 // Warm vs cold delivery: with the scheduler model on, a
@@ -182,18 +179,16 @@ impl System {
                 // Zero-copy: the twin driver posted a pool page for
                 // this slot, so delivery is a cached grant access
                 // instead of a copy into the guest.
-                if !self.zc_access(zc_occ, g, flow, false, len, dev) {
+                if !self.zc_access(zc_occ, g, flow, false, len, dev)? {
                     self.machine.pay_copy(CostDomain::Xen, u64::from(len));
-                    if let Some(xen) = self.world.xen.as_mut() {
-                        xen.note_grant_copy(Some(dev));
-                    }
+                    self.world.xen_mut()?.note_grant_copy(Some(dev));
                 }
                 self.machine.pay_to(CostDomain::Xen, Term::TwinGlueRx);
                 self.machine.pay_to(CostDomain::DomU, Term::PvDriverGuest);
                 self.machine
                     .pay_to(CostDomain::DomU, rx_stack_term(i == 0 && first_wake));
             }
-            let d = self.world.xen.as_mut().unwrap().domain_mut(g);
+            let d = self.world.xen_mut()?.domain_mut(g);
             d.rx_delivered.extend(d.rx_queue.drain(..take));
         }
         Ok(flushed)
@@ -216,20 +211,10 @@ impl System {
     ///
     /// Fails if pool memory cannot be mapped.
     pub fn grant_zero_copy_pool(&mut self, gid: DomId) -> Result<usize, SystemError> {
-        let granted = self
-            .guests
-            .get(gid.0 as usize)
-            .is_some_and(|g| g.zc_granted);
-        if !self.opts.zero_copy || granted {
+        if !self.opts.zero_copy || self.zc_granted(gid) {
             return Ok(0);
         }
-        let gspace = self
-            .world
-            .xen
-            .as_ref()
-            .ok_or_else(|| SystemError::Build("no hypervisor in this configuration".into()))?
-            .domain(gid)
-            .space;
+        let gspace = self.world.xen_mut()?.domain(gid).space;
         let pages = ZC_POOL_FRAMES as u64;
         // Re-granting after a revocation reuses the pool pages already
         // mapped in the guest; only a first grant allocates.
@@ -241,30 +226,30 @@ impl System {
             self.machine.map_fresh(gspace, ZC_POOL_BASE, pages)?;
         }
         if let Some(iommu) = self.world.iommu.as_mut() {
-            // Pin the pool up front, coalescing consecutive pfns.
-            let mut run: Option<(u64, u64)> = None; // (start_pfn, count)
+            // Pin the pool up front, one range per run of consecutive pfns.
+            let mut pfns = Vec::with_capacity(ZC_POOL_FRAMES);
             for p in 0..pages {
-                let t = self.machine.translate(
-                    gspace,
-                    ExecMode::Guest,
-                    ZC_POOL_BASE + p * PAGE_SIZE,
-                    false,
-                )?;
-                run = match run {
-                    Some((start, n)) if t.entry.pfn == start + n => Some((start, n + 1)),
-                    Some((start, n)) => {
-                        iommu.pin_range(start, n);
-                        Some((t.entry.pfn, 1))
-                    }
-                    None => Some((t.entry.pfn, 1)),
-                };
+                let va = ZC_POOL_BASE + p * PAGE_SIZE;
+                pfns.push(
+                    self.machine
+                        .translate(gspace, ExecMode::Guest, va, false)?
+                        .entry
+                        .pfn,
+                );
             }
-            if let Some((start, n)) = run {
+            for (start, n) in runs(&pfns) {
                 iommu.pin_range(start, n);
             }
         }
         self.guests[gid.0 as usize].zc_granted = true;
         Ok(pages as usize)
+    }
+
+    /// Whether domain `dom`'s zero-copy pool is granted.
+    fn zc_granted(&self, dom: DomId) -> bool {
+        self.guests
+            .get(dom.0 as usize)
+            .is_some_and(|g| g.zc_granted)
     }
 
     /// Revokes every cached grant a guest owns — the quarantine seam
@@ -273,17 +258,18 @@ impl System {
     /// (one `grant_unmap` each, charged) and subsequent frames fall
     /// back to copies until the pool is granted again. Returns how many
     /// mappings were revoked.
-    pub fn revoke_zero_copy_grants(&mut self, gid: DomId) -> usize {
+    ///
+    /// # Errors
+    ///
+    /// [`SystemError::Build`] on a system with no hypervisor to unmap
+    /// through.
+    pub fn revoke_zero_copy_grants(&mut self, gid: DomId) -> Result<usize, SystemError> {
         let Some(cache) = self.grant_cache.as_mut() else {
-            return 0;
+            return Ok(0);
         };
         let n = cache.revoke_domain(gid.0);
         for _ in 0..n {
-            self.world
-                .xen
-                .as_mut()
-                .expect("zero-copy implies a hypervisor")
-                .grant_unmap(&mut self.machine);
+            self.world.xen_mut()?.grant_unmap(&mut self.machine);
         }
         self.machine.note(TraceEvent::GrantCacheRevoke {
             dom: gid.0,
@@ -292,7 +278,7 @@ impl System {
         if let Some(g) = self.guests.get_mut(gid.0 as usize) {
             g.zc_granted = false;
         }
-        n
+        Ok(n)
     }
 
     /// One zero-copy slot access for a frame toward domain `dom`: the
@@ -314,19 +300,15 @@ impl System {
         tx: bool,
         len: u32,
         dev: u32,
-    ) -> bool {
+    ) -> Result<bool, SystemError> {
         if !self.opts.zero_copy {
-            return false;
+            return Ok(false);
         }
         let slot = occ.entry((dom.0, flow)).or_insert(0);
-        let granted = self
-            .guests
-            .get(dom.0 as usize)
-            .is_some_and(|g| g.zc_granted);
-        if !granted || len > ZC_SLOT_BYTES || *slot >= ZC_POOL_FRAMES {
+        if !self.zc_granted(dom) || len > ZC_SLOT_BYTES || *slot >= ZC_POOL_FRAMES {
             self.machine.pay_to(CostDomain::Xen, Term::CopyFallback);
             self.machine.meter.count_event(Event::CopyFallback);
-            return false;
+            return Ok(false);
         }
         let page = (u64::from(tx) << 48) | (u64::from(flow) << 16) | *slot as u64;
         *slot += 1;
@@ -342,20 +324,12 @@ impl System {
                     .note(TraceEvent::GrantCacheHit { dom: dom.0, page });
             }
             GrantAccess::Miss { evicted } => {
-                self.world
-                    .xen
-                    .as_mut()
-                    .expect("zero-copy implies a hypervisor")
-                    .grant_map_dev(&mut self.machine, dev);
+                self.world.xen_mut()?.grant_map_dev(&mut self.machine, dev);
                 self.machine.pay_to(CostDomain::Xen, Term::PinPage);
                 self.machine
                     .note(TraceEvent::GrantCacheMiss { dom: dom.0, page });
                 if let Some((edom, epage)) = evicted {
-                    self.world
-                        .xen
-                        .as_mut()
-                        .unwrap()
-                        .grant_unmap(&mut self.machine);
+                    self.world.xen_mut()?.grant_unmap(&mut self.machine);
                     self.machine.note(TraceEvent::GrantCacheEvict {
                         dom: edom,
                         page: epage,
@@ -363,6 +337,6 @@ impl System {
                 }
             }
         }
-        true
+        Ok(true)
     }
 }

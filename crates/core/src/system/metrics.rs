@@ -161,13 +161,13 @@ impl System {
     /// Frames fully delivered to one receive endpoint (0 for an id that
     /// is none; see [`crate::Outcome`] for what the endpoints are).
     pub fn delivered_rx_for(&self, gid: DomId) -> usize {
-        let mut endpoints = endpoints(&self.world, self.guest);
+        let mut endpoints = endpoints(&self.world, self.guest());
         endpoints.find(|e| e.0 == gid).map_or(0, |e| e.1.len())
     }
 
     /// Frames fully delivered to the measured receive endpoint.
     pub fn delivered_rx(&self) -> usize {
-        self.delivered_rx_for(self.guest.unwrap_or(DomId(0)))
+        self.delivered_rx_for(self.guest().unwrap_or(DomId(0)))
     }
 
     /// Bounds the in-flight arrival-stamp map: frames that never reach a
@@ -208,8 +208,8 @@ impl System {
             return; // nothing tracked: skip the delivery-log scans
         }
         let now = self.machine.meter.now();
-        let guest_path = self.guest.is_some();
-        let per_guest = guest_path && self.guest_latency_tracked;
+        let guest = self.guest();
+        let per_guest = guest.is_some() && self.guest_latency_tracked;
         let (inflight, all) = (&mut self.rx_inflight, &mut self.rx_latency);
         let mut sample = |log: &[Frame], state: &mut GuestState| {
             for f in &log[state.sample_cursor.min(log.len())..] {
@@ -223,7 +223,7 @@ impl System {
             }
             state.sample_cursor = state.sample_cursor.max(log.len());
         };
-        for (id, log, _) in endpoints(&self.world, self.guest) {
+        for (id, log, _) in endpoints(&self.world, guest) {
             if let Some(state) = self.guests.get_mut(id.0 as usize) {
                 sample(log, state);
             }

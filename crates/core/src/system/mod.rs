@@ -494,6 +494,18 @@ enum Crossing {
 }
 
 impl World {
+    /// The hypervisor, for code that runs only on a hosted
+    /// configuration.
+    ///
+    /// # Errors
+    ///
+    /// [`SystemError::Build`] on native Linux.
+    pub(crate) fn xen_mut(&mut self) -> Result<&mut Xen, SystemError> {
+        self.xen
+            .as_mut()
+            .ok_or_else(|| SystemError::Build("no hypervisor in this configuration".into()))
+    }
+
     /// What extern `id` of `m` resolves to, resolving it on first use.
     fn crossing(&mut self, id: ExternId, m: &Machine) -> Crossing {
         if let Some(Some(resolved)) = self.crossings.get(id.0) {
@@ -595,6 +607,34 @@ impl Env for World {
     }
 }
 
+/// The measured guest of a guest configuration: its domain, address
+/// space, and the machine address of its first payload page, which the
+/// TwinDrivers transmit glue chains as an sk_buff fragment (paper §5.3).
+#[derive(Copy, Clone, Debug)]
+struct Endpoint {
+    gid: DomId,
+    gspace: SpaceId,
+    tx_frag: u64,
+}
+
+/// The parts one configuration has beyond dom0 and its NICs (paper
+/// §6.1): [`Config`] is read off the variant, so "is there a guest" or
+/// "is there a hypervisor driver" is a match, never a check that can
+/// fail.
+#[derive(Debug)]
+enum Datapath {
+    Native,
+    Dom0,
+    Guest(Endpoint),
+    /// The guest plus the hypervisor driver instance derived in §3.1
+    /// step 4 and the statistics of the rewrite that made it.
+    Twin {
+        endpoint: Endpoint,
+        hyperdrv: HypervisorDriver,
+        stats: RewriteStats,
+    },
+}
+
 /// One fully constructed, measurable system.
 #[derive(Debug)]
 pub struct System {
@@ -602,18 +642,13 @@ pub struct System {
     pub machine: Machine,
     /// Kernel, devices and hypervisor pieces.
     pub world: World,
-    /// Which configuration this is.
-    pub config: Config,
     /// The dom0 / native driver instance.
     pub driver: LoadedDriver,
-    /// The derived hypervisor driver (TwinDrivers only).
-    pub hyperdrv: Option<HypervisorDriver>,
-    /// Rewrite statistics (TwinDrivers only).
-    pub rewrite_stats: Option<RewriteStats>,
     /// net_device pointers, one per NIC in device order.
     pub netdevs: Vec<u64>,
-    /// The measured guest (guest configurations).
-    pub guest: Option<DomId>,
+    /// The configuration's own parts, assigned once the §3.1 build
+    /// steps have made them.
+    datapath: Datapath,
     /// Per-round log of the most recent receive-demux flush:
     /// `(round, guest, frames delivered)` — the fairness quantum's
     /// observable behaviour (a starved guest would only appear in late
@@ -676,7 +711,6 @@ pub struct System {
     affinity_flow_dev: BTreeMap<u32, u32>,
     dom0: SpaceId,
     dom0_stack_top: u64,
-    guest_tx_frag: u64,
     seq: u64,
     /// Dom0 VA of the `skb*[MAX_BURST]` array handed to
     /// `e1000_xmit_batch` (both driver instances read it — it lives in

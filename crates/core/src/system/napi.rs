@@ -96,20 +96,17 @@ impl System {
             kind: poll.label(),
             dev,
         });
-        {
-            let xen = self.world.xen.as_mut().expect("napi implies xen");
-            xen.raise_softirq(poll);
-            // Drain the pending set so the poll is accounted as softirq
-            // work; UpcallFlush kicks ride along as usual.
-            let work = xen.take_runnable_softirqs();
-            for w in work {
-                if let Softirq::UpcallFlush = w {
-                    self.machine.note(TraceEvent::SoftirqDispatch {
-                        kind: w.label(),
-                        dev: 0,
-                    });
-                    self.flush_deferred_upcalls_as(FlushCause::HighWater)?;
-                }
+        let xen = self.world.xen_mut()?;
+        xen.raise_softirq(poll);
+        // Drain the pending set so the poll is accounted as softirq
+        // work; UpcallFlush kicks ride along as usual.
+        for w in xen.take_runnable_softirqs() {
+            if let Softirq::UpcallFlush = w {
+                self.machine.note(TraceEvent::SoftirqDispatch {
+                    kind: w.label(),
+                    dev: 0,
+                });
+                self.flush_deferred_upcalls_as(FlushCause::HighWater)?;
             }
         }
         self.machine.pay_to(CostDomain::Xen, Term::NapiPollDispatch);

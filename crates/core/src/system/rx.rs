@@ -3,7 +3,7 @@
 //! open-loop arrival entry points built on it, and each configuration's
 //! interrupt dispatch and descriptor reap.
 
-use super::{peer_mac, Config, DriverOp, Itr, OnIrq, Overrun, System, SystemError};
+use super::{peer_mac, Datapath, DriverOp, Itr, OnIrq, Overrun, System, SystemError};
 use twin_machine::{CostDomain, Event, IntSet, Term};
 use twin_net::{EtherType, Frame, MacAddr, MTU};
 use twin_trace::{FlushCause, TraceEvent};
@@ -396,21 +396,24 @@ impl System {
     /// per-guest demux queue, or ring descriptors waiting under a
     /// masked poll-mode device.
     pub fn rx_open_loop_pending(&self) -> bool {
-        if self.world.xen.as_ref().is_some_and(|x| {
-            x.domains.iter().any(|d| {
-                // A sleeping guest's backlog is not serviceable work:
-                // it waits for the wakeup timer, which idle stepping
-                // lands on (`next_virtual_event`), not for the
-                // consumer loop.
-                !d.rx_queue.is_empty() && self.sched.as_ref().map_or(true, |s| s.is_running(d.id.0))
-            })
-        }) {
+        // A sleeping guest's backlog is not serviceable work: it waits
+        // for the wakeup timer, which idle stepping lands on
+        // (`next_virtual_event`), not for the consumer loop.
+        if self.rx_backlogs().any(|running| running) {
             return true;
         }
         self.devs
             .iter()
             .zip(&self.world.nics)
             .any(|(d, nic)| d.poll_entered_at.is_some() && nic.rx_pending() > 0)
+    }
+
+    /// One item per domain with frames in its demux queue: whether the
+    /// domain's vCPU is running (always, for a domain without one).
+    pub(super) fn rx_backlogs(&self) -> impl Iterator<Item = bool> + '_ {
+        let domains = self.world.xen.iter().flat_map(|x| &x.domains);
+        let backlogged = domains.filter(|d| !d.rx_queue.is_empty());
+        backlogged.map(|d| self.sched.as_ref().map_or(true, |s| s.is_running(d.id.0)))
     }
 
     /// Early drop at RX-descriptor refill time: frames whose destination
@@ -470,14 +473,14 @@ impl System {
     /// paths deliver inline either way, as their stack runs in interrupt
     /// context anyway.
     pub(super) fn rx_pass(&mut self, devs: &[u32], flush: bool) -> Result<(), SystemError> {
-        match self.config {
-            Config::NativeLinux | Config::XenDom0 => {
+        match &self.datapath {
+            Datapath::Native | Datapath::Dom0 => {
                 for &dev in devs {
-                    self.rx_dom0_style(self.config == Config::XenDom0, dev)?;
+                    self.rx_dom0_style(dev)?;
                 }
             }
-            Config::XenGuest => self.rx_baseline_guest(devs)?,
-            Config::TwinDrivers => {
+            Datapath::Guest(ep) => self.rx_baseline_guest(ep.gid, devs)?,
+            Datapath::Twin { .. } => {
                 self.rx_twin_reap(devs)?;
                 if flush {
                     self.flush_guest_rx_queues()?;
@@ -499,10 +502,10 @@ impl System {
         self.call_driver(DriverOp::Intr, dev).map(|_| ())
     }
 
-    fn rx_dom0_style(&mut self, on_xen: bool, dev: u32) -> Result<(), SystemError> {
-        if on_xen {
-            let xen = self.world.xen.as_mut().expect("xen");
+    fn rx_dom0_style(&mut self, dev: u32) -> Result<(), SystemError> {
+        if matches!(self.datapath, Datapath::Dom0) {
             // Xen routes the physical interrupt to dom0 as an event.
+            let xen = self.world.xen_mut()?;
             xen.send_virq(&mut self.machine, DomId::DOM0, 3);
             self.machine
                 .pay_to(CostDomain::Xen, Term::ParavirtTaxPerPacket);
@@ -510,11 +513,10 @@ impl System {
         self.dispatch_dom0_irq(dev)
     }
 
-    fn rx_baseline_guest(&mut self, devs: &[u32]) -> Result<(), SystemError> {
-        let gid = self.guest.expect("guest");
+    fn rx_baseline_guest(&mut self, gid: DomId, devs: &[u32]) -> Result<(), SystemError> {
         // Interrupts arrive while the guest runs: one event per raising
         // NIC, but a single switch to dom0 covers the whole pass.
-        let xen = self.world.xen.as_mut().expect("xen");
+        let xen = self.world.xen_mut()?;
         for _ in devs {
             xen.send_virq(&mut self.machine, DomId::DOM0, 3);
         }
@@ -522,9 +524,8 @@ impl System {
         for &dev in devs {
             self.dispatch_dom0_irq(dev)?;
         }
-        self.forward_bridged_frames()?;
-        let xen = self.world.xen.as_mut().unwrap();
-        xen.switch_to(&mut self.machine, gid);
+        self.forward_bridged_frames(gid)?;
+        self.world.xen_mut()?.switch_to(&mut self.machine, gid);
         Ok(())
     }
 
@@ -539,10 +540,10 @@ impl System {
         for &dev in devs {
             self.machine.pay_to(CostDomain::Xen, Term::IrqDispatch);
             self.machine.note(TraceEvent::IrqDelivered { dev });
-            let xen = self.world.xen.as_mut().expect("xen");
+            let xen = self.world.xen_mut()?;
             xen.raise_softirq(Softirq::DriverIrq { nic: dev });
         }
-        let work = self.world.xen.as_mut().unwrap().take_runnable_softirqs();
+        let work = self.world.xen_mut()?.take_runnable_softirqs();
         for w in work {
             let nic = match w {
                 // A poll softirq raised while an interrupt pass is in

@@ -196,17 +196,9 @@ impl System {
         // the DRR flush skipped while it slept deliver now, at the
         // scheduler edge — the deferral bound the wakeup timer
         // provides.
-        if sched_woke {
-            let backlog = self.world.xen.as_ref().is_some_and(|x| {
-                x.domains.iter().any(|d| {
-                    !d.rx_queue.is_empty()
-                        && self.sched.as_ref().is_some_and(|s| s.is_running(d.id.0))
-                })
-            });
-            if backlog {
-                self.flush_guest_rx_queues()?;
-                self.sample_rx_completions();
-            }
+        if sched_woke && self.rx_backlogs().any(|running| running) {
+            self.flush_guest_rx_queues()?;
+            self.sample_rx_completions();
         }
         // After moderated deliveries, so an interrupt delivered at this
         // service point counts into the window that just closed.
@@ -296,13 +288,7 @@ impl System {
             // load: while it waits for its wakeup the system is
             // backlogged, and reporting the wait as idleness would
             // decay a converged bulk ITR setting every sleep interval.
-            let sleep_backlog = self.sched.as_ref().is_some_and(|s| {
-                self.world.xen.as_ref().is_some_and(|x| {
-                    x.domains
-                        .iter()
-                        .any(|d| !d.rx_queue.is_empty() && !s.is_running(d.id.0))
-                })
-            });
+            let sleep_backlog = self.sched.is_some() && self.rx_backlogs().any(|running| !running);
             for (d, nic) in self.devs.iter_mut().zip(&self.world.nics) {
                 if let Some(t) = d.tuner.as_mut() {
                     if !nic.irq_asserted() && !sleep_backlog {

@@ -1,7 +1,9 @@
 //! The transmit pipeline: stack → (I/O channel | paravirtual glue) →
 //! driver → wire, burst-wise, for each of the four configurations.
 
-use super::{peer_mac, Config, DriverOp, System, SystemError, World, ZcOccupancy, MAX_BURST};
+use super::{
+    peer_mac, Datapath, DriverOp, Endpoint, System, SystemError, World, ZcOccupancy, MAX_BURST,
+};
 use twin_kernel::{Dom0Kernel, RoutineId, SkBuff};
 use twin_machine::{CostDomain, ExecMode, Machine, Term};
 use twin_net::{EtherType, Frame, MacAddr, MTU};
@@ -27,10 +29,9 @@ impl System {
 
     /// MAC of the measured endpoint — the source of generated transmit
     /// traffic and the destination of generated receive traffic: the
-    /// guest on the guest configurations (`guest` is `Some` exactly
-    /// there), else dom0 / the native stack.
+    /// guest on the guest configurations, else dom0 / the native stack.
     pub(super) fn endpoint_mac(&self) -> MacAddr {
-        MacAddr::for_guest(self.guest.map_or(0, |gid| gid.0))
+        MacAddr::for_guest(self.guest().map_or(0, |gid| gid.0))
     }
 
     fn next_tx_frame(&mut self) -> Frame {
@@ -83,11 +84,10 @@ impl System {
             // chunk under Static/RoundRobin, FlowHash may split it.
             for (dev, group) in self.shard_frames(frames) {
                 let want = group.len();
-                let sent = match self.config {
-                    Config::NativeLinux => self.tx_dom0_style(&group, false, dev),
-                    Config::XenDom0 => self.tx_dom0_style(&group, true, dev),
-                    Config::XenGuest => self.tx_baseline_guest(&group, dev),
-                    Config::TwinDrivers => self.tx_twin(&group, dev),
+                let sent = match &self.datapath {
+                    Datapath::Native | Datapath::Dom0 => self.tx_dom0_style(&group, dev),
+                    Datapath::Guest(ep) => self.tx_baseline_guest(ep.gid, &group, dev),
+                    Datapath::Twin { endpoint, .. } => self.tx_twin(*endpoint, &group, dev),
                 }?;
                 total += sent;
                 if sent < want {
@@ -158,13 +158,27 @@ impl System {
         Ok(sent as usize)
     }
 
+    /// Allocates a dom0 sk_buff holding `frame` onto `skbs`. On failure
+    /// every buffer of `skbs` goes back to its pool before the error
+    /// surfaces, or the pool drains for good.
+    fn push_dom0_skb(&mut self, frame: &Frame, skbs: &mut Vec<SkBuff>) -> Result<(), SystemError> {
+        let filled = match self.world.kernel.pool.alloc(&mut self.machine, self.dom0) {
+            Some(skb) => {
+                skbs.push(skb);
+                skb.fill_from_frame(&mut self.machine, self.dom0, frame)
+                    .map_err(SystemError::from)
+            }
+            None => Err(SystemError::Build("dom0 skb pool empty".into())),
+        };
+        if filled.is_err() {
+            self.free_skbs(skbs)?;
+        }
+        filled
+    }
+
     /// Native Linux / dom0 transmit: stack → driver, burst-wise.
-    fn tx_dom0_style(
-        &mut self,
-        frames: &[Frame],
-        on_xen: bool,
-        dev: u32,
-    ) -> Result<usize, SystemError> {
+    fn tx_dom0_style(&mut self, frames: &[Frame], dev: u32) -> Result<usize, SystemError> {
+        let on_xen = matches!(self.datapath, Datapath::Dom0);
         let mut skbs = Vec::with_capacity(frames.len());
         for (i, frame) in frames.iter().enumerate() {
             // Socket + TCP/IP transmit processing.
@@ -175,18 +189,7 @@ impl System {
                 self.machine
                     .pay_to(CostDomain::Xen, Term::ParavirtTaxPerPacket);
             }
-            let skb = match self.world.kernel.pool.alloc(&mut self.machine, self.dom0) {
-                Some(skb) => skb,
-                None => {
-                    self.free_skbs(&skbs)?;
-                    return Err(SystemError::Build("dom0 skb pool empty".into()));
-                }
-            };
-            skbs.push(skb);
-            if let Err(e) = skb.fill_from_frame(&mut self.machine, self.dom0, frame) {
-                self.free_skbs(&skbs)?;
-                return Err(e.into());
-            }
+            self.push_dom0_skb(frame, &mut skbs)?;
         }
         self.drive_tx(&skbs, dev)
     }
@@ -195,15 +198,19 @@ impl System {
     /// netback → bridge → dom0 driver. netfront produces the whole burst
     /// of requests and notifies **once**; grants, copies and backend
     /// bookkeeping stay per-packet.
-    fn tx_baseline_guest(&mut self, frames: &[Frame], dev: u32) -> Result<usize, SystemError> {
-        let gid = self.guest.expect("guest");
+    fn tx_baseline_guest(
+        &mut self,
+        gid: DomId,
+        frames: &[Frame],
+        dev: u32,
+    ) -> Result<usize, SystemError> {
         for i in 0..frames.len() {
             // Guest stack + netfront request production.
             self.machine.pay_to(CostDomain::DomU, tx_stack_term(i));
             self.machine
                 .pay_to(CostDomain::DomU, Term::NetfrontPerPacket);
         }
-        let xen = self.world.xen.as_mut().expect("xen");
+        let xen = self.world.xen_mut()?;
         // One notify + one switch into the driver domain per burst.
         xen.hypercall(&mut self.machine);
         xen.send_virq(&mut self.machine, DomId::DOM0, 1);
@@ -216,10 +223,10 @@ impl System {
         let mut zc_landed = 0usize;
         let mut skbs = Vec::with_capacity(frames.len());
         for frame in frames {
-            if self.zc_access(&mut zc_occ, gid, frame.flow, true, frame.len(), dev) {
+            if self.zc_access(&mut zc_occ, gid, frame.flow, true, frame.len(), dev)? {
                 zc_landed += 1;
             } else {
-                let xen = self.world.xen.as_mut().unwrap();
+                let xen = self.world.xen_mut()?;
                 xen.grant_map_dev(&mut self.machine, dev);
             }
             for t in [
@@ -229,24 +236,13 @@ impl System {
             ] {
                 self.machine.pay_to(CostDomain::Dom0, t);
             }
-            let skb = match self.world.kernel.pool.alloc(&mut self.machine, self.dom0) {
-                Some(skb) => skb,
-                None => {
-                    self.free_skbs(&skbs)?;
-                    return Err(SystemError::Build("dom0 skb pool empty".into()));
-                }
-            };
-            skbs.push(skb);
-            if let Err(e) = skb.fill_from_frame(&mut self.machine, self.dom0, frame) {
-                self.free_skbs(&skbs)?;
-                return Err(e.into());
-            }
+            self.push_dom0_skb(frame, &mut skbs)?;
         }
         let sent = self.drive_tx(&skbs, dev)?;
         // Unmap the per-packet (non-pool) mappings, produce the
         // responses, one notification, switch back. Pool pages stay
         // mapped — that is the point of zero-copy mode.
-        let xen = self.world.xen.as_mut().unwrap();
+        let xen = self.world.xen_mut()?;
         for _ in 0..frames.len() - zc_landed {
             xen.grant_unmap_dev(&mut self.machine, dev);
         }
@@ -323,95 +319,78 @@ impl System {
     /// hypervisor driver instance, all without leaving the guest
     /// context. A burst pays **one** hypercall and one driver
     /// invocation/doorbell.
-    fn tx_twin(&mut self, frames: &[Frame], dev: u32) -> Result<usize, SystemError> {
-        let gid = self.guest.expect("guest");
+    fn tx_twin(
+        &mut self,
+        guest: Endpoint,
+        frames: &[Frame],
+        dev: u32,
+    ) -> Result<usize, SystemError> {
         let mut zc_occ = ZcOccupancy::default();
         for i in 0..frames.len() {
             // Guest stack + paravirtual driver.
             self.machine.pay_to(CostDomain::DomU, tx_stack_term(i));
             self.machine.pay_to(CostDomain::DomU, Term::PvDriverGuest);
         }
-        let xen = self.world.xen.as_mut().expect("xen");
-        xen.hypercall(&mut self.machine);
+        self.world.xen_mut()?.hypercall(&mut self.machine);
         let netdev = self.netdevs[dev as usize] as u32;
         let batched = self.alloc_burst_deferred(frames.len(), netdev)?;
         let mut skbs = Vec::with_capacity(frames.len());
         for (fi, frame) in frames.iter().enumerate() {
-            let header_copy = self.opts.header_copy_bytes.min(frame.len());
-            // Acquire a pre-allocated dom0 sk_buff: from the batched
-            // continuation's completions, or through the (possibly
-            // upcalled) support routine.
-            let raw = match &batched {
-                Some(ptrs) => Ok(ptrs[fi]),
-                None => {
-                    self.machine.pay_to(CostDomain::Xen, Term::TwinGlueTx);
-                    self.call_support(RoutineId::NETDEV_ALLOC_SKB, &[netdev, 2048])
-                }
-            };
-            let skb = match raw {
-                Ok(v) if v != 0 => SkBuff(v as u64),
-                Ok(_) => {
-                    self.free_skbs(&skbs)?;
-                    self.free_batched_tail(&batched, fi + 1)?;
-                    return Err(SystemError::Build("hypervisor skb pool empty".into()));
-                }
-                Err(e) => {
-                    self.free_skbs(&skbs)?;
-                    self.free_batched_tail(&batched, fi + 1)?;
-                    return Err(e);
-                }
-            };
-            skbs.push(skb);
-            // Copy the packet header into the sk_buff and chain the rest
-            // of the guest packet as a page fragment. With a warm
-            // zero-copy pool the header lives in an already-mapped pool
-            // page, so even the header copy collapses to the cached
-            // grant access; fallback frames bounce through the copy.
-            if !self.zc_access(&mut zc_occ, gid, frame.flow, true, frame.len(), dev) {
-                self.machine
-                    .pay_copy(CostDomain::Xen, u64::from(header_copy));
-                if let Some(xen) = self.world.xen.as_mut() {
-                    xen.note_grant_copy(Some(dev));
-                }
-            }
-            let filled = skb
-                .fill_from_frame(&mut self.machine, self.dom0, frame)
-                .and_then(|()| skb.set_len(&mut self.machine, self.dom0, header_copy))
-                .and_then(|()| {
-                    skb.set_frag(
-                        &mut self.machine,
-                        self.dom0,
-                        self.guest_tx_frag,
-                        frame.len() - header_copy,
-                    )
-                });
-            if let Err(e) = filled {
+            let ptr = batched.as_ref().map(|ptrs| ptrs[fi]);
+            if let Err(e) = self.glue_tx_frame(guest, ptr, frame, &mut zc_occ, dev, &mut skbs) {
+                // Back to the pools before the error surfaces: the
+                // wrapped skbs, then what the continuation allocated up
+                // front for the frames after this one.
+                let tail = batched.iter().flat_map(|ptrs| &ptrs[fi + 1..]);
+                skbs.extend(tail.filter(|p| **p != 0).map(|p| SkBuff(u64::from(*p))));
                 self.free_skbs(&skbs)?;
-                self.free_batched_tail(&batched, fi + 1)?;
-                return Err(e.into());
+                return Err(e);
             }
         }
         self.drive_tx(&skbs, dev)
     }
 
-    /// Error-path cleanup for the batched allocation continuation: frees
-    /// the buffers already allocated up front but not yet wrapped into
-    /// `skbs` when a mid-burst failure aborts the glue loop, so the
-    /// failure cannot drain the pool.
-    fn free_batched_tail(
+    /// The hypervisor glue for one frame of a TwinDrivers burst: a dom0
+    /// sk_buff pushed onto `skbs` — `batched` when the continuation
+    /// already allocated it, else one from the (possibly upcalled)
+    /// support routine — holding the packet header, with the rest of the
+    /// guest packet chained as a page fragment.
+    fn glue_tx_frame(
         &mut self,
-        batched: &Option<Vec<u32>>,
-        next: usize,
+        guest: Endpoint,
+        batched: Option<u32>,
+        frame: &Frame,
+        zc_occ: &mut ZcOccupancy,
+        dev: u32,
+        skbs: &mut Vec<SkBuff>,
     ) -> Result<(), SystemError> {
-        if let Some(ptrs) = batched {
-            let tail: Vec<SkBuff> = ptrs[next.min(ptrs.len())..]
-                .iter()
-                .filter(|p| **p != 0)
-                .map(|p| SkBuff(*p as u64))
-                .collect();
-            self.free_skbs(&tail)?;
+        let header_copy = self.opts.header_copy_bytes.min(frame.len());
+        let raw = match batched {
+            Some(ptr) => ptr,
+            None => {
+                self.machine.pay_to(CostDomain::Xen, Term::TwinGlueTx);
+                let args = [self.netdevs[dev as usize] as u32, 2048];
+                self.call_support(guest.gspace, RoutineId::NETDEV_ALLOC_SKB, &args)?
+            }
+        };
+        if raw == 0 {
+            return Err(SystemError::Build("hypervisor skb pool empty".into()));
         }
-        Ok(())
+        let skb = SkBuff(u64::from(raw));
+        skbs.push(skb);
+        // With a warm zero-copy pool the header lives in an
+        // already-mapped pool page, so even the header copy collapses to
+        // the cached grant access; fallback frames bounce through the
+        // copy.
+        if !self.zc_access(zc_occ, guest.gid, frame.flow, true, frame.len(), dev)? {
+            self.machine
+                .pay_copy(CostDomain::Xen, u64::from(header_copy));
+            self.world.xen_mut()?.note_grant_copy(Some(dev));
+        }
+        skb.fill_from_frame(&mut self.machine, self.dom0, frame)?;
+        skb.set_len(&mut self.machine, self.dom0, header_copy)?;
+        let frag_len = frame.len() - header_copy;
+        Ok(skb.set_frag(&mut self.machine, self.dom0, guest.tx_frag, frag_len)?)
     }
 
     /// Drains frames that reached the wire, across every NIC in device

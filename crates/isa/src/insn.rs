@@ -107,11 +107,6 @@ impl MemRef {
     pub fn is_stack_relative(&self) -> bool {
         self.base.map(Reg::is_stack_reg).unwrap_or(false)
     }
-
-    /// True when the reference still carries an unresolved symbol.
-    pub fn is_symbolic(&self) -> bool {
-        self.sym.is_some()
-    }
 }
 
 impl fmt::Display for MemRef {
@@ -177,14 +172,6 @@ impl Operand {
     pub fn def(&self) -> Option<Reg> {
         match self {
             Operand::Reg(r) => Some(*r),
-            _ => None,
-        }
-    }
-
-    /// Borrow the memory reference, if this is a memory operand.
-    pub fn as_mem(&self) -> Option<&MemRef> {
-        match self {
-            Operand::Mem(m) => Some(m),
             _ => None,
         }
     }

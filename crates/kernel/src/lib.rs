@@ -25,6 +25,11 @@
 //! transmit through the descriptor rings → receive via the interrupt
 //! handler — the baseline every TwinDrivers experiment compares against.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod e1000;
 pub mod heap;
 pub mod loader;

@@ -70,11 +70,6 @@ impl LoadedDriver {
     pub fn data_symbol(&self, name: &str) -> Option<u64> {
         self.data_symbols.get(name).copied()
     }
-
-    /// End of the code image (exclusive).
-    pub fn code_end(&self) -> u64 {
-        self.code_base + self.text_len as u64 * INSN_SIZE
-    }
 }
 
 /// Loads `module` into `space`: data section at `data_base` (pages are

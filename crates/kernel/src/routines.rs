@@ -99,13 +99,13 @@ impl RoutineId {
         Some(RoutineId(i as u8))
     }
 
-    /// The row named `name`, for a body to dispatch on: bound to a
-    /// `const`, it is resolved when the crate compiles, and a name
-    /// [`ROUTINES`] does not have fails the build.
+    /// The row named `name`, for a body to dispatch on through a `const`.
     ///
     /// # Panics
     ///
-    /// When no row is named `name` (at compile time, in a `const`).
+    /// When no row is named `name`, which in a `const` fails the build —
+    /// why this `panic!` is allowed where the crate denies the rest.
+    #[allow(clippy::panic)]
     pub const fn named(name: &str) -> RoutineId {
         let mut i = 0;
         while i < ROUTINES.len() {

@@ -265,11 +265,6 @@ impl Machine {
         id
     }
 
-    /// Number of address spaces.
-    pub fn space_count(&self) -> usize {
-        self.spaces.len()
-    }
-
     /// Borrow an address space's page table.
     ///
     /// # Panics

@@ -17,6 +17,11 @@
 //! (returning backpressure when the RX ring is out of buffers, which real
 //! e1000s report as missed-packet events).
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use twin_machine::{PhysMem, PAGE_SIZE};
 use twin_net::{Frame, MacAddr, ETH_HEADER_LEN, WIRE_PREFIX_LEN};
 
@@ -278,12 +283,9 @@ pub fn classify_itr_window(
 /// off-grid value converges onto the ladder instead of wedging).
 pub fn itr_step_toward(cur: u32, target: u32) -> u32 {
     let nearest = |v: u32| -> usize {
-        ITR_LADDER
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &l)| l.abs_diff(v))
-            .map(|(i, _)| i)
-            .expect("non-empty ladder")
+        (0..ITR_LADDER.len())
+            .min_by_key(|&i| ITR_LADDER[i].abs_diff(v))
+            .unwrap_or(0)
     };
     let c = nearest(cur);
     let t = nearest(target);
@@ -561,8 +563,9 @@ pub struct Nic {
 impl Nic {
     /// Creates a NIC with the given device id and permanent MAC address.
     pub fn new(dev_id: u32, mac: MacAddr) -> Nic {
-        let ral = u32::from_le_bytes(mac.0[0..4].try_into().expect("4 bytes"));
-        let rah = u16::from_le_bytes(mac.0[4..6].try_into().expect("2 bytes")) as u32 | 0x8000_0000;
+        let m = mac.0;
+        let ral = u32::from_le_bytes([m[0], m[1], m[2], m[3]]);
+        let rah = u32::from(u16::from_le_bytes([m[4], m[5]])) | 0x8000_0000;
         Nic {
             dev_id,
             mac,

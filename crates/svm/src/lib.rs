@@ -20,6 +20,11 @@
 //! footnote 2). Illegal addresses produce a fault that the hypervisor
 //! turns into a driver abort.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::collections::HashMap;
 use twin_machine::{
     stlb, CostDomain, Event, ExecMode, Fault, Machine, SpaceId, Term, HYPER_BASE, PAGE_SIZE,
@@ -197,11 +202,6 @@ impl Svm {
     /// Statistics counters.
     pub fn stats(&self) -> SvmStats {
         self.stats
-    }
-
-    /// True for the identity-mode (VM instance) configuration.
-    pub fn is_identity(&self) -> bool {
-        self.identity
     }
 
     /// Recent miss addresses (diagnostics).

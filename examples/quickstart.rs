@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // and attach a guest with a paravirtual driver.
     let mut sys = System::build(Config::TwinDrivers)?;
 
-    let stats = sys.rewrite_stats.expect("rewrite statistics");
+    let stats = sys.rewrite_stats().expect("rewrite statistics");
     println!("derived hypervisor driver from the e1000 VM driver:");
     println!("  instructions before rewriting : {}", stats.insns_before);
     println!("  instructions after rewriting  : {}", stats.insns_after);

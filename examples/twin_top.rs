@@ -154,7 +154,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .transpose()?
         .unwrap_or(100);
     let mut sys = build()?;
-    let flood_gid = sys.guest.expect("TwinDrivers config has a guest");
+    let flood_gid = sys.guest().expect("TwinDrivers config has a guest");
     let flood_mac = MacAddr::for_guest(flood_gid.0);
     let victims: Vec<(u32, MacAddr)> = [2u32, 3]
         .iter()

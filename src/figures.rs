@@ -309,13 +309,15 @@ pub fn ablations(packets: u64) -> Rendered {
 /// 4 translation of the rewritten text.
 pub fn rewrite(_packets: u64) -> Rendered {
     let sys = System::build(Config::TwinDrivers)?;
-    let s = sys.rewrite_stats.expect("TwinDrivers rewrites its driver");
+    let s = sys
+        .rewrite_stats()
+        .expect("TwinDrivers rewrites its driver");
     let mut out = banner(
         "Binary rewriting of the e1000 driver",
         "roughly 25% of a network driver's instructions reference memory (§4.1); \
          Fig. 7: rewritten 2218 vs native 960 cycles/packet",
     );
-    let hyperdrv = sys.hyperdrv.as_ref().expect("TwinDrivers loads it");
+    let hyperdrv = sys.hyperdrv().expect("TwinDrivers loads it");
     write!(
         out,
         "  instructions : {} -> {} ({:.2}x)\n  memory sites : {} ({:.0}% of instructions)\n\

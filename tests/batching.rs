@@ -73,7 +73,7 @@ fn rx_burst_delivers_all_frames_in_order() {
         let frames: Vec<Frame> = (0..24).map(|i| rx_frame(mac, i)).collect();
         assert_eq!(sys.receive_burst(&frames).unwrap(), 24, "{config}");
         assert_eq!(sys.delivered_rx(), 24, "{config}");
-        let endpoint = sys.guest.unwrap_or(DomId(0));
+        let endpoint = sys.guest().unwrap_or(DomId(0));
         let o = sys.outcome();
         let delivered: Vec<u64> = o.delivered(endpoint).iter().map(|f| f.seq).collect();
         assert_eq!(delivered, (0..24).collect::<Vec<u64>>(), "{config}");

@@ -629,7 +629,7 @@ fn recovery_preserves_sibling_traffic_bit_exact() {
     assert_eq!(sys.recovery_log().len(), 1);
     assert!(sys.quarantined_devices().is_empty());
 
-    let gid = sys.guest.unwrap();
+    let gid = sys.guest().unwrap();
     let (faulted, unfaulted) = (sys.outcome(), control.outcome());
     let flow_frames = |o: &Outcome, d: u32| -> Vec<Frame> {
         let flow = flow_for_dev(d, nics, 0x7000);

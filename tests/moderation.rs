@@ -62,7 +62,7 @@ fn moderation_latches_pending_work_and_never_drops_or_reorders() {
         ..SystemOptions::default()
     };
     let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
-    let g1 = sys.guest.unwrap();
+    let g1 = sys.guest().unwrap();
     let mac2 = MacAddr::for_guest(2);
     let mac3 = MacAddr::for_guest(3);
     let g2 = sys.add_guest(mac2).unwrap();

@@ -14,7 +14,7 @@ fn frame_for(dst: MacAddr, seq: u64) -> Frame {
 #[test]
 fn frames_reach_the_right_guest() {
     let mut sys = System::build(Config::TwinDrivers).unwrap();
-    let g1 = sys.guest.unwrap();
+    let g1 = sys.guest().unwrap();
     let mac2 = MacAddr::for_guest(2);
     let mac3 = MacAddr::for_guest(3);
     let g2 = sys.add_guest(mac2).unwrap();
@@ -62,7 +62,7 @@ fn batch_demux_fans_out_to_guests_in_one_pass() {
     // twelve-frame burst for three guests lands in all three queues with
     // a single hardware interrupt and one virtual interrupt per guest.
     let mut sys = System::build(Config::TwinDrivers).unwrap();
-    let g1 = sys.guest.unwrap();
+    let g1 = sys.guest().unwrap();
     let mac2 = MacAddr::for_guest(2);
     let mac3 = MacAddr::for_guest(3);
     let g2 = sys.add_guest(mac2).unwrap();

@@ -30,7 +30,8 @@
 //! | `tracing` | `livelock_sweep`, `fault_sweep`, `affinity_sweep` (`TWIN_TRACE_OUT`); benchmark recorder-overhead pass |
 //!
 //! The second half pins what the build does with a knob the
-//! configuration cannot honour: an error, never a silent no-op.
+//! configuration cannot honour, or a driver source missing an entry the
+//! build calls: an error, never a silent no-op or a panic.
 
 use twindrivers::{Config, Itr, ShardPolicy, System, SystemError, SystemOptions, UpcallMode};
 
@@ -106,5 +107,20 @@ fn a_knob_the_configuration_cannot_honour_is_a_build_error() {
                 Err(e) => panic!("{config} {knob}: {e}"),
             }
         }
+    }
+}
+
+#[test]
+fn a_driver_source_without_probe_or_open_is_a_build_error() {
+    for entry in ["e1000_probe", "e1000_open"] {
+        let opts = SystemOptions {
+            driver_source: Some(twin_kernel::e1000::source().replace(entry, "e1000_renamed")),
+            ..SystemOptions::default()
+        };
+        let err = System::build_with(Config::XenDom0, &opts).err();
+        assert!(
+            matches!(&err, Some(SystemError::Build(why)) if why.contains(entry)),
+            "{entry}: {err:?}"
+        );
     }
 }

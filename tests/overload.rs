@@ -27,7 +27,7 @@ fn poll_mode_takes_precedence_over_the_moderation_latch() {
         ..SystemOptions::default()
     };
     let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
-    let g1 = sys.guest.unwrap();
+    let g1 = sys.guest().unwrap();
     let mac = MacAddr::for_guest(1);
 
     // Arrival 1: interrupt allowed (window unanchored) → poll mode.
@@ -93,7 +93,7 @@ fn napi_absorbs_a_burst_larger_than_the_ring_without_loss() {
         ..SystemOptions::default()
     };
     let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
-    let g1 = sys.guest.unwrap();
+    let g1 = sys.guest().unwrap();
     let frames: Vec<Frame> = (0..150).map(|s| mk(MacAddr::for_guest(1), 3, s)).collect();
     // (rx_missed counts each wire re-offer of the over-ring tail; what
     // matters here is that every frame ultimately lands, in order.)
@@ -118,7 +118,7 @@ fn mode_switches_under_churn_never_drop_or_reorder() {
         ..SystemOptions::default()
     };
     let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
-    let g1 = sys.guest.unwrap();
+    let g1 = sys.guest().unwrap();
     let mac2 = MacAddr::for_guest(2);
     let mac3 = MacAddr::for_guest(3);
     let g2 = sys.add_guest(mac2).unwrap();
@@ -220,7 +220,7 @@ fn early_drop_bounds_admission_and_is_accounted_per_guest() {
         ..SystemOptions::default()
     };
     let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
-    let g1 = sys.guest.unwrap();
+    let g1 = sys.guest().unwrap();
     let frames: Vec<Frame> = (0..40).map(|s| mk(MacAddr::for_guest(1), 7, s)).collect();
     let now = sys.now_cycles();
     sys.rx_open_loop_arrival(&frames, now).unwrap();

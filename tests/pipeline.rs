@@ -34,14 +34,14 @@ fn all_four_systems_move_packets() {
 #[test]
 fn every_translation_the_rewriter_emits_is_one_the_linker_fuses() {
     let sys = System::build(Config::TwinDrivers).unwrap();
-    let hyp = sys.machine.image(sys.hyperdrv.as_ref().unwrap().image);
+    let hyp = sys.machine.image(sys.hyperdrv().unwrap().image);
     let vm = sys.machine.image(sys.driver.image);
     let emitted = hyp
         .exports
         .keys()
         .filter(|label| label.starts_with(".Lsvm_retry_"))
         .count();
-    let stats = sys.rewrite_stats.unwrap();
+    let stats = sys.rewrite_stats().unwrap();
     assert!(emitted >= stats.mem_sites + stats.string_sites + stats.indirect_sites);
     assert_eq!((hyp.fused_sites(), vm.fused_sites()), (emitted, emitted));
     // Spill frames around a translation: every spill site but the two

@@ -2,9 +2,13 @@
 //! call rewinds one, a measurement harness included — and the keys the
 //! benchmark reads by name (`benchmark/README.md`, "Registry keys read by
 //! name") are published, each alias equal to the meter rows it sums.
+//! The rest of that README's "API surface" — the `System` and `World`
+//! items the benchmark calls — is used once here, because `cargo test`
+//! does not build the benchmark's own workspace.
 
 use twin_net::{Frame, MacAddr};
 use twin_trace::MetricSet;
+use twin_xen::{DomId, DomainKind};
 use twindrivers::{peer_mac, Config, Itr, ShardPolicy, System, SystemOptions, UpcallMode};
 
 /// Every layer whose counters the registry publishes, on at once: four
@@ -162,5 +166,65 @@ fn every_key_the_benchmark_reads_is_published_and_each_alias_is_its_rows() {
     ] {
         assert!(ms.counter(alias) > 0, "{alias} moved");
         assert_eq!(ms.counter(alias), rows(of), "{alias} is {of:?}");
+    }
+}
+
+/// Every `System` / `World` item the benchmark's README lists under "API
+/// surface", used on a built guest system; the deliveries the benchmark
+/// reads off `world` agree with [`System::outcome`].
+#[test]
+fn the_benchmark_api_surface_is_usable_and_agrees_with_the_outcome() {
+    let labels = Config::ALL.map(Config::label);
+    assert_eq!(labels, ["domU", "domU-twin", "dom0", "Linux"]);
+    let zero_copy = SystemOptions {
+        zero_copy: true,
+        ..SystemOptions::default()
+    };
+    let refused = System::build_with(Config::NativeLinux, &zero_copy).err();
+    assert!(refused.is_some_and(|e| e.to_string().contains("zero_copy")));
+
+    let mut sys = System::build_with(Config::XenGuest, &SystemOptions::default()).unwrap();
+    assert_eq!(sys.config(), Config::XenGuest);
+    let g2 = sys.add_guest(MacAddr::for_guest(2)).unwrap();
+    sys.track_guest_latency();
+    let (insns, open) = (sys.machine.meter.insns(), sys.now_cycles());
+    let to = |seq: u64| Frame::data(MacAddr::for_guest(1), peer_mac(), 1, seq);
+    let closed: Vec<Frame> = (0..8).map(to).collect();
+    assert_eq!(sys.receive_burst(&closed).unwrap(), 8);
+    assert_eq!(sys.transmit_burst(4).unwrap(), 4);
+    let at = sys.now_cycles();
+    let paced: Vec<Frame> = (8..12).map(to).collect();
+    assert_eq!(sys.rx_open_loop_arrival(&paced, at).unwrap(), 4);
+    sys.rx_open_loop_service(at + 200_000).unwrap();
+    let wire = sys.take_wire_frames();
+    assert!(wire.len() == 4 && wire.iter().all(|f| f.dst == peer_mac()));
+
+    assert!(sys.machine.meter.insns() > insns && sys.now_cycles() > open);
+    assert_eq!(sys.metrics().counter("nic0.rx_packets"), 12);
+    assert!(!sys.rx_latency_samples().is_empty());
+    assert_eq!(sys.guest_rx_latency(DomId(1)).len(), 4);
+    assert_eq!(
+        sys.world.nics.iter().map(|n| n.rx_pending()).sum::<u32>(),
+        0
+    );
+    // A guest configuration bridges through the dom0 stack's log and
+    // drains it into the guests.
+    assert!(sys.world.kernel.rx_delivered.is_empty());
+    let xen = sys.world.xen.as_ref().unwrap();
+    let logs: Vec<(DomId, Vec<Frame>)> = xen
+        .domains
+        .iter()
+        .filter(|d| d.kind == DomainKind::Guest)
+        .map(|d| (d.id, d.rx_delivered.clone()))
+        .collect();
+    let outcome = sys.outcome();
+    assert_eq!(
+        logs.iter()
+            .map(|(id, log)| (*id, log.len()))
+            .collect::<Vec<_>>(),
+        [(DomId(1), 12), (g2, 0)]
+    );
+    for (id, log) in &logs {
+        assert_eq!(outcome.delivered(*id), log.as_slice(), "guest {}", id.0);
     }
 }

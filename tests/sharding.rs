@@ -65,7 +65,7 @@ fn sharding_over_one_nic_is_cycle_exact_with_the_burst_path() {
 #[test]
 fn flowhash_preserves_per_guest_flow_order_across_four_nics() {
     let mut sys = sharded_system(Config::TwinDrivers, 4, ShardPolicy::FlowHash);
-    let g1 = sys.guest.unwrap();
+    let g1 = sys.guest().unwrap();
     let mac2 = MacAddr::for_guest(2);
     let mac3 = MacAddr::for_guest(3);
     let g2 = sys.add_guest(mac2).unwrap();
@@ -197,7 +197,7 @@ fn flooding_guest_cannot_starve_another_guests_virq() {
         ..SystemOptions::default()
     };
     let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
-    let g1 = sys.guest.unwrap();
+    let g1 = sys.guest().unwrap();
     let mac2 = MacAddr::for_guest(2);
     let g2 = sys.add_guest(mac2).unwrap();
 

@@ -185,14 +185,14 @@ fn exhausted_pool_slice_falls_back() {
 #[test]
 fn revocation_quarantines_cached_grants() {
     let mut sys = System::build_with(Config::TwinDrivers, &zc_opts(1, true)).unwrap();
-    let gid = sys.guest.unwrap();
+    let gid = sys.guest().unwrap();
     let mac1 = MacAddr::for_guest(1);
     for seq in 0..4 {
         sys.receive_frame(&frame_to(mac1, 42, seq)).unwrap();
     }
     assert!(sys.machine.meter.event(Event::PinPage) > 0, "pool warmed");
     let unmaps_before = sys.machine.meter.event(Event::GrantUnmap);
-    let revoked = sys.revoke_zero_copy_grants(gid);
+    let revoked = sys.revoke_zero_copy_grants(gid).unwrap();
     assert!(revoked > 0, "live mappings were torn down");
     let counted = sys.metrics().counter("grantcache.revoked");
     assert_eq!(counted as usize, revoked);
