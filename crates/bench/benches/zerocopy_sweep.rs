@@ -22,7 +22,6 @@
 
 use std::process::ExitCode;
 use twin_bench::{packets, Row, Sweep};
-use twindrivers::machine::Event;
 use twindrivers::measure::measure_aggregate_throughput;
 use twindrivers::{Config, ShardPolicy, System, SystemOptions};
 
@@ -70,9 +69,11 @@ fn main() -> ExitCode {
                         // Steady-state RX window on the warm system: the
                         // acceptance counts residual grant map/unmap
                         // traffic per packet.
+                        let primed = sys.metrics();
                         let w = sys.measure_rx_burst(burst, pkts).expect("warm rx window");
-                        let maps = w.breakdown.event(Event::GrantMap)
-                            + w.breakdown.event(Event::GrantUnmap);
+                        let warm = sys.metrics().delta_since(&primed);
+                        let maps =
+                            warm.counter("event.grant_map") + warm.counter("event.grant_unmap");
                         warm_maps_per_pkt = maps as f64 / w.breakdown.packets.max(1) as f64;
                     } else {
                         off_rx32 = a.rx_cycles_per_packet;

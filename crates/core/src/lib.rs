@@ -122,7 +122,8 @@
 //!
 //! ## The virtual-time engine
 //!
-//! Every time-driven feature keys on [`twin_machine::VirtualClock`]:
+//! Every time-driven feature keys on the virtual clock
+//! ([`twin_machine::CycleMeter::now`]):
 //! a monotonic cycle counter advanced by the cost accounting itself
 //! (charged work *is* elapsed time; [`System::run_idle`] advances it
 //! without charging, firing due virtual timers event-driven along the
@@ -194,7 +195,7 @@ pub use twin_xen as xen;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twin_machine::{CostDomain, Event};
+    use twin_machine::{CostDomain, Event, Term};
 
     #[test]
     fn native_linux_transmits_and_receives() {
@@ -220,7 +221,7 @@ mod tests {
         // Full-size frames reassembled from header + guest fragment.
         assert_eq!(frames[0].len(), 1514);
         // No domain switches on the transmit path.
-        assert_eq!(sys.machine.meter.event(Event::DomainSwitch), 0);
+        assert_eq!(sys.machine.meter.payments(Term::DomainSwitch), 0);
         assert!(sys.machine.meter.insns() > 0);
     }
 
@@ -231,7 +232,7 @@ mod tests {
             sys.receive_one().unwrap();
         }
         assert_eq!(sys.delivered_rx(), 20);
-        assert_eq!(sys.machine.meter.event(Event::DomainSwitch), 0);
+        assert_eq!(sys.machine.meter.payments(Term::DomainSwitch), 0);
         assert_eq!(sys.machine.meter.event(Event::DemuxMiss), 0);
     }
 
@@ -243,10 +244,10 @@ mod tests {
         }
         assert_eq!(sys.take_wire_frames().len(), 10);
         assert!(
-            sys.machine.meter.event(Event::DomainSwitch) >= 20,
+            sys.machine.meter.payments(Term::DomainSwitch) >= 20,
             "two per packet"
         );
-        assert!(sys.machine.meter.event(Event::GrantMap) >= 10);
+        assert!(sys.machine.meter.payments(Term::GrantMap) >= 10);
         for _ in 0..10 {
             sys.receive_one().unwrap();
         }

@@ -1004,7 +1004,7 @@ pub fn measure_rx_affinity(
         frames_offered: offered,
         frames_delivered: delivered,
         rx_cycles_per_packet: m.breakdown(delivered.max(1)).total(),
-        cold_deliveries: m.event(Event::ColdDelivery),
+        cold_deliveries: m.delta.counter("event.cold_delivery"),
         placements: m.delta.counter("sched.placements"),
         wakes: m.event(Event::VcpuRun),
         early_drops: total(&m.delta, "guest", "early_drops"),

@@ -21,15 +21,25 @@ fn rx_stack_term(first_of_wakeup: bool) -> Term {
 
 impl System {
     /// Pushes frames the bridge queued toward the backend through the
-    /// I/O channel into guest `gid` (baseline path, running in dom0):
-    /// grants and copies stay per-packet, the guest is notified once for
-    /// the whole batch, and its stack pays the full wakeup cost only for
-    /// the first frame.
-    pub(super) fn forward_bridged_frames(&mut self, gid: DomId) -> Result<(), SystemError> {
+    /// I/O channel into the guests their destination MACs name (baseline
+    /// path, running in dom0): grants and copies stay per-packet, each
+    /// destination guest is notified once for the whole batch, in the
+    /// order its first frame came, and its stack pays the full wakeup
+    /// cost only for that first frame. A frame for a MAC no guest owns is
+    /// a demux miss and goes nowhere.
+    pub(super) fn forward_bridged_frames(&mut self) -> Result<(), SystemError> {
         let frames: Vec<Frame> = self.world.kernel.rx_delivered.drain(..).collect();
-        let batched = !frames.is_empty();
+        let mut woken: Vec<DomId> = Vec::new();
         let mut zc_occ = ZcOccupancy::default();
-        for (i, f) in frames.into_iter().enumerate() {
+        for f in frames {
+            let Some(gid) = self.world.xen_mut()?.guest_by_mac(f.dst) else {
+                self.machine.meter.count_event(Event::DemuxMiss);
+                continue;
+            };
+            let first = !woken.contains(&gid);
+            if first {
+                woken.push(gid);
+            }
             let dev = self.flow_dev(f.flow);
             self.machine
                 .pay_to(CostDomain::Dom0, Term::NetfrontPerPacket);
@@ -47,10 +57,10 @@ impl System {
             }
             self.machine
                 .pay_to(CostDomain::DomU, Term::NetfrontPerPacket);
-            self.machine.pay_to(CostDomain::DomU, rx_stack_term(i == 0));
+            self.machine.pay_to(CostDomain::DomU, rx_stack_term(first));
             self.world.xen_mut()?.domain_mut(gid).rx_delivered.push(f);
         }
-        if batched {
+        for gid in woken {
             self.world.xen_mut()?.send_virq(&mut self.machine, gid, 4);
         }
         Ok(())
@@ -174,7 +184,6 @@ impl System {
                 if cold {
                     self.machine
                         .pay_to(CostDomain::Xen, Term::ColdDeliveryRefill);
-                    self.machine.meter.count_event(Event::ColdDelivery);
                 }
                 // Zero-copy: the twin driver posted a pool page for
                 // this slot, so delivery is a cached grant access
@@ -307,7 +316,6 @@ impl System {
         let slot = occ.entry((dom.0, flow)).or_insert(0);
         if !self.zc_granted(dom) || len > ZC_SLOT_BYTES || *slot >= ZC_POOL_FRAMES {
             self.machine.pay_to(CostDomain::Xen, Term::CopyFallback);
-            self.machine.meter.count_event(Event::CopyFallback);
             return Ok(false);
         }
         let page = (u64::from(tx) << 48) | (u64::from(flow) << 16) | *slot as u64;

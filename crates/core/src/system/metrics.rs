@@ -3,15 +3,33 @@
 
 use super::{GuestState, System};
 use crate::outcome::endpoints;
-use twin_machine::{CostDomain, Event};
+use twin_machine::{CostDomain, Event, Term};
 use twin_net::Frame;
 use twin_trace::MetricSet;
 use twin_xen::{DomId, DomainKind};
 
+/// The payments published as occurrence counts: `event.<name>` is the
+/// meter's [`twin_machine::CycleMeter::payments`] of the row, each
+/// operation of the row being one occurrence.
+const PAYMENT_COUNTS: [(&str, Term); 11] = [
+    ("cold_delivery", Term::ColdDeliveryRefill),
+    ("copy_fallback", Term::CopyFallback),
+    ("domain_switch", Term::DomainSwitch),
+    ("grant_map", Term::GrantMap),
+    ("grant_unmap", Term::GrantUnmap),
+    ("hypercall", Term::Hypercall),
+    ("mmio_read", Term::MmioRead),
+    ("mmio_write", Term::MmioWrite),
+    ("stlb_call_xlat", Term::CallXlat),
+    ("stlb_miss", Term::StlbSlowPath),
+    ("virq", Term::VirqDeliver),
+];
+
 impl System {
     /// One unified snapshot of every stats source in the system — the
-    /// cycle meter (per-domain totals and named event counters), per-NIC
-    /// device stats, per-guest delivery/drop counters, the grant and
+    /// cycle meter (per-domain totals, named event counters, and the
+    /// payments counted as events), per-NIC device stats, per-guest
+    /// delivery/drop counters, the grant and
     /// upcall statistics no meter row counts, the flight recorder's own
     /// recorded/dropped counts — as a flat [`MetricSet`].
     ///
@@ -31,6 +49,9 @@ impl System {
         for e in Event::ALL {
             ms.set(format!("event.{}", e.name()), meter.event(e));
         }
+        for (name, t) in PAYMENT_COUNTS {
+            ms.set(format!("event.{name}"), meter.payments(t));
+        }
         for (i, nic) in self.world.nics.iter().enumerate() {
             let s = nic.stats();
             ms.set(format!("nic{i}.tx_packets"), s.tx_packets);
@@ -48,7 +69,7 @@ impl System {
             );
         }
         // The names `benchmark/README.md` says the benchmark reads, each
-        // the sum of the meter rows that count its occurrences, published
+        // the sum of the `event.*` counts of its occurrences, published
         // where the layer the name belongs to exists.
         let (xen, hyper, cache) = (
             self.world.xen.is_some(),
@@ -56,21 +77,18 @@ impl System {
             self.grant_cache.is_some(),
         );
         for (name, present, rows) in [
-            ("xen.switches", xen, &[Event::DomainSwitch][..]),
-            ("xen.hypercalls", xen, &[Event::Hypercall]),
-            ("xen.virqs_sent", xen, &[Event::Virq]),
-            ("grant.maps", xen, &[Event::GrantMap]),
-            ("grantcache.hits", cache, &[Event::GrantCacheHit]),
-            ("grantcache.misses", cache, &[Event::PinPage]),
-            (
-                "upcall.executed",
-                hyper,
-                &[Event::Upcall, Event::UpcallExec],
-            ),
-            ("upcall.flushes", hyper, &[Event::UpcallFlush]),
+            ("xen.switches", xen, &["domain_switch"][..]),
+            ("xen.hypercalls", xen, &["hypercall"]),
+            ("xen.virqs_sent", xen, &["virq"]),
+            ("grant.maps", xen, &["grant_map"]),
+            ("grantcache.hits", cache, &["grant_cache_hit"]),
+            ("grantcache.misses", cache, &["pin_page"]),
+            ("upcall.executed", hyper, &["upcall", "upcall_exec"]),
+            ("upcall.flushes", hyper, &["upcall_flush"]),
         ] {
             if present {
-                ms.set(name, rows.iter().map(|&e| meter.event(e)).sum());
+                let n = rows.iter().map(|r| ms.counter(&format!("event.{r}"))).sum();
+                ms.set(name, n);
             }
         }
         if let Some(xen) = self.world.xen.as_ref() {

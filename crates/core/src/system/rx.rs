@@ -524,7 +524,7 @@ impl System {
         for &dev in devs {
             self.dispatch_dom0_irq(dev)?;
         }
-        self.forward_bridged_frames(gid)?;
+        self.forward_bridged_frames()?;
         self.world.xen_mut()?.switch_to(&mut self.machine, gid);
         Ok(())
     }

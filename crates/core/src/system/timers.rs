@@ -27,7 +27,7 @@ impl System {
     }
 
     /// Current virtual time in cycles (see
-    /// [`twin_machine::VirtualClock`]).
+    /// [`twin_machine::CycleMeter::now`]).
     pub fn now_cycles(&self) -> u64 {
         self.machine.meter.now()
     }

@@ -10,8 +10,9 @@
 //! that costs cycles, carrying its stable name, its cycles and — as the
 //! row's doc comment — the rationale for the value. [`CostParams`] is
 //! that table's value column, read-only outside this crate, and a cycle
-//! is charged by naming its row ([`crate::Machine::pay`]): outside
-//! `twin-machine`, a charge that names no `Term` does not compile. The
+//! is paid by naming its row ([`crate::Machine::pay`]); the meter stores
+//! it in that row's cell of the paying domain, and no method anywhere
+//! adds cycles that name no `Term`. The
 //! tests in the workspace assert *shape* (orderings, ratios); the exact
 //! values are pinned once, in this file's
 //! `the_term_table_is_closed_and_pinned`.
@@ -105,11 +106,8 @@ macro_rules! terms {
             Term { $($(#[$doc])* $V: $name,)* }
         }
 
-        impl Default for CostParams {
-            fn default() -> CostParams {
-                CostParams([$($cycles,)*])
-            }
-        }
+        /// The table's cycle column.
+        const TABLE: CostParams = CostParams([$($cycles,)*]);
     };
 }
 
@@ -307,6 +305,18 @@ impl Index<Term> for CostParams {
     }
 }
 
+impl Default for CostParams {
+    fn default() -> CostParams {
+        TABLE
+    }
+}
+
+/// The rows the interpreter pays, one per instruction class: the
+/// table's first, [`Term::Alu`] through [`Term::MmioWrite`].
+/// [`Term::StlbSlowPath`] is no such row: the SVM's miss handler pays
+/// it, through [`crate::Machine::pay`].
+pub(crate) const INSN_ROWS: usize = Term::MmioWrite as usize + 1;
+
 impl CostParams {
     /// Overrides one row, for the tests that show a cost is read when
     /// the operation runs.
@@ -320,20 +330,16 @@ closed_table! {
     /// A named occurrence the meter counts: how often, never how long.
     /// An occurrence with a flight-recorder event is counted by
     /// [`crate::Machine::note`] through [`row`]; one with no payload by
-    /// [`CycleMeter::count_event`].
+    /// [`CycleMeter::count_event`]. An occurrence that is one payment of
+    /// a fixed-cost [`Term`] has no row here: its count is
+    /// [`CycleMeter::payments`].
     Event {
         /// A flow was first placed on a NIC by the affinity policy.
         AffinityPlace: "affinity_place",
-        /// A frame delivered from a softirq CPU other than the guest's vCPU.
-        ColdDelivery: "cold_delivery",
-        /// A zero-copy frame took the copy path.
-        CopyFallback: "copy_fallback",
         /// A received frame matched no guest MAC.
         DemuxMiss: "demux_miss",
         /// A quarantined device was re-probed.
         DeviceReset: "device_reset",
-        /// An address-space switch.
-        DomainSwitch: "domain_switch",
         /// A posted `TDT` tail write: one per driver kick.
         Doorbell: "doorbell",
         /// The hypervisor aborted the driver on a fault.
@@ -344,12 +350,6 @@ closed_table! {
         GrantCacheEvict: "grant_cache_evict",
         /// A zero-copy access found its mapping cached.
         GrantCacheHit: "grant_cache_hit",
-        /// A grant-table map.
-        GrantMap: "grant_map",
-        /// A grant-table unmap.
-        GrantUnmap: "grant_unmap",
-        /// A hypercall entry/exit.
-        Hypercall: "hypercall",
         /// An in-flight frame lost with its device's rings.
         InflightLost: "inflight_lost",
         /// A device interrupt delivered to software.
@@ -360,10 +360,6 @@ closed_table! {
         IrqModerationOverride: "irq_moderation_override",
         /// The ITR tuner reprogrammed the throttling register.
         ItrRetune: "itr_retune",
-        /// An MMIO register read.
-        MmioRead: "mmio_read",
-        /// An MMIO register write.
-        MmioWrite: "mmio_write",
         /// A device switched from interrupt to poll mode.
         NapiEnter: "napi_enter",
         /// A device switched from poll back to interrupt mode.
@@ -378,12 +374,8 @@ closed_table! {
         QuarantineExit: "quarantine_exit",
         /// A frame dropped at a guest's demux queue cap.
         RxQueueDrop: "rx_queue_drop",
-        /// An indirect-call target translated through `stlb_call`.
-        StlbCallXlat: "stlb_call_xlat",
         /// An stlb entry evicted by a colliding page.
         StlbCollision: "stlb_collision",
-        /// An stlb fast-path miss.
-        StlbMiss: "stlb_miss",
         /// A dom0 page mapped into the SVM window.
         SvmPageMapped: "svm_page_mapped",
         /// A synchronous upcall into dom0.
@@ -406,8 +398,6 @@ closed_table! {
         VcpuRun: "vcpu_run",
         /// A guest vCPU was descheduled.
         VcpuSleep: "vcpu_sleep",
-        /// A virtual interrupt delivered to a domain.
-        Virq: "virq",
     }
 }
 
@@ -451,77 +441,50 @@ pub fn row(e: &TraceEvent) -> Option<Event> {
     })
 }
 
-/// The virtual clock: a monotonic cycle counter advanced by the cost
-/// accounting itself. Every cycle the interpreter or a model charges to
-/// *any* domain also moves this clock forward, so "when" is derived from
-/// "how much work happened" — the one coherent notion of time every
-/// time-driven feature (kernel timers, interrupt moderation, upcall-flush
-/// deadlines) keys on.
-///
-/// Like every counter of the [`CycleMeter`] that holds it, the clock only
-/// moves forward, so timers armed before a measurement window fire at the
-/// right instant inside it. Idle time (a system waiting for the wire, a
-/// harness modeling inter-arrival gaps) advances the clock *without*
-/// charging any domain via [`CycleMeter::advance_idle`], so per-packet
-/// cycle breakdowns are untouched by waiting.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct VirtualClock {
-    now: u64,
-}
-
-impl VirtualClock {
-    /// Current virtual time in cycles since machine construction.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Moves time forward by `cycles`.
-    pub fn advance(&mut self, cycles: u64) {
-        self.now += cycles;
-    }
-}
-
 /// Cycle accounting with domain attribution and [`Event`] counters.
+///
+/// Cycles are kept once, in one cell per ([`CostDomain`], [`Term`]): what
+/// each domain paid for each row of the cost model. A domain's cycles and
+/// the total are sums over the cells, and the number of payments of a
+/// fixed-cost row is its cells' sum over the row's cost
+/// ([`CycleMeter::payments`]) — so an occurrence that is a payment is
+/// recorded once, as that payment.
 ///
 /// Every counter is monotone, like the clock: nothing resets it. A
 /// measurement window is the difference of two readings (in `twin-core`,
 /// two `System::metrics()` snapshots), never a zeroed meter.
 ///
-/// The attribution stack starts empty; charges made with no pushed domain
-/// land in [`CostDomain::Dom0`] (a charge must go somewhere — tests push
-/// explicitly). Cycles arrive through [`crate::Machine::pay`] and its two
-/// siblings only: the raw-number methods below are private to this crate,
-/// their one caller the interpreter's per-crossing flush.
+/// The attribution stack starts empty; payments made with no pushed
+/// domain land in [`CostDomain::Dom0`] (a payment must go somewhere —
+/// tests push explicitly). Cycles arrive through [`crate::Machine::pay`]
+/// and its two siblings, and the interpreter's per-crossing flush, each
+/// naming the row it pays; nothing adds a bare number of cycles.
 #[derive(Clone, Debug)]
 pub struct CycleMeter {
-    /// Cycles per domain, indexed by `CostDomain as usize`.
-    per_domain: [u64; CostDomain::ALL.len()],
+    /// Cycles per cell, indexed by `[CostDomain as usize][Term as usize]`.
+    cells: [[u64; Term::COUNT]; CostDomain::ALL.len()],
     stack: Vec<CostDomain>,
     /// Occurrences per event, indexed by `Event as usize`.
     events: [u64; Event::COUNT],
     insns: u64,
-    clock: VirtualClock,
+    /// The virtual clock (see [`CycleMeter::now`]).
+    now: u64,
 }
 
 impl Default for CycleMeter {
     fn default() -> CycleMeter {
         CycleMeter {
-            per_domain: Default::default(),
+            cells: [[0; Term::COUNT]; CostDomain::ALL.len()],
             stack: Vec::new(),
             events: [0; Event::COUNT],
             insns: 0,
-            clock: VirtualClock::default(),
+            now: 0,
         }
     }
 }
 
 impl CycleMeter {
-    /// Creates a zeroed meter.
-    pub fn new() -> CycleMeter {
-        CycleMeter::default()
-    }
-
-    /// Pushes an attribution domain; subsequent charges accrue to it.
+    /// Pushes an attribution domain; subsequent payments accrue to it.
     pub fn push_domain(&mut self, d: CostDomain) {
         self.stack.push(d);
     }
@@ -540,36 +503,51 @@ impl CycleMeter {
         self.stack.last().copied().unwrap_or(CostDomain::Dom0)
     }
 
-    /// Charges `cycles` to the current domain (and advances the virtual
-    /// clock by the same amount — charged work *is* elapsed time).
+    /// Pays `n` payments of row `t` at `cost` to domain `d` (and advances
+    /// the virtual clock by as much — charged work *is* elapsed time).
     #[inline]
-    pub(crate) fn charge(&mut self, cycles: u64) {
-        self.charge_to(self.current_domain(), cycles);
+    pub(crate) fn pay(&mut self, cost: &CostParams, d: CostDomain, t: Term, n: u64) {
+        self.add(d, t, n * cost[t]);
     }
 
-    /// Charges `cycles` to an explicit domain (bypassing the stack).
-    #[inline]
-    pub(crate) fn charge_to(&mut self, d: CostDomain, cycles: u64) {
-        self.per_domain[d as usize] += cycles;
-        self.clock.advance(cycles);
+    /// Pays a copy of `bytes` bytes at `cost` to `d`: one
+    /// [`Term::CopyBase`] payment plus `bytes` ×
+    /// [`Term::CopyPerByteX100`] / 100 cycles in that rate's cell.
+    pub(crate) fn pay_copy(&mut self, cost: &CostParams, d: CostDomain, bytes: u64) {
+        self.pay(cost, d, Term::CopyBase, 1);
+        let per_byte = bytes * cost[Term::CopyPerByteX100] / 100;
+        self.add(d, Term::CopyPerByteX100, per_byte);
     }
 
-    /// Current virtual time in cycles (see [`VirtualClock`]).
+    #[inline]
+    fn add(&mut self, d: CostDomain, t: Term, cycles: u64) {
+        self.cells[d as usize][t as usize] += cycles;
+        self.now += cycles;
+    }
+
+    /// The virtual clock: cycles since the machine was built, advanced
+    /// by the cost accounting itself. Every cycle the interpreter or a
+    /// model pays to *any* domain also moves it forward, so "when" is
+    /// derived from "how much work happened" — the one coherent notion of
+    /// time every time-driven feature (kernel timers, interrupt
+    /// moderation, upcall-flush deadlines) keys on.
+    ///
+    /// Like every counter of the meter, the clock only moves forward, so
+    /// timers armed before a measurement window fire at the right instant
+    /// inside it. Idle time (a system waiting for the wire, a harness
+    /// modeling inter-arrival gaps) advances the clock *without* charging
+    /// any domain via [`CycleMeter::advance_idle`], so per-packet cycle
+    /// breakdowns are untouched by waiting.
     #[inline]
     pub fn now(&self) -> u64 {
-        self.clock.now()
-    }
-
-    /// The virtual clock itself.
-    pub fn clock(&self) -> VirtualClock {
-        self.clock
+        self.now
     }
 
     /// Advances the virtual clock without charging any domain: idle time
     /// (wire inter-arrival gaps, a system waiting on a timer). Cycle
     /// breakdowns are unaffected; only "when" moves.
     pub fn advance_idle(&mut self, cycles: u64) {
-        self.clock.advance(cycles);
+        self.now += cycles;
     }
 
     /// Counts `n` executed instructions (for dynamic instruction stats).
@@ -594,21 +572,32 @@ impl CycleMeter {
         self.events[e as usize]
     }
 
-    /// The events counted so far, with their counts (rows never counted
-    /// are left out).
-    pub fn events(&self) -> impl Iterator<Item = (Event, u64)> {
-        let counted = Event::ALL.into_iter().zip(self.events);
-        counted.filter(|(_, n)| *n > 0)
+    /// Cycles domain `d` paid for row `t`.
+    pub fn cell(&self, d: CostDomain, t: Term) -> u64 {
+        self.cells[d as usize][t as usize]
     }
 
-    /// Cycles charged to a domain.
+    /// Payments of row `t` since the machine was built, summed over the
+    /// domains: the row's cells over its cost in the [`Term`] table
+    /// (every cost is at least 1). Exact for a fixed-cost row, whose
+    /// cells only grow by its cost; a copy is one [`Term::CopyBase`]
+    /// payment, and [`Term::CopyPerByteX100`], a rate, counts none.
+    pub fn payments(&self, t: Term) -> u64 {
+        if t == Term::CopyPerByteX100 {
+            return 0;
+        }
+        let cycles: u64 = self.cells.iter().map(|row| row[t as usize]).sum();
+        cycles / TABLE[t]
+    }
+
+    /// Cycles charged to a domain: the sum of its cells.
     pub fn cycles(&self, d: CostDomain) -> u64 {
-        self.per_domain[d as usize]
+        self.cells[d as usize].iter().sum()
     }
 
     /// Total cycles across all domains.
     pub fn total_cycles(&self) -> u64 {
-        self.per_domain.iter().sum()
+        CostDomain::ALL.iter().map(|&d| self.cycles(d)).sum()
     }
 }
 
@@ -687,6 +676,7 @@ mod tests {
         assert_eq!(table, PINNED);
         for (i, t) in Term::ALL.into_iter().enumerate() {
             assert_eq!(t as usize, i, "{} is row {i}", t.name());
+            assert!(cost[t] >= 1, "payments divides by {}'s cost", t.name());
             let same_name = Term::ALL.iter().filter(|u| u.name() == t.name()).count();
             assert_eq!(same_name, 1, "{} names one row", t.name());
         }
@@ -694,6 +684,7 @@ mod tests {
 
     #[test]
     fn the_event_table_is_closed() {
+        assert_eq!(Event::COUNT, 32, "a payment is no Event row");
         assert_eq!(Event::ALL.len(), Event::COUNT);
         for (i, e) in Event::ALL.into_iter().enumerate() {
             assert_eq!(e as usize, i);
@@ -715,6 +706,8 @@ mod tests {
         assert_eq!(m.meter.cycles(CostDomain::DomU), 41);
         assert_eq!(m.meter.cycles(CostDomain::Xen), 8);
         assert_eq!(m.meter.total_cycles(), 49);
+        assert_eq!(m.meter.cell(CostDomain::DomU, Term::Spinlock), 40);
+        assert_eq!(m.meter.payments(Term::CliSti), 1);
     }
 
     #[test]
@@ -727,19 +720,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "unbalanced")]
     fn unbalanced_pop_panics() {
-        let mut m = CycleMeter::new();
+        let mut m = CycleMeter::default();
         m.pop_domain();
     }
 
     #[test]
     fn events_are_counted_per_row() {
-        let mut m = CycleMeter::new();
-        assert_eq!(m.events().count(), 0);
-        m.count_event(Event::StlbMiss);
-        m.count_event(Event::StlbMiss);
-        assert_eq!(m.event(Event::StlbMiss), 2);
-        assert_eq!(m.event(Event::StlbCollision), 0);
-        assert_eq!(m.events().collect::<Vec<_>>(), [(Event::StlbMiss, 2)]);
+        let mut m = CycleMeter::default();
+        m.count_event(Event::StlbCollision);
+        m.count_event(Event::StlbCollision);
+        assert_eq!(m.event(Event::StlbCollision), 2);
+        assert_eq!(m.event(Event::SvmPageMapped), 0);
     }
 
     #[test]
@@ -767,5 +758,8 @@ mod tests {
         let cycles = m.meter.cycles(CostDomain::Xen);
         assert_eq!(cycles, 60 + 1500 * 235 / 100);
         assert!((3000..4200).contains(&cycles), "copy of 1500B = {cycles}");
+        assert_eq!(m.meter.cell(CostDomain::Xen, Term::CopyPerByteX100), 3525);
+        let copies = [Term::CopyBase, Term::CopyPerByteX100].map(|t| m.meter.payments(t));
+        assert_eq!(copies, [1, 0], "a copy is one payment");
     }
 }

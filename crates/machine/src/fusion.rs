@@ -11,6 +11,7 @@
 
 use crate::image::{link_plain, Op};
 use crate::interp::{Flags, FRAME_HITS, FUSED_HITS};
+use crate::oracle::{cells, Cells};
 use crate::space::Tlb;
 use crate::stlb::{self, ENTRY_MASK, PAGE_MASK, SHIFT, XOR_WORD};
 use crate::{
@@ -83,7 +84,7 @@ struct Seen {
     flags: Flags,
     pc: u64,
     insns: u64,
-    cycles: [u64; CostDomain::ALL.len()],
+    cells: Cells,
     now: u64,
 }
 
@@ -93,7 +94,7 @@ fn observe(m: &Machine, cpu: &Cpu) -> Seen {
         flags: cpu.flags,
         pc: cpu.pc,
         insns: m.meter.insns(),
-        cycles: CostDomain::ALL.map(|d| m.meter.cycles(d)),
+        cells: cells(m),
         now: m.now_cycles(),
     }
 }

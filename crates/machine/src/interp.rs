@@ -13,10 +13,11 @@
 //!   in dom0, natively in the hypervisor (paper §4.3), or as an upcall
 //!   stub (paper §4.2).
 
+use crate::cost::INSN_ROWS;
 use crate::image::{CodeImage, Mem, Op, Opnd, Tgt, Xlate};
 use crate::space::{PageKind, SpaceId};
 use crate::stlb::{self, TEMPLATE_LEN};
-use crate::{Event, ExternId, Machine, Term, EXTERN_BASE, PAGE_SIZE, RETURN_SENTINEL};
+use crate::{ExternId, Machine, Term, EXTERN_BASE, PAGE_SIZE, RETURN_SENTINEL};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -442,11 +443,12 @@ struct StlbHit {
 }
 
 /// One [`run`]: the machine, CPU and environment it was called with, plus
-/// the cycle charges and instruction count it has made and not yet handed
-/// to the [`crate::CycleMeter`].
+/// the payments and instruction count it has made and not yet handed to
+/// the [`crate::CycleMeter`].
 ///
 /// Nobody can read the meter while the loop holds `&mut Machine`, so
-/// charges pile up here and [`Exec::flush`] delivers them at the three
+/// payments pile up here, one count per instruction-class row of the
+/// [`Term`] table, and [`Exec::flush`] delivers them at the three
 /// places someone else gets to look: before every [`Env`] callback, and
 /// when `run` returns or faults. The attribution domain cannot change in
 /// between either — only a callback can push or pop it. The instruction
@@ -480,7 +482,9 @@ struct Exec<'a> {
     /// The budget — instructions this run may still execute — at the
     /// last flush.
     flushed_budget: u64,
-    cycles: u64,
+    /// Payments of each instruction-class row since the last flush,
+    /// indexed by `Term as usize`.
+    counts: [u64; INSN_ROWS],
 }
 
 /// Where control goes after an op: what [`Exec::step`] tells the loop,
@@ -501,15 +505,19 @@ enum Flow {
 impl Exec<'_> {
     #[inline]
     fn pay(&mut self, t: Term) {
-        self.cycles += self.m.cost[t];
+        self.counts[t as usize] += 1;
     }
 
-    /// Hands the charges made since the last flush to the meter, and the
-    /// instructions run since: what the budget, `budget` now, has lost.
+    /// Hands the payments made since the last flush to the meter, each
+    /// row's at its cost now, and the instructions run since: what the
+    /// budget, `budget` now, has lost.
     fn flush(&mut self, budget: u64) {
-        self.m.meter.charge(self.cycles);
+        let d = self.m.meter.current_domain();
+        for (t, n) in Term::ALL.into_iter().zip(std::mem::take(&mut self.counts)) {
+            self.m.meter.pay(&self.m.cost, d, t, n);
+        }
         self.m.meter.count_insns(self.flushed_budget - budget);
-        (self.cycles, self.flushed_budget) = (0, budget);
+        self.flushed_budget = budget;
     }
 
     #[inline]
@@ -547,7 +555,6 @@ impl Exec<'_> {
             }
             PageKind::Mmio(dev) => {
                 self.pay(Term::MmioRead);
-                self.m.meter.count_event(Event::MmioRead);
                 self.flush(budget);
                 let offset = t.entry.pfn * PAGE_SIZE + t.offset;
                 let val = self.env.mmio_read(self.m, dev, offset, w);
@@ -581,7 +588,6 @@ impl Exec<'_> {
             }
             PageKind::Mmio(dev) => {
                 self.pay(Term::MmioWrite);
-                self.m.meter.count_event(Event::MmioWrite);
                 self.flush(budget);
                 let offset = t.entry.pfn * PAGE_SIZE + t.offset;
                 let done = self.env.mmio_write(self.m, dev, offset, w, val);
@@ -998,19 +1004,18 @@ impl Exec<'_> {
     }
 
     /// What the nine ops of translation `x` of address `a` leave on a hit
-    /// — the three registers, the closing `xor`'s flags — and what they
-    /// charge, read from the cost table now.
+    /// — the three registers, the closing `xor`'s flags — and the
+    /// payments they make.
     #[inline]
     fn svm_xlate_commit(&mut self, x: &Xlate, a: u32, hit: StlbHit) {
         self.cpu.set_reg(x.s1, hit.entry);
         self.cpu.set_reg(x.s2, hit.page);
         let translated = alu(&mut self.cpu.flags, AluOp::Xor, a, hit.xor, Width::Long);
         self.cpu.set_reg(x.out, translated);
-        let cost = &self.m.cost;
-        self.cycles += 3 * cost[Term::MovReg]
-            + 5 * cost[Term::Alu]
-            + 2 * cost[Term::Load]
-            + cost[Term::BranchNotTaken];
+        self.counts[Term::MovReg as usize] += 3;
+        self.counts[Term::Alu as usize] += 5;
+        self.counts[Term::Load as usize] += 2;
+        self.pay(Term::BranchNotTaken);
     }
 
     /// The whole SVM translation `x` of address `a` (the template at
@@ -1087,8 +1092,8 @@ impl Exec<'_> {
         for (r, &(_, v)) in spills.iter().zip(slots) {
             self.cpu.set_reg(*r, v);
         }
-        let cost = &self.m.cost;
-        self.cycles += k as u64 * (cost[Term::Store] + cost[Term::Load]);
+        self.counts[Term::Store as usize] += k as u64;
+        self.counts[Term::Load as usize] += k as u64;
         #[cfg(test)]
         FRAME_HITS.with(|hits| hits.set(hits.get() + 1));
         true
@@ -1166,7 +1171,7 @@ pub fn run(
         cpu,
         env,
         flushed_budget: max_insns,
-        cycles: 0,
+        counts: [0; INSN_ROWS],
     }
     .run()
 }
@@ -1653,7 +1658,7 @@ mod tests {
     /// An environment whose extern calls run `hook`, and whose one device
     /// reads as 7 and records, at every callback, what the caller could
     /// see of the meter: (clock, instructions, cycles of the current
-    /// domain, "mmio_read" + "mmio_write" events).
+    /// domain, MMIO read and write payments).
     struct Spy<F> {
         hook: F,
         seen: Vec<(u64, u64, u64, u64)>,
@@ -1668,7 +1673,7 @@ mod tests {
         }
 
         fn look(&mut self, m: &Machine) {
-            let events = m.meter.event(Event::MmioRead) + m.meter.event(Event::MmioWrite);
+            let events = m.meter.payments(Term::MmioRead) + m.meter.payments(Term::MmioWrite);
             let domain = m.meter.current_domain();
             self.seen.push((
                 m.now_cycles(),
@@ -1792,7 +1797,8 @@ mod tests {
         start(&mut m, &mut cpu, f, &[DEVICE as u32]);
 
         // The extern pays 100 cycles to another domain: what ran
-        // before it must already be on the driver's account.
+        // before it must already be on the driver's account. Its
+        // payment is an MMIO write's, so the count includes it.
         let mut spy = Spy::new(|m: &mut Machine, _: &mut Cpu| {
             m.meter.push_domain(CostDomain::Xen);
             m.pay(Term::MmioWrite);
@@ -1813,8 +1819,8 @@ mod tests {
             spy.seen,
             vec![
                 (at_extern, 3, at_extern, 0),
-                (at_read + 100, 6, at_read, 1),
-                (at_write + 100, 7, at_write, 2),
+                (at_read + 100, 6, at_read, 2),
+                (at_write + 100, 7, at_write, 3),
             ]
         );
         assert_eq!(m.meter.cycles(CostDomain::Driver), at_write + c[Term::Ret]);
@@ -2083,8 +2089,8 @@ mod tests {
             Ok(StopReason::Returned)
         );
         assert_eq!(spy.seen.len(), 6);
-        assert_eq!(m.meter.event(Event::MmioRead), 3);
-        assert_eq!(m.meter.event(Event::MmioWrite), 3);
+        assert_eq!(m.meter.payments(Term::MmioRead), 3);
+        assert_eq!(m.meter.payments(Term::MmioWrite), 3);
         assert_eq!(m.read_u32(cpu.space, cpu.mode, DATA).unwrap(), 7);
 
         // A stack on a device page is a raw access, refused every time.

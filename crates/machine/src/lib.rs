@@ -13,7 +13,10 @@
 //! operation (domain switch, hypercall, grant op, copy, …) — each a row
 //! of the [`Term`] table, paid by name through [`Machine::pay`].
 //!
-//! Occurrences are counted, never timed: each is an [`Event`] row of the
+//! The meter keeps each cycle once, in the cell of the domain that paid
+//! it and the [`Term`] it paid for. An operation that pays a fixed-cost
+//! row is counted by that payment ([`CycleMeter::payments`]); other
+//! occurrences are counted, never timed, each as an [`Event`] row of the
 //! meter. One that the flight recorder also shows is a single
 //! [`Machine::note`] of its `TraceEvent`, which counts the row
 //! [`cost::row`] pairs with it and records the event when tracing is
@@ -46,9 +49,9 @@
 //! one probe (so a debug build re-walks the page table on every fused
 //! hit, as on every other cached access); and the entry's tag is the
 //! address's page. It then leaves the three registers, the flags (the
-//! closing `xor`'s), `pc`, the instruction count and the charges —
-//! `3·MovReg + 5·Alu + 2·Load + BranchNotTaken`, read from
-//! [`Machine::cost`] at that moment — as the nine ops would have. In
+//! closing `xor`'s), `pc`, the instruction count and the payments —
+//! `3·MovReg + 5·Alu + 2·Load + BranchNotTaken`, priced from
+//! [`Machine::cost`] at the next flush — as the nine ops would have. In
 //! every other case (stlb miss, translation-cache miss, stlb page
 //! unmapped or a device's, budget about to run out) the head is the
 //! `lea` and nothing more, and the plain ops after it take the slow
@@ -131,7 +134,7 @@ mod oracle;
 pub mod space;
 pub mod stlb;
 
-pub use cost::{CostDomain, CostParams, CycleMeter, Event, Term, VirtualClock};
+pub use cost::{CostDomain, CostParams, CycleMeter, Event, Term};
 pub use hash::{IntMap, IntSet};
 pub use image::{CodeImage, ImageId, LinkError};
 pub use interp::{run, Cpu, Env, ExecMode, Fault, NullEnv, StopReason};
@@ -201,7 +204,7 @@ impl Machine {
             phys: PhysMem::new(256 * 1024 * 1024 / PAGE_SIZE as usize),
             spaces: Vec::new(),
             hyper: PageTable::new(),
-            meter: CycleMeter::new(),
+            meter: CycleMeter::default(),
             cost: CostParams::default(),
             trace: twin_trace::FlightRecorder::new(),
             images: Vec::new(),
@@ -215,26 +218,24 @@ impl Machine {
     /// to charge a cycle from outside this crate.
     #[inline]
     pub fn pay(&mut self, t: Term) {
-        self.meter.charge(self.cost[t]);
+        self.pay_to(self.meter.current_domain(), t);
     }
 
     /// Pays one [`Term`] to an explicit domain (bypassing the stack).
     #[inline]
     pub fn pay_to(&mut self, d: CostDomain, t: Term) {
-        self.meter.charge_to(d, self.cost[t]);
+        self.meter.pay(&self.cost, d, t, 1);
     }
 
     /// Pays a copy of `bytes` bytes to `d` — the one payment that scales:
     /// [`Term::CopyBase`] + `bytes` × [`Term::CopyPerByteX100`] / 100.
     pub fn pay_copy(&mut self, d: CostDomain, bytes: u64) {
-        let per_byte = bytes * self.cost[Term::CopyPerByteX100] / 100;
-        self.meter
-            .charge_to(d, self.cost[Term::CopyBase] + per_byte);
+        self.meter.pay_copy(&self.cost, d, bytes);
     }
 
     /// Current virtual time in cycles (monotonic; advanced by every cost
     /// charge and by explicit idle advances — see
-    /// [`cost::VirtualClock`]).
+    /// [`CycleMeter::now`]).
     pub fn now_cycles(&self) -> u64 {
         self.meter.now()
     }
@@ -751,11 +752,8 @@ mod tests {
         m.note(TraceEvent::IrqDelivered { dev: 1 });
         m.note(TraceEvent::TimerFire { data: 7 });
         assert_eq!(m.meter.event(Event::Irq), 1);
-        assert_eq!(
-            m.meter.events().count(),
-            1,
-            "a trace-only kind counts nothing"
-        );
+        let counted: u64 = Event::ALL.map(|e| m.meter.event(e)).iter().sum();
+        assert_eq!(counted, 1, "a trace-only kind counts nothing");
         assert!(m.trace.is_empty());
         m.trace.set_enabled(true);
         m.pay_to(CostDomain::Xen, Term::Hypercall);

@@ -736,20 +736,28 @@ fn step_stack() -> impl Strategy<Value = u64> {
     ]
 }
 
+/// The meter's whole ledger, one cell per ([`CostDomain`], [`Term`]).
+pub(crate) type Cells = [[u64; Term::COUNT]; CostDomain::ALL.len()];
+
+/// What the oracles compare of the cycles: every cell, so that two runs
+/// agree on what each domain paid for each row, not only on the sums.
+pub(crate) fn cells(m: &Machine) -> Cells {
+    CostDomain::ALL.map(|d| Term::ALL.map(|t| m.meter.cell(d, t)))
+}
+
 /// `probe` and a device, each logging what it could see at every
 /// callback: where (the trampoline's address, or the device offset), a
 /// value (`%eax`, or the word written), the clock, the instruction count
-/// and every domain's cycles.
+/// and every cell of the meter.
 #[derive(Default)]
 struct Witness {
-    log: Vec<(u64, u32, u64, u64, Vec<u64>)>,
+    log: Vec<(u64, u32, u64, u64, Cells)>,
 }
 
 impl Witness {
     fn look(&mut self, m: &Machine, at: u64, val: u32) {
-        let cycles = CostDomain::ALL.iter().map(|d| m.meter.cycles(*d)).collect();
         self.log
-            .push((at, val, m.now_cycles(), m.meter.insns(), cycles));
+            .push((at, val, m.now_cycles(), m.meter.insns(), cells(m)));
     }
 }
 
@@ -785,7 +793,7 @@ struct Stopped {
     flags: crate::interp::Flags,
     pc: u64,
     insns: u64,
-    cycles: Vec<u64>,
+    cells: Cells,
     now: u64,
     events: Vec<u64>,
 }
@@ -796,7 +804,7 @@ fn stopped(m: &Machine, cpu: &Cpu) -> Stopped {
         flags: cpu.flags,
         pc: cpu.pc,
         insns: m.meter.insns(),
-        cycles: CostDomain::ALL.iter().map(|d| m.meter.cycles(*d)).collect(),
+        cells: cells(m),
         now: m.now_cycles(),
         events: Event::ALL.iter().map(|e| m.meter.event(*e)).collect(),
     }
@@ -824,7 +832,7 @@ proptest! {
 
     /// One [`run`] with budget `n` ends where `n` runs with budget 1 end:
     /// the same outcome, registers (`%esp` among them), flags, `pc`,
-    /// memory, per-domain cycles, clock, instruction count and meter
+    /// memory, meter cells, clock, instruction count and meter
     /// events, and the same sights at every callback, stop after stop.
     /// [`step_code`]'s pushes and stores fault on the guard page and on
     /// read-only, unmapped and hypervisor pages or reach a device

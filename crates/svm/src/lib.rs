@@ -258,7 +258,6 @@ impl Svm {
         if self.recent_misses.len() < 4096 {
             self.recent_misses.push(vaddr);
         }
-        m.meter.count_event(Event::StlbMiss);
         m.pay(Term::StlbSlowPath);
 
         let page = vaddr & !(PAGE_SIZE - 1);
@@ -366,7 +365,6 @@ impl Svm {
     /// hypervisor driver's code — a control-flow violation.
     pub fn translate_call(&mut self, m: &mut Machine, vm_target: u64) -> Result<u64, Fault> {
         self.stats.call_translations += 1;
-        m.meter.count_event(Event::StlbCallXlat);
         m.pay(Term::CallXlat);
         if let Some(t) = self.call_xlat.get(&vm_target) {
             return Ok(*t);

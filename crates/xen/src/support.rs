@@ -569,7 +569,7 @@ mod tests {
         let gid = xen.add_guest(gspace, MacAddr::for_guest(1));
         xen.switch_to(&mut m, gid);
         let before = m.meter.cycles(CostDomain::Xen);
-        let switches_before = m.meter.event(Event::DomainSwitch);
+        let switches_before = m.meter.payments(Term::DomainSwitch);
         hs.set_upcall_count(9);
         assert!(hs.is_forced(id("spin_trylock")));
         // spin_trylock now routes via upcall.
@@ -588,7 +588,7 @@ mod tests {
         assert_eq!(r, 1, "lock acquired through the upcall");
         assert_eq!(upcalls(&m), 1);
         assert_eq!(
-            m.meter.event(Event::DomainSwitch),
+            m.meter.payments(Term::DomainSwitch),
             switches_before + 2,
             "to dom0 and back"
         );
@@ -604,7 +604,7 @@ mod tests {
     fn upcall_from_dom0_context_skips_switches() {
         let (mut m, mut kernel, mut xen, mut svm, mut hs) = setup();
         hs.set_upcall_count(9);
-        let before = m.meter.event(Event::DomainSwitch);
+        let before = m.meter.payments(Term::DomainSwitch);
         let lock = 0x3e00_0000;
         m.map_fresh(kernel.space, lock, 1).unwrap();
         call(
@@ -618,7 +618,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            m.meter.event(Event::DomainSwitch),
+            m.meter.payments(Term::DomainSwitch),
             before,
             "already in dom0: no switches"
         );
@@ -688,8 +688,8 @@ mod tests {
         let gspace = m.new_space();
         let gid = xen.add_guest(gspace, MacAddr::for_guest(1));
         xen.switch_to(&mut m, gid);
-        let switches_before = m.meter.event(Event::DomainSwitch);
-        let virqs_before = m.meter.event(Event::Virq);
+        let switches_before = m.meter.payments(Term::DomainSwitch);
+        let virqs_before = m.meter.payments(Term::VirqDeliver);
         let skb = kernel.pool.alloc(&mut m, kernel.space).unwrap();
         let before = kernel.pool.available();
         call(
@@ -704,7 +704,7 @@ mod tests {
         .unwrap();
         // Queued, not executed: no switches, pool unchanged.
         assert_eq!(
-            m.meter.event(Event::DomainSwitch),
+            m.meter.payments(Term::DomainSwitch),
             switches_before,
             "no switch on enqueue"
         );
@@ -717,7 +717,7 @@ mod tests {
             .unwrap();
         assert_eq!(n, 1);
         assert_eq!(
-            m.meter.event(Event::DomainSwitch),
+            m.meter.payments(Term::DomainSwitch),
             switches_before + 2,
             "one pair per flush"
         );
@@ -728,7 +728,7 @@ mod tests {
         // The batched completion event went back through the event
         // channel (request to dom0 + completion to the guest) and the
         // resumed instance acknowledged it — nothing left pending.
-        assert_eq!(m.meter.event(Event::Virq), virqs_before + 2);
+        assert_eq!(m.meter.payments(Term::VirqDeliver), virqs_before + 2);
         assert!(xen.domain(gid).pending_virqs.is_empty());
     }
 
@@ -738,7 +738,7 @@ mod tests {
         hs.force_upcall(id("dma_map_single"));
         let vaddr = 0x3d00_0000u64;
         m.map_fresh(kernel.space, vaddr, 1).unwrap();
-        let switches_before = m.meter.event(Event::DomainSwitch);
+        let switches_before = m.meter.payments(Term::DomainSwitch);
         let r = call(
             &mut hs,
             "dma_map_single",
@@ -750,7 +750,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            m.meter.event(Event::DomainSwitch),
+            m.meter.payments(Term::DomainSwitch),
             switches_before,
             "provisional, no switch"
         );
@@ -773,7 +773,7 @@ mod tests {
         let gspace = m.new_space();
         let gid = xen.add_guest(gspace, MacAddr::for_guest(1));
         xen.switch_to(&mut m, gid);
-        let switches_before = m.meter.event(Event::DomainSwitch);
+        let switches_before = m.meter.payments(Term::DomainSwitch);
         // Queue a free, then suspend on an allocation: both must run in
         // the same single switch-pair, free first (FIFO).
         let skb = kernel.pool.alloc(&mut m, kernel.space).unwrap();
@@ -803,7 +803,7 @@ mod tests {
         .unwrap();
         assert_ne!(r, 0, "resumed with dom0's return value");
         assert_eq!(
-            m.meter.event(Event::DomainSwitch),
+            m.meter.payments(Term::DomainSwitch),
             switches_before + 2,
             "one pair for both"
         );

@@ -4,7 +4,7 @@
 
 use crate::domain::{DomId, Domain, DomainKind};
 use std::collections::BTreeMap;
-use twin_machine::{CostDomain, Event, Machine, SpaceId, Term};
+use twin_machine::{CostDomain, Machine, SpaceId, Term};
 use twin_net::MacAddr;
 
 /// Grant-table activity attributed to one NIC (the device whose traffic
@@ -23,8 +23,8 @@ pub struct DevGrantStats {
 
 /// Grant-table statistics no meter row counts: the per-device breakdown
 /// of operations whose causing NIC is known, and the copies. The total
-/// maps and unmaps are the meter's [`Event::GrantMap`] and
-/// [`Event::GrantUnmap`] rows.
+/// maps and unmaps are the meter's payments of [`Term::GrantMap`] and
+/// [`Term::GrantUnmap`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GrantStats {
     /// Packet-sized grant copies (counted by the datapaths that perform
@@ -155,27 +155,23 @@ impl Xen {
             return;
         }
         m.pay_to(CostDomain::Xen, Term::DomainSwitch);
-        m.meter.count_event(Event::DomainSwitch);
         self.current = to;
     }
 
     /// Charges one hypercall entry/exit.
     pub fn hypercall(&mut self, m: &mut Machine) {
         m.pay_to(CostDomain::Xen, Term::Hypercall);
-        m.meter.count_event(Event::Hypercall);
     }
 
     /// Delivers a virtual interrupt (event) to a domain.
     pub fn send_virq(&mut self, m: &mut Machine, to: DomId, port: u32) {
         m.pay_to(CostDomain::Xen, Term::VirqDeliver);
-        m.meter.count_event(Event::Virq);
         self.domain_mut(to).pending_virqs.push(port);
     }
 
     /// Maps one granted page (baseline I/O-channel path).
     pub fn grant_map(&mut self, m: &mut Machine) {
         m.pay_to(CostDomain::Xen, Term::GrantMap);
-        m.meter.count_event(Event::GrantMap);
     }
 
     /// [`Xen::grant_map`] with the causing NIC known: identical charge
@@ -188,7 +184,6 @@ impl Xen {
     /// Unmaps one granted page.
     pub fn grant_unmap(&mut self, m: &mut Machine) {
         m.pay_to(CostDomain::Xen, Term::GrantUnmap);
-        m.meter.count_event(Event::GrantUnmap);
     }
 
     /// [`Xen::grant_unmap`] with the causing NIC known.
@@ -249,10 +244,10 @@ mod tests {
         let gid = xen.add_guest(g, MacAddr::for_guest(1));
         xen.switch_to(&mut m, gid);
         xen.switch_to(&mut m, gid); // no-op
-        assert_eq!(m.meter.event(Event::DomainSwitch), 1);
+        assert_eq!(m.meter.payments(Term::DomainSwitch), 1);
         assert_eq!(m.meter.cycles(CostDomain::Xen), m.cost[Term::DomainSwitch]);
         xen.switch_to(&mut m, DomId::DOM0);
-        assert_eq!(m.meter.event(Event::DomainSwitch), 2);
+        assert_eq!(m.meter.payments(Term::DomainSwitch), 2);
     }
 
     #[test]
@@ -274,7 +269,7 @@ mod tests {
         let (mut m, mut xen) = mk();
         xen.send_virq(&mut m, DomId::DOM0, 3);
         assert_eq!(xen.domain(DomId::DOM0).pending_virqs, vec![3]);
-        assert_eq!(m.meter.event(Event::Virq), 1);
+        assert_eq!(m.meter.payments(Term::VirqDeliver), 1);
     }
 
     #[test]
@@ -329,8 +324,8 @@ mod tests {
         let (mut m, mut xen) = mk();
         xen.grant_map(&mut m);
         xen.grant_unmap(&mut m);
-        assert_eq!(m.meter.event(Event::GrantMap), 1);
-        assert_eq!(m.meter.event(Event::GrantUnmap), 1);
+        assert_eq!(m.meter.payments(Term::GrantMap), 1);
+        assert_eq!(m.meter.payments(Term::GrantUnmap), 1);
         assert_eq!(xen.grants, GrantStats::default(), "no device, no copy");
         assert!(
             m.meter.cycles(CostDomain::Xen) >= m.cost[Term::GrantMap] + m.cost[Term::GrantUnmap]
@@ -359,7 +354,7 @@ mod tests {
         assert_eq!(xen.grants.device(7), DevGrantStats::default());
         // Device-attributed ops charge and count exactly like the plain
         // ones: the rows total attributed and not.
-        assert_eq!(m.meter.event(Event::GrantMap), 3);
-        assert_eq!(m.meter.event(Event::GrantUnmap), 1);
+        assert_eq!(m.meter.payments(Term::GrantMap), 3);
+        assert_eq!(m.meter.payments(Term::GrantUnmap), 1);
     }
 }

@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use twindrivers::machine::Event;
+use twindrivers::machine::Term;
 use twindrivers::{throughput, Config, System};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("received    {} frames in the guest", sys.delivered_rx());
     println!(
         "domain switches on the fast path: {}",
-        sys.machine.meter.event(Event::DomainSwitch)
+        sys.machine.meter.payments(Term::DomainSwitch)
     );
     println!();
 

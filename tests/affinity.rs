@@ -18,7 +18,7 @@
 //!   devices whose CPUs have runnable guests, so a sleeping guest's
 //!   device takes strictly more (smaller) polls for the same backlog.
 
-use twindrivers::machine::Event;
+use twindrivers::machine::{Event, Term};
 use twindrivers::measure::flow_for_dev;
 use twindrivers::net::{Frame, MacAddr};
 use twindrivers::sched::CPUS;
@@ -105,7 +105,7 @@ fn placement_follows_vcpu_and_eliminates_cold_refills() {
         let mut sys = build(shard);
         sys.sched_add_vcpu(DomId(1), cpu, 1_000_000, 0).unwrap();
         assert_eq!(sys.receive_burst(&frames).unwrap(), frames.len());
-        let cold = sys.machine.meter.event(Event::ColdDelivery);
+        let cold = sys.machine.meter.payments(Term::ColdDeliveryRefill);
         assert_eq!(cold, expect_cold, "{shard:?} cold deliveries");
         assert_eq!(sys.delivered_rx_for(DomId(1)), frames.len());
         if shard == ShardPolicy::Affinity {

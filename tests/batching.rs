@@ -9,7 +9,7 @@
 //! * **amortization** — bigger bursts strictly reduce notifications
 //!   (doorbells, interrupts, virqs) without changing what's delivered.
 
-use twin_machine::Event;
+use twin_machine::{Event, Term};
 use twin_net::{Frame, MacAddr};
 use twindrivers::system::DomId;
 use twindrivers::{peer_mac, Config, Law, System};
@@ -113,8 +113,8 @@ fn bigger_bursts_mean_fewer_notifications_same_delivery() {
         db_large < db_small,
         "32-burst ({db_large} doorbells) must beat 8x4 ({db_small})"
     );
-    let hc_small = small.machine.meter.event(Event::Hypercall);
-    let hc_large = large.machine.meter.event(Event::Hypercall);
+    let hc_small = small.machine.meter.payments(Term::Hypercall);
+    let hc_large = large.machine.meter.payments(Term::Hypercall);
     assert!(hc_large < hc_small, "one hypercall per burst");
 }
 

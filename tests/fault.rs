@@ -537,7 +537,7 @@ fn a_driver_that_faults_on_every_invocation_is_reset_each_time_and_leaks_nothing
         let free = (o.dom0_free, o.hyper_free);
         assert_eq!(*pools.get_or_insert(free), free, "round {round}");
         assert!(
-            o.event(Event::GrantMap) > maps,
+            o.metrics.counter("event.grant_map") > maps,
             "round {round}: zero-copy maps"
         );
     }

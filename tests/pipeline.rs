@@ -2,7 +2,7 @@
 //! crates: derivation, dual instances over shared data, fast-path
 //! behaviour, and the concurrent config-path/fast-path split.
 
-use twin_machine::{CostDomain, Event, ExecMode};
+use twin_machine::{CostDomain, Event, ExecMode, Term};
 use twin_net::{Frame, MacAddr};
 use twindrivers::kernel::e1000;
 use twindrivers::{Config, Itr, System, SystemOptions};
@@ -159,7 +159,7 @@ fn twin_fast_path_makes_no_upcalls_by_default() {
         0,
         "all ten fast-path routines are implemented in the hypervisor"
     );
-    assert_eq!(sys.machine.meter.event(Event::DomainSwitch), 0);
+    assert_eq!(sys.machine.meter.payments(Term::DomainSwitch), 0);
 }
 
 #[test]
@@ -175,7 +175,7 @@ fn forced_upcalls_reach_dom0_and_still_work() {
     assert_eq!(sys.take_wire_frames().len(), 5, "upcalled path is correct");
     assert!(sys.machine.meter.event(Event::Upcall) >= 5);
     assert!(
-        sys.machine.meter.event(Event::DomainSwitch) >= 10,
+        sys.machine.meter.payments(Term::DomainSwitch) >= 10,
         "each guest-context upcall switches to dom0 and back"
     );
 }

@@ -18,7 +18,7 @@ use twin_isa::Module;
 use twin_kernel::load_driver;
 use twin_machine::{
     run, stlb, Cpu, Env, Event, ExecMode, ExternId, Fault, Machine, NullEnv, SpaceId, StopReason,
-    HYPER_BASE, PAGE_SIZE,
+    Term, HYPER_BASE, PAGE_SIZE,
 };
 use twin_net::{Frame, MacAddr};
 use twin_rewriter::{rewrite, RewriteOptions};
@@ -252,7 +252,7 @@ fn run_twin(rewritten: &Module, calls: usize) -> Twin {
     Twin {
         ret: cpu.reg(twin_isa::Reg::Eax),
         data: dump(&m, dom0),
-        stlb_misses: m.meter.event(Event::StlbMiss),
+        stlb_misses: m.meter.payments(Term::StlbSlowPath),
         fused_sites: m.image(img).fused_sites(),
     }
 }
@@ -538,7 +538,7 @@ proptest! {
         // The zero-copy run actually exercised the cache (and, with a
         // hot flow, the exhaustion fallback toward a granted guest).
         prop_assert!(zc.event(Event::GrantCacheHit) + zc.event(Event::PinPage) > 0, "cache engaged");
-        let exhausted = zc.event(Event::CopyFallback) - *to_ungranted;
+        let exhausted = zc.metrics.counter("event.copy_fallback") - *to_ungranted;
         prop_assert_eq!(exhausted > 0, hot > 0, "{} exhaustion fallbacks", exhausted);
     }
 

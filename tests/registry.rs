@@ -6,6 +6,7 @@
 //! items the benchmark calls — is used once here, because `cargo test`
 //! does not build the benchmark's own workspace.
 
+use twin_machine::{CostDomain, Term};
 use twin_net::{Frame, MacAddr};
 use twin_trace::MetricSet;
 use twin_xen::{DomId, DomainKind};
@@ -226,5 +227,74 @@ fn the_benchmark_api_surface_is_usable_and_agrees_with_the_outcome() {
     );
     for (id, log) in &logs {
         assert_eq!(outcome.delivered(*id), log.as_slice(), "guest {}", id.0);
+    }
+}
+
+/// A default build of `config` after one transmit and one receive burst
+/// of eight frames.
+fn one_burst_each_way(config: Config) -> System {
+    let mut sys = System::build(config).unwrap();
+    assert_eq!(sys.transmit_burst(8).unwrap(), 8);
+    sys.take_wire_frames();
+    let frames: Vec<Frame> = (0..8)
+        .map(|seq| Frame::data(MacAddr::for_guest(1), peer_mac(), seq as u32 % 4, seq))
+        .collect();
+    assert_eq!(sys.receive_burst(&frames).unwrap(), 8);
+    sys
+}
+
+/// The registry's key set, committed: every key `System::metrics()`
+/// publishes on each configuration after one burst each way, one
+/// `<config> <key>` line each. A key appears, disappears or is renamed
+/// only with an edit of `tests/golden/metric_keys.txt`.
+#[test]
+fn the_registry_key_set_is_the_committed_one() {
+    let mut listed = String::new();
+    for config in Config::ALL {
+        let ms = one_burst_each_way(config).metrics();
+        let mut keys: Vec<&str> = ms.counters().map(|(k, _)| k).collect();
+        keys.extend(ms.histograms().map(|(k, _)| k));
+        keys.sort_unstable();
+        for key in keys {
+            listed += &format!("{} {key}\n", config.label());
+        }
+    }
+    let committed = include_str!("golden/metric_keys.txt");
+    assert!(
+        listed == committed,
+        "the registry's key set moved; published now:\n{listed}"
+    );
+}
+
+/// The cycle ledger's laws, on every configuration: a fixed-cost row's
+/// cells only ever grow by its cost, so their sum is a whole number of
+/// payments; on `TwinDrivers` the SVM's miss handler and call
+/// translation are counted by their payments alone, which agree with
+/// the statistics of the two SVM instances.
+#[test]
+fn every_fixed_cost_row_is_a_whole_number_of_payments() {
+    for config in Config::ALL {
+        let sys = one_burst_each_way(config);
+        let meter = &sys.machine.meter;
+        for t in Term::ALL
+            .into_iter()
+            .filter(|&t| t != Term::CopyPerByteX100)
+        {
+            let paid: u64 = CostDomain::ALL.map(|d| meter.cell(d, t)).iter().sum();
+            let cost = sys.machine.cost[t];
+            assert_eq!(paid % cost, 0, "{config}: {} paid {paid}", t.name());
+            assert_eq!(meter.payments(t), paid / cost, "{config}: {}", t.name());
+        }
+        if config == Config::TwinDrivers {
+            // Both instances' handlers pay: the hypervisor's, and the
+            // VM instance's identity SVM that dom0 runs.
+            let world = &sys.world;
+            let svms = [&world.svm_hyp, &world.svm_vm].map(|s| s.as_ref().unwrap().stats());
+            assert!(svms.iter().all(|s| s.misses > 0));
+            let misses = svms.iter().map(|s| s.misses).sum();
+            let calls = svms.iter().map(|s| s.call_translations).sum();
+            assert_eq!(meter.payments(Term::StlbSlowPath), misses);
+            assert_eq!(meter.payments(Term::CallXlat), calls);
+        }
     }
 }

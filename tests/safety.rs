@@ -2,7 +2,7 @@
 //! malicious drivers, watchdog timeouts, stack protection, privileged
 //! instruction scanning, and the IOMMU extension.
 
-use twin_machine::{CostDomain, Event, ExecMode};
+use twin_machine::{CostDomain, ExecMode, Term};
 use twindrivers::kernel::e1000;
 use twindrivers::net::{Frame, MacAddr};
 use twindrivers::{Config, System, SystemError, SystemOptions};
@@ -230,7 +230,7 @@ fn evict_and_drive(config: Config, evict: bool) -> Driven {
     Driven {
         wire,
         delivered,
-        stlb_misses: m.event(Event::StlbMiss),
+        stlb_misses: m.payments(Term::StlbSlowPath),
         insns: m.insns(),
         driver_cycles: m.cycles(CostDomain::Driver),
     }

@@ -12,7 +12,7 @@
 //! * **fairness** — the per-guest flush quantum bounds how long a
 //!   flooding guest can delay other guests' virtual interrupts.
 
-use twin_machine::Event;
+use twin_machine::{Event, Term};
 use twin_net::{Frame, MacAddr};
 use twindrivers::{
     measure_aggregate_throughput, peer_mac, Config, Law, ShardPolicy, System, SystemOptions,
@@ -106,7 +106,7 @@ fn flowhash_preserves_per_guest_flow_order_across_four_nics() {
     assert_eq!(o.reorders(), 0);
     assert_eq!(total, 6 * 24, "every frame delivered exactly once");
     assert_eq!(sys.machine.meter.event(Event::DemuxMiss), 0);
-    assert_eq!(sys.machine.meter.event(Event::DomainSwitch), 0);
+    assert_eq!(sys.machine.meter.payments(Term::DomainSwitch), 0);
 }
 
 #[test]
@@ -239,7 +239,7 @@ fn default_quantum_leaves_single_burst_flushes_untouched() {
     let mut sys = System::build(Config::TwinDrivers).unwrap();
     let mac2 = MacAddr::for_guest(2);
     let g2 = sys.add_guest(mac2).unwrap();
-    let virqs = sys.machine.meter.event(Event::Virq);
+    let virqs = sys.machine.meter.payments(Term::VirqDeliver);
     let mut frames = Vec::new();
     for i in 0..12u64 {
         let mac = if i % 2 == 0 {
@@ -251,7 +251,7 @@ fn default_quantum_leaves_single_burst_flushes_untouched() {
     }
     assert_eq!(sys.receive_burst(&frames).unwrap(), 12);
     assert_eq!(
-        sys.machine.meter.event(Event::Virq) - virqs,
+        sys.machine.meter.payments(Term::VirqDeliver) - virqs,
         2,
         "one virq per guest"
     );

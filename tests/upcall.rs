@@ -74,8 +74,8 @@ fn deferred_amortizes_switches_per_flush_not_per_call() {
     );
     // The mechanism behind the number: switches collapse from two per
     // upcall to two per flush.
-    let sync_switches = sync.machine.meter.event(Event::DomainSwitch);
-    let defer_switches = defer.machine.meter.event(Event::DomainSwitch);
+    let sync_switches = sync.machine.meter.payments(Term::DomainSwitch);
+    let defer_switches = defer.machine.meter.payments(Term::DomainSwitch);
     assert!(
         defer_switches * 4 < sync_switches,
         "switches {defer_switches} vs {sync_switches}"

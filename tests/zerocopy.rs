@@ -5,7 +5,7 @@
 //! sweep attributes grant work per device.
 
 use twin_net::{Frame, MacAddr};
-use twindrivers::machine::Event;
+use twindrivers::machine::{Event, Term};
 use twindrivers::system::ZC_POOL_FRAMES;
 use twindrivers::{
     measure_aggregate_throughput, peer_mac, Config, ShardPolicy, System, SystemOptions,
@@ -93,22 +93,25 @@ fn zero_copy_off_is_cycle_exact_with_the_shard_baseline() {
         let cache = sys.metrics().counters_with_prefix("grantcache.").count();
         assert_eq!(cache, 0, "no cache when off");
         assert_eq!(sys.machine.meter.event(Event::GrantCacheHit), 0);
-        assert_eq!(sys.machine.meter.event(Event::CopyFallback), 0);
+        assert_eq!(sys.machine.meter.payments(Term::CopyFallback), 0);
     }
 }
 
 #[test]
 fn warm_pool_pays_no_per_packet_grant_traffic_and_beats_copy_mode() {
-    // After a priming pass at the target burst, the measured RX window
-    // must be all cache hits: zero maps, zero unmaps, zero fallbacks —
+    // After a priming pass at the target burst, a second measurement —
+    // its warm-up and its window — must be all cache hits: zero maps,
+    // zero unmaps, zero fallbacks —
     // and the amortized cost must beat copy mode by the acceptance
     // margin (≥ 1.3× at 4 NICs / burst 32).
     let mut on = System::build_with(Config::TwinDrivers, &zc_opts(4, true)).unwrap();
     on.measure_rx_burst(32, 64).unwrap();
+    let primed = on.metrics();
     let w = on.measure_rx_burst(32, 64).unwrap();
-    assert_eq!(w.breakdown.event(Event::GrantMap), 0, "warm: no maps");
-    assert_eq!(w.breakdown.event(Event::GrantUnmap), 0);
-    assert_eq!(w.breakdown.event(Event::CopyFallback), 0);
+    let warm = on.metrics().delta_since(&primed);
+    assert_eq!(warm.counter("event.grant_map"), 0, "warm: no maps");
+    assert_eq!(warm.counter("event.grant_unmap"), 0);
+    assert_eq!(warm.counter("event.copy_fallback"), 0);
     assert!(
         w.breakdown.event(Event::GrantCacheHit) >= 64,
         "every measured packet lands through the cache"
@@ -142,7 +145,7 @@ fn ungranted_guest_falls_back_to_copies_until_granted() {
     for seq in 0..8 {
         sys.receive_frame(&frame_to(mac2, 40, seq)).unwrap();
     }
-    let fallbacks = sys.machine.meter.event(Event::CopyFallback);
+    let fallbacks = sys.machine.meter.payments(Term::CopyFallback);
     assert_eq!(fallbacks, 8, "every frame to the ungranted guest bounces");
 
     // Granting the pool stops the fallbacks: first touch maps, the rest
@@ -152,7 +155,7 @@ fn ungranted_guest_falls_back_to_copies_until_granted() {
         sys.receive_frame(&frame_to(mac2, 40, seq)).unwrap();
     }
     assert_eq!(
-        sys.machine.meter.event(Event::CopyFallback),
+        sys.machine.meter.payments(Term::CopyFallback),
         fallbacks,
         "granted guest takes the zero-copy path"
     );
@@ -176,7 +179,7 @@ fn exhausted_pool_slice_falls_back() {
         "each slot maps once"
     );
     assert_eq!(
-        sys.machine.meter.event(Event::CopyFallback),
+        sys.machine.meter.payments(Term::CopyFallback),
         6,
         "slots past the pool bounce"
     );
@@ -191,24 +194,24 @@ fn revocation_quarantines_cached_grants() {
         sys.receive_frame(&frame_to(mac1, 42, seq)).unwrap();
     }
     assert!(sys.machine.meter.event(Event::PinPage) > 0, "pool warmed");
-    let unmaps_before = sys.machine.meter.event(Event::GrantUnmap);
+    let unmaps_before = sys.machine.meter.payments(Term::GrantUnmap);
     let revoked = sys.revoke_zero_copy_grants(gid).unwrap();
     assert!(revoked > 0, "live mappings were torn down");
     let counted = sys.metrics().counter("grantcache.revoked");
     assert_eq!(counted as usize, revoked);
     assert_eq!(
-        sys.machine.meter.event(Event::GrantUnmap) - unmaps_before,
+        sys.machine.meter.payments(Term::GrantUnmap) - unmaps_before,
         revoked as u64,
         "each revoked mapping owes one unmap"
     );
     // The quarantined guest bounces through copies until re-granted.
     sys.receive_frame(&frame_to(mac1, 42, 4)).unwrap();
-    assert!(sys.machine.meter.event(Event::CopyFallback) > 0);
+    assert!(sys.machine.meter.payments(Term::CopyFallback) > 0);
     sys.grant_zero_copy_pool(gid).unwrap();
-    let fallbacks = sys.machine.meter.event(Event::CopyFallback);
+    let fallbacks = sys.machine.meter.payments(Term::CopyFallback);
     sys.receive_frame(&frame_to(mac1, 42, 5)).unwrap();
     assert_eq!(
-        sys.machine.meter.event(Event::CopyFallback),
+        sys.machine.meter.payments(Term::CopyFallback),
         fallbacks,
         "re-granting restores the zero-copy path"
     );
