@@ -353,7 +353,7 @@ mod tests {
             b9.total(),
             b0.total()
         );
-        assert!(slow.machine.meter.event(Event::Upcall) > 0);
+        assert!(slow.machine.meter.payments(Term::UpcallOverhead) > 0);
     }
 
     #[test]
@@ -443,13 +443,13 @@ mod tests {
         let now = sys.now_cycles();
         assert_eq!(sys.rx_open_loop_arrival(&frames[..1], now).unwrap(), 1);
         assert!(sys.in_poll_mode(0));
-        let irqs = sys.machine.meter.event(Event::Irq);
+        let irqs = sys.machine.meter.payments(Term::IrqDispatch);
         assert_eq!(sys.rx_open_loop_arrival(&frames[1..], now).unwrap(), 10);
         sys.rx_open_loop_service(now + 1_000_000).unwrap();
         assert_eq!(sys.delivered_rx(), 11, "polled path reaps the whole burst");
-        assert_eq!(sys.machine.meter.event(Event::NapiPoll), 1);
+        assert_eq!(sys.machine.meter.payments(Term::NapiPollDispatch), 1);
         assert_eq!(
-            sys.machine.meter.event(Event::Irq),
+            sys.machine.meter.payments(Term::IrqDispatch),
             irqs,
             "no interrupt dispatched"
         );

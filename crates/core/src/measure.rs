@@ -13,7 +13,7 @@
 use crate::outcome::{endpoints, reorders};
 use crate::system::{ShardPolicy, System, SystemError, MAX_BURST};
 use std::collections::BTreeMap;
-use twin_machine::{CostDomain, Event};
+use twin_machine::CostDomain;
 use twin_net::{wire_bits, Frame, MacAddr, MTU};
 use twin_trace::{HistogramSummary, MetricSet};
 use twin_xen::{DomId, DomainKind};
@@ -32,8 +32,9 @@ pub struct Breakdown {
     pub per_domain: BTreeMap<CostDomain, f64>,
     /// Packets measured.
     pub packets: u64,
-    /// Counts of the events seen (total, not per packet).
-    pub events: BTreeMap<Event, u64>,
+    /// Occurrence counts (total, not per packet), each under the name
+    /// of its `event.<name>` registry key.
+    pub events: BTreeMap<String, u64>,
 }
 
 impl Breakdown {
@@ -42,9 +43,9 @@ impl Breakdown {
         self.per_domain.get(&d).copied().unwrap_or(0.0)
     }
 
-    /// Count of one event (0 when it was not seen).
-    pub fn event(&self, e: Event) -> u64 {
-        self.events.get(&e).copied().unwrap_or(0)
+    /// Count of the occurrence `event.<name>` (0 for a name that is none).
+    pub fn event(&self, name: &str) -> u64 {
+        self.events.get(name).copied().unwrap_or(0)
     }
 
     /// Total cycles per packet.
@@ -156,29 +157,31 @@ impl Measured {
     fn breakdown(&self, packets: u64) -> Breakdown {
         let cycles = |d: CostDomain| self.delta.counter(&format!("meter.cycles.{}", d.label()));
         let per_domain = CostDomain::ALL.map(|d| (d, cycles(d) as f64 / packets.max(1) as f64));
-        let events = Event::ALL.map(|e| (e, self.event(e)));
+        let events = self.delta.counters_with_prefix("event.");
         Breakdown {
             per_domain: per_domain.into(),
             packets,
-            events: events.into_iter().filter(|&(_, n)| n > 0).collect(),
+            events: events
+                .map(|(key, n)| (key["event.".len()..].into(), n))
+                .collect(),
         }
     }
 
-    /// Count of one meter event over the window.
-    fn event(&self, e: Event) -> u64 {
-        self.delta.counter(&format!("event.{}", e.name()))
+    /// Count of the occurrence `event.<name>` over the window.
+    fn event(&self, name: &str) -> u64 {
+        self.delta.counter(&format!("event.{name}"))
     }
 
-    fn per_packet(&self, event: Event, packets: u64) -> f64 {
-        self.event(event) as f64 / packets.max(1) as f64
+    fn per_packet(&self, name: &str, packets: u64) -> f64 {
+        self.event(name) as f64 / packets.max(1) as f64
     }
 
     fn burst(&self, burst: usize, packets: u64) -> BurstMeasurement {
         BurstMeasurement {
             burst,
             breakdown: self.breakdown(packets),
-            irqs_per_packet: self.per_packet(Event::Irq, packets),
-            doorbells_per_packet: self.per_packet(Event::Doorbell, packets),
+            irqs_per_packet: self.per_packet("irq", packets),
+            doorbells_per_packet: self.per_packet("doorbell", packets),
         }
     }
 
@@ -403,8 +406,8 @@ impl System {
             gap_cycles,
             packets: injected,
             breakdown: m.breakdown(injected),
-            irqs_per_packet: m.per_packet(Event::Irq, injected),
-            moderated_irqs: m.event(Event::IrqModerated),
+            irqs_per_packet: m.per_packet("irq", injected),
+            moderated_irqs: m.event("irq_moderated"),
             latency: m.latency(),
         })
     }
@@ -480,9 +483,9 @@ fn paced_rx_phase(
         gap_cycles,
         packets: measured,
         breakdown: m.breakdown(measured),
-        irqs_per_packet: m.per_packet(Event::Irq, measured),
+        irqs_per_packet: m.per_packet("irq", measured),
         latency: m.latency(),
-        retunes: m.event(Event::ItrRetune),
+        retunes: m.event("itr_retune"),
         itr_end: widest_itr(sys),
     })
 }
@@ -880,8 +883,8 @@ pub fn measure_rx_livelock(
         early_drops: total(&m.delta, "guest", "early_drops"),
         queue_drops: total(&m.delta, "guest", "queue_drops"),
         ring_drops: total(&m.delta, "nic", "rx_missed"),
-        irqs: m.event(Event::Irq),
-        polls: m.event(Event::NapiPoll),
+        irqs: m.event("irq"),
+        polls: m.event("napi_poll"),
         victim_delivered,
         victim_p99: m.worst_p99(victims.iter().map(|v| v.0)),
     })
@@ -1006,7 +1009,7 @@ pub fn measure_rx_affinity(
         rx_cycles_per_packet: m.breakdown(delivered.max(1)).total(),
         cold_deliveries: m.delta.counter("event.cold_delivery"),
         placements: m.delta.counter("sched.placements"),
-        wakes: m.event(Event::VcpuRun),
+        wakes: m.event("vcpu_run"),
         early_drops: total(&m.delta, "guest", "early_drops"),
         queue_drops: total(&m.delta, "guest", "queue_drops"),
         ring_drops: total(&m.delta, "nic", "rx_missed"),
@@ -1459,7 +1462,7 @@ mod tests {
         let b = Measured { delta }.breakdown(10);
         assert_eq!(b.cycles(CostDomain::Xen), 50.0);
         assert_eq!(b.total(), 60.0);
-        assert_eq!(b.events, BTreeMap::from([(Event::Irq, 3)]));
+        assert_eq!(b.events, BTreeMap::from([("irq".to_string(), 3)]));
         let row = b.row("test");
         assert!(row.contains("Xen"));
         assert!(row.contains("e1000"));
@@ -1506,7 +1509,7 @@ mod tests {
                 m.guest(flood.0, "delivered"),
                 m.guest(victim.0, "delivered"),
             ];
-            assert_eq!(m.event(Event::EarlyDrop), counts[0]);
+            assert_eq!(m.event("early_drop"), counts[0]);
             seen.iter_mut()
                 .zip(&counts)
                 .for_each(|(total, d)| *total += d);

@@ -11,17 +11,25 @@ use twin_xen::{DomId, DomainKind};
 /// The payments published as occurrence counts: `event.<name>` is the
 /// meter's [`twin_machine::CycleMeter::payments`] of the row, each
 /// operation of the row being one occurrence.
-const PAYMENT_COUNTS: [(&str, Term); 11] = [
+const PAYMENT_COUNTS: [(&str, Term); 19] = [
     ("cold_delivery", Term::ColdDeliveryRefill),
     ("copy_fallback", Term::CopyFallback),
     ("domain_switch", Term::DomainSwitch),
+    ("grant_cache_hit", Term::GrantCacheHit),
     ("grant_map", Term::GrantMap),
     ("grant_unmap", Term::GrantUnmap),
     ("hypercall", Term::Hypercall),
+    ("irq", Term::IrqDispatch),
     ("mmio_read", Term::MmioRead),
     ("mmio_write", Term::MmioWrite),
+    ("napi_poll", Term::NapiPollDispatch),
+    ("pin_page", Term::PinPage),
     ("stlb_call_xlat", Term::CallXlat),
     ("stlb_miss", Term::StlbSlowPath),
+    ("upcall", Term::UpcallOverhead),
+    ("upcall_enqueue", Term::UpcallEnqueue),
+    ("upcall_exec", Term::UpcallComplete),
+    ("upcall_flush", Term::UpcallFlushOverhead),
     ("virq", Term::VirqDeliver),
 ];
 
@@ -106,9 +114,9 @@ impl System {
                 let g = d.id.0;
                 ms.set(format!("guest{g}.delivered"), d.rx_delivered.len() as u64);
                 ms.set(format!("guest{g}.queued"), d.rx_queue.len() as u64);
-                ms.set(format!("guest{g}.queue_drops"), d.rx_queue_drops);
-                let early = self.guests.get(g as usize).map_or(0, |s| s.early_drops);
-                ms.set(format!("guest{g}.early_drops"), early);
+                let drops = |e| meter.event_for(e, g);
+                ms.set(format!("guest{g}.queue_drops"), drops(Event::RxQueueDrop));
+                ms.set(format!("guest{g}.early_drops"), drops(Event::EarlyDrop));
             }
         }
         if let Some(hs) = self.world.hyper.as_ref() {
@@ -136,14 +144,13 @@ impl System {
         if let Some(s) = self.sched.as_ref() {
             let now = meter.now();
             let mut placements = 0u64;
-            for g in s.guests() {
-                let st = s.stats(g, now).expect("registered vcpu");
+            for (g, st) in s.guests().filter_map(|g| Some((g, s.stats(g, now)?))) {
                 ms.set(format!("sched.guest{g}.cpu"), u64::from(st.cpu));
                 ms.set(format!("sched.guest{g}.running"), u64::from(st.running));
                 ms.set(format!("sched.guest{g}.run_cycles"), st.run_cycles);
                 ms.set(format!("sched.guest{g}.wakes"), st.wakes);
                 ms.set(format!("sched.guest{g}.sleeps"), st.sleeps);
-                let p = self.guests.get(g as usize).map_or(0, |s| s.placements);
+                let p = meter.event_for(Event::AffinityPlace, g);
                 ms.set(format!("sched.guest{g}.placements"), p);
                 placements += p;
             }
@@ -211,9 +218,8 @@ impl System {
             let oldest = self
                 .rx_inflight
                 .iter()
-                .min_by_key(|(key, stamp)| (**stamp, **key))
-                .map(|(k, _)| *k)
-                .expect("non-empty map");
+                .min_by_key(|(key, stamp)| (**stamp, **key));
+            let Some((&oldest, _)) = oldest else { break };
             self.rx_inflight.remove(&oldest);
         }
     }

@@ -365,8 +365,6 @@ struct GuestState {
     /// Deficit-round-robin counter (frames), carried across flush
     /// rounds; reset when the guest's queue drains.
     deficit: u64,
-    /// Frames dropped toward this guest at the admission watermark.
-    early_drops: u64,
     /// Arrival-to-delivery samples of this domain's frames, filled only
     /// after [`System::track_guest_latency`] — the well-behaved-guest
     /// p99 the livelock acceptance is about.
@@ -378,8 +376,6 @@ struct GuestState {
     /// [`System::grant_zero_copy_pool`]. Frames toward an ungranted
     /// domain take the copy fallback.
     zc_granted: bool,
-    /// [`ShardPolicy::Affinity`] placements, for the `sched.*` metrics.
-    placements: u64,
 }
 
 impl GuestState {
@@ -390,11 +386,9 @@ impl GuestState {
         GuestState {
             weight: weight.map_or(1, |(_, w)| (*w).max(1)),
             deficit: 0,
-            early_drops: 0,
             latency: twin_trace::SampleReservoir::new(crate::measure::RX_LATENCY_RESERVOIR),
             sample_cursor: 0,
             zc_granted: false,
-            placements: 0,
         }
     }
 }

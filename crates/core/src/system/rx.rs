@@ -438,29 +438,20 @@ impl System {
             .filter(|d| d.kind == DomainKind::Guest)
             .map(|d| (d.mac, d.id.0, d.rx_queue.len()))
             .collect();
-        let mut dropped: Vec<(u32, u64)> = Vec::new();
+        let machine = &mut self.machine;
         frames.retain(|f| {
             let Some(slot) = guests.iter_mut().find(|(mac, _, _)| *mac == f.dst) else {
                 return true; // not guest-bound: the demux-miss path counts it
             };
             if slot.2 >= wm {
-                match dropped.iter_mut().find(|(g, _)| *g == slot.1) {
-                    Some(d) => d.1 += 1,
-                    None => dropped.push((slot.1, 1)),
-                }
+                machine.pay_to(CostDomain::Xen, Term::EarlyDrop);
+                machine.note(TraceEvent::EarlyDrop { guest: slot.1 });
                 false
             } else {
                 slot.2 += 1;
                 true
             }
         });
-        for (gid, n) in dropped {
-            self.guests[gid as usize].early_drops += n;
-            for _ in 0..n {
-                self.machine.pay_to(CostDomain::Xen, Term::EarlyDrop);
-                self.machine.note(TraceEvent::EarlyDrop { guest: gid });
-            }
-        }
     }
 
     /// Runs the configuration's receive software path for one hardware

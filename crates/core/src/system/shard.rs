@@ -88,7 +88,6 @@ impl System {
             local[ShardPolicy::flow_hash_dev(f.flow, local.len() as u32) as usize]
         };
         self.affinity_flow_dev.insert(f.flow, dev);
-        self.guests[g as usize].placements += 1;
         self.machine.note(TraceEvent::AffinityPlace {
             guest: g,
             flow: f.flow,

@@ -189,8 +189,6 @@ pub struct Dom0Kernel {
     pub trace: Trace,
     /// Destination of `netif_rx` packets.
     pub rx_mode: RxMode,
-    /// `printk` invocations.
-    pub printk_count: u64,
     /// Whether the TX queue is stopped.
     pub queue_stopped: bool,
     /// Registered net devices (addresses of netdev structs).
@@ -221,7 +219,6 @@ impl Dom0Kernel {
             timers: TimerQueue::new(),
             trace: Trace::new(),
             rx_mode: RxMode::LocalStack,
-            printk_count: 0,
             queue_stopped: false,
             registered_netdevs: Vec::new(),
             stack_burst: 0,
@@ -485,7 +482,6 @@ impl Dom0Kernel {
                 ret(cpu, u32::from(self.queue_stopped));
             }
             PRINTK => {
-                self.printk_count += 1;
                 m.pay(Term::Printk);
                 ret(cpu, 0);
             }

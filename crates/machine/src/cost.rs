@@ -348,12 +348,8 @@ closed_table! {
         EarlyDrop: "early_drop",
         /// A cached grant mapping evicted to make room.
         GrantCacheEvict: "grant_cache_evict",
-        /// A zero-copy access found its mapping cached.
-        GrantCacheHit: "grant_cache_hit",
         /// An in-flight frame lost with its device's rings.
         InflightLost: "inflight_lost",
-        /// A device interrupt delivered to software.
-        Irq: "irq",
         /// An arrival latched behind a closed `ITR` window.
         IrqModerated: "irq_moderated",
         /// A wedged ring forced delivery despite the window.
@@ -364,10 +360,6 @@ closed_table! {
         NapiEnter: "napi_enter",
         /// A device switched from poll back to interrupt mode.
         NapiExit: "napi_exit",
-        /// One budgeted poll pass over one device.
-        NapiPoll: "napi_poll",
-        /// A pool page pinned through the IOMMU allowlist.
-        PinPage: "pin_page",
         /// A faulted device was quarantined.
         QuarantineEnter: "quarantine_enter",
         /// A recovered device left quarantine.
@@ -378,18 +370,10 @@ closed_table! {
         StlbCollision: "stlb_collision",
         /// A dom0 page mapped into the SVM window.
         SvmPageMapped: "svm_page_mapped",
-        /// A synchronous upcall into dom0.
-        Upcall: "upcall",
         /// A deferred upcall's result awaited through its continuation.
         UpcallContinuation: "upcall_continuation",
         /// A queued upcall dropped at fault teardown.
         UpcallDiscarded: "upcall_discarded",
-        /// An upcall saved into the deferred ring.
-        UpcallEnqueue: "upcall_enqueue",
-        /// A deferred upcall executed in dom0 during a flush.
-        UpcallExec: "upcall_exec",
-        /// One drain of the deferred-upcall ring.
-        UpcallFlush: "upcall_flush",
         /// A drain forced by a full ring.
         UpcallForcedFlush: "upcall_forced_flush",
         /// A queued free/unlock replayed at fault teardown.
@@ -402,27 +386,23 @@ closed_table! {
 }
 
 /// The [`Event`] row a flight-recorder event counts: the one pairing of
-/// the two vocabularies. [`crate::Machine::note`] counts this row and
-/// records the event, so for a recorder that neither overflowed nor was
-/// cleared, each paired kind's trace count equals its row's count. The
-/// kinds mapped to `None` are trace-only: their occurrence is no row of
-/// its own, or has no payload-free meaning as one.
+/// the two vocabularies. [`crate::Machine::note`] counts this row, under
+/// the domain the event names ([`TraceEvent::domain`]), and records the
+/// event, so for a recorder that neither overflowed nor was cleared,
+/// each paired kind's trace count equals its row's count, per domain
+/// too. The kinds mapped to `None` are trace-only: their occurrence is
+/// one fixed-cost payment made at the same site (the first seven, whose
+/// count is [`CycleMeter::payments`]), is no row of its own, or has no
+/// payload-free meaning as one.
 #[inline]
 pub fn row(e: &TraceEvent) -> Option<Event> {
     use TraceEvent as T;
     Some(match e {
-        T::IrqDelivered { .. } => Event::Irq,
         T::NapiEnter { .. } => Event::NapiEnter,
-        T::NapiPoll { .. } => Event::NapiPoll,
         T::NapiComplete { .. } => Event::NapiExit,
         T::ItrRetune { .. } => Event::ItrRetune,
         T::EarlyDrop { .. } => Event::EarlyDrop,
         T::QueueCapDrop { .. } => Event::RxQueueDrop,
-        T::UpcallEnqueue { .. } => Event::UpcallEnqueue,
-        T::UpcallFlush { .. } => Event::UpcallFlush,
-        T::UpcallCompletion { .. } => Event::UpcallExec,
-        T::GrantCacheHit { .. } => Event::GrantCacheHit,
-        T::GrantCacheMiss { .. } => Event::PinPage,
         T::GrantCacheEvict { .. } => Event::GrantCacheEvict,
         T::FaultDetected { .. } => Event::DriverAbort,
         T::QuarantineEnter { .. } => Event::QuarantineEnter,
@@ -431,7 +411,14 @@ pub fn row(e: &TraceEvent) -> Option<Event> {
         T::VcpuRun { .. } => Event::VcpuRun,
         T::VcpuSleep { .. } => Event::VcpuSleep,
         T::AffinityPlace { .. } => Event::AffinityPlace,
-        T::IrqMasked { .. }
+        T::IrqDelivered { .. }
+        | T::NapiPoll { .. }
+        | T::UpcallEnqueue { .. }
+        | T::UpcallFlush { .. }
+        | T::UpcallCompletion { .. }
+        | T::GrantCacheHit { .. }
+        | T::GrantCacheMiss { .. }
+        | T::IrqMasked { .. }
         | T::DrrGrant { .. }
         | T::GrantCacheRevoke { .. }
         | T::TimerFire { .. }
@@ -464,8 +451,10 @@ pub struct CycleMeter {
     /// Cycles per cell, indexed by `[CostDomain as usize][Term as usize]`.
     cells: [[u64; Term::COUNT]; CostDomain::ALL.len()],
     stack: Vec<CostDomain>,
-    /// Occurrences per event, indexed by `Event as usize`.
-    events: [u64; Event::COUNT],
+    /// Occurrences per domain slot and event, indexed by
+    /// `[slot][Event as usize]`: slot 0 holds the occurrences that name
+    /// no domain, slot `d + 1` those of domain `d`.
+    events: Vec<[u64; Event::COUNT]>,
     insns: u64,
     /// The virtual clock (see [`CycleMeter::now`]).
     now: u64,
@@ -476,7 +465,7 @@ impl Default for CycleMeter {
         CycleMeter {
             cells: [[0; Term::COUNT]; CostDomain::ALL.len()],
             stack: Vec::new(),
-            events: [0; Event::COUNT],
+            events: vec![[0; Event::COUNT]],
             insns: 0,
             now: 0,
         }
@@ -561,15 +550,35 @@ impl CycleMeter {
         self.insns
     }
 
-    /// Counts one occurrence of `e`.
+    /// Counts one occurrence of `e` that names no domain.
     #[inline]
     pub fn count_event(&mut self, e: Event) {
-        self.events[e as usize] += 1;
+        self.count_event_for(e, None);
     }
 
-    /// Occurrences of `e` since the machine was built.
+    /// Counts one occurrence of `e` under domain `dom`, or under no
+    /// domain.
+    #[inline]
+    pub(crate) fn count_event_for(&mut self, e: Event, dom: Option<u32>) {
+        let slot = dom.map_or(0, |d| d as usize + 1);
+        if slot >= self.events.len() {
+            self.events.resize(slot + 1, [0; Event::COUNT]);
+        }
+        self.events[slot][e as usize] += 1;
+    }
+
+    /// Occurrences of `e` since the machine was built, summed over the
+    /// domains.
     pub fn event(&self, e: Event) -> u64 {
-        self.events[e as usize]
+        self.events.iter().map(|slot| slot[e as usize]).sum()
+    }
+
+    /// Occurrences of `e` since the machine was built that named domain
+    /// `dom`.
+    pub fn event_for(&self, e: Event, dom: u32) -> u64 {
+        self.events
+            .get(dom as usize + 1)
+            .map_or(0, |slot| slot[e as usize])
     }
 
     /// Cycles domain `d` paid for row `t`.
@@ -684,7 +693,7 @@ mod tests {
 
     #[test]
     fn the_event_table_is_closed() {
-        assert_eq!(Event::COUNT, 32, "a payment is no Event row");
+        assert_eq!(Event::COUNT, 24, "a payment is no Event row");
         assert_eq!(Event::ALL.len(), Event::COUNT);
         for (i, e) in Event::ALL.into_iter().enumerate() {
             assert_eq!(e as usize, i);
@@ -731,6 +740,13 @@ mod tests {
         m.count_event(Event::StlbCollision);
         assert_eq!(m.event(Event::StlbCollision), 2);
         assert_eq!(m.event(Event::SvmPageMapped), 0);
+        for dom in [3, 1, 3] {
+            m.count_event_for(Event::EarlyDrop, Some(dom));
+        }
+        assert_eq!(m.event(Event::EarlyDrop), 3, "the sum over domains");
+        let split = [0, 1, 2, 3, 4].map(|d| m.event_for(Event::EarlyDrop, d));
+        assert_eq!(split, [0, 1, 0, 2, 0]);
+        assert_eq!(m.event_for(Event::StlbCollision, 0), 0, "no domain named");
     }
 
     #[test]

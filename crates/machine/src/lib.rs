@@ -241,7 +241,8 @@ impl Machine {
     }
 
     /// Notes one occurrence: counts the event's [`Event`] row, if
-    /// [`cost::row`] pairs it with one, and records the event stamped
+    /// [`cost::row`] pairs it with one, under the domain the event names
+    /// ([`twin_trace::TraceEvent::domain`]), and records the event stamped
     /// with the current virtual clock and cost domain when tracing is on.
     /// This is the one way an occurrence reaches the recorder; a row
     /// with no payload is [`CycleMeter::count_event`] alone. Never
@@ -251,7 +252,7 @@ impl Machine {
     #[inline(always)]
     pub fn note(&mut self, event: twin_trace::TraceEvent) {
         if let Some(e) = cost::row(&event) {
-            self.meter.count_event(e);
+            self.meter.count_event_for(e, event.domain());
         }
         if self.trace.enabled() {
             self.trace
@@ -749,22 +750,24 @@ mod tests {
     #[test]
     fn a_note_counts_its_row_and_records_only_while_tracing() {
         let mut m = Machine::new();
-        m.note(TraceEvent::IrqDelivered { dev: 1 });
+        m.note(TraceEvent::NapiEnter { dev: 1 });
         m.note(TraceEvent::TimerFire { data: 7 });
-        assert_eq!(m.meter.event(Event::Irq), 1);
+        m.note(TraceEvent::IrqDelivered { dev: 1 });
+        assert_eq!(m.meter.event(Event::NapiEnter), 1);
         let counted: u64 = Event::ALL.map(|e| m.meter.event(e)).iter().sum();
-        assert_eq!(counted, 1, "a trace-only kind counts nothing");
+        assert_eq!(counted, 1, "a trace-only or paid kind counts nothing");
         assert!(m.trace.is_empty());
         m.trace.set_enabled(true);
         m.pay_to(CostDomain::Xen, Term::Hypercall);
         m.meter.push_domain(CostDomain::Driver);
-        m.note(TraceEvent::IrqDelivered { dev: 2 });
+        m.note(TraceEvent::EarlyDrop { guest: 2 });
         m.meter.pop_domain();
-        assert_eq!(m.meter.event(Event::Irq), 2);
+        assert_eq!(m.meter.event(Event::EarlyDrop), 1);
+        assert_eq!(m.meter.event_for(Event::EarlyDrop, 2), 1, "guest 2's");
         assert_eq!(m.meter.now(), 700, "noting charges nothing");
         let r = m.trace.records().next().unwrap();
         assert_eq!((r.at, r.domain), (700, "e1000"));
-        assert_eq!(r.event, TraceEvent::IrqDelivered { dev: 2 });
+        assert_eq!(r.event, TraceEvent::EarlyDrop { guest: 2 });
     }
 
     #[test]

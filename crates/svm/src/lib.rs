@@ -61,9 +61,6 @@ pub const CALL_XLAT_SYMBOL: &str = "__svm_call_xlat";
 pub struct SvmStats {
     /// Slow-path invocations.
     pub misses: u64,
-    /// Misses that were hash-collision evictions (entry was valid for a
-    /// different page).
-    pub collisions: u64,
     /// First-touch page mappings performed.
     pub pages_mapped: u64,
     /// Accesses rejected (would-be hypervisor corruption).
@@ -272,7 +269,6 @@ impl Svm {
         } else if let Some(mp) = self.mapped.get(&page) {
             // Hash-chain hit: the page is mapped, the stlb entry was
             // evicted by a colliding page.
-            self.stats.collisions += 1;
             m.meter.count_event(Event::StlbCollision);
             *mp
         } else {
@@ -507,7 +503,7 @@ mod tests {
         // reuses the existing window mapping.
         let ma2 = svm.slow_path(&mut m, a).unwrap();
         assert_eq!(ma, ma2);
-        assert_eq!(svm.stats().collisions, 1);
+        assert_eq!(m.meter.event(Event::StlbCollision), 1);
         assert_eq!(svm.stats().pages_mapped, 2);
     }
 

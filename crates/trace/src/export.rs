@@ -63,6 +63,9 @@ fn ts_us(cycles: u64) -> String {
 /// Devices own tids 0..1000; guests are offset to 1000+guest so a
 /// device and a guest with the same id never share a lane.
 fn event_tid(ev: &TraceEvent) -> u64 {
+    if let Some(guest) = ev.domain() {
+        return 1000 + u64::from(guest);
+    }
     match ev {
         TraceEvent::IrqDelivered { dev }
         | TraceEvent::IrqMasked { dev }
@@ -76,21 +79,8 @@ fn event_tid(ev: &TraceEvent) -> u64 {
         | TraceEvent::QuarantineExit { dev }
         | TraceEvent::DeviceReset { dev }
         | TraceEvent::InflightAccounted { dev, .. } => *dev as u64,
-        TraceEvent::DrrGrant { guest, .. }
-        | TraceEvent::EarlyDrop { guest }
-        | TraceEvent::QueueCapDrop { guest } => 1000 + *guest as u64,
-        TraceEvent::GrantCacheHit { dom, .. }
-        | TraceEvent::GrantCacheMiss { dom, .. }
-        | TraceEvent::GrantCacheEvict { dom, .. }
-        | TraceEvent::GrantCacheRevoke { dom, .. } => 1000 + *dom as u64,
-        TraceEvent::VcpuRun { guest, .. }
-        | TraceEvent::VcpuSleep { guest, .. }
-        | TraceEvent::AffinityPlace { guest, .. } => 1000 + *guest as u64,
-        TraceEvent::UpcallEnqueue { .. }
-        | TraceEvent::UpcallFlush { .. }
-        | TraceEvent::UpcallCompletion { .. }
-        | TraceEvent::TimerFire { .. }
-        | TraceEvent::KernelCall { .. } => 0,
+        // Upcall, timer and kernel-call records name neither.
+        _ => 0,
     }
 }
 

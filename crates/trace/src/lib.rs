@@ -314,6 +314,21 @@ impl TraceEvent {
             TraceEvent::AffinityPlace { .. } => "affinity_place",
         }
     }
+
+    /// The domain the event is about, for the kinds that name one (a
+    /// guest, or a grant's owner): the meter's per-domain split and the
+    /// exporters' guest lanes both read it here.
+    pub fn domain(&self) -> Option<u32> {
+        use TraceEvent as T;
+        match *self {
+            T::EarlyDrop { guest } | T::QueueCapDrop { guest } => Some(guest),
+            T::DrrGrant { guest, .. } | T::AffinityPlace { guest, .. } => Some(guest),
+            T::VcpuRun { guest, .. } | T::VcpuSleep { guest, .. } => Some(guest),
+            T::GrantCacheHit { dom, .. } | T::GrantCacheMiss { dom, .. } => Some(dom),
+            T::GrantCacheEvict { dom, .. } | T::GrantCacheRevoke { dom, .. } => Some(dom),
+            _ => None,
+        }
+    }
 }
 
 /// One recorded event: a monotone sequence number, the virtual-clock

@@ -50,8 +50,6 @@ pub struct Domain {
     /// demux work is already paid by then; that waste is the livelock).
     /// `None` (the default) keeps the unbounded pre-overload behaviour.
     pub rx_queue_cap: Option<usize>,
-    /// Frames dropped at the `rx_queue_cap` bound.
-    pub rx_queue_drops: u64,
     /// Frames fully delivered into the guest (after the copy).
     pub rx_delivered: Vec<Frame>,
 }
@@ -68,19 +66,18 @@ impl Domain {
             pending_virqs: Vec::new(),
             rx_queue: Vec::new(),
             rx_queue_cap: None,
-            rx_queue_drops: 0,
             rx_delivered: Vec::new(),
         }
     }
 
     /// Queues one demultiplexed frame toward this guest, honouring the
     /// backlog cap. Returns `false` when the frame was dropped at the
-    /// cap (pure bookkeeping — the caller charges nothing extra: the
-    /// work wasted on a capped frame was already spent reaping it).
+    /// cap, which the caller notes as the guest's `QueueCapDrop` (it
+    /// charges nothing extra: the work wasted on a capped frame was
+    /// already spent reaping it).
     pub fn queue_rx(&mut self, frame: Frame) -> bool {
         if let Some(cap) = self.rx_queue_cap {
             if self.rx_queue.len() >= cap {
-                self.rx_queue_drops += 1;
                 return false;
             }
         }

@@ -165,7 +165,6 @@ impl HyperSupport {
         kernel: &mut Dom0Kernel,
         xen: &mut Xen,
     ) -> Result<(), Fault> {
-        m.meter.count_event(Event::Upcall);
         // Latency accounting keys on the virtual clock, not on a domain's
         // total: the upcall charges several domains.
         let cycles_before = m.meter.now();
@@ -451,7 +450,7 @@ mod tests {
 
     /// Upcalls executed in dom0, synchronously or at a flush.
     fn upcalls(m: &Machine) -> u64 {
-        m.meter.event(Event::Upcall) + m.meter.event(Event::UpcallExec)
+        m.meter.payments(Term::UpcallOverhead) + m.meter.payments(Term::UpcallComplete)
     }
 
     fn id(name: &str) -> RoutineId {
@@ -710,7 +709,7 @@ mod tests {
         );
         assert_eq!(kernel.pool.available(), before);
         assert_eq!(hs.engine.depth(), 1);
-        assert_eq!(m.meter.event(Event::UpcallEnqueue), 1);
+        assert_eq!(m.meter.payments(Term::UpcallEnqueue), 1);
         // The flush executes it in one switch-pair and posts completion.
         let n = hs
             .flush_upcalls(&mut m, &mut kernel, &mut xen, FlushCause::BurstEnd)
@@ -723,8 +722,8 @@ mod tests {
         );
         assert_eq!(kernel.pool.available(), before + 1, "free ran in dom0");
         assert_eq!(upcalls(&m), 1);
-        assert_eq!(m.meter.event(Event::UpcallFlush), 1);
-        assert_eq!(m.meter.event(Event::UpcallExec), 1);
+        assert_eq!(m.meter.payments(Term::UpcallFlushOverhead), 1);
+        assert_eq!(m.meter.payments(Term::UpcallComplete), 1);
         // The batched completion event went back through the event
         // channel (request to dom0 + completion to the guest) and the
         // resumed instance acknowledged it — nothing left pending.
@@ -808,7 +807,7 @@ mod tests {
             "one pair for both"
         );
         assert_eq!(m.meter.event(Event::UpcallContinuation), 1);
-        assert_eq!(m.meter.event(Event::UpcallFlush), 1);
+        assert_eq!(m.meter.payments(Term::UpcallFlushOverhead), 1);
         // Free ran before the alloc: net pool change is -1 + 1 = 0.
         assert_eq!(kernel.pool.available(), before);
         assert_eq!(hs.engine.depth(), 0);
@@ -853,7 +852,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r, 1, "native trylock sees the flushed unlock");
-        assert_eq!(m.meter.event(Event::UpcallFlush), 1);
+        assert_eq!(m.meter.payments(Term::UpcallFlushOverhead), 1);
         assert_eq!(hs.engine.depth(), 0);
     }
 
@@ -890,9 +889,9 @@ mod tests {
         assert_ne!(r, 0, "sync upcall served by dom0");
         assert_eq!(hs.engine.depth(), 0, "ring drained before the sync call");
         assert_eq!(kernel.pool.available(), before + 1, "free ran first");
-        assert_eq!(m.meter.event(Event::UpcallFlush), 1);
+        assert_eq!(m.meter.payments(Term::UpcallFlushOverhead), 1);
         assert_eq!(
-            m.meter.event(Event::Upcall),
+            m.meter.payments(Term::UpcallOverhead),
             1,
             "the kmalloc itself was sync"
         );
@@ -916,7 +915,7 @@ mod tests {
             )
             .unwrap();
         }
-        assert_eq!(m.meter.event(Event::UpcallFlush), 1);
+        assert_eq!(m.meter.payments(Term::UpcallFlushOverhead), 1);
         assert_eq!(hs.engine.depth(), 2);
         assert!(
             xen.softirqs.contains(&crate::xen::Softirq::UpcallFlush),

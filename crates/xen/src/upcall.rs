@@ -74,10 +74,10 @@ pub struct Completion {
     pub ret: u32,
 }
 
-/// Engine statistics no meter row counts. Enqueues, flushes, forced
-/// flushes, continuations and completions are the meter's
-/// `Event::Upcall*` rows, counted where [`crate::support::HyperSupport`]
-/// does the work.
+/// Engine statistics the meter does not count. Enqueues, flushes and
+/// completions are the meter's payments of their `Term::Upcall*` rows,
+/// forced flushes and continuations its `Event::Upcall*` rows, each
+/// counted where [`crate::support::HyperSupport`] does the work.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct UpcallStats {
     /// Deepest the ring has been.

@@ -11,7 +11,7 @@ use twin_bench::{
     PAPER_FIG7_TOTALS, PAPER_FIG8_TOTALS, PAPER_FIG9_PEAKS, PAPER_TABLE1,
 };
 use twin_kernel::{e1000, RoutineId, Usage, ROUTINES};
-use twin_machine::{stlb, CostDomain, Event};
+use twin_machine::{stlb, CostDomain};
 use twin_rewriter::RewriteOptions;
 use twin_workloads::{run_netperf, run_webserver, Direction, FileSet};
 use twindrivers::{throughput, Config, System, SystemOptions, UpcallMode, TESTBED_NICS};
@@ -156,7 +156,7 @@ pub fn upcalls(packets: u64) -> Rendered {
     )?;
     for n in 0..=9usize {
         let b = build(n, UpcallMode::Sync)?.measure_tx(packets)?;
-        let per_pkt = b.event(Event::Upcall) as f64 / b.packets as f64;
+        let per_pkt = b.event("upcall") as f64 / b.packets as f64;
         let b32 = build(n, UpcallMode::Sync)?.measure_tx_burst(32, packets)?;
         let deferred = build(n, UpcallMode::Deferred)?.measure_tx_burst(32, packets)?;
         let paper = PAPER_FIG10_ENDPOINTS.iter().find(|(at, _)| *at == n);

@@ -18,7 +18,7 @@
 //!   devices whose CPUs have runnable guests, so a sleeping guest's
 //!   device takes strictly more (smaller) polls for the same backlog.
 
-use twindrivers::machine::{Event, Term};
+use twindrivers::machine::Term;
 use twindrivers::measure::flow_for_dev;
 use twindrivers::net::{Frame, MacAddr};
 use twindrivers::sched::CPUS;
@@ -215,7 +215,7 @@ fn poll_budget_weights_toward_running_guests() {
             .collect();
         assert_eq!(sys.receive_burst(&frames).unwrap(), frames.len());
         sys.run_idle(500_000).unwrap();
-        polls.push(sys.machine.meter.event(Event::NapiPoll));
+        polls.push(sys.machine.meter.payments(Term::NapiPollDispatch));
     }
     assert!(
         polls[1] > polls[0],

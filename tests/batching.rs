@@ -90,7 +90,7 @@ fn rx_bursts_larger_than_the_ring_split_and_complete() {
         .collect();
     assert_eq!(sys.receive_burst(&frames).unwrap(), 200);
     assert_eq!(sys.delivered_rx(), 200);
-    let irqs = sys.machine.meter.event(Event::Irq);
+    let irqs = sys.machine.meter.payments(Term::IrqDispatch);
     assert!(
         (2..=3).contains(&irqs),
         "split burst coalesces into a handful of interrupts, got {irqs}"

@@ -17,7 +17,7 @@
 use twin_kernel::RoutineId;
 use twin_net::{Frame, MacAddr};
 use twindrivers::kernel::e1000;
-use twindrivers::machine::{CostDomain, Event};
+use twindrivers::machine::{CostDomain, Event, Term};
 use twindrivers::measure::{
     fault_injected_source, flow_for_dev, measure_fault_recovery, FaultClass,
 };
@@ -183,7 +183,7 @@ fn abort_revokes_zero_copy_grants_with_balanced_unmaps() {
             assert_eq!(sys.receive_burst(&f).unwrap(), 8);
         }
     }
-    let hits = sys.machine.meter.event(Event::GrantCacheHit);
+    let hits = sys.machine.meter.payments(Term::GrantCacheHit);
     assert!(hits > 0, "cache must be warm before the fault");
     assert_eq!(sys.metrics().counter("grantcache.revoked"), 0);
 
@@ -290,9 +290,12 @@ fn abort_drains_the_upcall_ring_and_disarms_the_flush_deadline() {
 
     // An idle epoch spanning several deadline windows must not try to
     // flush toward the dead ring.
-    let flushes = sys.machine.meter.event(Event::UpcallFlush);
+    let flushes = sys.machine.meter.payments(Term::UpcallFlushOverhead);
     sys.run_idle(3 * deadline).unwrap();
-    assert_eq!(sys.machine.meter.event(Event::UpcallFlush), flushes);
+    assert_eq!(
+        sys.machine.meter.payments(Term::UpcallFlushOverhead),
+        flushes
+    );
     assert_eq!(sys.world.hyper.as_ref().unwrap().engine.depth(), 0);
 }
 

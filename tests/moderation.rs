@@ -4,7 +4,7 @@
 
 use twin_kernel::RoutineId;
 use twin_net::{Frame, MacAddr};
-use twindrivers::machine::Event;
+use twindrivers::machine::{Event, Term};
 use twindrivers::{
     measure_aggregate_throughput, peer_mac, Config, Itr, ShardPolicy, System, SystemOptions,
     UpcallMode,
@@ -45,7 +45,7 @@ fn itr_zero_no_deadline_is_cycle_exact_with_the_shard_baseline() {
             a.rx_cycles_per_packet
         );
         assert_eq!(sys.machine.meter.event(Event::IrqModerated), 0);
-        assert_eq!(sys.machine.meter.event(Event::UpcallFlush), 0);
+        assert_eq!(sys.machine.meter.payments(Term::UpcallFlushOverhead), 0);
     }
 }
 
@@ -182,12 +182,12 @@ fn idle_deadline_bounds_upcall_completion_latency() {
         }
         assert!(hs.engine.flush_due_at().is_some(), "deadline armed");
     }
-    let flushes_before = sys.machine.meter.event(Event::UpcallFlush);
+    let flushes_before = sys.machine.meter.payments(Term::UpcallFlushOverhead);
     // No traffic, no burst-pass flush points: only the deadline fires.
     sys.run_idle(4 * DEADLINE).unwrap();
     let hs = sys.world.hyper.as_ref().unwrap();
     assert_eq!(hs.engine.depth(), 0, "deadline drained the ring");
-    assert!(sys.machine.meter.event(Event::UpcallFlush) > flushes_before);
+    assert!(sys.machine.meter.payments(Term::UpcallFlushOverhead) > flushes_before);
     assert!(hs.engine.flush_due_at().is_none(), "disarmed after flush");
     let lat = sys.metrics().histogram("upcall_latency");
     assert_eq!(lat.count, 4);

@@ -81,7 +81,7 @@ fn batch_demux_fans_out_to_guests_in_one_pass() {
 
     let meter = &sys.machine.meter;
     let before = [
-        meter.event(Event::Irq),
+        meter.payments(Term::IrqDispatch),
         meter.payments(Term::VirqDeliver),
         meter.payments(Term::DomainSwitch),
     ];
@@ -99,7 +99,7 @@ fn batch_demux_fans_out_to_guests_in_one_pass() {
 
     let meter = &sys.machine.meter;
     let after = [
-        meter.event(Event::Irq),
+        meter.payments(Term::IrqDispatch),
         meter.payments(Term::VirqDeliver),
         meter.payments(Term::DomainSwitch),
     ];

@@ -155,7 +155,7 @@ fn twin_fast_path_makes_no_upcalls_by_default() {
         sys.receive_one().unwrap();
     }
     assert_eq!(
-        sys.machine.meter.event(Event::Upcall),
+        sys.machine.meter.payments(Term::UpcallOverhead),
         0,
         "all ten fast-path routines are implemented in the hypervisor"
     );
@@ -173,7 +173,7 @@ fn forced_upcalls_reach_dom0_and_still_work() {
         sys.transmit_one().unwrap();
     }
     assert_eq!(sys.take_wire_frames().len(), 5, "upcalled path is correct");
-    assert!(sys.machine.meter.event(Event::Upcall) >= 5);
+    assert!(sys.machine.meter.payments(Term::UpcallOverhead) >= 5);
     assert!(
         sys.machine.meter.payments(Term::DomainSwitch) >= 10,
         "each guest-context upcall switches to dom0 and back"
@@ -303,13 +303,12 @@ fn golden(sys: &System) -> Golden {
         domains: CostDomain::ALL.map(|d| m.cycles(d)),
         now: sys.now_cycles(),
         events: [
-            Event::Irq,
-            Event::IrqModerated,
-            Event::NapiEnter,
-            Event::NapiExit,
-            Event::EarlyDrop,
-        ]
-        .map(|e| m.event(e)),
+            m.payments(Term::IrqDispatch),
+            m.event(Event::IrqModerated),
+            m.event(Event::NapiEnter),
+            m.event(Event::NapiExit),
+            m.event(Event::EarlyDrop),
+        ],
         latency: (
             lat.len(),
             lat.first().copied().unwrap_or(0),

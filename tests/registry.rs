@@ -6,33 +6,14 @@
 //! items the benchmark calls — is used once here, because `cargo test`
 //! does not build the benchmark's own workspace.
 
+mod scenarios;
+
+use scenarios::{composed, RUNS};
 use twin_machine::{CostDomain, Term};
 use twin_net::{Frame, MacAddr};
 use twin_trace::MetricSet;
 use twin_xen::{DomId, DomainKind};
-use twindrivers::{peer_mac, Config, Itr, ShardPolicy, System, SystemOptions, UpcallMode};
-
-/// Every layer whose counters the registry publishes, on at once: four
-/// NICs, zero-copy, deferred upcalls with a flush deadline (nine routines
-/// forced onto them, so the ring really fills and drains), NAPI, the
-/// `ITR` auto-tuner, the flight recorder and a second guest.
-fn composed() -> System {
-    let opts = SystemOptions {
-        num_nics: 4,
-        shard: ShardPolicy::FlowHash,
-        zero_copy: true,
-        upcall_mode: UpcallMode::Deferred,
-        upcall_count: 9,
-        upcall_flush_deadline_cycles: Some(300_000),
-        napi_weight: 16,
-        itr: Itr::Auto,
-        tracing: true,
-        ..SystemOptions::default()
-    };
-    let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
-    sys.add_guest(MacAddr::for_guest(2)).unwrap();
-    sys
-}
+use twindrivers::{peer_mac, Config, System, SystemOptions};
 
 /// A receive burst across both guests and a MAC nobody owns (a demux
 /// miss), on flows that spread over the four NICs.
@@ -230,10 +211,10 @@ fn the_benchmark_api_surface_is_usable_and_agrees_with_the_outcome() {
     }
 }
 
-/// A default build of `config` after one transmit and one receive burst
-/// of eight frames.
-fn one_burst_each_way(config: Config) -> System {
-    let mut sys = System::build(config).unwrap();
+/// A build of `config` with `opts` after one transmit and one receive
+/// burst of eight frames.
+fn one_burst_each_way(config: Config, opts: &SystemOptions) -> System {
+    let mut sys = System::build_with(config, opts).unwrap();
     assert_eq!(sys.transmit_burst(8).unwrap(), 8);
     sys.take_wire_frames();
     let frames: Vec<Frame> = (0..8)
@@ -243,26 +224,37 @@ fn one_burst_each_way(config: Config) -> System {
     sys
 }
 
-/// The registry's key set, committed: every key `System::metrics()`
-/// publishes on each configuration after one burst each way, one
-/// `<config> <key>` line each. A key appears, disappears or is renamed
-/// only with an edit of `tests/golden/metric_keys.txt`.
+/// The registry's values, committed: every counter `System::metrics()`
+/// publishes on each configuration after one burst each way, on
+/// `TwinDrivers` with nine routines forced onto synchronous upcalls, and
+/// after each of `tests/scenarios.rs`'s runs, one `<scenario> <key>
+/// <value>` line each (histograms left out). A key appears, disappears,
+/// is renamed or changes value only with an edit of
+/// `tests/golden/metrics.txt`.
 #[test]
-fn the_registry_key_set_is_the_committed_one() {
+fn the_registry_values_are_the_committed_ones() {
+    let default = SystemOptions::default();
+    let mut scenarios: Vec<(&str, System)> = Config::ALL
+        .map(|c| (c.label(), one_burst_each_way(c, &default)))
+        .into();
+    let sync_upcalls = SystemOptions {
+        upcall_count: 9,
+        ..SystemOptions::default()
+    };
+    let sys = one_burst_each_way(Config::TwinDrivers, &sync_upcalls);
+    scenarios.push(("sync_upcalls", sys));
+    scenarios.extend(RUNS.map(|(name, run)| (name, run())));
     let mut listed = String::new();
-    for config in Config::ALL {
-        let ms = one_burst_each_way(config).metrics();
-        let mut keys: Vec<&str> = ms.counters().map(|(k, _)| k).collect();
-        keys.extend(ms.histograms().map(|(k, _)| k));
-        keys.sort_unstable();
-        for key in keys {
-            listed += &format!("{} {key}\n", config.label());
+    for (scenario, sys) in &scenarios {
+        let ms = sys.metrics();
+        for (key, value) in ms.counters() {
+            listed += &format!("{scenario} {key} {value}\n");
         }
     }
-    let committed = include_str!("golden/metric_keys.txt");
+    let committed = include_str!("golden/metrics.txt");
     assert!(
         listed == committed,
-        "the registry's key set moved; published now:\n{listed}"
+        "the registry moved; published now:\n{listed}"
     );
 }
 
@@ -274,7 +266,7 @@ fn the_registry_key_set_is_the_committed_one() {
 #[test]
 fn every_fixed_cost_row_is_a_whole_number_of_payments() {
     for config in Config::ALL {
-        let sys = one_burst_each_way(config);
+        let sys = one_burst_each_way(config, &SystemOptions::default());
         let meter = &sys.machine.meter;
         for t in Term::ALL
             .into_iter()

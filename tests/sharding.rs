@@ -141,7 +141,7 @@ fn roundrobin_spreads_bursts_across_all_nics() {
 #[test]
 fn receive_shards_round_robin_with_per_device_interrupts() {
     let mut sys = sharded_system(Config::TwinDrivers, 4, ShardPolicy::RoundRobin);
-    let irqs = sys.machine.meter.event(Event::Irq);
+    let irqs = sys.machine.meter.payments(Term::IrqDispatch);
     // Four bursts land on four different NICs, one coalesced interrupt
     // each; all reach the single guest in order within each burst.
     for b in 0..4u64 {
@@ -152,7 +152,7 @@ fn receive_shards_round_robin_with_per_device_interrupts() {
     }
     assert_eq!(sys.delivered_rx(), 32);
     assert_eq!(
-        sys.machine.meter.event(Event::Irq) - irqs,
+        sys.machine.meter.payments(Term::IrqDispatch) - irqs,
         4,
         "one irq per NIC burst"
     );

@@ -7,64 +7,16 @@
 //! each kind `twin_machine::cost::row` pairs with an `Event` row was
 //! recorded exactly as often as the meter counted that row.
 
+mod scenarios;
+
+use scenarios::{aborted_poll_run, drive, overload_opts, overload_run, RUNS};
 use std::collections::{BTreeMap, BTreeSet};
-use twin_machine::{cost, Event};
-use twin_net::{Frame, MacAddr};
+use twin_machine::{cost, Event, Term};
+use twin_net::MacAddr;
 use twin_trace::export::chrome_trace_json;
 use twin_trace::{FlightRecorder, TraceEvent};
 use twin_xen::DomId;
-use twindrivers::measure::{fault_injected_source, FaultClass};
-use twindrivers::{
-    peer_mac, Config, Itr, Law, ShardPolicy, System, SystemError, SystemOptions, UpcallMode,
-};
-
-fn mk(dst: MacAddr, flow: u32, seq: u64) -> Frame {
-    Frame::data(dst, peer_mac(), flow, seq)
-}
-
-/// The livelock sweep's controlled shape, scaled down: NAPI, DRR
-/// weights, queue cap and admission watermark all active so every event
-/// family has a chance to fire.
-fn overload_opts(tracing: bool) -> SystemOptions {
-    SystemOptions {
-        num_nics: 2,
-        shard: ShardPolicy::FlowHash,
-        rx_queue_cap: Some(64),
-        napi_weight: 16,
-        rx_backlog_watermark: Some(48),
-        rx_flush_quantum: 8,
-        guest_weights: vec![(2, 64)],
-        tracing,
-        ..SystemOptions::default()
-    }
-}
-
-/// Drives an open-loop flood plus a victim trickle through `sys` and
-/// returns the count delivered — deterministic, heavy enough to enter
-/// poll mode and shed at the watermark.
-fn drive(sys: &mut System) -> u64 {
-    let flood = MacAddr::for_guest(1);
-    let victim = MacAddr::for_guest(2);
-    let mut seq = 0u64;
-    let t0 = sys.now_cycles();
-    let gap = 40_000u64;
-    for i in 0..40u64 {
-        let at = t0 + i * gap;
-        sys.rx_open_loop_service(at).unwrap();
-        let mut frames = Vec::new();
-        for _ in 0..4 {
-            frames.push(mk(victim, 900, seq));
-            seq += 1;
-        }
-        for _ in 0..80 {
-            frames.push(mk(flood, 800, seq));
-            seq += 1;
-        }
-        sys.rx_open_loop_arrival(&frames, at).unwrap();
-    }
-    sys.rx_open_loop_service(t0 + 40 * gap).unwrap();
-    sys.delivered_rx() as u64
-}
+use twindrivers::{Config, Law, System};
 
 #[test]
 fn identical_runs_produce_identical_streams() {
@@ -191,25 +143,68 @@ fn recorder_capacity_shrink_is_safe_mid_stream() {
     assert_eq!(rec.dropped(), 5);
 }
 
+/// The kinds noted where one payment of a fixed-cost row is made, and
+/// no other site pays it: each is counted by that row's payments, not by
+/// an `Event` row.
+const PAID: [(&str, Term); 7] = [
+    ("grant_cache_hit", Term::GrantCacheHit),
+    ("grant_cache_miss", Term::PinPage),
+    ("irq_delivered", Term::IrqDispatch),
+    ("napi_poll", Term::NapiPollDispatch),
+    ("upcall_completion", Term::UpcallComplete),
+    ("upcall_enqueue", Term::UpcallEnqueue),
+    ("upcall_flush", Term::UpcallFlushOverhead),
+];
+
+/// What one run's law check reached.
+#[derive(Debug, Default)]
+struct Reached {
+    /// Paired kinds recorded, with their rows.
+    rows: BTreeMap<&'static str, Event>,
+    /// Paid kinds recorded.
+    paid: BTreeSet<&'static str>,
+    /// Paired kinds recorded whose events name a domain.
+    split: BTreeSet<&'static str>,
+}
+
+impl Reached {
+    fn extend(&mut self, other: Reached) {
+        self.rows.extend(other.rows);
+        self.paid.extend(other.paid);
+        self.split.extend(other.split);
+    }
+}
+
 /// The one-vocabulary law over one run: the recorder neither overflowed
-/// nor was cleared, and every recorded kind the pairing table gives a
-/// row was recorded exactly as often as the meter counted that row.
-/// Returns the rows reached, by kind.
-fn assert_one_vocabulary(sys: &System, scenario: &str) -> BTreeMap<&'static str, Event> {
-    let rec = &sys.machine.trace;
+/// nor was cleared; every recorded kind the pairing table gives a row
+/// was recorded exactly as often as the meter counted that row, and, for
+/// the kinds that name a domain, as often per domain as the row's count
+/// for that domain; and every paid kind was recorded exactly as often as
+/// its row was paid.
+fn assert_one_vocabulary(sys: &System, scenario: &str) -> Reached {
+    let (rec, meter) = (&sys.machine.trace, &sys.machine.meter);
     assert_eq!(rec.dropped(), 0, "{scenario}: the ring overflowed");
     assert_eq!(
         rec.len() as u64,
         rec.recorded(),
         "{scenario}: the ring was cleared"
     );
-    let rows: BTreeMap<&'static str, Event> = rec
-        .records()
-        .filter_map(|r| Some((r.event.kind(), cost::row(&r.event)?)))
-        .collect();
+    let mut reached = Reached::default();
+    let mut per_domain: BTreeMap<(&'static str, u32), u64> = BTreeMap::new();
+    for r in rec.records() {
+        let Some(e) = cost::row(&r.event) else {
+            continue;
+        };
+        let kind = r.event.kind();
+        reached.rows.insert(kind, e);
+        if let Some(dom) = r.event.domain() {
+            reached.split.insert(kind);
+            *per_domain.entry((kind, dom)).or_default() += 1;
+        }
+    }
     let kinds = rec.counts_by_kind();
-    for (kind, e) in &rows {
-        let (traced, counted) = (kinds[kind], sys.machine.meter.event(*e));
+    for (kind, e) in &reached.rows {
+        let (traced, counted) = (kinds[kind], meter.event(*e));
         assert_eq!(
             traced,
             counted,
@@ -217,130 +212,30 @@ fn assert_one_vocabulary(sys: &System, scenario: &str) -> BTreeMap<&'static str,
             e.name()
         );
     }
-    rows
-}
-
-/// `tests/registry.rs`'s composition: four NICs, zero-copy, deferred
-/// upcalls with a flush deadline, NAPI and the ITR auto-tuner, driven
-/// both ways and idled past the deadline.
-fn composed_run() -> System {
-    let opts = SystemOptions {
-        num_nics: 4,
-        shard: ShardPolicy::FlowHash,
-        zero_copy: true,
-        upcall_mode: UpcallMode::Deferred,
-        upcall_count: 9,
-        upcall_flush_deadline_cycles: Some(300_000),
-        napi_weight: 16,
-        itr: Itr::Auto,
-        tracing: true,
-        ..SystemOptions::default()
-    };
-    let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
-    sys.add_guest(MacAddr::for_guest(2)).unwrap();
-    for round in 0..4u64 {
-        sys.transmit_burst(32).unwrap();
-        sys.take_wire_frames();
-        let frames: Vec<Frame> = (0..32u64)
-            .map(|i| {
-                mk(
-                    MacAddr::for_guest(1 + (i % 2) as u32),
-                    (i % 11) as u32,
-                    round * 32 + i,
-                )
-            })
-            .collect();
-        sys.receive_burst(&frames).unwrap();
-        sys.run_idle(400_000).unwrap();
+    for ((kind, dom), traced) in per_domain {
+        let e = reached.rows[kind];
+        let counted = meter.event_for(e, dom);
+        assert_eq!(
+            traced,
+            counted,
+            "{scenario}: {kind} of domain {dom} trace {traced} != {} event {counted}",
+            e.name()
+        );
     }
-    sys
-}
-
-/// Zero-copy receive on more flows than the grant cache holds pool
-/// pages for, so its LRU evicts.
-fn churn_run() -> System {
-    let opts = SystemOptions {
-        zero_copy: true,
-        tracing: true,
-        ..SystemOptions::default()
-    };
-    let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
-    for flow in 0..140u32 {
-        let frames: Vec<Frame> = (0..32u64)
-            .map(|s| mk(MacAddr::for_guest(1), flow, u64::from(flow) * 32 + s))
-            .collect();
-        sys.receive_burst(&frames).unwrap();
+    for (kind, t) in PAID {
+        let traced = kinds.get(kind).copied().unwrap_or(0);
+        let paid = meter.payments(t);
+        assert_eq!(
+            traced,
+            paid,
+            "{scenario}: {kind} trace {traced} != {} payments {paid}",
+            t.name()
+        );
+        if traced > 0 {
+            reached.paid.insert(kind);
+        }
     }
-    sys
-}
-
-/// The scheduler model with the affinity shard policy: a guest whose
-/// vCPU runs and sleeps while its flow is placed.
-fn affinity_run() -> System {
-    let opts = SystemOptions {
-        num_nics: 4,
-        shard: ShardPolicy::Affinity,
-        tracing: true,
-        ..SystemOptions::default()
-    };
-    let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
-    sys.sched_add_vcpu(DomId(1), 1, 100_000, 200_000).unwrap();
-    for round in 0..4u64 {
-        let frames: Vec<Frame> = (0..8)
-            .map(|s| mk(MacAddr::for_guest(1), 900, round * 8 + s))
-            .collect();
-        sys.receive_burst(&frames).unwrap();
-        sys.run_idle(150_000).unwrap();
-    }
-    sys
-}
-
-/// `tests/fault.rs`'s `abort_closes_the_napi_poll_span_and_recovery_rearms_the_irq`,
-/// traced: a wild write aborts a NAPI poll pass, and the next burst
-/// recovers the device.
-fn aborted_poll_run() -> System {
-    let opts = SystemOptions {
-        driver_source: Some(fault_injected_source(FaultClass::WildWrite)),
-        num_nics: 1,
-        napi_weight: 8,
-        tracing: true,
-        ..SystemOptions::default()
-    };
-    let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
-    let frames = |from: u64, n: u64| -> Vec<Frame> {
-        (from..from + n)
-            .map(|s| mk(MacAddr::for_guest(1), 7, s))
-            .collect()
-    };
-    let now = sys.now_cycles();
-    sys.rx_open_loop_arrival(&frames(0, 4), now).unwrap();
-    assert!(sys.in_poll_mode(0), "first irq enters poll mode");
-    sys.arm_driver_fault(FaultClass::WildWrite.arm_value(0))
-        .unwrap();
-    let until = sys.now_cycles() + 600_000;
-    match sys.rx_open_loop_service(until) {
-        Err(SystemError::DriverAborted(_)) => {}
-        other => panic!("expected abort inside the poll pass, got {other:?}"),
-    }
-    assert_eq!(sys.receive_burst(&frames(4, 8)).unwrap(), 8);
-    assert_eq!(sys.recovery_log().len(), 1);
-    sys
-}
-
-/// An open-loop flood, interrupt-driven, with the watermark above the
-/// queue cap: each arrival is reaped into the queue and flushed only at
-/// service, so the flood both sheds at admission and overflows its demux
-/// queue.
-fn overload_run() -> System {
-    let opts = SystemOptions {
-        napi_weight: 0,
-        rx_backlog_watermark: Some(72),
-        ..overload_opts(true)
-    };
-    let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
-    sys.add_guest(MacAddr::for_guest(2)).unwrap();
-    drive(&mut sys);
-    sys
+    reached
 }
 
 /// Regression: an aborted NAPI poll pass was counted before the driver
@@ -349,8 +244,8 @@ fn overload_run() -> System {
 #[test]
 fn an_aborted_poll_pass_is_counted_and_traced_once() {
     let sys = aborted_poll_run();
-    let rows = assert_one_vocabulary(&sys, "aborted poll");
-    assert_eq!(rows.get("napi_poll"), Some(&Event::NapiPoll));
+    let reached = assert_one_vocabulary(&sys, "aborted_poll");
+    assert!(reached.paid.contains("napi_poll"));
     // The pass is noted after the abort's accounting, having reaped
     // nothing.
     let events: Vec<&TraceEvent> = sys.machine.trace.records().map(|r| &r.event).collect();
@@ -365,23 +260,45 @@ fn an_aborted_poll_pass_is_counted_and_traced_once() {
 }
 
 /// The law over five scenarios that together reach every paired row,
-/// each onto a row of its own.
+/// each onto a row of its own, every paid kind, and every paired kind
+/// that names a domain on the domain it names.
 #[test]
 fn every_paired_kind_is_recorded_as_often_as_its_row_is_counted() {
-    let mut reached = BTreeMap::new();
-    for (scenario, run) in [
-        ("composed", composed_run as fn() -> System),
-        ("churn", churn_run),
-        ("overload", overload_run),
-        ("affinity", affinity_run),
-        ("aborted poll", aborted_poll_run),
-    ] {
+    let mut reached = Reached::default();
+    for (scenario, run) in RUNS {
         reached.extend(assert_one_vocabulary(&run(), scenario));
     }
-    let rows: BTreeSet<Event> = reached.values().copied().collect();
+    let rows: BTreeSet<Event> = reached.rows.values().copied().collect();
     assert_eq!(
-        (reached.len(), rows.len()),
-        (20, 20),
+        (reached.rows.len(), rows.len()),
+        (13, 13),
         "every pair reached, onto distinct rows: {reached:?}"
+    );
+    assert_eq!(
+        reached.paid.len(),
+        PAID.len(),
+        "every paid kind: {reached:?}"
+    );
+    let split = [
+        "affinity_place",
+        "early_drop",
+        "grant_cache_evict",
+        "queue_cap_drop",
+        "vcpu_run",
+        "vcpu_sleep",
+    ];
+    assert_eq!(reached.split, BTreeSet::from(split));
+}
+
+/// An admission drop is one payment of its row, and the meter counts it
+/// once more, per guest, as its `Event` row: the two agree.
+#[test]
+fn an_early_drop_is_one_payment_of_its_row() {
+    let sys = overload_run();
+    let meter = &sys.machine.meter;
+    assert!(meter.event(Event::EarlyDrop) > 0, "the flood sheds");
+    assert_eq!(
+        meter.payments(Term::EarlyDrop),
+        meter.event(Event::EarlyDrop)
     );
 }

@@ -28,8 +28,8 @@ fn sync_is_the_default_and_deferred_idles_without_forced_upcalls() {
     assert_eq!(bs.per_domain, bd.per_domain, "cycle-exact with engine off");
     let (sync, defer) = (sync.outcome(), defer.outcome());
     sync.check(&defer, Law::BitExact).unwrap();
-    assert_eq!(defer.event(Event::UpcallFlush), 0);
-    assert_eq!(defer.event(Event::UpcallEnqueue), 0);
+    assert_eq!(defer.metrics.counter("event.upcall_flush"), 0);
+    assert_eq!(defer.metrics.counter("event.upcall_enqueue"), 0);
     // And the default options really are sync mode.
     assert_eq!(SystemOptions::default().upcall_mode, UpcallMode::Sync);
 }
@@ -55,7 +55,7 @@ fn deferred_traffic_is_equivalent_to_sync_at_full_forcing() {
     assert_eq!(defer.world.hyper.as_ref().unwrap().engine.depth(), 0);
     let (sync, defer) = (sync.outcome(), defer.outcome());
     sync.check(&defer, Law::SameTraffic).unwrap();
-    assert!(defer.event(Event::UpcallFlush) > 0);
+    assert!(defer.metrics.counter("event.upcall_flush") > 0);
 }
 
 #[test]
@@ -80,7 +80,7 @@ fn deferred_amortizes_switches_per_flush_not_per_call() {
         defer_switches * 4 < sync_switches,
         "switches {defer_switches} vs {sync_switches}"
     );
-    assert!(defer.machine.meter.event(Event::UpcallFlush) > 0);
+    assert!(defer.machine.meter.payments(Term::UpcallFlushOverhead) > 0);
 }
 
 #[test]
@@ -89,7 +89,7 @@ fn completions_of_the_same_routine_stay_fifo() {
     // Drive a burst so the driver's own frees/unmaps queue and flush.
     assert_eq!(sys.transmit_burst(16).unwrap(), 16);
     assert_eq!(sys.transmit_burst(16).unwrap(), 16);
-    assert!(sys.machine.meter.event(Event::UpcallExec) > 0);
+    assert!(sys.machine.meter.payments(Term::UpcallComplete) > 0);
     // Enqueue several calls of one routine directly and flush once:
     // completions must come back in enqueue order (FIFO), matched by
     // monotonically increasing continuation ids.
@@ -152,8 +152,8 @@ fn queue_overflow_forces_a_flush_and_loses_nothing() {
     );
     assert_eq!(hs.engine.depth(), 0, "end-of-pass flush drains the rest");
     assert_eq!(
-        meter.event(Event::UpcallExec),
-        meter.event(Event::UpcallEnqueue),
+        meter.payments(Term::UpcallComplete),
+        meter.payments(Term::UpcallEnqueue),
         "every queued upcall completed"
     );
 }
@@ -220,12 +220,12 @@ fn polled_rx_flushes_deferred_upcalls() {
     assert_eq!(sys.delivered_rx(), 0, "nothing reaped at the interrupt");
     sys.rx_open_loop_service(now + 1_000_000).unwrap();
     assert_eq!(
-        sys.machine.meter.event(Event::NapiPoll),
+        sys.machine.meter.payments(Term::NapiPollDispatch),
         1,
         "one polled pass"
     );
     assert_eq!(sys.delivered_rx(), 8);
     let hs = sys.world.hyper.as_ref().unwrap();
     assert_eq!(hs.engine.depth(), 0, "polled pass drained the ring");
-    assert!(sys.machine.meter.event(Event::UpcallFlush) > 0);
+    assert!(sys.machine.meter.payments(Term::UpcallFlushOverhead) > 0);
 }

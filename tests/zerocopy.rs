@@ -92,7 +92,7 @@ fn zero_copy_off_is_cycle_exact_with_the_shard_baseline() {
         );
         let cache = sys.metrics().counters_with_prefix("grantcache.").count();
         assert_eq!(cache, 0, "no cache when off");
-        assert_eq!(sys.machine.meter.event(Event::GrantCacheHit), 0);
+        assert_eq!(sys.machine.meter.payments(Term::GrantCacheHit), 0);
         assert_eq!(sys.machine.meter.payments(Term::CopyFallback), 0);
     }
 }
@@ -113,12 +113,12 @@ fn warm_pool_pays_no_per_packet_grant_traffic_and_beats_copy_mode() {
     assert_eq!(warm.counter("event.grant_unmap"), 0);
     assert_eq!(warm.counter("event.copy_fallback"), 0);
     assert!(
-        w.breakdown.event(Event::GrantCacheHit) >= 64,
+        w.breakdown.event("grant_cache_hit") >= 64,
         "every measured packet lands through the cache"
     );
     let meter = &on.machine.meter;
     assert!(
-        meter.event(Event::PinPage) > 0,
+        meter.payments(Term::PinPage) > 0,
         "the priming pass faulted the pool in"
     );
     assert_eq!(
@@ -159,7 +159,7 @@ fn ungranted_guest_falls_back_to_copies_until_granted() {
         fallbacks,
         "granted guest takes the zero-copy path"
     );
-    assert!(sys.machine.meter.event(Event::GrantCacheHit) > 0);
+    assert!(sys.machine.meter.payments(Term::GrantCacheHit) > 0);
 }
 
 #[test]
@@ -174,7 +174,7 @@ fn exhausted_pool_slice_falls_back() {
         .collect();
     assert_eq!(sys.receive_burst(&burst).unwrap(), burst.len());
     assert_eq!(
-        sys.machine.meter.event(Event::PinPage),
+        sys.machine.meter.payments(Term::PinPage),
         ZC_POOL_FRAMES as u64,
         "each slot maps once"
     );
@@ -193,7 +193,7 @@ fn revocation_quarantines_cached_grants() {
     for seq in 0..4 {
         sys.receive_frame(&frame_to(mac1, 42, seq)).unwrap();
     }
-    assert!(sys.machine.meter.event(Event::PinPage) > 0, "pool warmed");
+    assert!(sys.machine.meter.payments(Term::PinPage) > 0, "pool warmed");
     let unmaps_before = sys.machine.meter.payments(Term::GrantUnmap);
     let revoked = sys.revoke_zero_copy_grants(gid).unwrap();
     assert!(revoked > 0, "live mappings were torn down");
