@@ -472,7 +472,7 @@ impl Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twindrivers::trace::TraceEvent;
+    use twindrivers::trace::{Fate, TraceEvent};
 
     #[test]
     fn reference_tables_consistent() {
@@ -571,7 +571,11 @@ mod tests {
         assert!(traced(&trace), "a recorder that is off claims nothing");
         trace.set_enabled(true);
         assert!(!traced(&trace), "an empty recorder lacks the kind");
-        trace.record(7, "Xen", TraceEvent::EarlyDrop { guest: 1 });
+        let drop = TraceEvent::FrameDrop {
+            fate: Fate::EarlyDrop,
+            guest: Some(1),
+        };
+        trace.record(7, "Xen", drop);
         assert!(traced(&trace));
     }
 

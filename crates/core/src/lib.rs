@@ -160,6 +160,11 @@
 //! # }
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod iommu;
 pub mod measure;
 pub mod outcome;

@@ -849,7 +849,7 @@ pub fn measure_rx_livelock(
     let (flood, victims): (Vec<_>, Vec<_>) = guests
         .map(|d| (d.id, d.mac))
         .partition(|g| g.0 == flood_gid);
-    let flood = *flood.first().expect("primary guest present");
+    let flood = *flood.first().ok_or_else(no_guest)?;
     sys.track_guest_latency();
     warm_rx_rings(sys)?;
     sys.drain_moderated()?;
@@ -1263,10 +1263,16 @@ pub fn balanced_flow_set(num_nics: u32, flows_per_nic: usize) -> Vec<u32> {
 
 /// The first flow id from `from` up that [`ShardPolicy::FlowHash`] maps
 /// to `dev` among `nics` devices.
-pub fn flow_for_dev(dev: u32, nics: u32, from: u32) -> u32 {
-    (from..)
-        .find(|&f| ShardPolicy::flow_hash_dev(f, nics) == dev)
-        .expect("some flow hashes to every device")
+///
+/// # Errors
+///
+/// [`SystemError::Build`] when no flow id from `from` up maps there
+/// (`dev` is not below `nics`).
+pub fn flow_for_dev(dev: u32, nics: u32, from: u32) -> Result<u32, SystemError> {
+    let hashed_to_dev = |&f: &u32| ShardPolicy::flow_hash_dev(f, nics) == dev;
+    let found = (dev < nics.max(1)).then(|| (from..=u32::MAX).find(hashed_to_dev));
+    let none = || SystemError::Build(format!("no flow hashes to device {dev} of {nics}"));
+    found.flatten().ok_or_else(none)
 }
 
 /// Measures one fault-recovery episode set: identical closed-loop
@@ -1299,8 +1305,10 @@ pub fn measure_fault_recovery(
 ) -> Result<FaultPoint, SystemError> {
     let nics = sys.nic_count() as u32;
     let mut seqs: Vec<u64> = vec![0; nics as usize];
+    let flows = (0..nics).map(|d| flow_for_dev(d, nics, 0x5000));
+    let flows = flows.collect::<Result<Vec<u32>, _>>()?;
     let mut frames_for = |d: u32| -> Vec<Frame> {
-        let flow = flow_for_dev(d, nics, 0x5000);
+        let flow = flows[d as usize];
         let seq = &mut seqs[d as usize];
         (0..burst)
             .map(|_| {

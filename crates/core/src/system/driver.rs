@@ -5,7 +5,7 @@
 use super::{Datapath, DriverOp, QuarantineEpisode, RecoveryReport, System, SystemError, World};
 use twin_kernel::{call_function, e1000, RoutineId, SkBuff};
 use twin_machine::{CostDomain, Cpu, Event, ExecMode, SpaceId, PAGE_SIZE};
-use twin_trace::{FlushCause, TraceEvent};
+use twin_trace::{Fate, FlushCause, TraceEvent};
 use twin_xen::{DomId, UPCALL_STACK_BASE, UPCALL_STACK_PAGES};
 
 impl System {
@@ -238,7 +238,10 @@ impl System {
         let lost = (before - self.rx_inflight.len()) as u32;
         dropped += lost;
         for _ in 0..lost {
-            self.machine.meter.count_event(Event::InflightLost);
+            self.machine.note(TraceEvent::FrameDrop {
+                fate: Fate::InflightLost,
+                guest: None,
+            });
         }
         // 3. Ring-held skbs: the reset re-probes the adapter slot and
         // re-fills both rings, so buffers the old rings hold must go

@@ -4,9 +4,9 @@
 
 use super::{System, SystemError, ZcOccupancy, ZC_POOL_BASE, ZC_POOL_FRAMES, ZC_SLOT_BYTES};
 use crate::iommu::runs;
-use twin_machine::{CostDomain, Event, ExecMode, Term, PAGE_SIZE};
+use twin_machine::{CostDomain, ExecMode, Term, PAGE_SIZE};
 use twin_net::Frame;
-use twin_trace::TraceEvent;
+use twin_trace::{Fate, TraceEvent};
 use twin_xen::{DomId, GrantAccess};
 
 /// Receive-stack cost of one delivered frame: the first of a wakeup pays
@@ -33,7 +33,10 @@ impl System {
         let mut zc_occ = ZcOccupancy::default();
         for f in frames {
             let Some(gid) = self.world.xen_mut()?.guest_by_mac(f.dst) else {
-                self.machine.meter.count_event(Event::DemuxMiss);
+                self.machine.note(TraceEvent::FrameDrop {
+                    fate: Fate::DemuxMiss,
+                    guest: None,
+                });
                 continue;
             };
             let first = !woken.contains(&gid);
@@ -314,17 +317,14 @@ impl System {
             return Ok(false);
         }
         let slot = occ.entry((dom.0, flow)).or_insert(0);
-        if !self.zc_granted(dom) || len > ZC_SLOT_BYTES || *slot >= ZC_POOL_FRAMES {
+        let fits = self.zc_granted(dom) && len <= ZC_SLOT_BYTES && *slot < ZC_POOL_FRAMES;
+        let Some(cache) = self.grant_cache.as_mut().filter(|_| fits) else {
             self.machine.pay_to(CostDomain::Xen, Term::CopyFallback);
             return Ok(false);
-        }
+        };
         let page = (u64::from(tx) << 48) | (u64::from(flow) << 16) | *slot as u64;
         *slot += 1;
-        let access = self
-            .grant_cache
-            .as_mut()
-            .expect("granted domains imply a cache")
-            .access(dom.0, page);
+        let access = cache.access(dom.0, page);
         match access {
             GrantAccess::Hit => {
                 self.machine.pay_to(CostDomain::Xen, Term::GrantCacheHit);

@@ -6,7 +6,7 @@
 use super::{peer_mac, Datapath, DriverOp, Itr, OnIrq, Overrun, System, SystemError};
 use twin_machine::{CostDomain, Event, IntSet, Term};
 use twin_net::{EtherType, Frame, MacAddr, MTU};
-use twin_trace::{FlushCause, TraceEvent};
+use twin_trace::{Fate, FlushCause, TraceEvent};
 use twin_xen::{DomId, DomainKind, Softirq};
 
 impl System {
@@ -445,7 +445,10 @@ impl System {
             };
             if slot.2 >= wm {
                 machine.pay_to(CostDomain::Xen, Term::EarlyDrop);
-                machine.note(TraceEvent::EarlyDrop { guest: slot.1 });
+                machine.note(TraceEvent::FrameDrop {
+                    fate: Fate::EarlyDrop,
+                    guest: Some(slot.1),
+                });
                 false
             } else {
                 slot.2 += 1;

@@ -5,7 +5,7 @@ use super::{
     peer_mac, Datapath, DriverOp, Endpoint, System, SystemError, World, ZcOccupancy, MAX_BURST,
 };
 use twin_kernel::{Dom0Kernel, RoutineId, SkBuff};
-use twin_machine::{CostDomain, ExecMode, Machine, Term};
+use twin_machine::{CostDomain, ExecMode, Fault, Machine, Term};
 use twin_net::{EtherType, Frame, MacAddr, MTU};
 use twin_xen::{DomId, HyperSupport, Xen};
 
@@ -286,11 +286,9 @@ impl System {
         ) -> Result<(), SystemError> {
             hs.resume_continuation(machine, kernel, xen)?;
             for id in pending.drain(..) {
-                let done = hs
-                    .engine
-                    .take_completion(id)
-                    .expect("flush posts every allocation completion");
-                ptrs.push(done.ret);
+                let lost =
+                    || Fault::EnvFault(format!("allocation upcall {id} posted no completion"));
+                ptrs.push(hs.engine.take_completion(id).ok_or_else(lost)?.ret);
             }
             Ok(())
         }

@@ -9,6 +9,7 @@ use std::collections::BTreeMap;
 use twin_machine::{CostDomain, Cpu, ExecMode, Fault, Machine, SpaceId, Term, PAGE_SIZE};
 use twin_net::Frame;
 use twin_nic::MMIO_WINDOW;
+use twin_trace::{Fate, TraceEvent};
 
 /// Virtual address in dom0 where NIC MMIO windows are mapped
 /// (`ioremap` hands out `MMIO_BASE + dev * MMIO_WINDOW`).
@@ -289,7 +290,7 @@ impl Dom0Kernel {
     /// machine's flight recorder.
     pub fn record_call(&mut self, id: RoutineId, m: &mut Machine) {
         self.trace.record(id.name());
-        m.note(twin_trace::TraceEvent::KernelCall {
+        m.note(TraceEvent::KernelCall {
             routine: id.name(),
             phase: self.trace.phase,
         });
@@ -338,8 +339,12 @@ impl Dom0Kernel {
                 self.stack_burst += 1;
                 let skb = SkBuff(cpu.arg(m, 0)? as u64);
                 if skb.0 != 0 {
-                    if let Some(f) = skb.parse_frame(m, self.space)? {
-                        self.rx_delivered.push(f);
+                    match skb.parse_frame(m, self.space)? {
+                        Some(f) => self.rx_delivered.push(f),
+                        None => m.note(TraceEvent::FrameDrop {
+                            fate: Fate::Malformed,
+                            guest: None,
+                        }),
                     }
                     self.free_skb(m, skb)?;
                 }
@@ -595,6 +600,33 @@ impl Dom0Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twin_machine::Event;
+    use twin_net::MacAddr;
+
+    /// An skb shorter than an Ethernet header is no frame: dom0's
+    /// `netif_rx` returns it to its pool, delivers nothing, and notes
+    /// one `malformed` death.
+    #[test]
+    fn netif_rx_counts_a_malformed_skb() {
+        let mut m = Machine::new();
+        m.trace.set_enabled(true);
+        let s = m.new_space();
+        let mut k = Dom0Kernel::new(&mut m, s, 4).unwrap();
+        let skb = k.pool.alloc(&mut m, s).unwrap();
+        let f = Frame::data(MacAddr::for_guest(1), MacAddr::for_guest(9), 2, 7);
+        skb.fill_from_frame(&mut m, s, &f).unwrap();
+        skb.set_len(&mut m, s, 13).unwrap();
+        let stack = 0x3f00_0000;
+        m.map_fresh(s, stack, 1).unwrap();
+        let mut cpu = Cpu::new(s, ExecMode::Guest);
+        cpu.set_stack(stack + 4096);
+        cpu.push_call_frame(&mut m, &[skb.0 as u32]).unwrap();
+        k.routine(RoutineId::NETIF_RX, &mut m, &mut cpu).unwrap();
+        assert_eq!(k.pool.available(), 4, "the skb is back in its pool");
+        assert!(k.rx_delivered.is_empty());
+        assert_eq!(m.meter.event(Event::Malformed), 1);
+        assert_eq!(m.trace.counts_by_kind().get("malformed"), Some(&1));
+    }
 
     #[test]
     fn timers_fire_in_order() {

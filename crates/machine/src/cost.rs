@@ -23,7 +23,7 @@
 
 use std::fmt;
 use std::ops::Index;
-use twin_trace::TraceEvent;
+use twin_trace::{Fate, TraceEvent};
 
 /// Attribution category for cycle charges (the four bars of Fig. 7/8).
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -356,6 +356,8 @@ closed_table! {
         IrqModerationOverride: "irq_moderation_override",
         /// The ITR tuner reprogrammed the throttling register.
         ItrRetune: "itr_retune",
+        /// A frame handed up too short to parse.
+        Malformed: "malformed",
         /// A device switched from interrupt to poll mode.
         NapiEnter: "napi_enter",
         /// A device switched from poll back to interrupt mode.
@@ -401,8 +403,13 @@ pub fn row(e: &TraceEvent) -> Option<Event> {
         T::NapiEnter { .. } => Event::NapiEnter,
         T::NapiComplete { .. } => Event::NapiExit,
         T::ItrRetune { .. } => Event::ItrRetune,
-        T::EarlyDrop { .. } => Event::EarlyDrop,
-        T::QueueCapDrop { .. } => Event::RxQueueDrop,
+        T::FrameDrop { fate, .. } => match fate {
+            Fate::EarlyDrop => Event::EarlyDrop,
+            Fate::QueueCap => Event::RxQueueDrop,
+            Fate::DemuxMiss => Event::DemuxMiss,
+            Fate::InflightLost => Event::InflightLost,
+            Fate::Malformed => Event::Malformed,
+        },
         T::GrantCacheEvict { .. } => Event::GrantCacheEvict,
         T::FaultDetected { .. } => Event::DriverAbort,
         T::QuarantineEnter { .. } => Event::QuarantineEnter,
@@ -693,7 +700,7 @@ mod tests {
 
     #[test]
     fn the_event_table_is_closed() {
-        assert_eq!(Event::COUNT, 24, "a payment is no Event row");
+        assert_eq!(Event::COUNT, 25, "a payment is no Event row");
         assert_eq!(Event::ALL.len(), Event::COUNT);
         for (i, e) in Event::ALL.into_iter().enumerate() {
             assert_eq!(e as usize, i);

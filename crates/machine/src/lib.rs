@@ -745,7 +745,7 @@ fn ram_paddr(t: &space::Translation, addr: u64) -> Result<u64, Fault> {
 mod tests {
     use super::*;
     use twin_isa::Width;
-    use twin_trace::TraceEvent;
+    use twin_trace::{Fate, TraceEvent};
 
     #[test]
     fn a_note_counts_its_row_and_records_only_while_tracing() {
@@ -760,14 +760,18 @@ mod tests {
         m.trace.set_enabled(true);
         m.pay_to(CostDomain::Xen, Term::Hypercall);
         m.meter.push_domain(CostDomain::Driver);
-        m.note(TraceEvent::EarlyDrop { guest: 2 });
+        let drop = TraceEvent::FrameDrop {
+            fate: Fate::EarlyDrop,
+            guest: Some(2),
+        };
+        m.note(drop.clone());
         m.meter.pop_domain();
         assert_eq!(m.meter.event(Event::EarlyDrop), 1);
         assert_eq!(m.meter.event_for(Event::EarlyDrop, 2), 1, "guest 2's");
         assert_eq!(m.meter.now(), 700, "noting charges nothing");
         let r = m.trace.records().next().unwrap();
         assert_eq!((r.at, r.domain), (700, "e1000"));
-        assert_eq!(r.event, TraceEvent::EarlyDrop { guest: 2 });
+        assert_eq!(r.event, drop);
     }
 
     #[test]

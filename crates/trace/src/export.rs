@@ -107,9 +107,10 @@ fn event_args(ev: &TraceEvent) -> String {
             deficit,
             granted,
         } => format!("{{\"guest\": {guest}, \"deficit\": {deficit}, \"granted\": {granted}}}"),
-        TraceEvent::EarlyDrop { guest } | TraceEvent::QueueCapDrop { guest } => {
-            format!("{{\"guest\": {guest}}}")
-        }
+        TraceEvent::FrameDrop {
+            guest: Some(guest), ..
+        } => format!("{{\"guest\": {guest}}}"),
+        TraceEvent::FrameDrop { guest: None, .. } => "{}".into(),
         TraceEvent::UpcallFlush { cause, drained } => format!(
             "{{\"cause\": \"{}\", \"drained\": {drained}}}",
             cause.label()
@@ -314,14 +315,21 @@ pub fn write_trace_files(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TraceEvent;
+    use crate::{Fate, TraceEvent};
+
+    fn early_drop(guest: u32) -> TraceEvent {
+        TraceEvent::FrameDrop {
+            fate: Fate::EarlyDrop,
+            guest: Some(guest),
+        }
+    }
 
     fn sample_recorder() -> FlightRecorder {
         let mut r = FlightRecorder::new();
         r.set_enabled(true);
         r.record(3_000, "e1000", TraceEvent::NapiEnter { dev: 0 });
         r.record(4_500, "e1000", TraceEvent::NapiPoll { dev: 0, reaped: 8 });
-        r.record(6_000, "Xen", TraceEvent::EarlyDrop { guest: 2 });
+        r.record(6_000, "Xen", early_drop(2));
         r.record(9_000, "e1000", TraceEvent::NapiComplete { dev: 0 });
         r.record(
             9_100,
@@ -365,7 +373,7 @@ mod tests {
         let mut r = FlightRecorder::new();
         r.set_enabled(true);
         r.record(3_000, "e1000", TraceEvent::NapiEnter { dev: 0 });
-        r.record(12_000, "Xen", TraceEvent::EarlyDrop { guest: 1 });
+        r.record(12_000, "Xen", early_drop(1));
         let j = chrome_trace_json(&r);
         assert!(j.contains("\"open\": true"));
         assert!(j.contains("\"dur\": 3.000"));

@@ -13,7 +13,7 @@
 //!   never charges a cycle, so enabling tracing perturbs no committed
 //!   baseline (the props suite proves traced ≡ untraced bit-exact).
 //! * [`MetricSet`] — the unified snapshot/delta registry the sweeps and
-//!   `twin-top` consume: flat counters plus nearest-rank histogram
+//!   the benchmark consume: flat counters plus nearest-rank histogram
 //!   summaries (built on [`SampleReservoir`], which lives here so every
 //!   layer shares one reservoir implementation).
 //! * [`export`] — a chrome://tracing JSON exporter (one track per cost
@@ -74,6 +74,36 @@ impl FlushCause {
     }
 }
 
+/// Where a frame died. Every death is one [`TraceEvent::FrameDrop`]
+/// naming its fate; the fate's label is the event's kind.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Fate {
+    /// Shed at the admission watermark, before any ring or reap work.
+    EarlyDrop,
+    /// Dropped at the guest's demux queue cap — after the reap, i.e.
+    /// the livelock waste.
+    QueueCap,
+    /// Its destination MAC matched no guest.
+    DemuxMiss,
+    /// In flight on a device whose rings a fault teardown discarded.
+    InflightLost,
+    /// The driver handed up an skb too short to parse as a frame.
+    Malformed,
+}
+
+impl Fate {
+    /// Stable label: the [`TraceEvent::kind`] of a death of this fate.
+    pub fn label(self) -> &'static str {
+        match self {
+            Fate::EarlyDrop => "early_drop",
+            Fate::QueueCap => "queue_cap_drop",
+            Fate::DemuxMiss => "demux_miss",
+            Fate::InflightLost => "inflight_lost",
+            Fate::Malformed => "malformed",
+        }
+    }
+}
+
 /// One typed flight-recorder event. Fields are the values an observer
 /// needs to reconstruct *why* the transition happened — not a replay log.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -129,17 +159,12 @@ pub enum TraceEvent {
         /// Frames actually flushed to the guest.
         granted: u32,
     },
-    /// A frame for `guest` was shed at the admission watermark, before
-    /// any ring or reap work.
-    EarlyDrop {
-        /// Guest domain id.
-        guest: u32,
-    },
-    /// A frame for `guest` was dropped at its demux queue cap — after
-    /// the reap, i.e. the livelock waste.
-    QueueCapDrop {
-        /// Guest domain id.
-        guest: u32,
+    /// A frame died.
+    FrameDrop {
+        /// Where.
+        fate: Fate,
+        /// The guest it was bound for, when one is known.
+        guest: Option<u32>,
     },
     /// A dom0 call was saved into the deferred-upcall ring.
     UpcallEnqueue {
@@ -292,8 +317,7 @@ impl TraceEvent {
             TraceEvent::NapiComplete { .. } => "napi_complete",
             TraceEvent::ItrRetune { .. } => "itr_retune",
             TraceEvent::DrrGrant { .. } => "drr_grant",
-            TraceEvent::EarlyDrop { .. } => "early_drop",
-            TraceEvent::QueueCapDrop { .. } => "queue_cap_drop",
+            TraceEvent::FrameDrop { fate, .. } => fate.label(),
             TraceEvent::UpcallEnqueue { .. } => "upcall_enqueue",
             TraceEvent::UpcallFlush { .. } => "upcall_flush",
             TraceEvent::UpcallCompletion { .. } => "upcall_completion",
@@ -321,7 +345,7 @@ impl TraceEvent {
     pub fn domain(&self) -> Option<u32> {
         use TraceEvent as T;
         match *self {
-            T::EarlyDrop { guest } | T::QueueCapDrop { guest } => Some(guest),
+            T::FrameDrop { guest, .. } => guest,
             T::DrrGrant { guest, .. } | T::AffinityPlace { guest, .. } => Some(guest),
             T::VcpuRun { guest, .. } | T::VcpuSleep { guest, .. } => Some(guest),
             T::GrantCacheHit { dom, .. } | T::GrantCacheMiss { dom, .. } => Some(dom),
@@ -803,7 +827,14 @@ mod tests {
         r.set_enabled(true);
         r.record(1, "Xen", ev(0));
         r.record(2, "Xen", ev(1));
-        r.record(3, "Xen", TraceEvent::EarlyDrop { guest: 2 });
+        r.record(
+            3,
+            "Xen",
+            TraceEvent::FrameDrop {
+                fate: Fate::EarlyDrop,
+                guest: Some(2),
+            },
+        );
         let c = r.counts_by_kind();
         assert_eq!(c.get("irq_delivered"), Some(&2));
         assert_eq!(c.get("early_drop"), Some(&1));

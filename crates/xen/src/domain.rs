@@ -72,7 +72,7 @@ impl Domain {
 
     /// Queues one demultiplexed frame toward this guest, honouring the
     /// backlog cap. Returns `false` when the frame was dropped at the
-    /// cap, which the caller notes as the guest's `QueueCapDrop` (it
+    /// cap, which the caller notes as a `Fate::QueueCap` death (it
     /// charges nothing extra: the work wasted on a capped frame was
     /// already spent reaping it).
     pub fn queue_rx(&mut self, frame: Frame) -> bool {

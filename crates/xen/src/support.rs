@@ -34,7 +34,7 @@ use twin_kernel::{DeferClass, Dom0Kernel, FastPath, RoutineId, SkBuff, Usage, RO
 use twin_machine::{CostDomain, Cpu, Event, ExecMode, Fault, Machine, Term, PAGE_SIZE};
 use twin_rewriter::SvmHelper;
 use twin_svm::Svm;
-use twin_trace::{FlushCause, TraceEvent};
+use twin_trace::{Fate, FlushCause, TraceEvent};
 
 /// Runs one of the three SVM helpers the rewriter emits calls to against
 /// `svm`, the calling driver instance's table (paper §5.1.2: the VM
@@ -76,9 +76,9 @@ pub const UPCALL_PORT: u32 = 31;
 
 /// Hypervisor support state: which routines are forced to upcall and
 /// the deferred-upcall engine. What it does is counted on the meter:
-/// upcalls executed in dom0 are the `Upcall` (synchronous) plus
-/// `UpcallExec` (at a flush) rows, frames no guest's MAC matched the
-/// `DemuxMiss` row.
+/// upcalls executed in dom0 are the payments of `UpcallOverhead`
+/// (synchronous) plus `UpcallComplete` (at a flush), and each frame
+/// `NETIF_RX` drops is one `FrameDrop` note.
 #[derive(Debug, Default)]
 pub struct HyperSupport {
     /// Table 1 rows forced onto the upcall path (Figure 10 sweep): bit
@@ -408,15 +408,16 @@ impl HyperSupport {
                 svm.charge_fast_path(m);
                 let skb = SkBuff(cpu.arg(m, 0)? as u64);
                 if skb.0 != 0 {
-                    if let Some(frame) = skb.parse_frame(m, dom0)? {
-                        match xen.guest_by_mac(frame.dst) {
-                            Some(gid) => {
-                                if !xen.domain_mut(gid).queue_rx(frame) {
-                                    m.note(TraceEvent::QueueCapDrop { guest: gid.0 });
-                                }
-                            }
-                            None => m.meter.count_event(Event::DemuxMiss),
-                        }
+                    let fate = match skb.parse_frame(m, dom0)? {
+                        None => Some((Fate::Malformed, None)),
+                        Some(frame) => match xen.guest_by_mac(frame.dst) {
+                            None => Some((Fate::DemuxMiss, None)),
+                            Some(gid) => (!xen.domain_mut(gid).queue_rx(frame))
+                                .then_some((Fate::QueueCap, Some(gid.0))),
+                        },
+                    };
+                    if let Some((fate, guest)) = fate {
+                        m.note(TraceEvent::FrameDrop { fate, guest });
                     }
                     kernel.free_skb(m, skb)?;
                 }
@@ -559,6 +560,37 @@ mod tests {
         )
         .unwrap();
         assert_eq!(m.meter.event(Event::DemuxMiss), 1);
+    }
+
+    /// An skb shorter than an Ethernet header is no frame, though its
+    /// bytes name a guest: it goes back to its pool, reaches no queue,
+    /// and is one `malformed` death.
+    #[test]
+    fn netif_rx_counts_a_malformed_skb() {
+        let (mut m, mut kernel, mut xen, mut svm, mut hs) = setup();
+        m.trace.set_enabled(true);
+        let gspace = m.new_space();
+        let gid = xen.add_guest(gspace, MacAddr::for_guest(5));
+        let pool = kernel.hyper_pool.as_mut().unwrap();
+        let skb = pool.alloc(&mut m, kernel.space).unwrap();
+        let f = Frame::data(MacAddr::for_guest(5), MacAddr::for_guest(9), 2, 7);
+        skb.fill_from_frame(&mut m, kernel.space, &f).unwrap();
+        skb.set_len(&mut m, kernel.space, 13).unwrap();
+        let args = [skb.0 as u32];
+        call(
+            &mut hs,
+            "netif_rx",
+            &mut m,
+            &mut kernel,
+            &mut xen,
+            &mut svm,
+            &args,
+        )
+        .unwrap();
+        assert_eq!(kernel.hyper_pool.as_ref().unwrap().available(), 32);
+        assert!(xen.domain(gid).rx_queue.is_empty());
+        assert_eq!(m.meter.event(Event::Malformed), 1);
+        assert_eq!(m.trace.counts_by_kind().get("malformed"), Some(&1));
     }
 
     #[test]

@@ -16,9 +16,12 @@
 //!   delivered, and flush at the wakeup edge the scheduler predicted;
 //! * **poll-budget weighting** — a NAPI poll pass spends its budget on
 //!   devices whose CPUs have runnable guests, so a sleeping guest's
-//!   device takes strictly more (smaller) polls for the same backlog.
+//!   device takes strictly more (smaller) polls for the same backlog;
+//! * **everything at once** — affinity, NAPI, the overload controls and
+//!   three vCPUs under an open-loop flood lose no frame uncounted and
+//!   reorder no flow.
 
-use twindrivers::machine::Term;
+use twindrivers::machine::{Event, Term};
 use twindrivers::measure::flow_for_dev;
 use twindrivers::net::{Frame, MacAddr};
 use twindrivers::sched::CPUS;
@@ -37,7 +40,7 @@ fn hash_dev(flow: u32) -> u32 {
 
 /// A flow whose hash lands on `dev`, scanning up from `base`.
 fn flow_for(dev: u32, base: u32) -> u32 {
-    flow_for_dev(dev, NICS as u32, base)
+    flow_for_dev(dev, NICS as u32, base).unwrap()
 }
 
 fn build(shard: ShardPolicy) -> System {
@@ -220,6 +223,87 @@ fn poll_budget_weights_toward_running_guests() {
     assert!(
         polls[1] > polls[0],
         "a sleeping guest's device must take more, smaller polls: {polls:?}"
+    );
+}
+
+/// The livelock sweep's controlled shape with the scheduler on: four
+/// NICs under `Affinity`, a NAPI weight, the admission watermark, a
+/// queue cap and DRR weights for two victims, whose vCPUs run and sleep
+/// while a never-sleeping flood guest is offered about twice what it
+/// can service. After a drain, every offered frame is delivered, still
+/// queued, or counted: under a death's row or as a ring overrun.
+#[test]
+fn a_flood_over_affinity_napi_and_three_vcpus_loses_nothing_uncounted() {
+    let opts = SystemOptions {
+        num_nics: NICS,
+        shard: ShardPolicy::Affinity,
+        rx_queue_cap: Some(512),
+        napi_weight: 64,
+        rx_backlog_watermark: Some(1536),
+        rx_flush_quantum: 8,
+        guest_weights: vec![(2, 64), (3, 64)],
+        ..SystemOptions::default()
+    };
+    let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
+    for g in [2, 3] {
+        sys.add_guest(MacAddr::for_guest(g)).unwrap();
+    }
+    sys.sched_add_vcpu(DomId(1), 0, 1_000_000, 0).unwrap();
+    sys.sched_add_vcpu(DomId(2), 1, 400_000, 200_000).unwrap();
+    sys.sched_add_vcpu(DomId(3), 2, 300_000, 300_000).unwrap();
+    let (gap, bursts) = (338_182u64, 12u64);
+    let t0 = sys.now_cycles();
+    let mut seq = 0u64;
+    let mut offered = 0u64;
+    for i in 0..bursts {
+        let at = t0 + i * gap;
+        sys.rx_open_loop_service(at).unwrap();
+        let mut frames = Vec::new();
+        for g in [2u32, 3] {
+            for _ in 0..4 {
+                frames.push(rx_frame(MacAddr::for_guest(g), 900 + g, seq));
+                seq += 1;
+            }
+        }
+        while frames.len() < 64 {
+            frames.push(rx_frame(MacAddr::for_guest(1), 800, seq));
+            seq += 1;
+        }
+        offered += frames.len() as u64;
+        sys.rx_open_loop_arrival(&frames, at).unwrap();
+    }
+    sys.rx_open_loop_service(t0 + bursts * gap + 2_000_000)
+        .unwrap();
+
+    let o = sys.outcome();
+    assert!(o.metrics.counter("sched.placements") > 0);
+    for g in [2, 3] {
+        let (sleeps, wakes) = (
+            o.metrics.counter(&format!("sched.guest{g}.sleeps")),
+            o.metrics.counter(&format!("sched.guest{g}.wakes")),
+        );
+        assert!(
+            sleeps > 0 && wakes > 0,
+            "victim {g}: {sleeps} sleeps, {wakes} wakes"
+        );
+    }
+    assert!(o.event(Event::NapiEnter) > 0, "the flood enters poll mode");
+    assert_eq!(o.reorders(), 0, "no (guest, flow) inversion");
+    let deaths = [
+        Event::EarlyDrop,
+        Event::RxQueueDrop,
+        Event::DemuxMiss,
+        Event::InflightLost,
+        Event::Malformed,
+    ];
+    let died: u64 = deaths.map(|e| o.event(e)).iter().sum();
+    let (delivered, queued) = (o.total("guest", "delivered"), o.backlog() as u64);
+    let missed = o.total("nic", "rx_missed");
+    assert!(died + missed > 0, "twice the knee sheds some");
+    assert_eq!(
+        offered,
+        delivered + queued + died + missed,
+        "{delivered} delivered, {queued} queued, {died} died, {missed} missed"
     );
 }
 

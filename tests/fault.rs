@@ -34,7 +34,7 @@ fn sabotage(marker: &str, payload: &str) -> String {
 
 /// `burst` in-order frames on `dev`'s flow, continuing from `*seq`.
 fn frames_for(dev: u32, nics: u32, burst: usize, seq: &mut u64) -> Vec<Frame> {
-    let flow = flow_for_dev(dev, nics, 0x7000);
+    let flow = flow_for_dev(dev, nics, 0x7000).unwrap();
     *seq += burst as u64;
     (*seq - burst as u64..*seq)
         .map(|s| Frame::data(MacAddr::for_guest(1), peer_mac(), flow, s))
@@ -635,7 +635,7 @@ fn recovery_preserves_sibling_traffic_bit_exact() {
     let gid = sys.guest().unwrap();
     let (faulted, unfaulted) = (sys.outcome(), control.outcome());
     let flow_frames = |o: &Outcome, d: u32| -> Vec<Frame> {
-        let flow = flow_for_dev(d, nics, 0x7000);
+        let flow = flow_for_dev(d, nics, 0x7000).unwrap();
         let log = o.delivered(gid).iter();
         log.filter(|f| f.flow == flow).cloned().collect()
     };

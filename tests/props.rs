@@ -707,7 +707,7 @@ proptest! {
             })
         });
         // One flow per device.
-        let flow_for = |d: u32| flow_for_dev(d, nics, 0x7100);
+        let flow_for = |d: u32| flow_for_dev(d, nics, 0x7100).unwrap();
         let mut seq = 0u64;
         let mut frames_for = |d: u32| -> Vec<Frame> {
             seq += burst as u64;

@@ -1,7 +1,8 @@
 //! The traced runs `tests/trace.rs` holds the one-vocabulary law over and
 //! `tests/registry.rs` pins the registry of: together they reach every
-//! paired trace kind, every payment published as an `event.*` count and
-//! every per-guest split.
+//! paired trace kind but the two deaths none of them suffers (a demux
+//! miss and a malformed frame), every payment published as an `event.*`
+//! count and every per-guest split.
 
 use twin_net::{Frame, MacAddr};
 use twin_xen::DomId;

@@ -9,14 +9,14 @@
 
 mod scenarios;
 
-use scenarios::{aborted_poll_run, drive, overload_opts, overload_run, RUNS};
+use scenarios::{aborted_poll_run, drive, mk, overload_opts, overload_run, RUNS};
 use std::collections::{BTreeMap, BTreeSet};
 use twin_machine::{cost, Event, Term};
-use twin_net::MacAddr;
+use twin_net::{Frame, MacAddr};
 use twin_trace::export::chrome_trace_json;
 use twin_trace::{FlightRecorder, TraceEvent};
 use twin_xen::DomId;
-use twindrivers::{Config, Law, System};
+use twindrivers::{Config, Law, System, SystemOptions};
 
 #[test]
 fn identical_runs_produce_identical_streams() {
@@ -259,19 +259,52 @@ fn an_aborted_poll_pass_is_counted_and_traced_once() {
     );
 }
 
-/// The law over five scenarios that together reach every paired row,
-/// each onto a row of its own, every paid kind, and every paired kind
-/// that names a domain on the domain it names.
+/// A traced receive on `config` with two guests, one frame in five
+/// addressed to a MAC no guest owns: the hypervisor's demux drops it on
+/// `TwinDrivers`, the bridged forward on `XenGuest`.
+fn demux_miss_run(config: Config) -> System {
+    let opts = SystemOptions {
+        tracing: true,
+        ..SystemOptions::default()
+    };
+    let mut sys = System::build_with(config, &opts).unwrap();
+    sys.add_guest(MacAddr::for_guest(2)).unwrap();
+    let frames: Vec<Frame> = (0..10u64)
+        .map(|s| mk(MacAddr::for_guest([1, 2, 1, 2, 77][s as usize % 5]), 3, s))
+        .collect();
+    sys.receive_burst(&frames).unwrap();
+    sys
+}
+
+/// The law over the five scenarios plus a demux miss on both paths that
+/// drop one: together they reach every paired row but `malformed`
+/// (which `NETIF_RX`'s unit tests reach), each onto a row of its own,
+/// every paid kind, and every paired kind that names a domain on the
+/// domain it names.
 #[test]
 fn every_paired_kind_is_recorded_as_often_as_its_row_is_counted() {
     let mut reached = Reached::default();
     for (scenario, run) in RUNS {
         reached.extend(assert_one_vocabulary(&run(), scenario));
     }
+    for config in [Config::TwinDrivers, Config::XenGuest] {
+        let sys = demux_miss_run(config);
+        let misses = sys
+            .machine
+            .trace
+            .counts_by_kind()
+            .get("demux_miss")
+            .copied();
+        assert_eq!(misses, Some(2), "{config}: the two unowned frames");
+        reached.extend(assert_one_vocabulary(
+            &sys,
+            &format!("demux_miss on {config}"),
+        ));
+    }
     let rows: BTreeSet<Event> = reached.rows.values().copied().collect();
     assert_eq!(
         (reached.rows.len(), rows.len()),
-        (13, 13),
+        (15, 15),
         "every pair reached, onto distinct rows: {reached:?}"
     );
     assert_eq!(
