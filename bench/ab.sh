@@ -37,9 +37,13 @@ sha=$(git rev-parse --verify "$rev^{commit}")
 
 rm -rf "$out"
 mkdir -p "$out"
-# A checkout of `rev` that shares this repository's objects.
+# A checkout of `rev` that shares this repository's objects. Building
+# rewrites benchmark/Cargo.lock, so the lock is saved first and put back
+# on exit: the working tree ends as the script found it.
 tree=$out/tree
-trap 'rm -rf "$tree"' EXIT
+lock=$root/benchmark/Cargo.lock
+cp "$lock" "$out/Cargo.lock"
+trap 'rm -rf "$tree"; cp "$out/Cargo.lock" "$lock"' EXIT
 git clone --quiet --shared --no-checkout "$root" "$tree"
 git -C "$tree" checkout --quiet --detach "$sha"
 

@@ -699,8 +699,8 @@ pub enum OverloadProfile {
     /// classic receive-livelock shape (Mogul & Ramakrishnan).
     FloodOneGuest,
     /// The flood churns through a large flow-id space, defeating any
-    /// flow-keyed affinity state (the `rx_flow_dev` map, shard hashing)
-    /// while offering the same aggregate load.
+    /// flow-keyed affinity state (shard hashing) while offering the same
+    /// aggregate load.
     FlowChurn,
     /// One elephant flow carries most of the flood while a swarm of
     /// short mice flows carries the rest — bimodal, like a busy server

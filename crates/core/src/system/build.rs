@@ -38,9 +38,10 @@ fn validate(config: Config, opts: &SystemOptions) -> Result<SystemOptions, Syste
     opts.num_nics = opts.num_nics.clamp(1, e1000::MAX_NICS);
     opts.header_copy_bytes = opts.header_copy_bytes.clamp(26, 1024);
     opts.rx_flush_quantum = opts.rx_flush_quantum.max(1);
-    // The upcall engine, NAPI polling and the IOMMU hook-up all act on
-    // the hypervisor driver and its demux — only TwinDrivers has them;
-    // the zero-copy pools belong to a guest.
+    // The upcall engine, NAPI polling, the IOMMU hook-up, the demux
+    // queues with their DRR flush and the transmit glue's header copy
+    // all belong to the hypervisor driver — only TwinDrivers has them;
+    // the zero-copy pools and the admission watermark belong to a guest.
     let twin = (config == Config::TwinDrivers, "the TwinDrivers");
     let guest = (
         matches!(config, Config::XenGuest | Config::TwinDrivers),
@@ -48,13 +49,19 @@ fn validate(config: Config, opts: &SystemOptions) -> Result<SystemOptions, Syste
     );
     let deferred = opts.upcall_mode == UpcallMode::Deferred;
     let deadline = opts.upcall_flush_deadline_cycles.is_some();
+    let watermark = opts.rx_backlog_watermark.is_some();
     for (on, knob, (honoured, needs)) in [
         (opts.upcall_count > 0, "upcall_count", twin),
         (opts.iommu, "iommu", twin),
         (deferred, "upcall_mode", twin),
         (deadline, "upcall_flush_deadline_cycles", twin),
         (opts.napi_weight > 0, "napi_weight", twin),
+        (opts.rx_queue_cap.is_some(), "rx_queue_cap", twin),
+        (!opts.guest_weights.is_empty(), "guest_weights", twin),
+        (opts.rx_flush_quantum != 64, "rx_flush_quantum", twin),
+        (opts.header_copy_bytes != 96, "header_copy_bytes", twin),
         (opts.zero_copy, "zero_copy", guest),
+        (watermark, "rx_backlog_watermark", guest),
     ] {
         if on && !honoured {
             return Err(SystemError::Build(format!(
@@ -219,7 +226,6 @@ impl System {
             rx_latency: twin_trace::SampleReservoir::new(crate::measure::RX_LATENCY_RESERVOIR),
             guest_latency_tracked: false,
             grant_cache: None,
-            rx_flow_dev: IntMap::default(),
             recovery_log: Vec::new(),
             sched: None,
             affinity_flow_dev: BTreeMap::new(),

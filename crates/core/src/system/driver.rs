@@ -229,13 +229,10 @@ impl System {
         if let Some(hs) = self.world.hyper.as_mut() {
             hs.engine.prune_stale_completions();
         }
-        // 2. In-flight frames on this device: their delivery stamps will
-        // never match — bounded, counted loss.
-        let before = self.rx_inflight.len();
-        let flow_dev = &self.rx_flow_dev;
-        self.rx_inflight
-            .retain(|(flow, _), _| flow_dev.get(flow).map_or(0, |e| e.0) != dev);
-        let lost = (before - self.rx_inflight.len()) as u32;
+        // 2. Frames still in this device's ring: the reset rebuilds it,
+        // so they die here — bounded, counted loss. Frames the reap
+        // already took (queued, delivered or dead) are not lost again.
+        let lost = self.drop_unqueued(|landed, in_ring| landed.dev == dev && in_ring) as u32;
         dropped += lost;
         for _ in 0..lost {
             self.machine.note(TraceEvent::FrameDrop {

@@ -43,7 +43,7 @@ impl System {
             if first {
                 woken.push(gid);
             }
-            let dev = self.flow_dev(f.flow);
+            let dev = self.landed_dev(f.flow, f.seq);
             self.machine
                 .pay_to(CostDomain::Dom0, Term::NetfrontPerPacket);
             self.machine.pay_to(CostDomain::Dom0, Term::BackendRxExtra);
@@ -172,8 +172,8 @@ impl System {
             // between reads either queue.
             for i in 0..take {
                 let f = &self.world.xen_mut()?.domain(g).rx_queue[i];
-                let (flow, len) = (f.flow, f.len());
-                let dev = self.flow_dev(flow);
+                let (flow, seq, len) = (f.flow, f.seq, f.len());
+                let dev = self.landed_dev(flow, seq);
                 // Warm vs cold delivery: with the scheduler model on, a
                 // frame serviced by a softirq CPU other than the one the
                 // owning guest's vCPU occupies finds none of the guest's

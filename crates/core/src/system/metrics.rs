@@ -1,9 +1,9 @@
 //! Reading a system: the unified metrics snapshot, delivery counts, and
 //! the arrival-to-delivery latency samples.
 
-use super::{GuestState, System};
+use super::{GuestState, Landed, System};
 use crate::outcome::endpoints;
-use twin_machine::{CostDomain, Event, Term};
+use twin_machine::{CostDomain, Event, IntSet, Term};
 use twin_net::Frame;
 use twin_trace::MetricSet;
 use twin_xen::{DomId, DomainKind};
@@ -195,41 +195,44 @@ impl System {
         self.delivered_rx_for(self.guest().unwrap_or(DomId(0)))
     }
 
-    /// Bounds the in-flight arrival-stamp map: frames that never reach a
-    /// delivery log (demux misses, colliding `(flow, seq)` keys) would
-    /// otherwise leak an entry forever. Genuine in-flight frames are
-    /// bounded by the RX rings, so anything beyond one ring's worth per
-    /// device is dead — evict oldest-first, and among frames that arrived
-    /// together the smallest `(flow, seq)` first, whatever order the map
-    /// iterates in.
+    /// Bounds the landing records by the live set: a record whose frame
+    /// is neither in its device's ring nor in a demux queue belongs to a
+    /// frame that was delivered or died (a demux miss, a queue-cap drop,
+    /// a colliding `(flow, seq)` key). Live records are at most the ring
+    /// slots plus the queued frames, so once the map holds twice that,
+    /// every record that is not live goes — each prune removes at least
+    /// half the map.
     pub(super) fn prune_rx_inflight(&mut self) {
-        // With a demux queue cap the backlog legitimately extends past
-        // the rings: capped queues hold live frames too.
-        let rings: usize = self
-            .world
-            .nics
-            .iter()
-            .map(|n| n.rx_ring_len() as usize)
-            .sum();
-        let cap = rings
-            + self.opts.rx_queue_cap.unwrap_or(0)
-                * self.world.xen.as_ref().map_or(0, |x| x.domains.len());
-        while self.rx_inflight.len() > cap {
-            let oldest = self
-                .rx_inflight
-                .iter()
-                .min_by_key(|(key, stamp)| (**stamp, **key));
-            let Some((&oldest, _)) = oldest else { break };
-            self.rx_inflight.remove(&oldest);
+        let rings: u32 = self.world.nics.iter().map(|n| n.rx_ring_len()).sum();
+        let domains = self.world.xen.iter().flat_map(|x| &x.domains);
+        let queued: usize = domains.map(|d| d.rx_queue.len()).sum();
+        if self.rx_inflight.len() > 2 * (rings as usize + queued) {
+            self.drop_unqueued(|_, in_ring| !in_ring);
         }
     }
 
-    /// Matches newly delivered frames against their arrival stamps and
-    /// records cycles-to-delivery samples (the latency side of the
-    /// moderation sweep). Pure bookkeeping — no cycles are charged.
+    /// Drops the records of frames in no demux queue that `pick(record,
+    /// in_ring)` selects, `in_ring` being whether the frame is still in
+    /// its device's ring. Returns how many went.
+    pub(super) fn drop_unqueued(&mut self, pick: impl Fn(&Landed, bool) -> bool) -> usize {
+        let domains = self.world.xen.iter().flat_map(|x| &x.domains);
+        let queued: IntSet<(u32, u64)> = domains
+            .flat_map(|d| &d.rx_queue)
+            .map(|f| (f.flow, f.seq))
+            .collect();
+        let (before, nics) = (self.rx_inflight.len(), &self.world.nics);
+        self.rx_inflight
+            .retain(|key, l| queued.contains(key) || !pick(l, l.in_ring(nics)));
+        before - self.rx_inflight.len()
+    }
+
+    /// Retires the landing records of newly delivered frames, recording
+    /// a cycles-to-delivery sample for each that carries an arrival
+    /// stamp (the latency side of the moderation sweep). Pure
+    /// bookkeeping — no cycles are charged.
     pub(super) fn sample_rx_completions(&mut self) {
         if self.rx_inflight.is_empty() {
-            return; // nothing tracked: skip the delivery-log scans
+            return; // nothing landed: skip the delivery-log scans
         }
         let now = self.machine.meter.now();
         let guest = self.guest();
@@ -237,7 +240,8 @@ impl System {
         let (inflight, all) = (&mut self.rx_inflight, &mut self.rx_latency);
         let mut sample = |log: &[Frame], state: &mut GuestState| {
             for f in &log[state.sample_cursor.min(log.len())..] {
-                if let Some(t) = inflight.remove(&(f.flow, f.seq)) {
+                let landed = inflight.remove(&(f.flow, f.seq));
+                if let Some(t) = landed.and_then(|l| l.at) {
                     let sample = now.saturating_sub(t);
                     all.push(sample);
                     if per_guest {
@@ -297,31 +301,34 @@ impl System {
 #[cfg(test)]
 mod tests {
     use crate::{peer_mac, Config, System};
+    use std::collections::BTreeSet;
     use twin_net::{Frame, MacAddr};
 
-    /// Frames toward a MAC no guest owns die at the demux, so their
-    /// arrival stamps stay until the prune evicts them. Three bursts that
-    /// arrive at one instant, each on flows below the last: past the cap
-    /// (one ring's worth), the smallest `(flow, seq)` keys go — not the
-    /// first landed, and not whichever the map happens to iterate first.
+    /// Frames for a guest sit in its demux queue (the open-loop ISR
+    /// reaps, nobody flushes) while frames toward a MAC no guest owns die
+    /// at the demux, leaving records behind. Once the map passes twice
+    /// the live bound, the prune keeps exactly the queued frames'
+    /// records: the ISR reaped every ring.
     #[test]
-    fn among_frames_that_arrived_together_the_prune_evicts_the_smallest_keys() {
+    fn the_prune_keeps_queued_records_and_drops_demux_misses() {
         let mut sys = System::build(Config::TwinDrivers).unwrap();
-        let at = sys.now_cycles();
-        let nobody = MacAddr::for_guest(77);
-        for base in [300, 200, 100] {
-            let burst: Vec<Frame> = (0..64)
-                .map(|i| Frame::data(nobody, peer_mac(), base + i, u64::from(i)))
+        let (at, ring) = (sys.now_cycles(), sys.world.nics[0].rx_ring_len() as usize);
+        let land = |sys: &mut System, dst: u32, flow: u32, n: u64| {
+            let to = MacAddr::for_guest(dst);
+            let burst: Vec<Frame> = (0..n)
+                .map(|i| Frame::data(to, peer_mac(), flow, i))
                 .collect();
-            assert_eq!(sys.rx_open_loop_arrival(&burst, at).unwrap(), 64);
+            assert_eq!(sys.rx_open_loop_arrival(&burst, at).unwrap(), n as usize);
+            burst.iter().map(|f| (f.flow, f.seq)).collect::<Vec<_>>()
+        };
+        let queued = land(&mut sys, 1, 1, 16);
+        let mut missed = 0;
+        while sys.rx_inflight.len() == queued.len() + missed {
+            assert!(missed <= 4 * ring, "the map grew past its bound");
+            missed += land(&mut sys, 77, 100 + missed as u32 / 64, 64).len();
         }
-        let mut left: Vec<(u32, u64)> = sys.rx_inflight.keys().copied().collect();
-        left.sort_unstable();
-        let kept: Vec<(u32, u64)> = (200..264)
-            .chain(300..364)
-            .map(|flow| (flow, u64::from(flow % 100)))
-            .collect();
-        assert_eq!(left, kept);
-        assert!(sys.rx_inflight.values().all(|stamp| *stamp == at));
+        let left: BTreeSet<_> = sys.rx_inflight.keys().copied().collect();
+        assert_eq!(left, queued.into_iter().collect());
+        assert_eq!(sys.rx_backlog(), 16);
     }
 }

@@ -666,13 +666,13 @@ pub struct System {
     /// several windows open in one service call, this is the order the
     /// devices are reaped in.
     moderated_pending: Vec<u32>,
-    /// Arrival stamp (virtual cycles) per in-flight received frame,
-    /// keyed by `(flow, seq)`; matched off by
-    /// [`System::sample_rx_completions`]. Hashed: one insert and one
-    /// remove per received frame, and the one place order matters —
-    /// which entry [`System::prune_rx_inflight`] evicts — orders by
-    /// `(stamp, key)` itself.
-    rx_inflight: IntMap<(u32, u64), u64>,
+    /// One record per received frame, keyed by `(flow, seq)`: written
+    /// when its device accepts it ([`System::land_frames`]), read by the
+    /// flush for the frame's device, retired at delivery by
+    /// [`System::sample_rx_completions`], taken by a fault on its device
+    /// as an in-flight loss, and dropped by
+    /// [`System::prune_rx_inflight`] once it is no longer live.
+    rx_inflight: IntMap<(u32, u64), Landed>,
     /// Cycles-to-delivery samples for frames completed in the current
     /// measurement window (the latency side of the moderation sweep) —
     /// a bounded reservoir, so arbitrarily long paced runs keep a fixed
@@ -685,13 +685,6 @@ pub struct System {
     /// Live grant mappings of the zero-copy pools (`None` when the mode
     /// is off — the copy path allocates nothing).
     grant_cache: Option<GrantCache>,
-    /// Which NIC last carried each RX flow, with that NIC's
-    /// accepted-frame count at the time (recorded where the wire side
-    /// shards, read where grant work loses the device). It decides the
-    /// per-device grant attribution and, with the scheduler model on,
-    /// the cold-delivery charge — so an entry outlives every frame it
-    /// describes (`System::forget_idle_flows`).
-    rx_flow_dev: IntMap<u32, (u32, u64)>,
     /// Completed recovery reports in episode order — pure bookkeeping
     /// (never charged), the fault sweep's latency source.
     recovery_log: Vec<RecoveryReport>,
@@ -714,6 +707,33 @@ pub struct System {
     /// [`System::call_driver`] runs — the `*_dev` variant on multi-NIC
     /// systems — resolved once, when the system is built.
     fast_entries: [u64; 4],
+}
+
+/// What the system knows about one received frame between its device
+/// accepting it and its delivery (or its death).
+///
+/// A record is *live* while its frame is in its device's ring or sits in
+/// a demux queue; a frame that is neither has been delivered or has
+/// died, and its record is garbage for the prune.
+#[derive(Copy, Clone, Debug)]
+struct Landed {
+    /// Arrival stamp (virtual cycles) the frame's latency sample is
+    /// measured from; `None` when its landing reports no latency.
+    at: Option<u64>,
+    /// The device that accepted the frame.
+    dev: u32,
+    /// The device's `rx_packets` count once the frame was accepted.
+    nth: u64,
+}
+
+impl Landed {
+    /// Whether the frame is still in its device's ring: the ring is a
+    /// FIFO, so the frames software has not reaped are the device's last
+    /// `rx_pending` arrivals.
+    fn in_ring(&self, nics: &[Nic]) -> bool {
+        let nic = &nics[self.dev as usize];
+        nic.stats().rx_packets.saturating_sub(self.nth) < u64::from(nic.rx_pending())
+    }
 }
 
 /// What an arrival does about frames that found no free RX descriptor —

@@ -3,8 +3,8 @@
 //! open-loop arrival entry points built on it, and each configuration's
 //! interrupt dispatch and descriptor reap.
 
-use super::{peer_mac, Datapath, DriverOp, Itr, OnIrq, Overrun, System, SystemError};
-use twin_machine::{CostDomain, Event, IntSet, Term};
+use super::{peer_mac, Datapath, DriverOp, Itr, Landed, OnIrq, Overrun, System, SystemError};
+use twin_machine::{CostDomain, Event, Term};
 use twin_net::{EtherType, Frame, MacAddr, MTU};
 use twin_trace::{Fate, FlushCause, TraceEvent};
 use twin_xen::{DomId, DomainKind, Softirq};
@@ -81,7 +81,8 @@ impl System {
     /// *scheduled* wire-arrival time `t` instead of the current virtual
     /// time, so an overloaded system's processing backlog shows up as
     /// completion latency exactly like a real receive queue. `None`
-    /// stamps at the moment of delivery (the default path).
+    /// stamps at the moment of landing, and only when a time knob is
+    /// armed (the default path reports no latency).
     pub(crate) fn receive_burst_arriving(
         &mut self,
         frames: &[Frame],
@@ -154,8 +155,8 @@ impl System {
 
     /// One hardware pass, shared by both arrival entry points: every NIC
     /// with pending frames fills as many descriptors as it has buffers
-    /// (the accepted frames leave `groups`), the frames are stamped
-    /// in-flight and attributed to their device, and the device is
+    /// (the accepted frames leave `groups`), each accepted frame gets its
+    /// [`Landed`] record (the only place one is written), and the device is
     /// classified — *polled* (masked: the ring filled silently and the
     /// budgeted poll loop will find it; poll mode takes precedence over
     /// the moderation latch), *interrupt allowed* (handled per `on_irq`)
@@ -175,11 +176,10 @@ impl System {
         overrun: Overrun,
         on_irq: OnIrq,
     ) -> Result<(usize, Vec<u32>), SystemError> {
-        // Arrival-stamp bookkeeping is only kept when someone can read
-        // it back: an explicit arrival stamp (a paced or open-loop
-        // measurement) or an armed time knob. The default path
-        // allocates nothing.
-        let track = arrival.is_some()
+        // A landing reports latency when someone can read it back: an
+        // explicit arrival stamp (a paced or open-loop measurement) or
+        // an armed time knob. Every frame gets its record either way.
+        let reports_latency = arrival.is_some()
             || self.opts.itr == Itr::Auto
             || self.world.nics.iter().any(|n| n.itr() != 0)
             || self
@@ -187,7 +187,6 @@ impl System {
                 .hyper
                 .as_ref()
                 .is_some_and(|h| h.engine.flush_deadline().is_some());
-        self.forget_idle_flows();
         let mut accepted_total = 0;
         let mut pass_devs: Vec<u32> = Vec::new();
         let mut gated_wedged: Vec<u32> = Vec::new();
@@ -199,6 +198,7 @@ impl System {
             if self.devs[dev as usize].quarantine.is_some() {
                 self.recover_device(dev)?;
             }
+            let landed_before = self.world.nics[dev as usize].stats().rx_packets;
             let accepted =
                 self.world.nics[dev as usize].deliver_batch(&mut self.machine.phys, pending);
             if accepted == 0 {
@@ -213,19 +213,10 @@ impl System {
                 continue;
             }
             accepted_total += accepted;
-            if track {
-                let stamp = arrival.unwrap_or_else(|| self.machine.meter.now());
-                for f in &pending[..accepted] {
-                    self.rx_inflight.insert((f.flow, f.seq), stamp);
-                }
-            }
-            // Flow→device attribution for grant accounting: the demux
-            // flush no longer knows which NIC carried a frame, so
-            // remember it here, with the device's accepted-frame count
-            // (what `forget_idle_flows` ages the entry by).
-            let landed = self.world.nics[dev as usize].stats().rx_packets;
-            for f in &pending[..accepted] {
-                self.rx_flow_dev.insert(f.flow, (dev, landed));
+            let at = reports_latency.then(|| arrival.unwrap_or_else(|| self.machine.meter.now()));
+            for (nth, f) in (landed_before + 1..).zip(&pending[..accepted]) {
+                self.rx_inflight
+                    .insert((f.flow, f.seq), Landed { at, dev, nth });
             }
             pending.drain(..accepted);
             let now = self.machine.meter.now();
@@ -271,37 +262,10 @@ impl System {
         Ok((accepted_total, pass_devs))
     }
 
-    /// The NIC that last carried `flow` (0 for a flow never seen).
-    pub(super) fn flow_dev(&self, flow: u32) -> u32 {
-        self.rx_flow_dev.get(&flow).map_or(0, |(dev, _)| *dev)
-    }
-
-    /// Bounds the flow→device map by the live flow set: past 8 192
-    /// flows it forgets those with no frame left between landing and
-    /// delivery — none among the last ring's worth their device
-    /// accepted, none in a demux queue, none awaiting a latency sample.
-    /// A frame's device is therefore known until it is delivered,
-    /// however many flows exist.
-    fn forget_idle_flows(&mut self) {
-        if self.rx_flow_dev.len() <= 8192 {
-            return;
-        }
-        // Flows with a frame queued for a guest or awaiting its latency
-        // sample: built here only, past the bound.
-        let live: IntSet<u32> = self
-            .world
-            .xen
-            .iter()
-            .flat_map(|x| &x.domains)
-            .flat_map(|d| &d.rx_queue)
-            .map(|f| f.flow)
-            .chain(self.rx_inflight.keys().map(|(flow, _)| *flow))
-            .collect();
-        let nics = &self.world.nics;
-        self.rx_flow_dev.retain(|flow, (dev, landed)| {
-            let nic = &nics[*dev as usize];
-            nic.stats().rx_packets - *landed < u64::from(nic.rx_ring_len()) || live.contains(flow)
-        });
+    /// The NIC that accepted frame `(flow, seq)` (0 for a frame that
+    /// never landed).
+    pub(super) fn landed_dev(&self, flow: u32, seq: u64) -> u32 {
+        self.rx_inflight.get(&(flow, seq)).map_or(0, |l| l.dev)
     }
 
     /// Delivers the interrupts of `devs` at this instant: each device's

@@ -1,7 +1,7 @@
 //! One deterministic hasher for the simulator's integer-keyed tables.
 //!
-//! The per-frame tables of the receive pipeline (in-flight arrival
-//! stamps, flow → device, zero-copy slot occupancy, the grant cache) are
+//! The per-frame tables of the receive pipeline (the landing records,
+//! zero-copy slot occupancy, the grant cache) are
 //! keyed by small tuples of integers the simulator itself makes — flow
 //! ids, sequence numbers, domain ids, pool pages — never by input an
 //! adversary chooses, so they need no protection against crafted

@@ -90,14 +90,11 @@ impl GrantCache {
         }
         let mut evicted = None;
         if self.entries.len() >= self.capacity {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, stamp)| **stamp)
-                .map(|(k, _)| *k)
-                .expect("cache at capacity is non-empty");
-            self.entries.remove(&victim);
-            evicted = Some(victim);
+            let lru = self.entries.iter().min_by_key(|(_, stamp)| **stamp);
+            if let Some((&victim, _)) = lru {
+                self.entries.remove(&victim);
+                evicted = Some(victim);
+            }
         }
         self.entries.insert((dom, page), self.tick);
         GrantAccess::Miss { evicted }

@@ -232,10 +232,9 @@ impl HyperSupport {
                 // last) in one switch-pair, then resume with the dom0
                 // return value its completion carries.
                 self.resume_continuation(m, kernel, xen)?;
-                let done = self
-                    .engine
-                    .take_completion(cont_id)
-                    .expect("flush posts the suspending call's completion");
+                let lost =
+                    || Fault::EnvFault(format!("continuation {cont_id} posted no completion"));
+                let done = self.engine.take_completion(cont_id).ok_or_else(lost)?;
                 cpu.set_reg(twin_isa::Reg::Eax, done.ret);
             }
         }

@@ -677,6 +677,10 @@ fn fault_harness_measures_full_recovery() {
     assert_eq!(p.post_delivered, 16, "recovery must restore full goodput");
     assert_eq!(p.sibling_delivered, p.sibling_control, "zero blast radius");
     assert_eq!(p.lost_frames, 8, "exactly the armed burst is lost");
+    assert_eq!(
+        p.dropped, p.lost_frames,
+        "the teardown counts every lost frame"
+    );
     assert!(p.recovery_cycles > 0, "the reset costs real virtual time");
     assert_eq!(sys.recovery_log().len(), 1);
 }
@@ -694,13 +698,41 @@ fn arming_requires_a_fault_injected_driver() {
     }
 }
 
+/// A fault loses only what is still in its device's ring. Frames the
+/// reap already took — here a burst that died at the demux — are not
+/// counted a second time as in-flight loss.
+#[test]
+fn a_fault_counts_only_the_frames_in_its_ring() {
+    let opts = SystemOptions {
+        driver_source: Some(fault_injected_source(FaultClass::WildWrite)),
+        ..SystemOptions::default()
+    };
+    let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
+    let nobody = MacAddr::for_guest(77);
+    let missed: Vec<Frame> = (0..8)
+        .map(|s| Frame::data(nobody, peer_mac(), 9, s))
+        .collect();
+    assert_eq!(sys.receive_burst(&missed).unwrap(), 8);
+    sys.arm_driver_fault(FaultClass::WildWrite.arm_value(0))
+        .unwrap();
+    let mut seq = 0u64;
+    abort_reason(sys.receive_burst(&frames_for(0, 1, 8, &mut seq)));
+    let m = sys.metrics();
+    assert_eq!(m.counter("event.demux_miss"), 8);
+    assert_eq!(
+        m.counter("event.inflight_lost"),
+        8,
+        "the aborted burst alone"
+    );
+}
+
 /// Regression: the open-loop arrival used to land frames on a
 /// quarantined device *before* the recovery its ISR (or poll pass)
 /// triggered — the reset reconstructed the rings and wiped them, and
 /// because the teardown's in-flight sweep had already run, no counter
 /// saw them go. Both arrival entry points now recover first, as the
-/// closed loop always did. The whole run is open-loop, so every frame
-/// carries an arrival stamp and the conservation law has no blind term.
+/// closed loop always did. Every landed frame has a record, so the
+/// conservation law has no blind term.
 #[test]
 fn open_loop_arrival_recovers_a_quarantined_device_before_landing_frames() {
     for weight in [0usize, 8] {

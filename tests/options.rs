@@ -78,14 +78,19 @@ fn a_knob_the_configuration_cannot_honour_is_a_build_error() {
     let guests = [Config::XenGuest, Config::TwinDrivers].as_slice();
     let d = SystemOptions::default;
     #[rustfmt::skip]
-    let knobs: [(&str, &[Config], SystemOptions); 6] = [
+    let knobs: [(&str, &[Config], SystemOptions); 11] = [
         ("upcall_count", twin, SystemOptions { upcall_count: 4, ..d() }),
         ("iommu", twin, SystemOptions { iommu: true, ..d() }),
         ("upcall_mode", twin, SystemOptions { upcall_mode: UpcallMode::Deferred, ..d() }),
         ("upcall_flush_deadline_cycles", twin,
             SystemOptions { upcall_flush_deadline_cycles: Some(300_000), ..d() }),
         ("napi_weight", twin, SystemOptions { napi_weight: 16, ..d() }),
+        ("rx_queue_cap", twin, SystemOptions { rx_queue_cap: Some(8), ..d() }),
+        ("guest_weights", twin, SystemOptions { guest_weights: vec![(1, 2)], ..d() }),
+        ("rx_flush_quantum", twin, SystemOptions { rx_flush_quantum: 4, ..d() }),
+        ("header_copy_bytes", twin, SystemOptions { header_copy_bytes: 64, ..d() }),
         ("zero_copy", guests, SystemOptions { zero_copy: true, ..d() }),
+        ("rx_backlog_watermark", guests, SystemOptions { rx_backlog_watermark: Some(64), ..d() }),
     ];
     for config in Config::ALL {
         System::build(config).unwrap_or_else(|e| panic!("{config}: defaults must build: {e}"));

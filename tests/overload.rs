@@ -103,6 +103,33 @@ fn napi_absorbs_a_burst_larger_than_the_ring_without_loss() {
     assert_eq!(seqs, (0..150).collect::<Vec<u64>>());
 }
 
+/// An uncapped open loop whose backlog outgrows the ring: arrivals come
+/// faster than the consumer gets a gap, so the reaped frames pile up in
+/// the demux queue, four rings deep. Every frame that reaches the guest
+/// has exactly one latency sample — the longest waits included.
+#[test]
+fn every_frame_delivered_past_the_rings_has_one_latency_sample() {
+    let mut sys = System::build(Config::TwinDrivers).unwrap();
+    let ring = sys.world.nics[0].rx_ring_len() as usize;
+    let open = sys.now_cycles();
+    let mut seq = 0u64;
+    for k in 0..8u64 {
+        let frames: Vec<Frame> = (0..64)
+            .map(|_| {
+                seq += 1;
+                mk(MacAddr::for_guest(1), 5, seq)
+            })
+            .collect();
+        let due = open + k * 1_000;
+        sys.rx_open_loop_service(due).unwrap();
+        assert_eq!(sys.rx_open_loop_arrival(&frames, due).unwrap(), 64);
+    }
+    assert!(sys.rx_backlog() > 2 * ring, "{}", sys.rx_backlog());
+    sys.rx_open_loop_service(open + 100_000_000).unwrap();
+    assert_eq!(sys.delivered_rx(), 512);
+    assert_eq!(sys.rx_latency_samples().len(), 512);
+}
+
 #[test]
 fn mode_switches_under_churn_never_drop_or_reorder() {
     // Six rounds of multi-guest, multi-flow traffic over FlowHash

@@ -322,10 +322,10 @@ fn static_policy_pins_every_burst_to_the_chosen_nic() {
 
 #[test]
 fn per_device_attribution_survives_more_flows_than_the_map_holds() {
-    // 80 bursts of 128 flows never seen before: 10 240 flows, past the
-    // 8 192 the flow→device map holds. Every frame is copied into the
-    // guest once, so each NIC's grant copies must equal the frames it
-    // carried — after every burst, however many flows came before.
+    // 80 bursts of 128 flows never seen before: 10 240 flows. Every
+    // frame is copied into the guest once, so each NIC's grant copies
+    // must equal the frames it carried — after every burst, however
+    // many flows came before.
     let mut sys = sharded_system(Config::TwinDrivers, 4, ShardPolicy::FlowHash);
     let mac = MacAddr::for_guest(1);
     for burst in 0..80u32 {
@@ -341,5 +341,28 @@ fn per_device_attribution_survives_more_flows_than_the_map_holds() {
                 "burst {burst}: NIC {dev}'s copies are filed under it"
             );
         }
+    }
+}
+
+#[test]
+fn round_robin_files_each_copy_under_the_nic_that_carried_its_frame() {
+    // One flow, two open-loop arrivals: round-robin puts the first on
+    // NIC 0 and the second on NIC 1, and nothing is delivered until the
+    // consumer runs. Each NIC's copies are its own frames', not all
+    // filed under the NIC the flow last used.
+    let mut sys = sharded_system(Config::TwinDrivers, 2, ShardPolicy::RoundRobin);
+    let mac = MacAddr::for_guest(1);
+    let at = sys.now_cycles();
+    for k in 0..2u64 {
+        let frames: Vec<Frame> = (0..4).map(|i| rx_frame(mac, 7, k * 4 + i)).collect();
+        assert_eq!(sys.rx_open_loop_arrival(&frames, at).unwrap(), 4);
+    }
+    sys.rx_open_loop_service(at + 10_000_000).unwrap();
+    assert_eq!(sys.delivered_rx(), 8);
+    let ms = sys.metrics();
+    for dev in 0..2 {
+        assert_eq!(ms.counter(&format!("nic{dev}.rx_packets")), 4, "NIC {dev}");
+        let copies = ms.counter(&format!("grant.dev{dev}.copies"));
+        assert_eq!(copies, 4, "NIC {dev}");
     }
 }
