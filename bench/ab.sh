@@ -11,11 +11,10 @@
 # `workload` alone when it is given), A first in odd pairs and B first in
 # even ones, `seconds` per workload (the contract's `run_seconds` when
 # omitted; an empty string omits it too), into target/ab/A.jsonl and
-# B.jsonl. Prints
-# `host_ns_per_pkt` pair by pair with how many pairs B won, then `bench
-# compare A.jsonl B.jsonl`. Last, one short traced run per side (`--trace
-# 1 --seconds 2`, into target/ab/{A,B}.traced.jsonl) reports the
-# per-layer metrics.
+# B.jsonl. Prints `host_ns_per_pkt` and `setup_s` (in ms) pair by pair
+# with how many pairs B won, then `bench compare A.jsonl B.jsonl`. Last,
+# one short traced run per side (`--trace 1 --seconds 2`, into
+# target/ab/{A,B}.traced.jsonl) reports the per-layer metrics.
 #
 # Exits non-zero if a run reports `"correct": false`, if any simulated
 # metric (`sim_*`, `delivered_frac`, `paper_err_frac`) differs between or
@@ -110,16 +109,25 @@ if grep -qv '^ *1 ' <<<"$workloads"; then
     status=1
 fi
 
-host() { # side, workload: host_ns_per_pkt of each run, in order
+metric() { # side, workload, name: the metric of each run, in order
     grep "\"workload\": \"$2\"" "$out/$1.jsonl" |
-        grep -oE '"host_ns_per_pkt": \{"value": [^,}]*' | grep -oE '[0-9.e+-]+$'
+        grep -oE "\"$3\": \\{\"value\": [^,}]*" | grep -oE '[0-9.e+-]+$'
 }
-echo
-echo "host_ns_per_pkt, pair by pair (A B):"
-for w in $(grep -o '"workload": "[^"]*"' "$out/A.jsonl" | cut -d'"' -f4 | sort -u); do
-    paste -d' ' <(host A "$w") <(host B "$w") | awk -v w="$w" '
-        { line = line sprintf(" %.0f/%.0f", $1, $2); won += ($2 < $1); n++ }
-        END { printf "  %-13s B won %d of %d:%s\n", w, won, n, line }'
+for m in host_ns_per_pkt setup_s; do
+    # setup_s is printed in ms, to a tenth.
+    if [[ $m == setup_s ]]; then
+        scale=1000 fmt=%.1f unit=" (ms)"
+    else
+        scale=1 fmt=%.0f unit=""
+    fi
+    echo
+    echo "$m$unit, pair by pair (A/B):"
+    for w in $(grep -o '"workload": "[^"]*"' "$out/A.jsonl" | cut -d'"' -f4 | sort -u); do
+        paste -d' ' <(metric A "$w" "$m") <(metric B "$w" "$m") |
+            awk -v w="$w" -v k="$scale" -v f="$fmt" '
+            { line = line sprintf(" " f "/" f, k * $1, k * $2); won += ($2 < $1); n++ }
+            END { printf "  %-13s B won %d of %d:%s\n", w, won, n, line }'
+    done
 done
 echo
 "$out/bench-B" compare "$out/A.jsonl" "$out/B.jsonl" || status=1

@@ -26,7 +26,8 @@
 # is setting up each run). The profiled build keeps frame pointers (see
 # below). A virtual machine may deliver far fewer clock samples than the
 # interval asks for: compare two commits with the same workload and
-# length, and report the counts.
+# length, and report the counts. Below 1 000 samples in the window the
+# script prints a warning line and the shares to whole per cents.
 # Needs bash, cargo and gprofng (binutils); exits 2 without gprofng.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -43,10 +44,13 @@ fi
 # per cent, so its own target directory keeps it apart from the
 # benchmark's.
 out=target/profile
+mkdir -p "$out"
+# Building rewrites benchmark/Cargo.lock; put it back on exit.
+cp benchmark/Cargo.lock "$out/Cargo.lock"
+trap 'cp "$out/Cargo.lock" benchmark/Cargo.lock' EXIT
 RUSTFLAGS="-C force-frame-pointers=yes" CARGO_TARGET_DIR=$out/build \
     cargo build --release --quiet --offline --manifest-path benchmark/Cargo.toml
 exp=$out/$workload.er
-mkdir -p "$out"
 rm -rf "$exp" "$out/$workload.jsonl"
 if ! gprofng collect app -p hi -o "$exp" "$out/build/release/bench" run \
     --workload "$workload" --seconds "$seconds" --trace 0 \
@@ -75,13 +79,21 @@ gprofng display text -metrics i.totalcpu -sort i.totalcpu -functions "$exp" |
     END {
         win += rx
         if (win == 0) { print "no samples in the measured window" > "/dev/stderr"; exit 1 }
+        n = win * 1e6 / us
         printf "bench/profile.sh %s, %s s: %d samples in the measured window (%.0f %% of %d), %.0f ns/pkt\n",
-            w, s, win * 1e6 / us, 100 * win / total, total * 1e6 / us, ns
+            w, s, n, 100 * win / total, total * 1e6 / us, ns
+        # The standard error of a share is up to 50/sqrt(n) per cent: over 1.5
+        # points below 1 000 samples, where a tenth of a point means nothing.
+        digits = 1
+        if (n < 1000) {
+            printf "WARNING: fewer than 1000 samples in the window; shares are whole per cents and not to be trusted (profile longer)\n"
+            digits = 0
+        }
         share("interpreter dispatch", run - ext)
         share("crossings", ext)
         share("pipeline", win - call)
         share("run set-up", call - run)
     }
     function share(layer, t) {
-        printf "  %-20s  %5.1f %%  %5.0f ns/pkt\n", layer, 100 * t / win, ns * t / win
+        printf "  %-20s  %5." digits "f %%  %5.0f ns/pkt\n", layer, 100 * t / win, ns * t / win
     }'

@@ -12,13 +12,14 @@ use super::{
 };
 use crate::iommu::Iommu;
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 use twin_isa::asm::assemble;
 use twin_isa::Module;
 use twin_kernel::{e1000, load_driver, Dom0Kernel, LoadedDriver, RxMode, MMIO_BASE};
 use twin_machine::{ExecMode, IntMap, Machine, PageEntry, SpaceId, PAGE_SIZE};
 use twin_net::MacAddr;
 use twin_nic::{ItrTuner, Nic, AUTOTUNE_WINDOW_CYCLES, MMIO_WINDOW};
-use twin_rewriter::{rewrite, RewriteStats};
+use twin_rewriter::{rewrite, RewriteOptions, RewriteStats};
 use twin_sched::VcpuSched;
 use twin_svm::Svm;
 use twin_xen::{
@@ -119,6 +120,69 @@ fn boot_dom0(config: Config, num_nics: usize) -> Result<(Machine, World, SpaceId
     Ok((machine, world, dom0))
 }
 
+/// Derivations [`derive`] keeps. The default driver as assembled and
+/// as rewritten, the rewriter's ablations and the fault sweep's three
+/// sources fit; a sweep over more variants re-derives the least recently
+/// used.
+const DERIVED_CAP: usize = 8;
+
+/// One driver module derived from `source`: assembled, then rewritten
+/// under `rewrite` unless that is `None`.
+struct Derivation {
+    source: String,
+    rewrite: Option<RewriteOptions>,
+    module: Arc<Module>,
+    stats: RewriteStats,
+}
+
+/// The derivations made in this process, least recently used first.
+static DERIVED: Mutex<Vec<Derivation>> = Mutex::new(Vec::new());
+
+/// The driver module assembled from `source` and, given options,
+/// rewritten under them, with the rewrite statistics (all zero for a
+/// module as assembled). As in the paper, a driver is derived once: a
+/// process builds each (source, options) pair's module the first time
+/// and shares it after. An error is returned, never kept, and a
+/// poisoned lock only means deriving afresh.
+fn derive(
+    source: &str,
+    rewrite_opts: Option<&RewriteOptions>,
+) -> Result<(Arc<Module>, RewriteStats), SystemError> {
+    let same = |d: &Derivation| d.source == source && d.rewrite.as_ref() == rewrite_opts;
+    if let Ok(mut derived) = DERIVED.lock() {
+        if let Some(i) = derived.iter().position(same) {
+            let d = derived.remove(i);
+            let found = (Arc::clone(&d.module), d.stats);
+            derived.push(d);
+            return Ok(found);
+        }
+    }
+    let build_err = |e: &dyn std::fmt::Display| SystemError::Build(e.to_string());
+    let mut module = assemble("e1000", source).map_err(|e| build_err(&e))?;
+    let mut stats = RewriteStats::default();
+    if let Some(opts) = rewrite_opts {
+        let out = rewrite(&module, opts).map_err(|e| build_err(&e))?;
+        module = out.module;
+        stats = out.stats;
+    }
+    let module = Arc::new(module);
+    if let Ok(mut derived) = DERIVED.lock() {
+        // Another thread may have derived the same pair meanwhile.
+        if !derived.iter().any(same) {
+            if derived.len() == DERIVED_CAP {
+                derived.remove(0);
+            }
+            derived.push(Derivation {
+                source: source.to_owned(),
+                rewrite: rewrite_opts.cloned(),
+                module: Arc::clone(&module),
+                stats,
+            });
+        }
+    }
+    Ok((module, stats))
+}
+
 /// Step 2, first half: the driver module — the original for the
 /// baselines, rewritten for TwinDrivers (the same rewritten binary
 /// serves both instances, paper §5.1.2) — loaded into dom0, behind an
@@ -130,21 +194,17 @@ fn load_vm_instance(
     machine: &mut Machine,
     world: &mut World,
     dom0: SpaceId,
-) -> Result<(Module, LoadedDriver, RewriteStats), SystemError> {
-    let build_err = |e: &dyn std::fmt::Display| SystemError::Build(e.to_string());
+) -> Result<(Arc<Module>, LoadedDriver, RewriteStats), SystemError> {
     let source = opts.driver_source.clone().unwrap_or_else(e1000::source);
-    let mut module = assemble("e1000", &source).map_err(|e| build_err(&e))?;
-    let mut rewrite_stats = RewriteStats::default();
-    if config == Config::TwinDrivers {
-        let out = rewrite(&module, &opts.rewrite).map_err(|e| build_err(&e))?;
-        module = out.module;
-        rewrite_stats = out.stats;
+    let twin = config == Config::TwinDrivers;
+    let (module, rewrite_stats) = derive(&source, twin.then_some(&opts.rewrite))?;
+    if twin {
         world.svm_vm = Some(Svm::new_identity(machine, dom0, IDENTITY_STLB_BASE)?);
     }
     let identity_base = world.svm_vm.as_ref().map(|s| s.placement().base);
     let stlb = |name: &str| identity_base.filter(|_| name == twin_svm::STLB_SYMBOL);
     let driver = load_driver(machine, dom0, &module, VM_CODE_BASE, DRIVER_DATA_BASE, stlb)
-        .map_err(|e| build_err(&e))?;
+        .map_err(|e| SystemError::Build(e.to_string()))?;
     Ok((module, driver, rewrite_stats))
 }
 
@@ -423,5 +483,78 @@ impl System {
     /// observability).
     pub fn sched(&self) -> Option<&VcpuSched> {
         self.sched.as_ref()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::measure::{fault_injected_source, FaultClass};
+
+    /// The tests below that read the cache's length or a hit's identity
+    /// run one at a time.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    #[test]
+    fn a_memoized_derivation_is_a_fresh_one() {
+        let _serial = SERIAL.lock();
+        let no_liveness = RewriteOptions {
+            liveness: false,
+            ..RewriteOptions::default()
+        };
+        let keys = [
+            (e1000::source(), None),
+            (e1000::source(), Some(RewriteOptions::default())),
+            (
+                fault_injected_source(FaultClass::WedgedRing),
+                Some(RewriteOptions::default()),
+            ),
+            (e1000::source(), Some(no_liveness)),
+        ];
+        for (source, rewrite_opts) in keys {
+            let assembled = assemble("e1000", &source).unwrap();
+            let (module, stats) = match &rewrite_opts {
+                Some(o) => rewrite(&assembled, o).map(|r| (r.module, r.stats)).unwrap(),
+                None => (assembled, RewriteStats::default()),
+            };
+            let (first, _) = derive(&source, rewrite_opts.as_ref()).unwrap();
+            let (again, again_stats) = derive(&source, rewrite_opts.as_ref()).unwrap();
+            assert!(
+                Arc::ptr_eq(&first, &again),
+                "{rewrite_opts:?}: derived twice"
+            );
+            assert!(*again == module, "{rewrite_opts:?}: the module differs");
+            assert_eq!(again_stats, stats, "{rewrite_opts:?}");
+            let opts = SystemOptions {
+                driver_source: Some(source),
+                rewrite: rewrite_opts.clone().unwrap_or_default(),
+                ..SystemOptions::default()
+            };
+            let config = match rewrite_opts {
+                Some(_) => Config::TwinDrivers,
+                None => Config::NativeLinux,
+            };
+            let sys = System::build_with(config, &opts).unwrap();
+            let built = sys.rewrite_stats().unwrap_or_default();
+            assert_eq!(built, stats, "{config}");
+        }
+    }
+
+    #[test]
+    fn the_cache_holds_at_most_its_cap() {
+        let _serial = SERIAL.lock();
+        let sources: Vec<String> = (0..=DERIVED_CAP)
+            .map(|i| format!("{}\n# variant {i}\n", e1000::source()))
+            .collect();
+        for source in &sources {
+            let opts = SystemOptions {
+                driver_source: Some(source.clone()),
+                ..SystemOptions::default()
+            };
+            System::build_with(Config::NativeLinux, &opts).unwrap();
+        }
+        let derived = DERIVED.lock().unwrap();
+        assert_eq!(derived.len(), DERIVED_CAP);
+        assert!(derived.iter().any(|d| Some(&d.source) == sources.last()));
     }
 }

@@ -49,8 +49,9 @@ impl SvmHelper {
     }
 }
 
-/// Options controlling the rewrite.
-#[derive(Clone, Debug)]
+/// Options controlling the rewrite. A built system derives its driver
+/// once per (source, options) pair, so equality is over every field.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RewriteOptions {
     /// Use liveness analysis to find free scratch registers (paper
     /// default). With `false`, every SVM site spills — the ablation for
