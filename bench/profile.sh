@@ -23,11 +23,24 @@
 #
 # each also as ns per packet of the profiled run's `host_ns_per_pkt`,
 # and the window's sample count (the rest, `call_function` minus `run`,
-# is setting up each run). The profiled build keeps frame pointers (see
-# below). A virtual machine may deliver far fewer clock samples than the
-# interval asks for: compare two commits with the same workload and
-# length, and report the counts. Below 1 000 samples in the window the
-# script prints a warning line and the shares to whole per cents.
+# is setting up each run). Then the set-up outside the window, as a
+# share of the whole run and as milliseconds of the profiled run's wall
+# time (that share of it):
+#
+#   build_with  inclusive time of `System::build_with`
+#   restore     `twin_machine::mem::MemImage::restore`, the memory of
+#               each build that forks a kept template, also as a share
+#               of `build_with`
+#
+# How many builds and forks a run makes follows from the workload's
+# scenarios and the template cache, so the script divides by neither:
+# compare two commits' times at the same workload and length.
+#
+# The profiled build keeps frame pointers (see below). A virtual
+# machine may deliver far fewer clock samples than the interval asks
+# for: compare two commits with the same workload and length, and report
+# the counts. Below 1 000 samples in the window the script prints a
+# warning line and the shares to whole per cents.
 # Needs bash, cargo and gprofng (binutils); exits 2 without gprofng.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -52,12 +65,14 @@ RUSTFLAGS="-C force-frame-pointers=yes" CARGO_TARGET_DIR=$out/build \
     cargo build --release --quiet --offline --manifest-path benchmark/Cargo.toml
 exp=$out/$workload.er
 rm -rf "$exp" "$out/$workload.jsonl"
+started=$(date +%s.%N)
 if ! gprofng collect app -p hi -o "$exp" "$out/build/release/bench" run \
     --workload "$workload" --seconds "$seconds" --trace 0 \
     --out "$out/$workload.jsonl" >"$out/$workload.log" 2>&1; then
     cat "$out/$workload.log" >&2
     exit 1
 fi
+wall=$(echo "$(date +%s.%N) $started" | awk '{print $1 - $2}')
 interval_us=$(gprofng display text -header "$exp" | grep -oE 'interval = [0-9]+' | grep -oE '[0-9]+$')
 # The profiled run's own host time per packet, to turn shares into ns.
 ns_per_pkt=$(grep -oE '"host_ns_per_pkt": \{"value": [0-9.e+-]+' "$out/$workload.jsonl" |
@@ -65,7 +80,8 @@ ns_per_pkt=$(grep -oE '"host_ns_per_pkt": \{"value": [0-9.e+-]+' "$out/$workload
 
 # One line per function: inclusive CPU seconds, then the name.
 gprofng display text -metrics i.totalcpu -sort i.totalcpu -functions "$exp" |
-    awk -v w="$workload" -v s="$seconds" -v us="${interval_us:-1000}" -v ns="${ns_per_pkt:-0}" '
+    awk -v w="$workload" -v s="$seconds" -v us="${interval_us:-1000}" -v ns="${ns_per_pkt:-0}" \
+        -v wall="$wall" '
     $1 ~ /^[0-9.]+$/ {
         t = $1; $1 = ""; name = substr($0, 2)
         if (name == "<Total>") total = t
@@ -75,6 +91,8 @@ gprofng display text -metrics i.totalcpu -sort i.totalcpu -functions "$exp" |
         else if (name == "twin_machine::interp::Exec::run") run += t
         else if (name ~ /^<twindrivers::system::World as twin_machine::interp::Env>::extern_call$/) ext += t
         else if (name == "twin_kernel::call_function") call += t
+        else if (name ~ /System>::build_with$/) build += t
+        else if (name == "twin_machine::mem::MemImage::restore") restore += t
     }
     END {
         win += rx
@@ -93,7 +111,16 @@ gprofng display text -metrics i.totalcpu -sort i.totalcpu -functions "$exp" |
         share("crossings", ext)
         share("pipeline", win - call)
         share("run set-up", call - run)
+        printf "set-up outside the window, share of the whole run:\n"
+        setup("build_with", build)
+        setup("restore", restore)
+        if (build > 0) printf "  restore is %.1f %% of build_with\n", 100 * restore / build
     }
     function share(layer, t) {
         printf "  %-20s  %5." digits "f %%  %5.0f ns/pkt\n", layer, 100 * t / win, ns * t / win
+    }
+    # The profiler keeps only some of the samples it was asked for, so
+    # a share turns into time against the wall clock, not the samples.
+    function setup(f, t) {
+        printf "  %-20s  %5." digits "f %%  %8.1f ms of the run\n", f, 100 * t / total, wall * 1e3 * t / total
     }'

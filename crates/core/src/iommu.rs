@@ -32,7 +32,7 @@ pub(crate) fn runs(pfns: &[u64]) -> Vec<(u64, u64)> {
 }
 
 /// A simple IOMMU: machine frames the NIC is allowed to DMA to/from.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Iommu {
     /// Coalesced allowed ranges: start pfn → end pfn (exclusive).
     ranges: BTreeMap<u64, u64>,

@@ -183,7 +183,7 @@ pub enum Itr {
 /// Options for building a [`System`]. Every field is an axis a sweep, a
 /// figure or a benchmark workload varies (`tests/options.rs` pins the
 /// list); a value only one caller ever sets is a constant instead.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SystemOptions {
     /// Rewriter configuration (TwinDrivers only).
     pub rewrite: RewriteOptions,
@@ -328,7 +328,7 @@ struct QuarantineEpisode {
 /// There is always exactly one per device; a feature that is off leaves
 /// its field at the neutral value, so nothing asks "is this feature on"
 /// before indexing.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct DevState {
     /// Virtual-clock stamp of the device's current NAPI poll-mode entry.
     /// `Some` *is* poll mode — the RX interrupt is masked and the
@@ -357,7 +357,7 @@ struct DevState {
 /// What the system tracks per domain id beyond the hypervisor's own
 /// [`twin_xen::Domain`]. Entry 0 is the driver domain (or the native
 /// stack); every guest gets one when it is added.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct GuestState {
     /// DRR flush weight ([`SystemOptions::guest_weights`]; 1 unless
     /// listed, never 0).
@@ -454,7 +454,7 @@ impl From<Fault> for SystemError {
 /// Implements [`Env`]; extern dispatch is selected by the executing
 /// privilege mode, which is equivalent to the paper's per-instance symbol
 /// resolution (§5.2).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct World {
     /// The dom0 kernel model.
     pub kernel: Dom0Kernel,
@@ -615,7 +615,7 @@ struct Endpoint {
 /// §6.1): [`Config`] is read off the variant, so "is there a guest" or
 /// "is there a hypervisor driver" is a match, never a check that can
 /// fail.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 enum Datapath {
     Native,
     Dom0,
@@ -630,7 +630,7 @@ enum Datapath {
 }
 
 /// One fully constructed, measurable system.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct System {
     /// The simulated machine.
     pub machine: Machine,

@@ -15,7 +15,7 @@ pub const HEAP_MAX: u64 = 64 * 1024 * 1024;
 /// Allocations never cross page boundaries when `size <= PAGE_SIZE`,
 /// which models the physical contiguity the NIC's DMA engine requires
 /// for descriptor rings and packet buffers.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Heap {
     space: SpaceId,
     next: u64,

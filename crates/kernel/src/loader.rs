@@ -43,7 +43,7 @@ impl From<LinkError> for LoadError {
 
 /// A driver loaded into dom0: image, entry points and the saved
 /// relocation information (symbol → dom0 address).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct LoadedDriver {
     /// The linked code image.
     pub image: ImageId,

@@ -155,7 +155,7 @@ impl SkBuff {
 }
 
 /// A pool of preallocated sk_buffs in dom0 memory.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct SkbPool {
     free: Vec<SkBuff>,
     total: usize,

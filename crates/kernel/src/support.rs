@@ -168,7 +168,7 @@ pub enum RxMode {
 
 /// The dom0 kernel model: heap, sk_buff pools, support-routine
 /// implementations, timers and IRQ plumbing.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Dom0Kernel {
     /// dom0's address space.
     pub space: SpaceId,

@@ -138,7 +138,7 @@ pub use cost::{CostDomain, CostParams, CycleMeter, Event, Term};
 pub use hash::{IntMap, IntSet};
 pub use image::{CodeImage, ImageId, LinkError};
 pub use interp::{run, Cpu, Env, ExecMode, Fault, NullEnv, StopReason};
-pub use mem::{PhysMem, PAGE_SIZE};
+pub use mem::{MemImage, PhysMem, PAGE_SIZE};
 pub use space::{PageEntry, PageKind, PageTable, SpaceId};
 
 use std::sync::Arc;
@@ -164,7 +164,7 @@ pub struct ExternId(pub usize);
 /// The complete simulated machine: physical memory, address spaces, the
 /// shared hypervisor region, loaded code images, extern trampolines and the
 /// cycle meter.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Machine {
     /// Physical memory and frame allocator.
     pub phys: PhysMem,

@@ -8,6 +8,11 @@
 //! another pays those faults once. A recycled buffer reads exactly as a
 //! fresh one would: every write advances a dirty high-water mark, and
 //! taking a spare zeroes what lies below its mark.
+//!
+//! A built system's memory is nearly all zero, so a copy of it is kept
+//! as a [`MemImage`]: its non-zero 64-byte lines and the allocator's
+//! state. [`MemImage::restore`] writes those lines onto a recycled
+//! buffer and reads exactly as the memory it was taken from.
 
 use std::sync::Mutex;
 use twin_isa::Width;
@@ -20,23 +25,37 @@ pub const PAGE_SIZE: u64 = 4096;
 /// thread), so a handful covers both. A spare keeps resident only the
 /// pages its systems touched, all below the highest mark one of them
 /// reached — about 16 MB for four NICs in bulk — so the cap bounds what
-/// a process keeps beyond its live systems.
+/// a process keeps beyond its live systems. The pool stays beside
+/// [`MemImage`]: a restore draws its buffer from it as a build does.
 const SPARE_CAP: usize = 4;
 
 /// Buffers of dropped [`PhysMem`]s, oldest first, each with its dirty
 /// mark.
 static SPARES: Mutex<Vec<(Vec<u8>, usize)>> = Mutex::new(Vec::new());
 
-/// A spare buffer of `len` bytes, zeroed below its dirty mark, if the
-/// pool has one; a poisoned lock means no recycling.
-fn take_spare(len: usize) -> Option<Vec<u8>> {
-    let (mut bytes, dirty) = {
-        let mut spares = SPARES.lock().ok()?;
+/// A buffer of `len` bytes, all zero: a spare from the pool, zeroed
+/// below its dirty mark, if it has one of that length (a poisoned lock
+/// means no recycling), else a fresh allocation.
+fn zeroed_buffer(len: usize) -> Vec<u8> {
+    let spare = SPARES.lock().ok().and_then(|mut spares| {
         let i = spares.iter().position(|(b, _)| b.len() == len)?;
-        spares.remove(i)
+        Some(spares.remove(i))
+    });
+    let Some((mut bytes, dirty)) = spare else {
+        return vec![0; len];
     };
     bytes[..dirty].fill(0);
-    Some(bytes)
+    bytes
+}
+
+/// The frame allocator: one bit per frame, set while the frame is free.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Frames {
+    free: Vec<u64>,
+    /// No word of `free` below this index has a bit set.
+    lowest_free_word: usize,
+    free_count: usize,
+    total: usize,
 }
 
 /// Simulated physical memory: a flat byte array divided into frames, plus a
@@ -51,40 +70,61 @@ pub struct PhysMem {
     /// may store a non-zero byte moves it past its end, and so does
     /// handing out a frame.
     dirty: usize,
-    /// One bit per frame, set while the frame is free.
-    free: Vec<u64>,
-    /// No word of `free` below this index has a bit set.
-    lowest_free_word: usize,
-    free_frames: usize,
-    total_frames: usize,
+    frames: Frames,
 }
 
 impl PhysMem {
     /// Creates memory with `frames` frames, all free.
     pub fn new(frames: usize) -> PhysMem {
-        let mut free = vec![u64::MAX; frames.div_ceil(64)];
+        let mut free = vec![u64::MAX; frames / 64];
         if frames % 64 != 0 {
-            *free.last_mut().expect("frames > 0") = (1 << (frames % 64)) - 1;
+            free.push((1 << (frames % 64)) - 1);
         }
-        let len = frames * PAGE_SIZE as usize;
         PhysMem {
-            bytes: take_spare(len).unwrap_or_else(|| vec![0; len]),
+            bytes: zeroed_buffer(frames * PAGE_SIZE as usize),
             dirty: 0,
-            free,
-            lowest_free_word: 0,
-            free_frames: frames,
-            total_frames: frames,
+            frames: Frames {
+                free,
+                lowest_free_word: 0,
+                free_count: frames,
+                total: frames,
+            },
         }
     }
 
     /// Total number of frames.
     pub fn total_frames(&self) -> usize {
-        self.total_frames
+        self.frames.total
     }
 
     /// Number of currently free frames.
     pub fn free_frames(&self) -> usize {
-        self.free_frames
+        self.frames.free_count
+    }
+
+    /// This memory as its non-zero 64-byte lines, each run of adjacent
+    /// ones kept once, with the allocator's state: what
+    /// [`MemImage::restore`] needs to read exactly as this does.
+    pub fn image(&self) -> MemImage {
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        let mut data = Vec::new();
+        let lines = self.bytes[..self.dirty].chunks(MemImage::LINE);
+        for (at, line) in (0..).step_by(MemImage::LINE).zip(lines) {
+            if line == &[0; MemImage::LINE][..line.len()] {
+                continue;
+            }
+            match runs.last_mut() {
+                Some((start, len)) if *start + *len == at => *len += line.len(),
+                _ => runs.push((at, line.len())),
+            }
+            data.extend_from_slice(line);
+        }
+        MemImage {
+            runs,
+            data,
+            dirty: self.dirty,
+            frames: self.frames.clone(),
+        }
     }
 
     /// Advances the dirty mark past a write that ended at `end`.
@@ -101,14 +141,13 @@ impl PhysMem {
     /// Allocates the lowest-numbered free frame, zeroed.
     /// Returns `None` when memory is exhausted.
     pub fn alloc_frame(&mut self) -> Option<u64> {
-        let word = self.lowest_free_word
-            + self.free[self.lowest_free_word..]
-                .iter()
-                .position(|w| *w != 0)?;
-        let bit = self.free[word].trailing_zeros();
-        self.free[word] &= !(1 << bit);
-        self.lowest_free_word = word;
-        self.free_frames -= 1;
+        let f = &mut self.frames;
+        let lowest = f.lowest_free_word;
+        let word = lowest + f.free[lowest..].iter().position(|w| *w != 0)?;
+        let bit = f.free[word].trailing_zeros();
+        f.free[word] &= !(1 << bit);
+        f.lowest_free_word = word;
+        f.free_count -= 1;
         let pfn = word as u64 * 64 + bit as u64;
         let start = (pfn * PAGE_SIZE) as usize;
         let end = start + PAGE_SIZE as usize;
@@ -129,15 +168,13 @@ impl PhysMem {
     /// Panics if the frame is already free or out of range (double free is
     /// a bug in the simulator itself, not a modeled driver bug).
     pub fn free_frame(&mut self, pfn: u64) {
-        assert!((pfn as usize) < self.total_frames, "pfn {pfn} out of range");
+        let f = &mut self.frames;
+        assert!((pfn as usize) < f.total, "pfn {pfn} out of range");
         let (word, bit) = ((pfn / 64) as usize, pfn % 64);
-        assert!(
-            self.free[word] & (1 << bit) == 0,
-            "double free of pfn {pfn}"
-        );
-        self.free[word] |= 1 << bit;
-        self.lowest_free_word = self.lowest_free_word.min(word);
-        self.free_frames += 1;
+        assert!(f.free[word] & (1 << bit) == 0, "double free of pfn {pfn}");
+        f.free[word] |= 1 << bit;
+        f.lowest_free_word = f.lowest_free_word.min(word);
+        f.free_count += 1;
     }
 
     /// Reads one byte at a physical address.
@@ -164,11 +201,8 @@ impl PhysMem {
     /// Reads a little-endian u16 at a physical address.
     #[inline]
     pub fn read_u16(&self, paddr: u64) -> u16 {
-        u16::from_le_bytes(
-            self.bytes[paddr as usize..paddr as usize + 2]
-                .try_into()
-                .expect("2 bytes"),
-        )
+        let b = &self.bytes[paddr as usize..paddr as usize + 2];
+        u16::from_le_bytes([b[0], b[1]])
     }
 
     /// Writes a little-endian u16 at a physical address.
@@ -181,11 +215,8 @@ impl PhysMem {
     /// Reads a little-endian u32 at a physical address.
     #[inline]
     pub fn read_u32(&self, paddr: u64) -> u32 {
-        u32::from_le_bytes(
-            self.bytes[paddr as usize..paddr as usize + 4]
-                .try_into()
-                .expect("4 bytes"),
-        )
+        let b = &self.bytes[paddr as usize..paddr as usize + 4];
+        u32::from_le_bytes([b[0], b[1], b[2], b[3]])
     }
 
     /// Writes a little-endian u32 at a physical address.
@@ -237,11 +268,29 @@ impl PhysMem {
     }
 }
 
+impl Clone for PhysMem {
+    /// A copy on a recycled buffer: only the bytes below the dirty mark
+    /// are copied.
+    fn clone(&self) -> PhysMem {
+        let mut bytes = zeroed_buffer(self.bytes.len());
+        bytes[..self.dirty].copy_from_slice(&self.bytes[..self.dirty]);
+        PhysMem {
+            bytes,
+            dirty: self.dirty,
+            frames: self.frames.clone(),
+        }
+    }
+}
+
 impl Drop for PhysMem {
     /// Files the buffer in the pool for the next [`PhysMem::new`] of its
     /// length, in place of the oldest spare when the pool is full; frees
-    /// it when the pool's lock is poisoned.
+    /// it when the pool's lock is poisoned. An empty buffer (no frames)
+    /// holds nothing worth keeping.
     fn drop(&mut self) {
+        if self.bytes.is_empty() {
+            return;
+        }
         let spare = (std::mem::take(&mut self.bytes), self.dirty);
         let Ok(mut spares) = SPARES.lock() else {
             return;
@@ -250,6 +299,46 @@ impl Drop for PhysMem {
             spares.remove(0);
         }
         spares.push(spare);
+    }
+}
+
+/// A [`PhysMem`] kept as its non-zero 64-byte lines and its allocator's
+/// state ([`PhysMem::image`]). A built system's memory is almost all
+/// zero — four NICs in bulk write a 16 MB prefix that holds about 56 KB
+/// of non-zero bytes — so the lines are a few hundred KB where a copy of
+/// the prefix would be all of it.
+#[derive(Clone, Debug)]
+pub struct MemImage {
+    /// Each run of adjacent non-zero lines as (offset, length), in
+    /// address order.
+    runs: Vec<(usize, usize)>,
+    /// The runs' bytes, back to back.
+    data: Vec<u8>,
+    dirty: usize,
+    frames: Frames,
+}
+
+impl MemImage {
+    /// Bytes in one line, the unit a run is made of.
+    const LINE: usize = 64;
+
+    /// The memory this image was taken from, on a recycled buffer when
+    /// the pool has one: the buffer is zeroed, the runs are written, and
+    /// the dirty mark and the allocator are the original's, so every
+    /// byte at or above the mark is zero as [`PhysMem`] requires.
+    pub fn restore(&self) -> PhysMem {
+        let mut bytes = zeroed_buffer(self.frames.total * PAGE_SIZE as usize);
+        let mut data = &self.data[..];
+        for &(at, len) in &self.runs {
+            let (run, rest) = data.split_at(len);
+            bytes[at..at + len].copy_from_slice(run);
+            data = rest;
+        }
+        PhysMem {
+            bytes,
+            dirty: self.dirty,
+            frames: self.frames.clone(),
+        }
     }
 }
 
@@ -313,6 +402,44 @@ mod tests {
                 [0; 4096]
             );
         }
+    }
+
+    /// An image of memory dirtied through every write path, restored
+    /// onto a spare that holds other garbage, reads as the original:
+    /// every byte, the dirty mark and the allocator.
+    #[test]
+    fn a_restored_image_reads_as_its_original() {
+        // A length no other test here uses, so no other thread takes
+        // the spare in between.
+        const FRAMES: usize = 41;
+        let mut original = PhysMem::new(FRAMES);
+        let at: Vec<u64> = (0..6)
+            .map(|_| original.alloc_frame().unwrap() * PAGE_SIZE)
+            .collect();
+        original.free_frame(at[2] / PAGE_SIZE);
+        original.write_u8(at[0] + 3, 0xa5);
+        // Across a line boundary, then the next line: one run.
+        original.write_u16(at[0] + 63, 0xa5a5);
+        original.write_u32(at[1] + 128, 0xa5a5_a5a5);
+        original.write_width(at[1] + 192, Width::Word, 0xa5a5);
+        original.write_bytes(at[3] + 500, &[0xa5; 300]);
+        // A line written back to zero is not kept.
+        original.write_u8(at[4] + 9, 0x5a);
+        original.write_u8(at[4] + 9, 0);
+        original.copy_within(at[3] + 500, at[5] + 4000, 96);
+        // Past every allocated frame, as a rogue DMA write lands.
+        original.write_u8((FRAMES as u64 - 1) * PAGE_SIZE + 7, 0xa5);
+        let image = original.image();
+        let garbage = {
+            let mut g = PhysMem::new(FRAMES);
+            g.write_bytes(0, &[0x3c; FRAMES * PAGE_SIZE as usize]);
+            g.bytes.as_ptr()
+        };
+        let restored = image.restore();
+        assert_eq!(restored.bytes.as_ptr(), garbage, "not on the spare");
+        assert!(restored.bytes == original.bytes, "the bytes differ");
+        assert_eq!(restored.dirty, original.dirty);
+        assert_eq!(restored.frames, original.frames);
     }
 
     #[test]

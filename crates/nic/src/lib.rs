@@ -520,7 +520,7 @@ pub struct NicStats {
 }
 
 /// The NIC device model.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Nic {
     /// Device id used in MMIO routing.
     pub dev_id: u32,

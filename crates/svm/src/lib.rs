@@ -92,7 +92,7 @@ pub struct TablePlacement {
 ///   the same rewritten binary runs in dom0 with identity mappings — the
 ///   driver "continues to use its original data addresses and functions
 ///   correctly as before, except that it runs a little slower".
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Svm {
     table: TablePlacement,
     window_base: u64,

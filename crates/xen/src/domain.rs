@@ -25,7 +25,7 @@ pub enum DomainKind {
 
 /// A virtual machine: address space, MAC identity, virtual interrupt
 /// flag, pending events and the TwinDrivers receive queue.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Domain {
     /// Identifier.
     pub id: DomId,

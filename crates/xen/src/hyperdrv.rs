@@ -56,7 +56,7 @@ pub const UPCALL_RING_SLOT_BYTES: u64 = 32;
 pub const UPCALL_RING_SLOTS: u64 = UPCALL_RING_PAGES * PAGE_SIZE / UPCALL_RING_SLOT_BYTES;
 
 /// The hypervisor driver instance: image, entry points and stack.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct HypervisorDriver {
     /// Loaded image id.
     pub image: ImageId,

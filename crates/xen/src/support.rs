@@ -79,7 +79,7 @@ pub const UPCALL_PORT: u32 = 31;
 /// upcalls executed in dom0 are the payments of `UpcallOverhead`
 /// (synchronous) plus `UpcallComplete` (at a flush), and each frame
 /// `NETIF_RX` drops is one `FrameDrop` note.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct HyperSupport {
     /// Table 1 rows forced onto the upcall path (Figure 10 sweep): bit
     /// `i` is [`twin_kernel::ROUTINES`]`[i]`.

@@ -87,7 +87,7 @@ pub struct UpcallStats {
 /// The deferred-upcall ring plus completion store. Requests are FIFO;
 /// completions stay available until consumed with
 /// [`UpcallEngine::take_completion`].
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct UpcallEngine {
     /// Execution mode.
     pub mode: UpcallMode,

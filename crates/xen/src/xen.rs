@@ -81,7 +81,7 @@ impl Softirq {
 }
 
 /// The Xen-like hypervisor state machine.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Xen {
     /// All domains; index 0 is dom0.
     pub domains: Vec<Domain>,

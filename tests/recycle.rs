@@ -4,8 +4,10 @@
 //! four NICs' rings and pools, a rogue DMA descriptor and the frame it
 //! names — must read as zero to the next build: the same run leaves the
 //! same outcome, the same registry and the same physical memory, byte
-//! for byte. This file holds one test so that its first build is the
-//! process's first and runs on fresh memory.
+//! for byte. The build checked on recycled memory is its pair's second,
+//! which runs the steps again; the third is a fork of it, restored onto
+//! recycled memory too. This file holds one test so that its first build
+//! is the process's first and runs on fresh memory.
 
 use twin_machine::PAGE_SIZE;
 use twin_net::{Frame, MacAddr};
@@ -102,4 +104,8 @@ fn a_system_on_recycled_memory_is_the_system_on_fresh_memory() {
         "non-zero 1 MiB chunks"
     );
     assert!(recycled.2 == fresh.2, "recycled memory reads differently");
+    let forked = tx_rx(&mut System::build(Config::TwinDrivers).unwrap());
+    forked.0.check(&fresh.0, Law::BitExact).unwrap();
+    assert_eq!(forked.1, fresh.1, "a fork changed the registry");
+    assert!(forked.2 == fresh.2, "a fork reads differently");
 }
