@@ -29,8 +29,14 @@
 #
 #   build_with  inclusive time of `System::build_with`
 #   restore     `twin_machine::mem::MemImage::restore`, the memory of
-#               each build that forks a kept template, also as a share
-#               of `build_with`
+#               each build that forks a kept template (on the spare the
+#               last fork of that template left, only the pages that
+#               fork wrote are rewritten), also as a share of
+#               `build_with`
+#   zeroing     `twin_machine::mem::Spare::zeroed`, zeroing a spare
+#               buffer's written and baseline pages for a build on fresh
+#               memory or a restore onto another template's spare, also
+#               as a share of `build_with`
 #
 # How many builds and forks a run makes follows from the workload's
 # scenarios and the template cache, so the script divides by neither:
@@ -93,6 +99,7 @@ gprofng display text -metrics i.totalcpu -sort i.totalcpu -functions "$exp" |
         else if (name == "twin_kernel::call_function") call += t
         else if (name ~ /System>::build_with$/) build += t
         else if (name == "twin_machine::mem::MemImage::restore") restore += t
+        else if (name == "twin_machine::mem::Spare::zeroed") zeroing += t
     }
     END {
         win += rx
@@ -114,7 +121,8 @@ gprofng display text -metrics i.totalcpu -sort i.totalcpu -functions "$exp" |
         printf "set-up outside the window, share of the whole run:\n"
         setup("build_with", build)
         setup("restore", restore)
-        if (build > 0) printf "  restore is %.1f %% of build_with\n", 100 * restore / build
+        setup("zeroing", zeroing)
+        if (build > 0) printf "  restore is %.1f %%, zeroing %.1f %% of build_with\n", 100 * restore / build, 100 * zeroing / build
     }
     function share(layer, t) {
         printf "  %-20s  %5." digits "f %%  %5.0f ns/pkt\n", layer, 100 * t / win, ns * t / win

@@ -101,15 +101,9 @@ impl System {
         });
         self.machine.note(TraceEvent::QuarantineEnter { dev });
         let at = self.machine.meter.now();
-        let (replayed, dropped, revoked_doms, revoked_mappings) = self.fault_teardown(dev)?;
-        self.devs[dev as usize].quarantine = Some(QuarantineEpisode {
-            reason: reason.clone(),
-            at,
-            replayed,
-            dropped,
-            revoked_doms,
-            revoked_mappings,
-        });
+        let episode = self.fault_teardown(dev, reason.clone(), at)?;
+        let (replayed, dropped) = (episode.replayed, episode.dropped);
+        self.devs[dev as usize].quarantine = Some(episode);
         self.machine.note(TraceEvent::InflightAccounted {
             dev,
             replayed,
@@ -192,9 +186,13 @@ impl System {
     /// *image* touched all of them — the trust decision is per driver,
     /// re-granted per device on recovery), and disarms the device's
     /// watchdog so the wheel cannot fire a handler over the corrupted
-    /// adapter slot. Returns `(replayed, dropped, revoked_doms,
-    /// revoked_mappings)`.
-    fn fault_teardown(&mut self, dev: u32) -> Result<(u32, u32, Vec<u32>, usize), SystemError> {
+    /// adapter slot. Returns the episode, opened at `at` for `reason`.
+    fn fault_teardown(
+        &mut self,
+        dev: u32,
+        reason: String,
+        at: u64,
+    ) -> Result<QuarantineEpisode, SystemError> {
         let mut replayed = 0u32;
         let mut dropped = 0u32;
         // 1. The deferred-upcall ring: a queued free or unlock — a
@@ -245,6 +243,7 @@ impl System {
         // back to their pools first or every episode leaks a ring's
         // worth of pool. `e1000_clean_tx` nulls entries it frees, so
         // every non-null slot is live exactly once.
+        let mut ring_freed = Vec::new();
         let slot = self
             .driver
             .data_symbol("adapter")
@@ -262,9 +261,9 @@ impl System {
                     let skb = self.machine.read_u32(self.dom0, ExecMode::Guest, p)?;
                     if skb != 0 {
                         self.machine.write_u32(self.dom0, ExecMode::Guest, p, 0)?;
-                        self.world
-                            .kernel
-                            .free_skb(&self.machine, SkBuff(u64::from(skb)))?;
+                        let skb = SkBuff(u64::from(skb));
+                        self.world.kernel.free_skb(&self.machine, skb)?;
+                        ring_freed.push(skb);
                     }
                 }
             }
@@ -300,7 +299,15 @@ impl System {
                 .timers
                 .disarm_where(|t| t.handler == wd && t.data == u64::from(dev));
         }
-        Ok((replayed, dropped, revoked_doms, revoked_mappings))
+        Ok(QuarantineEpisode {
+            reason,
+            at,
+            replayed,
+            dropped,
+            revoked_doms,
+            revoked_mappings,
+            ring_freed,
+        })
     }
 
     /// Resets and resumes a quarantined device: re-runs `e1000_probe`

@@ -321,6 +321,9 @@ struct QuarantineEpisode {
     revoked_doms: Vec<u32>,
     /// Grant mappings revoked (each paid its `grant_unmap`).
     revoked_mappings: usize,
+    /// The skbs the teardown took out of the device's rings and freed,
+    /// those of the aborted invocation among them.
+    ring_freed: Vec<SkBuff>,
 }
 
 /// What the system tracks per NIC beyond the device model

@@ -125,8 +125,17 @@ impl System {
                 Ok(a) => a,
                 Err(e) => {
                     // Return the in-flight remainder to the pools before
-                    // surfacing the fault, or the pool drains for good.
-                    self.free_skbs(&skbs[done..])?;
+                    // surfacing the fault, or the pool drains for good:
+                    // all but what the aborted invocation had put in the
+                    // ring, which the fault's teardown freed already.
+                    let episode = self.devs[dev as usize].quarantine.as_ref();
+                    let freed = episode.map_or(&[][..], |q| &q.ring_freed);
+                    let rest: Vec<SkBuff> = skbs[done..]
+                        .iter()
+                        .filter(|skb| !freed.contains(skb))
+                        .copied()
+                        .collect();
+                    self.free_skbs(&rest)?;
                     return Err(e);
                 }
             };

@@ -550,7 +550,7 @@ impl Exec<'_> {
         match t.entry.kind {
             PageKind::Ram => {
                 self.pay(Term::Load);
-                self.m.tlb.fill(addr, &t.entry);
+                self.m.fill_tlb(addr, &t.entry);
                 self.m.read_translated(space, mode, addr, w, &t)
             }
             PageKind::Mmio(dev) => {
@@ -570,7 +570,7 @@ impl Exec<'_> {
     fn store(&mut self, addr: u64, w: Width, val: u32, budget: u64) -> Result<(), Fault> {
         if let Some(paddr) = self.m.cached_paddr(self.cpu, addr, w.bytes(), true) {
             self.pay(Term::Store);
-            self.m.phys.write_width(paddr, w, val);
+            self.m.phys.write_unmarked(paddr, w, val);
             return Ok(());
         }
         self.store_walk(addr, w, val, budget)
@@ -583,7 +583,7 @@ impl Exec<'_> {
         match t.entry.kind {
             PageKind::Ram => {
                 self.pay(Term::Store);
-                self.m.tlb.fill(addr, &t.entry);
+                self.m.fill_tlb(addr, &t.entry);
                 self.m.write_translated(space, mode, addr, w, val, &t)
             }
             PageKind::Mmio(dev) => {
@@ -605,7 +605,7 @@ impl Exec<'_> {
         self.cpu.set_reg(Reg::Esp, esp);
         let addr = esp as u64;
         if let Some(paddr) = self.m.cached_paddr(self.cpu, addr, 4, true) {
-            self.m.phys.write_u32(paddr, val);
+            self.m.phys.write_unmarked(paddr, Width::Long, val);
             return Ok(());
         }
         self.push_walk(addr, val)
@@ -615,7 +615,7 @@ impl Exec<'_> {
     fn push_walk(&mut self, addr: u64, val: u32) -> Result<(), Fault> {
         let (space, mode) = (self.cpu.space, self.cpu.mode);
         let t = self.m.translate(space, mode, addr, true)?;
-        self.m.tlb.fill(addr, &t.entry);
+        self.m.fill_tlb(addr, &t.entry);
         self.m
             .write_translated(space, mode, addr, Width::Long, val, &t)
     }
@@ -637,7 +637,7 @@ impl Exec<'_> {
     fn pop_walk(&mut self, addr: u64) -> Result<u32, Fault> {
         let (space, mode) = (self.cpu.space, self.cpu.mode);
         let t = self.m.translate(space, mode, addr, false)?;
-        self.m.tlb.fill(addr, &t.entry);
+        self.m.fill_tlb(addr, &t.entry);
         self.m.read_translated(space, mode, addr, Width::Long, &t)
     }
 
@@ -1086,7 +1086,7 @@ impl Exec<'_> {
             return false;
         }
         for &(paddr, v) in slots {
-            self.m.phys.write_u32(paddr, v);
+            self.m.phys.write_unmarked(paddr, Width::Long, v);
         }
         self.svm_xlate_commit(x, a, hit);
         for (r, &(_, v)) in spills.iter().zip(slots) {
@@ -1653,7 +1653,7 @@ mod tests {
 
     // ---- what batching the meter and lowering the ops must not change ----
 
-    use crate::{CostDomain, CostParams, PageEntry, Term, HYPER_BASE};
+    use crate::{CostDomain, CostParams, PageEntry, PhysMem, Term, HYPER_BASE};
 
     /// An environment whose extern calls run `hook`, and whose one device
     /// reads as 7 and records, at every callback, what the caller could
@@ -1972,6 +1972,77 @@ mod tests {
         let spare = m.phys.alloc_frame().unwrap();
         m.phys.write_u32(spare * PAGE_SIZE, 0x2222_2222);
         (m, Cpu::new(space, ExecMode::Guest), spare)
+    }
+
+    /// A store the translation cache answers marks nothing in memory:
+    /// the frame was marked as it entered the cache, and a clone's cache
+    /// starts empty. So a fork of a template — the template's memory as
+    /// an image restored under a clone of the rest — that stores into a
+    /// page it first reached by a load, through a cache the template
+    /// had warmed on that page, and is dropped hands its memory to the
+    /// next fork, which rewrites that page and reads as the template.
+    #[test]
+    fn a_cached_store_is_undone_by_the_next_restore_of_the_image() {
+        let mut template = Machine::new();
+        // A length no other test uses, so no other thread takes the
+        // spare in between.
+        template.phys = PhysMem::new(47);
+        let space = template.new_space();
+        template.map_stack(space, STACK, 4).unwrap();
+        template.map_fresh(space, DATA, 1).unwrap();
+        template
+            .write_u32(space, ExecMode::Guest, DATA, 0x1111_1111)
+            .unwrap();
+        let module = assemble(
+            "t",
+            r#"
+            .text
+            .globl bump
+        bump:
+            movl 4(%esp), %ebx
+            movl (%ebx), %eax
+            addl $1, %eax
+            movl %eax, (%ebx)
+            ret
+        "#,
+        )
+        .unwrap();
+        let img = template.load_image(&module, 0x0800_0000, |_| None).unwrap();
+        let bump = template.image(img).export("bump").unwrap();
+        let mut cpu = Cpu::new(space, ExecMode::Guest);
+        let mut bump_on = |m: &mut Machine| {
+            start(m, &mut cpu, bump, &[DATA as u32]);
+            assert_eq!(
+                run(m, &mut cpu, &mut NullEnv, 100),
+                Ok(StopReason::Returned)
+            );
+            m.read_u32(space, ExecMode::Guest, DATA).unwrap()
+        };
+        assert_eq!(bump_on(&mut template), 0x1111_1112);
+        let image = template.phys.image();
+        let phys = std::mem::replace(&mut template.phys, PhysMem::new(0));
+        let shell = template.clone();
+        template.phys = phys;
+        let fork = || {
+            let mut m = shell.clone();
+            m.phys = image.restore();
+            m
+        };
+        let mut first = fork();
+        let buffer = first.phys.read_bytes(0, 0).as_ptr();
+        assert_eq!(bump_on(&mut first), 0x1111_1113);
+        drop(first);
+        let second = fork();
+        assert_eq!(
+            second.phys.read_bytes(0, 0).as_ptr(),
+            buffer,
+            "not resynced"
+        );
+        let all = 47 * PAGE_SIZE as usize;
+        assert!(
+            second.phys.read_bytes(0, all) == template.phys.read_bytes(0, all),
+            "the fork's cached store outlived it"
+        );
     }
 
     #[test]

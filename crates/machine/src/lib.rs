@@ -470,6 +470,21 @@ impl Machine {
         self.tlb.revalidate(self.tlb_key(cpu));
     }
 
+    /// Caches the translation of `addr` to `entry` for the interpreter.
+    /// A writable RAM frame is marked written as it enters the cache: a
+    /// store that hits the cache writes unmarked
+    /// ([`PhysMem::write_unmarked`]), so every frame such a store can
+    /// reach must be marked before it. A cloned cache starts empty
+    /// ([`space::Tlb`]'s `Clone`), so a clone's stores reach only frames
+    /// marked in its own memory.
+    #[inline]
+    pub(crate) fn fill_tlb(&mut self, addr: u64, entry: &PageEntry) {
+        if entry.writable && entry.kind == PageKind::Ram {
+            self.phys.mark(entry.pfn);
+        }
+        self.tlb.fill(addr, entry);
+    }
+
     /// Translation-cache lookup for the interpreter: the physical address
     /// of a `len`-byte RAM access at `addr` by `cpu`, when the cache can
     /// answer. `None` means "walk the page table" (and, on success,
@@ -499,7 +514,8 @@ impl Machine {
 
     /// The law the translation cache lives under, checked on every hit
     /// of every debug-build run: the cache was revalidated for this CPU,
-    /// and a hit is what the page-table walk says.
+    /// a hit is what the page-table walk says, and a store's frame is
+    /// marked written (what its unmarked store relies on).
     fn check_tlb_hit(&self, cpu: &Cpu, addr: u64, write: bool, paddr: u64) {
         assert_eq!(
             self.tlb.key(),
@@ -517,6 +533,11 @@ impl Machine {
                     paddr,
                     t.entry.pfn * PAGE_SIZE + t.offset,
                     "stale cached frame for {addr:#x}"
+                );
+                assert!(
+                    !write || self.phys.is_marked(t.entry.pfn),
+                    "cached store into unmarked frame {}",
+                    t.entry.pfn
                 );
             }
             Err(fault) => panic!("translation cache hit where the walk faults: {fault}"),

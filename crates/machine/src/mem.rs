@@ -1,51 +1,137 @@
 //! Simulated physical memory with a frame allocator.
 //!
 //! A [`PhysMem`]'s byte buffer outlives it: dropping one files the buffer
-//! in a small process-wide pool, and the next [`PhysMem::new`] of the
-//! same length takes it back. A fresh buffer is mapped lazily, so each
-//! 4 KiB page costs a page fault the first time it is touched; a
-//! recycled one has its pages already, and building one system after
-//! another pays those faults once. A recycled buffer reads exactly as a
-//! fresh one would: every write advances a dirty high-water mark, and
-//! taking a spare zeroes what lies below its mark.
+//! in a small process-wide pool, and the next [`PhysMem::new`] or
+//! [`MemImage::restore`] of the same length takes it back. A fresh
+//! buffer is mapped lazily, so each 4 KiB page costs a page fault the
+//! first time it is touched; a recycled one has its pages already, and
+//! building one system after another pays those faults once.
+//!
+//! A recycled buffer reads exactly as a fresh one (or a fresh restore)
+//! would because each buffer knows where it may differ from what it was
+//! handed out as. It carries a *baseline* — all zero, or the
+//! [`MemImage`] it was restored from — and the set of pages written
+//! since, one bit per frame. Every page outside the set reads as the
+//! baseline. Taking a spare back zeroes its written pages and its
+//! baseline's pages; restoring an image onto a spare whose baseline is
+//! that image rewrites only the written pages, so a fork pays for what
+//! the last fork wrote, not for what the system holds.
+//!
+//! Every write path marks the pages it writes — `write_u8/u16/u32/width/
+//! bytes`, `copy_within`, and through them NIC DMA and the walked
+//! interpreter accesses — except the interpreter's translation-cache
+//! hits, which are most of a run's stores and mark nothing: the machine
+//! marks a writable frame when it enters the cache instead, and a
+//! cloned cache starts empty, so every frame a cached store can reach is
+//! marked already.
 //!
 //! A built system's memory is nearly all zero, so a copy of it is kept
-//! as a [`MemImage`]: its non-zero 64-byte lines and the allocator's
-//! state. [`MemImage::restore`] writes those lines onto a recycled
-//! buffer and reads exactly as the memory it was taken from.
+//! as a [`MemImage`]: its non-zero 64-byte lines, in runs indexed by
+//! page, and the allocator's state. [`MemImage::restore`] reads exactly
+//! as the memory it was taken from.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use twin_isa::Width;
 
 /// Page size in bytes (4 KiB, matching the paper's x86-32 target).
 pub const PAGE_SIZE: u64 = 4096;
 
+const PAGE: usize = PAGE_SIZE as usize;
+
 /// Most spare buffers the pool keeps. A process builds one system after
 /// another (the benchmark's passes) or a few at once (one per test
 /// thread), so a handful covers both. A spare keeps resident only the
-/// pages its systems touched, all below the highest mark one of them
-/// reached — about 16 MB for four NICs in bulk — so the cap bounds what
-/// a process keeps beyond its live systems. The pool stays beside
-/// [`MemImage`]: a restore draws its buffer from it as a build does.
+/// pages its systems touched — about 16 MB for four NICs in bulk — so
+/// the cap bounds what a process keeps beyond its live systems. The
+/// pool stays beside [`MemImage`]: a restore draws its buffer from it as
+/// a build does.
 const SPARE_CAP: usize = 4;
 
-/// Buffers of dropped [`PhysMem`]s, oldest first, each with its dirty
-/// mark.
-static SPARES: Mutex<Vec<(Vec<u8>, usize)>> = Mutex::new(Vec::new());
+/// A dropped [`PhysMem`]'s buffer and where it may differ from its
+/// baseline.
+struct Spare {
+    bytes: Vec<u8>,
+    written: PageSet,
+    baseline: Option<Arc<Lines>>,
+}
 
-/// A buffer of `len` bytes, all zero: a spare from the pool, zeroed
-/// below its dirty mark, if it has one of that length (a poisoned lock
-/// means no recycling), else a fresh allocation.
-fn zeroed_buffer(len: usize) -> Vec<u8> {
-    let spare = SPARES.lock().ok().and_then(|mut spares| {
-        let i = spares.iter().position(|(b, _)| b.len() == len)?;
-        Some(spares.remove(i))
-    });
-    let Some((mut bytes, dirty)) = spare else {
-        return vec![0; len];
+/// Spare buffers, oldest first.
+static SPARES: Mutex<Vec<Spare>> = Mutex::new(Vec::new());
+
+/// A spare of `len` bytes: the newest whose baseline is `image` if the
+/// pool has one, else the oldest (a poisoned lock means no recycling).
+fn take_spare(len: usize, image: Option<&Arc<Lines>>) -> Option<Spare> {
+    let mut spares = SPARES.lock().ok()?;
+    let same = |s: &Spare| {
+        let base = s.baseline.as_ref();
+        s.bytes.len() == len && base.zip(image).is_some_and(|(a, b)| Arc::ptr_eq(a, b))
     };
-    bytes[..dirty].fill(0);
-    bytes
+    let i = spares
+        .iter()
+        .rposition(same)
+        .or_else(|| spares.iter().position(|s| s.bytes.len() == len))?;
+    Some(spares.remove(i))
+}
+
+/// A buffer of `frames` frames, all zero, and its empty written set:
+/// `spare` zeroed on its written and baseline pages, else a fresh
+/// allocation.
+fn zeroed_buffer(spare: Option<Spare>, frames: usize) -> (Vec<u8>, PageSet) {
+    match spare {
+        Some(spare) => spare.zeroed(),
+        None => (vec![0; frames * PAGE], PageSet::new(frames)),
+    }
+}
+
+impl Spare {
+    /// The buffer with every page that may be non-zero zeroed, and its
+    /// written set emptied. Kept out of line: `bench/profile.sh` reports
+    /// it by this function's name.
+    #[inline(never)]
+    fn zeroed(mut self) -> (Vec<u8>, PageSet) {
+        let baseline = self.baseline.as_ref().map(|b| &b.pages);
+        for page in self.written.union(baseline) {
+            self.bytes[page * PAGE..][..PAGE].fill(0);
+        }
+        self.written.clear();
+        (self.bytes, self.written)
+    }
+}
+
+/// A set of frames, one bit each.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct PageSet(Vec<u64>);
+
+impl PageSet {
+    fn new(frames: usize) -> PageSet {
+        PageSet(vec![0; frames.div_ceil(64)])
+    }
+
+    #[inline]
+    fn insert(&mut self, page: usize) {
+        self.0[page / 64] |= 1 << (page % 64);
+    }
+
+    #[inline]
+    fn contains(&self, page: usize) -> bool {
+        self.0[page / 64] & (1 << (page % 64)) != 0
+    }
+
+    fn clear(&mut self) {
+        self.0.fill(0);
+    }
+
+    /// The pages in this set or in `also`, ascending.
+    fn union<'a>(&'a self, also: Option<&'a PageSet>) -> impl Iterator<Item = usize> + 'a {
+        self.0.iter().enumerate().flat_map(move |(i, &word)| {
+            let mut word = word | also.map_or(0, |a| a.0[i]);
+            std::iter::from_fn(move || {
+                let bit = word.trailing_zeros() as usize;
+                word &= word.wrapping_sub(1);
+                (bit < 64).then_some(i * 64 + bit)
+            })
+        })
+    }
 }
 
 /// The frame allocator: one bit per frame, set while the frame is free.
@@ -66,10 +152,13 @@ struct Frames {
 #[derive(Debug)]
 pub struct PhysMem {
     bytes: Vec<u8>,
-    /// Every byte at or above this offset is zero: each write that
-    /// may store a non-zero byte moves it past its end, and so does
-    /// handing out a frame.
-    dirty: usize,
+    /// Pages that may differ from `baseline`: every write path but the
+    /// interpreter's cached stores adds the pages it writes, and the
+    /// machine adds a writable frame when its translation is cached.
+    written: PageSet,
+    /// What every page outside `written` holds: zero, or the image this
+    /// memory was restored from.
+    baseline: Option<Arc<Lines>>,
     frames: Frames,
 }
 
@@ -80,9 +169,11 @@ impl PhysMem {
         if frames % 64 != 0 {
             free.push((1 << (frames % 64)) - 1);
         }
+        let (bytes, written) = zeroed_buffer(take_spare(frames * PAGE, None), frames);
         PhysMem {
-            bytes: zeroed_buffer(frames * PAGE_SIZE as usize),
-            dirty: 0,
+            bytes,
+            written,
+            baseline: None,
             frames: Frames {
                 free,
                 lowest_free_word: 0,
@@ -102,40 +193,67 @@ impl PhysMem {
         self.frames.free_count
     }
 
+    /// The pages that may be non-zero, ascending.
+    fn live_pages(&self) -> impl Iterator<Item = usize> + '_ {
+        self.written.union(self.baseline.as_ref().map(|b| &b.pages))
+    }
+
     /// This memory as its non-zero 64-byte lines, each run of adjacent
-    /// ones kept once, with the allocator's state: what
+    /// ones within a page kept once, with the allocator's state: what
     /// [`MemImage::restore`] needs to read exactly as this does.
     pub fn image(&self) -> MemImage {
-        let mut runs: Vec<(usize, usize)> = Vec::new();
-        let mut data = Vec::new();
-        let lines = self.bytes[..self.dirty].chunks(MemImage::LINE);
-        for (at, line) in (0..).step_by(MemImage::LINE).zip(lines) {
-            if line == &[0; MemImage::LINE][..line.len()] {
-                continue;
+        let mut lines = Lines {
+            runs: Vec::new(),
+            data: Vec::new(),
+            pages: PageSet::new(self.frames.total),
+        };
+        for page in self.live_pages() {
+            let start = page * PAGE;
+            let page_lines = self.bytes[start..start + PAGE].chunks(Lines::LINE);
+            for (at, line) in (start..).step_by(Lines::LINE).zip(page_lines) {
+                if line == [0; Lines::LINE] {
+                    continue;
+                }
+                match lines.runs.last_mut() {
+                    Some(run) if run.at + run.len == at && at != start => run.len += line.len(),
+                    _ => lines.runs.push(Run {
+                        at,
+                        len: line.len(),
+                        data: lines.data.len(),
+                    }),
+                }
+                lines.data.extend_from_slice(line);
+                lines.pages.insert(page);
             }
-            match runs.last_mut() {
-                Some((start, len)) if *start + *len == at => *len += line.len(),
-                _ => runs.push((at, line.len())),
-            }
-            data.extend_from_slice(line);
         }
         MemImage {
-            runs,
-            data,
-            dirty: self.dirty,
+            lines: Arc::new(lines),
             frames: self.frames.clone(),
         }
     }
 
-    /// Advances the dirty mark past a write that ended at `end`.
+    /// Marks the pages of the `len` bytes at `start` written.
     #[inline]
-    fn wrote(&mut self, end: usize) {
-        // A branch, not a `max`: nearly every write lands in a frame
-        // `alloc_frame` has already put below the mark, and then the
-        // mark is not stored at all.
-        if end > self.dirty {
-            self.dirty = end;
+    fn wrote(&mut self, start: usize, len: usize) {
+        if len == 0 {
+            return;
         }
+        for page in start / PAGE..=(start + len - 1) / PAGE {
+            self.written.insert(page);
+        }
+    }
+
+    /// Marks frame `pfn` written without writing it: what the machine
+    /// does as it caches a writable translation, before any
+    /// [`PhysMem::write_unmarked`] through it.
+    #[inline]
+    pub(crate) fn mark(&mut self, pfn: u64) {
+        self.written.insert(pfn as usize);
+    }
+
+    /// Whether frame `pfn` is marked written.
+    pub(crate) fn is_marked(&self, pfn: u64) -> bool {
+        self.written.contains(pfn as usize)
     }
 
     /// Allocates the lowest-numbered free frame, zeroed.
@@ -149,15 +267,15 @@ impl PhysMem {
         f.lowest_free_word = word;
         f.free_count -= 1;
         let pfn = word as u64 * 64 + bit as u64;
-        let start = (pfn * PAGE_SIZE) as usize;
-        let end = start + PAGE_SIZE as usize;
-        // Above the mark the frame reads zero already, and leaving it
-        // alone leaves its page unfaulted until something is written
-        // there.
-        if start < self.dirty {
-            self.bytes[start..end].fill(0);
+        // A frame neither written nor in the baseline reads zero
+        // already, and leaving it alone leaves its page unfaulted until
+        // something is written there.
+        let page = pfn as usize;
+        let baseline = self.baseline.as_ref();
+        if self.written.contains(page) || baseline.is_some_and(|b| b.pages.contains(page)) {
+            self.bytes[page * PAGE..][..PAGE].fill(0);
+            self.written.insert(page);
         }
-        self.wrote(end);
         Some(pfn)
     }
 
@@ -195,7 +313,7 @@ impl PhysMem {
     #[inline]
     pub fn write_u8(&mut self, paddr: u64, val: u8) {
         self.bytes[paddr as usize] = val;
-        self.wrote(paddr as usize + 1);
+        self.wrote(paddr as usize, 1);
     }
 
     /// Reads a little-endian u16 at a physical address.
@@ -209,7 +327,7 @@ impl PhysMem {
     #[inline]
     pub fn write_u16(&mut self, paddr: u64, val: u16) {
         self.bytes[paddr as usize..paddr as usize + 2].copy_from_slice(&val.to_le_bytes());
-        self.wrote(paddr as usize + 2);
+        self.wrote(paddr as usize, 2);
     }
 
     /// Reads a little-endian u32 at a physical address.
@@ -223,7 +341,7 @@ impl PhysMem {
     #[inline]
     pub fn write_u32(&mut self, paddr: u64, val: u32) {
         self.bytes[paddr as usize..paddr as usize + 4].copy_from_slice(&val.to_le_bytes());
-        self.wrote(paddr as usize + 4);
+        self.wrote(paddr as usize, 4);
     }
 
     /// Reads a zero-extended little-endian value of `width` at a physical
@@ -248,10 +366,23 @@ impl PhysMem {
         }
     }
 
+    /// [`PhysMem::write_width`] without marking the page: only for the
+    /// interpreter's translation-cache hits, whose frames the machine
+    /// marked when it cached them.
+    #[inline]
+    pub(crate) fn write_unmarked(&mut self, paddr: u64, width: Width, val: u32) {
+        let at = paddr as usize;
+        match width {
+            Width::Byte => self.bytes[at] = val as u8,
+            Width::Word => self.bytes[at..at + 2].copy_from_slice(&(val as u16).to_le_bytes()),
+            Width::Long => self.bytes[at..at + 4].copy_from_slice(&val.to_le_bytes()),
+        }
+    }
+
     /// Copies a byte slice into physical memory at `paddr`.
     pub fn write_bytes(&mut self, paddr: u64, data: &[u8]) {
         self.bytes[paddr as usize..paddr as usize + data.len()].copy_from_slice(data);
-        self.wrote(paddr as usize + data.len());
+        self.wrote(paddr as usize, data.len());
     }
 
     /// Reads `len` bytes starting at `paddr`.
@@ -264,26 +395,33 @@ impl PhysMem {
     pub fn copy_within(&mut self, src: u64, dst: u64, len: usize) {
         self.bytes
             .copy_within(src as usize..src as usize + len, dst as usize);
-        self.wrote(dst as usize + len);
+        self.wrote(dst as usize, len);
     }
 }
 
 impl Clone for PhysMem {
-    /// A copy on a recycled buffer: only the bytes below the dirty mark
-    /// are copied.
+    /// A copy on a recycled buffer: only the pages that may be non-zero
+    /// are copied, and the copy keeps the original's baseline and
+    /// written set.
     fn clone(&self) -> PhysMem {
-        let mut bytes = zeroed_buffer(self.bytes.len());
-        bytes[..self.dirty].copy_from_slice(&self.bytes[..self.dirty]);
+        let frames = self.frames.total;
+        let (mut bytes, _) = zeroed_buffer(take_spare(frames * PAGE, None), frames);
+        for page in self.live_pages() {
+            let at = page * PAGE;
+            bytes[at..at + PAGE].copy_from_slice(&self.bytes[at..at + PAGE]);
+        }
         PhysMem {
             bytes,
-            dirty: self.dirty,
+            written: self.written.clone(),
+            baseline: self.baseline.clone(),
             frames: self.frames.clone(),
         }
     }
 }
 
 impl Drop for PhysMem {
-    /// Files the buffer in the pool for the next [`PhysMem::new`] of its
+    /// Files the buffer, its written set and its baseline in the pool
+    /// for the next [`PhysMem::new`] or [`MemImage::restore`] of its
     /// length, in place of the oldest spare when the pool is full; frees
     /// it when the pool's lock is poisoned. An empty buffer (no frames)
     /// holds nothing worth keeping.
@@ -291,7 +429,11 @@ impl Drop for PhysMem {
         if self.bytes.is_empty() {
             return;
         }
-        let spare = (std::mem::take(&mut self.bytes), self.dirty);
+        let spare = Spare {
+            bytes: std::mem::take(&mut self.bytes),
+            written: std::mem::replace(&mut self.written, PageSet(Vec::new())),
+            baseline: self.baseline.take(),
+        };
         let Ok(mut spares) = SPARES.lock() else {
             return;
         };
@@ -302,6 +444,47 @@ impl Drop for PhysMem {
     }
 }
 
+/// One run of adjacent non-zero lines, inside one page.
+#[derive(Debug)]
+struct Run {
+    /// Physical address of its first byte.
+    at: usize,
+    len: usize,
+    /// Offset of its bytes in [`Lines::data`].
+    data: usize,
+}
+
+/// A memory's non-zero lines: shared by the [`MemImage`] and by every
+/// buffer restored from it, which is how a spare knows its baseline.
+#[derive(Debug)]
+struct Lines {
+    /// In address order; none crosses a page boundary.
+    runs: Vec<Run>,
+    /// The runs' bytes, back to back.
+    data: Vec<u8>,
+    /// The pages that hold a run.
+    pages: PageSet,
+}
+
+impl Lines {
+    /// Bytes in one line, the unit a run is made of.
+    const LINE: usize = 64;
+
+    /// Writes the runs in `runs` into `bytes`.
+    fn write(&self, bytes: &mut [u8], runs: &[Run]) {
+        for run in runs {
+            bytes[run.at..run.at + run.len].copy_from_slice(&self.data[run.data..][..run.len]);
+        }
+    }
+
+    /// The runs inside page `page`.
+    fn runs_of(&self, page: usize) -> &[Run] {
+        let first = self.runs.partition_point(|r| r.at < page * PAGE);
+        let end = self.runs.partition_point(|r| r.at < (page + 1) * PAGE);
+        &self.runs[first..end]
+    }
+}
+
 /// A [`PhysMem`] kept as its non-zero 64-byte lines and its allocator's
 /// state ([`PhysMem::image`]). A built system's memory is almost all
 /// zero — four NICs in bulk write a 16 MB prefix that holds about 56 KB
@@ -309,34 +492,42 @@ impl Drop for PhysMem {
 /// the prefix would be all of it.
 #[derive(Clone, Debug)]
 pub struct MemImage {
-    /// Each run of adjacent non-zero lines as (offset, length), in
-    /// address order.
-    runs: Vec<(usize, usize)>,
-    /// The runs' bytes, back to back.
-    data: Vec<u8>,
-    dirty: usize,
+    lines: Arc<Lines>,
     frames: Frames,
 }
 
 impl MemImage {
-    /// Bytes in one line, the unit a run is made of.
-    const LINE: usize = 64;
-
     /// The memory this image was taken from, on a recycled buffer when
-    /// the pool has one: the buffer is zeroed, the runs are written, and
-    /// the dirty mark and the allocator are the original's, so every
-    /// byte at or above the mark is zero as [`PhysMem`] requires.
+    /// the pool has one, with this image as its baseline. A spare
+    /// restored from this image before has only the pages written since
+    /// zeroed and rewritten; any other spare is zeroed where it may be
+    /// non-zero and gets every run.
     pub fn restore(&self) -> PhysMem {
-        let mut bytes = zeroed_buffer(self.frames.total * PAGE_SIZE as usize);
-        let mut data = &self.data[..];
-        for &(at, len) in &self.runs {
-            let (run, rest) = data.split_at(len);
-            bytes[at..at + len].copy_from_slice(run);
-            data = rest;
-        }
+        let frames = self.frames.total;
+        let (bytes, written) = match take_spare(frames * PAGE, Some(&self.lines)) {
+            Some(mut spare)
+                if spare
+                    .baseline
+                    .as_ref()
+                    .is_some_and(|b| Arc::ptr_eq(b, &self.lines)) =>
+            {
+                for page in spare.written.union(None) {
+                    spare.bytes[page * PAGE..][..PAGE].fill(0);
+                    self.lines.write(&mut spare.bytes, self.lines.runs_of(page));
+                }
+                spare.written.clear();
+                (spare.bytes, spare.written)
+            }
+            spare => {
+                let (mut bytes, written) = zeroed_buffer(spare, frames);
+                self.lines.write(&mut bytes, &self.lines.runs);
+                (bytes, written)
+            }
+        };
         PhysMem {
             bytes,
-            dirty: self.dirty,
+            written,
+            baseline: Some(Arc::clone(&self.lines)),
             frames: self.frames.clone(),
         }
     }
@@ -406,7 +597,7 @@ mod tests {
 
     /// An image of memory dirtied through every write path, restored
     /// onto a spare that holds other garbage, reads as the original:
-    /// every byte, the dirty mark and the allocator.
+    /// every byte and the allocator, with nothing written since.
     #[test]
     fn a_restored_image_reads_as_its_original() {
         // A length no other test here uses, so no other thread takes
@@ -438,8 +629,53 @@ mod tests {
         let restored = image.restore();
         assert_eq!(restored.bytes.as_ptr(), garbage, "not on the spare");
         assert!(restored.bytes == original.bytes, "the bytes differ");
-        assert_eq!(restored.dirty, original.dirty);
+        assert_eq!(restored.written.union(None).count(), 0, "written since?");
         assert_eq!(restored.frames, original.frames);
+    }
+
+    /// A restore dropped after a life of its own goes back to the next
+    /// restore of its image, which zeroes and rewrites only the pages
+    /// that life wrote or marked — a canary on a page it did neither to
+    /// survives — and reads as the original.
+    #[test]
+    fn a_restore_onto_its_own_spare_rewrites_only_the_pages_written_since() {
+        // A length no other test here uses, so no other thread takes
+        // the spare in between.
+        const FRAMES: usize = 43;
+        let mut original = PhysMem::new(FRAMES);
+        let at: Vec<u64> = (0..4)
+            .map(|_| original.alloc_frame().unwrap() * PAGE_SIZE)
+            .collect();
+        // Over a page boundary: the run is kept as two, one per page.
+        original.write_bytes(at[0] + 100, &[0xa5; 5000]);
+        original.write_u32(at[2] + 8, 0xa5a5_a5a5);
+        let image = original.image();
+        let mut pm = image.restore();
+        let buffer = pm.bytes.as_ptr();
+        assert!(pm.bytes == original.bytes, "the first restore differs");
+        // A baseline byte written back to zero, every other write path,
+        // a store straddling into a frame no allocation reached, a
+        // baseline frame freed and handed out again (zeroed), and a
+        // cached store: its frame marked, then written unmarked.
+        pm.write_u8(at[0] + 200, 0);
+        pm.write_u16(at[3] + 8, 0x5a5a);
+        pm.write_u32(at[3] + PAGE_SIZE - 2, 0x5a5a_5a5a);
+        pm.write_width(at[1] + 16, Width::Byte, 0x5a);
+        pm.copy_within(at[2] + 8, (FRAMES as u64 - 1) * PAGE_SIZE + 4, 4);
+        pm.free_frame(at[2] / PAGE_SIZE);
+        assert_eq!(pm.alloc_frame(), Some(at[2] / PAGE_SIZE));
+        assert_eq!(pm.read_u32(at[2] + 8), 0, "a baseline frame handed out");
+        pm.mark(9);
+        pm.bytes[9 * PAGE + 1] = 0x5a;
+        let canary = 20 * PAGE;
+        pm.bytes[canary] = 0xcc;
+        drop(pm);
+        let mut again = image.restore();
+        assert_eq!(again.bytes.as_ptr(), buffer, "not on its own spare");
+        assert_eq!(again.bytes[canary], 0xcc, "an unwritten page was rewritten");
+        again.bytes[canary] = 0;
+        assert!(again.bytes == original.bytes, "the bytes differ");
+        assert_eq!(again.frames, original.frames);
     }
 
     #[test]

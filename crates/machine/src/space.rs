@@ -223,7 +223,11 @@ const TLB_EMPTY: TlbEntry = TlbEntry {
 /// [`TlbKey`]; [`Tlb::revalidate`] empties it when the key changes. A hit
 /// therefore answers exactly as [`crate::Machine::translate`] would, which
 /// debug builds re-check on every hit.
-#[derive(Clone)]
+///
+/// A clone starts empty: a cached store marks nothing in physical
+/// memory ([`crate::Machine::fill_tlb`] marked the frame when it was
+/// cached), and a cloned machine's memory may be replaced by a restore
+/// whose written set holds none of the original's frames.
 pub(crate) struct Tlb {
     key: Option<TlbKey>,
     entries: [TlbEntry; TLB_ENTRIES],
@@ -237,6 +241,12 @@ impl fmt::Debug for Tlb {
             "Tlb {{ key: {:?}, live: {live}/{TLB_ENTRIES} }}",
             self.key
         )
+    }
+}
+
+impl Clone for Tlb {
+    fn clone(&self) -> Tlb {
+        Tlb::new()
     }
 }
 

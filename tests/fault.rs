@@ -788,3 +788,36 @@ fn open_loop_arrival_recovers_a_quarantined_device_before_landing_frames() {
         assert_eq!(m.counter("event.inflight_lost"), 8, "the aborted burst");
     }
 }
+
+/// Regression: a transmit whose invocation aborted after putting skbs
+/// in the TX ring freed them twice — once in the fault's teardown, once
+/// with the rest of the burst — and panicked with "skb double free".
+/// The call fails, every skb is back in its pool, and the next transmit
+/// resets the device and leaves the pools as an unfaulted one does.
+#[test]
+fn a_transmit_aborted_with_skbs_in_its_ring_frees_each_once() {
+    let opts = SystemOptions {
+        driver_source: Some(fault_injected_source(FaultClass::WedgedRing)),
+        ..SystemOptions::default()
+    };
+    let build = || System::build_with(Config::TwinDrivers, &opts).unwrap();
+    let mut control = build();
+    assert_eq!(control.transmit_burst(32).unwrap(), 32);
+    let unfaulted = control.outcome();
+
+    let mut sys = build();
+    let hyper_free = sys.outcome().hyper_free;
+    sys.arm_driver_fault(FaultClass::WedgedRing.arm_value(0))
+        .unwrap();
+    abort_reason(sys.transmit_burst(32));
+    let o = sys.outcome();
+    assert_eq!(o.dom0_free, sys.world.kernel.pool.capacity(), "dom0 pool");
+    assert_eq!(o.hyper_free, hyper_free, "hypervisor pool");
+    assert_eq!(sys.transmit_burst(32).unwrap(), 32);
+    assert_eq!(sys.recovery_log().len(), 1);
+    let o = sys.outcome();
+    assert_eq!(
+        (o.dom0_free, o.hyper_free),
+        (unfaulted.dom0_free, unfaulted.hyper_free)
+    );
+}

@@ -4,7 +4,9 @@
 //! again and is kept as a template; every later build of the pair clones
 //! it. The same script on each must leave the same outcome, the same
 //! registry and the same physical memory, byte for byte, and a run on
-//! one fork must not reach the template the next fork is made from.
+//! one fork must not reach the template the next fork is made from —
+//! neither while that fork lives nor once its memory, dropped, is where
+//! the next fork is restored, rewritten only on the pages the run wrote.
 //! This file holds one test so that each first build is the process's
 //! first of its pair.
 
@@ -42,8 +44,17 @@ fn script(sys: &mut System, armed: bool) -> (String, Outcome, MetricSet) {
     (calls, sys.outcome(), sys.metrics())
 }
 
-/// Eight rounds of a burst each way over 64 flows: far more memory
-/// written than [`script`] touches.
+/// Where a system's physical memory lives.
+fn buffer(sys: &System) -> *const u8 {
+    sys.machine.phys.read_bytes(0, 0).as_ptr()
+}
+
+/// Eight rounds of a burst each way over 64 flows — far more memory
+/// written than [`script`] touches, through every write path: the
+/// interpreter's stores and pushes (cached and walked, the rewritten
+/// driver's fused spill frames among them), the NICs' DMA, the
+/// machine's byte writes — then a copy of the first 64 KiB onto the
+/// top of memory, where no frame is allocated.
 fn bulk_run(sys: &mut System) {
     for round in 0..8u64 {
         let frames: Vec<Frame> = (0..32)
@@ -57,6 +68,10 @@ fn bulk_run(sys: &mut System) {
         let _ = sys.receive_burst(&frames);
         let _ = sys.transmit_burst(32);
     }
+    const COPY: usize = 64 << 10;
+    let phys = &mut sys.machine.phys;
+    let top = phys.total_frames() * twin_machine::PAGE_SIZE as usize;
+    phys.copy_within(0, (top - COPY) as u64, COPY);
 }
 
 #[test]
@@ -115,5 +130,27 @@ fn a_fork_is_the_fresh_build() {
             "{name}: a run on one fork reached the next"
         );
         assert_eq!(third.metrics(), before.metrics(), "{name}");
+
+        // The next fork is restored where the bulk run wrote.
+        let written = buffer(&second);
+        drop(second);
+        let mut fourth = build();
+        assert_eq!(
+            buffer(&fourth),
+            written,
+            "{name}: not on the dropped fork's memory"
+        );
+        assert!(
+            same_memory(&fourth, &before),
+            "{name}: a fork on a dropped fork's memory kept a page it wrote"
+        );
+        let rerun = script(&mut fourth, armed);
+        assert_eq!(rerun.0, ran.0, "{name}: the resynced fork's calls");
+        let law = rerun.1.check(&ran.1, Law::BitExact);
+        law.unwrap_or_else(|e| panic!("{name}: the resynced fork ran differently: {e}"));
+        assert_eq!(
+            rerun.2, ran.2,
+            "{name}: the resynced fork's registry differs"
+        );
     }
 }
