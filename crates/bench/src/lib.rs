@@ -574,6 +574,7 @@ mod tests {
         let drop = TraceEvent::FrameDrop {
             fate: Fate::EarlyDrop,
             guest: Some(1),
+            frame: Some((1, 0)),
         };
         trace.record(7, "Xen", drop);
         assert!(traced(&trace));

@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 use twin_isa::asm::assemble;
 use twin_isa::Module;
 use twin_kernel::{e1000, load_driver, Dom0Kernel, LoadedDriver, RxMode, MMIO_BASE};
-use twin_machine::{ExecMode, IntMap, Machine, MemImage, PageEntry, PhysMem, SpaceId, PAGE_SIZE};
+use twin_machine::{ExecMode, Machine, MemImage, PageEntry, PhysMem, SpaceId, PAGE_SIZE};
 use twin_net::MacAddr;
 use twin_nic::{ItrTuner, Nic, AUTOTUNE_WINDOW_CYCLES, MMIO_WINDOW};
 use twin_rewriter::{rewrite, RewriteOptions, RewriteStats};
@@ -394,7 +394,6 @@ impl System {
             guests: vec![GuestState::new(&opts, 0)],
             rr_next: 0,
             moderated_pending: Vec::new(),
-            rx_inflight: IntMap::default(),
             rx_latency: twin_trace::SampleReservoir::new(crate::measure::RX_LATENCY_RESERVOIR),
             guest_latency_tracked: false,
             grant_cache: None,

@@ -2,7 +2,9 @@
 //! the fast-path entry points ([`System::call_driver`]), and what happens
 //! when the hypervisor instance faults — teardown, quarantine, recovery.
 
-use super::{Datapath, DriverOp, QuarantineEpisode, RecoveryReport, System, SystemError, World};
+use super::{
+    in_ring, Datapath, DriverOp, QuarantineEpisode, RecoveryReport, System, SystemError, World,
+};
 use twin_kernel::{call_function, e1000, RoutineId, SkBuff};
 use twin_machine::{CostDomain, Cpu, Event, ExecMode, SpaceId, PAGE_SIZE};
 use twin_trace::{Fate, FlushCause, TraceEvent};
@@ -228,22 +230,38 @@ impl System {
             hs.engine.prune_stale_completions();
         }
         // 2. Frames still in this device's ring: the reset rebuilds it,
-        // so they die here — bounded, counted loss. Frames the reap
-        // already took (queued, delivered or dead) are not lost again.
-        let lost = self.drop_unqueued(|landed, in_ring| landed.dev == dev && in_ring) as u32;
-        dropped += lost;
-        for _ in 0..lost {
+        // so they die here — bounded, counted loss, oldest first. A
+        // delivered or dead frame has no record left; one the aborted
+        // reap already queued still counts in `rx_pending` (the fault
+        // came before the `RDT` bump) but lives on in its queue.
+        let queued = |key: &(u32, u64)| {
+            let domains = self.world.xen.iter().flat_map(|x| &x.domains);
+            domains
+                .flat_map(|d| &d.rx_queue)
+                .any(|f| (f.flow, f.seq) == *key)
+        };
+        let nics = &self.world.nics;
+        let records = self.machine.landed.iter();
+        let mut lost: Vec<(u64, (u32, u64))> = records
+            .filter(|(key, l)| l.dev == dev && in_ring(l, nics) && !queued(key))
+            .map(|(key, l)| (l.nth, *key))
+            .collect();
+        lost.sort_unstable();
+        dropped += lost.len() as u32;
+        for (_, key) in lost {
             self.machine.note(TraceEvent::FrameDrop {
                 fate: Fate::InflightLost,
                 guest: None,
+                frame: Some(key),
             });
         }
         // 3. Ring-held skbs: the reset re-probes the adapter slot and
         // re-fills both rings, so buffers the old rings hold must go
         // back to their pools first or every episode leaks a ring's
-        // worth of pool. `e1000_clean_tx` nulls entries it frees, so
-        // every non-null slot is live exactly once.
-        let mut ring_freed = Vec::new();
+        // worth of pool. `e1000_clean_tx` nulls entries it frees, so an
+        // honest driver's non-null slot is live exactly once; one the
+        // pool refuses (freed already, or no skb at all) is a hostile
+        // driver's, and holds nothing to give back.
         let slot = self
             .driver
             .data_symbol("adapter")
@@ -262,8 +280,7 @@ impl System {
                     if skb != 0 {
                         self.machine.write_u32(self.dom0, ExecMode::Guest, p, 0)?;
                         let skb = SkBuff(u64::from(skb));
-                        self.world.kernel.free_skb(&self.machine, skb)?;
-                        ring_freed.push(skb);
+                        let _refused = self.world.kernel.free_skb(&self.machine, skb);
                     }
                 }
             }
@@ -306,7 +323,6 @@ impl System {
             dropped,
             revoked_doms,
             revoked_mappings,
-            ring_freed,
         })
     }
 

@@ -36,6 +36,7 @@ impl System {
                 self.machine.note(TraceEvent::FrameDrop {
                     fate: Fate::DemuxMiss,
                     guest: None,
+                    frame: Some((f.flow, f.seq)),
                 });
                 continue;
             };

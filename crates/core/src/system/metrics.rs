@@ -1,9 +1,9 @@
 //! Reading a system: the unified metrics snapshot, delivery counts, and
 //! the arrival-to-delivery latency samples.
 
-use super::{GuestState, Landed, System};
+use super::{Datapath, GuestState, System};
 use crate::outcome::endpoints;
-use twin_machine::{CostDomain, Event, IntSet, Term};
+use twin_machine::{CostDomain, Event, Term};
 use twin_net::Frame;
 use twin_trace::MetricSet;
 use twin_xen::{DomId, DomainKind};
@@ -195,67 +195,68 @@ impl System {
         self.delivered_rx_for(self.guest().unwrap_or(DomId(0)))
     }
 
-    /// Bounds the landing records by the live set: a record whose frame
-    /// is neither in its device's ring nor in a demux queue belongs to a
-    /// frame that was delivered or died (a demux miss, a queue-cap drop,
-    /// a colliding `(flow, seq)` key). Live records are at most the ring
-    /// slots plus the queued frames, so once the map holds twice that,
-    /// every record that is not live goes — each prune removes at least
-    /// half the map.
-    pub(super) fn prune_rx_inflight(&mut self) {
-        let rings: u32 = self.world.nics.iter().map(|n| n.rx_ring_len()).sum();
-        let domains = self.world.xen.iter().flat_map(|x| &x.domains);
-        let queued: usize = domains.map(|d| d.rx_queue.len()).sum();
-        if self.rx_inflight.len() > 2 * (rings as usize + queued) {
-            self.drop_unqueued(|_, in_ring| !in_ring);
-        }
-    }
-
-    /// Drops the records of frames in no demux queue that `pick(record,
-    /// in_ring)` selects, `in_ring` being whether the frame is still in
-    /// its device's ring. Returns how many went.
-    pub(super) fn drop_unqueued(&mut self, pick: impl Fn(&Landed, bool) -> bool) -> usize {
-        let domains = self.world.xen.iter().flat_map(|x| &x.domains);
-        let queued: IntSet<(u32, u64)> = domains
-            .flat_map(|d| &d.rx_queue)
-            .map(|f| (f.flow, f.seq))
-            .collect();
-        let (before, nics) = (self.rx_inflight.len(), &self.world.nics);
-        self.rx_inflight
-            .retain(|key, l| queued.contains(key) || !pick(l, l.in_ring(nics)));
-        before - self.rx_inflight.len()
-    }
-
     /// Retires the landing records of newly delivered frames, recording
     /// a cycles-to-delivery sample for each that carries an arrival
     /// stamp (the latency side of the moderation sweep). Pure
-    /// bookkeeping — no cycles are charged.
+    /// bookkeeping — no cycles are charged. Debug builds then check the
+    /// record law ([`System::check_landed`]).
     pub(super) fn sample_rx_completions(&mut self) {
-        if self.rx_inflight.is_empty() {
-            return; // nothing landed: skip the delivery-log scans
-        }
-        let now = self.machine.meter.now();
-        let guest = self.guest();
-        let per_guest = guest.is_some() && self.guest_latency_tracked;
-        let (inflight, all) = (&mut self.rx_inflight, &mut self.rx_latency);
-        let mut sample = |log: &[Frame], state: &mut GuestState| {
-            for f in &log[state.sample_cursor.min(log.len())..] {
-                let landed = inflight.remove(&(f.flow, f.seq));
-                if let Some(t) = landed.and_then(|l| l.at) {
-                    let sample = now.saturating_sub(t);
-                    all.push(sample);
-                    if per_guest {
-                        state.latency.push(sample);
+        if !self.machine.landed.is_empty() {
+            let now = self.machine.meter.now();
+            let guest = self.guest();
+            let per_guest = guest.is_some() && self.guest_latency_tracked;
+            let (landed, all) = (&mut self.machine.landed, &mut self.rx_latency);
+            let mut sample = |log: &[Frame], state: &mut GuestState| {
+                for f in &log[state.sample_cursor.min(log.len())..] {
+                    if let Some(t) = landed.remove(&(f.flow, f.seq)).and_then(|l| l.at) {
+                        let sample = now.saturating_sub(t);
+                        all.push(sample);
+                        if per_guest {
+                            state.latency.push(sample);
+                        }
                     }
                 }
-            }
-            state.sample_cursor = state.sample_cursor.max(log.len());
-        };
-        for (id, log, _) in endpoints(&self.world, guest) {
-            if let Some(state) = self.guests.get_mut(id.0 as usize) {
-                sample(log, state);
+                state.sample_cursor = state.sample_cursor.max(log.len());
+            };
+            for (id, log, _) in endpoints(&self.world, guest) {
+                if let Some(state) = self.guests.get_mut(id.0 as usize) {
+                    sample(log, state);
+                }
             }
         }
+        debug_assert_eq!(self.check_landed(), Ok(()));
+    }
+
+    /// The record law: once delivered frames are retired, every landing
+    /// record is a live frame and every live frame has one —
+    /// `landed == Σ rx_pending + Σ rx_queue + bridged`, exactly. A
+    /// quarantined device's ring is out of the sum (its unreaped frames
+    /// were noted lost and its reset rebuilds it); `bridged` is what
+    /// dom0 reaped toward a guest and has not forwarded yet. Keys are
+    /// assumed unique among live frames.
+    ///
+    /// # Errors
+    ///
+    /// The three sides when they disagree.
+    pub(crate) fn check_landed(&self) -> Result<(), String> {
+        let devs = self.world.nics.iter().zip(&self.devs);
+        let ring: u64 = devs
+            .filter(|(_, d)| d.quarantine.is_none())
+            .map(|(n, _)| u64::from(n.rx_pending()))
+            .sum();
+        let domains = self.world.xen.iter().flat_map(|x| &x.domains);
+        let queued = domains.map(|d| d.rx_queue.len() as u64).sum::<u64>();
+        let bridged = match self.datapath {
+            Datapath::Guest(_) => self.world.kernel.rx_delivered.len() as u64,
+            _ => 0,
+        };
+        let records = self.machine.landed.len() as u64;
+        if records == ring + queued + bridged {
+            return Ok(());
+        }
+        Err(format!(
+            "{records} landing records, but {ring} frames in rings + {queued} queued + {bridged} bridged"
+        ))
     }
 
     /// Cycles-from-arrival-to-delivery samples for frames completed in
@@ -301,34 +302,52 @@ impl System {
 #[cfg(test)]
 mod tests {
     use crate::{peer_mac, Config, System};
-    use std::collections::BTreeSet;
     use twin_net::{Frame, MacAddr};
+    use twin_xen::DomId;
 
-    /// Frames for a guest sit in its demux queue (the open-loop ISR
-    /// reaps, nobody flushes) while frames toward a MAC no guest owns die
-    /// at the demux, leaving records behind. Once the map passes twice
-    /// the live bound, the prune keeps exactly the queued frames'
-    /// records: the ISR reaped every ring.
+    /// Lands `n` frames of `flow` toward guest `dst` in one open-loop
+    /// arrival: the ISR reaps them into the demux, nobody flushes.
+    fn land(sys: &mut System, dst: u32, flow: u32, n: u64) {
+        let to = MacAddr::for_guest(dst);
+        let burst: Vec<Frame> = (0..n)
+            .map(|i| Frame::data(to, peer_mac(), flow, i))
+            .collect();
+        let at = sys.now_cycles();
+        assert_eq!(sys.rx_open_loop_arrival(&burst, at).unwrap(), n as usize);
+    }
+
+    /// One NIC, 16 frames queued for guest 1, then a flood toward a MAC
+    /// no guest owns: every flooded frame dies at the demux and takes
+    /// its record with it, so the records never pass the ring plus the
+    /// queue — they are exactly the 16 queued frames after every call.
     #[test]
-    fn the_prune_keeps_queued_records_and_drops_demux_misses() {
+    fn a_demux_miss_flood_leaves_only_the_queued_records() {
         let mut sys = System::build(Config::TwinDrivers).unwrap();
-        let (at, ring) = (sys.now_cycles(), sys.world.nics[0].rx_ring_len() as usize);
-        let land = |sys: &mut System, dst: u32, flow: u32, n: u64| {
-            let to = MacAddr::for_guest(dst);
-            let burst: Vec<Frame> = (0..n)
-                .map(|i| Frame::data(to, peer_mac(), flow, i))
-                .collect();
-            assert_eq!(sys.rx_open_loop_arrival(&burst, at).unwrap(), n as usize);
-            burst.iter().map(|f| (f.flow, f.seq)).collect::<Vec<_>>()
-        };
-        let queued = land(&mut sys, 1, 1, 16);
-        let mut missed = 0;
-        while sys.rx_inflight.len() == queued.len() + missed {
-            assert!(missed <= 4 * ring, "the map grew past its bound");
-            missed += land(&mut sys, 77, 100 + missed as u32 / 64, 64).len();
+        assert_eq!(sys.world.nics.len(), 1);
+        let ring = sys.world.nics[0].rx_ring_len() as usize;
+        let calls = [(1, 1, 16)]
+            .into_iter()
+            .chain((100..105).map(|f| (77, f, 64)));
+        for (dst, flow, n) in calls {
+            land(&mut sys, dst, flow, n);
+            assert!(sys.machine.landed.len() <= ring + 16, "flow {flow}");
+            assert_eq!(sys.machine.landed.len(), 16, "flow {flow}");
+            assert_eq!(sys.check_landed(), Ok(()));
         }
-        let left: BTreeSet<_> = sys.rx_inflight.keys().copied().collect();
-        assert_eq!(left, queued.into_iter().collect());
         assert_eq!(sys.rx_backlog(), 16);
+    }
+
+    /// The law's seeded mutant: a queued frame vanishes with no note —
+    /// one skipped retire — and its stray record breaks the law.
+    #[test]
+    fn a_stray_landing_record_breaks_the_law() {
+        let mut sys = System::build(Config::TwinDrivers).unwrap();
+        land(&mut sys, 1, 1, 16);
+        assert_eq!(sys.check_landed(), Ok(()));
+        let xen = sys.world.xen.as_mut().unwrap();
+        xen.domain_mut(DomId(1)).rx_queue.pop().unwrap();
+        let broken = sys.check_landed().unwrap_err();
+        assert!(broken.starts_with("16 landing records"), "{broken}");
+        assert!(broken.contains("15 queued"), "{broken}");
     }
 }

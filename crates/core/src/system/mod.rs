@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use twin_kernel::{Dom0Kernel, LoadedDriver, RoutineId, SkBuff};
-use twin_machine::{Cpu, Env, Event, ExecMode, ExternId, Fault, IntMap, Machine, SpaceId};
+use twin_machine::{Cpu, Env, Event, ExecMode, ExternId, Fault, IntMap, Landed, Machine, SpaceId};
 use twin_net::MacAddr;
 use twin_nic::{ItrTuner, Nic};
 use twin_rewriter::{RewriteOptions, RewriteStats, SvmHelper};
@@ -321,9 +321,6 @@ struct QuarantineEpisode {
     revoked_doms: Vec<u32>,
     /// Grant mappings revoked (each paid its `grant_unmap`).
     revoked_mappings: usize,
-    /// The skbs the teardown took out of the device's rings and freed,
-    /// those of the aborted invocation among them.
-    ring_freed: Vec<SkBuff>,
 }
 
 /// What the system tracks per NIC beyond the device model
@@ -669,13 +666,6 @@ pub struct System {
     /// several windows open in one service call, this is the order the
     /// devices are reaped in.
     moderated_pending: Vec<u32>,
-    /// One record per received frame, keyed by `(flow, seq)`: written
-    /// when its device accepts it ([`System::land_frames`]), read by the
-    /// flush for the frame's device, retired at delivery by
-    /// [`System::sample_rx_completions`], taken by a fault on its device
-    /// as an in-flight loss, and dropped by
-    /// [`System::prune_rx_inflight`] once it is no longer live.
-    rx_inflight: IntMap<(u32, u64), Landed>,
     /// Cycles-to-delivery samples for frames completed in the current
     /// measurement window (the latency side of the moderation sweep) —
     /// a bounded reservoir, so arbitrarily long paced runs keep a fixed
@@ -712,31 +702,12 @@ pub struct System {
     fast_entries: [u64; 4],
 }
 
-/// What the system knows about one received frame between its device
-/// accepting it and its delivery (or its death).
-///
-/// A record is *live* while its frame is in its device's ring or sits in
-/// a demux queue; a frame that is neither has been delivered or has
-/// died, and its record is garbage for the prune.
-#[derive(Copy, Clone, Debug)]
-struct Landed {
-    /// Arrival stamp (virtual cycles) the frame's latency sample is
-    /// measured from; `None` when its landing reports no latency.
-    at: Option<u64>,
-    /// The device that accepted the frame.
-    dev: u32,
-    /// The device's `rx_packets` count once the frame was accepted.
-    nth: u64,
-}
-
-impl Landed {
-    /// Whether the frame is still in its device's ring: the ring is a
-    /// FIFO, so the frames software has not reaped are the device's last
-    /// `rx_pending` arrivals.
-    fn in_ring(&self, nics: &[Nic]) -> bool {
-        let nic = &nics[self.dev as usize];
-        nic.stats().rx_packets.saturating_sub(self.nth) < u64::from(nic.rx_pending())
-    }
+/// Whether a landed frame is still in its device's ring: the ring is a
+/// FIFO, so the frames software has not handed back are the device's
+/// last `rx_pending` arrivals.
+fn in_ring(landed: &Landed, nics: &[Nic]) -> bool {
+    let nic = &nics[landed.dev as usize];
+    nic.stats().rx_packets.saturating_sub(landed.nth) < u64::from(nic.rx_pending())
 }
 
 /// What an arrival does about frames that found no free RX descriptor —

@@ -149,7 +149,6 @@ impl System {
                 break; // every remaining ring is wedged
             }
         }
-        self.prune_rx_inflight();
         Ok(done)
     }
 
@@ -215,7 +214,8 @@ impl System {
             accepted_total += accepted;
             let at = reports_latency.then(|| arrival.unwrap_or_else(|| self.machine.meter.now()));
             for (nth, f) in (landed_before + 1..).zip(&pending[..accepted]) {
-                self.rx_inflight
+                self.machine
+                    .landed
                     .insert((f.flow, f.seq), Landed { at, dev, nth });
             }
             pending.drain(..accepted);
@@ -265,7 +265,7 @@ impl System {
     /// The NIC that accepted frame `(flow, seq)` (0 for a frame that
     /// never landed).
     pub(super) fn landed_dev(&self, flow: u32, seq: u64) -> u32 {
-        self.rx_inflight.get(&(flow, seq)).map_or(0, |l| l.dev)
+        self.machine.landed.get(&(flow, seq)).map_or(0, |l| l.dev)
     }
 
     /// Delivers the interrupts of `devs` at this instant: each device's
@@ -316,7 +316,6 @@ impl System {
             self.land_frames(&mut groups, Some(arrival), Overrun::Drop, OnIrq::IsrReap)?;
         self.flush_deferred_upcalls()?;
         self.sample_rx_completions();
-        self.prune_rx_inflight();
         Ok(accepted)
     }
 
@@ -412,6 +411,7 @@ impl System {
                 machine.note(TraceEvent::FrameDrop {
                     fate: Fate::EarlyDrop,
                     guest: Some(slot.1),
+                    frame: Some((f.flow, f.seq)),
                 });
                 false
             } else {

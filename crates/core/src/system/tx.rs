@@ -103,12 +103,13 @@ impl System {
     }
 
     /// Frees a set of sk_buffs back to their pools (error-path cleanup
-    /// and queue-discipline drops).
-    fn free_skbs(&mut self, skbs: &[SkBuff]) -> Result<(), SystemError> {
+    /// and queue-discipline drops). A buffer its pool refuses is back
+    /// already: a fault's teardown frees what the aborted invocation put
+    /// in the ring, and a hostile driver may free any skb it was handed.
+    fn free_skbs(&mut self, skbs: &[SkBuff]) {
         for skb in skbs {
-            self.world.kernel.free_skb(&self.machine, *skb)?;
+            let _refused = self.world.kernel.free_skb(&self.machine, *skb);
         }
-        Ok(())
     }
 
     /// Hands a prepared burst of sk_buffs to the driver. Each driver
@@ -125,17 +126,8 @@ impl System {
                 Ok(a) => a,
                 Err(e) => {
                     // Return the in-flight remainder to the pools before
-                    // surfacing the fault, or the pool drains for good:
-                    // all but what the aborted invocation had put in the
-                    // ring, which the fault's teardown freed already.
-                    let episode = self.devs[dev as usize].quarantine.as_ref();
-                    let freed = episode.map_or(&[][..], |q| &q.ring_freed);
-                    let rest: Vec<SkBuff> = skbs[done..]
-                        .iter()
-                        .filter(|skb| !freed.contains(skb))
-                        .copied()
-                        .collect();
-                    self.free_skbs(&rest)?;
+                    // surfacing the fault, or the pool drains for good.
+                    self.free_skbs(&skbs[done..]);
                     return Err(e);
                 }
             };
@@ -144,7 +136,7 @@ impl System {
             }
             done += accepted;
         }
-        self.free_skbs(&skbs[done..])?;
+        self.free_skbs(&skbs[done..]);
         Ok(done)
     }
 
@@ -180,7 +172,7 @@ impl System {
             None => Err(SystemError::Build("dom0 skb pool empty".into())),
         };
         if filled.is_err() {
-            self.free_skbs(skbs)?;
+            self.free_skbs(skbs);
         }
         filled
     }
@@ -350,7 +342,7 @@ impl System {
                 // front for the frames after this one.
                 let tail = batched.iter().flat_map(|ptrs| &ptrs[fi + 1..]);
                 skbs.extend(tail.filter(|p| **p != 0).map(|p| SkBuff(u64::from(*p))));
-                self.free_skbs(&skbs)?;
+                self.free_skbs(&skbs);
                 return Err(e);
             }
         }

@@ -154,11 +154,17 @@ impl SkBuff {
     }
 }
 
-/// A pool of preallocated sk_buffs in dom0 memory.
+/// A pool of preallocated sk_buffs in dom0 memory. It knows its own
+/// buffers: a free that is not one of them, or not allocated, is
+/// refused.
 #[derive(Clone, Debug)]
 pub struct SkbPool {
-    free: Vec<SkBuff>,
-    total: usize,
+    /// Every buffer header the pool preallocated, ascending.
+    hdrs: Vec<u64>,
+    /// Whether each buffer of `hdrs` is allocated.
+    held: Vec<bool>,
+    /// The free buffers, as indices into `hdrs`; `alloc` takes the last.
+    free: Vec<u32>,
     data_size: u32,
     hypervisor_reserved: bool,
     /// Allocation failures (pool empty).
@@ -181,7 +187,7 @@ impl SkbPool {
         data_size: u32,
         hypervisor_reserved: bool,
     ) -> Result<SkbPool, Fault> {
-        let mut free = Vec::with_capacity(count);
+        let mut order = Vec::with_capacity(count);
         let space = heap.space();
         for _ in 0..count {
             let hdr = heap.kmalloc(m, SKB_HDR_SIZE)?;
@@ -197,11 +203,15 @@ impl SkbPool {
                 u32::from(hypervisor_reserved),
             )?;
             skb.write(m, space, offsets::REFCNT, 1)?;
-            free.push(skb);
+            order.push(hdr);
         }
+        let mut hdrs = order.clone();
+        hdrs.sort_unstable();
+        let index = |hdr: &u64| hdrs.partition_point(|h| h < hdr) as u32;
         Ok(SkbPool {
-            free,
-            total: count,
+            free: order.iter().map(index).collect(),
+            held: vec![false; count],
+            hdrs,
             data_size,
             hypervisor_reserved,
             alloc_failures: 0,
@@ -211,7 +221,9 @@ impl SkbPool {
     /// Pops a buffer, resetting its length and fragment state.
     pub fn alloc(&mut self, m: &mut Machine, space: twin_machine::SpaceId) -> Option<SkBuff> {
         match self.free.pop() {
-            Some(skb) => {
+            Some(i) => {
+                self.held[i as usize] = true;
+                let skb = SkBuff(self.hdrs[i as usize]);
                 skb.set_len(m, space, 0).ok()?;
                 skb.clear_frag(m, space).ok()?;
                 Some(skb)
@@ -223,14 +235,33 @@ impl SkbPool {
         }
     }
 
-    /// Returns a buffer to the pool.
+    /// Returns a buffer the simulator itself allocated to the pool.
     ///
     /// # Panics
     ///
-    /// Panics on pool overflow (double free — a simulator bug).
+    /// Panics when [`SkbPool::release`] refuses it (a double free — a
+    /// simulator bug).
     pub fn free(&mut self, skb: SkBuff) {
-        assert!(self.free.len() < self.total, "skb double free");
-        self.free.push(skb);
+        let freed = self.release(skb);
+        assert!(freed.is_ok(), "skb double free: {freed:?}");
+    }
+
+    /// Returns a buffer to the pool: the checked free a driver crossing
+    /// reaches.
+    ///
+    /// # Errors
+    ///
+    /// [`Fault::EnvFault`] when `skb` is no buffer of this pool or is
+    /// already free; the pool is left as it was.
+    pub fn release(&mut self, skb: SkBuff) -> Result<(), Fault> {
+        let Ok(i) = self.hdrs.binary_search(&skb.0) else {
+            return Err(Fault::EnvFault(format!("{:#x} is no pool skb", skb.0)));
+        };
+        if !std::mem::replace(&mut self.held[i], false) {
+            return Err(Fault::EnvFault(format!("skb {:#x} freed twice", skb.0)));
+        }
+        self.free.push(i as u32);
+        Ok(())
     }
 
     /// Buffers currently available.
@@ -240,7 +271,7 @@ impl SkbPool {
 
     /// Pool capacity.
     pub fn capacity(&self) -> usize {
-        self.total
+        self.hdrs.len()
     }
 
     /// Data area size.
@@ -319,6 +350,20 @@ mod tests {
         assert_eq!(skb.frag(&m, space).unwrap(), Some((0x12000, 1404)));
         skb.clear_frag(&mut m, space).unwrap();
         assert_eq!(skb.frag(&m, space).unwrap(), None);
+    }
+
+    #[test]
+    fn release_refuses_a_foreign_or_free_buffer() {
+        let (mut m, mut h) = mk();
+        let space = h.space();
+        let mut pool = SkbPool::preallocate(&mut m, &mut h, 2, 256, false).unwrap();
+        let skb = pool.alloc(&mut m, space).unwrap();
+        assert!(pool.release(SkBuff(skb.0 + 4)).is_err(), "not a header");
+        assert_eq!(pool.release(skb), Ok(()));
+        assert!(pool.release(skb).is_err(), "already free");
+        let never = SkBuff(pool.hdrs[pool.free[0] as usize]);
+        assert!(pool.release(never).is_err(), "never allocated");
+        assert_eq!(pool.available(), 2);
     }
 
     #[test]

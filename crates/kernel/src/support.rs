@@ -251,16 +251,17 @@ impl Dom0Kernel {
 
     /// Frees an sk_buff into whichever pool owns it (the reference-count
     /// trick keeps hypervisor-reserved buffers out of dom0's pool).
+    ///
+    /// # Errors
+    ///
+    /// A fault reading the header, or the pool's refusal
+    /// ([`SkbPool::release`]) of a foreign or already-free buffer.
     pub fn free_skb(&mut self, m: &Machine, skb: SkBuff) -> Result<(), Fault> {
         let flags = skb.pool_flags(m, self.space)?;
-        if flags & 1 != 0 {
-            if let Some(hp) = &mut self.hyper_pool {
-                hp.free(skb);
-                return Ok(());
-            }
+        match &mut self.hyper_pool {
+            Some(hp) if flags & 1 != 0 => hp.release(skb),
+            _ => self.pool.release(skb),
         }
-        self.pool.free(skb);
-        Ok(())
     }
 
     /// Timers due at virtual time `now` (cycles), popped from the queue
@@ -344,6 +345,7 @@ impl Dom0Kernel {
                         None => m.note(TraceEvent::FrameDrop {
                             fate: Fate::Malformed,
                             guest: None,
+                            frame: None,
                         }),
                     }
                     self.free_skb(m, skb)?;

@@ -176,6 +176,13 @@ pub struct Machine {
     pub meter: CycleMeter,
     /// The [`Term`] table's cycles.
     pub cost: CostParams,
+    /// One record per received frame that its device accepted and that
+    /// has been neither delivered nor noted dead, keyed by `(flow,
+    /// seq)`. Beside the meter because every death site holds the
+    /// machine: a [`twin_trace::TraceEvent::FrameDrop`] note retires
+    /// its frame's record ([`Machine::note`]), the receive path writes
+    /// one where a device accepts a frame and retires it at delivery.
+    pub landed: IntMap<(u32, u64), Landed>,
     /// Flight recorder (disabled by default). Recording is pure
     /// bookkeeping outside the charged path: [`Machine::note`]
     /// *reads* the clock and domain stack but never charges, so a traced
@@ -189,6 +196,19 @@ pub struct Machine {
     /// The interpreter's translation cache; see [`space::Tlb`] and
     /// [`Machine::revalidate_tlb`].
     tlb: space::Tlb,
+}
+
+/// What is known of one received frame between its device accepting it
+/// and its delivery or death: a [`Machine::landed`] record.
+#[derive(Copy, Clone, Debug)]
+pub struct Landed {
+    /// Arrival stamp (virtual cycles) the frame's latency sample is
+    /// measured from; `None` when its landing reports no latency.
+    pub at: Option<u64>,
+    /// The device that accepted the frame.
+    pub dev: u32,
+    /// The device's `rx_packets` count once the frame was accepted.
+    pub nth: u64,
 }
 
 impl Default for Machine {
@@ -206,6 +226,7 @@ impl Machine {
             hyper: PageTable::new(),
             meter: CycleMeter::default(),
             cost: CostParams::default(),
+            landed: IntMap::default(),
             trace: twin_trace::FlightRecorder::new(),
             images: Vec::new(),
             extern_names: Vec::new(),
@@ -244,13 +265,25 @@ impl Machine {
     /// [`cost::row`] pairs it with one, under the domain the event names
     /// ([`twin_trace::TraceEvent::domain`]), and records the event stamped
     /// with the current virtual clock and cost domain when tracing is on.
-    /// This is the one way an occurrence reaches the recorder; a row
-    /// with no payload is [`CycleMeter::count_event`] alone. Never
-    /// charges a cycle, and with tracing off it is the count and a
-    /// branch: always inlined, so the row is chosen where the event is
-    /// built.
+    /// A death retires its frame's [`Machine::landed`] record, except an
+    /// early drop's: that frame never landed. This is the one way an
+    /// occurrence reaches the recorder; a row with no payload is
+    /// [`CycleMeter::count_event`] alone. Never charges a cycle, and with
+    /// tracing off it is the count and a branch: always inlined, so the
+    /// row is chosen where the event is built.
     #[inline(always)]
     pub fn note(&mut self, event: twin_trace::TraceEvent) {
+        use twin_trace::{Fate, TraceEvent};
+        if let TraceEvent::FrameDrop {
+            fate,
+            frame: Some(key),
+            ..
+        } = event
+        {
+            if fate != Fate::EarlyDrop {
+                self.landed.remove(&key);
+            }
+        }
         if let Some(e) = cost::row(&event) {
             self.meter.count_event_for(e, event.domain());
         }
@@ -784,6 +817,7 @@ mod tests {
         let drop = TraceEvent::FrameDrop {
             fate: Fate::EarlyDrop,
             guest: Some(2),
+            frame: Some((2, 0)),
         };
         m.note(drop.clone());
         m.meter.pop_domain();
@@ -793,6 +827,34 @@ mod tests {
         let r = m.trace.records().next().unwrap();
         assert_eq!((r.at, r.domain), (700, "e1000"));
         assert_eq!(r.event, drop);
+    }
+
+    /// A death retires its frame's landing record; an early drop, whose
+    /// frame never landed, and a malformed skb, which names no frame,
+    /// retire nothing.
+    #[test]
+    fn a_noted_death_retires_its_landing_record() {
+        let mut m = Machine::new();
+        let at = Landed {
+            at: None,
+            dev: 0,
+            nth: 1,
+        };
+        m.landed = [(1, 0), (1, 1), (2, 0)]
+            .map(|key| (key, at))
+            .into_iter()
+            .collect();
+        let drop = |fate, frame| TraceEvent::FrameDrop {
+            fate,
+            guest: None,
+            frame,
+        };
+        m.note(drop(Fate::EarlyDrop, Some((1, 0))));
+        m.note(drop(Fate::Malformed, None));
+        assert_eq!(m.landed.len(), 3);
+        m.note(drop(Fate::DemuxMiss, Some((1, 0))));
+        m.note(drop(Fate::QueueCap, Some((2, 0))));
+        assert_eq!(m.landed.keys().collect::<Vec<_>>(), [&(1, 1)]);
     }
 
     #[test]

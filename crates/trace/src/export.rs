@@ -321,6 +321,7 @@ mod tests {
         TraceEvent::FrameDrop {
             fate: Fate::EarlyDrop,
             guest: Some(guest),
+            frame: Some((guest, 0)),
         }
     }
 

@@ -75,7 +75,8 @@ impl FlushCause {
 }
 
 /// Where a frame died. Every death is one [`TraceEvent::FrameDrop`]
-/// naming its fate; the fate's label is the event's kind.
+/// naming its fate and, for every fate but `Malformed`, the frame; the
+/// fate's label is the event's kind.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Fate {
     /// Shed at the admission watermark, before any ring or reap work.
@@ -87,7 +88,8 @@ pub enum Fate {
     DemuxMiss,
     /// In flight on a device whose rings a fault teardown discarded.
     InflightLost,
-    /// The driver handed up an skb too short to parse as a frame.
+    /// The driver handed up an skb too short to parse as a frame, so
+    /// the death names no frame.
     Malformed,
 }
 
@@ -165,6 +167,9 @@ pub enum TraceEvent {
         fate: Fate,
         /// The guest it was bound for, when one is known.
         guest: Option<u32>,
+        /// The frame's `(flow, seq)`; `None` only for a
+        /// [`Fate::Malformed`] skb, which parses as no frame.
+        frame: Option<(u32, u64)>,
     },
     /// A dom0 call was saved into the deferred-upcall ring.
     UpcallEnqueue {
@@ -833,6 +838,7 @@ mod tests {
             TraceEvent::FrameDrop {
                 fate: Fate::EarlyDrop,
                 guest: Some(2),
+                frame: Some((1, 0)),
             },
         );
         let c = r.counts_by_kind();

@@ -407,16 +407,22 @@ impl HyperSupport {
                 svm.charge_fast_path(m);
                 let skb = SkBuff(cpu.arg(m, 0)? as u64);
                 if skb.0 != 0 {
-                    let fate = match skb.parse_frame(m, dom0)? {
-                        None => Some((Fate::Malformed, None)),
-                        Some(frame) => match xen.guest_by_mac(frame.dst) {
-                            None => Some((Fate::DemuxMiss, None)),
-                            Some(gid) => (!xen.domain_mut(gid).queue_rx(frame))
-                                .then_some((Fate::QueueCap, Some(gid.0))),
-                        },
+                    let death = match skb.parse_frame(m, dom0)? {
+                        None => Some((Fate::Malformed, None, None)),
+                        Some(f) => {
+                            let key = Some((f.flow, f.seq));
+                            match xen.guest_by_mac(f.dst) {
+                                None => Some((Fate::DemuxMiss, None, key)),
+                                Some(gid) => (!xen.domain_mut(gid).queue_rx(f)).then_some((
+                                    Fate::QueueCap,
+                                    Some(gid.0),
+                                    key,
+                                )),
+                            }
+                        }
                     };
-                    if let Some((fate, guest)) = fate {
-                        m.note(TraceEvent::FrameDrop { fate, guest });
+                    if let Some((fate, guest, frame)) = death {
+                        m.note(TraceEvent::FrameDrop { fate, guest, frame });
                     }
                     kernel.free_skb(m, skb)?;
                 }

@@ -16,6 +16,7 @@
 
 use twin_kernel::RoutineId;
 use twin_net::{Frame, MacAddr};
+use twin_trace::{Fate, TraceEvent};
 use twindrivers::kernel::e1000;
 use twindrivers::machine::{CostDomain, Event, Term};
 use twindrivers::measure::{
@@ -715,8 +716,10 @@ fn a_fault_counts_only_the_frames_in_its_ring() {
     assert_eq!(sys.receive_burst(&missed).unwrap(), 8);
     sys.arm_driver_fault(FaultClass::WildWrite.arm_value(0))
         .unwrap();
+    sys.machine.trace.set_enabled(true);
     let mut seq = 0u64;
-    abort_reason(sys.receive_burst(&frames_for(0, 1, 8, &mut seq)));
+    let aborted = frames_for(0, 1, 8, &mut seq);
+    abort_reason(sys.receive_burst(&aborted));
     let m = sys.metrics();
     assert_eq!(m.counter("event.demux_miss"), 8);
     assert_eq!(
@@ -724,6 +727,49 @@ fn a_fault_counts_only_the_frames_in_its_ring() {
         8,
         "the aborted burst alone"
     );
+    let lost: Vec<(u32, u64)> = (sys.machine.trace.records())
+        .filter_map(|r| match r.event {
+            TraceEvent::FrameDrop {
+                fate: Fate::InflightLost,
+                frame,
+                ..
+            } => frame,
+            _ => None,
+        })
+        .collect();
+    let keys: Vec<(u32, u64)> = aborted.iter().map(|f| (f.flow, f.seq)).collect();
+    assert_eq!(lost, keys, "each note names its frame, in ring order");
+}
+
+/// A fault that strikes after the reap — a wedged adapter faults at the
+/// `RDT` bump that ends a budgeted poll pass — finds the reaped frames
+/// still counted in the ring's `rx_pending`, yet already in the demux
+/// queue: they are delivered, not counted as lost too.
+#[test]
+fn a_fault_after_the_reap_loses_nothing_the_reap_queued() {
+    let opts = SystemOptions {
+        driver_source: Some(fault_injected_source(FaultClass::WedgedRing)),
+        num_nics: 1,
+        napi_weight: 8,
+        ..SystemOptions::default()
+    };
+    let mut sys = System::build_with(Config::TwinDrivers, &opts).unwrap();
+    let mut seq = 0u64;
+    assert_eq!(
+        sys.receive_burst(&frames_for(0, 1, 8, &mut seq)).unwrap(),
+        8
+    );
+    sys.arm_driver_fault(FaultClass::WedgedRing.arm_value(0))
+        .unwrap();
+    abort_reason(sys.receive_burst(&frames_for(0, 1, 8, &mut seq)));
+    assert_eq!(sys.metrics().counter("event.inflight_lost"), 0);
+    assert_eq!(sys.rx_backlog(), 8, "the reap queued the whole burst");
+    let now = sys.now_cycles();
+    let live = frames_for(0, 1, 8, &mut seq);
+    assert_eq!(sys.rx_open_loop_arrival(&live, now).unwrap(), 8);
+    sys.rx_open_loop_service(now + 2_000_000).unwrap();
+    assert_eq!(sys.delivered_rx(), 24, "every frame once");
+    assert_eq!(sys.metrics().counter("event.inflight_lost"), 0);
 }
 
 /// Regression: the open-loop arrival used to land frames on a

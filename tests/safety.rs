@@ -130,6 +130,66 @@ fn baseline_configs_accept_the_same_driver() {
     sys.transmit_one().unwrap();
 }
 
+/// Frees, at the top of `e1000_xmit_fill`, the skb the driver was just
+/// handed — its descriptor still to fill, its ring slot to free it again.
+const DOUBLE_FREE: &str = "    pushl 4(%esp)\n    call dev_kfree_skb_any\n    addl $4, %esp";
+
+/// Frees the driver's own adapter slot, an address no pool handed out.
+const FORGED_FREE: &str = "    pushl $cur_adapter\n    call dev_kfree_skb_any\n    addl $4, %esp";
+
+/// A driver that frees across the crossing what it does not own, on
+/// both configurations that run it: four bursts, then the recovery of
+/// whatever was quarantined. Nothing panics; the misuse surfaces — as
+/// an abort that quarantines the hypervisor instance's device, or as
+/// the fault dom0's instance returns to its caller — and the pools end
+/// as an honest system holds them with nothing in flight: no buffer
+/// lost, none counted twice, no foreign address taken in.
+fn a_hostile_free_is_refused(payload: &str) {
+    for config in [Config::TwinDrivers, Config::XenDom0] {
+        let build = |src: String| {
+            let opts = SystemOptions {
+                driver_source: Some(src),
+                ..SystemOptions::default()
+            };
+            System::build_with(config, &opts).unwrap()
+        };
+        let honest = build(e1000::source()).outcome();
+        let mut sys = build(sabotage("e1000_xmit_fill:", payload));
+        let mut refused = 0;
+        for _ in 0..4 {
+            match (config, sys.transmit_burst(32)) {
+                (_, Ok(_)) => {}
+                (Config::TwinDrivers, Err(SystemError::DriverAborted(_))) => {
+                    assert_eq!(sys.quarantined_devices(), vec![0]);
+                    refused += 1;
+                }
+                (Config::XenDom0, Err(SystemError::Fault(_))) => refused += 1,
+                (_, Err(e)) => panic!("{config:?}: {e}"),
+            }
+        }
+        assert!(refused > 0, "{config:?}: the bad free went through");
+        for dev in sys.quarantined_devices() {
+            sys.recover_device(dev).unwrap();
+        }
+        let o = sys.outcome();
+        assert_eq!(
+            (o.dom0_free, o.hyper_free),
+            (honest.dom0_free, honest.hyper_free),
+            "{config:?}"
+        );
+    }
+}
+
+#[test]
+fn a_driver_double_free_is_refused() {
+    a_hostile_free_is_refused(DOUBLE_FREE);
+}
+
+#[test]
+fn a_driver_forged_free_is_refused() {
+    a_hostile_free_is_refused(FORGED_FREE);
+}
+
 #[test]
 fn stack_checks_extension_still_works_end_to_end() {
     let opts = SystemOptions {
