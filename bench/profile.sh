@@ -29,17 +29,17 @@
 #
 #   build_with  inclusive time of `System::build_with`
 #   restore     `twin_machine::mem::MemImage::restore`, the memory of
-#               each build that forks a kept template (on the spare the
-#               last fork of that template left, only the pages that
+#               each build that forks a kept snapshot (on the buffer its
+#               last fork left in its image's slot, only the pages that
 #               fork wrote are rewritten), also as a share of
 #               `build_with`
-#   zeroing     `twin_machine::mem::Spare::zeroed`, zeroing a spare
-#               buffer's written and baseline pages for a build on fresh
-#               memory or a restore onto another template's spare, also
+#   zeroing     `twin_machine::mem::Spare::zeroed`, zeroing a pool
+#               spare's written pages for a build on fresh memory, a
+#               clone, or a restore whose image's slot is empty, also
 #               as a share of `build_with`
 #
 # How many builds and forks a run makes follows from the workload's
-# scenarios and the template cache, so the script divides by neither:
+# scenarios and the snapshot cache, so the script divides by neither:
 # compare two commits' times at the same workload and length.
 #
 # The profiled build keeps frame pointers (see below). A virtual

@@ -180,8 +180,8 @@ pub use measure::{
 };
 pub use outcome::{Law, Outcome};
 pub use system::{
-    peer_mac, Config, Itr, RecoveryReport, ShardPolicy, System, SystemError, SystemOptions,
-    UpcallMode, World, MAX_BURST,
+    peer_mac, Config, Itr, RecoveryReport, ShardPolicy, Snapshot, System, SystemError,
+    SystemOptions, UpcallMode, World, MAX_BURST,
 };
 
 // Re-export the substrate crates so downstream users (workloads, benches,

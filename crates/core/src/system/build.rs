@@ -124,7 +124,7 @@ fn boot_dom0(config: Config, num_nics: usize) -> Result<(Machine, World, SpaceId
 /// as rewritten, the rewriter's ablations and the fault sweep's three
 /// sources fit; a sweep over more variants re-derives the least recently
 /// used. The memo stays beside [`PAIRS`] because sweep points differ in
-/// their options, and so in their templates, while sharing one
+/// their options, and so in their snapshots, while sharing one
 /// derivation.
 const DERIVED_CAP: usize = 8;
 
@@ -188,22 +188,24 @@ fn derive(
 /// Pairs [`System::build_with`] keeps. The benchmark's `paper_b1`
 /// builds four pairs pass after pass, and every other workload its
 /// anchor's four and one of its own; a sweep builds one point's systems
-/// before moving to the next. Eight cover both, and a template holds
-/// under 1 MB (four NICs in bulk: 314 KiB of non-zero lines and 468 KiB
-/// of the rest of the system), so the cap bounds what a process keeps
-/// beyond its live systems. The least recently used goes.
+/// before moving to the next. Eight cover both. A snapshot holds under
+/// 1 MB of its own (four NICs in bulk: 314 KiB of non-zero lines and
+/// 468 KiB of the rest of the system) and one buffer, its last fork's,
+/// resident on the pages its systems touched (about 16 MB for four NICs
+/// in bulk), so the cap bounds what a process keeps beyond its live
+/// systems. The least recently used goes.
 const PAIR_CAP: usize = 8;
 
 /// A (configuration, validated options) pair built in this process.
 /// Its first build only notes it: most pairs outside the benchmark and
 /// the sweeps are built once (155 of the 246 pairs the tier-1 tests
-/// built when this was measured), and taking a template costs a sixth to
-/// a half of a release build. Its second build is kept as the template
-/// every later one forks.
+/// built when this was measured), and a snapshot costs an image of the
+/// memory and a copy of every page the build wrote. Its second build's
+/// snapshot is what every later one forks.
 struct Pair {
     config: Config,
     opts: SystemOptions,
-    template: Option<Arc<Template>>,
+    snapshot: Option<Arc<Snapshot>>,
 }
 
 impl Pair {
@@ -212,27 +214,21 @@ impl Pair {
     }
 }
 
-/// A system as a build left it: its memory as the image of its non-zero
-/// lines, everything else in `shell`, whose memory has no frames.
-struct Template {
+/// A system kept to be forked: its memory as the image of its non-zero
+/// lines, everything else in `shell`, whose memory has no frames. The
+/// image keeps the buffer its last fork dropped, so a fork zeroes and
+/// rewrites only the pages the previous one wrote.
+#[derive(Debug)]
+pub struct Snapshot {
     shell: System,
     memory: MemImage,
 }
 
-impl Template {
-    /// Takes `sys`'s memory as an image, then clones the rest of it, so
-    /// the template holds no copy of its memory beyond its non-zero
-    /// lines.
-    fn of(sys: &mut System) -> Template {
-        let memory = sys.machine.phys.image();
-        let phys = std::mem::replace(&mut sys.machine.phys, PhysMem::new(0));
-        let shell = sys.clone();
-        sys.machine.phys = phys;
-        Template { shell, memory }
-    }
-
-    /// The shell cloned with its memory restored under it.
-    fn fork(&self) -> System {
+impl Snapshot {
+    /// A system indistinguishable from the one this snapshot was taken
+    /// of, as it was then: the shell cloned with its memory restored
+    /// under it.
+    pub fn fork(&self) -> System {
         let mut sys = self.shell.clone();
         sys.machine.phys = self.memory.restore();
         sys
@@ -242,9 +238,9 @@ impl Template {
 /// The pairs built in this process, least recently used first.
 static PAIRS: Mutex<Vec<Pair>> = Mutex::new(Vec::new());
 
-/// Whether this process has built `(config, opts)`, and its template if
+/// Whether this process has built `(config, opts)`, and its snapshot if
 /// it keeps one. A poisoned lock means building afresh.
-fn look_up(config: Config, opts: &SystemOptions) -> (bool, Option<Arc<Template>>) {
+fn look_up(config: Config, opts: &SystemOptions) -> (bool, Option<Arc<Snapshot>>) {
     let Ok(mut pairs) = PAIRS.lock() else {
         return (false, None);
     };
@@ -252,22 +248,22 @@ fn look_up(config: Config, opts: &SystemOptions) -> (bool, Option<Arc<Template>>
         return (false, None);
     };
     let pair = pairs.remove(i);
-    let template = pair.template.clone();
+    let snapshot = pair.snapshot.clone();
     pairs.push(pair);
-    (true, template)
+    (true, snapshot)
 }
 
-/// Notes `sys`, just built, as its pair's first build, or keeps it as
-/// the pair's template once `seen` says the pair was built before.
-fn note(sys: &mut System, seen: bool) {
-    let template = seen.then(|| Arc::new(Template::of(sys)));
+/// Notes `sys`, just built, as its pair's first build, or keeps its
+/// snapshot for the pair once `seen` says the pair was built before.
+fn note(sys: &System, seen: bool) {
+    let snapshot = seen.then(|| Arc::new(sys.snapshot()));
     let Ok(mut pairs) = PAIRS.lock() else {
         return;
     };
     let (config, opts) = (sys.config(), &sys.opts);
     // Another thread may have built the same pair meanwhile.
     if let Some(pair) = pairs.iter_mut().find(|p| p.is(config, opts)) {
-        pair.template = pair.template.take().or(template);
+        pair.snapshot = pair.snapshot.take().or(snapshot);
         return;
     }
     if pairs.len() == PAIR_CAP {
@@ -276,7 +272,7 @@ fn note(sys: &mut System, seen: bool) {
     pairs.push(Pair {
         config,
         opts: opts.clone(),
-        template,
+        snapshot,
     });
 }
 
@@ -314,6 +310,19 @@ impl System {
     /// assembled, rewritten or loaded.
     pub fn build(config: Config) -> Result<System, SystemError> {
         System::build_with(config, &SystemOptions::default())
+    }
+
+    /// This system as it is now, to be forked
+    /// ([`Snapshot::fork`]) any number of times. Its memory is cloned
+    /// once and kept as the image's buffer, where the first fork lands
+    /// without rewriting a page.
+    pub fn snapshot(&self) -> Snapshot {
+        let mut shell = self.clone();
+        let memory = std::mem::replace(&mut shell.machine.phys, PhysMem::new(0));
+        Snapshot {
+            shell,
+            memory: memory.into_image(),
+        }
     }
 
     /// Number of NICs this system drives.
@@ -358,9 +367,9 @@ impl System {
     /// Builds a system with explicit options: validation, then the
     /// paper's §3.1 steps in order. As the paper derives its driver once,
     /// a process that builds a (configuration, validated options) pair
-    /// again keeps its second build as a template, and every later build
-    /// of the pair is a fork of it, indistinguishable from running the
-    /// steps again.
+    /// again keeps a [`Snapshot`] of its second build, and every later
+    /// build of the pair is a fork of it, indistinguishable from running
+    /// the steps again.
     ///
     /// # Errors
     ///
@@ -368,12 +377,12 @@ impl System {
     /// is set that `config` cannot honour.
     pub fn build_with(config: Config, opts: &SystemOptions) -> Result<System, SystemError> {
         let opts = validate(config, opts)?;
-        let (seen, template) = look_up(config, &opts);
-        if let Some(template) = template {
-            return Ok(template.fork());
+        let (seen, snapshot) = look_up(config, &opts);
+        if let Some(snapshot) = snapshot {
+            return Ok(snapshot.fork());
         }
-        let mut sys = System::build_fresh(config, opts)?;
-        note(&mut sys, seen);
+        let sys = System::build_fresh(config, opts)?;
+        note(&sys, seen);
         Ok(sys)
     }
 
@@ -680,20 +689,20 @@ mod tests {
                 ..SystemOptions::default()
             })
             .collect();
-        let template = |opts: &SystemOptions| {
+        let snapshot = |opts: &SystemOptions| {
             let pairs = PAIRS.lock().unwrap();
             let pair = pairs.iter().find(|p| p.opts == *opts);
-            pair.map(|p| p.template.is_some())
+            pair.map(|p| p.snapshot.is_some())
         };
         for opts in &keys {
             System::build_with(Config::NativeLinux, opts).unwrap();
-            assert_eq!(template(opts), Some(false), "a first build was kept");
+            assert_eq!(snapshot(opts), Some(false), "a first build was kept");
         }
         assert_eq!(PAIRS.lock().unwrap().len(), PAIR_CAP);
-        assert_eq!(template(&keys[0]), None, "the oldest pair stayed");
+        assert_eq!(snapshot(&keys[0]), None, "the oldest pair stayed");
         let last = &keys[PAIR_CAP];
         System::build_with(Config::NativeLinux, last).unwrap();
-        assert_eq!(template(last), Some(true), "a second build was not kept");
+        assert_eq!(snapshot(last), Some(true), "a second build was not kept");
     }
 
     #[test]

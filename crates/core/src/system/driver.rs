@@ -172,9 +172,30 @@ impl System {
         self.machine.meter.push_domain(CostDomain::Driver);
         let r = match hosted {
             Some(at) => self.call_hyperdrv(at, entry, args, budget, dev),
-            None => self.call_dom0(entry, args, budget),
+            None => self.call_dom0_toward(dev, entry, args, budget),
         };
         self.machine.meter.pop_domain();
+        r
+    }
+
+    /// [`System::call_dom0`] toward `dev`. A fault leaves the adapter as
+    /// the invocation stopped, its TX lock possibly held, so it marks
+    /// the device failed, and every later call toward it returns
+    /// [`SystemError::DeviceFailed`] without running the driver.
+    fn call_dom0_toward(
+        &mut self,
+        dev: u32,
+        entry: u64,
+        args: &[u32],
+        budget: u64,
+    ) -> Result<u32, SystemError> {
+        if let Some(fault) = self.devs[dev as usize].failed.clone() {
+            return Err(SystemError::DeviceFailed { dev, fault });
+        }
+        let r = self.call_dom0(entry, args, budget);
+        if let Err(SystemError::Fault(fault)) = &r {
+            self.devs[dev as usize].failed = Some(fault.clone());
+        }
         r
     }
 

@@ -352,6 +352,10 @@ struct DevState {
     gate_anchor: Option<(u64, u64)>,
     /// The episode between fault detection and recovery.
     quarantine: Option<QuarantineEpisode>,
+    /// The fault a dom0-instance call toward this device ended in: the
+    /// invocation left the adapter as it stopped, its TX lock
+    /// possibly held, so no later call runs the driver toward it.
+    failed: Option<Fault>,
 }
 
 /// What the system tracks per domain id beyond the hypervisor's own
@@ -429,6 +433,14 @@ pub enum SystemError {
     Build(String),
     /// The NIC receive ring had no buffers.
     RxRingFull,
+    /// A call toward a device whose dom0 driver instance faulted
+    /// earlier, with that fault. Nothing resets a dom0 device.
+    DeviceFailed {
+        /// The device.
+        dev: u32,
+        /// The fault its driver call ended in.
+        fault: Fault,
+    },
 }
 
 impl fmt::Display for SystemError {
@@ -438,6 +450,12 @@ impl fmt::Display for SystemError {
             SystemError::DriverAborted(r) => write!(f, "hypervisor driver aborted: {r}"),
             SystemError::Build(r) => write!(f, "system build failed: {r}"),
             SystemError::RxRingFull => write!(f, "receive ring out of buffers"),
+            SystemError::DeviceFailed { dev, fault } => {
+                write!(
+                    f,
+                    "device {dev} failed at an earlier dom0 driver fault: {fault}"
+                )
+            }
         }
     }
 }
@@ -780,6 +798,7 @@ impl DriverOp {
 }
 
 mod build;
+pub use build::Snapshot;
 mod driver;
 mod flush;
 mod metrics;

@@ -1,21 +1,26 @@
 //! Simulated physical memory with a frame allocator.
 //!
-//! A [`PhysMem`]'s byte buffer outlives it: dropping one files the buffer
-//! in a small process-wide pool, and the next [`PhysMem::new`] or
-//! [`MemImage::restore`] of the same length takes it back. A fresh
-//! buffer is mapped lazily, so each 4 KiB page costs a page fault the
-//! first time it is touched; a recycled one has its pages already, and
-//! building one system after another pays those faults once.
+//! A [`PhysMem`]'s byte buffer outlives it. A fresh buffer is mapped
+//! lazily, so each 4 KiB page costs a page fault the first time it is
+//! touched; a recycled one has its pages already, and building one
+//! system after another pays those faults once.
 //!
 //! A recycled buffer reads exactly as a fresh one (or a fresh restore)
 //! would because each buffer knows where it may differ from what it was
 //! handed out as. It carries a *baseline* — all zero, or the
 //! [`MemImage`] it was restored from — and the set of pages written
 //! since, one bit per frame. Every page outside the set reads as the
-//! baseline. Taking a spare back zeroes its written pages and its
-//! baseline's pages; restoring an image onto a spare whose baseline is
-//! that image rewrites only the written pages, so a fork pays for what
-//! the last fork wrote, not for what the system holds.
+//! baseline.
+//!
+//! Where a dropped buffer goes follows its baseline. A restored one goes
+//! back to its image, which keeps one buffer in a slot of its own; the
+//! next [`MemImage::restore`] takes it and zeroes and rewrites only the
+//! written pages, so a fork pays for what the last fork wrote, not for
+//! what the system holds. Every other buffer — a fresh build's, a clone
+//! of one, a slot's previous buffer displaced by a newer one — goes to a
+//! small process-wide pool, from which a [`PhysMem::new`], a clone or a
+//! restore whose slot is empty takes one of its length and zeroes every
+//! page it may hold non-zero.
 //!
 //! Every write path marks the pages it writes — `write_u8/u16/u32/width/
 //! bytes`, `copy_within`, and through them NIC DMA and the walked
@@ -30,6 +35,7 @@
 //! page, and the allocator's state. [`MemImage::restore`] reads exactly
 //! as the memory it was taken from.
 
+use std::fmt;
 use std::sync::{Arc, Mutex};
 use twin_isa::Width;
 
@@ -38,59 +44,72 @@ pub const PAGE_SIZE: u64 = 4096;
 
 const PAGE: usize = PAGE_SIZE as usize;
 
-/// Most spare buffers the pool keeps. A process builds one system after
-/// another (the benchmark's passes) or a few at once (one per test
-/// thread), so a handful covers both. A spare keeps resident only the
-/// pages its systems touched — about 16 MB for four NICs in bulk — so
-/// the cap bounds what a process keeps beyond its live systems. The
-/// pool stays beside [`MemImage`]: a restore draws its buffer from it as
-/// a build does.
+/// Most spare buffers the pool keeps. A restored buffer goes back to its
+/// image's slot, so the pool receives only baseline-free buffers and
+/// displaced ones: a process that holds one system at a time (the
+/// benchmark's passes) files at most one, and one per live system in
+/// general (one per test thread). A spare keeps resident only the pages
+/// its systems touched — about 16 MB for four NICs in bulk — so the cap
+/// bounds what a process keeps beyond its live systems and its images'
+/// slots.
 const SPARE_CAP: usize = 4;
 
-/// A dropped [`PhysMem`]'s buffer and where it may differ from its
-/// baseline.
+/// A buffer no memory holds and the pages where it may differ from its
+/// baseline: its image's, in that image's slot; zero, in the pool.
 struct Spare {
     bytes: Vec<u8>,
     written: PageSet,
-    baseline: Option<Arc<Lines>>,
 }
 
-/// Spare buffers, oldest first.
+impl fmt::Debug for Spare {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let written = self.written.union(None).count();
+        write!(
+            f,
+            "Spare({} bytes, {written} pages written)",
+            self.bytes.len()
+        )
+    }
+}
+
+/// Spare buffers, oldest first, each zero outside its written pages.
 static SPARES: Mutex<Vec<Spare>> = Mutex::new(Vec::new());
 
-/// A spare of `len` bytes: the newest whose baseline is `image` if the
-/// pool has one, else the oldest (a poisoned lock means no recycling).
-fn take_spare(len: usize, image: Option<&Arc<Lines>>) -> Option<Spare> {
+/// The oldest spare of `len` bytes (a poisoned lock means no recycling).
+fn take_spare(len: usize) -> Option<Spare> {
     let mut spares = SPARES.lock().ok()?;
-    let same = |s: &Spare| {
-        let base = s.baseline.as_ref();
-        s.bytes.len() == len && base.zip(image).is_some_and(|(a, b)| Arc::ptr_eq(a, b))
-    };
-    let i = spares
-        .iter()
-        .rposition(same)
-        .or_else(|| spares.iter().position(|s| s.bytes.len() == len))?;
+    let i = spares.iter().position(|s| s.bytes.len() == len)?;
     Some(spares.remove(i))
 }
 
-/// A buffer of `frames` frames, all zero, and its empty written set:
-/// `spare` zeroed on its written and baseline pages, else a fresh
-/// allocation.
-fn zeroed_buffer(spare: Option<Spare>, frames: usize) -> (Vec<u8>, PageSet) {
-    match spare {
+/// Files `spare` in the pool, in place of the oldest spare when the pool
+/// is full; frees it when the pool's lock is poisoned.
+fn file_spare(spare: Spare) {
+    let Ok(mut spares) = SPARES.lock() else {
+        return;
+    };
+    if spares.len() == SPARE_CAP {
+        spares.remove(0);
+    }
+    spares.push(spare);
+}
+
+/// A buffer of `frames` frames, all zero, and its empty written set: a
+/// pool spare zeroed on its written pages, else a fresh allocation.
+fn zeroed_buffer(frames: usize) -> (Vec<u8>, PageSet) {
+    match take_spare(frames * PAGE) {
         Some(spare) => spare.zeroed(),
         None => (vec![0; frames * PAGE], PageSet::new(frames)),
     }
 }
 
 impl Spare {
-    /// The buffer with every page that may be non-zero zeroed, and its
-    /// written set emptied. Kept out of line: `bench/profile.sh` reports
-    /// it by this function's name.
+    /// The buffer with every written page zeroed, and its written set
+    /// emptied: all zero, for a pool spare. Kept out of line:
+    /// `bench/profile.sh` reports it by this function's name.
     #[inline(never)]
     fn zeroed(mut self) -> (Vec<u8>, PageSet) {
-        let baseline = self.baseline.as_ref().map(|b| &b.pages);
-        for page in self.written.union(baseline) {
+        for page in self.written.union(None) {
             self.bytes[page * PAGE..][..PAGE].fill(0);
         }
         self.written.clear();
@@ -119,6 +138,13 @@ impl PageSet {
 
     fn clear(&mut self) {
         self.0.fill(0);
+    }
+
+    /// Adds every page of `other`.
+    fn insert_all(&mut self, other: &PageSet) {
+        for (word, &also) in self.0.iter_mut().zip(&other.0) {
+            *word |= also;
+        }
     }
 
     /// The pages in this set or in `also`, ascending.
@@ -169,7 +195,7 @@ impl PhysMem {
         if frames % 64 != 0 {
             free.push((1 << (frames % 64)) - 1);
         }
-        let (bytes, written) = zeroed_buffer(take_spare(frames * PAGE, None), frames);
+        let (bytes, written) = zeroed_buffer(frames);
         PhysMem {
             bytes,
             written,
@@ -206,6 +232,7 @@ impl PhysMem {
             runs: Vec::new(),
             data: Vec::new(),
             pages: PageSet::new(self.frames.total),
+            slot: Mutex::new(None),
         };
         for page in self.live_pages() {
             let start = page * PAGE;
@@ -230,6 +257,21 @@ impl PhysMem {
             lines: Arc::new(lines),
             frames: self.frames.clone(),
         }
+    }
+
+    /// [`PhysMem::image`], keeping this memory's buffer in the image's
+    /// slot: it reads as the image everywhere, so the first restore
+    /// rewrites nothing.
+    pub fn into_image(mut self) -> MemImage {
+        let image = self.image();
+        let own = Spare {
+            bytes: std::mem::take(&mut self.bytes),
+            written: PageSet::new(self.frames.total),
+        };
+        if let Ok(mut slot) = image.lines.slot.lock() {
+            *slot = Some(own);
+        }
+        image
     }
 
     /// Marks the pages of the `len` bytes at `start` written.
@@ -405,7 +447,7 @@ impl Clone for PhysMem {
     /// written set.
     fn clone(&self) -> PhysMem {
         let frames = self.frames.total;
-        let (mut bytes, _) = zeroed_buffer(take_spare(frames * PAGE, None), frames);
+        let (mut bytes, _) = zeroed_buffer(frames);
         for page in self.live_pages() {
             let at = page * PAGE;
             bytes[at..at + PAGE].copy_from_slice(&self.bytes[at..at + PAGE]);
@@ -420,11 +462,10 @@ impl Clone for PhysMem {
 }
 
 impl Drop for PhysMem {
-    /// Files the buffer, its written set and its baseline in the pool
-    /// for the next [`PhysMem::new`] or [`MemImage::restore`] of its
-    /// length, in place of the oldest spare when the pool is full; frees
-    /// it when the pool's lock is poisoned. An empty buffer (no frames)
-    /// holds nothing worth keeping.
+    /// Puts a restored buffer and its written set in its image's slot,
+    /// and files the buffer the slot held, if any, in the pool; files a
+    /// baseline-free buffer in the pool. An empty buffer (no frames)
+    /// holds nothing worth keeping, and a poisoned slot frees the buffer.
     fn drop(&mut self) {
         if self.bytes.is_empty() {
             return;
@@ -432,15 +473,21 @@ impl Drop for PhysMem {
         let spare = Spare {
             bytes: std::mem::take(&mut self.bytes),
             written: std::mem::replace(&mut self.written, PageSet(Vec::new())),
-            baseline: self.baseline.take(),
         };
-        let Ok(mut spares) = SPARES.lock() else {
+        let Some(image) = self.baseline.take() else {
+            return file_spare(spare);
+        };
+        let Ok(mut slot) = image.slot.lock() else {
             return;
         };
-        if spares.len() == SPARE_CAP {
-            spares.remove(0);
+        let displaced = slot.replace(spare);
+        drop(slot);
+        if let Some(mut displaced) = displaced {
+            // In the pool its baseline is zero: the image's pages may
+            // differ from that too.
+            displaced.written.insert_all(&image.pages);
+            file_spare(displaced);
         }
-        spares.push(spare);
     }
 }
 
@@ -455,7 +502,8 @@ struct Run {
 }
 
 /// A memory's non-zero lines: shared by the [`MemImage`] and by every
-/// buffer restored from it, which is how a spare knows its baseline.
+/// buffer restored from it, which is how a dropped buffer finds its
+/// image's slot.
 #[derive(Debug)]
 struct Lines {
     /// In address order; none crosses a page boundary.
@@ -464,6 +512,9 @@ struct Lines {
     data: Vec<u8>,
     /// The pages that hold a run.
     pages: PageSet,
+    /// The buffer the last restore dropped, which the next restore
+    /// takes: at most one per image.
+    slot: Mutex<Option<Spare>>,
 }
 
 impl Lines {
@@ -497,29 +548,24 @@ pub struct MemImage {
 }
 
 impl MemImage {
-    /// The memory this image was taken from, on a recycled buffer when
-    /// the pool has one, with this image as its baseline. A spare
-    /// restored from this image before has only the pages written since
-    /// zeroed and rewritten; any other spare is zeroed where it may be
-    /// non-zero and gets every run.
+    /// The memory this image was taken from, with this image as its
+    /// baseline: on the buffer in this image's slot, with only the pages
+    /// written since zeroed and rewritten; else on a pool spare or a
+    /// fresh allocation, zeroed where it may be non-zero, with every run
+    /// written.
     pub fn restore(&self) -> PhysMem {
-        let frames = self.frames.total;
-        let (bytes, written) = match take_spare(frames * PAGE, Some(&self.lines)) {
-            Some(mut spare)
-                if spare
-                    .baseline
-                    .as_ref()
-                    .is_some_and(|b| Arc::ptr_eq(b, &self.lines)) =>
-            {
-                for page in spare.written.union(None) {
-                    spare.bytes[page * PAGE..][..PAGE].fill(0);
-                    self.lines.write(&mut spare.bytes, self.lines.runs_of(page));
+        let own = self.lines.slot.lock().ok().and_then(|mut slot| slot.take());
+        let (bytes, written) = match own {
+            Some(mut own) => {
+                for page in own.written.union(None) {
+                    own.bytes[page * PAGE..][..PAGE].fill(0);
+                    self.lines.write(&mut own.bytes, self.lines.runs_of(page));
                 }
-                spare.written.clear();
-                (spare.bytes, spare.written)
+                own.written.clear();
+                (own.bytes, own.written)
             }
-            spare => {
-                let (mut bytes, written) = zeroed_buffer(spare, frames);
+            None => {
+                let (mut bytes, written) = zeroed_buffer(self.frames.total);
                 self.lines.write(&mut bytes, &self.lines.runs);
                 (bytes, written)
             }
@@ -633,10 +679,10 @@ mod tests {
         assert_eq!(restored.frames, original.frames);
     }
 
-    /// A restore dropped after a life of its own goes back to the next
-    /// restore of its image, which zeroes and rewrites only the pages
-    /// that life wrote or marked — a canary on a page it did neither to
-    /// survives — and reads as the original.
+    /// A restore dropped after a life of its own goes back to its
+    /// image's slot, and the next restore of the image zeroes and
+    /// rewrites only the pages that life wrote or marked — a canary on a
+    /// page it did neither to survives — and reads as the original.
     #[test]
     fn a_restore_onto_its_own_spare_rewrites_only_the_pages_written_since() {
         // A length no other test here uses, so no other thread takes
@@ -676,6 +722,78 @@ mod tests {
         again.bytes[canary] = 0;
         assert!(again.bytes == original.bytes, "the bytes differ");
         assert_eq!(again.frames, original.frames);
+    }
+
+    /// A memory of `frames` frames holding `byte` in one run of its first
+    /// frame, and its image.
+    fn imaged(frames: usize, byte: u8) -> (PhysMem, MemImage) {
+        let mut pm = PhysMem::new(frames);
+        let at = pm.alloc_frame().unwrap() * PAGE_SIZE;
+        pm.write_bytes(at + 64, &[byte; 100]);
+        let image = pm.image();
+        (pm, image)
+    }
+
+    /// Two images of one length restored in turn: each restore lands on
+    /// its own image's buffer, so a canary that A's life left on a page
+    /// it neither wrote nor holds survives B's restore and life in
+    /// between.
+    #[test]
+    fn interleaved_images_each_restore_onto_their_own_buffer() {
+        // A length no other test here uses, so no other thread takes
+        // the spare in between.
+        const FRAMES: usize = 53;
+        let (a_original, a) = imaged(FRAMES, 0xaa);
+        let (_b_original, b) = imaged(FRAMES, 0xbb);
+        let mut pm = a.restore();
+        let buffer = pm.bytes.as_ptr();
+        pm.write_u32(8, 0x5a5a_5a5a);
+        let canary = 20 * PAGE;
+        pm.bytes[canary] = 0xcc;
+        drop(pm);
+        // B's life writes where the canary is: on A's buffer, it would
+        // overwrite the canary and the next restore of A zero it.
+        let mut other = b.restore();
+        other.write_u32(canary as u64, 0x3c3c_3c3c);
+        drop(other);
+        let mut again = a.restore();
+        assert_eq!(again.bytes.as_ptr(), buffer, "not on A's own buffer");
+        assert_eq!(again.bytes[canary], 0xcc, "A's buffer was zeroed");
+        again.bytes[canary] = 0;
+        assert!(again.bytes == a_original.bytes, "the bytes differ");
+    }
+
+    /// Two restores of one image alive at once, dropped in turn: the
+    /// second takes the slot and the first goes to the pool, where a new
+    /// memory reads it all zero, the image's page neither wrote
+    /// included; each of the next two restores reads as the image, one
+    /// on the slot's buffer and one on neither.
+    #[test]
+    fn a_displaced_buffer_is_a_zero_spare() {
+        // A length no other test here uses, so no other thread takes
+        // the spare in between.
+        const FRAMES: usize = 59;
+        let (original, image) = imaged(FRAMES, 0xaa);
+        let [mut first, mut second] = [0x11, 0x22].map(|byte| {
+            let mut pm = image.restore();
+            pm.write_bytes(3 * PAGE_SIZE + 100, &[byte; 9]);
+            pm.write_u8(5 * PAGE_SIZE, byte);
+            pm
+        });
+        let buffers = [first.bytes.as_ptr(), second.bytes.as_ptr()];
+        first.write_u8(7 * PAGE_SIZE, 0x33);
+        second.write_u8(9 * PAGE_SIZE, 0x44);
+        drop(first);
+        drop(second);
+        let zero = PhysMem::new(FRAMES);
+        assert_eq!(zero.bytes.as_ptr(), buffers[0], "not the displaced buffer");
+        assert!(zero.bytes.iter().all(|&b| b == 0), "not zero");
+        let restores = [image.restore(), image.restore()];
+        assert_eq!(restores[0].bytes.as_ptr(), buffers[1], "not the slot's");
+        for (i, pm) in restores.iter().enumerate() {
+            assert!(pm.bytes == original.bytes, "restore {i}: the bytes differ");
+            assert_eq!(pm.frames, original.frames);
+        }
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //!   cycles, never traffic: each property drives one mixed burst
 //!   schedule through a knob-on and a knob-off system and compares
 //!   their [`Outcome`]s under a [`Law`].
+//! * **A fork is its original** — a [`twindrivers::Snapshot`]'s forks
+//!   run any suffix exactly as the system it was taken of.
 
 use proptest::prelude::*;
 use twin_isa::asm::assemble;
@@ -821,5 +823,66 @@ proptest! {
         fh.check(&af, Law::SameFlows).unwrap();
         prop_assert_eq!(af.backlog(), 0, "backlog drained");
         prop_assert_eq!((fh.event(Event::DemuxMiss), af.event(Event::DemuxMiss)), (0, 0));
+    }
+}
+
+/// Every byte of physical memory and the allocator's free count.
+fn same_memory(a: &System, b: &System) -> bool {
+    fn all(s: &System) -> (usize, &[u8]) {
+        let phys = &s.machine.phys;
+        let len = phys.total_frames() * PAGE_SIZE as usize;
+        (phys.free_frames(), phys.read_bytes(0, len))
+    }
+    all(a) == all(b)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 4,
+        ..ProptestConfig::default()
+    })]
+
+    /// A fork is the system its snapshot was taken of. After any script
+    /// prefix, two forks of one snapshot, each made after a fork of a
+    /// second pair's snapshot ran the suffix and was dropped, run any
+    /// suffix exactly as the original does: [`Law::BitExact`], and every
+    /// byte of memory the same. The second fork lands on the buffer the
+    /// first dropped and rewrites only the pages marked written there,
+    /// so this checks, by its consequence, that a store the translation
+    /// cache answers reaches only marked pages.
+    #[test]
+    fn a_snapshot_forks_into_the_system_it_was_taken_of(
+        prefix in prop::collection::vec(1usize..21, 1..4),
+        suffix in prop::collection::vec(1usize..21, 1..4),
+        idle in 1_000u64..400_000,
+    ) {
+        let run = |sys: &mut System, sizes: &[usize], base: u32| {
+            drive(sys, sizes, base, 0, |sys, _| sys.run_idle(idle).unwrap());
+        };
+        // NAPI polling on one pair, interrupts on the other; deferred
+        // upcalls and their flush deadline on both.
+        let [mut original, other] = [16, 0].map(|napi_weight| {
+            let mut sys = three_guests(&SystemOptions {
+                napi_weight,
+                upcall_mode: UpcallMode::Deferred,
+                upcall_flush_deadline_cycles: Some(300_000),
+                ..four_nics()
+            });
+            run(&mut sys, &prefix, 40);
+            sys
+        });
+        let (snapshot, other) = (original.snapshot(), other.snapshot());
+        run(&mut original, &suffix, 60);
+        let want = original.outcome();
+        for round in 0..2 {
+            let mut interleaved = other.fork();
+            run(&mut interleaved, &suffix, 60);
+            drop(interleaved);
+            let mut fork = snapshot.fork();
+            run(&mut fork, &suffix, 60);
+            let law = fork.outcome().check(&want, Law::BitExact);
+            law.unwrap_or_else(|e| panic!("fork {round}: {e}"));
+            prop_assert!(same_memory(&fork, &original), "fork {}: the memory differs", round);
+        }
     }
 }

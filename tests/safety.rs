@@ -2,7 +2,7 @@
 //! malicious drivers, watchdog timeouts, stack protection, privileged
 //! instruction scanning, and the IOMMU extension.
 
-use twin_machine::{CostDomain, ExecMode, Term};
+use twin_machine::{CostDomain, ExecMode, Fault, Term};
 use twindrivers::kernel::e1000;
 use twindrivers::net::{Frame, MacAddr};
 use twindrivers::{Config, System, SystemError, SystemOptions};
@@ -141,7 +141,8 @@ const FORGED_FREE: &str = "    pushl $cur_adapter\n    call dev_kfree_skb_any\n 
 /// both configurations that run it: four bursts, then the recovery of
 /// whatever was quarantined. Nothing panics; the misuse surfaces — as
 /// an abort that quarantines the hypervisor instance's device, or as
-/// the fault dom0's instance returns to its caller — and the pools end
+/// the fault dom0's instance returns to its caller, after which every
+/// burst toward its device fails naming that fault — and the pools end
 /// as an honest system holds them with nothing in flight: no buffer
 /// lost, none counted twice, no foreign address taken in.
 fn a_hostile_free_is_refused(payload: &str) {
@@ -156,15 +157,23 @@ fn a_hostile_free_is_refused(payload: &str) {
         let honest = build(e1000::source()).outcome();
         let mut sys = build(sabotage("e1000_xmit_fill:", payload));
         let mut refused = 0;
-        for _ in 0..4 {
+        for burst in 0..4 {
             match (config, sys.transmit_burst(32)) {
+                // Once dom0's instance faulted, its device stays failed:
+                // no later burst may report success.
+                (Config::XenDom0, Ok(sent)) if refused > 0 => {
+                    panic!("burst {burst}: Ok({sent}) after the refusal")
+                }
                 (_, Ok(_)) => {}
                 (Config::TwinDrivers, Err(SystemError::DriverAborted(_))) => {
                     assert_eq!(sys.quarantined_devices(), vec![0]);
                     refused += 1;
                 }
-                (Config::XenDom0, Err(SystemError::Fault(_))) => refused += 1,
-                (_, Err(e)) => panic!("{config:?}: {e}"),
+                (Config::XenDom0, Err(SystemError::Fault(_))) if refused == 0 => refused += 1,
+                (Config::XenDom0, Err(SystemError::DeviceFailed { dev: 0, fault })) => {
+                    assert!(matches!(fault, Fault::EnvFault(_)), "{fault}");
+                }
+                (_, Err(e)) => panic!("{config:?}: burst {burst}: {e}"),
             }
         }
         assert!(refused > 0, "{config:?}: the bad free went through");
