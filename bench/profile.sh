@@ -33,10 +33,6 @@
 #               last fork left in its image's slot, only the pages that
 #               fork wrote are rewritten), also as a share of
 #               `build_with`
-#   zeroing     `twin_machine::mem::Spare::zeroed`, zeroing a pool
-#               spare's written pages for a build on fresh memory, a
-#               clone, or a restore whose image's slot is empty, also
-#               as a share of `build_with`
 #
 # How many builds and forks a run makes follows from the workload's
 # scenarios and the snapshot cache, so the script divides by neither:
@@ -99,7 +95,6 @@ gprofng display text -metrics i.totalcpu -sort i.totalcpu -functions "$exp" |
         else if (name == "twin_kernel::call_function") call += t
         else if (name ~ /System>::build_with$/) build += t
         else if (name == "twin_machine::mem::MemImage::restore") restore += t
-        else if (name == "twin_machine::mem::Spare::zeroed") zeroing += t
     }
     END {
         win += rx
@@ -121,8 +116,7 @@ gprofng display text -metrics i.totalcpu -sort i.totalcpu -functions "$exp" |
         printf "set-up outside the window, share of the whole run:\n"
         setup("build_with", build)
         setup("restore", restore)
-        setup("zeroing", zeroing)
-        if (build > 0) printf "  restore is %.1f %%, zeroing %.1f %% of build_with\n", 100 * restore / build, 100 * zeroing / build
+        if (build > 0) printf "  restore is %.1f %% of build_with\n", 100 * restore / build
     }
     function share(layer, t) {
         printf "  %-20s  %5." digits "f %%  %5.0f ns/pkt\n", layer, 100 * t / win, ns * t / win

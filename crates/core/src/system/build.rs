@@ -190,10 +190,11 @@ fn derive(
 /// anchor's four and one of its own; a sweep builds one point's systems
 /// before moving to the next. Eight cover both. A snapshot holds under
 /// 1 MB of its own (four NICs in bulk: 314 KiB of non-zero lines and
-/// 468 KiB of the rest of the system) and one buffer, its last fork's,
-/// resident on the pages its systems touched (about 16 MB for four NICs
-/// in bulk), so the cap bounds what a process keeps beyond its live
-/// systems. The least recently used goes.
+/// 468 KiB of the rest of the system) and at most one buffer, the one
+/// its last fork dropped, resident on the pages its systems touched
+/// (about 16 MB for four NICs in bulk). Every other buffer is freed as
+/// its memory drops, so the cap bounds all a process keeps beyond its
+/// live systems. The least recently used goes.
 const PAIR_CAP: usize = 8;
 
 /// A (configuration, validated options) pair built in this process.

@@ -1984,8 +1984,6 @@ mod tests {
     #[test]
     fn a_cached_store_is_undone_by_the_next_restore_of_the_image() {
         let mut template = Machine::new();
-        // A length no other test uses, so no other thread takes the
-        // spare in between.
         template.phys = PhysMem::new(47);
         let space = template.new_space();
         template.map_stack(space, STACK, 4).unwrap();

@@ -1,26 +1,23 @@
 //! Simulated physical memory with a frame allocator.
 //!
-//! A [`PhysMem`]'s byte buffer outlives it. A fresh buffer is mapped
-//! lazily, so each 4 KiB page costs a page fault the first time it is
-//! touched; a recycled one has its pages already, and building one
-//! system after another pays those faults once.
+//! A [`PhysMem`]'s byte buffer is allocated zeroed and mapped lazily, so
+//! each 4 KiB page costs a page fault the first time it is touched. A
+//! buffer lives in one place: held by a live memory, or parked in the
+//! slot of the [`MemImage`] it was restored from.
 //!
-//! A recycled buffer reads exactly as a fresh one (or a fresh restore)
-//! would because each buffer knows where it may differ from what it was
-//! handed out as. It carries a *baseline* — all zero, or the
-//! [`MemImage`] it was restored from — and the set of pages written
-//! since, one bit per frame. Every page outside the set reads as the
-//! baseline.
+//! Each buffer knows where it may differ from what it was handed out
+//! as. It carries a *baseline* — all zero, or the image it was restored
+//! from — and the set of pages written since, one bit per frame. Every
+//! page outside the set reads as the baseline.
 //!
-//! Where a dropped buffer goes follows its baseline. A restored one goes
-//! back to its image, which keeps one buffer in a slot of its own; the
-//! next [`MemImage::restore`] takes it and zeroes and rewrites only the
+//! A restored buffer goes back to its image when it drops. The image
+//! keeps one buffer in a slot of its own, and the next
+//! [`MemImage::restore`] takes it and zeroes and rewrites only the
 //! written pages, so a fork pays for what the last fork wrote, not for
-//! what the system holds. Every other buffer — a fresh build's, a clone
-//! of one, a slot's previous buffer displaced by a newer one — goes to a
-//! small process-wide pool, from which a [`PhysMem::new`], a clone or a
-//! restore whose slot is empty takes one of its length and zeroes every
-//! page it may hold non-zero.
+//! what the system holds. Every other buffer is freed when it drops: a
+//! baseline-free one (a fresh memory's, a clone of one) and a slot's
+//! buffer that a newer one displaces. [`PhysMem::new`], a clone and a
+//! restore whose slot is empty each allocate a fresh buffer.
 //!
 //! Every write path marks the pages it writes — `write_u8/u16/u32/width/
 //! bytes`, `copy_within`, and through them NIC DMA and the walked
@@ -44,76 +41,21 @@ pub const PAGE_SIZE: u64 = 4096;
 
 const PAGE: usize = PAGE_SIZE as usize;
 
-/// Most spare buffers the pool keeps. A restored buffer goes back to its
-/// image's slot, so the pool receives only baseline-free buffers and
-/// displaced ones: a process that holds one system at a time (the
-/// benchmark's passes) files at most one, and one per live system in
-/// general (one per test thread). A spare keeps resident only the pages
-/// its systems touched — about 16 MB for four NICs in bulk — so the cap
-/// bounds what a process keeps beyond its live systems and its images'
-/// slots.
-const SPARE_CAP: usize = 4;
-
-/// A buffer no memory holds and the pages where it may differ from its
-/// baseline: its image's, in that image's slot; zero, in the pool.
-struct Spare {
+/// A buffer no memory holds, parked in its image's slot, and the pages
+/// where it may differ from that image.
+struct Parked {
     bytes: Vec<u8>,
     written: PageSet,
 }
 
-impl fmt::Debug for Spare {
+impl fmt::Debug for Parked {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let written = self.written.union(None).count();
         write!(
             f,
-            "Spare({} bytes, {written} pages written)",
+            "Parked({} bytes, {written} pages written)",
             self.bytes.len()
         )
-    }
-}
-
-/// Spare buffers, oldest first, each zero outside its written pages.
-static SPARES: Mutex<Vec<Spare>> = Mutex::new(Vec::new());
-
-/// The oldest spare of `len` bytes (a poisoned lock means no recycling).
-fn take_spare(len: usize) -> Option<Spare> {
-    let mut spares = SPARES.lock().ok()?;
-    let i = spares.iter().position(|s| s.bytes.len() == len)?;
-    Some(spares.remove(i))
-}
-
-/// Files `spare` in the pool, in place of the oldest spare when the pool
-/// is full; frees it when the pool's lock is poisoned.
-fn file_spare(spare: Spare) {
-    let Ok(mut spares) = SPARES.lock() else {
-        return;
-    };
-    if spares.len() == SPARE_CAP {
-        spares.remove(0);
-    }
-    spares.push(spare);
-}
-
-/// A buffer of `frames` frames, all zero, and its empty written set: a
-/// pool spare zeroed on its written pages, else a fresh allocation.
-fn zeroed_buffer(frames: usize) -> (Vec<u8>, PageSet) {
-    match take_spare(frames * PAGE) {
-        Some(spare) => spare.zeroed(),
-        None => (vec![0; frames * PAGE], PageSet::new(frames)),
-    }
-}
-
-impl Spare {
-    /// The buffer with every written page zeroed, and its written set
-    /// emptied: all zero, for a pool spare. Kept out of line:
-    /// `bench/profile.sh` reports it by this function's name.
-    #[inline(never)]
-    fn zeroed(mut self) -> (Vec<u8>, PageSet) {
-        for page in self.written.union(None) {
-            self.bytes[page * PAGE..][..PAGE].fill(0);
-        }
-        self.written.clear();
-        (self.bytes, self.written)
     }
 }
 
@@ -138,13 +80,6 @@ impl PageSet {
 
     fn clear(&mut self) {
         self.0.fill(0);
-    }
-
-    /// Adds every page of `other`.
-    fn insert_all(&mut self, other: &PageSet) {
-        for (word, &also) in self.0.iter_mut().zip(&other.0) {
-            *word |= also;
-        }
     }
 
     /// The pages in this set or in `also`, ascending.
@@ -195,10 +130,9 @@ impl PhysMem {
         if frames % 64 != 0 {
             free.push((1 << (frames % 64)) - 1);
         }
-        let (bytes, written) = zeroed_buffer(frames);
         PhysMem {
-            bytes,
-            written,
+            bytes: vec![0; frames * PAGE],
+            written: PageSet::new(frames),
             baseline: None,
             frames: Frames {
                 free,
@@ -264,7 +198,7 @@ impl PhysMem {
     /// rewrites nothing.
     pub fn into_image(mut self) -> MemImage {
         let image = self.image();
-        let own = Spare {
+        let own = Parked {
             bytes: std::mem::take(&mut self.bytes),
             written: PageSet::new(self.frames.total),
         };
@@ -319,22 +253,6 @@ impl PhysMem {
             self.written.insert(page);
         }
         Some(pfn)
-    }
-
-    /// Returns a frame to the free list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame is already free or out of range (double free is
-    /// a bug in the simulator itself, not a modeled driver bug).
-    pub fn free_frame(&mut self, pfn: u64) {
-        let f = &mut self.frames;
-        assert!((pfn as usize) < f.total, "pfn {pfn} out of range");
-        let (word, bit) = ((pfn / 64) as usize, pfn % 64);
-        assert!(f.free[word] & (1 << bit) == 0, "double free of pfn {pfn}");
-        f.free[word] |= 1 << bit;
-        f.lowest_free_word = f.lowest_free_word.min(word);
-        f.free_count += 1;
     }
 
     /// Reads one byte at a physical address.
@@ -442,12 +360,11 @@ impl PhysMem {
 }
 
 impl Clone for PhysMem {
-    /// A copy on a recycled buffer: only the pages that may be non-zero
-    /// are copied, and the copy keeps the original's baseline and
-    /// written set.
+    /// A copy on a fresh buffer: only the pages that may be non-zero are
+    /// copied, and the copy keeps the original's baseline and written
+    /// set.
     fn clone(&self) -> PhysMem {
-        let frames = self.frames.total;
-        let (mut bytes, _) = zeroed_buffer(frames);
+        let mut bytes = vec![0; self.frames.total * PAGE];
         for page in self.live_pages() {
             let at = page * PAGE;
             bytes[at..at + PAGE].copy_from_slice(&self.bytes[at..at + PAGE]);
@@ -462,32 +379,24 @@ impl Clone for PhysMem {
 }
 
 impl Drop for PhysMem {
-    /// Puts a restored buffer and its written set in its image's slot,
-    /// and files the buffer the slot held, if any, in the pool; files a
-    /// baseline-free buffer in the pool. An empty buffer (no frames)
-    /// holds nothing worth keeping, and a poisoned slot frees the buffer.
+    /// Parks a restored buffer and its written set in its image's slot,
+    /// freeing the buffer the slot held, if any. Every other buffer is
+    /// freed: a baseline-free one, and a restored one whose slot is
+    /// poisoned. An empty buffer (no frames, or one
+    /// [`PhysMem::into_image`] kept) parks nothing.
     fn drop(&mut self) {
         if self.bytes.is_empty() {
             return;
         }
-        let spare = Spare {
+        let Some(image) = self.baseline.take() else {
+            return;
+        };
+        let parked = Parked {
             bytes: std::mem::take(&mut self.bytes),
             written: std::mem::replace(&mut self.written, PageSet(Vec::new())),
         };
-        let Some(image) = self.baseline.take() else {
-            return file_spare(spare);
-        };
-        let Ok(mut slot) = image.slot.lock() else {
-            return;
-        };
-        let displaced = slot.replace(spare);
-        drop(slot);
-        if let Some(mut displaced) = displaced {
-            // In the pool its baseline is zero: the image's pages may
-            // differ from that too.
-            displaced.written.insert_all(&image.pages);
-            file_spare(displaced);
-        }
+        // The buffer it displaces is freed here, once the lock is released.
+        let _displaced = image.slot.lock().ok().and_then(|mut s| s.replace(parked));
     }
 }
 
@@ -513,8 +422,9 @@ struct Lines {
     /// The pages that hold a run.
     pages: PageSet,
     /// The buffer the last restore dropped, which the next restore
-    /// takes: at most one per image.
-    slot: Mutex<Option<Spare>>,
+    /// takes: at most one per image, the newest. Nothing else holds a
+    /// buffer between two memories.
+    slot: Mutex<Option<Parked>>,
 }
 
 impl Lines {
@@ -550,9 +460,8 @@ pub struct MemImage {
 impl MemImage {
     /// The memory this image was taken from, with this image as its
     /// baseline: on the buffer in this image's slot, with only the pages
-    /// written since zeroed and rewritten; else on a pool spare or a
-    /// fresh allocation, zeroed where it may be non-zero, with every run
-    /// written.
+    /// written since zeroed and rewritten; else on a fresh buffer, with
+    /// every run written.
     pub fn restore(&self) -> PhysMem {
         let own = self.lines.slot.lock().ok().and_then(|mut slot| slot.take());
         let (bytes, written) = match own {
@@ -565,9 +474,9 @@ impl MemImage {
                 (own.bytes, own.written)
             }
             None => {
-                let (mut bytes, written) = zeroed_buffer(self.frames.total);
+                let mut bytes = vec![0; self.frames.total * PAGE];
                 self.lines.write(&mut bytes, &self.lines.runs);
-                (bytes, written)
+                (bytes, PageSet::new(self.frames.total))
             }
         };
         PhysMem {
@@ -586,74 +495,26 @@ mod tests {
     #[test]
     fn alloc_zeroes_and_reuses() {
         let mut pm = PhysMem::new(4);
+        // Into a frame no allocation reached yet, as rogue DMA lands.
+        pm.write_u8(8, 0xab);
         let a = pm.alloc_frame().unwrap();
-        pm.write_u8(a * PAGE_SIZE, 0xab);
-        pm.free_frame(a);
-        let b = pm.alloc_frame().unwrap();
-        assert_eq!(a, b, "lowest frame is reused");
-        assert_eq!(pm.read_u8(b * PAGE_SIZE), 0, "frame is zeroed on alloc");
-    }
-
-    /// Each write path in a life of its own, into an allocated frame and
-    /// into one no allocation reached (a rogue DMA descriptor's case):
-    /// the next `PhysMem` of the length takes the buffer back and reads
-    /// all zero, and hands out zeroed frames.
-    #[test]
-    fn a_recycled_buffer_reads_as_a_fresh_one() {
-        // A length no other test here uses, so no other thread takes
-        // the spare in between.
-        const FRAMES: usize = 37;
-        let rogue = (FRAMES as u64 - 1) * PAGE_SIZE;
-        let paths: [fn(&mut PhysMem, u64); 6] = [
-            |pm, at| pm.write_u8(at, 0xa5),
-            |pm, at| pm.write_u16(at, 0xa5a5),
-            |pm, at| pm.write_u32(at, 0xa5a5_a5a5),
-            |pm, at| pm.write_width(at, Width::Word, 0xa5a5),
-            |pm, at| pm.write_bytes(at, &[0xa5; 9]),
-            |pm, at| {
-                pm.write_u8(0, 0xa5);
-                pm.copy_within(0, at, 1);
-            },
-        ];
-        // The next life of the buffer the last one wrote through path `i`.
-        let take_back = |last: Option<(*const u8, usize)>| {
-            let pm = PhysMem::new(FRAMES);
-            if let Some((ptr, i)) = last {
-                assert_eq!(pm.bytes.as_ptr(), ptr, "path {i}: not recycled");
-                assert!(pm.bytes.iter().all(|&b| b == 0), "path {i}: not zero");
-            }
-            pm
-        };
-        let mut last = None;
-        for (i, write) in paths.iter().enumerate() {
-            let mut pm = take_back(last);
-            let frame = pm.alloc_frame().unwrap() * PAGE_SIZE;
-            write(&mut pm, frame + 8);
-            write(&mut pm, rogue + 8 + i as u64);
-            last = Some((pm.bytes.as_ptr(), i));
-        }
-        let mut pm = take_back(last);
-        while let Some(pfn) = pm.alloc_frame() {
-            assert_eq!(
-                pm.read_bytes(pfn * PAGE_SIZE, PAGE_SIZE as usize),
-                [0; 4096]
-            );
-        }
+        assert_eq!(a, 0, "the written frame is handed out");
+        assert_eq!(pm.read_u8(8), 0, "frame is zeroed on alloc");
     }
 
     /// An image of memory dirtied through every write path, restored
-    /// onto a spare that holds other garbage, reads as the original:
-    /// every byte and the allocator, with nothing written since.
+    /// onto a fresh buffer, reads as the original: every byte and the
+    /// allocator, with nothing written since.
     #[test]
     fn a_restored_image_reads_as_its_original() {
-        // A length no other test here uses, so no other thread takes
-        // the spare in between.
         const FRAMES: usize = 41;
         let mut original = PhysMem::new(FRAMES);
+        // A frame written before it is allocated reads zero once it is.
+        original.write_bytes(2 * PAGE_SIZE + 40, &[0x3c; 9]);
         let at: Vec<u64> = (0..6)
             .map(|_| original.alloc_frame().unwrap() * PAGE_SIZE)
             .collect();
-        original.free_frame(at[2] / PAGE_SIZE);
+        assert_eq!(original.read_bytes(at[2] + 40, 9), [0; 9]);
         original.write_u8(at[0] + 3, 0xa5);
         // Across a line boundary, then the next line: one run.
         original.write_u16(at[0] + 63, 0xa5a5);
@@ -666,14 +527,7 @@ mod tests {
         original.copy_within(at[3] + 500, at[5] + 4000, 96);
         // Past every allocated frame, as a rogue DMA write lands.
         original.write_u8((FRAMES as u64 - 1) * PAGE_SIZE + 7, 0xa5);
-        let image = original.image();
-        let garbage = {
-            let mut g = PhysMem::new(FRAMES);
-            g.write_bytes(0, &[0x3c; FRAMES * PAGE_SIZE as usize]);
-            g.bytes.as_ptr()
-        };
-        let restored = image.restore();
-        assert_eq!(restored.bytes.as_ptr(), garbage, "not on the spare");
+        let restored = original.image().restore();
         assert!(restored.bytes == original.bytes, "the bytes differ");
         assert_eq!(restored.written.union(None).count(), 0, "written since?");
         assert_eq!(restored.frames, original.frames);
@@ -685,8 +539,6 @@ mod tests {
     /// page it did neither to survives — and reads as the original.
     #[test]
     fn a_restore_onto_its_own_spare_rewrites_only_the_pages_written_since() {
-        // A length no other test here uses, so no other thread takes
-        // the spare in between.
         const FRAMES: usize = 43;
         let mut original = PhysMem::new(FRAMES);
         let at: Vec<u64> = (0..4)
@@ -695,29 +547,36 @@ mod tests {
         // Over a page boundary: the run is kept as two, one per page.
         original.write_bytes(at[0] + 100, &[0xa5; 5000]);
         original.write_u32(at[2] + 8, 0xa5a5_a5a5);
+        // Into the next frame to allocate: the image holds it, free.
+        let unallocated = 4 * PAGE_SIZE;
+        original.write_u32(unallocated + 8, 0xa5a5_a5a5);
         let image = original.image();
         let mut pm = image.restore();
         let buffer = pm.bytes.as_ptr();
         assert!(pm.bytes == original.bytes, "the first restore differs");
-        // A baseline byte written back to zero, every other write path,
-        // a store straddling into a frame no allocation reached, a
-        // baseline frame freed and handed out again (zeroed), and a
-        // cached store: its frame marked, then written unmarked.
+        // A baseline byte written back to zero, every other write path
+        // on a page no other one writes, a store straddling two frames
+        // no allocation reached, a baseline frame handed out (zeroed),
+        // and a cached store: its frame marked, then written unmarked.
         pm.write_u8(at[0] + 200, 0);
         pm.write_u16(at[3] + 8, 0x5a5a);
-        pm.write_u32(at[3] + PAGE_SIZE - 2, 0x5a5a_5a5a);
+        pm.write_u32(7 * PAGE_SIZE - 2, 0x5a5a_5a5a);
         pm.write_width(at[1] + 16, Width::Byte, 0x5a);
+        pm.write_bytes(8 * PAGE_SIZE + 700, &[0x5a; 9]);
         pm.copy_within(at[2] + 8, (FRAMES as u64 - 1) * PAGE_SIZE + 4, 4);
-        pm.free_frame(at[2] / PAGE_SIZE);
-        assert_eq!(pm.alloc_frame(), Some(at[2] / PAGE_SIZE));
-        assert_eq!(pm.read_u32(at[2] + 8), 0, "a baseline frame handed out");
+        assert_eq!(pm.alloc_frame(), Some(unallocated / PAGE_SIZE));
+        assert_eq!(
+            pm.read_u32(unallocated + 8),
+            0,
+            "a baseline frame handed out"
+        );
         pm.mark(9);
         pm.bytes[9 * PAGE + 1] = 0x5a;
         let canary = 20 * PAGE;
         pm.bytes[canary] = 0xcc;
         drop(pm);
         let mut again = image.restore();
-        assert_eq!(again.bytes.as_ptr(), buffer, "not on its own spare");
+        assert_eq!(again.bytes.as_ptr(), buffer, "not on its own buffer");
         assert_eq!(again.bytes[canary], 0xcc, "an unwritten page was rewritten");
         again.bytes[canary] = 0;
         assert!(again.bytes == original.bytes, "the bytes differ");
@@ -740,8 +599,6 @@ mod tests {
     /// between.
     #[test]
     fn interleaved_images_each_restore_onto_their_own_buffer() {
-        // A length no other test here uses, so no other thread takes
-        // the spare in between.
         const FRAMES: usize = 53;
         let (a_original, a) = imaged(FRAMES, 0xaa);
         let (_b_original, b) = imaged(FRAMES, 0xbb);
@@ -763,39 +620,6 @@ mod tests {
         assert!(again.bytes == a_original.bytes, "the bytes differ");
     }
 
-    /// Two restores of one image alive at once, dropped in turn: the
-    /// second takes the slot and the first goes to the pool, where a new
-    /// memory reads it all zero, the image's page neither wrote
-    /// included; each of the next two restores reads as the image, one
-    /// on the slot's buffer and one on neither.
-    #[test]
-    fn a_displaced_buffer_is_a_zero_spare() {
-        // A length no other test here uses, so no other thread takes
-        // the spare in between.
-        const FRAMES: usize = 59;
-        let (original, image) = imaged(FRAMES, 0xaa);
-        let [mut first, mut second] = [0x11, 0x22].map(|byte| {
-            let mut pm = image.restore();
-            pm.write_bytes(3 * PAGE_SIZE + 100, &[byte; 9]);
-            pm.write_u8(5 * PAGE_SIZE, byte);
-            pm
-        });
-        let buffers = [first.bytes.as_ptr(), second.bytes.as_ptr()];
-        first.write_u8(7 * PAGE_SIZE, 0x33);
-        second.write_u8(9 * PAGE_SIZE, 0x44);
-        drop(first);
-        drop(second);
-        let zero = PhysMem::new(FRAMES);
-        assert_eq!(zero.bytes.as_ptr(), buffers[0], "not the displaced buffer");
-        assert!(zero.bytes.iter().all(|&b| b == 0), "not zero");
-        let restores = [image.restore(), image.restore()];
-        assert_eq!(restores[0].bytes.as_ptr(), buffers[1], "not the slot's");
-        for (i, pm) in restores.iter().enumerate() {
-            assert!(pm.bytes == original.bytes, "restore {i}: the bytes differ");
-            assert_eq!(pm.frames, original.frames);
-        }
-    }
-
     #[test]
     fn exhaustion() {
         let mut pm = PhysMem::new(2);
@@ -809,24 +633,16 @@ mod tests {
     fn allocation_order_is_lowest_free_frame_first() {
         // 130 frames: two full bitmap words and a partial third.
         let mut pm = PhysMem::new(130);
+        let written = [129, 64, 3, 70];
+        for pfn in written {
+            pm.write_u32(pfn * PAGE_SIZE + 4, 0xa5a5_a5a5);
+        }
         let all: Vec<u64> = std::iter::from_fn(|| pm.alloc_frame()).collect();
         assert_eq!(all, (0..130).collect::<Vec<u64>>());
         assert_eq!(pm.free_frames(), 0);
-        for pfn in [129, 64, 3, 70] {
-            pm.free_frame(pfn);
+        for pfn in written {
+            assert_eq!(pm.read_u32(pfn * PAGE_SIZE + 4), 0, "frame {pfn}");
         }
-        assert_eq!(pm.free_frames(), 4);
-        let again: Vec<u64> = std::iter::from_fn(|| pm.alloc_frame()).collect();
-        assert_eq!(again, vec![3, 64, 70, 129]);
-    }
-
-    #[test]
-    #[should_panic(expected = "double free")]
-    fn double_free_panics() {
-        let mut pm = PhysMem::new(2);
-        let a = pm.alloc_frame().unwrap();
-        pm.free_frame(a);
-        pm.free_frame(a);
     }
 
     #[test]

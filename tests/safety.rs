@@ -137,6 +137,14 @@ const DOUBLE_FREE: &str = "    pushl 4(%esp)\n    call dev_kfree_skb_any\n    ad
 /// Frees the driver's own adapter slot, an address no pool handed out.
 const FORGED_FREE: &str = "    pushl $cur_adapter\n    call dev_kfree_skb_any\n    addl $4, %esp";
 
+/// Where `e1000_xmit_fill` has written the skb's descriptor and
+/// remembered the skb in its ring slot.
+const RING_HELD: &str = "    movl %edi, (%ecx)           # remember skb at its first descriptor";
+
+/// Frees the skb the ring now holds: the device will still transmit
+/// from its buffer, and the ring's clean-up frees it again.
+const RING_HELD_FREE: &str = "    pushl %edi\n    call dev_kfree_skb_any\n    addl $4, %esp";
+
 /// A driver that frees across the crossing what it does not own, on
 /// both configurations that run it: four bursts, then the recovery of
 /// whatever was quarantined. Nothing panics; the misuse surfaces — as
@@ -145,7 +153,7 @@ const FORGED_FREE: &str = "    pushl $cur_adapter\n    call dev_kfree_skb_any\n 
 /// burst toward its device fails naming that fault — and the pools end
 /// as an honest system holds them with nothing in flight: no buffer
 /// lost, none counted twice, no foreign address taken in.
-fn a_hostile_free_is_refused(payload: &str) {
+fn a_hostile_free_is_refused(marker: &str, payload: &str) {
     for config in [Config::TwinDrivers, Config::XenDom0] {
         let build = |src: String| {
             let opts = SystemOptions {
@@ -155,7 +163,7 @@ fn a_hostile_free_is_refused(payload: &str) {
             System::build_with(config, &opts).unwrap()
         };
         let honest = build(e1000::source()).outcome();
-        let mut sys = build(sabotage("e1000_xmit_fill:", payload));
+        let mut sys = build(sabotage(marker, payload));
         let mut refused = 0;
         for burst in 0..4 {
             match (config, sys.transmit_burst(32)) {
@@ -191,12 +199,17 @@ fn a_hostile_free_is_refused(payload: &str) {
 
 #[test]
 fn a_driver_double_free_is_refused() {
-    a_hostile_free_is_refused(DOUBLE_FREE);
+    a_hostile_free_is_refused("e1000_xmit_fill:", DOUBLE_FREE);
 }
 
 #[test]
 fn a_driver_forged_free_is_refused() {
-    a_hostile_free_is_refused(FORGED_FREE);
+    a_hostile_free_is_refused("e1000_xmit_fill:", FORGED_FREE);
+}
+
+#[test]
+fn a_driver_free_of_a_ring_held_skb_is_refused() {
+    a_hostile_free_is_refused(RING_HELD, RING_HELD_FREE);
 }
 
 #[test]
